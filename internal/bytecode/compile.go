@@ -348,7 +348,7 @@ func (c *fnCompiler) stmtInner(s ast.Stmt) error {
 	case *ast.ParallelStmt:
 		first := len(c.fn.Chunks)
 		for _, child := range s.Body.Stmts {
-			if err := c.subChunk(func() error { return c.stmt(child) }); err != nil {
+			if err := c.subChunk(child.Pos(), func() error { return c.stmt(child) }); err != nil {
 				return err
 			}
 		}
@@ -358,7 +358,7 @@ func (c *fnCompiler) stmtInner(s ast.Stmt) error {
 	case *ast.BackgroundStmt:
 		first := len(c.fn.Chunks)
 		for _, child := range s.Body.Stmts {
-			if err := c.subChunk(func() error { return c.stmt(child) }); err != nil {
+			if err := c.subChunk(child.Pos(), func() error { return c.stmt(child) }); err != nil {
 				return err
 			}
 		}
@@ -371,7 +371,7 @@ func (c *fnCompiler) stmtInner(s ast.Stmt) error {
 			return err
 		}
 		idx := len(c.fn.Chunks)
-		if err := c.subChunk(func() error { return c.block(s.Body) }); err != nil {
+		if err := c.subChunk(s.Pos(), func() error { return c.block(s.Body) }); err != nil {
 			return err
 		}
 		c.emit(OpParFor, 0, int32(idx), seq, int32(s.Var.Slot), s.Pos())
@@ -383,8 +383,10 @@ func (c *fnCompiler) stmtInner(s ast.Stmt) error {
 // subChunk compiles body into a fresh chunk and restores the emission
 // context. Parallel bodies contain no break/continue/return that could
 // escape (the checker rejects them), so loop and lock state start empty;
-// the new chunk gets its own temporary file.
-func (c *fnCompiler) subChunk(body func() error) error {
+// the new chunk gets its own temporary file. Its terminator is positioned
+// at end, inside the construct, so a limit that trips there is reported
+// where the thread was running.
+func (c *fnCompiler) subChunk(end token.Pos, body func() error) error {
 	saveCur := c.cur
 	saveNext, saveMax := c.nextTemp, c.maxTemp
 	saveLocks := c.lockStack
@@ -399,7 +401,7 @@ func (c *fnCompiler) subChunk(body func() error) error {
 	c.breaks, c.continues = nil, nil
 
 	err := body()
-	c.emit(OpReturnNone, 0, 0, 0, 0, c.src.Pos())
+	c.emit(OpReturnNone, 0, 0, 0, 0, end)
 	c.chunk().NumTemps = c.maxTemp - c.fn.NumSlots
 
 	c.cur = saveCur

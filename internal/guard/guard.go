@@ -251,12 +251,14 @@ func (g *Governor) StepN(tally *Tally, n int64) Kind {
 	return OK
 }
 
-// ThreadStart accounts a new live thread and returns the trip state.
+// ThreadStart accounts a new live thread and returns the trip state. Only
+// an OK is to be paired with a ThreadDone.
 func (g *Governor) ThreadStart() Kind {
 	if k := Kind(g.trip.Load()); k != OK {
 		return k
 	}
 	if n := g.live.Add(1); g.lim.MaxThreads > 0 && n > g.lim.MaxThreads {
+		g.live.Add(-1) // refused: the thread never starts and is never done
 		return g.tripOnce(Threads)
 	}
 	return OK
@@ -264,6 +266,9 @@ func (g *Governor) ThreadStart() Kind {
 
 // ThreadDone accounts a thread exit.
 func (g *Governor) ThreadDone() { g.live.Add(-1) }
+
+// Live returns how many threads have started and are not yet done.
+func (g *Governor) Live() int64 { return g.live.Load() }
 
 // AddOutput charges n bytes of program output. When the charge would cross
 // the budget the write must be suppressed by the caller.

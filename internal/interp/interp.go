@@ -2,28 +2,27 @@
 //
 // It mirrors the architecture the paper describes (§IV): the checked AST is
 // executed by recursive traversal, and when execution reaches a parallel
-// construct the interpreter launches one thread per unit of work — here a
-// goroutine instead of a Pthread — and joins (or, for background blocks,
-// does not join) before continuing. Lock statements map to a named-mutex
-// registry. Threads share the enclosing function's symbol table; a
-// parallel-for iteration additionally receives a private cell for its
-// induction variable, reproducing the paper's private/shared symbol table
-// split.
+// construct the interpreter hands one body per unit of work to the shared
+// thread runtime (internal/rt), which launches the threads — goroutines
+// instead of Pthreads — and joins (or, for background blocks, does not
+// join) them, and which owns the named-lock table. Threads share the
+// enclosing function's symbol table; a parallel-for iteration additionally
+// receives a private cell for its induction variable, reproducing the
+// paper's private/shared symbol table split.
 //
-// The registry performs live deadlock detection (wait-for-graph cycles),
-// turning the classic "my program hangs" experience into an explanatory
-// error — the pedagogical goal the paper assigns to its IDE.
+// The interpreter turns on the runtime's live deadlock detection
+// (wait-for-graph cycles), turning the classic "my program hangs"
+// experience into an explanatory error — the pedagogical goal the paper
+// assigns to its IDE.
 package interp
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/ast"
-	"repro/internal/deadlock"
 	"repro/internal/guard"
+	"repro/internal/rt"
 	"repro/internal/sched"
 	"repro/internal/sem"
 	"repro/internal/stdlib"
@@ -88,60 +87,32 @@ type Options struct {
 }
 
 // ThreadWork is one thread's contribution to a work profile.
-type ThreadWork struct {
-	ID     int
-	Parent int   // -1 for the main thread
-	Work   int64 // executed AST nodes
-}
+type ThreadWork = rt.ThreadWork
 
 // Interp executes one checked program. A single Interp may run one program
 // at a time; create a new Interp per run.
 type Interp struct {
-	prog *ast.Program
-	opts Options
-
-	locks      *lockRegistry
-	guard      *guard.Governor
-	nextThread atomic.Int64
-	background sync.WaitGroup
-
-	stopped atomic.Bool
-	errMu   sync.Mutex
-	err     error
-
-	profMu  sync.Mutex
-	profile []ThreadWork
+	prog  *ast.Program
+	opts  Options
+	guard *guard.Governor
+	rt    *rt.Runtime
 }
 
 // WorkProfile returns the per-thread work counts recorded during the last
 // Run/Call when Options.CountWork was set. Order is completion order.
-func (in *Interp) WorkProfile() []ThreadWork {
-	in.profMu.Lock()
-	defer in.profMu.Unlock()
-	out := make([]ThreadWork, len(in.profile))
-	copy(out, in.profile)
-	return out
-}
-
-func (in *Interp) addProfile(t *thread) {
-	if !in.opts.CountWork {
-		return
-	}
-	in.profMu.Lock()
-	in.profile = append(in.profile, ThreadWork{ID: t.id, Parent: t.parent, Work: t.work})
-	in.profMu.Unlock()
-}
+func (in *Interp) WorkProfile() []ThreadWork { return in.rt.WorkProfile() }
 
 // New returns an interpreter for the checked program.
 func New(prog *ast.Program, opts Options) *Interp {
-	in := &Interp{prog: prog, opts: opts, guard: opts.Guard}
-	in.locks = newLockRegistry(prog.LockNames, !opts.NoDeadlockDetection)
-	if in.guard != nil {
-		// A trip must wake threads parked on the lock registry's condition
-		// variable so they observe it and unwind.
-		in.guard.OnTrip(in.locks.wake)
-	}
-	return in
+	return &Interp{prog: prog, opts: opts, guard: opts.Guard, rt: rt.New(rt.Config{
+		Guard:            opts.Guard,
+		Tracer:           opts.Tracer,
+		Sched:            opts.Sched,
+		LockNames:        prog.LockNames,
+		DetectDeadlock:   !opts.NoDeadlockDetection,
+		CountWork:        opts.CountWork,
+		NoWaitBackground: opts.NoWaitBackground,
+	})}
 }
 
 // Run executes the program's main function. It returns the first runtime
@@ -151,35 +122,8 @@ func (in *Interp) Run() error {
 	if f == nil {
 		return fmt.Errorf("program has no main function")
 	}
-	if in.guard != nil {
-		in.guard.Start()
-		defer in.guard.Stop()
-		in.guard.ThreadStart() // the main thread counts against MaxThreads
-		defer in.guard.ThreadDone()
-	}
-	t := in.newThread(-1)
-	t.traceStart()
-	_, err := t.call(f, nil, f.Pos())
-	t.traceEnd()
-	in.addProfile(t)
-	in.setErr(err)
-	if !in.opts.NoWaitBackground {
-		in.joinBackground()
-	}
-	return in.loadErr()
-}
-
-// joinBackground waits for background threads. When the run already failed
-// or a limit tripped, the join is bounded by a grace period: every healthy
-// thread observes the stop at its next statement, but a thread stuck in a
-// blocking operation the governor cannot interrupt must not wedge the
-// whole run.
-func (in *Interp) joinBackground() {
-	if in.guard != nil && (in.loadErr() != nil || in.guard.Tripped() != guard.OK) {
-		guard.WaitGroup(&in.background, guard.DefaultGrace)
-		return
-	}
-	in.background.Wait()
+	_, err := in.run(f, nil)
+	return err
 }
 
 // Call invokes a named function with the given arguments, for embedding
@@ -193,97 +137,44 @@ func (in *Interp) Call(name string, args ...value.Value) (value.Value, error) {
 	if len(args) != len(f.Params) {
 		return value.Value{}, fmt.Errorf("%s expects %d argument(s), got %d", name, len(f.Params), len(args))
 	}
-	if in.guard != nil {
-		in.guard.Start()
-		defer in.guard.Stop()
-		in.guard.ThreadStart()
-		defer in.guard.ThreadDone()
-	}
-	t := in.newThread(-1)
-	v, err := t.call(f, args, f.Pos())
-	in.addProfile(t)
-	in.setErr(err)
-	if !in.opts.NoWaitBackground {
-		in.joinBackground()
-	}
-	if e := in.loadErr(); e != nil {
-		return value.Value{}, e
+	return in.run(f, args)
+}
+
+// run calls f on a new main thread and returns once the background threads
+// have been joined.
+func (in *Interp) run(f *ast.FuncDecl, args []value.Value) (value.Value, error) {
+	t := in.newThread()
+	var v value.Value
+	err := in.rt.Main(&t.Thread, func() (err error) {
+		v, err = t.call(f, args, f.Pos())
+		return err
+	})
+	if err != nil {
+		return value.Value{}, err
 	}
 	return v, nil
 }
 
 // Cancel requests that all running Tetra threads stop at their next
 // statement boundary. Used by the debugger's kill command.
-func (in *Interp) Cancel() {
-	in.setErr(fmt.Errorf("execution cancelled"))
-	if in.guard != nil {
-		in.guard.Cancel()
-	}
-	// Wake lock waiters so they re-check the stop flag instead of parking
-	// until an unrelated release happens to broadcast.
-	in.locks.wake()
-}
-
-func (in *Interp) setErr(err error) {
-	if err == nil {
-		return
-	}
-	in.errMu.Lock()
-	if in.err == nil {
-		in.err = err
-	}
-	in.errMu.Unlock()
-	in.stopped.Store(true)
-}
-
-func (in *Interp) loadErr() error {
-	in.errMu.Lock()
-	defer in.errMu.Unlock()
-	return in.err
-}
-
-// errStopped is the sentinel propagated when another thread already failed;
-// it is never surfaced (the original error wins inside setErr).
-var errStopped = fmt.Errorf("stopped")
+func (in *Interp) Cancel() { in.rt.Cancel() }
 
 // thread is one Tetra thread of execution.
 type thread struct {
-	id        int
+	rt.Thread // identity and step accounting; the runtime fills it in
 	interp    *Interp
 	ret       value.Value
 	depth     int
 	held      []int // lock indices currently held, innermost last
-	parent    int
 	countWork bool
-	work      int64
-	tally     *guard.Tally // per-thread work counter for trip diagnostics
-	pending   int32        // steps accumulated since the last governor sync
 }
 
-func (in *Interp) newThread(parent int) *thread {
-	t := &thread{id: int(in.nextThread.Add(1)) - 1, interp: in, parent: parent, countWork: in.opts.CountWork}
-	if in.guard != nil {
-		t.tally = in.guard.NewTally(t.id)
-	}
-	return t
-}
-
-func (t *thread) traceStart() {
-	if tr := t.interp.opts.Tracer; tr != nil {
-		tr.Emit(trace.Event{Thread: t.id, Parent: t.parent, Kind: trace.ThreadStart})
-	}
-}
-
-func (t *thread) traceEnd() {
-	if tr := t.interp.opts.Tracer; tr != nil {
-		tr.Emit(trace.Event{Thread: t.id, Kind: trace.ThreadEnd})
-	}
+func (in *Interp) newThread() *thread {
+	return &thread{interp: in, countWork: in.opts.CountWork}
 }
 
 func (t *thread) emit(kind trace.Kind, pos token.Pos, name string) {
-	if tr := t.interp.opts.Tracer; tr != nil {
-		tr.Emit(trace.Event{Thread: t.id, Kind: kind, Pos: pos, Name: name})
-	}
+	t.interp.rt.Emit(&t.Thread, kind, pos, name)
 }
 
 func (t *thread) emitVar(kind trace.Kind, pos token.Pos, name string, c *value.Cell) {
@@ -293,7 +184,7 @@ func (t *thread) emitVar(kind trace.Kind, pos token.Pos, name string, c *value.C
 	}
 	held := append([]int(nil), t.held...)
 	tr.Emit(trace.Event{
-		Thread: t.id, Kind: kind, Pos: pos, Name: name, Locks: held,
+		Thread: t.ID, Kind: kind, Pos: pos, Name: name, Locks: held,
 		Addr: uint64(uintptr(unsafe.Pointer(c))),
 	})
 }
@@ -345,11 +236,6 @@ func (f *frame) store(slot int, v value.Value) {
 	f.cells[slot].StoreLocal(v)
 }
 
-// rtErr builds a positioned runtime error.
-func rtErr(pos token.Pos, format string, args ...any) error {
-	return &value.RuntimeError{Msg: fmt.Sprintf(format, args...), Pos: pos.String()}
-}
-
 // chargeAlloc bills n cells (array elements or string bytes) against the
 // governor's allocation budget. Called on the growth paths — range
 // materialization, array literals, string concatenation — so unbounded
@@ -368,7 +254,7 @@ func (t *thread) chargeAlloc(n int64, pos token.Pos) error {
 // call runs fn with the given argument values on this thread.
 func (t *thread) call(fn *ast.FuncDecl, args []value.Value, pos token.Pos) (value.Value, error) {
 	if t.depth >= maxCallDepth {
-		return value.Value{}, rtErr(pos, "call stack exhausted (recursion deeper than %d)", maxCallDepth)
+		return value.Value{}, rt.Errorf(pos, "call stack exhausted (recursion deeper than %d)", maxCallDepth)
 	}
 	t.depth++
 	defer func() { t.depth-- }()
@@ -416,26 +302,24 @@ func (t *thread) execBlock(f *frame, b *ast.Block) (signal, error) {
 
 func (t *thread) exec(f *frame, s ast.Stmt) (signal, error) {
 	in := t.interp
-	if in.stopped.Load() {
-		return sigNone, errStopped
+	if in.rt.Stopped() {
+		return sigNone, rt.ErrStopped
 	}
-	if g := in.guard; g != nil {
+	if in.guard != nil {
 		// Batched fuel accounting: one local increment per statement, one
 		// governor sync per guard.StepBatch statements.
-		t.pending++
-		if t.pending >= guard.StepBatch {
-			n := t.pending
-			t.pending = 0
-			if k := g.StepN(t.tally, int64(n)); k != guard.OK {
-				return sigNone, g.ErrAt(k, s.Pos().String())
+		t.Pending++
+		if t.Pending >= guard.StepBatch {
+			if err := in.rt.Flush(&t.Thread, s.Pos()); err != nil {
+				return sigNone, err
 			}
 		}
 	}
 	if t.countWork {
-		t.work++
+		t.Work++
 	}
 	if in.opts.Step != nil {
-		in.opts.Step(t.id, f.fn, s, f, t.depth)
+		in.opts.Step(t.ID, f.fn, s, f, t.depth)
 	}
 	if in.opts.Tracer != nil {
 		t.emit(trace.Step, s.Pos(), "")
@@ -464,8 +348,8 @@ func (t *thread) exec(f *frame, s ast.Stmt) (signal, error) {
 
 	case *ast.WhileStmt:
 		for {
-			if in.stopped.Load() {
-				return sigNone, errStopped
+			if in.rt.Stopped() {
+				return sigNone, rt.ErrStopped
 			}
 			cond, err := t.eval(f, s.Cond)
 			if err != nil {
@@ -493,8 +377,8 @@ func (t *thread) exec(f *frame, s ast.Stmt) (signal, error) {
 		}
 		iter := newIterator(seq)
 		for i := 0; i < iter.len(); i++ {
-			if in.stopped.Load() {
-				return sigNone, errStopped
+			if in.rt.Stopped() {
+				return sigNone, rt.ErrStopped
 			}
 			f.store(s.Var.Slot, iter.at(i))
 			sig, err := t.execBlock(f, s.Body)
@@ -511,10 +395,10 @@ func (t *thread) exec(f *frame, s ast.Stmt) (signal, error) {
 		return sigNone, nil
 
 	case *ast.ParallelStmt:
-		return sigNone, t.execParallel(f, s)
+		return sigNone, in.rt.Parallel(&t.Thread, len(s.Body.Stmts), t.spawns(f, s.Body.Stmts))
 
 	case *ast.BackgroundStmt:
-		return sigNone, t.execBackground(f, s)
+		return sigNone, in.rt.Background(&t.Thread, len(s.Body.Stmts), t.spawns(f, s.Body.Stmts))
 
 	case *ast.ParallelForStmt:
 		return sigNone, t.execParallelFor(f, s)
@@ -541,7 +425,7 @@ func (t *thread) exec(f *frame, s ast.Stmt) (signal, error) {
 	case *ast.PassStmt:
 		return sigNone, nil
 	}
-	return sigNone, rtErr(s.Pos(), "internal: unknown statement %T", s)
+	return sigNone, rt.Errorf(s.Pos(), "internal: unknown statement %T", s)
 }
 
 func (t *thread) execAssign(f *frame, s *ast.AssignStmt) error {
@@ -604,7 +488,7 @@ func (t *thread) execAssign(f *frame, s *ast.AssignStmt) error {
 		a.Set(i, value.Convert(v, target.Type()))
 		return nil
 	}
-	return rtErr(s.Pos(), "internal: bad assignment target %T", s.Target)
+	return rt.Errorf(s.Pos(), "internal: bad assignment target %T", s.Target)
 }
 
 // augOp maps an augmented-assignment token to the sem operator it applies.
@@ -623,162 +507,47 @@ func augOp(k token.Kind) sem.Op {
 	}
 }
 
-// spawn launches body() as a new Tetra thread and reports its completion on
-// the WaitGroup. Runtime errors are recorded on the interpreter. The spawn
-// is refused with a positioned error when the governor's thread budget is
-// exhausted (or another limit already tripped).
-func (t *thread) spawn(wg *sync.WaitGroup, pos token.Pos, run func(nt *thread) error) error {
-	g := t.interp.guard
-	if g != nil {
-		if k := g.ThreadStart(); k != guard.OK {
-			return g.ErrAt(k, pos.String())
-		}
-	}
-	nt := t.interp.newThread(t.id)
-	if wg != nil {
-		wg.Add(1)
-	} else {
-		t.interp.background.Add(1)
-	}
-	go func() {
-		if wg != nil {
-			defer wg.Done()
-		} else {
-			defer t.interp.background.Done()
-		}
-		if g != nil {
-			defer g.ThreadDone()
-		}
-		nt.traceStart()
-		err := run(nt)
-		nt.traceEnd()
-		t.interp.addProfile(nt)
-		if err != nil && err != errStopped {
-			t.interp.setErr(err)
-		}
-	}()
-	return nil
-}
-
-// execParallel runs each child statement in its own thread and waits for
-// all of them (paper §II: fork-join over the block's statements).
-func (t *thread) execParallel(f *frame, s *ast.ParallelStmt) error {
-	var wg sync.WaitGroup
-	var spawnErr error
-	for _, child := range s.Body.Stmts {
-		child := child
-		if err := t.spawn(&wg, child.Pos(), func(nt *thread) error {
+// spawns describes the threads of a parallel or background block to the
+// runtime: one per child statement, all sharing the frame f.
+func (t *thread) spawns(f *frame, stmts []ast.Stmt) func(i int) rt.Spawn {
+	return func(i int) rt.Spawn {
+		nt := t.interp.newThread()
+		child := stmts[i]
+		return rt.Spawn{Pos: child.Pos(), Thread: &nt.Thread, Run: func() error {
 			_, err := nt.exec(f, child)
 			return err
-		}); err != nil {
-			spawnErr = err
-			break
-		}
+		}}
 	}
-	wg.Wait()
-	if spawnErr != nil {
-		return spawnErr
-	}
-	if t.interp.stopped.Load() {
-		return errStopped
-	}
-	return nil
 }
 
-// execBackground launches each child statement in its own thread and moves
-// on immediately.
-func (t *thread) execBackground(f *frame, s *ast.BackgroundStmt) error {
-	for _, child := range s.Body.Stmts {
-		child := child
-		if err := t.spawn(nil, child.Pos(), func(nt *thread) error {
-			_, err := nt.exec(f, child)
-			return err
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// execParallelFor evaluates the sequence once, then runs the iterations on
-// a bounded pool of min(workers, n) goroutines claiming contiguous chunks
-// from an atomic cursor (internal/sched). Each *iteration* is still a
-// full Tetra thread — its own id, trace events, work tally and private
-// induction cell — so the observable semantics match the paper's
-// one-thread-per-element model; only the goroutine topology is coarser.
-// The governor's thread budget is charged per worker goroutine, while
-// step/alloc budgets accrue per iteration as before.
+// execParallelFor evaluates the sequence once and hands the iterations to
+// the runtime's chunked loop. Each iteration runs the body on a view of
+// the frame with a private induction cell.
 func (t *thread) execParallelFor(f *frame, s *ast.ParallelForStmt) error {
 	seq, err := t.eval(f, s.Seq)
 	if err != nil {
 		return err
 	}
 	iter := newIterator(seq)
-	in := t.interp
-	g := in.guard
-	workers, loop := in.opts.Sched.Loop(iter.len())
-	var wg sync.WaitGroup
-	var spawnErr error
-	for w := 0; w < workers; w++ {
-		if g != nil {
-			if k := g.ThreadStart(); k != guard.OK {
-				spawnErr = g.ErrAt(k, s.Pos().String())
-				break
-			}
+	return t.interp.rt.ParFor(&t.Thread, iter.len(), s.Pos(), func() (*rt.Thread, func(i int) error) {
+		nt := t.interp.newThread()
+		return &nt.Thread, func(i int) error {
+			_, err := nt.execBlock(f.fork(s.Var.Slot, iter.at(i)), s.Body)
+			return err
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if g != nil {
-				defer g.ThreadDone()
-			}
-			for {
-				lo, hi, ok := loop.Next()
-				if !ok {
-					return
-				}
-				for i := lo; i < hi; i++ {
-					if in.stopped.Load() {
-						return
-					}
-					nt := in.newThread(t.id)
-					view := f.fork(s.Var.Slot, iter.at(i))
-					nt.traceStart()
-					_, err := nt.execBlock(view, s.Body)
-					nt.traceEnd()
-					in.addProfile(nt)
-					if err != nil {
-						if err != errStopped {
-							in.setErr(err)
-						}
-						return
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if spawnErr != nil {
-		return spawnErr
-	}
-	if t.interp.stopped.Load() {
-		return errStopped
-	}
-	return nil
+	})
 }
 
 func (t *thread) execLock(f *frame, s *ast.LockStmt) (signal, error) {
-	if err := t.interp.locks.acquire(t, s); err != nil {
+	if err := t.interp.rt.Lock(&t.Thread, s.LockIndex, s.Pos()); err != nil {
 		return sigNone, err
 	}
 	t.held = append(t.held, s.LockIndex)
-	t.emit(trace.LockAcquire, s.Pos(), s.Name)
 
 	sig, err := t.execBlock(f, s.Body)
 
 	t.held = t.held[:len(t.held)-1]
-	t.interp.locks.release(s.LockIndex)
-	t.emit(trace.LockRelease, s.Pos(), s.Name)
+	t.interp.rt.Unlock(&t.Thread, s.LockIndex, s.Pos())
 	return sig, err
 }
 
@@ -797,83 +566,10 @@ func (it iterator) len() int { return it.arr.Len() }
 
 func (it iterator) at(i int) value.Value { return it.arr.Get(i) }
 
-// lockRegistry implements Tetra's named lock blocks with live deadlock
-// detection. All lock state transitions happen under one registry mutex;
-// waiters park on the condition variable and are woken by broadcasts on any
-// release. Lock operations are rare relative to ordinary statements, so the
-// single mutex is not a scalability concern — and it is what makes an
-// atomic wait-for-graph check possible.
-type lockRegistry struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	graph  *deadlock.Graph
-	names  []string
-	detect bool
-}
-
-func newLockRegistry(names []string, detect bool) *lockRegistry {
-	r := &lockRegistry{graph: deadlock.NewGraph(names), names: names, detect: detect}
-	r.cond = sync.NewCond(&r.mu)
-	return r
-}
-
-func (r *lockRegistry) acquire(t *thread, s *ast.LockStmt) error {
-	idx := s.LockIndex
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	waited := false
-	for r.graph.Owner(idx) != -1 {
-		if r.graph.Owner(idx) == t.id {
-			return rtErr(s.Pos(), "deadlock: thread %d already holds lock %q and would wait for itself", t.id, s.Name)
-		}
-		if !waited {
-			waited = true
-			t.emit(trace.LockWait, s.Pos(), s.Name)
-		}
-		r.graph.SetWaiting(t.id, idx)
-		if r.detect {
-			if c := r.graph.FindCycle(t.id); c != nil {
-				r.graph.ClearWaiting(t.id)
-				return rtErr(s.Pos(), "deadlock detected: %s", c)
-			}
-		}
-		if t.interp.stopped.Load() {
-			r.graph.ClearWaiting(t.id)
-			return errStopped
-		}
-		if g := t.interp.guard; g != nil {
-			if k := g.Tripped(); k != guard.OK {
-				r.graph.ClearWaiting(t.id)
-				return g.ErrAt(k, s.Pos().String())
-			}
-		}
-		r.cond.Wait()
-	}
-	r.graph.ClearWaiting(t.id)
-	r.graph.SetOwner(idx, t.id)
-	return nil
-}
-
-func (r *lockRegistry) release(idx int) {
-	r.mu.Lock()
-	r.graph.SetOwner(idx, -1)
-	// Broadcast under mu: a waiter between its state check and parking
-	// still holds mu, so it cannot miss a wakeup sent here.
-	r.cond.Broadcast()
-	r.mu.Unlock()
-}
-
-// wake rouses every parked waiter so it re-checks the stop/trip state.
-func (r *lockRegistry) wake() {
-	r.mu.Lock()
-	r.cond.Broadcast()
-	r.mu.Unlock()
-}
-
 // eval evaluates an expression to a value.
 func (t *thread) eval(f *frame, e ast.Expr) (value.Value, error) {
 	if t.countWork {
-		t.work++
+		t.Work++
 	}
 	switch e := e.(type) {
 	case *ast.IntLit:
@@ -954,7 +650,7 @@ func (t *thread) eval(f *frame, e ast.Expr) (value.Value, error) {
 	case *ast.CallExpr:
 		return t.evalCall(f, e)
 	}
-	return value.Value{}, rtErr(e.Pos(), "internal: unknown expression %T", e)
+	return value.Value{}, rt.Errorf(e.Pos(), "internal: unknown expression %T", e)
 }
 
 func makeRange(lo, hi int64, pos token.Pos) (value.Value, error) {
@@ -1065,7 +761,7 @@ func (t *thread) evalCall(f *frame, e *ast.CallExpr) (value.Value, error) {
 		}
 		v, err := b.Eval(t.interp.opts.Env, args)
 		if err != nil {
-			return value.Value{}, rtErr(e.Pos(), "%v", err)
+			return value.Value{}, rt.Errorf(e.Pos(), "%v", err)
 		}
 		return v, nil
 	}

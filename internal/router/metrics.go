@@ -5,7 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/server"
+	"repro/internal/metrics"
 )
 
 // rmetrics is the router's counter set. Per-backend entries are created
@@ -30,7 +30,7 @@ type rmetrics struct {
 type backendMetrics struct {
 	requests atomic.Int64
 	errors   atomic.Int64 // connection-level failures against this backend
-	lat      server.Histogram
+	lat      metrics.Histogram
 }
 
 func (m *rmetrics) backend(id string) *backendMetrics {
@@ -61,7 +61,7 @@ type BackendMetrics struct {
 	InFlight int64                     `json:"in_flight"`
 	Requests int64                     `json:"requests"`
 	Errors   int64                     `json:"errors"`
-	Latency  server.HistogramSnapshot  `json:"latency"`
+	Latency  metrics.HistogramSnapshot `json:"latency"`
 }
 
 // MetricsSnapshot is the JSON body of the router's GET /metrics.

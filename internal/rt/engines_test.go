@@ -1,0 +1,321 @@
+package rt_test
+
+import (
+	"bytes"
+	"fmt"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/ast"
+	"repro/internal/bytecode"
+	"repro/internal/check"
+	"repro/internal/guard"
+	"repro/internal/interp"
+	"repro/internal/parser"
+	"repro/internal/stdlib"
+	"repro/internal/vm"
+)
+
+// The runtime's contract, checked end to end: every case runs the same
+// Tetra program on the interpreter, the VM at -O0 and the VM at -O2, which
+// share internal/rt, and must behave the same on all three.
+
+// machine is what the table needs of an engine.
+type machine interface {
+	Run() error
+	Cancel()
+}
+
+// engines lists the three configurations; detect only matters to the
+// interpreter, the VM never detects deadlocks.
+var engines = []struct {
+	name  string
+	build func(prog *ast.Program, env *stdlib.Env, g *guard.Governor, detect bool) (machine, error)
+}{
+	{"interp", func(prog *ast.Program, env *stdlib.Env, g *guard.Governor, detect bool) (machine, error) {
+		return interp.New(prog, interp.Options{Env: env, Guard: g, NoDeadlockDetection: !detect}), nil
+	}},
+	{"vm-O0", buildVM(bytecode.O0)},
+	{"vm-O2", buildVM(bytecode.O2)},
+}
+
+func buildVM(level int) func(*ast.Program, *stdlib.Env, *guard.Governor, bool) (machine, error) {
+	return func(prog *ast.Program, env *stdlib.Env, g *guard.Governor, _ bool) (machine, error) {
+		bc, err := bytecode.Compile(prog)
+		if err != nil {
+			return nil, err
+		}
+		bytecode.Optimize(bc, level)
+		return vm.New(bc, vm.Options{Env: env, Guard: g}), nil
+	}
+}
+
+// output is a writer the test can read while the program still runs.
+type output struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (o *output) Write(p []byte) (int, error) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.buf.Write(p)
+}
+
+func (o *output) String() string {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.buf.String()
+}
+
+// crossedLocks takes two locks in opposite orders on two threads, each
+// announcing its first lock: a deadlock no amount of waiting resolves.
+const crossedLocks = `def left():
+    lock a:
+        print("left has a")
+        sleep(30)
+        lock b:
+            print("left")
+
+def right():
+    lock b:
+        print("right has b")
+        sleep(30)
+        lock a:
+            print("right")
+
+def main():
+    parallel:
+        left()
+        right()
+`
+
+func TestRuntimeContractOnEveryEngine(t *testing.T) {
+	cases := []struct {
+		name   string
+		src    string
+		limits guard.Limits
+		detect bool
+		reps   int // runs per engine; 0 means one
+		// trip, when set, runs once the program has printed tripAfter and
+		// stops it from outside.
+		tripAfter string
+		trip      func(m machine, g *guard.Governor)
+		wantOut   string // exact output, checked when the run must succeed
+		wantErr   string // substring of the error; "" means success
+		// wantLines, when set, bounds the line of the error's position.
+		wantLines [2]int
+	}{
+		{
+			// 100 threads through one lock: the exact count proves no lost
+			// update and no lost wakeup in the parking protocol.
+			name: "heavy_contention",
+			src: `def main():
+    count = 0
+    parallel for i in range(100):
+        lock c:
+            count += 1
+    print(count)
+`,
+			detect:  true,
+			wantOut: "100\n",
+		},
+		{
+			// A consistent a→b order must complete and must not trip the
+			// live detector (no false positives).
+			name: "same_order_never_deadlocks",
+			src: `def main():
+    total = 0
+    parallel for i in range(30):
+        lock a:
+            lock b:
+                total += 1
+    print(total)
+`,
+			detect:  true,
+			reps:    5,
+			wantOut: "30\n",
+		},
+		{
+			name: "many_locks_many_threads",
+			src: `def main():
+    a = 0
+    b = 0
+    c = 0
+    parallel for i in range(60):
+        lock la:
+            a += 1
+        lock lb:
+            b += 2
+        lock lc:
+            c += 3
+    print(a, " ", b, " ", c)
+`,
+			detect:  true,
+			wantOut: "60 120 180\n",
+		},
+		{
+			name: "self_wait_is_an_error",
+			src: `def main():
+    lock a:
+        lock a:
+            print("unreachable")
+`,
+			detect:  true,
+			wantErr: `test.ttr:3:9: runtime error: deadlock: thread 0 already holds lock "a" and would wait for itself`,
+		},
+		{
+			// A thread that fails inside a lock block never releases it;
+			// the threads parked on that lock must be let go.
+			name: "error_in_lock_block_frees_the_waiters",
+			src: `def hit(a [int]):
+    lock t:
+        sleep(10)
+        a[5] = 0
+
+def main():
+    a = [1]
+    parallel:
+        hit(a)
+        hit(a)
+        hit(a)
+`,
+			wantErr: "test.ttr:4:9: runtime error: index 5 out of range for array of length 1",
+		},
+		{
+			// Without live detection the deadline is the backstop: it must
+			// wake threads parked on locks.
+			name:    "deadline_wakes_lock_parked",
+			src:     crossedLocks,
+			limits:  guard.Limits{Deadline: 200 * time.Millisecond},
+			wantErr: "exceeded deadline (200ms)",
+		},
+		{
+			// Cancel must end lock-parked threads with no governor at all
+			// (the server's drain path relies on it).
+			name:      "cancel_wakes_lock_parked",
+			src:       crossedLocks,
+			tripAfter: "left has a\nright has b\n",
+			trip:      func(m machine, _ *guard.Governor) { m.Cancel() },
+			wantErr:   "execution cancelled",
+		},
+		{
+			// Each iteration is a thread of three or four steps, far under
+			// guard.StepBatch: the budget must trip all the same.
+			name: "short_parfor_bodies_spend_the_step_budget",
+			src: `def main():
+    a = [1 .. 20000]
+    total = 0
+    parallel for i in a:
+        lock t:
+            total += i
+    print(total)
+`,
+			limits:    guard.Limits{MaxSteps: 1000},
+			wantErr:   "exceeded step budget (1000)",
+			wantLines: [2]int{4, 6},
+		},
+		{
+			// A trip during a long loop of short bodies is reported from
+			// inside the loop, not at the statement after it.
+			name: "trip_in_short_parfor_is_positioned_in_the_loop",
+			src: `def main():
+    a = [1 .. 1000000]
+    print("built")
+    c = 0
+    parallel for i in a:
+        c = i
+    print("after")
+`,
+			limits:    guard.Limits{MaxThreads: 1000},
+			tripAfter: "built\n",
+			trip:      func(_ machine, g *guard.Governor) { g.Cancel() },
+			wantErr:   "execution cancelled",
+			wantLines: [2]int{5, 6},
+		},
+	}
+	for _, c := range cases {
+		prog, err := parser.Parse("test.ttr", c.src)
+		if err != nil {
+			t.Fatalf("%s: parse: %v", c.name, err)
+		}
+		if err := check.Check(prog); err != nil {
+			t.Fatalf("%s: check: %v", c.name, err)
+		}
+		var msgs []string
+		for i := 0; i < len(engines)*max(c.reps, 1); i++ {
+			e := engines[i%len(engines)]
+			t.Run(c.name+"/"+e.name, func(t *testing.T) {
+				var g *guard.Governor
+				if c.limits.Enabled() {
+					g = guard.New(c.limits)
+				}
+				var out output
+				m, err := e.build(prog, stdlib.NewEnv(strings.NewReader(""), &out), g, c.detect)
+				if err != nil {
+					t.Fatal(err)
+				}
+				done := make(chan error, 1)
+				go func() { done <- m.Run() }()
+				if c.trip != nil {
+					for deadline := time.Now().Add(20 * time.Second); !sameLines(out.String(), c.tripAfter); {
+						if time.Now().After(deadline) {
+							t.Fatalf("program never printed %q, got %q", c.tripAfter, out.String())
+						}
+						time.Sleep(time.Millisecond)
+					}
+					c.trip(m, g)
+				}
+				select {
+				case err = <-done:
+				case <-time.After(30 * time.Second):
+					t.Fatal("run did not return")
+				}
+				if c.wantErr == "" {
+					if err != nil {
+						t.Fatalf("run failed: %v", err)
+					}
+					if out.String() != c.wantOut {
+						t.Errorf("output = %q, want %q", out.String(), c.wantOut)
+					}
+					return
+				}
+				if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+					t.Fatalf("err = %v, want %q", err, c.wantErr)
+				}
+				msgs = append(msgs, err.Error())
+				if c.wantLines != [2]int{} {
+					var line, col int
+					if _, serr := fmt.Sscanf(err.Error(), "test.ttr:%d:%d:", &line, &col); serr != nil ||
+						line < c.wantLines[0] || line > c.wantLines[1] {
+						t.Errorf("error %q is not positioned in lines %d-%d", err, c.wantLines[0], c.wantLines[1])
+					}
+				}
+			})
+		}
+		// Where the whole message is pinned it is the same on every engine.
+		if strings.HasPrefix(c.wantErr, "test.ttr:") {
+			for _, m := range msgs {
+				if m != c.wantErr {
+					t.Errorf("%s: message %q, want exactly %q", c.name, m, c.wantErr)
+				}
+			}
+		}
+	}
+}
+
+// sameLines reports whether got holds exactly the lines of want, in any
+// order (threads print concurrently).
+func sameLines(got, want string) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for _, line := range strings.SplitAfter(want, "\n") {
+		if !strings.Contains(got, line) {
+			return false
+		}
+	}
+	return true
+}

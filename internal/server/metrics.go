@@ -3,82 +3,12 @@ package server
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/promote"
 	"repro/internal/session"
 	"repro/internal/worker"
 )
-
-// bucketBoundsMS are the latency histogram upper bounds, in milliseconds.
-// Exponential-ish coverage from sub-millisecond cache hits to the sandbox
-// deadline; the final implicit bucket is +Inf.
-var bucketBoundsMS = []float64{0.5, 1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000}
-
-// numBuckets counts the bounded buckets plus the implicit +Inf bucket.
-const numBuckets = 15
-
-// histogram is a fixed-bucket latency histogram, safe for concurrent use.
-type histogram struct {
-	counts    [numBuckets]atomic.Int64
-	sumMicros atomic.Int64
-	n         atomic.Int64
-}
-
-func (h *histogram) observe(d time.Duration) {
-	ms := float64(d) / float64(time.Millisecond)
-	i := 0
-	for i < len(bucketBoundsMS) && ms > bucketBoundsMS[i] {
-		i++
-	}
-	h.counts[i].Add(1)
-	h.sumMicros.Add(d.Microseconds())
-	h.n.Add(1)
-}
-
-// HistogramBucket is one (le, count) histogram row; LEms < 0 encodes +Inf.
-type HistogramBucket struct {
-	LEms  float64 `json:"le_ms"`
-	Count int64   `json:"count"`
-}
-
-// HistogramSnapshot is the exported state of one latency histogram.
-type HistogramSnapshot struct {
-	Count   int64             `json:"count"`
-	MeanMS  float64           `json:"mean_ms"`
-	Buckets []HistogramBucket `json:"buckets"`
-}
-
-func (h *histogram) snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{Count: h.n.Load()}
-	if s.Count > 0 {
-		s.MeanMS = float64(h.sumMicros.Load()) / 1000 / float64(s.Count)
-	}
-	for i := range h.counts {
-		le := -1.0 // +Inf
-		if i < len(bucketBoundsMS) {
-			le = bucketBoundsMS[i]
-		}
-		if c := h.counts[i].Load(); c > 0 {
-			s.Buckets = append(s.Buckets, HistogramBucket{LEms: le, Count: c})
-		}
-	}
-	return s
-}
-
-// Histogram is the exported form of the fixed-bucket latency histogram —
-// the same buckets the /metrics histograms use — so other components (the
-// front router) can record and publish latencies in the same JSON shape.
-// The zero value is ready to use and safe for concurrent use.
-type Histogram struct {
-	h histogram
-}
-
-// Observe records one latency sample.
-func (h *Histogram) Observe(d time.Duration) { h.h.observe(d) }
-
-// Snapshot exports the current state.
-func (h *Histogram) Snapshot() HistogramSnapshot { return h.h.snapshot() }
 
 // crashRingSize bounds the crash-forensics ring: the last N worker
 // crashes, each tagged with the request ID that triggered it.
@@ -95,10 +25,10 @@ type CrashRecord struct {
 	Reason    string `json:"reason"`
 }
 
-// metrics is the server's counter set. All fields are atomics; the
+// counters is the server's counter set. All fields are atomics; the
 // /metrics endpoint serves a consistent-enough snapshot without a lock.
 // The crash ring is the one mutexed structure (rare writes, tiny).
-type metrics struct {
+type counters struct {
 	requests      atomic.Int64
 	okRuns        atomic.Int64
 	compileErrors atomic.Int64
@@ -117,17 +47,17 @@ type metrics struct {
 	nativeDemotions atomic.Int64 // artifact crashes that demoted a program
 	nativeSkips     atomic.Int64 // native tier skipped (artifact quarantined)
 
-	latInterp    histogram
-	latVM        histogram
-	latNative    histogram // native-artifact runs (wall clock of the process)
-	latOverhead  histogram // supervised round-trip minus worker-reported work
-	latStreamLag histogram // session SSE delivery lag: publish → socket write
+	latInterp    metrics.Histogram
+	latVM        metrics.Histogram
+	latNative    metrics.Histogram // native-artifact runs (wall clock of the process)
+	latOverhead  metrics.Histogram // supervised round-trip minus worker-reported work
+	latStreamLag metrics.Histogram // session SSE delivery lag: publish → socket write
 
 	crashMu sync.Mutex
 	crashes []CrashRecord // ring, newest last, at most crashRingSize
 }
 
-func (m *metrics) recordCrash(rec CrashRecord) {
+func (m *counters) recordCrash(rec CrashRecord) {
 	m.crashMu.Lock()
 	defer m.crashMu.Unlock()
 	m.crashes = append(m.crashes, rec)
@@ -136,7 +66,7 @@ func (m *metrics) recordCrash(rec CrashRecord) {
 	}
 }
 
-func (m *metrics) crashRecords() []CrashRecord {
+func (m *counters) crashRecords() []CrashRecord {
 	m.crashMu.Lock()
 	defer m.crashMu.Unlock()
 	out := make([]CrashRecord, len(m.crashes))
@@ -144,7 +74,7 @@ func (m *metrics) crashRecords() []CrashRecord {
 	return out
 }
 
-func (m *metrics) latency(backend string) *histogram {
+func (m *counters) latency(backend string) *metrics.Histogram {
 	if backend == BackendVM {
 		return &m.latVM
 	}
@@ -160,23 +90,23 @@ type CacheMetrics struct {
 
 // MetricsSnapshot is the JSON body of GET /metrics.
 type MetricsSnapshot struct {
-	Draining      bool                         `json:"draining"`
-	Ready         bool                         `json:"ready"`
-	Isolation     string                       `json:"isolation"`
-	InFlight      int64                        `json:"in_flight"`
-	QueueDepth    int64                        `json:"queue_depth"`
-	Requests      int64                        `json:"requests"`
-	OKRuns        int64                        `json:"ok_runs"`
-	CompileErrors int64                        `json:"compile_errors"`
-	RuntimeErrors int64                        `json:"runtime_errors"`
-	Rejected422   int64                        `json:"rejected_422"`
-	Rejected429   int64                        `json:"rejected_429"`
-	Rejected503   int64                        `json:"rejected_503"`
-	BadRequests   int64                        `json:"bad_requests"`
-	Panics        int64                        `json:"panics"`
-	Fallbacks     int64                        `json:"fallbacks"`
-	Cache         CacheMetrics                 `json:"cache"`
-	Latency       map[string]HistogramSnapshot `json:"latency"`
+	Draining      bool                                 `json:"draining"`
+	Ready         bool                                 `json:"ready"`
+	Isolation     string                               `json:"isolation"`
+	InFlight      int64                                `json:"in_flight"`
+	QueueDepth    int64                                `json:"queue_depth"`
+	Requests      int64                                `json:"requests"`
+	OKRuns        int64                                `json:"ok_runs"`
+	CompileErrors int64                                `json:"compile_errors"`
+	RuntimeErrors int64                                `json:"runtime_errors"`
+	Rejected422   int64                                `json:"rejected_422"`
+	Rejected429   int64                                `json:"rejected_429"`
+	Rejected503   int64                                `json:"rejected_503"`
+	BadRequests   int64                                `json:"bad_requests"`
+	Panics        int64                                `json:"panics"`
+	Fallbacks     int64                                `json:"fallbacks"`
+	Cache         CacheMetrics                         `json:"cache"`
+	Latency       map[string]metrics.HistogramSnapshot `json:"latency"`
 	// Native-tier counters (all zero when the tier is off).
 	Promotions      int64 `json:"promotions,omitempty"`
 	NativeRuns      int64 `json:"native_runs,omitempty"`

@@ -58,6 +58,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/guard"
+	"repro/internal/metrics"
 	"repro/internal/promote"
 	"repro/internal/session"
 	"repro/internal/worker"
@@ -231,7 +232,7 @@ type Server struct {
 	running map[uint64]worker.Canceler
 	nextID  atomic.Uint64
 
-	met metrics
+	met counters
 }
 
 // New returns a Server enforcing opts. With IsolationPool the worker
@@ -452,17 +453,15 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	resp, errStatus, errMsg, retryIn := s.execute(req, hash, reqID)
-	if errStatus != 0 {
-		if errStatus == http.StatusUnprocessableEntity {
-			s.reject422(w, req, retryIn)
-			return
-		}
+	switch o := s.execute(req, hash, reqID); o.status {
+	case 0:
+		writeJSON(w, http.StatusOK, o.resp)
+	case http.StatusUnprocessableEntity:
+		s.reject422(w, req, o.retryIn)
+	default:
 		s.met.rejected503.Add(1)
-		writeError(w, errStatus, errMsg)
-		return
+		writeError(w, o.status, o.msg)
 	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // reject422 answers a quarantined program: a positioned, well-formed
@@ -512,12 +511,33 @@ func (s *Server) admit(r *http.Request) (release func(), status int, msg string)
 	}, 0, ""
 }
 
-// execute runs one admitted request on the appropriate tier. On success
-// (including programs that fail to compile or die at runtime — those are
-// data) it returns a response; otherwise a non-zero HTTP status.
-func (s *Server) execute(req *RunRequest, hash, reqID string) (resp *RunResponse, errStatus int, errMsg string, retryIn time.Duration) {
-	eff := ClampLimits(req.Limits, s.opts.Ceiling)
-	wreq := &worker.Request{
+// admitted is one admitted request on its way down the tier ladder.
+type admitted struct {
+	req   *RunRequest
+	wreq  *worker.Request // carries the request id and the clamped limits
+	hash  string          // quarantine key on the worker pool
+	prior int             // execution attempts earlier rungs consumed
+}
+
+// outcome is what one rung of the ladder did with a request: a reply (resp),
+// an HTTP error (status, with msg or, for a 422, retryIn), or neither —
+// the request falls through to the next rung. attempts counts the crashed
+// executions of a rung that fell through, so the final reply's Attempts
+// reflects the whole journey.
+type outcome struct {
+	resp     *RunResponse
+	status   int
+	msg      string
+	retryIn  time.Duration
+	attempts int
+}
+
+// execute walks one admitted request down the ladder — promoted native
+// artifact, pooled worker, the server's own process — until a rung
+// answers. A program that fails to compile or dies at runtime is a reply,
+// not an error.
+func (s *Server) execute(req *RunRequest, hash, reqID string) outcome {
+	a := &admitted{req: req, hash: hash, wreq: &worker.Request{
 		RequestID: reqID,
 		Source:    req.Source,
 		File:      req.File,
@@ -527,125 +547,33 @@ func (s *Server) execute(req *RunRequest, hash, reqID string) (resp *RunResponse
 		Trace:     req.Trace,
 		Race:      req.Race,
 		TraceCap:  req.TraceCap,
-		Limits:    eff,
-	}
-
-	// The native tier gets first refusal: a promoted artifact beats both
-	// engines on hot loop-bound programs (BENCH_tiered.json). Trace and
-	// race requests stay on the interp tier — native binaries carry no
-	// event collector.
-	prior := 0
-	if s.native != nil && !req.Trace && !req.Race {
-		resp, served, attempted := s.runNative(wreq, req, reqID)
-		if served {
-			return resp, 0, "", 0
+		Limits:    ClampLimits(req.Limits, s.opts.Ceiling),
+	}}
+	for _, rung := range []func(*admitted) outcome{s.runNative, s.runOnPool} {
+		o := rung(a)
+		if o.resp != nil || o.status != 0 {
+			return o
 		}
-		prior = attempted // a crashed native attempt counts toward Attempts
+		a.prior += o.attempts
 	}
-
-	if s.pool != nil {
-		resp, errStatus, errMsg, retryIn, fellThrough := s.runOnPool(wreq, req, hash, reqID, prior)
-		if !fellThrough {
-			return resp, errStatus, errMsg, retryIn
-		}
-		// Pool exhausted (or closed): degrade to in-process execution
-		// rather than queue forever.
-		s.met.fallbacks.Add(1)
-		s.logf("worker pool exhausted; running req %s in-process (degraded)", reqID)
-	}
-	return s.runInProcess(wreq, req, reqID, prior), 0, "", 0
+	return s.runInProcess(a)
 }
 
-// runNative tries the promoted-artifact tier. served=false means the
-// caller should fall through to the pool/in-process tiers (no artifact
-// yet, artifact quarantined, or the artifact crashed and was demoted);
-// attempted counts the crashed attempt, if any, so the final response's
-// Attempts reflects the whole journey.
-func (s *Server) runNative(wreq *worker.Request, req *RunRequest, reqID string) (resp *RunResponse, served bool, attempted int) {
-	nhash := promote.Key(req.File, req.Source)
-	bin, ok := s.promoter.Artifact(req.File, req.Source)
-	if !ok {
-		// Not promoted (yet): this request is the hotness signal. The
-		// supervisor counts requests itself because worker processes
-		// keep private compile caches it cannot see into.
-		s.promoter.Observe(req.File, req.Source)
-		return nil, false, 0
-	}
-	if _, q := s.native.Quarantined(nhash); q {
-		// The artifact is circuit-broken but the program itself is fine:
-		// skip the native tier rather than 422 the request.
-		s.met.nativeSkips.Add(1)
-		return nil, false, 0
-	}
-
+// supervised runs one request in a child process through run (the native
+// runner or the worker pool), with what both need: a stop channel the
+// drain path can close, and crash forensics filed under hash. crashes is
+// how many children the request killed.
+func (s *Server) supervised(a *admitted, hash string, run func(worker.RunInfo) (*worker.Response, error)) (wresp *worker.Response, crashes int, err error) {
 	stop := make(chan struct{})
-	sc := &stopCanceler{ch: stop}
-	untrack := s.track(sc)
-	defer untrack()
-
-	wresp, err := s.native.Run(bin, wreq, worker.RunInfo{
-		Hash: nhash,
-		Stop: stop,
-		OnCrash: func(c worker.Crash) {
-			s.met.recordCrash(CrashRecord{
-				UnixMS:    time.Now().UnixMilli(),
-				RequestID: reqID,
-				Hash:      nhash,
-				PID:       c.PID,
-				Attempt:   c.Attempt,
-				Reason:    c.Reason,
-			})
-		},
-	})
-	if err == nil {
-		s.met.nativeRuns.Add(1)
-		return s.toRunResponse(wresp, req, TierNative, 1, reqID), true, 0
-	}
-	if errors.Is(err, worker.ErrCancelled) {
-		s.met.runtimeErrors.Add(1)
-		return &RunResponse{
-			Backend: req.Backend, Opt: req.optLevel(),
-			Isolation: TierNative, Attempts: 1, RequestID: reqID,
-			Error: &RunError{Stage: "runtime", Message: "execution cancelled: server is draining"},
-		}, true, 0
-	}
-	var ne *worker.NativeCrashError
-	if errors.As(err, &ne) {
-		// Demote and retry on the VM tier — transparently, within this
-		// same request.
-		s.met.nativeDemotions.Add(1)
-		s.promoter.Demote(req.File, req.Source, ne.Reason)
-		s.logf("native artifact crashed (req %s, hash %s): %s; demoted, retrying on %s tier",
-			reqID, nhash, ne.Reason, req.Backend)
-		return nil, false, 1
-	}
-	// ErrClosed (drain race) or quarantine tripped between check and run:
-	// fall through without counting an attempt.
-	return nil, false, 0
-}
-
-// runOnPool executes on a supervised worker, with crash forensics.
-// fellThrough=true means the caller should degrade to in-process. prior
-// counts earlier attempts on other tiers (a crashed native run), so
-// Attempts in the response reflects the whole journey.
-func (s *Server) runOnPool(wreq *worker.Request, req *RunRequest, hash, reqID string, prior int) (resp *RunResponse, errStatus int, errMsg string, retryIn time.Duration, fellThrough bool) {
-	// Register a canceler so a draining server can abort the worker
-	// round-trip (the pool kills the leased worker).
-	stop := make(chan struct{})
-	sc := &stopCanceler{ch: stop}
-	untrack := s.track(sc)
-	defer untrack()
-
-	crashes := 0
-	start := time.Now()
-	wresp, err := s.pool.Run(wreq, worker.RunInfo{
+	defer s.track(&stopCanceler{ch: stop})()
+	wresp, err = run(worker.RunInfo{
 		Hash: hash,
 		Stop: stop,
 		OnCrash: func(c worker.Crash) {
 			crashes++
 			s.met.recordCrash(CrashRecord{
 				UnixMS:    time.Now().UnixMilli(),
-				RequestID: reqID,
+				RequestID: a.wreq.RequestID,
 				Hash:      hash,
 				PID:       c.PID,
 				Attempt:   c.Attempt,
@@ -653,65 +581,132 @@ func (s *Server) runOnPool(wreq *worker.Request, req *RunRequest, hash, reqID st
 			})
 		},
 	})
-	wall := time.Since(start)
+	return wresp, crashes, err
+}
 
-	if err == nil {
-		// Isolation overhead = supervised round-trip minus the work the
-		// worker reported; the histogram quantifies the boundary cost.
-		exec := time.Duration(wresp.CompileMicros+wresp.RunMicros) * time.Microsecond
-		if over := wall - exec; over > 0 {
-			s.met.latOverhead.observe(over)
-		}
-		return s.toRunResponse(wresp, req, TierWorker, prior+crashes+1, reqID), 0, "", 0, false
+// failed is the reply for a run the server itself ended, on tier: a
+// runtime error, like a governor trip.
+func (s *Server) failed(a *admitted, tier string, attempts int, msg string) outcome {
+	s.met.runtimeErrors.Add(1)
+	return outcome{resp: &RunResponse{
+		Backend: a.req.Backend, Opt: a.req.optLevel(),
+		Isolation: tier, Attempts: attempts, RequestID: a.wreq.RequestID,
+		Error: &RunError{Stage: "runtime", Message: msg},
+	}}
+}
+
+const drainCancelled = "execution cancelled: server is draining"
+
+// runNative is the first rung: a promoted artifact beats both engines on
+// hot loop-bound programs (BENCH_tiered.json). It falls through when the
+// tier is off, the program is not promoted yet or its artifact is
+// quarantined, and when the artifact crashes (it is then demoted). Trace
+// and race requests fall through too — native binaries carry no event
+// collector.
+func (s *Server) runNative(a *admitted) outcome {
+	req := a.req
+	if s.native == nil || req.Trace || req.Race {
+		return outcome{}
 	}
+	nhash := promote.Key(req.File, req.Source)
+	bin, ok := s.promoter.Artifact(req.File, req.Source)
+	if !ok {
+		// Not promoted (yet): this request is the hotness signal. The
+		// supervisor counts requests itself because worker processes
+		// keep private compile caches it cannot see into.
+		s.promoter.Observe(req.File, req.Source)
+		return outcome{}
+	}
+	if _, q := s.native.Quarantined(nhash); q {
+		// The artifact is circuit-broken but the program itself is fine:
+		// skip the native tier rather than 422 the request.
+		s.met.nativeSkips.Add(1)
+		return outcome{}
+	}
+
+	wresp, crashes, err := s.supervised(a, nhash, func(info worker.RunInfo) (*worker.Response, error) {
+		return s.native.Run(bin, a.wreq, info)
+	})
+	var ne *worker.NativeCrashError
+	switch {
+	case err == nil:
+		s.met.nativeRuns.Add(1)
+		return outcome{resp: s.toRunResponse(a, wresp, TierNative, a.prior+1)}
+	case errors.Is(err, worker.ErrCancelled):
+		return s.failed(a, TierNative, a.prior+1, drainCancelled)
+	case errors.As(err, &ne):
+		// Demote and retry on the VM tier — transparently, within this
+		// same request.
+		s.met.nativeDemotions.Add(1)
+		s.promoter.Demote(req.File, req.Source, ne.Reason)
+		s.logf("native artifact crashed (req %s, hash %s): %s; demoted, retrying on %s tier",
+			a.wreq.RequestID, nhash, ne.Reason, req.Backend)
+	}
+	// Otherwise ErrClosed (drain race), or the quarantine tripped between
+	// check and run: fall through without counting an attempt.
+	return outcome{attempts: crashes}
+}
+
+// runOnPool is the second rung: a supervised worker process. It falls
+// through — the request then runs in-process rather than queue forever —
+// when isolation is off or the pool is exhausted or closed.
+func (s *Server) runOnPool(a *admitted) outcome {
+	if s.pool == nil {
+		return outcome{}
+	}
+	start := time.Now()
+	wresp, crashes, err := s.supervised(a, a.hash, func(info worker.RunInfo) (*worker.Response, error) {
+		return s.pool.Run(a.wreq, info)
+	})
+	wall := time.Since(start)
+	attempts := a.prior + crashes + 1
 
 	var qe *worker.QuarantinedError
 	var ce *worker.CrashedError
 	switch {
+	case err == nil:
+		// Isolation overhead = supervised round-trip minus the work the
+		// worker reported; the histogram quantifies the boundary cost.
+		exec := time.Duration(wresp.CompileMicros+wresp.RunMicros) * time.Microsecond
+		if over := wall - exec; over > 0 {
+			s.met.latOverhead.Observe(over)
+		}
+		return outcome{resp: s.toRunResponse(a, wresp, TierWorker, attempts)}
 	case errors.As(err, &qe):
-		return nil, http.StatusUnprocessableEntity, "", qe.Remaining, false
+		return outcome{status: http.StatusUnprocessableEntity, retryIn: qe.Remaining}
 	case errors.As(err, &ce):
-		return nil, http.StatusServiceUnavailable,
-			fmt.Sprintf("execution crashed %d worker(s); retry later", ce.Attempts), 0, false
+		return outcome{status: http.StatusServiceUnavailable,
+			msg: fmt.Sprintf("execution crashed %d worker(s); retry later", ce.Attempts)}
 	case errors.Is(err, worker.ErrCancelled):
 		// Drain killed the attempt: report it like a governor trip, as
 		// the in-process path would.
-		resp := &RunResponse{
-			Backend: req.Backend, Opt: req.optLevel(),
-			Isolation: TierWorker, Attempts: prior + crashes + 1, RequestID: reqID,
-			Error: &RunError{Stage: "runtime", Message: "execution cancelled: server is draining"},
-		}
-		s.met.runtimeErrors.Add(1)
-		return resp, 0, "", 0, false
+		return s.failed(a, TierWorker, attempts, drainCancelled)
 	default: // ErrExhausted, ErrClosed
-		return nil, 0, "", 0, true
+		s.met.fallbacks.Add(1)
+		s.logf("worker pool exhausted; running req %s in-process (degraded)", a.wreq.RequestID)
+		return outcome{attempts: crashes}
 	}
 }
 
-// runInProcess is the degraded tier: execution in the server's own
-// process, with panic recovery so a backend bug costs one request, not
-// the service.
-func (s *Server) runInProcess(wreq *worker.Request, req *RunRequest, reqID string, prior int) (resp *RunResponse) {
+// runInProcess is the last rung and always answers: execution in the
+// server's own process, with panic recovery so a backend bug costs one
+// request, not the service.
+func (s *Server) runInProcess(a *admitted) (o outcome) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			s.met.panics.Add(1)
-			s.logf("panic in in-process execution (req %s): %v", reqID, rec)
-			s.met.runtimeErrors.Add(1)
-			resp = &RunResponse{
-				Backend: req.Backend, Opt: req.optLevel(),
-				Isolation: TierInProc, Attempts: prior + 1, RequestID: reqID,
-				Error: &RunError{Stage: "runtime",
-					Message: fmt.Sprintf("internal error: execution panicked: %v", rec)},
-			}
+			s.logf("panic in in-process execution (req %s): %v", a.wreq.RequestID, rec)
+			o = s.failed(a, TierInProc, a.prior+1, fmt.Sprintf("internal error: execution panicked: %v", rec))
 		}
 	}()
-	wresp := worker.ExecuteTracked(wreq, s.cache, s.track)
-	return s.toRunResponse(wresp, req, TierInProc, prior+1, reqID)
+	wresp := worker.ExecuteTracked(a.wreq, s.cache, s.track)
+	return outcome{resp: s.toRunResponse(a, wresp, TierInProc, a.prior+1)}
 }
 
 // toRunResponse converts a wire response into the HTTP body, counting
 // the outcome metrics.
-func (s *Server) toRunResponse(wresp *worker.Response, req *RunRequest, tier string, attempts int, reqID string) *RunResponse {
+func (s *Server) toRunResponse(a *admitted, wresp *worker.Response, tier string, attempts int) *RunResponse {
+	req := a.req
 	resp := &RunResponse{
 		OK:            wresp.OK,
 		Backend:       req.Backend,
@@ -722,7 +717,7 @@ func (s *Server) toRunResponse(wresp *worker.Response, req *RunRequest, tier str
 		RunMicros:     wresp.RunMicros,
 		Isolation:     tier,
 		Attempts:      attempts,
-		RequestID:     reqID,
+		RequestID:     a.wreq.RequestID,
 	}
 	switch wresp.ErrStage {
 	case "":
@@ -739,7 +734,7 @@ func (s *Server) toRunResponse(wresp *worker.Response, req *RunRequest, tier str
 		if tier == TierNative {
 			h = &s.met.latNative
 		}
-		h.observe(time.Duration(wresp.RunMicros) * time.Microsecond)
+		h.Observe(time.Duration(wresp.RunMicros) * time.Microsecond)
 	}
 	if wresp.Trace != nil {
 		resp.Trace = &TraceSummary{
@@ -830,19 +825,19 @@ func (s *Server) Metrics() MetricsSnapshot {
 		Panics:        s.met.panics.Load(),
 		Fallbacks:     s.met.fallbacks.Load(),
 		Cache:         cm,
-		Latency: map[string]HistogramSnapshot{
-			BackendInterp: s.met.latInterp.snapshot(),
-			BackendVM:     s.met.latVM.snapshot(),
+		Latency: map[string]metrics.HistogramSnapshot{
+			BackendInterp: s.met.latInterp.Snapshot(),
+			BackendVM:     s.met.latVM.Snapshot(),
 		},
 		WorkerCrashes: s.met.crashRecords(),
 	}
 	ss := s.sessions.Snapshot()
 	snap.Sessions = &ss
-	snap.Latency["stream_lag"] = s.met.latStreamLag.snapshot()
+	snap.Latency["stream_lag"] = s.met.latStreamLag.Snapshot()
 	if s.pool != nil {
 		ps := s.pool.Stats()
 		snap.Worker = &ps
-		snap.Latency["isolation_overhead"] = s.met.latOverhead.snapshot()
+		snap.Latency["isolation_overhead"] = s.met.latOverhead.Snapshot()
 	}
 	if s.native != nil {
 		ns := s.native.Stats()
@@ -853,7 +848,7 @@ func (s *Server) Metrics() MetricsSnapshot {
 		snap.NativeRuns = s.met.nativeRuns.Load()
 		snap.NativeDemotions = s.met.nativeDemotions.Load()
 		snap.NativeSkips = s.met.nativeSkips.Load()
-		snap.Latency[TierNative] = s.met.latNative.snapshot()
+		snap.Latency[TierNative] = s.met.latNative.Snapshot()
 	}
 	return snap
 }

@@ -479,23 +479,6 @@ def main():
 	}
 }
 
-func TestHistogramBuckets(t *testing.T) {
-	if numBuckets != len(bucketBoundsMS)+1 {
-		t.Fatalf("numBuckets = %d, want len(bucketBoundsMS)+1 = %d", numBuckets, len(bucketBoundsMS)+1)
-	}
-	var h histogram
-	h.observe(300 * time.Microsecond) // bucket le 0.5ms
-	h.observe(30 * time.Millisecond)  // bucket le 50ms
-	h.observe(2 * time.Minute)        // +Inf bucket
-	s := h.snapshot()
-	if s.Count != 3 || len(s.Buckets) != 3 {
-		t.Fatalf("snapshot %+v", s)
-	}
-	if s.Buckets[0].LEms != 0.5 || s.Buckets[1].LEms != 50 || s.Buckets[2].LEms != -1 {
-		t.Errorf("bucket bounds wrong: %+v", s.Buckets)
-	}
-}
-
 func TestOutputBudgetBoundsResponse(t *testing.T) {
 	ts := httptest.NewServer(New(Options{Ceiling: guard.Limits{MaxOutputBytes: 1024}, NoSandboxDefaults: true}))
 	defer ts.Close()

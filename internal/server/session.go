@@ -370,7 +370,7 @@ func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request, ses
 				}
 				return
 			}
-			s.met.latStreamLag.observe(time.Since(it.At))
+			s.met.latStreamLag.Observe(time.Since(it.At))
 			writeSSEJSON(w, it.Ev.Type, it.Ev)
 			fl.Flush()
 		case <-r.Context().Done():

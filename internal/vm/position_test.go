@@ -97,3 +97,22 @@ func TestErrorPositionInFusedLoop(t *testing.T) {
 		}
 	}
 }
+
+// Recursion overflow is raised by the VM's call path, not by an
+// instruction's operands, so it needs the call site's position handed to
+// it: the message must be positioned, identical at every level, and
+// identical to the interpreter's.
+func TestRecursionOverflowIsPositionedAtTheCallSite(t *testing.T) {
+	src := "def down(n int) int:\n    return down(n + 1) + 1\n\ndef main():\n    print(down(0))\n"
+	want := "test.ttr:2:12: runtime error: call stack exhausted (recursion deeper than 10000)"
+	_, ierr := runInterp(t, src, "")
+	if ierr == nil || ierr.Error() != want {
+		t.Errorf("interp error %v, want %s", ierr, want)
+	}
+	for _, level := range []int{bytecode.O0, bytecode.O1, bytecode.O2} {
+		_, err := runVMOpt(t, src, "", level)
+		if err == nil || err.Error() != want {
+			t.Errorf("-O%d error %v, want %s", level, err, want)
+		}
+	}
+}

@@ -1,11 +1,14 @@
 // Package vm executes Tetra register bytecode (internal/bytecode) — the
 // reproduction's stand-in for the paper's planned native-code compiler
-// (§VI). It keeps the interpreter's parallel runtime semantics exactly:
-// parallel chunks run on goroutines sharing the enclosing frame's cells,
+// (§VI). It keeps the interpreter's parallel runtime semantics exactly,
+// because both run on the same thread runtime (internal/rt): parallel
+// chunks run on goroutines sharing the enclosing frame's cells,
 // parallel-for iterations get a private induction cell, background chunks
 // are not joined before the spawning statement continues (though Run joins
-// them before returning, like the interpreter), and lock instructions hit a
-// named lock table whose waiters park interruptibly (see lockTable).
+// them before returning), and lock instructions hit the runtime's named
+// lock table, whose waiters park interruptibly. The VM runs that table
+// without live deadlock detection: a deadlocked program ends at the
+// governor's deadline rather than with an immediate diagnostic.
 //
 // # Register frames
 //
@@ -51,6 +54,7 @@ import (
 
 	"repro/internal/bytecode"
 	"repro/internal/guard"
+	"repro/internal/rt"
 	"repro/internal/sched"
 	"repro/internal/sem"
 	"repro/internal/stdlib"
@@ -90,13 +94,10 @@ type callIC struct {
 
 // VM executes one compiled program.
 type VM struct {
-	prog *bytecode.Program
-	opts Options
-
-	locks      *lockTable
-	guard      *guard.Governor
-	nextThread atomic.Int64
-	background sync.WaitGroup
+	prog  *bytecode.Program
+	opts  Options
+	guard *guard.Governor
+	rt    *rt.Runtime
 
 	// funcs is the VM's rebindable view of prog.Funcs; funcMu guards it
 	// (and byName) against Rebind. The common case never takes the lock —
@@ -108,15 +109,16 @@ type VM struct {
 	// its stamp matches.
 	gen atomic.Uint32
 	ics []atomic.Pointer[callIC]
-
-	stopped atomic.Bool
-	errMu   sync.Mutex
-	err     error
 }
 
 // New returns a VM for the compiled program.
 func New(prog *bytecode.Program, opts Options) *VM {
-	m := &VM{prog: prog, opts: opts, guard: opts.Guard, locks: newLockTable(prog.LockNames)}
+	m := &VM{prog: prog, opts: opts, guard: opts.Guard, rt: rt.New(rt.Config{
+		Guard:            opts.Guard,
+		Sched:            opts.Sched,
+		LockNames:        prog.LockNames,
+		NoWaitBackground: opts.NoWaitBackground,
+	})}
 	m.funcs = make([]*bytecode.Func, len(prog.Funcs))
 	copy(m.funcs, prog.Funcs)
 	m.byName = make(map[string]int, len(prog.Funcs))
@@ -124,11 +126,6 @@ func New(prog *bytecode.Program, opts Options) *VM {
 		m.byName[f.Name] = i
 	}
 	m.ics = make([]atomic.Pointer[callIC], prog.NumSites)
-	if m.guard != nil {
-		// A trip must wake threads parked on a lock so they observe the
-		// trip and unwind, mirroring the interpreter's registry contract.
-		m.guard.OnTrip(m.locks.wake)
-	}
 	return m
 }
 
@@ -162,30 +159,8 @@ func (m *VM) Run() error {
 	if m.prog.MainIndex < 0 {
 		return fmt.Errorf("program has no main function")
 	}
-	if m.guard != nil {
-		m.guard.Start()
-		defer m.guard.Stop()
-		m.guard.ThreadStart() // the main thread counts against MaxThreads
-		defer m.guard.ThreadDone()
-	}
-	t := m.newThread()
-	_, err := t.call(m.funcs[m.prog.MainIndex], nil)
-	m.setErr(err)
-	if !m.opts.NoWaitBackground {
-		m.joinBackground()
-	}
-	return m.loadErr()
-}
-
-// joinBackground waits for background threads, bounded by a grace period
-// when the run already failed or a limit tripped (a thread stuck in a
-// blocking operation must not wedge the whole run).
-func (m *VM) joinBackground() {
-	if m.guard != nil && (m.loadErr() != nil || m.guard.Tripped() != guard.OK) {
-		guard.WaitGroup(&m.background, guard.DefaultGrace)
-		return
-	}
-	m.background.Wait()
+	_, err := m.run(m.funcs[m.prog.MainIndex], nil)
+	return err
 }
 
 // Call invokes a named function with the given arguments.
@@ -203,20 +178,20 @@ func (m *VM) Call(name string, args ...value.Value) (value.Value, error) {
 	if len(args) != fn.NumParams {
 		return value.Value{}, fmt.Errorf("%s expects %d argument(s), got %d", name, fn.NumParams, len(args))
 	}
-	if m.guard != nil {
-		m.guard.Start()
-		defer m.guard.Stop()
-		m.guard.ThreadStart()
-		defer m.guard.ThreadDone()
-	}
-	t := m.newThread()
-	v, err := t.call(fn, args)
-	m.setErr(err)
-	if !m.opts.NoWaitBackground {
-		m.joinBackground()
-	}
-	if e := m.loadErr(); e != nil {
-		return value.Value{}, e
+	return m.run(fn, args)
+}
+
+// run calls fn on a new main thread and returns once the background
+// threads have been joined.
+func (m *VM) run(fn *bytecode.Func, args []value.Value) (value.Value, error) {
+	t := &thread{vm: m}
+	var v value.Value
+	err := m.rt.Main(&t.Thread, func() (err error) {
+		v, err = t.call(fn, args)
+		return err
+	})
+	if err != nil {
+		return value.Value{}, err
 	}
 	return v, nil
 }
@@ -224,48 +199,12 @@ func (m *VM) Call(name string, args ...value.Value) (value.Value, error) {
 // Cancel requests that all running threads stop: at the next call, loop
 // back-edge or for-iteration — or at the very next instruction when a
 // governor is attached. This is the same contract as Interp.Cancel.
-func (m *VM) Cancel() {
-	m.setErr(fmt.Errorf("execution cancelled"))
-	if m.guard != nil {
-		m.guard.Cancel()
-	}
-	m.locks.wake()
-}
-
-func (m *VM) setErr(err error) {
-	if err == nil {
-		return
-	}
-	m.errMu.Lock()
-	if m.err == nil {
-		m.err = err
-	}
-	m.errMu.Unlock()
-	m.stopped.Store(true)
-}
-
-func (m *VM) loadErr() error {
-	m.errMu.Lock()
-	defer m.errMu.Unlock()
-	return m.err
-}
-
-var errStopped = fmt.Errorf("stopped")
+func (m *VM) Cancel() { m.rt.Cancel() }
 
 type thread struct {
-	vm      *VM
-	id      int
-	depth   int
-	tally   *guard.Tally // per-thread work counter for trip diagnostics
-	pending int32        // steps accumulated since the last governor sync
-}
-
-func (m *VM) newThread() *thread {
-	t := &thread{vm: m, id: int(m.nextThread.Add(1)) - 1}
-	if m.guard != nil {
-		t.tally = m.guard.NewTally(t.id)
-	}
-	return t
+	rt.Thread // identity and step accounting; the runtime fills it in
+	vm        *VM
+	depth     int
 }
 
 // frame is a function activation. Functions without parallel constructs
@@ -359,94 +298,9 @@ func (r *regFile) slice(base, n int32) []value.Value {
 	return r.temps[base-r.nv : base-r.nv+n]
 }
 
-func rtErr(pos token.Pos, format string, args ...any) error {
-	return &value.RuntimeError{Msg: fmt.Sprintf(format, args...), Pos: pos.String()}
-}
-
-// lockTable implements Tetra's named locks with interruptible parking:
-// each time a waiter is woken it re-checks the VM's stop flag and the
-// governor's trip state, so Cancel and limit trips terminate programs
-// blocked on a lock instead of leaving them wedged on a bare mutex. This
-// is the interpreter lockRegistry's contract minus live deadlock
-// detection, which the VM intentionally omits (a deadlocked program ends
-// at the governor's deadline rather than with an immediate diagnostic).
-type lockTable struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	owner []int // owning thread id per lock, -1 when free
-	names []string
-}
-
-func newLockTable(names []string) *lockTable {
-	lt := &lockTable{owner: make([]int, len(names)), names: names}
-	for i := range lt.owner {
-		lt.owner[i] = -1
-	}
-	lt.cond = sync.NewCond(&lt.mu)
-	return lt
-}
-
-func (lt *lockTable) acquire(t *thread, idx int, pos token.Pos) error {
-	lt.mu.Lock()
-	defer lt.mu.Unlock()
-	for lt.owner[idx] != -1 {
-		if lt.owner[idx] == t.id {
-			return rtErr(pos, "deadlock: thread %d already holds lock %q and would wait for itself", t.id, lt.names[idx])
-		}
-		if t.vm.stopped.Load() {
-			return errStopped
-		}
-		if g := t.vm.guard; g != nil {
-			if k := g.Tripped(); k != guard.OK {
-				return g.ErrAt(k, pos.String())
-			}
-		}
-		lt.cond.Wait()
-	}
-	lt.owner[idx] = t.id
-	return nil
-}
-
-func (lt *lockTable) release(idx int) {
-	lt.mu.Lock()
-	lt.owner[idx] = -1
-	// Broadcast under mu: a waiter between its state check and parking
-	// still holds mu, so it cannot miss a wakeup sent here.
-	lt.cond.Broadcast()
-	lt.mu.Unlock()
-}
-
-// wake rouses every parked waiter so it re-checks the stop/trip state.
-func (lt *lockTable) wake() {
-	lt.mu.Lock()
-	lt.cond.Broadcast()
-	lt.mu.Unlock()
-}
-
-// checkSpawn charges one live thread against the governor's budget before
-// a goroutine launch, returning a positioned error when refused.
-func (t *thread) checkSpawn(pos token.Pos) error {
-	g := t.vm.guard
-	if g == nil {
-		return nil
-	}
-	if k := g.ThreadStart(); k != guard.OK {
-		return g.ErrAt(k, pos.String())
-	}
-	return nil
-}
-
-// doneSpawn balances checkSpawn when the spawned thread exits.
-func (t *thread) doneSpawn() {
-	if g := t.vm.guard; g != nil {
-		g.ThreadDone()
-	}
-}
-
+// call runs fn on this thread. The recursion bound is checked at OpCall,
+// where the call site's position is at hand.
 func (t *thread) call(fn *bytecode.Func, args []value.Value) (value.Value, error) {
-	if t.depth >= maxCallDepth {
-		return value.Value{}, &value.RuntimeError{Msg: fmt.Sprintf("call stack exhausted (recursion deeper than %d)", maxCallDepth)}
-	}
 	t.depth++
 	defer func() { t.depth-- }()
 
@@ -498,12 +352,10 @@ func (t *thread) exec(ch *bytecode.Chunk, f *frame) (bool, value.Value, error) {
 		if g != nil {
 			// Batched fuel accounting: one local increment per instruction,
 			// one governor sync per guard.StepBatch instructions.
-			t.pending++
-			if t.pending >= guard.StepBatch {
-				n := t.pending
-				t.pending = 0
-				if k := g.StepN(t.tally, int64(n)); k != guard.OK {
-					return false, value.Value{}, g.ErrAt(k, ch.Pos[pc].String())
+			t.Pending++
+			if t.Pending >= guard.StepBatch {
+				if err := t.vm.rt.Flush(&t.Thread, ch.Pos[pc]); err != nil {
+					return false, value.Value{}, err
 				}
 			}
 		}
@@ -577,23 +429,23 @@ func (t *thread) exec(ch *bytecode.Chunk, f *frame) (bool, value.Value, error) {
 		case bytecode.OpJump:
 			// A backward jump is a loop back-edge: re-check the stop flag
 			// so Cancel and cross-thread errors interrupt tight loops.
-			if int(ins.A) <= pc && t.vm.stopped.Load() {
-				return false, value.Value{}, errStopped
+			if int(ins.A) <= pc && t.vm.rt.Stopped() {
+				return false, value.Value{}, rt.ErrStopped
 			}
 			pc = int(ins.A) - 1
 		case bytecode.OpJumpIfFalse:
 			// Jump threading can turn conditional jumps into back-edges, so
 			// taken backward branches re-check the stop flag too.
 			if !rf.get(ins.B).Bool() {
-				if int(ins.A) <= pc && t.vm.stopped.Load() {
-					return false, value.Value{}, errStopped
+				if int(ins.A) <= pc && t.vm.rt.Stopped() {
+					return false, value.Value{}, rt.ErrStopped
 				}
 				pc = int(ins.A) - 1
 			}
 		case bytecode.OpJumpIfTrue:
 			if rf.get(ins.B).Bool() {
-				if int(ins.A) <= pc && t.vm.stopped.Load() {
-					return false, value.Value{}, errStopped
+				if int(ins.A) <= pc && t.vm.rt.Stopped() {
+					return false, value.Value{}, rt.ErrStopped
 				}
 				pc = int(ins.A) - 1
 			}
@@ -610,8 +462,8 @@ func (t *thread) exec(ch *bytecode.Chunk, f *frame) (bool, value.Value, error) {
 				taken = sem.Compare(semOp(cmp), l, r) == sense
 			}
 			if taken {
-				if int(ins.Dst) <= pc && t.vm.stopped.Load() {
-					return false, value.Value{}, errStopped
+				if int(ins.Dst) <= pc && t.vm.rt.Stopped() {
+					return false, value.Value{}, rt.ErrStopped
 				}
 				pc = int(ins.Dst) - 1
 			}
@@ -631,15 +483,18 @@ func (t *thread) exec(ch *bytecode.Chunk, f *frame) (bool, value.Value, error) {
 				taken = sem.Compare(semOp(cmp), l, r) == sense
 			}
 			if taken {
-				if int(ins.Dst) <= pc && t.vm.stopped.Load() {
-					return false, value.Value{}, errStopped
+				if int(ins.Dst) <= pc && t.vm.rt.Stopped() {
+					return false, value.Value{}, rt.ErrStopped
 				}
 				pc = int(ins.Dst) - 1
 			}
 
 		case bytecode.OpCall:
-			if t.vm.stopped.Load() {
-				return false, value.Value{}, errStopped
+			if t.vm.rt.Stopped() {
+				return false, value.Value{}, rt.ErrStopped
+			}
+			if t.depth >= maxCallDepth {
+				return false, value.Value{}, rt.Errorf(ch.Pos[pc], "call stack exhausted (recursion deeper than %d)", maxCallDepth)
 			}
 			// Inline-cache dispatch: generation first, then the entry.
 			gen := t.vm.gen.Load()
@@ -669,7 +524,7 @@ func (t *thread) exec(ch *bytecode.Chunk, f *frame) (bool, value.Value, error) {
 			}
 			v, err := ic.b.Eval(t.vm.opts.Env, rf.slice(ins.B, ins.C))
 			if err != nil {
-				return false, value.Value{}, rtErr(ch.Pos[pc], "%v", err)
+				return false, value.Value{}, rt.Errorf(ch.Pos[pc], "%v", err)
 			}
 			if ins.Dst >= 0 && ic.returns {
 				rf.set(ins.Dst, v)
@@ -722,8 +577,8 @@ func (t *thread) exec(ch *bytecode.Chunk, f *frame) (bool, value.Value, error) {
 			rf.set(ins.Dst, value.NewArray(value.FromSlice(types.IntType, elems)))
 
 		case bytecode.OpForIter:
-			if t.vm.stopped.Load() {
-				return false, value.Value{}, errStopped
+			if t.vm.rt.Stopped() {
+				return false, value.Value{}, rt.ErrStopped
 			}
 			seq := rf.get(ins.A)
 			idx := rf.get(ins.A + 1).Int()
@@ -743,108 +598,58 @@ func (t *thread) exec(ch *bytecode.Chunk, f *frame) (bool, value.Value, error) {
 			rf.set(ins.A+1, value.NewInt(idx+1))
 
 		case bytecode.OpParallel:
-			var wg sync.WaitGroup
-			var spawnErr error
-			for i := int32(0); i < ins.B; i++ {
-				sub := &f.fn.Chunks[ins.A+i]
-				if spawnErr = t.checkSpawn(ch.Pos[pc]); spawnErr != nil {
-					break
-				}
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					defer t.doneSpawn()
-					nt := t.vm.newThread()
-					if _, _, err := nt.exec(sub, f); err != nil && err != errStopped {
-						t.vm.setErr(err)
-					}
-				}()
+			if err := t.vm.rt.Parallel(&t.Thread, int(ins.B), t.spawns(f, int(ins.A), ch.Pos[pc])); err != nil {
+				return false, value.Value{}, err
 			}
-			wg.Wait()
-			if spawnErr != nil {
-				return false, value.Value{}, spawnErr
-			}
-			if t.vm.stopped.Load() {
-				return false, value.Value{}, errStopped
-			}
-
 		case bytecode.OpBackground:
-			for i := int32(0); i < ins.B; i++ {
-				sub := &f.fn.Chunks[ins.A+i]
-				if err := t.checkSpawn(ch.Pos[pc]); err != nil {
-					return false, value.Value{}, err
-				}
-				t.vm.background.Add(1)
-				go func() {
-					defer t.vm.background.Done()
-					defer t.doneSpawn()
-					nt := t.vm.newThread()
-					if _, _, err := nt.exec(sub, f); err != nil && err != errStopped {
-						t.vm.setErr(err)
-					}
-				}()
+			if err := t.vm.rt.Background(&t.Thread, int(ins.B), t.spawns(f, int(ins.A), ch.Pos[pc])); err != nil {
+				return false, value.Value{}, err
 			}
-
 		case bytecode.OpParFor:
-			// Chunked work-sharing (internal/sched): min(workers, n)
-			// goroutines claim contiguous index chunks; every iteration
-			// still executes as its own Tetra thread with a private
-			// induction cell. The thread budget is charged per worker.
-			seq := rf.get(ins.B)
-			sub := &f.fn.Chunks[ins.A]
-			elems := sem.Elements(seq)
-			workers, loop := t.vm.opts.Sched.Loop(elems.Len())
-			var wg sync.WaitGroup
-			var spawnErr error
-			for w := 0; w < workers; w++ {
-				if spawnErr = t.checkSpawn(ch.Pos[pc]); spawnErr != nil {
-					break
-				}
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					defer t.doneSpawn()
-					for {
-						lo, hi, ok := loop.Next()
-						if !ok {
-							return
-						}
-						for i := lo; i < hi; i++ {
-							if t.vm.stopped.Load() {
-								return
-							}
-							view := f.fork(int(ins.C), elems.Get(i))
-							nt := t.vm.newThread()
-							if _, _, err := nt.exec(sub, view); err != nil {
-								if err != errStopped {
-									t.vm.setErr(err)
-								}
-								return
-							}
-						}
-					}
-				}()
-			}
-			wg.Wait()
-			if spawnErr != nil {
-				return false, value.Value{}, spawnErr
-			}
-			if t.vm.stopped.Load() {
-				return false, value.Value{}, errStopped
+			if err := t.parFor(f, ins, rf.get(ins.B), ch.Pos[pc]); err != nil {
+				return false, value.Value{}, err
 			}
 
 		case bytecode.OpLockAcquire:
-			if err := t.vm.locks.acquire(t, int(ins.A), ch.Pos[pc]); err != nil {
+			if err := t.vm.rt.Lock(&t.Thread, int(ins.A), ch.Pos[pc]); err != nil {
 				return false, value.Value{}, err
 			}
 		case bytecode.OpLockRelease:
-			t.vm.locks.release(int(ins.A))
+			t.vm.rt.Unlock(&t.Thread, int(ins.A), ch.Pos[pc])
 
 		default:
-			return false, value.Value{}, rtErr(ch.Pos[pc], "internal: unknown opcode %s", ins.Op)
+			return false, value.Value{}, rt.Errorf(ch.Pos[pc], "internal: unknown opcode %s", ins.Op)
 		}
 	}
 	return false, value.Value{}, nil
+}
+
+// spawns describes the threads of a parallel or background block to the
+// runtime: one per chunk starting at f.fn.Chunks[first], all sharing f.
+func (t *thread) spawns(f *frame, first int, pos token.Pos) func(i int) rt.Spawn {
+	return func(i int) rt.Spawn {
+		nt := &thread{vm: t.vm}
+		sub := &f.fn.Chunks[first+i]
+		return rt.Spawn{Pos: pos, Thread: &nt.Thread, Run: func() error {
+			_, _, err := nt.exec(sub, f)
+			return err
+		}}
+	}
+}
+
+// parFor hands the iterations over seq to the runtime's chunked loop. Each
+// iteration runs chunk ins.A on a view of f whose induction slot ins.C is
+// a private cell.
+func (t *thread) parFor(f *frame, ins bytecode.Instr, seq value.Value, pos token.Pos) error {
+	sub := &f.fn.Chunks[ins.A]
+	elems := sem.Elements(seq)
+	return t.vm.rt.ParFor(&t.Thread, elems.Len(), pos, func() (*rt.Thread, func(i int) error) {
+		nt := &thread{vm: t.vm}
+		return &nt.Thread, func(i int) error {
+			_, _, err := nt.exec(sub, f.fork(int(ins.C), elems.Get(i)))
+			return err
+		}
+	})
 }
 
 // builtinReturns reports whether builtin id produces a value. Only print,
