@@ -14,9 +14,9 @@ import (
 // the meaning of A, B and C depends on the opcode — see the Op constants.
 // S is the inline-cache site id on call opcodes and unused elsewhere.
 type Instr struct {
-	Op            Op
-	Dst, A, B, C  int32
-	S             int32
+	Op           Op
+	Dst, A, B, C int32
+	S            int32
 }
 
 // Chunk is a straight-line-with-jumps code sequence. Pos parallels Code,
@@ -32,8 +32,8 @@ type Chunk struct {
 // Func is one compiled function.
 type Func struct {
 	Name      string
-	NumParams int
-	NumSlots  int // variable registers: parameters then locals, checker-assigned
+	Params    []*types.Type // parameter types; parameters occupy slots [0, len(Params))
+	NumSlots  int           // variable registers: parameters then locals, checker-assigned
 	Shared    bool
 	Result    *types.Type
 	Consts    []value.Value
@@ -68,7 +68,7 @@ func Compile(p *ast.Program) (*Program, error) {
 	}
 	var sites int32
 	for i, f := range p.Funcs {
-		cf, err := compileFunc(f, params, &sites)
+		cf, err := compileFunc(f, params, i, &sites)
 		if err != nil {
 			return nil, err
 		}
@@ -105,13 +105,13 @@ type fnCompiler struct {
 	continues [][]int
 }
 
-func compileFunc(f *ast.FuncDecl, params [][]*types.Type, sites *int32) (*Func, error) {
+func compileFunc(f *ast.FuncDecl, params [][]*types.Type, index int, sites *int32) (*Func, error) {
 	c := &fnCompiler{
 		params: params,
 		sites:  sites,
 		fn: &Func{
 			Name:      f.Name,
-			NumParams: len(f.Params),
+			Params:    params[index],
 			NumSlots:  f.NumSlots,
 			Shared:    f.HasParallel,
 			Result:    f.Result,

@@ -17,7 +17,7 @@ import (
 // inline-cache site id.
 func Disassemble(f *Func) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "func %s (params=%d slots=%d shared=%v)\n", f.Name, f.NumParams, f.NumSlots, f.Shared)
+	fmt.Fprintf(&sb, "func %s (params=%d slots=%d shared=%v)\n", f.Name, len(f.Params), f.NumSlots, f.Shared)
 	for ci := range f.Chunks {
 		ch := &f.Chunks[ci]
 		fmt.Fprintf(&sb, " chunk %d: (temps=%d)\n", ci, ch.NumTemps)

@@ -103,9 +103,9 @@ func Catch(main func()) {
 // never silently — because when tetrad's native tier runs these
 // binaries, a misparsed knob is a serving bug, not a shell typo.
 
-// MaxCallDepth mirrors the interpreter's recursion bound, so runaway
-// recursion in a compiled program is a Tetra runtime error instead of a
-// raw Go stack fault.
+// MaxCallDepth mirrors rt.MaxCallDepth, the engines' recursion bound (the
+// package's test holds the two equal), so runaway recursion in a compiled
+// program is a Tetra runtime error instead of a raw Go stack fault.
 const MaxCallDepth = 10000
 
 var (

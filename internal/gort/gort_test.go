@@ -7,8 +7,17 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/rt"
 	"repro/internal/sched"
 )
+
+// Generated binaries cannot import internal/rt, so the recursion bound is
+// written out here a second time; this keeps the copy honest.
+func TestMaxCallDepthMatchesTheEngines(t *testing.T) {
+	if MaxCallDepth != rt.MaxCallDepth {
+		t.Errorf("gort.MaxCallDepth = %d, rt.MaxCallDepth = %d", MaxCallDepth, rt.MaxCallDepth)
+	}
+}
 
 // catchErr runs f and returns the Tetra runtime error it raised, or nil.
 func catchErr(f func()) (err *Err) {

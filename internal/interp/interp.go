@@ -32,10 +32,6 @@ import (
 	"repro/internal/value"
 )
 
-// maxCallDepth bounds Tetra recursion so runaway recursion becomes a
-// reportable runtime error instead of a Go stack fault.
-const maxCallDepth = 10000
-
 // FrameView gives a step hook read access to the executing frame's
 // variables by slot (see ast.FuncDecl.SlotNames for the slot→name table).
 type FrameView interface {
@@ -191,20 +187,26 @@ func (t *thread) emitVar(kind trace.Kind, pos token.Pos, name string, c *value.C
 
 // frame is a function activation: one cell per local slot. shared reports
 // whether other threads may touch these cells (the function contains
-// parallel constructs), selecting locked vs. unlocked cell access.
+// parallel constructs), selecting locked vs. unlocked cell access. An
+// activation's cells are its own array; only a parallel-for iteration's
+// view (fork) goes through a table of pointers, cells.
 type frame struct {
 	fn     *ast.FuncDecl
-	cells  []*value.Cell
+	own    []value.Cell
+	cells  []*value.Cell // non-nil only in a forked view
 	shared bool
 }
 
 func newFrame(fn *ast.FuncDecl) *frame {
-	backing := make([]value.Cell, fn.NumSlots)
-	cells := make([]*value.Cell, fn.NumSlots)
-	for i := range backing {
-		cells[i] = &backing[i]
+	return &frame{fn: fn, own: make([]value.Cell, fn.NumSlots), shared: fn.HasParallel}
+}
+
+// cell returns the cell behind slot in this view of the activation.
+func (f *frame) cell(slot int) *value.Cell {
+	if f.cells != nil {
+		return f.cells[slot]
 	}
-	return &frame{fn: fn, cells: cells, shared: fn.HasParallel}
+	return &f.own[slot]
 }
 
 // fork returns a view of the frame sharing every cell except slot, which is
@@ -212,29 +214,40 @@ func newFrame(fn *ast.FuncDecl) *frame {
 // (paper §IV: "each thread needs to have its copy of the induction variable
 // inserted into its private symbol table").
 func (f *frame) fork(slot int, v value.Value) *frame {
-	cells := make([]*value.Cell, len(f.cells))
-	copy(cells, f.cells)
+	cells := make([]*value.Cell, f.fn.NumSlots)
+	for i := range cells {
+		cells[i] = f.cell(i)
+	}
 	cells[slot] = value.NewCell(v)
 	return &frame{fn: f.fn, cells: cells, shared: true}
 }
 
 // Var implements FrameView for the debugger's step hook.
-func (f *frame) Var(slot int) value.Value { return f.cells[slot].Load() }
+func (f *frame) Var(slot int) value.Value { return f.cell(slot).Load() }
 
+// load and store keep the thread-private path small enough to inline into
+// the evaluator; the path for an activation other threads can see is split
+// out, and kept out of line, so its size does not cost the fast path that.
 func (f *frame) load(slot int) value.Value {
 	if f.shared {
-		return f.cells[slot].Load()
+		return f.loadShared(slot)
 	}
-	return f.cells[slot].LoadLocal()
+	return f.own[slot].LoadLocal()
 }
 
 func (f *frame) store(slot int, v value.Value) {
 	if f.shared {
-		f.cells[slot].Store(v)
+		f.storeShared(slot, v)
 		return
 	}
-	f.cells[slot].StoreLocal(v)
+	f.own[slot].StoreLocal(v)
 }
+
+//go:noinline
+func (f *frame) loadShared(slot int) value.Value { return f.cell(slot).Load() }
+
+//go:noinline
+func (f *frame) storeShared(slot int, v value.Value) { f.cell(slot).Store(v) }
 
 // chargeAlloc bills n cells (array elements or string bytes) against the
 // governor's allocation budget. Called on the growth paths — range
@@ -253,19 +266,25 @@ func (t *thread) chargeAlloc(n int64, pos token.Pos) error {
 
 // call runs fn with the given argument values on this thread.
 func (t *thread) call(fn *ast.FuncDecl, args []value.Value, pos token.Pos) (value.Value, error) {
-	if t.depth >= maxCallDepth {
-		return value.Value{}, rt.Errorf(pos, "call stack exhausted (recursion deeper than %d)", maxCallDepth)
-	}
-	t.depth++
-	defer func() { t.depth-- }()
-
 	f := newFrame(fn)
 	for i, p := range fn.Params {
 		f.store(p.Slot, value.Convert(args[i], p.Type))
 	}
+	return t.enter(f, pos)
+}
+
+// enter runs the activation f, whose parameters are already stored, for
+// the call at pos.
+func (t *thread) enter(f *frame, pos token.Pos) (value.Value, error) {
+	fn := f.fn
+	if t.depth >= rt.MaxCallDepth {
+		return value.Value{}, rt.Errorf(pos, "call stack exhausted (recursion deeper than %d)", rt.MaxCallDepth)
+	}
+	t.depth++
 	t.emit(trace.Call, pos, fn.Name)
 	sig, err := t.execBlock(f, fn.Body)
 	t.emit(trace.Return, pos, fn.Name)
+	t.depth--
 	if err != nil {
 		return value.Value{}, err
 	}
@@ -438,7 +457,7 @@ func (t *thread) execAssign(f *frame, s *ast.AssignStmt) error {
 		if s.Op != token.ASSIGN {
 			old := f.load(target.Slot)
 			if t.interp.opts.TraceVars && f.shared {
-				t.emitVar(trace.VarRead, target.Pos(), target.Name, f.cells[target.Slot])
+				t.emitVar(trace.VarRead, target.Pos(), target.Name, f.cell(target.Slot))
 			}
 			v, err = sem.Arith(augOp(s.Op), old, v)
 			if err != nil {
@@ -453,7 +472,7 @@ func (t *thread) execAssign(f *frame, s *ast.AssignStmt) error {
 		v = value.Convert(v, target.Type())
 		f.store(target.Slot, v)
 		if t.interp.opts.TraceVars && f.shared {
-			t.emitVar(trace.VarWrite, target.Pos(), target.Name, f.cells[target.Slot])
+			t.emitVar(trace.VarWrite, target.Pos(), target.Name, f.cell(target.Slot))
 		}
 		return nil
 
@@ -584,7 +603,7 @@ func (t *thread) eval(f *frame, e ast.Expr) (value.Value, error) {
 	case *ast.Ident:
 		v := f.load(e.Slot)
 		if t.interp.opts.TraceVars && f.shared {
-			t.emitVar(trace.VarRead, e.Pos(), e.Name, f.cells[e.Slot])
+			t.emitVar(trace.VarRead, e.Pos(), e.Name, f.cell(e.Slot))
 		}
 		return v, nil
 
@@ -742,6 +761,21 @@ func binOp(k token.Kind) sem.Op {
 }
 
 func (t *thread) evalCall(f *frame, e *ast.CallExpr) (value.Value, error) {
+	if !e.IsBuiltin {
+		// A user call evaluates its arguments straight into the callee's
+		// cells, converted to the parameter types.
+		fn := t.interp.prog.Funcs[e.FuncIndex]
+		callee := newFrame(fn)
+		for i, a := range e.Args {
+			v, err := t.eval(f, a)
+			if err != nil {
+				return value.Value{}, err
+			}
+			p := fn.Params[i]
+			callee.store(p.Slot, value.Convert(v, p.Type))
+		}
+		return t.enter(callee, e.Pos())
+	}
 	args := make([]value.Value, len(e.Args))
 	for i, a := range e.Args {
 		v, err := t.eval(f, a)
@@ -750,23 +784,19 @@ func (t *thread) evalCall(f *frame, e *ast.CallExpr) (value.Value, error) {
 		}
 		args[i] = v
 	}
-	if e.IsBuiltin {
-		b := stdlib.ByID(e.Builtin)
-		if b.ID == stdlib.Print && t.interp.opts.Tracer != nil {
-			var parts []string
-			for _, a := range args {
-				parts = append(parts, a.String())
-			}
-			t.emit(trace.Output, e.Pos(), joinStrings(parts))
+	b := stdlib.ByID(e.Builtin)
+	if b.ID == stdlib.Print && t.interp.opts.Tracer != nil {
+		var parts []string
+		for _, a := range args {
+			parts = append(parts, a.String())
 		}
-		v, err := b.Eval(t.interp.opts.Env, args)
-		if err != nil {
-			return value.Value{}, rt.Errorf(e.Pos(), "%v", err)
-		}
-		return v, nil
+		t.emit(trace.Output, e.Pos(), joinStrings(parts))
 	}
-	fn := t.interp.prog.Funcs[e.FuncIndex]
-	return t.call(fn, args, e.Pos())
+	v, err := b.Eval(t.interp.opts.Env, args)
+	if err != nil {
+		return value.Value{}, rt.Errorf(e.Pos(), "%v", err)
+	}
+	return v, nil
 }
 
 func joinStrings(parts []string) string {

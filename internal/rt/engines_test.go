@@ -14,6 +14,7 @@ import (
 	"repro/internal/guard"
 	"repro/internal/interp"
 	"repro/internal/parser"
+	"repro/internal/rt"
 	"repro/internal/stdlib"
 	"repro/internal/vm"
 )
@@ -91,6 +92,18 @@ def main():
         left()
         right()
 `
+
+// down recurses n deep with a live `1 +` operand in every caller.
+func down(n int) string {
+	return fmt.Sprintf(`def down(n int) int:
+    if n == 0:
+        return 0
+    return 1 + down(n - 1)
+
+def main():
+    print(down(%d))
+`, n)
+}
 
 func TestRuntimeContractOnEveryEngine(t *testing.T) {
 	cases := []struct {
@@ -234,6 +247,20 @@ def main():
 			trip:      func(_ machine, g *guard.Governor) { g.Cancel() },
 			wantErr:   "execution cancelled",
 			wantLines: [2]int{5, 6},
+		},
+		{
+			// Inside the bound every engine gets to the bottom, the VM across
+			// several growths of its register stack.
+			name:    "recursion_under_the_bound",
+			src:     down(9000),
+			wantOut: "9000\n",
+		},
+		{
+			// main and down(10000) .. down(2) are the activations the bound
+			// allows; the call of down(1) is refused, where it is written.
+			name:    "recursion_at_the_bound",
+			src:     down(rt.MaxCallDepth),
+			wantErr: "test.ttr:4:16: runtime error: call stack exhausted (recursion deeper than 10000)",
 		},
 	}
 	for _, c := range cases {

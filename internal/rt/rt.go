@@ -39,6 +39,12 @@ import (
 // the error that caused the stop is the one the run reports.
 var ErrStopped = errors.New("stopped")
 
+// MaxCallDepth bounds the activations one thread may have in progress, so
+// runaway recursion becomes a positioned runtime error instead of a Go
+// stack fault, and an engine's per-thread call stack stays bounded. Both
+// engines refuse the call that would exceed it; internal/gort mirrors it.
+const MaxCallDepth = 10000
+
 // Config is what an engine hands to New.
 type Config struct {
 	// Guard, when non-nil, bounds live threads and steps; a trip wakes

@@ -1,0 +1,350 @@
+package vm
+
+import (
+	"bytes"
+	"fmt"
+	"strings"
+	"testing"
+
+	"repro/internal/bytecode"
+	"repro/internal/interp"
+	"repro/internal/sched"
+	"repro/internal/stdlib"
+	"repro/internal/value"
+)
+
+// The call path: register windows and frame records live on a per-thread
+// stack (see the package comment), so these tests pin what that design has
+// to hold — no allocation per call, windows that stay put while the stack
+// grows under live callers, stacks private to a thread, and release on
+// every path.
+
+// callLoopSrc is the benchmark's call probe: three user calls per
+// iteration through inline-cached sites and almost nothing else.
+const callLoopSrc = `def step(x int) int:
+    return x + 1
+
+def twice(x int) int:
+    return step(step(x))
+
+def main():
+    i = 0
+    s = 7
+    while i < 30000:
+        s = twice(s) % 1000003
+        i = i + 1
+    print(s)
+`
+
+const fibSrc = `def fib(n int) int:
+    if n < 2:
+        return n
+    return fib(n - 1) + fib(n - 2)
+
+def main():
+    print(fib(20))
+`
+
+// arithLoopSrc makes no user call: the control that shows whether a change
+// to the call path disturbed plain dispatch.
+const arithLoopSrc = `def main():
+    i = 0
+    s = 7
+    while i < 100000:
+        s = (s * 31 + i) % 1000003
+        i = i + 1
+    print(s)
+`
+
+// compileOpt compiles src and optimizes it at level.
+func compileOpt(t testing.TB, src string, level int) *bytecode.Program {
+	t.Helper()
+	_, bc := compileBoth(t, src)
+	return bytecode.Optimize(bc, level)
+}
+
+// runsOf returns a function that runs bc on a fresh VM and returns what it
+// printed, failing the test on a runtime error.
+func runsOf(t testing.TB, bc *bytecode.Program, opts Options) func() string {
+	var out bytes.Buffer
+	opts.Env = stdlib.NewEnv(strings.NewReader(""), &out)
+	return func() string {
+		out.Reset()
+		if err := New(bc, opts).Run(); err != nil {
+			t.Fatal(err)
+		}
+		return out.String()
+	}
+}
+
+// sameAsInterp runs src on the VM at every level and requires the
+// interpreter's output.
+func sameAsInterp(t *testing.T, src string) {
+	t.Helper()
+	want, err := runInterp(t, src, "")
+	if err != nil {
+		t.Fatalf("interp: %v", err)
+	}
+	for _, level := range []int{bytecode.O0, bytecode.O1, bytecode.O2} {
+		if got, err := runVMOpt(t, src, "", level); err != nil || got != want {
+			t.Errorf("-O%d printed %q (%v), interp %q", level, got, err, want)
+		}
+	}
+}
+
+func benchmarkRun(b *testing.B, src string) {
+	run := runsOf(b, compileOpt(b, src, bytecode.O2), Options{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+}
+
+func BenchmarkArithLoop(b *testing.B) { benchmarkRun(b, arithLoopSrc) }
+func BenchmarkCallLoop(b *testing.B)  { benchmarkRun(b, callLoopSrc) }
+func BenchmarkFib(b *testing.B)       { benchmarkRun(b, fibSrc) }
+
+// 90 000 calls per run used to be 180 000 allocations; what is left is the
+// VM, its thread and the stack's first segments.
+func TestCallFramesDoNotAllocate(t *testing.T) {
+	run := runsOf(t, compileOpt(t, callLoopSrc, bytecode.O2), Options{})
+	run()
+	if n := testing.AllocsPerRun(5, func() { run() }); n >= 100 {
+		t.Errorf("%v allocations per run of the call loop, want fewer than 100", n)
+	}
+}
+
+// Mutual recursion deep enough to outgrow several stack segments, with
+// every caller holding something live across its call: a variable, an int
+// temporary, a string temporary, an array element.
+func TestCallFramesStayPutWhenTheStackGrows(t *testing.T) {
+	sameAsInterp(t, `def f(n int, s string) string:
+    if n == 0:
+        return "."
+    return s + g(n - 1)
+
+def g(n int) string:
+    if n == 0:
+        return "!"
+    return (to_string(n % 10) + "-") + f(n - 1, to_string(n % 7))
+
+def h(a [int], n int) int:
+    if n == 0:
+        return 0
+    return a[n % 3] + k(a, n - 1)
+
+def k(a [int], n int) int:
+    if n == 0:
+        return 1
+    return (n * 2) % 11 + h(a, n - 1)
+
+def main():
+    print(f(2400, "<"))
+    print(h([3, 5, 7], 3001))
+    print(g(17))
+`)
+}
+
+// A window is claimed zeroed: a local read before it is written is none,
+// whatever the previous owner of those registers left there.
+func TestCallFramesStartZeroed(t *testing.T) {
+	sameAsInterp(t, `def dirty(n int) int:
+    a = n * 1000
+    b = "text"
+    c = [a, a]
+    return a + len(b) + len(c)
+
+def unset(n int) int:
+    if n > 0:
+        x = n
+    return x
+
+def main():
+    print(dirty(5))
+    print(unset(0))
+    print(unset(3))
+`)
+}
+
+// Every Tetra thread recurses on a stack of its own: a parallel for whose
+// body recurses, then four parallel children recursing to different
+// depths, round after round (the race detector watches in CI).
+func TestCallFramesArePrivateToAThread(t *testing.T) {
+	src := `def down(n int) int:
+    if n == 0:
+        return 0
+    return 1 + down(n - 1)
+
+def main():
+    out = range(64)
+    parallel for i in range(64):
+        out[i] = down(i * 9)
+    s = 0
+    for x in out:
+        s += x
+    print(s)
+    a = 0
+    b = 0
+    c = 0
+    d = 0
+    parallel:
+        a = down(50)
+        b = down(300)
+        c = down(1200)
+        d = down(2500)
+    print(a, " ", b, " ", c, " ", d)
+`
+	want, err := runInterp(t, src, "")
+	if err != nil {
+		t.Fatalf("interp: %v", err)
+	}
+	for _, level := range []int{bytecode.O0, bytecode.O2} {
+		run := runsOf(t, compileOpt(t, src, level), Options{})
+		for round := 0; round < 100; round++ {
+			if got := run(); got != want {
+				t.Fatalf("-O%d round %d printed %q, interp %q", level, round, got, want)
+			}
+		}
+	}
+}
+
+// parForDown recurses inside a parallel for over 10 000 elements, to the
+// depth the expression gives for element i.
+func parForDown(depth string) string {
+	return fmt.Sprintf(`def down(n int) int:
+    if n == 0:
+        return 0
+    return 1 + down(n - 1)
+
+def main():
+    out = range(10000)
+    parallel for i in range(10000):
+        out[i] = down(%s)
+    s = 0
+    for x in out:
+        s += x
+    print(s)
+`, depth)
+}
+
+// A parallel-for worker runs its iterations on one engine thread, so on
+// one stack. The iterations allocate their cells as before; recursing in
+// them, to depths that differ, may only add what a worker's stack costs
+// once.
+func TestCallFramesOfParForWorkersShareAStack(t *testing.T) {
+	const workers = 4
+	deep := parForDown("i % 37")
+	sameAsInterp(t, deep)
+	opts := Options{Sched: sched.Config{Workers: workers}}
+	allocs := func(src string) float64 {
+		run := runsOf(t, compileOpt(t, src, bytecode.O2), opts)
+		run()
+		return testing.AllocsPerRun(3, func() { run() })
+	}
+	if extra := allocs(deep) - allocs(parForDown("0")); extra > 32*workers {
+		t.Errorf("recursing in the loop body costs %v more allocations per run, want at most %d for %d workers",
+			extra, 32*workers, workers)
+	}
+}
+
+// The thread a worker reuses must come back from every call as it went
+// in: nothing claimed, no record pushed, every register zero.
+func TestCallFramesAreReleasedOnReturn(t *testing.T) {
+	bc := compileOpt(t, parForDown("0"), bytecode.O2)
+	m := New(bc, Options{Env: stdlib.NewEnv(strings.NewReader(""), &bytes.Buffer{})})
+	th := &thread{vm: m}
+	down := m.funcs[m.byName["down"]]
+	for i := 0; i < 1000; i++ {
+		n := int64(i * 7 % 400)
+		v, err := th.call(down, []value.Value{value.NewInt(n)})
+		if err != nil || v.Int() != n {
+			t.Fatalf("down(%d) = %v, %v", n, v, err)
+		}
+		if th.sp != 0 || len(th.frames) != 0 || th.depth != 0 {
+			t.Fatalf("after down(%d): sp=%d frames=%d depth=%d, want all zero", n, th.sp, len(th.frames), th.depth)
+		}
+	}
+	for i, r := range th.stack {
+		if r != (value.Value{}) {
+			t.Fatalf("register %d of the released stack holds %v", i, r)
+		}
+	}
+	for i, fr := range th.frames[:cap(th.frames)] {
+		if fr.fn != nil || fr.rf.regs != nil || fr.rf.cells != nil {
+			t.Fatalf("popped frame record %d still holds %+v", i, fr)
+		}
+	}
+}
+
+// An error raised under hundreds of frames is the interpreter's, message
+// and position, after the same output.
+func TestCallFramesDoNotChangeAnError(t *testing.T) {
+	src := `def fall(n int, d int) int:
+    if n == 0:
+        return 10 / d
+    return 1 + fall(n - 1, d)
+
+def main():
+    print(fall(500, 1))
+    print(fall(500, 0))
+`
+	iout, ierr := runInterp(t, src, "")
+	if ierr == nil || ierr.Error() != "test.ttr:3:19: runtime error: division by zero" {
+		t.Fatalf("interp error = %v", ierr)
+	}
+	for _, level := range []int{bytecode.O0, bytecode.O2} {
+		out, err := runVMOpt(t, src, "", level)
+		if err == nil || err.Error() != ierr.Error() {
+			t.Errorf("-O%d error %v, interp %v", level, err, ierr)
+		}
+		if out != iout {
+			t.Errorf("-O%d printed %q before failing, interp %q", level, out, iout)
+		}
+	}
+}
+
+// Call converts arguments to the parameter types as a call site does, on
+// both engines: an int passed for a real parameter is widened.
+func TestCallParityWithInterp(t *testing.T) {
+	src := `def half(x real) real:
+    return x / 2
+
+def total(a [int], scale real) real:
+    s = 0.0
+    for x in a:
+        s += x * scale
+    return s
+
+def greet(name string, n int) string:
+    out = ""
+    for i in range(n):
+        out += name
+    return out
+`
+	arr := value.NewArray(value.FromSlice(nil, []value.Value{value.NewInt(1), value.NewInt(2), value.NewInt(4)}))
+	calls := []struct {
+		fn   string
+		args []value.Value
+		want string
+	}{
+		{"half", []value.Value{value.NewInt(3)}, "1.5"},
+		{"half", []value.Value{value.NewReal(3)}, "1.5"},
+		{"total", []value.Value{arr, value.NewInt(2)}, "14.0"},
+		{"greet", []value.Value{value.NewString("ab"), value.NewInt(3)}, "ababab"},
+	}
+	prog, _ := compileBoth(t, src)
+	env := func() *stdlib.Env { return stdlib.NewEnv(strings.NewReader(""), &bytes.Buffer{}) }
+	for _, c := range calls {
+		iv, err := interp.New(prog, interp.Options{Env: env()}).Call(c.fn, c.args...)
+		if err != nil || iv.String() != c.want {
+			t.Fatalf("interp %s(%v) = %v, %v, want %s", c.fn, c.args, iv, err, c.want)
+		}
+		for _, level := range []int{bytecode.O0, bytecode.O2} {
+			v, err := New(compileOpt(t, src, level), Options{Env: env()}).Call(c.fn, c.args...)
+			if err != nil || v.K != iv.K || v.String() != c.want {
+				t.Errorf("-O%d %s(%v) = %v (kind %d), %v, interp %v (kind %d)", level, c.fn, c.args, v, v.K, err, iv, iv.K)
+			}
+		}
+	}
+}

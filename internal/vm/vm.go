@@ -10,15 +10,25 @@
 // without live deadlock detection: a deadlocked program ends at the
 // governor's deadline rather than with an immediate diagnostic.
 //
-// # Register frames
+// # Registers and call frames
 //
 // An activation's registers split in two: variable slots [0, NumSlots)
 // and chunk temporaries above them. A function with no parallel
-// constructs gets one flat value array for both — no cells, no locking,
-// no indirection — because no other thread can ever see its frame. A
-// function containing parallelism keeps one mutex-guarded cell per
-// variable slot (threads of a `parallel` block share them; `parallel
-// for` gives each iteration a private cell for the induction slot), while
+// constructs is flat: one window of values holds both — no cells, no
+// locking, no indirection — because no other thread can ever see it. The
+// window is claimed from a register stack private to the calling thread
+// and handed back, zeroed, on return, and the dispatch loop stays where it
+// is: a call pushes a record of the caller onto the thread's frame stack
+// and continues in the callee, a return pops it. A call to a flat function
+// therefore allocates nothing, and the arguments are copied once, from the
+// caller's argument temporaries into the callee's parameter slots. The
+// stack is created on a thread's first such call and grows by whole
+// segments, never moving a live window.
+//
+// A function containing parallelism keeps one mutex-guarded cell per
+// variable slot, on the heap (threads of a `parallel` block share them,
+// `background` threads may outlive the activation, and `parallel for`
+// gives each iteration a private cell for the induction slot), while
 // temporaries remain a plain per-activation array even then: the compiler
 // guarantees temporaries never cross a chunk boundary, so concurrent
 // chunks each own theirs outright.
@@ -63,8 +73,10 @@ import (
 	"repro/internal/value"
 )
 
-// maxCallDepth mirrors the interpreter's recursion bound.
-const maxCallDepth = 10000
+// minStack is the size, in registers, of a thread's first stack segment:
+// room for a dozen typical windows, small enough that a spawned thread's
+// first call costs one modest allocation.
+const minStack = 64
 
 // Options configures a VM instance.
 type Options struct {
@@ -143,8 +155,8 @@ func (m *VM) Rebind(name string, fn *bytecode.Func) error {
 		return fmt.Errorf("no function named %s", name)
 	}
 	old := m.funcs[idx]
-	if fn.NumParams != old.NumParams {
-		return fmt.Errorf("rebind %s: arity mismatch (have %d parameters, want %d)", name, fn.NumParams, old.NumParams)
+	if len(fn.Params) != len(old.Params) {
+		return fmt.Errorf("rebind %s: arity mismatch (have %d parameters, want %d)", name, len(fn.Params), len(old.Params))
 	}
 	if (fn.Result == nil) != (old.Result == nil) || (fn.Result != nil && !types.Equal(fn.Result, old.Result)) {
 		return fmt.Errorf("rebind %s: result type mismatch", name)
@@ -163,7 +175,9 @@ func (m *VM) Run() error {
 	return err
 }
 
-// Call invokes a named function with the given arguments.
+// Call invokes a named function with the given arguments, converted to the
+// parameter types as a compiled call site would (int widens to real); it
+// is the caller's job to pass compatible kinds.
 func (m *VM) Call(name string, args ...value.Value) (value.Value, error) {
 	m.funcMu.RLock()
 	idx, ok := m.byName[name]
@@ -175,10 +189,14 @@ func (m *VM) Call(name string, args ...value.Value) (value.Value, error) {
 	if fn == nil {
 		return value.Value{}, fmt.Errorf("no function named %s", name)
 	}
-	if len(args) != fn.NumParams {
-		return value.Value{}, fmt.Errorf("%s expects %d argument(s), got %d", name, fn.NumParams, len(args))
+	if len(args) != len(fn.Params) {
+		return value.Value{}, fmt.Errorf("%s expects %d argument(s), got %d", name, len(fn.Params), len(args))
 	}
-	return m.run(fn, args)
+	conv := make([]value.Value, len(args))
+	for i, a := range args {
+		conv[i] = value.Convert(a, fn.Params[i])
+	}
+	return m.run(fn, conv)
 }
 
 // run calls fn on a new main thread and returns once the background
@@ -205,63 +223,91 @@ type thread struct {
 	rt.Thread // identity and step accounting; the runtime fills it in
 	vm        *VM
 	depth     int
+
+	// The register stack: flat activations take their windows from stack,
+	// the newest segment, whose registers from sp up are free and zero.
+	// Created on the thread's first call to a flat function.
+	stack []value.Value
+	sp    int
+	// frames holds one record per flat call in progress inside exec.
+	frames []frame
 }
 
-// frame is a function activation. Functions without parallel constructs
-// keep every register in one flat array (flat != nil); functions with
-// parallelism keep one lockable cell per variable slot, and each chunk
-// activation gets its own temporary array (see regFile).
+// frame is what a call to a flat function saves: the caller's function,
+// chunk, call instruction and registers, and the stack top to go back to
+// when the callee's window is released.
 type frame struct {
-	fn    *bytecode.Func
-	flat  []value.Value // non-shared: NumSlots + body NumTemps registers
-	cells []*value.Cell // shared: one cell per variable slot
+	fn *bytecode.Func
+	ch *bytecode.Chunk
+	pc int
+	rf regFile
+	sp int
 }
 
-func newFrame(fn *bytecode.Func) *frame {
-	if !fn.Shared {
-		return &frame{fn: fn, flat: make([]value.Value, fn.NumSlots+fn.Chunks[0].NumTemps)}
+// claim takes the next n registers of the thread's stack as a window, all
+// zero like a fresh make, and returns it with the stack top to restore on
+// release. When the segment is full a larger one replaces it and the old
+// one stays where it is, kept alive by the windows still in it, so a
+// caller's registers never move; the tops those windows recorded are
+// offsets into the old segment, and restoring one into the new segment
+// only skips free registers, because every window claimed from the new
+// segment has been released by then. A window belongs to one activation,
+// and at most rt.MaxCallDepth are live; segments double, so a thread's
+// stack stays within a small multiple of its deepest recursion.
+func (t *thread) claim(n int) ([]value.Value, int) {
+	if t.sp+n > len(t.stack) {
+		t.stack = make([]value.Value, max(minStack, 2*len(t.stack), 2*n))
+		t.sp = 0
 	}
+	sp := t.sp
+	t.sp += n
+	return t.stack[sp:t.sp:t.sp], sp
+}
+
+// release returns window w to the stack, zeroed so that the next claim
+// finds it clean and the values it held do not outlive the activation.
+func (t *thread) release(w []value.Value, sp int) {
+	clear(w)
+	t.sp = sp
+}
+
+// newCells allocates the variable cells of one activation of a function
+// with parallel constructs. They live on the heap because the threads the
+// activation spawns share them, and a background thread may still use
+// them after the activation has returned.
+func newCells(fn *bytecode.Func) []*value.Cell {
 	backing := make([]value.Cell, fn.NumSlots)
 	cells := make([]*value.Cell, fn.NumSlots)
 	for i := range backing {
 		cells[i] = &backing[i]
 	}
-	return &frame{fn: fn, cells: cells}
+	return cells
 }
 
-// fork gives a parallel-for iteration a frame view whose induction slot
-// is a private cell; all other slots stay shared.
-func (f *frame) fork(slot int, v value.Value) *frame {
-	cells := make([]*value.Cell, len(f.cells))
-	copy(cells, f.cells)
-	cells[slot] = value.NewCell(v)
-	return &frame{fn: f.fn, cells: cells}
-}
-
-// regFile is one chunk activation's register accessor. For flat frames
-// every register indexes one array; for shared frames, variable slots go
-// through cells and temporaries through the activation-private array.
+// regFile is one chunk activation's register accessor. A flat activation
+// (cells == nil) keeps every register in regs, its window. A shared one
+// keeps variable slots [0, nv) in cells and only the chunk's temporaries
+// in regs.
 type regFile struct {
-	flat  []value.Value
+	regs  []value.Value
 	cells []*value.Cell
-	temps []value.Value
 	nv    int32
 }
 
-// get/set keep the flat-frame path small enough for the compiler to
-// inline into the dispatch loop — sequential functions pay one nil check
-// and one bounds-checked index per operand. The shared-frame path is
-// split out so its size does not disqualify the fast path from inlining.
+// get/set keep the flat path small enough for the compiler to inline into
+// the dispatch loop — sequential functions pay one nil check and one
+// bounds-checked index per operand. The shared path is split out so its
+// size does not disqualify the fast path from inlining.
 func (r *regFile) get(i int32) value.Value {
 	if r.cells == nil {
-		return r.flat[i]
+		return r.regs[i]
 	}
 	return r.getShared(i)
 }
 
 func (r *regFile) set(i int32, v value.Value) {
 	if r.cells == nil {
-		r.flat[i] = v
+		r.regs[i] = v
 		return
 	}
 	r.setShared(i, v)
@@ -272,7 +318,7 @@ func (r *regFile) getShared(i int32) value.Value {
 	if i < r.nv {
 		return r.cells[i].Load()
 	}
-	return r.temps[i-r.nv]
+	return r.regs[i-r.nv]
 }
 
 //go:noinline
@@ -281,48 +327,48 @@ func (r *regFile) setShared(i int32, v value.Value) {
 		r.cells[i].Store(v)
 		return
 	}
-	r.temps[i-r.nv] = v
+	r.regs[i-r.nv] = v
 }
 
 // slice returns the n consecutive registers starting at base as a
 // directly-readable slice. The compiler only emits block operands
 // (call arguments, array elements) in the temporary region, which is
-// activation-private even in shared frames, so no locking is needed.
+// activation-private even in shared activations, so no locking is needed.
 func (r *regFile) slice(base, n int32) []value.Value {
-	if n == 0 {
-		return nil
-	}
-	if r.cells == nil {
-		return r.flat[base : base+n]
-	}
-	return r.temps[base-r.nv : base-r.nv+n]
+	return r.regs[base-r.nv : base-r.nv+n]
 }
 
-// call runs fn on this thread. The recursion bound is checked at OpCall,
-// where the call site's position is at hand.
+// call runs fn on this thread from outside the dispatch loop: the thread's
+// entry function, and any function with parallel constructs. The recursion
+// bound is checked at OpCall, where the call site's position is at hand.
 func (t *thread) call(fn *bytecode.Func, args []value.Value) (value.Value, error) {
 	t.depth++
-	defer func() { t.depth-- }()
-
-	f := newFrame(fn)
-	if f.flat != nil {
-		copy(f.flat, args)
-	} else {
+	var v value.Value
+	var err error
+	if fn.Shared {
+		cells := newCells(fn)
 		for i := range args {
-			f.cells[i].Store(args[i])
+			cells[i].Store(args[i])
 		}
+		v, err = t.execShared(fn, &fn.Chunks[0], cells)
+	} else {
+		w, sp := t.claim(fn.NumSlots + fn.Chunks[0].NumTemps)
+		copy(w, args)
+		v, err = t.exec(fn, &fn.Chunks[0], regFile{regs: w})
+		t.release(w, sp)
 	}
-	returned, v, err := t.exec(&fn.Chunks[0], f)
-	if err != nil {
-		return value.Value{}, err
+	t.depth--
+	return v, err
+}
+
+// execShared runs one chunk of a function with parallel constructs over
+// the activation's cells, with temporaries of its own.
+func (t *thread) execShared(fn *bytecode.Func, ch *bytecode.Chunk, cells []*value.Cell) (value.Value, error) {
+	rf := regFile{cells: cells, nv: int32(fn.NumSlots)}
+	if ch.NumTemps > 0 {
+		rf.regs = make([]value.Value, ch.NumTemps)
 	}
-	if returned {
-		return v, nil
-	}
-	if fn.Result != nil {
-		return value.Zero(fn.Result), nil
-	}
-	return value.Value{}, nil
+	return t.exec(fn, ch, rf)
 }
 
 // resolveFunc is the call-site slow path: look the callee up under the
@@ -337,25 +383,35 @@ func (m *VM) resolveFunc(site, idx int32, gen uint32) *bytecode.Func {
 	return fn
 }
 
-// exec runs one chunk to completion. It reports whether an OpReturn
-// delivered a value (true) as opposed to falling off via OpReturnNone.
-func (t *thread) exec(ch *bytecode.Chunk, f *frame) (bool, value.Value, error) {
-	rf := regFile{flat: f.flat, cells: f.cells, nv: int32(f.fn.NumSlots)}
-	if rf.cells != nil && ch.NumTemps > 0 {
-		rf.temps = make([]value.Value, ch.NumTemps)
-	}
-	consts := f.fn.Consts
-
+// exec runs chunk ch of fn over registers rf until it returns, and
+// delivers its result: the returned value, or the result type's zero when
+// a value-returning function's body falls off its end.
+//
+// Calls to flat functions do not recurse into exec. OpCall saves the
+// caller in a frame record, claims the callee's window, copies the
+// arguments into it and goes on dispatching in the callee; a return
+// releases the window and resumes the saved caller. Only the return that
+// finds the record stack where this exec started leaves it. An error
+// leaves it at once, records and windows unreleased: a thread that fails
+// runs nothing more, and its stack goes with it.
+func (t *thread) exec(fn *bytecode.Func, ch *bytecode.Chunk, rf regFile) (value.Value, error) {
+	base := len(t.frames)
 	g := t.vm.guard
+	pc := 0
+	// Dispatch re-enters here whenever a call or a return switched fn, ch,
+	// rf and pc to another activation, so that inside the loop the code and
+	// the constant pool are loop-invariant.
+activation:
+	consts := fn.Consts
 	code := ch.Code
-	for pc := 0; pc < len(code); pc++ {
+	for ; pc < len(code); pc++ {
 		if g != nil {
 			// Batched fuel accounting: one local increment per instruction,
 			// one governor sync per guard.StepBatch instructions.
 			t.Pending++
 			if t.Pending >= guard.StepBatch {
 				if err := t.vm.rt.Flush(&t.Thread, ch.Pos[pc]); err != nil {
-					return false, value.Value{}, err
+					return value.Value{}, err
 				}
 			}
 		}
@@ -380,12 +436,12 @@ func (t *thread) exec(ch *bytecode.Chunk, f *frame) (bool, value.Value, error) {
 			}
 			v, err := sem.Arith(semOp(ins.Op), l, r)
 			if err != nil {
-				return false, value.Value{}, sem.At(err, ch.Pos[pc].String())
+				return value.Value{}, sem.At(err, ch.Pos[pc].String())
 			}
 			if g != nil && v.K == value.Str {
 				// String concatenation grows data; charge the built bytes.
 				if k := g.AddAlloc(int64(len(v.Str()))); k != guard.OK {
-					return false, value.Value{}, g.ErrAt(k, ch.Pos[pc].String())
+					return value.Value{}, g.ErrAt(k, ch.Pos[pc].String())
 				}
 			}
 			rf.set(ins.Dst, v)
@@ -404,11 +460,11 @@ func (t *thread) exec(ch *bytecode.Chunk, f *frame) (bool, value.Value, error) {
 			}
 			v, err := sem.Arith(semOp(aop), l, r)
 			if err != nil {
-				return false, value.Value{}, sem.At(err, ch.Pos[pc].String())
+				return value.Value{}, sem.At(err, ch.Pos[pc].String())
 			}
 			if g != nil && v.K == value.Str {
 				if k := g.AddAlloc(int64(len(v.Str()))); k != guard.OK {
-					return false, value.Value{}, g.ErrAt(k, ch.Pos[pc].String())
+					return value.Value{}, g.ErrAt(k, ch.Pos[pc].String())
 				}
 			}
 			rf.set(ins.Dst, v)
@@ -430,7 +486,7 @@ func (t *thread) exec(ch *bytecode.Chunk, f *frame) (bool, value.Value, error) {
 			// A backward jump is a loop back-edge: re-check the stop flag
 			// so Cancel and cross-thread errors interrupt tight loops.
 			if int(ins.A) <= pc && t.vm.rt.Stopped() {
-				return false, value.Value{}, rt.ErrStopped
+				return value.Value{}, rt.ErrStopped
 			}
 			pc = int(ins.A) - 1
 		case bytecode.OpJumpIfFalse:
@@ -438,14 +494,14 @@ func (t *thread) exec(ch *bytecode.Chunk, f *frame) (bool, value.Value, error) {
 			// taken backward branches re-check the stop flag too.
 			if !rf.get(ins.B).Bool() {
 				if int(ins.A) <= pc && t.vm.rt.Stopped() {
-					return false, value.Value{}, rt.ErrStopped
+					return value.Value{}, rt.ErrStopped
 				}
 				pc = int(ins.A) - 1
 			}
 		case bytecode.OpJumpIfTrue:
 			if rf.get(ins.B).Bool() {
 				if int(ins.A) <= pc && t.vm.rt.Stopped() {
-					return false, value.Value{}, rt.ErrStopped
+					return value.Value{}, rt.ErrStopped
 				}
 				pc = int(ins.A) - 1
 			}
@@ -463,7 +519,7 @@ func (t *thread) exec(ch *bytecode.Chunk, f *frame) (bool, value.Value, error) {
 			}
 			if taken {
 				if int(ins.Dst) <= pc && t.vm.rt.Stopped() {
-					return false, value.Value{}, rt.ErrStopped
+					return value.Value{}, rt.ErrStopped
 				}
 				pc = int(ins.Dst) - 1
 			}
@@ -484,33 +540,45 @@ func (t *thread) exec(ch *bytecode.Chunk, f *frame) (bool, value.Value, error) {
 			}
 			if taken {
 				if int(ins.Dst) <= pc && t.vm.rt.Stopped() {
-					return false, value.Value{}, rt.ErrStopped
+					return value.Value{}, rt.ErrStopped
 				}
 				pc = int(ins.Dst) - 1
 			}
 
 		case bytecode.OpCall:
 			if t.vm.rt.Stopped() {
-				return false, value.Value{}, rt.ErrStopped
+				return value.Value{}, rt.ErrStopped
 			}
-			if t.depth >= maxCallDepth {
-				return false, value.Value{}, rt.Errorf(ch.Pos[pc], "call stack exhausted (recursion deeper than %d)", maxCallDepth)
+			if t.depth >= rt.MaxCallDepth {
+				return value.Value{}, rt.Errorf(ch.Pos[pc], "call stack exhausted (recursion deeper than %d)", rt.MaxCallDepth)
 			}
 			// Inline-cache dispatch: generation first, then the entry.
 			gen := t.vm.gen.Load()
-			var fn *bytecode.Func
+			var callee *bytecode.Func
 			if ic := t.vm.ics[ins.S].Load(); ic != nil && ic.gen == gen {
-				fn = ic.fn
+				callee = ic.fn
 			} else {
-				fn = t.vm.resolveFunc(ins.S, ins.A, gen)
+				callee = t.vm.resolveFunc(ins.S, ins.A, gen)
 			}
-			v, err := t.call(fn, rf.slice(ins.B, ins.C))
-			if err != nil {
-				return false, value.Value{}, err
+			if callee.Shared {
+				v, err := t.call(callee, rf.slice(ins.B, ins.C))
+				if err != nil {
+					return value.Value{}, err
+				}
+				if ins.Dst >= 0 && callee.Result != nil {
+					rf.set(ins.Dst, v)
+				}
+				continue
 			}
-			if ins.Dst >= 0 && fn.Result != nil {
-				rf.set(ins.Dst, v)
-			}
+			// Flat callee: its window takes the arguments straight from the
+			// caller's argument temporaries, and dispatch moves into it.
+			body := &callee.Chunks[0]
+			w, sp := t.claim(callee.NumSlots + body.NumTemps)
+			copy(w, rf.slice(ins.B, ins.C))
+			t.frames = append(t.frames, frame{fn: fn, ch: ch, pc: pc, rf: rf, sp: sp})
+			t.depth++
+			fn, ch, rf, pc = callee, body, regFile{regs: w}, 0
+			goto activation
 
 		case bytecode.OpCallBuiltin:
 			// Builtins are immutable, so their cache entries never
@@ -524,50 +592,72 @@ func (t *thread) exec(ch *bytecode.Chunk, f *frame) (bool, value.Value, error) {
 			}
 			v, err := ic.b.Eval(t.vm.opts.Env, rf.slice(ins.B, ins.C))
 			if err != nil {
-				return false, value.Value{}, rt.Errorf(ch.Pos[pc], "%v", err)
+				return value.Value{}, rt.Errorf(ch.Pos[pc], "%v", err)
 			}
 			if ins.Dst >= 0 && ic.returns {
 				rf.set(ins.Dst, v)
 			}
 
-		case bytecode.OpReturn:
-			return true, rf.get(ins.A), nil
-		case bytecode.OpReturnNone:
-			return false, value.Value{}, nil
+		case bytecode.OpReturn, bytecode.OpReturnNone:
+			var v value.Value
+			if ins.Op == bytecode.OpReturn {
+				v = rf.get(ins.A)
+			} else if fn.Result != nil && ch == &fn.Chunks[0] {
+				// Falling off the end of a value-returning function.
+				v = value.Zero(fn.Result)
+			}
+			if len(t.frames) == base {
+				return v, nil
+			}
+			// Back into the caller saved by OpCall. Its record is wiped so a
+			// popped record pins neither a stack segment nor cells.
+			top := len(t.frames) - 1
+			fr := &t.frames[top]
+			t.release(rf.regs, fr.sp)
+			returns := fn.Result != nil
+			fn, ch, pc, rf = fr.fn, fr.ch, fr.pc, fr.rf
+			*fr = frame{}
+			t.frames = t.frames[:top]
+			t.depth--
+			if dst := ch.Code[pc].Dst; dst >= 0 && returns {
+				rf.set(dst, v)
+			}
+			pc++
+			goto activation
 
 		case bytecode.OpIndex:
 			v, err := sem.Index(rf.get(ins.A), rf.get(ins.B).Int())
 			if err != nil {
-				return false, value.Value{}, sem.At(err, ch.Pos[pc].String())
+				return value.Value{}, sem.At(err, ch.Pos[pc].String())
 			}
 			rf.set(ins.Dst, v)
 
 		case bytecode.OpSetIndex:
 			if err := sem.SetIndex(rf.get(ins.A), rf.get(ins.B).Int(), rf.get(ins.C)); err != nil {
-				return false, value.Value{}, sem.At(err, ch.Pos[pc].String())
+				return value.Value{}, sem.At(err, ch.Pos[pc].String())
 			}
 
 		case bytecode.OpArray:
 			n := int(ins.B)
 			if g != nil {
 				if k := g.AddAlloc(int64(n)); k != guard.OK {
-					return false, value.Value{}, g.ErrAt(k, ch.Pos[pc].String())
+					return value.Value{}, g.ErrAt(k, ch.Pos[pc].String())
 				}
 			}
 			elems := make([]value.Value, n)
 			copy(elems, rf.slice(ins.A, ins.B))
-			rf.set(ins.Dst, value.NewArray(value.FromSlice(f.fn.Types[ins.C], elems)))
+			rf.set(ins.Dst, value.NewArray(value.FromSlice(fn.Types[ins.C], elems)))
 
 		case bytecode.OpRange:
 			lo := rf.get(ins.A)
 			hi := rf.get(ins.B)
 			n, rerr := sem.RangeLen(lo.Int(), hi.Int())
 			if rerr != nil {
-				return false, value.Value{}, sem.At(rerr, ch.Pos[pc].String())
+				return value.Value{}, sem.At(rerr, ch.Pos[pc].String())
 			}
 			if g != nil {
 				if k := g.AddAlloc(n); k != guard.OK {
-					return false, value.Value{}, g.ErrAt(k, ch.Pos[pc].String())
+					return value.Value{}, g.ErrAt(k, ch.Pos[pc].String())
 				}
 			}
 			elems := make([]value.Value, n)
@@ -578,7 +668,7 @@ func (t *thread) exec(ch *bytecode.Chunk, f *frame) (bool, value.Value, error) {
 
 		case bytecode.OpForIter:
 			if t.vm.rt.Stopped() {
-				return false, value.Value{}, rt.ErrStopped
+				return value.Value{}, rt.ErrStopped
 			}
 			seq := rf.get(ins.A)
 			idx := rf.get(ins.A + 1).Int()
@@ -598,55 +688,60 @@ func (t *thread) exec(ch *bytecode.Chunk, f *frame) (bool, value.Value, error) {
 			rf.set(ins.A+1, value.NewInt(idx+1))
 
 		case bytecode.OpParallel:
-			if err := t.vm.rt.Parallel(&t.Thread, int(ins.B), t.spawns(f, int(ins.A), ch.Pos[pc])); err != nil {
-				return false, value.Value{}, err
+			if err := t.vm.rt.Parallel(&t.Thread, int(ins.B), t.spawns(fn, rf.cells, int(ins.A), ch.Pos[pc])); err != nil {
+				return value.Value{}, err
 			}
 		case bytecode.OpBackground:
-			if err := t.vm.rt.Background(&t.Thread, int(ins.B), t.spawns(f, int(ins.A), ch.Pos[pc])); err != nil {
-				return false, value.Value{}, err
+			if err := t.vm.rt.Background(&t.Thread, int(ins.B), t.spawns(fn, rf.cells, int(ins.A), ch.Pos[pc])); err != nil {
+				return value.Value{}, err
 			}
 		case bytecode.OpParFor:
-			if err := t.parFor(f, ins, rf.get(ins.B), ch.Pos[pc]); err != nil {
-				return false, value.Value{}, err
+			if err := t.parFor(fn, rf.cells, ins, rf.get(ins.B), ch.Pos[pc]); err != nil {
+				return value.Value{}, err
 			}
 
 		case bytecode.OpLockAcquire:
 			if err := t.vm.rt.Lock(&t.Thread, int(ins.A), ch.Pos[pc]); err != nil {
-				return false, value.Value{}, err
+				return value.Value{}, err
 			}
 		case bytecode.OpLockRelease:
 			t.vm.rt.Unlock(&t.Thread, int(ins.A), ch.Pos[pc])
 
 		default:
-			return false, value.Value{}, rt.Errorf(ch.Pos[pc], "internal: unknown opcode %s", ins.Op)
+			return value.Value{}, rt.Errorf(ch.Pos[pc], "internal: unknown opcode %s", ins.Op)
 		}
 	}
-	return false, value.Value{}, nil
+	return value.Value{}, nil
 }
 
 // spawns describes the threads of a parallel or background block to the
-// runtime: one per chunk starting at f.fn.Chunks[first], all sharing f.
-func (t *thread) spawns(f *frame, first int, pos token.Pos) func(i int) rt.Spawn {
+// runtime: one per chunk starting at fn.Chunks[first], all sharing the
+// spawning activation's cells.
+func (t *thread) spawns(fn *bytecode.Func, cells []*value.Cell, first int, pos token.Pos) func(i int) rt.Spawn {
 	return func(i int) rt.Spawn {
 		nt := &thread{vm: t.vm}
-		sub := &f.fn.Chunks[first+i]
+		sub := &fn.Chunks[first+i]
 		return rt.Spawn{Pos: pos, Thread: &nt.Thread, Run: func() error {
-			_, _, err := nt.exec(sub, f)
+			_, err := nt.execShared(fn, sub, cells)
 			return err
 		}}
 	}
 }
 
 // parFor hands the iterations over seq to the runtime's chunked loop. Each
-// iteration runs chunk ins.A on a view of f whose induction slot ins.C is
-// a private cell.
-func (t *thread) parFor(f *frame, ins bytecode.Instr, seq value.Value, pos token.Pos) error {
-	sub := &f.fn.Chunks[ins.A]
+// iteration runs chunk ins.A over the activation's cells with a private
+// cell in place of induction slot ins.C. A worker's iterations run on one
+// engine thread, so they share its register stack.
+func (t *thread) parFor(fn *bytecode.Func, cells []*value.Cell, ins bytecode.Instr, seq value.Value, pos token.Pos) error {
+	sub := &fn.Chunks[ins.A]
 	elems := sem.Elements(seq)
 	return t.vm.rt.ParFor(&t.Thread, elems.Len(), pos, func() (*rt.Thread, func(i int) error) {
 		nt := &thread{vm: t.vm}
 		return &nt.Thread, func(i int) error {
-			_, _, err := nt.exec(sub, f.fork(int(ins.C), elems.Get(i)))
+			forked := make([]*value.Cell, len(cells))
+			copy(forked, cells)
+			forked[ins.C] = value.NewCell(elems.Get(i))
+			_, err := nt.execShared(fn, sub, forked)
 			return err
 		}
 	})

@@ -16,7 +16,7 @@ import (
 	"repro/internal/value"
 )
 
-func compileBoth(t *testing.T, src string) (*ast.Program, *bytecode.Program) {
+func compileBoth(t testing.TB, src string) (*ast.Program, *bytecode.Program) {
 	t.Helper()
 	prog, err := parser.Parse("test.ttr", src)
 	if err != nil {
