@@ -190,7 +190,7 @@ func (c *fnCompiler) constIndex(v value.Value) int32 { return c.fn.constIndex(v)
 // the compiler and the optimizer's constant folder.
 func (f *Func) constIndex(v value.Value) int32 {
 	for i, existing := range f.Consts {
-		if existing.K == v.K && existing.B == v.B && existing.S == v.S && existing.A == v.A {
+		if value.Identical(existing, v) {
 			return int32(i)
 		}
 	}

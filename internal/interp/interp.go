@@ -28,7 +28,6 @@ import (
 	"repro/internal/stdlib"
 	"repro/internal/token"
 	"repro/internal/trace"
-	"repro/internal/types"
 	"repro/internal/value"
 )
 
@@ -631,12 +630,14 @@ func (t *thread) eval(f *frame, e ast.Expr) (value.Value, error) {
 		if err != nil {
 			return value.Value{}, err
 		}
-		if n := hi.Int() - lo.Int() + 1; n > 0 {
-			if err := t.chargeAlloc(n, e.Pos()); err != nil {
-				return value.Value{}, err
-			}
+		n, err := sem.RangeLen(lo.Int(), hi.Int())
+		if err != nil {
+			return value.Value{}, sem.At(err, e.Pos().String())
 		}
-		return makeRange(lo.Int(), hi.Int(), e.Pos())
+		if err := t.chargeAlloc(n, e.Pos()); err != nil {
+			return value.Value{}, err
+		}
+		return value.NewArray(value.NewIntRange(lo.Int(), int(n))), nil
 
 	case *ast.UnaryExpr:
 		v, err := t.eval(f, e.X)
@@ -670,18 +671,6 @@ func (t *thread) eval(f *frame, e ast.Expr) (value.Value, error) {
 		return t.evalCall(f, e)
 	}
 	return value.Value{}, rt.Errorf(e.Pos(), "internal: unknown expression %T", e)
-}
-
-func makeRange(lo, hi int64, pos token.Pos) (value.Value, error) {
-	n, err := sem.RangeLen(lo, hi) // inclusive range [lo .. hi]
-	if err != nil {
-		return value.Value{}, sem.At(err, pos.String())
-	}
-	elems := make([]value.Value, n)
-	for i := int64(0); i < n; i++ {
-		elems[i] = value.NewInt(lo + i)
-	}
-	return value.NewArray(value.FromSlice(types.IntType, elems)), nil
 }
 
 func (t *thread) evalBinary(f *frame, e *ast.BinaryExpr) (value.Value, error) {

@@ -290,6 +290,13 @@ func TestDifferentialGortStrings(t *testing.T) {
 	if msg := catchGort(func() { gort.RangeN(0, 1<<29) }); !strings.Contains(msg, "range too large (536870912 elements)") {
 		t.Errorf("RangeN too-large panic = %q", msg)
 	}
+	const lo, hi = -9000000000000000000, 9000000000000000000
+	if msg := catchGort(func() { gort.Range(lo, hi) }); !strings.Contains(msg, "range [-9000000000000000000 .. 9000000000000000000] too large") {
+		t.Errorf("Range span-overflow panic = %q", msg)
+	}
+	if msg := catchGort(func() { gort.RangeN(lo, hi) }); !strings.Contains(msg, "range too large (18000000000000000000 elements)") {
+		t.Errorf("RangeN span-overflow panic = %q", msg)
+	}
 }
 
 // TestDifferentialErrors drives the canonical runtime errors through all
@@ -308,6 +315,11 @@ func TestDifferentialErrors(t *testing.T) {
 		{"str_immutable", "def main():\n    s = \"ab\"\n    s[0] = \"x\"\n    print(s)\n", "strings are immutable"},
 		{"range_too_large", "def main():\n    n = 1073741824\n    for i in [1 .. n]:\n        print(i)\n", "range [1 .. 1073741824] too large"},
 		{"rangen_too_large", "def main():\n    n = 1073741824\n    for i in range(n):\n        print(i)\n", "range too large (1073741824 elements)"},
+		// Spans that do not fit an int64: a wrapping subtraction would read
+		// them as empty ranges.
+		{"range_span_overflow", "def main():\n    lo = -9000000000000000000\n    hi = 9000000000000000000\n    print(len([lo .. hi]))\n", "range [-9000000000000000000 .. 9000000000000000000] too large"},
+		{"rangen_span_overflow", "def main():\n    lo = -9000000000000000000\n    hi = 9000000000000000000\n    print(len(range(lo, hi)))\n", "range too large (18000000000000000000 elements)"},
+		{"range_count_overflow", "def main():\n    hi = 9223372036854775807\n    print(len([0 .. hi]))\n", "range [0 .. 9223372036854775807] too large"},
 		{"to_int_bad", "def main():\n    s = \"xyz\"\n    print(to_int(s))\n", `to_int: cannot parse "xyz"`},
 		{"substring_oob", "def main():\n    s = \"hello\"\n    print(substring(s, 2, 9))\n", "substring: bounds [2, 9) out of range for string of length 5"},
 	}

@@ -40,7 +40,7 @@ func FuzzArithKernels(f *testing.F) {
 			if runErr != nil {
 				t.Fatalf("FoldBinary(%s, %s, %s) accepted but runtime raises %v", op, l, r, runErr)
 			}
-			if folded.K != run.K || folded.B != run.B || folded.S != run.S {
+			if !value.Identical(folded, run) {
 				t.Fatalf("FoldBinary(%s, %s, %s) = %#v, runtime = %#v", op, l, r, folded, run)
 			}
 		} else if runErr == nil && !op.IsCompare() {

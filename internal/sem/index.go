@@ -151,29 +151,34 @@ func Length(v value.Value) int64 {
 // maxRangeElems bounds range materialization on every backend.
 const maxRangeElems = 1 << 28
 
+// span returns hi - lo for lo <= hi. The difference of two int64s needs 65
+// bits, so it is taken unsigned: a signed subtraction wraps negative for
+// bounds far enough apart, which read as an empty range.
+func span(lo, hi int64) uint64 { return uint64(hi) - uint64(lo) }
+
 // RangeLen validates the inclusive range literal [lo .. hi] and returns
 // its element count (0 when hi < lo), or the canonical too-large error.
 func RangeLen(lo, hi int64) (int64, error) {
-	n := hi - lo + 1
-	if n < 0 {
-		n = 0
+	if hi < lo {
+		return 0, nil
 	}
-	if n > maxRangeElems {
+	d := span(lo, hi) // one less than the count, which may itself not fit
+	if d >= maxRangeElems {
 		return 0, Errf("range [%d .. %d] too large", lo, hi)
 	}
-	return n, nil
+	return int64(d) + 1, nil
 }
 
 // RangeNLen validates the range builtin's half-open [lo, hi) and returns
 // its element count, or the canonical too-large error (the builtin reports
 // element count, the literal reports its bounds — both worded here).
 func RangeNLen(lo, hi int64) (int64, error) {
-	n := hi - lo
-	if n < 0 {
-		n = 0
+	if hi < lo {
+		return 0, nil
 	}
+	n := span(lo, hi)
 	if n > maxRangeElems {
 		return 0, Errf("range too large (%d elements)", n)
 	}
-	return n, nil
+	return int64(n), nil
 }

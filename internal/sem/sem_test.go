@@ -259,6 +259,23 @@ func TestRangeLens(t *testing.T) {
 	if _, err := RangeLen(0, 1<<29); err == nil || !strings.Contains(err.Error(), "range [0 .. 536870912] too large") {
 		t.Errorf("RangeLen huge err = %v", err)
 	}
+	if n, err := RangeLen(math.MinInt64, math.MinInt64+9); err != nil || n != 10 {
+		t.Errorf("RangeLen at MinInt64 = %d, %v", n, err)
+	}
+	if n, err := RangeLen(1, 1<<28); err != nil || n != 1<<28 {
+		t.Errorf("RangeLen at the limit = %d, %v", n, err)
+	}
+	for _, b := range [][2]int64{{-9e18, 9e18}, {0, math.MaxInt64}, {math.MinInt64, math.MaxInt64}} {
+		if n, err := RangeLen(b[0], b[1]); err == nil || !strings.Contains(err.Error(), "too large") {
+			t.Errorf("RangeLen(%d, %d) = %d, %v; want too large", b[0], b[1], n, err)
+		}
+		if n, err := RangeNLen(b[0], b[1]); err == nil || !strings.Contains(err.Error(), "too large") {
+			t.Errorf("RangeNLen(%d, %d) = %d, %v; want too large", b[0], b[1], n, err)
+		}
+	}
+	if n, err := RangeNLen(5, 2); err != nil || n != 0 {
+		t.Errorf("RangeNLen(5,2) = %d, %v", n, err)
+	}
 	if n, err := RangeNLen(2, 5); err != nil || n != 3 {
 		t.Errorf("RangeNLen(2,5) = %d, %v", n, err)
 	}

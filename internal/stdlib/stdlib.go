@@ -343,11 +343,7 @@ func init() {
 					return value.Value{}, g.Err(k)
 				}
 			}
-			a := value.NewArrayOf(types.IntType, int(n))
-			for i := int64(0); i < n; i++ {
-				a.Set(int(i), value.NewInt(lo+i))
-			}
-			return value.NewArray(a), nil
+			return value.NewArray(value.NewIntRange(lo, int(n))), nil
 		})
 
 	register(Sqrt, "sqrt", checkReal1, realFn(sem.Sqrt))

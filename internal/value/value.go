@@ -1,11 +1,38 @@
 // Package value defines the runtime representation of Tetra values and the
 // variable cells threads share.
 //
-// Values are a compact tagged struct rather than an interface so that
-// integer and real arithmetic never allocates — the paper reports "a lot of
-// effort was put into ensuring that the interpreter actually provides
-// speedup when given a parallel program" (§IV), and per-operation boxing
-// would dominate the profile.
+// A Value is three machine words — a kind tag, a 64-bit payload and one
+// pointer — rather than an interface, so that integer and real arithmetic
+// never allocates: the paper reports "a lot of effort was put into ensuring
+// that the interpreter actually provides speedup when given a parallel
+// program" (§IV), and per-operation boxing would dominate the profile. The
+// size is part of the contract, not an accident. The Go compiler keeps a
+// struct in registers — as an SSA value, as an argument and as a result —
+// only while it has at most four word-sized fields; a fifth field turns
+// every register read, every sem.Arith argument and result and every
+// Cell.Load into a memory-to-memory copy with a write barrier. Three words
+// leave one spare; TestLayout fails if a later field crosses the limit.
+//
+// Strings and arrays share the one pointer word, which takes unsafe. All of
+// it is in this file, behind NewString/NewArray and Str/Array, and it is
+// sound for these reasons:
+//
+//   - the word is a real unsafe.Pointer, never a uintptr, so the collector
+//     traces whatever it points at: a string's bytes and an *Array alike
+//     stay alive exactly as long as a Value that names them;
+//   - a string's pointer may be interior to a larger allocation (a
+//     substring, a slice of a concatenation) or point into read-only data
+//     (a constant) — both are ordinary for Go pointers;
+//   - an empty string carries length 0 and whatever pointer it had; the
+//     pointer is never dereferenced;
+//   - the accessors are total: Str is "" unless K == Str and Array is nil
+//     unless K == Arr, so an ill-kinded Value (the comparison kernels and
+//     the fuzzers produce them) reads as a zero payload and the pointer is
+//     never reinterpreted as the other kind's.
+//
+// The pointer word is unexported, so no other package can break the pairing
+// of K with what the pointer means; K and B stay exported because the
+// engines switch on one and do arithmetic on the other.
 //
 // Variables are Cells. Because Tetra threads share the enclosing function's
 // symbol table (paper §IV: "they have private and shared symbol tables"),
@@ -22,6 +49,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/types"
 )
@@ -41,12 +69,24 @@ const (
 	Arr
 )
 
-// Value is a single Tetra runtime value.
+// Value is a single Tetra runtime value in three words:
+//
+//	kind   B                      p
+//	None   0                      nil
+//	Int    the int64's bits       nil
+//	Real   the float64's bits     nil
+//	Bool   0 or 1                 nil
+//	Str    length in bytes        first byte (any pointer when the length is 0)
+//	Arr    0                      the *Array
+//
+// Build strings and arrays with NewString and NewArray and read them with
+// Str and Array. K and B may be read directly, and written only together on
+// a scalar: a string's B is the length its pointer is good for. The zero
+// Value is None.
 type Value struct {
 	K Kind
-	B uint64 // int64 bits, real float64 bits, or bool 0/1
-	S string
-	A *Array
+	B uint64
+	p unsafe.Pointer
 }
 
 // Constructors.
@@ -58,7 +98,9 @@ func NewInt(v int64) Value { return Value{K: Int, B: uint64(v)} }
 func NewReal(v float64) Value { return Value{K: Real, B: math.Float64bits(v)} }
 
 // NewString returns a string value.
-func NewString(s string) Value { return Value{K: Str, S: s} }
+func NewString(s string) Value {
+	return Value{K: Str, B: uint64(len(s)), p: unsafe.Pointer(unsafe.StringData(s))}
+}
 
 // NewBool returns a bool value.
 func NewBool(b bool) Value {
@@ -69,10 +111,12 @@ func NewBool(b bool) Value {
 }
 
 // NewArray returns an array value wrapping a.
-func NewArray(a *Array) Value { return Value{K: Arr, A: a} }
+func NewArray(a *Array) Value { return Value{K: Arr, p: unsafe.Pointer(a)} }
 
-// Accessors. They do not check the kind; callers are the interpreter and VM,
-// which run over type-checked programs.
+// Accessors. Int, Real and Bool do not check the kind — they reinterpret B,
+// which is harmless — and their callers are the interpreter and VM, which
+// run over type-checked programs. Str and Array do check it, because they
+// give the pointer word a type: on any other kind they return "" and nil.
 
 // Int returns the int payload.
 func (v Value) Int() int64 { return int64(v.B) }
@@ -80,14 +124,24 @@ func (v Value) Int() int64 { return int64(v.B) }
 // Real returns the real payload.
 func (v Value) Real() float64 { return math.Float64frombits(v.B) }
 
-// Str returns the string payload.
-func (v Value) Str() string { return v.S }
+// Str returns the string payload, or "" when v is not a string.
+func (v Value) Str() string {
+	if v.K != Str {
+		return ""
+	}
+	return unsafe.String((*byte)(v.p), int(v.B))
+}
 
 // Bool returns the bool payload.
 func (v Value) Bool() bool { return v.B != 0 }
 
-// Array returns the array payload.
-func (v Value) Array() *Array { return v.A }
+// Array returns the array payload, or nil when v is not an array.
+func (v Value) Array() *Array {
+	if v.K != Arr {
+		return nil
+	}
+	return (*Array)(v.p)
+}
 
 // AsReal returns the numeric payload widened to float64; it accepts both
 // int and real values (the implicit int→real widening).
@@ -116,9 +170,9 @@ func Equal(a, b Value) bool {
 	case Real:
 		return a.Real() == b.Real()
 	case Str:
-		return a.S == b.S
+		return a.Str() == b.Str()
 	case Arr:
-		x, y := a.A, b.A
+		x, y := a.Array(), b.Array()
 		if x == y {
 			return true
 		}
@@ -136,6 +190,20 @@ func Equal(a, b Value) bool {
 	}
 }
 
+// Identical reports whether a and b are the same value with no conversion:
+// same kind, same payload bits (so 1 and 1.0 differ, 0.0 and -0.0 differ and
+// a NaN is identical to itself), strings by content, arrays by identity. It
+// is what interning a constant needs, where Equal would be too coarse.
+func Identical(a, b Value) bool {
+	if a.K != b.K {
+		return false
+	}
+	if a.K == Str {
+		return a.Str() == b.Str()
+	}
+	return a.B == b.B && a.p == b.p
+}
+
 // String renders the value the way Tetra's print does: Python-ish, arrays
 // as [a, b, c], reals with a trailing .0 when integral.
 func (v Value) String() string {
@@ -145,7 +213,7 @@ func (v Value) String() string {
 	case Real:
 		return FormatReal(v.Real())
 	case Str:
-		return v.S
+		return v.Str()
 	case Bool:
 		if v.B != 0 {
 			return "true"
@@ -154,13 +222,14 @@ func (v Value) String() string {
 	case Arr:
 		var sb strings.Builder
 		sb.WriteByte('[')
-		for i := 0; i < v.A.Len(); i++ {
+		a := v.Array()
+		for i := 0; i < a.Len(); i++ {
 			if i > 0 {
 				sb.WriteString(", ")
 			}
-			el := v.A.Get(i)
+			el := a.Get(i)
 			if el.K == Str {
-				sb.WriteString(strconv.Quote(el.S))
+				sb.WriteString(strconv.Quote(el.Str()))
 			} else {
 				sb.WriteString(el.String())
 			}
@@ -206,8 +275,8 @@ func TypeOf(v Value) *types.Type {
 	case Bool:
 		return types.BoolType
 	case Arr:
-		if v.A != nil && v.A.Elem != nil {
-			return types.ArrayOf(v.A.Elem)
+		if a := v.Array(); a != nil && a.Elem != nil {
+			return types.ArrayOf(a.Elem)
 		}
 		return types.ArrayOf(types.IntType)
 	default:
@@ -319,6 +388,17 @@ func FromSlice(elem *types.Type, elems []Value) *Array {
 		return a
 	}
 	a.elems = elems
+	return a
+}
+
+// NewIntRange returns the int array lo, lo+1, …, lo+n-1, writing the word
+// storage directly: the range literal and the range builtin build nothing
+// but these, and can be large.
+func NewIntRange(lo int64, n int) *Array {
+	a := NewArrayOf(types.IntType, n)
+	for i := range a.words {
+		a.words[i] = uint64(lo) + uint64(i)
+	}
 	return a
 }
 

@@ -56,6 +56,53 @@ const arithLoopSrc = `def main():
     print(s)
 `
 
+// realLoopSrc is a Mandelbrot escape loop: every operation in it is real
+// arithmetic or a real comparison, the path through sem.Arith that passes
+// and returns a value.Value.
+const realLoopSrc = `def main():
+    total = 0
+    py = 0
+    while py < 20:
+        y0 = -1.0 + 2.0 * py / 20
+        px = 0
+        while px < 40:
+            x0 = -2.0 + 3.0 * px / 40
+            x = 0.0
+            y = 0.0
+            it = 0
+            while it < 100 and x * x + y * y <= 4.0:
+                xt = x * x - y * y + x0
+                y = 2.0 * x * y + y0
+                x = xt
+                it = it + 1
+            total = total + it
+            px = px + 1
+        py = py + 1
+    print(total)
+`
+
+// arrayLoopSrc is a sieve: indexed stores a[i] = … and loads a[i] over an
+// int array, where the value read or written crosses value.Array.
+const arrayLoopSrc = `def main():
+    n = 40000
+    a = range(n)
+    i = 2
+    while i * i < n:
+        if a[i] != 0:
+            j = i * i
+            while j < n:
+                a[j] = 0
+                j = j + i
+        i = i + 1
+    count = 0
+    i = 2
+    while i < n:
+        if a[i] != 0:
+            count = count + 1
+        i = i + 1
+    print(count)
+`
+
 // compileOpt compiles src and optimizes it at level.
 func compileOpt(t testing.TB, src string, level int) *bytecode.Program {
 	t.Helper()
@@ -101,9 +148,18 @@ func benchmarkRun(b *testing.B, src string) {
 	}
 }
 
+// The loop benchmarks only fail on a runtime error; this holds their
+// programs to the interpreter's answer.
+func TestLoopBenchmarkSources(t *testing.T) {
+	sameAsInterp(t, realLoopSrc)
+	sameAsInterp(t, arrayLoopSrc)
+}
+
 func BenchmarkArithLoop(b *testing.B) { benchmarkRun(b, arithLoopSrc) }
 func BenchmarkCallLoop(b *testing.B)  { benchmarkRun(b, callLoopSrc) }
 func BenchmarkFib(b *testing.B)       { benchmarkRun(b, fibSrc) }
+func BenchmarkRealLoop(b *testing.B)  { benchmarkRun(b, realLoopSrc) }
+func BenchmarkArrayLoop(b *testing.B) { benchmarkRun(b, arrayLoopSrc) }
 
 // 90 000 calls per run used to be 180 000 allocations; what is left is the
 // VM, its thread and the stack's first segments.

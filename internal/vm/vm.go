@@ -660,11 +660,7 @@ activation:
 					return value.Value{}, g.ErrAt(k, ch.Pos[pc].String())
 				}
 			}
-			elems := make([]value.Value, n)
-			for i := int64(0); i < n; i++ {
-				elems[i] = value.NewInt(lo.Int() + i)
-			}
-			rf.set(ins.Dst, value.NewArray(value.FromSlice(types.IntType, elems)))
+			rf.set(ins.Dst, value.NewArray(value.NewIntRange(lo.Int(), int(n))))
 
 		case bytecode.OpForIter:
 			if t.vm.rt.Stopped() {

@@ -41,7 +41,9 @@ import (
 	"repro/internal/value"
 )
 
-// Value is a Tetra runtime value (int, real, string, bool or array).
+// Value is a Tetra runtime value (int, real, string, bool or array). Build
+// one with Int, Real, String, Bool or the …Array constructors below and read
+// it with its Int, Real, Str, Bool and Array methods; K is its kind.
 type Value = value.Value
 
 // Event is one recorded execution event (thread start/end, statement step,
