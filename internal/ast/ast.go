@@ -82,6 +82,13 @@ type FuncDecl struct {
 	// SlotTypes maps frame slots to their static types, for code
 	// generators. Filled by the checker.
 	SlotTypes []*types.Type
+	// ZeroSlots lists the slots a path may read before any assignment to
+	// them has run: locals first assigned inside a nested block and loop
+	// induction variables (the loop may run zero times). Every backend
+	// starts exactly these at the zero value of their static type, so a
+	// value's kind always matches its variable's type. Filled by the
+	// checker, in slot order.
+	ZeroSlots []int
 }
 
 func (f *FuncDecl) Pos() token.Pos { return f.NamePos }

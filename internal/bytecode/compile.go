@@ -12,7 +12,8 @@ import (
 // Instr is one three-address instruction. Dst is the destination register
 // (or a jump target's auxiliary operand for the fused compare-branches);
 // the meaning of A, B and C depends on the opcode — see the Op constants.
-// S is the inline-cache site id on call opcodes and unused elsewhere.
+// S is the inline-cache site id on call opcodes and unused elsewhere. An
+// instruction is 24 bytes (internal/value's TestLayout pins it).
 type Instr struct {
 	Op           Op
 	Dst, A, B, C int32
@@ -34,6 +35,10 @@ type Func struct {
 	Name      string
 	Params    []*types.Type // parameter types; parameters occupy slots [0, len(Params))
 	NumSlots  int           // variable registers: parameters then locals, checker-assigned
+	SlotTypes []*types.Type // static type per slot; the verifier's starting point
+	// Shared marks a function with parallel constructs: its variables live
+	// in cells its threads share, reached only by OpLoadCell/OpStoreCell,
+	// and every other operand is a temporary.
 	Shared    bool
 	Result    *types.Type
 	Consts    []value.Value
@@ -113,6 +118,7 @@ func compileFunc(f *ast.FuncDecl, params [][]*types.Type, index int, sites *int3
 			Name:      f.Name,
 			Params:    params[index],
 			NumSlots:  f.NumSlots,
+			SlotTypes: f.SlotTypes,
 			Shared:    f.HasParallel,
 			Result:    f.Result,
 			SlotNames: f.SlotNames,
@@ -122,12 +128,68 @@ func compileFunc(f *ast.FuncDecl, params [][]*types.Type, index int, sites *int3
 		nextTemp: f.NumSlots,
 		maxTemp:  f.NumSlots,
 	}
+	c.zeroSlots()
 	if err := c.block(f.Body); err != nil {
 		return nil, err
 	}
 	c.emit(OpReturnNone, 0, 0, 0, 0, f.Pos())
 	c.fn.Chunks[0].NumTemps = c.maxTemp - c.fn.NumSlots
 	return c.fn, nil
+}
+
+// zeroSlots starts the variables a path may read before assigning them
+// (ast.FuncDecl.ZeroSlots) at the zero value of their type, so that a
+// register's kind is its variable's type from the first instruction on. An
+// array zero is built by OpArray, fresh for each activation: arrays are
+// references, and a pooled constant would be one array shared by all.
+func (c *fnCompiler) zeroSlots() {
+	pos := c.src.Pos()
+	for _, slot := range c.src.ZeroSlots {
+		dst, t := c.varDst(int32(slot)), c.src.SlotTypes[slot]
+		if t.IsArray() {
+			c.emit(OpArray, dst, int32(c.fn.NumSlots), 0, c.typeIndex(t.Elem()), pos)
+		} else {
+			c.emit(OpConst, dst, c.constIndex(value.Zero(t)), 0, 0, pos)
+		}
+		c.setVar(int32(slot), dst, pos)
+	}
+	c.nextTemp = c.fn.NumSlots
+}
+
+// Variables. In a flat function a variable is its slot register and any
+// instruction may name it. In a shared one it is a cell: a read is an
+// OpLoadCell into a fresh temporary at the point the value is needed, a
+// write an OpStoreCell of a temporary, and nothing else names the slot.
+
+// getVar returns a register holding variable slot's current value.
+func (c *fnCompiler) getVar(slot int32, pos token.Pos) int32 {
+	if !c.fn.Shared {
+		return slot
+	}
+	t := c.temp()
+	c.emit(OpLoadCell, t, slot, 0, 0, pos)
+	return t
+}
+
+// varDst returns the register an instruction computing variable slot's
+// next value should write: the slot itself, or in a shared function a
+// temporary that setVar then stores.
+func (c *fnCompiler) varDst(slot int32) int32 {
+	if !c.fn.Shared {
+		return slot
+	}
+	return c.temp()
+}
+
+// setVar makes reg's value the variable's: nothing to do when reg is the
+// slot (a flat function's varDst), else a move or a cell store.
+func (c *fnCompiler) setVar(slot, reg int32, pos token.Pos) {
+	switch {
+	case c.fn.Shared:
+		c.emit(OpStoreCell, slot, reg, 0, 0, pos)
+	case reg != slot:
+		c.emit(OpMove, slot, reg, 0, 0, pos)
+	}
 }
 
 func (c *fnCompiler) chunk() *Chunk { return &c.fn.Chunks[c.cur] }
@@ -289,7 +351,10 @@ func (c *fnCompiler) stmtInner(s ast.Stmt) error {
 		}
 		c.emit(OpConst, state+1, c.constIndex(value.NewInt(0)), 0, 0, s.Pos())
 		top := c.pc()
-		iter := c.emit(OpForIter, int32(s.Var.Slot), state, 0, 0, s.Pos())
+		slot := int32(s.Var.Slot)
+		elem := c.varDst(slot)
+		iter := c.emit(OpForIter, elem, state, 0, 0, s.Pos())
+		c.setVar(slot, elem, s.Pos())
 		c.pushLoop()
 		if err := c.block(s.Body); err != nil {
 			return err
@@ -450,29 +515,33 @@ func (c *fnCompiler) assign(s *ast.AssignStmt) error {
 	case *ast.Ident:
 		slot := int32(target.Slot)
 		if s.Op == token.ASSIGN {
-			if needWiden(s.Value, target.Type()) {
-				// Widen via a temporary so the variable is never observed
-				// holding the unwidened int (the slot may be a shared cell).
-				r, err := c.genExpr(s.Value)
-				if err != nil {
-					return err
-				}
-				r = c.widenReg(s.Value, target.Type(), r, s.OpPos)
-				c.emit(OpMove, slot, r, 0, 0, s.Pos())
-				return nil
+			if !c.fn.Shared && !needWiden(s.Value, target.Type()) {
+				return c.genExprTo(s.Value, slot)
 			}
-			return c.genExprTo(s.Value, slot)
+			// Through a temporary: a cell is written by OpStoreCell only, and
+			// a variable is never observed holding the unwidened int.
+			r, err := c.genExpr(s.Value)
+			if err != nil {
+				return err
+			}
+			r = c.widenReg(s.Value, target.Type(), r, s.OpPos)
+			c.setVar(slot, r, s.Pos())
+			return nil
 		}
-		// Augmented assignment: one arithmetic instruction reading and
-		// writing the slot — the register IR's fused load-arith-store.
+		// Augmented assignment: the value first, then the variable read,
+		// the operation and the write. In a flat function that is one
+		// arithmetic instruction reading and writing the slot — the
+		// register IR's fused load-arith-store.
 		r, err := c.genExpr(s.Value)
 		if err != nil {
 			return err
 		}
-		c.emit(augToOp(s.Op), slot, slot, r, 0, s.OpPos)
+		cur := c.getVar(slot, target.Pos())
+		c.emit(typed(augToOp(s.Op), target.Type(), s.Value.Type()), cur, cur, r, 0, s.OpPos)
 		if target.Type().Kind() == types.Real {
-			c.emit(OpToReal, slot, slot, 0, 0, s.OpPos)
+			c.emit(OpToReal, cur, cur, 0, 0, s.OpPos)
 		}
+		c.setVar(slot, cur, s.Pos())
 		return nil
 
 	case *ast.IndexExpr:
@@ -489,16 +558,16 @@ func (c *fnCompiler) assign(s *ast.AssignStmt) error {
 				return err
 			}
 			cur := c.temp()
-			c.emit(OpIndex, cur, arr, idx, 0, s.Pos())
+			c.emit(indexOp(OpIndex, target.X), cur, arr, idx, 0, s.Pos())
 			r, err := c.genExpr(s.Value)
 			if err != nil {
 				return err
 			}
-			c.emit(augToOp(s.Op), cur, cur, r, 0, s.OpPos)
+			c.emit(typed(augToOp(s.Op), target.Type(), s.Value.Type()), cur, cur, r, 0, s.OpPos)
 			if target.Type().Kind() == types.Real {
 				c.emit(OpToReal, cur, cur, 0, 0, s.OpPos)
 			}
-			c.emit(OpSetIndex, 0, arr, idx, cur, s.Pos())
+			c.emit(indexOp(OpSetIndex, target.X), 0, arr, idx, cur, s.Pos())
 			return nil
 		}
 		arr, err := c.genExpr(target.X)
@@ -514,10 +583,23 @@ func (c *fnCompiler) assign(s *ast.AssignStmt) error {
 			return err
 		}
 		r = c.widenReg(s.Value, target.Type(), r, s.OpPos)
-		c.emit(OpSetIndex, 0, arr, idx, r, s.Pos())
+		c.emit(indexOp(OpSetIndex, target.X), 0, arr, idx, r, s.Pos())
 		return nil
 	}
 	return fmt.Errorf("bytecode: bad assignment target %T", s.Target)
+}
+
+// indexOp returns the array-typed form of OpIndex or OpSetIndex when the
+// indexed expression x is statically an array, and op itself for a string.
+func indexOp(op Op, x ast.Expr) Op {
+	switch {
+	case !x.Type().IsArray():
+		return op
+	case op == OpIndex:
+		return OpIndexArr
+	default:
+		return OpSetIndexArr
+	}
 }
 
 func augToOp(k token.Kind) Op {
@@ -558,13 +640,13 @@ func (c *fnCompiler) widenReg(e ast.Expr, dst *types.Type, reg int32, pos token.
 	return t
 }
 
-// genExpr evaluates e and returns the register holding its value. An
-// identifier aliases its variable slot with no instruction emitted; any
-// other expression lands in a fresh temporary. Callers that need an
-// owned, writable register must use genExprTemp.
+// genExpr evaluates e and returns the register holding its value. In a
+// flat function an identifier aliases its variable slot with no
+// instruction emitted; any other expression lands in a fresh temporary.
+// Callers that need an owned, writable register must use genExprTemp.
 func (c *fnCompiler) genExpr(e ast.Expr) (int32, error) {
 	if id, ok := e.(*ast.Ident); ok {
-		return int32(id.Slot), nil
+		return c.getVar(int32(id.Slot), id.Pos()), nil
 	}
 	t := c.temp()
 	if err := c.genExprTo(e, t); err != nil {
@@ -603,7 +685,11 @@ func (c *fnCompiler) genExprToInner(e ast.Expr, dst int32) error {
 	case *ast.BoolLit:
 		c.emit(OpConst, dst, c.constIndex(value.NewBool(e.Value)), 0, 0, e.Pos())
 	case *ast.Ident:
-		c.emit(OpMove, dst, int32(e.Slot), 0, 0, e.Pos())
+		op := OpMove
+		if c.fn.Shared {
+			op = OpLoadCell
+		}
+		c.emit(op, dst, int32(e.Slot), 0, 0, e.Pos())
 
 	case *ast.ArrayLit:
 		elem := e.Type().Elem()
@@ -653,7 +739,7 @@ func (c *fnCompiler) genExprToInner(e ast.Expr, dst int32) error {
 		if err != nil {
 			return err
 		}
-		c.emit(OpIndex, dst, x, idx, 0, e.Pos())
+		c.emit(indexOp(OpIndex, e.X), dst, x, idx, 0, e.Pos())
 
 	case *ast.CallExpr:
 		return c.genCall(e, dst)
@@ -762,6 +848,6 @@ func (c *fnCompiler) binary(e *ast.BinaryExpr, dst int32) error {
 	}
 	// Record the operator's position, not the expression start, so a
 	// runtime error (division by zero) points where the interpreter points.
-	c.emit(op, dst, x, y, 0, e.OpPos)
+	c.emit(typed(op, e.X.Type(), e.Y.Type()), dst, x, y, 0, e.OpPos)
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/parser"
+	"repro/internal/sem"
 )
 
 func compileSrc(t *testing.T, src string) *Program {
@@ -28,6 +29,18 @@ func countOps(ch Chunk, op Op) int {
 	n := 0
 	for _, ins := range ch.Code {
 		if ins.Op == op {
+			n++
+		}
+	}
+	return n
+}
+
+// countOperator counts the instructions that apply operator o, whatever
+// their family: untyped, typed, or fused with a constant or a branch.
+func countOperator(ch Chunk, o sem.Op) int {
+	n := 0
+	for _, ins := range ch.Code {
+		if in := ins.Op.info(); in.isOp && in.op == o {
 			n++
 		}
 	}
@@ -78,16 +91,9 @@ def main():
 	for _, fn := range bc.Funcs {
 		for ci, ch := range fn.Chunks {
 			for pc, ins := range ch.Code {
-				switch ins.Op {
-				case OpJump, OpJumpIfFalse, OpJumpIfTrue:
-					if ins.A < 0 || int(ins.A) > len(ch.Code) {
-						t.Errorf("%s chunk %d pc %d: jump target %d out of range [0, %d]",
-							fn.Name, ci, pc, ins.A, len(ch.Code))
-					}
-				case OpForIter:
-					if ins.B < 0 || int(ins.B) > len(ch.Code) {
-						t.Errorf("%s chunk %d pc %d: foriter exit %d out of range", fn.Name, ci, pc, ins.B)
-					}
+				if a := ins.target(); a != nil && (*a < 0 || int(*a) > len(ch.Code)) {
+					t.Errorf("%s chunk %d pc %d: %s target %d out of range [0, %d]",
+						fn.Name, ci, pc, ins.Op, *a, len(ch.Code))
 				}
 			}
 			if len(ch.Code) != len(ch.Pos) {
@@ -273,7 +279,7 @@ def main():
 }
 
 func TestOpStringCoverage(t *testing.T) {
-	for op := OpNop; op <= OpCmpConstJump; op++ {
+	for op := OpNop; op < numOps; op++ {
 		s := op.String()
 		if strings.HasPrefix(s, "op(") {
 			t.Errorf("opcode %d has no mnemonic", int(op))

@@ -11,10 +11,13 @@ import (
 // golden tests (`tetracompile -dis`). The format is line-oriented and
 // stable: one instruction per line, pc in column one, mnemonic in column
 // two, then the operands. Registers print as r<n>, with the variable's
-// source name appended (r0=i) when the function carries slot names;
-// constant operands and the optimizer's fused opcodes get a trailing
-// comment spelling out their meaning, and call instructions show their
-// inline-cache site id.
+// source name appended (r0=i) when the function carries slot names, and a
+// shared function's cells as c<n>=name. A typed opcode's mnemonic carries
+// its operator and operand type (add.i, jlt.ik, mod.rk, index.a: i int,
+// r real, a array, k constant operand, l constant on the left); the
+// untyped fused opcodes, whose operator is in an operand, get a trailing
+// comment spelling it out, and call instructions show their inline-cache
+// site id.
 func Disassemble(f *Func) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "func %s (params=%d slots=%d shared=%v)\n", f.Name, len(f.Params), f.NumSlots, f.Shared)
@@ -30,11 +33,16 @@ func Disassemble(f *Func) string {
 
 // reg renders a register operand, naming variable slots when the
 // compiler recorded their source names.
-func (f *Func) reg(i int32) string {
+func (f *Func) reg(i int32) string { return f.named('r', i) }
+
+// cell renders the cell operand of OpLoadCell, OpStoreCell and OpParFor.
+func (f *Func) cell(i int32) string { return f.named('c', i) }
+
+func (f *Func) named(prefix byte, i int32) string {
 	if int(i) < len(f.SlotNames) && f.SlotNames[i] != "" {
-		return fmt.Sprintf("r%d=%s", i, f.SlotNames[i])
+		return fmt.Sprintf("%c%d=%s", prefix, i, f.SlotNames[i])
 	}
-	return fmt.Sprintf("r%d", i)
+	return fmt.Sprintf("%c%d", prefix, i)
 }
 
 func (f *Func) constStr(i int32) string {
@@ -51,58 +59,72 @@ func (f *Func) constStr(i int32) string {
 // operands renders one instruction's operand list per the opcode's
 // encoding.
 func operands(f *Func, ins Instr) string {
-	r := f.reg
+	r, k := f.reg, f.constStr
 	switch ins.Op {
-	case OpNop, OpReturnNone:
-		return ""
-	case OpConst:
-		return fmt.Sprintf("%s, %s", r(ins.Dst), f.constStr(ins.A))
-	case OpMove, OpToReal, OpNeg, OpNot:
-		return fmt.Sprintf("%s, %s", r(ins.Dst), r(ins.A))
-	case OpAdd, OpSub, OpMul, OpDiv, OpMod, OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
-		return fmt.Sprintf("%s, %s, %s", r(ins.Dst), r(ins.A), r(ins.B))
-	case OpJump:
-		return fmt.Sprintf("-> %d", ins.A)
-	case OpJumpIfFalse, OpJumpIfTrue:
-		return fmt.Sprintf("%s -> %d", r(ins.B), ins.A)
 	case OpCall:
 		return fmt.Sprintf("%s, fn#%d, args %s..#%d   ; ic site %d", dst(f, ins.Dst), ins.A, r(ins.B), ins.C, ins.S)
 	case OpCallBuiltin:
 		return fmt.Sprintf("%s, builtin#%d, args %s..#%d   ; ic site %d", dst(f, ins.Dst), ins.A, r(ins.B), ins.C, ins.S)
-	case OpReturn:
-		return r(ins.A)
-	case OpIndex:
+	case OpIndex, OpIndexArr:
 		return fmt.Sprintf("%s, %s[%s]", r(ins.Dst), r(ins.A), r(ins.B))
-	case OpSetIndex:
-		return fmt.Sprintf("%s[%s] = %s", r(ins.A), r(ins.B), r(ins.C))
-	case OpArray:
-		return fmt.Sprintf("%s, %s..#%d, type#%d", r(ins.Dst), r(ins.A), ins.B, ins.C)
 	case OpRange:
 		return fmt.Sprintf("%s, [%s .. %s]", r(ins.Dst), r(ins.A), r(ins.B))
-	case OpForIter:
-		return fmt.Sprintf("%s, state %s, exit -> %d", r(ins.Dst), r(ins.A), ins.B)
-	case OpParallel, OpBackground:
-		return fmt.Sprintf("chunks [%d, %d)", ins.A, ins.A+ins.B)
-	case OpParFor:
-		return fmt.Sprintf("chunk %d, seq %s, var %s", ins.A, r(ins.B), r(ins.C))
-	case OpLockAcquire, OpLockRelease:
-		return fmt.Sprintf("lock#%d", ins.A)
 	case OpArithConst:
-		return fmt.Sprintf("%s, %s, %s   ; %s = %s %s %s", r(ins.Dst), r(ins.A), f.constStr(ins.B),
-			r(ins.Dst), r(ins.A), Op(ins.C), f.constStr(ins.B))
+		return fmt.Sprintf("%s, %s, %s   ; %s = %s %s %s", r(ins.Dst), r(ins.A), k(ins.B),
+			r(ins.Dst), r(ins.A), Op(ins.C), k(ins.B))
 	case OpArithConstL:
-		return fmt.Sprintf("%s, %s, %s   ; %s = %s %s %s", r(ins.Dst), f.constStr(ins.B), r(ins.A),
-			r(ins.Dst), f.constStr(ins.B), Op(ins.C), r(ins.A))
+		return fmt.Sprintf("%s, %s, %s   ; %s = %s %s %s", r(ins.Dst), k(ins.B), r(ins.A),
+			r(ins.Dst), k(ins.B), Op(ins.C), r(ins.A))
 	case OpCmpJump:
 		cmp, sense := UnpackCmp(ins.C)
 		return fmt.Sprintf("%s, %s -> %d   ; jump if %s %s", r(ins.A), r(ins.B), ins.Dst, cmp, senseStr(sense))
 	case OpCmpConstJump:
 		cmp, constLeft, sense := UnpackCmpConst(ins.C)
-		l, rr := f.reg(ins.A), f.constStr(ins.B)
+		l, rr := r(ins.A), k(ins.B)
 		if constLeft {
 			l, rr = rr, l
 		}
 		return fmt.Sprintf("%s, %s -> %d   ; jump if %s %s", l, rr, ins.Dst, cmp, senseStr(sense))
+	}
+	switch ins.Op.info().form {
+	case fNone:
+		return ""
+	case fConst:
+		return fmt.Sprintf("%s, %s", r(ins.Dst), k(ins.A))
+	case fUnary:
+		return fmt.Sprintf("%s, %s", r(ins.Dst), r(ins.A))
+	case fBinary:
+		return fmt.Sprintf("%s, %s, %s", r(ins.Dst), r(ins.A), r(ins.B))
+	case fBinaryK:
+		return fmt.Sprintf("%s, %s, %s", r(ins.Dst), r(ins.A), k(ins.B))
+	case fBinaryKL:
+		return fmt.Sprintf("%s, %s, %s", r(ins.Dst), k(ins.B), r(ins.A))
+	case fJump:
+		return fmt.Sprintf("-> %d", ins.A)
+	case fJumpIf:
+		return fmt.Sprintf("%s -> %d", r(ins.B), ins.A)
+	case fCmpJump:
+		return fmt.Sprintf("%s, %s -> %d", r(ins.A), r(ins.B), ins.Dst)
+	case fCmpJumpK:
+		return fmt.Sprintf("%s, %s -> %d", r(ins.A), k(ins.B), ins.Dst)
+	case fReturn:
+		return r(ins.A)
+	case fSetIndex:
+		return fmt.Sprintf("%s[%s] = %s", r(ins.A), r(ins.B), r(ins.C))
+	case fArray:
+		return fmt.Sprintf("%s, %s..#%d, type#%d", r(ins.Dst), r(ins.A), ins.B, ins.C)
+	case fForIter:
+		return fmt.Sprintf("%s, state %s, exit -> %d", r(ins.Dst), r(ins.A), ins.B)
+	case fSpawn:
+		return fmt.Sprintf("chunks [%d, %d)", ins.A, ins.A+ins.B)
+	case fParFor:
+		return fmt.Sprintf("chunk %d, seq %s, var %s", ins.A, r(ins.B), f.cell(ins.C))
+	case fLock:
+		return fmt.Sprintf("lock#%d", ins.A)
+	case fLoadCell:
+		return fmt.Sprintf("%s, %s", r(ins.Dst), f.cell(ins.A))
+	case fStoreCell:
+		return fmt.Sprintf("%s, %s", f.cell(ins.Dst), r(ins.A))
 	}
 	return fmt.Sprintf("%d %d %d %d", ins.Dst, ins.A, ins.B, ins.C)
 }

@@ -14,8 +14,9 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite the disassembler golden file")
 
 // TestDisassembleGolden pins the full disassembly of a program exercising
-// every operand style — named slots, temporaries, superinstructions,
-// inline-cache sites, sub-chunks, locks — so any format drift (which the
+// every operand style — named slots, temporaries, typed opcodes and
+// superinstructions, cell access, inline-cache sites, sub-chunks, locks —
+// so any format drift (which the
 // fold differential harness and grading tools parse) shows up as a diff.
 // Regenerate deliberately with: go test ./internal/bytecode -run Golden -update
 func TestDisassembleGolden(t *testing.T) {
@@ -54,8 +55,12 @@ func TestDisassembleGolden(t *testing.T) {
 	// Belt and braces on the properties the golden encodes, so a careless
 	// -update cannot silently bless a regression.
 	for _, want := range []string{
-		"r0=total",   // variable slots carry source names
-		"arithk",     // fused constant arithmetic survives in main's loop
+		"r0=x",       // variable slots carry source names
+		"add.ik",     // fused constant arithmetic survives in main's loop
+		"jlt.i ",     // and mean's loop is rotated: it tests at its bottom
+		"ldcell",     // a shared function reads its variables from cells
+		"stcell",     // and writes them back
+		"c0=total",   // cells carry source names too
 		"; ic site ", // call instructions expose their inline-cache id
 		"chunk 1",    // parallel bodies are sub-chunks
 		"lock#0",     // lock ops reference the program lock table

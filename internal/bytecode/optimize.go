@@ -1,7 +1,7 @@
 package bytecode
 
 // The optimizer pipeline over the register IR. Compiled chunks pass
-// through five phases, each preserving observable program behaviour
+// through six phases, each preserving observable program behaviour
 // exactly (output bytes, runtime errors and their positions, parallel
 // semantics):
 //
@@ -19,11 +19,12 @@ package bytecode
 //                            runtime would raise (division or modulo by
 //                            zero, on ints AND reals), so the error
 //                            surfaces at run time with its position.
-//                            Variable slots participate only in functions
-//                            without parallelism: a shared frame's slots
-//                            are cells other threads may write, and
-//                            folding them would change what a racy
-//                            program can observe.
+//                            Every register takes part: a shared
+//                            function's variables are cells, reached by
+//                            OpLoadCell and OpStoreCell, and what a load
+//                            returns is never known — another thread may
+//                            have written the cell — so nothing a racy
+//                            program can observe is folded.
 //  2. dead-store removal  — writes to temporaries that no path reads
 //                            before the next write are deleted (only for
 //                            instructions that cannot raise). This is
@@ -33,17 +34,37 @@ package bytecode
 //                            jump is retargeted to the final destination.
 //  4. dead-code removal   — instructions unreachable from the chunk entry
 //                            are deleted, with all jump targets remapped.
-//  5. superinstruction    — compare+branch pairs fuse into OpCmpJump,
-//     fusion                 then a constant operand folds into
-//                            OpCmpConstJump, and const+arith pairs into
-//                            OpArithConst/OpArithConstL. With a variable
-//                            slot as both destination and source
-//                            (`i = i + 1`) the arith-const form is the
-//                            load-arith-store superinstruction: one
-//                            dispatch for what the stack IR spent five on.
-//                            Each fusion is gated by a FusionMask bit so
-//                            the benchmark harness can measure what every
-//                            superinstruction is worth on its own.
+//  5. superinstruction    — compare+branch pairs fuse into a
+//     fusion                 compare-jump, then a constant operand folds
+//                            into its constant form, and const+arith
+//                            pairs into constant-operand arithmetic. Typed
+//                            instructions fuse into typed
+//                            superinstructions whose operator is part of
+//                            the opcode (jlt.ik, add.ik, mod.rk): the
+//                            branch sense folds in by negating the
+//                            comparison and a constant left operand by
+//                            mirroring it. Untyped ones fuse into
+//                            OpCmpJump/OpCmpConstJump/OpArithConst/L,
+//                            which carry the operator in C, and so does a
+//                            typed div or mod by a constant zero, since
+//                            the untyped path is where the error is
+//                            raised. With a variable slot as both
+//                            destination and source (`i = i + 1`) the
+//                            arith-const form is the load-arith-store
+//                            superinstruction: one dispatch for what the
+//                            stack IR spent five on. Each fusion is gated
+//                            by a FusionMask bit so the benchmark harness
+//                            can measure what every superinstruction is
+//                            worth on its own.
+//  6. loop rotation       — a back-edge `jump T` whose target is a
+//                            compare-jump that leaves the loop for the
+//                            instruction after the back-edge becomes the
+//                            negated compare-jump to T+1: the loop tests
+//                            at its bottom and an iteration is one
+//                            dispatch shorter. T stays as the test on
+//                            entry. The rotated branch is a taken backward
+//                            branch, so it polls the stop flag as the
+//                            jump did.
 //
 // Every phase is differentially verified: the golden corpus and the
 // cross-backend differential tests must produce byte-identical output at
@@ -51,7 +72,10 @@ package bytecode
 // CI step running the corpus at all levels).
 
 import (
+	"fmt"
+
 	"repro/internal/sem"
+	"repro/internal/types"
 	"repro/internal/value"
 )
 
@@ -59,7 +83,7 @@ import (
 const (
 	O0 = 0 // no optimization: execute exactly what the compiler emitted
 	O1 = 1 // folding + copy propagation + dead stores + jump threading + DCE
-	O2 = 2 // O1 plus superinstruction fusion
+	O2 = 2 // O1 plus superinstruction fusion and loop rotation
 
 	// DefaultLevel is what the fast path uses unless told otherwise.
 	DefaultLevel = O2
@@ -71,9 +95,9 @@ const (
 type FusionMask uint
 
 const (
-	FuseCmpJump    FusionMask = 1 << iota // compare + branch → OpCmpJump
-	FuseCmpConst                          // OpConst + OpCmpJump → OpCmpConstJump
-	FuseArithConst                        // OpConst + arith → OpArithConst/L
+	FuseCmpJump    FusionMask = 1 << iota // compare + branch → compare-jump
+	FuseCmpConst                          // OpConst + compare-jump → its constant form
+	FuseArithConst                        // OpConst + arith → constant-operand arithmetic
 
 	FuseAll = FuseCmpJump | FuseCmpConst | FuseArithConst
 )
@@ -88,91 +112,153 @@ func Optimize(p *Program, level int) *Program {
 // OptimizeWith is Optimize with an explicit superinstruction mask; the
 // mask only matters at O2.
 func OptimizeWith(p *Program, level int, mask FusionMask) *Program {
-	if level <= O0 {
-		return p
-	}
 	for _, f := range p.Funcs {
 		for ci := range f.Chunks {
-			optimizeChunk(f, &f.Chunks[ci], level, mask)
+			ch := &f.Chunks[ci]
+			for changed := level >= O1; changed; {
+				changed = false
+				for _, ph := range o1Phases {
+					changed = ph.run(f, ch) || changed
+				}
+			}
+			for _, ph := range o2Phases {
+				if level >= O2 && ph.fuses&^mask == 0 {
+					ph.run(f, ch)
+				}
+			}
 		}
 	}
 	return p
 }
 
-func optimizeChunk(f *Func, ch *Chunk, level int, mask FusionMask) {
+// VerifyOptimize is Optimize for tests: the same phases in the same order
+// (TestVerifyGoldens compares the two), with Verify run on what Compile
+// produced and again behind every phase that changed a chunk. It stops at
+// the first violation and names the phase that introduced it.
+func VerifyOptimize(p *Program, level int) error {
+	if err := Verify(p); err != nil {
+		return fmt.Errorf("after compile: %w", err)
+	}
+	for _, f := range p.Funcs {
+		for ci := range f.Chunks {
+			// run applies ph to the chunk and, if that changed it, verifies.
+			run := func(ph phase) (bool, error) {
+				if !ph.run(f, &f.Chunks[ci]) {
+					return false, nil
+				}
+				if err := Verify(p); err != nil {
+					return true, fmt.Errorf("after %s of %s chunk %d: %w", ph.name, f.Name, ci, err)
+				}
+				return true, nil
+			}
+			for changed := level >= O1; changed; {
+				changed = false
+				for _, ph := range o1Phases {
+					c, err := run(ph)
+					if err != nil {
+						return err
+					}
+					changed = changed || c
+				}
+			}
+			for _, ph := range o2Phases {
+				if level >= O2 {
+					if _, err := run(ph); err != nil {
+						return err
+					}
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// A phase rewrites one chunk and reports whether it changed anything.
+type phase struct {
+	name  string
+	run   func(f *Func, ch *Chunk) bool
+	fuses FusionMask // the mask bit a fusion phase needs; 0 for the others
+}
+
+var (
 	// Folding can expose more folds (e.g. 1+2+3), dead-store removal can
 	// expose more dead stores, and threading can expose more dead code, so
-	// iterate O1 to a fixpoint. Each round strictly shrinks the chunk or
-	// changes nothing, so termination is immediate.
-	for {
-		changed := foldConstants(f, ch)
-		changed = removeDeadStores(f, ch) || changed
-		changed = threadJumps(ch) || changed
-		changed = removeDeadCode(ch) || changed
-		if !changed {
-			break
-		}
+	// the O1 phases iterate to a fixpoint. Each round strictly shrinks the
+	// chunk or changes nothing, so termination is immediate.
+	o1Phases = []phase{
+		{name: "constant folding", run: foldConstants},
+		{name: "dead-store removal", run: removeDeadStores},
+		{name: "jump threading", run: threadJumps},
+		{name: "dead-code removal", run: removeDeadCode},
 	}
-	if level >= O2 {
-		if mask&FuseCmpJump != 0 {
-			fuseCmpJump(f, ch)
-		}
-		if mask&FuseCmpConst != 0 {
-			fuseCmpConst(f, ch)
-		}
-		if mask&FuseArithConst != 0 {
-			fuseArithConst(f, ch)
-		}
+	// The O2 phases run once, in this order.
+	o2Phases = []phase{
+		{name: "compare-jump fusion", run: fuseCmpJump, fuses: FuseCmpJump},
+		{name: "compare-constant fusion", run: fuseCmpConst, fuses: FuseCmpConst},
+		{name: "arith-constant fusion", run: fuseArithConst, fuses: FuseArithConst},
+		{name: "loop rotation", run: rotateLoops},
 	}
-}
+)
 
 // jumpTargets returns, for each pc, whether some instruction jumps there.
 // Facts must be dropped at a target (another predecessor may arrive with
 // different register contents), and fusion windows may not span one.
 func jumpTargets(ch *Chunk) []bool {
 	t := make([]bool, len(ch.Code)+1)
-	mark := func(a int32) {
-		if a >= 0 && int(a) <= len(ch.Code) {
-			t[a] = true
-		}
-	}
-	for _, ins := range ch.Code {
-		switch ins.Op {
-		case OpJump, OpJumpIfFalse, OpJumpIfTrue:
-			mark(ins.A)
-		case OpCmpJump, OpCmpConstJump:
-			mark(ins.Dst)
-		case OpForIter:
-			mark(ins.B)
+	for i := range ch.Code {
+		if a := ch.Code[i].target(); a != nil && *a >= 0 && int(*a) <= len(ch.Code) {
+			t[*a] = true
 		}
 	}
 	return t
 }
 
-// semOps maps the foldable binary opcodes to their sem operators. The
-// folder evaluates through internal/sem so compile-time folding and VM
-// execution share one implementation.
-var semOps = map[Op]sem.Op{
-	OpAdd: sem.Add, OpSub: sem.Sub, OpMul: sem.Mul, OpDiv: sem.Div, OpMod: sem.Mod,
-	OpEq: sem.Eq, OpNe: sem.Ne, OpLt: sem.Lt, OpLe: sem.Le, OpGt: sem.Gt, OpGe: sem.Ge,
+// regReads returns the fields of ins that each name one register it reads
+// — the operands copy propagation may redirect. Block operands (call
+// arguments, array elements) and the for-iteration state, which the
+// instruction also writes, are not among them; readsReg knows those.
+func (ins *Instr) regReads() (r [3]*int32, n int) {
+	switch ins.Op.info().form {
+	case fUnary, fBinaryK, fBinaryKL, fCmpJumpK, fReturn, fStoreCell:
+		r[0], n = &ins.A, 1
+	case fBinary, fCmpJump:
+		r[0], r[1], n = &ins.A, &ins.B, 2
+	case fJumpIf, fParFor:
+		r[0], n = &ins.B, 1
+	case fSetIndex:
+		r[0], r[1], r[2], n = &ins.A, &ins.B, &ins.C, 3
+	}
+	return r, n
 }
 
-// foldBinary evaluates l op r via the shared semantics core. ok is false
-// when the expression must be left for run time: division or modulo by
-// zero (int AND real — both raise), non-constant kinds, or oversized
-// string concatenation (sem.MaxFoldedString).
-func foldBinary(op Op, l, r value.Value) (v value.Value, ok bool) {
-	return sem.FoldBinary(semOps[op], l, r)
+// readsReg reports whether ins reads register reg.
+func readsReg(ins Instr, reg int32) bool {
+	switch ins.Op.info().form {
+	case fCall:
+		return reg >= ins.B && reg < ins.B+ins.C
+	case fArray:
+		return reg >= ins.A && reg < ins.A+ins.B
+	case fForIter:
+		return ins.A == reg || ins.A+1 == reg
+	}
+	r, n := ins.regReads()
+	for _, field := range r[:n] {
+		if *field == reg {
+			return true
+		}
+	}
+	return false
 }
 
-func isArith(op Op) bool {
-	return op == OpAdd || op == OpSub || op == OpMul || op == OpDiv || op == OpMod
-}
-
-func isCompare(op Op) bool {
-	switch op {
-	case OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
-		return true
+// writesReg reports whether ins definitely overwrites register reg.
+func writesReg(ins Instr, reg int32) bool {
+	switch ins.Op.info().form {
+	case fConst, fUnary, fBinary, fBinaryK, fBinaryKL, fArray, fLoadCell:
+		return ins.Dst == reg
+	case fCall:
+		return ins.Dst == reg && ins.Dst >= 0
+	case fForIter:
+		return ins.Dst == reg || ins.A == reg || ins.A+1 == reg
 	}
 	return false
 }
@@ -186,16 +272,16 @@ func foldConstants(f *Func, ch *Chunk) bool {
 	changed := false
 
 	// known maps a register to its statically known value; copyOf maps a
-	// register to the register it currently duplicates. Only trackable
-	// registers appear: temporaries always, variable slots only when the
-	// frame cannot be shared with another thread.
+	// register to the register it currently duplicates.
 	known := make(map[int32]value.Value)
 	copyOf := make(map[int32]int32)
-	trackable := func(r int32) bool { return int(r) >= f.NumSlots || !f.Shared }
 	// kill forgets everything involving register r, called when r is
 	// written (or may be).
 	kill := func(r int32) {
 		delete(known, r)
+		if len(copyOf) == 0 {
+			return
+		}
 		delete(copyOf, r)
 		for d, s := range copyOf {
 			if s == r {
@@ -203,147 +289,109 @@ func foldConstants(f *Func, ch *Chunk) bool {
 			}
 		}
 	}
-	reset := func() {
-		known = make(map[int32]value.Value)
-		copyOf = make(map[int32]int32)
-	}
-	// subst redirects a read of a copy to the original register.
-	subst := func(pr *int32) {
-		if s, ok := copyOf[*pr]; ok && s != *pr {
-			*pr = s
-			changed = true
-		}
-	}
 	setConst := func(pc int, dst int32, v value.Value) {
 		code[pc] = Instr{Op: OpConst, Dst: dst, A: f.constIndex(v)}
 		kill(dst)
-		if trackable(dst) {
-			known[dst] = v
-		}
+		known[dst] = v
 		changed = true
 	}
 
 	for pc := 0; pc < len(code); pc++ {
 		if targets[pc] {
-			reset()
+			clear(known)
+			clear(copyOf)
 		}
 		ins := &code[pc]
+		// Redirect reads of a copy to the original register.
+		if len(copyOf) > 0 {
+			reads, n := ins.regReads()
+			for _, r := range reads[:n] {
+				if s, ok := copyOf[*r]; ok && s != *r {
+					*r = s
+					changed = true
+				}
+			}
+		}
+		in := ins.Op.info()
 		switch {
 		case ins.Op == OpConst:
-			v := f.Consts[ins.A]
 			kill(ins.Dst)
-			if trackable(ins.Dst) {
-				known[ins.Dst] = v
-			}
+			known[ins.Dst] = f.Consts[ins.A]
+			continue
 
 		case ins.Op == OpMove:
-			subst(&ins.A)
 			if v, ok := known[ins.A]; ok {
 				setConst(pc, ins.Dst, v)
 				continue
 			}
 			kill(ins.Dst)
-			if trackable(ins.A) && trackable(ins.Dst) {
-				copyOf[ins.Dst] = ins.A
-			}
+			copyOf[ins.Dst] = ins.A
+			continue
 
 		case ins.Op == OpToReal:
-			subst(&ins.A)
 			if v, ok := known[ins.A]; ok && (v.K == value.Int || v.K == value.Real) {
 				setConst(pc, ins.Dst, sem.ToReal(v))
 				continue
 			}
-			kill(ins.Dst)
 
 		case ins.Op == OpNeg:
-			subst(&ins.A)
 			if v, ok := known[ins.A]; ok {
-				if fv, fok := sem.FoldNeg(v); fok {
+				if fv, ok := sem.FoldNeg(v); ok {
 					setConst(pc, ins.Dst, fv)
 					continue
 				}
 			}
-			kill(ins.Dst)
 
 		case ins.Op == OpNot:
-			subst(&ins.A)
 			if v, ok := known[ins.A]; ok {
-				if fv, fok := sem.FoldNot(v); fok {
+				if fv, ok := sem.FoldNot(v); ok {
 					setConst(pc, ins.Dst, fv)
 					continue
 				}
 			}
-			kill(ins.Dst)
 
-		case isArith(ins.Op) || isCompare(ins.Op):
-			subst(&ins.A)
-			subst(&ins.B)
-			va, oka := known[ins.A]
-			vb, okb := known[ins.B]
-			if oka && okb {
-				if v, ok := foldBinary(ins.Op, va, vb); ok {
-					setConst(pc, ins.Dst, v)
-					continue
+		case in.isOp && in.form == fBinary:
+			// Arithmetic or comparison of two registers. A typed instruction
+			// folds through the same sem entry point as an untyped one: its
+			// operands hold the kinds it claims.
+			if va, ok := known[ins.A]; ok {
+				if vb, ok := known[ins.B]; ok {
+					if v, ok := sem.FoldBinary(in.op, va, vb); ok {
+						setConst(pc, ins.Dst, v)
+						continue
+					}
 				}
 			}
-			kill(ins.Dst)
 
 		case ins.Op == OpJumpIfFalse || ins.Op == OpJumpIfTrue:
-			subst(&ins.B)
 			if v, ok := known[ins.B]; ok && v.K == value.Bool {
 				// Constant condition → unconditional jump or fall-through.
 				// This is what turns `while true:` into a plain loop.
-				taken := v.Bool() == (ins.Op == OpJumpIfTrue)
-				if taken {
+				if v.Bool() == (ins.Op == OpJumpIfTrue) {
 					code[pc] = Instr{Op: OpJump, A: ins.A}
 				} else {
 					code[pc] = Instr{Op: OpNop}
 				}
 				changed = true
 			}
-
-		case ins.Op == OpIndex:
-			subst(&ins.A)
-			subst(&ins.B)
+			continue
+		}
+		// Whatever the instruction writes is unknown from here on. A call
+		// changes only its result register: callees cannot touch this
+		// frame's registers (arguments pass by value and Tetra has no
+		// globals), so knowledge survives it. What OpLoadCell reads is never
+		// known: another thread may have stored to the cell.
+		switch in.form {
+		case fConst, fUnary, fBinary, fBinaryK, fBinaryKL, fArray, fLoadCell:
 			kill(ins.Dst)
-
-		case ins.Op == OpSetIndex:
-			subst(&ins.A)
-			subst(&ins.B)
-			subst(&ins.C)
-
-		case ins.Op == OpRange:
-			subst(&ins.A)
-			subst(&ins.B)
-			kill(ins.Dst)
-
-		case ins.Op == OpArray:
-			// Element registers form a contiguous block; no per-operand
-			// substitution.
-			kill(ins.Dst)
-
-		case ins.Op == OpCall || ins.Op == OpCallBuiltin:
-			// Callees cannot touch this frame's registers: arguments pass
-			// by value and Tetra has no globals, so knowledge survives the
-			// call. Only the result register changes.
+		case fCall:
 			if ins.Dst >= 0 {
 				kill(ins.Dst)
 			}
-
-		case ins.Op == OpReturn:
-			subst(&ins.A)
-
-		case ins.Op == OpForIter:
+		case fForIter:
 			kill(ins.Dst)
 			kill(ins.A)
 			kill(ins.A + 1)
-
-		case ins.Op == OpParFor:
-			subst(&ins.B)
-
-		case ins.Op == OpArithConst || ins.Op == OpArithConstL:
-			// Only present if fusion already ran (re-optimization).
-			kill(ins.Dst)
 		}
 	}
 	if changed {
@@ -353,13 +401,14 @@ func foldConstants(f *Func, ch *Chunk) bool {
 }
 
 // deadStoreOK are the opcodes dead-store removal may delete: writes with
-// no side effects and no possible runtime error.
+// no side effects and no possible runtime error. OpLoadCell is not one: a
+// cell access is a critical section the program's threads can observe.
 func deadStoreOK(op Op) bool {
 	switch op {
-	case OpConst, OpMove, OpToReal, OpNot, OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
+	case OpConst, OpMove, OpToReal, OpNot:
 		return true
 	}
-	return false
+	return op.isCompare()
 }
 
 // removeDeadStores deletes error-free writes to temporaries no path reads
@@ -388,6 +437,20 @@ func removeDeadStores(f *Func, ch *Chunk) bool {
 // writing it.
 func regLive(ch *Chunk, pc int, reg int32) bool {
 	code := ch.Code
+	// Most temporaries are read, or written again, a few instructions on:
+	// follow straight-line code before paying for a visited set.
+	for ; pc < len(code); pc++ {
+		ins := &code[pc]
+		if readsReg(*ins, reg) {
+			return true
+		}
+		if writesReg(*ins, reg) {
+			return false
+		}
+		if next, n := successors(ins, pc); n != 1 || next[0] != pc+1 {
+			break
+		}
+	}
 	seen := make([]bool, len(code))
 	stack := []int{pc}
 	for len(stack) > 0 {
@@ -404,70 +467,29 @@ func regLive(ch *Chunk, pc int, reg int32) bool {
 		if writesReg(ins, reg) {
 			continue
 		}
-		for _, s := range successors(ins, p) {
-			stack = append(stack, s)
-		}
-	}
-	return false
-}
-
-// readsReg reports whether ins reads register reg.
-func readsReg(ins Instr, reg int32) bool {
-	switch ins.Op {
-	case OpMove, OpToReal, OpNeg, OpNot, OpReturn, OpArithConst, OpArithConstL, OpCmpConstJump:
-		return ins.A == reg
-	case OpAdd, OpSub, OpMul, OpDiv, OpMod, OpEq, OpNe, OpLt, OpLe, OpGt, OpGe,
-		OpIndex, OpRange, OpCmpJump:
-		return ins.A == reg || ins.B == reg
-	case OpJumpIfFalse, OpJumpIfTrue, OpParFor:
-		return ins.B == reg
-	case OpSetIndex:
-		return ins.A == reg || ins.B == reg || ins.C == reg
-	case OpCall, OpCallBuiltin:
-		return reg >= ins.B && reg < ins.B+ins.C
-	case OpArray:
-		return reg >= ins.A && reg < ins.A+ins.B
-	case OpForIter:
-		return ins.A == reg || ins.A+1 == reg
-	}
-	return false
-}
-
-// writesReg reports whether ins definitely overwrites register reg.
-func writesReg(ins Instr, reg int32) bool {
-	switch ins.Op {
-	case OpConst, OpMove, OpToReal, OpNeg, OpNot,
-		OpAdd, OpSub, OpMul, OpDiv, OpMod, OpEq, OpNe, OpLt, OpLe, OpGt, OpGe,
-		OpIndex, OpArray, OpRange, OpArithConst, OpArithConstL:
-		return ins.Dst == reg
-	case OpCall, OpCallBuiltin:
-		return ins.Dst == reg && ins.Dst >= 0
-	case OpForIter:
-		return ins.Dst == reg || ins.A == reg || ins.A+1 == reg
+		next, n := successors(&ins, p)
+		stack = append(stack, next[:n]...)
 	}
 	return false
 }
 
 // successors returns the pcs control can reach from ins at pc.
-func successors(ins Instr, pc int) []int {
+func successors(ins *Instr, pc int) (next [2]int, n int) {
 	switch ins.Op {
 	case OpJump:
-		return []int{int(ins.A)}
+		return [2]int{int(ins.A)}, 1
 	case OpReturn, OpReturnNone:
-		return nil
-	case OpJumpIfFalse, OpJumpIfTrue:
-		return []int{int(ins.A), pc + 1}
-	case OpCmpJump, OpCmpConstJump:
-		return []int{int(ins.Dst), pc + 1}
-	case OpForIter:
-		return []int{int(ins.B), pc + 1}
+		return next, 0
 	}
-	return []int{pc + 1}
+	if t := ins.target(); t != nil {
+		return [2]int{int(*t), pc + 1}, 2
+	}
+	return [2]int{pc + 1}, 1
 }
 
 // threadJumps retargets jumps whose destination is an unconditional jump,
 // following chains with a visit bound so degenerate cycles terminate.
-func threadJumps(ch *Chunk) bool {
+func threadJumps(_ *Func, ch *Chunk) bool {
 	code := ch.Code
 	final := func(t int32) int32 {
 		for hops := 0; hops <= len(code); hops++ {
@@ -479,21 +501,10 @@ func threadJumps(ch *Chunk) bool {
 		return t
 	}
 	changed := false
-	for i, ins := range code {
-		switch ins.Op {
-		case OpJump, OpJumpIfFalse, OpJumpIfTrue:
-			if nt := final(ins.A); nt != ins.A {
-				code[i].A = nt
-				changed = true
-			}
-		case OpCmpJump, OpCmpConstJump:
-			if nt := final(ins.Dst); nt != ins.Dst {
-				code[i].Dst = nt
-				changed = true
-			}
-		case OpForIter:
-			if nt := final(ins.B); nt != ins.B {
-				code[i].B = nt
+	for i := range code {
+		if t := code[i].target(); t != nil {
+			if nt := final(*t); nt != *t {
+				*t = nt
 				changed = true
 			}
 		}
@@ -502,7 +513,7 @@ func threadJumps(ch *Chunk) bool {
 }
 
 // removeDeadCode deletes instructions unreachable from the chunk entry.
-func removeDeadCode(ch *Chunk) bool {
+func removeDeadCode(_ *Func, ch *Chunk) bool {
 	code := ch.Code
 	if len(code) == 0 {
 		return false
@@ -513,7 +524,8 @@ func removeDeadCode(ch *Chunk) bool {
 	for len(stack) > 0 {
 		pc := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, s := range successors(code[pc], pc) {
+		next, n := successors(&code[pc], pc)
+		for _, s := range next[:n] {
 			if s >= 0 && s < len(code) && !reach[s] {
 				reach[s] = true
 				stack = append(stack, s)
@@ -536,7 +548,8 @@ func removeDeadCode(ch *Chunk) bool {
 // tempDeadPast reports whether temporary reg is dead on every path
 // leaving the instruction at pc (the second element of a fusion window).
 func tempDeadPast(ch *Chunk, pc int, reg int32) bool {
-	for _, s := range successors(ch.Code[pc], pc) {
+	next, n := successors(&ch.Code[pc], pc)
+	for _, s := range next[:n] {
 		if regLive(ch, s, reg) {
 			return false
 		}
@@ -547,14 +560,17 @@ func tempDeadPast(ch *Chunk, pc int, reg int32) bool {
 // fuseCmpJump merges a comparison with the conditional branch consuming
 // its result. The branch must not be a jump target (the pair would be
 // entered mid-window), the comparison's destination must be a temporary,
-// and that temporary must be dead past the branch.
-func fuseCmpJump(f *Func, ch *Chunk) {
+// and that temporary must be dead past the branch. A typed comparison
+// becomes the typed compare-jump of the same operator, negated when the
+// branch is taken on false; an untyped one becomes OpCmpJump, which
+// carries operator and sense in C.
+func fuseCmpJump(f *Func, ch *Chunk) bool {
 	targets := jumpTargets(ch)
 	code := ch.Code
 	changed := false
 	for pc := 0; pc+1 < len(code); pc++ {
 		ins, next := code[pc], code[pc+1]
-		if !isCompare(ins.Op) || targets[pc+1] || int(ins.Dst) < f.NumSlots {
+		if !ins.Op.isCompare() || targets[pc+1] || int(ins.Dst) < f.NumSlots {
 			continue
 		}
 		if (next.Op != OpJumpIfFalse && next.Op != OpJumpIfTrue) || next.B != ins.Dst {
@@ -564,85 +580,203 @@ func fuseCmpJump(f *Func, ch *Chunk) {
 			continue
 		}
 		sense := next.Op == OpJumpIfTrue
-		code[pc] = Instr{Op: OpCmpJump, Dst: next.A, A: ins.A, B: ins.B, C: PackCmp(ins.Op, sense)}
+		fused := Instr{Op: OpCmpJump, Dst: next.A, A: ins.A, B: ins.B, C: PackCmp(ins.Op, sense)}
+		if in := ins.Op.info(); in.kind != nil {
+			op := in.op
+			if !sense {
+				op = negated(op)
+			}
+			fused.Op, fused.C = typedCmpJump(op, in.kind), 0
+		}
+		code[pc] = fused
 		code[pc+1] = Instr{Op: OpNop}
 		changed = true
 	}
 	if changed {
 		compact(ch)
 	}
+	return changed
 }
 
-// fuseCmpConst folds a constant operand into an OpCmpJump produced by
-// fuseCmpJump.
-func fuseCmpConst(f *Func, ch *Chunk) {
+// typedCmpJump returns the register-register compare-jump for operator op
+// over operands of type kind; its constant form is cmpJumpK away.
+func typedCmpJump(op sem.Op, kind *types.Type) Op {
+	if kind.Kind() == types.Int {
+		return OpJeqInt + Op(op-sem.Eq)
+	}
+	return OpJeqReal + Op(op-sem.Eq)
+}
+
+const cmpJumpK = OpJeqIntK - OpJeqInt
+
+// constOperand finds the constant that the instruction at use reads from
+// temporary reg: the OpConst above it that wrote reg, with straight-line
+// code that leaves reg alone in between (in a shared function a cell load
+// sits there) and reg dead afterwards. It returns the OpConst's pc, or -1
+// when the operand cannot be folded into the instruction.
+func constOperand(f *Func, ch *Chunk, targets []bool, use int, reg int32) int {
+	if int(reg) < f.NumSlots {
+		return -1
+	}
+	for pc := use - 1; pc >= 0 && !targets[pc+1]; pc-- {
+		ins := ch.Code[pc]
+		if ins.Op == OpConst && ins.Dst == reg {
+			if tempDeadPast(ch, use, reg) {
+				return pc
+			}
+			return -1
+		}
+		if _, n := successors(&ins, pc); n != 1 || ins.Op == OpJump || readsReg(ins, reg) || writesReg(ins, reg) {
+			return -1
+		}
+	}
+	return -1
+}
+
+// fuseCmpConst folds a constant operand into a compare-jump produced by
+// fuseCmpJump. The typed forms compare reg A with the constant, so a
+// constant left operand mirrors the operator; OpCmpConstJump records the
+// side in C.
+func fuseCmpConst(f *Func, ch *Chunk) bool {
 	targets := jumpTargets(ch)
 	code := ch.Code
 	changed := false
-	for pc := 0; pc+1 < len(code); pc++ {
-		ins, next := code[pc], code[pc+1]
-		if ins.Op != OpConst || next.Op != OpCmpJump || targets[pc+1] || int(ins.Dst) < f.NumSlots {
+	for pc := range code {
+		ins := code[pc]
+		if ins.Op.info().form != fCmpJump || ins.A == ins.B { // a degenerate k<k stays
 			continue
 		}
-		constLeft := next.A == ins.Dst
-		constRight := next.B == ins.Dst
-		if constLeft == constRight { // neither, or both (degenerate k<k)
+		reg, constLeft := ins.A, false
+		def := constOperand(f, ch, targets, pc, ins.B)
+		if def < 0 {
+			reg, constLeft = ins.B, true
+			def = constOperand(f, ch, targets, pc, ins.A)
+		}
+		if def < 0 {
 			continue
 		}
-		if !tempDeadPast(ch, pc+1, ins.Dst) {
-			continue
+		fused := Instr{Dst: ins.Dst, A: reg, B: code[def].A}
+		if in := ins.Op.info(); in.kind != nil {
+			op := in.op
+			if constLeft {
+				op = mirrored(op)
+			}
+			fused.Op = typedCmpJump(op, in.kind) + cmpJumpK
+		} else {
+			cmp, sense := UnpackCmp(ins.C)
+			fused.Op, fused.C = OpCmpConstJump, PackCmpConst(cmp, constLeft, sense)
 		}
-		cmp, sense := UnpackCmp(next.C)
-		reg := next.A
-		if constLeft {
-			reg = next.B
-		}
-		code[pc] = Instr{Op: OpCmpConstJump, Dst: next.Dst, A: reg, B: ins.A, C: PackCmpConst(cmp, constLeft, sense)}
-		ch.Pos[pc] = ch.Pos[pc+1]
-		code[pc+1] = Instr{Op: OpNop}
+		code[pc] = fused
+		code[def] = Instr{Op: OpNop}
 		changed = true
 	}
 	if changed {
 		compact(ch)
 	}
+	return changed
 }
 
 // fuseArithConst folds a constant operand into the arithmetic instruction
-// consuming it: Dst = A op K (OpArithConst) or Dst = K op A
-// (OpArithConstL). The fused instruction keeps the arithmetic op's source
-// position so a runtime error (division by zero) reports the operator,
-// exactly as at O0. With a variable slot as both source and destination
-// this is the load-arith-store superinstruction of the hot loop shapes
-// (`i = i + 1`, `s = s % 1000003`).
-func fuseArithConst(f *Func, ch *Chunk) {
+// consuming it: Dst = A op K or Dst = K op A. The fused instruction keeps
+// the arithmetic op's source position so a runtime error (division by
+// zero) reports the operator, exactly as at O0. With a variable slot as
+// both source and destination this is the load-arith-store
+// superinstruction of the hot loop shapes (`i = i + 1`,
+// `s = s % 1000003`).
+//
+// A typed instruction becomes the typed form of its operator — add.ik,
+// mod.rk, and sub.ikl for a constant on the left of a non-commutative
+// operator (commutative ones swap) — with one exception: a div or mod
+// whose constant divisor is zero becomes the untyped OpArithConst, because
+// the typed constant-divisor forms do not test the divisor and the untyped
+// path is where the error is raised.
+func fuseArithConst(f *Func, ch *Chunk) bool {
 	targets := jumpTargets(ch)
 	code := ch.Code
 	changed := false
-	for pc := 0; pc+1 < len(code); pc++ {
-		ins, next := code[pc], code[pc+1]
-		if ins.Op != OpConst || !isArith(next.Op) || targets[pc+1] || int(ins.Dst) < f.NumSlots {
+	for pc := range code {
+		ins := code[pc]
+		if !ins.Op.isArith() || ins.A == ins.B {
 			continue
 		}
-		constLeft := next.A == ins.Dst
-		constRight := next.B == ins.Dst
-		if constLeft == constRight {
+		reg, constLeft := ins.A, false
+		def := constOperand(f, ch, targets, pc, ins.B)
+		if def < 0 {
+			reg, constLeft = ins.B, true
+			def = constOperand(f, ch, targets, pc, ins.A)
+		}
+		if def < 0 {
 			continue
 		}
-		if !tempDeadPast(ch, pc+1, ins.Dst) {
-			continue
+		in, k := ins.Op.info(), code[def].A
+		fused := Instr{Op: OpArithConst, Dst: ins.Dst, A: reg, B: k, C: int32(OpAdd + Op(in.op-sem.Add))}
+		if constLeft {
+			fused.Op = OpArithConstL
 		}
-		if constRight {
-			code[pc] = Instr{Op: OpArithConst, Dst: next.Dst, A: next.A, B: ins.A, C: int32(next.Op)}
-		} else {
-			code[pc] = Instr{Op: OpArithConstL, Dst: next.Dst, A: next.B, B: ins.A, C: int32(next.Op)}
+		zeroDivisor := !constLeft && (in.op == sem.Div || in.op == sem.Mod) && f.Consts[k].AsReal() == 0
+		if in.kind != nil && !zeroDivisor {
+			fused.Op, fused.C = typedArithConst(in.op, in.kind, constLeft), 0
 		}
-		ch.Pos[pc] = ch.Pos[pc+1]
-		code[pc+1] = Instr{Op: OpNop}
+		code[pc] = fused
+		code[def] = Instr{Op: OpNop}
 		changed = true
 	}
 	if changed {
 		compact(ch)
 	}
+	return changed
+}
+
+// typedArithConst returns the constant-operand opcode for operator op over
+// operands of type kind, with the constant on the left or the right.
+func typedArithConst(op sem.Op, kind *types.Type, constLeft bool) Op {
+	k, kl := OpAddIntK, OpSubIntKL
+	if kind.Kind() == types.Real {
+		k, kl = OpAddRealK, OpSubRealKL
+	}
+	if constLeft {
+		switch op {
+		case sem.Sub:
+			return kl
+		case sem.Div:
+			return kl + 1
+		case sem.Mod:
+			return kl + 2
+		}
+	}
+	return k + Op(op-sem.Add)
+}
+
+// rotateLoops turns a loop that tests at its top into one that tests at
+// its bottom. Where a back-edge `jump T` lands on a compare-jump that
+// leaves the loop for the instruction after the back-edge, the back-edge
+// becomes the negated compare-jump to T+1: the next iteration starts at
+// the body, and the instruction at T only runs on entry (and after a
+// continue). It keeps the back-edge's position; a compare-jump cannot
+// raise, so the position only says where a step limit tripped — inside
+// the loop, as before.
+func rotateLoops(_ *Func, ch *Chunk) bool {
+	code := ch.Code
+	changed := false
+	for pc := range code {
+		if code[pc].Op != OpJump || int(code[pc].A) >= pc {
+			continue
+		}
+		test := code[code[pc].A]
+		if f := test.Op.info().form; (f != fCmpJump && f != fCmpJumpK) || int(test.Dst) != pc+1 {
+			continue
+		}
+		test.Dst = code[pc].A + 1
+		switch in := test.Op.info(); {
+		case in.kind != nil:
+			test.Op += Op(negated(in.op)) - Op(in.op)
+		default: // OpCmpJump, OpCmpConstJump: the sense is bit 0 of C
+			test.C ^= 1
+		}
+		code[pc] = test
+		changed = true
+	}
+	return changed
 }
 
 // compact removes OpNop placeholders and remaps every jump target across
@@ -660,19 +794,14 @@ func compact(ch *Chunk) {
 	}
 	remap[len(code)] = n
 
-	newCode := make([]Instr, 0, n)
-	newPos := ch.Pos[:0:0]
+	// In place: an instruction only ever moves down.
+	newCode, newPos := code[:0], ch.Pos[:0]
 	for i, ins := range code {
 		if ins.Op == OpNop {
 			continue
 		}
-		switch ins.Op {
-		case OpJump, OpJumpIfFalse, OpJumpIfTrue:
-			ins.A = remap[ins.A]
-		case OpCmpJump, OpCmpConstJump:
-			ins.Dst = remap[ins.Dst]
-		case OpForIter:
-			ins.B = remap[ins.B]
+		if t := ins.target(); t != nil {
+			*t = remap[*t]
 		}
 		newCode = append(newCode, ins)
 		newPos = append(newPos, ch.Pos[i])

@@ -3,6 +3,7 @@ package bytecode
 import (
 	"testing"
 
+	"repro/internal/sem"
 	"repro/internal/value"
 )
 
@@ -19,20 +20,8 @@ func checkTargets(t *testing.T, bc *Program) {
 		for ci, ch := range f.Chunks {
 			n := int32(len(ch.Code))
 			for pc, ins := range ch.Code {
-				bad := func(a int32) bool { return a < 0 || a > n }
-				switch ins.Op {
-				case OpJump, OpJumpIfFalse, OpJumpIfTrue:
-					if bad(ins.A) {
-						t.Errorf("func %d chunk %d pc %d: %s target %d out of [0,%d]", fi, ci, pc, ins.Op, ins.A, n)
-					}
-				case OpCmpJump, OpCmpConstJump:
-					if bad(ins.Dst) {
-						t.Errorf("func %d chunk %d pc %d: %s target %d out of [0,%d]", fi, ci, pc, ins.Op, ins.Dst, n)
-					}
-				case OpForIter:
-					if bad(ins.B) {
-						t.Errorf("func %d chunk %d pc %d: foriter target %d out of [0,%d]", fi, ci, pc, ins.B, n)
-					}
+				if a := ins.target(); a != nil && (*a < 0 || *a > n) {
+					t.Errorf("func %d chunk %d pc %d: %s target %d out of [0,%d]", fi, ci, pc, ins.Op, *a, n)
 				}
 			}
 			if len(ch.Pos) != len(ch.Code) {
@@ -46,8 +35,8 @@ func TestFoldConstantExpression(t *testing.T) {
 	// 2 + 3 * 4 - 5 must collapse to one constant push at O1.
 	bc := optimizeSrc(t, "def main():\n    print(2 + 3 * 4 - 5)\n", O1)
 	ch := bc.Funcs[bc.MainIndex].Chunks[0]
-	for _, op := range []Op{OpAdd, OpSub, OpMul} {
-		if n := countOps(ch, op); n != 0 {
+	for _, op := range []sem.Op{sem.Add, sem.Sub, sem.Mul} {
+		if n := countOperator(ch, op); n != 0 {
 			t.Errorf("%d %s instruction(s) survive folding", n, op)
 		}
 	}
@@ -66,10 +55,13 @@ func TestFoldConstantExpression(t *testing.T) {
 func TestFoldUnaryAndBool(t *testing.T) {
 	bc := optimizeSrc(t, "def main():\n    print(- -7, not false, 1.0 + 1)\n", O1)
 	ch := bc.Funcs[bc.MainIndex].Chunks[0]
-	for _, op := range []Op{OpNeg, OpNot, OpToReal, OpAdd} {
+	for _, op := range []Op{OpNeg, OpNot, OpToReal} {
 		if n := countOps(ch, op); n != 0 {
 			t.Errorf("%d %s instruction(s) survive folding", n, op)
 		}
+	}
+	if n := countOperator(ch, sem.Add); n != 0 {
+		t.Errorf("%d add instruction(s) survive folding", n)
 	}
 	checkTargets(t, bc)
 }
@@ -113,18 +105,18 @@ func TestFoldRefusesDivisionByZero(t *testing.T) {
 	// program raises the positioned error, on ints and reals alike.
 	cases := []struct {
 		name, src string
-		op        Op
+		op        sem.Op
 	}{
-		{"int_div", "def main():\n    print(1 / 0)\n", OpDiv},
-		{"int_mod", "def main():\n    print(1 % 0)\n", OpMod},
-		{"real_div", "def main():\n    print(1.5 / 0.0)\n", OpDiv},
-		{"real_mod", "def main():\n    print(1.5 % 0.0)\n", OpMod},
+		{"int_div", "def main():\n    print(1 / 0)\n", sem.Div},
+		{"int_mod", "def main():\n    print(1 % 0)\n", sem.Mod},
+		{"real_div", "def main():\n    print(1.5 / 0.0)\n", sem.Div},
+		{"real_mod", "def main():\n    print(1.5 % 0.0)\n", sem.Mod},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			bc := optimizeSrc(t, c.src, O1)
 			ch := bc.Funcs[bc.MainIndex].Chunks[0]
-			if countOps(ch, c.op) == 0 {
+			if countOperator(ch, c.op) == 0 {
 				t.Errorf("%s folded away; must raise at run time:\n%s", c.op, Disassemble(bc.Funcs[bc.MainIndex]))
 			}
 		})
@@ -135,19 +127,28 @@ func TestFusionOnlyAtO2(t *testing.T) {
 	src := "def main():\n    i = 0\n    while i < 10:\n        i += 1\n    print(i)\n"
 	bc1 := optimizeSrc(t, src, O1)
 	ch1 := bc1.Funcs[bc1.MainIndex].Chunks[0]
-	fused := func(ch Chunk) int {
-		return countOps(ch, OpCmpJump) + countOps(ch, OpCmpConstJump) +
-			countOps(ch, OpArithConst) + countOps(ch, OpArithConstL)
+	// fused counts the superinstructions with one of the given layouts,
+	// typed or untyped.
+	fused := func(ch Chunk, forms ...form) int {
+		n := 0
+		for _, ins := range ch.Code {
+			for _, f := range forms {
+				if ins.Op.Fused() && ins.Op.info().form == f {
+					n++
+				}
+			}
+		}
+		return n
 	}
-	if fused(ch1) != 0 {
+	if fused(ch1, fBinaryK, fBinaryKL, fCmpJump, fCmpJumpK) != 0 {
 		t.Error("fused opcodes emitted at O1")
 	}
 	bc2 := optimizeSrc(t, src, O2)
 	ch2 := bc2.Funcs[bc2.MainIndex].Chunks[0]
-	if countOps(ch2, OpCmpJump)+countOps(ch2, OpCmpConstJump) == 0 {
+	if fused(ch2, fCmpJump, fCmpJumpK) == 0 {
 		t.Errorf("no fused compare-jump at O2 for a compare-headed while loop:\n%s", Disassemble(bc2.Funcs[bc2.MainIndex]))
 	}
-	if countOps(ch2, OpArithConst) == 0 {
+	if fused(ch2, fBinaryK) == 0 {
 		t.Errorf("no arithconst at O2 for i += 1:\n%s", Disassemble(bc2.Funcs[bc2.MainIndex]))
 	}
 	if len(ch2.Code) >= len(ch1.Code) {
@@ -178,7 +179,7 @@ func TestOptimizeParallelChunks(t *testing.T) {
 		t.Fatalf("expected parallel sub-chunks, got %d chunk(s)", len(f.Chunks))
 	}
 	for ci := 1; ci < len(f.Chunks); ci++ {
-		if n := countOps(f.Chunks[ci], OpAdd) + countOps(f.Chunks[ci], OpMul); n != 0 {
+		if n := countOperator(f.Chunks[ci], sem.Add) + countOperator(f.Chunks[ci], sem.Mul); n != 0 {
 			t.Errorf("chunk %d: %d unfolded arith op(s)", ci, n)
 		}
 	}

@@ -80,6 +80,7 @@ type checker struct {
 	fn       *ast.FuncDecl
 	vars     map[string]*varInfo
 	nextSlot int
+	depth    int // block nesting depth below the function body
 	loops    int // nesting depth of loops, for break/continue
 	// parCtx counts the nesting depth of parallel constructs within the
 	// current function, used to reject `return`/`break`/`continue` that
@@ -127,6 +128,7 @@ func (c *checker) checkFunc(f *ast.FuncDecl) {
 	c.fn = f
 	c.vars = make(map[string]*varInfo)
 	c.nextSlot = 0
+	c.depth = 0
 	c.loops = 0
 	c.parCtx = 0
 	for _, p := range f.Params {
@@ -136,7 +138,9 @@ func (c *checker) checkFunc(f *ast.FuncDecl) {
 		}
 		p.Slot = c.declare(p.Name, p.Type, p.Pos())
 	}
-	c.checkBlock(f.Body)
+	for _, s := range f.Body.Stmts {
+		c.checkStmt(s)
+	}
 	f.NumSlots = c.nextSlot
 }
 
@@ -149,10 +153,29 @@ func (c *checker) declare(name string, t *types.Type, pos token.Pos) int {
 	return slot
 }
 
+// checkBlock checks a block nested inside the function body.
 func (c *checker) checkBlock(b *ast.Block) {
+	c.depth++
 	for _, s := range b.Stmts {
 		c.checkStmt(s)
 	}
+	c.depth--
+}
+
+// declareLocal declares a local at its first assignment. A use must come
+// textually after that assignment, so when it is a statement of the
+// function body itself it has run before any use can. Inside a nested
+// block it may not have (an untaken branch, a loop that ran zero times, a
+// background thread that has not got there yet), and an induction variable
+// is unassigned after a loop over nothing: those slots are recorded in
+// ZeroSlots. The rule is conservative — a lock body always runs, and is
+// still a nested block.
+func (c *checker) declareLocal(name string, t *types.Type, pos token.Pos, induction bool) int {
+	slot := c.declare(name, t, pos)
+	if induction || c.depth > 0 {
+		c.fn.ZeroSlots = append(c.fn.ZeroSlots, slot)
+	}
+	return slot
 }
 
 func (c *checker) checkStmt(s ast.Stmt) {
@@ -281,7 +304,7 @@ func (c *checker) checkForHeader(v *ast.Ident, seq ast.Expr) {
 		v.SetType(info.typ)
 		return
 	}
-	v.Slot = c.declare(v.Name, elem, v.Pos())
+	v.Slot = c.declareLocal(v.Name, elem, v.Pos(), true)
 	v.SetType(elem)
 }
 
@@ -303,7 +326,7 @@ func (c *checker) checkAssign(s *ast.AssignStmt) {
 				c.errorf(s.Value.Pos(), "cannot infer type of %s from a void expression", target.Name)
 				return
 			}
-			target.Slot = c.declare(target.Name, vt, target.Pos())
+			target.Slot = c.declareLocal(target.Name, vt, target.Pos(), false)
 			target.SetType(vt)
 			s.Define = true
 			return

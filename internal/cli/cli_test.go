@@ -240,10 +240,13 @@ func TestDisasmRespectsOptLevel(t *testing.T) {
 	path := write(t, "def main():\n    i = 0\n    while i < 10:\n        i += 1\n    print(i)\n")
 	_, raw, _ := run(t, []string{"-disasm", "-O", "0", path}, "")
 	_, opt, _ := run(t, []string{"-disasm", "-O", "2", path}, "")
-	if !strings.Contains(raw, "lt") || strings.Contains(raw, "cmpjump") || strings.Contains(raw, "cmpkjump") {
+	// Both operands are ints, so the compare is lt.i and fuses, with the
+	// constant and the branch, into the typed compare-jumps of a rotated
+	// loop: jge.ik on entry, jlt.ik at the bottom.
+	if !strings.Contains(raw, " lt.i ") || strings.Contains(raw, " jge.") || strings.Contains(raw, " jlt.") {
 		t.Errorf("-O 0 disassembly should show raw compare, no fusion:\n%s", raw)
 	}
-	if !strings.Contains(opt, "cmpjump") && !strings.Contains(opt, "cmpkjump") {
+	if !strings.Contains(opt, " jge.ik ") || !strings.Contains(opt, " jlt.ik ") {
 		t.Errorf("-O 2 disassembly missing fused compare-jump:\n%s", opt)
 	}
 	if len(opt) >= len(raw) {

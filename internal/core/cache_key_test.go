@@ -31,19 +31,28 @@ func TestCacheKeyIdentity(t *testing.T) {
 // TestCacheKeyCarriesIRVersion pins the derivation to the bytecode IR
 // version: the key must be derived from the same triple the cache's
 // bytecode table is keyed by, so an IR bump re-shards a router exactly
-// like it invalidates cached bytecode. The golden below was computed
-// under IRVersion 2; if the IR version changes, the key must change with
-// it (update the golden alongside the version bump).
+// like it invalidates cached bytecode. The golden below was recorded under
+// cacheKeyGoldenIR; bumping bytecode.IRVersion must move the key, so the
+// golden is then stale and this test fails until both constants are
+// re-recorded together.
 func TestCacheKeyCarriesIRVersion(t *testing.T) {
-	if bytecode.IRVersion != 2 {
-		t.Skipf("golden recorded under IRVersion 2, current %d — update it", bytecode.IRVersion)
-	}
 	got := CacheKey("p.ttr", "def main():\n    print(6 * 7)\n", 2)
+	if bytecode.IRVersion != cacheKeyGoldenIR {
+		if got == cacheKeyGolden {
+			t.Errorf("IRVersion went from %d to %d and the cache key did not move", cacheKeyGoldenIR, bytecode.IRVersion)
+		}
+		t.Fatalf("golden recorded under IRVersion %d, current %d: record cacheKeyGolden = %q and cacheKeyGoldenIR = %d",
+			cacheKeyGoldenIR, bytecode.IRVersion, got, bytecode.IRVersion)
+	}
 	if got != cacheKeyGolden {
-		t.Errorf("CacheKey golden drifted: got %s, want %s (did the key derivation or IRVersion change?)", got, cacheKeyGolden)
+		t.Errorf("CacheKey golden drifted: got %s, want %s (did the key derivation change?)", got, cacheKeyGolden)
 	}
 }
 
 // cacheKeyGolden is the recorded CacheKey("p.ttr", "def main():\n    print(6 * 7)\n", 2)
-// under IRVersion 2.
-const cacheKeyGolden = "888deb5767e50c21c12b54388724ec3b"
+// under IRVersion cacheKeyGoldenIR. Under IRVersion 2 it was
+// 888deb5767e50c21c12b54388724ec3b.
+const (
+	cacheKeyGolden   = "0e1715a0dd67c3b50b12f2fad04fea73"
+	cacheKeyGoldenIR = 3
+)

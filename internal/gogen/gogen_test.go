@@ -169,6 +169,23 @@ func TestGeneratedPrograms(t *testing.T) {
 	}
 	cases := []struct{ name, src, input, want string }{
 		{
+			// Variables assigned only on a branch not taken read as the zero
+			// of their type, as on the engines (ast.FuncDecl.ZeroSlots).
+			name: "unassigned_reads_zero",
+			src: `def main():
+    c = 1
+    if c > 2:
+        x = 5
+        r = 2.5
+        s = "a"
+        a = [1, 2]
+    for i in range(0):
+        pass
+    print(x + 1, " ", x, " ", r, " ", s + "b", " ", a, len(a), " ", i)
+`,
+			want: "1 0 0.0 b []0 0\n",
+		},
+		{
 			name: "figure1",
 			src: `def fact(x int) int:
     if x == 0:
@@ -322,6 +339,7 @@ func TestGeneratedRuntimeErrors(t *testing.T) {
 	}
 	cases := []struct{ name, src, substr string }{
 		{"bounds", "def main():\n    a = [1]\n    print(a[5])\n", "index 5 out of range"},
+		{"bounds_unassigned", "def main():\n    c = 1\n    if c > 2:\n        a = [1, 2]\n    print(a[0])\n", "index 0 out of range for array of length 0"},
 		{"div_zero", "def main():\n    x = 0\n    print(1 / x)\n", "division by zero"},
 		{"real_div_zero", "def main():\n    x = 0.0\n    print(1.5 / x)\n", "division by zero"},
 		{"real_mod_zero", "def main():\n    x = 0.0\n    print(1.5 % x)\n", "modulo by zero"},

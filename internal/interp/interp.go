@@ -123,7 +123,8 @@ func (in *Interp) Run() error {
 
 // Call invokes a named function with the given arguments, for embedding
 // Tetra as a library (the facade's Program.Call). Arguments are converted
-// to the parameter types; it is the caller's job to pass compatible kinds.
+// to the parameter types (int widens to real); one that is then not of its
+// parameter's type is an error, the same one VM.Call reports.
 func (in *Interp) Call(name string, args ...value.Value) (value.Value, error) {
 	f := in.prog.Lookup(name)
 	if f == nil {
@@ -131,6 +132,11 @@ func (in *Interp) Call(name string, args ...value.Value) (value.Value, error) {
 	}
 	if len(args) != len(f.Params) {
 		return value.Value{}, fmt.Errorf("%s expects %d argument(s), got %d", name, len(f.Params), len(args))
+	}
+	for i, p := range f.Params {
+		if _, err := value.Bind(args[i], p.Name, p.Type); err != nil {
+			return value.Value{}, fmt.Errorf("%s: %w", name, err)
+		}
 	}
 	return in.run(f, args)
 }
@@ -281,6 +287,11 @@ func (t *thread) enter(f *frame, pos token.Pos) (value.Value, error) {
 	}
 	t.depth++
 	t.emit(trace.Call, pos, fn.Name)
+	// No thread but this one can see the activation yet. An array zero is
+	// made here, per activation: arrays are references.
+	for _, slot := range fn.ZeroSlots {
+		f.own[slot].StoreLocal(value.Zero(fn.SlotTypes[slot]))
+	}
 	sig, err := t.execBlock(f, fn.Body)
 	t.emit(trace.Return, pos, fn.Name)
 	t.depth--

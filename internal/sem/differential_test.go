@@ -67,7 +67,11 @@ func runVMAt(t *testing.T, src string, level int) backendResult {
 	if err != nil {
 		t.Fatalf("compile: %v\n%s", err, src)
 	}
-	bytecode.Optimize(bc, level)
+	// The whole corpus doubles as the IR verifier's: Compile's output and
+	// every optimizer phase's must keep the typing rules.
+	if err := bytecode.VerifyOptimize(bc, level); err != nil {
+		t.Fatalf("-O%d: %v\n%s", level, err, src)
+	}
 	var out bytes.Buffer
 	rErr := vm.New(bc, vm.Options{Env: stdlib.NewEnv(strings.NewReader(""), &out)}).Run()
 	r := backendResult{out: out.String()}
@@ -328,6 +332,70 @@ func TestDifferentialErrors(t *testing.T) {
 			r := runAllBackends(t, c.src)
 			if !strings.Contains(r.err, c.want) {
 				t.Errorf("agreed error %q does not contain %q", r.err, c.want)
+			}
+		})
+	}
+}
+
+// TestDifferentialUnassigned pins what a variable holds when no assignment
+// to it has run: the zero value of its static type, on every backend. It
+// used to hold a kindless none on the engines — `x + 1` printed 1.0,
+// `s + "b"` was an internal error and `a[0]` a nil dereference in Go.
+func TestDifferentialUnassigned(t *testing.T) {
+	const untaken = "def main():\n    c = 1\n    if c > 2:\n        x = 5\n        r = 2.5\n        a = [1, 2]\n        s = \"a\"\n        b = true\n        m = [[1]]\n    print(%s)\n"
+	cases := []struct{ name, src, out, err string }{
+		{"int_arith", fmt.Sprintf(untaken, "x + 1"), "1\n", ""},
+		{"int", fmt.Sprintf(untaken, "x"), "0\n", ""},
+		{"real", fmt.Sprintf(untaken, "r * 2.0"), "0.0\n", ""},
+		{"string_concat", fmt.Sprintf(untaken, `s + "b"`), "b\n", ""},
+		{"bool", fmt.Sprintf(untaken, "not b"), "true\n", ""},
+		{"array", fmt.Sprintf(untaken, "a, len(a), m"), "[]0[]\n", ""},
+		{"array_index", fmt.Sprintf(untaken, "a[0]"), "", "diff.ttr:10:11: runtime error: index 0 out of range for array of length 0"},
+		{"array_store", "def main():\n    c = 1\n    if c > 2:\n        a = [1.5]\n    a[0] = 2\n", "", "diff.ttr:5:5: runtime error: index 0 out of range for array of length 0"},
+		{"for_over_nothing", "def main():\n    for i in range(0):\n        pass\n    for w in \"\":\n        pass\n    print(i + 1, w + \".\")\n", "1.\n", ""},
+		{"parallel_for_leaves_its_variable", "def main():\n    parallel for i in [4, 5]:\n        pass\n    print(i)\n", "0\n", ""},
+		{"while_not_entered", "def f(n int) int:\n    while n > 0:\n        last = n\n        n -= 1\n    return last * 2\n\ndef main():\n    print(f(0), f(3))\n", "02\n", ""},
+		{"fresh_array_per_call", "def f(grow bool) [int]:\n    if false:\n        a = [0]\n    if grow:\n        push(a, 7)\n    return a\n\ndef main():\n    print(f(true), f(false))\n", "[7][]\n", ""},
+		{"shared_function", "def main():\n    if false:\n        x = 5\n        a = [1]\n    parallel:\n        x += 1\n        push(a, 2)\n    print(x, a)\n", "1[2]\n", ""},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if r := runAllBackends(t, c.src); r.out != c.out || r.err != c.err {
+				t.Errorf("out=%q err=%q, want out=%q err=%q\n%s", r.out, r.err, c.out, c.err, c.src)
+			}
+		})
+	}
+	// The compiled runtime starts such an array variable at MakeArray(0).
+	want := sem.ErrArrayIndex(0, 0).Error()
+	if msg := catchGort(func() { gort.MakeArray[int64](0).Get(0) }); msg != want {
+		t.Errorf("gort empty-array Get(0) panic = %q, want %q", msg, want)
+	}
+	if msg := catchGort(func() { gort.MakeArray[float64](0).Set(0, 2) }); msg != want {
+		t.Errorf("gort empty-array Set(0) panic = %q, want %q", msg, want)
+	}
+}
+
+// TestDifferentialSpawnedCalls runs spawned arms that are nothing but a
+// call without arguments, in a function that has locals: such an arm has no
+// temporaries of its own, and its call still names an (empty) argument
+// block above the function's slots, so the VM's window must reach that far
+// even then. The arms of a row print the same bytes, so their order does
+// not show.
+func TestDifferentialSpawnedCalls(t *testing.T) {
+	const prog = "def mark():\n    print(\"w\")\n\ndef main():\n    n = 2\n    print(n)\n%s"
+	cases := []struct{ name, body, out string }{
+		{"parallel_call", "    parallel:\n        mark()\n        mark()\n", "2\nw\nw\n"},
+		{"parallel_print", "    parallel:\n        print()\n        print()\n", "2\n\n\n"},
+		{"background_call", "    background:\n        mark()\n", "2\nw\n"},
+		{"background_print", "    background:\n        print()\n", "2\n\n"},
+		{"parallel_for_call", "    parallel for i in range(n):\n        mark()\n", "2\nw\nw\n"},
+		{"parallel_for_print", "    parallel for i in range(n):\n        print()\n", "2\n\n\n"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			src := fmt.Sprintf(prog, c.body)
+			if r := runAllBackends(t, src); r.out != c.out || r.err != "" {
+				t.Errorf("out=%q err=%q, want out=%q\n%s", r.out, r.err, c.out, src)
 			}
 		})
 	}

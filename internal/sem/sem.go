@@ -376,3 +376,45 @@ func comparableScalars(l, r value.Value) bool {
 	return (l.K == value.Int || l.K == value.Real) &&
 		(r.K == value.Int || r.K == value.Real)
 }
+
+// ArithReal is the real-real arithmetic kernel for + - * /: Arith's real
+// column for operands the checker typed real on both sides. Like ArithInt
+// it is shaped to inline, so a caller passing a constant operator gets the
+// one machine operation. It does not test a divisor: a caller that cannot
+// rule out zero uses DivReal (builtins.go), which returns the canonical
+// error. Real % is ModReal, beside it: math.Mod is a call, and one call is
+// all of the inliner's budget, so it cannot share a function with the
+// other four.
+func ArithReal(op Op, a, b float64) float64 {
+	switch op {
+	case Add:
+		return a + b
+	case Sub:
+		return a - b
+	case Mul:
+		return a * b
+	default:
+		return a / b
+	}
+}
+
+// CompareReal is the real-real comparison kernel. It implements exactly
+// Compare's ordering, in which <= is "not greater" and >= is "not less":
+// with a NaN operand Lt and Gt are false and Le and Ge true, so negating
+// an operator (Lt/Ge, Le/Gt, Eq/Ne) negates the result on every input.
+func CompareReal(op Op, a, b float64) bool {
+	switch op {
+	case Eq:
+		return a == b
+	case Ne:
+		return a != b
+	case Lt:
+		return a < b
+	case Le:
+		return !(a > b)
+	case Gt:
+		return a > b
+	default:
+		return !(a < b)
+	}
+}

@@ -438,3 +438,103 @@ func TestAt(t *testing.T) {
 		t.Error("At must not rewrap non-sem errors")
 	}
 }
+
+// TestKernelsMirrorArith holds the typed kernels the VM inlines to Arith
+// and Compare, the semantics they are columns of: wrapping overflow, the
+// two int divisions Go defines specially, signed zeros, infinities, and a
+// NaN on either side of every comparison. That Le is exactly not-Gt and Ge
+// not-Lt even then is what licenses the optimizer to fold a branch's sense
+// into a compare-jump by negating the operator, and a constant's side by
+// mirroring it.
+func TestKernelsMirrorArith(t *testing.T) {
+	ints := []int64{0, 1, -1, 2, 7, -7, 1000003, math.MaxInt64, math.MinInt64, math.MaxInt64 - 1, math.MinInt64 + 1}
+	nan, inf, negZero := math.NaN(), math.Inf(1), math.Copysign(0, -1)
+	reals := []float64{0, negZero, 1.5, -2.25, 3, 1e308, -1e308, 5e-324, inf, -inf, nan}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b) }
+
+	for _, a := range ints {
+		for _, b := range ints {
+			for op := Add; op <= Mod; op++ {
+				want, err := Arith(op, vi(a), vi(b))
+				if (err != nil) != (b == 0 && op >= Div) {
+					t.Fatalf("Arith(%s, %d, %d) error = %v", op, a, b, err)
+				}
+				if err != nil {
+					var kerr error
+					if op == Div {
+						_, kerr = DivInt(a, b)
+					} else {
+						_, kerr = ModInt(a, b)
+					}
+					if kerr != err {
+						t.Errorf("%s kernel of (%d, %d) raises %v, Arith %v", op, a, b, kerr, err)
+					}
+					continue
+				}
+				if got := ArithInt(op, a, b); want.K != value.Int || got != want.Int() {
+					t.Errorf("ArithInt(%s, %d, %d) = %d, Arith = %s", op, a, b, got, want)
+				}
+			}
+			for op := Eq; op <= Ge; op++ {
+				if got, want := CompareInt(op, a, b), Compare(op, vi(a), vi(b)); got != want {
+					t.Errorf("CompareInt(%s, %d, %d) = %v, Compare = %v", op, a, b, got, want)
+				}
+			}
+		}
+	}
+	if got := ArithInt(Div, math.MinInt64, -1); got != math.MinInt64 {
+		t.Errorf("MinInt64 / -1 = %d, want it to wrap to MinInt64", got)
+	}
+	if got := ArithInt(Mod, math.MinInt64, -1); got != 0 {
+		t.Errorf("MinInt64 %% -1 = %d, want 0", got)
+	}
+
+	for _, a := range reals {
+		for _, b := range reals {
+			for op := Add; op <= Mod; op++ {
+				want, err := Arith(op, vr(a), vr(b))
+				if (err != nil) != (b == 0 && op >= Div) {
+					t.Fatalf("Arith(%s, %g, %g) error = %v", op, a, b, err)
+				}
+				var got float64
+				var kerr error
+				switch op {
+				case Div:
+					got, kerr = DivReal(a, b)
+				case Mod:
+					got, kerr = ModReal(a, b)
+				default:
+					got = ArithReal(op, a, b)
+				}
+				if kerr != err {
+					t.Errorf("%s kernel of (%g, %g) raises %v, Arith %v", op, a, b, kerr, err)
+				}
+				if err != nil {
+					continue
+				}
+				if want.K != value.Real || !same(got, want.Real()) {
+					t.Errorf("%s kernel of (%g, %g) = %g, Arith = %s", op, a, b, got, want)
+				}
+				if op == Div && !same(ArithReal(Div, a, b), want.Real()) {
+					t.Errorf("ArithReal(div, %g, %g) = %g, Arith = %s", a, b, ArithReal(Div, a, b), want)
+				}
+			}
+			for op := Eq; op <= Ge; op++ {
+				if got, want := CompareReal(op, a, b), Compare(op, vr(a), vr(b)); got != want {
+					t.Errorf("CompareReal(%s, %g, %g) = %v, Compare = %v", op, a, b, got, want)
+				}
+			}
+			// Negating or mirroring the operator is exact, NaN included.
+			for _, p := range [][2]Op{{Eq, Ne}, {Lt, Ge}, {Le, Gt}} {
+				if CompareReal(p[0], a, b) == CompareReal(p[1], a, b) {
+					t.Errorf("%s and %s agree on (%g, %g): negation is not exact", p[0], p[1], a, b)
+				}
+			}
+			for _, p := range [][2]Op{{Eq, Eq}, {Ne, Ne}, {Lt, Gt}, {Le, Ge}} {
+				if CompareReal(p[0], a, b) != CompareReal(p[1], b, a) {
+					t.Errorf("%s(%g, %g) differs from %s(%g, %g): mirroring is not exact", p[0], a, b, p[1], b, a)
+				}
+			}
+		}
+	}
+}

@@ -403,8 +403,10 @@ func TestSessionAcceptanceE2E(t *testing.T) {
 			traceSeen++
 		}
 	}
-	if stdout.String() != "2\n" {
-		t.Errorf("streamed stdout = %q, want 2", stdout.String())
+	// A subscriber that falls behind the trace flood misses frames, counted
+	// in the terminal event, and the one stdout frame can be among them.
+	if got := stdout.String(); got != "2\n" && (got != "" || end.StreamDropped == 0) {
+		t.Errorf("streamed stdout = %q with %d frames dropped, want 2", got, end.StreamDropped)
 	}
 
 	// >= 1000 trace events must have flowed through the capped ring: the

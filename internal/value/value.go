@@ -313,6 +313,22 @@ func Convert(v Value, t *types.Type) Value {
 	return v
 }
 
+// Bind converts an argument handed in from outside the language (the
+// engines' Call) for parameter name of type t as a compiled call site
+// would — an int widens to real — and rejects one that is then still not a
+// t. Inside the language the checker guarantees it; compiled code relies
+// on a variable's kind being its static type and does not look again.
+func Bind(v Value, name string, t *types.Type) (Value, error) {
+	v = Convert(v, t)
+	if got := TypeOf(v); !types.Equal(got, t) {
+		if got == nil {
+			return Value{}, fmt.Errorf("parameter %s is %s, got no value", name, t)
+		}
+		return Value{}, fmt.Errorf("parameter %s is %s, got %s", name, t, got)
+	}
+	return v, nil
+}
+
 // Array is a Tetra array: reference semantics, like a Python list. Elem
 // records the static element type so empty arrays keep their typing and
 // print sensibly.
@@ -368,18 +384,13 @@ func NewArrayOf(elem *types.Type, n int) *Array {
 }
 
 // FromSlice builds an array from the given elements. When elem is nil the
-// element kind is inferred from the first value (empty nil-typed arrays
-// use boxed storage).
+// element type is the first value's (an empty nil-typed array stays
+// untyped, with boxed storage).
 func FromSlice(elem *types.Type, elems []Value) *Array {
-	a := &Array{Elem: elem}
-	if elem != nil {
-		a.scalar = scalarKindFor(elem)
-	} else if len(elems) > 0 {
-		switch elems[0].K {
-		case Int, Real, Bool:
-			a.scalar = elems[0].K
-		}
+	if elem == nil && len(elems) > 0 {
+		elem = TypeOf(elems[0])
 	}
+	a := &Array{Elem: elem, scalar: scalarKindFor(elem)}
 	if a.scalar != None {
 		a.words = make([]uint64, len(elems))
 		for i, v := range elems {

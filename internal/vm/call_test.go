@@ -3,6 +3,7 @@ package vm
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/interp"
 	"repro/internal/sched"
 	"repro/internal/stdlib"
+	"repro/internal/types"
 	"repro/internal/value"
 )
 
@@ -103,11 +105,59 @@ const arrayLoopSrc = `def main():
     print(count)
 `
 
+// sharedLoopSrc runs its hot loop inside a function that also has a
+// parallel block, so total, i and n are cells: every read of one is an
+// OpLoadCell and every write an OpStoreCell, where the untyped IR had
+// arithmetic instructions that locked the cells themselves. It is the one
+// shape that executes more instructions under the typed IR.
+const sharedLoopSrc = `def main():
+    n = 30000
+    total = 7
+    i = 0
+    while i < n:
+        total = (total * 31 + i) % 1000003
+        i += 1
+    parallel:
+        total = total + 1
+        n = n + 1
+    print(total + n)
+`
+
+// parForBodySrc is a parallel for with next to nothing in its body: what
+// is timed is an iteration's own cost — its cell, its view of the cells,
+// its window on the worker's register stack.
+const parForBodySrc = `def main():
+    out = range(20000)
+    parallel for i in range(20000):
+        out[i] = i + 1
+    print(out[19999])
+`
+
+// spawnSrc starts four threads a round that each make one call and are
+// done: what is timed is what a spawned thread costs the engine, its first
+// stack segment included. The arms are bare calls in a function that has
+// locals — chunks without temporaries of their own, whose empty argument
+// block still lies above the function's slots.
+const spawnSrc = `def nothing():
+    pass
+
+def main():
+    rounds = 0
+    while rounds < 2000:
+        parallel:
+            nothing()
+            nothing()
+            nothing()
+            nothing()
+        rounds += 1
+    print(rounds)
+`
+
 // compileOpt compiles src and optimizes it at level.
 func compileOpt(t testing.TB, src string, level int) *bytecode.Program {
 	t.Helper()
 	_, bc := compileBoth(t, src)
-	return bytecode.Optimize(bc, level)
+	return optimize(t, bc, level)
 }
 
 // runsOf returns a function that runs bc on a fresh VM and returns what it
@@ -153,13 +203,37 @@ func benchmarkRun(b *testing.B, src string) {
 func TestLoopBenchmarkSources(t *testing.T) {
 	sameAsInterp(t, realLoopSrc)
 	sameAsInterp(t, arrayLoopSrc)
+	sameAsInterp(t, sharedLoopSrc)
+	sameAsInterp(t, parForBodySrc)
+	sameAsInterp(t, spawnSrc)
 }
 
-func BenchmarkArithLoop(b *testing.B) { benchmarkRun(b, arithLoopSrc) }
-func BenchmarkCallLoop(b *testing.B)  { benchmarkRun(b, callLoopSrc) }
-func BenchmarkFib(b *testing.B)       { benchmarkRun(b, fibSrc) }
-func BenchmarkRealLoop(b *testing.B)  { benchmarkRun(b, realLoopSrc) }
-func BenchmarkArrayLoop(b *testing.B) { benchmarkRun(b, arrayLoopSrc) }
+func BenchmarkArithLoop(b *testing.B)  { benchmarkRun(b, arithLoopSrc) }
+func BenchmarkCallLoop(b *testing.B)   { benchmarkRun(b, callLoopSrc) }
+func BenchmarkFib(b *testing.B)        { benchmarkRun(b, fibSrc) }
+func BenchmarkRealLoop(b *testing.B)   { benchmarkRun(b, realLoopSrc) }
+func BenchmarkArrayLoop(b *testing.B)  { benchmarkRun(b, arrayLoopSrc) }
+func BenchmarkSharedLoop(b *testing.B) { benchmarkRun(b, sharedLoopSrc) }
+func BenchmarkSpawn(b *testing.B)      { benchmarkRun(b, spawnSrc) }
+
+// BenchmarkParForBody also reports allocations per iteration of the
+// parallel for (the run's few dozen fixed ones included): a cell and a
+// view of the cells, and no longer an array of temporaries.
+func BenchmarkParForBody(b *testing.B) {
+	const iters = 20000
+	run := runsOf(b, compileOpt(b, parForBodySrc, bytecode.O2), Options{Sched: sched.Config{Workers: 2}})
+	run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.Mallocs
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&ms)
+	b.ReportMetric(float64(ms.Mallocs-before)/float64(b.N)/iters, "allocs/iter")
+}
 
 // 90 000 calls per run used to be 180 000 allocations; what is left is the
 // VM, its thread and the stack's first segments.
@@ -327,7 +401,7 @@ func TestCallFramesAreReleasedOnReturn(t *testing.T) {
 		}
 	}
 	for i, fr := range th.frames[:cap(th.frames)] {
-		if fr.fn != nil || fr.rf.regs != nil || fr.rf.cells != nil {
+		if fr.fn != nil || fr.regs != nil || fr.cells != nil {
 			t.Fatalf("popped frame record %d still holds %+v", i, fr)
 		}
 	}
@@ -400,6 +474,59 @@ def greet(name string, n int) string:
 			v, err := New(compileOpt(t, src, level), Options{Env: env()}).Call(c.fn, c.args...)
 			if err != nil || v.K != iv.K || v.String() != c.want {
 				t.Errorf("-O%d %s(%v) = %v (kind %d), %v, interp %v (kind %d)", level, c.fn, c.args, v, v.K, err, iv, iv.K)
+			}
+		}
+	}
+}
+
+// Typed code does not look at a value's kind again, so Call is where an
+// argument from outside the language is held to its parameter's type —
+// after the int-to-real widening a call site would apply — and both
+// engines refuse the same arguments with the same words.
+func TestCallRejectsIllTypedArguments(t *testing.T) {
+	src := `def scale(x real, k int) real:
+    return x * k
+
+def first(a [int]) int:
+    return a[0] + 1
+
+def label(s string, on bool) string:
+    if on:
+        return s + "!"
+    return s
+`
+	ints := value.NewArray(value.FromSlice(types.IntType, []value.Value{value.NewInt(4)}))
+	reals := value.NewArray(value.FromSlice(nil, []value.Value{value.NewReal(4)}))
+	calls := []struct {
+		fn   string
+		args []value.Value
+		want string // the result printed, or the error
+	}{
+		{"scale", []value.Value{value.NewInt(3), value.NewInt(2)}, "6.0"},
+		{"scale", []value.Value{value.NewReal(1.5), value.NewReal(2)}, "scale: parameter k is int, got real"},
+		{"scale", []value.Value{value.NewString("3"), value.NewInt(2)}, "scale: parameter x is real, got string"},
+		{"scale", []value.Value{{}, value.NewInt(2)}, "scale: parameter x is real, got no value"},
+		{"first", []value.Value{ints}, "5"},
+		{"first", []value.Value{reals}, "first: parameter a is [int], got [real]"},
+		{"first", []value.Value{value.NewInt(4)}, "first: parameter a is [int], got int"},
+		{"label", []value.Value{value.NewString("ok"), value.NewBool(true)}, "ok!"},
+		{"label", []value.Value{value.NewString("ok"), value.NewInt(1)}, "label: parameter on is bool, got int"},
+	}
+	prog, _ := compileBoth(t, src)
+	env := func() *stdlib.Env { return stdlib.NewEnv(strings.NewReader(""), &bytes.Buffer{}) }
+	got := func(v value.Value, err error) string {
+		if err != nil {
+			return err.Error()
+		}
+		return v.String()
+	}
+	for _, c := range calls {
+		if g := got(interp.New(prog, interp.Options{Env: env()}).Call(c.fn, c.args...)); g != c.want {
+			t.Errorf("interp %s(%v): %s, want %s", c.fn, c.args, g, c.want)
+		}
+		for _, level := range []int{bytecode.O0, bytecode.O2} {
+			if g := got(New(compileOpt(t, src, level), Options{Env: env()}).Call(c.fn, c.args...)); g != c.want {
+				t.Errorf("-O%d %s(%v): %s, want %s", level, c.fn, c.args, g, c.want)
 			}
 		}
 	}

@@ -72,6 +72,12 @@ func TestRebindRejectsSignatureMismatch(t *testing.T) {
 	if err := m.Rebind("f", result); err == nil {
 		t.Error("rebind accepted a result-type mismatch")
 	}
+	// Same arity and result, another parameter type: the call site in main
+	// passes an int unwidened, and f's body would read it as a real.
+	param := funcNamed(t, "def f(x real) int:\n    return 1\n\ndef main():\n    pass\n", "f")
+	if err := m.Rebind("f", param); err == nil || !strings.Contains(err.Error(), "parameter 1 is real, want int") {
+		t.Errorf("rebind with another parameter type: %v", err)
+	}
 	if err := m.Rebind("nosuch", arity); err == nil {
 		t.Error("rebind accepted an unknown function name")
 	}
@@ -100,7 +106,7 @@ def main():
     print(work())
 `
 	_, bc := compileBoth(t, src)
-	bytecode.Optimize(bc, bytecode.O2)
+	optimize(t, bc, bytecode.O2)
 	m := New(bc, Options{Env: stdlib.NewEnv(strings.NewReader(""), &bytes.Buffer{})})
 
 	for round, want := range map[int]int64{1: 4, 7: 28} {
@@ -141,7 +147,7 @@ def main():
     print(work())
 `
 	_, bc := compileBoth(t, src)
-	bytecode.Optimize(bc, bytecode.O2)
+	optimize(t, bc, bytecode.O2)
 	m := New(bc, Options{Env: stdlib.NewEnv(strings.NewReader(""), &bytes.Buffer{})})
 
 	fOne := funcNamed(t, "def f() int:\n    return 1\n\ndef main():\n    pass\n", "f")

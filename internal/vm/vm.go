@@ -12,26 +12,47 @@
 //
 // # Registers and call frames
 //
-// An activation's registers split in two: variable slots [0, NumSlots)
-// and chunk temporaries above them. A function with no parallel
-// constructs is flat: one window of values holds both — no cells, no
-// locking, no indirection — because no other thread can ever see it. The
-// window is claimed from a register stack private to the calling thread
-// and handed back, zeroed, on return, and the dispatch loop stays where it
-// is: a call pushes a record of the caller onto the thread's frame stack
-// and continues in the callee, a return pops it. A call to a flat function
-// therefore allocates nothing, and the arguments are copied once, from the
-// caller's argument temporaries into the callee's parameter slots. The
-// stack is created on a thread's first such call and grows by whole
-// segments, never moving a live window.
+// An activation's registers are one window of values — variable slots
+// [0, NumSlots) and the chunk's temporaries above them — and the dispatch
+// loop indexes it directly: an operand is regs[i], in every function,
+// with no test of what kind of register i is. The window is claimed from a
+// register stack private to the executing thread and handed back, zeroed,
+// on return, and the dispatch loop stays where it is: a call to a flat
+// function pushes a record of the caller onto the thread's frame stack
+// and continues in the callee, a return pops it. Such a call therefore
+// allocates nothing, and the arguments are copied once, from the caller's
+// argument temporaries into the callee's parameter slots. The stack is
+// created on a thread's first claim and grows by whole segments, never
+// moving a live window.
 //
 // A function containing parallelism keeps one mutex-guarded cell per
-// variable slot, on the heap (threads of a `parallel` block share them,
+// variable, on the heap (threads of a `parallel` block share them,
 // `background` threads may outlive the activation, and `parallel for`
-// gives each iteration a private cell for the induction slot), while
-// temporaries remain a plain per-activation array even then: the compiler
-// guarantees temporaries never cross a chunk boundary, so concurrent
-// chunks each own theirs outright.
+// gives each iteration a private cell for the induction variable). Its
+// code reaches them through two instructions only, OpLoadCell and
+// OpStoreCell, which the compiler emits wherever a variable is read or
+// written; everything else in it operates on temporaries, which are a
+// window on the executing thread's stack like any other — the body's, a
+// spawned thread's sub-chunk's, each parallel-for iteration's on its
+// worker's stack. So there is one dispatch loop and one register file:
+// "shared" is a property of five opcodes (the two cell accesses and the
+// three that spawn threads over the cells), not of the operand path.
+//
+// # Typed dispatch
+//
+// internal/check knows every expression's type, and the compiler carries
+// it into the opcode: add.i, lt.r, mod.ik, jlt.ik, index.a. A typed case
+// below reads its operands' payloads without testing their kinds and
+// evaluates through sem's kernels (ArithInt, ArithReal, CompareInt,
+// CompareReal, and DivInt/ModInt/DivReal/ModReal where a register divisor
+// may be zero) with a constant operator, which the Go compiler inlines to
+// the one machine operation, so internal/sem still owns every result and
+// every error's wording. Nothing here re-checks that a register holds the
+// kind its opcode names: bytecode.Verify proves it of what Compile and
+// the optimizer emit, and Call and Rebind, the two doors by which values
+// and code come in from outside, check types at the door. The untyped
+// opcodes (operands of mixed kind, strings, a constant zero divisor) go
+// through sem.Arith and sem.Compare.
 //
 // # Inline caches
 //
@@ -53,8 +74,9 @@
 //
 // Unlike the interpreter's statement-boundary checks, the VM consults the
 // resource governor per instruction, and additionally re-checks the stop
-// flag on backward jumps (loop back-edges) so Cancel can interrupt a tight
-// loop even when no governor is attached.
+// flag on taken backward branches (loop back-edges, which at -O2 are the
+// rotated loop's compare-and-jump) so Cancel can interrupt a tight loop
+// even when no governor is attached.
 package vm
 
 import (
@@ -73,9 +95,10 @@ import (
 	"repro/internal/value"
 )
 
-// minStack is the size, in registers, of a thread's first stack segment:
-// room for a dozen typical windows, small enough that a spawned thread's
-// first call costs one modest allocation.
+// minStack is the least size, in registers, of the stack segment a thread
+// gets when its entry window is not enough: room for a dozen typical
+// windows, small enough that a spawned thread's first call costs one
+// modest allocation.
 const minStack = 64
 
 // Options configures a VM instance.
@@ -143,8 +166,10 @@ func New(prog *bytecode.Program, opts Options) *VM {
 
 // Rebind replaces the function named name on this VM with fn, for
 // embedders that hot-swap code on a live VM. The replacement must match
-// the original's arity and result type — call sites compiled against the
-// old signature stay valid. Every inline cache is invalidated atomically
+// the original's signature — parameter types and result type — because
+// call sites compiled against the old one stay as they are: where they
+// widen an int argument and which typed opcodes consume the result were
+// decided from it. Every inline cache is invalidated atomically
 // by bumping the generation; in-flight calls that already entered the old
 // body finish it (the swap is a redefinition, not a preemption).
 func (m *VM) Rebind(name string, fn *bytecode.Func) error {
@@ -158,7 +183,12 @@ func (m *VM) Rebind(name string, fn *bytecode.Func) error {
 	if len(fn.Params) != len(old.Params) {
 		return fmt.Errorf("rebind %s: arity mismatch (have %d parameters, want %d)", name, len(fn.Params), len(old.Params))
 	}
-	if (fn.Result == nil) != (old.Result == nil) || (fn.Result != nil && !types.Equal(fn.Result, old.Result)) {
+	for i, p := range fn.Params {
+		if !types.Equal(p, old.Params[i]) {
+			return fmt.Errorf("rebind %s: parameter %d is %s, want %s", name, i+1, p, old.Params[i])
+		}
+	}
+	if !types.Equal(fn.Result, old.Result) {
 		return fmt.Errorf("rebind %s: result type mismatch", name)
 	}
 	m.funcs[idx] = fn
@@ -176,8 +206,9 @@ func (m *VM) Run() error {
 }
 
 // Call invokes a named function with the given arguments, converted to the
-// parameter types as a compiled call site would (int widens to real); it
-// is the caller's job to pass compatible kinds.
+// parameter types as a compiled call site would (int widens to real). An
+// argument that is then not of its parameter's type is an error: typed
+// code does not look at kinds again.
 func (m *VM) Call(name string, args ...value.Value) (value.Value, error) {
 	m.funcMu.RLock()
 	idx, ok := m.byName[name]
@@ -194,7 +225,10 @@ func (m *VM) Call(name string, args ...value.Value) (value.Value, error) {
 	}
 	conv := make([]value.Value, len(args))
 	for i, a := range args {
-		conv[i] = value.Convert(a, fn.Params[i])
+		var err error
+		if conv[i], err = value.Bind(a, fn.SlotNames[i], fn.Params[i]); err != nil {
+			return value.Value{}, fmt.Errorf("%s: %w", name, err)
+		}
 	}
 	return m.run(fn, conv)
 }
@@ -234,14 +268,15 @@ type thread struct {
 }
 
 // frame is what a call to a flat function saves: the caller's function,
-// chunk, call instruction and registers, and the stack top to go back to
-// when the callee's window is released.
+// chunk, call instruction, registers and cells, and the stack top to go
+// back to when the callee's window is released.
 type frame struct {
-	fn *bytecode.Func
-	ch *bytecode.Chunk
-	pc int
-	rf regFile
-	sp int
+	fn    *bytecode.Func
+	ch    *bytecode.Chunk
+	pc    int
+	regs  []value.Value
+	cells []*value.Cell
+	sp    int
 }
 
 // claim takes the next n registers of the thread's stack as a window, all
@@ -254,9 +289,19 @@ type frame struct {
 // segment has been released by then. A window belongs to one activation,
 // and at most rt.MaxCallDepth are live; segments double, so a thread's
 // stack stays within a small multiple of its deepest recursion.
+//
+// A thread's first segment is its entry activation's window and no more.
+// Most spawned threads run one short chunk and call nothing that needs
+// registers, and a minStack segment each was 1.5 KB zeroed per thread:
+// BenchmarkSpawn reads 2.9 MB and 22 ms a run this way, 17 MB and 35 ms
+// with minStack from the start, the allocation count the same.
 func (t *thread) claim(n int) ([]value.Value, int) {
 	if t.sp+n > len(t.stack) {
-		t.stack = make([]value.Value, max(minStack, 2*len(t.stack), 2*n))
+		size := n
+		if t.stack != nil {
+			size = max(minStack, 2*len(t.stack), 2*n)
+		}
+		t.stack = make([]value.Value, size)
 		t.sp = 0
 	}
 	sp := t.sp
@@ -284,91 +329,38 @@ func newCells(fn *bytecode.Func) []*value.Cell {
 	return cells
 }
 
-// regFile is one chunk activation's register accessor. A flat activation
-// (cells == nil) keeps every register in regs, its window. A shared one
-// keeps variable slots [0, nv) in cells and only the chunk's temporaries
-// in regs.
-type regFile struct {
-	regs  []value.Value
-	cells []*value.Cell
-	nv    int32
-}
-
-// get/set keep the flat path small enough for the compiler to inline into
-// the dispatch loop — sequential functions pay one nil check and one
-// bounds-checked index per operand. The shared path is split out so its
-// size does not disqualify the fast path from inlining.
-func (r *regFile) get(i int32) value.Value {
-	if r.cells == nil {
-		return r.regs[i]
-	}
-	return r.getShared(i)
-}
-
-func (r *regFile) set(i int32, v value.Value) {
-	if r.cells == nil {
-		r.regs[i] = v
-		return
-	}
-	r.setShared(i, v)
-}
-
-//go:noinline
-func (r *regFile) getShared(i int32) value.Value {
-	if i < r.nv {
-		return r.cells[i].Load()
-	}
-	return r.regs[i-r.nv]
-}
-
-//go:noinline
-func (r *regFile) setShared(i int32, v value.Value) {
-	if i < r.nv {
-		r.cells[i].Store(v)
-		return
-	}
-	r.regs[i-r.nv] = v
-}
-
-// slice returns the n consecutive registers starting at base as a
-// directly-readable slice. The compiler only emits block operands
-// (call arguments, array elements) in the temporary region, which is
-// activation-private even in shared activations, so no locking is needed.
-func (r *regFile) slice(base, n int32) []value.Value {
-	return r.regs[base-r.nv : base-r.nv+n]
-}
-
 // call runs fn on this thread from outside the dispatch loop: the thread's
 // entry function, and any function with parallel constructs. The recursion
 // bound is checked at OpCall, where the call site's position is at hand.
 func (t *thread) call(fn *bytecode.Func, args []value.Value) (value.Value, error) {
 	t.depth++
-	var v value.Value
-	var err error
+	body := &fn.Chunks[0]
+	w, sp := t.claim(fn.NumSlots + body.NumTemps)
+	var cells []*value.Cell
 	if fn.Shared {
-		cells := newCells(fn)
+		// No other thread can see the cells before the body runs.
+		cells = newCells(fn)
 		for i := range args {
-			cells[i].Store(args[i])
+			cells[i].StoreLocal(args[i])
 		}
-		v, err = t.execShared(fn, &fn.Chunks[0], cells)
 	} else {
-		w, sp := t.claim(fn.NumSlots + fn.Chunks[0].NumTemps)
 		copy(w, args)
-		v, err = t.exec(fn, &fn.Chunks[0], regFile{regs: w})
-		t.release(w, sp)
 	}
+	v, err := t.exec(fn, body, w, cells)
+	t.release(w, sp)
 	t.depth--
 	return v, err
 }
 
-// execShared runs one chunk of a function with parallel constructs over
-// the activation's cells, with temporaries of its own.
-func (t *thread) execShared(fn *bytecode.Func, ch *bytecode.Chunk, cells []*value.Cell) (value.Value, error) {
-	rf := regFile{cells: cells, nv: int32(fn.NumSlots)}
-	if ch.NumTemps > 0 {
-		rf.regs = make([]value.Value, ch.NumTemps)
-	}
-	return t.exec(fn, ch, rf)
+// runChunk runs a parallel sub-chunk of fn over cells, with a window of
+// its own from this thread's stack, sized like any other activation's: a
+// sub-chunk's temporaries are numbered above the function's slots, and a
+// call without arguments still slices an empty block there.
+func (t *thread) runChunk(fn *bytecode.Func, ch *bytecode.Chunk, cells []*value.Cell) error {
+	w, sp := t.claim(fn.NumSlots + ch.NumTemps)
+	_, err := t.exec(fn, ch, w, cells)
+	t.release(w, sp)
+	return err
 }
 
 // resolveFunc is the call-site slow path: look the callee up under the
@@ -383,9 +375,11 @@ func (m *VM) resolveFunc(site, idx int32, gen uint32) *bytecode.Func {
 	return fn
 }
 
-// exec runs chunk ch of fn over registers rf until it returns, and
+// exec runs chunk ch of fn over the window regs until it returns, and
 // delivers its result: the returned value, or the result type's zero when
-// a value-returning function's body falls off its end.
+// a value-returning function's body falls off its end. cells are the
+// variables of a function with parallel constructs, nil for a flat one;
+// only the cell and spawn instructions touch them.
 //
 // Calls to flat functions do not recurse into exec. OpCall saves the
 // caller in a frame record, claims the callee's window, copies the
@@ -394,12 +388,16 @@ func (m *VM) resolveFunc(site, idx int32, gen uint32) *bytecode.Func {
 // finds the record stack where this exec started leaves it. An error
 // leaves it at once, records and windows unreleased: a thread that fails
 // runs nothing more, and its stack goes with it.
-func (t *thread) exec(fn *bytecode.Func, ch *bytecode.Chunk, rf regFile) (value.Value, error) {
+//
+// A typed case trusts the kinds its opcode names — bytecode.Verify is the
+// proof — and evaluates through sem's kernels with a constant operator,
+// which the compiler inlines to the one machine operation.
+func (t *thread) exec(fn *bytecode.Func, ch *bytecode.Chunk, regs []value.Value, cells []*value.Cell) (value.Value, error) {
 	base := len(t.frames)
 	g := t.vm.guard
 	pc := 0
 	// Dispatch re-enters here whenever a call or a return switched fn, ch,
-	// rf and pc to another activation, so that inside the loop the code and
+	// regs and pc to another activation, so that inside the loop the code and
 	// the constant pool are loop-invariant.
 activation:
 	consts := fn.Consts
@@ -415,72 +413,164 @@ activation:
 				}
 			}
 		}
-		ins := code[pc]
+		ins := &code[pc]
 		switch ins.Op {
 		case bytecode.OpNop:
 
 		case bytecode.OpConst:
-			rf.set(ins.Dst, consts[ins.A])
+			regs[ins.Dst] = consts[ins.A]
 		case bytecode.OpMove:
-			rf.set(ins.Dst, rf.get(ins.A))
+			regs[ins.Dst] = regs[ins.A]
 		case bytecode.OpToReal:
-			rf.set(ins.Dst, sem.ToReal(rf.get(ins.A)))
+			regs[ins.Dst] = sem.ToReal(regs[ins.A])
+		case bytecode.OpLoadCell:
+			regs[ins.Dst] = cells[ins.A].Load()
+		case bytecode.OpStoreCell:
+			cells[ins.Dst].Store(regs[ins.A])
 
+		// Typed arithmetic. A zero divisor in a register is sem's error; a
+		// constant divisor is not zero (the optimizer leaves that one to
+		// OpArithConst).
+		case bytecode.OpAddInt:
+			regs[ins.Dst] = value.NewInt(sem.ArithInt(sem.Add, regs[ins.A].Int(), regs[ins.B].Int()))
+		case bytecode.OpSubInt:
+			regs[ins.Dst] = value.NewInt(sem.ArithInt(sem.Sub, regs[ins.A].Int(), regs[ins.B].Int()))
+		case bytecode.OpMulInt:
+			regs[ins.Dst] = value.NewInt(sem.ArithInt(sem.Mul, regs[ins.A].Int(), regs[ins.B].Int()))
+		case bytecode.OpDivInt:
+			v, err := sem.DivInt(regs[ins.A].Int(), regs[ins.B].Int())
+			if err != nil {
+				return value.Value{}, sem.At(err, ch.Pos[pc].String())
+			}
+			regs[ins.Dst] = value.NewInt(v)
+		case bytecode.OpModInt:
+			v, err := sem.ModInt(regs[ins.A].Int(), regs[ins.B].Int())
+			if err != nil {
+				return value.Value{}, sem.At(err, ch.Pos[pc].String())
+			}
+			regs[ins.Dst] = value.NewInt(v)
+		case bytecode.OpAddReal:
+			regs[ins.Dst] = value.NewReal(sem.ArithReal(sem.Add, regs[ins.A].Real(), regs[ins.B].Real()))
+		case bytecode.OpSubReal:
+			regs[ins.Dst] = value.NewReal(sem.ArithReal(sem.Sub, regs[ins.A].Real(), regs[ins.B].Real()))
+		case bytecode.OpMulReal:
+			regs[ins.Dst] = value.NewReal(sem.ArithReal(sem.Mul, regs[ins.A].Real(), regs[ins.B].Real()))
+		case bytecode.OpDivReal:
+			v, err := sem.DivReal(regs[ins.A].Real(), regs[ins.B].Real())
+			if err != nil {
+				return value.Value{}, sem.At(err, ch.Pos[pc].String())
+			}
+			regs[ins.Dst] = value.NewReal(v)
+		case bytecode.OpModReal:
+			v, err := sem.ModReal(regs[ins.A].Real(), regs[ins.B].Real())
+			if err != nil {
+				return value.Value{}, sem.At(err, ch.Pos[pc].String())
+			}
+			regs[ins.Dst] = value.NewReal(v)
+
+		case bytecode.OpAddIntK:
+			regs[ins.Dst] = value.NewInt(sem.ArithInt(sem.Add, regs[ins.A].Int(), consts[ins.B].Int()))
+		case bytecode.OpSubIntK:
+			regs[ins.Dst] = value.NewInt(sem.ArithInt(sem.Sub, regs[ins.A].Int(), consts[ins.B].Int()))
+		case bytecode.OpMulIntK:
+			regs[ins.Dst] = value.NewInt(sem.ArithInt(sem.Mul, regs[ins.A].Int(), consts[ins.B].Int()))
+		case bytecode.OpDivIntK:
+			regs[ins.Dst] = value.NewInt(sem.ArithInt(sem.Div, regs[ins.A].Int(), consts[ins.B].Int()))
+		case bytecode.OpModIntK:
+			regs[ins.Dst] = value.NewInt(sem.ArithInt(sem.Mod, regs[ins.A].Int(), consts[ins.B].Int()))
+		case bytecode.OpAddRealK:
+			regs[ins.Dst] = value.NewReal(sem.ArithReal(sem.Add, regs[ins.A].Real(), consts[ins.B].Real()))
+		case bytecode.OpSubRealK:
+			regs[ins.Dst] = value.NewReal(sem.ArithReal(sem.Sub, regs[ins.A].Real(), consts[ins.B].Real()))
+		case bytecode.OpMulRealK:
+			regs[ins.Dst] = value.NewReal(sem.ArithReal(sem.Mul, regs[ins.A].Real(), consts[ins.B].Real()))
+		case bytecode.OpDivRealK:
+			regs[ins.Dst] = value.NewReal(sem.ArithReal(sem.Div, regs[ins.A].Real(), consts[ins.B].Real()))
+		case bytecode.OpModRealK:
+			v, _ := sem.ModReal(regs[ins.A].Real(), consts[ins.B].Real())
+			regs[ins.Dst] = value.NewReal(v)
+
+		case bytecode.OpSubIntKL:
+			regs[ins.Dst] = value.NewInt(sem.ArithInt(sem.Sub, consts[ins.B].Int(), regs[ins.A].Int()))
+		case bytecode.OpDivIntKL:
+			v, err := sem.DivInt(consts[ins.B].Int(), regs[ins.A].Int())
+			if err != nil {
+				return value.Value{}, sem.At(err, ch.Pos[pc].String())
+			}
+			regs[ins.Dst] = value.NewInt(v)
+		case bytecode.OpModIntKL:
+			v, err := sem.ModInt(consts[ins.B].Int(), regs[ins.A].Int())
+			if err != nil {
+				return value.Value{}, sem.At(err, ch.Pos[pc].String())
+			}
+			regs[ins.Dst] = value.NewInt(v)
+		case bytecode.OpSubRealKL:
+			regs[ins.Dst] = value.NewReal(sem.ArithReal(sem.Sub, consts[ins.B].Real(), regs[ins.A].Real()))
+		case bytecode.OpDivRealKL:
+			v, err := sem.DivReal(consts[ins.B].Real(), regs[ins.A].Real())
+			if err != nil {
+				return value.Value{}, sem.At(err, ch.Pos[pc].String())
+			}
+			regs[ins.Dst] = value.NewReal(v)
+		case bytecode.OpModRealKL:
+			v, err := sem.ModReal(consts[ins.B].Real(), regs[ins.A].Real())
+			if err != nil {
+				return value.Value{}, sem.At(err, ch.Pos[pc].String())
+			}
+			regs[ins.Dst] = value.NewReal(v)
+
+		// Untyped arithmetic: operands of different kinds, strings, and the
+		// constant zero divisor.
 		case bytecode.OpAdd, bytecode.OpSub, bytecode.OpMul, bytecode.OpDiv, bytecode.OpMod:
-			l, r := rf.get(ins.A), rf.get(ins.B)
-			if l.K == value.Int && r.K == value.Int && (ins.Op < bytecode.OpDiv || r.Int() != 0) {
-				// Hot path: sem's inlinable int kernel. Zero divisors fall
-				// through to sem.Arith, which owns the canonical error.
-				rf.set(ins.Dst, value.NewInt(sem.ArithInt(semOp(ins.Op), l.Int(), r.Int())))
-				continue
-			}
-			v, err := sem.Arith(semOp(ins.Op), l, r)
+			v, err := t.arith(ins.Op, regs[ins.A], regs[ins.B], &ch.Pos[pc])
 			if err != nil {
-				return value.Value{}, sem.At(err, ch.Pos[pc].String())
+				return value.Value{}, err
 			}
-			if g != nil && v.K == value.Str {
-				// String concatenation grows data; charge the built bytes.
-				if k := g.AddAlloc(int64(len(v.Str()))); k != guard.OK {
-					return value.Value{}, g.ErrAt(k, ch.Pos[pc].String())
-				}
-			}
-			rf.set(ins.Dst, v)
-
-		case bytecode.OpArithConst, bytecode.OpArithConstL:
-			// Fused const+arith (optimizer): one operand comes from the pool.
-			l := rf.get(ins.A)
-			r := consts[ins.B]
-			if ins.Op == bytecode.OpArithConstL {
-				l, r = r, l
-			}
-			aop := bytecode.Op(ins.C)
-			if l.K == value.Int && r.K == value.Int && (aop < bytecode.OpDiv || r.Int() != 0) {
-				rf.set(ins.Dst, value.NewInt(sem.ArithInt(semOp(aop), l.Int(), r.Int())))
-				continue
-			}
-			v, err := sem.Arith(semOp(aop), l, r)
+			regs[ins.Dst] = v
+		case bytecode.OpArithConst:
+			v, err := t.arith(bytecode.Op(ins.C), regs[ins.A], consts[ins.B], &ch.Pos[pc])
 			if err != nil {
-				return value.Value{}, sem.At(err, ch.Pos[pc].String())
+				return value.Value{}, err
 			}
-			if g != nil && v.K == value.Str {
-				if k := g.AddAlloc(int64(len(v.Str()))); k != guard.OK {
-					return value.Value{}, g.ErrAt(k, ch.Pos[pc].String())
-				}
+			regs[ins.Dst] = v
+		case bytecode.OpArithConstL:
+			v, err := t.arith(bytecode.Op(ins.C), consts[ins.B], regs[ins.A], &ch.Pos[pc])
+			if err != nil {
+				return value.Value{}, err
 			}
-			rf.set(ins.Dst, v)
+			regs[ins.Dst] = v
 
 		case bytecode.OpNeg:
-			rf.set(ins.Dst, sem.Neg(rf.get(ins.A)))
+			regs[ins.Dst] = sem.Neg(regs[ins.A])
 		case bytecode.OpNot:
-			rf.set(ins.Dst, sem.Not(rf.get(ins.A)))
+			regs[ins.Dst] = sem.Not(regs[ins.A])
 
+		case bytecode.OpEqInt:
+			regs[ins.Dst] = value.NewBool(sem.CompareInt(sem.Eq, regs[ins.A].Int(), regs[ins.B].Int()))
+		case bytecode.OpNeInt:
+			regs[ins.Dst] = value.NewBool(sem.CompareInt(sem.Ne, regs[ins.A].Int(), regs[ins.B].Int()))
+		case bytecode.OpLtInt:
+			regs[ins.Dst] = value.NewBool(sem.CompareInt(sem.Lt, regs[ins.A].Int(), regs[ins.B].Int()))
+		case bytecode.OpLeInt:
+			regs[ins.Dst] = value.NewBool(sem.CompareInt(sem.Le, regs[ins.A].Int(), regs[ins.B].Int()))
+		case bytecode.OpGtInt:
+			regs[ins.Dst] = value.NewBool(sem.CompareInt(sem.Gt, regs[ins.A].Int(), regs[ins.B].Int()))
+		case bytecode.OpGeInt:
+			regs[ins.Dst] = value.NewBool(sem.CompareInt(sem.Ge, regs[ins.A].Int(), regs[ins.B].Int()))
+		case bytecode.OpEqReal:
+			regs[ins.Dst] = value.NewBool(sem.CompareReal(sem.Eq, regs[ins.A].Real(), regs[ins.B].Real()))
+		case bytecode.OpNeReal:
+			regs[ins.Dst] = value.NewBool(sem.CompareReal(sem.Ne, regs[ins.A].Real(), regs[ins.B].Real()))
+		case bytecode.OpLtReal:
+			regs[ins.Dst] = value.NewBool(sem.CompareReal(sem.Lt, regs[ins.A].Real(), regs[ins.B].Real()))
+		case bytecode.OpLeReal:
+			regs[ins.Dst] = value.NewBool(sem.CompareReal(sem.Le, regs[ins.A].Real(), regs[ins.B].Real()))
+		case bytecode.OpGtReal:
+			regs[ins.Dst] = value.NewBool(sem.CompareReal(sem.Gt, regs[ins.A].Real(), regs[ins.B].Real()))
+		case bytecode.OpGeReal:
+			regs[ins.Dst] = value.NewBool(sem.CompareReal(sem.Ge, regs[ins.A].Real(), regs[ins.B].Real()))
 		case bytecode.OpEq, bytecode.OpNe, bytecode.OpLt, bytecode.OpLe, bytecode.OpGt, bytecode.OpGe:
-			l, r := rf.get(ins.A), rf.get(ins.B)
-			if l.K == value.Int && r.K == value.Int {
-				rf.set(ins.Dst, value.NewBool(sem.CompareInt(semOp(ins.Op), l.Int(), r.Int())))
-				continue
-			}
-			rf.set(ins.Dst, value.NewBool(sem.Compare(semOp(ins.Op), l, r)))
+			regs[ins.Dst] = value.NewBool(sem.Compare(ins.Op.Operator(), regs[ins.A], regs[ins.B]))
 
 		case bytecode.OpJump:
 			// A backward jump is a loop back-edge: re-check the stop flag
@@ -492,57 +582,132 @@ activation:
 		case bytecode.OpJumpIfFalse:
 			// Jump threading can turn conditional jumps into back-edges, so
 			// taken backward branches re-check the stop flag too.
-			if !rf.get(ins.B).Bool() {
+			if !regs[ins.B].Bool() {
 				if int(ins.A) <= pc && t.vm.rt.Stopped() {
 					return value.Value{}, rt.ErrStopped
 				}
 				pc = int(ins.A) - 1
 			}
 		case bytecode.OpJumpIfTrue:
-			if rf.get(ins.B).Bool() {
+			if regs[ins.B].Bool() {
 				if int(ins.A) <= pc && t.vm.rt.Stopped() {
 					return value.Value{}, rt.ErrStopped
 				}
 				pc = int(ins.A) - 1
 			}
 
+		// Compare-and-jump (optimizer): the target is Dst, the branch is
+		// taken at the label below the switch.
+		case bytecode.OpJeqInt:
+			if sem.CompareInt(sem.Eq, regs[ins.A].Int(), regs[ins.B].Int()) {
+				goto jump
+			}
+		case bytecode.OpJneInt:
+			if sem.CompareInt(sem.Ne, regs[ins.A].Int(), regs[ins.B].Int()) {
+				goto jump
+			}
+		case bytecode.OpJltInt:
+			if sem.CompareInt(sem.Lt, regs[ins.A].Int(), regs[ins.B].Int()) {
+				goto jump
+			}
+		case bytecode.OpJleInt:
+			if sem.CompareInt(sem.Le, regs[ins.A].Int(), regs[ins.B].Int()) {
+				goto jump
+			}
+		case bytecode.OpJgtInt:
+			if sem.CompareInt(sem.Gt, regs[ins.A].Int(), regs[ins.B].Int()) {
+				goto jump
+			}
+		case bytecode.OpJgeInt:
+			if sem.CompareInt(sem.Ge, regs[ins.A].Int(), regs[ins.B].Int()) {
+				goto jump
+			}
+		case bytecode.OpJeqReal:
+			if sem.CompareReal(sem.Eq, regs[ins.A].Real(), regs[ins.B].Real()) {
+				goto jump
+			}
+		case bytecode.OpJneReal:
+			if sem.CompareReal(sem.Ne, regs[ins.A].Real(), regs[ins.B].Real()) {
+				goto jump
+			}
+		case bytecode.OpJltReal:
+			if sem.CompareReal(sem.Lt, regs[ins.A].Real(), regs[ins.B].Real()) {
+				goto jump
+			}
+		case bytecode.OpJleReal:
+			if sem.CompareReal(sem.Le, regs[ins.A].Real(), regs[ins.B].Real()) {
+				goto jump
+			}
+		case bytecode.OpJgtReal:
+			if sem.CompareReal(sem.Gt, regs[ins.A].Real(), regs[ins.B].Real()) {
+				goto jump
+			}
+		case bytecode.OpJgeReal:
+			if sem.CompareReal(sem.Ge, regs[ins.A].Real(), regs[ins.B].Real()) {
+				goto jump
+			}
+		case bytecode.OpJeqIntK:
+			if sem.CompareInt(sem.Eq, regs[ins.A].Int(), consts[ins.B].Int()) {
+				goto jump
+			}
+		case bytecode.OpJneIntK:
+			if sem.CompareInt(sem.Ne, regs[ins.A].Int(), consts[ins.B].Int()) {
+				goto jump
+			}
+		case bytecode.OpJltIntK:
+			if sem.CompareInt(sem.Lt, regs[ins.A].Int(), consts[ins.B].Int()) {
+				goto jump
+			}
+		case bytecode.OpJleIntK:
+			if sem.CompareInt(sem.Le, regs[ins.A].Int(), consts[ins.B].Int()) {
+				goto jump
+			}
+		case bytecode.OpJgtIntK:
+			if sem.CompareInt(sem.Gt, regs[ins.A].Int(), consts[ins.B].Int()) {
+				goto jump
+			}
+		case bytecode.OpJgeIntK:
+			if sem.CompareInt(sem.Ge, regs[ins.A].Int(), consts[ins.B].Int()) {
+				goto jump
+			}
+		case bytecode.OpJeqRealK:
+			if sem.CompareReal(sem.Eq, regs[ins.A].Real(), consts[ins.B].Real()) {
+				goto jump
+			}
+		case bytecode.OpJneRealK:
+			if sem.CompareReal(sem.Ne, regs[ins.A].Real(), consts[ins.B].Real()) {
+				goto jump
+			}
+		case bytecode.OpJltRealK:
+			if sem.CompareReal(sem.Lt, regs[ins.A].Real(), consts[ins.B].Real()) {
+				goto jump
+			}
+		case bytecode.OpJleRealK:
+			if sem.CompareReal(sem.Le, regs[ins.A].Real(), consts[ins.B].Real()) {
+				goto jump
+			}
+		case bytecode.OpJgtRealK:
+			if sem.CompareReal(sem.Gt, regs[ins.A].Real(), consts[ins.B].Real()) {
+				goto jump
+			}
+		case bytecode.OpJgeRealK:
+			if sem.CompareReal(sem.Ge, regs[ins.A].Real(), consts[ins.B].Real()) {
+				goto jump
+			}
 		case bytecode.OpCmpJump:
-			// Fused compare+branch (optimizer): jump when the comparison
-			// matches the recorded sense.
+			// Untyped: C packs the operator and the sense to jump on.
 			cmp, sense := bytecode.UnpackCmp(ins.C)
-			l, r := rf.get(ins.A), rf.get(ins.B)
-			var taken bool
-			if l.K == value.Int && r.K == value.Int {
-				taken = sem.CompareInt(semOp(cmp), l.Int(), r.Int()) == sense
-			} else {
-				taken = sem.Compare(semOp(cmp), l, r) == sense
+			if sem.Compare(cmp.Operator(), regs[ins.A], regs[ins.B]) == sense {
+				goto jump
 			}
-			if taken {
-				if int(ins.Dst) <= pc && t.vm.rt.Stopped() {
-					return value.Value{}, rt.ErrStopped
-				}
-				pc = int(ins.Dst) - 1
-			}
-
 		case bytecode.OpCmpConstJump:
-			// Doubly fused: compare+branch with a pooled constant operand.
 			cmp, constLeft, sense := bytecode.UnpackCmpConst(ins.C)
-			l := rf.get(ins.A)
-			r := consts[ins.B]
+			l, r := regs[ins.A], consts[ins.B]
 			if constLeft {
 				l, r = r, l
 			}
-			var taken bool
-			if l.K == value.Int && r.K == value.Int {
-				taken = sem.CompareInt(semOp(cmp), l.Int(), r.Int()) == sense
-			} else {
-				taken = sem.Compare(semOp(cmp), l, r) == sense
-			}
-			if taken {
-				if int(ins.Dst) <= pc && t.vm.rt.Stopped() {
-					return value.Value{}, rt.ErrStopped
-				}
-				pc = int(ins.Dst) - 1
+			if sem.Compare(cmp.Operator(), l, r) == sense {
+				goto jump
 			}
 
 		case bytecode.OpCall:
@@ -560,13 +725,14 @@ activation:
 			} else {
 				callee = t.vm.resolveFunc(ins.S, ins.A, gen)
 			}
+			args := regs[ins.B : ins.B+ins.C]
 			if callee.Shared {
-				v, err := t.call(callee, rf.slice(ins.B, ins.C))
+				v, err := t.call(callee, args)
 				if err != nil {
 					return value.Value{}, err
 				}
 				if ins.Dst >= 0 && callee.Result != nil {
-					rf.set(ins.Dst, v)
+					regs[ins.Dst] = v
 				}
 				continue
 			}
@@ -574,10 +740,10 @@ activation:
 			// caller's argument temporaries, and dispatch moves into it.
 			body := &callee.Chunks[0]
 			w, sp := t.claim(callee.NumSlots + body.NumTemps)
-			copy(w, rf.slice(ins.B, ins.C))
-			t.frames = append(t.frames, frame{fn: fn, ch: ch, pc: pc, rf: rf, sp: sp})
+			copy(w, args)
+			t.frames = append(t.frames, frame{fn: fn, ch: ch, pc: pc, regs: regs, cells: cells, sp: sp})
 			t.depth++
-			fn, ch, rf, pc = callee, body, regFile{regs: w}, 0
+			fn, ch, regs, cells, pc = callee, body, w, nil, 0
 			goto activation
 
 		case bytecode.OpCallBuiltin:
@@ -590,18 +756,18 @@ activation:
 				ic = &callIC{b: b, returns: builtinReturns(int(ins.A))}
 				t.vm.ics[ins.S].Store(ic)
 			}
-			v, err := ic.b.Eval(t.vm.opts.Env, rf.slice(ins.B, ins.C))
+			v, err := ic.b.Eval(t.vm.opts.Env, regs[ins.B:ins.B+ins.C])
 			if err != nil {
 				return value.Value{}, rt.Errorf(ch.Pos[pc], "%v", err)
 			}
 			if ins.Dst >= 0 && ic.returns {
-				rf.set(ins.Dst, v)
+				regs[ins.Dst] = v
 			}
 
 		case bytecode.OpReturn, bytecode.OpReturnNone:
 			var v value.Value
 			if ins.Op == bytecode.OpReturn {
-				v = rf.get(ins.A)
+				v = regs[ins.A]
 			} else if fn.Result != nil && ch == &fn.Chunks[0] {
 				// Falling off the end of a value-returning function.
 				v = value.Zero(fn.Result)
@@ -613,27 +779,44 @@ activation:
 			// popped record pins neither a stack segment nor cells.
 			top := len(t.frames) - 1
 			fr := &t.frames[top]
-			t.release(rf.regs, fr.sp)
+			t.release(regs, fr.sp)
 			returns := fn.Result != nil
-			fn, ch, pc, rf = fr.fn, fr.ch, fr.pc, fr.rf
+			fn, ch, pc, regs, cells = fr.fn, fr.ch, fr.pc, fr.regs, fr.cells
 			*fr = frame{}
 			t.frames = t.frames[:top]
 			t.depth--
 			if dst := ch.Code[pc].Dst; dst >= 0 && returns {
-				rf.set(dst, v)
+				regs[dst] = v
 			}
 			pc++
 			goto activation
 
+		case bytecode.OpIndexArr, bytecode.OpSetIndexArr:
+			// In range is one unsigned compare; a negative or overlong index
+			// goes to sem, which normalises the one and words the other.
+			a, i := regs[ins.A].Array(), regs[ins.B].Int()
+			if uint64(i) >= uint64(a.Len()) {
+				j, err := sem.ArrayIndex(a, i)
+				if err != nil {
+					return value.Value{}, sem.At(err, ch.Pos[pc].String())
+				}
+				i = int64(j)
+			}
+			if ins.Op == bytecode.OpIndexArr {
+				regs[ins.Dst] = a.Get(int(i))
+			} else {
+				a.Set(int(i), regs[ins.C])
+			}
+
 		case bytecode.OpIndex:
-			v, err := sem.Index(rf.get(ins.A), rf.get(ins.B).Int())
+			v, err := sem.Index(regs[ins.A], regs[ins.B].Int())
 			if err != nil {
 				return value.Value{}, sem.At(err, ch.Pos[pc].String())
 			}
-			rf.set(ins.Dst, v)
+			regs[ins.Dst] = v
 
 		case bytecode.OpSetIndex:
-			if err := sem.SetIndex(rf.get(ins.A), rf.get(ins.B).Int(), rf.get(ins.C)); err != nil {
+			if err := sem.SetIndex(regs[ins.A], regs[ins.B].Int(), regs[ins.C]); err != nil {
 				return value.Value{}, sem.At(err, ch.Pos[pc].String())
 			}
 
@@ -645,12 +828,12 @@ activation:
 				}
 			}
 			elems := make([]value.Value, n)
-			copy(elems, rf.slice(ins.A, ins.B))
-			rf.set(ins.Dst, value.NewArray(value.FromSlice(fn.Types[ins.C], elems)))
+			copy(elems, regs[ins.A:ins.A+ins.B])
+			regs[ins.Dst] = value.NewArray(value.FromSlice(fn.Types[ins.C], elems))
 
 		case bytecode.OpRange:
-			lo := rf.get(ins.A)
-			hi := rf.get(ins.B)
+			lo := regs[ins.A]
+			hi := regs[ins.B]
 			n, rerr := sem.RangeLen(lo.Int(), hi.Int())
 			if rerr != nil {
 				return value.Value{}, sem.At(rerr, ch.Pos[pc].String())
@@ -660,39 +843,39 @@ activation:
 					return value.Value{}, g.ErrAt(k, ch.Pos[pc].String())
 				}
 			}
-			rf.set(ins.Dst, value.NewArray(value.NewIntRange(lo.Int(), int(n))))
+			regs[ins.Dst] = value.NewArray(value.NewIntRange(lo.Int(), int(n)))
 
 		case bytecode.OpForIter:
 			if t.vm.rt.Stopped() {
 				return value.Value{}, rt.ErrStopped
 			}
-			seq := rf.get(ins.A)
-			idx := rf.get(ins.A + 1).Int()
+			seq := regs[ins.A]
+			idx := regs[ins.A+1].Int()
 			if seq.K == value.Str {
 				// Materialize the string's Unicode characters once, in the
 				// loop-state temporary, so iteration is rune-correct without
 				// per-step decoding.
 				seq = value.NewArray(sem.RunesArray(seq.Str()))
-				rf.set(ins.A, seq)
+				regs[ins.A] = seq
 			}
 			a := seq.Array()
 			if idx >= int64(a.Len()) {
 				pc = int(ins.B) - 1
 				break
 			}
-			rf.set(ins.Dst, a.Get(int(idx)))
-			rf.set(ins.A+1, value.NewInt(idx+1))
+			regs[ins.Dst] = a.Get(int(idx))
+			regs[ins.A+1] = value.NewInt(idx + 1)
 
 		case bytecode.OpParallel:
-			if err := t.vm.rt.Parallel(&t.Thread, int(ins.B), t.spawns(fn, rf.cells, int(ins.A), ch.Pos[pc])); err != nil {
+			if err := t.vm.rt.Parallel(&t.Thread, int(ins.B), t.spawns(fn, cells, int(ins.A), ch.Pos[pc])); err != nil {
 				return value.Value{}, err
 			}
 		case bytecode.OpBackground:
-			if err := t.vm.rt.Background(&t.Thread, int(ins.B), t.spawns(fn, rf.cells, int(ins.A), ch.Pos[pc])); err != nil {
+			if err := t.vm.rt.Background(&t.Thread, int(ins.B), t.spawns(fn, cells, int(ins.A), ch.Pos[pc])); err != nil {
 				return value.Value{}, err
 			}
 		case bytecode.OpParFor:
-			if err := t.parFor(fn, rf.cells, ins, rf.get(ins.B), ch.Pos[pc]); err != nil {
+			if err := t.parFor(fn, cells, &fn.Chunks[ins.A], ins.C, regs[ins.B], ch.Pos[pc]); err != nil {
 				return value.Value{}, err
 			}
 
@@ -706,8 +889,33 @@ activation:
 		default:
 			return value.Value{}, rt.Errorf(ch.Pos[pc], "internal: unknown opcode %s", ins.Op)
 		}
+		continue
+
+	jump:
+		// A compare-and-jump took its branch. A backward one is a loop
+		// back-edge (a rotated loop's only one) and re-checks the stop flag.
+		if int(ins.Dst) <= pc && t.vm.rt.Stopped() {
+			return value.Value{}, rt.ErrStopped
+		}
+		pc = int(ins.Dst) - 1
 	}
 	return value.Value{}, nil
+}
+
+// arith is the untyped arithmetic path: sem.Arith on whatever kinds the
+// operands hold, positioned errors, and the governor's charge for the bytes
+// a string concatenation builds.
+func (t *thread) arith(op bytecode.Op, l, r value.Value, pos *token.Pos) (value.Value, error) {
+	v, err := sem.Arith(op.Operator(), l, r)
+	if err != nil {
+		return value.Value{}, sem.At(err, pos.String())
+	}
+	if g := t.vm.guard; g != nil && v.K == value.Str {
+		if k := g.AddAlloc(int64(len(v.Str()))); k != guard.OK {
+			return value.Value{}, g.ErrAt(k, pos.String())
+		}
+	}
+	return v, nil
 }
 
 // spawns describes the threads of a parallel or background block to the
@@ -717,28 +925,24 @@ func (t *thread) spawns(fn *bytecode.Func, cells []*value.Cell, first int, pos t
 	return func(i int) rt.Spawn {
 		nt := &thread{vm: t.vm}
 		sub := &fn.Chunks[first+i]
-		return rt.Spawn{Pos: pos, Thread: &nt.Thread, Run: func() error {
-			_, err := nt.execShared(fn, sub, cells)
-			return err
-		}}
+		return rt.Spawn{Pos: pos, Thread: &nt.Thread, Run: func() error { return nt.runChunk(fn, sub, cells) }}
 	}
 }
 
 // parFor hands the iterations over seq to the runtime's chunked loop. Each
-// iteration runs chunk ins.A over the activation's cells with a private
-// cell in place of induction slot ins.C. A worker's iterations run on one
-// engine thread, so they share its register stack.
-func (t *thread) parFor(fn *bytecode.Func, cells []*value.Cell, ins bytecode.Instr, seq value.Value, pos token.Pos) error {
-	sub := &fn.Chunks[ins.A]
+// iteration runs chunk sub over the activation's cells with a private cell
+// in place of the induction variable's. A worker's iterations run on one
+// engine thread, so they share its register stack: an iteration allocates
+// its cell and its view of the cells, and nothing for its temporaries.
+func (t *thread) parFor(fn *bytecode.Func, cells []*value.Cell, sub *bytecode.Chunk, induction int32, seq value.Value, pos token.Pos) error {
 	elems := sem.Elements(seq)
 	return t.vm.rt.ParFor(&t.Thread, elems.Len(), pos, func() (*rt.Thread, func(i int) error) {
 		nt := &thread{vm: t.vm}
 		return &nt.Thread, func(i int) error {
 			forked := make([]*value.Cell, len(cells))
 			copy(forked, cells)
-			forked[ins.C] = value.NewCell(elems.Get(i))
-			_, err := nt.execShared(fn, sub, forked)
-			return err
+			forked[induction] = value.NewCell(elems.Get(i))
+			return nt.runChunk(fn, sub, forked)
 		}
 	})
 }
@@ -752,15 +956,3 @@ func builtinReturns(id int) bool {
 	}
 	return true
 }
-
-// semOps maps the arithmetic/comparison opcodes to their sem operators;
-// all evaluation happens in internal/sem, the shared semantics core.
-var semOps = [bytecode.OpGe + 1]sem.Op{
-	bytecode.OpAdd: sem.Add, bytecode.OpSub: sem.Sub, bytecode.OpMul: sem.Mul,
-	bytecode.OpDiv: sem.Div, bytecode.OpMod: sem.Mod,
-	bytecode.OpEq: sem.Eq, bytecode.OpNe: sem.Ne,
-	bytecode.OpLt: sem.Lt, bytecode.OpLe: sem.Le,
-	bytecode.OpGt: sem.Gt, bytecode.OpGe: sem.Ge,
-}
-
-func semOp(op bytecode.Op) sem.Op { return semOps[op] }

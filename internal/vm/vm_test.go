@@ -29,7 +29,20 @@ func compileBoth(t testing.TB, src string) (*ast.Program, *bytecode.Program) {
 	if err != nil {
 		t.Fatalf("bytecode: %v\n%s", err, src)
 	}
+	// Every program any test here compiles is held to the IR's rules.
+	if err := bytecode.Verify(bc); err != nil {
+		t.Fatalf("%v\n%s", err, src)
+	}
 	return prog, bc
+}
+
+// optimize optimizes bc at level with the verifier run after every phase.
+func optimize(t testing.TB, bc *bytecode.Program, level int) *bytecode.Program {
+	t.Helper()
+	if err := bytecode.VerifyOptimize(bc, level); err != nil {
+		t.Fatalf("-O%d: %v\n%s", level, err, bytecode.DisassembleProgram(bc))
+	}
+	return bc
 }
 
 // runVM executes src on the VM, returning output and error.
@@ -293,26 +306,55 @@ func TestRandomExpressionDifferential(t *testing.T) {
 	}
 }
 
-// TestRandomProgramDifferential generates small random imperative programs
-// (loops + conditionals + accumulator) and checks backend agreement.
+// randomProgram generates a small imperative program: loops, conditionals
+// and an accumulator.
+func randomProgram(r *rand.Rand) string {
+	var sb strings.Builder
+	sb.WriteString("def main():\n    acc = 0\n")
+	n := r.Intn(4) + 1
+	for j := 0; j < n; j++ {
+		switch r.Intn(3) {
+		case 0:
+			fmt.Fprintf(&sb, "    for i%d in [1 .. %d]:\n        acc += i%d * %d\n", j, r.Intn(20)+1, j, r.Intn(5)+1)
+		case 1:
+			fmt.Fprintf(&sb, "    if acc %% %d == 0:\n        acc += %d\n    else:\n        acc -= %d\n", r.Intn(5)+1, r.Intn(100), r.Intn(100))
+		default:
+			fmt.Fprintf(&sb, "    w%d = 0\n    while w%d < %d:\n        w%d += 1\n        acc += w%d\n", j, j, r.Intn(15)+1, j, j)
+		}
+	}
+	sb.WriteString("    print(acc)\n")
+	return sb.String()
+}
+
+// TestRandomProgramDifferential checks backend agreement on generated
+// programs.
 func TestRandomProgramDifferential(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for i := 0; i < 100; i++ {
-		var sb strings.Builder
-		sb.WriteString("def main():\n    acc = 0\n")
-		n := r.Intn(4) + 1
-		for j := 0; j < n; j++ {
-			switch r.Intn(3) {
-			case 0:
-				fmt.Fprintf(&sb, "    for i%d in [1 .. %d]:\n        acc += i%d * %d\n", j, r.Intn(20)+1, j, r.Intn(5)+1)
-			case 1:
-				fmt.Fprintf(&sb, "    if acc %% %d == 0:\n        acc += %d\n    else:\n        acc -= %d\n", r.Intn(5)+1, r.Intn(100), r.Intn(100))
-			default:
-				fmt.Fprintf(&sb, "    w%d = 0\n    while w%d < %d:\n        w%d += 1\n        acc += w%d\n", j, j, r.Intn(15)+1, j, j)
-			}
+		differential(t, randomProgram(r), "")
+	}
+}
+
+// TestVerifyAfterEveryPhase holds the programs this package runs — the
+// differential corpus, the benchmark sources, the generated programs — to
+// the IR's rules as Compile emits them and again after each optimizer
+// phase, at O1 and O2. (Every other test verifies what it compiles too,
+// through compileBoth and optimize; this one makes the coverage explicit
+// and reaches O1.)
+func TestVerifyAfterEveryPhase(t *testing.T) {
+	var srcs []string
+	for _, c := range differentialCorpus {
+		srcs = append(srcs, c.src)
+	}
+	srcs = append(srcs, arithLoopSrc, realLoopSrc, arrayLoopSrc, callLoopSrc, fibSrc, sharedLoopSrc, parForBodySrc)
+	r := rand.New(rand.NewSource(7))
+	for i := 0; i < 100; i++ {
+		srcs = append(srcs, randomProgram(r))
+	}
+	for _, src := range srcs {
+		for _, level := range []int{bytecode.O1, bytecode.O2} {
+			compileOpt(t, src, level)
 		}
-		sb.WriteString("    print(acc)\n")
-		differential(t, sb.String(), "")
 	}
 }
 
@@ -331,7 +373,7 @@ func TestDisassembleSmoke(t *testing.T) {
 func runVMOpt(t *testing.T, src, input string, level int) (string, error) {
 	t.Helper()
 	_, bc := compileBoth(t, src)
-	bytecode.Optimize(bc, level)
+	optimize(t, bc, level)
 	var out bytes.Buffer
 	m := New(bc, Options{Env: stdlib.NewEnv(strings.NewReader(input), &out)})
 	err := m.Run()
@@ -391,7 +433,7 @@ func TestOptimizerShrinksCode(t *testing.T) {
 	src := "def main():\n    i = 0\n    s = 0\n    while i < 1000:\n        s += 2 * 3 + 4\n        i += 1\n    print(s)\n"
 	_, bc0 := compileBoth(t, src)
 	_, bc2 := compileBoth(t, src)
-	bytecode.Optimize(bc2, bytecode.O2)
+	optimize(t, bc2, bytecode.O2)
 	n0 := len(bc0.Funcs[0].Chunks[0].Code)
 	n2 := len(bc2.Funcs[0].Chunks[0].Code)
 	if n2 >= n0 {
@@ -399,7 +441,7 @@ func TestOptimizerShrinksCode(t *testing.T) {
 	}
 	fused := false
 	for _, ins := range bc2.Funcs[0].Chunks[0].Code {
-		if ins.Op == bytecode.OpCmpJump || ins.Op == bytecode.OpArithConst {
+		if ins.Op.Fused() {
 			fused = true
 		}
 	}

@@ -230,7 +230,9 @@ func (p *Program) RunVM(cfg Config) error {
 }
 
 // Call invokes a named function with the given argument values and returns
-// its result (the zero Value for void functions).
+// its result (the zero Value for void functions). An int argument widens to
+// a real parameter; any other argument that is not of its parameter's type
+// is an error.
 func (p *Program) Call(name string, args ...Value) (Value, error) {
 	return p.CallWith(Config{}, name, args...)
 }
