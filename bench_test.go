@@ -9,9 +9,11 @@ package repro
 //	A2     per-cell locking ablation (the interpreter memory-safety cost)
 //	plus compiler-stage microbenchmarks (lexer/parser/checker/codegen).
 //
-// Wall-clock speedup on the benches requires a multicore host; on a 1-core
-// host the sweeps still validate correctness and cost while the simulated
-// speedup tables come from cmd/tetrabench (see EXPERIMENTS.md).
+// The sweeps gain wall-clock time only up to the host's core count; the
+// simulated speedup tables come from cmd/tetrabench (see EXPERIMENTS.md).
+// These are `go test -bench` microbenchmarks for working on one layer; the
+// system's benchmark, with per-PR regression bounds, is benchmark/
+// (BENCHMARK.json).
 
 import (
 	"bytes"

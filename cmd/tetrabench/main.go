@@ -1,52 +1,23 @@
 // Command tetrabench regenerates the paper's evaluation (§IV) and the
-// reproduction's ablation tables. See DESIGN.md §4 for the experiment index
-// and EXPERIMENTS.md for recorded paper-vs-measured results.
+// reproduction's backend ablation. See DESIGN.md §4 for the experiment index
+// and EXPERIMENTS.md for recorded paper-vs-measured results. The system's
+// benchmark — engines, compile pipeline, tetrad, workers, router — is
+// `bash benchmark/run.sh` (benchmark/README.md), not this command.
 //
 // Usage:
 //
-//	tetrabench [-exp primes|tsp|ablation|limits|scaling|all] [flags]
+//	tetrabench [-exp primes|tsp|ablation|all] [flags]
 //
 // Experiments:
 //
 //	primes    E1: speedup counting primes below -limit, workers ∈ -workers
 //	tsp       E2: speedup solving an exact -n city TSP, workers ∈ -workers
-//	ablation  A1: interpreter vs bytecode VM vs native Go, sequential
-//	limits    G1: resource-governor overhead on the hot path (no governor
-//	          vs generous non-tripping budgets, both backends)
-//	scaling   S1: chunked-scheduler scaling on per-element parallel-for
-//	          workloads (parallelsum/mandelbrot/primes), workers ∈ -workers;
-//	          writes the JSON report to -out (default BENCH_scaling.json)
-//	opt       O1: bytecode-optimizer ablation (VM at -O0/-O1/-O2 on
-//	          interpretation-bound workloads) plus the compile-cache
-//	          cold-vs-warm delta; writes BENCH_opt.json
-//	serve     SV1: tetrad execution-service throughput and latency at
-//	          admission caps of 1/4/8 in-flight executions, warm cache,
-//	          both backends; writes BENCH_serve.json
-//	isolate   ISO1: crash-isolation cost — the same workload on the
-//	          in-process tier vs supervised worker processes, plus the
-//	          worker tier under injected crashes (SIGKILL mid-run);
-//	          writes BENCH_isolate.json
-//	tiered    T1: execution-tier crossover — the same loop-bound
-//	          workloads on the interpreter, the warm bytecode VM and a
-//	          promoted gogen-compiled native artifact, outputs compared
-//	          byte-for-byte; writes BENCH_tiered.json
-//	vmreg     R1: register-IR rewrite — arithmetic-loop ns/iter on the
-//	          register VM vs the retired stack VM's committed numbers,
-//	          plus a per-superinstruction win breakdown via fusion masks
-//	          and an inline-cached call loop; writes BENCH_vmreg.json
-//	session   SE1: streaming debug sessions — full-lifecycle latency
-//	          (create → terminal SSE frame), step-command round trips,
-//	          trace-frame throughput through the capped ring, and
-//	          concurrent streamed sessions; writes BENCH_session.json
-//	cluster   CL1: cache-affinity routing across tetrad replicas —
-//	          router + N tetrads on loopback under zipfian program
-//	          popularity, affinity vs random at N=1/2/4 (throughput,
-//	          latency, per-node cache hit rate), plus node-kill and
-//	          drain-mid-load phases; writes BENCH_cluster.json
-//	all       everything except limits and scaling (default)
+//	ablation  A1: interpreter vs bytecode VM vs compiled Tetra vs native Go,
+//	          sequential
+//	all       all three (default)
 //
-// Each speedup experiment prints the wall-clock table (meaningful on a
-// multicore host) and the simulated-multicore table (the 1-core
+// Each speedup experiment prints the wall-clock table (meaningful only up to
+// the host's core count) and the simulated-multicore table (E3; the
 // substitution documented in DESIGN.md §3.5), plus the paper's reference
 // numbers for comparison.
 package main
@@ -61,25 +32,19 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/worker"
 )
 
 func main() {
-	// The isolate experiment's worker pool re-execs this binary as its
-	// workers; divert into the worker loop before anything else runs.
-	worker.ExitIfWorker()
 	os.Exit(run())
 }
 
 func run() int {
-	exp := flag.String("exp", "all", "experiment: primes, tsp, ablation, limits, scaling, opt, sem, vmreg, serve, isolate, tiered, session, cluster, or all")
+	exp := flag.String("exp", "all", "experiment: primes, tsp, ablation, or all")
 	limit := flag.Int("limit", 200000, "E1: count primes below this limit")
 	fullScale := flag.Bool("paper-scale", false, "E1: use the paper's full workload (first million primes ⇒ limit 15485864); slow on the interpreter")
 	n := flag.Int("n", 10, "E2: number of TSP cities")
 	workersFlag := flag.String("workers", "1,2,4,8", "comma-separated worker counts")
 	reps := flag.Int("reps", 1, "wall-clock repetitions per point (best-of)")
-	quick := flag.Bool("quick", false, "S1: shrink the scaling workloads for CI")
-	out := flag.String("out", "BENCH_scaling.json", "S1: path for the scaling JSON report")
 	flag.Parse()
 
 	if *fullScale {
@@ -91,7 +56,7 @@ func run() int {
 		return 2
 	}
 
-	fmt.Printf("host: GOMAXPROCS=%d (paper testbed: 8 cores)\n\n", runtime.GOMAXPROCS(0))
+	fmt.Printf("host: nproc=%d GOMAXPROCS=%d (paper testbed: 8 cores)\n\n", runtime.NumCPU(), runtime.GOMAXPROCS(0))
 
 	switch *exp {
 	case "primes":
@@ -100,58 +65,6 @@ func run() int {
 		return tsp(*n, workers, *reps)
 	case "ablation":
 		return ablation(*limit, *n)
-	case "limits":
-		return limitsOverhead(*limit, *n, *reps)
-	case "scaling":
-		return scaling(*quick, workers, *reps, *out)
-	case "opt":
-		outPath := *out
-		if outPath == "BENCH_scaling.json" {
-			outPath = "BENCH_opt.json"
-		}
-		return opt(*quick, *reps, outPath)
-	case "sem":
-		outPath := *out
-		if outPath == "BENCH_scaling.json" {
-			outPath = "BENCH_sem.json"
-		}
-		return semOverhead(*quick, *reps, outPath)
-	case "vmreg":
-		outPath := *out
-		if outPath == "BENCH_scaling.json" {
-			outPath = "BENCH_vmreg.json"
-		}
-		return vmreg(*quick, *reps, outPath)
-	case "serve":
-		outPath := *out
-		if outPath == "BENCH_scaling.json" {
-			outPath = "BENCH_serve.json"
-		}
-		return serve(*quick, *reps, outPath)
-	case "isolate":
-		outPath := *out
-		if outPath == "BENCH_scaling.json" {
-			outPath = "BENCH_isolate.json"
-		}
-		return isolate(*quick, *reps, outPath)
-	case "tiered":
-		outPath := *out
-		if outPath == "BENCH_scaling.json" {
-			outPath = "BENCH_tiered.json"
-		}
-		return tiered(*quick, *reps, outPath)
-	case "session":
-		outPath := *out
-		if outPath == "BENCH_scaling.json" {
-			outPath = "BENCH_session.json"
-		}
-		return sessionExp(*quick, *reps, outPath)
-	case "cluster":
-		outPath := *out
-		if outPath == "BENCH_scaling.json" {
-			outPath = "BENCH_cluster.json"
-		}
-		return cluster(*quick, *reps, outPath)
 	case "all":
 		if rc := primes(*limit, workers, *reps); rc != 0 {
 			return rc
@@ -270,180 +183,6 @@ func ablation(limit, n int) int {
 	fmt.Println("  (the gap illustrates the paper's stance: Tetra trades raw speed for simplicity;")
 	fmt.Println("   vm is the bytecode path, compiled is the future-work Tetra→Go→binary pipeline,")
 	fmt.Println("   native-go is hand-written Go as the lower bound)")
-	return 0
-}
-
-func scaling(quick bool, workers []int, reps int, outPath string) int {
-	fmt.Println("S1: chunked-scheduler scaling (per-element parallel-for, bounded worker pool)")
-	rep, err := bench.Scaling(quick, workers, reps)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	fmt.Print(bench.FormatScalingTable(rep))
-	if err := bench.WriteScalingJSON(outPath, rep); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	fmt.Printf("\nwrote %s (speedup column is the simulated-multicore model of DESIGN.md §3.5;\n", outPath)
-	fmt.Println("wall-clock speedup requires a multicore host)")
-	return 0
-}
-
-func opt(quick bool, reps int, outPath string) int {
-	fmt.Println("O1: bytecode optimizer ablation (VM at O0/O1/O2) and compile-cache hit cost")
-	rep, err := bench.Opt(quick, reps)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	fmt.Print(bench.FormatOptTable(rep))
-	if err := bench.WriteOptJSON(outPath, rep); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	fmt.Printf("\nwrote %s\n", outPath)
-	return 0
-}
-
-func semOverhead(quick bool, reps int, outPath string) int {
-	fmt.Println("SEM: shared-semantics-core indirection cost on the hot binary-op path")
-	rep, err := bench.Sem(quick, reps)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	bench.PrintSemReport(rep)
-	if err := bench.WriteSemJSON(outPath, rep); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	fmt.Printf("\nwrote %s\n", outPath)
-	return 0
-}
-
-func vmreg(quick bool, reps int, outPath string) int {
-	fmt.Println("R1: register-IR rewrite — register VM vs retired stack VM, superinstruction breakdown")
-	rep, err := bench.VMReg(quick, reps, "")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	fmt.Print(bench.FormatVMRegTable(rep))
-	if err := bench.WriteVMRegJSON(outPath, rep); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	fmt.Printf("\nwrote %s\n", outPath)
-	return 0
-}
-
-func serve(quick bool, reps int, outPath string) int {
-	fmt.Println("SV1: tetrad execution service — throughput/latency vs in-flight cap (warm cache)")
-	rep, err := bench.ServeExperiment(quick, reps)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	fmt.Print(bench.FormatServeTable(rep))
-	if err := bench.WriteServeJSON(outPath, rep); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	fmt.Printf("\nwrote %s\n", outPath)
-	return 0
-}
-
-func sessionExp(quick bool, reps int, outPath string) int {
-	fmt.Println("SE1: streaming debug sessions — lifecycle latency, step round trips,")
-	fmt.Println("     trace-frame throughput through the capped ring, concurrent streams")
-	rep, err := bench.SessionExperiment(quick, reps)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	fmt.Print(bench.FormatSessionTable(rep))
-	if err := bench.WriteSessionJSON(outPath, rep); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	fmt.Printf("\nwrote %s\n", outPath)
-	return 0
-}
-
-func cluster(quick bool, reps int, outPath string) int {
-	fmt.Println("CL1: cache-affinity routing — router + N tetrads, zipfian program popularity,")
-	fmt.Println("     affinity vs random at N=1/2/4, plus node-kill and drain-mid-load phases")
-	rep, err := bench.ClusterExperiment(quick, reps)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	fmt.Print(bench.FormatClusterTable(rep))
-	if err := bench.WriteClusterJSON(outPath, rep); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	fmt.Printf("\nwrote %s\n", outPath)
-	return 0
-}
-
-func isolate(quick bool, reps int, outPath string) int {
-	fmt.Println("ISO1: crash-isolation cost — in-process vs supervised workers, plus the worker")
-	fmt.Println("      tier under injected crashes (a fraction of attempts SIGKILLed mid-run)")
-	rep, err := bench.IsolateExperiment(quick, reps)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	fmt.Print(bench.FormatIsolateTable(rep))
-	if err := bench.WriteIsolateJSON(outPath, rep); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	fmt.Printf("\nwrote %s\n", outPath)
-	return 0
-}
-
-func tiered(quick bool, reps int, outPath string) int {
-	fmt.Println("T1: execution-tier crossover — interp vs warm VM vs promoted native artifact")
-	rep, err := bench.TieredExperiment(quick, reps)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	fmt.Print(bench.FormatTieredTable(rep))
-	if err := bench.WriteTieredJSON(outPath, rep); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	fmt.Printf("\nwrote %s\n", outPath)
-	return 0
-}
-
-func limitsOverhead(limit, n, reps int) int {
-	fmt.Println("G1: resource-governor overhead (no limits vs generous non-tripping budgets)")
-	fmt.Println("  workload  backend      no-governor      governed   overhead")
-	if reps < 3 {
-		reps = 3
-	}
-	for _, wl := range []struct{ name, src string }{
-		{"primes", bench.PrimesSource(limit, 1)},
-		{"tsp", bench.TSPSource(n, 1)},
-	} {
-		for _, backend := range []bench.Backend{bench.Interp, bench.VM} {
-			base, guarded, err := bench.LimitsOverhead(wl.name+".ttr", wl.src, backend, reps)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 1
-			}
-			overhead := 100 * (float64(guarded)/float64(base) - 1)
-			fmt.Printf("  %-9s %-10s %12s  %12s  %+8.1f%%\n",
-				wl.name, backend, base.Round(time.Microsecond), guarded.Round(time.Microsecond), overhead)
-		}
-	}
-	fmt.Println("  (governed = deadline + step budget armed but never tripping; the delta is the")
-	fmt.Println("   per-step fuel-counter check. If it grows past a few %, batch the counter.)")
 	return 0
 }
 

@@ -10,5 +10,7 @@
 //
 // The benchmarks in bench_test.go regenerate, via `go test -bench=.`, one
 // entry per table/figure of the paper (F1-F3 program figures, E1/E2
-// speedup workloads, A1/A2 ablations).
+// speedup workloads, A1/A2 ablations). The system as a whole — engines,
+// compile pipeline, tetrad, workers, router — is measured by the separate
+// module in benchmark/ (`bash benchmark/run.sh`, declared in BENCHMARK.json).
 package repro

@@ -98,28 +98,43 @@ func TestSpeedupTableShape(t *testing.T) {
 }
 
 func TestSimSpeedupShape(t *testing.T) {
-	rows, err := SimSpeedup("primes", func(w int) string { return PrimesSource(20000, w) }, []int{1, 2, 4, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	// The reproduction criterion (DESIGN.md §4): parallel beats sequential
-	// and speedup grows with the core count.
-	for i := 1; i < len(rows); i++ {
-		if rows[i].Speedup <= rows[i-1].Speedup {
-			t.Errorf("simulated speedup not increasing: %+v", rows)
-		}
-	}
-	if rows[3].Speedup < 2.0 {
-		t.Errorf("8-core simulated speedup = %.2f, implausibly low", rows[3].Speedup)
-	}
-	if rows[3].Speedup > 8.0 {
-		t.Errorf("8-core simulated speedup = %.2f, superlinear is impossible here", rows[3].Speedup)
-	}
-	if rows[3].Efficiency > 1.0 {
-		t.Errorf("efficiency > 100%%: %+v", rows[3])
+	for _, wl := range []struct {
+		name  string
+		mk    func(w int) string
+		floor float64 // least plausible 8-core simulated speedup
+	}{
+		{"primes", func(w int) string { return PrimesSource(20000, w) }, 2.0},
+		// TSP's workers prune on each other's bound, so its profile depends
+		// on the workers advancing together. Profiled one worker after
+		// another (what a host with fewer cores than workers used to do)
+		// this instance reads 2.9-3.3x; in step, 4.7-4.8x.
+		{"tsp", func(w int) string { return TSPSource(10, w) }, 4.0},
+	} {
+		t.Run(wl.name, func(t *testing.T) {
+			rows, err := SimSpeedup(wl.name, wl.mk, []int{1, 2, 4, 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rows) != 4 {
+				t.Fatalf("rows = %d", len(rows))
+			}
+			// The reproduction criterion (DESIGN.md §4): parallel beats
+			// sequential and speedup grows with the core count.
+			for i := 1; i < len(rows); i++ {
+				if rows[i].Speedup <= rows[i-1].Speedup {
+					t.Errorf("simulated speedup not increasing: %+v", rows)
+				}
+			}
+			if rows[3].Speedup < wl.floor {
+				t.Errorf("8-core simulated speedup = %.2f, below %.1f", rows[3].Speedup, wl.floor)
+			}
+			if rows[3].Speedup > 8.0 {
+				t.Errorf("8-core simulated speedup = %.2f, superlinear is impossible here", rows[3].Speedup)
+			}
+			if rows[3].Efficiency > 1.0 {
+				t.Errorf("efficiency > 100%%: %+v", rows[3])
+			}
+		})
 	}
 }
 
@@ -141,35 +156,5 @@ func TestRunOnceReportsErrors(t *testing.T) {
 	}
 	if _, err := RunOnce("bad.ttr", "def main():\n    x = 0\n    print(1 / x)\n", VM); err == nil {
 		t.Error("runtime error not propagated")
-	}
-}
-
-func TestOptReportShape(t *testing.T) {
-	rep, err := Opt(true, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Rows) != 3*len(rep.Levels) {
-		t.Fatalf("rows = %d, want %d", len(rep.Rows), 3*len(rep.Levels))
-	}
-	// Outputs must be identical across levels within a workload — the
-	// optimizer may only change speed, never results.
-	byWorkload := map[string]string{}
-	for _, r := range rep.Rows {
-		if prev, ok := byWorkload[r.Workload]; ok && prev != r.Output {
-			t.Errorf("%s: output differs across levels: %q vs %q", r.Workload, prev, r.Output)
-		}
-		byWorkload[r.Workload] = r.Output
-		if r.WallNS <= 0 {
-			t.Errorf("%s O%d: non-positive time %d", r.Workload, r.Level, r.WallNS)
-		}
-	}
-	for _, c := range rep.Cache {
-		if c.WarmNS <= 0 || c.ColdNS <= 0 {
-			t.Errorf("%s: cache times cold=%d warm=%d", c.Workload, c.ColdNS, c.WarmNS)
-		}
-		if c.WarmNS >= c.ColdNS {
-			t.Errorf("%s: warm cache hit (%dns) not faster than cold compile (%dns)", c.Workload, c.WarmNS, c.ColdNS)
-		}
 	}
 }

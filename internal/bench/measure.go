@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/core"
-	"repro/internal/guard"
 )
 
 // Backend selects the execution engine being measured.
@@ -46,12 +45,8 @@ func RunOnce(name, src string, backend Backend) (Result, error) {
 }
 
 func runProg(prog *ast.Program, backend Backend) (Result, error) {
-	return runProgLimits(prog, backend, guard.Limits{})
-}
-
-func runProgLimits(prog *ast.Program, backend Backend, lim guard.Limits) (Result, error) {
 	var out bytes.Buffer
-	cfg := core.Config{Stdout: &out, Limits: lim}
+	cfg := core.Config{Stdout: &out}
 	start := time.Now()
 	var err error
 	if backend == VM {
@@ -123,49 +118,4 @@ func FormatTable(title string, rows []Row) string {
 			r.Workers, r.Elapsed.Round(time.Millisecond), r.Speedup, 100*r.Efficiency, r.Output)
 	}
 	return sb.String()
-}
-
-// MeasureNative times a native-Go workload for the ablation table.
-func MeasureNative(f func()) time.Duration {
-	start := time.Now()
-	f()
-	return time.Since(start)
-}
-
-// LimitsOverhead measures what the resource governor costs on the hot path:
-// the same workload, best of reps runs, with no governor versus with
-// generous budgets that never trip (so the whole cost is the per-step
-// check). It informs whether the fuel counter needs batching.
-func LimitsOverhead(name, src string, backend Backend, reps int) (base, guarded time.Duration, err error) {
-	prog, err := core.Compile(name, src)
-	if err != nil {
-		return 0, 0, err
-	}
-	if reps < 1 {
-		reps = 1
-	}
-	generous := guard.Limits{
-		Deadline: 10 * time.Minute,
-		MaxSteps: 1 << 60,
-	}
-	best := func(lim guard.Limits) (time.Duration, error) {
-		min := time.Duration(1<<63 - 1)
-		for r := 0; r < reps; r++ {
-			res, err := runProgLimits(prog, backend, lim)
-			if err != nil {
-				return 0, err
-			}
-			if res.Elapsed < min {
-				min = res.Elapsed
-			}
-		}
-		return min, nil
-	}
-	if base, err = best(guard.Limits{}); err != nil {
-		return 0, 0, err
-	}
-	if guarded, err = best(generous); err != nil {
-		return 0, 0, err
-	}
-	return base, guarded, nil
 }

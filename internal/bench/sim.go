@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/sched"
 	"repro/internal/simsched"
 )
 
@@ -22,6 +23,18 @@ type SimRow = simsched.Row
 // workload (counting per-thread work), then schedules that decomposition
 // on the same number of virtual cores. See internal/simsched for the
 // model and its fidelity notes.
+//
+// The profile stands for a machine with a core per worker, so the profiled
+// run gets one goroutine per Tetra worker whatever the host's core count
+// (with fewer, the workers of a `parallel for` would run one after another),
+// and counting threads yield every thousand work units (interp's
+// workQuantum) so that they advance together. That matters to any workload
+// whose threads learn from each other. Primes shares nothing: its table is
+// exact and repeats to the unit. TSP's workers prune on a shared bound, so
+// each one's work depends on when it sees another's improvement: its table
+// is a narrow range, not a number (EXPERIMENTS.md records it), and profiled
+// one worker after another, worker 0 finds the bound alone and dominates
+// the makespan.
 func SimSpeedup(name string, mkSource func(workers int) string, workerCounts []int) ([]SimRow, error) {
 	profiles := make([]simsched.Profile, 0, len(workerCounts))
 	for _, w := range workerCounts {
@@ -30,7 +43,7 @@ func SimSpeedup(name string, mkSource func(workers int) string, workerCounts []i
 			return nil, err
 		}
 		var out bytes.Buffer
-		tw, err := core.RunProfiled(prog, core.Config{Stdout: &out})
+		tw, err := core.RunProfiled(prog, core.Config{Stdout: &out, Sched: sched.Config{Workers: w}})
 		if err != nil {
 			return nil, err
 		}

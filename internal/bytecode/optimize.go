@@ -52,10 +52,7 @@ package bytecode
 //                            destination and source (`i = i + 1`) the
 //                            arith-const form is the load-arith-store
 //                            superinstruction: one dispatch for what the
-//                            stack IR spent five on. Each fusion is gated
-//                            by a FusionMask bit so the benchmark harness
-//                            can measure what every superinstruction is
-//                            worth on its own.
+//                            stack IR spent five on.
 //  6. loop rotation       — a back-edge `jump T` whose target is a
 //                            compare-jump that leaves the loop for the
 //                            instruction after the back-edge becomes the
@@ -68,8 +65,8 @@ package bytecode
 //
 // Every phase is differentially verified: the golden corpus and the
 // cross-backend differential tests must produce byte-identical output at
-// O0, O1 and O2 (see internal/vm's optimizer differential tests and the
-// CI step running the corpus at all levels).
+// O0, O1 and O2 (internal/vm's optimizer differential tests and
+// TestGoldenCorpus in the tetra package).
 
 import (
 	"fmt"
@@ -89,29 +86,10 @@ const (
 	DefaultLevel = O2
 )
 
-// FusionMask selects which superinstructions fusion may emit; the
-// benchmark harness isolates each one's contribution by masking the
-// others off. Optimize uses FuseAll.
-type FusionMask uint
-
-const (
-	FuseCmpJump    FusionMask = 1 << iota // compare + branch → compare-jump
-	FuseCmpConst                          // OpConst + compare-jump → its constant form
-	FuseArithConst                        // OpConst + arith → constant-operand arithmetic
-
-	FuseAll = FuseCmpJump | FuseCmpConst | FuseArithConst
-)
-
 // Optimize runs the optimizer pipeline over every chunk of every function
 // at the given level, mutating and returning p. Level <= 0 is a no-op;
 // levels above O2 clamp to O2.
 func Optimize(p *Program, level int) *Program {
-	return OptimizeWith(p, level, FuseAll)
-}
-
-// OptimizeWith is Optimize with an explicit superinstruction mask; the
-// mask only matters at O2.
-func OptimizeWith(p *Program, level int, mask FusionMask) *Program {
 	for _, f := range p.Funcs {
 		for ci := range f.Chunks {
 			ch := &f.Chunks[ci]
@@ -121,8 +99,8 @@ func OptimizeWith(p *Program, level int, mask FusionMask) *Program {
 					changed = ph.run(f, ch) || changed
 				}
 			}
-			for _, ph := range o2Phases {
-				if level >= O2 && ph.fuses&^mask == 0 {
+			if level >= O2 {
+				for _, ph := range o2Phases {
 					ph.run(f, ch)
 				}
 			}
@@ -161,8 +139,8 @@ func VerifyOptimize(p *Program, level int) error {
 					changed = changed || c
 				}
 			}
-			for _, ph := range o2Phases {
-				if level >= O2 {
+			if level >= O2 {
+				for _, ph := range o2Phases {
 					if _, err := run(ph); err != nil {
 						return err
 					}
@@ -175,9 +153,8 @@ func VerifyOptimize(p *Program, level int) error {
 
 // A phase rewrites one chunk and reports whether it changed anything.
 type phase struct {
-	name  string
-	run   func(f *Func, ch *Chunk) bool
-	fuses FusionMask // the mask bit a fusion phase needs; 0 for the others
+	name string
+	run  func(f *Func, ch *Chunk) bool
 }
 
 var (
@@ -193,9 +170,9 @@ var (
 	}
 	// The O2 phases run once, in this order.
 	o2Phases = []phase{
-		{name: "compare-jump fusion", run: fuseCmpJump, fuses: FuseCmpJump},
-		{name: "compare-constant fusion", run: fuseCmpConst, fuses: FuseCmpConst},
-		{name: "arith-constant fusion", run: fuseArithConst, fuses: FuseArithConst},
+		{name: "compare-jump fusion", run: fuseCmpJump},
+		{name: "compare-constant fusion", run: fuseCmpConst},
+		{name: "arith-constant fusion", run: fuseArithConst},
 		{name: "loop rotation", run: rotateLoops},
 	}
 )

@@ -18,6 +18,7 @@ package interp
 
 import (
 	"fmt"
+	"runtime"
 	"unsafe"
 
 	"repro/internal/ast"
@@ -69,6 +70,7 @@ type Options struct {
 	// are available from WorkProfile after the run and feed the virtual
 	// multicore simulator (internal/simsched) used to reproduce the
 	// paper's speedup measurements on hosts without multiple cores.
+	// Counting threads also yield every workQuantum units.
 	CountWork bool
 	// Guard, when non-nil, is the resource governor every thread checks at
 	// statement boundaries: a tripped limit (deadline, step budget, thread
@@ -168,7 +170,19 @@ type thread struct {
 	depth     int
 	held      []int // lock indices currently held, innermost last
 	countWork bool
+	yieldAt   int64 // countWork: the Work count at which to yield next
 }
+
+// workQuantum is how many work units a counting thread runs between
+// yields. A work profile stands for a machine with one core per thread,
+// where all threads advance together; yielding this often makes them do so
+// on any host, so a thread that prunes on another's result (the TSP bound)
+// sees it about when it would there. Left to the Go scheduler's 10 ms time
+// slices on a host with fewer cores than threads, one thread runs far ahead
+// and the profile changes from run to run. A thousand AST nodes is tens of
+// microseconds: fine against any workload worth profiling, and too rare to
+// slow the run measurably.
+const workQuantum = 1024
 
 func (in *Interp) newThread() *thread {
 	return &thread{interp: in, countWork: in.opts.CountWork}
@@ -346,6 +360,10 @@ func (t *thread) exec(f *frame, s ast.Stmt) (signal, error) {
 	}
 	if t.countWork {
 		t.Work++
+		if t.Work >= t.yieldAt {
+			t.yieldAt = t.Work + workQuantum
+			runtime.Gosched()
+		}
 	}
 	if in.opts.Step != nil {
 		in.opts.Step(t.ID, f.fn, s, f, t.depth)

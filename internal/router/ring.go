@@ -1,6 +1,7 @@
 // Package router is tetrarouter, the cache-affinity HTTP front router
-// for a fleet of tetrad replicas. One tetrad core sustains ~800–1200
-// warm req/s (BENCH_serve.json); scaling past that means replicas — and
+// for a fleet of tetrad replicas. One tetrad answers a few hundred to a
+// thousand warm requests a second (the benchmark's throughput_ops on
+// serve_hot and serve_heavy); scaling past that means replicas — and
 // replicas are only fast while their compile caches are warm. The router
 // keeps them warm by consistent-hashing each request's program
 // content-hash (the same (source, opt level, IRVersion) derivation the

@@ -24,8 +24,9 @@ const (
 	// ring: every program's traffic lands on one warm replica. The default.
 	PolicyAffinity = "affinity"
 	// PolicyRandom sends each request to a uniformly random ready replica
-	// — the control arm of BENCH_cluster.json, and a sane fallback when
-	// affinity is undesirable (e.g. one pathological hot program).
+	// — the control arm of TestAffinityKeepsCachesWarmerThanRandom, and a
+	// sane fallback when affinity is undesirable (e.g. one pathological
+	// hot program).
 	PolicyRandom = "random"
 )
 

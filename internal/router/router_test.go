@@ -445,6 +445,44 @@ func TestRandomPolicyUsesWholeFleet(t *testing.T) {
 	}
 }
 
+// TestAffinityKeepsCachesWarmerThanRandom pins the claim the policy exists
+// for: when the corpus is larger than one node's compile cache but smaller
+// than the fleet's, affinity partitions it so each node's share fits and a
+// repeat is a hit, while random routing mostly lands a repeat on a node
+// that never compiled it.
+func TestAffinityKeepsCachesWarmerThanRandom(t *testing.T) {
+	const nodes, cacheEntries, corpus, passes = 4, 6, 12, 2
+	hits := map[string]uint64{}
+	for _, policy := range []string{router.PolicyAffinity, router.PolicyRandom} {
+		var fleet []*clusterBackend
+		var backends []router.Backend
+		for i := 0; i < nodes; i++ {
+			n := newClusterBackend(t, fmt.Sprintf("%s-n%d", policy, i), func(o *server.Options) {
+				o.Isolation = server.IsolationOff
+				o.CacheEntries = cacheEntries
+			})
+			fleet = append(fleet, n)
+			backends = append(backends, router.Backend{ID: n.id, URL: n.ts.URL})
+		}
+		_, ts := newRouter(t, router.Options{Backends: backends, Policy: policy}, nodes)
+		for pass := 0; pass < passes; pass++ {
+			for i := 0; i < corpus; i++ {
+				resp, body := postRun(t, ts.URL, server.RunRequest{Source: sourceFor(i), Backend: server.BackendVM}, nil)
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("%s: program %d gave %d: %s", policy, i, resp.StatusCode, body)
+				}
+			}
+		}
+		for _, n := range fleet {
+			hits[policy] += n.srv.Cache().Stats().Hits
+		}
+	}
+	if hits[router.PolicyAffinity] <= hits[router.PolicyRandom] {
+		t.Errorf("compile-cache hits over %d passes of %d programs on %d nodes of %d entries: affinity %d, random %d; want affinity > random",
+			passes, corpus, nodes, cacheEntries, hits[router.PolicyAffinity], hits[router.PolicyRandom])
+	}
+}
+
 // TestRouterHealthAndDrain: the router's own readiness follows ring
 // population and drain state, and a draining router rejects with a
 // well-formed 503 + Retry-After.

@@ -16,8 +16,9 @@
 //     backoff, retries the request on a fresh worker, and quarantines
 //     programs that repeatedly kill workers (422 instead of burned pool);
 //   - compilation goes through per-process compile caches, so the
-//     steady-state cost of a popular exercise is a map lookup (~250×
-//     cheaper than a cold compile, BENCH_opt.json);
+//     steady-state cost of a popular exercise is a map lookup (the
+//     benchmark's core.cache_hit_us, a microsecond or two, against
+//     core.cache_miss_us, tens to hundreds depending on program size);
 //   - an admission controller bounds in-flight executions and queue wait,
 //     converting overload into prompt, well-formed 429s instead of
 //     unbounded goroutine and memory growth.
@@ -597,12 +598,15 @@ func (s *Server) failed(a *admitted, tier string, attempts int, msg string) outc
 
 const drainCancelled = "execution cancelled: server is draining"
 
-// runNative is the first rung: a promoted artifact beats both engines on
-// hot loop-bound programs (BENCH_tiered.json). It falls through when the
-// tier is off, the program is not promoted yet or its artifact is
-// quarantined, and when the artifact crashes (it is then demoted). Trace
-// and race requests fall through too — native binaries carry no event
-// collector.
+// runNative is the first rung. A promoted artifact runs a loop faster than
+// either engine but costs a process spawn per request (the benchmark's
+// native.added_us, over a millisecond, against worker.pool_added_us, a
+// tenth of that): it wins where the run dominates (serve_heavy) and loses
+// where it does not (serve_hot). ROADMAP item 3 is the verdict still owed.
+// It falls through when the tier is off, the program is not promoted yet or
+// its artifact is quarantined, and when the artifact crashes (it is then
+// demoted). Trace and race requests fall through too — native binaries
+// carry no event collector.
 func (s *Server) runNative(a *admitted) outcome {
 	req := a.req
 	if s.native == nil || req.Trace || req.Race {

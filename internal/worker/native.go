@@ -22,9 +22,10 @@ import (
 // request gets a fresh process whose whole life is that request. That
 // keeps the isolation story strictly stronger than the pool's — a
 // crashing artifact takes down nothing but its own request's process —
-// at the cost of a fork+exec per request, which the tier only pays for
-// programs hot enough that native execution wins anyway
-// (BENCH_tiered.json).
+// at the cost of a fork+exec per request (the benchmark's native.added_us),
+// which promotion by request count pays for every hot program, whether or
+// not its run is long enough to win that back (serve_heavy's is,
+// serve_hot's is not; ROADMAP item 3).
 //
 // The runner owns the same supervision duties the pool has: deadline
 // overrun kills, crash classification (a gort "runtime error:" exit is

@@ -15,8 +15,9 @@ import (
 
 // EnvWorker marks a process as a pooled execution worker. The pool sets
 // it on every child it spawns; host binaries that can serve as their
-// own workers (the test binaries, tetrabench) call ExitIfWorker at the
-// top of main/TestMain to divert into the worker loop.
+// own workers (the test binaries, embedders through tetra.ExitIfWorker)
+// call ExitIfWorker at the top of main/TestMain to divert into the worker
+// loop.
 const EnvWorker = "TETRAD_WORKER"
 
 // ExitIfWorker diverts the current process into worker mode (and never

@@ -227,9 +227,9 @@ func TestGoldenCorpus(t *testing.T) {
 				t.Errorf("interp output:\n%s\nwant:\n%s", out.String(), want)
 			}
 
-			// Same program on the VM backend, unoptimized and fully
-			// optimized: both must match the golden byte-for-byte.
-			for _, level := range []int{bytecode.O0, bytecode.O2} {
+			// Same program on the VM backend at every optimization level:
+			// each must match the golden byte-for-byte.
+			for _, level := range []int{bytecode.O0, bytecode.O1, bytecode.O2} {
 				bc, err := core.CompileBytecodeOpt(prog.AST(), level)
 				if err != nil {
 					t.Fatalf("bytecode at O%d: %v", level, err)
