@@ -31,12 +31,6 @@ func PrintStmt(s Stmt, depth int) string {
 	return strings.TrimRight(pr.sb.String(), "\n")
 }
 
-// PrintExpr renders an expression in surface syntax.
-func PrintExpr(e Expr) string {
-	var pr printer
-	return pr.expr(e)
-}
-
 type printer struct {
 	sb    strings.Builder
 	depth int

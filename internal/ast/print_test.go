@@ -24,8 +24,8 @@ func TestPrintExprLiterals(t *testing.T) {
 		{&Ident{Name: "x"}, "x"},
 	}
 	for _, c := range cases {
-		if got := PrintExpr(c.e); got != c.want {
-			t.Errorf("PrintExpr = %q, want %q", got, c.want)
+		if got := PrintStmt(&ExprStmt{X: c.e}, 0); got != c.want {
+			t.Errorf("PrintStmt = %q, want %q", got, c.want)
 		}
 	}
 }
@@ -52,8 +52,8 @@ func TestPrintExprComposite(t *testing.T) {
 		{&BinaryExpr{Op: token.EQ, X: &BinaryExpr{Op: token.LT, X: x, Y: y}, Y: &BoolLit{Value: true}}, "(x < y) == true"},
 	}
 	for _, c := range cases {
-		if got := PrintExpr(c.e); got != c.want {
-			t.Errorf("PrintExpr = %q, want %q", got, c.want)
+		if got := PrintStmt(&ExprStmt{X: c.e}, 0); got != c.want {
+			t.Errorf("PrintStmt = %q, want %q", got, c.want)
 		}
 	}
 }

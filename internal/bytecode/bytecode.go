@@ -94,8 +94,8 @@
 //	array                temporaries [A, A+B) : Types[C] Dst ← [Types[C]]
 //	range                A, B : int                      Dst ← [int]
 //	foriter              A : [T] | string, A+1 : int     Dst ← T | string; exit B in the chunk
-//	call                 temporaries [B, B+C) : the parameters of Funcs[A]; Dst ← its result; S unique
-//	callb                temporaries [B, B+C) pass the builtin's own check; Dst ← its result; S unique
+//	call                 temporaries [B, B+C) : the parameters of Funcs[A]; Dst ← its result
+//	callb                temporaries [B, B+C) pass the builtin's own check; Dst ← its result
 //	ret                  A : the function's result; chunk 0 only
 //	ldcell               A a cell of a shared function   Dst ← SlotTypes[A]
 //	stcell               A : SlotTypes[Dst]
@@ -133,8 +133,9 @@ import (
 // (3-address instructions, per-chunk temporaries, call-site IDs); 3 = the
 // typed register IR (int- and real-typed opcodes with the operator in the
 // opcode, array-typed indexing, variables of shared functions reached
-// only through OpLoadCell/OpStoreCell).
-const IRVersion = 3
+// only through OpLoadCell/OpStoreCell); 4 = a call is an index (no
+// call-site id: an instruction is 20 bytes, not 24).
+const IRVersion = 4
 
 // Op is a bytecode opcode.
 type Op uint8
@@ -175,8 +176,8 @@ const (
 
 	// Calls. Arguments live in C consecutive registers starting at B. Dst
 	// receives the result, or is -1 when the value is discarded (statement
-	// position) or the callee is void. S is the call site's inline-cache
-	// id (unique per program; see Program.NumSites).
+	// position) or the callee is void. The callee is fixed at compile time:
+	// the VM indexes with A and tests nothing.
 	OpCall        // call Funcs[A]
 	OpCallBuiltin // call builtin A
 	OpReturn      // return reg A

@@ -12,12 +12,10 @@ import (
 // Instr is one three-address instruction. Dst is the destination register
 // (or a jump target's auxiliary operand for the fused compare-branches);
 // the meaning of A, B and C depends on the opcode — see the Op constants.
-// S is the inline-cache site id on call opcodes and unused elsewhere. An
-// instruction is 24 bytes (internal/value's TestLayout pins it).
+// An instruction is 20 bytes (internal/value's TestLayout pins it).
 type Instr struct {
 	Op           Op
 	Dst, A, B, C int32
-	S            int32
 }
 
 // Chunk is a straight-line-with-jumps code sequence. Pos parallels Code,
@@ -52,10 +50,6 @@ type Program struct {
 	Funcs     []*Func
 	LockNames []string
 	MainIndex int // -1 when the source has no main
-	// NumSites is the number of call sites in the program; OpCall and
-	// OpCallBuiltin instructions carry a unique S in [0, NumSites) that
-	// the VM uses to index its inline-cache table.
-	NumSites int
 }
 
 // Compile lowers a checked AST program to register bytecode.
@@ -71,9 +65,8 @@ func Compile(p *ast.Program) (*Program, error) {
 		}
 		params[i] = pts
 	}
-	var sites int32
 	for i, f := range p.Funcs {
-		cf, err := compileFunc(f, params, i, &sites)
+		cf, err := compileFunc(f, params, i)
 		if err != nil {
 			return nil, err
 		}
@@ -82,7 +75,6 @@ func Compile(p *ast.Program) (*Program, error) {
 			out.MainIndex = i
 		}
 	}
-	out.NumSites = int(sites)
 	return out, nil
 }
 
@@ -90,7 +82,6 @@ type fnCompiler struct {
 	fn     *Func
 	src    *ast.FuncDecl
 	params [][]*types.Type // parameter types of every program function
-	sites  *int32          // program-wide call-site counter
 	// cur is the chunk being emitted into.
 	cur int
 	// nextTemp is the next free temporary register; temporaries live in
@@ -110,10 +101,9 @@ type fnCompiler struct {
 	continues [][]int
 }
 
-func compileFunc(f *ast.FuncDecl, params [][]*types.Type, index int, sites *int32) (*Func, error) {
+func compileFunc(f *ast.FuncDecl, params [][]*types.Type, index int) (*Func, error) {
 	c := &fnCompiler{
 		params: params,
-		sites:  sites,
 		fn: &Func{
 			Name:      f.Name,
 			Params:    params[index],
@@ -197,16 +187,6 @@ func (c *fnCompiler) chunk() *Chunk { return &c.fn.Chunks[c.cur] }
 func (c *fnCompiler) emit(op Op, dst, a, b, cc int32, pos token.Pos) int {
 	ch := c.chunk()
 	ch.Code = append(ch.Code, Instr{Op: op, Dst: dst, A: a, B: b, C: cc})
-	ch.Pos = append(ch.Pos, pos)
-	return len(ch.Code) - 1
-}
-
-// emitCall emits a call instruction carrying a fresh inline-cache site id.
-func (c *fnCompiler) emitCall(op Op, dst, fnIdx, argBase, nargs int32, pos token.Pos) int {
-	site := *c.sites
-	*c.sites++
-	ch := c.chunk()
-	ch.Code = append(ch.Code, Instr{Op: op, Dst: dst, A: fnIdx, B: argBase, C: nargs, S: site})
 	ch.Pos = append(ch.Pos, pos)
 	return len(ch.Code) - 1
 }
@@ -767,9 +747,9 @@ func (c *fnCompiler) genCall(e *ast.CallExpr, dst int32) error {
 		}
 	}
 	if e.IsBuiltin {
-		c.emitCall(OpCallBuiltin, dst, int32(e.Builtin), argBase, int32(len(e.Args)), e.Pos())
+		c.emit(OpCallBuiltin, dst, int32(e.Builtin), argBase, int32(len(e.Args)), e.Pos())
 	} else {
-		c.emitCall(OpCall, dst, int32(e.FuncIndex), argBase, int32(len(e.Args)), e.Pos())
+		c.emit(OpCall, dst, int32(e.FuncIndex), argBase, int32(len(e.Args)), e.Pos())
 	}
 	c.nextTemp = base
 	return nil

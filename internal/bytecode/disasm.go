@@ -16,8 +16,7 @@ import (
 // its operator and operand type (add.i, jlt.ik, mod.rk, index.a: i int,
 // r real, a array, k constant operand, l constant on the left); the
 // untyped fused opcodes, whose operator is in an operand, get a trailing
-// comment spelling it out, and call instructions show their inline-cache
-// site id.
+// comment spelling it out.
 func Disassemble(f *Func) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "func %s (params=%d slots=%d shared=%v)\n", f.Name, len(f.Params), f.NumSlots, f.Shared)
@@ -62,9 +61,9 @@ func operands(f *Func, ins Instr) string {
 	r, k := f.reg, f.constStr
 	switch ins.Op {
 	case OpCall:
-		return fmt.Sprintf("%s, fn#%d, args %s..#%d   ; ic site %d", dst(f, ins.Dst), ins.A, r(ins.B), ins.C, ins.S)
+		return fmt.Sprintf("%s, fn#%d, args %s..#%d", dst(f, ins.Dst), ins.A, r(ins.B), ins.C)
 	case OpCallBuiltin:
-		return fmt.Sprintf("%s, builtin#%d, args %s..#%d   ; ic site %d", dst(f, ins.Dst), ins.A, r(ins.B), ins.C, ins.S)
+		return fmt.Sprintf("%s, builtin#%d, args %s..#%d", dst(f, ins.Dst), ins.A, r(ins.B), ins.C)
 	case OpIndex, OpIndexArr:
 		return fmt.Sprintf("%s, %s[%s]", r(ins.Dst), r(ins.A), r(ins.B))
 	case OpRange:
@@ -156,6 +155,5 @@ func DisassembleProgram(p *Program) string {
 	if len(p.LockNames) > 0 {
 		fmt.Fprintf(&sb, "\nlocks: %s\n", strings.Join(p.LockNames, ", "))
 	}
-	fmt.Fprintf(&sb, "sites: %d\n", p.NumSites)
 	return sb.String()
 }

@@ -15,7 +15,7 @@ var updateGolden = flag.Bool("update", false, "rewrite the disassembler golden f
 
 // TestDisassembleGolden pins the full disassembly of a program exercising
 // every operand style — named slots, temporaries, typed opcodes and
-// superinstructions, cell access, inline-cache sites, sub-chunks, locks —
+// superinstructions, cell access, calls, sub-chunks, locks —
 // so any format drift (which the
 // fold differential harness and grading tools parse) shows up as a diff.
 // Regenerate deliberately with: go test ./internal/bytecode -run Golden -update
@@ -61,7 +61,7 @@ func TestDisassembleGolden(t *testing.T) {
 		"ldcell",     // a shared function reads its variables from cells
 		"stcell",     // and writes them back
 		"c0=total",   // cells carry source names too
-		"; ic site ", // call instructions expose their inline-cache id
+		"fn#1, args", // a call names its callee by index
 		"chunk 1",    // parallel bodies are sub-chunks
 		"lock#0",     // lock ops reference the program lock table
 		"locks: report",

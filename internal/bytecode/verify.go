@@ -25,7 +25,7 @@ func Verify(p *Program) (err error) {
 			err = ve
 		}
 	}()
-	v := &verifier{p: p, sites: make(map[int32]string)}
+	v := &verifier{p: p}
 	for _, f := range p.Funcs {
 		for ci := range f.Chunks {
 			v.f, v.ci, v.ch = f, ci, &f.Chunks[ci]
@@ -40,12 +40,11 @@ type verifyError struct{ msg string }
 func (e *verifyError) Error() string { return e.msg }
 
 type verifier struct {
-	p     *Program
-	sites map[int32]string // call-site id → the instruction that owns it
-	f     *Func
-	ci    int
-	ch    *Chunk
-	pc    int
+	p  *Program
+	f  *Func
+	ci int
+	ch *Chunk
+	pc int
 }
 
 // failf reports a violation at the current instruction.
@@ -350,13 +349,6 @@ func (v *verifier) instr(ins *Instr, st []*types.Type, report bool) []*types.Typ
 		want(ins.B, types.BoolType)
 
 	case fCall:
-		if prev, dup := v.sites[ins.S]; ins.S < 0 || int(ins.S) >= v.p.NumSites {
-			failf("call-site id %d out of range [0, %d)", ins.S, v.p.NumSites)
-		} else if here := fmt.Sprintf("%s chunk %d pc %d", f.Name, v.ci, v.pc); dup && prev != here {
-			failf("call-site id %d already belongs to %s", ins.S, prev)
-		} else {
-			v.sites[ins.S] = here
-		}
 		args := block(ins.B, ins.C)
 		var res *types.Type
 		if ins.Op == OpCall {

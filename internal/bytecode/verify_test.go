@@ -1,11 +1,13 @@
 package bytecode
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/stdlib"
 	"repro/internal/token"
 	"repro/internal/types"
 	"repro/internal/value"
@@ -46,8 +48,9 @@ func TestVerifyGoldens(t *testing.T) {
 }
 
 // verifySrc is a flat function with a loop, typed arithmetic, a call, an
-// array and a builtin, and a shared one with cells, a parallel block, a
-// parallel for and a lock: something for every rule to be broken in.
+// array and a builtin, a shared one with cells, a parallel block, a
+// parallel for and a lock, and a void one: something for every rule to be
+// broken in.
 const verifySrc = `def flat(a [int], n int) int:
     s = 0
     i = 0
@@ -68,6 +71,10 @@ def shared(n int) int:
 
 def main():
     print(flat([1, 2, 3], 3) + shared(4), 1.5 * 2.0)
+    note(7)
+
+def note(x int):
+    pass
 `
 
 // TestVerifyRejects corrupts a verified program by hand, one rule at a
@@ -138,12 +145,29 @@ func TestVerifyRejects(t *testing.T) {
 			f := fn(p, "flat")
 			find(t, p, "flat", 0, OpConst).A = f.constIndex(value.NewReal(0))
 		}, "writes real into r2=s, a int"},
-		{"duplicate site id", O0, func(t *testing.T, p *Program) {
-			find(t, p, "main", 0, OpCallBuiltin).S = find(t, p, "main", 0, OpCall).S
-		}, "already belongs to main chunk 0"},
-		{"site id out of range", O0, func(t *testing.T, p *Program) {
-			find(t, p, "main", 0, OpCall).S = int32(p.NumSites)
-		}, "call-site id 4 out of range"},
+		// The VM enters Funcs[A] and evaluates builtin A unguarded, copies C
+		// arguments, and stores a result wherever Dst names a register.
+		{"function out of range", O0, func(t *testing.T, p *Program) {
+			find(t, p, "main", 0, OpCall).A = int32(len(p.Funcs))
+		}, "function #4 out of range [0, 4)"},
+		{"builtin out of range", O0, func(t *testing.T, p *Program) {
+			find(t, p, "main", 0, OpCallBuiltin).A = int32(len(stdlib.Names()))
+		}, fmt.Sprintf("builtin #%d out of range", len(stdlib.Names()))},
+		{"argument count that is not the callee's", O0, func(t *testing.T, p *Program) {
+			find(t, p, "main", 0, OpCall).C = 1
+		}, "1 arguments for the 2 parameters of flat"},
+		{"result kept of a void function", O0, func(t *testing.T, p *Program) {
+			ch := &fn(p, "main").Chunks[0]
+			for pc := range ch.Code {
+				if ins := &ch.Code[pc]; ins.Op == OpCall && p.Funcs[ins.A].Name == "note" {
+					ins.Dst = ins.B
+				}
+			}
+		}, "call: keeps the result of a call that has none"},
+		{"result kept of print", O0, func(t *testing.T, p *Program) {
+			ins := find(t, p, "shared", 3, OpCallBuiltin)
+			ins.Dst = ins.B
+		}, "callb: keeps the result of a call that has none"},
 		{"temporary read before any write", O0, func(t *testing.T, p *Program) {
 			// flat's `s + a[i] * 2`: make the add read a temporary nothing wrote.
 			f := fn(p, "flat")

@@ -15,7 +15,7 @@ import (
 // CompileMain runs the tetracompile command (cmd/tetracompile is a thin
 // wrapper): Tetra → Go source, the paper's future-work native compiler.
 // With -dis it instead prints the register bytecode the VM would run,
-// with slot names, superinstruction annotations and inline-cache sites.
+// with slot names and superinstruction annotations.
 func CompileMain(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tetracompile", flag.ContinueOnError)
 	fs.SetOutput(stderr)

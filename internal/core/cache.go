@@ -32,12 +32,6 @@ type CompileCache struct {
 	bcs    map[bcKey]*bytecode.Program
 	hits   uint64
 	misses uint64
-	// perKey counts hits per source hash — the hotness signal the native
-	// promotion tier reads. It outlives entry eviction (popularity is not
-	// forgotten because the memo table cycled) but is itself bounded at a
-	// multiple of max so an adversarial stream of unique programs cannot
-	// grow it without bound.
-	perKey map[[sha256.Size]byte]uint64
 }
 
 // bcKey keys the bytecode table. Alongside the source hash and
@@ -86,53 +80,24 @@ func NewCompileCache(maxEntries int) *CompileCache {
 		maxEntries = DefaultCacheEntries
 	}
 	return &CompileCache{
-		max:    maxEntries,
-		asts:   make(map[[sha256.Size]byte]*ast.Program),
-		bcs:    make(map[bcKey]*bytecode.Program),
-		perKey: make(map[[sha256.Size]byte]uint64),
+		max:  maxEntries,
+		asts: make(map[[sha256.Size]byte]*ast.Program),
+		bcs:  make(map[bcKey]*bytecode.Program),
 	}
 }
 
 // CacheStats reports cache effectiveness. A lookup that misses the
 // bytecode table but hits the AST table counts one hit and one miss.
-// Tracked counts the distinct program hashes with per-hash hit counters.
 type CacheStats struct {
-	Hits    uint64
-	Misses  uint64
-	Tracked int
+	Hits   uint64
+	Misses uint64
 }
 
 // Stats returns the hit/miss counters accumulated so far.
 func (c *CompileCache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheStats{Hits: c.hits, Misses: c.misses, Tracked: len(c.perKey)}
-}
-
-// HitCount returns how many cache hits (AST or bytecode) the program
-// (file, src) has accumulated — the per-hash hotness counter the native
-// promotion tier uses to decide what is worth a `go build`.
-func (c *CompileCache) HitCount(file, src string) uint64 {
-	key := sourceKey(file, src)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.perKey[key]
-}
-
-// hitLocked charges one hit to the aggregate and per-hash counters.
-func (c *CompileCache) hitLocked(key [sha256.Size]byte) {
-	c.hits++
-	if len(c.perKey) >= 8*c.max {
-		if _, ok := c.perKey[key]; !ok {
-			// Counter table full and this hash is new: drop an arbitrary
-			// counter. Popularity tracking degrades before memory does.
-			for k := range c.perKey {
-				delete(c.perKey, k)
-				break
-			}
-		}
-	}
-	c.perKey[key]++
+	return CacheStats{Hits: c.hits, Misses: c.misses}
 }
 
 // PeekAST reports whether the checked AST for (file, src) is already
@@ -173,7 +138,7 @@ func (c *CompileCache) Compile(file, src string) (*ast.Program, error) {
 	key := sourceKey(file, src)
 	c.mu.Lock()
 	if p, ok := c.asts[key]; ok {
-		c.hitLocked(key)
+		c.hits++
 		c.mu.Unlock()
 		return p, nil
 	}
@@ -198,7 +163,7 @@ func (c *CompileCache) CompileBytecode(file, src string, level int) (*bytecode.P
 	key := newBCKey(file, src, level)
 	c.mu.Lock()
 	if bc, ok := c.bcs[key]; ok {
-		c.hitLocked(key.hash)
+		c.hits++
 		c.mu.Unlock()
 		return bc, nil
 	}

@@ -50,9 +50,9 @@ func TestCacheKeyCarriesIRVersion(t *testing.T) {
 }
 
 // cacheKeyGolden is the recorded CacheKey("p.ttr", "def main():\n    print(6 * 7)\n", 2)
-// under IRVersion cacheKeyGoldenIR. Under IRVersion 2 it was
-// 888deb5767e50c21c12b54388724ec3b.
+// under IRVersion cacheKeyGoldenIR. Under IRVersion 3 it was
+// 0e1715a0dd67c3b50b12f2fad04fea73.
 const (
-	cacheKeyGolden   = "0e1715a0dd67c3b50b12f2fad04fea73"
-	cacheKeyGoldenIR = 3
+	cacheKeyGolden   = "e106c9452142ef0cb68e1519715061c5"
+	cacheKeyGoldenIR = 4
 )

@@ -177,12 +177,3 @@ func RunVMOpt(prog *ast.Program, cfg Config, level int) error {
 	}
 	return NewVM(bc, cfg).Run()
 }
-
-// CallVM invokes one function on the VM backend.
-func CallVM(prog *ast.Program, cfg Config, name string, args ...value.Value) (value.Value, error) {
-	bc, err := CompileBytecodeOpt(prog, bytecode.DefaultLevel)
-	if err != nil {
-		return value.Value{}, err
-	}
-	return NewVM(bc, cfg).Call(name, args...)
-}

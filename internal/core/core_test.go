@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bytecode"
 	"repro/internal/value"
 )
 
@@ -81,9 +82,13 @@ func TestRunVMAndCallVM(t *testing.T) {
 	if out.String() != "42\n" {
 		t.Errorf("vm output = %q", out.String())
 	}
-	v, err := CallVM(prog, Config{}, "add", value.NewInt(20), value.NewInt(22))
+	bc, err := CompileBytecodeOpt(prog, bytecode.DefaultLevel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := NewVM(bc, Config{}).Call("add", value.NewInt(20), value.NewInt(22))
 	if err != nil || v.Int() != 42 {
-		t.Errorf("CallVM = %v, %v", v, err)
+		t.Errorf("NewVM(...).Call = %v, %v", v, err)
 	}
 }
 

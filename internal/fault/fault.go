@@ -69,7 +69,6 @@ type point struct {
 	prob  float64
 	delay time.Duration
 	fired int64
-	seen  int64
 }
 
 // Injector holds a set of armed injection points. The zero value and
@@ -195,7 +194,6 @@ func (i *Injector) Fire(name string) (Fault, bool) {
 	if !ok || p.prob <= 0 {
 		return Fault{}, false
 	}
-	p.seen++
 	if i.rng.Float64() >= p.prob {
 		return Fault{}, false
 	}
@@ -216,19 +214,6 @@ func (i *Injector) Fired(name string) int64 {
 	defer i.mu.Unlock()
 	if p, ok := i.points[name]; ok {
 		return p.fired
-	}
-	return 0
-}
-
-// Seen returns how many times the point has been consulted.
-func (i *Injector) Seen(name string) int64 {
-	if i == nil {
-		return 0
-	}
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	if p, ok := i.points[name]; ok {
-		return p.seen
 	}
 	return 0
 }

@@ -63,9 +63,6 @@ func TestFireProbabilityAndCounters(t *testing.T) {
 	for i := 0; i < n; i++ {
 		inj.Fire(WorkerPanic)
 	}
-	if seen := inj.Seen(WorkerPanic); seen != n {
-		t.Errorf("seen = %d, want %d", seen, n)
-	}
 	fired := inj.Fired(WorkerPanic)
 	if fired < n*35/100 || fired > n*65/100 {
 		t.Errorf("fired %d/%d at p=0.5, far outside expectation", fired, n)

@@ -13,8 +13,8 @@
 // are NOT implemented here: every such function is a thin delegate into
 // internal/sem, the shared semantics core, which re-raises sem errors as
 // Tetra runtime panics. gort owns only what is specific to compiled
-// execution: goroutine plumbing, the resource governor, typed generic
-// arrays, and I/O.
+// execution: goroutine plumbing, the governor's limits read from the
+// environment, typed generic arrays, and I/O.
 //
 // Runtime errors (index out of bounds, division by zero, conversion
 // failures) are raised as panics carrying an Err value; the generated main
@@ -32,9 +32,9 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"repro/internal/guard"
 	"repro/internal/sched"
 	"repro/internal/sem"
 )
@@ -82,10 +82,12 @@ func Catch(main func()) {
 	Out.Flush()
 }
 
-// ---- resource governor (mirror of internal/guard for compiled programs) ----
+// ---- resource governor ----
 //
-// Limits cannot be baked in at compile time — the same binary may run
-// trusted or sandboxed — so they arrive through the environment:
+// Compiled programs run under the same internal/guard.Governor as the
+// interpreter and the VM. Limits cannot be baked in at compile time — the
+// same binary may run trusted or sandboxed — so they arrive through the
+// environment:
 //
 //	TETRA_TIMEOUT     wall-clock budget, Go duration syntax (e.g. "1s")
 //	TETRA_MAX_STEPS   loop back-edge budget across all threads
@@ -95,11 +97,11 @@ func Catch(main func()) {
 //	                  string bytes on the growth paths)
 //
 // Generated code calls Tick at every loop back-edge and Enter on every
-// function entry; Par/ParArg/Go charge thread spawns; the allocation
+// function entry; Par/ParFor/Go charge thread spawns; the allocation
 // paths (array literals and make-style construction, range
 // materialization, push, string concatenation) charge cells. A tripped
-// budget raises the same "runtime error:" diagnostics the interpreter
-// produces. A malformed value is ignored with a warning on stderr —
+// budget raises the governor's own diagnostic, the one the interpreter
+// prints. A malformed value is ignored with a warning on stderr —
 // never silently — because when tetrad's native tier runs these
 // binaries, a misparsed knob is a serving bug, not a shell typo.
 
@@ -108,40 +110,25 @@ func Catch(main func()) {
 // program is a Tetra runtime error instead of a raw Go stack fault.
 const MaxCallDepth = 10000
 
-var (
-	gEnabled    bool
-	gMaxSteps   int64
-	gMaxThreads int64
-	gMaxOutput  int64
-	gMaxAlloc   int64
-	gTimeout    time.Duration
-	gDeadline   time.Time
-
-	gSteps  atomic.Int64
-	gLive   atomic.Int64
-	gOutput atomic.Int64
-	gAlloc  atomic.Int64
-)
-
-// tickMask batches the wall-clock check: time.Now runs once per 8192 ticks.
-const tickMask = 8191
+// gov is the run's governor, nil when no limit is set: every charge below
+// is then a single branch.
+var gov *guard.Governor
 
 // InitGuard reads the TETRA_* limit variables; generated main calls it
-// before execution starts. With no variables set the governor stays
-// disabled and Tick is a single branch.
+// before execution starts.
 func InitGuard() {
-	gMaxSteps = envInt64("TETRA_MAX_STEPS")
-	gMaxThreads = envInt64("TETRA_MAX_THREADS")
-	gMaxOutput = envInt64("TETRA_MAX_OUTPUT")
-	gMaxAlloc = envInt64("TETRA_MAX_ALLOC")
-	gAlloc.Store(0)
+	lim := guard.Limits{
+		MaxSteps:       envInt64("TETRA_MAX_STEPS"),
+		MaxThreads:     envInt64("TETRA_MAX_THREADS"),
+		MaxOutputBytes: envInt64("TETRA_MAX_OUTPUT"),
+		MaxAllocCells:  envInt64("TETRA_MAX_ALLOC"),
+	}
 	if v := os.Getenv("TETRA_TIMEOUT"); v != "" {
 		d, err := time.ParseDuration(v)
 		if err != nil || d <= 0 {
 			fmt.Fprintf(os.Stderr, "gort: ignoring TETRA_TIMEOUT=%q: want a positive Go duration\n", v)
 		} else {
-			gTimeout = d
-			gDeadline = time.Now().Add(d)
+			lim.Deadline = d
 			// Hard backstop: a thread stuck in an uninterruptible blocking
 			// operation cannot outlive deadline + grace.
 			time.AfterFunc(d+2*time.Second, func() {
@@ -151,8 +138,12 @@ func InitGuard() {
 			})
 		}
 	}
-	gEnabled = gMaxSteps > 0 || gMaxThreads > 0 || gMaxOutput > 0 || gMaxAlloc > 0 || gTimeout > 0
-	gLive.Store(1) // the main thread counts against the thread budget
+	gov = nil
+	if lim.Enabled() {
+		gov = guard.New(lim)
+		gov.Start()
+		gov.ThreadStart() // the main thread counts against the thread budget
+	}
 }
 
 // envInt64 parses a non-negative integer knob. A malformed or negative
@@ -171,12 +162,22 @@ func envInt64(name string) int64 {
 	return n
 }
 
+// charge raises the governor's diagnostic when a charge tripped a limit
+// (or found one already tripped: the first limit to trip wins). The raise
+// is a function of its own so that the test inlines into Tick.
+func charge(k guard.Kind) {
+	if k != guard.OK {
+		raiseTrip(k)
+	}
+}
+
+func raiseTrip(k guard.Kind) { panic(Err{Msg: gov.Err(k).Error()}) }
+
 // chargeAlloc bills n cells (array elements or string bytes) against the
-// allocation budget — the compiled mirror of the interpreter's
-// chargeAlloc, with the same error wording.
+// allocation budget.
 func chargeAlloc(n int64) {
-	if gMaxAlloc > 0 && gAlloc.Add(n) > gMaxAlloc {
-		Raise("exceeded allocation budget (%d cells)", gMaxAlloc)
+	if gov != nil {
+		charge(gov.AddAlloc(n))
 	}
 }
 
@@ -189,26 +190,24 @@ func Enter(gd int) {
 }
 
 // Tick charges one step at a loop back-edge, raising when the step budget
-// or deadline trips.
+// or the deadline has tripped.
 func Tick() {
-	if !gEnabled {
-		return
-	}
-	n := gSteps.Add(1)
-	if gMaxSteps > 0 && n > gMaxSteps {
-		Raise("exceeded step budget (%d)", gMaxSteps)
-	}
-	if gTimeout > 0 && n&tickMask == 0 && time.Now().After(gDeadline) {
-		Raise("exceeded deadline (%s)", gTimeout)
+	if gov != nil {
+		charge(gov.StepN(nil, 1))
 	}
 }
 
-// spawnCheck charges one live thread against the thread budget.
-func spawnCheck() {
-	if gMaxThreads > 0 && gLive.Add(1) > gMaxThreads {
-		Raise("exceeded thread budget (%d live threads)", gMaxThreads)
+// threadStart charges one live thread against the thread budget; only an
+// OK is to be balanced by threadExit.
+func threadStart() guard.Kind {
+	if gov == nil {
+		return guard.OK
 	}
+	return gov.ThreadStart()
 }
+
+// spawnCheck is threadStart for the spawns that raise a refusal at once.
+func spawnCheck() { charge(threadStart()) }
 
 // captured holds the first panic recovered from a spawned thread.
 var (
@@ -219,8 +218,8 @@ var (
 // threadExit balances spawnCheck and records a spawned thread's panic for
 // Reraise instead of letting it kill the process with a Go trace.
 func threadExit() {
-	if gMaxThreads > 0 {
-		gLive.Add(-1)
+	if gov != nil {
+		gov.ThreadDone()
 	}
 	if r := recover(); r != nil {
 		capMu.Lock()
@@ -242,18 +241,6 @@ func Par(wg *sync.WaitGroup, f func()) {
 	}()
 }
 
-// ParArg launches one parallel-for iteration, passing the thread its
-// private copy of the induction value.
-func ParArg[T any](wg *sync.WaitGroup, arg T, f func(T)) {
-	spawnCheck()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer threadExit()
-		f(arg)
-	}()
-}
-
 // schedConfig is the parallel-for scheduling configuration. Like the
 // governor limits, it cannot be baked in at compile time, so it arrives
 // through the environment: TETRA_WORKERS caps the worker-goroutine count
@@ -262,16 +249,6 @@ func ParArg[T any](wg *sync.WaitGroup, arg T, f func(T)) {
 var schedConfig = sched.Config{
 	Workers: int(envInt64("TETRA_WORKERS")),
 	Grain:   int(envInt64("TETRA_GRAIN")),
-}
-
-// trySpawn charges one live thread against the thread budget without
-// panicking, so ParFor can join already-running workers before raising.
-func trySpawn() bool {
-	if gMaxThreads > 0 && gLive.Add(1) > gMaxThreads {
-		gLive.Add(-1)
-		return false
-	}
-	return true
 }
 
 // ParFor runs body over every element of elems on a bounded pool of
@@ -284,10 +261,11 @@ func trySpawn() bool {
 func ParFor[T any](elems []T, body func(T)) {
 	workers, loop := schedConfig.Loop(len(elems))
 	var wg sync.WaitGroup
-	budgetHit := false
+	refused := guard.OK
 	for w := 0; w < workers; w++ {
-		if !trySpawn() {
-			budgetHit = true
+		// A refusal is raised only after the workers already running have
+		// been joined.
+		if refused = threadStart(); refused != guard.OK {
 			break
 		}
 		wg.Add(1)
@@ -307,9 +285,7 @@ func ParFor[T any](elems []T, body func(T)) {
 		}()
 	}
 	wg.Wait()
-	if budgetHit {
-		Raise("exceeded thread budget (%d live threads)", gMaxThreads)
-	}
+	charge(refused)
 }
 
 // Reraise re-panics with the first error captured from a spawned thread;
@@ -549,8 +525,8 @@ func Print(args ...any) {
 		sb.WriteString(formatTop(a))
 	}
 	sb.WriteByte('\n')
-	if gMaxOutput > 0 && gOutput.Add(int64(sb.Len())) > gMaxOutput {
-		Raise("exceeded output budget (%d bytes)", gMaxOutput)
+	if gov != nil {
+		charge(gov.AddOutput(sb.Len()))
 	}
 	Out.mu.Lock()
 	Out.w.WriteString(sb.String())
@@ -732,16 +708,14 @@ func Sleep(ms int64) {
 		return
 	}
 	d := time.Duration(ms) * time.Millisecond
-	if gTimeout == 0 {
+	if gov == nil || gov.Limits().Deadline == 0 {
 		time.Sleep(d)
 		return
 	}
 	end := time.Now().Add(d)
 	const slice = 10 * time.Millisecond
 	for {
-		if time.Now().After(gDeadline) {
-			Raise("exceeded deadline (%s)", gTimeout)
-		}
+		charge(gov.Tripped())
 		remain := time.Until(end)
 		if remain <= 0 {
 			return

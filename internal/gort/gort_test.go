@@ -282,16 +282,16 @@ func TestParForPanicCapture(t *testing.T) {
 }
 
 func TestParForThreadBudget(t *testing.T) {
-	defer func(oldMax int64, oldCfg sched.Config) {
-		gMaxThreads = oldMax
-		gLive.Store(1)
+	t.Setenv("TETRA_MAX_THREADS", "3")
+	InitGuard()
+	defer func(oldCfg sched.Config) {
+		os.Unsetenv("TETRA_MAX_THREADS")
+		InitGuard()
 		schedConfig = oldCfg
-	}(gMaxThreads, schedConfig)
-	gLive.Store(1)
+	}(schedConfig)
 	schedConfig = sched.Config{Workers: 2}
 
 	// 2 workers + main fit a 3-thread budget regardless of element count.
-	gMaxThreads = 3
 	var ran atomic.Int64
 	if err := catchErr(func() {
 		ParFor(make([]int64, 1000), func(int64) { ran.Add(1) })
@@ -304,11 +304,25 @@ func TestParForThreadBudget(t *testing.T) {
 
 	// An 8-worker pool cannot: budget raises after joining started workers.
 	schedConfig = sched.Config{Workers: 8}
-	gLive.Store(1)
 	if err := catchErr(func() {
 		ParFor(make([]int64, 1000), func(int64) {})
-	}); err == nil || !strings.Contains(err.Msg, "thread budget") {
+	}); err == nil || err.Msg != "exceeded thread budget (3 live threads)" {
 		t.Errorf("8 workers under 3-thread budget: err = %v", err)
+	}
+}
+
+// BenchmarkTick is the per-back-edge cost of the governor in a compiled
+// program with a step budget in force (serve_heavy's native tier runs it
+// 200k times a request).
+func BenchmarkTick(b *testing.B) {
+	b.Setenv("TETRA_MAX_STEPS", "1000000000000")
+	InitGuard()
+	defer func() {
+		os.Unsetenv("TETRA_MAX_STEPS")
+		InitGuard()
+	}()
+	for i := 0; i < b.N; i++ {
+		Tick()
 	}
 }
 

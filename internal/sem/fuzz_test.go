@@ -33,7 +33,7 @@ func FuzzArithKernels(f *testing.F) {
 			l, r = value.NewInt(ai), value.NewInt(bi)
 		}
 
-		run, runErr := Binary(op, l, r)
+		run, runErr := binary(op, l, r)
 
 		// Fold/run agreement.
 		if folded, ok := FoldBinary(op, l, r); ok {

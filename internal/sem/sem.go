@@ -272,15 +272,6 @@ func CompareInt(op Op, a, b int64) bool {
 	}
 }
 
-// Binary evaluates any binary operator: comparisons yield bool values,
-// arithmetic follows Arith.
-func Binary(op Op, l, r value.Value) (value.Value, error) {
-	if op.IsCompare() {
-		return value.NewBool(Compare(op, l, r)), nil
-	}
-	return Arith(op, l, r)
-}
-
 // Neg evaluates unary minus: int stays int, anything else is real.
 func Neg(v value.Value) value.Value {
 	if v.K == value.Int {
@@ -307,10 +298,6 @@ func ToReal(v value.Value) value.Value {
 // Equal is the canonical deep value equality, re-exported from the
 // representation layer so backends import only sem.
 func Equal(a, b value.Value) bool { return value.Equal(a, b) }
-
-// Format renders a value the way Tetra's print does; re-exported from the
-// representation layer (value.Value.String walks the representation).
-func Format(v value.Value) string { return v.String() }
 
 // ---- constant folding ----
 //

@@ -4,7 +4,6 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"errors"
-	"sort"
 	"sync"
 	"time"
 
@@ -146,19 +145,6 @@ func (r *Registry) Remove(id, reason string) bool {
 	s.kill(reason)
 	r.opts.Logf("session %s: evicted (%s)", id, reason)
 	return true
-}
-
-// IDs returns the live session ids, sorted (stable output for status
-// endpoints and tests).
-func (r *Registry) IDs() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.sessions))
-	for id := range r.sessions {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Snapshot returns the current counters.

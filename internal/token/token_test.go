@@ -57,15 +57,6 @@ func TestLookupKeywords(t *testing.T) {
 	}
 }
 
-func TestKindIsKeyword(t *testing.T) {
-	if !DEF.IsKeyword() || !TBOOL.IsKeyword() || !LOCK.IsKeyword() {
-		t.Error("keyword kinds not reported as keywords")
-	}
-	if IDENT.IsKeyword() || PLUS.IsKeyword() || EOF.IsKeyword() {
-		t.Error("non-keyword kinds reported as keywords")
-	}
-}
-
 func TestPos(t *testing.T) {
 	p := Pos{File: "a.ttr", Line: 3, Col: 7}
 	if got := p.String(); got != "a.ttr:3:7" {

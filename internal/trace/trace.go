@@ -140,15 +140,6 @@ func NewCollectorCap(capacity int) *Collector {
 	return &Collector{start: time.Now(), cap: capacity}
 }
 
-// NewCollectorFor returns a collector recording only the given kinds.
-func NewCollectorFor(kinds ...Kind) *Collector {
-	c := NewCollector()
-	for _, k := range kinds {
-		c.Filter |= 1 << uint(k)
-	}
-	return c
-}
-
 // Emit records the event, assigning its sequence number and timestamp.
 // When the ring is full the oldest retained event is overwritten and the
 // dropped count grows; live subscribers receive the event regardless.
@@ -218,10 +209,6 @@ func (c *Collector) Cap() int {
 	defer c.mu.Unlock()
 	return c.cap
 }
-
-// StartTime returns when collection began; an Event's absolute time is
-// StartTime().Add(Event.Nanos).
-func (c *Collector) StartTime() time.Time { return c.start }
 
 // Sub is one live subscription to a collector's event stream. Events
 // arrive on C in emit order; a subscriber that falls behind its buffer

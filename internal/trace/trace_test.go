@@ -41,7 +41,8 @@ func TestCollectorSnapshotIsolated(t *testing.T) {
 }
 
 func TestCollectorFilter(t *testing.T) {
-	c := NewCollectorFor(LockAcquire, LockRelease)
+	c := NewCollector()
+	c.Filter = 1<<uint(LockAcquire) | 1<<uint(LockRelease)
 	c.Emit(Event{Kind: Step})
 	c.Emit(Event{Kind: LockAcquire, Name: "m"})
 	c.Emit(Event{Kind: Output, Name: "x"})

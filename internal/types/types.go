@@ -106,14 +106,3 @@ func (t *Type) String() string {
 		return "<invalid>"
 	}
 }
-
-// Depth returns the nesting depth of an array type (0 for scalars). Useful
-// for multi-dimensional array diagnostics.
-func (t *Type) Depth() int {
-	d := 0
-	for t.Kind() == Array {
-		d++
-		t = t.elem
-	}
-	return d
-}

@@ -93,15 +93,3 @@ func TestNumericPredicates(t *testing.T) {
 		t.Error("IsArray wrong")
 	}
 }
-
-func TestDepth(t *testing.T) {
-	if IntType.Depth() != 0 {
-		t.Error("scalar depth != 0")
-	}
-	if ArrayOf(IntType).Depth() != 1 {
-		t.Error("[int] depth != 1")
-	}
-	if ArrayOf(ArrayOf(ArrayOf(StringType))).Depth() != 3 {
-		t.Error("[[[string]]] depth != 3")
-	}
-}

@@ -22,11 +22,11 @@ import (
 
 // TestLayout keeps Value within the four words the compiler will hold in
 // registers; see the package comment. The VM's other hot structure is
-// pinned beside it: an instruction is 24 bytes, which the typed IR's
-// hundred opcodes did not change.
+// pinned beside it: an instruction is an opcode and four operands, 20
+// bytes.
 func TestLayout(t *testing.T) {
-	if got := unsafe.Sizeof(bytecode.Instr{}); got != 24 {
-		t.Errorf("unsafe.Sizeof(bytecode.Instr{}) = %d, want 24", got)
+	if got := unsafe.Sizeof(bytecode.Instr{}); got != 20 {
+		t.Errorf("unsafe.Sizeof(bytecode.Instr{}) = %d, want 20", got)
 	}
 	if got := unsafe.Sizeof(value.Value{}); got != 24 {
 		t.Errorf("unsafe.Sizeof(Value{}) = %d, want 24", got)

@@ -152,9 +152,6 @@ func (v Value) AsReal() float64 {
 	return math.Float64frombits(v.B)
 }
 
-// IsNone reports whether the value is absent.
-func (v Value) IsNone() bool { return v.K == None }
-
 // Equal reports deep value equality. Arrays compare element-wise.
 func Equal(a, b Value) bool {
 	if a.K != b.K {
@@ -421,8 +418,8 @@ func (a *Array) Len() int {
 	return len(a.elems)
 }
 
-// Get returns element i. The caller has already bounds-checked via InRange
-// or relies on the runtime's bounds error.
+// Get returns element i. The caller has already bounds-checked (sem.Index,
+// sem.ArrayIndex) or relies on the runtime's bounds error.
 func (a *Array) Get(i int) Value {
 	if a.scalar != None {
 		return Value{K: a.scalar, B: atomic.LoadUint64(&a.words[i])}
@@ -438,9 +435,6 @@ func (a *Array) Set(i int, v Value) {
 	}
 	a.elems[i] = v
 }
-
-// InRange reports whether i is a valid index.
-func (a *Array) InRange(i int64) bool { return i >= 0 && i < int64(a.Len()) }
 
 // Values returns a snapshot copy of the elements, for bulk operations
 // (sort builtin, tests).

@@ -30,9 +30,6 @@ func TestConstructorsAndAccessors(t *testing.T) {
 	if v := NewArray(a); v.K != Arr || v.Array() != a {
 		t.Errorf("NewArray: %+v", v)
 	}
-	if !(Value{}).IsNone() || NewInt(0).IsNone() {
-		t.Error("IsNone wrong")
-	}
 }
 
 func TestAsReal(t *testing.T) {
@@ -185,9 +182,6 @@ func TestArray(t *testing.T) {
 	a.Set(1, NewInt(7))
 	if a.Get(1).Int() != 7 {
 		t.Error("Set/Get failed")
-	}
-	if !a.InRange(0) || !a.InRange(2) || a.InRange(3) || a.InRange(-1) {
-		t.Error("InRange wrong")
 	}
 	a.Append(NewInt(9))
 	if a.Len() != 4 || a.Get(3).Int() != 9 {

@@ -22,7 +22,7 @@ import (
 // every path.
 
 // callLoopSrc is the benchmark's call probe: three user calls per
-// iteration through inline-cached sites and almost nothing else.
+// iteration and almost nothing else.
 const callLoopSrc = `def step(x int) int:
     return x + 1
 
@@ -384,7 +384,7 @@ func TestCallFramesAreReleasedOnReturn(t *testing.T) {
 	bc := compileOpt(t, parForDown("0"), bytecode.O2)
 	m := New(bc, Options{Env: stdlib.NewEnv(strings.NewReader(""), &bytes.Buffer{})})
 	th := &thread{vm: m}
-	down := m.funcs[m.byName["down"]]
+	down := bc.Funcs[m.byName["down"]]
 	for i := 0; i < 1000; i++ {
 		n := int64(i * 7 % 400)
 		v, err := th.call(down, []value.Value{value.NewInt(n)})

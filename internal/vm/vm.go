@@ -49,23 +49,16 @@
 // the one machine operation, so internal/sem still owns every result and
 // every error's wording. Nothing here re-checks that a register holds the
 // kind its opcode names: bytecode.Verify proves it of what Compile and
-// the optimizer emit, and Call and Rebind, the two doors by which values
-// and code come in from outside, check types at the door. The untyped
-// opcodes (operands of mixed kind, strings, a constant zero divisor) go
-// through sem.Arith and sem.Compare.
+// the optimizer emit, and Call, the one door by which values come in from
+// outside, checks types at the door. The untyped opcodes (operands of
+// mixed kind, strings, a constant zero divisor) go through sem.Arith and
+// sem.Compare.
 //
-// # Inline caches
-//
-// Every call instruction carries a program-wide site id. The VM keeps a
-// monomorphic inline-cache entry per site holding the resolved callee
-// (function or builtin), stamped with the VM's redefinition generation.
-// A hit costs one atomic load and a generation compare — no lock, no
-// table lookup; Rebind (redefining a function on a live VM) bumps the
-// generation, instantly invalidating every site. The protocol reads the
-// generation before the slow-path table lookup, so a racing rebind can
-// only ever produce an entry stamped with an outdated generation — which
-// the next dispatch re-resolves. A stale callee is never served past the
-// rebind's own synchronization point.
+// A call is an index: Tetra has no first-class functions and no
+// redefinition, so OpCall enters prog.Funcs[A] and OpCallBuiltin evaluates
+// stdlib.ByID(A). That the index is in range, that the argument count is
+// the callee's, and that only a call with a result names a destination are
+// again Verify's to prove, not the loop's to test.
 //
 // The VM intentionally omits the step hook, tracer, and deadlock/race
 // tooling: those belong to the development path (the interpreter, which the
@@ -81,8 +74,6 @@ package vm
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/bytecode"
 	"repro/internal/guard"
@@ -91,7 +82,6 @@ import (
 	"repro/internal/sem"
 	"repro/internal/stdlib"
 	"repro/internal/token"
-	"repro/internal/types"
 	"repro/internal/value"
 )
 
@@ -117,16 +107,6 @@ type Options struct {
 	Sched sched.Config
 }
 
-// callIC is one monomorphic inline-cache entry: the callee a call site
-// resolved to, stamped with the redefinition generation it was resolved
-// under. Exactly one of fn/b is set.
-type callIC struct {
-	gen     uint32
-	fn      *bytecode.Func
-	b       *stdlib.Builtin
-	returns bool // builtin produces a value
-}
-
 // VM executes one compiled program.
 type VM struct {
 	prog  *bytecode.Program
@@ -134,16 +114,7 @@ type VM struct {
 	guard *guard.Governor
 	rt    *rt.Runtime
 
-	// funcs is the VM's rebindable view of prog.Funcs; funcMu guards it
-	// (and byName) against Rebind. The common case never takes the lock —
-	// call sites hit their inline cache.
-	funcMu sync.RWMutex
-	funcs  []*bytecode.Func
-	byName map[string]int
-	// gen counts redefinitions; an inline-cache entry is valid only while
-	// its stamp matches.
-	gen atomic.Uint32
-	ics []atomic.Pointer[callIC]
+	byName map[string]int // function name → index in prog.Funcs, for Call
 }
 
 // New returns a VM for the compiled program.
@@ -154,46 +125,11 @@ func New(prog *bytecode.Program, opts Options) *VM {
 		LockNames:        prog.LockNames,
 		NoWaitBackground: opts.NoWaitBackground,
 	})}
-	m.funcs = make([]*bytecode.Func, len(prog.Funcs))
-	copy(m.funcs, prog.Funcs)
 	m.byName = make(map[string]int, len(prog.Funcs))
 	for i, f := range prog.Funcs {
 		m.byName[f.Name] = i
 	}
-	m.ics = make([]atomic.Pointer[callIC], prog.NumSites)
 	return m
-}
-
-// Rebind replaces the function named name on this VM with fn, for
-// embedders that hot-swap code on a live VM. The replacement must match
-// the original's signature — parameter types and result type — because
-// call sites compiled against the old one stay as they are: where they
-// widen an int argument and which typed opcodes consume the result were
-// decided from it. Every inline cache is invalidated atomically
-// by bumping the generation; in-flight calls that already entered the old
-// body finish it (the swap is a redefinition, not a preemption).
-func (m *VM) Rebind(name string, fn *bytecode.Func) error {
-	m.funcMu.Lock()
-	defer m.funcMu.Unlock()
-	idx, ok := m.byName[name]
-	if !ok {
-		return fmt.Errorf("no function named %s", name)
-	}
-	old := m.funcs[idx]
-	if len(fn.Params) != len(old.Params) {
-		return fmt.Errorf("rebind %s: arity mismatch (have %d parameters, want %d)", name, len(fn.Params), len(old.Params))
-	}
-	for i, p := range fn.Params {
-		if !types.Equal(p, old.Params[i]) {
-			return fmt.Errorf("rebind %s: parameter %d is %s, want %s", name, i+1, p, old.Params[i])
-		}
-	}
-	if !types.Equal(fn.Result, old.Result) {
-		return fmt.Errorf("rebind %s: result type mismatch", name)
-	}
-	m.funcs[idx] = fn
-	m.gen.Add(1)
-	return nil
 }
 
 // Run executes the program's main function.
@@ -201,7 +137,7 @@ func (m *VM) Run() error {
 	if m.prog.MainIndex < 0 {
 		return fmt.Errorf("program has no main function")
 	}
-	_, err := m.run(m.funcs[m.prog.MainIndex], nil)
+	_, err := m.run(m.prog.Funcs[m.prog.MainIndex], nil)
 	return err
 }
 
@@ -210,16 +146,11 @@ func (m *VM) Run() error {
 // argument that is then not of its parameter's type is an error: typed
 // code does not look at kinds again.
 func (m *VM) Call(name string, args ...value.Value) (value.Value, error) {
-	m.funcMu.RLock()
 	idx, ok := m.byName[name]
-	var fn *bytecode.Func
-	if ok {
-		fn = m.funcs[idx]
-	}
-	m.funcMu.RUnlock()
-	if fn == nil {
+	if !ok {
 		return value.Value{}, fmt.Errorf("no function named %s", name)
 	}
+	fn := m.prog.Funcs[idx]
 	if len(args) != len(fn.Params) {
 		return value.Value{}, fmt.Errorf("%s expects %d argument(s), got %d", name, len(fn.Params), len(args))
 	}
@@ -361,18 +292,6 @@ func (t *thread) runChunk(fn *bytecode.Func, ch *bytecode.Chunk, cells []*value.
 	_, err := t.exec(fn, ch, w, cells)
 	t.release(w, sp)
 	return err
-}
-
-// resolveFunc is the call-site slow path: look the callee up under the
-// lock and publish a fresh inline-cache entry. gen was loaded BEFORE the
-// table read — see the package comment for why that ordering is what
-// makes a stale entry impossible.
-func (m *VM) resolveFunc(site, idx int32, gen uint32) *bytecode.Func {
-	m.funcMu.RLock()
-	fn := m.funcs[idx]
-	m.funcMu.RUnlock()
-	m.ics[site].Store(&callIC{gen: gen, fn: fn})
-	return fn
 }
 
 // exec runs chunk ch of fn over the window regs until it returns, and
@@ -717,21 +636,14 @@ activation:
 			if t.depth >= rt.MaxCallDepth {
 				return value.Value{}, rt.Errorf(ch.Pos[pc], "call stack exhausted (recursion deeper than %d)", rt.MaxCallDepth)
 			}
-			// Inline-cache dispatch: generation first, then the entry.
-			gen := t.vm.gen.Load()
-			var callee *bytecode.Func
-			if ic := t.vm.ics[ins.S].Load(); ic != nil && ic.gen == gen {
-				callee = ic.fn
-			} else {
-				callee = t.vm.resolveFunc(ins.S, ins.A, gen)
-			}
+			callee := t.vm.prog.Funcs[ins.A]
 			args := regs[ins.B : ins.B+ins.C]
 			if callee.Shared {
 				v, err := t.call(callee, args)
 				if err != nil {
 					return value.Value{}, err
 				}
-				if ins.Dst >= 0 && callee.Result != nil {
+				if ins.Dst >= 0 {
 					regs[ins.Dst] = v
 				}
 				continue
@@ -747,20 +659,11 @@ activation:
 			goto activation
 
 		case bytecode.OpCallBuiltin:
-			// Builtins are immutable, so their cache entries never
-			// invalidate; the entry saves the id lookup and the
-			// returns-a-value test.
-			ic := t.vm.ics[ins.S].Load()
-			if ic == nil {
-				b := stdlib.ByID(int(ins.A))
-				ic = &callIC{b: b, returns: builtinReturns(int(ins.A))}
-				t.vm.ics[ins.S].Store(ic)
-			}
-			v, err := ic.b.Eval(t.vm.opts.Env, regs[ins.B:ins.B+ins.C])
+			v, err := stdlib.ByID(int(ins.A)).Eval(t.vm.opts.Env, regs[ins.B:ins.B+ins.C])
 			if err != nil {
 				return value.Value{}, rt.Errorf(ch.Pos[pc], "%v", err)
 			}
-			if ins.Dst >= 0 && ic.returns {
+			if ins.Dst >= 0 {
 				regs[ins.Dst] = v
 			}
 
@@ -780,12 +683,11 @@ activation:
 			top := len(t.frames) - 1
 			fr := &t.frames[top]
 			t.release(regs, fr.sp)
-			returns := fn.Result != nil
 			fn, ch, pc, regs, cells = fr.fn, fr.ch, fr.pc, fr.regs, fr.cells
 			*fr = frame{}
 			t.frames = t.frames[:top]
 			t.depth--
-			if dst := ch.Code[pc].Dst; dst >= 0 && returns {
+			if dst := ch.Code[pc].Dst; dst >= 0 {
 				regs[dst] = v
 			}
 			pc++
@@ -945,14 +847,4 @@ func (t *thread) parFor(fn *bytecode.Func, cells []*value.Cell, sub *bytecode.Ch
 			return nt.runChunk(fn, sub, forked)
 		}
 	})
-}
-
-// builtinReturns reports whether builtin id produces a value. Only print,
-// push and sleep are void.
-func builtinReturns(id int) bool {
-	switch id {
-	case stdlib.Print, stdlib.Push, stdlib.Sleep:
-		return false
-	}
-	return true
 }

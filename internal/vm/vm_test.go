@@ -361,7 +361,7 @@ func TestVerifyAfterEveryPhase(t *testing.T) {
 func TestDisassembleSmoke(t *testing.T) {
 	_, bc := compileBoth(t, "def main():\n    x = 1\n    print(x + 2)\n")
 	text := bytecode.Disassemble(bc.Funcs[0])
-	for _, want := range []string{"func main", "const", "add", "callb", "r0=x", "ic site"} {
+	for _, want := range []string{"func main", "const", "add", "callb", "r0=x", "builtin#0"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("disassembly missing %q:\n%s", want, text)
 		}
