@@ -57,8 +57,8 @@
 // remain where the checker typed the two operands differently (int with
 // real, which sem.Arith promotes), for strings, and as the place a zero
 // divisor is reported; they go through sem.Arith and sem.Compare as
-// before. The optimizer (optimize.go) folds and fuses typed instructions
-// into typed superinstructions (add.ik, mod.rk, jlt.ik) at -O2.
+// before. The optimizer (optimize.go) fuses typed instructions into typed
+// superinstructions (add.ik, mod.rk, jlt.ik) at -O2.
 //
 // That no typed opcode ever meets a value of another kind is a property
 // of the compiled code, and Verify proves it, with the IR's structural
@@ -438,8 +438,8 @@ func (o Op) Fused() bool {
 }
 
 // isArith and isCompare report whether o is a register-register
-// arithmetic or comparison instruction, typed or untyped — the ones the
-// folder evaluates and fusion consumes.
+// arithmetic or comparison instruction, typed or untyped — the ones
+// fusion consumes.
 func (o Op) isArith() bool {
 	in := o.info()
 	return in.isOp && in.form == fBinary && !in.op.IsCompare()

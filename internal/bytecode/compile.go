@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/ast"
+	"repro/internal/sem"
 	"repro/internal/token"
 	"repro/internal/types"
 	"repro/internal/value"
@@ -228,8 +229,7 @@ func (c *fnCompiler) isTemp(reg int32) bool { return int(reg) >= c.fn.NumSlots }
 func (c *fnCompiler) constIndex(v value.Value) int32 { return c.fn.constIndex(v) }
 
 // constIndex interns v in the function's constant pool, reusing an
-// existing slot when an identical constant is already pooled. Shared by
-// the compiler and the optimizer's constant folder.
+// existing slot when an identical constant is already pooled.
 func (f *Func) constIndex(v value.Value) int32 {
 	for i, existing := range f.Consts {
 		if value.Identical(existing, v) {
@@ -304,20 +304,26 @@ func (c *fnCompiler) stmtInner(s ast.Stmt) error {
 
 	case *ast.WhileStmt:
 		top := c.pc()
-		condBase := c.nextTemp
-		cond, err := c.genExpr(s.Cond)
-		if err != nil {
-			return err
+		// `while true:` has no test: the loop is its body and the back-edge.
+		jExit := -1
+		if lit, ok := s.Cond.(*ast.BoolLit); !ok || !lit.Value {
+			condBase := c.nextTemp
+			cond, err := c.genExpr(s.Cond)
+			if err != nil {
+				return err
+			}
+			jExit = c.emit(OpJumpIfFalse, 0, 0, cond, 0, s.Pos())
+			c.nextTemp = condBase
 		}
-		jExit := c.emit(OpJumpIfFalse, 0, 0, cond, 0, s.Pos())
-		c.nextTemp = condBase
 		c.pushLoop()
 		if err := c.block(s.Body); err != nil {
 			return err
 		}
 		c.emit(OpJump, 0, top, 0, 0, s.Pos())
 		c.popLoop(top)
-		c.patch(jExit)
+		if jExit >= 0 {
+			c.patch(jExit)
+		}
 		return nil
 
 	case *ast.ForStmt:
@@ -355,11 +361,10 @@ func (c *fnCompiler) stmtInner(s ast.Stmt) error {
 			c.emit(OpReturnNone, 0, 0, 0, 0, s.Pos())
 			return nil
 		}
-		r, err := c.genExpr(s.Value)
+		r, err := c.genExprAs(s.Value, c.fn.Result, s.Pos())
 		if err != nil {
 			return err
 		}
-		r = c.widenReg(s.Value, c.fn.Result, r, s.Pos())
 		c.emit(OpReturn, 0, r, 0, 0, s.Pos())
 		return nil
 
@@ -495,61 +500,34 @@ func (c *fnCompiler) assign(s *ast.AssignStmt) error {
 	case *ast.Ident:
 		slot := int32(target.Slot)
 		if s.Op == token.ASSIGN {
-			if !c.fn.Shared && !needWiden(s.Value, target.Type()) {
-				return c.genExprTo(s.Value, slot)
+			_, lit := constant(s.Value, target.Type())
+			if !c.fn.Shared && (lit || !needWiden(s.Value, target.Type())) {
+				return c.genExprToAs(s.Value, target.Type(), slot)
 			}
 			// Through a temporary: a cell is written by OpStoreCell only, and
 			// a variable is never observed holding the unwidened int.
-			r, err := c.genExpr(s.Value)
+			r, err := c.genExprAs(s.Value, target.Type(), s.OpPos)
 			if err != nil {
 				return err
 			}
-			r = c.widenReg(s.Value, target.Type(), r, s.OpPos)
 			c.setVar(slot, r, s.Pos())
 			return nil
 		}
 		// Augmented assignment: the value first, then the variable read,
 		// the operation and the write. In a flat function that is one
 		// arithmetic instruction reading and writing the slot — the
-		// register IR's fused load-arith-store.
+		// register IR's fused load-arith-store. A real target needs no
+		// widening after it: its left operand is real, so the result is.
 		r, err := c.genExpr(s.Value)
 		if err != nil {
 			return err
 		}
 		cur := c.getVar(slot, target.Pos())
 		c.emit(typed(augToOp(s.Op), target.Type(), s.Value.Type()), cur, cur, r, 0, s.OpPos)
-		if target.Type().Kind() == types.Real {
-			c.emit(OpToReal, cur, cur, 0, 0, s.OpPos)
-		}
 		c.setVar(slot, cur, s.Pos())
 		return nil
 
 	case *ast.IndexExpr:
-		if s.Op != token.ASSIGN {
-			// Augmented index assignment evaluates the array and index
-			// exactly once, into temporaries, shared by the read and the
-			// write-back.
-			arr, err := c.genExprTemp(target.X)
-			if err != nil {
-				return err
-			}
-			idx, err := c.genExprTemp(target.Index)
-			if err != nil {
-				return err
-			}
-			cur := c.temp()
-			c.emit(indexOp(OpIndex, target.X), cur, arr, idx, 0, s.Pos())
-			r, err := c.genExpr(s.Value)
-			if err != nil {
-				return err
-			}
-			c.emit(typed(augToOp(s.Op), target.Type(), s.Value.Type()), cur, cur, r, 0, s.OpPos)
-			if target.Type().Kind() == types.Real {
-				c.emit(OpToReal, cur, cur, 0, 0, s.OpPos)
-			}
-			c.emit(indexOp(OpSetIndex, target.X), 0, arr, idx, cur, s.Pos())
-			return nil
-		}
 		arr, err := c.genExpr(target.X)
 		if err != nil {
 			return err
@@ -558,11 +536,27 @@ func (c *fnCompiler) assign(s *ast.AssignStmt) error {
 		if err != nil {
 			return err
 		}
-		r, err := c.genExpr(s.Value)
+		if s.Op != token.ASSIGN {
+			// Augmented index assignment evaluates the array and index
+			// exactly once, into the registers the read and the write-back
+			// both name. Nothing between the two can change them: Tetra has
+			// no assignment expressions, a callee cannot touch its caller's
+			// frame, and a shared function's variables arrive by OpLoadCell
+			// in temporaries this statement owns.
+			cur := c.temp()
+			c.emit(indexOp(OpIndex, target.X), cur, arr, idx, 0, s.Pos())
+			r, err := c.genExpr(s.Value)
+			if err != nil {
+				return err
+			}
+			c.emit(typed(augToOp(s.Op), target.Type(), s.Value.Type()), cur, cur, r, 0, s.OpPos)
+			c.emit(indexOp(OpSetIndex, target.X), 0, arr, idx, cur, s.Pos())
+			return nil
+		}
+		r, err := c.genExprAs(s.Value, target.Type(), s.OpPos)
 		if err != nil {
 			return err
 		}
-		r = c.widenReg(s.Value, target.Type(), r, s.OpPos)
 		c.emit(indexOp(OpSetIndex, target.X), 0, arr, idx, r, s.Pos())
 		return nil
 	}
@@ -603,27 +597,39 @@ func needWiden(e ast.Expr, dst *types.Type) bool {
 	return dst.Kind() == types.Real && e.Type().Kind() == types.Int
 }
 
-// widenReg emits OpToReal when e (held in reg) flows into a real context,
-// returning the register holding the widened value. Owned temporaries
-// widen in place; variable slots widen into a fresh temporary so the
-// variable itself is never written.
-func (c *fnCompiler) widenReg(e ast.Expr, dst *types.Type, reg int32, pos token.Pos) int32 {
-	if !needWiden(e, dst) {
-		return reg
+// constant returns the value of an expression the compiler loads with one
+// OpConst — a literal, or the negation of a numeric one — as a value of
+// type want: an int literal that flows into a real context is the real
+// constant, so no OpToReal follows it.
+func constant(e ast.Expr, want *types.Type) (value.Value, bool) {
+	var v value.Value
+	switch e := e.(type) {
+	case *ast.IntLit:
+		v = value.NewInt(e.Value)
+	case *ast.RealLit:
+		v = value.NewReal(e.Value)
+	case *ast.StringLit:
+		v = value.NewString(e.Value)
+	case *ast.BoolLit:
+		v = value.NewBool(e.Value)
+	case *ast.UnaryExpr:
+		x, ok := constant(e.X, e.X.Type())
+		if !ok || e.Op != token.MINUS {
+			return v, false
+		}
+		v = sem.Neg(x)
+	default:
+		return v, false
 	}
-	if c.isTemp(reg) {
-		c.emit(OpToReal, reg, reg, 0, 0, pos)
-		return reg
+	if needWiden(e, want) {
+		v = sem.ToReal(v)
 	}
-	t := c.temp()
-	c.emit(OpToReal, t, reg, 0, 0, pos)
-	return t
+	return v, true
 }
 
 // genExpr evaluates e and returns the register holding its value. In a
 // flat function an identifier aliases its variable slot with no
 // instruction emitted; any other expression lands in a fresh temporary.
-// Callers that need an owned, writable register must use genExprTemp.
 func (c *fnCompiler) genExpr(e ast.Expr) (int32, error) {
 	if id, ok := e.(*ast.Ident); ok {
 		return c.getVar(int32(id.Slot), id.Pos()), nil
@@ -635,35 +641,53 @@ func (c *fnCompiler) genExpr(e ast.Expr) (int32, error) {
 	return t, nil
 }
 
-// genExprTemp is genExpr but always copies into an owned temporary, for
-// consumers that must capture a variable's value exactly once.
-func (c *fnCompiler) genExprTemp(e ast.Expr) (int32, error) {
-	t := c.temp()
-	if err := c.genExprTo(e, t); err != nil {
-		return 0, err
+// genExprAs is genExpr for a value that flows into a context of type want
+// (a variable, an array element, a result): an int meeting a real is
+// widened by an OpToReal at pos. Owned temporaries widen in place; a
+// variable slot widens into a fresh temporary, so the variable itself is
+// never written.
+func (c *fnCompiler) genExprAs(e ast.Expr, want *types.Type, pos token.Pos) (int32, error) {
+	if _, lit := constant(e, want); lit {
+		t := c.temp()
+		return t, c.genExprToAs(e, want, t)
 	}
+	r, err := c.genExpr(e)
+	if err != nil || !needWiden(e, want) {
+		return r, err
+	}
+	t := r
+	if !c.isTemp(r) {
+		t = c.temp()
+	}
+	c.emit(OpToReal, t, r, 0, 0, pos)
 	return t, nil
 }
 
 // genExprTo evaluates e into register dst. Subexpression temporaries are
 // released on return — only dst survives.
 func (c *fnCompiler) genExprTo(e ast.Expr, dst int32) error {
+	return c.genExprToAs(e, e.Type(), dst)
+}
+
+// genExprToAs is genExprTo for a value of type want. An int meeting a real
+// is widened in dst, which must then be an owned temporary — unless e is
+// constant, when dst is written once, with the real.
+func (c *fnCompiler) genExprToAs(e ast.Expr, want *types.Type, dst int32) error {
+	if v, ok := constant(e, want); ok {
+		c.emit(OpConst, dst, c.constIndex(v), 0, 0, e.Pos())
+		return nil
+	}
 	base := c.nextTemp
 	err := c.genExprToInner(e, dst)
 	c.nextTemp = base
+	if err == nil && needWiden(e, want) {
+		c.emit(OpToReal, dst, dst, 0, 0, e.Pos())
+	}
 	return err
 }
 
 func (c *fnCompiler) genExprToInner(e ast.Expr, dst int32) error {
 	switch e := e.(type) {
-	case *ast.IntLit:
-		c.emit(OpConst, dst, c.constIndex(value.NewInt(e.Value)), 0, 0, e.Pos())
-	case *ast.RealLit:
-		c.emit(OpConst, dst, c.constIndex(value.NewReal(e.Value)), 0, 0, e.Pos())
-	case *ast.StringLit:
-		c.emit(OpConst, dst, c.constIndex(value.NewString(e.Value)), 0, 0, e.Pos())
-	case *ast.BoolLit:
-		c.emit(OpConst, dst, c.constIndex(value.NewBool(e.Value)), 0, 0, e.Pos())
 	case *ast.Ident:
 		op := OpMove
 		if c.fn.Shared {
@@ -675,12 +699,8 @@ func (c *fnCompiler) genExprToInner(e ast.Expr, dst int32) error {
 		elem := e.Type().Elem()
 		base := c.tempN(len(e.Elems))
 		for i, el := range e.Elems {
-			r := base + int32(i)
-			if err := c.genExprTo(el, r); err != nil {
+			if err := c.genExprToAs(el, elem, base+int32(i)); err != nil {
 				return err
-			}
-			if needWiden(el, elem) {
-				c.emit(OpToReal, r, r, 0, 0, el.Pos())
 			}
 		}
 		c.emit(OpArray, dst, base, int32(len(e.Elems)), c.typeIndex(elem), e.Pos())
@@ -738,12 +758,12 @@ func (c *fnCompiler) genCall(e *ast.CallExpr, dst int32) error {
 	base := c.nextTemp
 	argBase := c.tempN(len(e.Args))
 	for i, a := range e.Args {
-		r := argBase + int32(i)
-		if err := c.genExprTo(a, r); err != nil {
-			return err
+		want := a.Type() // a builtin takes its arguments as they are
+		if !e.IsBuiltin {
+			want = c.params[e.FuncIndex][i]
 		}
-		if !e.IsBuiltin && needWiden(a, c.params[e.FuncIndex][i]) {
-			c.emit(OpToReal, r, r, 0, 0, a.Pos())
+		if err := c.genExprToAs(a, want, argBase+int32(i)); err != nil {
+			return err
 		}
 	}
 	if e.IsBuiltin {

@@ -1,12 +1,14 @@
 package bytecode
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/check"
 	"repro/internal/parser"
 	"repro/internal/sem"
+	"repro/internal/value"
 )
 
 func compileSrc(t *testing.T, src string) *Program {
@@ -385,5 +387,112 @@ def main():
 	}
 	if checkStmt == 0 {
 		t.Error("no code emitted")
+	}
+}
+
+// TestLiteralShapes pins what the compiler emits for the literal shapes no
+// optimizer phase evaluates — a negated literal, an int literal in a real
+// context, `while true:`, `a[i] += e`, `x += e` on a real — at every level:
+// the shape is the compiler's, so -O0 has it too.
+func TestLiteralShapes(t *testing.T) {
+	// loads reports whether some OpConst of f loads exactly v.
+	loads := func(f *Func, v value.Value) bool {
+		for _, ch := range f.Chunks {
+			for _, ins := range ch.Code {
+				if ins.Op == OpConst && value.Identical(f.Consts[ins.A], v) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	// oneConst: f loads v, and applies no neg and no toreal to get it.
+	oneConst := func(v value.Value) func(*testing.T, *Func, int) {
+		return func(t *testing.T, f *Func, _ int) {
+			if !loads(f, v) {
+				t.Errorf("no const %s of kind %d", v, v.K)
+			}
+			if n := countOps(f.Chunks[0], OpNeg) + countOps(f.Chunks[0], OpToReal); n != 0 {
+				t.Errorf("%d neg/toreal instruction(s)", n)
+			}
+		}
+	}
+	// raisesAt: the operator is still there to raise, positioned at col. A
+	// division by a constant zero fuses into the untyped arithk, which
+	// carries its operator in C.
+	raisesAt := func(op sem.Op, col int) func(*testing.T, *Func, int) {
+		return func(t *testing.T, f *Func, _ int) {
+			ch := f.Chunks[0]
+			for pc, ins := range ch.Code {
+				if ins.Op == OpArithConst {
+					ins.Op = Op(ins.C)
+				}
+				if in := ins.Op.info(); in.isOp && in.op == op {
+					if ch.Pos[pc].Line != 2 || ch.Pos[pc].Col != col {
+						t.Errorf("%s positioned at %s, want 2:%d", ins.Op, ch.Pos[pc], col)
+					}
+					return
+				}
+			}
+			t.Errorf("no %s instruction left to raise", op)
+		}
+	}
+	cases := []struct {
+		name, src, fn string
+		check         func(t *testing.T, f *Func, level int)
+	}{
+		{"neg_int", "def main():\n    print(-5)\n", "main", oneConst(value.NewInt(-5))},
+		{"neg_real", "def main():\n    print(-2.5)\n", "main", oneConst(value.NewReal(-2.5))},
+		{"assign_real", "def main():\n    x = 1.5\n    x = 3\n    print(x)\n", "main", oneConst(value.NewReal(3))},
+		{"assign_neg_real", "def main():\n    x = 1.5\n    x = -3\n    print(x)\n", "main", oneConst(value.NewReal(-3))},
+		{"assign_shared", "def main():\n    x = 1.5\n    parallel:\n        x = 3\n    print(x)\n", "main", func(t *testing.T, f *Func, _ int) {
+			if !loads(f, value.NewReal(3)) || countOps(f.Chunks[1], OpToReal) != 0 {
+				t.Error("the parallel child does not store a const 3.0")
+			}
+		}},
+		{"argument", "def f(r real) real:\n    return r\n\ndef main():\n    print(f(3))\n", "main", oneConst(value.NewReal(3))},
+		{"element", "def main():\n    print([1, 2.5])\n", "main", oneConst(value.NewReal(1))},
+		{"index_assign", "def main():\n    a = [2.5]\n    a[0] = 3\n    print(a)\n", "main", oneConst(value.NewReal(3))},
+		{"return", "def f() real:\n    return 3\n\ndef main():\n    print(f())\n", "f", oneConst(value.NewReal(3))},
+		{"while_true", "def main():\n    while true:\n        break\n", "main", func(t *testing.T, f *Func, _ int) {
+			ch := f.Chunks[0]
+			if n := countOps(ch, OpJumpIfFalse) + countOps(ch, OpJumpIfTrue) + countOps(ch, OpConst); n != 0 {
+				t.Errorf("%d test instruction(s) in a while-true loop", n)
+			}
+		}},
+		{"aug_index", "def main():\n    hist = [0, 0, 0]\n    for b in [0 .. 2]:\n        hist[b] += 1\n", "main", func(t *testing.T, f *Func, _ int) {
+			if n := countOps(f.Chunks[0], OpMove); n != 0 {
+				t.Errorf("%d move(s): hist[b] += 1 copies the registers it already has", n)
+			}
+		}},
+		{"aug_real", "def main():\n    x = 2.0\n    x += 1.5\n    a = [x]\n    a[0] += 1.5\n    print(a)\n", "main", func(t *testing.T, f *Func, level int) {
+			ch := f.Chunks[0]
+			if n := countOps(ch, OpToReal); n != 0 {
+				t.Errorf("%d toreal(s) behind an operation whose left operand is real", n)
+			}
+			if level == O2 && !strings.Contains(Disassemble(f), "add.rk     r0=x, r0=x, 1.5") {
+				t.Error("x += 1.5 is not one add.rk")
+			}
+		}},
+		{"div_zero", "def main():\n    print(1 / 0)\n", "main", raisesAt(sem.Div, 13)},
+		{"real_mod_zero", "def main():\n    print(1.0 % 0.0)\n", "main", raisesAt(sem.Mod, 15)},
+	}
+	for _, c := range cases {
+		for _, level := range []int{O0, O1, O2} {
+			t.Run(fmt.Sprintf("%s/O%d", c.name, level), func(t *testing.T) {
+				p := compileSrc(t, c.src)
+				if err := VerifyOptimize(p, level); err != nil {
+					t.Fatal(err)
+				}
+				for _, f := range p.Funcs {
+					if f.Name == c.fn {
+						c.check(t, f, level)
+						if t.Failed() {
+							t.Logf("\n%s", Disassemble(f))
+						}
+					}
+				}
+			})
+		}
 	}
 }

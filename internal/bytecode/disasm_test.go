@@ -16,8 +16,8 @@ var updateGolden = flag.Bool("update", false, "rewrite the disassembler golden f
 // TestDisassembleGolden pins the full disassembly of a program exercising
 // every operand style — named slots, temporaries, typed opcodes and
 // superinstructions, cell access, calls, sub-chunks, locks —
-// so any format drift (which the
-// fold differential harness and grading tools parse) shows up as a diff.
+// so any format drift (which internal/vm's differentials and grading
+// tools parse) shows up as a diff.
 // Regenerate deliberately with: go test ./internal/bytecode -run Golden -update
 func TestDisassembleGolden(t *testing.T) {
 	src, err := os.ReadFile(filepath.Join("testdata", "disasm.ttr"))

@@ -1,40 +1,20 @@
 package bytecode
 
 // The optimizer pipeline over the register IR. Compiled chunks pass
-// through six phases, each preserving observable program behaviour
+// through five phases, each preserving observable program behaviour
 // exactly (output bytes, runtime errors and their positions, parallel
-// semantics):
+// semantics). None of them evaluates an expression: the compiler loads a
+// literal, negated or widened to real as its context asks, with one
+// OpConst (compile.go's constant), and every operator runs at run time.
 //
-//  1. constant folding +  — a per-basic-block dataflow pass tracks which
-//     copy propagation       registers hold statically known values and
-//                            which are pure copies of other registers.
-//                            Arithmetic, comparisons, unary ops and
-//                            branches over known registers collapse at
-//                            compile time; copy reads are redirected to
-//                            the original register. Folds evaluate by
-//                            calling internal/sem — the same kernels the
-//                            VM dispatches to at run time, so compile-time
-//                            and run-time results are identical by
-//                            construction — and are refused whenever the
-//                            runtime would raise (division or modulo by
-//                            zero, on ints AND reals), so the error
-//                            surfaces at run time with its position.
-//                            Every register takes part: a shared
-//                            function's variables are cells, reached by
-//                            OpLoadCell and OpStoreCell, and what a load
-//                            returns is never known — another thread may
-//                            have written the cell — so nothing a racy
-//                            program can observe is folded.
-//  2. dead-store removal  — writes to temporaries that no path reads
+//  1. dead-store removal  — writes to temporaries that no path reads
 //                            before the next write are deleted (only for
-//                            instructions that cannot raise). This is
-//                            what sweeps up the constant producers phase
-//                            1 leaves behind.
-//  3. jump threading      — a jump whose target is another unconditional
+//                            instructions that cannot raise).
+//  2. jump threading      — a jump whose target is another unconditional
 //                            jump is retargeted to the final destination.
-//  4. dead-code removal   — instructions unreachable from the chunk entry
+//  3. dead-code removal   — instructions unreachable from the chunk entry
 //                            are deleted, with all jump targets remapped.
-//  5. superinstruction    — compare+branch pairs fuse into a
+//  4. superinstruction    — compare+branch pairs fuse into a
 //     fusion                 compare-jump, then a constant operand folds
 //                            into its constant form, and const+arith
 //                            pairs into constant-operand arithmetic. Typed
@@ -53,7 +33,7 @@ package bytecode
 //                            arith-const form is the load-arith-store
 //                            superinstruction: one dispatch for what the
 //                            stack IR spent five on.
-//  6. loop rotation       — a back-edge `jump T` whose target is a
+//  5. loop rotation       — a back-edge `jump T` whose target is a
 //                            compare-jump that leaves the loop for the
 //                            instruction after the back-edge becomes the
 //                            negated compare-jump to T+1: the loop tests
@@ -73,13 +53,12 @@ import (
 
 	"repro/internal/sem"
 	"repro/internal/types"
-	"repro/internal/value"
 )
 
 // Optimization levels.
 const (
 	O0 = 0 // no optimization: execute exactly what the compiler emitted
-	O1 = 1 // folding + copy propagation + dead stores + jump threading + DCE
+	O1 = 1 // dead stores + jump threading + DCE
 	O2 = 2 // O1 plus superinstruction fusion and loop rotation
 
 	// DefaultLevel is what the fast path uses unless told otherwise.
@@ -90,44 +69,39 @@ const (
 // at the given level, mutating and returning p. Level <= 0 is a no-op;
 // levels above O2 clamp to O2.
 func Optimize(p *Program, level int) *Program {
-	for _, f := range p.Funcs {
-		for ci := range f.Chunks {
-			ch := &f.Chunks[ci]
-			for changed := level >= O1; changed; {
-				changed = false
-				for _, ph := range o1Phases {
-					changed = ph.run(f, ch) || changed
-				}
-			}
-			if level >= O2 {
-				for _, ph := range o2Phases {
-					ph.run(f, ch)
-				}
-			}
-		}
-	}
+	optimize(p, level, nil) // nothing to fail without a check
 	return p
 }
 
-// VerifyOptimize is Optimize for tests: the same phases in the same order
-// (TestVerifyGoldens compares the two), with Verify run on what Compile
+// VerifyOptimize is Optimize for tests, with Verify run on what Compile
 // produced and again behind every phase that changed a chunk. It stops at
 // the first violation and names the phase that introduced it.
 func VerifyOptimize(p *Program, level int) error {
 	if err := Verify(p); err != nil {
 		return fmt.Errorf("after compile: %w", err)
 	}
+	return optimize(p, level, func(ph phase, f *Func, ci int) error {
+		if err := Verify(p); err != nil {
+			return fmt.Errorf("after %s of %s chunk %d: %w", ph.name, f.Name, ci, err)
+		}
+		return nil
+	})
+}
+
+// optimize is the pipeline's one driver. check, when not nil, is called
+// behind every phase that changed a chunk, and its first error ends the
+// run.
+func optimize(p *Program, level int, check func(ph phase, f *Func, ci int) error) error {
 	for _, f := range p.Funcs {
 		for ci := range f.Chunks {
-			// run applies ph to the chunk and, if that changed it, verifies.
 			run := func(ph phase) (bool, error) {
 				if !ph.run(f, &f.Chunks[ci]) {
 					return false, nil
 				}
-				if err := Verify(p); err != nil {
-					return true, fmt.Errorf("after %s of %s chunk %d: %w", ph.name, f.Name, ci, err)
+				if check == nil {
+					return true, nil
 				}
-				return true, nil
+				return true, check(ph, f, ci)
 			}
 			for changed := level >= O1; changed; {
 				changed = false
@@ -158,12 +132,10 @@ type phase struct {
 }
 
 var (
-	// Folding can expose more folds (e.g. 1+2+3), dead-store removal can
-	// expose more dead stores, and threading can expose more dead code, so
-	// the O1 phases iterate to a fixpoint. Each round strictly shrinks the
-	// chunk or changes nothing, so termination is immediate.
+	// Dead-store removal can expose more dead stores and threading more
+	// dead code, so the O1 phases iterate to a fixpoint. Each round strictly
+	// shrinks the chunk or retargets a jump for good, so it terminates.
 	o1Phases = []phase{
-		{name: "constant folding", run: foldConstants},
 		{name: "dead-store removal", run: removeDeadStores},
 		{name: "jump threading", run: threadJumps},
 		{name: "dead-code removal", run: removeDeadCode},
@@ -177,9 +149,9 @@ var (
 	}
 )
 
-// jumpTargets returns, for each pc, whether some instruction jumps there.
-// Facts must be dropped at a target (another predecessor may arrive with
-// different register contents), and fusion windows may not span one.
+// jumpTargets returns, for each pc, whether some instruction jumps there:
+// another predecessor may arrive with different register contents, so a
+// fusion window may not span one.
 func jumpTargets(ch *Chunk) []bool {
 	t := make([]bool, len(ch.Code)+1)
 	for i := range ch.Code {
@@ -190,39 +162,23 @@ func jumpTargets(ch *Chunk) []bool {
 	return t
 }
 
-// regReads returns the fields of ins that each name one register it reads
-// — the operands copy propagation may redirect. Block operands (call
-// arguments, array elements) and the for-iteration state, which the
-// instruction also writes, are not among them; readsReg knows those.
-func (ins *Instr) regReads() (r [3]*int32, n int) {
-	switch ins.Op.info().form {
-	case fUnary, fBinaryK, fBinaryKL, fCmpJumpK, fReturn, fStoreCell:
-		r[0], n = &ins.A, 1
-	case fBinary, fCmpJump:
-		r[0], r[1], n = &ins.A, &ins.B, 2
-	case fJumpIf, fParFor:
-		r[0], n = &ins.B, 1
-	case fSetIndex:
-		r[0], r[1], r[2], n = &ins.A, &ins.B, &ins.C, 3
-	}
-	return r, n
-}
-
 // readsReg reports whether ins reads register reg.
 func readsReg(ins Instr, reg int32) bool {
 	switch ins.Op.info().form {
+	case fUnary, fBinaryK, fBinaryKL, fCmpJumpK, fReturn, fStoreCell:
+		return ins.A == reg
+	case fBinary, fCmpJump:
+		return ins.A == reg || ins.B == reg
+	case fJumpIf, fParFor:
+		return ins.B == reg
+	case fSetIndex:
+		return ins.A == reg || ins.B == reg || ins.C == reg
 	case fCall:
 		return reg >= ins.B && reg < ins.B+ins.C
 	case fArray:
 		return reg >= ins.A && reg < ins.A+ins.B
 	case fForIter:
 		return ins.A == reg || ins.A+1 == reg
-	}
-	r, n := ins.regReads()
-	for _, field := range r[:n] {
-		if *field == reg {
-			return true
-		}
 	}
 	return false
 }
@@ -238,143 +194,6 @@ func writesReg(ins Instr, reg int32) bool {
 		return ins.Dst == reg || ins.A == reg || ins.A+1 == reg
 	}
 	return false
-}
-
-// foldConstants runs the per-block constant and copy tracking pass,
-// rewriting instructions in place (consumed ones become OpNop), then
-// compacts. Reports whether anything changed.
-func foldConstants(f *Func, ch *Chunk) bool {
-	targets := jumpTargets(ch)
-	code := ch.Code
-	changed := false
-
-	// known maps a register to its statically known value; copyOf maps a
-	// register to the register it currently duplicates.
-	known := make(map[int32]value.Value)
-	copyOf := make(map[int32]int32)
-	// kill forgets everything involving register r, called when r is
-	// written (or may be).
-	kill := func(r int32) {
-		delete(known, r)
-		if len(copyOf) == 0 {
-			return
-		}
-		delete(copyOf, r)
-		for d, s := range copyOf {
-			if s == r {
-				delete(copyOf, d)
-			}
-		}
-	}
-	setConst := func(pc int, dst int32, v value.Value) {
-		code[pc] = Instr{Op: OpConst, Dst: dst, A: f.constIndex(v)}
-		kill(dst)
-		known[dst] = v
-		changed = true
-	}
-
-	for pc := 0; pc < len(code); pc++ {
-		if targets[pc] {
-			clear(known)
-			clear(copyOf)
-		}
-		ins := &code[pc]
-		// Redirect reads of a copy to the original register.
-		if len(copyOf) > 0 {
-			reads, n := ins.regReads()
-			for _, r := range reads[:n] {
-				if s, ok := copyOf[*r]; ok && s != *r {
-					*r = s
-					changed = true
-				}
-			}
-		}
-		in := ins.Op.info()
-		switch {
-		case ins.Op == OpConst:
-			kill(ins.Dst)
-			known[ins.Dst] = f.Consts[ins.A]
-			continue
-
-		case ins.Op == OpMove:
-			if v, ok := known[ins.A]; ok {
-				setConst(pc, ins.Dst, v)
-				continue
-			}
-			kill(ins.Dst)
-			copyOf[ins.Dst] = ins.A
-			continue
-
-		case ins.Op == OpToReal:
-			if v, ok := known[ins.A]; ok && (v.K == value.Int || v.K == value.Real) {
-				setConst(pc, ins.Dst, sem.ToReal(v))
-				continue
-			}
-
-		case ins.Op == OpNeg:
-			if v, ok := known[ins.A]; ok {
-				if fv, ok := sem.FoldNeg(v); ok {
-					setConst(pc, ins.Dst, fv)
-					continue
-				}
-			}
-
-		case ins.Op == OpNot:
-			if v, ok := known[ins.A]; ok {
-				if fv, ok := sem.FoldNot(v); ok {
-					setConst(pc, ins.Dst, fv)
-					continue
-				}
-			}
-
-		case in.isOp && in.form == fBinary:
-			// Arithmetic or comparison of two registers. A typed instruction
-			// folds through the same sem entry point as an untyped one: its
-			// operands hold the kinds it claims.
-			if va, ok := known[ins.A]; ok {
-				if vb, ok := known[ins.B]; ok {
-					if v, ok := sem.FoldBinary(in.op, va, vb); ok {
-						setConst(pc, ins.Dst, v)
-						continue
-					}
-				}
-			}
-
-		case ins.Op == OpJumpIfFalse || ins.Op == OpJumpIfTrue:
-			if v, ok := known[ins.B]; ok && v.K == value.Bool {
-				// Constant condition → unconditional jump or fall-through.
-				// This is what turns `while true:` into a plain loop.
-				if v.Bool() == (ins.Op == OpJumpIfTrue) {
-					code[pc] = Instr{Op: OpJump, A: ins.A}
-				} else {
-					code[pc] = Instr{Op: OpNop}
-				}
-				changed = true
-			}
-			continue
-		}
-		// Whatever the instruction writes is unknown from here on. A call
-		// changes only its result register: callees cannot touch this
-		// frame's registers (arguments pass by value and Tetra has no
-		// globals), so knowledge survives it. What OpLoadCell reads is never
-		// known: another thread may have stored to the cell.
-		switch in.form {
-		case fConst, fUnary, fBinary, fBinaryK, fBinaryKL, fArray, fLoadCell:
-			kill(ins.Dst)
-		case fCall:
-			if ins.Dst >= 0 {
-				kill(ins.Dst)
-			}
-		case fForIter:
-			kill(ins.Dst)
-			kill(ins.A)
-			kill(ins.A + 1)
-		}
-	}
-	if changed {
-		compact(ch)
-	}
-	return changed
 }
 
 // deadStoreOK are the opcodes dead-store removal may delete: writes with

@@ -31,45 +31,9 @@ func checkTargets(t *testing.T, bc *Program) {
 	}
 }
 
-func TestFoldConstantExpression(t *testing.T) {
-	// 2 + 3 * 4 - 5 must collapse to one constant push at O1.
-	bc := optimizeSrc(t, "def main():\n    print(2 + 3 * 4 - 5)\n", O1)
-	ch := bc.Funcs[bc.MainIndex].Chunks[0]
-	for _, op := range []sem.Op{sem.Add, sem.Sub, sem.Mul} {
-		if n := countOperator(ch, op); n != 0 {
-			t.Errorf("%d %s instruction(s) survive folding", n, op)
-		}
-	}
-	found := false
-	for _, ins := range ch.Code {
-		if ins.Op == OpConst && value.Equal(bc.Funcs[bc.MainIndex].Consts[ins.A], value.NewInt(9)) {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("no OpConst 9 in folded chunk:\n%s", Disassemble(bc.Funcs[bc.MainIndex]))
-	}
-	checkTargets(t, bc)
-}
-
-func TestFoldUnaryAndBool(t *testing.T) {
-	bc := optimizeSrc(t, "def main():\n    print(- -7, not false, 1.0 + 1)\n", O1)
-	ch := bc.Funcs[bc.MainIndex].Chunks[0]
-	for _, op := range []Op{OpNeg, OpNot, OpToReal} {
-		if n := countOps(ch, op); n != 0 {
-			t.Errorf("%d %s instruction(s) survive folding", n, op)
-		}
-	}
-	if n := countOperator(ch, sem.Add); n != 0 {
-		t.Errorf("%d add instruction(s) survive folding", n)
-	}
-	checkTargets(t, bc)
-}
-
 func TestWhileTrueBecomesPlainLoop(t *testing.T) {
-	// `while true:` compiles to a const-true load + jfalse per iteration;
-	// folding must remove both so the loop header is a single unconditional
-	// jump, leaving the body's `if i > 3` branch as the only conditional.
+	// `while true:` has no test — no const-true load, no jfalse — so the
+	// body's `if i > 3` branch is the only conditional.
 	src := "def main():\n    i = 0\n    while true:\n        i += 1\n        if i > 3:\n            break\n    print(i)\n"
 	bc := optimizeSrc(t, src, O1)
 	f := bc.Funcs[bc.MainIndex]
@@ -101,8 +65,9 @@ func TestDeadCodeAfterReturn(t *testing.T) {
 }
 
 func TestFoldRefusesDivisionByZero(t *testing.T) {
-	// Constant division/modulo by zero must survive to run time so the
-	// program raises the positioned error, on ints and reals alike.
+	// Constant division/modulo by zero reaches run time, where the program
+	// raises the positioned error, on ints and reals alike: no phase
+	// evaluates an operator.
 	cases := []struct {
 		name, src string
 		op        sem.Op
@@ -172,15 +137,15 @@ func TestOptimizeParallelChunks(t *testing.T) {
 	// Sub-chunks (parallel bodies) are optimized too, and OpParallel's
 	// chunk references are untouched by compaction (they index chunks, not
 	// pcs).
-	src := "def main():\n    a = 0\n    b = 0\n    parallel:\n        a = 2 + 3\n        b = 4 * 5\n    print(a + b)\n"
+	src := "def main():\n    a = 0\n    b = 0\n    parallel:\n        a = a + 3\n        b = b * 5\n    print(a + b)\n"
 	bc := optimizeSrc(t, src, O2)
 	f := bc.Funcs[bc.MainIndex]
 	if len(f.Chunks) < 3 {
 		t.Fatalf("expected parallel sub-chunks, got %d chunk(s)", len(f.Chunks))
 	}
 	for ci := 1; ci < len(f.Chunks); ci++ {
-		if n := countOperator(f.Chunks[ci], sem.Add) + countOperator(f.Chunks[ci], sem.Mul); n != 0 {
-			t.Errorf("chunk %d: %d unfolded arith op(s)", ci, n)
+		if n := countOps(f.Chunks[ci], OpAddIntK) + countOps(f.Chunks[ci], OpMulIntK); n != 1 {
+			t.Errorf("chunk %d: %d constant-operand arith op(s), want 1:\n%s", ci, n, Disassemble(f))
 		}
 	}
 	checkTargets(t, bc)

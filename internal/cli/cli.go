@@ -40,7 +40,7 @@ func Main(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	maxOutput := fs.Int64("max-output", 0, "maximum bytes of program output (0 = unlimited)")
 	maxAlloc := fs.Int64("max-alloc", 0, "maximum allocation cells: array elements + string bytes (0 = unlimited)")
 	sandbox := fs.Bool("sandbox", false, "apply sandbox default limits to any budget left unset")
-	optLevel := fs.Int("O", bytecode.DefaultLevel, "bytecode optimization level for -vm and -disasm: 0 = none, 1 = fold/thread/DCE, 2 = 1 plus peephole fusion")
+	optLevel := fs.Int("O", bytecode.DefaultLevel, "bytecode optimization level for -vm and -disasm: 0 = none, 1 = dead-store/thread/DCE, 2 = 1 plus peephole fusion")
 	workers := fs.Int("workers", 0, "worker goroutines per parallel-for loop (0 = GOMAXPROCS)")
 	grain := fs.Int("grain", 0, "parallel-for chunk size in iterations (0 = max(1, n/(workers*8)))")
 	if err := fs.Parse(args); err != nil {

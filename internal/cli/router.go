@@ -6,12 +6,8 @@ import (
 	"io"
 	"log"
 	"net"
-	"net/http"
-	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 
 	"repro/internal/router"
 )
@@ -78,35 +74,7 @@ func routerMain(args []string, stdout, stderr io.Writer, stop <-chan struct{}) i
 		fmt.Fprintf(stdout, "tetrarouter: backend %s (weight %d)\n", b.URL, b.Weight)
 	}
 
-	httpSrv := &http.Server{Handler: rt}
-	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.Serve(ln) }()
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigCh)
-
-	select {
-	case err := <-errCh:
-		fmt.Fprintln(stderr, err)
-		return 1
-	case sig := <-sigCh:
-		fmt.Fprintf(stdout, "tetrarouter: %s received, draining\n", sig)
-	case <-stop:
-		fmt.Fprintln(stdout, "tetrarouter: stop requested, draining")
-	}
-
-	drainErr := rt.Drain(nil)
-	if err := httpSrv.Close(); err != nil {
-		fmt.Fprintln(stderr, err)
-	}
-	<-errCh // Serve has returned
-	if drainErr != nil {
-		fmt.Fprintln(stderr, drainErr)
-		return 1
-	}
-	fmt.Fprintln(stdout, "tetrarouter: drained cleanly")
-	return 0
+	return serveUntilStopped("tetrarouter", ln, rt, rt.Drain, stdout, stderr, stop)
 }
 
 // ParseBackends parses the -backends flag grammar: a comma-separated

@@ -131,7 +131,16 @@ func serveMain(args []string, stdout, stderr io.Writer, stop <-chan struct{}) in
 	fmt.Fprintf(stdout, "tetrad: sessions max=%d idle-timeout=%s max-age=%s\n",
 		srv.Options().MaxSessions, srv.Options().SessionIdleTimeout, srv.Options().SessionMaxAge)
 
-	httpSrv := &http.Server{Handler: srv}
+	return serveUntilStopped("tetrad", ln, srv, srv.Drain, stdout, stderr, stop)
+}
+
+// serveUntilStopped is the life of both daemons, prog naming the one it
+// speaks for: serve handler on ln until SIGINT/SIGTERM, a closed stop
+// channel or a listener error, then drain, close the listener and collect
+// the serving goroutine. It returns the process exit code.
+func serveUntilStopped(prog string, ln net.Listener, handler http.Handler, drain func(<-chan struct{}) error,
+	stdout, stderr io.Writer, stop <-chan struct{}) int {
+	httpSrv := &http.Server{Handler: handler}
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
 
@@ -144,12 +153,12 @@ func serveMain(args []string, stdout, stderr io.Writer, stop <-chan struct{}) in
 		fmt.Fprintln(stderr, err)
 		return 1
 	case sig := <-sigCh:
-		fmt.Fprintf(stdout, "tetrad: %s received, draining\n", sig)
+		fmt.Fprintf(stdout, "%s: %s received, draining\n", prog, sig)
 	case <-stop:
-		fmt.Fprintln(stdout, "tetrad: stop requested, draining")
+		fmt.Fprintf(stdout, "%s: stop requested, draining\n", prog)
 	}
 
-	drainErr := srv.Drain(nil)
+	drainErr := drain(nil)
 	if err := httpSrv.Close(); err != nil {
 		fmt.Fprintln(stderr, err)
 	}
@@ -158,6 +167,6 @@ func serveMain(args []string, stdout, stderr io.Writer, stop <-chan struct{}) in
 		fmt.Fprintln(stderr, drainErr)
 		return 1
 	}
-	fmt.Fprintln(stdout, "tetrad: drained cleanly")
+	fmt.Fprintf(stdout, "%s: drained cleanly\n", prog)
 	return 0
 }

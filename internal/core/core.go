@@ -156,10 +156,11 @@ func NewVM(bc *bytecode.Program, cfg Config) *vm.VM {
 	cfg.fill()
 	env, g := newGuardedEnv(cfg)
 	return vm.New(bc, vm.Options{
-		Env:              env,
-		NoWaitBackground: cfg.NoWaitBackground,
-		Guard:            g,
-		Sched:            cfg.Sched,
+		Env:                 env,
+		NoWaitBackground:    cfg.NoWaitBackground,
+		NoDeadlockDetection: cfg.NoDeadlockDetection,
+		Guard:               g,
+		Sched:               cfg.Sched,
 	})
 }
 

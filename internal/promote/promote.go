@@ -139,7 +139,7 @@ func (s state) String() string {
 // program is one tracked (file, source) pair.
 type program struct {
 	file, src string
-	hash      string // native program hash (quarantine/artifact key)
+	hash      string // native program hash (artifact key)
 	count     int    // observations since last state change
 	state     state
 	bin       string // artifact path when ready
@@ -233,7 +233,7 @@ func moduleRoot() (string, error) {
 func (m *Manager) Enabled() bool { return m != nil && m.root != "" }
 
 // Key returns the native program hash for (file, src) — the key the
-// server and the native runner share for artifacts and quarantine.
+// server and the native runner share for artifacts and crash records.
 func Key(file, src string) string {
 	return worker.HashProgram(file, src, "native", 0)
 }

@@ -29,8 +29,8 @@ type machine interface {
 	Cancel()
 }
 
-// engines lists the three configurations; detect only matters to the
-// interpreter, the VM never detects deadlocks.
+// engines lists the three configurations; detect turns the live deadlock
+// check on, which every engine has.
 var engines = []struct {
 	name  string
 	build func(prog *ast.Program, env *stdlib.Env, g *guard.Governor, detect bool) (machine, error)
@@ -43,13 +43,13 @@ var engines = []struct {
 }
 
 func buildVM(level int) func(*ast.Program, *stdlib.Env, *guard.Governor, bool) (machine, error) {
-	return func(prog *ast.Program, env *stdlib.Env, g *guard.Governor, _ bool) (machine, error) {
+	return func(prog *ast.Program, env *stdlib.Env, g *guard.Governor, detect bool) (machine, error) {
 		bc, err := bytecode.Compile(prog)
 		if err != nil {
 			return nil, err
 		}
 		bytecode.Optimize(bc, level)
-		return vm.New(bc, vm.Options{Env: env, Guard: g}), nil
+		return vm.New(bc, vm.Options{Env: env, Guard: g, NoDeadlockDetection: !detect}), nil
 	}
 }
 

@@ -129,14 +129,14 @@ var binOps = []string{"+", "-", "*", "/", "%", "==", "!=", "<", "<=", ">", ">="}
 
 // TestDifferentialBinaryOps drives every binary operator over generated
 // int, real, mixed and string operand tuples through all three
-// value-level execution paths. Using variables (not literals) on one axis
-// defeats constant folding, so the O2 run still exercises runtime
-// dispatch for half the cases while the literal-literal form exercises
-// the folder.
+// value-level execution paths. Half the cases take their operands from
+// variables and half from literals, so the O2 run exercises both the
+// register-register instructions and the constant-operand ones fusion
+// makes of a literal.
 func TestDifferentialBinaryOps(t *testing.T) {
 	var progs []string
 	add := func(l, op, r string) {
-		// Literal form: the folder evaluates at compile time at O2.
+		// Literal form: a constant operand fuses into the instruction at O2.
 		progs = append(progs, fmt.Sprintf("def main():\n    print(%s %s %s)\n", l, op, r))
 		// Variable form: evaluated at run time on every backend.
 		progs = append(progs, fmt.Sprintf("def main():\n    x = %s\n    y = %s\n    print(x %s y)\n", l, r, op))

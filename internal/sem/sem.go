@@ -1,10 +1,11 @@
 // Package sem is the single implementation of Tetra's operational
 // semantics. Every backend — the tree-walking interpreter
-// (internal/interp), the bytecode VM (internal/vm), the compiled runtime
-// (internal/gort) and the constant folder (internal/bytecode/optimize.go)
-// — evaluates operators, indexes strings and arrays, iterates sequences
-// and runs builtin kernels by calling this package, so the four execution
-// paths cannot drift apart: there is nothing to drift between.
+// (internal/interp), the bytecode VM (internal/vm) and the compiled runtime
+// (internal/gort) — evaluates operators, indexes strings and arrays,
+// iterates sequences and runs builtin kernels by calling this package, so
+// the three execution paths cannot drift apart: there is nothing to drift
+// between. (The bytecode compiler negates and widens a numeric literal
+// with Neg and ToReal, the kernels the VM would have run on it.)
 //
 // Before this package existed the semantics were implemented four times,
 // and every rule change (rune-correct strings, negative indexing,
@@ -298,71 +299,6 @@ func ToReal(v value.Value) value.Value {
 // Equal is the canonical deep value equality, re-exported from the
 // representation layer so backends import only sem.
 func Equal(a, b value.Value) bool { return value.Equal(a, b) }
-
-// ---- constant folding ----
-//
-// The folder in internal/bytecode/optimize.go folds by calling the same
-// kernels the VM executes, through the Fold* wrappers below. The wrappers
-// add exactly one thing: the decision to *refuse* a fold and leave the
-// expression for run time — when evaluation would raise (so the error
-// surfaces at its source position), when operands are not compile-time
-// scalars, or when a folded string would balloon the constant pool.
-
-// MaxFoldedString caps compile-time string concatenation so pathological
-// constant expressions cannot balloon the constant pool.
-const MaxFoldedString = 1 << 16
-
-// FoldBinary evaluates l op r exactly as Binary would at run time,
-// reporting ok=false when the fold must be refused. A refused fold is not
-// an error: the expression keeps its runtime evaluation (and its runtime
-// error position, for division/modulo by zero).
-func FoldBinary(op Op, l, r value.Value) (v value.Value, ok bool) {
-	switch op {
-	case Eq, Ne:
-		return value.NewBool(Compare(op, l, r)), true
-	case Lt, Le, Gt, Ge:
-		if !comparableScalars(l, r) {
-			return value.Value{}, false
-		}
-		return value.NewBool(Compare(op, l, r)), true
-	default:
-		if l.K == value.Str && r.K == value.Str && op == Add &&
-			len(l.Str())+len(r.Str()) > MaxFoldedString {
-			return value.Value{}, false
-		}
-		v, err := Arith(op, l, r)
-		if err != nil {
-			return value.Value{}, false
-		}
-		return v, true
-	}
-}
-
-// FoldNeg folds unary minus on numeric constants.
-func FoldNeg(v value.Value) (value.Value, bool) {
-	if v.K == value.Int || v.K == value.Real {
-		return Neg(v), true
-	}
-	return value.Value{}, false
-}
-
-// FoldNot folds logical not on bool constants.
-func FoldNot(v value.Value) (value.Value, bool) {
-	if v.K == value.Bool {
-		return Not(v), true
-	}
-	return value.Value{}, false
-}
-
-// comparableScalars reports whether a relational comparison of the two
-// constants is defined (both strings, or both numeric).
-func comparableScalars(l, r value.Value) bool {
-	if l.K == value.Str && r.K == value.Str {
-		return true
-	}
-	return (l.K == value.Int || l.K == value.Real) &&
-		(r.K == value.Int || r.K == value.Real)
-}
 
 // ArithReal is the real-real arithmetic kernel for + - * /: Arith's real
 // column for operands the checker typed real on both sides. Like ArithInt

@@ -368,71 +368,6 @@ func TestFormatting(t *testing.T) {
 	}
 }
 
-// binary is run-time evaluation of any binary operator, the reference the
-// folder is held to: comparisons yield bools, arithmetic follows Arith.
-func binary(op Op, l, r value.Value) (value.Value, error) {
-	if op.IsCompare() {
-		return value.NewBool(Compare(op, l, r)), nil
-	}
-	return Arith(op, l, r)
-}
-
-// TestFoldMirrorsBinary: whenever a fold is accepted, its value must be
-// exactly what runtime evaluation produces; whenever runtime evaluation
-// would raise, the fold must be refused.
-func TestFoldMirrorsBinary(t *testing.T) {
-	operands := []value.Value{
-		vi(0), vi(1), vi(-7), vi(math.MaxInt64),
-		vr(0), vr(1.5), vr(-2.25),
-		vs(""), vs("a"), vs("abc"),
-		vb(true), vb(false),
-	}
-	for op := Add; op <= Ge; op++ {
-		for _, l := range operands {
-			for _, r := range operands {
-				folded, ok := FoldBinary(op, l, r)
-				run, err := binary(op, l, r)
-				if err != nil {
-					if ok {
-						t.Errorf("FoldBinary(%s, %s, %s) accepted but runtime raises %v", op, l, r, err)
-					}
-					continue
-				}
-				if !ok {
-					// Refusal on a successful evaluation is only allowed for
-					// non-scalar relational comparisons and huge strings.
-					if op.IsCompare() && op != Eq && op != Ne && !comparableScalars(l, r) {
-						continue
-					}
-					t.Errorf("FoldBinary(%s, %s, %s) refused but runtime succeeds", op, l, r)
-					continue
-				}
-				if !value.Equal(folded, run) || folded.K != run.K {
-					t.Errorf("FoldBinary(%s, %s, %s) = %s, runtime = %s", op, l, r, folded, run)
-				}
-			}
-		}
-	}
-
-	// Oversized concatenation is refused even though runtime would succeed.
-	big := vs(strings.Repeat("x", MaxFoldedString))
-	if _, ok := FoldBinary(Add, big, vs("y")); ok {
-		t.Error("oversized string concatenation must not fold")
-	}
-	if _, ok := FoldNeg(vs("x")); ok {
-		t.Error("FoldNeg must refuse non-numeric")
-	}
-	if v, ok := FoldNeg(vi(3)); !ok || v.Int() != -3 {
-		t.Error("FoldNeg(3)")
-	}
-	if _, ok := FoldNot(vi(1)); ok {
-		t.Error("FoldNot must refuse non-bool")
-	}
-	if v, ok := FoldNot(vb(false)); !ok || !v.Bool() {
-		t.Error("FoldNot(false)")
-	}
-}
-
 func TestAt(t *testing.T) {
 	err := At(ErrDivisionByZero, "test.ttr:3:5")
 	if err.Error() != "test.ttr:3:5: runtime error: division by zero" {

@@ -45,7 +45,6 @@ type counters struct {
 	promotions      atomic.Int64 // programs promoted to a native artifact
 	nativeRuns      atomic.Int64 // requests served by the native tier
 	nativeDemotions atomic.Int64 // artifact crashes that demoted a program
-	nativeSkips     atomic.Int64 // native tier skipped (artifact quarantined)
 
 	latInterp    metrics.Histogram
 	latVM        metrics.Histogram
@@ -111,7 +110,6 @@ type MetricsSnapshot struct {
 	Promotions      int64 `json:"promotions,omitempty"`
 	NativeRuns      int64 `json:"native_runs,omitempty"`
 	NativeDemotions int64 `json:"native_demotions,omitempty"`
-	NativeSkips     int64 `json:"native_skips,omitempty"`
 	// Native reports the artifact runner's process accounting (nil when
 	// the native tier is off).
 	Native *worker.NativeStats `json:"native,omitempty"`

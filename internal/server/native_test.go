@@ -185,7 +185,7 @@ func TestNativeTierConformanceGoldenCorpus(t *testing.T) {
 // TestNativeDemotionChaos: a native artifact killed mid-request must be
 // retried transparently on the VM tier within the same request, the
 // program demoted, and — after the cooldown, with the chaos gone —
-// re-promoted with its quarantine history acquitted.
+// re-promoted: the demotion is all that stood against the artifact.
 func TestNativeDemotionChaos(t *testing.T) {
 	inj := fault.New(1)
 	srv, ts := nativeServer(t, func(o *server.Options) {
@@ -233,7 +233,7 @@ func TestNativeDemotionChaos(t *testing.T) {
 
 	// Disarm the chaos; after the cooldown the program re-heats,
 	// rebuilds (artifact reuse — same generated source), and serves
-	// native again. That only works if the crash history was acquitted.
+	// native again.
 	inj.Set(fault.NativeKill, 0, 0)
 	time.Sleep(80 * time.Millisecond) // let the cooldown lapse
 	rr3 := runUntilNative(t, ts.URL, req, 2*time.Minute)

@@ -267,9 +267,8 @@ func New(opts Options) *Server {
 	}
 	if opts.NativeThreshold > 0 {
 		native := worker.NewNativeRunner(worker.NativeOptions{
-			Quarantine: opts.Quarantine,
-			Faults:     opts.Faults,
-			Logf:       opts.Logf,
+			Faults: opts.Faults,
+			Logf:   opts.Logf,
 		})
 		promoter := promote.New(promote.Config{
 			Threshold:      opts.NativeThreshold,
@@ -279,8 +278,7 @@ func New(opts Options) *Server {
 			OnReady: func(nativeHash string) {
 				// A fresh artifact wipes the slate: crashes recorded
 				// against the program's previous binary must not hold it
-				// behind a stale quarantine (in either breaker).
-				native.Acquit(nativeHash)
+				// behind a stale quarantine.
 				if s.pool != nil {
 					s.pool.Acquit(nativeHash)
 				}
@@ -602,11 +600,15 @@ const drainCancelled = "execution cancelled: server is draining"
 // either engine but costs a process spawn per request (the benchmark's
 // native.added_us, over a millisecond, against worker.pool_added_us, a
 // tenth of that): it wins where the run dominates (serve_heavy) and loses
-// where it does not (serve_hot). ROADMAP item 3 is the verdict still owed.
-// It falls through when the tier is off, the program is not promoted yet or
-// its artifact is quarantined, and when the artifact crashes (it is then
-// demoted). Trace and race requests fall through too — native binaries
-// carry no event collector.
+// where it does not (serve_hot). The verdict, measured for PR 21, is that
+// the tier stays: it wins serve_heavy by roughly 2×, loses serve_hot by
+// roughly 3×, and moving serve_hot to the pool costs +40 % rss_mb on a 15 %
+// bound (the runs are on worker.NativeRunner and in DESIGN.md §12
+// "Evidence"). It falls through when the tier is off or the
+// program is not promoted yet, and when the artifact crashes (it is then
+// demoted: the demotion count is an artifact's one circuit breaker). Trace
+// and race requests fall through too — native binaries carry no event
+// collector.
 func (s *Server) runNative(a *admitted) outcome {
 	req := a.req
 	if s.native == nil || req.Trace || req.Race {
@@ -619,12 +621,6 @@ func (s *Server) runNative(a *admitted) outcome {
 		// supervisor counts requests itself because worker processes
 		// keep private compile caches it cannot see into.
 		s.promoter.Observe(req.File, req.Source)
-		return outcome{}
-	}
-	if _, q := s.native.Quarantined(nhash); q {
-		// The artifact is circuit-broken but the program itself is fine:
-		// skip the native tier rather than 422 the request.
-		s.met.nativeSkips.Add(1)
 		return outcome{}
 	}
 
@@ -646,8 +642,8 @@ func (s *Server) runNative(a *admitted) outcome {
 		s.logf("native artifact crashed (req %s, hash %s): %s; demoted, retrying on %s tier",
 			a.wreq.RequestID, nhash, ne.Reason, req.Backend)
 	}
-	// Otherwise ErrClosed (drain race), or the quarantine tripped between
-	// check and run: fall through without counting an attempt.
+	// Otherwise ErrClosed (drain race): fall through without counting an
+	// attempt.
 	return outcome{attempts: crashes}
 }
 
@@ -851,7 +847,6 @@ func (s *Server) Metrics() MetricsSnapshot {
 		snap.Promotions = s.met.promotions.Load()
 		snap.NativeRuns = s.met.nativeRuns.Load()
 		snap.NativeDemotions = s.met.nativeDemotions.Load()
-		snap.NativeSkips = s.met.nativeSkips.Load()
 		snap.Latency[TierNative] = s.met.latNative.Snapshot()
 	}
 	return snap

@@ -1,41 +1,27 @@
 package vm
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/bytecode"
-	"repro/internal/interp"
-	"repro/internal/stdlib"
 )
 
-// runInterpSrc executes src on the tree-walking interpreter.
-func runInterpSrc(t *testing.T, src string) (string, error) {
-	t.Helper()
-	prog, _ := compileBoth(t, src)
-	var out bytes.Buffer
-	err := interp.New(prog, interp.Options{Env: stdlib.NewEnv(strings.NewReader(""), &out)}).Run()
-	return out.String(), err
-}
-
-// TestFoldEveryOpcodeAgainstInterp folds a constant expression for every
-// foldable opcode — the five arithmetic ops, the six comparisons, unary
-// neg/not and int→real widening — and checks two properties:
+// TestFoldEveryOpcodeAgainstInterp runs every operator on literal operands
+// — the five arithmetic ops, the six comparisons, unary neg/not and
+// int→real widening: the expressions a constant folder would evaluate at
+// compile time — on the VM at every level and checks two properties:
 //
-//  1. the folder actually folded (no foldable opcode survives at O2), so
-//     the test fails if a fold silently stops firing, and
-//  2. the folded program's output is byte-identical to the tree-walking
-//     interpreter's, so compile-time evaluation equals runtime evaluation.
-//
-// Since the folder evaluates through internal/sem — the same kernels the
-// interpreter calls — property 2 holds by construction; this test is the
-// regression net that keeps it that way.
+//  1. the operator's instruction is there for the VM to execute (typed,
+//     untyped or fused with its constant), so the differential tests the
+//     opcode and not a constant, and
+//  2. the program's output is byte-identical to the tree-walking
+//     interpreter's.
 func TestFoldEveryOpcodeAgainstInterp(t *testing.T) {
 	cases := []struct {
 		name, expr string
-		foldedOps  []string // opcodes that must NOT survive at O2
+		runs       []string // operators the VM must execute at every level
 	}{
 		{"add_int", "2 + 3", []string{"add"}},
 		{"sub_int", "2 - 3", []string{"sub"}},
@@ -58,20 +44,20 @@ func TestFoldEveryOpcodeAgainstInterp(t *testing.T) {
 		{"eq_str", `"a" == "a"`, []string{"eq"}},
 		{"lt_str", `"ab" < "ac"`, []string{"lt"}},
 		{"neg", "-(3 + 4)", []string{"neg", "add"}},
-		{"neg_real", "-(1.5)", []string{"neg"}},
+		{"neg_real", "-(1.5)", nil}, // a negated literal is one const
 		{"not", "not true", []string{"not"}},
-		{"toreal_widen", "1.5 + 2", []string{"add", "toreal"}},
+		{"toreal_widen", "1.5 + 2", []string{"add"}},
 		{"nested", "2 * 3 + 4 * 5", []string{"add", "mul"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			src := fmt.Sprintf("def main():\n    print(%s)\n", c.expr)
 
-			iOut, iErr := runInterpSrc(t, src)
+			iOut, iErr := runInterp(t, src, "")
 			if iErr != nil {
 				t.Fatalf("interp error: %v", iErr)
 			}
-			for _, level := range []int{bytecode.O0, bytecode.O2} {
+			for _, level := range []int{bytecode.O0, bytecode.O1, bytecode.O2} {
 				vOut, vErr := runVMOpt(t, src, "", level)
 				if vErr != nil {
 					t.Fatalf("vm O%d error: %v", level, vErr)
@@ -79,19 +65,20 @@ func TestFoldEveryOpcodeAgainstInterp(t *testing.T) {
 				if vOut != iOut {
 					t.Errorf("O%d output %q, interp %q", level, vOut, iOut)
 				}
-			}
 
-			// The fold must actually fire: disassemble the O2 chunk and
-			// assert the folded opcodes are gone.
-			// A typed mnemonic is its operator plus a suffix: add.i, add.rk.
-			_, bc := compileBoth(t, src)
-			optimize(t, bc, bytecode.O2)
-			dis := bytecode.Disassemble(bc.Funcs[0])
-			for _, op := range c.foldedOps {
-				for _, line := range strings.Split(dis, "\n") {
-					fields := strings.Fields(line)
-					if len(fields) >= 2 && strings.Split(fields[1], ".")[0] == op {
-						t.Errorf("opcode %q survived folding at O2:\n%s", fields[1], dis)
+				// A mnemonic is its operator, plus a suffix when typed or
+				// fused (add.i, add.rk); the untyped arithk names its operator
+				// in its comment.
+				_, bc := compileBoth(t, src)
+				dis := bytecode.Disassemble(optimize(t, bc, level).Funcs[0])
+				for _, op := range c.runs {
+					found := strings.Contains(dis, " "+op+" ")
+					for _, line := range strings.Split(dis, "\n") {
+						fields := strings.Fields(line)
+						found = found || len(fields) >= 2 && strings.Split(fields[1], ".")[0] == op
+					}
+					if !found {
+						t.Errorf("no %q instruction at O%d for the VM to run:\n%s", op, level, dis)
 					}
 				}
 			}
@@ -99,9 +86,9 @@ func TestFoldEveryOpcodeAgainstInterp(t *testing.T) {
 	}
 }
 
-// TestFoldRefusalsKeepRuntimeError pins the refusal side: expressions
-// whose evaluation raises must NOT fold, and the runtime error must carry
-// the operator's source position at every optimization level.
+// TestFoldRefusalsKeepRuntimeError pins the raising side: a constant
+// expression whose evaluation raises does so at run time, and the error
+// carries the operator's source position at every optimization level.
 func TestFoldRefusalsKeepRuntimeError(t *testing.T) {
 	cases := []struct {
 		name, src, wantErr string
@@ -113,7 +100,7 @@ func TestFoldRefusalsKeepRuntimeError(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, iErr := runInterpSrc(t, c.src)
+			_, iErr := runInterp(t, c.src, "")
 			if iErr == nil || iErr.Error() != c.wantErr {
 				t.Fatalf("interp err = %v, want %q", iErr, c.wantErr)
 			}

@@ -24,8 +24,8 @@ func TestErrorPositionsSurviveFusion(t *testing.T) {
 		msgRE     string
 	}{
 		{
-			// Constant right operand: div fuses to arithk (fold refuses
-			// to evaluate x/0 at compile time; fusion then absorbs the 0).
+			// Constant right operand: div fuses to arithk (x/0 is evaluated
+			// at run time; fusion absorbs the 0).
 			name:    "const_divisor",
 			src:     "def main():\n    x = 5\n    x = x / 0\n    print(x)\n",
 			fusedOp: "arithk",
@@ -78,7 +78,7 @@ func TestErrorPositionsSurviveFusion(t *testing.T) {
 }
 
 // A fused compare-jump never raises, but the instructions around it do;
-// folding and jump threading must not smear positions across neighbors.
+// fusion and jump threading must not smear positions across neighbors.
 // The pinned column is the index expression that overruns inside a loop
 // headed by a fused (constant) compare.
 func TestErrorPositionInFusedLoop(t *testing.T) {

@@ -6,9 +6,10 @@
 // parallel-for iterations get a private induction cell, background chunks
 // are not joined before the spawning statement continues (though Run joins
 // them before returning), and lock instructions hit the runtime's named
-// lock table, whose waiters park interruptibly. The VM runs that table
-// without live deadlock detection: a deadlocked program ends at the
-// governor's deadline rather than with an immediate diagnostic.
+// lock table, whose waiters park interruptibly and which refuses a wait
+// that would close a cycle: a deadlocked program ends with the same
+// "deadlock detected" diagnostic on both engines, unless
+// Options.NoDeadlockDetection asks for the hang.
 //
 // # Registers and call frames
 //
@@ -60,10 +61,11 @@
 // the callee's, and that only a call with a result names a destination are
 // again Verify's to prove, not the loop's to test.
 //
-// The VM intentionally omits the step hook, tracer, and deadlock/race
-// tooling: those belong to the development path (the interpreter, which the
-// debugger drives), while the VM is the "run it fast" path. Differential
-// tests assert the two backends produce identical program behaviour.
+// The VM intentionally omits the step hook, the tracer and the race
+// tooling built on it: those belong to the development path (the
+// interpreter, which the debugger drives), while the VM is the "run it
+// fast" path. Differential tests assert the two backends produce identical
+// program behaviour.
 //
 // Unlike the interpreter's statement-boundary checks, the VM consults the
 // resource governor per instruction, and additionally re-checks the stop
@@ -97,6 +99,9 @@ type Options struct {
 	Env *stdlib.Env
 	// NoWaitBackground makes Run return without joining background threads.
 	NoWaitBackground bool
+	// NoDeadlockDetection disables the live wait-for-graph check, letting
+	// deadlocks actually hang, as the interpreter's option of that name does.
+	NoDeadlockDetection bool
 	// Guard, when non-nil, is the resource governor checked once per
 	// executed instruction (the VM analog of the interpreter's
 	// statement-boundary check).
@@ -124,6 +129,7 @@ func New(prog *bytecode.Program, opts Options) *VM {
 		Sched:            opts.Sched,
 		LockNames:        prog.LockNames,
 		NoWaitBackground: opts.NoWaitBackground,
+		DetectDeadlock:   !opts.NoDeadlockDetection,
 	})}
 	m.byName = make(map[string]int, len(prog.Funcs))
 	for i, f := range prog.Funcs {

@@ -402,8 +402,7 @@ func TestOptimizerDifferentialCorpus(t *testing.T) {
 
 // TestRealZeroDivisionVM pins the unified arithmetic error semantics: real
 // division and modulo by zero raise the same errors as their integer
-// counterparts, at every optimization level (the folder must refuse to
-// fold them away).
+// counterparts, at every optimization level.
 func TestRealZeroDivisionVM(t *testing.T) {
 	cases := []struct{ name, src, substr string }{
 		{"real_div_var", "def main():\n    x = 0.0\n    print(1.5 / x)\n", "division by zero"},

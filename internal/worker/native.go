@@ -24,16 +24,21 @@ import (
 // crashing artifact takes down nothing but its own request's process —
 // at the cost of a fork+exec per request (the benchmark's native.added_us),
 // which promotion by request count pays for every hot program, whether or
-// not its run is long enough to win that back (serve_heavy's is,
-// serve_hot's is not; ROADMAP item 3).
+// not its run is long enough to win that back. The verdict, measured for
+// PR 21 (DESIGN.md §12 "Evidence"): the tier stays. It wins serve_heavy by
+// roughly 2× (op_p50_ms 3.5–4.1 against 4.7–9.0 with -native-threshold 0),
+// loses serve_hot by roughly 3× (1.5–3.9 against 0.57–0.62), and moving
+// serve_hot to the pool costs +40 % rss_mb (65 against 46 MiB: four warm
+// pool workers are resident where one-shot artifacts are not).
 //
 // The runner owns the same supervision duties the pool has: deadline
 // overrun kills, crash classification (a gort "runtime error:" exit is
-// data; any other death is a crash), per-hash quarantine, and
-// zero-orphan accounting (Stats().Reaped == Stats().Spawns after Close).
+// data; any other death is a crash) and zero-orphan accounting
+// (Stats().Reaped == Stats().Spawns after Close). It has no circuit
+// breaker of its own: the server demotes a program at its artifact's first
+// crash, and promote pins it to the VM after MaxDemotions.
 type NativeRunner struct {
 	opts NativeOptions
-	quar *quarantine
 
 	mu     sync.Mutex
 	closed bool
@@ -53,9 +58,6 @@ type NativeOptions struct {
 	// AttemptTimeout bounds a run whose request carries no deadline
 	// (default 60s).
 	AttemptTimeout time.Duration
-	// Quarantine is the circuit breaker for artifacts that repeatedly
-	// crash; keyed by the native program hash.
-	Quarantine QuarantinePolicy
 	// Faults arms the native-tier injection point (fault.NativeKill).
 	Faults *fault.Injector
 	// Logf, when set, receives supervision events.
@@ -75,11 +77,10 @@ func (o NativeOptions) withDefaults() NativeOptions {
 // NativeStats is a point-in-time snapshot of the native tier's
 // process accounting.
 type NativeStats struct {
-	Runs        int64 `json:"runs"`
-	Crashes     int64 `json:"crashes"`
-	Spawns      int64 `json:"spawns"`
-	Reaped      int64 `json:"reaped"`
-	Quarantined int   `json:"quarantined"`
+	Runs    int64 `json:"runs"`
+	Crashes int64 `json:"crashes"`
+	Spawns  int64 `json:"spawns"`
+	Reaped  int64 `json:"reaped"`
 }
 
 // NativeCrashError: the artifact process died abnormally (not a Tetra
@@ -87,8 +88,6 @@ type NativeStats struct {
 // tier and retry there.
 type NativeCrashError struct {
 	Reason string
-	// Tripped reports whether this crash tripped the quarantine breaker.
-	Tripped bool
 }
 
 func (e *NativeCrashError) Error() string {
@@ -99,28 +98,17 @@ func (e *NativeCrashError) Error() string {
 func NewNativeRunner(opts NativeOptions) *NativeRunner {
 	return &NativeRunner{
 		opts: opts.withDefaults(),
-		quar: newQuarantine(opts.Quarantine),
 		live: make(map[*exec.Cmd]struct{}),
 	}
 }
 
-// Quarantined reports whether the native hash is circuit-broken.
-func (r *NativeRunner) Quarantined(hash string) (time.Duration, bool) {
-	return r.quar.Quarantined(hash)
-}
-
-// Acquit clears the hash's crash history — called when a fresh artifact
-// is built, so crashes of the old binary don't count against the new one.
-func (r *NativeRunner) Acquit(hash string) { r.quar.Invalidate(hash) }
-
 // Stats snapshots the runner counters.
 func (r *NativeRunner) Stats() NativeStats {
 	return NativeStats{
-		Runs:        r.runs.Load(),
-		Crashes:     r.crashes.Load(),
-		Spawns:      r.spawns.Load(),
-		Reaped:      r.reaped.Load(),
-		Quarantined: r.quar.Count(),
+		Runs:    r.runs.Load(),
+		Crashes: r.crashes.Load(),
+		Spawns:  r.spawns.Load(),
+		Reaped:  r.reaped.Load(),
 	}
 }
 
@@ -168,14 +156,9 @@ func limitEnv(lim guard.Limits) []string {
 // Run executes one request in a fresh process of the given artifact
 // binary. A Tetra runtime error (gort exit status 1 with a "runtime
 // error:" diagnostic) is data and comes back as a well-formed Response;
-// any other death returns a *NativeCrashError after recording the crash
-// against info.Hash. Closing info.Stop kills the child (drain).
+// any other death returns a *NativeCrashError. Closing info.Stop kills the
+// child (drain).
 func (r *NativeRunner) Run(bin string, req *Request, info RunInfo) (*Response, error) {
-	if info.Hash != "" {
-		if d, ok := r.quar.Quarantined(info.Hash); ok {
-			return nil, &QuarantinedError{Hash: info.Hash, Remaining: d}
-		}
-	}
 	timeout := r.opts.AttemptTimeout
 	if req.Limits.Deadline > 0 {
 		timeout = req.Limits.Deadline + r.opts.PipeMargin
@@ -268,22 +251,18 @@ func (r *NativeRunner) Run(bin string, req *Request, info RunInfo) (*Response, e
 	return nil, r.crash(req, info, cmd, fmt.Sprintf("artifact died: %v", waitErr), tail.Tail())
 }
 
-// crash accounts one artifact death: counters, quarantine, forensics.
+// crash accounts one artifact death: counters, forensics.
 func (r *NativeRunner) crash(req *Request, info RunInfo, cmd *exec.Cmd, reason, stderrTail string) error {
 	r.crashes.Add(1)
 	pid := 0
 	if cmd.Process != nil {
 		pid = cmd.Process.Pid
 	}
-	tripped := false
-	if info.Hash != "" {
-		tripped = r.quar.Record(info.Hash)
-	}
 	if info.OnCrash != nil {
 		info.OnCrash(Crash{PID: pid, Attempt: 1, Reason: reason, StderrTail: stderrTail})
 	}
 	r.logf("native crash: pid=%d req=%s hash=%s reason=%q", pid, req.RequestID, info.Hash, reason)
-	return &NativeCrashError{Reason: reason, Tripped: tripped}
+	return &NativeCrashError{Reason: reason}
 }
 
 // runtimeErrLine extracts the first "runtime error: ..." line from an

@@ -92,24 +92,14 @@ func Handler(opts ServerOptions) http.Handler { return server.New(opts) }
 // trip path (waking even lock-parked programs), and the HTTP listener
 // closes. It returns nil on a clean drain.
 func Serve(ctx context.Context, addr string, opts ServerOptions) error {
-	srv := server.New(opts)
-	httpSrv := &http.Server{Addr: addr, Handler: srv}
-
-	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.ListenAndServe() }()
-
-	select {
-	case err := <-errCh:
-		return err // listener died before ctx was cancelled
-	case <-ctx.Done():
+	if addr == "" {
+		addr = ":http" // as http.Server.ListenAndServe reads it
 	}
-	drainErr := srv.Drain(nil)
-	shutdownErr := httpSrv.Shutdown(context.Background())
-	<-errCh // always http.ErrServerClosed after Shutdown
-	if drainErr != nil {
-		return drainErr
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
 	}
-	return shutdownErr
+	return ServeListener(ctx, ln, opts)
 }
 
 // ServeListener is Serve on an already-bound listener, letting callers
@@ -123,12 +113,12 @@ func ServeListener(ctx context.Context, ln net.Listener, opts ServerOptions) err
 
 	select {
 	case err := <-errCh:
-		return err
+		return err // listener died before ctx was cancelled
 	case <-ctx.Done():
 	}
 	drainErr := srv.Drain(nil)
 	shutdownErr := httpSrv.Shutdown(context.Background())
-	<-errCh
+	<-errCh // always http.ErrServerClosed after Shutdown
 	if drainErr != nil {
 		return drainErr
 	}

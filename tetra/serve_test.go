@@ -85,3 +85,17 @@ func TestServeListenerDrainsOnCancel(t *testing.T) {
 		t.Fatal("ServeListener did not return after cancel")
 	}
 }
+
+// TestServeBindsThenServes: Serve is ServeListener on a listener it binds
+// itself, so a bad address is its error and a cancelled context a clean
+// drain.
+func TestServeBindsThenServes(t *testing.T) {
+	if err := tetra.Serve(context.Background(), "127.0.0.1:99999", tetra.ServerOptions{}); err == nil {
+		t.Error("Serve on an unbindable address returned nil")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := tetra.Serve(ctx, "127.0.0.1:0", tetra.ServerOptions{DrainGrace: 200 * time.Millisecond}); err != nil {
+		t.Errorf("Serve returned %v, want clean drain", err)
+	}
+}

@@ -127,7 +127,7 @@ type Program struct {
 // OptNone to execute exactly the bytecode the compiler emitted (useful for
 // differential testing and for debugging the optimizer itself).
 const (
-	OptFull = 0  // full optimization (constant folding, jump threading, DCE, fusion)
+	OptFull = 0  // full optimization (dead stores, jump threading, DCE, fusion, loop rotation)
 	OptNone = -1 // optimizer disabled
 )
 

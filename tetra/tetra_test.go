@@ -2,13 +2,16 @@ package tetra_test
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/bytecode"
 	"repro/internal/core"
+	"repro/internal/guard"
 	"repro/tetra"
 )
 
@@ -247,6 +250,40 @@ func TestGoldenCorpus(t *testing.T) {
 	}
 	if ran < 10 {
 		t.Errorf("corpus unexpectedly small: %d programs", ran)
+	}
+}
+
+// TestDeadlockDiagnosedOnEveryEngine runs the lock-ordering deadlock of
+// testdata/deadlock_ab.ttr on the interpreter and on the VM at every
+// optimization level: each must refuse the wait that closes the cycle and
+// say so, and with detection off each must hang until its deadline.
+func TestDeadlockDiagnosedOnEveryEngine(t *testing.T) {
+	prog, err := tetra.CompileFile(filepath.Join("..", "testdata", "deadlock_ab.ttr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	engines := map[string]func(core.Config) error{
+		"interp": func(cfg core.Config) error { return core.Run(prog.AST(), cfg) },
+	}
+	for _, level := range []int{bytecode.O0, bytecode.O1, bytecode.O2} {
+		engines[fmt.Sprintf("vm-O%d", level)] = func(cfg core.Config) error {
+			return core.RunVMOpt(prog.AST(), cfg, level)
+		}
+	}
+	for name, run := range engines {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			var out bytes.Buffer
+			err := run(core.Config{Stdout: &out})
+			if err == nil || !strings.Contains(err.Error(), "deadlock detected: thread") || out.Len() != 0 {
+				t.Errorf("err = %v, output %q; want a deadlock diagnosis and no output", err, out.String())
+			}
+			err = run(core.Config{Stdout: &out, NoDeadlockDetection: true,
+				Limits: guard.Limits{Deadline: 300 * time.Millisecond}})
+			if err == nil || !strings.Contains(err.Error(), "exceeded deadline") {
+				t.Errorf("with detection off err = %v, want the deadline", err)
+			}
+		})
 	}
 }
 
