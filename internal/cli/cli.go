@@ -32,7 +32,7 @@ func Main(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	noDetect := fs.Bool("no-detect", false, "disable live deadlock detection")
 	timelineRows := fs.Int("timeline", 200, "maximum timeline rows (0 = unlimited)")
 	traceCap := fs.Int("trace-cap", 0, "trace event retention: keep the most recent N events (0 = default 65536, negative = unbounded)")
-	useVM := fs.Bool("vm", false, "execute on the bytecode VM instead of the AST interpreter")
+	useVM := fs.Bool("vm", false, "execute on the bytecode VM instead of the AST interpreter (refused with -trace, -race or -deadlock: the VM records no events)")
 	disasm := fs.Bool("disasm", false, "print the compiled bytecode and exit")
 	timeout := fs.Duration("timeout", 0, "wall-clock limit for the run (e.g. 1s, 500ms; 0 = unlimited)")
 	maxSteps := fs.Int64("max-steps", 0, "total statement/instruction budget across all threads (0 = unlimited)")
@@ -50,6 +50,11 @@ func Main(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if fs.NArg() != 1 {
 		fmt.Fprintln(stderr, "usage: tetra [flags] program.ttr")
 		fs.PrintDefaults()
+		return 2
+	}
+	if *useVM && (*doTrace || *doRace || *doDeadlock) {
+		// tetrad's wording for the same request (server.RunRequest.Validate).
+		fmt.Fprintln(stderr, `trace and race require the "interp" backend`)
 		return 2
 	}
 

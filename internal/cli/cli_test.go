@@ -217,6 +217,11 @@ func TestUsageErrors(t *testing.T) {
 	if code, _, errOut := run(t, []string{"/nonexistent.ttr"}, ""); code != 1 || errOut == "" {
 		t.Error("missing file should exit 1 with a message")
 	}
+	// The VM records no events: refused before anything runs, in tetrad's words.
+	if code, out, errOut := run(t, []string{"-vm", "-race", write(t, sumProgram)}, ""); code != 2 || out != "" ||
+		!strings.Contains(errOut, `trace and race require the "interp" backend`) {
+		t.Errorf("-vm -race: code=%d out=%q err=%q, want exit 2 and no run", code, out, errOut)
+	}
 }
 
 func TestOptLevelFlag(t *testing.T) {

@@ -69,7 +69,8 @@ type threadCtl struct {
 
 // Engine drives one debug session.
 type Engine struct {
-	prog *ast.Program
+	in     *interp.Interp // the backend, built by New
+	onPark func(ThreadState)
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -81,8 +82,6 @@ type Engine struct {
 	defaultMode runMode
 	done        bool
 	runErr      error
-	in          *interp.Interp // the running backend, for Kill
-	onPark      func(ThreadState)
 }
 
 // Config configures a session.
@@ -104,10 +103,9 @@ type Config struct {
 // New prepares (but does not start) a debug session for the program.
 func New(prog *ast.Program, cfg Config) *Engine {
 	e := &Engine{
-		prog:   prog,
+		onPark: cfg.OnPark,
 		thr:    map[int]*threadCtl{},
 		breaks: map[int]bool{},
-		onPark: cfg.OnPark,
 	}
 	e.cond = sync.NewCond(&e.mu)
 	if cfg.StopOnEntry {
@@ -115,6 +113,13 @@ func New(prog *ast.Program, cfg Config) *Engine {
 	} else {
 		e.defaultMode = modeRunning
 	}
+	// Deadlock detection is disabled so students can watch a deadlock form
+	// thread by thread.
+	ccfg := cfg.Core
+	ccfg.Step = e.hook
+	ccfg.Tracer = engineTracer{e: e, inner: ccfg.Tracer}
+	ccfg.NoDeadlockDetection = true
+	e.in = core.NewInterp(prog, ccfg)
 	return e
 }
 
@@ -141,19 +146,10 @@ func (t engineTracer) Emit(ev trace.Event) {
 }
 
 // Start launches the program under the debugger. It returns immediately;
-// use Wait or the stepping API to interact. Deadlock detection is disabled
-// so students can watch a deadlock form thread by thread.
-func (e *Engine) Start(cfg Config) {
-	ccfg := cfg.Core
-	ccfg.Step = e.hook
-	ccfg.Tracer = engineTracer{e: e, inner: cfg.Core.Tracer}
-	ccfg.NoDeadlockDetection = true
-	in := core.NewInterp(e.prog, ccfg)
-	e.mu.Lock()
-	e.in = in
-	e.mu.Unlock()
+// use Wait or the stepping API to interact.
+func (e *Engine) Start() {
 	go func() {
-		err := in.Run()
+		err := e.in.Run()
 		e.mu.Lock()
 		e.done = true
 		e.runErr = err
@@ -173,19 +169,14 @@ func (e *Engine) Start(cfg Config) {
 // error. Used by eviction and drain in internal/session — the liveness
 // guarantee that no debug session can outlive its owner.
 func (e *Engine) Kill() {
-	e.mu.Lock()
-	in := e.in
-	e.mu.Unlock()
-	if in != nil {
-		in.Cancel()
-	}
+	e.in.Cancel()
 	e.ContinueAll()
 }
 
 // Run is New + Start in one call.
 func Run(prog *ast.Program, cfg Config) *Engine {
 	e := New(prog, cfg)
-	e.Start(cfg)
+	e.Start()
 	return e
 }
 
@@ -236,10 +227,6 @@ func (e *Engine) hook(threadID int, fn *ast.FuncDecl, stmt ast.Stmt, frame inter
 		e.cond.Wait()
 	}
 	t.state.Paused = false
-	if t.mode == modeStep {
-		// Leaving the hook to run exactly this one statement; the next
-		// entry re-parks.
-	}
 }
 
 // Threads returns a snapshot of all threads seen so far, ordered by id.
@@ -323,18 +310,7 @@ func (e *Engine) Step(id int) bool { return e.setMode(id, modeStep) }
 // current (or a shallower) call depth, so function calls complete without
 // stopping inside them. Like Step, it reports false for unknown or
 // finished threads.
-func (e *Engine) Next(id int) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	t, ok := e.live(id)
-	if !ok {
-		return false
-	}
-	t.nextDepth = t.depth
-	t.mode = modeNext
-	e.cond.Broadcast()
-	return true
-}
+func (e *Engine) Next(id int) bool { return e.setMode(id, modeNext) }
 
 // NextAndWait is Next plus waiting for the re-park, mirroring StepAndWait.
 func (e *Engine) NextAndWait(id int, timeout time.Duration) (ThreadState, StepResult) {
@@ -359,11 +335,7 @@ func (e *Engine) stepWait(id int, m runMode, timeout time.Duration) (ThreadState
 		return ThreadState{}, StepNoThread
 	}
 	gen := t.pauseGen
-	if m == modeNext {
-		t.nextDepth = t.depth
-	}
-	t.mode = m
-	e.cond.Broadcast()
+	e.direct(t, m)
 	for {
 		if t.state.Finished || e.done {
 			return t.state, StepFinished
@@ -395,9 +367,18 @@ func (e *Engine) setMode(id int, m runMode) bool {
 	if !ok {
 		return false
 	}
+	e.direct(t, m)
+	return true
+}
+
+// direct gives a live thread its new directive; a step-over is measured
+// from the call depth the thread is at now. Must hold e.mu.
+func (e *Engine) direct(t *threadCtl, m runMode) {
+	if m == modeNext {
+		t.nextDepth = t.depth
+	}
 	t.mode = m
 	e.cond.Broadcast()
-	return true
 }
 
 // ContinueAll resumes every thread (and makes future threads free-running).
@@ -475,34 +456,28 @@ func (e *Engine) Vars(id int) ([]string, []value.Value, bool) {
 // WaitPaused blocks until thread id is parked in the hook (or the program
 // ends, or the timeout expires). It reports whether the thread is paused.
 func (e *Engine) WaitPaused(id int, timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for {
-		// A thread counts as paused only when it is parked AND still
-		// directed to stay parked — a thread just released by Step/Continue
-		// keeps state.Paused until it wakes, which must not satisfy a
-		// waiter issued after the release.
-		if t, ok := e.thr[id]; ok && t.state.Paused && t.mode == modePaused {
-			return true
-		}
-		if e.done || time.Now().After(deadline) {
-			return false
-		}
-		e.waitWithDeadline(deadline)
-	}
+	return e.waitParked(1, timeout, func(t *threadCtl) bool { return t.state.ID == id }) == 1
 }
 
 // WaitAnyPaused blocks until at least n threads are parked, or the program
 // ends or the timeout expires. It returns the number of parked threads.
 func (e *Engine) WaitAnyPaused(n int, timeout time.Duration) int {
+	return e.waitParked(n, timeout, func(*threadCtl) bool { return true })
+}
+
+// waitParked waits for n of the threads that match to be parked and returns
+// how many are. A thread counts as parked only when it is in the hook AND
+// still directed to stay there — a thread just released by Step/Continue
+// keeps state.Paused until it wakes, which must not satisfy a waiter issued
+// after the release.
+func (e *Engine) waitParked(n int, timeout time.Duration, match func(*threadCtl) bool) int {
 	deadline := time.Now().Add(timeout)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for {
 		paused := 0
 		for _, t := range e.thr {
-			if t.state.Paused && t.mode == modePaused {
+			if match(t) && t.state.Paused && t.mode == modePaused {
 				paused++
 			}
 		}

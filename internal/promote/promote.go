@@ -54,8 +54,6 @@ type Config struct {
 	// GoTool is the Go toolchain command for the build step (default
 	// "go"; tests inject a failing tool to drive the failure paths).
 	GoTool string
-	// BuildTimeout bounds one `go build` (default 120s).
-	BuildTimeout time.Duration
 	// RebuildBackoff is the cooldown after a demotion or build failure
 	// before the program may be promoted again (default 30s).
 	RebuildBackoff time.Duration
@@ -63,9 +61,6 @@ type Config struct {
 	// is pinned to the VM for good (default 2). A binary that keeps
 	// crashing is evidence about the binary, not bad luck.
 	MaxDemotions int
-	// MaxArtifacts bounds how many programs may be ready at once
-	// (default 64); beyond it, promotion stops until the server restarts.
-	MaxArtifacts int
 	// OnReady, when set, is called (from the builder goroutine) with the
 	// program's native hash after every successful build — the server
 	// uses it to acquit stale quarantine entries recorded against the
@@ -88,17 +83,11 @@ func (c Config) withDefaults() Config {
 	if c.GoTool == "" {
 		c.GoTool = "go"
 	}
-	if c.BuildTimeout <= 0 {
-		c.BuildTimeout = 120 * time.Second
-	}
 	if c.RebuildBackoff <= 0 {
 		c.RebuildBackoff = 30 * time.Second
 	}
 	if c.MaxDemotions <= 0 {
 		c.MaxDemotions = 2
-	}
-	if c.MaxArtifacts <= 0 {
-		c.MaxArtifacts = 64
 	}
 	if c.now == nil {
 		c.now = time.Now
@@ -378,6 +367,10 @@ func (m *Manager) builder() {
 	}
 }
 
+// maxArtifacts bounds how many programs may be ready at once; beyond it,
+// promotion stops until the server restarts.
+const maxArtifacts = 64
+
 // build compiles one program to a native artifact and publishes it.
 func (m *Manager) build(p *program) {
 	m.mu.Lock()
@@ -391,11 +384,11 @@ func (m *Manager) build(p *program) {
 			ready++
 		}
 	}
-	if ready >= m.cfg.MaxArtifacts {
+	if ready >= maxArtifacts {
 		p.state = stateCold
 		p.count = 0
 		m.mu.Unlock()
-		m.logf("native build skipped: artifact cap (%d) reached", m.cfg.MaxArtifacts)
+		m.logf("native build skipped: artifact cap (%d) reached", maxArtifacts)
 		return
 	}
 	p.state = stateBuilding
@@ -454,6 +447,9 @@ func isCompileError(err error) bool {
 	return errors.As(err, &ce)
 }
 
+// buildTimeout bounds one `go build`.
+const buildTimeout = 120 * time.Second
+
 // compileAndBuild runs the pipeline: Tetra → checked AST → Go source →
 // native binary. Artifacts are content-addressed by the generated
 // source's hash, so an identical program (even across restarts or
@@ -484,7 +480,7 @@ func (m *Manager) compileAndBuild(p *program) (bin string, reused bool, err erro
 		return "", false, err
 	}
 
-	ctx, cancel := context.WithTimeout(m.ctx, m.cfg.BuildTimeout)
+	ctx, cancel := context.WithTimeout(m.ctx, buildTimeout)
 	defer cancel()
 	tmp := bin + ".tmp"
 	cmd := exec.CommandContext(ctx, m.cfg.GoTool, "build", "-o", tmp, "./"+filepath.Base(dir))

@@ -35,8 +35,8 @@ const (
 // Race describes one detected violation.
 type Race struct {
 	Variable string
-	// First and Second are the two accesses with an empty common lockset;
-	// Second is always a write or follows a write.
+	// First and Second are two accesses by different threads with an empty
+	// common lockset, at least one of them a write; Second is the later.
 	First, Second trace.Event
 }
 
@@ -68,13 +68,40 @@ type Report struct {
 }
 
 type cellState struct {
-	name     string
-	st       state
-	owner    int // thread for exclusive state
-	lockset  map[int]bool
-	lastDiff trace.Event // most recent access from a non-owner perspective
-	reported bool
-	multi    bool
+	name    string
+	st      state
+	owner   int // thread for exclusive state
+	lockset map[int]bool
+	// access and write remember what has touched the cell since its
+	// exclusive phase ended: the candidates for a Race's First.
+	access, write recent
+	reported      bool
+	multi         bool
+}
+
+// recent holds the latest event added and, after it, the latest from a
+// different thread: enough to name one from a thread other than any given.
+type recent struct {
+	ev [2]trace.Event
+	n  int
+}
+
+// notBy returns the latest remembered event from a thread other than t.
+func (r *recent) notBy(t int) (trace.Event, bool) {
+	for _, e := range r.ev[:r.n] {
+		if e.Thread != t {
+			return e, true
+		}
+	}
+	return trace.Event{}, false
+}
+
+func (r *recent) add(e trace.Event) {
+	if other, ok := r.notBy(e.Thread); ok {
+		r.ev, r.n = [2]trace.Event{e, other}, 2
+	} else {
+		r.ev[0], r.n = e, 1
+	}
 }
 
 // Analyze replays VarRead/VarWrite events and reports lockset violations.
@@ -126,7 +153,7 @@ func Analyze(events []trace.Event) Report {
 			c.st = exclusive
 			c.owner = e.Thread
 			c.lockset = nil
-			c.lastDiff = e
+			c.access, c.write = recent{}, recent{}
 			continue
 		}
 
@@ -134,11 +161,10 @@ func Analyze(events []trace.Event) Report {
 		case virgin:
 			c.st = exclusive
 			c.owner = e.Thread
-			c.lastDiff = e
+			continue
 
 		case exclusive:
 			if e.Thread == c.owner {
-				c.lastDiff = e
 				continue
 			}
 			// Second thread arrives: the candidate lockset is what it holds
@@ -150,8 +176,6 @@ func Analyze(events []trace.Event) Report {
 			} else {
 				c.st = shared
 			}
-			c.check(e, &rep)
-			c.lastDiff = e
 
 		case shared:
 			c.multi = true
@@ -159,14 +183,15 @@ func Analyze(events []trace.Event) Report {
 			if e.Kind == trace.VarWrite {
 				c.st = sharedModified
 			}
-			c.check(e, &rep)
-			c.lastDiff = e
 
 		case sharedModified:
 			c.multi = true
 			c.intersect(locksetOf(e))
-			c.check(e, &rep)
-			c.lastDiff = e
+		}
+		c.check(e, &rep)
+		c.access.add(e)
+		if e.Kind == trace.VarWrite {
+			c.write.add(e)
 		}
 	}
 
@@ -199,12 +224,24 @@ func (c *cellState) intersect(other map[int]bool) {
 	}
 }
 
+// check reports the cell once its lockset is empty and e has a partner: an
+// access since the exclusive phase by another thread, one of the two a
+// write. A thread does not race with itself, so while only one thread has
+// touched the cell since then nothing is reported.
 func (c *cellState) check(e trace.Event, rep *Report) {
 	if c.reported || c.st != sharedModified || len(c.lockset) > 0 {
 		return
 	}
+	partners := &c.write
+	if e.Kind == trace.VarWrite {
+		partners = &c.access
+	}
+	first, ok := partners.notBy(e.Thread)
+	if !ok {
+		return
+	}
 	c.reported = true
-	rep.Races = append(rep.Races, Race{Variable: c.name, First: c.lastDiff, Second: e})
+	rep.Races = append(rep.Races, Race{Variable: c.name, First: first, Second: e})
 }
 
 // FormatReport renders the whole report as text.

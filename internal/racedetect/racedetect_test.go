@@ -23,11 +23,63 @@ func TestUnlockedSharedWriteIsRace(t *testing.T) {
 		ev(2, trace.VarRead, "x", 100),
 	}
 	rep := Analyze(events)
+	distinct(t, rep)
 	if len(rep.Races) != 1 || rep.Races[0].Variable != "x" {
 		t.Fatalf("races = %v", rep.Races)
 	}
 	if rep.SharedVars != 1 {
 		t.Errorf("SharedVars = %d", rep.SharedVars)
+	}
+}
+
+// distinct fails unless every reported race pairs two different threads.
+func distinct(t *testing.T, rep Report) {
+	t.Helper()
+	for _, r := range rep.Races {
+		if r.First.Thread == r.Second.Thread {
+			t.Errorf("thread %d reported racing with itself: %s", r.First.Thread, r)
+		}
+	}
+}
+
+func TestOneChildBlockIsClean(t *testing.T) {
+	// `parallel:` with a single child doing `x += 1`: since the forgiven
+	// initialisation only thread 1 has touched x, and the parent's read
+	// comes after the join.
+	events := []trace.Event{
+		start(0),
+		ev(0, trace.VarWrite, "x", 100),
+		start(1),
+		ev(1, trace.VarRead, "x", 100),
+		ev(1, trace.VarWrite, "x", 100),
+		end(1),
+		ev(0, trace.VarRead, "x", 100),
+	}
+	rep := Analyze(events)
+	if len(rep.Races) != 0 {
+		t.Errorf("a thread raced with itself: %v", rep.Races)
+	}
+}
+
+func TestRacyCounterNamesTwoThreads(t *testing.T) {
+	// testdata/racy_counter.ttr: `count += 1` in a parallel for. The report
+	// waits for the second worker and pairs it with the first worker's
+	// write, not with the worker's own read or thread 0's initialiser.
+	events := []trace.Event{
+		start(0),
+		ev(0, trace.VarWrite, "count", 7),
+		start(1), start(2),
+		ev(1, trace.VarRead, "count", 7),
+		ev(1, trace.VarWrite, "count", 7),
+		ev(2, trace.VarRead, "count", 7),
+		ev(2, trace.VarWrite, "count", 7),
+	}
+	rep := Analyze(events)
+	if len(rep.Races) != 1 || rep.Races[0].Variable != "count" {
+		t.Fatalf("races = %v", rep.Races)
+	}
+	if r := rep.Races[0]; r.First.Thread != 1 || r.First.Kind != trace.VarWrite || r.Second.Thread != 2 {
+		t.Errorf("race = %s, want thread 1's write against thread 2", r)
 	}
 }
 
@@ -57,6 +109,7 @@ func TestDifferentLocksIsRace(t *testing.T) {
 		ev(1, trace.VarWrite, "x", 100, 3), // {4} ∩ {3} = ∅ → race
 	}
 	rep := Analyze(events)
+	distinct(t, rep)
 	if len(rep.Races) != 1 {
 		t.Errorf("races = %v", rep.Races)
 	}
@@ -122,6 +175,7 @@ func TestDoubleCheckedLockingFlagged(t *testing.T) {
 		ev(2, trace.VarRead, "largest", 9),     // unlocked check
 	}
 	rep := Analyze(events)
+	distinct(t, rep)
 	if len(rep.Races) != 1 {
 		t.Errorf("double-checked locking not flagged: %v", rep.Races)
 	}
@@ -155,6 +209,7 @@ func TestOneRacePerVariable(t *testing.T) {
 		ev(2, trace.VarWrite, "x", 100),
 	}
 	rep := Analyze(events)
+	distinct(t, rep)
 	if len(rep.Races) != 1 {
 		t.Errorf("got %d races for one variable, want 1", len(rep.Races))
 	}

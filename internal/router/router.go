@@ -65,9 +65,6 @@ type Options struct {
 	// ring nodes (spillover skips are not retries and are bounded by the
 	// fleet size). Default 2.
 	MaxRetries int
-	// MaxBodyBytes bounds the request body (default 4 MiB, matching
-	// tetrad).
-	MaxBodyBytes int64
 	// MaxReplyBytes bounds a buffered backend reply (default 16 MiB).
 	// Streaming (SSE) replies are not buffered and not bounded.
 	MaxReplyBytes int64
@@ -81,6 +78,9 @@ type Options struct {
 	// connection failures, retries.
 	Logf func(format string, args ...any)
 }
+
+// maxBodyBytes bounds a request body, matching tetrad.
+const maxBodyBytes = 4 << 20
 
 func (o Options) withDefaults() Options {
 	if o.Policy == "" {
@@ -105,9 +105,6 @@ func (o Options) withDefaults() Options {
 		o.MaxRetries = 0
 	} else if o.MaxRetries == 0 {
 		o.MaxRetries = 2
-	}
-	if o.MaxBodyBytes <= 0 {
-		o.MaxBodyBytes = 4 << 20
 	}
 	if o.MaxReplyBytes <= 0 {
 		o.MaxReplyBytes = 16 << 20
@@ -345,16 +342,16 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request, isSessionC
 	rt.inFlight.Add(1)
 	defer rt.inFlight.Add(-1)
 
-	body, err := io.ReadAll(io.LimitReader(r.Body, rt.opts.MaxBodyBytes+1))
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
 	if err != nil {
 		rt.met.badRequests.Add(1)
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("reading request body: %v", err))
 		return
 	}
-	if int64(len(body)) > rt.opts.MaxBodyBytes {
+	if len(body) > maxBodyBytes {
 		rt.met.badRequests.Add(1)
 		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("request body exceeds %d bytes", rt.opts.MaxBodyBytes))
+			fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes))
 		return
 	}
 
@@ -392,8 +389,8 @@ func (rt *Router) handleSticky(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	b := rt.backends[id]
-	body, err := io.ReadAll(io.LimitReader(r.Body, rt.opts.MaxBodyBytes+1))
-	if err != nil || int64(len(body)) > rt.opts.MaxBodyBytes {
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
+	if err != nil || len(body) > maxBodyBytes {
 		rt.met.badRequests.Add(1)
 		writeError(w, http.StatusBadRequest, "bad request body")
 		return

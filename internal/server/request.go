@@ -135,21 +135,30 @@ const MaxOptLevel = bytecode.O2
 // optimization levels. On success the request is normalized: Backend is
 // never empty and File has its default.
 func DecodeRunRequest(data []byte) (*RunRequest, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var req RunRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("invalid request body: %v", err)
-	}
-	// A second JSON value after the first is a malformed request, not
-	// trailing whitespace.
-	if dec.More() {
-		return nil, fmt.Errorf("invalid request body: unexpected data after request object")
+	if err := decodeStrict(data, &req); err != nil {
+		return nil, err
 	}
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
 	return &req, nil
+}
+
+// decodeStrict parses one JSON request object into v, rejecting unknown
+// fields and anything but whitespace after the object.
+func decodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("invalid request body: %v", err)
+	}
+	// A second JSON value after the first is a malformed request, not
+	// trailing whitespace.
+	if dec.More() {
+		return fmt.Errorf("invalid request body: unexpected data after request object")
+	}
+	return nil
 }
 
 // Validate checks the request invariants and normalizes defaults in place.

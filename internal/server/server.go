@@ -112,8 +112,6 @@ type Options struct {
 	// CacheEntries sizes the in-process compile cache (<= 0 selects the
 	// core default). Worker processes size their own caches.
 	CacheEntries int
-	// MaxBodyBytes bounds the request body. Default 4 MiB.
-	MaxBodyBytes int64
 
 	// Isolation selects the execution tier: IsolationOff (default — the
 	// embedded-library mode) or IsolationPool (supervised worker
@@ -184,9 +182,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.DrainGrace <= 0 {
 		o.DrainGrace = guard.DefaultGrace
-	}
-	if o.MaxBodyBytes <= 0 {
-		o.MaxBodyBytes = 4 << 20
 	}
 	if o.Isolation == "" {
 		o.Isolation = IsolationOff
@@ -392,31 +387,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.met.requests.Add(1)
-	if s.draining.Load() {
-		s.met.rejected503.Add(1)
-		// A draining node is moments from handing its shard to a peer:
-		// the jittered Retry-After tells routers and clients when to try
-		// again without returning in lockstep.
-		w.Header().Set("Retry-After", strconv.Itoa(1+mrand.Intn(3)))
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.opts.MaxBodyBytes+1))
-	if err != nil {
-		s.met.badRequests.Add(1)
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("reading request body: %v", err))
-		return
-	}
-	if int64(len(body)) > s.opts.MaxBodyBytes {
-		s.met.badRequests.Add(1)
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("request body exceeds %d bytes", s.opts.MaxBodyBytes))
-		return
-	}
-	req, err := DecodeRunRequest(body)
-	if err != nil {
-		s.met.badRequests.Add(1)
-		writeError(w, http.StatusBadRequest, err.Error())
+	var req RunRequest
+	if !s.intake(w, r, &req, req.Validate) {
 		return
 	}
 
@@ -431,36 +403,72 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	hash := worker.HashProgram(req.File, req.Source, req.Backend, req.optLevel())
 	if s.pool != nil {
 		if d, ok := s.pool.Quarantined(hash); ok {
-			s.reject422(w, req, d)
+			s.reject422(w, &req, d)
 			return
 		}
 	}
 
-	release, status, msg := s.admit(r)
-	if status != 0 {
-		if status == http.StatusTooManyRequests {
-			s.met.rejected429.Add(1)
-			// Jittered Retry-After: a herd rejected in the same burst
-			// must not come back in the same burst.
-			w.Header().Set("Retry-After", strconv.Itoa(1+mrand.Intn(3)))
-		} else {
-			s.met.rejected503.Add(1)
-			w.Header().Set("Retry-After", strconv.Itoa(1+mrand.Intn(3)))
-		}
-		writeError(w, status, msg)
+	release, ok := s.admit(w, r)
+	if !ok {
 		return
 	}
 	defer release()
 
-	switch o := s.execute(req, hash, reqID); o.status {
+	switch o := s.execute(&req, hash, reqID); o.status {
 	case 0:
 		writeJSON(w, http.StatusOK, o.resp)
 	case http.StatusUnprocessableEntity:
-		s.reject422(w, req, o.retryIn)
+		s.reject422(w, &req, o.retryIn)
 	default:
-		s.met.rejected503.Add(1)
-		writeError(w, o.status, o.msg)
+		s.reject(w, o.status, o.msg)
 	}
+}
+
+// maxBodyBytes bounds a request body.
+const maxBodyBytes = 4 << 20
+
+// intake is how a JSON body enters the server, for /run, /session and
+// /session/{id}/cmd alike: refused while draining, read up to maxBodyBytes,
+// decoded strictly into v (decodeStrict) and, when validate is non-nil,
+// validated. On failure it has written the error response and counted it,
+// and reports false.
+func (s *Server) intake(w http.ResponseWriter, r *http.Request, v any, validate func() error) bool {
+	if s.draining.Load() {
+		s.reject(w, http.StatusServiceUnavailable, "server is draining")
+		return false
+	}
+	status := http.StatusBadRequest
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
+	switch {
+	case err != nil:
+		err = fmt.Errorf("reading request body: %v", err)
+	case len(body) > maxBodyBytes:
+		status, err = http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", maxBodyBytes)
+	default:
+		if err = decodeStrict(body, v); err == nil && validate != nil {
+			err = validate()
+		}
+	}
+	if err != nil {
+		s.met.badRequests.Add(1)
+		writeError(w, status, err.Error())
+		return false
+	}
+	return true
+}
+
+// reject answers an overload (429) or a drain (503) and counts it. A
+// draining node is moments from handing its shard to a peer, and a herd
+// rejected in one burst must not come back in one burst: the jittered
+// Retry-After tells routers and clients when to try again.
+func (s *Server) reject(w http.ResponseWriter, status int, msg string) {
+	if status == http.StatusTooManyRequests {
+		s.met.rejected429.Add(1)
+	} else {
+		s.met.rejected503.Add(1)
+	}
+	w.Header().Set("Retry-After", strconv.Itoa(1+mrand.Intn(3)))
+	writeError(w, status, msg)
 }
 
 // reject422 answers a quarantined program: a positioned, well-formed
@@ -475,14 +483,18 @@ func (s *Server) reject422(w http.ResponseWriter, req *RunRequest, remaining tim
 }
 
 // admit implements the admission controller: a bounded queue in front of a
-// bounded set of execution slots. It returns a release func on success, or
-// a non-zero HTTP status with a diagnostic on rejection.
-func (s *Server) admit(r *http.Request) (release func(), status int, msg string) {
+// bounded set of execution slots. It returns a release func on success; on
+// rejection it has answered (reject) and reports false.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request) (release func(), ok bool) {
+	refuse := func(status int, msg string) (func(), bool) {
+		s.reject(w, status, msg)
+		return nil, false
+	}
 	if d := s.met.queueDepth.Add(1); d > int64(s.opts.MaxQueue) {
 		s.met.queueDepth.Add(-1)
-		return nil, http.StatusTooManyRequests,
+		return refuse(http.StatusTooManyRequests,
 			fmt.Sprintf("admission queue full (%d waiting, %d executing); retry later",
-				s.opts.MaxQueue, s.opts.MaxInFlight)
+				s.opts.MaxQueue, s.opts.MaxInFlight))
 	}
 	defer s.met.queueDepth.Add(-1)
 
@@ -491,23 +503,23 @@ func (s *Server) admit(r *http.Request) (release func(), status int, msg string)
 	select {
 	case s.sem <- struct{}{}:
 	case <-t.C:
-		return nil, http.StatusTooManyRequests,
+		return refuse(http.StatusTooManyRequests,
 			fmt.Sprintf("no execution slot within %s (%d in flight); retry later",
-				s.opts.QueueTimeout, s.opts.MaxInFlight)
+				s.opts.QueueTimeout, s.opts.MaxInFlight))
 	case <-s.drainCh:
-		return nil, http.StatusServiceUnavailable, "server is draining"
+		return refuse(http.StatusServiceUnavailable, "server is draining")
 	case <-r.Context().Done():
-		return nil, http.StatusServiceUnavailable, "client went away while queued"
+		return refuse(http.StatusServiceUnavailable, "client went away while queued")
 	}
 	if s.draining.Load() {
 		<-s.sem
-		return nil, http.StatusServiceUnavailable, "server is draining"
+		return refuse(http.StatusServiceUnavailable, "server is draining")
 	}
 	s.met.inFlight.Add(1)
 	return func() {
 		s.met.inFlight.Add(-1)
 		<-s.sem
-	}, 0, ""
+	}, true
 }
 
 // admitted is one admitted request on its way down the tier ladder.

@@ -4,13 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	mrand "math/rand"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
-	"unicode/utf8"
 
+	"repro/internal/debugger"
 	"repro/internal/session"
 )
 
@@ -57,29 +55,15 @@ type SessionRequest struct {
 
 // Validate checks the request and fills defaults.
 func (r *SessionRequest) Validate() error {
-	if r.Source == "" {
-		return fmt.Errorf("source is required")
+	// What a session shares with a run is held to the run's rules.
+	rr := RunRequest{Source: r.Source, File: r.File, Stdin: r.Stdin, Limits: r.Limits, TraceCap: r.TraceCap}
+	if err := rr.Validate(); err != nil {
+		return err
 	}
-	for name, s := range map[string]string{"source": r.Source, "stdin": r.Stdin, "file": r.File} {
-		if !utf8.ValidString(s) {
-			return fmt.Errorf("%s is not valid UTF-8", name)
-		}
-	}
-	if r.File == "" {
-		r.File = "prog.ttr"
-	}
-	if r.TraceCap < 0 {
-		return fmt.Errorf("trace_cap must be >= 0, got %d", r.TraceCap)
-	}
+	r.File = rr.File
 	for _, l := range r.Breakpoints {
 		if l <= 0 {
 			return fmt.Errorf("breakpoint line must be >= 1, got %d", l)
-		}
-	}
-	if l := r.Limits; l != nil {
-		rr := RunRequest{Source: r.Source, Limits: l}
-		if err := rr.Validate(); err != nil {
-			return err
 		}
 	}
 	return nil
@@ -176,34 +160,8 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.met.requests.Add(1)
-	if s.draining.Load() {
-		s.met.rejected503.Add(1)
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.opts.MaxBodyBytes+1))
-	if err != nil {
-		s.met.badRequests.Add(1)
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("reading request body: %v", err))
-		return
-	}
-	if int64(len(body)) > s.opts.MaxBodyBytes {
-		s.met.badRequests.Add(1)
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("request body exceeds %d bytes", s.opts.MaxBodyBytes))
-		return
-	}
 	var req SessionRequest
-	dec := json.NewDecoder(strings.NewReader(string(body)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.met.badRequests.Add(1)
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid request body: %v", err))
-		return
-	}
-	if err := req.Validate(); err != nil {
-		s.met.badRequests.Add(1)
-		writeError(w, http.StatusBadRequest, err.Error())
+	if !s.intake(w, r, &req, req.Validate) {
 		return
 	}
 
@@ -211,15 +169,8 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	// The slot is released as soon as the session exists — long-lived
 	// concurrency is MaxSessions' job, and a parked session must not
 	// starve /run of execution slots.
-	release, status, msg := s.admit(r)
-	if status != 0 {
-		if status == http.StatusTooManyRequests {
-			s.met.rejected429.Add(1)
-			w.Header().Set("Retry-After", strconv.Itoa(1+mrand.Intn(3)))
-		} else {
-			s.met.rejected503.Add(1)
-		}
-		writeError(w, status, msg)
+	release, ok := s.admit(w, r)
+	if !ok {
 		return
 	}
 	defer release()
@@ -251,14 +202,11 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	switch err {
 	case nil:
 	case session.ErrFull:
-		s.met.rejected429.Add(1)
-		w.Header().Set("Retry-After", strconv.Itoa(2+mrand.Intn(5)))
-		writeError(w, http.StatusTooManyRequests,
+		s.reject(w, http.StatusTooManyRequests,
 			fmt.Sprintf("session table full (%d live); close one or retry later", s.opts.MaxSessions))
 		return
 	case session.ErrClosed:
-		s.met.rejected503.Add(1)
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
+		s.reject(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	default:
 		writeError(w, http.StatusInternalServerError, err.Error())
@@ -286,9 +234,13 @@ func (s *Server) handleSessionSub(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("no such session %q", id))
 		return
 	}
+	// Every request that names a live session is client activity; the
+	// snapshot reports how long the session sat idle before this one.
+	idle := sess.IdleFor()
+	sess.Touch()
 	switch {
 	case sub == "" && r.Method == http.MethodGet:
-		s.handleSessionGet(w, sess)
+		s.handleSessionGet(w, sess, idle)
 	case sub == "" && r.Method == http.MethodDelete:
 		s.sessions.Remove(id, session.ReasonClosed)
 		writeJSON(w, http.StatusOK, map[string]string{"status": "closed", "id": id})
@@ -302,26 +254,28 @@ func (s *Server) handleSessionSub(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *Server) handleSessionGet(w http.ResponseWriter, sess *session.Session) {
+func (s *Server) handleSessionGet(w http.ResponseWriter, sess *session.Session, idle time.Duration) {
 	snap := SessionSnapshot{
 		ID:          sess.ID,
 		File:        sess.File,
 		Done:        sess.Done(),
 		Threads:     threadInfos(sess),
-		Breakpoints: sess.Breakpoints(),
+		Breakpoints: sess.Engine().Breakpoints(),
 		Subscribers: sess.Subscribers(),
 		Trace:       sess.Trace(),
 		AgeMS:       time.Since(sess.Created).Milliseconds(),
-		IdleMS:      sess.IdleFor().Milliseconds(),
+		IdleMS:      idle.Milliseconds(),
 	}
-	if err := sess.Err(); err != nil {
-		snap.Error = err.Error()
+	if snap.Done { // the engine has its final error: Wait returns at once
+		if err := sess.Engine().Wait(); err != nil {
+			snap.Error = err.Error()
+		}
 	}
 	writeJSON(w, http.StatusOK, snap)
 }
 
 func threadInfos(sess *session.Session) []session.ThreadInfo {
-	ts := sess.Threads()
+	ts := sess.Engine().Threads()
 	out := make([]session.ThreadInfo, 0, len(ts))
 	for _, st := range ts {
 		out = append(out, session.Info(st))
@@ -392,18 +346,11 @@ func writeSSEJSON(w io.Writer, event string, v any) {
 }
 
 func (s *Server) handleSessionCmd(w http.ResponseWriter, r *http.Request, sess *session.Session) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.opts.MaxBodyBytes+1))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("reading request body: %v", err))
-		return
-	}
 	var req SessionCmdRequest
-	dec := json.NewDecoder(strings.NewReader(string(body)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid command body: %v", err))
+	if !s.intake(w, r, &req, nil) {
 		return
 	}
+	eng := sess.Engine()
 
 	resp := SessionCmdResponse{OK: true, Cmd: req.Cmd}
 	switch req.Cmd {
@@ -411,7 +358,7 @@ func (s *Server) handleSessionCmd(w http.ResponseWriter, r *http.Request, sess *
 		resp.Threads = threadInfos(sess)
 
 	case "thread":
-		st, ok := sess.Thread(req.Thread)
+		st, ok := eng.Thread(req.Thread)
 		if !ok {
 			resp.OK, resp.Result = false, "no-thread"
 			break
@@ -420,45 +367,37 @@ func (s *Server) handleSessionCmd(w http.ResponseWriter, r *http.Request, sess *
 		resp.Thread = &ti
 
 	case "step", "next":
-		var (
-			st  session.ThreadInfo
-			res string
-		)
-		if req.Cmd == "step" {
-			ts, r := sess.Step(req.Thread, req.timeout())
-			st, res = session.Info(ts), r.String()
-		} else {
-			ts, r := sess.Next(req.Thread, req.timeout())
-			st, res = session.Info(ts), r.String()
+		stepAndWait := eng.StepAndWait
+		if req.Cmd == "next" {
+			stepAndWait = eng.NextAndWait
 		}
-		resp.Result = res
-		resp.OK = res == "parked" || res == "finished"
-		if res == "parked" {
-			resp.Thread = &st
+		st, res := stepAndWait(req.Thread, req.timeout())
+		resp.Result = res.String()
+		resp.OK = res == debugger.StepParked || res == debugger.StepFinished
+		if res == debugger.StepParked {
+			ti := session.Info(st)
+			resp.Thread = &ti
 		}
 
-	case "continue":
-		resp.OK = sess.Continue(req.Thread)
-		if !resp.OK {
-			resp.Result = "no-thread"
+	case "continue", "pause":
+		direct := eng.Continue
+		if req.Cmd == "pause" {
+			direct = eng.Pause
 		}
-
-	case "pause":
-		resp.OK = sess.Pause(req.Thread)
-		if !resp.OK {
+		if resp.OK = direct(req.Thread); !resp.OK {
 			resp.Result = "no-thread"
 		}
 
 	case "continue_all":
-		sess.ContinueAll()
+		eng.ContinueAll()
 
 	case "pause_all":
-		sess.PauseAll()
+		eng.PauseAll()
 
 	case "wait":
-		if sess.WaitPaused(req.Thread, req.timeout()) {
+		if eng.WaitPaused(req.Thread, req.timeout()) {
 			resp.Result = "parked"
-			if st, ok := sess.Thread(req.Thread); ok {
+			if st, ok := eng.Thread(req.Thread); ok {
 				ti := session.Info(st)
 				resp.Thread = &ti
 			}
@@ -471,15 +410,15 @@ func (s *Server) handleSessionCmd(w http.ResponseWriter, r *http.Request, sess *
 			writeError(w, http.StatusBadRequest, "break needs a line >= 1")
 			return
 		}
-		sess.SetBreak(req.Line)
-		resp.Breakpoints = sess.Breakpoints()
+		eng.SetBreak(req.Line)
+		resp.Breakpoints = eng.Breakpoints()
 
 	case "clear":
-		sess.ClearBreak(req.Line)
-		resp.Breakpoints = sess.Breakpoints()
+		eng.ClearBreak(req.Line)
+		resp.Breakpoints = eng.Breakpoints()
 
 	case "breakpoints":
-		resp.Breakpoints = sess.Breakpoints()
+		resp.Breakpoints = eng.Breakpoints()
 
 	case "vars":
 		vars, ok := sess.Vars(req.Thread)

@@ -648,6 +648,7 @@ func TestSessionBadRequests(t *testing.T) {
 	}{
 		{"empty source", `{}`, http.StatusBadRequest},
 		{"unknown field", `{"source":"def main():\n    print(1)\n","sourec":"x"}`, http.StatusBadRequest},
+		{"trailing data", `{"source":"def main():\n    print(1)\n"}{}`, http.StatusBadRequest},
 		{"bad breakpoint", `{"source":"def main():\n    print(1)\n","breakpoints":[0]}`, http.StatusBadRequest},
 		{"negative trace cap", `{"source":"def main():\n    print(1)\n","trace_cap":-1}`, http.StatusBadRequest},
 		{"compile error", `{"source":"def main(:\n"}`, http.StatusUnprocessableEntity},
@@ -669,5 +670,67 @@ func TestSessionBadRequests(t *testing.T) {
 			t.Errorf("unknown session events: status %d", resp.StatusCode)
 		}
 		resp.Body.Close()
+	}
+
+	// /cmd takes its body through the same intake as /session and /run.
+	sr := createSession(t, ts.URL, server.SessionRequest{Source: "def main():\n    print(1)\n"})
+	resp, err := http.Post(ts.URL+sr.CmdPath, "application/json", strings.NewReader(`{"cmd":"threads"}{}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("cmd with trailing data: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestSessionCreateWhileDrainingSaysWhenToRetry: the 503 of a draining node
+// carries Retry-After on /session as it does on /run.
+func TestSessionCreateWhileDrainingSaysWhenToRetry(t *testing.T) {
+	srv := server.New(server.Options{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	if err := srv.Drain(nil); err != nil {
+		t.Fatal(err)
+	}
+	resp, body := postJSON(t, ts.URL+"/session", server.SessionRequest{Source: "def main():\n    print(1)\n"})
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Error("draining 503 without Retry-After")
+	}
+}
+
+// TestSessionSnapshotReportsIdleTime: idle_ms is how long the session sat
+// untouched before the snapshot asked, and a command restarts the clock.
+func TestSessionSnapshotReportsIdleTime(t *testing.T) {
+	srv := server.New(server.Options{})
+	ts := httptest.NewServer(srv)
+	defer func() { ts.Close(); _ = srv.Drain(nil) }()
+
+	sr := createSession(t, ts.URL, server.SessionRequest{Source: "def main():\n    print(1)\n"})
+	idleMS := func() int64 {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/session/" + sr.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var snap server.SessionSnapshot
+		if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+			t.Fatal(err)
+		}
+		return snap.IdleMS
+	}
+	const left = 150 * time.Millisecond
+	time.Sleep(left)
+	if got := idleMS(); got < left.Milliseconds() {
+		t.Errorf("idle_ms = %d after %s untouched", got, left)
+	}
+	time.Sleep(left)
+	sessionCmd(t, ts.URL, sr.ID, server.SessionCmdRequest{Cmd: "threads"})
+	if got := idleMS(); got >= left.Milliseconds() {
+		t.Errorf("idle_ms = %d right after a command, want it reset", got)
 	}
 }

@@ -58,8 +58,9 @@ type Registry struct {
 	closed   bool
 	stats    Stats
 
-	wg   sync.WaitGroup // one count per session watcher
-	stop chan struct{}  // ends the reaper
+	wg       sync.WaitGroup // one count per session watcher
+	stop     chan struct{}  // ends the reaper
+	stopOnce sync.Once
 }
 
 // NewRegistry starts an empty registry (and its eviction scanner).
@@ -210,15 +211,7 @@ func (r *Registry) CloseAll(reason string) {
 
 // Close stops the reaper and tears down any remaining sessions. Idempotent.
 func (r *Registry) Close() {
-	r.mu.Lock()
-	select {
-	case <-r.stop:
-		r.mu.Unlock()
-		return
-	default:
-		close(r.stop)
-	}
-	r.mu.Unlock()
+	r.stopOnce.Do(func() { close(r.stop) })
 	r.CloseAll(ReasonDrain)
 }
 

@@ -8,10 +8,13 @@
 //
 // The liveness discipline (after "Fencing off Go", Lange et al.): no
 // session goroutine may outlive its session, and no session may outlive
-// its owner's interest. Each session owns exactly two goroutines — the
-// debugger's run goroutine and the trace pump — and both provably end
-// when the session is killed: Kill cancels the backend (waking lock- and
-// input-parked threads), closes the stdin buffer (waking blocked reads)
+// its owner's interest. A session starts exactly one goroutine — the
+// watcher (run), which waits for the engine — beside the engine's own run
+// goroutine; every stream frame is published by the program thread that
+// caused it (stdout through the writer, parks through debugger.Config.OnPark,
+// trace events through trace.Collector.OnEvent). Both goroutines provably
+// end when the session is killed: Kill cancels the backend (waking lock-
+// and input-parked threads), closes the stdin buffer (waking blocked reads)
 // and releases parked debugger threads; the watcher then closes every
 // subscriber with a terminal event. The registry (registry.go) bounds how
 // many sessions exist, evicts idle ones, and integrates with tetrad's
@@ -65,9 +68,7 @@ type ThreadInfo struct {
 }
 
 // Info converts a debugger thread state to its wire form.
-func Info(st debugger.ThreadState) ThreadInfo { return threadInfo(st) }
-
-func threadInfo(st debugger.ThreadState) ThreadInfo {
+func Info(st debugger.ThreadState) ThreadInfo {
 	return ThreadInfo{
 		ID:       st.ID,
 		Func:     st.Func,
@@ -120,7 +121,6 @@ type Subscriber struct {
 	ch      chan Item
 	end     atomic.Pointer[StreamEvent]
 	dropped atomic.Int64
-	closed  bool // guarded by the session's mu
 }
 
 // Ch returns the frame channel.
@@ -129,9 +129,6 @@ func (sub *Subscriber) Ch() <-chan Item { return sub.ch }
 // End returns the terminal frame once the channel has closed because the
 // session ended (nil after a plain Unsubscribe).
 func (sub *Subscriber) End() *StreamEvent { return sub.end.Load() }
-
-// Dropped counts frames this subscriber missed (buffer full).
-func (sub *Subscriber) Dropped() int64 { return sub.dropped.Load() }
 
 // Config describes one session to create.
 type Config struct {
@@ -159,10 +156,9 @@ type Session struct {
 	File    string
 	Created time.Time
 
-	eng      *debugger.Engine
-	col      *trace.Collector
-	traceSub *trace.Sub // armed before the program starts; pumped by run
-	in       *stdinBuf
+	eng *debugger.Engine
+	col *trace.Collector
+	in  *stdinBuf
 
 	lastTouch atomic.Int64 // unix nanos of the last client interaction
 	streamBuf int
@@ -172,7 +168,6 @@ type Session struct {
 	out      bytes.Buffer // full accumulated stdout
 	done     bool
 	endEvent *StreamEvent
-	runErr   error
 
 	killOnce sync.Once
 	reason   atomic.Pointer[string] // eviction reason, set before Kill
@@ -200,13 +195,20 @@ func newSession(id string, cfg Config, traceCap int) *Session {
 		ended:     make(chan struct{}),
 	}
 	s.Touch()
+	// Same rule as OnPark below, with the collector's lock held. Every
+	// recorded event becomes a frame, so a frame a subscriber misses is
+	// counted in that subscriber's stream_dropped and nowhere else.
+	s.col.OnEvent = func(e trace.Event) {
+		te := traceEventInfo(e)
+		s.publish(StreamEvent{Type: EventTrace, Trace: &te})
+	}
 
 	dcfg := debugger.Config{
 		StopOnEntry: cfg.StopOnEntry,
 		OnPark: func(st debugger.ThreadState) {
 			// Called with the engine lock held: publish is lock-cheap and
 			// never calls back into the engine.
-			ti := threadInfo(st)
+			ti := Info(st)
 			s.publish(StreamEvent{Type: EventState, Thread: &ti})
 		},
 	}
@@ -223,30 +225,17 @@ func newSession(id string, cfg Config, traceCap int) *Session {
 	for _, l := range cfg.Breakpoints {
 		s.eng.SetBreak(l)
 	}
-	// Arm the trace subscription before the first statement runs so the
-	// stream never misses the head of the trace.
-	s.traceSub = s.col.Subscribe(1024)
-	s.eng.Start(dcfg)
+	s.eng.Start()
 	return s
 }
 
-// run pumps the trace subscription into the stream, waits for the program
-// to end, and publishes the terminal event. It is the session's watcher
-// goroutine body; the registry tracks it so drain can join it.
+// run waits for the program to end and publishes the terminal event. It is
+// the session's watcher goroutine body; the registry tracks it so drain can
+// join it. Every frame was published by a program thread before the engine
+// reported the end, so the terminal frame is last.
 func (s *Session) run() {
-	pumpDone := make(chan struct{})
-	go func() {
-		defer close(pumpDone)
-		for e := range s.traceSub.C {
-			te := traceEventInfo(e)
-			s.publish(StreamEvent{Type: EventTrace, Trace: &te})
-		}
-	}()
-
 	err := s.eng.Wait()
-	s.in.Close()      // no thread is left to read; wake any stdin writer logic
-	s.col.CloseSubs() // ends the pump; buffered events still flow out first
-	<-pumpDone        // trace frames all published: the terminal frame is last
+	s.in.Close() // no thread is left to read; wake any stdin writer logic
 
 	reason := ReasonFinished
 	msg := ""
@@ -268,22 +257,14 @@ func (s *Session) run() {
 
 	s.mu.Lock()
 	s.done = true
-	s.runErr = err
 	s.endEvent = &end
-	subs := make([]*Subscriber, 0, len(s.subs))
 	for sub := range s.subs {
-		subs = append(subs, sub)
+		e := end
+		e.StreamDropped = sub.dropped.Load()
+		sub.end.Store(&e)
+		close(sub.ch)
 	}
-	s.subs = map[*Subscriber]struct{}{}
-	for _, sub := range subs {
-		if !sub.closed {
-			e := end
-			e.StreamDropped = sub.dropped.Load()
-			sub.end.Store(&e)
-			sub.closed = true
-			close(sub.ch)
-		}
-	}
+	s.subs = nil // a channel is open exactly while its subscriber is in the set
 	s.mu.Unlock()
 	close(s.ended)
 }
@@ -326,9 +307,6 @@ func (s *Session) publish(ev StreamEvent) {
 	it := Item{Ev: ev, At: time.Now()}
 	s.mu.Lock()
 	for sub := range s.subs {
-		if sub.closed {
-			continue
-		}
 		select {
 		case sub.ch <- it:
 		default:
@@ -341,13 +319,11 @@ func (s *Session) publish(ev StreamEvent) {
 // Subscribe attaches a stream consumer. On an already-ended session the
 // channel is closed immediately with the terminal frame in End.
 func (s *Session) Subscribe() *Subscriber {
-	s.Touch()
 	sub := &Subscriber{ch: make(chan Item, s.streamBuf)}
 	s.mu.Lock()
 	if s.done {
 		e := *s.endEvent
 		sub.end.Store(&e)
-		sub.closed = true
 		close(sub.ch)
 	} else {
 		s.subs[sub] = struct{}{}
@@ -357,16 +333,14 @@ func (s *Session) Subscribe() *Subscriber {
 }
 
 // Unsubscribe detaches a consumer (idempotent; safe after the session
-// ended).
+// ended). A stream ending is client activity: the idle clock restarts here,
+// not at the request that opened the stream.
 func (s *Session) Unsubscribe(sub *Subscriber) {
 	s.Touch()
 	s.mu.Lock()
 	if _, ok := s.subs[sub]; ok {
 		delete(s.subs, sub)
-		if !sub.closed {
-			sub.closed = true
-			close(sub.ch)
-		}
+		close(sub.ch)
 	}
 	s.mu.Unlock()
 }
@@ -378,7 +352,8 @@ func (s *Session) Subscribers() int {
 	return len(s.subs)
 }
 
-// Touch marks client activity, deferring idle eviction.
+// Touch marks client activity, deferring idle eviction. The server calls it
+// once per request that names the session.
 func (s *Session) Touch() { s.lastTouch.Store(time.Now().UnixNano()) }
 
 // IdleFor reports how long the session has been without client activity.
@@ -394,13 +369,6 @@ func (s *Session) Done() bool {
 	return s.done
 }
 
-// Err returns the program's final error once done (nil = clean run).
-func (s *Session) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.runErr
-}
-
 // Output returns everything the program has printed so far.
 func (s *Session) Output() string {
 	s.mu.Lock()
@@ -408,62 +376,12 @@ func (s *Session) Output() string {
 	return s.out.String()
 }
 
-// --- debugger command surface (every call counts as client activity) ---
-
-// Threads snapshots the thread table.
-func (s *Session) Threads() []debugger.ThreadState { s.Touch(); return s.eng.Threads() }
-
-// Thread returns one thread's state.
-func (s *Session) Thread(id int) (debugger.ThreadState, bool) { s.Touch(); return s.eng.Thread(id) }
-
-// Step executes one statement on the thread and waits for its re-park.
-func (s *Session) Step(id int, timeout time.Duration) (debugger.ThreadState, debugger.StepResult) {
-	s.Touch()
-	return s.eng.StepAndWait(id, timeout)
-}
-
-// Next steps over a call on the thread and waits for its re-park.
-func (s *Session) Next(id int, timeout time.Duration) (debugger.ThreadState, debugger.StepResult) {
-	s.Touch()
-	return s.eng.NextAndWait(id, timeout)
-}
-
-// Continue resumes one thread.
-func (s *Session) Continue(id int) bool { s.Touch(); return s.eng.Continue(id) }
-
-// Pause parks one thread at its next statement.
-func (s *Session) Pause(id int) bool { s.Touch(); return s.eng.Pause(id) }
-
-// ContinueAll resumes every thread.
-func (s *Session) ContinueAll() { s.Touch(); s.eng.ContinueAll() }
-
-// PauseAll parks every thread.
-func (s *Session) PauseAll() { s.Touch(); s.eng.PauseAll() }
-
-// WaitPaused blocks until the thread parks (or timeout).
-func (s *Session) WaitPaused(id int, timeout time.Duration) bool {
-	s.Touch()
-	return s.eng.WaitPaused(id, timeout)
-}
-
-// WaitAnyPaused blocks until n threads are parked (or timeout).
-func (s *Session) WaitAnyPaused(n int, timeout time.Duration) int {
-	s.Touch()
-	return s.eng.WaitAnyPaused(n, timeout)
-}
-
-// SetBreak arms a breakpoint on a source line.
-func (s *Session) SetBreak(line int) { s.Touch(); s.eng.SetBreak(line) }
-
-// ClearBreak removes a breakpoint.
-func (s *Session) ClearBreak(line int) { s.Touch(); s.eng.ClearBreak(line) }
-
-// Breakpoints lists the armed breakpoint lines.
-func (s *Session) Breakpoints() []int { s.Touch(); return s.eng.Breakpoints() }
+// Engine returns the debugger engine: threads, stepping, breakpoints. The
+// caller that acts for a client marks the activity with Touch.
+func (s *Session) Engine() *debugger.Engine { return s.eng }
 
 // Vars returns the thread's frame variables as name → rendered value.
 func (s *Session) Vars(id int) (map[string]string, bool) {
-	s.Touch()
 	names, vals, ok := s.eng.Vars(id)
 	if !ok {
 		return nil, false
@@ -476,17 +394,13 @@ func (s *Session) Vars(id int) (map[string]string, bool) {
 }
 
 // WriteStdin appends input for the program's readers.
-func (s *Session) WriteStdin(data string) error {
-	s.Touch()
-	return s.in.WriteString(data)
-}
+func (s *Session) WriteStdin(data string) error { return s.in.WriteString(data) }
 
 // CloseStdin signals end-of-input to the program.
-func (s *Session) CloseStdin() { s.Touch(); s.in.Close() }
+func (s *Session) CloseStdin() { s.in.Close() }
 
 // Races runs the lockset race detector over the retained trace window.
 func (s *Session) Races() []string {
-	s.Touch()
 	rep := racedetect.Analyze(s.col.Events())
 	out := make([]string, 0, len(rep.Races))
 	for _, rc := range rep.Races {
@@ -499,7 +413,6 @@ func (s *Session) Races() []string {
 // trace window: the cycle rendered as text (empty = none) plus per-lock
 // contention counts.
 func (s *Session) DeadlockReport() (cycle string, contention map[string]int) {
-	s.Touch()
 	rep := deadlock.Analyze(s.col.Events())
 	if rep.Deadlocked != nil {
 		cycle = rep.Deadlocked.String()

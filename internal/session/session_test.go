@@ -61,7 +61,7 @@ func TestSessionRunsToCompletionAndStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	sub := s.Subscribe()
-	s.ContinueAll()
+	s.Engine().ContinueAll()
 	evs, end := collect(t, sub)
 	if end == nil || end.Reason != ReasonFinished {
 		t.Fatalf("terminal event = %+v, want finished", end)
@@ -95,10 +95,10 @@ func TestSessionStepAndBreakpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.WaitPaused(0, 5*time.Second) {
+	if !s.Engine().WaitPaused(0, 5*time.Second) {
 		t.Fatal("main thread never parked on entry")
 	}
-	st, res := s.Step(0, 5*time.Second)
+	st, res := s.Engine().StepAndWait(0, 5*time.Second)
 	if res != debugger.StepParked {
 		t.Fatalf("step: %v", res)
 	}
@@ -109,7 +109,7 @@ func TestSessionStepAndBreakpoints(t *testing.T) {
 	if !ok || vars["x"] != "1" {
 		t.Errorf("vars = %v ok=%v, want x=1", vars, ok)
 	}
-	s.ContinueAll()
+	s.Engine().ContinueAll()
 	<-s.Ended()
 	if s.Output() != "2\n" {
 		t.Errorf("output = %q, want 2", s.Output())
@@ -253,7 +253,7 @@ func TestSlowSubscriberDropsFramesButGetsEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	sub := s.Subscribe()
-	s.ContinueAll()
+	s.Engine().ContinueAll()
 	<-s.Ended() // never read: the subscriber is maximally slow
 	evs, end := collect(t, sub)
 	if end == nil {
@@ -264,6 +264,78 @@ func TestSlowSubscriberDropsFramesButGetsEnd(t *testing.T) {
 	}
 	if len(evs) > 4 {
 		t.Errorf("buffered frames = %d, want <= buffer 4", len(evs))
+	}
+}
+
+// parkedLoop creates a session parked at main's first statement, running a
+// loop that prints nothing: from here on every frame published is a trace
+// frame. published reports how many there have been since.
+func parkedLoop(t *testing.T, streamBuffer int) (s *Session, published func() int64) {
+	t.Helper()
+	r := newTestRegistry(t, Options{})
+	cfg := compile(t, "def main():\n    x = 0\n    for i in [0 .. 999]:\n        x = i\n")
+	cfg.StreamBuffer = streamBuffer
+	cfg.StopOnEntry = true
+	s, err := r.Create(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !s.Engine().WaitPaused(0, 5*time.Second) {
+		t.Fatal("main thread never parked on entry")
+	}
+	before := s.Trace().Total
+	return s, func() int64 { return s.Trace().Total - before }
+}
+
+func traceFrames(evs []StreamEvent) (n int64) {
+	for _, ev := range evs {
+		if ev.Type == EventTrace {
+			n++
+		}
+	}
+	return n
+}
+
+// TestTraceFramesReceivedPlusDroppedIsPublished pins the accounting
+// identity of the one buffer between the program and a subscriber: a trace
+// frame is either received or counted in that subscriber's stream_dropped.
+func TestTraceFramesReceivedPlusDroppedIsPublished(t *testing.T) {
+	s, published := parkedLoop(t, 8)
+	sub := s.Subscribe()
+	s.Engine().ContinueAll()
+	<-s.Ended() // never read: all but the first 8 frames are dropped
+	evs, end := collect(t, sub)
+	if end == nil || end.Reason != ReasonFinished {
+		t.Fatalf("terminal event = %+v, want finished", end)
+	}
+	got, want := traceFrames(evs)+end.StreamDropped, published()
+	if got != want || end.StreamDropped == 0 {
+		t.Errorf("received %d + stream_dropped %d = %d, want the %d trace frames published",
+			traceFrames(evs), end.StreamDropped, got, want)
+	}
+}
+
+// TestTerminalFrameLastForEverySubscriber: with room for every frame, each
+// of 16 subscribers has the run's last trace event in hand, and has lost
+// nothing, when its channel closes with the terminal frame.
+func TestTerminalFrameLastForEverySubscriber(t *testing.T) {
+	s, published := parkedLoop(t, 1<<14)
+	subs := make([]*Subscriber, 16)
+	for i := range subs {
+		subs[i] = s.Subscribe()
+	}
+	s.Engine().ContinueAll()
+	for i, sub := range subs {
+		evs, end := collect(t, sub)
+		if end == nil || end.Reason != ReasonFinished || end.StreamDropped != 0 {
+			t.Fatalf("sub %d terminal event = %+v, want finished with nothing dropped", i, end)
+		}
+		if n := traceFrames(evs); n != published() {
+			t.Errorf("sub %d received %d trace frames before the end, %d were published", i, n, published())
+		}
+		if last := evs[len(evs)-1]; last.Trace == nil || last.Trace.Seq != s.Trace().Total {
+			t.Errorf("sub %d: last frame before the end is %+v, want trace seq %d", i, last, s.Trace().Total)
+		}
 	}
 }
 
@@ -312,7 +384,7 @@ func TestTraceRingBoundedInSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	sub := s.Subscribe()
-	s.ContinueAll()
+	s.Engine().ContinueAll()
 	_, end := collect(t, sub)
 	ts := s.Trace()
 	if ts.Retained > 128 {

@@ -13,7 +13,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/token"
@@ -107,7 +106,6 @@ const DefaultCap = 1 << 16
 
 // Collector is a Tracer that buffers events in a bounded ring: the most
 // recent cap events are retained, older ones are dropped (and counted).
-// Live consumers can additionally Subscribe to the event stream.
 type Collector struct {
 	mu      sync.Mutex
 	events  []Event // ring storage, len(events) <= cap
@@ -117,10 +115,14 @@ type Collector struct {
 	dropped int64
 	seq     int64
 	start   time.Time
-	subs    []*Sub
 	// Filter, when non-zero, drops event kinds whose bit is unset. Zero
 	// means "record everything".
 	Filter uint64
+	// OnEvent, when set (before the first Emit), is the live feed: it is
+	// called with every recorded event, stamped, in emit order, whether or
+	// not the ring still retains it. It runs with the collector's lock
+	// held: it must not block and must not call back into the collector.
+	OnEvent func(Event)
 }
 
 // NewCollector returns an empty collector recording all event kinds,
@@ -142,7 +144,7 @@ func NewCollectorCap(capacity int) *Collector {
 
 // Emit records the event, assigning its sequence number and timestamp.
 // When the ring is full the oldest retained event is overwritten and the
-// dropped count grows; live subscribers receive the event regardless.
+// dropped count grows; OnEvent receives the event regardless.
 func (c *Collector) Emit(e Event) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -160,8 +162,8 @@ func (c *Collector) Emit(e Event) {
 		c.wrapped = true
 		c.dropped++
 	}
-	for _, s := range c.subs {
-		s.deliver(e)
+	if c.OnEvent != nil {
+		c.OnEvent(e)
 	}
 }
 
@@ -208,73 +210,6 @@ func (c *Collector) Cap() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.cap
-}
-
-// Sub is one live subscription to a collector's event stream. Events
-// arrive on C in emit order; a subscriber that falls behind its buffer
-// loses events (counted by Dropped) rather than stalling the traced
-// program. C is closed by Unsubscribe or CloseSubs.
-type Sub struct {
-	C       chan Event
-	dropped atomic.Int64
-	closed  bool // guarded by the owning collector's mu
-}
-
-func (s *Sub) deliver(e Event) {
-	select {
-	case s.C <- e:
-	default:
-		s.dropped.Add(1)
-	}
-}
-
-// Dropped returns how many events this subscriber missed because its
-// buffer was full.
-func (s *Sub) Dropped() int64 { return s.dropped.Load() }
-
-// Subscribe registers a live consumer of the event stream with the given
-// channel buffer (<= 0 selects 256). Only events emitted after Subscribe
-// are delivered; use Events for the retained history.
-func (c *Collector) Subscribe(buf int) *Sub {
-	if buf <= 0 {
-		buf = 256
-	}
-	s := &Sub{C: make(chan Event, buf)}
-	c.mu.Lock()
-	c.subs = append(c.subs, s)
-	c.mu.Unlock()
-	return s
-}
-
-// Unsubscribe removes the subscription and closes its channel. Safe to
-// call more than once and after CloseSubs.
-func (c *Collector) Unsubscribe(s *Sub) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i, cur := range c.subs {
-		if cur == s {
-			c.subs = append(c.subs[:i], c.subs[i+1:]...)
-			break
-		}
-	}
-	if !s.closed {
-		s.closed = true
-		close(s.C)
-	}
-}
-
-// CloseSubs closes every subscription channel, signalling end of stream.
-// The collector remains usable for Events/Summarize.
-func (c *Collector) CloseSubs() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, s := range c.subs {
-		if !s.closed {
-			s.closed = true
-			close(s.C)
-		}
-	}
-	c.subs = nil
 }
 
 // Threads returns the sorted set of thread ids appearing in the events.

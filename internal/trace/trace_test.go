@@ -4,7 +4,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/token"
 )
@@ -235,60 +234,25 @@ func TestRingConcurrentWrap(t *testing.T) {
 	}
 }
 
-func TestSubscribeDeliversLiveEvents(t *testing.T) {
-	c := NewCollector()
-	c.Emit(Event{Kind: ThreadStart}) // before subscribe: not delivered
-	sub := c.Subscribe(16)
-	c.Emit(Event{Kind: Step})
-	c.Emit(Event{Kind: Output, Name: "hi"})
-	c.CloseSubs()
+func TestOnEventSeesEveryRecordedEvent(t *testing.T) {
+	c := NewCollectorCap(2)
+	c.Filter = 1<<uint(Step) | 1<<uint(Output)
 	var got []Event
-	for e := range sub.C {
-		got = append(got, e)
+	c.OnEvent = func(e Event) { got = append(got, e) }
+	c.Emit(Event{Kind: ThreadStart}) // filtered: neither recorded nor delivered
+	for i := 0; i < 4; i++ {
+		c.Emit(Event{Kind: Step})
 	}
-	if len(got) != 2 || got[0].Kind != Step || got[1].Kind != Output {
-		t.Fatalf("subscriber got %v", got)
+	c.Emit(Event{Kind: Output, Name: "hi"})
+	if len(got) != 5 || got[4].Kind != Output {
+		t.Fatalf("OnEvent got %v", got)
 	}
-	if sub.Dropped() != 0 {
-		t.Errorf("sub dropped %d", sub.Dropped())
-	}
-}
-
-func TestSlowSubscriberDropsNotBlocks(t *testing.T) {
-	c := NewCollector()
-	sub := c.Subscribe(2) // tiny buffer, never read
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 50; i++ {
-			c.Emit(Event{Kind: Step})
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Emit blocked on a slow subscriber")
-	}
-	if d := sub.Dropped(); d != 48 {
-		t.Errorf("sub.Dropped = %d, want 48", d)
-	}
-	c.Unsubscribe(sub)
-	c.Unsubscribe(sub) // idempotent
-	if _, ok := <-sub.C; ok {
-		// two buffered events drain first; channel must close after
-		<-sub.C
-		if _, ok := <-sub.C; ok {
-			t.Error("channel still open after Unsubscribe")
+	for i, e := range got {
+		if e.Seq != int64(i+1) {
+			t.Errorf("event %d delivered with Seq %d: not stamped in emit order", i, e.Seq)
 		}
 	}
-}
-
-func TestSubscribeAfterCloseSubsEmitSafe(t *testing.T) {
-	c := NewCollector()
-	sub := c.Subscribe(4)
-	c.CloseSubs()
-	c.Emit(Event{Kind: Step}) // must not panic on a closed channel
-	if _, ok := <-sub.C; ok {
-		t.Error("closed subscription delivered an event")
+	if c.Len() != 2 || c.Dropped() != 3 {
+		t.Errorf("ring retained %d dropped %d, want 2 and 3: OnEvent must see what the ring lost", c.Len(), c.Dropped())
 	}
 }

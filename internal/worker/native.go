@@ -55,9 +55,6 @@ type NativeOptions struct {
 	// (default 2s). The binary's in-process governor (gort, armed via
 	// TETRA_* env) should always trip first.
 	PipeMargin time.Duration
-	// AttemptTimeout bounds a run whose request carries no deadline
-	// (default 60s).
-	AttemptTimeout time.Duration
 	// Faults arms the native-tier injection point (fault.NativeKill).
 	Faults *fault.Injector
 	// Logf, when set, receives supervision events.
@@ -67,9 +64,6 @@ type NativeOptions struct {
 func (o NativeOptions) withDefaults() NativeOptions {
 	if o.PipeMargin <= 0 {
 		o.PipeMargin = 2 * time.Second
-	}
-	if o.AttemptTimeout <= 0 {
-		o.AttemptTimeout = 60 * time.Second
 	}
 	return o
 }
@@ -159,7 +153,7 @@ func limitEnv(lim guard.Limits) []string {
 // any other death returns a *NativeCrashError. Closing info.Stop kills the
 // child (drain).
 func (r *NativeRunner) Run(bin string, req *Request, info RunInfo) (*Response, error) {
-	timeout := r.opts.AttemptTimeout
+	timeout := attemptTimeout
 	if req.Limits.Deadline > 0 {
 		timeout = req.Limits.Deadline + r.opts.PipeMargin
 	}

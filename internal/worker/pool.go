@@ -53,15 +53,6 @@ type Options struct {
 	// always trip first; this margin only fires when the worker cannot
 	// even report the trip.
 	PipeMargin time.Duration
-	// AttemptTimeout bounds an attempt whose request carries no
-	// deadline of its own (default 60s).
-	AttemptTimeout time.Duration
-	// BackoffBase and BackoffMax bound the exponential restart backoff:
-	// consecutive crashes double the respawn delay from Base up to Max,
-	// with ±50% jitter so a mass crash does not respawn in lockstep.
-	// Defaults 25ms and 2s.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
 	// Retry bounds attempts per request; Quarantine trips repeatedly
 	// crashing programs.
 	Retry      RetryPolicy
@@ -80,15 +71,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.PipeMargin <= 0 {
 		o.PipeMargin = 2 * time.Second
-	}
-	if o.AttemptTimeout <= 0 {
-		o.AttemptTimeout = 60 * time.Second
-	}
-	if o.BackoffBase <= 0 {
-		o.BackoffBase = 25 * time.Millisecond
-	}
-	if o.BackoffMax <= 0 {
-		o.BackoffMax = 2 * time.Second
 	}
 	o.Retry = o.Retry.withDefaults()
 	return o
@@ -240,6 +222,10 @@ func (p *Pool) Stats() Stats {
 	}
 }
 
+// attemptTimeout bounds an attempt, pooled or native, whose request carries
+// no deadline of its own.
+const attemptTimeout = 60 * time.Second
+
 // Run executes req on a pooled worker, transparently retrying on a
 // fresh worker when one crashes (up to the retry budget), recording
 // crashes against info.Hash for the quarantine breaker.
@@ -249,7 +235,7 @@ func (p *Pool) Run(req *Request, info RunInfo) (*Response, error) {
 			return nil, &QuarantinedError{Hash: info.Hash, Remaining: d}
 		}
 	}
-	timeout := p.opts.AttemptTimeout
+	timeout := attemptTimeout
 	if req.Limits.Deadline > 0 {
 		timeout = req.Limits.Deadline + p.opts.PipeMargin
 	}
@@ -406,13 +392,20 @@ func (p *Pool) scheduleRespawn() {
 	}()
 }
 
+// backoffBase and backoffMax bound the exponential restart backoff:
+// consecutive crashes double the respawn delay from base up to max.
+const (
+	backoffBase = 25 * time.Millisecond
+	backoffMax  = 2 * time.Second
+)
+
 func (p *Pool) backoffDelay(level int64) time.Duration {
 	if level > 20 {
 		level = 20
 	}
-	d := p.opts.BackoffBase << uint(level)
-	if d > p.opts.BackoffMax || d <= 0 {
-		d = p.opts.BackoffMax
+	d := backoffBase << uint(level)
+	if d > backoffMax || d <= 0 {
+		d = backoffMax
 	}
 	// ±50% jitter: crashes tend to be correlated (same poisonous
 	// program hitting several workers); identical delays would respawn
