@@ -19,6 +19,19 @@ import (
 	"repro/internal/trace"
 )
 
+// limitFlags registers the five budget flags tetra and tetrad share on fs
+// and returns the limits they fill in at Parse. what prefixes each usage
+// line and zero says what leaving a flag at 0 means.
+func limitFlags(fs *flag.FlagSet, what, zero string) *guard.Limits {
+	var l guard.Limits
+	fs.DurationVar(&l.Deadline, "timeout", 0, what+"wall-clock limit per run (e.g. 1s, 500ms; 0 = "+zero+")")
+	fs.Int64Var(&l.MaxSteps, "max-steps", 0, what+"statement/instruction budget per run, across all threads (0 = "+zero+")")
+	fs.Int64Var(&l.MaxThreads, "max-threads", 0, what+"concurrently-live threads per run (0 = "+zero+")")
+	fs.Int64Var(&l.MaxOutputBytes, "max-output", 0, what+"bytes of program output per run (0 = "+zero+")")
+	fs.Int64Var(&l.MaxAllocCells, "max-alloc", 0, what+"allocation cells per run: array elements + string bytes (0 = "+zero+")")
+	return &l
+}
+
 // Main runs the tetra command with the given arguments (excluding the
 // program name) and streams. It returns the process exit code.
 func Main(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
@@ -34,11 +47,7 @@ func Main(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	traceCap := fs.Int("trace-cap", 0, "trace event retention: keep the most recent N events (0 = default 65536, negative = unbounded)")
 	useVM := fs.Bool("vm", false, "execute on the bytecode VM instead of the AST interpreter (refused with -trace, -race or -deadlock: the VM records no events)")
 	disasm := fs.Bool("disasm", false, "print the compiled bytecode and exit")
-	timeout := fs.Duration("timeout", 0, "wall-clock limit for the run (e.g. 1s, 500ms; 0 = unlimited)")
-	maxSteps := fs.Int64("max-steps", 0, "total statement/instruction budget across all threads (0 = unlimited)")
-	maxThreads := fs.Int64("max-threads", 0, "maximum concurrently-live threads (0 = unlimited)")
-	maxOutput := fs.Int64("max-output", 0, "maximum bytes of program output (0 = unlimited)")
-	maxAlloc := fs.Int64("max-alloc", 0, "maximum allocation cells: array elements + string bytes (0 = unlimited)")
+	limits := limitFlags(fs, "", "unlimited")
 	sandbox := fs.Bool("sandbox", false, "apply sandbox default limits to any budget left unset")
 	optLevel := fs.Int("O", bytecode.DefaultLevel, "bytecode optimization level for -vm and -disasm: 0 = none, 1 = dead-store/thread/DCE, 2 = 1 plus peephole fusion")
 	workers := fs.Int("workers", 0, "worker goroutines per parallel-for loop (0 = GOMAXPROCS)")
@@ -84,23 +93,15 @@ func Main(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	limits := guard.Limits{
-		Deadline:       *timeout,
-		MaxSteps:       *maxSteps,
-		MaxThreads:     *maxThreads,
-		MaxOutputBytes: *maxOutput,
-		MaxAllocCells:  *maxAlloc,
-	}
-	if *sandbox {
-		limits = limits.WithSandboxDefaults()
-	}
-
 	cfg := core.Config{
 		Stdin:               stdin,
 		Stdout:              stdout,
 		NoDeadlockDetection: *noDetect,
-		Limits:              limits,
+		Limits:              *limits,
 		Sched:               sched.Config{Workers: *workers, Grain: *grain},
+	}
+	if *sandbox {
+		cfg.Limits = cfg.Limits.WithSandboxDefaults()
 	}
 	var col *trace.Collector
 	if *doTrace || *doRace || *doDeadlock {

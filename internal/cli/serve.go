@@ -54,11 +54,7 @@ func serveMain(args []string, stdout, stderr io.Writer, stop <-chan struct{}) in
 	sessionIdle := fs.Duration("session-idle-timeout", 0, "evict sessions with no stream and no commands for this long (0 = default 2m)")
 	sessionMaxAge := fs.Duration("session-max-age", 0, "wall-clock ceiling of one debug session (0 = default 10m)")
 	sessionTraceCap := fs.Int("session-trace-cap", 0, "per-session trace ring retention (0 = default 65536 events)")
-	timeout := fs.Duration("timeout", 0, "ceiling: wall-clock limit per run (0 = sandbox default)")
-	maxSteps := fs.Int64("max-steps", 0, "ceiling: statement/instruction budget per run (0 = sandbox default)")
-	maxThreads := fs.Int64("max-threads", 0, "ceiling: concurrently-live threads per run (0 = sandbox default)")
-	maxOutput := fs.Int64("max-output", 0, "ceiling: bytes of program output per run (0 = sandbox default)")
-	maxAlloc := fs.Int64("max-alloc", 0, "ceiling: allocation cells per run (0 = sandbox default)")
+	ceiling := limitFlags(fs, "ceiling: ", "sandbox default")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -80,13 +76,7 @@ func serveMain(args []string, stdout, stderr io.Writer, stop <-chan struct{}) in
 
 	logger := log.New(stderr, "tetrad: ", log.LstdFlags)
 	opts := server.Options{
-		Ceiling: guard.Limits{
-			Deadline:       *timeout,
-			MaxSteps:       *maxSteps,
-			MaxThreads:     *maxThreads,
-			MaxOutputBytes: *maxOutput,
-			MaxAllocCells:  *maxAlloc,
-		},
+		Ceiling:       *ceiling,
 		MaxInFlight:   *maxInFlight,
 		MaxQueue:      *maxQueue,
 		QueueTimeout:  *queueTimeout,

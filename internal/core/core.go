@@ -7,18 +7,14 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"os"
 
 	"repro/internal/ast"
 	"repro/internal/bytecode"
 	"repro/internal/check"
-	"repro/internal/guard"
 	"repro/internal/interp"
 	"repro/internal/parser"
-	"repro/internal/sched"
-	"repro/internal/stdlib"
-	"repro/internal/trace"
+	"repro/internal/rt"
 	"repro/internal/value"
 	"repro/internal/vm"
 )
@@ -44,68 +40,12 @@ func CompileFile(path string) (*ast.Program, error) {
 	return Compile(path, string(src))
 }
 
-// Config controls one execution.
-type Config struct {
-	Stdin  io.Reader // defaults to an empty reader
-	Stdout io.Writer // defaults to os.Stdout
-
-	Tracer    trace.Tracer
-	TraceVars bool
-	Step      interp.StepHook
-
-	NoWaitBackground    bool
-	NoDeadlockDetection bool
-
-	// Limits bounds the run (deadline, steps, threads, output, alloc).
-	// The zero value leaves execution unbounded.
-	Limits guard.Limits
-
-	// Sched controls the parallel-for worker pool and chunk size on both
-	// backends. The zero value uses GOMAXPROCS workers and the default
-	// grain heuristic.
-	Sched sched.Config
-}
-
-// newGuardedEnv builds the stdlib Env and, when any limit is set, a
-// governor shared between the Env (output/sleep) and the backend
-// (steps/threads/alloc).
-func newGuardedEnv(cfg Config) (*stdlib.Env, *guard.Governor) {
-	env := stdlib.NewEnv(cfg.Stdin, cfg.Stdout)
-	if !cfg.Limits.Enabled() {
-		return env, nil
-	}
-	g := guard.New(cfg.Limits)
-	env.SetGuard(g)
-	return env, g
-}
-
-func (c *Config) fill() {
-	if c.Stdin == nil {
-		c.Stdin = emptyReader{}
-	}
-	if c.Stdout == nil {
-		c.Stdout = os.Stdout
-	}
-}
-
-type emptyReader struct{}
-
-func (emptyReader) Read([]byte) (int, error) { return 0, io.EOF }
+// Config describes one execution; it is the run configuration itself.
+type Config = rt.Config
 
 // NewInterp builds a configured interpreter for the program.
 func NewInterp(prog *ast.Program, cfg Config) *interp.Interp {
-	cfg.fill()
-	env, g := newGuardedEnv(cfg)
-	return interp.New(prog, interp.Options{
-		Env:                 env,
-		Tracer:              cfg.Tracer,
-		TraceVars:           cfg.TraceVars,
-		Step:                cfg.Step,
-		NoWaitBackground:    cfg.NoWaitBackground,
-		NoDeadlockDetection: cfg.NoDeadlockDetection,
-		Guard:               g,
-		Sched:               cfg.Sched,
-	})
+	return interp.New(prog, cfg)
 }
 
 // Run executes the program's main function under the configuration.
@@ -122,13 +62,8 @@ func Call(prog *ast.Program, cfg Config, name string, args ...value.Value) (valu
 // RunProfiled executes the program on the interpreter with work counting
 // enabled and returns the per-thread work profile alongside any run error.
 func RunProfiled(prog *ast.Program, cfg Config) ([]interp.ThreadWork, error) {
-	cfg.fill()
-	in := interp.New(prog, interp.Options{
-		Env:              stdlib.NewEnv(cfg.Stdin, cfg.Stdout),
-		NoWaitBackground: cfg.NoWaitBackground,
-		CountWork:        true,
-		Sched:            cfg.Sched,
-	})
+	cfg.CountWork = true
+	in := interp.New(prog, cfg)
 	err := in.Run()
 	return in.WorkProfile(), err
 }
@@ -153,15 +88,7 @@ func CompileBytecodeOpt(prog *ast.Program, level int) (*bytecode.Program, error)
 // ignores tracing and stepping configuration (it is the fast path; the
 // interpreter is the debuggable path).
 func NewVM(bc *bytecode.Program, cfg Config) *vm.VM {
-	cfg.fill()
-	env, g := newGuardedEnv(cfg)
-	return vm.New(bc, vm.Options{
-		Env:                 env,
-		NoWaitBackground:    cfg.NoWaitBackground,
-		NoDeadlockDetection: cfg.NoDeadlockDetection,
-		Guard:               g,
-		Sched:               cfg.Sched,
-	})
+	return vm.New(bc, cfg)
 }
 
 // RunVM compiles the checked program to bytecode and executes it on the VM

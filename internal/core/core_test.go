@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/bytecode"
+	"repro/internal/guard"
 	"repro/internal/value"
 )
 
@@ -140,5 +141,17 @@ def main():
 	}
 	if workers != 4 {
 		t.Errorf("workers = %d", workers)
+	}
+}
+
+// A profiled run is a run: the configuration's limits bound it.
+func TestRunProfiledIsBounded(t *testing.T) {
+	prog, err := Compile("t.ttr", "def main():\n    while true:\n        pass\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = RunProfiled(prog, Config{Limits: guard.Limits{MaxSteps: 1000}})
+	if err == nil || !strings.Contains(err.Error(), "exceeded step budget (1000)") {
+		t.Fatalf("err = %v, want the step-budget error", err)
 	}
 }

@@ -114,29 +114,28 @@ const MaxCallDepth = 10000
 // is then a single branch.
 var gov *guard.Governor
 
-// InitGuard reads the TETRA_* limit variables; generated main calls it
-// before execution starts.
+// backstopGrace is how long past its deadline InitGuard's backstop lets a
+// program live: strictly outside worker.NativeRunner's margin
+// (guard.DefaultGrace), so under tetrad a parked artifact is always the
+// runner's kill — a crash, retried on an engine that can name the deadlock
+// — while a hand-run binary still exits on its own.
+const backstopGrace = 2 * guard.DefaultGrace
+
+// InitGuard reads the TETRA_* limit variables (guard.LimitsFromEnv);
+// generated main calls it before execution starts.
 func InitGuard() {
-	lim := guard.Limits{
-		MaxSteps:       envInt64("TETRA_MAX_STEPS"),
-		MaxThreads:     envInt64("TETRA_MAX_THREADS"),
-		MaxOutputBytes: envInt64("TETRA_MAX_OUTPUT"),
-		MaxAllocCells:  envInt64("TETRA_MAX_ALLOC"),
+	lim, warnings := guard.LimitsFromEnv(os.Getenv)
+	for _, w := range warnings {
+		fmt.Fprintf(os.Stderr, "gort: %s\n", w)
 	}
-	if v := os.Getenv("TETRA_TIMEOUT"); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil || d <= 0 {
-			fmt.Fprintf(os.Stderr, "gort: ignoring TETRA_TIMEOUT=%q: want a positive Go duration\n", v)
-		} else {
-			lim.Deadline = d
-			// Hard backstop: a thread stuck in an uninterruptible blocking
-			// operation cannot outlive deadline + grace.
-			time.AfterFunc(d+2*time.Second, func() {
-				fmt.Fprintf(os.Stderr, "runtime error: exceeded deadline (%s)\n", d)
-				Out.Flush()
-				os.Exit(1)
-			})
-		}
+	if d := lim.Deadline; d > 0 {
+		// Hard backstop: a thread parked on a lock or stuck in another
+		// uninterruptible operation never sees the governor trip.
+		time.AfterFunc(d+backstopGrace, func() {
+			fmt.Fprintf(os.Stderr, "runtime error: exceeded deadline (%s)\n", d)
+			Out.Flush()
+			os.Exit(1)
+		})
 	}
 	gov = nil
 	if lim.Enabled() {
@@ -146,9 +145,8 @@ func InitGuard() {
 	}
 }
 
-// envInt64 parses a non-negative integer knob. A malformed or negative
-// value is worth a warning, not silence: the supervisor that set it
-// believes a budget is in force.
+// envInt64 parses a non-negative integer scheduling knob, warning like
+// guard.LimitsFromEnv about a malformed or negative value.
 func envInt64(name string) int64 {
 	v := os.Getenv(name)
 	if v == "" {

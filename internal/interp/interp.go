@@ -24,7 +24,6 @@ import (
 	"repro/internal/ast"
 	"repro/internal/guard"
 	"repro/internal/rt"
-	"repro/internal/sched"
 	"repro/internal/sem"
 	"repro/internal/stdlib"
 	"repro/internal/token"
@@ -32,84 +31,36 @@ import (
 	"repro/internal/value"
 )
 
-// FrameView gives a step hook read access to the executing frame's
-// variables by slot (see ast.FuncDecl.SlotNames for the slot→name table).
-type FrameView interface {
-	Var(slot int) value.Value
-}
-
-// StepHook is called before every statement executes, identifying the Tetra
-// thread, the enclosing function, the statement, the live frame, and the
-// thread's call depth (1 = the thread's entry function). The debugger parks
-// threads by blocking inside the hook and uses depth to implement
-// step-over. Hooks must be safe for concurrent calls.
-type StepHook func(threadID int, fn *ast.FuncDecl, stmt ast.Stmt, frame FrameView, depth int)
-
-// Options configures an interpreter instance.
-type Options struct {
-	// Env supplies program I/O. Required.
-	Env *stdlib.Env
-	// Tracer, when non-nil, receives execution events.
-	Tracer trace.Tracer
-	// TraceVars additionally emits VarRead/VarWrite events for variables in
-	// thread-shared frames (feeds the lockset race detector). Requires
-	// Tracer.
-	TraceVars bool
-	// Step, when non-nil, is invoked before each statement.
-	Step StepHook
-	// NoWaitBackground makes Run return without waiting for background
-	// threads, matching the C++ system's process-exit semantics. The
-	// default (false) joins them, which is safer for library use.
-	NoWaitBackground bool
-	// NoDeadlockDetection disables the live wait-for-graph check, letting
-	// deadlocks actually hang (useful under the scripted debugger, where
-	// hanging is the lesson).
-	NoDeadlockDetection bool
-	// CountWork makes every thread count the AST nodes it executes (one
-	// unit per statement and per expression node). The per-thread totals
-	// are available from WorkProfile after the run and feed the virtual
-	// multicore simulator (internal/simsched) used to reproduce the
-	// paper's speedup measurements on hosts without multiple cores.
-	// Counting threads also yield every workQuantum units.
-	CountWork bool
-	// Guard, when non-nil, is the resource governor every thread checks at
-	// statement boundaries: a tripped limit (deadline, step budget, thread
-	// budget, output, allocation) terminates the run with a positioned
-	// runtime error instead of hanging or exhausting the host.
-	Guard *guard.Governor
-	// Sched controls how parallel-for loops are chunked across worker
-	// goroutines. The zero value uses GOMAXPROCS workers and the default
-	// grain heuristic.
-	Sched sched.Config
-}
-
-// ThreadWork is one thread's contribution to a work profile.
-type ThreadWork = rt.ThreadWork
+// FrameView and StepHook, the debugger's view of a running program, are
+// declared beside rt.Config.Step; ThreadWork is one thread's contribution
+// to a work profile.
+type (
+	FrameView  = rt.FrameView
+	StepHook   = rt.StepHook
+	ThreadWork = rt.ThreadWork
+)
 
 // Interp executes one checked program. A single Interp may run one program
 // at a time; create a new Interp per run.
 type Interp struct {
-	prog  *ast.Program
-	opts  Options
+	prog *ast.Program
+	// What a thread reads at every statement is a field here, not a load
+	// through the runtime: the governor, the environment builtins evaluate
+	// in, and the configuration's Step, Tracer and TraceVars.
 	guard *guard.Governor
+	env   *stdlib.Env
 	rt    *rt.Runtime
+	cfg   rt.Config
 }
 
 // WorkProfile returns the per-thread work counts recorded during the last
-// Run/Call when Options.CountWork was set. Order is completion order.
+// Run/Call when Config.CountWork was set. Order is completion order.
 func (in *Interp) WorkProfile() []ThreadWork { return in.rt.WorkProfile() }
 
-// New returns an interpreter for the checked program.
-func New(prog *ast.Program, opts Options) *Interp {
-	return &Interp{prog: prog, opts: opts, guard: opts.Guard, rt: rt.New(rt.Config{
-		Guard:            opts.Guard,
-		Tracer:           opts.Tracer,
-		Sched:            opts.Sched,
-		LockNames:        prog.LockNames,
-		DetectDeadlock:   !opts.NoDeadlockDetection,
-		CountWork:        opts.CountWork,
-		NoWaitBackground: opts.NoWaitBackground,
-	})}
+// New returns an interpreter that runs the checked program as cfg says.
+func New(prog *ast.Program, cfg rt.Config) *Interp {
+	r := rt.New(cfg, prog.LockNames)
+	return &Interp{prog: prog, cfg: cfg, guard: r.Guard(), env: r.Env(), rt: r}
 }
 
 // Run executes the program's main function. It returns the first runtime
@@ -185,7 +136,7 @@ type thread struct {
 const workQuantum = 1024
 
 func (in *Interp) newThread() *thread {
-	return &thread{interp: in, countWork: in.opts.CountWork}
+	return &thread{interp: in, countWork: in.cfg.CountWork}
 }
 
 func (t *thread) emit(kind trace.Kind, pos token.Pos, name string) {
@@ -193,7 +144,7 @@ func (t *thread) emit(kind trace.Kind, pos token.Pos, name string) {
 }
 
 func (t *thread) emitVar(kind trace.Kind, pos token.Pos, name string, c *value.Cell) {
-	tr := t.interp.opts.Tracer
+	tr := t.interp.cfg.Tracer
 	if tr == nil {
 		return
 	}
@@ -365,10 +316,10 @@ func (t *thread) exec(f *frame, s ast.Stmt) (signal, error) {
 			runtime.Gosched()
 		}
 	}
-	if in.opts.Step != nil {
-		in.opts.Step(t.ID, f.fn, s, f, t.depth)
+	if in.cfg.Step != nil {
+		in.cfg.Step(t.ID, f.fn, s, f, t.depth)
 	}
-	if in.opts.Tracer != nil {
+	if in.cfg.Tracer != nil {
 		t.emit(trace.Step, s.Pos(), "")
 	}
 
@@ -484,7 +435,7 @@ func (t *thread) execAssign(f *frame, s *ast.AssignStmt) error {
 	case *ast.Ident:
 		if s.Op != token.ASSIGN {
 			old := f.load(target.Slot)
-			if t.interp.opts.TraceVars && f.shared {
+			if t.interp.cfg.TraceVars && f.shared {
 				t.emitVar(trace.VarRead, target.Pos(), target.Name, f.cell(target.Slot))
 			}
 			v, err = sem.Arith(augOp(s.Op), old, v)
@@ -499,7 +450,7 @@ func (t *thread) execAssign(f *frame, s *ast.AssignStmt) error {
 		}
 		v = value.Convert(v, target.Type())
 		f.store(target.Slot, v)
-		if t.interp.opts.TraceVars && f.shared {
+		if t.interp.cfg.TraceVars && f.shared {
 			t.emitVar(trace.VarWrite, target.Pos(), target.Name, f.cell(target.Slot))
 		}
 		return nil
@@ -630,7 +581,7 @@ func (t *thread) eval(f *frame, e ast.Expr) (value.Value, error) {
 
 	case *ast.Ident:
 		v := f.load(e.Slot)
-		if t.interp.opts.TraceVars && f.shared {
+		if t.interp.cfg.TraceVars && f.shared {
 			t.emitVar(trace.VarRead, e.Pos(), e.Name, f.cell(e.Slot))
 		}
 		return v, nil
@@ -803,14 +754,14 @@ func (t *thread) evalCall(f *frame, e *ast.CallExpr) (value.Value, error) {
 		args[i] = v
 	}
 	b := stdlib.ByID(e.Builtin)
-	if b.ID == stdlib.Print && t.interp.opts.Tracer != nil {
+	if b.ID == stdlib.Print && t.interp.cfg.Tracer != nil {
 		var parts []string
 		for _, a := range args {
 			parts = append(parts, a.String())
 		}
 		t.emit(trace.Output, e.Pos(), joinStrings(parts))
 	}
-	v, err := b.Eval(t.interp.opts.Env, args)
+	v, err := b.Eval(t.interp.env, args)
 	if err != nil {
 		return value.Value{}, rt.Errorf(e.Pos(), "%v", err)
 	}

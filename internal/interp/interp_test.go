@@ -10,6 +10,7 @@ import (
 	"repro/internal/ast"
 	"repro/internal/check"
 	"repro/internal/parser"
+	"repro/internal/rt"
 	"repro/internal/stdlib"
 	"repro/internal/trace"
 	"repro/internal/value"
@@ -42,7 +43,7 @@ func tryRun(t *testing.T, src, input string) (string, error) {
 	t.Helper()
 	prog := compile(t, src)
 	var out bytes.Buffer
-	in := New(prog, Options{Env: stdlib.NewEnv(strings.NewReader(input), &out)})
+	in := New(prog, rt.Config{Stdin: strings.NewReader(input), Stdout: &out})
 	err := in.Run()
 	return out.String(), err
 }
@@ -423,7 +424,7 @@ func TestErrorPositionReported(t *testing.T) {
 
 func TestNoMain(t *testing.T) {
 	prog := compile(t, "def f():\n    pass\n")
-	in := New(prog, Options{Env: stdlib.NewEnv(strings.NewReader(""), &bytes.Buffer{})})
+	in := New(prog, rt.Config{Stdout: &bytes.Buffer{}})
 	if err := in.Run(); err == nil || !strings.Contains(err.Error(), "no main function") {
 		t.Errorf("err = %v", err)
 	}
@@ -579,7 +580,7 @@ func TestNoWaitBackground(t *testing.T) {
 `
 	prog := compile(t, src)
 	var out bytes.Buffer
-	in := New(prog, Options{Env: stdlib.NewEnv(strings.NewReader(""), &out), NoWaitBackground: true})
+	in := New(prog, rt.Config{Stdout: &out, NoWaitBackground: true})
 	done := make(chan error, 1)
 	go func() { done <- in.Run() }()
 	select {
@@ -728,14 +729,14 @@ def mean(xs [real]) real:
         total += x
     return total / len(xs)
 `)
-	in := New(prog, Options{Env: stdlib.NewEnv(strings.NewReader(""), &bytes.Buffer{})})
+	in := New(prog, rt.Config{Stdout: &bytes.Buffer{}})
 	v, err := in.Call("add", value.NewInt(2), value.NewInt(3))
 	if err != nil || v.Int() != 5 {
 		t.Errorf("add = %v, %v", v, err)
 	}
 
 	xs := value.NewArray(value.FromSlice(nil, []value.Value{value.NewReal(1), value.NewReal(2), value.NewReal(3)}))
-	in2 := New(prog, Options{Env: stdlib.NewEnv(strings.NewReader(""), &bytes.Buffer{})})
+	in2 := New(prog, rt.Config{Stdout: &bytes.Buffer{}})
 	v, err = in2.Call("mean", xs)
 	if err != nil || v.Real() != 2.0 {
 		t.Errorf("mean = %v, %v", v, err)
@@ -751,7 +752,7 @@ def mean(xs [real]) real:
 
 func TestCallConvertsIntArgsToRealParams(t *testing.T) {
 	prog := compile(t, "def half(x real) real:\n    return x / 2\n")
-	in := New(prog, Options{Env: stdlib.NewEnv(strings.NewReader(""), &bytes.Buffer{})})
+	in := New(prog, rt.Config{Stdout: &bytes.Buffer{}})
 	v, err := in.Call("half", value.NewInt(5))
 	if err != nil || v.Real() != 2.5 {
 		t.Errorf("half = %v, %v", v, err)
@@ -772,7 +773,7 @@ func TestTraceEvents(t *testing.T) {
 	prog := compile(t, src)
 	col := trace.NewCollector()
 	var out bytes.Buffer
-	in := New(prog, Options{Env: stdlib.NewEnv(strings.NewReader(""), &out), Tracer: col})
+	in := New(prog, rt.Config{Stdout: &out, Tracer: col})
 	if err := in.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -809,7 +810,7 @@ func TestTraceVarEventsCarryLocksets(t *testing.T) {
 	prog := compile(t, src)
 	col := trace.NewCollector()
 	var out bytes.Buffer
-	in := New(prog, Options{Env: stdlib.NewEnv(strings.NewReader(""), &out), Tracer: col, TraceVars: true})
+	in := New(prog, rt.Config{Stdout: &out, Tracer: col, TraceVars: true})
 	if err := in.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -843,7 +844,7 @@ def main():
 `
 	prog := compile(t, src)
 	var out bytes.Buffer
-	in := New(prog, Options{Env: stdlib.NewEnv(strings.NewReader(""), &out), CountWork: true})
+	in := New(prog, rt.Config{Stdout: &out, CountWork: true})
 	if err := in.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -887,7 +888,7 @@ func TestWorkProfileDeterministic(t *testing.T) {
 	prog := compile(t, src)
 	runOnce := func() int64 {
 		var out bytes.Buffer
-		in := New(prog, Options{Env: stdlib.NewEnv(strings.NewReader(""), &out), CountWork: true})
+		in := New(prog, rt.Config{Stdout: &out, CountWork: true})
 		if err := in.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -913,7 +914,7 @@ func TestCancel(t *testing.T) {
         i += 1
 `
 	prog := compile(t, src)
-	in := New(prog, Options{Env: stdlib.NewEnv(strings.NewReader(""), &bytes.Buffer{})})
+	in := New(prog, rt.Config{Stdout: &bytes.Buffer{}})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	var err error

@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/stdlib"
+	"repro/internal/rt"
 )
 
 // Stress and failure-injection tests: deep recursion, wide fan-out, large
@@ -116,7 +116,7 @@ func TestBackgroundErrorSurfacesAtExit(t *testing.T) {
 `
 	prog := compile(t, src)
 	var out bytes.Buffer
-	in := New(prog, Options{Env: stdlib.NewEnv(strings.NewReader(""), &out)})
+	in := New(prog, rt.Config{Stdout: &out})
 	err := in.Run()
 	if err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Errorf("background error lost: %v", err)

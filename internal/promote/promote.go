@@ -45,8 +45,9 @@ import (
 
 // Config configures a Manager.
 type Config struct {
-	// Threshold is how many observations (served requests) a program
-	// needs before it is queued for native compilation. Default 32.
+	// Threshold is how many observations (requests an engine answered OK)
+	// a program needs before it is queued for native compilation. Default
+	// 32.
 	Threshold int
 	// BuildDir is where artifacts are written, content-addressed by
 	// generated-source hash. Default <os.TempDir()>/tetrad-native.
@@ -61,11 +62,6 @@ type Config struct {
 	// is pinned to the VM for good (default 2). A binary that keeps
 	// crashing is evidence about the binary, not bad luck.
 	MaxDemotions int
-	// OnReady, when set, is called (from the builder goroutine) with the
-	// program's native hash after every successful build — the server
-	// uses it to acquit stale quarantine entries recorded against the
-	// program's previous artifact.
-	OnReady func(nativeHash string)
 	// Logf, when set, receives promotion-tier events.
 	Logf func(format string, args ...any)
 
@@ -227,9 +223,10 @@ func Key(file, src string) string {
 	return worker.HashProgram(file, src, "native", 0)
 }
 
-// Observe counts one served request for (file, src) and queues the
-// program for promotion once it crosses the threshold (or, for a
-// demoted program, once the cooldown has passed).
+// Observe counts one request for (file, src) that an engine answered OK —
+// which is the caller's to know — and queues the program for promotion
+// once it crosses the threshold (or, for a demoted program, once the
+// cooldown has passed).
 func (m *Manager) Observe(file, src string) {
 	if !m.Enabled() {
 		return
@@ -398,6 +395,13 @@ func (m *Manager) build(p *program) {
 	m.mu.Lock()
 	switch {
 	case err == nil:
+		// Counted before the artifact can be seen, so whoever sees it also
+		// sees it counted (/metrics "promotions").
+		if reused {
+			m.reuses.Add(1)
+		} else {
+			m.builds.Add(1)
+		}
 		p.state = stateReady
 		p.bin = bin
 		p.count = 0
@@ -418,20 +422,13 @@ func (m *Manager) build(p *program) {
 	st := p.state
 	m.mu.Unlock()
 
-	switch st {
-	case stateReady:
-		if reused {
-			m.reuses.Add(1)
-			m.logf("native promote: %s -> %s (artifact reused)", p.hash, bin)
-		} else {
-			m.builds.Add(1)
-			m.logf("native promote: %s -> %s", p.hash, bin)
-		}
-		if m.cfg.OnReady != nil {
-			m.cfg.OnReady(p.hash)
-		}
-	default:
+	switch {
+	case st != stateReady:
 		m.logf("native build failed (%s): %s: %v", st, p.hash, err)
+	case reused:
+		m.logf("native promote: %s -> %s (artifact reused)", p.hash, bin)
+	default:
+		m.logf("native promote: %s -> %s", p.hash, bin)
 	}
 }
 

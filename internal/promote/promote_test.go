@@ -47,18 +47,7 @@ func waitState(t *testing.T, m *Manager, file, src string, want state, wait time
 }
 
 func TestThresholdPromotesAndBuildsArtifact(t *testing.T) {
-	var mu sync.Mutex
-	var readyHashes []string
-	m := New(Config{
-		Threshold: 3,
-		BuildDir:  t.TempDir(),
-		OnReady: func(h string) {
-			mu.Lock()
-			readyHashes = append(readyHashes, h)
-			mu.Unlock()
-		},
-		Logf: t.Logf,
-	})
+	m := New(Config{Threshold: 3, BuildDir: t.TempDir(), Logf: t.Logf})
 	if !m.Enabled() {
 		t.Skip("no Go toolchain/module; native tier disabled")
 	}
@@ -78,12 +67,6 @@ func TestThresholdPromotesAndBuildsArtifact(t *testing.T) {
 	}
 	if fi.Mode()&0o111 == 0 {
 		t.Fatalf("artifact %s is not executable (mode %v)", bin, fi.Mode())
-	}
-	mu.Lock()
-	gotReady := len(readyHashes) == 1 && readyHashes[0] == Key("hot.ttr", helloSrc)
-	mu.Unlock()
-	if !gotReady {
-		t.Errorf("OnReady hashes = %v, want exactly [%s]", readyHashes, Key("hot.ttr", helloSrc))
 	}
 	st := m.Stats()
 	if st.Ready != 1 || st.Builds+st.ArtifactReuses != 1 {

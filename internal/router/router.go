@@ -55,9 +55,6 @@ type Options struct {
 	// admissions close, so one probe interval bounds how long the ring
 	// keeps sending to it.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one readiness probe (default ProbeInterval,
-	// floor 100ms).
-	ProbeTimeout time.Duration
 	// MaxInFlight bounds concurrently-proxied requests per backend;
 	// overflow spills to the next ring node. Default 128.
 	MaxInFlight int
@@ -65,12 +62,6 @@ type Options struct {
 	// ring nodes (spillover skips are not retries and are bounded by the
 	// fleet size). Default 2.
 	MaxRetries int
-	// MaxReplyBytes bounds a buffered backend reply (default 16 MiB).
-	// Streaming (SSE) replies are not buffered and not bounded.
-	MaxReplyBytes int64
-	// MaxSessionRoutes bounds the sticky session→backend table (default
-	// 4096; oldest routes evict first).
-	MaxSessionRoutes int
 	// DrainGrace is how long Drain waits for in-flight proxies (default
 	// 10s).
 	DrainGrace time.Duration
@@ -79,8 +70,19 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
-// maxBodyBytes bounds a request body, matching tetrad.
-const maxBodyBytes = 4 << 20
+const (
+	// maxBodyBytes bounds a request body, matching tetrad.
+	maxBodyBytes = 4 << 20
+	// maxReplyBytes bounds a buffered backend reply. Streaming (SSE)
+	// replies are not buffered and not bounded.
+	maxReplyBytes = 16 << 20
+	// maxSessionRoutes bounds the sticky session→backend table; the oldest
+	// routes evict first.
+	maxSessionRoutes = 4096
+	// minProbeTimeout is the least time one readiness probe gets; above
+	// it a probe may take as long as the interval between probes.
+	minProbeTimeout = 100 * time.Millisecond
+)
 
 func (o Options) withDefaults() Options {
 	if o.Policy == "" {
@@ -92,12 +94,6 @@ func (o Options) withDefaults() Options {
 	if o.ProbeInterval <= 0 {
 		o.ProbeInterval = 250 * time.Millisecond
 	}
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = o.ProbeInterval
-		if o.ProbeTimeout < 100*time.Millisecond {
-			o.ProbeTimeout = 100 * time.Millisecond
-		}
-	}
 	if o.MaxInFlight <= 0 {
 		o.MaxInFlight = 128
 	}
@@ -105,12 +101,6 @@ func (o Options) withDefaults() Options {
 		o.MaxRetries = 0
 	} else if o.MaxRetries == 0 {
 		o.MaxRetries = 2
-	}
-	if o.MaxReplyBytes <= 0 {
-		o.MaxReplyBytes = 16 << 20
-	}
-	if o.MaxSessionRoutes <= 0 {
-		o.MaxSessionRoutes = 4096
 	}
 	if o.DrainGrace <= 0 {
 		o.DrainGrace = 10 * time.Second
@@ -183,7 +173,7 @@ func New(opts Options) (*Router, error) {
 		ring:      NewRing(opts.VNodes),
 		backends:  make(map[string]*backend, len(opts.Backends)),
 		client:    &http.Client{}, // no overall timeout: /run is bounded by the backend sandbox, SSE streams are unbounded
-		probeC:    &http.Client{Timeout: opts.ProbeTimeout},
+		probeC:    &http.Client{Timeout: max(opts.ProbeInterval, minProbeTimeout)},
 		rng:       mrand.New(mrand.NewSource(time.Now().UnixNano())),
 		sessRoute: make(map[string]string),
 		stopCh:    make(chan struct{}),
@@ -342,16 +332,8 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request, isSessionC
 	rt.inFlight.Add(1)
 	defer rt.inFlight.Add(-1)
 
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
-	if err != nil {
-		rt.met.badRequests.Add(1)
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("reading request body: %v", err))
-		return
-	}
-	if len(body) > maxBodyBytes {
-		rt.met.badRequests.Add(1)
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes))
+	body, ok := rt.readBody(w, r)
+	if !ok {
 		return
 	}
 
@@ -362,6 +344,23 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request, isSessionC
 		candidates = rt.ring.Lookup(programKey(body), 0)
 	}
 	rt.tryCandidates(w, r, reqID, body, candidates, isSessionCreate)
+}
+
+// readBody reads a request body of at most maxBodyBytes, or answers for
+// itself — 413 with the limit for a larger one, as tetrad does — and
+// reports false.
+func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
+	switch {
+	case err != nil:
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("reading request body: %v", err))
+	case len(body) > maxBodyBytes:
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes))
+	default:
+		return body, true
+	}
+	rt.met.badRequests.Add(1)
+	return nil, false
 }
 
 // handleSticky serves /session/{id}/...: per-session endpoints must hit
@@ -389,10 +388,8 @@ func (rt *Router) handleSticky(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	b := rt.backends[id]
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
-	if err != nil || len(body) > maxBodyBytes {
-		rt.met.badRequests.Add(1)
-		writeError(w, http.StatusBadRequest, "bad request body")
+	body, ok := rt.readBody(w, r)
+	if !ok {
 		return
 	}
 	// A sticky request may not spill: the session lives on exactly one
@@ -506,7 +503,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, b *backend, re
 	streaming := strings.HasPrefix(resp.Header.Get("Content-Type"), "text/event-stream")
 	var reply []byte
 	if !streaming {
-		reply, err = io.ReadAll(io.LimitReader(resp.Body, rt.opts.MaxReplyBytes))
+		reply, err = io.ReadAll(io.LimitReader(resp.Body, maxReplyBytes))
 		if err != nil {
 			if r.Context().Err() != nil {
 				return true, ""
@@ -594,7 +591,7 @@ func (rt *Router) recordSessionRoute(sid, backendID string) {
 	defer rt.sessMu.Unlock()
 	if _, exists := rt.sessRoute[sid]; !exists {
 		rt.sessFIFO = append(rt.sessFIFO, sid)
-		for len(rt.sessFIFO) > rt.opts.MaxSessionRoutes {
+		for len(rt.sessFIFO) > maxSessionRoutes {
 			old := rt.sessFIFO[0]
 			rt.sessFIFO = rt.sessFIFO[1:]
 			delete(rt.sessRoute, old)

@@ -401,6 +401,21 @@ func TestSessionStickiness(t *testing.T) {
 		}
 	}
 
+	// An oversize body is refused at the edge with the limit, on the
+	// sticky path exactly as on the hashed one (and as tetrad would).
+	huge := strings.Repeat("x", 4<<20+1)
+	for _, path := range []string{"/session/" + created.ID + "/cmd", "/run"} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(huge))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := readAll(resp)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(body), "request body exceeds 4194304 bytes") {
+			t.Errorf("oversize body on %s: %d %s, want 413 naming the limit", path, resp.StatusCode, body)
+		}
+		assertErrorBody(t, body, http.StatusRequestEntityTooLarge)
+	}
+
 	// DELETE releases the route; the next touch is a router-level 404.
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/session/"+created.ID, nil)
 	if resp, err := http.DefaultClient.Do(req); err != nil {

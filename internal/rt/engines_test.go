@@ -15,7 +15,6 @@ import (
 	"repro/internal/interp"
 	"repro/internal/parser"
 	"repro/internal/rt"
-	"repro/internal/stdlib"
 	"repro/internal/vm"
 )
 
@@ -29,27 +28,27 @@ type machine interface {
 	Cancel()
 }
 
-// engines lists the three configurations; detect turns the live deadlock
-// check on, which every engine has.
+// engines lists the three configurations; each runs the program under the
+// one run configuration.
 var engines = []struct {
 	name  string
-	build func(prog *ast.Program, env *stdlib.Env, g *guard.Governor, detect bool) (machine, error)
+	build func(prog *ast.Program, cfg rt.Config) (machine, error)
 }{
-	{"interp", func(prog *ast.Program, env *stdlib.Env, g *guard.Governor, detect bool) (machine, error) {
-		return interp.New(prog, interp.Options{Env: env, Guard: g, NoDeadlockDetection: !detect}), nil
+	{"interp", func(prog *ast.Program, cfg rt.Config) (machine, error) {
+		return interp.New(prog, cfg), nil
 	}},
 	{"vm-O0", buildVM(bytecode.O0)},
 	{"vm-O2", buildVM(bytecode.O2)},
 }
 
-func buildVM(level int) func(*ast.Program, *stdlib.Env, *guard.Governor, bool) (machine, error) {
-	return func(prog *ast.Program, env *stdlib.Env, g *guard.Governor, detect bool) (machine, error) {
+func buildVM(level int) func(*ast.Program, rt.Config) (machine, error) {
+	return func(prog *ast.Program, cfg rt.Config) (machine, error) {
 		bc, err := bytecode.Compile(prog)
 		if err != nil {
 			return nil, err
 		}
 		bytecode.Optimize(bc, level)
-		return vm.New(bc, vm.Options{Env: env, Guard: g, NoDeadlockDetection: !detect}), nil
+		return vm.New(bc, cfg), nil
 	}
 }
 
@@ -110,14 +109,15 @@ func TestRuntimeContractOnEveryEngine(t *testing.T) {
 		name   string
 		src    string
 		limits guard.Limits
-		detect bool
-		reps   int // runs per engine; 0 means one
-		// trip, when set, runs once the program has printed tripAfter and
-		// stops it from outside.
-		tripAfter string
-		trip      func(m machine, g *guard.Governor)
-		wantOut   string // exact output, checked when the run must succeed
-		wantErr   string // substring of the error; "" means success
+		// noDetect turns the live deadlock check off, which every engine
+		// has on by default.
+		noDetect bool
+		reps     int // runs per engine; 0 means one
+		// cancelAfter, when set, is the output after which the test cancels
+		// the run from outside.
+		cancelAfter string
+		wantOut     string // exact output, checked when the run must succeed
+		wantErr     string // substring of the error; "" means success
 		// wantLines, when set, bounds the line of the error's position.
 		wantLines [2]int
 	}{
@@ -132,7 +132,6 @@ func TestRuntimeContractOnEveryEngine(t *testing.T) {
             count += 1
     print(count)
 `,
-			detect:  true,
 			wantOut: "100\n",
 		},
 		{
@@ -147,7 +146,6 @@ func TestRuntimeContractOnEveryEngine(t *testing.T) {
                 total += 1
     print(total)
 `,
-			detect:  true,
 			reps:    5,
 			wantOut: "30\n",
 		},
@@ -166,7 +164,6 @@ func TestRuntimeContractOnEveryEngine(t *testing.T) {
             c += 3
     print(a, " ", b, " ", c)
 `,
-			detect:  true,
 			wantOut: "60 120 180\n",
 		},
 		{
@@ -176,7 +173,6 @@ func TestRuntimeContractOnEveryEngine(t *testing.T) {
         lock a:
             print("unreachable")
 `,
-			detect:  true,
 			wantErr: `test.ttr:3:9: runtime error: deadlock: thread 0 already holds lock "a" and would wait for itself`,
 		},
 		{
@@ -200,19 +196,20 @@ def main():
 		{
 			// Without live detection the deadline is the backstop: it must
 			// wake threads parked on locks.
-			name:    "deadline_wakes_lock_parked",
-			src:     crossedLocks,
-			limits:  guard.Limits{Deadline: 200 * time.Millisecond},
-			wantErr: "exceeded deadline (200ms)",
+			name:     "deadline_wakes_lock_parked",
+			src:      crossedLocks,
+			noDetect: true,
+			limits:   guard.Limits{Deadline: 200 * time.Millisecond},
+			wantErr:  "exceeded deadline (200ms)",
 		},
 		{
 			// Cancel must end lock-parked threads with no governor at all
 			// (the server's drain path relies on it).
-			name:      "cancel_wakes_lock_parked",
-			src:       crossedLocks,
-			tripAfter: "left has a\nright has b\n",
-			trip:      func(m machine, _ *guard.Governor) { m.Cancel() },
-			wantErr:   "execution cancelled",
+			name:        "cancel_wakes_lock_parked",
+			src:         crossedLocks,
+			noDetect:    true,
+			cancelAfter: "left has a\nright has b\n",
+			wantErr:     "execution cancelled",
 		},
 		{
 			// Each iteration is a thread of three or four steps, far under
@@ -231,21 +228,21 @@ def main():
 			wantLines: [2]int{4, 6},
 		},
 		{
-			// A trip during a long loop of short bodies is reported from
-			// inside the loop, not at the statement after it.
+			// A trip that comes from outside the loop's threads (here the
+			// deadline timer) during a loop of short bodies is reported from
+			// inside the loop, by a worker, not by main at the statement
+			// after it. The loops never end, so the deadline always finds one
+			// running.
 			name: "trip_in_short_parfor_is_positioned_in_the_loop",
 			src: `def main():
-    a = [1 .. 1000000]
-    print("built")
+    a = [1 .. 100000]
     c = 0
-    parallel for i in a:
-        c = i
-    print("after")
+    while true:
+        parallel for i in a:
+            c = i
 `,
-			limits:    guard.Limits{MaxThreads: 1000},
-			tripAfter: "built\n",
-			trip:      func(_ machine, g *guard.Governor) { g.Cancel() },
-			wantErr:   "execution cancelled",
+			limits:    guard.Limits{Deadline: 300 * time.Millisecond},
+			wantErr:   "exceeded deadline (300ms)",
 			wantLines: [2]int{5, 6},
 		},
 		{
@@ -275,25 +272,21 @@ def main():
 		for i := 0; i < len(engines)*max(c.reps, 1); i++ {
 			e := engines[i%len(engines)]
 			t.Run(c.name+"/"+e.name, func(t *testing.T) {
-				var g *guard.Governor
-				if c.limits.Enabled() {
-					g = guard.New(c.limits)
-				}
 				var out output
-				m, err := e.build(prog, stdlib.NewEnv(strings.NewReader(""), &out), g, c.detect)
+				m, err := e.build(prog, rt.Config{Stdout: &out, Limits: c.limits, NoDeadlockDetection: c.noDetect})
 				if err != nil {
 					t.Fatal(err)
 				}
 				done := make(chan error, 1)
 				go func() { done <- m.Run() }()
-				if c.trip != nil {
-					for deadline := time.Now().Add(20 * time.Second); !sameLines(out.String(), c.tripAfter); {
+				if c.cancelAfter != "" {
+					for deadline := time.Now().Add(20 * time.Second); !sameLines(out.String(), c.cancelAfter); {
 						if time.Now().After(deadline) {
-							t.Fatalf("program never printed %q, got %q", c.tripAfter, out.String())
+							t.Fatalf("program never printed %q, got %q", c.cancelAfter, out.String())
 						}
 						time.Sleep(time.Millisecond)
 					}
-					c.trip(m, g)
+					m.Cancel()
 				}
 				select {
 				case err = <-done:

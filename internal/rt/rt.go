@@ -14,21 +14,33 @@
 // Thread.Pending inline on its own thread struct, calling Flush once per
 // guard.StepBatch steps.
 //
-// Generated binaries do not use this package: internal/gort mirrors the
-// same model with plain mutexes because compiled programs cannot import
-// internal packages and have no governor-interruptible parking.
+// A run is described once, by Config: tetra.Config and core.Config are this
+// struct and both engines' constructors take it; New turns it into the
+// run's streams, its governor and its runtime.
+//
+// Generated binaries do not use this package, though they could import it
+// (internal/gort imports guard, sched and sem; artifacts are built inside
+// the module): generated code carries no thread identity to put in a
+// wait-for graph, and its locks are plain sync.Mutexes, which nothing can
+// wake. The price is that a compiled program that deadlocks parks until
+// gort's backstop or its runner's kill, where both engines name the cycle.
 package rt
 
 import (
 	"errors"
 	"fmt"
+	"io"
+	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/ast"
 	"repro/internal/deadlock"
 	"repro/internal/guard"
 	"repro/internal/sched"
+	"repro/internal/stdlib"
 	"repro/internal/token"
 	"repro/internal/trace"
 	"repro/internal/value"
@@ -45,25 +57,61 @@ var ErrStopped = errors.New("stopped")
 // engines refuse the call that would exceed it; internal/gort mirrors it.
 const MaxCallDepth = 10000
 
-// Config is what an engine hands to New.
+// FrameView gives a step hook read access to the executing frame's
+// variables by slot (see ast.FuncDecl.SlotNames for the slot→name table).
+type FrameView interface {
+	Var(slot int) value.Value
+}
+
+// StepHook is called before every statement executes, identifying the Tetra
+// thread, the enclosing function, the statement, the live frame, and the
+// thread's call depth (1 = the thread's entry function). The debugger parks
+// threads by blocking inside the hook and uses depth to implement
+// step-over. Hooks must be safe for concurrent calls.
+type StepHook func(threadID int, fn *ast.FuncDecl, stmt ast.Stmt, frame FrameView, depth int)
+
+// Config describes one program run. The zero value runs unbounded with no
+// input, printing to os.Stdout. The VM is the fast path and records no
+// events: it ignores Tracer, TraceVars, Step and CountWork.
 type Config struct {
-	// Guard, when non-nil, bounds live threads and steps; a trip wakes
-	// every thread parked on a lock.
-	Guard *guard.Governor
-	// Tracer, when non-nil, receives thread and lock events.
+	// Stdin is the program's input for read_int and friends. Defaults to an
+	// empty stream.
+	Stdin io.Reader
+	// Stdout receives print output. Defaults to os.Stdout.
+	Stdout io.Writer
+	// Tracer, when non-nil, receives execution events (see
+	// trace.NewCollector).
 	Tracer trace.Tracer
-	// Sched chunks parallel-for loops across worker goroutines.
-	Sched sched.Config
-	// LockNames names the program's locks; a lock's index is its id.
-	LockNames []string
-	// DetectDeadlock refuses an acquisition that would close a wait-for
-	// cycle with an explanatory error instead of parking forever.
-	DetectDeadlock bool
-	// CountWork records every finished thread's Work in the profile.
-	CountWork bool
-	// NoWaitBackground makes Main return without joining background
-	// threads.
+	// TraceVars additionally records reads and writes of variables in
+	// thread-shared frames, enabling race detection. Slower; requires
+	// Tracer.
+	TraceVars bool
+	// Step, when non-nil, is called before every statement; the debugger is
+	// built on this hook.
+	Step StepHook
+	// NoWaitBackground makes a run return without joining background
+	// threads (the C++ system's process-exit semantics). By default it
+	// waits, which is safer for library use.
 	NoWaitBackground bool
+	// NoDeadlockDetection disables the live wait-for-graph check, which
+	// refuses a lock acquisition that would close a cycle with an
+	// explanatory error, so that deadlocks genuinely hang.
+	NoDeadlockDetection bool
+	// Limits bounds the run's resources (wall clock, steps, threads,
+	// output, allocation) for executing untrusted programs; a tripped
+	// budget ends the run with a positioned runtime error. The zero value
+	// leaves execution unbounded. See guard.Limits.WithSandboxDefaults.
+	Limits guard.Limits
+	// Sched controls how `parallel for` loops are scheduled: Workers caps
+	// the goroutine pool per loop (default GOMAXPROCS) and Grain sets the
+	// chunk size (default max(1, n/(workers*8))). Each iteration remains
+	// its own Tetra thread.
+	Sched sched.Config
+	// CountWork makes every interpreter thread count the AST nodes it
+	// executes (and yield every workQuantum of them); WorkProfile has the
+	// totals after the run, which feed the virtual multicore simulator
+	// (internal/simsched).
+	CountWork bool
 }
 
 // Thread is the engine-independent part of one Tetra thread. Engines embed
@@ -90,13 +138,19 @@ type ThreadWork struct {
 
 // Runtime is the shared state of one program run.
 type Runtime struct {
-	cfg   Config
-	guard *guard.Governor
-
+	// Stopped and the spawn paths are inlined into the engines' loops. What
+	// they touch stays within the first 128 bytes, where an instruction
+	// reaches it with a one-byte offset, so that the size of Config does not
+	// move the loops' code about (run_loops read 5-8 % slower when it did).
+	guard      *guard.Governor // nil when no limit is set
+	stopped    atomic.Bool
 	nextThread atomic.Int64
 	background sync.WaitGroup
-	grace      time.Duration // bound on the background join of a failed run
-	stopped    atomic.Bool
+
+	cfg       Config
+	lockNames []string      // a lock's index is its id
+	env       *stdlib.Env   // the run's I/O
+	grace     time.Duration // bound on the background join of a failed run
 
 	mu      sync.Mutex // guards err and profile
 	err     error
@@ -111,15 +165,37 @@ type Runtime struct {
 	graph  *deadlock.Graph
 }
 
-// New returns the runtime for one run.
-func New(cfg Config) *Runtime {
-	r := &Runtime{cfg: cfg, guard: cfg.Guard, grace: guard.DefaultGrace, graph: deadlock.NewGraph(cfg.LockNames)}
+// New returns the runtime for one run of a program whose locks are
+// lockNames, with the run's I/O environment and, when a limit is set, the
+// one governor that environment and the engine share.
+func New(cfg Config, lockNames []string) *Runtime {
+	if cfg.Stdin == nil {
+		cfg.Stdin = strings.NewReader("")
+	}
+	if cfg.Stdout == nil {
+		cfg.Stdout = os.Stdout
+	}
+	r := &Runtime{
+		cfg:       cfg,
+		lockNames: lockNames,
+		env:       stdlib.NewEnv(cfg.Stdin, cfg.Stdout),
+		grace:     guard.DefaultGrace,
+		graph:     deadlock.NewGraph(lockNames),
+	}
 	r.cond = sync.NewCond(&r.lockMu)
-	if r.guard != nil {
+	if cfg.Limits.Enabled() {
+		r.guard = guard.New(cfg.Limits)
+		r.env.SetGuard(r.guard)
 		r.guard.OnTrip(r.wake)
 	}
 	return r
 }
+
+// Env returns the run's I/O environment, which builtins evaluate in.
+func (r *Runtime) Env() *stdlib.Env { return r.env }
+
+// Guard returns the run's governor, nil when no limit is set.
+func (r *Runtime) Guard() *guard.Governor { return r.guard }
 
 // Stopped reports whether the run has failed or been cancelled; engines
 // poll it at statement boundaries, calls and loop back-edges.
@@ -369,13 +445,13 @@ func (r *Runtime) ParFor(parent *Thread, n int, pos token.Pos, worker func() (*T
 // Lock acquires the named lock idx for t, parking until it is free. A
 // parked thread is woken by every release, by Cancel and by a governor
 // trip, and returns ErrStopped or the trip's error positioned at pos.
-// Waiting for a lock the thread already holds is an error, as is, with
-// DetectDeadlock, a wait that would close a cycle.
+// Waiting for a lock the thread already holds is an error, as is, unless
+// NoDeadlockDetection, a wait that would close a cycle.
 func (r *Runtime) Lock(t *Thread, idx int, pos token.Pos) error {
 	if err := r.acquire(t, idx, pos); err != nil {
 		return err
 	}
-	r.Emit(t, trace.LockAcquire, pos, r.cfg.LockNames[idx])
+	r.Emit(t, trace.LockAcquire, pos, r.lockNames[idx])
 	return nil
 }
 
@@ -384,7 +460,7 @@ func (r *Runtime) acquire(t *Thread, idx int, pos token.Pos) error {
 	defer r.lockMu.Unlock()
 	waited := false
 	for owner := r.graph.Owner(idx); owner != -1; owner = r.graph.Owner(idx) {
-		name := r.cfg.LockNames[idx]
+		name := r.lockNames[idx]
 		if owner == t.ID {
 			return Errorf(pos, "deadlock: thread %d already holds lock %q and would wait for itself", t.ID, name)
 		}
@@ -409,7 +485,7 @@ func (r *Runtime) acquire(t *Thread, idx int, pos token.Pos) error {
 // worthwhile. Called with lockMu held.
 func (r *Runtime) mayWait(t *Thread, idx int, pos token.Pos) error {
 	r.graph.SetWaiting(t.ID, idx)
-	if r.cfg.DetectDeadlock {
+	if !r.cfg.NoDeadlockDetection {
 		if c := r.graph.FindCycle(t.ID); c != nil {
 			return Errorf(pos, "deadlock detected: %s", c)
 		}
@@ -433,7 +509,7 @@ func (r *Runtime) Unlock(t *Thread, idx int, pos token.Pos) {
 	// still holds lockMu, so it cannot miss a wakeup sent here.
 	r.cond.Broadcast()
 	r.lockMu.Unlock()
-	r.Emit(t, trace.LockRelease, pos, r.cfg.LockNames[idx])
+	r.Emit(t, trace.LockRelease, pos, r.lockNames[idx])
 }
 
 // wake rouses every parked waiter so it re-checks the stop and trip state.

@@ -106,7 +106,7 @@ func runMain(t *testing.T, r *Runtime, body func(main *Thread) error) error {
 
 func TestLockContentionLosesNoUpdateAndNoWakeup(t *testing.T) {
 	const threads, rounds = 100, 50
-	r := New(Config{LockNames: []string{"c"}, DetectDeadlock: true})
+	r := New(Config{}, []string{"c"})
 	count := 0 // guarded by lock 0 only: -race proves the mutual exclusion
 	inc := func(th *Thread) error {
 		for i := 0; i < rounds; i++ {
@@ -175,7 +175,7 @@ func parked(t *testing.T, r *Runtime, rc *recorder) (release chan struct{}, wait
 
 func TestCancelWakesParkedWaiter(t *testing.T) {
 	rc := newRecorder()
-	r := New(Config{LockNames: []string{"a"}, Tracer: rc})
+	r := New(Config{Tracer: rc}, []string{"a"})
 	release, waiterErr, result := parked(t, r, rc)
 	r.Cancel()
 	if err := <-waiterErr; err != ErrStopped {
@@ -189,8 +189,8 @@ func TestCancelWakesParkedWaiter(t *testing.T) {
 
 func TestGovernorTripWakesParkedWaiter(t *testing.T) {
 	rc := newRecorder()
-	g := guard.New(guard.Limits{MaxSteps: 1})
-	r := New(Config{LockNames: []string{"a"}, Tracer: rc, Guard: g})
+	r := New(Config{Tracer: rc, Limits: guard.Limits{MaxSteps: 1}}, []string{"a"})
+	g := r.Guard()
 	release, waiterErr, result := parked(t, r, rc)
 	g.StepN(nil, 2) // some other thread exhausts the step budget
 	err := <-waiterErr
@@ -205,7 +205,7 @@ func TestGovernorTripWakesParkedWaiter(t *testing.T) {
 
 func TestReleaseWakesParkedWaiter(t *testing.T) {
 	rc := newRecorder()
-	r := New(Config{LockNames: []string{"a"}, Tracer: rc})
+	r := New(Config{Tracer: rc}, []string{"a"})
 	release, waiterErr, result := parked(t, r, rc)
 	close(release)
 	if err := <-waiterErr; err != nil {
@@ -220,7 +220,7 @@ func TestReleaseWakesParkedWaiter(t *testing.T) {
 // itself has to let the waiters go.
 func TestFailureOfTheOwnerWakesParkedWaiter(t *testing.T) {
 	rc := newRecorder()
-	r := New(Config{LockNames: []string{"a"}, Tracer: rc})
+	r := New(Config{Tracer: rc}, []string{"a"})
 	boom := errors.New("boom")
 	err := runMain(t, r, func(main *Thread) error {
 		n, spawn := bodies(at(3),
@@ -247,7 +247,7 @@ func TestFailureOfTheOwnerWakesParkedWaiter(t *testing.T) {
 }
 
 func TestSelfWaitIsAnError(t *testing.T) {
-	r := New(Config{LockNames: []string{"a"}})
+	r := New(Config{}, []string{"a"})
 	err := runMain(t, r, func(main *Thread) error {
 		if err := r.Lock(main, 0, at(2)); err != nil {
 			return err
@@ -287,7 +287,7 @@ func crossed(r *Runtime, main *Thread) error {
 }
 
 func TestCycleReportedWhenDetectionIsOn(t *testing.T) {
-	r := New(Config{LockNames: []string{"a", "b"}, DetectDeadlock: true})
+	r := New(Config{}, []string{"a", "b"})
 	err := runMain(t, r, func(main *Thread) error { return crossed(r, main) })
 	if err == nil || !strings.Contains(err.Error(), "deadlock detected: thread") ||
 		!strings.Contains(err.Error(), `waits for lock "a" held by thread`) ||
@@ -298,7 +298,7 @@ func TestCycleReportedWhenDetectionIsOn(t *testing.T) {
 
 func TestNoCycleReportWhenDetectionIsOff(t *testing.T) {
 	rc := newRecorder()
-	r := New(Config{LockNames: []string{"a", "b"}, Tracer: rc})
+	r := New(Config{Tracer: rc, NoDeadlockDetection: true}, []string{"a", "b"})
 	result := make(chan error, 1)
 	go func() {
 		main := new(Thread)
@@ -332,8 +332,8 @@ func checkPaired(t *testing.T, rc *recorder, g *guard.Governor, wantThreads int)
 
 func TestEveryThreadIsDoneOnSuccess(t *testing.T) {
 	rc := newRecorder()
-	g := guard.New(guard.Limits{MaxThreads: 10})
-	r := New(Config{Tracer: rc, Guard: g, Sched: sched.Config{Workers: 3}})
+	r := New(Config{Tracer: rc, Limits: guard.Limits{MaxThreads: 10}, Sched: sched.Config{Workers: 3}}, nil)
+	g := r.Guard()
 	ok := func(*Thread) error { return nil }
 	err := runMain(t, r, func(main *Thread) error {
 		n, spawn := bodies(at(2), ok, ok, ok)
@@ -358,8 +358,8 @@ func TestEveryThreadIsDoneOnSuccess(t *testing.T) {
 
 func TestEveryThreadIsDoneOnBodyError(t *testing.T) {
 	rc := newRecorder()
-	g := guard.New(guard.Limits{MaxThreads: 10})
-	r := New(Config{Tracer: rc, Guard: g})
+	r := New(Config{Tracer: rc, Limits: guard.Limits{MaxThreads: 10}}, nil)
+	g := r.Guard()
 	boom := errors.New("boom")
 	err := runMain(t, r, func(main *Thread) error {
 		n, spawn := bodies(at(2),
@@ -376,8 +376,8 @@ func TestEveryThreadIsDoneOnBodyError(t *testing.T) {
 
 func TestThreadBudgetRefusalIsPositionedAndAccounted(t *testing.T) {
 	rc := newRecorder()
-	g := guard.New(guard.Limits{MaxThreads: 3}) // main + 2
-	r := New(Config{Tracer: rc, Guard: g})
+	r := New(Config{Tracer: rc, Limits: guard.Limits{MaxThreads: 3}}, nil) // main + 2
+	g := r.Guard()
 	var hold sync.WaitGroup
 	hold.Add(1)
 	wait := func(*Thread) error { hold.Wait(); return nil }
@@ -396,8 +396,7 @@ func TestThreadBudgetRefusalIsPositionedAndAccounted(t *testing.T) {
 }
 
 func TestBackgroundJoinIsGraceBoundedAfterFailure(t *testing.T) {
-	g := guard.New(guard.Limits{MaxThreads: 10})
-	r := New(Config{Guard: g})
+	r := New(Config{Limits: guard.Limits{MaxThreads: 10}}, nil)
 	r.grace = 20 * time.Millisecond
 	stuck := make(chan struct{}) // a block no governor can interrupt
 	defer close(stuck)
@@ -419,7 +418,7 @@ func TestBackgroundJoinIsGraceBoundedAfterFailure(t *testing.T) {
 }
 
 func TestBackgroundIsJoinedWhenHealthy(t *testing.T) {
-	r := New(Config{})
+	r := New(Config{}, nil)
 	var ran atomic.Bool
 	err := runMain(t, r, func(main *Thread) error {
 		n, spawn := bodies(at(2), func(*Thread) error {
@@ -440,8 +439,8 @@ func TestBackgroundIsJoinedWhenHealthy(t *testing.T) {
 // tally per worker goroutine, not one per iteration.
 func TestParForChargesShortBodies(t *testing.T) {
 	const workers, iterations = 4, 20000
-	g := guard.New(guard.Limits{MaxSteps: 1000})
-	r := New(Config{Guard: g, Sched: sched.Config{Workers: workers}})
+	r := New(Config{Limits: guard.Limits{MaxSteps: 1000}, Sched: sched.Config{Workers: workers}}, nil)
+	g := r.Guard()
 	var mu sync.Mutex
 	tallies := map[*guard.Tally]bool{}
 	ids := map[int]bool{}
@@ -485,7 +484,7 @@ func TestParForChargesShortBodies(t *testing.T) {
 }
 
 func TestParForStopsAtNextIterationAfterAnError(t *testing.T) {
-	r := New(Config{Sched: sched.Config{Workers: 2, Grain: 1}})
+	r := New(Config{Sched: sched.Config{Workers: 2, Grain: 1}}, nil)
 	boom := errors.New("boom")
 	var ran atomic.Int64
 	err := runMain(t, r, func(main *Thread) error {
@@ -507,7 +506,7 @@ func TestParForStopsAtNextIterationAfterAnError(t *testing.T) {
 }
 
 func TestWorkProfileRecordsEveryThread(t *testing.T) {
-	r := New(Config{CountWork: true})
+	r := New(Config{CountWork: true}, nil)
 	err := runMain(t, r, func(main *Thread) error {
 		main.Work = 7
 		return r.ParFor(main, 3, at(1), func() (*Thread, func(int) error) {

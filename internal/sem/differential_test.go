@@ -21,8 +21,8 @@ import (
 	"repro/internal/gort"
 	"repro/internal/interp"
 	"repro/internal/parser"
+	"repro/internal/rt"
 	"repro/internal/sem"
-	"repro/internal/stdlib"
 	"repro/internal/value"
 	"repro/internal/vm"
 )
@@ -45,7 +45,7 @@ func runInterp(t *testing.T, src string) backendResult {
 		t.Fatalf("check: %v\n%s", err, src)
 	}
 	var out bytes.Buffer
-	rErr := interp.New(prog, interp.Options{Env: stdlib.NewEnv(strings.NewReader(""), &out)}).Run()
+	rErr := interp.New(prog, rt.Config{Stdout: &out}).Run()
 	r := backendResult{out: out.String()}
 	if rErr != nil {
 		r.err = rErr.Error()
@@ -73,7 +73,7 @@ func runVMAt(t *testing.T, src string, level int) backendResult {
 		t.Fatalf("-O%d: %v\n%s", level, err, src)
 	}
 	var out bytes.Buffer
-	rErr := vm.New(bc, vm.Options{Env: stdlib.NewEnv(strings.NewReader(""), &out)}).Run()
+	rErr := vm.New(bc, rt.Config{Stdout: &out}).Run()
 	r := backendResult{out: out.String()}
 	if rErr != nil {
 		r.err = rErr.Error()

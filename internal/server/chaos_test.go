@@ -407,7 +407,7 @@ func probeMinSteps(t *testing.T, src string) int {
 // kills every worker it touches: the breaker must trip at the threshold,
 // answer 422 with a Retry-After, and subsequent requests must be
 // rejected without burning any further workers. The crash forensics must
-// carry the client's request ID.
+// carry the client's request ID and the dead worker's last words.
 func TestQuarantineCircuitBreaker(t *testing.T) {
 	srv, ts := poolServer(t, func(o *server.Options) {
 		o.WorkerEnv = []string{fault.EnvVar + "=worker-panic=1"}
@@ -448,6 +448,9 @@ func TestQuarantineCircuitBreaker(t *testing.T) {
 			found = true
 			if cr.Hash == "" {
 				t.Errorf("crash record missing program hash: %+v", cr)
+			}
+			if !strings.Contains(cr.StderrTail, "fault injected: worker panic") {
+				t.Errorf("crash record does not carry the worker's panic: stderr_tail = %q", cr.StderrTail)
 			}
 		}
 	}

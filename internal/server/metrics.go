@@ -23,6 +23,9 @@ type CrashRecord struct {
 	PID       int    `json:"worker_pid"`
 	Attempt   int    `json:"attempt"`
 	Reason    string `json:"reason"`
+	// StderrTail is the last of what the dead process wrote to stderr (at
+	// most 2 KiB): a panic's message and stack, when it got to print one.
+	StderrTail string `json:"stderr_tail,omitempty"`
 }
 
 // counters is the server's counter set. All fields are atomics; the
@@ -42,7 +45,6 @@ type counters struct {
 	inFlight      atomic.Int64
 	queueDepth    atomic.Int64
 
-	promotions      atomic.Int64 // programs promoted to a native artifact
 	nativeRuns      atomic.Int64 // requests served by the native tier
 	nativeDemotions atomic.Int64 // artifact crashes that demoted a program
 

@@ -307,3 +307,94 @@ func TestNativeSkipsTraceAndRace(t *testing.T) {
 		t.Fatalf("trace summary missing: %+v", rr)
 	}
 }
+
+// run posts req and decodes the 200 reply.
+func run(t *testing.T, url string, req server.RunRequest) server.RunResponse {
+	t.Helper()
+	resp, body := postRun(t, url, req, nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	var rr server.RunResponse
+	if err := json.Unmarshal(body, &rr); err != nil {
+		t.Fatal(err)
+	}
+	return rr
+}
+
+// TestFailingProgramIsNeverPromoted: hotness counts the requests an engine
+// answered OK, not requests. A program that deadlocks is answered with the
+// cycle in milliseconds however often it is asked for; its artifact would
+// park on the same locks until the runner killed it.
+func TestFailingProgramIsNeverPromoted(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("..", "..", "testdata", "deadlock_ab.ttr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const threshold = 3
+	srv, ts := nativeServer(t, func(o *server.Options) { o.NativeThreshold = threshold })
+	req := server.RunRequest{Source: string(src), File: "deadlock_ab.ttr", Backend: server.BackendVM}
+	for i := 0; i < 3*threshold; i++ {
+		start := time.Now()
+		rr := run(t, ts.URL, req)
+		if rr.Error == nil || !strings.Contains(rr.Error.Message, "deadlock detected") {
+			t.Fatalf("request %d: want the deadlock diagnostic, got %+v", i, rr)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("request %d took %v on tier %s", i, d, rr.Isolation)
+		}
+	}
+	m := srv.Metrics()
+	if p := m.Promote; p.Tracked != 0 || p.Builds+p.ArtifactReuses != 0 {
+		t.Errorf("a program no engine ever answered OK was counted towards promotion: %+v", p)
+	}
+	if m.Native.Spawns != 0 {
+		t.Errorf("native tier ran it: %+v", m.Native)
+	}
+}
+
+// TestBlockedArtifactIsDemoted: a program promoted on the inputs it
+// answers can still park for good on another. Its threads are then on
+// plain mutexes, where nothing in the artifact can reach them, so the
+// runner's kill — always ahead of the artifact's own exit backstop — makes
+// it a crash: the program is demoted and the same request is answered by
+// an engine, which names the deadlock instead of "exceeded deadline".
+func TestBlockedArtifactIsDemoted(t *testing.T) {
+	const src = `def ab():
+    lock a:
+        sleep(50)
+        lock b:
+            print("ab")
+
+def ba():
+    lock b:
+        sleep(50)
+        lock a:
+            print("ba")
+
+def main():
+    if read_int() == 1:
+        parallel:
+            ab()
+            ba()
+    print("done")
+`
+	srv, ts := nativeServer(t, nil)
+	req := server.RunRequest{Source: src, File: "sometimes.ttr", Backend: server.BackendVM, Stdin: "0\n",
+		Limits: &server.LimitSpec{TimeoutMS: 300}}
+	if rr := runUntilNative(t, ts.URL, req, 2*time.Minute); rr.Stdout != "done\n" {
+		t.Fatalf("native run: %+v", rr)
+	}
+
+	req.Stdin = "1\n"
+	rr := run(t, ts.URL, req)
+	if rr.Error == nil || !strings.Contains(rr.Error.Message, "deadlock detected") {
+		t.Fatalf("want the deadlock diagnostic from the retry, got %+v", rr)
+	}
+	if rr.Isolation == server.TierNative || rr.Attempts != 2 {
+		t.Errorf("tier %s after %d attempt(s), want an engine's answer on the second", rr.Isolation, rr.Attempts)
+	}
+	if m := srv.Metrics(); m.NativeDemotions != 1 || m.Native.Crashes != 1 {
+		t.Errorf("demotions = %d, native crashes = %d, want 1 and 1", m.NativeDemotions, m.Native.Crashes)
+	}
+}

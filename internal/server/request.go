@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/bytecode"
 	"repro/internal/guard"
+	"repro/internal/trace"
 )
 
 // Backend names accepted in RunRequest.Backend.
@@ -108,15 +109,7 @@ type RunError struct {
 // TraceSummary aggregates the event stream of one traced run. When the
 // run emitted more events than the trace ring retains, Truncated is true
 // and Dropped counts the discarded prefix: the summary covers the tail.
-type TraceSummary struct {
-	Threads      int   `json:"threads"`
-	Steps        int   `json:"steps"`
-	LockAcquires int   `json:"lock_acquires"`
-	LockWaits    int   `json:"lock_waits"`
-	Outputs      int   `json:"outputs"`
-	Truncated    bool  `json:"truncated,omitempty"`
-	Dropped      int64 `json:"dropped,omitempty"`
-}
+type TraceSummary = trace.Summary
 
 // ErrorResponse is the JSON body of every non-200 answer (bad request,
 // admission rejection, draining).

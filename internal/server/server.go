@@ -270,15 +270,6 @@ func New(opts Options) *Server {
 			BuildDir:       opts.NativeBuildDir,
 			RebuildBackoff: opts.NativeRebuildBackoff,
 			Logf:           opts.Logf,
-			OnReady: func(nativeHash string) {
-				// A fresh artifact wipes the slate: crashes recorded
-				// against the program's previous binary must not hold it
-				// behind a stale quarantine.
-				if s.pool != nil {
-					s.pool.Acquit(nativeHash)
-				}
-				s.met.promotions.Add(1)
-			},
 		})
 		if promoter.Enabled() {
 			s.promoter, s.native = promoter, native
@@ -544,9 +535,9 @@ type outcome struct {
 }
 
 // execute walks one admitted request down the ladder — promoted native
-// artifact, pooled worker, the server's own process — until a rung
-// answers. A program that fails to compile or dies at runtime is a reply,
-// not an error.
+// artifact, pooled worker, the server's own process, which always answers —
+// until a rung answers. A program that fails to compile or dies at runtime
+// is a reply, not an error.
 func (s *Server) execute(req *RunRequest, hash, reqID string) outcome {
 	a := &admitted{req: req, hash: hash, wreq: &worker.Request{
 		RequestID: reqID,
@@ -560,14 +551,22 @@ func (s *Server) execute(req *RunRequest, hash, reqID string) outcome {
 		TraceCap:  req.TraceCap,
 		Limits:    ClampLimits(req.Limits, s.opts.Ceiling),
 	}}
-	for _, rung := range []func(*admitted) outcome{s.runNative, s.runOnPool} {
-		o := rung(a)
-		if o.resp != nil || o.status != 0 {
-			return o
+	var o outcome
+	for _, rung := range []func(*admitted) outcome{s.runNative, s.runOnPool, s.runInProcess} {
+		if o = rung(a); o.resp != nil || o.status != 0 {
+			break
 		}
 		a.prior += o.attempts
 	}
-	return s.runInProcess(a)
+	// A run an engine answered OK is the hotness signal, so a program whose
+	// runs fail is never promoted: an artifact cannot name a deadlock, it
+	// parks on it. The supervisor counts here because worker processes keep
+	// private compile caches it cannot see into. Trace and race requests
+	// never count: the native tier could not serve them.
+	if r := o.resp; s.promoter != nil && r != nil && r.OK && r.Isolation != TierNative && !req.Trace && !req.Race {
+		s.promoter.Observe(req.File, req.Source)
+	}
+	return o
 }
 
 // supervised runs one request in a child process through run (the native
@@ -583,12 +582,13 @@ func (s *Server) supervised(a *admitted, hash string, run func(worker.RunInfo) (
 		OnCrash: func(c worker.Crash) {
 			crashes++
 			s.met.recordCrash(CrashRecord{
-				UnixMS:    time.Now().UnixMilli(),
-				RequestID: a.wreq.RequestID,
-				Hash:      hash,
-				PID:       c.PID,
-				Attempt:   c.Attempt,
-				Reason:    c.Reason,
+				UnixMS:     time.Now().UnixMilli(),
+				RequestID:  a.wreq.RequestID,
+				Hash:       hash,
+				PID:        c.PID,
+				Attempt:    c.Attempt,
+				Reason:     c.Reason,
+				StderrTail: c.StderrTail,
 			})
 		},
 	})
@@ -626,15 +626,11 @@ func (s *Server) runNative(a *admitted) outcome {
 	if s.native == nil || req.Trace || req.Race {
 		return outcome{}
 	}
-	nhash := promote.Key(req.File, req.Source)
 	bin, ok := s.promoter.Artifact(req.File, req.Source)
 	if !ok {
-		// Not promoted (yet): this request is the hotness signal. The
-		// supervisor counts requests itself because worker processes
-		// keep private compile caches it cannot see into.
-		s.promoter.Observe(req.File, req.Source)
-		return outcome{}
+		return outcome{} // not promoted (yet)
 	}
+	nhash := promote.Key(req.File, req.Source)
 
 	wresp, crashes, err := s.supervised(a, nhash, func(info worker.RunInfo) (*worker.Response, error) {
 		return s.native.Run(bin, a.wreq, info)
@@ -748,17 +744,7 @@ func (s *Server) toRunResponse(a *admitted, wresp *worker.Response, tier string,
 		}
 		h.Observe(time.Duration(wresp.RunMicros) * time.Microsecond)
 	}
-	if wresp.Trace != nil {
-		resp.Trace = &TraceSummary{
-			Threads:      wresp.Trace.Threads,
-			Steps:        wresp.Trace.Steps,
-			LockAcquires: wresp.Trace.LockAcquires,
-			LockWaits:    wresp.Trace.LockWaits,
-			Outputs:      wresp.Trace.Outputs,
-			Truncated:    wresp.Trace.Truncated,
-			Dropped:      wresp.Trace.Dropped,
-		}
-	}
+	resp.Trace = wresp.Trace
 	if req.Race && wresp.ErrStage != "compile" {
 		resp.Races = wresp.Races
 		if resp.Races == nil {
@@ -856,7 +842,7 @@ func (s *Server) Metrics() MetricsSnapshot {
 		snap.Native = &ns
 		pr := s.promoter.Stats()
 		snap.Promote = &pr
-		snap.Promotions = s.met.promotions.Load()
+		snap.Promotions = pr.Builds + pr.ArtifactReuses
 		snap.NativeRuns = s.met.nativeRuns.Load()
 		snap.NativeDemotions = s.met.nativeDemotions.Load()
 		snap.Latency[TierNative] = s.met.latNative.Snapshot()

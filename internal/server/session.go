@@ -123,19 +123,19 @@ func (r *SessionCmdRequest) timeout() time.Duration {
 // took effect; Result carries the step outcome ("parked", "finished",
 // "timeout", "no-thread") when one applies.
 type SessionCmdResponse struct {
-	OK          bool                  `json:"ok"`
-	Cmd         string                `json:"cmd"`
-	Result      string                `json:"result,omitempty"`
-	Thread      *session.ThreadInfo   `json:"thread,omitempty"`
-	Threads     []session.ThreadInfo  `json:"threads,omitempty"`
-	Vars        map[string]string     `json:"vars,omitempty"`
-	Breakpoints []int                 `json:"breakpoints,omitempty"`
-	Races       []string              `json:"races,omitempty"`
-	Deadlock    string                `json:"deadlock,omitempty"`
-	Contention  map[string]int        `json:"contention,omitempty"`
-	Output      string                `json:"output,omitempty"`
-	Trace       *session.TraceStats   `json:"trace,omitempty"`
-	Done        bool                  `json:"done"`
+	OK          bool                 `json:"ok"`
+	Cmd         string               `json:"cmd"`
+	Result      string               `json:"result,omitempty"`
+	Thread      *session.ThreadInfo  `json:"thread,omitempty"`
+	Threads     []session.ThreadInfo `json:"threads,omitempty"`
+	Vars        map[string]string    `json:"vars,omitempty"`
+	Breakpoints []int                `json:"breakpoints,omitempty"`
+	Races       []string             `json:"races,omitempty"`
+	Deadlock    string               `json:"deadlock,omitempty"`
+	Contention  map[string]int       `json:"contention,omitempty"`
+	Output      string               `json:"output,omitempty"`
+	Trace       *session.TraceStats  `json:"trace,omitempty"`
+	Done        bool                 `json:"done"`
 }
 
 // SessionSnapshot is the JSON body of GET /session/{id}.

@@ -310,17 +310,23 @@ func pad(s string, w int) string {
 	return s + strings.Repeat(" ", w-len(s))
 }
 
-// Summary aggregates a trace into per-thread counts, useful in tests and
-// the CLI's trace report footer.
+// Summary aggregates a trace into counts: the CLI's trace report footer and,
+// under its JSON names, the "trace" object of a worker's reply and of
+// tetrad's /run response. The counts cover the events given; when they came
+// from a Collector whose ring overflowed, Truncated and Dropped say that
+// the window is the tail of the run, not all of it.
 type Summary struct {
-	Threads      int
-	Steps        int
-	LockAcquires int
-	LockWaits    int
-	Outputs      int
+	Threads      int   `json:"threads"`
+	Steps        int   `json:"steps"`
+	LockAcquires int   `json:"lock_acquires"`
+	LockWaits    int   `json:"lock_waits"`
+	Outputs      int   `json:"outputs"`
+	Truncated    bool  `json:"truncated,omitempty"`
+	Dropped      int64 `json:"dropped,omitempty"`
 }
 
-// Summarize computes aggregate counts over the events.
+// Summarize computes aggregate counts over the events; Truncated and
+// Dropped are the collector's to fill in.
 func Summarize(events []Event) Summary {
 	var s Summary
 	s.Threads = len(Threads(events))

@@ -3,14 +3,14 @@ package vm
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"runtime"
-	"strings"
 	"testing"
 
 	"repro/internal/bytecode"
 	"repro/internal/interp"
+	"repro/internal/rt"
 	"repro/internal/sched"
-	"repro/internal/stdlib"
 	"repro/internal/types"
 	"repro/internal/value"
 )
@@ -162,12 +162,12 @@ func compileOpt(t testing.TB, src string, level int) *bytecode.Program {
 
 // runsOf returns a function that runs bc on a fresh VM and returns what it
 // printed, failing the test on a runtime error.
-func runsOf(t testing.TB, bc *bytecode.Program, opts Options) func() string {
+func runsOf(t testing.TB, bc *bytecode.Program, cfg rt.Config) func() string {
 	var out bytes.Buffer
-	opts.Env = stdlib.NewEnv(strings.NewReader(""), &out)
+	cfg.Stdout = &out
 	return func() string {
 		out.Reset()
-		if err := New(bc, opts).Run(); err != nil {
+		if err := New(bc, cfg).Run(); err != nil {
 			t.Fatal(err)
 		}
 		return out.String()
@@ -190,7 +190,7 @@ func sameAsInterp(t *testing.T, src string) {
 }
 
 func benchmarkRun(b *testing.B, src string) {
-	run := runsOf(b, compileOpt(b, src, bytecode.O2), Options{})
+	run := runsOf(b, compileOpt(b, src, bytecode.O2), rt.Config{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -221,7 +221,7 @@ func BenchmarkSpawn(b *testing.B)      { benchmarkRun(b, spawnSrc) }
 // view of the cells, and no longer an array of temporaries.
 func BenchmarkParForBody(b *testing.B) {
 	const iters = 20000
-	run := runsOf(b, compileOpt(b, parForBodySrc, bytecode.O2), Options{Sched: sched.Config{Workers: 2}})
+	run := runsOf(b, compileOpt(b, parForBodySrc, bytecode.O2), rt.Config{Sched: sched.Config{Workers: 2}})
 	run()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -238,7 +238,7 @@ func BenchmarkParForBody(b *testing.B) {
 // 90 000 calls per run used to be 180 000 allocations; what is left is the
 // VM, its thread and the stack's first segments.
 func TestCallFramesDoNotAllocate(t *testing.T) {
-	run := runsOf(t, compileOpt(t, callLoopSrc, bytecode.O2), Options{})
+	run := runsOf(t, compileOpt(t, callLoopSrc, bytecode.O2), rt.Config{})
 	run()
 	if n := testing.AllocsPerRun(5, func() { run() }); n >= 100 {
 		t.Errorf("%v allocations per run of the call loop, want fewer than 100", n)
@@ -330,7 +330,7 @@ def main():
 		t.Fatalf("interp: %v", err)
 	}
 	for _, level := range []int{bytecode.O0, bytecode.O2} {
-		run := runsOf(t, compileOpt(t, src, level), Options{})
+		run := runsOf(t, compileOpt(t, src, level), rt.Config{})
 		for round := 0; round < 100; round++ {
 			if got := run(); got != want {
 				t.Fatalf("-O%d round %d printed %q, interp %q", level, round, got, want)
@@ -366,7 +366,7 @@ func TestCallFramesOfParForWorkersShareAStack(t *testing.T) {
 	const workers = 4
 	deep := parForDown("i % 37")
 	sameAsInterp(t, deep)
-	opts := Options{Sched: sched.Config{Workers: workers}}
+	opts := rt.Config{Sched: sched.Config{Workers: workers}}
 	allocs := func(src string) float64 {
 		run := runsOf(t, compileOpt(t, src, bytecode.O2), opts)
 		run()
@@ -382,7 +382,7 @@ func TestCallFramesOfParForWorkersShareAStack(t *testing.T) {
 // in: nothing claimed, no record pushed, every register zero.
 func TestCallFramesAreReleasedOnReturn(t *testing.T) {
 	bc := compileOpt(t, parForDown("0"), bytecode.O2)
-	m := New(bc, Options{Env: stdlib.NewEnv(strings.NewReader(""), &bytes.Buffer{})})
+	m := New(bc, rt.Config{Stdout: &bytes.Buffer{}})
 	th := &thread{vm: m}
 	down := bc.Funcs[m.byName["down"]]
 	for i := 0; i < 1000; i++ {
@@ -464,14 +464,14 @@ def greet(name string, n int) string:
 		{"greet", []value.Value{value.NewString("ab"), value.NewInt(3)}, "ababab"},
 	}
 	prog, _ := compileBoth(t, src)
-	env := func() *stdlib.Env { return stdlib.NewEnv(strings.NewReader(""), &bytes.Buffer{}) }
+	quiet := rt.Config{Stdout: io.Discard}
 	for _, c := range calls {
-		iv, err := interp.New(prog, interp.Options{Env: env()}).Call(c.fn, c.args...)
+		iv, err := interp.New(prog, quiet).Call(c.fn, c.args...)
 		if err != nil || iv.String() != c.want {
 			t.Fatalf("interp %s(%v) = %v, %v, want %s", c.fn, c.args, iv, err, c.want)
 		}
 		for _, level := range []int{bytecode.O0, bytecode.O2} {
-			v, err := New(compileOpt(t, src, level), Options{Env: env()}).Call(c.fn, c.args...)
+			v, err := New(compileOpt(t, src, level), quiet).Call(c.fn, c.args...)
 			if err != nil || v.K != iv.K || v.String() != c.want {
 				t.Errorf("-O%d %s(%v) = %v (kind %d), %v, interp %v (kind %d)", level, c.fn, c.args, v, v.K, err, iv, iv.K)
 			}
@@ -513,7 +513,7 @@ def label(s string, on bool) string:
 		{"label", []value.Value{value.NewString("ok"), value.NewInt(1)}, "label: parameter on is bool, got int"},
 	}
 	prog, _ := compileBoth(t, src)
-	env := func() *stdlib.Env { return stdlib.NewEnv(strings.NewReader(""), &bytes.Buffer{}) }
+	quiet := rt.Config{Stdout: io.Discard}
 	got := func(v value.Value, err error) string {
 		if err != nil {
 			return err.Error()
@@ -521,11 +521,11 @@ def label(s string, on bool) string:
 		return v.String()
 	}
 	for _, c := range calls {
-		if g := got(interp.New(prog, interp.Options{Env: env()}).Call(c.fn, c.args...)); g != c.want {
+		if g := got(interp.New(prog, quiet).Call(c.fn, c.args...)); g != c.want {
 			t.Errorf("interp %s(%v): %s, want %s", c.fn, c.args, g, c.want)
 		}
 		for _, level := range []int{bytecode.O0, bytecode.O2} {
-			if g := got(New(compileOpt(t, src, level), Options{Env: env()}).Call(c.fn, c.args...)); g != c.want {
+			if g := got(New(compileOpt(t, src, level), quiet).Call(c.fn, c.args...)); g != c.want {
 				t.Errorf("-O%d %s(%v): %s, want %s", level, c.fn, c.args, g, c.want)
 			}
 		}

@@ -8,8 +8,8 @@ import (
 
 	"repro/internal/guard"
 	"repro/internal/interp"
+	"repro/internal/rt"
 	"repro/internal/sched"
-	"repro/internal/stdlib"
 )
 
 // runBothSched executes src on both backends under an explicit scheduler
@@ -19,23 +19,9 @@ func runBothSched(t *testing.T, src string, cfg sched.Config, lim guard.Limits) 
 	t.Helper()
 	prog, bc := compileBoth(t, src)
 
-	var iOut bytes.Buffer
-	iOpts := interp.Options{Env: stdlib.NewEnv(strings.NewReader(""), &iOut), Sched: cfg}
-	if lim.Enabled() {
-		g := guard.New(lim)
-		iOpts.Env.SetGuard(g)
-		iOpts.Guard = g
-	}
-	iErr := interp.New(prog, iOpts).Run()
-
-	var vOut bytes.Buffer
-	vOpts := Options{Env: stdlib.NewEnv(strings.NewReader(""), &vOut), Sched: cfg}
-	if lim.Enabled() {
-		g := guard.New(lim)
-		vOpts.Env.SetGuard(g)
-		vOpts.Guard = g
-	}
-	vErr := New(bc, vOpts).Run()
+	var iOut, vOut bytes.Buffer
+	iErr := interp.New(prog, rt.Config{Stdout: &iOut, Sched: cfg, Limits: lim}).Run()
+	vErr := New(bc, rt.Config{Stdout: &vOut, Sched: cfg, Limits: lim}).Run()
 
 	if (iErr == nil) != (vErr == nil) {
 		t.Fatalf("error disagreement: interp=%v vm=%v\n%s", iErr, vErr, src)

@@ -9,7 +9,7 @@
 // lock table, whose waiters park interruptibly and which refuses a wait
 // that would close a cycle: a deadlocked program ends with the same
 // "deadlock detected" diagnostic on both engines, unless
-// Options.NoDeadlockDetection asks for the hang.
+// rt.Config.NoDeadlockDetection asks for the hang.
 //
 // # Registers and call frames
 //
@@ -80,7 +80,6 @@ import (
 	"repro/internal/bytecode"
 	"repro/internal/guard"
 	"repro/internal/rt"
-	"repro/internal/sched"
 	"repro/internal/sem"
 	"repro/internal/stdlib"
 	"repro/internal/token"
@@ -93,44 +92,23 @@ import (
 // modest allocation.
 const minStack = 64
 
-// Options configures a VM instance.
-type Options struct {
-	// Env supplies program I/O. Required.
-	Env *stdlib.Env
-	// NoWaitBackground makes Run return without joining background threads.
-	NoWaitBackground bool
-	// NoDeadlockDetection disables the live wait-for-graph check, letting
-	// deadlocks actually hang, as the interpreter's option of that name does.
-	NoDeadlockDetection bool
-	// Guard, when non-nil, is the resource governor checked once per
-	// executed instruction (the VM analog of the interpreter's
-	// statement-boundary check).
-	Guard *guard.Governor
-	// Sched controls how parallel-for loops are chunked across worker
-	// goroutines. The zero value uses GOMAXPROCS workers and the default
-	// grain heuristic.
-	Sched sched.Config
-}
-
 // VM executes one compiled program.
 type VM struct {
 	prog  *bytecode.Program
-	opts  Options
-	guard *guard.Governor
+	guard *guard.Governor // consulted once per executed instruction
+	env   *stdlib.Env
 	rt    *rt.Runtime
 
 	byName map[string]int // function name → index in prog.Funcs, for Call
 }
 
-// New returns a VM for the compiled program.
-func New(prog *bytecode.Program, opts Options) *VM {
-	m := &VM{prog: prog, opts: opts, guard: opts.Guard, rt: rt.New(rt.Config{
-		Guard:            opts.Guard,
-		Sched:            opts.Sched,
-		LockNames:        prog.LockNames,
-		NoWaitBackground: opts.NoWaitBackground,
-		DetectDeadlock:   !opts.NoDeadlockDetection,
-	})}
+// New returns a VM that runs the compiled program as cfg says, minus what
+// the fast path omits: nothing here reads Step or TraceVars, and the runtime
+// is not given the Tracer or CountWork, so it emits no events either.
+func New(prog *bytecode.Program, cfg rt.Config) *VM {
+	cfg.Tracer, cfg.CountWork = nil, false
+	r := rt.New(cfg, prog.LockNames)
+	m := &VM{prog: prog, guard: r.Guard(), env: r.Env(), rt: r}
 	m.byName = make(map[string]int, len(prog.Funcs))
 	for i, f := range prog.Funcs {
 		m.byName[f.Name] = i
@@ -665,7 +643,7 @@ activation:
 			goto activation
 
 		case bytecode.OpCallBuiltin:
-			v, err := stdlib.ByID(int(ins.A)).Eval(t.vm.opts.Env, regs[ins.B:ins.B+ins.C])
+			v, err := stdlib.ByID(int(ins.A)).Eval(t.vm.env, regs[ins.B:ins.B+ins.C])
 			if err != nil {
 				return value.Value{}, rt.Errorf(ch.Pos[pc], "%v", err)
 			}

@@ -12,7 +12,7 @@ import (
 	"repro/internal/check"
 	"repro/internal/interp"
 	"repro/internal/parser"
-	"repro/internal/stdlib"
+	"repro/internal/rt"
 	"repro/internal/value"
 )
 
@@ -50,7 +50,7 @@ func runVM(t *testing.T, src, input string) (string, error) {
 	t.Helper()
 	_, bc := compileBoth(t, src)
 	var out bytes.Buffer
-	m := New(bc, Options{Env: stdlib.NewEnv(strings.NewReader(input), &out)})
+	m := New(bc, rt.Config{Stdin: strings.NewReader(input), Stdout: &out})
 	err := m.Run()
 	return out.String(), err
 }
@@ -60,7 +60,7 @@ func runInterp(t *testing.T, src, input string) (string, error) {
 	t.Helper()
 	prog, _ := compileBoth(t, src)
 	var out bytes.Buffer
-	in := interp.New(prog, interp.Options{Env: stdlib.NewEnv(strings.NewReader(input), &out)})
+	in := interp.New(prog, rt.Config{Stdin: strings.NewReader(input), Stdout: &out})
 	err := in.Run()
 	return out.String(), err
 }
@@ -227,7 +227,7 @@ func TestErrorInVMThreadAborts(t *testing.T) {
 
 func TestVMCallAPI(t *testing.T) {
 	_, bc := compileBoth(t, "def double(x int) int:\n    return x * 2\n")
-	m := New(bc, Options{Env: stdlib.NewEnv(strings.NewReader(""), &bytes.Buffer{})})
+	m := New(bc, rt.Config{Stdout: &bytes.Buffer{}})
 	v, err := m.Call("double", value.NewInt(21))
 	if err != nil || v.Int() != 42 {
 		t.Errorf("double = %v, %v", v, err)
@@ -242,7 +242,7 @@ func TestVMCallAPI(t *testing.T) {
 
 func TestVMNoMain(t *testing.T) {
 	_, bc := compileBoth(t, "def f():\n    pass\n")
-	m := New(bc, Options{Env: stdlib.NewEnv(strings.NewReader(""), &bytes.Buffer{})})
+	m := New(bc, rt.Config{Stdout: &bytes.Buffer{}})
 	if err := m.Run(); err == nil || !strings.Contains(err.Error(), "no main") {
 		t.Errorf("err = %v", err)
 	}
@@ -375,7 +375,7 @@ func runVMOpt(t *testing.T, src, input string, level int) (string, error) {
 	_, bc := compileBoth(t, src)
 	optimize(t, bc, level)
 	var out bytes.Buffer
-	m := New(bc, Options{Env: stdlib.NewEnv(strings.NewReader(input), &out)})
+	m := New(bc, rt.Config{Stdin: strings.NewReader(input), Stdout: &out})
 	err := m.Run()
 	return out.String(), err
 }

@@ -102,15 +102,8 @@ func ExecuteTracked(req *Request, cache *core.CompileCache, track func(Canceler)
 	if col != nil {
 		events := col.Events()
 		sum := trace.Summarize(events)
-		resp.Trace = &TraceInfo{
-			Threads:      sum.Threads,
-			Steps:        sum.Steps,
-			LockAcquires: sum.LockAcquires,
-			LockWaits:    sum.LockWaits,
-			Outputs:      sum.Outputs,
-			Truncated:    col.Truncated(),
-			Dropped:      col.Dropped(),
-		}
+		sum.Truncated, sum.Dropped = col.Truncated(), col.Dropped()
+		resp.Trace = &sum
 		if req.Race {
 			rep := racedetect.Analyze(events)
 			resp.Races = make([]string, 0, len(rep.Races))

@@ -51,9 +51,11 @@ type NativeRunner struct {
 // NativeOptions configures a NativeRunner.
 type NativeOptions struct {
 	// PipeMargin is wall-clock grace added to the request's deadline
-	// before the runner declares the artifact stuck and kills it
-	// (default 2s). The binary's in-process governor (gort, armed via
-	// TETRA_* env) should always trip first.
+	// before the runner declares the artifact stuck and kills it (default
+	// guard.DefaultGrace). The binary's in-process governor (gort, armed
+	// via TETRA_* env) trips first unless every thread is parked, and
+	// gort's own exit backstop is set strictly outside this margin, so a
+	// parked artifact is always a crash here: demoted, retried on the VM.
 	PipeMargin time.Duration
 	// Faults arms the native-tier injection point (fault.NativeKill).
 	Faults *fault.Injector
@@ -63,7 +65,7 @@ type NativeOptions struct {
 
 func (o NativeOptions) withDefaults() NativeOptions {
 	if o.PipeMargin <= 0 {
-		o.PipeMargin = 2 * time.Second
+		o.PipeMargin = guard.DefaultGrace
 	}
 	return o
 }
@@ -106,47 +108,6 @@ func (r *NativeRunner) Stats() NativeStats {
 	}
 }
 
-// limitEnv builds the child environment: the inherited environment with
-// every guard knob stripped and re-derived from the request's clamped
-// limits. This is deliberate hygiene — the serving process may itself
-// run under TETRA_* budgets (or an operator may export stale ones), and
-// a native child inheriting those verbatim would execute under the
-// wrong budget. Scheduling knobs (TETRA_WORKERS, TETRA_GRAIN) are
-// operator configuration, not request budget, and pass through.
-func limitEnv(lim guard.Limits) []string {
-	stripped := []string{"TETRA_TIMEOUT=", "TETRA_MAX_STEPS=", "TETRA_MAX_THREADS=",
-		"TETRA_MAX_OUTPUT=", "TETRA_MAX_ALLOC=", EnvWorker + "="}
-	env := make([]string, 0, len(os.Environ())+5)
-	for _, kv := range os.Environ() {
-		drop := false
-		for _, p := range stripped {
-			if strings.HasPrefix(kv, p) {
-				drop = true
-				break
-			}
-		}
-		if !drop {
-			env = append(env, kv)
-		}
-	}
-	if lim.Deadline > 0 {
-		env = append(env, fmt.Sprintf("TETRA_TIMEOUT=%s", lim.Deadline))
-	}
-	if lim.MaxSteps > 0 {
-		env = append(env, fmt.Sprintf("TETRA_MAX_STEPS=%d", lim.MaxSteps))
-	}
-	if lim.MaxThreads > 0 {
-		env = append(env, fmt.Sprintf("TETRA_MAX_THREADS=%d", lim.MaxThreads))
-	}
-	if lim.MaxOutputBytes > 0 {
-		env = append(env, fmt.Sprintf("TETRA_MAX_OUTPUT=%d", lim.MaxOutputBytes))
-	}
-	if lim.MaxAllocCells > 0 {
-		env = append(env, fmt.Sprintf("TETRA_MAX_ALLOC=%d", lim.MaxAllocCells))
-	}
-	return env
-}
-
 // Run executes one request in a fresh process of the given artifact
 // binary. A Tetra runtime error (gort exit status 1 with a "runtime
 // error:" diagnostic) is data and comes back as a well-formed Response;
@@ -163,7 +124,9 @@ func (r *NativeRunner) Run(bin string, req *Request, info RunInfo) (*Response, e
 	// forked child would hold Wait (and this request's goroutine) hostage
 	// until that child exits, long after the artifact itself was killed.
 	cmd.WaitDelay = r.opts.PipeMargin
-	cmd.Env = limitEnv(req.Limits)
+	// The supervisor's own TETRA_* budgets, or an operator's stale exports,
+	// must not reach the artifact: its budget is the request's.
+	cmd.Env = req.Limits.Environ(os.Environ())
 	cmd.Stdin = strings.NewReader(req.Stdin)
 	var out bytes.Buffer
 	tail := &tailBuffer{max: 2048}
@@ -255,7 +218,7 @@ func (r *NativeRunner) crash(req *Request, info RunInfo, cmd *exec.Cmd, reason, 
 	if info.OnCrash != nil {
 		info.OnCrash(Crash{PID: pid, Attempt: 1, Reason: reason, StderrTail: stderrTail})
 	}
-	r.logf("native crash: pid=%d req=%s hash=%s reason=%q", pid, req.RequestID, info.Hash, reason)
+	r.logf("native crash: pid=%d req=%s hash=%s reason=%q stderr_tail=%q", pid, req.RequestID, info.Hash, reason, stderrTail)
 	return &NativeCrashError{Reason: reason}
 }
 

@@ -195,13 +195,6 @@ func (p *Pool) Quarantined(hash string) (time.Duration, bool) {
 	return p.quar.Quarantined(hash)
 }
 
-// Acquit clears hash's quarantine state and crash history. Callers use
-// it when the program behind the hash has materially changed — e.g. a
-// fresh native artifact was built — so old crashes stop counting
-// against the new binary and a stale 422 cannot outlive a successful
-// rebuild.
-func (p *Pool) Acquit(hash string) { p.quar.Invalidate(hash) }
-
 // Stats snapshots the pool counters.
 func (p *Pool) Stats() Stats {
 	p.mu.Lock()
@@ -276,8 +269,8 @@ func (p *Pool) Run(req *Request, info RunInfo) (*Response, error) {
 		if info.OnCrash != nil {
 			info.OnCrash(Crash{PID: pr.pid, Attempt: attempt, Reason: lastReason, StderrTail: tail})
 		}
-		p.logf("worker crash: pid=%d attempt=%d/%d req=%s hash=%s reason=%q",
-			pr.pid, attempt, maxAttempts, req.RequestID, info.Hash, lastReason)
+		p.logf("worker crash: pid=%d attempt=%d/%d req=%s hash=%s reason=%q stderr_tail=%q",
+			pr.pid, attempt, maxAttempts, req.RequestID, info.Hash, lastReason, tail)
 		if info.Hash != "" && p.quar.Record(info.Hash) {
 			d, _ := p.quar.Quarantined(info.Hash)
 			return nil, &QuarantinedError{Hash: info.Hash, Remaining: d}

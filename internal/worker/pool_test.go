@@ -412,50 +412,6 @@ func goroutinesAbove(baseline int, wait time.Duration) int {
 	}
 }
 
-// TestPoolAcquitLiftsQuarantine: when the native tier publishes a fresh
-// artifact for a program, the server acquits its hash — crash history
-// recorded against the previous binary must not keep answering 422.
-func TestPoolAcquitLiftsQuarantine(t *testing.T) {
-	p := selfPool(t, worker.Options{
-		Size:       1,
-		Env:        []string{"TETRA_FAULTS=worker-panic=1"},
-		Retry:      worker.RetryPolicy{MaxAttempts: 2},
-		Quarantine: worker.QuarantinePolicy{Threshold: 2, Window: time.Minute, TTL: time.Minute},
-	})
-	waitIdleWorkers(t, p, 1, 5*time.Second)
-
-	hash := worker.HashProgram("t.ttr", "poison", "interp", 0)
-	_, err := p.Run(req("def main():\n    print(1)\n", "interp"), worker.RunInfo{Hash: hash})
-	var qe *worker.QuarantinedError
-	if !errors.As(err, &qe) {
-		t.Fatalf("want QuarantinedError after threshold crashes, got %v", err)
-	}
-	if st := p.Stats(); st.Quarantined != 1 {
-		t.Fatalf("quarantined count = %d, want 1", st.Quarantined)
-	}
-
-	p.Acquit(hash)
-	if _, ok := p.Quarantined(hash); ok {
-		t.Fatal("Acquit left the hash quarantined")
-	}
-	if st := p.Stats(); st.Quarantined != 0 {
-		t.Errorf("quarantined count after Acquit = %d, want 0", st.Quarantined)
-	}
-	// Acquitting an unknown hash is a no-op, not a panic.
-	p.Acquit("no-such-hash")
-
-	// The program reaches workers again: the next run burns real
-	// attempts (and crashes, faults still armed) instead of a 422 shortcut.
-	crashesBefore := p.Stats().Crashes
-	_, err = p.Run(req("def main():\n    print(1)\n", "interp"), worker.RunInfo{Hash: hash})
-	if err == nil {
-		t.Fatal("faulted worker run unexpectedly succeeded")
-	}
-	if got := p.Stats().Crashes; got == crashesBefore {
-		t.Error("acquitted program never reached a worker")
-	}
-}
-
 // TestExecuteRejectsUnknownBackend: an unrecognized backend must come
 // back as a positioned request error, never silently fall back to a
 // default engine.

@@ -29,6 +29,7 @@ import (
 	"fmt"
 
 	"repro/internal/guard"
+	"repro/internal/trace"
 )
 
 // Request is one execution order sent to a worker. The server has
@@ -81,20 +82,8 @@ type Response struct {
 	Races []string   `json:"races,omitempty"`
 }
 
-// TraceInfo is the wire form of the execution-event summary. The counts
-// cover the retained window only; Truncated/Dropped say when the ring
-// overflowed and the window is the tail of the run, not all of it.
-type TraceInfo struct {
-	Threads      int `json:"threads"`
-	Steps        int `json:"steps"`
-	LockAcquires int `json:"lock_acquires"`
-	LockWaits    int `json:"lock_waits"`
-	Outputs      int `json:"outputs"`
-	// Truncated reports that the collector's ring overflowed: Dropped
-	// events from the start of the run were discarded before analysis.
-	Truncated bool  `json:"truncated,omitempty"`
-	Dropped   int64 `json:"dropped,omitempty"`
-}
+// TraceInfo is the wire form of the execution-event summary.
+type TraceInfo = trace.Summary
 
 // HashProgram derives the quarantine key for one executable identity:
 // file, source, backend and optimization level together, so a program

@@ -93,21 +93,6 @@ func (q *quarantine) Record(hash string) bool {
 	return false
 }
 
-// Invalidate drops hash's crash history and any active quarantine. It
-// exists for the moment the facts change underneath the breaker: when a
-// new native artifact is built for a program hash, the crashes recorded
-// against the old artifact are evidence about a binary that no longer
-// serves, and keeping them would hold the program behind a stale
-// quarantine after a successful rebuild.
-func (q *quarantine) Invalidate(hash string) {
-	if q == nil {
-		return
-	}
-	q.mu.Lock()
-	delete(q.byHash, hash)
-	q.mu.Unlock()
-}
-
 // Quarantined reports whether hash is currently quarantined, and if so
 // for how much longer.
 func (q *quarantine) Quarantined(hash string) (time.Duration, bool) {

@@ -28,13 +28,10 @@
 package tetra
 
 import (
-	"io"
-
 	"repro/internal/ast"
 	"repro/internal/bytecode"
 	"repro/internal/core"
 	"repro/internal/guard"
-	"repro/internal/interp"
 	"repro/internal/sched"
 	"repro/internal/trace"
 	"repro/internal/types"
@@ -65,38 +62,12 @@ func NewCollector() *Collector { return trace.NewCollector() }
 // trusted runs).
 func NewCollectorCap(capacity int) *Collector { return trace.NewCollectorCap(capacity) }
 
-// Config controls one program execution.
-type Config struct {
-	// Stdin is the program's input for read_int and friends. Defaults to an
-	// empty stream.
-	Stdin io.Reader
-	// Stdout receives print output. Defaults to os.Stdout.
-	Stdout io.Writer
-	// Tracer, when non-nil, receives execution events (see NewCollector).
-	Tracer trace.Tracer
-	// TraceVars additionally records shared-variable reads and writes,
-	// enabling race detection. Slower; requires Tracer.
-	TraceVars bool
-	// Step, when non-nil, is called before every statement with the Tetra
-	// thread id; the debugger is built on this hook.
-	Step interp.StepHook
-	// NoWaitBackground makes Run return without joining background threads
-	// (the C++ system's process-exit semantics). By default Run waits.
-	NoWaitBackground bool
-	// NoDeadlockDetection disables the live deadlock checker so deadlocks
-	// genuinely hang.
-	NoDeadlockDetection bool
-	// Limits bounds the run's resources (wall clock, steps, threads,
-	// output, allocation) for executing untrusted programs; a tripped
-	// budget terminates the run with a positioned runtime error. The zero
-	// value leaves execution unbounded. See SandboxLimits.
-	Limits Limits
-	// Sched controls how `parallel for` loops are scheduled: Workers caps
-	// the goroutine pool per loop (default GOMAXPROCS) and Grain sets the
-	// chunk size (default max(1, n/(workers*8))). Iteration semantics are
-	// unchanged — each iteration remains its own Tetra thread.
-	Sched Sched
-}
+// Config is the run configuration: the one description of a run that
+// reaches the engine unchanged, whichever of Run, RunVM and CallWith
+// carries it. Its fields are documented on the struct itself; the ones an
+// embedder usually sets are Stdin, Stdout, Tracer (see NewCollector),
+// Limits (see SandboxLimits) and Sched.
+type Config = core.Config
 
 // Sched is the parallel-loop scheduling configuration; the zero value
 // selects the defaults.
@@ -210,7 +181,7 @@ func (p *Program) AST() *ast.Program { return p.prog }
 // Run executes the program's main function on the tree-walking
 // interpreter — the debuggable path, honouring Tracer and Step.
 func (p *Program) Run(cfg Config) error {
-	return core.Run(p.prog, coreConfig(cfg))
+	return core.Run(p.prog, cfg)
 }
 
 // RunVM executes the program's main function on the bytecode VM — the
@@ -224,9 +195,9 @@ func (p *Program) RunVM(cfg Config) error {
 		if err != nil {
 			return err
 		}
-		return core.NewVM(bc, coreConfig(cfg)).Run()
+		return core.NewVM(bc, cfg).Run()
 	}
-	return core.RunVMOpt(p.prog, coreConfig(cfg), level)
+	return core.RunVMOpt(p.prog, cfg, level)
 }
 
 // Call invokes a named function with the given argument values and returns
@@ -239,21 +210,7 @@ func (p *Program) Call(name string, args ...Value) (Value, error) {
 
 // CallWith is Call with explicit I/O and tracing configuration.
 func (p *Program) CallWith(cfg Config, name string, args ...Value) (Value, error) {
-	return core.Call(p.prog, coreConfig(cfg), name, args...)
-}
-
-func coreConfig(cfg Config) core.Config {
-	return core.Config{
-		Stdin:               cfg.Stdin,
-		Stdout:              cfg.Stdout,
-		Tracer:              cfg.Tracer,
-		TraceVars:           cfg.TraceVars,
-		Step:                cfg.Step,
-		NoWaitBackground:    cfg.NoWaitBackground,
-		NoDeadlockDetection: cfg.NoDeadlockDetection,
-		Limits:              cfg.Limits,
-		Sched:               cfg.Sched,
-	}
+	return core.Call(p.prog, cfg, name, args...)
 }
 
 // Value constructors for embedding.

@@ -15,6 +15,10 @@ import (
 	"repro/tetra"
 )
 
+// The facade's configuration and the pipeline's are one type: a run is
+// described once.
+var _ core.Config = tetra.Config{}
+
 // runProgram compiles and runs source, returning its output.
 func runProgram(t *testing.T, src, input string) string {
 	t.Helper()
