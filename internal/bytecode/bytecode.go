@@ -95,7 +95,7 @@
 //	range                A, B : int                      Dst ← [int]
 //	foriter              A : [T] | string, A+1 : int     Dst ← T | string; exit B in the chunk
 //	call                 temporaries [B, B+C) : the parameters of Funcs[A]; Dst ← its result
-//	callb                temporaries [B, B+C) pass the builtin's own check; Dst ← its result
+//	callb                temporaries [B, B+C) : the Params of builtin A's row, or pass its Check; Dst ← its result
 //	ret                  A : the function's result; chunk 0 only
 //	ldcell               A a cell of a shared function   Dst ← SlotTypes[A]
 //	stcell               A : SlotTypes[Dst]

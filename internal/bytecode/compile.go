@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/sem"
+	"repro/internal/stdlib"
 	"repro/internal/token"
 	"repro/internal/types"
 	"repro/internal/value"
@@ -757,10 +758,18 @@ func (c *fnCompiler) genExprToInner(e ast.Expr, dst int32) error {
 func (c *fnCompiler) genCall(e *ast.CallExpr, dst int32) error {
 	base := c.nextTemp
 	argBase := c.tempN(len(e.Args))
+	// A variadic or generic builtin has no parameter list and takes its
+	// arguments as they are.
+	var params []*types.Type
+	if e.IsBuiltin {
+		params = stdlib.ByID(e.Builtin).Params
+	} else {
+		params = c.params[e.FuncIndex]
+	}
 	for i, a := range e.Args {
-		want := a.Type() // a builtin takes its arguments as they are
-		if !e.IsBuiltin {
-			want = c.params[e.FuncIndex][i]
+		want := a.Type()
+		if params != nil {
+			want = params[i]
 		}
 		if err := c.genExprToAs(a, want, argBase+int32(i)); err != nil {
 			return err

@@ -451,6 +451,14 @@ func TestLiteralShapes(t *testing.T) {
 			}
 		}},
 		{"argument", "def f(r real) real:\n    return r\n\ndef main():\n    print(f(3))\n", "main", oneConst(value.NewReal(3))},
+		{"builtin_argument", "def main():\n    print(sqrt(4))\n", "main", oneConst(value.NewReal(4))},
+		{"builtin_argument_register", "def main():\n    n = 4\n    print(pow(n, 0.5), min(n, 1))\n", "main", func(t *testing.T, f *Func, _ int) {
+			// One toreal for pow's real parameter; min, a generic builtin,
+			// takes its int as it is.
+			if n := countOps(f.Chunks[0], OpToReal); n != 1 {
+				t.Errorf("%d toreal(s), want 1", n)
+			}
+		}},
 		{"element", "def main():\n    print([1, 2.5])\n", "main", oneConst(value.NewReal(1))},
 		{"index_assign", "def main():\n    a = [2.5]\n    a[0] = 3\n    print(a)\n", "main", oneConst(value.NewReal(3))},
 		{"return", "def f() real:\n    return 3\n\ndef main():\n    print(f())\n", "f", oneConst(value.NewReal(3))},

@@ -45,8 +45,8 @@ func TestVerifyGoldens(t *testing.T) {
 
 // verifySrc is a flat function with a loop, typed arithmetic, a call, an
 // array and a builtin, a shared one with cells, a parallel block, a
-// parallel for and a lock, and a void one: something for every rule to be
-// broken in.
+// parallel for and a lock, and a void one that hands an int to a builtin's
+// real parameter: something for every rule to be broken in.
 const verifySrc = `def flat(a [int], n int) int:
     s = 0
     i = 0
@@ -70,7 +70,7 @@ def main():
     note(7)
 
 def note(x int):
-    pass
+    r = sqrt(x)
 `
 
 // TestVerifyRejects corrupts a verified program by hand, one rule at a
@@ -147,8 +147,8 @@ func TestVerifyRejects(t *testing.T) {
 			find(t, p, "main", 0, OpCall).A = int32(len(p.Funcs))
 		}, "function #4 out of range [0, 4)"},
 		{"builtin out of range", O0, func(t *testing.T, p *Program) {
-			find(t, p, "main", 0, OpCallBuiltin).A = int32(len(stdlib.Names()))
-		}, fmt.Sprintf("builtin #%d out of range", len(stdlib.Names()))},
+			find(t, p, "main", 0, OpCallBuiltin).A = stdlib.NumBuiltins
+		}, fmt.Sprintf("builtin #%d out of range", stdlib.NumBuiltins)},
 		{"argument count that is not the callee's", O0, func(t *testing.T, p *Program) {
 			find(t, p, "main", 0, OpCall).C = 1
 		}, "1 arguments for the 2 parameters of flat"},
@@ -194,6 +194,10 @@ func TestVerifyRejects(t *testing.T) {
 				}
 			}
 		}, "argument 2 of flat holds [int], want int"},
+		{"int register in a builtin's real parameter", O0, func(t *testing.T, p *Program) {
+			// note's sqrt(x): drop the widening the compiler put before it.
+			find(t, p, "note", 0, OpToReal).Op = OpNop
+		}, "argument 1 of sqrt holds int, want real"},
 		{"constant out of range", O0, func(t *testing.T, p *Program) {
 			find(t, p, "flat", 0, OpConst).A = 40
 		}, "constant #40 out of range"},

@@ -645,7 +645,7 @@ func (c *checker) checkCall(e *ast.CallExpr) *types.Type {
 			return nil // error already reported inside the argument
 		}
 	}
-	result, err := b.Check(argTypes)
+	result, err := b.Signature(argTypes)
 	if err != nil {
 		c.errorf(e.Pos(), "%s: %v", b.Name, err)
 		return nil

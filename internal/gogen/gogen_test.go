@@ -3,15 +3,23 @@ package gogen
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/bytecode"
 	"repro/internal/check"
+	"repro/internal/interp"
 	"repro/internal/parser"
+	"repro/internal/rt"
+	"repro/internal/stdlib"
+	"repro/internal/types"
+	"repro/internal/vm"
 )
 
 func compile(t *testing.T, src string) *ast.Program {
@@ -55,10 +63,10 @@ func moduleRoot(t *testing.T) string {
 	}
 }
 
-// runGenerated compiles src to Go, builds it inside the module (generated
-// code imports repro/internal/gort), runs it with the given stdin, and
-// returns stdout.
-func runGenerated(t *testing.T, src, input string) (string, error) {
+// buildGenerated compiles src to Go and builds it inside the module
+// (generated code imports repro/internal/gort and sem), returning the
+// binary.
+func buildGenerated(t *testing.T, src string) string {
 	t.Helper()
 	goSrc := generate(t, src)
 	root := moduleRoot(t)
@@ -66,49 +74,39 @@ func runGenerated(t *testing.T, src, input string) (string, error) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { os.RemoveAll(dir) })
+	defer os.RemoveAll(dir)
 	if err := os.WriteFile(filepath.Join(dir, "main.go"), []byte(goSrc), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cmd := exec.Command("go", "run", "./"+filepath.Base(dir))
+	exe := filepath.Join(t.TempDir(), "prog")
+	cmd := exec.Command("go", "build", "-o", exe, "./"+filepath.Base(dir))
 	cmd.Dir = root
-	cmd.Stdin = strings.NewReader(input)
-	var out, errOut bytes.Buffer
-	cmd.Stdout = &out
-	cmd.Stderr = &errOut
-	runErr := cmd.Run()
-	if runErr != nil {
-		return out.String(), &runError{stderr: errOut.String(), err: runErr}
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("go build of the generated program: %v\n%s\n%s", err, out, goSrc)
 	}
-	return out.String(), nil
+	return exe
 }
 
-// runGeneratedEnv is runGenerated with extra environment for the child
-// (the guard knobs the native tier derives from request limits).
-func runGeneratedEnv(t *testing.T, src, input string, extraEnv []string) (string, error) {
-	t.Helper()
-	goSrc := generate(t, src)
-	root := moduleRoot(t)
-	dir, err := os.MkdirTemp(root, ".gogen-test-*")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { os.RemoveAll(dir) })
-	if err := os.WriteFile(filepath.Join(dir, "main.go"), []byte(goSrc), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cmd := exec.Command("go", "run", "./"+filepath.Base(dir))
-	cmd.Dir = root
+// runBinary runs a built program with the given stdin and extra environment
+// (the guard knobs the native tier derives from request limits) and
+// returns stdout.
+func runBinary(exe, input string, extraEnv []string) (string, error) {
+	cmd := exec.Command(exe)
 	cmd.Env = append(os.Environ(), extraEnv...)
 	cmd.Stdin = strings.NewReader(input)
 	var out, errOut bytes.Buffer
 	cmd.Stdout = &out
 	cmd.Stderr = &errOut
-	runErr := cmd.Run()
-	if runErr != nil {
-		return out.String(), &runError{stderr: errOut.String(), err: runErr}
+	if err := cmd.Run(); err != nil {
+		return out.String(), &runError{stderr: errOut.String(), err: err}
 	}
 	return out.String(), nil
+}
+
+// runGenerated builds src natively and runs it with the given stdin.
+func runGenerated(t *testing.T, src, input string) (string, error) {
+	t.Helper()
+	return runBinary(buildGenerated(t, src), input, nil)
 }
 
 type runError struct {
@@ -300,9 +298,8 @@ def main():
     for c in "abc":
         out = c + out
     print(out, " ", to_upper(out), " ", reverse(out))
-    print(starts_with("hello", "he"), " ", contains("hello", "lo"))
 `,
-			want: "cba CBA abc\ntrue true\n",
+			want: "cba CBA abc\n",
 		},
 		{
 			name: "background",
@@ -343,6 +340,10 @@ func TestGeneratedRuntimeErrors(t *testing.T) {
 		{"div_zero", "def main():\n    x = 0\n    print(1 / x)\n", "division by zero"},
 		{"real_div_zero", "def main():\n    x = 0.0\n    print(1.5 / x)\n", "division by zero"},
 		{"real_mod_zero", "def main():\n    x = 0.0\n    print(1.5 % x)\n", "modulo by zero"},
+		{"to_int_out_of_range", "def main():\n    print(to_int(1.0e30))\n", "runtime error: to_int: real 1e+30 out of int range"},
+		{"floor_out_of_range", "def main():\n    print(floor(1.0e30))\n", "runtime error: floor: real 1e+30 out of int range"},
+		{"ceil_out_of_range", "def main():\n    print(ceil(-1.0e30))\n", "runtime error: ceil: real -1e+30 out of int range"},
+		{"to_int_nan", "def main():\n    print(to_int(sqrt(0.0 - 1.0)))\n", "runtime error: to_int: real nan out of int range"},
 		{"return_in_lock_releases", `def f() int:
     lock m:
         return 1
@@ -455,7 +456,8 @@ func TestGeneratedAllocBudget(t *testing.T) {
     a = range(1000)
     print(len(a))
 `
-	out, err := runGeneratedEnv(t, src, "", []string{"TETRA_MAX_ALLOC=100"})
+	exe := buildGenerated(t, src)
+	out, err := runBinary(exe, "", []string{"TETRA_MAX_ALLOC=100"})
 	if err == nil {
 		t.Fatalf("alloc budget never tripped; stdout %q", out)
 	}
@@ -464,8 +466,183 @@ func TestGeneratedAllocBudget(t *testing.T) {
 		t.Fatalf("wrong failure: %v", err)
 	}
 	// Generous budget: runs fine.
-	out, err = runGeneratedEnv(t, src, "", []string{"TETRA_MAX_ALLOC=10000"})
+	out, err = runBinary(exe, "", []string{"TETRA_MAX_ALLOC=10000"})
 	if err != nil || out != "1000\n" {
 		t.Fatalf("within budget: out %q err %v", out, err)
+	}
+}
+
+// TestGeneratedAllocBudgetCountsLibraryCalls is the compiled side of
+// rt.TestRuntimeContractOnEveryEngine's alloc_budget rows: what a library
+// call builds is charged, so each arm — picked by the number on stdin —
+// builds far more than the budget and ends in the engines' diagnostic.
+func TestGeneratedAllocBudgetCountsLibraryCalls(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs a generated binary; skipped in -short")
+	}
+	exe := buildGenerated(t, `def main():
+    arm = read_int()
+    i = 0
+    if arm == 1:
+        a = [0]
+        while i < 100000:
+            push(a, i)
+            i += 1
+    elif arm == 2:
+        t = repeat(repeat("ab", 1000), 1000)
+    elif arm == 3:
+        s = repeat("a ", 500)
+        while i < 100:
+            s = join(split(s, " "), " ")
+            i += 1
+    elif arm == 4:
+        while i < 100000:
+            s = to_string(i)
+            i += 1
+    elif arm == 5:
+        b = sort(range(4000))
+    print("within budget")
+`)
+	for arm, name := range []string{"nothing", "push", "repeat", "split_join", "to_string", "sort"} {
+		out, err := runBinary(exe, fmt.Sprintln(arm), []string{"TETRA_MAX_ALLOC=5000"})
+		if arm == 0 {
+			if err != nil || out != "within budget\n" {
+				t.Errorf("no arm taken: out %q err %v", out, err)
+			}
+			continue
+		}
+		var re *runError
+		if !errors.As(err, &re) || re.stderr != "runtime error: exceeded allocation budget (5000 cells)\n" {
+			t.Errorf("%s: out %q err %v, want the allocation budget's diagnostic", name, out, err)
+		}
+	}
+}
+
+// genericCalls are the argument lists TestEveryBuiltinCompilesNatively
+// gives the variadic and generic builtins: one for each native form gogen
+// picks from the argument types. pr and pi are a [real] and an [int].
+var genericCalls = map[string][]string{
+	"print":     {`1, " ", 2.5, " ", true, " ", [1, 2], " ", ["a"], " ", "s"`, ``},
+	"len":       {`"héllo"`, `[1, 2, 3]`},
+	"range":     {`3`, `2, 5`},
+	"abs":       {`-3`, `-2.5`},
+	"min":       {`3, 1, 2`, `3, 1.5`},
+	"max":       {`3, 1, 2`, `n, 1.5, 1`},
+	"to_string": {`42`, `2.0`, `true`, `"s"`, `[1.5, 2]`},
+	"to_int":    {`7`, `2.7`, `-2.7`, `true`, `" 42 "`},
+	"to_real":   {`7`, `2.5`, `"2.5"`},
+	"sort":      {`[3, 1, 2]`, `[2.5, 1]`, `["b", "a"]`},
+	"push":      {`pr, 2`, `pr, 2.5`, `pi, 3`},
+}
+
+// everyBuiltinProgram walks the table and writes one program that calls
+// every row: a fixed row with arguments of its parameter types — where a
+// parameter is real, once with an int variable, which the call site must
+// widen, and once with 2.5 — and a generic row once per genericCalls entry.
+func everyBuiltinProgram(t *testing.T) string {
+	var sb strings.Builder
+	sb.WriteString("def main():\n    n = 2\n    pr = [1.5]\n    pi = [1]\n")
+	for id := 0; id < stdlib.NumBuiltins; id++ {
+		b := stdlib.ByID(id)
+		calls := genericCalls[b.Name]
+		if b.Check == nil {
+			args := make([]string, len(b.Params))
+			for i, p := range b.Params {
+				switch {
+				case p.Kind() == types.Int:
+					args[i] = fmt.Sprint(i)
+				case p.Kind() == types.Real:
+					args[i] = "n"
+				case p.Kind() == types.String && i == 0:
+					args[i] = `" ab cd "`
+				case p.Kind() == types.String:
+					args[i] = `" "`
+				case types.Equal(p, types.ArrayOf(types.StringType)):
+					args[i] = `["ab", "cd"]`
+				default:
+					t.Fatalf("%s: no argument for a parameter of type %s", b.Name, p)
+				}
+			}
+			calls = []string{strings.Join(args, ", ")}
+			if slices.Contains(args, "n") {
+				calls = append(calls, strings.ReplaceAll(calls[0], "n", "2.5"))
+			}
+		} else if calls == nil {
+			t.Fatalf("%s is generic: give it argument lists in genericCalls", b.Name)
+		}
+		for _, args := range calls {
+			result, err := b.Signature(argTypes(t, args))
+			switch {
+			case err != nil:
+				t.Fatalf("%s(%s): %v", b.Name, args, err)
+			case result == nil:
+				fmt.Fprintf(&sb, "    %s(%s)\n", b.Name, args)
+			case b.ID == stdlib.TimeMS:
+				fmt.Fprintf(&sb, "    print(%s(%s) > 0)\n", b.Name, args)
+			default:
+				fmt.Fprintf(&sb, "    print(%s(%s))\n", b.Name, args)
+			}
+		}
+	}
+	sb.WriteString("    print(pr, pi)\n")
+	return sb.String()
+}
+
+// argTypes types an argument list of everyBuiltinProgram by checking it
+// inside that program's prologue.
+func argTypes(t *testing.T, args string) []*types.Type {
+	t.Helper()
+	prog := compile(t, "def main():\n    n = 2\n    pr = [1.5]\n    pi = [1]\n    print("+args+")\n")
+	body := prog.Lookup("main").Body.Stmts
+	call := body[len(body)-1].(*ast.ExprStmt).X.(*ast.CallExpr)
+	out := make([]*types.Type, len(call.Args))
+	for i, a := range call.Args {
+		out[i] = a.Type()
+	}
+	return out
+}
+
+// TestEveryBuiltinCompilesNatively is what stands where gogen's "builtin
+// not supported" error stood: no row of the table is without a native form,
+// and every form means what the row's Eval means. One program that calls
+// every builtin runs on the interpreter, the VM at -O0 and -O2 (verified
+// after every optimizer phase) and as a compiled binary; the four outputs
+// must be the same bytes.
+func TestEveryBuiltinCompilesNatively(t *testing.T) {
+	src := everyBuiltinProgram(t)
+	const input = "7 2.5\nhello world\ntrue\n"
+	prog := compile(t, src)
+	var want bytes.Buffer
+	if err := interp.New(prog, rt.Config{Stdin: strings.NewReader(input), Stdout: &want}).Run(); err != nil {
+		t.Fatalf("interp: %v\n%s", err, src)
+	}
+	if lines := strings.Count(want.String(), "\n"); lines < stdlib.NumBuiltins {
+		t.Fatalf("%d lines of output for %d builtins:\n%s", lines, stdlib.NumBuiltins, want.String())
+	}
+	for _, level := range []int{bytecode.O0, bytecode.O2} {
+		bc, err := bytecode.Compile(compile(t, src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := bytecode.VerifyOptimize(bc, level); err != nil {
+			t.Fatalf("-O%d: %v\n%s", level, err, src)
+		}
+		var got bytes.Buffer
+		if err := vm.New(bc, rt.Config{Stdin: strings.NewReader(input), Stdout: &got}).Run(); err != nil {
+			t.Fatalf("vm -O%d: %v", level, err)
+		}
+		if got.String() != want.String() {
+			t.Errorf("vm -O%d:\n%s\ninterp:\n%s", level, got.String(), want.String())
+		}
+	}
+	if testing.Short() {
+		t.Skip("the native run builds a generated binary; skipped in -short")
+	}
+	got, err := runGenerated(t, src, input)
+	if err != nil {
+		t.Fatalf("native: %v\n%s", err, src)
+	}
+	if got != want.String() {
+		t.Errorf("native:\n%s\ninterp:\n%s\nprogram:\n%s", got, want.String(), src)
 	}
 }

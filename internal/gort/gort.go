@@ -5,16 +5,17 @@
 // will compile Tetra code into an efficient executable, possibly by
 // targeting C with Pthreads as the output language". This reproduction
 // targets Go with goroutines instead — the exact analog on this stack.
-// Generated programs import only this package; it supplies Tetra's arrays
-// (reference semantics + bounds checking), the named-lock table, the
-// background-thread registry, Tetra-formatted printing, console input, and
-// the string/math/conversion builtins. The semantics themselves — bounds
-// rules, arithmetic error conditions, rune access, parsing, formatting —
-// are NOT implemented here: every such function is a thin delegate into
-// internal/sem, the shared semantics core, which re-raises sem errors as
-// Tetra runtime panics. gort owns only what is specific to compiled
-// execution: goroutine plumbing, the governor's limits read from the
-// environment, typed generic arrays, and I/O.
+// Generated programs import this package and, for the kernels that cannot
+// fail, internal/sem directly (a builtin's stdlib row names which). gort
+// supplies Tetra's arrays (reference semantics + bounds checking), the
+// named-lock table, the background-thread registry, Tetra-formatted
+// printing and console input. The semantics themselves — bounds rules,
+// arithmetic error conditions, rune access, parsing, formatting — are NOT
+// implemented here: a function here over a sem kernel exists to re-raise
+// the kernel's error as a Tetra runtime panic, to adapt gort's array type,
+// or to charge the allocation budget. gort owns only what is specific to
+// compiled execution: goroutine plumbing, the governor's limits read from
+// the environment, typed generic arrays, and I/O.
 //
 // Runtime errors (index out of bounds, division by zero, conversion
 // failures) are raised as panics carrying an Err value; the generated main
@@ -54,6 +55,14 @@ func Raise(format string, args ...any) {
 // programs.
 func raiseSem(err error) {
 	panic(Err{Msg: err.Error()})
+}
+
+// must is a sem kernel's result, or its error raised: must(sem.DivInt(a, b)).
+func must[T any](v T, err error) T {
+	if err != nil {
+		raiseSem(err)
+	}
+	return v
 }
 
 // Catch runs a compiled program's main, converting Tetra runtime errors
@@ -99,7 +108,8 @@ func Catch(main func()) {
 // Generated code calls Tick at every loop back-edge and Enter on every
 // function entry; Par/ParFor/Go charge thread spawns; the allocation
 // paths (array literals and make-style construction, range
-// materialization, push, string concatenation) charge cells. A tripped
+// materialization, push, string concatenation, and through Built every
+// string or array a library call returns) charge cells. A tripped
 // budget raises the governor's own diagnostic, the one the interpreter
 // prints. A malformed value is ignored with a warning on stderr —
 // never silently — because when tetrad's native tier runs these
@@ -177,6 +187,21 @@ func chargeAlloc(n int64) {
 	if gov != nil {
 		charge(gov.AddAlloc(n))
 	}
+}
+
+// Built charges what a library call built — a string's bytes, an array's
+// elements — and passes it on: gogen wraps the native call of every stdlib
+// row marked Built in it, so the three backends charge the same calls.
+func Built[T any](v T) T {
+	if gov != nil {
+		switch b := any(v).(type) {
+		case string:
+			chargeAlloc(int64(len(b)))
+		case interface{ Len() int64 }:
+			chargeAlloc(b.Len())
+		}
+	}
+	return v
 }
 
 // Enter bounds recursion; generated functions call it on entry with their
@@ -360,10 +385,7 @@ func (a *Array[T]) String() string {
 
 // Range returns the inclusive Tetra range [lo .. hi].
 func Range(lo, hi int64) *Array[int64] {
-	n, err := sem.RangeLen(lo, hi)
-	if err != nil {
-		raiseSem(err)
-	}
+	n := must(sem.RangeLen(lo, hi))
 	chargeAlloc(n)
 	out := make([]int64, n)
 	for i := range out {
@@ -382,10 +404,7 @@ func RangeN(args ...int64) *Array[int64] {
 	} else {
 		lo, hi = args[0], args[1]
 	}
-	n, err := sem.RangeNLen(lo, hi)
-	if err != nil {
-		raiseSem(err)
-	}
+	n := must(sem.RangeNLen(lo, hi))
 	chargeAlloc(n)
 	out := make([]int64, n)
 	for i := range out {
@@ -410,54 +429,20 @@ func StrLen(s string) int64 { return int64(sem.RuneLen(s)) }
 
 // StrIndex returns the 1-character string s[i] with bounds checking. The
 // index counts Unicode characters; negative indices count from the end.
-func StrIndex(s string, i int64) string {
-	ch, err := sem.StringIndex(s, i)
-	if err != nil {
-		raiseSem(err)
-	}
-	return ch
-}
-
-// StrIter returns the Unicode characters of s as 1-character strings, for
-// for-in loops over strings.
-func StrIter(s string) []string { return sem.Runes(s) }
+func StrIndex(s string, i int64) string { return must(sem.StringIndex(s, i)) }
 
 // DivInt is Tetra integer division with the divide-by-zero runtime error.
-func DivInt(a, b int64) int64 {
-	v, err := sem.DivInt(a, b)
-	if err != nil {
-		raiseSem(err)
-	}
-	return v
-}
+func DivInt(a, b int64) int64 { return must(sem.DivInt(a, b)) }
 
 // ModInt is Tetra integer modulo with the modulo-by-zero runtime error.
-func ModInt(a, b int64) int64 {
-	v, err := sem.ModInt(a, b)
-	if err != nil {
-		raiseSem(err)
-	}
-	return v
-}
+func ModInt(a, b int64) int64 { return must(sem.ModInt(a, b)) }
 
 // DivReal is Tetra real division; like DivInt it raises on a zero divisor
 // so every backend reports the same runtime error instead of producing inf.
-func DivReal(a, b float64) float64 {
-	v, err := sem.DivReal(a, b)
-	if err != nil {
-		raiseSem(err)
-	}
-	return v
-}
+func DivReal(a, b float64) float64 { return must(sem.DivReal(a, b)) }
 
 // ModReal is Tetra real modulo with the modulo-by-zero runtime error.
-func ModReal(a, b float64) float64 {
-	v, err := sem.ModReal(a, b)
-	if err != nil {
-		raiseSem(err)
-	}
-	return v
-}
+func ModReal(a, b float64) float64 { return must(sem.ModReal(a, b)) }
 
 // Eq is Tetra's == on any pair of same-typed values; arrays compare deeply.
 func Eq(a, b any) bool { return reflect.DeepEqual(a, b) }
@@ -608,65 +593,29 @@ func ReadString() string {
 	return strings.TrimRight(line, "\r\n")
 }
 
-// Math/conversion/string builtins used by generated code. Names mirror the
-// Tetra builtins.
-
-// AbsInt implements abs on ints.
-func AbsInt(v int64) int64 { return sem.AbsInt(v) }
-
-// MinInt implements min over int arguments.
-func MinInt(vs ...int64) int64 { return sem.MinInts(vs...) }
-
-// MaxInt implements max over int arguments.
-func MaxInt(vs ...int64) int64 { return sem.MaxInts(vs...) }
-
-// MinReal implements min when any argument is real.
-func MinReal(vs ...float64) float64 { return sem.MinReals(vs...) }
-
-// MaxReal implements max when any argument is real.
-func MaxReal(vs ...float64) float64 { return sem.MaxReals(vs...) }
+// The builtins' native forms that are more than a sem kernel: the stdlib
+// row's Native, or the form gogen picks for a generic builtin.
 
 // Floor implements floor (→ int).
-func Floor(v float64) int64 { return sem.Floor(v) }
+func Floor(v float64) int64 { return must(sem.Floor(v)) }
 
 // Ceil implements ceil (→ int).
-func Ceil(v float64) int64 { return sem.Ceil(v) }
+func Ceil(v float64) int64 { return must(sem.Ceil(v)) }
 
 // ToStringOf implements to_string for any Tetra value.
 func ToStringOf(a any) string { return formatTop(a) }
 
+// ToIntFromReal implements to_int on reals.
+func ToIntFromReal(f float64) int64 { return must(sem.TruncReal(f)) }
+
 // ToIntFromString implements to_int on strings.
-func ToIntFromString(s string) int64 {
-	v, err := sem.ParseInt(s)
-	if err != nil {
-		raiseSem(err)
-	}
-	return v
-}
+func ToIntFromString(s string) int64 { return must(sem.ParseInt(s)) }
 
 // ToRealFromString implements to_real on strings.
-func ToRealFromString(s string) float64 {
-	v, err := sem.ParseReal(s)
-	if err != nil {
-		raiseSem(err)
-	}
-	return v
-}
-
-// BoolToInt implements to_int on bools.
-func BoolToInt(b bool) int64 { return sem.BoolToInt(b) }
+func ToRealFromString(s string) float64 { return must(sem.ParseReal(s)) }
 
 // Substring implements substring with the canonical bounds errors.
-func Substring(s string, lo, hi int64) string {
-	v, err := sem.Substring(s, lo, hi)
-	if err != nil {
-		raiseSem(err)
-	}
-	return v
-}
-
-// Find implements find.
-func Find(s, sub string) int64 { return sem.Find(s, sub) }
+func Substring(s string, lo, hi int64) string { return must(sem.Substring(s, lo, hi)) }
 
 // Split implements split (empty separator → whitespace fields).
 func Split(s, sep string) *Array[string] {
@@ -676,20 +625,12 @@ func Split(s, sep string) *Array[string] {
 // Join implements join.
 func Join(a *Array[string], sep string) string { return sem.Join(a.E, sep) }
 
-// Trim implements trim.
-func Trim(s string) string { return sem.Trim(s) }
-
-// Repeat implements repeat with the count guard.
+// Repeat implements repeat with the count and size guards. Like RangeN it
+// knows what it builds before building it, and charges it first.
 func Repeat(s string, n int64) string {
-	v, err := sem.Repeat(s, n)
-	if err != nil {
-		raiseSem(err)
-	}
-	return v
+	chargeAlloc(must(sem.RepeatLen(s, n)))
+	return must(sem.Repeat(s, n))
 }
-
-// Reverse implements reverse (by Unicode characters).
-func Reverse(s string) string { return sem.Reverse(s) }
 
 // SortArray implements sort: a sorted copy.
 func SortArray[T int64 | float64 | string](a *Array[T]) *Array[T] {
@@ -727,20 +668,3 @@ func Sleep(ms int64) {
 
 // TimeMS implements time_ms.
 func TimeMS() int64 { return time.Now().UnixMilli() }
-
-// Sqrt, Sin, Cos, Tan, Exp, Log, Pow and the string predicates are thin
-// sem aliases so generated code only imports gort.
-func Sqrt(v float64) float64    { return sem.Sqrt(v) }
-func Sin(v float64) float64     { return sem.Sin(v) }
-func Cos(v float64) float64     { return sem.Cos(v) }
-func Tan(v float64) float64     { return sem.Tan(v) }
-func Exp(v float64) float64     { return sem.Exp(v) }
-func Log(v float64) float64     { return sem.Log(v) }
-func Pow(a, b float64) float64  { return sem.Pow(a, b) }
-func AbsReal(v float64) float64 { return sem.AbsReal(v) }
-
-func ToUpper(s string) string          { return sem.ToUpper(s) }
-func ToLower(s string) string          { return sem.ToLower(s) }
-func StartsWith(s, prefix string) bool { return sem.StartsWith(s, prefix) }
-func EndsWith(s, suffix string) bool   { return sem.EndsWith(s, suffix) }
-func Contains(s, sub string) bool      { return sem.Contains(s, sub) }

@@ -113,27 +113,17 @@ func TestStrHelpers(t *testing.T) {
 	if err := catchErr(func() { StrIndex("abc", 9) }); err == nil {
 		t.Error("StrIndex OOB not raised")
 	}
-	it := StrIter("ab")
-	if len(it) != 2 || it[0] != "a" || it[1] != "b" {
-		t.Errorf("StrIter = %v", it)
-	}
 	if Substring("hello", 1, 3) != "el" {
 		t.Error("Substring")
 	}
 	if err := catchErr(func() { Substring("x", 0, 5) }); err == nil {
 		t.Error("Substring OOB not raised")
 	}
-	if Find("hello", "ll") != 2 || Find("hello", "z") != -1 {
-		t.Error("Find")
+	if Repeat("ab", 2) != "abab" {
+		t.Error("Repeat")
 	}
-	if Reverse("abc") != "cba" || Trim("  x ") != "x" || Repeat("ab", 2) != "abab" {
-		t.Error("string builtins")
-	}
-	if !StartsWith("ab", "a") || !EndsWith("ab", "b") || !Contains("abc", "b") {
-		t.Error("predicates")
-	}
-	if ToUpper("a") != "A" || ToLower("A") != "a" {
-		t.Error("case conversion")
+	if err := catchErr(func() { Repeat("ab", -1) }); err == nil || err.Msg != "repeat: count -1 out of range" {
+		t.Errorf("Repeat(-1) err = %v", err)
 	}
 	j := Join(NewArray[string]("a", "b"), "-")
 	if j != "a-b" {
@@ -185,23 +175,13 @@ func TestConversionsAndMath(t *testing.T) {
 	if ToRealFromString("2.5") != 2.5 {
 		t.Error("ToRealFromString")
 	}
-	if BoolToInt(true) != 1 || BoolToInt(false) != 0 {
-		t.Error("BoolToInt")
+	if Floor(2.7) != 2 || Ceil(2.1) != 3 || ToIntFromReal(-2.7) != -2 {
+		t.Error("floor/ceil/to_int")
 	}
-	if AbsInt(-3) != 3 || AbsReal(-2.5) != 2.5 {
-		t.Error("abs")
-	}
-	if MinInt(3, 1, 2) != 1 || MaxInt(1, 3) != 3 {
-		t.Error("int min/max")
-	}
-	if MinReal(1.5, 0.5) != 0.5 || MaxReal(1.5, 2.5) != 2.5 {
-		t.Error("real min/max")
-	}
-	if Floor(2.7) != 2 || Ceil(2.1) != 3 {
-		t.Error("floor/ceil")
-	}
-	if Sqrt(9) != 3 || Pow(2, 3) != 8 {
-		t.Error("sqrt/pow")
+	for name, f := range map[string]func(float64) int64{"floor": Floor, "ceil": Ceil, "to_int": ToIntFromReal} {
+		if err := catchErr(func() { f(1e30) }); err == nil || err.Msg != name+": real 1e+30 out of int range" {
+			t.Errorf("%s(1e30) err = %v", name, err)
+		}
 	}
 	if ToStringOf(int64(5)) != "5" || ToStringOf(2.0) != "2.0" || ToStringOf(true) != "true" {
 		t.Error("ToStringOf")
@@ -352,7 +332,8 @@ func TestAllocBudget(t *testing.T) {
 	}
 
 	// The budget is cumulative across allocation kinds: literals, push,
-	// range materialization and string concat all charge it.
+	// range materialization, string concat and what a library call built
+	// all charge it.
 	InitGuard()
 	if err := catchErr(func() { NewArray[int64](1, 2, 3) }); err != nil {
 		t.Fatalf("literal raised: %v", err)
@@ -378,6 +359,23 @@ func TestAllocBudget(t *testing.T) {
 	if err := catchErr(func() { Concat(strings.Repeat("x", 6), strings.Repeat("y", 6)) }); err == nil ||
 		!strings.Contains(err.Msg, "allocation budget") {
 		t.Fatalf("Concat never tripped: %v", err)
+	}
+
+	InitGuard()
+	if got := Built("abcd"); got != "abcd" {
+		t.Fatalf("Built = %q", got)
+	}
+	if got := Built(Split("a b c", " ")); got.Len() != 3 { // 7 cells now
+		t.Fatalf("Built(Split) = %v", got)
+	}
+	if err := catchErr(func() { Built("wxyz") }); err == nil || !strings.Contains(err.Msg, "allocation budget") {
+		t.Fatalf("Built never tripped: %v", err)
+	}
+
+	// repeat charges before it builds.
+	InitGuard()
+	if err := catchErr(func() { Repeat("x", 1<<24) }); err == nil || !strings.Contains(err.Msg, "allocation budget") {
+		t.Fatalf("Repeat never tripped: %v", err)
 	}
 }
 

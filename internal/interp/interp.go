@@ -745,15 +745,20 @@ func (t *thread) evalCall(f *frame, e *ast.CallExpr) (value.Value, error) {
 		}
 		return t.enter(callee, e.Pos())
 	}
+	// A builtin's arguments are converted the same way where its row names
+	// parameter types.
+	b := stdlib.ByID(e.Builtin)
 	args := make([]value.Value, len(e.Args))
 	for i, a := range e.Args {
 		v, err := t.eval(f, a)
 		if err != nil {
 			return value.Value{}, err
 		}
+		if b.Params != nil {
+			v = value.Convert(v, b.Params[i])
+		}
 		args[i] = v
 	}
-	b := stdlib.ByID(e.Builtin)
 	if b.ID == stdlib.Print && t.interp.cfg.Tracer != nil {
 		var parts []string
 		for _, a := range args {

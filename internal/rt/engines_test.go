@@ -3,6 +3,7 @@ package rt_test
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -104,23 +105,27 @@ def main():
 `, n)
 }
 
+// contractCase is one row of the contract: a program, the limits it runs
+// under and how the run must end.
+type contractCase struct {
+	name   string
+	src    string
+	limits guard.Limits
+	// noDetect turns the live deadlock check off, which every engine
+	// has on by default.
+	noDetect bool
+	reps     int // runs per engine; 0 means one
+	// cancelAfter, when set, is the output after which the test cancels
+	// the run from outside.
+	cancelAfter string
+	wantOut     string // exact output, checked when the run must succeed
+	wantErr     string // substring of the error; "" means success
+	// wantLines, when set, bounds the line of the error's position.
+	wantLines [2]int
+}
+
 func TestRuntimeContractOnEveryEngine(t *testing.T) {
-	cases := []struct {
-		name   string
-		src    string
-		limits guard.Limits
-		// noDetect turns the live deadlock check off, which every engine
-		// has on by default.
-		noDetect bool
-		reps     int // runs per engine; 0 means one
-		// cancelAfter, when set, is the output after which the test cancels
-		// the run from outside.
-		cancelAfter string
-		wantOut     string // exact output, checked when the run must succeed
-		wantErr     string // substring of the error; "" means success
-		// wantLines, when set, bounds the line of the error's position.
-		wantLines [2]int
-	}{
+	cases := []contractCase{
 		{
 			// 100 threads through one lock: the exact count proves no lost
 			// update and no lost wakeup in the parking protocol.
@@ -259,6 +264,85 @@ def main():
 			src:     down(rt.MaxCallDepth),
 			wantErr: "test.ttr:4:16: runtime error: call stack exhausted (recursion deeper than 10000)",
 		},
+		// The allocation budget counts what library calls build, not only
+		// literals and operators: each program below builds far more than
+		// its budget through one builtin, and ends at that call.
+		{
+			name: "alloc_budget_counts_push",
+			src: `def main():
+    a = [0]
+    i = 0
+    while i < 100000:
+        push(a, i)
+        i += 1
+    print(len(a))
+`,
+			limits:  guard.Limits{MaxAllocCells: 1000},
+			wantErr: "test.ttr:5:9: runtime error: exceeded allocation budget (1000 cells)",
+		},
+		{
+			// The outer call is charged before it builds its 2 MB.
+			name: "alloc_budget_counts_repeat",
+			src: `def main():
+    t = repeat(repeat("ab", 1000), 1000)
+    print(len(t))
+`,
+			limits:  guard.Limits{MaxAllocCells: 100000},
+			wantErr: "test.ttr:2:9: runtime error: exceeded allocation budget (100000 cells)",
+		},
+		{
+			name: "alloc_budget_counts_split_and_join",
+			src: `def main():
+    s = repeat("a ", 5000)
+    i = 0
+    while i < 100:
+        s = join(split(s, " "), " ")
+        i += 1
+    print(len(s))
+`,
+			limits:  guard.Limits{MaxAllocCells: 50000},
+			wantErr: "test.ttr:5:13: runtime error: exceeded allocation budget (50000 cells)",
+		},
+		{
+			name: "alloc_budget_counts_to_string",
+			src: `def main():
+    i = 0
+    while i < 100000:
+        s = to_string(i)
+        i += 1
+    print(s)
+`,
+			limits:  guard.Limits{MaxAllocCells: 1000},
+			wantErr: "test.ttr:4:13: runtime error: exceeded allocation budget (1000 cells)",
+		},
+		{
+			name: "alloc_budget_counts_sorts_copy",
+			src: `def main():
+    a = range(10000)
+    b = sort(a)
+    print(len(b))
+`,
+			limits:  guard.Limits{MaxAllocCells: 15000},
+			wantErr: "test.ttr:3:9: runtime error: exceeded allocation budget (15000 cells)",
+		},
+	}
+	// A program inside its budget is untouched: the library-heavy goldens
+	// under the sandbox defaults.
+	for _, name := range []string{"pascal", "string_tools", "unicode_strings"} {
+		src, err := os.ReadFile("../../testdata/programs/" + name + ".ttr")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile("../../testdata/programs/" + name + ".out")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, contractCase{
+			name:    "sandbox_budget_leaves_" + name + "_alone",
+			src:     string(src),
+			limits:  guard.Limits{}.WithSandboxDefaults(),
+			wantOut: string(want),
+		})
 	}
 	for _, c := range cases {
 		prog, err := parser.Parse("test.ttr", c.src)

@@ -2,8 +2,9 @@ package sem
 
 // Builtin kernels: the pure computational core of the standard library,
 // shared by the interpreted backends (internal/stdlib dispatches on
-// value.Value) and compiled programs (internal/gort re-exports these over
-// raw Go types). I/O (read_*/print plumbing) stays in the dispatch layers;
+// value.Value) and compiled programs (which call the kernels that cannot
+// fail directly, and the others through internal/gort's raising wrappers).
+// I/O (read_*/print plumbing) stays in the dispatch layers;
 // everything that could drift — parsing, bounds rules, error wording,
 // formatting — lives here.
 
@@ -110,8 +111,19 @@ func ParseBool(s string) (v, ok bool) {
 // unrecognized spelling.
 func ErrReadBool(s string) *Error { return Errf("read_bool: cannot parse %q", s) }
 
+// realToInt converts whole, the rounding of fn's argument arg, to an int.
+// Go leaves the conversion of a real that does not fit implementation-
+// defined, so NaN, the infinities and anything outside [-2^63, 2^63) — both
+// bounds are exact reals — are a runtime error, worded here once.
+func realToInt(fn string, arg, whole float64) (int64, error) {
+	if whole >= -1<<63 && whole < 1<<63 {
+		return int64(whole), nil
+	}
+	return 0, Errf("%s: real %s out of int range", fn, FormatReal(arg))
+}
+
 // TruncReal implements to_int on reals (truncation toward zero).
-func TruncReal(f float64) int64 { return int64(f) }
+func TruncReal(f float64) (int64, error) { return realToInt("to_int", f, f) }
 
 // BoolToInt implements to_int on bools.
 func BoolToInt(b bool) int64 {
@@ -124,10 +136,10 @@ func BoolToInt(b bool) int64 {
 // ---- math kernels ----
 
 // Floor implements floor (→ int).
-func Floor(v float64) int64 { return int64(math.Floor(v)) }
+func Floor(v float64) (int64, error) { return realToInt("floor", v, math.Floor(v)) }
 
 // Ceil implements ceil (→ int).
-func Ceil(v float64) int64 { return int64(math.Ceil(v)) }
+func Ceil(v float64) (int64, error) { return realToInt("ceil", v, math.Ceil(v)) }
 
 // AbsInt implements abs on ints.
 func AbsInt(v int64) int64 {
@@ -221,13 +233,31 @@ func Join(parts []string, sep string) string { return strings.Join(parts, sep) }
 // Trim implements trim.
 func Trim(s string) string { return strings.TrimSpace(s) }
 
-// maxRepeat bounds repeat so a single call cannot balloon memory.
-const maxRepeat = 1 << 24
+// maxRepeat bounds repeat's count, maxRepeatBytes the string one call
+// builds: a count within range times a long string is as large as a count
+// out of it.
+const (
+	maxRepeat      = 1 << 24
+	maxRepeatBytes = 1 << 30
+)
 
-// Repeat implements repeat with the canonical count guard.
-func Repeat(s string, n int64) (string, error) {
+// RepeatLen validates repeat(s, n) and returns the bytes it builds, so a
+// backend can charge them before they exist (as RangeNLen does for range).
+// The bound is taken by division: the product itself may not fit.
+func RepeatLen(s string, n int64) (int64, error) {
 	if n < 0 || n > maxRepeat {
-		return "", Errf("repeat: count %d out of range", n)
+		return 0, Errf("repeat: count %d out of range", n)
+	}
+	if n > 0 && int64(len(s)) > maxRepeatBytes/n {
+		return 0, Errf("repeat: %d copies of a %d-byte string is too large", n, len(s))
+	}
+	return n * int64(len(s)), nil
+}
+
+// Repeat implements repeat with the canonical count and size guards.
+func Repeat(s string, n int64) (string, error) {
+	if _, err := RepeatLen(s, n); err != nil {
+		return "", err
 	}
 	return strings.Repeat(s, int(n)), nil
 }

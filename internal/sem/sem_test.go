@@ -302,6 +302,43 @@ func TestScalarKernels(t *testing.T) {
 	}
 }
 
+// TestRealToInt pins the three real → int kernels at the edges of the int
+// range: Go leaves an out-of-range conversion implementation-defined, so
+// each is an error, worded once.
+func TestRealToInt(t *testing.T) {
+	kernels := []struct {
+		name string
+		f    func(float64) (int64, error)
+	}{{"to_int", TruncReal}, {"floor", Floor}, {"ceil", Ceil}}
+	for _, k := range kernels {
+		for _, c := range []struct {
+			in   float64
+			want [3]int64 // to_int, floor, ceil
+		}{
+			{2.7, [3]int64{2, 2, 3}},
+			{-2.7, [3]int64{-2, -3, -2}},
+			{-1 << 63, [3]int64{math.MinInt64, math.MinInt64, math.MinInt64}},
+			{1<<63 - 1024, [3]int64{1<<63 - 1024, 1<<63 - 1024, 1<<63 - 1024}}, // the largest real below 2^63
+		} {
+			want := c.want[map[string]int{"to_int": 0, "floor": 1, "ceil": 2}[k.name]]
+			if got, err := k.f(c.in); err != nil || got != want {
+				t.Errorf("%s(%g) = %d, %v; want %d", k.name, c.in, got, err, want)
+			}
+		}
+		for in, shown := range map[float64]string{
+			1e30: "1e+30", -1e30: "-1e+30", 1 << 63: "9.223372036854776e+18",
+			math.Inf(1): "inf", math.Inf(-1): "-inf",
+		} {
+			if _, err := k.f(in); err == nil || err.Error() != k.name+": real "+shown+" out of int range" {
+				t.Errorf("%s(%g) err = %v", k.name, in, err)
+			}
+		}
+		if _, err := k.f(math.NaN()); err == nil || err.Error() != k.name+": real nan out of int range" {
+			t.Errorf("%s(NaN) err = %v", k.name, err)
+		}
+	}
+}
+
 func TestParsing(t *testing.T) {
 	if v, err := ParseInt("  42 "); err != nil || v != 42 {
 		t.Errorf("ParseInt = %d, %v", v, err)
@@ -338,6 +375,18 @@ func TestStringKernels(t *testing.T) {
 	}
 	if v, _ := Repeat("ab", 3); v != "ababab" {
 		t.Errorf("Repeat = %q", v)
+	}
+	// The bytes are bounded, not only the count, and sized without
+	// multiplying past an int64.
+	if n, err := RepeatLen("abc", 1<<24); err != nil || n != 3<<24 {
+		t.Errorf("RepeatLen = %d, %v", n, err)
+	}
+	if n, err := RepeatLen("", 1<<24); err != nil || n != 0 {
+		t.Errorf("RepeatLen of nothing = %d, %v", n, err)
+	}
+	if _, err := Repeat(strings.Repeat("x", 1<<10), 1<<20+1); err == nil ||
+		err.Error() != "repeat: 1048577 copies of a 1024-byte string is too large" {
+		t.Errorf("Repeat size err = %v", err)
 	}
 	if Reverse("héllo") != "olléh" {
 		t.Error("Reverse must reverse characters, not bytes")

@@ -2,12 +2,17 @@ package stdlib
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"os"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unicode"
 
+	"repro/internal/guard"
 	"repro/internal/types"
 	"repro/internal/value"
 )
@@ -33,8 +38,8 @@ func evalB(t *testing.T, e *Env, name string, args ...value.Value) value.Value {
 
 func TestLookupAndIDs(t *testing.T) {
 	names := Names()
-	if len(names) != numBuiltins {
-		t.Fatalf("Names() returned %d entries, want %d", len(names), numBuiltins)
+	if len(names) != NumBuiltins {
+		t.Fatalf("Names() returned %d entries, want %d", len(names), NumBuiltins)
 	}
 	for id, name := range names {
 		b := Lookup(name)
@@ -121,7 +126,9 @@ func TestRange(t *testing.T) {
 
 func TestMathBuiltins(t *testing.T) {
 	e, _ := env("")
-	if v := evalB(t, e, "sqrt", value.NewInt(9)); v.Real() != 3 {
+	// A fixed row's kernel gets the kinds its Params name: the call site
+	// has widened an int argument already.
+	if v := evalB(t, e, "sqrt", value.NewReal(9)); v.Real() != 3 {
 		t.Errorf("sqrt(9) = %v", v)
 	}
 	if v := evalB(t, e, "abs", value.NewInt(-5)); v.K != value.Int || v.Int() != 5 {
@@ -130,7 +137,7 @@ func TestMathBuiltins(t *testing.T) {
 	if v := evalB(t, e, "abs", value.NewReal(-1.5)); v.K != value.Real || v.Real() != 1.5 {
 		t.Errorf("abs(-1.5) = %v", v)
 	}
-	if v := evalB(t, e, "pow", value.NewInt(2), value.NewInt(10)); v.Real() != 1024 {
+	if v := evalB(t, e, "pow", value.NewReal(2), value.NewReal(10)); v.Real() != 1024 {
 		t.Errorf("pow(2,10) = %v", v)
 	}
 	if v := evalB(t, e, "floor", value.NewReal(2.7)); v.K != value.Int || v.Int() != 2 {
@@ -372,7 +379,7 @@ func TestCheckSignatures(t *testing.T) {
 		if b == nil {
 			t.Fatalf("no builtin %q", c.name)
 		}
-		got, err := b.Check(c.args)
+		got, err := b.Signature(c.args)
 		if c.ok && err != nil {
 			t.Errorf("%s%v: unexpected error %v", c.name, c.args, err)
 			continue
@@ -385,6 +392,118 @@ func TestCheckSignatures(t *testing.T) {
 		}
 		if !types.Equal(got, c.want) {
 			t.Errorf("%s%v result = %v, want %v", c.name, c.args, got, c.want)
+		}
+	}
+
+	// From the table: what every fixed row's signature must accept and
+	// refuse — its parameters (an int where one is real), one argument too
+	// many, and a bool, which no parameter takes, in each position.
+	fixed := 0
+	for id := 0; id < NumBuiltins; id++ {
+		b := ByID(id)
+		if (b.Check == nil) == (b.Native == "") || (b.Check != nil && (b.Params != nil || b.Result != nil)) {
+			t.Errorf("%s: a row is Params, Result and Native, or a Check with gogen's arm", b.Name)
+		}
+		if b.Check != nil {
+			continue
+		}
+		fixed++
+		args := make([]*types.Type, len(b.Params))
+		for i, p := range b.Params {
+			args[i] = p
+			if p.Kind() == types.Real {
+				args[i] = types.IntType
+			}
+		}
+		if got, err := b.Signature(args); err != nil || !types.Equal(got, b.Result) {
+			t.Errorf("%s%v = %v, %v; want %v", b.Name, args, got, err, b.Result)
+		}
+		want := fmt.Sprintf("expects %d argument(s), got %d", len(b.Params), len(b.Params)+1)
+		if _, err := b.Signature(append(args, types.IntType)); err == nil || err.Error() != want {
+			t.Errorf("%s with an argument too many: %v, want %q", b.Name, err, want)
+		}
+		for i, p := range b.Params {
+			bad := append([]*types.Type(nil), args...)
+			bad[i] = types.BoolType
+			name := p.String()
+			if p.Kind() == types.Real {
+				name = "int or real"
+			}
+			want := fmt.Sprintf("argument %d must be %s, got bool", i+1, name)
+			if _, err := b.Signature(bad); err == nil || err.Error() != want {
+				t.Errorf("%s with a bool for argument %d: %v, want %q", b.Name, i+1, err, want)
+			}
+		}
+	}
+	if fixed != 27 {
+		t.Errorf("%d fixed rows, want 27", fixed)
+	}
+}
+
+// TestBuiltRowsAreCharged holds the allocation budget to the table: a row
+// that returns a string or an array is Built (range and repeat charge what
+// they size themselves), and a Built row's result is charged once it exists.
+func TestBuiltRowsAreCharged(t *testing.T) {
+	str, strs := value.NewString("a b c"), value.NewArray(value.FromSlice(types.StringType, []value.Value{value.NewString("ab"), value.NewString("cd")}))
+	ints := value.NewArray(value.NewIntRange(0, 4))
+	calls := map[string]struct {
+		args []value.Value
+		want int64 // cells charged
+	}{
+		"read_string": {nil, 5},
+		"range":       {[]value.Value{value.NewInt(7)}, 7},
+		"to_string":   {[]value.Value{ints}, int64(len("[0, 1, 2, 3]"))},
+		"substring":   {[]value.Value{str, value.NewInt(1), value.NewInt(4)}, 3},
+		"to_upper":    {[]value.Value{str}, 5},
+		"to_lower":    {[]value.Value{str}, 5},
+		"split":       {[]value.Value{str, value.NewString(" ")}, 3},
+		"join":        {[]value.Value{strs, value.NewString("-")}, 5},
+		"trim":        {[]value.Value{value.NewString(" ab ")}, 2},
+		"repeat":      {[]value.Value{str, value.NewInt(3)}, 15},
+		"reverse":     {[]value.Value{str}, 5},
+		"sort":        {[]value.Value{ints}, 4},
+		"push":        {[]value.Value{ints, value.NewInt(9)}, 1},
+	}
+	for id := 0; id < NumBuiltins; id++ {
+		b := ByID(id)
+		c, charged := calls[b.Name]
+		if r := b.Result; b.Check == nil && (r.Kind() == types.String || r.IsArray()) != (b.Built || b.ID == Repeat) {
+			t.Errorf("%s returns %v, Built is %v", b.Name, r, b.Built)
+		}
+		if b.Built && !charged {
+			t.Errorf("%s is Built but this test does not call it", b.Name)
+		}
+		if !charged {
+			continue
+		}
+		e, _ := env("hello\nhello\n")
+		g := guard.New(guard.Limits{MaxAllocCells: c.want})
+		e.SetGuard(g)
+		if _, err := b.Eval(e, c.args); err != nil {
+			t.Errorf("%s within a budget of %d cells: %v", b.Name, c.want, err)
+		}
+		if _, err := b.Eval(e, c.args); err == nil || err.Error() != fmt.Sprintf("exceeded allocation budget (%d cells)", c.want) {
+			t.Errorf("%s past a budget of %d cells: err = %v", b.Name, c.want, err)
+		}
+	}
+}
+
+// TestLanguageDocListsEveryBuiltin is the guard that LANGUAGE.md §7 names
+// every row of the table.
+func TestLanguageDocListsEveryBuiltin(t *testing.T) {
+	doc, err := os.ReadFile("../../LANGUAGE.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sec, ok := strings.Cut(string(doc), "\n## 7. Builtins\n")
+	if !ok {
+		t.Fatal("LANGUAGE.md has no section 7, Builtins")
+	}
+	sec, _, _ = strings.Cut(sec, "\n## ")
+	words := strings.FieldsFunc(sec, func(r rune) bool { return r != '_' && !unicode.IsLetter(r) })
+	for _, name := range Names() {
+		if !slices.Contains(words, name) {
+			t.Errorf("LANGUAGE.md §7 does not mention %s", name)
 		}
 	}
 }
