@@ -2,6 +2,7 @@ package cli
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -151,8 +152,12 @@ func debugCommand(eng *debugger.Engine, line, src string, stdout io.Writer) bool
 			fmt.Fprintln(stdout, "usage: vars <thread>")
 			return false
 		}
-		names, vals, ok := eng.Vars(id)
-		if !ok {
+		names, vals, err := eng.Vars(id)
+		if errors.Is(err, debugger.ErrRunning) {
+			fmt.Fprintf(stdout, "thread t%d is running; pause it to see its variables\n", id)
+			return false
+		}
+		if err != nil {
 			fmt.Fprintf(stdout, "thread t%d has no inspectable frame\n", id)
 			return false
 		}

@@ -17,6 +17,7 @@
 package debugger
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -435,14 +436,30 @@ func (e *Engine) Breakpoints() []int {
 	return out
 }
 
+// Why Vars shows no variables: the thread is unknown or finished, or it is
+// running in a flat function. The messages are the session protocol's
+// result words.
+var (
+	ErrNoThread = errors.New("no-thread")
+	ErrRunning  = errors.New("running")
+)
+
 // Vars returns the variables of thread id's current frame: names paired
-// with values, in slot order. Only meaningful while the thread is paused.
-func (e *Engine) Vars(id int) ([]string, []value.Value, bool) {
+// with values, in slot order. A frame of a function with parallel
+// constructs is on the heap and its cells are locked, so it answers for
+// one at any time: a thread blocked in a `parallel:` join or a lock shows
+// what its children have written so far. A flat frame is the thread's own,
+// written without a lock and reused once the call returns, so it answers
+// for one only while the thread is parked in the hook.
+func (e *Engine) Vars(id int) ([]string, []value.Value, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	t, ok := e.thr[id]
-	if !ok || t.fn == nil || t.frame == nil || t.state.Finished {
-		return nil, nil, false
+	t, ok := e.live(id)
+	if !ok {
+		return nil, nil, ErrNoThread
+	}
+	if !t.state.Paused && !t.fn.HasParallel {
+		return nil, nil, ErrRunning
 	}
 	names := make([]string, len(t.fn.SlotNames))
 	vals := make([]value.Value, len(t.fn.SlotNames))
@@ -450,7 +467,7 @@ func (e *Engine) Vars(id int) ([]string, []value.Value, bool) {
 		names[i] = n
 		vals[i] = t.frame.Var(i)
 	}
-	return names, vals, true
+	return names, vals, nil
 }
 
 // WaitPaused blocks until thread id is parked in the hook (or the program

@@ -90,9 +90,9 @@ func TestVarsInspection(t *testing.T) {
 	var out bytes.Buffer
 	eng := session(t, "def main():\n    x = 41\n    y = x + 1\n    print(y)\n", &out)
 	eng.StepAndWait(0, stepTimeout) // executed x = 41
-	names, vals, ok := eng.Vars(0)
-	if !ok {
-		t.Fatal("vars unavailable")
+	names, vals, err := eng.Vars(0)
+	if err != nil {
+		t.Fatalf("vars unavailable: %v", err)
 	}
 	found := false
 	for i, n := range names {
@@ -108,6 +108,58 @@ func TestVarsInspection(t *testing.T) {
 	}
 	eng.ContinueAll()
 	eng.Wait()
+}
+
+// Vars answers only for a parked thread. A running one writes its frame
+// without a lock, and a flat call's cells and record are reused once it
+// returns, so reading them then was a data race (the race detector watches
+// in CI) that could render a torn string.
+func TestVarsAnswersOnlyForAParkedThread(t *testing.T) {
+	var out bytes.Buffer
+	eng := session(t, `def show(i int) string:
+    return to_string(i)
+
+def main():
+    i = 0
+    s = ""
+    while i < 30000:
+        s = show(i)
+        i += 1
+    print(s)
+`, &out)
+	if _, _, err := eng.Vars(7); err != ErrNoThread {
+		t.Errorf("vars of an unknown thread: %v, want %v", err, ErrNoThread)
+	}
+	eng.ContinueAll()
+	running := 0
+	for polls := 0; !eng.Done(); polls++ {
+		if polls == 50 {
+			eng.PauseAll()
+			if !eng.WaitPaused(0, stepTimeout) {
+				t.Fatal("main never parked after PauseAll")
+			}
+			if names, _, err := eng.Vars(0); err != nil || len(names) == 0 {
+				t.Errorf("vars of the parked thread: %v, %v", names, err)
+			}
+			eng.ContinueAll()
+		}
+		switch _, _, err := eng.Vars(0); err {
+		case ErrRunning:
+			running++
+		case nil, ErrNoThread:
+		default:
+			t.Fatalf("vars of a running thread: %v", err)
+		}
+	}
+	if running == 0 {
+		t.Error("vars never saw the thread running")
+	}
+	if _, _, err := eng.Vars(0); err != ErrNoThread {
+		t.Errorf("vars of a finished thread: %v, want %v", err, ErrNoThread)
+	}
+	if err := eng.Wait(); err != nil || out.String() != "29999\n" {
+		t.Errorf("run: %q, %v", out.String(), err)
+	}
 }
 
 func TestBreakpoint(t *testing.T) {
@@ -185,6 +237,24 @@ def main():
 		t.Fatalf("workers = %v", workers)
 	}
 
+	// main is blocked in the join, not parked, and its variables can still
+	// be read: they are the locked cells the workers write.
+	mainVars := func() map[string]int64 {
+		t.Helper()
+		names, vals, err := eng.Vars(0)
+		if err != nil {
+			t.Fatalf("vars of main in the join: %v", err)
+		}
+		got := map[string]int64{}
+		for i, n := range names {
+			got[n] = vals[i].Int()
+		}
+		return got
+	}
+	if got := mainVars(); got["a"] != 0 || got["b"] != 0 {
+		t.Errorf("main's vars before any worker ran = %v", got)
+	}
+
 	// Drive the first worker through its whole call while the second stays
 	// parked at its first statement: independent per-thread stepping.
 	first, second := workers[0], workers[1]
@@ -194,6 +264,9 @@ def main():
 		if res != StepParked || st.Finished {
 			break
 		}
+	}
+	if got := mainVars(); got["a"]+got["b"] != 2 && got["a"]+got["b"] != 4 {
+		t.Errorf("main's vars after one worker finished = %v, want one of a = 2, b = 4", got)
 	}
 	secondAfter, _ := eng.Thread(second)
 	if secondAfter.Finished {

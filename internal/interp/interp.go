@@ -95,12 +95,12 @@ func (in *Interp) Call(name string, args ...value.Value) (value.Value, error) {
 }
 
 // run calls f on a new main thread and returns once the background threads
-// have been joined.
+// have been joined. The entry activation is on the heap whatever f is.
 func (in *Interp) run(f *ast.FuncDecl, args []value.Value) (value.Value, error) {
 	t := in.newThread()
 	var v value.Value
 	err := in.rt.Main(&t.Thread, func() (err error) {
-		v, err = t.call(f, args, f.Pos())
+		v, err = t.enter(newFrame(f, args), f.Pos())
 		return err
 	})
 	if err != nil {
@@ -122,6 +122,12 @@ type thread struct {
 	held      []int // lock indices currently held, innermost last
 	countWork bool
 	yieldAt   int64 // countWork: the Work count at which to yield next
+
+	// The records and cells of flat activations and the arguments of calls
+	// in progress are windows on these stacks.
+	frames rt.Stack[frame]
+	cells  rt.Stack[value.Cell]
+	args   rt.Stack[value.Value]
 }
 
 // workQuantum is how many work units a counting thread runs between
@@ -139,8 +145,12 @@ func (in *Interp) newThread() *thread {
 	return &thread{interp: in, countWork: in.cfg.CountWork}
 }
 
+// emit records an event when the run is traced; the test is here, inline,
+// because every call emits two.
 func (t *thread) emit(kind trace.Kind, pos token.Pos, name string) {
-	t.interp.rt.Emit(&t.Thread, kind, pos, name)
+	if t.interp.cfg.Tracer != nil {
+		t.interp.rt.Emit(&t.Thread, kind, pos, name)
+	}
 }
 
 func (t *thread) emitVar(kind trace.Kind, pos token.Pos, name string, c *value.Cell) {
@@ -157,9 +167,15 @@ func (t *thread) emitVar(kind trace.Kind, pos token.Pos, name string, c *value.C
 
 // frame is a function activation: one cell per local slot. shared reports
 // whether other threads may touch these cells (the function contains
-// parallel constructs), selecting locked vs. unlocked cell access. An
-// activation's cells are its own array; only a parallel-for iteration's
-// view (fork) goes through a table of pointers, cells.
+// parallel constructs), selecting locked vs. unlocked cell access. Only a
+// parallel-for iteration's view (fork) goes through a table of pointers,
+// cells.
+//
+// A flat activation's record and cells are windows on its thread's stacks,
+// given back zeroed on return. The step hook's view of such a record is
+// read only while its thread is parked in the hook. A shared activation is
+// on the heap, because the threads it spawns hold the record and a
+// background thread may outlive it; so is the entry activation.
 type frame struct {
 	fn     *ast.FuncDecl
 	own    []value.Cell
@@ -167,8 +183,20 @@ type frame struct {
 	shared bool
 }
 
-func newFrame(fn *ast.FuncDecl) *frame {
-	return &frame{fn: fn, own: make([]value.Cell, fn.NumSlots), shared: fn.HasParallel}
+// bind stores the arguments of a call in the parameters' cells, converted
+// to the parameter types. No other thread can see the cells yet.
+func (f *frame) bind(args []value.Value) {
+	for i, p := range f.fn.Params {
+		f.own[p.Slot].StoreLocal(value.Convert(args[i], p.Type))
+	}
+}
+
+// newFrame returns an activation of fn on the heap, its parameters bound
+// to args.
+func newFrame(fn *ast.FuncDecl, args []value.Value) *frame {
+	f := &frame{fn: fn, own: make([]value.Cell, fn.NumSlots), shared: fn.HasParallel}
+	f.bind(args)
+	return f
 }
 
 // cell returns the cell behind slot in this view of the activation.
@@ -232,15 +260,6 @@ func (t *thread) chargeAlloc(n int64, pos token.Pos) error {
 		return g.ErrAt(k, pos.String())
 	}
 	return nil
-}
-
-// call runs fn with the given argument values on this thread.
-func (t *thread) call(fn *ast.FuncDecl, args []value.Value, pos token.Pos) (value.Value, error) {
-	f := newFrame(fn)
-	for i, p := range fn.Params {
-		f.store(p.Slot, value.Convert(args[i], p.Type))
-	}
-	return t.enter(f, pos)
 }
 
 // enter runs the activation f, whose parameters are already stored, for
@@ -729,35 +748,55 @@ func binOp(k token.Kind) sem.Op {
 	}
 }
 
+// evalCall evaluates the arguments into a window on the thread's argument
+// stack, where a call among them claims and returns windows of its own,
+// and only then calls. A builtin reads the window itself: no kernel keeps
+// its argument slice, since the VM hands kernels a window of registers.
 func (t *thread) evalCall(f *frame, e *ast.CallExpr) (value.Value, error) {
-	if !e.IsBuiltin {
-		// A user call evaluates its arguments straight into the callee's
-		// cells, converted to the parameter types.
-		fn := t.interp.prog.Funcs[e.FuncIndex]
-		callee := newFrame(fn)
-		for i, a := range e.Args {
-			v, err := t.eval(f, a)
-			if err != nil {
-				return value.Value{}, err
-			}
-			p := fn.Params[i]
-			callee.store(p.Slot, value.Convert(v, p.Type))
-		}
-		return t.enter(callee, e.Pos())
-	}
-	// A builtin's arguments are converted the same way where its row names
-	// parameter types.
-	b := stdlib.ByID(e.Builtin)
-	args := make([]value.Value, len(e.Args))
+	args, sp := t.args.Claim(len(e.Args))
 	for i, a := range e.Args {
 		v, err := t.eval(f, a)
 		if err != nil {
+			t.args.Release(args, sp)
 			return value.Value{}, err
 		}
-		if b.Params != nil {
-			v = value.Convert(v, b.Params[i])
-		}
 		args[i] = v
+	}
+	var v value.Value
+	var err error
+	if e.IsBuiltin {
+		v, err = t.builtin(e, args)
+	} else {
+		v, err = t.call(t.interp.prog.Funcs[e.FuncIndex], args, e.Pos())
+	}
+	t.args.Release(args, sp)
+	return v, err
+}
+
+// call runs fn on this thread for the call at pos, its arguments converted
+// to the parameter types in its cells. A flat activation's record and
+// cells are windows on the thread's stacks, given back on return.
+func (t *thread) call(fn *ast.FuncDecl, args []value.Value, pos token.Pos) (value.Value, error) {
+	if fn.HasParallel {
+		return t.enter(newFrame(fn, args), pos)
+	}
+	rec, rsp := t.frames.Claim(1)
+	own, sp := t.cells.Claim(fn.NumSlots)
+	f := &rec[0]
+	f.fn, f.own = fn, own
+	f.bind(args)
+	v, err := t.enter(f, pos)
+	t.cells.Release(own, sp)
+	t.frames.Release(rec, rsp)
+	return v, err
+}
+
+// builtin evaluates a library call over its argument values, converted to
+// the parameter types where its row names them.
+func (t *thread) builtin(e *ast.CallExpr, args []value.Value) (value.Value, error) {
+	b := stdlib.ByID(e.Builtin)
+	for i, p := range b.Params {
+		args[i] = value.Convert(args[i], p)
 	}
 	if b.ID == stdlib.Print && t.interp.cfg.Tracer != nil {
 		var parts []string

@@ -17,7 +17,7 @@ import (
 )
 
 // compile parses and checks src, failing the test on error.
-func compile(t *testing.T, src string) *ast.Program {
+func compile(t testing.TB, src string) *ast.Program {
 	t.Helper()
 	prog, err := parser.Parse("test.ttr", src)
 	if err != nil {

@@ -59,6 +59,8 @@ const MaxCallDepth = 10000
 
 // FrameView gives a step hook read access to the executing frame's
 // variables by slot (see ast.FuncDecl.SlotNames for the slot→name table).
+// A frame of a function without parallel constructs is its thread's own:
+// read it only while that thread is inside the hook.
 type FrameView interface {
 	Var(slot int) value.Value
 }

@@ -121,7 +121,9 @@ func (r *SessionCmdRequest) timeout() time.Duration {
 
 // SessionCmdResponse answers a session command. OK reports the command
 // took effect; Result carries the step outcome ("parked", "finished",
-// "timeout", "no-thread") when one applies.
+// "timeout", "no-thread") when one applies, and why vars has none
+// ("no-thread", or "running" for a thread running a flat function, one
+// without parallel constructs, and not parked).
 type SessionCmdResponse struct {
 	OK          bool                 `json:"ok"`
 	Cmd         string               `json:"cmd"`
@@ -421,9 +423,9 @@ func (s *Server) handleSessionCmd(w http.ResponseWriter, r *http.Request, sess *
 		resp.Breakpoints = eng.Breakpoints()
 
 	case "vars":
-		vars, ok := sess.Vars(req.Thread)
-		if !ok {
-			resp.OK, resp.Result = false, "no-thread"
+		vars, err := sess.Vars(req.Thread)
+		if err != nil {
+			resp.OK, resp.Result = false, err.Error()
 			break
 		}
 		resp.Vars = vars

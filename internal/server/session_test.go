@@ -684,6 +684,43 @@ func TestSessionBadRequests(t *testing.T) {
 	}
 }
 
+// TestSessionVarsAnswersOnlyForAParkedThread: vars reads a thread's frame
+// only while the thread is parked, and otherwise says why not — "no-thread"
+// for an unknown thread, "running" for one that is not parked.
+func TestSessionVarsAnswersOnlyForAParkedThread(t *testing.T) {
+	srv := server.New(server.Options{})
+	ts := httptest.NewServer(srv)
+	defer func() { ts.Close(); _ = srv.Drain(nil) }()
+
+	off := false
+	sr := createSession(t, ts.URL, server.SessionRequest{StopOnEntry: &off,
+		Source: "def main():\n    i = 0\n    while i >= 0:\n        i += 1\n"})
+	defer sessionCmd(t, ts.URL, sr.ID, server.SessionCmdRequest{Cmd: "close"})
+
+	if vr := sessionCmd(t, ts.URL, sr.ID, server.SessionCmdRequest{Cmd: "vars", Thread: 9}); vr.OK || vr.Result != "no-thread" {
+		t.Errorf("vars of an unknown thread: %+v", vr)
+	}
+	for stop := time.Now().Add(10 * time.Second); ; {
+		if _, ok := threadState(t, ts.URL, sr.ID, 0); ok {
+			break
+		}
+		if time.Now().After(stop) {
+			t.Fatal("main never started")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if vr := sessionCmd(t, ts.URL, sr.ID, server.SessionCmdRequest{Cmd: "vars", Thread: 0}); vr.OK || vr.Result != "running" || vr.Vars != nil {
+		t.Errorf("vars of a running thread: %+v", vr)
+	}
+	sessionCmd(t, ts.URL, sr.ID, server.SessionCmdRequest{Cmd: "pause", Thread: 0})
+	if wr := sessionCmd(t, ts.URL, sr.ID, server.SessionCmdRequest{Cmd: "wait", Thread: 0}); !wr.OK {
+		t.Fatalf("main did not park: %+v", wr)
+	}
+	if vr := sessionCmd(t, ts.URL, sr.ID, server.SessionCmdRequest{Cmd: "vars", Thread: 0}); !vr.OK || vr.Vars["i"] == "" {
+		t.Errorf("vars of the parked thread: %+v", vr)
+	}
+}
+
 // TestSessionCreateWhileDrainingSaysWhenToRetry: the 503 of a draining node
 // carries Retry-After on /session as it does on /run.
 func TestSessionCreateWhileDrainingSaysWhenToRetry(t *testing.T) {

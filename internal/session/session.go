@@ -380,17 +380,18 @@ func (s *Session) Output() string {
 // caller that acts for a client marks the activity with Touch.
 func (s *Session) Engine() *debugger.Engine { return s.eng }
 
-// Vars returns the thread's frame variables as name → rendered value.
-func (s *Session) Vars(id int) (map[string]string, bool) {
-	names, vals, ok := s.eng.Vars(id)
-	if !ok {
-		return nil, false
+// Vars returns the parked thread's frame variables as name → rendered
+// value, or the engine's reason there are none.
+func (s *Session) Vars(id int) (map[string]string, error) {
+	names, vals, err := s.eng.Vars(id)
+	if err != nil {
+		return nil, err
 	}
 	out := make(map[string]string, len(names))
 	for i, n := range names {
 		out[n] = vals[i].String()
 	}
-	return out, true
+	return out, nil
 }
 
 // WriteStdin appends input for the program's readers.

@@ -105,9 +105,9 @@ func TestSessionStepAndBreakpoints(t *testing.T) {
 	if st.Pos.Line != 3 {
 		t.Errorf("after one step at line %d, want 3", st.Pos.Line)
 	}
-	vars, ok := s.Vars(0)
-	if !ok || vars["x"] != "1" {
-		t.Errorf("vars = %v ok=%v, want x=1", vars, ok)
+	vars, err := s.Vars(0)
+	if err != nil || vars["x"] != "1" {
+		t.Errorf("vars = %v (%v), want x=1", vars, err)
 	}
 	s.Engine().ContinueAll()
 	<-s.Ended()

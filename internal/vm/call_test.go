@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"strconv"
 	"testing"
 
 	"repro/internal/bytecode"
@@ -189,6 +190,20 @@ func sameAsInterp(t *testing.T, src string) {
 	}
 }
 
+// sameOnBoth runs src on the interpreter and on the VM at every level and
+// requires each to print want.
+func sameOnBoth(t *testing.T, src, want string) {
+	t.Helper()
+	if got, err := runInterp(t, src, ""); err != nil || got != want {
+		t.Errorf("interp printed %q (%v), want %q", got, err, want)
+	}
+	for _, level := range []int{bytecode.O0, bytecode.O1, bytecode.O2} {
+		if got, err := runVMOpt(t, src, "", level); err != nil || got != want {
+			t.Errorf("-O%d printed %q (%v), want %q", level, got, err, want)
+		}
+	}
+}
+
 func benchmarkRun(b *testing.B, src string) {
 	run := runsOf(b, compileOpt(b, src, bytecode.O2), rt.Config{})
 	b.ReportAllocs()
@@ -245,11 +260,41 @@ func TestCallFramesDoNotAllocate(t *testing.T) {
 	}
 }
 
-// Mutual recursion deep enough to outgrow several stack segments, with
-// every caller holding something live across its call: a variable, an int
-// temporary, a string temporary, an array element.
+// Mutual recursion deep enough to outgrow several stack segments — the
+// VM's registers, the interpreter's cells and arguments — with every caller
+// holding something live across its call: a variable, an int temporary, a
+// string temporary, an array element. Go twins of the four functions say
+// what both engines must print.
 func TestCallFramesStayPutWhenTheStackGrows(t *testing.T) {
-	sameAsInterp(t, `def f(n int, s string) string:
+	var f func(n int, s string) string
+	var g func(n int) string
+	f = func(n int, s string) string {
+		if n == 0 {
+			return "."
+		}
+		return s + g(n-1)
+	}
+	g = func(n int) string {
+		if n == 0 {
+			return "!"
+		}
+		return strconv.Itoa(n%10) + "-" + f(n-1, strconv.Itoa(n%7))
+	}
+	var h, k func(a []int, n int) int
+	h = func(a []int, n int) int {
+		if n == 0 {
+			return 0
+		}
+		return a[n%3] + k(a, n-1)
+	}
+	k = func(a []int, n int) int {
+		if n == 0 {
+			return 1
+		}
+		return (n*2)%11 + h(a, n-1)
+	}
+	want := fmt.Sprintf("%s\n%d\n%s\n", f(2400, "<"), h([]int{3, 5, 7}, 3001), g(17))
+	sameOnBoth(t, `def f(n int, s string) string:
     if n == 0:
         return "."
     return s + g(n - 1)
@@ -273,7 +318,86 @@ def main():
     print(f(2400, "<"))
     print(h([3, 5, 7], 3001))
     print(g(17))
-`)
+`, want)
+}
+
+// Arguments that are calls: each claims and returns its windows while the
+// outer call's arguments are half evaluated, user calls inside builtin
+// arguments and builtins inside user arguments, an int result widened to a
+// real parameter.
+func TestCallArgumentsThatAreCalls(t *testing.T) {
+	sameOnBoth(t, `def f(a int, b int) int:
+    return a * 10 + b
+
+def g(x int) int:
+    return x + 1
+
+def h(y int) int:
+    return y * 2
+
+def cat(s string, n int) string:
+    return s + to_string(n)
+
+def half(r real) real:
+    return r / 2
+
+def main():
+    x = 3
+    y = 4
+    print(f(g(x), f(h(y), g(x))))
+    print(cat(cat("a", f(1, 2)), len(cat("bc", g(h(x))))))
+    print(half(f(g(h(1)), g(0))))
+    print(sqrt(f(0, h(8))), " ", f(f(f(1, 2), f(3, 4)), f(f(5, 6), g(h(g(7))))))
+`, "124\na123\n15.5\n4.0 2117\n")
+}
+
+// A flat function called from the body of every parallel construct runs
+// on the calling Tetra thread's own stacks, round after round (the race
+// detector watches in CI).
+func TestFlatCallsFromEveryParallelConstruct(t *testing.T) {
+	src := `def down(n int, a [int]) int:
+    if n == 0:
+        return a[0]
+    return 1 + down(n - 1, a)
+
+def label(n int) string:
+    return to_string(n) + ":" + to_string(down(n, [n]))
+
+def main():
+    out = range(40)
+    parallel for i in range(40):
+        out[i] = down(i * 20, [i])
+    s = 0
+    for v in out:
+        s += v
+    a = ""
+    b = ""
+    c = 0
+    parallel:
+        a = label(300)
+        b = label(700)
+        c = down(1500, [2])
+    print(s, " ", a, " ", b, " ", c)
+    background:
+        print(label(900))
+`
+	const want = "16380 300:600 700:1400 1502\n900:1800\n"
+	prog, _ := compileBoth(t, src)
+	var out bytes.Buffer
+	for round := 0; round < 20; round++ {
+		out.Reset()
+		if err := interp.New(prog, rt.Config{Stdout: &out}).Run(); err != nil || out.String() != want {
+			t.Fatalf("interp round %d printed %q (%v), want %q", round, out.String(), err, want)
+		}
+	}
+	for _, level := range []int{bytecode.O0, bytecode.O2} {
+		run := runsOf(t, compileOpt(t, src, level), rt.Config{})
+		for round := 0; round < 20; round++ {
+			if got := run(); got != want {
+				t.Fatalf("-O%d round %d printed %q, want %q", level, round, got, want)
+			}
+		}
+	}
 }
 
 // A window is claimed zeroed: a local read before it is written is none,
@@ -391,11 +515,11 @@ func TestCallFramesAreReleasedOnReturn(t *testing.T) {
 		if err != nil || v.Int() != n {
 			t.Fatalf("down(%d) = %v, %v", n, v, err)
 		}
-		if th.sp != 0 || len(th.frames) != 0 || th.depth != 0 {
-			t.Fatalf("after down(%d): sp=%d frames=%d depth=%d, want all zero", n, th.sp, len(th.frames), th.depth)
+		if th.stack.Top() != 0 || len(th.frames) != 0 || th.depth != 0 {
+			t.Fatalf("after down(%d): sp=%d frames=%d depth=%d, want all zero", n, th.stack.Top(), len(th.frames), th.depth)
 		}
 	}
-	for i, r := range th.stack {
+	for i, r := range th.stack.Segment() {
 		if r != (value.Value{}) {
 			t.Fatalf("register %d of the released stack holds %v", i, r)
 		}
@@ -407,10 +531,13 @@ func TestCallFramesAreReleasedOnReturn(t *testing.T) {
 	}
 }
 
-// An error raised under hundreds of frames is the interpreter's, message
-// and position, after the same output.
+// An error raised under hundreds of frames — by an operator, by an
+// argument being evaluated, by a builtin, or by the recursion bound itself
+// — is the same on both engines, message and position, after the same
+// output.
 func TestCallFramesDoNotChangeAnError(t *testing.T) {
-	src := `def fall(n int, d int) int:
+	cases := []struct{ name, src, out, err string }{
+		{"operator", `def fall(n int, d int) int:
     if n == 0:
         return 10 / d
     return 1 + fall(n - 1, d)
@@ -418,18 +545,45 @@ func TestCallFramesDoNotChangeAnError(t *testing.T) {
 def main():
     print(fall(500, 1))
     print(fall(500, 0))
-`
-	iout, ierr := runInterp(t, src, "")
-	if ierr == nil || ierr.Error() != "test.ttr:3:19: runtime error: division by zero" {
-		t.Fatalf("interp error = %v", ierr)
+`, "510\n", "test.ttr:3:19: runtime error: division by zero"},
+		{"argument", `def walk(a [int], n int, acc int) int:
+    if n == 0:
+        return acc
+    return walk(a, n - 1, acc + a[4 * (1 / n)])
+
+def main():
+    print(walk([1, 2, 3, 4, 5], 600, 0))
+    print(walk([1, 2, 3, 4], 600, 0))
+`, "604\n", "test.ttr:4:33: runtime error: index 4 out of range for array of length 4"},
+		{"builtin", `def count(n int, s string) int:
+    if n == 0:
+        return to_int(s)
+    return count(n - 1, s) + 1
+
+def main():
+    print(count(400, "7"))
+    print(count(400, "seven"))
+`, "407\n", "test.ttr:3:16: runtime error: to_int: cannot parse \"seven\""},
+		{"recursion bound", `def ping(n int, s string) int:
+    return pong(len(s) + n, s) + 1
+
+def pong(n int, s string) int:
+    return ping(n + 1, s) + 1
+
+def main():
+    print(ping(0, "abc"))
+`, "", "test.ttr:2:12: runtime error: call stack exhausted (recursion deeper than 10000)"},
 	}
-	for _, level := range []int{bytecode.O0, bytecode.O2} {
-		out, err := runVMOpt(t, src, "", level)
-		if err == nil || err.Error() != ierr.Error() {
-			t.Errorf("-O%d error %v, interp %v", level, err, ierr)
+	for _, c := range cases {
+		out, err := runInterp(t, c.src, "")
+		if err == nil || err.Error() != c.err || out != c.out {
+			t.Errorf("%s: interp printed %q and failed with %v, want %q and %s", c.name, out, err, c.out, c.err)
 		}
-		if out != iout {
-			t.Errorf("-O%d printed %q before failing, interp %q", level, out, iout)
+		for _, level := range []int{bytecode.O0, bytecode.O2} {
+			out, err := runVMOpt(t, c.src, "", level)
+			if err == nil || err.Error() != c.err || out != c.out {
+				t.Errorf("%s: -O%d printed %q and failed with %v, want %q and %s", c.name, level, out, err, c.out, c.err)
+			}
 		}
 	}
 }

@@ -17,14 +17,15 @@
 // [0, NumSlots) and the chunk's temporaries above them — and the dispatch
 // loop indexes it directly: an operand is regs[i], in every function,
 // with no test of what kind of register i is. The window is claimed from a
-// register stack private to the executing thread and handed back, zeroed,
-// on return, and the dispatch loop stays where it is: a call to a flat
-// function pushes a record of the caller onto the thread's frame stack
-// and continues in the callee, a return pops it. Such a call therefore
-// allocates nothing, and the arguments are copied once, from the caller's
-// argument temporaries into the callee's parameter slots. The stack is
-// created on a thread's first claim and grows by whole segments, never
-// moving a live window.
+// register stack private to the executing thread (an rt.Stack, like the
+// interpreter's cells) and handed back, zeroed, on return, and the
+// dispatch loop stays where it is: a call to a flat function writes a
+// record of the caller in place, field by field, into the next slot of the
+// thread's frame stack and continues in the callee; a return pops it,
+// clearing only the fields that pin memory. Such a call therefore
+// allocates nothing, and the arguments are copied once, element by
+// element, from the caller's argument temporaries into the callee's
+// parameter slots.
 //
 // A function containing parallelism keeps one mutex-guarded cell per
 // variable, on the heap (threads of a `parallel` block share them,
@@ -85,12 +86,6 @@ import (
 	"repro/internal/token"
 	"repro/internal/value"
 )
-
-// minStack is the least size, in registers, of the stack segment a thread
-// gets when its entry window is not enough: room for a dozen typical
-// windows, small enough that a spawned thread's first call costs one
-// modest allocation.
-const minStack = 64
 
 // VM executes one compiled program.
 type VM struct {
@@ -173,11 +168,8 @@ type thread struct {
 	vm        *VM
 	depth     int
 
-	// The register stack: flat activations take their windows from stack,
-	// the newest segment, whose registers from sp up are free and zero.
-	// Created on the thread's first call to a flat function.
-	stack []value.Value
-	sp    int
+	// Every activation on this thread takes its registers from stack.
+	stack rt.Stack[value.Value]
 	// frames holds one record per flat call in progress inside exec.
 	frames []frame
 }
@@ -192,43 +184,6 @@ type frame struct {
 	regs  []value.Value
 	cells []*value.Cell
 	sp    int
-}
-
-// claim takes the next n registers of the thread's stack as a window, all
-// zero like a fresh make, and returns it with the stack top to restore on
-// release. When the segment is full a larger one replaces it and the old
-// one stays where it is, kept alive by the windows still in it, so a
-// caller's registers never move; the tops those windows recorded are
-// offsets into the old segment, and restoring one into the new segment
-// only skips free registers, because every window claimed from the new
-// segment has been released by then. A window belongs to one activation,
-// and at most rt.MaxCallDepth are live; segments double, so a thread's
-// stack stays within a small multiple of its deepest recursion.
-//
-// A thread's first segment is its entry activation's window and no more.
-// Most spawned threads run one short chunk and call nothing that needs
-// registers, and a minStack segment each was 1.5 KB zeroed per thread:
-// BenchmarkSpawn reads 2.9 MB and 22 ms a run this way, 17 MB and 35 ms
-// with minStack from the start, the allocation count the same.
-func (t *thread) claim(n int) ([]value.Value, int) {
-	if t.sp+n > len(t.stack) {
-		size := n
-		if t.stack != nil {
-			size = max(minStack, 2*len(t.stack), 2*n)
-		}
-		t.stack = make([]value.Value, size)
-		t.sp = 0
-	}
-	sp := t.sp
-	t.sp += n
-	return t.stack[sp:t.sp:t.sp], sp
-}
-
-// release returns window w to the stack, zeroed so that the next claim
-// finds it clean and the values it held do not outlive the activation.
-func (t *thread) release(w []value.Value, sp int) {
-	clear(w)
-	t.sp = sp
 }
 
 // newCells allocates the variable cells of one activation of a function
@@ -250,7 +205,7 @@ func newCells(fn *bytecode.Func) []*value.Cell {
 func (t *thread) call(fn *bytecode.Func, args []value.Value) (value.Value, error) {
 	t.depth++
 	body := &fn.Chunks[0]
-	w, sp := t.claim(fn.NumSlots + body.NumTemps)
+	w, sp := t.stack.Claim(fn.NumSlots + body.NumTemps)
 	var cells []*value.Cell
 	if fn.Shared {
 		// No other thread can see the cells before the body runs.
@@ -262,7 +217,7 @@ func (t *thread) call(fn *bytecode.Func, args []value.Value) (value.Value, error
 		copy(w, args)
 	}
 	v, err := t.exec(fn, body, w, cells)
-	t.release(w, sp)
+	t.stack.Release(w, sp)
 	t.depth--
 	return v, err
 }
@@ -272,9 +227,9 @@ func (t *thread) call(fn *bytecode.Func, args []value.Value) (value.Value, error
 // sub-chunk's temporaries are numbered above the function's slots, and a
 // call without arguments still slices an empty block there.
 func (t *thread) runChunk(fn *bytecode.Func, ch *bytecode.Chunk, cells []*value.Cell) error {
-	w, sp := t.claim(fn.NumSlots + ch.NumTemps)
+	w, sp := t.stack.Claim(fn.NumSlots + ch.NumTemps)
 	_, err := t.exec(fn, ch, w, cells)
-	t.release(w, sp)
+	t.stack.Release(w, sp)
 	return err
 }
 
@@ -633,11 +588,21 @@ activation:
 				continue
 			}
 			// Flat callee: its window takes the arguments straight from the
-			// caller's argument temporaries, and dispatch moves into it.
+			// caller's argument temporaries, and dispatch moves into it. The
+			// caller's record is written in place, field by field: appending
+			// a composite literal builds it on exec's frame and copies it.
 			body := &callee.Chunks[0]
-			w, sp := t.claim(callee.NumSlots + body.NumTemps)
-			copy(w, args)
-			t.frames = append(t.frames, frame{fn: fn, ch: ch, pc: pc, regs: regs, cells: cells, sp: sp})
+			w, sp := t.stack.Claim(callee.NumSlots + body.NumTemps)
+			for i := range args {
+				w[i] = args[i]
+			}
+			n := len(t.frames)
+			if n == cap(t.frames) {
+				t.frames = append(t.frames, frame{})
+			}
+			t.frames = t.frames[:n+1]
+			fr := &t.frames[n]
+			fr.fn, fr.ch, fr.pc, fr.regs, fr.cells, fr.sp = fn, ch, pc, regs, cells, sp
 			t.depth++
 			fn, ch, regs, cells, pc = callee, body, w, nil, 0
 			goto activation
@@ -662,13 +627,14 @@ activation:
 			if len(t.frames) == base {
 				return v, nil
 			}
-			// Back into the caller saved by OpCall. Its record is wiped so a
-			// popped record pins neither a stack segment nor cells.
+			// Back into the caller saved by OpCall. Its record's function,
+			// registers and cells are wiped so a popped record pins neither a
+			// stack segment nor cells.
 			top := len(t.frames) - 1
 			fr := &t.frames[top]
-			t.release(regs, fr.sp)
+			t.stack.Release(regs, fr.sp)
 			fn, ch, pc, regs, cells = fr.fn, fr.ch, fr.pc, fr.regs, fr.cells
-			*fr = frame{}
+			fr.fn, fr.regs, fr.cells = nil, nil, nil
 			t.frames = t.frames[:top]
 			t.depth--
 			if dst := ch.Code[pc].Dst; dst >= 0 {

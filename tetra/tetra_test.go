@@ -156,6 +156,44 @@ def all_true(bs [int]) bool:
 	}
 }
 
+// A Call that fails deep in a recursion, or at its arguments, leaves the
+// program as callable as before.
+func TestCallAfterAFailedCall(t *testing.T) {
+	prog, err := tetra.Compile("lib.ttr", `def fall(n int, d int) int:
+    if n == 0:
+        return 10 / d
+    return 1 + fall(n - 1, d)
+
+def label(n int) string:
+    return to_string(fall(n, 2)) + "!"
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := []struct {
+		fn   string
+		args []tetra.Value
+		want string // the result, or the error
+	}{
+		{"fall", []tetra.Value{tetra.Int(300), tetra.Int(0)}, "lib.ttr:3:19: runtime error: division by zero"},
+		{"fall", []tetra.Value{tetra.Int(300), tetra.Int(1)}, "310"},
+		{"label", []tetra.Value{tetra.String("3")}, "label: parameter n is int, got string"},
+		{"label", []tetra.Value{tetra.Int(4)}, "9!"},
+		{"fall", []tetra.Value{tetra.Int(20000), tetra.Int(1)}, "lib.ttr:4:16: runtime error: call stack exhausted (recursion deeper than 10000)"},
+		{"fall", []tetra.Value{tetra.Int(9000), tetra.Int(5)}, "9002"},
+	}
+	for _, c := range calls {
+		v, err := prog.Call(c.fn, c.args...)
+		got := v.String()
+		if err != nil {
+			got = err.Error()
+		}
+		if got != c.want {
+			t.Errorf("%s%v: %s, want %s", c.fn, c.args, got, c.want)
+		}
+	}
+}
+
 func TestTracerThroughPublicAPI(t *testing.T) {
 	prog, err := tetra.Compile("t.ttr", `def main():
     parallel:
