@@ -114,7 +114,7 @@ type MetricsSnapshot struct {
 	NativeDemotions int64 `json:"native_demotions,omitempty"`
 	// Native reports the artifact runner's process accounting (nil when
 	// the native tier is off).
-	Native *worker.NativeStats `json:"native,omitempty"`
+	Native *worker.ProcStats `json:"native,omitempty"`
 	// Promote reports the promotion state machine (nil when the native
 	// tier is off).
 	Promote *promote.Stats `json:"promote,omitempty"`

@@ -43,9 +43,10 @@ type RunRequest struct {
 	// lockset race detector (interp backend only; slower).
 	Race bool `json:"race,omitempty"`
 	// TraceCap tightens the trace ring's retention bound for this run
-	// (0 = server default). The collector keeps the most recent TraceCap
-	// events; an overflowing run reports trace.truncated/dropped instead
-	// of growing server memory without bound.
+	// (0 = the server default, trace.DefaultCap); a larger value is
+	// clamped to that default, never loosening it. The collector keeps the
+	// most recent TraceCap events; an overflowing run reports
+	// trace.truncated/dropped instead of growing server memory without bound.
 	TraceCap int `json:"trace_cap,omitempty"`
 }
 
@@ -190,6 +191,7 @@ func (r *RunRequest) Validate() error {
 	if r.TraceCap < 0 {
 		return fmt.Errorf("trace_cap must be >= 0, got %d", r.TraceCap)
 	}
+	r.TraceCap = min(r.TraceCap, trace.DefaultCap)
 	if l := r.Limits; l != nil {
 		for _, f := range []struct {
 			name string

@@ -635,20 +635,20 @@ func (s *Server) runNative(a *admitted) outcome {
 	wresp, crashes, err := s.supervised(a, nhash, func(info worker.RunInfo) (*worker.Response, error) {
 		return s.native.Run(bin, a.wreq, info)
 	})
-	var ne *worker.NativeCrashError
+	var ce *worker.CrashedError
 	switch {
 	case err == nil:
 		s.met.nativeRuns.Add(1)
 		return outcome{resp: s.toRunResponse(a, wresp, TierNative, a.prior+1)}
 	case errors.Is(err, worker.ErrCancelled):
 		return s.failed(a, TierNative, a.prior+1, drainCancelled)
-	case errors.As(err, &ne):
+	case errors.As(err, &ce):
 		// Demote and retry on the VM tier — transparently, within this
 		// same request.
 		s.met.nativeDemotions.Add(1)
-		s.promoter.Demote(req.File, req.Source, ne.Reason)
+		s.promoter.Demote(req.File, req.Source, ce.LastReason)
 		s.logf("native artifact crashed (req %s, hash %s): %s; demoted, retrying on %s tier",
-			a.wreq.RequestID, nhash, ne.Reason, req.Backend)
+			a.wreq.RequestID, nhash, ce.LastReason, req.Backend)
 	}
 	// Otherwise ErrClosed (drain race): fall through without counting an
 	// attempt.

@@ -48,8 +48,9 @@ type SessionRequest struct {
 	StopOnEntry *bool `json:"stop_on_entry,omitempty"`
 	// Breakpoints are source lines armed before the program starts.
 	Breakpoints []int `json:"breakpoints,omitempty"`
-	// TraceCap tightens this session's trace-ring bound (0 = server
-	// default).
+	// TraceCap tightens this session's trace-ring bound (0 = the server's
+	// session bound, Options.SessionTraceCap); a larger value is clamped
+	// to that bound, never loosening it.
 	TraceCap int `json:"trace_cap,omitempty"`
 }
 

@@ -470,6 +470,41 @@ func TestSessionAcceptanceE2E(t *testing.T) {
 	}
 }
 
+// TestTraceCapOnlyTightens: trace_cap may tighten the trace ring's bound and
+// never loosen it. On /run the bound is trace.DefaultCap, on /session the
+// server's session bound; 0 means that bound.
+func TestTraceCapOnlyTightens(t *testing.T) {
+	const sessionBound, huge = 4096, 1_000_000_000
+	srv := server.New(server.Options{SessionTraceCap: sessionBound})
+	ts := httptest.NewServer(srv)
+	defer func() {
+		ts.Close()
+		_ = srv.Drain(nil)
+	}()
+
+	t.Run("run", func(t *testing.T) {
+		// 70 000 statements: more events than trace.DefaultCap retains.
+		src := "def main():\n    i = 0\n    while i < 70000:\n        i = i + 1\n"
+		resp, body := postJSON(t, ts.URL+"/run", server.RunRequest{Source: src, Trace: true, TraceCap: huge})
+		var rr server.RunResponse
+		if err := json.Unmarshal(body, &rr); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+		if rr.Trace == nil || rr.Trace.Dropped == 0 {
+			t.Errorf("trace_cap %d kept every event: %+v", huge, rr.Trace)
+		}
+	})
+	t.Run("session", func(t *testing.T) {
+		for _, c := range []struct{ req, want int }{{0, sessionBound}, {1024, 1024}, {huge, sessionBound}} {
+			sr := createSession(t, ts.URL, server.SessionRequest{Source: "def main():\n    print(1)\n", TraceCap: c.req})
+			if tr := sessionCmd(t, ts.URL, sr.ID, server.SessionCmdRequest{Cmd: "trace"}); tr.Trace == nil || tr.Trace.Cap != c.want {
+				t.Errorf("trace_cap %d: ring %+v, want cap %d", c.req, tr.Trace, c.want)
+			}
+			sessionCmd(t, ts.URL, sr.ID, server.SessionCmdRequest{Cmd: "close"})
+		}
+	})
+}
+
 func threadState(t *testing.T, base, id string, thread int) (session.ThreadInfo, bool) {
 	t.Helper()
 	cr := sessionCmd(t, base, id, server.SessionCmdRequest{Cmd: "thread", Thread: thread})

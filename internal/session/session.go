@@ -144,7 +144,8 @@ type Config struct {
 	StopOnEntry bool
 	// Breakpoints are source lines to arm before the program starts.
 	Breakpoints []int
-	// TraceCap bounds the live trace ring (0 = the registry default).
+	// TraceCap tightens the registry's trace-ring bound (0 = that bound);
+	// a larger value is clamped to it.
 	TraceCap int
 	// StreamBuffer is the per-subscriber frame buffer (0 = default 256).
 	StreamBuffer int
@@ -177,8 +178,11 @@ type Session struct {
 // newSession builds and starts a session (registry.Create is the public
 // entry point).
 func newSession(id string, cfg Config, traceCap int) *Session {
-	if cfg.TraceCap != 0 {
-		traceCap = cfg.TraceCap
+	if traceCap == 0 {
+		traceCap = trace.DefaultCap
+	}
+	if c := cfg.TraceCap; c > 0 && (traceCap < 0 || c < traceCap) {
+		traceCap = c
 	}
 	sb := cfg.StreamBuffer
 	if sb <= 0 {

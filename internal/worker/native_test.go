@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -151,9 +152,9 @@ func TestNativeCrashClassified(t *testing.T) {
 	}}
 	for i := 0; i < 2; i++ {
 		_, err := r.Run(bin, &worker.Request{}, info)
-		var ne *worker.NativeCrashError
-		if !errors.As(err, &ne) {
-			t.Fatalf("run %d: want NativeCrashError, got %v", i, err)
+		var ce *worker.CrashedError
+		if !errors.As(err, &ce) {
+			t.Fatalf("run %d: want CrashedError, got %v", i, err)
 		}
 	}
 	mu.Lock()
@@ -177,9 +178,9 @@ func TestNativeKillFaultDrivesCrash(t *testing.T) {
 
 	start := time.Now()
 	_, err := r.Run(bin, &worker.Request{}, worker.RunInfo{Hash: "hk"})
-	var ne *worker.NativeCrashError
-	if !errors.As(err, &ne) {
-		t.Fatalf("want NativeCrashError, got %v", err)
+	var ce *worker.CrashedError
+	if !errors.As(err, &ce) {
+		t.Fatalf("want CrashedError, got %v", err)
 	}
 	if d := time.Since(start); d > 10*time.Second {
 		t.Fatalf("injected kill took %s — the sleep ran to term?", d)
@@ -217,19 +218,19 @@ func TestNativeStopCancelsRun(t *testing.T) {
 
 func TestNativeDeadlineOverrunKillsStuckArtifact(t *testing.T) {
 	bin := scriptArtifact(t, "sleep 30")
-	r := worker.NewNativeRunner(worker.NativeOptions{PipeMargin: 200 * time.Millisecond, Logf: t.Logf})
+	r := worker.NewNativeRunner(worker.NativeOptions{Logf: t.Logf})
 	defer r.Close()
 
 	start := time.Now()
 	_, err := r.Run(bin,
 		&worker.Request{Limits: guard.Limits{Deadline: 100 * time.Millisecond}},
 		worker.RunInfo{Hash: "hd"})
-	var ne *worker.NativeCrashError
-	if !errors.As(err, &ne) {
-		t.Fatalf("want NativeCrashError, got %v", err)
+	var ce *worker.CrashedError
+	if !errors.As(err, &ce) {
+		t.Fatalf("want CrashedError, got %v", err)
 	}
-	if !strings.Contains(ne.Reason, "deadline overrun") {
-		t.Fatalf("reason %q", ne.Reason)
+	if !strings.Contains(ce.LastReason, "deadline overrun") {
+		t.Fatalf("reason %q", ce.LastReason)
 	}
 	if d := time.Since(start); d > 10*time.Second {
 		t.Fatalf("overrun kill took %s", d)
@@ -243,9 +244,9 @@ func TestNativeSpawnFailureIsCrash(t *testing.T) {
 	r := worker.NewNativeRunner(worker.NativeOptions{Logf: t.Logf})
 	defer r.Close()
 	_, err := r.Run(filepath.Join(t.TempDir(), "missing.bin"), &worker.Request{}, worker.RunInfo{Hash: "hm"})
-	var ne *worker.NativeCrashError
-	if !errors.As(err, &ne) {
-		t.Fatalf("want NativeCrashError, got %v", err)
+	var ce *worker.CrashedError
+	if !errors.As(err, &ce) {
+		t.Fatalf("want CrashedError, got %v", err)
 	}
 	if st := r.Stats(); st.Crashes != 1 || st.Spawns != 0 {
 		t.Fatalf("stats: %+v", st)
@@ -259,4 +260,45 @@ func TestNativeRunnerClosedRejects(t *testing.T) {
 	if _, err := r.Run(bin, &worker.Request{}, worker.RunInfo{}); !errors.Is(err, worker.ErrClosed) {
 		t.Fatalf("want ErrClosed, got %v", err)
 	}
+}
+
+// TestNativeCloseDuringRunsIsNotACrash: Close kills the artifacts of
+// in-flight Runs and races Runs still starting theirs. Shutting down is not
+// a crash: every Run returns ErrClosed, none reports a crash, and every
+// child is reaped.
+func TestNativeCloseDuringRunsIsNotACrash(t *testing.T) {
+	bin := scriptArtifact(t, "exec sleep 30")
+	r := worker.NewNativeRunner(worker.NativeOptions{Logf: t.Logf})
+	defer r.Close()
+
+	var crashes atomic.Int64
+	info := worker.RunInfo{Hash: "hc", OnCrash: func(worker.Crash) { crashes.Add(1) }}
+	errs := make(chan error, 8)
+	var wg sync.WaitGroup
+	for i := 0; i < cap(errs); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, err := r.Run(bin, &worker.Request{}, info)
+			errs <- err
+		}()
+	}
+	for deadline := time.Now().Add(5 * time.Second); r.Stats().Runs < 4; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("artifacts never started: %+v", r.Stats())
+		}
+	}
+	pids := childPIDs(t)
+	r.Close()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if !errors.Is(err, worker.ErrClosed) {
+			t.Errorf("Run during Close: %v, want ErrClosed", err)
+		}
+	}
+	if st := r.Stats(); crashes.Load() != 0 || st.Crashes != 0 || st.Reaped != st.Spawns {
+		t.Errorf("shutdown accounted as a crash, or children left: OnCrash %d, stats %+v", crashes.Load(), st)
+	}
+	assertGone(t, pids)
 }

@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"os"
 	"os/exec"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -43,16 +42,6 @@ type Options struct {
 	Env []string
 	// Size is the number of pre-forked workers (default 2).
 	Size int
-	// LeaseTimeout bounds the wait for an idle worker before Run gives
-	// up with ErrExhausted — the caller's cue to fall back to degraded
-	// in-process execution instead of queuing forever. Default 250ms.
-	LeaseTimeout time.Duration
-	// PipeMargin is wall-clock grace added to the request's own
-	// deadline before the supervisor declares the worker stuck and
-	// kills it (default 2s). The worker's in-process governor should
-	// always trip first; this margin only fires when the worker cannot
-	// even report the trip.
-	PipeMargin time.Duration
 	// Retry bounds attempts per request; Quarantine trips repeatedly
 	// crashing programs.
 	Retry      RetryPolicy
@@ -66,23 +55,23 @@ func (o Options) withDefaults() Options {
 	if o.Size <= 0 {
 		o.Size = 2
 	}
-	if o.LeaseTimeout <= 0 {
-		o.LeaseTimeout = 250 * time.Millisecond
-	}
-	if o.PipeMargin <= 0 {
-		o.PipeMargin = 2 * time.Second
-	}
 	o.Retry = o.Retry.withDefaults()
 	return o
 }
 
+// leaseTimeout bounds the wait for an idle worker before Run gives up with
+// ErrExhausted — the caller's cue to fall back to degraded in-process
+// execution instead of queuing forever.
+const leaseTimeout = 250 * time.Millisecond
+
 // Sentinel errors Run answers with. CrashedError and QuarantinedError
 // carry detail.
 var (
-	// ErrExhausted: no idle worker within LeaseTimeout. The caller
+	// ErrExhausted: no idle worker within leaseTimeout. The caller
 	// should degrade to in-process execution.
 	ErrExhausted = errors.New("worker pool exhausted")
-	// ErrClosed: the pool has been shut down.
+	// ErrClosed: the supervisor (pool or native runner) was shut down
+	// before or during the call. A child Close kills is not a crash.
 	ErrClosed = errors.New("worker pool closed")
 	// ErrCancelled: the caller's stop channel fired mid-attempt (drain).
 	ErrCancelled = errors.New("execution cancelled")
@@ -100,8 +89,8 @@ func (e *QuarantinedError) Error() string {
 		e.Hash, e.Remaining.Round(time.Second))
 }
 
-// CrashedError: every attempt crashed its worker and the retry budget
-// is spent.
+// CrashedError: every attempt crashed its child process and the retry
+// budget is spent (a native artifact gets one attempt).
 type CrashedError struct {
 	Attempts   int
 	LastReason string
@@ -133,14 +122,11 @@ type RunInfo struct {
 
 // Stats is a point-in-time snapshot of the pool counters.
 type Stats struct {
-	Spawns        int64 `json:"spawns"`
+	ProcStats
 	SpawnFailures int64 `json:"spawn_failures"`
-	Crashes       int64 `json:"crashes"`
 	IdleDeaths    int64 `json:"idle_deaths"`
 	Retries       int64 `json:"retries"`
 	RetriedOK     int64 `json:"retried_ok"`
-	Runs          int64 `json:"runs"`
-	Reaped        int64 `json:"reaped"`
 	Live          int   `json:"live"`
 	Idle          int   `json:"idle"`
 	Quarantined   int   `json:"quarantined"`
@@ -151,19 +137,11 @@ type Stats struct {
 type Pool struct {
 	opts Options
 	quar *quarantine
+	sup  *supervisor
+	idle chan *proc
 
-	idle    chan *proc
-	closeCh chan struct{}
-
-	mu     sync.Mutex
-	closed bool
-	live   map[*proc]struct{}
-
-	backoffLevel atomic.Int64
-	wg           sync.WaitGroup
-
-	spawns, spawnFails, crashes, idleDeaths atomic.Int64
-	retries, retriedOK, runs, reaped        atomic.Int64
+	backoffLevel                               atomic.Int64
+	spawnFails, idleDeaths, retries, retriedOK atomic.Int64
 }
 
 // NewPool starts a supervisor for opts.Size workers. Workers spawn
@@ -173,18 +151,13 @@ type Pool struct {
 func NewPool(opts Options) *Pool {
 	opts = opts.withDefaults()
 	p := &Pool{
-		opts:    opts,
-		quar:    newQuarantine(opts.Quarantine),
-		idle:    make(chan *proc, opts.Size),
-		closeCh: make(chan struct{}),
-		live:    make(map[*proc]struct{}),
+		opts: opts,
+		quar: newQuarantine(opts.Quarantine),
+		sup:  newSupervisor("worker", opts.Logf),
+		idle: make(chan *proc, opts.Size),
 	}
 	for i := 0; i < opts.Size; i++ {
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			p.spawn()
-		}()
+		p.sup.launch(p.spawn)
 	}
 	return p
 }
@@ -197,50 +170,38 @@ func (p *Pool) Quarantined(hash string) (time.Duration, bool) {
 
 // Stats snapshots the pool counters.
 func (p *Pool) Stats() Stats {
-	p.mu.Lock()
-	live := len(p.live)
-	p.mu.Unlock()
 	return Stats{
-		Spawns:        p.spawns.Load(),
+		ProcStats:     p.sup.stats(),
 		SpawnFailures: p.spawnFails.Load(),
-		Crashes:       p.crashes.Load(),
 		IdleDeaths:    p.idleDeaths.Load(),
 		Retries:       p.retries.Load(),
 		RetriedOK:     p.retriedOK.Load(),
-		Runs:          p.runs.Load(),
-		Reaped:        p.reaped.Load(),
-		Live:          live,
+		Live:          p.sup.liveCount(),
 		Idle:          len(p.idle),
 		Quarantined:   p.quar.Count(),
 	}
 }
 
-// attemptTimeout bounds an attempt, pooled or native, whose request carries
-// no deadline of its own.
-const attemptTimeout = 60 * time.Second
-
 // Run executes req on a pooled worker, transparently retrying on a
 // fresh worker when one crashes (up to the retry budget), recording
-// crashes against info.Hash for the quarantine breaker.
+// crashes against info.Hash for the quarantine breaker. A Run that Close
+// interrupts returns ErrClosed.
 func (p *Pool) Run(req *Request, info RunInfo) (*Response, error) {
 	if info.Hash != "" {
 		if d, ok := p.quar.Quarantined(info.Hash); ok {
 			return nil, &QuarantinedError{Hash: info.Hash, Remaining: d}
 		}
 	}
-	timeout := attemptTimeout
-	if req.Limits.Deadline > 0 {
-		timeout = req.Limits.Deadline + p.opts.PipeMargin
-	}
+	timeout := attemptDeadline(req.Limits)
 
-	var lastReason string
+	var crash *CrashedError
 	maxAttempts := p.opts.Retry.MaxAttempts
 	for attempt := 1; attempt <= maxAttempts; attempt++ {
 		pr, err := p.lease()
 		if err != nil {
 			return nil, err
 		}
-		p.runs.Add(1)
+		p.sup.runs.Add(1)
 		resp, rtErr := p.roundTrip(pr, req, timeout, info.Stop)
 		if rtErr == nil {
 			p.backoffLevel.Store(0)
@@ -252,25 +213,16 @@ func (p *Pool) Run(req *Request, info RunInfo) (*Response, error) {
 		}
 
 		// The worker is dead, corrupt or stuck: kill it, restart the
-		// slot with backoff, and account the crash.
+		// slot with backoff, and account the crash — unless Close killed
+		// it, which is a shutdown.
 		p.retire(pr)
 		if errors.Is(rtErr, ErrCancelled) {
 			return nil, ErrCancelled
 		}
-		// Give the death a moment to be reaped so the stderr tail
-		// includes the panic stack, the forensics gold.
-		select {
-		case <-pr.dead:
-		case <-time.After(200 * time.Millisecond):
+		if pr.shutdown.Load() {
+			return nil, ErrClosed
 		}
-		tail := pr.stderr.Tail()
-		lastReason = rtErr.Error()
-		p.crashes.Add(1)
-		if info.OnCrash != nil {
-			info.OnCrash(Crash{PID: pr.pid, Attempt: attempt, Reason: lastReason, StderrTail: tail})
-		}
-		p.logf("worker crash: pid=%d attempt=%d/%d req=%s hash=%s reason=%q stderr_tail=%q",
-			pr.pid, attempt, maxAttempts, req.RequestID, info.Hash, lastReason, tail)
+		crash = p.sup.crashed(pr.child, attempt, maxAttempts, req, info, rtErr.Error())
 		if info.Hash != "" && p.quar.Record(info.Hash) {
 			d, _ := p.quar.Quarantined(info.Hash)
 			return nil, &QuarantinedError{Hash: info.Hash, Remaining: d}
@@ -279,29 +231,32 @@ func (p *Pool) Run(req *Request, info RunInfo) (*Response, error) {
 			p.retries.Add(1)
 		}
 	}
-	return nil, &CrashedError{Attempts: maxAttempts, LastReason: lastReason}
+	return nil, crash
 }
 
 // lease takes an idle worker, discarding (and replacing) any that died
 // while idle.
 func (p *Pool) lease() (*proc, error) {
-	timer := time.NewTimer(p.opts.LeaseTimeout)
+	timer := time.NewTimer(leaseTimeout)
 	defer timer.Stop()
 	for {
 		select {
 		case pr := <-p.idle:
 			select {
 			case <-pr.dead:
-				p.idleDeaths.Add(1)
-				p.logf("worker died idle: pid=%d", pr.pid)
 				p.retire(pr)
+				if pr.shutdown.Load() {
+					return nil, ErrClosed
+				}
+				p.idleDeaths.Add(1)
+				p.sup.logf("worker died idle: pid=%d", pr.pid)
 				continue
 			default:
 				return pr, nil
 			}
 		case <-timer.C:
 			return nil, ErrExhausted
-		case <-p.closeCh:
+		case <-p.sup.done:
 			return nil, ErrClosed
 		}
 	}
@@ -360,29 +315,26 @@ func (p *Pool) retire(pr *proc) {
 		return
 	}
 	_ = pr.stdin.Close()
-	if pr.cmd.Process != nil {
-		_ = pr.cmd.Process.Kill()
-	}
+	pr.kill()
 	p.scheduleRespawn()
 }
 
 // scheduleRespawn starts a replacement worker after the exponential
 // backoff (with ±50% jitter) for the current consecutive-failure level.
+// A worker that died and a spawn that failed both come here, so they
+// step through the same delays.
 func (p *Pool) scheduleRespawn() {
-	level := p.backoffLevel.Add(1) - 1
-	delay := p.backoffDelay(level)
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
+	delay := respawnDelay(p.backoffLevel.Add(1) - 1)
+	p.sup.launch(func() {
 		timer := time.NewTimer(delay)
 		defer timer.Stop()
 		select {
 		case <-timer.C:
-		case <-p.closeCh:
+		case <-p.sup.done:
 			return
 		}
 		p.spawn()
-	}()
+	})
 }
 
 // backoffBase and backoffMax bound the exponential restart backoff:
@@ -392,7 +344,11 @@ const (
 	backoffMax  = 2 * time.Second
 )
 
-func (p *Pool) backoffDelay(level int64) time.Duration {
+// respawnDelay is the backoff scheduleRespawn waits; a variable so that a
+// test can record the levels it is asked for.
+var respawnDelay = backoffDelay
+
+func backoffDelay(level int64) time.Duration {
 	if level > 20 {
 		level = 20
 	}
@@ -416,58 +372,33 @@ func (p *Pool) backoffDelay(level int64) time.Duration {
 func (p *Pool) spawn() {
 	cmd := exec.Command(p.opts.Cmd[0], p.opts.Cmd[1:]...)
 	cmd.Env = append(append(os.Environ(), p.opts.Env...), EnvWorker+"=1")
-	tail := &tailBuffer{max: 2048}
-	cmd.Stderr = tail
 	stdin, err := cmd.StdinPipe()
+	var stdout io.ReadCloser
 	if err == nil {
-		var stdout io.ReadCloser
 		stdout, err = cmd.StdoutPipe()
-		if err == nil {
-			err = cmd.Start()
-			if err == nil {
-				p.adopt(cmd, stdin, stdout, tail)
-				return
-			}
-		}
 	}
-	p.spawnFails.Add(1)
-	p.logf("worker spawn failed: %v", err)
-	p.backoffLevel.Add(1)
-	// Re-schedule without going through retire (there is no process).
-	delay := p.backoffDelay(p.backoffLevel.Load())
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		timer := time.NewTimer(delay)
-		defer timer.Stop()
-		select {
-		case <-timer.C:
-		case <-p.closeCh:
-			return
-		}
-		p.spawn()
-	}()
+	var c *child
+	if err == nil {
+		c, err = p.sup.start(cmd)
+	}
+	switch {
+	case err == nil:
+		p.adopt(c, stdin, stdout)
+	case errors.Is(err, ErrClosed):
+		// Closing: nothing to replace.
+	default:
+		p.spawnFails.Add(1)
+		p.sup.logf("worker spawn failed: %v", err)
+		p.scheduleRespawn()
+	}
 }
 
-// adopt registers a started worker process: reader + reaper goroutines,
-// the live set, and the idle channel. If the pool closed while the
-// process was starting, it is killed and reaped instead.
-func (p *Pool) adopt(cmd *exec.Cmd, stdin io.WriteCloser, stdout io.ReadCloser, tail *tailBuffer) {
-	pr := &proc{
-		cmd:    cmd,
-		stdin:  stdin,
-		enc:    json.NewEncoder(stdin),
-		respCh: make(chan procResult, 2),
-		dead:   make(chan struct{}),
-		stderr: tail,
-		pid:    cmd.Process.Pid,
-	}
-	p.spawns.Add(1)
-
+// adopt makes a started worker leasable: a reader goroutine decodes its
+// replies, and it joins the idle set.
+func (p *Pool) adopt(c *child, stdin io.WriteCloser, stdout io.Reader) {
+	pr := &proc{child: c, stdin: stdin, enc: json.NewEncoder(stdin), respCh: make(chan procResult, 2)}
 	// Reader: decode replies until the pipe dies, then report why.
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
+	reading := p.sup.launch(func() {
 		dec := json.NewDecoder(stdout)
 		for {
 			var resp Response
@@ -488,30 +419,10 @@ func (p *Pool) adopt(cmd *exec.Cmd, stdin io.WriteCloser, stdout io.ReadCloser, 
 				// timeout-kill); drop it.
 			}
 		}
-	}()
-
-	// Reaper: collect the exit status so no worker ever zombies, then
-	// drop the proc from the live set.
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		_ = cmd.Wait()
-		close(pr.dead)
-		p.reaped.Add(1)
-		p.mu.Lock()
-		delete(p.live, pr)
-		p.mu.Unlock()
-	}()
-
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		p.retire(pr)
-		return
+	})
+	if !reading {
+		return // Close began after the start and has killed the child.
 	}
-	p.live[pr] = struct{}{}
-	p.mu.Unlock()
-
 	select {
 	case p.idle <- pr:
 	default:
@@ -524,26 +435,10 @@ func (p *Pool) adopt(cmd *exec.Cmd, stdin io.WriteCloser, stdout io.ReadCloser, 
 // Close shuts the supervisor down: every worker (idle or leased) is
 // killed and reaped, respawns are cancelled, and Close returns only
 // when no child process and no supervision goroutine remains — zero
-// orphans, zero leaks.
+// orphans, zero leaks. A Run it interrupts returns ErrClosed.
 func (p *Pool) Close() {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		p.wg.Wait()
-		return
-	}
-	p.closed = true
-	procs := make([]*proc, 0, len(p.live))
-	for pr := range p.live {
-		procs = append(procs, pr)
-	}
-	p.mu.Unlock()
-	close(p.closeCh)
-	for _, pr := range procs {
-		p.retire(pr)
-	}
-	p.wg.Wait()
-	// Drain the idle channel; everything in it is already retired.
+	p.sup.close()
+	// Drain the idle channel; every worker in it is dead.
 	for {
 		select {
 		case <-p.idle:
@@ -553,50 +448,17 @@ func (p *Pool) Close() {
 	}
 }
 
-func (p *Pool) logf(format string, args ...any) {
-	if p.opts.Logf != nil {
-		p.opts.Logf(format, args...)
-	}
-}
-
-// proc is one live worker process.
+// proc is one pooled worker: a supervised child and its request pipe.
 type proc struct {
-	cmd     *exec.Cmd
+	*child
 	stdin   io.WriteCloser
 	enc     *json.Encoder
 	respCh  chan procResult
-	dead    chan struct{}
-	stderr  *tailBuffer
 	seq     uint64
 	retired atomic.Bool
-	pid     int
 }
 
 type procResult struct {
 	resp *Response
 	err  error
-}
-
-// tailBuffer keeps the last max bytes written — the worker's stderr
-// tail, which is the panic stack when it dies screaming.
-type tailBuffer struct {
-	mu  sync.Mutex
-	buf []byte
-	max int
-}
-
-func (t *tailBuffer) Write(b []byte) (int, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.buf = append(t.buf, b...)
-	if len(t.buf) > t.max {
-		t.buf = t.buf[len(t.buf)-t.max:]
-	}
-	return len(b), nil
-}
-
-func (t *tailBuffer) Tail() string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return string(t.buf)
 }

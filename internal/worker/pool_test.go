@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -191,12 +193,12 @@ func TestPoolPanicCrashForensics(t *testing.T) {
 
 func TestPoolDeadlineOverrunKillsStuckWorker(t *testing.T) {
 	// The worker stalls its reply for 30s; the request deadline is
-	// 100ms plus a 200ms pipe margin, so the supervisor must declare it
-	// stuck, kill it, and (with retries disabled) surface the crash.
+	// 100ms plus the 2s attempt margin (guard.DefaultGrace), so the
+	// supervisor must declare it stuck, kill it, and (with retries
+	// disabled) surface the crash.
 	p := selfPool(t, worker.Options{
 		Size:       1,
 		Env:        []string{"TETRA_FAULTS=worker-delay=1:30s"},
-		PipeMargin: 200 * time.Millisecond,
 		Retry:      worker.RetryPolicy{MaxAttempts: 1},
 		Quarantine: worker.QuarantinePolicy{Threshold: -1},
 	})
@@ -212,7 +214,7 @@ func TestPoolDeadlineOverrunKillsStuckWorker(t *testing.T) {
 		t.Fatalf("want deadline-overrun CrashedError, got %v", err)
 	}
 	if elapsed > 3*time.Second {
-		t.Errorf("overrun detection took %s; deadline+margin is 300ms", elapsed)
+		t.Errorf("overrun detection took %s; deadline+margin is 2.1s", elapsed)
 	}
 }
 
@@ -274,9 +276,8 @@ func TestPoolExhaustedFailsFast(t *testing.T) {
 	// must fail fast with ErrExhausted (the caller's cue to degrade),
 	// not hang.
 	p := worker.NewPool(worker.Options{
-		Cmd:          []string{"/nonexistent-worker-binary"},
-		Size:         1,
-		LeaseTimeout: 100 * time.Millisecond,
+		Cmd:  []string{"/nonexistent-worker-binary"},
+		Size: 1,
 	})
 	defer p.Close()
 	start := time.Now()
@@ -350,6 +351,89 @@ func TestPoolCloseIsIdempotentAndRejects(t *testing.T) {
 	p.Close()
 	if _, err := p.Run(req("def main():\n    print(1)\n", "interp"), worker.RunInfo{}); err != worker.ErrClosed {
 		t.Errorf("Run on closed pool: %v, want ErrClosed", err)
+	}
+}
+
+// TestPoolCloseDuringRunsIsNotACrash: Close kills the workers under
+// in-flight Runs while other Runs wait for a lease. Shutting down is not a
+// crash: every Run returns, none reports a crash or strikes its program,
+// and every child is reaped.
+func TestPoolCloseDuringRunsIsNotACrash(t *testing.T) {
+	p := selfPool(t, worker.Options{Size: 2, Quarantine: worker.QuarantinePolicy{Threshold: 1}})
+	waitIdleWorkers(t, p, 2, 5*time.Second)
+	pids := childPIDs(t)
+
+	r := req("def main():\n    sleep(5000)\n    print(1)\n", "interp")
+	r.Limits.Deadline = 10 * time.Second
+	var crashes atomic.Int64
+	info := worker.RunInfo{
+		Hash:    worker.HashProgram(r.File, r.Source, r.Backend, r.Opt),
+		OnCrash: func(worker.Crash) { crashes.Add(1) },
+	}
+	errs := make(chan error, 6)
+	var wg sync.WaitGroup
+	for i := 0; i < cap(errs); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, err := p.Run(r, info)
+			errs <- err
+		}()
+	}
+	for deadline := time.Now().Add(5 * time.Second); p.Stats().Runs < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("workers never leased: %+v", p.Stats())
+		}
+	}
+	p.Close()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if !errors.Is(err, worker.ErrClosed) && !errors.Is(err, worker.ErrExhausted) {
+			t.Errorf("Run during Close: %v, want ErrClosed (or ErrExhausted before it)", err)
+		}
+	}
+	if st := p.Stats(); crashes.Load() != 0 || st.Crashes != 0 || st.Quarantined != 0 || st.Reaped != st.Spawns || st.Live != 0 {
+		t.Errorf("shutdown accounted as a crash, or children left: OnCrash %d, stats %+v", crashes.Load(), st)
+	}
+	assertGone(t, pids)
+}
+
+// childPIDs lists this process's child processes, read from /proc.
+func childPIDs(t *testing.T) []int {
+	t.Helper()
+	stats, _ := filepath.Glob("/proc/[0-9]*/stat")
+	if len(stats) == 0 {
+		t.Skip("no /proc to list child processes from")
+	}
+	var pids []int
+	for _, f := range stats {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			continue // exited meanwhile
+		}
+		// "pid (comm) state ppid ...": comm may hold spaces and parentheses.
+		s := string(data)
+		fields := strings.Fields(s[strings.LastIndexByte(s, ')')+1:])
+		if len(fields) > 1 && fields[1] == strconv.Itoa(os.Getpid()) {
+			pid, _ := strconv.Atoi(filepath.Base(filepath.Dir(f)))
+			pids = append(pids, pid)
+		}
+	}
+	return pids
+}
+
+// assertGone fails for every recorded child that still exists, unreaped
+// zombies included.
+func assertGone(t *testing.T, pids []int) {
+	t.Helper()
+	if len(pids) == 0 {
+		t.Error("no child process was recorded")
+	}
+	for _, pid := range pids {
+		if err := syscall.Kill(pid, 0); err == nil {
+			t.Errorf("child pid %d still exists after Close", pid)
+		}
 	}
 }
 

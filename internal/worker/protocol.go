@@ -16,11 +16,12 @@
 //     isolation never becomes a semantic layer;
 //   - ServeStdio (serve.go): the hidden worker mode a host binary
 //     enters when re-exec'd by the pool (cmd/tetrad -worker);
-//   - Pool (pool.go): the supervisor — pre-forked workers, lease per
-//     request, crash detection (death, corruption, deadline overrun),
-//     restart with exponential backoff + jitter, transparent bounded
-//     retry, and a quarantine circuit breaker for programs that
-//     repeatedly kill their workers (quarantine.go).
+//   - Pool (pool.go): pre-forked workers on the child supervisor
+//     (child.go) that NativeRunner shares, lease per request, crash
+//     detection (death, corruption, deadline overrun), restart with
+//     exponential backoff + jitter, transparent bounded retry, and a
+//     quarantine circuit breaker for programs that repeatedly kill their
+//     workers (quarantine.go).
 package worker
 
 import (

@@ -60,7 +60,7 @@ type WorkerStats = worker.Stats
 // NativeStats reports the native tier's process accounting (runs,
 // crashes, spawns, reaps), surfaced in ServerMetrics.Native when the
 // native promotion tier is enabled.
-type NativeStats = worker.NativeStats
+type NativeStats = worker.ProcStats
 
 // Server is the execution service behind cmd/tetrad: POST /run compiles
 // (through a shared CompileCache) and executes untrusted programs under
