@@ -45,8 +45,8 @@ package bytecode
 //
 // Every phase is differentially verified: the golden corpus and the
 // cross-backend differential tests must produce byte-identical output at
-// O0, O1 and O2 (internal/vm's optimizer differential tests and
-// TestGoldenCorpus in the tetra package).
+// O0, O1 and O2 (the parity harness, internal/parity, runs them at every
+// level).
 
 import (
 	"fmt"

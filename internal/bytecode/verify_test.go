@@ -13,13 +13,13 @@ import (
 	"repro/internal/value"
 )
 
-// TestVerifyGoldens holds every golden program to the IR's rules as
-// Compile emits it and after each optimizer phase, at O1 and O2.
-// (internal/vm and internal/sem do the same for the programs their tests
-// run.)
+// TestVerifyGoldens holds the benchmark's programs and this package's own
+// to the IR's rules as Compile emits them and after each optimizer phase,
+// at O1 and O2. (The parity engine table does the same for every program
+// it runs, the golden corpus included.)
 func TestVerifyGoldens(t *testing.T) {
 	var files []string
-	for _, pattern := range []string{"../../testdata/programs/*.ttr", "../../benchmark/programs/*.ttr", "testdata/*.ttr"} {
+	for _, pattern := range []string{"../../benchmark/programs/*.ttr", "testdata/*.ttr"} {
 		m, err := filepath.Glob(pattern)
 		if err != nil {
 			t.Fatal(err)

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/parity"
 )
 
 // write puts src in a temp .ttr file and returns its path.
@@ -24,6 +27,30 @@ func run(t *testing.T, args []string, input string) (int, string, string) {
 	var out, errOut bytes.Buffer
 	code := Main(args, strings.NewReader(input), &out, &errOut)
 	return code, out.String(), errOut.String()
+}
+
+// TestCLIConformanceGoldenCorpus is the tetra CLI's door of the parity
+// matrix: every golden program at every engine of the table, through Main
+// as a shell runs it.
+func TestCLIConformanceGoldenCorpus(t *testing.T) {
+	parity.Matrix(t, "cli", parity.Corpus(t), func(t *testing.T, c parity.Case, v parity.Variant) parity.Result {
+		dir := t.TempDir()
+		path := filepath.Join(dir, c.FileName())
+		if err := os.WriteFile(path, []byte(c.Src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		args := []string{path}
+		if v.Backend == "vm" {
+			args = []string{"-vm", "-O", strconv.Itoa(v.Opt), path}
+		}
+		code, out, errOut := run(t, args, c.Stdin)
+		// Positions name the file as the CLI was given it.
+		errOut = strings.TrimSpace(strings.ReplaceAll(errOut, dir+string(filepath.Separator), ""))
+		if (code == 0) != (errOut == "") {
+			t.Errorf("exit %d with stderr %q", code, errOut)
+		}
+		return parity.Result{Stdout: out, Err: errOut}
+	})
 }
 
 const sumProgram = `def main():

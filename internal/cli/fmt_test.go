@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/parity"
 )
 
 const messySource = "def main():\n        x=1+2 *3\n        if x>5:\n                print( x )\n"
@@ -98,49 +100,17 @@ func TestFormatUsage(t *testing.T) {
 // run identically (checked implicitly by the parser round-trip property;
 // here we just assert the fixpoint over real files).
 func TestFormatCorpusIdempotent(t *testing.T) {
-	root := moduleRootDir(t)
-	dir := filepath.Join(root, "testdata", "programs")
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, entry := range entries {
-		if !strings.HasSuffix(entry.Name(), ".ttr") {
-			continue
-		}
-		src := filepath.Join(dir, entry.Name())
+	for _, c := range parity.Corpus(t) {
 		var once bytes.Buffer
-		if code := FormatMain([]string{src}, &once, os.Stderr); code != 0 {
-			t.Fatalf("%s did not format", entry.Name())
-		}
-		tmp := filepath.Join(t.TempDir(), "f.ttr")
-		if err := os.WriteFile(tmp, once.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
+		if code := FormatMain([]string{write(t, c.Src)}, &once, os.Stderr); code != 0 {
+			t.Fatalf("%s did not format", c.Name)
 		}
 		var twice bytes.Buffer
-		if code := FormatMain([]string{tmp}, &twice, os.Stderr); code != 0 {
-			t.Fatalf("%s did not re-format", entry.Name())
+		if code := FormatMain([]string{write(t, once.String())}, &twice, os.Stderr); code != 0 {
+			t.Fatalf("%s did not re-format", c.Name)
 		}
 		if once.String() != twice.String() {
-			t.Errorf("%s: formatting is not a fixpoint", entry.Name())
+			t.Errorf("%s: formatting is not a fixpoint", c.Name)
 		}
-	}
-}
-
-func moduleRootDir(t *testing.T) string {
-	t.Helper()
-	dir, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			t.Fatal("go.mod not found")
-		}
-		dir = parent
 	}
 }

@@ -547,7 +547,7 @@ func (g *generator) expr(e ast.Expr) (string, error) {
 		if e.Op == token.NOT {
 			return "(!(" + x + "))", nil
 		}
-		return "(-(" + x + "))", nil
+		return "(-(" + nonConst(x, e.X) + "))", nil
 
 	case *ast.BinaryExpr:
 		return g.binary(e)
@@ -610,6 +610,9 @@ func (g *generator) binaryText(op token.Kind, left exprRef, right ast.Expr, left
 	if err != nil {
 		return "", err
 	}
+	if left.text == "" && isNumLit(leftExpr[0]) {
+		rtext = nonConst(rtext, right)
+	}
 	rt := right.Type()
 
 	switch op {
@@ -659,6 +662,29 @@ func (g *generator) binaryText(op token.Kind, left exprRef, right ast.Expr, left
 		return fmt.Sprintf("gort.DivReal(%s, %s)", ltext, rtext), nil
 	}
 	return "((" + ltext + ") " + op.String() + " (" + rtext + "))", nil
+}
+
+// isNumLit reports whether e is a numeric literal, which gogen writes as a
+// typed Go constant.
+func isNumLit(e ast.Expr) bool {
+	switch e.(type) {
+	case *ast.IntLit, *ast.RealLit:
+		return true
+	}
+	return false
+}
+
+// nonConst passes text, the rendering of e, through gort.Dyn when e is a
+// numeric literal. An operator whose operands are all literals would
+// otherwise be a Go constant expression, which the Go compiler evaluates
+// exactly and rejects when it overflows, where every engine wraps (int) or
+// reaches inf (real) at run time. Only one operand needs it, so every other
+// operator is still a plain constant or variable operation.
+func nonConst(text string, e ast.Expr) string {
+	if !isNumLit(e) {
+		return text
+	}
+	return "gort.Dyn(" + text + ")"
 }
 
 // widenPair inserts float64 conversions when exactly one numeric side is

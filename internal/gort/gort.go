@@ -189,6 +189,13 @@ func chargeAlloc(n int64) {
 	}
 }
 
+// Dyn returns v as a value rather than a constant. Generated code passes
+// one literal operand of an operator through it, so that Go does not
+// evaluate the operation at compile time, where an overflow is an error,
+// instead of at run time, where it wraps as on the engines. It inlines to
+// nothing.
+func Dyn[T int64 | float64](v T) T { return v }
+
 // Built charges what a library call built — a string's bytes, an array's
 // elements — and passes it on: gogen wraps the native call of every stdlib
 // row marked Built in it, so the three backends charge the same calls.

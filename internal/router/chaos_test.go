@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/parity"
 	"repro/internal/router"
 	"repro/internal/server"
 	"repro/internal/worker"
@@ -48,12 +49,7 @@ func newClusterBackend(t *testing.T, id string, mutate func(*server.Options)) *c
 		ts.Close()
 		if p := srv.Pool(); p != nil {
 			st := p.Stats()
-			if st.Live != 0 {
-				t.Errorf("backend %s: worker processes still live after drain: %d", id, st.Live)
-			}
-			if st.Reaped != st.Spawns {
-				t.Errorf("backend %s: orphaned workers: spawned %d, reaped %d", id, st.Spawns, st.Reaped)
-			}
+			parity.Children{Spawns: st.Spawns, Reaped: st.Reaped, Live: st.Live}.Check(t, "backend "+id)
 		}
 	})
 	return cb
@@ -88,7 +84,7 @@ func TestClusterChaosSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster chaos soak; skipped in -short")
 	}
-	baseline := countGoroutinesSettled()
+	goroutines := parity.Settle()
 
 	const announce = 1500 * time.Millisecond
 	mutate := func(o *server.Options) {
@@ -176,33 +172,28 @@ func TestClusterChaosSoak(t *testing.T) {
 					t.Errorf("client %d: transport error through router: %v", c, err)
 					return
 				}
-				body, err := readAll(resp)
+				body, err := parity.Body(resp)
 				if err != nil {
 					t.Errorf("client %d: truncated reply: %v", c, err)
 					return
 				}
 				done.Add(1)
-				switch resp.StatusCode {
-				case http.StatusOK:
+				var rr server.RunResponse
+				if parity.Reply(t, resp, body, &rr) {
 					ok200.Add(1)
-					var rr server.RunResponse
-					if err := json.Unmarshal(body, &rr); err != nil {
-						t.Errorf("client %d: bad 200 body: %v: %s", c, err, body)
-						return
-					}
 					if !rr.OK || rr.Stdout != wants[pick] {
 						t.Errorf("client %d: wrong result %+v, want stdout %q", c, rr, wants[pick])
 						return
 					}
+					continue
+				}
+				switch resp.StatusCode {
 				case http.StatusUnprocessableEntity:
 					rej422.Add(1)
-					assertErrorBody(t, body, 422)
 				case http.StatusTooManyRequests:
 					rej429.Add(1)
-					assertErrorBody(t, body, 429)
 				case http.StatusServiceUnavailable:
 					rej503.Add(1)
-					assertErrorBody(t, body, 503)
 					if strings.Contains(string(body), "draining") && resp.Header.Get("X-Tetra-Backend") != "" {
 						// A backend (not the router) rejected us because it
 						// was draining — but it announced first, so the
@@ -268,9 +259,7 @@ func TestClusterChaosSoak(t *testing.T) {
 		}
 		n.ts.Close()
 	}
-	if leaked := waitForGoroutines(baseline, 15*time.Second); leaked > 0 {
-		t.Errorf("goroutine leak after cluster chaos: %d above baseline %d", leaked, baseline)
-	}
+	goroutines.Check(t, 15*time.Second)
 }
 
 // TestQuarantine422ThroughRouter: a poison program's quarantine
@@ -294,11 +283,11 @@ func TestQuarantine422ThroughRouter(t *testing.T) {
 	req := server.RunRequest{Source: "def main():\n    print(1)\n", File: "poison.ttr"}
 	// Deliberately no client X-Request-ID: the router must mint one at
 	// the edge and the backend must record that exact ID.
-	resp, body := postRun(t, front.URL, req, nil)
+	resp, body := parity.Post(t, front.URL+"/run", req, nil)
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("status %d, want 422 relayed: %s", resp.StatusCode, body)
 	}
-	assertErrorBody(t, body, 422)
+	parity.Reply(t, resp, body, nil)
 	if !strings.Contains(string(body), "poison.ttr") {
 		t.Errorf("422 body not positioned on the file: %s", body)
 	}

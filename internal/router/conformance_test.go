@@ -1,45 +1,38 @@
 package router_test
 
 import (
-	"bytes"
-	"encoding/json"
-	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/parity"
 	"repro/internal/router"
 	"repro/internal/server"
 )
 
-// TestClusterConformanceGoldenCorpus is the cluster-level transport
-// guarantee: every golden-corpus program, on the interpreter and the VM
-// at -O0 and -O2, produces stdout byte-identical to the committed golden
-// whether it is POSTed to a tetrad directly or through the router — and
-// routing is deterministic, so the same program always reports the same
+// TestClusterConformanceGoldenCorpus is the cluster's door of the parity
+// matrix: every golden
+// program at every engine of the table, POSTed through tetrarouter in
+// front of two tetrads, means what the engines say — and the same bytes
+// come back when the request goes to the chosen tetrad directly, and
+// routing is deterministic, so a re-sent request reports the same
 // X-Tetra-Backend. A router that ever touched program semantics, or
 // flapped programs between cold caches, fails here.
 func TestClusterConformanceGoldenCorpus(t *testing.T) {
-	baseline := countGoroutinesSettled()
-	dir := filepath.Join("..", "..", "testdata", "programs")
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	goroutines := parity.Settle()
 
 	// Two plain in-process tetrads behind an affinity router.
 	var backends []router.Backend
 	var servers []*server.Server
 	var tss []*httptest.Server
+	direct := map[string]string{} // backend id → its URL
 	for _, id := range []string{"node-0", "node-1"} {
 		srv := server.New(server.Options{Logf: t.Logf})
 		ts := httptest.NewServer(srv)
 		servers = append(servers, srv)
 		tss = append(tss, ts)
 		backends = append(backends, router.Backend{ID: id, URL: ts.URL})
+		direct[id] = ts.URL
 	}
 	rt, err := router.New(router.Options{
 		Backends:      backends,
@@ -52,105 +45,39 @@ func TestClusterConformanceGoldenCorpus(t *testing.T) {
 	front := httptest.NewServer(rt)
 	waitForRing(t, rt, 2)
 
-	post := func(t *testing.T, url string, req server.RunRequest) (*server.RunResponse, string) {
+	post := func(t *testing.T, url string, req server.RunRequest) (parity.Result, string) {
 		t.Helper()
-		data, err := json.Marshal(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.Post(url+"/run", "application/json", bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, err := readAll(resp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
+		resp, body := parity.Post(t, url+"/run", req, nil)
+		var rr server.RunResponse
+		if !parity.Reply(t, resp, body, &rr) {
 			t.Fatalf("status %d: %s", resp.StatusCode, body)
 		}
-		var rr server.RunResponse
-		if err := json.Unmarshal(body, &rr); err != nil {
-			t.Fatal(err)
+		r := parity.Result{Stdout: rr.Stdout}
+		if rr.Error != nil {
+			r.Err = rr.Error.Message
 		}
-		return &rr, resp.Header.Get("X-Tetra-Backend")
+		return r, resp.Header.Get("X-Tetra-Backend")
 	}
-
-	ran := 0
-	for _, entry := range entries {
-		name := entry.Name()
-		if !strings.HasSuffix(name, ".ttr") {
-			continue
+	parity.Matrix(t, "router", parity.Corpus(t), func(t *testing.T, c parity.Case, v parity.Variant) parity.Result {
+		req := server.RunRequest{Source: c.Src, Stdin: c.Stdin, File: c.FileName(), Backend: v.Backend}
+		if v.Backend == server.BackendVM {
+			req.Opt = &v.Opt
 		}
-		ran++
-		base := strings.TrimSuffix(name, ".ttr")
-		t.Run(base, func(t *testing.T) {
-			src, err := os.ReadFile(filepath.Join(dir, name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			golden, err := os.ReadFile(filepath.Join(dir, base+".out"))
-			if err != nil {
-				t.Fatalf("missing golden: %v", err)
-			}
-			input := ""
-			if data, err := os.ReadFile(filepath.Join(dir, base+".in")); err == nil {
-				input = string(data)
-			}
-
-			o0, o2 := 0, 2
-			variants := []struct {
-				label string
-				req   server.RunRequest
-			}{
-				{"interp", server.RunRequest{Source: string(src), Stdin: input, File: name}},
-				{"vm-O0", server.RunRequest{Source: string(src), Stdin: input, File: name, Backend: server.BackendVM, Opt: &o0}},
-				{"vm-O2", server.RunRequest{Source: string(src), Stdin: input, File: name, Backend: server.BackendVM, Opt: &o2}},
-			}
-			routedTo := map[string]string{} // variant label → backend id
-			for _, v := range variants {
-				viaRouter, backendID := post(t, front.URL, v.req)
-				if viaRouter.Error != nil {
-					t.Fatalf("%s: error through router: %+v", v.label, viaRouter.Error)
-				}
-				if viaRouter.Stdout != string(golden) {
-					t.Errorf("%s: stdout through router drifted from golden:\n%q\nwant:\n%q",
-						v.label, viaRouter.Stdout, string(golden))
-				}
-				if backendID == "" {
-					t.Errorf("%s: reply missing X-Tetra-Backend", v.label)
-				}
-				routedTo[v.label] = backendID
-
-				// Direct POST to the very node the router chose: the bytes
-				// must match, proving the router added nothing and lost
-				// nothing.
-				var directURL string
-				for i, b := range backends {
-					if b.ID == backendID {
-						directURL = tss[i].URL
-					}
-				}
-				direct, _ := post(t, directURL, v.req)
-				if direct.Stdout != viaRouter.Stdout {
-					t.Errorf("%s: router stdout differs from direct:\nrouter: %q\ndirect: %q",
-						v.label, viaRouter.Stdout, direct.Stdout)
-				}
-			}
-
-			// Affinity is deterministic: re-sending each variant lands on
-			// the same node.
-			for _, v := range variants {
-				if _, again := post(t, front.URL, v.req); again != routedTo[v.label] {
-					t.Errorf("%s: rerouted %q then %q; affinity must be stable",
-						v.label, routedTo[v.label], again)
-				}
-			}
-		})
-	}
-	if ran < 10 {
-		t.Errorf("corpus unexpectedly small: %d programs", ran)
-	}
+		viaRouter, backendID := post(t, front.URL, req)
+		if direct[backendID] == "" {
+			t.Fatalf("reply names backend %q", backendID)
+		}
+		// The very node the router chose, asked directly: the router
+		// added nothing and lost nothing.
+		if d, _ := post(t, direct[backendID], req); d != viaRouter {
+			t.Errorf("router reply differs from direct: %s", parity.Diff(d, viaRouter))
+		}
+		// Affinity is deterministic: the same request lands on the same node.
+		if _, again := post(t, front.URL, req); again != backendID {
+			t.Errorf("rerouted %q then %q; affinity must be stable", backendID, again)
+		}
+		return viaRouter
+	})
 
 	// Orderly teardown with a leak check: router first, then backends.
 	if err := rt.Close(); err != nil {
@@ -163,7 +90,5 @@ func TestClusterConformanceGoldenCorpus(t *testing.T) {
 		}
 		tss[i].Close()
 	}
-	if leaked := waitForGoroutines(baseline, 10*time.Second); leaked > 0 {
-		t.Errorf("goroutine leak after cluster shutdown: %d above baseline %d", leaked, baseline)
-	}
+	goroutines.Check(t, 10*time.Second)
 }

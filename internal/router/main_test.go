@@ -1,20 +1,16 @@
 package router_test
 
 import (
-	"bytes"
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/router"
-	"repro/internal/server"
 	"repro/internal/worker"
 )
 
@@ -122,68 +118,4 @@ func waitForRing(t *testing.T, rt *router.Router, n int) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatalf("ring never reached %d members: have %v", n, rt.Ring().Members())
-}
-
-func postRun(t *testing.T, url string, req server.RunRequest, hdr map[string]string) (*http.Response, []byte) {
-	t.Helper()
-	data, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hreq, err := http.NewRequest(http.MethodPost, url+"/run", bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	for k, v := range hdr {
-		hreq.Header.Set(k, v)
-	}
-	resp, err := http.DefaultClient.Do(hreq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := readAll(resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp, body
-}
-
-func readAll(resp *http.Response) ([]byte, error) {
-	defer resp.Body.Close()
-	return io.ReadAll(resp.Body)
-}
-
-func assertErrorBody(t *testing.T, body []byte, code int) {
-	t.Helper()
-	var er server.ErrorResponse
-	if err := json.Unmarshal(body, &er); err != nil || er.Code != code || er.Error == "" {
-		t.Errorf("malformed %d body: %s", code, body)
-	}
-}
-
-// countGoroutinesSettled samples the goroutine count after letting
-// finished test goroutines unwind.
-func countGoroutinesSettled() int {
-	runtime.GC()
-	time.Sleep(50 * time.Millisecond)
-	return runtime.NumGoroutine()
-}
-
-// waitForGoroutines polls until the goroutine count returns to the
-// baseline (plus a tolerance of 2 for runtime helpers) or the deadline
-// expires; it returns how many remain above baseline.
-func waitForGoroutines(baseline int, wait time.Duration) int {
-	deadline := time.Now().Add(wait)
-	for {
-		runtime.GC()
-		n := runtime.NumGoroutine()
-		if n <= baseline+2 {
-			return 0
-		}
-		if time.Now().After(deadline) {
-			return n - baseline
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/parity"
 	"repro/internal/router"
 	"repro/internal/server"
 )
@@ -43,7 +44,7 @@ func TestAffinityRoutingIsSticky(t *testing.T) {
 		src := sourceFor(i)
 		want := rt.Ring().Owner(core.CacheKey("prog.ttr", src, server.MaxOptLevel))
 		for rep := 0; rep < 4; rep++ {
-			resp, body := postRun(t, ts.URL, server.RunRequest{Source: src}, nil)
+			resp, body := parity.Post(t, ts.URL+"/run", server.RunRequest{Source: src}, nil)
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("status %d: %s", resp.StatusCode, body)
 			}
@@ -68,7 +69,7 @@ func TestAffinityHonorsOptLevel(t *testing.T) {
 	for _, lvl := range []int{0, 2} {
 		lvl := lvl
 		want := rt.Ring().Owner(core.CacheKey("prog.ttr", src, lvl))
-		resp, _ := postRun(t, ts.URL, server.RunRequest{Source: src, Backend: server.BackendVM, Opt: &lvl}, nil)
+		resp, _ := parity.Post(t, ts.URL+"/run", server.RunRequest{Source: src, Backend: server.BackendVM, Opt: &lvl}, nil)
 		if got := resp.Header.Get("X-Tetra-Backend"); got != want {
 			t.Errorf("opt %d routed to %q, ring owner of its cache key is %q", lvl, got, want)
 		}
@@ -109,7 +110,7 @@ func TestSpilloverOnFullBackend(t *testing.T) {
 
 	errCh := make(chan error, 1)
 	go func() {
-		resp, _ := postRun(t, ts.URL, server.RunRequest{Source: src}, nil)
+		resp, _ := parity.Post(t, ts.URL+"/run", server.RunRequest{Source: src}, nil)
 		if resp.Header.Get("X-Tetra-Backend") != "slow" {
 			errCh <- fmt.Errorf("first request not on owner: %s", resp.Header.Get("X-Tetra-Backend"))
 			return
@@ -118,7 +119,7 @@ func TestSpilloverOnFullBackend(t *testing.T) {
 	}()
 	<-started // owner now holds its single in-flight slot
 
-	resp, body := postRun(t, ts.URL, server.RunRequest{Source: src}, nil)
+	resp, body := parity.Post(t, ts.URL+"/run", server.RunRequest{Source: src}, nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("spilled request status %d: %s", resp.StatusCode, body)
 	}
@@ -160,7 +161,7 @@ func TestRetryOnConnectionFailure(t *testing.T) {
 			break
 		}
 	}
-	resp, body := postRun(t, ts.URL, server.RunRequest{Source: src}, nil)
+	resp, body := parity.Post(t, ts.URL+"/run", server.RunRequest{Source: src}, nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s (connection failure must be retried, not surfaced)", resp.StatusCode, body)
 	}
@@ -190,11 +191,11 @@ func TestNoBackend503(t *testing.T) {
 	a.ts.Close()
 	b.ts.Close()
 
-	resp, body := postRun(t, ts.URL, server.RunRequest{Source: sourceFor(0)}, nil)
+	resp, body := parity.Post(t, ts.URL+"/run", server.RunRequest{Source: sourceFor(0)}, nil)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503", resp.StatusCode)
 	}
-	assertErrorBody(t, body, http.StatusServiceUnavailable)
+	parity.Reply(t, resp, body, nil)
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("503 without Retry-After")
 	}
@@ -213,7 +214,7 @@ func TestHealthDrivenMembership(t *testing.T) {
 	waitForRing(t, rt, 1)
 	// All traffic must now go to b, whatever the program.
 	for i := 0; i < 6; i++ {
-		resp, _ := postRun(t, ts.URL, server.RunRequest{Source: sourceFor(i)}, nil)
+		resp, _ := parity.Post(t, ts.URL+"/run", server.RunRequest{Source: sourceFor(i)}, nil)
 		if got := resp.Header.Get("X-Tetra-Backend"); got != "b" {
 			t.Errorf("program %d routed to %q while a was unready", i, got)
 		}
@@ -235,7 +236,7 @@ func TestMetricsSurviveMembershipChurn(t *testing.T) {
 	rt, ts := newRouter(t, opts, 2)
 
 	for i := 0; i < 20; i++ {
-		postRun(t, ts.URL, server.RunRequest{Source: sourceFor(i)}, nil)
+		parity.Post(t, ts.URL+"/run", server.RunRequest{Source: sourceFor(i)}, nil)
 	}
 	before := rt.Metrics()
 	ba := before.Backends["a"]
@@ -248,7 +249,7 @@ func TestMetricsSurviveMembershipChurn(t *testing.T) {
 	a.ready.Store(false)
 	waitForRing(t, rt, 1)
 	for i := 0; i < 10; i++ {
-		postRun(t, ts.URL, server.RunRequest{Source: sourceFor(i)}, nil)
+		parity.Post(t, ts.URL+"/run", server.RunRequest{Source: sourceFor(i)}, nil)
 	}
 	mid := rt.Metrics()
 	if got := mid.Backends["a"]; got.Requests != ba.Requests || got.Latency.Count != ba.Latency.Count {
@@ -261,7 +262,7 @@ func TestMetricsSurviveMembershipChurn(t *testing.T) {
 	a.ready.Store(true)
 	waitForRing(t, rt, 2)
 	for i := 0; i < 20; i++ {
-		postRun(t, ts.URL, server.RunRequest{Source: sourceFor(i)}, nil)
+		parity.Post(t, ts.URL+"/run", server.RunRequest{Source: sourceFor(i)}, nil)
 	}
 	after := rt.Metrics()
 	if got := after.Backends["a"]; got.Requests <= ba.Requests {
@@ -276,7 +277,7 @@ func TestMetricsSurviveMembershipChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, _ := readAll(resp)
+	body, _ := parity.Body(resp)
 	var snap router.MetricsSnapshot
 	if err := json.Unmarshal(body, &snap); err != nil {
 		t.Fatalf("GET /metrics not JSON: %v\n%s", err, body)
@@ -295,7 +296,7 @@ func TestRequestIDPropagation(t *testing.T) {
 	_, ts := newRouter(t, opts, 2)
 
 	// Client-supplied ID.
-	resp, _ := postRun(t, ts.URL, server.RunRequest{Source: sourceFor(0)},
+	resp, _ := parity.Post(t, ts.URL+"/run", server.RunRequest{Source: sourceFor(0)},
 		map[string]string{"X-Request-ID": "client-abc-123"})
 	if got := resp.Header.Get("X-Request-ID"); got != "client-abc-123" {
 		t.Errorf("reply X-Request-ID = %q, want the client's", got)
@@ -309,7 +310,7 @@ func TestRequestIDPropagation(t *testing.T) {
 	}
 
 	// Router-minted ID.
-	resp2, _ := postRun(t, ts.URL, server.RunRequest{Source: sourceFor(1)}, nil)
+	resp2, _ := parity.Post(t, ts.URL+"/run", server.RunRequest{Source: sourceFor(1)}, nil)
 	minted := resp2.Header.Get("X-Request-ID")
 	if minted == "" {
 		t.Fatal("router did not mint an X-Request-ID")
@@ -336,11 +337,11 @@ func TestBackendHeaderOnEveryReply(t *testing.T) {
 	})
 	opts := router.Options{Backends: []router.Backend{{ID: "q", URL: reject.ts.URL}}}
 	_, ts := newRouter(t, opts, 1)
-	resp, body := postRun(t, ts.URL, server.RunRequest{Source: sourceFor(0)}, nil)
+	resp, body := parity.Post(t, ts.URL+"/run", server.RunRequest{Source: sourceFor(0)}, nil)
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("status %d, want backend's 422 relayed", resp.StatusCode)
 	}
-	assertErrorBody(t, body, http.StatusUnprocessableEntity)
+	parity.Reply(t, resp, body, nil)
 	if got := resp.Header.Get("X-Tetra-Backend"); got != "q" {
 		t.Errorf("X-Tetra-Backend = %q, want \"q\"", got)
 	}
@@ -374,7 +375,7 @@ func TestSessionStickiness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		body, _ := readAll(resp)
+		body, _ := parity.Body(resp)
 		return resp, body
 	}()
 	if resp.StatusCode != http.StatusOK {
@@ -395,7 +396,7 @@ func TestSessionStickiness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		readAll(resp)
+		parity.Body(resp)
 		if got := resp.Header.Get("X-Tetra-Backend"); got != creator {
 			t.Fatalf("sticky request %d went to %q, session lives on %q", i, got, creator)
 		}
@@ -409,11 +410,11 @@ func TestSessionStickiness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		body, _ := readAll(resp)
+		body, _ := parity.Body(resp)
 		if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(body), "request body exceeds 4194304 bytes") {
 			t.Errorf("oversize body on %s: %d %s, want 413 naming the limit", path, resp.StatusCode, body)
 		}
-		assertErrorBody(t, body, http.StatusRequestEntityTooLarge)
+		parity.Reply(t, resp, body, nil)
 	}
 
 	// DELETE releases the route; the next touch is a router-level 404.
@@ -421,28 +422,28 @@ func TestSessionStickiness(t *testing.T) {
 	if resp, err := http.DefaultClient.Do(req); err != nil {
 		t.Fatal(err)
 	} else {
-		readAll(resp)
+		parity.Body(resp)
 	}
 	resp2, err := http.Get(ts.URL + "/session/" + created.ID + "/state")
 	if err != nil {
 		t.Fatal(err)
 	}
-	body2, _ := readAll(resp2)
+	body2, _ := parity.Body(resp2)
 	if resp2.StatusCode != http.StatusNotFound {
 		t.Fatalf("deleted session gave %d, want 404", resp2.StatusCode)
 	}
-	assertErrorBody(t, body2, http.StatusNotFound)
+	parity.Reply(t, resp2, body2, nil)
 
 	// Unknown session: same shape.
 	resp3, err := http.Get(ts.URL + "/session/never-existed/state")
 	if err != nil {
 		t.Fatal(err)
 	}
-	body3, _ := readAll(resp3)
+	body3, _ := parity.Body(resp3)
 	if resp3.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown session gave %d, want 404", resp3.StatusCode)
 	}
-	assertErrorBody(t, body3, http.StatusNotFound)
+	parity.Reply(t, resp3, body3, nil)
 }
 
 // TestRandomPolicyUsesWholeFleet: the control arm really does scatter.
@@ -452,7 +453,7 @@ func TestRandomPolicyUsesWholeFleet(t *testing.T) {
 	_, ts := newRouter(t, opts, 2)
 	src := sourceFor(0) // one single program
 	for i := 0; i < 32; i++ {
-		postRun(t, ts.URL, server.RunRequest{Source: src}, nil)
+		parity.Post(t, ts.URL+"/run", server.RunRequest{Source: src}, nil)
 	}
 	if a.requestCount() == 0 || b.requestCount() == 0 {
 		t.Errorf("random policy sent 32 requests of one program to a=%d b=%d; want both > 0",
@@ -482,7 +483,7 @@ func TestAffinityKeepsCachesWarmerThanRandom(t *testing.T) {
 		_, ts := newRouter(t, router.Options{Backends: backends, Policy: policy}, nodes)
 		for pass := 0; pass < passes; pass++ {
 			for i := 0; i < corpus; i++ {
-				resp, body := postRun(t, ts.URL, server.RunRequest{Source: sourceFor(i), Backend: server.BackendVM}, nil)
+				resp, body := parity.Post(t, ts.URL+"/run", server.RunRequest{Source: sourceFor(i), Backend: server.BackendVM}, nil)
 				if resp.StatusCode != http.StatusOK {
 					t.Fatalf("%s: program %d gave %d: %s", policy, i, resp.StatusCode, body)
 				}
@@ -502,7 +503,7 @@ func TestAffinityKeepsCachesWarmerThanRandom(t *testing.T) {
 // population and drain state, and a draining router rejects with a
 // well-formed 503 + Retry-After.
 func TestRouterHealthAndDrain(t *testing.T) {
-	baseline := countGoroutinesSettled()
+	goroutines := parity.Settle()
 	a := newStub(t, nil)
 	rt, err := router.New(router.Options{
 		Backends:      []router.Backend{{ID: "a", URL: a.ts.URL}},
@@ -521,7 +522,7 @@ func TestRouterHealthAndDrain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		body, _ := readAll(resp)
+		body, _ := parity.Body(resp)
 		return resp.StatusCode, body
 	}
 	if code, _ := get("/healthz/live"); code != http.StatusOK {
@@ -547,20 +548,18 @@ func TestRouterHealthAndDrain(t *testing.T) {
 	if code, _ := get("/healthz/ready"); code != http.StatusServiceUnavailable {
 		t.Errorf("ready while draining = %d, want 503", code)
 	}
-	resp, body := postRun(t, ts.URL, server.RunRequest{Source: sourceFor(0)}, nil)
+	resp, body := parity.Post(t, ts.URL+"/run", server.RunRequest{Source: sourceFor(0)}, nil)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("draining router gave %d, want 503", resp.StatusCode)
 	}
-	assertErrorBody(t, body, http.StatusServiceUnavailable)
+	parity.Reply(t, resp, body, nil)
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("draining 503 without Retry-After")
 	}
 
 	ts.Close()
 	a.ts.Close()
-	if leaked := waitForGoroutines(baseline, 5*time.Second); leaked > 0 {
-		t.Errorf("goroutine leak after router drain: %d above baseline %d", leaked, baseline)
-	}
+	goroutines.Check(t, 5*time.Second)
 }
 
 // TestNewRejectsBadConfig: config errors fail fast at construction.
@@ -593,11 +592,11 @@ func TestUnroutableBodyStillProxies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, _ := readAll(resp)
+	body, _ := parity.Body(resp)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d, want the backend's 400 relayed", resp.StatusCode)
 	}
-	assertErrorBody(t, body, http.StatusBadRequest)
+	parity.Reply(t, resp, body, nil)
 	if got := resp.Header.Get("X-Tetra-Backend"); got != "x" {
 		t.Errorf("X-Tetra-Backend = %q on relayed 400", got)
 	}

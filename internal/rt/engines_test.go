@@ -3,55 +3,22 @@ package rt_test
 import (
 	"bytes"
 	"fmt"
-	"os"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/ast"
-	"repro/internal/bytecode"
 	"repro/internal/check"
 	"repro/internal/guard"
-	"repro/internal/interp"
+	"repro/internal/parity"
 	"repro/internal/parser"
 	"repro/internal/rt"
-	"repro/internal/vm"
 )
 
 // The runtime's contract, checked end to end: every case runs the same
-// Tetra program on the interpreter, the VM at -O0 and the VM at -O2, which
-// share internal/rt, and must behave the same on all three.
-
-// machine is what the table needs of an engine.
-type machine interface {
-	Run() error
-	Cancel()
-}
-
-// engines lists the three configurations; each runs the program under the
-// one run configuration.
-var engines = []struct {
-	name  string
-	build func(prog *ast.Program, cfg rt.Config) (machine, error)
-}{
-	{"interp", func(prog *ast.Program, cfg rt.Config) (machine, error) {
-		return interp.New(prog, cfg), nil
-	}},
-	{"vm-O0", buildVM(bytecode.O0)},
-	{"vm-O2", buildVM(bytecode.O2)},
-}
-
-func buildVM(level int) func(*ast.Program, rt.Config) (machine, error) {
-	return func(prog *ast.Program, cfg rt.Config) (machine, error) {
-		bc, err := bytecode.Compile(prog)
-		if err != nil {
-			return nil, err
-		}
-		bytecode.Optimize(bc, level)
-		return vm.New(bc, cfg), nil
-	}
-}
+// Tetra program on each engine of the parity table — the interpreter and
+// the VM at every optimization level, which share internal/rt — and must
+// behave the same on all of them.
 
 // output is a writer the test can read while the program still runs.
 type output struct {
@@ -328,21 +295,16 @@ def main():
 	}
 	// A program inside its budget is untouched: the library-heavy goldens
 	// under the sandbox defaults.
-	for _, name := range []string{"pascal", "string_tools", "unicode_strings"} {
-		src, err := os.ReadFile("../../testdata/programs/" + name + ".ttr")
-		if err != nil {
-			t.Fatal(err)
+	for _, g := range parity.Corpus(t) {
+		switch g.Name {
+		case "pascal", "string_tools", "unicode_strings":
+			cases = append(cases, contractCase{
+				name:    "sandbox_budget_leaves_" + g.Name + "_alone",
+				src:     g.Src,
+				limits:  guard.Limits{}.WithSandboxDefaults(),
+				wantOut: g.Want.Stdout,
+			})
 		}
-		want, err := os.ReadFile("../../testdata/programs/" + name + ".out")
-		if err != nil {
-			t.Fatal(err)
-		}
-		cases = append(cases, contractCase{
-			name:    "sandbox_budget_leaves_" + name + "_alone",
-			src:     string(src),
-			limits:  guard.Limits{}.WithSandboxDefaults(),
-			wantOut: string(want),
-		})
 	}
 	for _, c := range cases {
 		prog, err := parser.Parse("test.ttr", c.src)
@@ -353,11 +315,11 @@ def main():
 			t.Fatalf("%s: check: %v", c.name, err)
 		}
 		var msgs []string
-		for i := 0; i < len(engines)*max(c.reps, 1); i++ {
-			e := engines[i%len(engines)]
-			t.Run(c.name+"/"+e.name, func(t *testing.T) {
+		for i := 0; i < len(parity.Variants)*max(c.reps, 1); i++ {
+			v := parity.Variants[i%len(parity.Variants)]
+			t.Run(c.name+"/"+v.Name, func(t *testing.T) {
 				var out output
-				m, err := e.build(prog, rt.Config{Stdout: &out, Limits: c.limits, NoDeadlockDetection: c.noDetect})
+				m, err := v.Build(prog, rt.Config{Stdout: &out, Limits: c.limits, NoDeadlockDetection: c.noDetect})
 				if err != nil {
 					t.Fatal(err)
 				}

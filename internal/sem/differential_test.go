@@ -1,8 +1,8 @@
 package sem_test
 
 // The cross-backend differential harness: generated operand/op tuples are
-// driven through the tree-walking interpreter, the VM at O0 and O2, and
-// the compiled runtime's kernels (gort), asserting byte-identical results
+// driven through the parity engine table (the tree-walking interpreter and
+// the VM at every level) and the compiled runtime's kernels (gort), asserting byte-identical results
 // and error messages. With internal/sem as the single semantics
 // implementation this is the executable proof that the backends cannot
 // drift: a divergence here means a backend stopped calling sem.
@@ -11,94 +11,23 @@ package sem_test
 // backends, which themselves import sem.
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 	"testing"
 
-	"repro/internal/bytecode"
-	"repro/internal/check"
 	"repro/internal/gort"
-	"repro/internal/interp"
-	"repro/internal/parser"
-	"repro/internal/rt"
+	"repro/internal/parity"
 	"repro/internal/sem"
 	"repro/internal/value"
-	"repro/internal/vm"
 )
 
-// backendResult is one backend's observable outcome for a program: its
-// full output plus the error message, if any.
-type backendResult struct {
-	out string
-	err string
-}
-
-// runInterp executes src on the tree-walking interpreter.
-func runInterp(t *testing.T, src string) backendResult {
-	t.Helper()
-	prog, err := parser.Parse("diff.ttr", src)
-	if err != nil {
-		t.Fatalf("parse: %v\n%s", err, src)
-	}
-	if err := check.Check(prog); err != nil {
-		t.Fatalf("check: %v\n%s", err, src)
-	}
-	var out bytes.Buffer
-	rErr := interp.New(prog, rt.Config{Stdout: &out}).Run()
-	r := backendResult{out: out.String()}
-	if rErr != nil {
-		r.err = rErr.Error()
-	}
-	return r
-}
-
-// runVMAt executes src on the bytecode VM at the given optimization level.
-func runVMAt(t *testing.T, src string, level int) backendResult {
-	t.Helper()
-	prog, err := parser.Parse("diff.ttr", src)
-	if err != nil {
-		t.Fatalf("parse: %v\n%s", err, src)
-	}
-	if err := check.Check(prog); err != nil {
-		t.Fatalf("check: %v\n%s", err, src)
-	}
-	bc, err := bytecode.Compile(prog)
-	if err != nil {
-		t.Fatalf("compile: %v\n%s", err, src)
-	}
-	// The whole corpus doubles as the IR verifier's: Compile's output and
-	// every optimizer phase's must keep the typing rules.
-	if err := bytecode.VerifyOptimize(bc, level); err != nil {
-		t.Fatalf("-O%d: %v\n%s", level, err, src)
-	}
-	var out bytes.Buffer
-	rErr := vm.New(bc, rt.Config{Stdout: &out}).Run()
-	r := backendResult{out: out.String()}
-	if rErr != nil {
-		r.err = rErr.Error()
-	}
-	return r
-}
-
-// runAllBackends runs src on interp, VM-O0 and VM-O2 and asserts they
-// agree byte-for-byte on output and on the error message (positions
+// runAllBackends runs src on every engine of the parity table and asserts
+// they agree byte-for-byte on output and on the error message (positions
 // included — every backend reports the same source position). Returns the
 // agreed result.
-func runAllBackends(t *testing.T, src string) backendResult {
+func runAllBackends(t *testing.T, src string) parity.Result {
 	t.Helper()
-	ref := runInterp(t, src)
-	for _, lv := range []struct {
-		name  string
-		level int
-	}{{"vm-O0", bytecode.O0}, {"vm-O2", bytecode.O2}} {
-		got := runVMAt(t, src, lv.level)
-		if got.out != ref.out || got.err != ref.err {
-			t.Fatalf("%s diverges from interp:\ninterp: out=%q err=%q\n%s:  out=%q err=%q\nsource:\n%s",
-				lv.name, ref.out, ref.err, lv.name, got.out, got.err, src)
-		}
-	}
-	return ref
+	return parity.Agree(t, parity.Case{Name: "generated", File: "diff.ttr", Src: src})
 }
 
 // catchGort runs f, capturing a gort runtime panic as its message.
@@ -128,8 +57,7 @@ var strLits = []string{`""`, `"a"`, `"abc"`, `"héllo"`, `"日本"`}
 var binOps = []string{"+", "-", "*", "/", "%", "==", "!=", "<", "<=", ">", ">="}
 
 // TestDifferentialBinaryOps drives every binary operator over generated
-// int, real, mixed and string operand tuples through all three
-// value-level execution paths. Half the cases take their operands from
+// int, real, mixed and string operand tuples through every engine. Half the cases take their operands from
 // variables and half from literals, so the O2 run exercises both the
 // register-register instructions and the constant-operand ones fusion
 // makes of a literal.
@@ -166,7 +94,7 @@ func TestDifferentialBinaryOps(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("driving %d generated programs through 3 execution paths", len(progs))
+	t.Logf("driving %d generated programs through %d engines", len(progs), len(parity.Variants))
 	for _, src := range progs {
 		runAllBackends(t, src)
 	}
@@ -299,8 +227,8 @@ func TestDifferentialGortStrings(t *testing.T) {
 	}
 }
 
-// TestDifferentialErrors drives the canonical runtime errors through all
-// three value-level paths, asserting identical positioned messages.
+// TestDifferentialErrors drives the canonical runtime errors through every
+// engine, asserting identical positioned messages.
 func TestDifferentialErrors(t *testing.T) {
 	cases := []struct {
 		name, src, want string
@@ -333,8 +261,8 @@ func TestDifferentialErrors(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			r := runAllBackends(t, c.src)
-			if !strings.Contains(r.err, c.want) {
-				t.Errorf("agreed error %q does not contain %q", r.err, c.want)
+			if !strings.Contains(r.Err, c.want) {
+				t.Errorf("agreed error %q does not contain %q", r.Err, c.want)
 			}
 		})
 	}
@@ -363,8 +291,8 @@ func TestDifferentialUnassigned(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if r := runAllBackends(t, c.src); r.out != c.out || r.err != c.err {
-				t.Errorf("out=%q err=%q, want out=%q err=%q\n%s", r.out, r.err, c.out, c.err, c.src)
+			if r := runAllBackends(t, c.src); r.Stdout != c.out || r.Err != c.err {
+				t.Errorf("out=%q err=%q, want out=%q err=%q\n%s", r.Stdout, r.Err, c.out, c.err, c.src)
 			}
 		})
 	}
@@ -397,15 +325,15 @@ func TestDifferentialSpawnedCalls(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			src := fmt.Sprintf(prog, c.body)
-			if r := runAllBackends(t, src); r.out != c.out || r.err != "" {
-				t.Errorf("out=%q err=%q, want out=%q\n%s", r.out, r.err, c.out, src)
+			if r := runAllBackends(t, src); r.Stdout != c.out || r.Err != "" {
+				t.Errorf("out=%q err=%q, want out=%q\n%s", r.Stdout, r.Err, c.out, src)
 			}
 		})
 	}
 }
 
 // TestDifferentialParallelFor runs a deterministic parallel-for workload
-// (disjoint writes) through interp and both VM levels; under `go test
+// (disjoint writes) through every engine; under `go test
 // -race` this doubles as the proof that the shared sem kernels are safe
 // to call from concurrent Tetra threads.
 func TestDifferentialParallelFor(t *testing.T) {
@@ -426,14 +354,14 @@ func TestDifferentialParallelFor(t *testing.T) {
     print(total, " ", ok)
 `
 	r := runAllBackends(t, src)
-	if r.err != "" {
-		t.Fatalf("run error: %s", r.err)
+	if r.Err != "" {
+		t.Fatalf("run error: %s", r.Err)
 	}
 	want := 0
 	for i := 0; i < 11; i++ {
 		want += i * i % 7
 	}
-	if got := fmt.Sprintf("%d 11\n", want); r.out != got {
-		t.Errorf("out = %q, want %q", r.out, got)
+	if got := fmt.Sprintf("%d 11\n", want); r.Stdout != got {
+		t.Errorf("out = %q, want %q", r.Stdout, got)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/parity"
 	"repro/internal/server"
 	"repro/internal/worker"
 )
@@ -27,9 +28,38 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// serve boots a server under opts behind an HTTP listener and, at
+// cleanup, drains it and holds it to the serving invariants: no worker or
+// artifact process outlives it, and no goroutine it started.
+func serve(t *testing.T, opts server.Options) (*server.Server, *httptest.Server) {
+	t.Helper()
+	goroutines := parity.Settle()
+	srv := server.New(opts)
+	ts := httptest.NewServer(srv)
+	t.Cleanup(func() {
+		_ = srv.Drain(nil)
+		ts.Close()
+		if p := srv.Pool(); p != nil {
+			st := p.Stats()
+			parity.Children{Spawns: st.Spawns, Reaped: st.Reaped, Live: st.Live}.Check(t, "worker pool")
+		}
+		if n := srv.Native(); n != nil {
+			st := n.Stats()
+			parity.Children{Spawns: st.Spawns, Reaped: st.Reaped}.Check(t, "native runner")
+		}
+		goroutines.Check(t, 10*time.Second)
+	})
+	return srv, ts
+}
+
+// inProcessServer boots a server that runs programs in its own process.
+func inProcessServer(t *testing.T) (*server.Server, *httptest.Server) {
+	t.Helper()
+	return serve(t, server.Options{Logf: t.Logf})
+}
+
 // poolServer boots a worker-isolated server whose workers are this test
-// binary, with the test wired to drain it (and verify zero orphans) at
-// cleanup.
+// binary.
 func poolServer(t *testing.T, mutate func(*server.Options)) (*server.Server, *httptest.Server) {
 	t.Helper()
 	opts := server.Options{
@@ -43,22 +73,7 @@ func poolServer(t *testing.T, mutate func(*server.Options)) (*server.Server, *ht
 	if mutate != nil {
 		mutate(&opts)
 	}
-	srv := server.New(opts)
-	ts := httptest.NewServer(srv)
-	t.Cleanup(func() {
-		_ = srv.Drain(nil)
-		ts.Close()
-		if p := srv.Pool(); p != nil {
-			st := p.Stats()
-			if st.Live != 0 {
-				t.Errorf("worker processes still live after drain: %d", st.Live)
-			}
-			if st.Reaped != st.Spawns {
-				t.Errorf("orphaned workers: spawned %d, reaped %d", st.Spawns, st.Reaped)
-			}
-		}
-	})
-	return srv, ts
+	return serve(t, opts)
 }
 
 // waitForWorkers blocks until the pool has at least one idle worker, so
@@ -75,31 +90,6 @@ func waitForWorkers(t *testing.T, srv *server.Server) {
 	t.Fatalf("no idle worker within 10s: %+v", srv.Pool().Stats())
 }
 
-func postRun(t *testing.T, url string, req server.RunRequest, hdr map[string]string) (*http.Response, []byte) {
-	t.Helper()
-	data, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hreq, err := http.NewRequest(http.MethodPost, url+"/run", bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	for k, v := range hdr {
-		hreq.Header.Set(k, v)
-	}
-	resp, err := http.DefaultClient.Do(hreq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := readAll(resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp, body
-}
-
 // TestWorkerPathExecutesBothBackends is the basic isolated round trip:
 // both backends execute inside a worker process and the response says so.
 func TestWorkerPathExecutesBothBackends(t *testing.T) {
@@ -107,7 +97,7 @@ func TestWorkerPathExecutesBothBackends(t *testing.T) {
 	waitForWorkers(t, srv)
 
 	for _, backend := range []string{server.BackendInterp, server.BackendVM} {
-		resp, body := postRun(t, ts.URL, server.RunRequest{
+		resp, body := parity.Post(t, ts.URL+"/run", server.RunRequest{
 			Source: "def main():\n    print(6 * 7)\n", File: "iso.ttr", Backend: backend,
 		}, nil)
 		if resp.StatusCode != http.StatusOK {
@@ -142,8 +132,6 @@ func TestChaosSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak; skipped in -short")
 	}
-	baseline := countGoroutinesSettled()
-
 	srv, ts := poolServer(t, func(o *server.Options) {
 		o.WorkerEnv = []string{fault.EnvVar + "=worker-panic=0.1,worker-exit=0.1,pipe-truncate=0.05"}
 		o.Retry = worker.RetryPolicy{MaxAttempts: 6}
@@ -190,38 +178,33 @@ func TestChaosSoak(t *testing.T) {
 					t.Errorf("client %d: %v", c, err)
 					return
 				}
-				body, err := readAll(resp)
+				body, err := parity.Body(resp)
 				if err != nil {
 					t.Errorf("client %d: %v", c, err)
 					return
 				}
-				switch resp.StatusCode {
-				case http.StatusOK:
-					ok200.Add(1)
-					var rr server.RunResponse
-					if err := json.Unmarshal(body, &rr); err != nil {
-						t.Errorf("client %d: bad 200 body: %v: %s", c, err, body)
+				var rr server.RunResponse
+				if !parity.Reply(t, resp, body, &rr) {
+					switch resp.StatusCode {
+					case http.StatusUnprocessableEntity:
+						rej422.Add(1)
+					case http.StatusTooManyRequests:
+						rej429.Add(1)
+					case http.StatusServiceUnavailable:
+						rej503.Add(1)
+					default:
+						t.Errorf("client %d: unexpected status %d: %s", c, resp.StatusCode, body)
 						return
 					}
-					if !rr.OK || rr.Stdout != wants[pick] {
-						t.Errorf("client %d: wrong result %+v, want stdout %q", c, rr, wants[pick])
-						return
-					}
-					if rr.Attempts < 1 {
-						t.Errorf("client %d: attempts %d < 1", c, rr.Attempts)
-					}
-				case http.StatusUnprocessableEntity:
-					rej422.Add(1)
-					assertErrorBody(t, body, 422)
-				case http.StatusTooManyRequests:
-					rej429.Add(1)
-					assertErrorBody(t, body, 429)
-				case http.StatusServiceUnavailable:
-					rej503.Add(1)
-					assertErrorBody(t, body, 503)
-				default:
-					t.Errorf("client %d: unexpected status %d: %s", c, resp.StatusCode, body)
+					continue
+				}
+				ok200.Add(1)
+				if !rr.OK || rr.Stdout != wants[pick] {
+					t.Errorf("client %d: wrong result %+v, want stdout %q", c, rr, wants[pick])
 					return
+				}
+				if rr.Attempts < 1 {
+					t.Errorf("client %d: attempts %d < 1", c, rr.Attempts)
 				}
 			}
 		}()
@@ -258,25 +241,14 @@ func TestChaosSoak(t *testing.T) {
 		}
 	}
 
-	// Drain, then the leak checks: no goroutines, no worker processes.
-	// Idle keep-alive connections hold goroutines that are not leaks;
-	// shut the HTTP layer down before counting.
+	// Drain; poolServer's cleanup then checks that no goroutine and no
+	// worker process is left. Idle keep-alive connections hold goroutines
+	// that are not leaks: shut the HTTP layer down before it counts.
 	if err := srv.Drain(nil); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
 	client.CloseIdleConnections()
 	ts.Close()
-	if leaked := waitForGoroutines(baseline, 10*time.Second); leaked > 0 {
-		t.Errorf("goroutine leak after chaos drain: %d above baseline %d", leaked, baseline)
-	}
-}
-
-func assertErrorBody(t *testing.T, body []byte, code int) {
-	t.Helper()
-	var er server.ErrorResponse
-	if err := json.Unmarshal(body, &er); err != nil || er.Code != code || er.Error == "" {
-		t.Errorf("malformed %d body: %s", code, body)
-	}
 }
 
 // TestGovernorBudgetsRearmedPerAttempt proves the resource budgets are
@@ -323,7 +295,7 @@ func TestGovernorBudgetsRearmedPerAttempt(t *testing.T) {
 					t.Errorf("post: %v", err)
 					return
 				}
-				body, _ := readAll(resp)
+				body, _ := parity.Body(resp)
 				switch resp.StatusCode {
 				case http.StatusOK:
 					var rr server.RunResponse
@@ -371,7 +343,7 @@ func probeMinSteps(t *testing.T, src string) int {
 	ts := httptest.NewServer(probe)
 	defer ts.Close()
 	passes := func(steps int) bool {
-		resp, body := postRun(t, ts.URL, server.RunRequest{
+		resp, body := parity.Post(t, ts.URL+"/run", server.RunRequest{
 			Source: src, File: "probe.ttr",
 			Limits: &server.LimitSpec{MaxSteps: int64(steps)},
 		}, nil)
@@ -417,11 +389,11 @@ func TestQuarantineCircuitBreaker(t *testing.T) {
 	waitForWorkers(t, srv)
 
 	req := server.RunRequest{Source: "def main():\n    print(1)\n", File: "poison.ttr"}
-	resp, body := postRun(t, ts.URL, req, map[string]string{"X-Request-ID": "poison-req-1"})
+	resp, body := parity.Post(t, ts.URL+"/run", req, map[string]string{"X-Request-ID": "poison-req-1"})
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("first request: status %d, want 422: %s", resp.StatusCode, body)
 	}
-	assertErrorBody(t, body, 422)
+	parity.Reply(t, resp, body, nil)
 	if !strings.Contains(string(body), "poison.ttr") {
 		t.Errorf("422 not positioned on the file: %s", body)
 	}
@@ -430,7 +402,7 @@ func TestQuarantineCircuitBreaker(t *testing.T) {
 	}
 
 	crashesBefore := srv.Pool().Stats().Crashes
-	resp2, body2 := postRun(t, ts.URL, req, nil)
+	resp2, body2 := parity.Post(t, ts.URL+"/run", req, nil)
 	if resp2.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("second request: status %d, want 422: %s", resp2.StatusCode, body2)
 	}
@@ -467,7 +439,7 @@ func TestFallbackWhenPoolExhausted(t *testing.T) {
 		o.Logf = nil // spawn-failure retry loop is noisy by design
 	})
 
-	resp, body := postRun(t, ts.URL, server.RunRequest{
+	resp, body := parity.Post(t, ts.URL+"/run", server.RunRequest{
 		Source: "def main():\n    print(6 * 7)\n", File: "fb.ttr",
 	}, nil)
 	if resp.StatusCode != http.StatusOK {
@@ -498,20 +470,20 @@ func TestPanicRecoveryMiddleware(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	resp, body := postRun(t, ts.URL, server.RunRequest{
+	resp, body := parity.Post(t, ts.URL+"/run", server.RunRequest{
 		Source: "def main():\n    print(1)\n", File: "p.ttr",
 	}, nil)
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("status %d, want 500: %s", resp.StatusCode, body)
 	}
-	assertErrorBody(t, body, 500)
+	parity.Reply(t, resp, body, nil)
 	if m := srv.Metrics(); m.Panics != 1 {
 		t.Errorf("panics = %d, want 1", m.Panics)
 	}
 
 	// The server must still serve after the panic.
 	inj.Set(fault.HandlerPanic, 0, 0)
-	resp2, body2 := postRun(t, ts.URL, server.RunRequest{
+	resp2, body2 := parity.Post(t, ts.URL+"/run", server.RunRequest{
 		Source: "def main():\n    print(2)\n", File: "p.ttr",
 	}, nil)
 	if resp2.StatusCode != http.StatusOK {
@@ -561,7 +533,7 @@ func TestHealthzSplitAndDrainOrder(t *testing.T) {
 		t.Errorf("/healthz = %d during announce, want 503", code)
 	}
 	// ...and inside the announce window, admissions are still open.
-	resp, body := postRun(t, ts.URL, server.RunRequest{
+	resp, body := parity.Post(t, ts.URL+"/run", server.RunRequest{
 		Source: "def main():\n    print(7)\n", File: "w.ttr",
 	}, nil)
 	if resp.StatusCode != http.StatusOK {
@@ -572,7 +544,7 @@ func TestHealthzSplitAndDrainOrder(t *testing.T) {
 		t.Fatalf("drain: %v", err)
 	}
 	// After the drain completes, admissions are closed.
-	resp2, _ := postRun(t, ts.URL, server.RunRequest{
+	resp2, _ := parity.Post(t, ts.URL+"/run", server.RunRequest{
 		Source: "def main():\n    print(7)\n", File: "w.ttr",
 	}, nil)
 	if resp2.StatusCode != http.StatusServiceUnavailable {
@@ -588,7 +560,7 @@ func TestRequestIDEchoAndGenerate(t *testing.T) {
 	defer ts.Close()
 	req := server.RunRequest{Source: "def main():\n    print(1)\n", File: "id.ttr"}
 
-	resp, body := postRun(t, ts.URL, req, map[string]string{"X-Request-ID": "client-abc-123"})
+	resp, body := parity.Post(t, ts.URL+"/run", req, map[string]string{"X-Request-ID": "client-abc-123"})
 	if got := resp.Header.Get("X-Request-ID"); got != "client-abc-123" {
 		t.Errorf("header echo = %q, want client-abc-123", got)
 	}
@@ -600,13 +572,13 @@ func TestRequestIDEchoAndGenerate(t *testing.T) {
 		t.Errorf("body request_id = %q, want client-abc-123", rr.RequestID)
 	}
 
-	resp2, _ := postRun(t, ts.URL, req, nil)
+	resp2, _ := parity.Post(t, ts.URL+"/run", req, nil)
 	if got := resp2.Header.Get("X-Request-ID"); got == "" {
 		t.Error("no generated request ID without a client one")
 	}
 
 	junk := strings.Repeat("x", 200)
-	resp3, _ := postRun(t, ts.URL, req, map[string]string{"X-Request-ID": junk})
+	resp3, _ := parity.Post(t, ts.URL+"/run", req, map[string]string{"X-Request-ID": junk})
 	if got := resp3.Header.Get("X-Request-ID"); got == junk || got == "" {
 		t.Errorf("junk ID handling: header = %q, want a fresh generated ID", got)
 	}

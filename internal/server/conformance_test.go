@@ -1,198 +1,113 @@
 package server_test
 
 import (
-	"bytes"
-	"encoding/json"
-	"net/http"
-	"net/http/httptest"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
+	"time"
 
-	"repro/internal/cli"
+	"repro/internal/parity"
 	"repro/internal/server"
 )
 
-// TestServerConformanceGoldenCorpus is the black-box conformance suite:
-// every golden program runs through POST /run on both backends (VM at -O0
-// and -O2) and the response's stdout must be byte-identical to what the
-// CLI path produces for the same invocation — the server must be a
-// transport, never a semantic layer. The CLI output is itself checked
-// against the committed golden, so a drift in either path fails loudly.
+// tetrad's doors of the parity matrix: every golden program at every
+// engine of the table through the server's own process, the supervised
+// worker pool, the promoted native artifact and a debug session run to
+// completion. Each must be a transport, never a semantic layer: what a
+// reply says the program printed and how it failed is what the engines
+// say.
+
 func TestServerConformanceGoldenCorpus(t *testing.T) {
-	dir := filepath.Join("..", "..", "testdata", "programs")
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(server.New(server.Options{}))
-	defer ts.Close()
-
-	post := func(t *testing.T, req server.RunRequest) *server.RunResponse {
-		t.Helper()
-		data, err := json.Marshal(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.Post(ts.URL+"/run", "application/json", bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d", resp.StatusCode)
-		}
-		var rr server.RunResponse
-		if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
-			t.Fatal(err)
-		}
-		return &rr
-	}
-
-	ran := 0
-	for _, entry := range entries {
-		name := entry.Name()
-		if !strings.HasSuffix(name, ".ttr") {
-			continue
-		}
-		ran++
-		base := strings.TrimSuffix(name, ".ttr")
-		t.Run(base, func(t *testing.T) {
-			src, err := os.ReadFile(filepath.Join(dir, name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			golden, err := os.ReadFile(filepath.Join(dir, base+".out"))
-			if err != nil {
-				t.Fatalf("missing golden: %v", err)
-			}
-			input := ""
-			if data, err := os.ReadFile(filepath.Join(dir, base+".in")); err == nil {
-				input = string(data)
-			}
-
-			// The CLI path, per backend/level. cliOutput also asserts the
-			// CLI still matches the committed golden, anchoring both
-			// comparisons to the same bytes.
-			type variant struct {
-				label   string
-				req     server.RunRequest
-				cliArgs []string
-			}
-			o0, o2 := 0, 2
-			file := filepath.Join(dir, name)
-			variants := []variant{
-				{"interp", server.RunRequest{Source: string(src), Stdin: input, File: name},
-					[]string{file}},
-				{"vm-O0", server.RunRequest{Source: string(src), Stdin: input, File: name, Backend: server.BackendVM, Opt: &o0},
-					[]string{"-vm", "-O", "0", file}},
-				{"vm-O2", server.RunRequest{Source: string(src), Stdin: input, File: name, Backend: server.BackendVM, Opt: &o2},
-					[]string{"-vm", "-O", "2", file}},
-			}
-			for _, v := range variants {
-				cliOut := cliOutput(t, v.cliArgs, input)
-				if cliOut != string(golden) {
-					t.Fatalf("%s: CLI output drifted from golden:\n%s", v.label, cliOut)
-				}
-				rr := post(t, v.req)
-				if rr.Error != nil {
-					t.Fatalf("%s: server error: %+v", v.label, rr.Error)
-				}
-				if rr.Stdout != cliOut {
-					t.Errorf("%s: server stdout differs from CLI:\nserver:\n%q\ncli:\n%q",
-						v.label, rr.Stdout, cliOut)
-				}
-			}
-		})
-	}
-	if ran < 10 {
-		t.Errorf("corpus unexpectedly small: %d programs", ran)
-	}
+	_, ts := inProcessServer(t)
+	parity.Matrix(t, "tetrad", parity.Corpus(t), runDoor(ts.URL, server.TierInProc))
 }
 
-// TestWorkerPathConformanceGoldenCorpus re-runs the golden corpus through
-// the supervised worker tier: every program, on both backends (VM at -O0
-// and -O2), must produce stdout byte-identical to the committed golden
-// even though execution now crosses a process boundary — isolation must
-// be a supervision layer, never a semantic one.
 func TestWorkerPathConformanceGoldenCorpus(t *testing.T) {
-	dir := filepath.Join("..", "..", "testdata", "programs")
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	srv, ts := poolServer(t, func(o *server.Options) {
-		// Conformance must measure the worker path, not the fallback:
+		// The matrix must measure the worker path, not the fallback:
 		// serialize admissions well below the pool size.
 		o.MaxInFlight = 2
 	})
 	waitForWorkers(t, srv)
+	parity.Matrix(t, "worker", parity.Corpus(t), runDoor(ts.URL, server.TierWorker))
+}
 
-	ran := 0
-	for _, entry := range entries {
-		name := entry.Name()
-		if !strings.HasSuffix(name, ".ttr") {
-			continue
-		}
-		ran++
-		base := strings.TrimSuffix(name, ".ttr")
-		t.Run(base, func(t *testing.T) {
-			src, err := os.ReadFile(filepath.Join(dir, name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			golden, err := os.ReadFile(filepath.Join(dir, base+".out"))
-			if err != nil {
-				t.Fatalf("missing golden: %v", err)
-			}
-			input := ""
-			if data, err := os.ReadFile(filepath.Join(dir, base+".in")); err == nil {
-				input = string(data)
-			}
-			o0, o2 := 0, 2
-			variants := []struct {
-				label string
-				req   server.RunRequest
-			}{
-				{"interp", server.RunRequest{Source: string(src), Stdin: input, File: name}},
-				{"vm-O0", server.RunRequest{Source: string(src), Stdin: input, File: name, Backend: server.BackendVM, Opt: &o0}},
-				{"vm-O2", server.RunRequest{Source: string(src), Stdin: input, File: name, Backend: server.BackendVM, Opt: &o2}},
-			}
-			for _, v := range variants {
-				resp, body := postRun(t, ts.URL, v.req, nil)
-				if resp.StatusCode != http.StatusOK {
-					t.Fatalf("%s: status %d: %s", v.label, resp.StatusCode, body)
-				}
-				var rr server.RunResponse
-				if err := json.Unmarshal(body, &rr); err != nil {
-					t.Fatal(err)
-				}
-				if rr.Error != nil {
-					t.Fatalf("%s: server error: %+v", v.label, rr.Error)
-				}
-				if rr.Isolation != server.TierWorker {
-					t.Fatalf("%s: ran on tier %q, want %q", v.label, rr.Isolation, server.TierWorker)
-				}
-				if rr.Stdout != string(golden) {
-					t.Errorf("%s: worker-path stdout differs from golden:\ngot:\n%q\nwant:\n%q",
-						v.label, rr.Stdout, string(golden))
-				}
-			}
-		})
+func TestNativeTierConformanceGoldenCorpus(t *testing.T) {
+	// A tetrad builds one artifact at a time. Two of them, each promoting
+	// every other program from the start (one engine-answered run promotes
+	// at threshold 1), build while the matrix runs what is built.
+	corpus := parity.Corpus(t)
+	_, a := nativeServer(t, nil)
+	_, b := nativeServer(t, nil)
+	node := map[string]string{}
+	for i, c := range corpus {
+		node[c.Name] = []string{a.URL, b.URL}[i%2]
+		run(t, node[c.Name], runRequest(c, parity.Variants[0]))
 	}
-	if ran < 10 {
-		t.Errorf("corpus unexpectedly small: %d programs", ran)
+	parity.Matrix(t, "native", corpus, func(t *testing.T, c parity.Case, v parity.Variant) parity.Result {
+		rr := runUntilNative(t, node[c.Name], runRequest(c, v), 2*time.Minute)
+		if !rr.CacheHit {
+			t.Error("native response should report the artifact as a cache hit")
+		}
+		return runResult(rr)
+	})
+}
+
+func TestSessionConformanceGoldenCorpus(t *testing.T) {
+	_, ts := inProcessServer(t)
+	parity.Matrix(t, "session", parity.Corpus(t), sessionDoor(ts.URL))
+}
+
+// runRequest is the /run request for c at variant v.
+func runRequest(c parity.Case, v parity.Variant) server.RunRequest {
+	req := server.RunRequest{Source: c.Src, Stdin: c.Stdin, File: c.FileName(), Backend: v.Backend}
+	if v.Backend == server.BackendVM {
+		opt := v.Opt
+		req.Opt = &opt
+	}
+	return req
+}
+
+// runResult is what a reply says the program did.
+func runResult(rr *server.RunResponse) parity.Result {
+	r := parity.Result{Stdout: rr.Stdout}
+	if rr.Error != nil {
+		r.Err = rr.Error.Message
+	}
+	return r
+}
+
+// runDoor posts each case to url's /run, holds the reply to the serving
+// invariant and requires it to have run on tier.
+func runDoor(url, tier string) parity.Door {
+	return func(t *testing.T, c parity.Case, v parity.Variant) parity.Result {
+		resp, body := parity.Post(t, url+"/run", runRequest(c, v), nil)
+		var rr server.RunResponse
+		if !parity.Reply(t, resp, body, &rr) {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+		if rr.Isolation != tier || rr.Backend != v.Backend {
+			t.Errorf("ran %s on tier %q, want %s on %q", rr.Backend, rr.Isolation, v.Backend, tier)
+		}
+		return runResult(&rr)
 	}
 }
 
-// cliOutput runs the tetra CLI in-process and returns its stdout,
-// failing the test on a non-zero exit.
-func cliOutput(t *testing.T, args []string, input string) string {
-	t.Helper()
-	var out, errOut bytes.Buffer
-	if rc := cli.Main(args, strings.NewReader(input), &out, &errOut); rc != 0 {
-		t.Fatalf("cli %v: exit %d\n%s", args, rc, errOut.String())
+// sessionDoor runs each case as a debug session to completion
+// (stop_on_entry off, stdin seeded at create) and reads its transcript and
+// error. A session is the debugger's interpreter: it has no VM to select,
+// so the VM rows of its matrix are skipped.
+func sessionDoor(url string) parity.Door {
+	off := false
+	return func(t *testing.T, c parity.Case, v parity.Variant) parity.Result {
+		if v.Backend != server.BackendInterp {
+			t.Skip("a session runs on the debugger's interpreter only")
+		}
+		sr := createSession(t, url, server.SessionRequest{
+			Source: c.Src, File: c.FileName(), Stdin: c.Stdin, StopOnEntry: &off,
+		})
+		waitSessionDone(t, url, sr.ID, 60*time.Second)
+		out := sessionCmd(t, url, sr.ID, server.SessionCmdRequest{Cmd: "output"})
+		snap := sessionSnapshot(t, url, sr.ID)
+		sessionCmd(t, url, sr.ID, server.SessionCmdRequest{Cmd: "close"})
+		return parity.Result{Stdout: out.Output, Err: snap.Error}
 	}
-	return out.String()
 }

@@ -11,15 +11,14 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/parity"
 	"repro/internal/server"
 )
 
 // nativeServer boots an in-process server with the native promotion tier
-// on, skipping the test when the tier cannot build (no toolchain), and
-// wires drain + leak checks into cleanup.
+// on, skipping the test when the tier cannot build (no toolchain).
 func nativeServer(t *testing.T, mutate func(*server.Options)) (*server.Server, *httptest.Server) {
 	t.Helper()
-	baseline := countGoroutinesSettled()
 	opts := server.Options{
 		MaxInFlight:     4,
 		QueueTimeout:    10 * time.Second,
@@ -31,44 +30,24 @@ func nativeServer(t *testing.T, mutate func(*server.Options)) (*server.Server, *
 	if mutate != nil {
 		mutate(&opts)
 	}
-	srv := server.New(opts)
+	srv, ts := serve(t, opts)
 	if srv.Promoter() == nil {
-		_ = srv.Drain(nil)
 		t.Skip("no Go toolchain/module; native tier disabled")
 	}
-	ts := httptest.NewServer(srv)
-	t.Cleanup(func() {
-		_ = srv.Drain(nil)
-		ts.Close()
-		if n := srv.Native(); n != nil {
-			st := n.Stats()
-			if st.Reaped != st.Spawns {
-				t.Errorf("orphaned artifact processes: spawned %d, reaped %d", st.Spawns, st.Reaped)
-			}
-		}
-		if leaked := waitForGoroutines(baseline, 10*time.Second); leaked > 0 {
-			t.Errorf("goroutine leak after drain: %d above baseline %d", leaked, baseline)
-		}
-	})
 	return srv, ts
 }
 
 // runUntilNative posts req until the native tier serves it, failing after
-// the deadline. Returns the first native-served response.
+// the deadline or on any reply that is not a well-formed run. Returns the
+// first native-served response.
 func runUntilNative(t *testing.T, url string, req server.RunRequest, wait time.Duration) *server.RunResponse {
 	t.Helper()
 	deadline := time.Now().Add(wait)
 	for time.Now().Before(deadline) {
-		resp, body := postRun(t, url, req, nil)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d: %s", resp.StatusCode, body)
-		}
+		resp, body := parity.Post(t, url+"/run", req, nil)
 		var rr server.RunResponse
-		if err := json.Unmarshal(body, &rr); err != nil {
-			t.Fatal(err)
-		}
-		if rr.Error != nil {
-			t.Fatalf("server error: %+v", rr.Error)
+		if !parity.Reply(t, resp, body, &rr) || rr.Error != nil {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
 		}
 		if rr.Isolation == server.TierNative {
 			return &rr
@@ -88,7 +67,7 @@ func TestBackendValidation(t *testing.T) {
 	defer ts.Close()
 
 	for _, backend := range []string{"native", "bogus"} {
-		resp, body := postRun(t, ts.URL, server.RunRequest{
+		resp, body := parity.Post(t, ts.URL+"/run", server.RunRequest{
 			Source: "def main():\n    print(1)\n", File: "b.ttr", Backend: backend,
 		}, nil)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -107,81 +86,6 @@ func TestBackendValidation(t *testing.T) {
 	}
 }
 
-// TestNativeTierConformanceGoldenCorpus: every golden program, promoted
-// to the native tier, must produce stdout byte-identical to the
-// committed golden — the same bytes the interp and VM paths (checked by
-// the other conformance suites against the same files) produce. A
-// compiled artifact is an execution tier, never a semantic layer.
-func TestNativeTierConformanceGoldenCorpus(t *testing.T) {
-	dir := filepath.Join("..", "..", "testdata", "programs")
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, ts := nativeServer(t, nil)
-
-	ran := 0
-	for _, entry := range entries {
-		name := entry.Name()
-		if !strings.HasSuffix(name, ".ttr") {
-			continue
-		}
-		ran++
-		base := strings.TrimSuffix(name, ".ttr")
-		t.Run(base, func(t *testing.T) {
-			src, err := os.ReadFile(filepath.Join(dir, name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			golden, err := os.ReadFile(filepath.Join(dir, base+".out"))
-			if err != nil {
-				t.Fatalf("missing golden: %v", err)
-			}
-			input := ""
-			if data, err := os.ReadFile(filepath.Join(dir, base+".in")); err == nil {
-				input = string(data)
-			}
-
-			// Cold requests (interp and VM, before the artifact is ready)
-			// must already match the golden; then the promoted artifact
-			// must reproduce the same bytes.
-			o2 := 2
-			for _, req := range []server.RunRequest{
-				{Source: string(src), Stdin: input, File: name},
-				{Source: string(src), Stdin: input, File: name, Backend: server.BackendVM, Opt: &o2},
-			} {
-				resp, body := postRun(t, ts.URL, req, nil)
-				if resp.StatusCode != http.StatusOK {
-					t.Fatalf("status %d: %s", resp.StatusCode, body)
-				}
-				var rr server.RunResponse
-				if err := json.Unmarshal(body, &rr); err != nil {
-					t.Fatal(err)
-				}
-				if rr.Error != nil {
-					t.Fatalf("server error: %+v", rr.Error)
-				}
-				if rr.Stdout != string(golden) {
-					t.Errorf("tier %s stdout differs from golden:\ngot:\n%q\nwant:\n%q",
-						rr.Isolation, rr.Stdout, string(golden))
-				}
-			}
-			rr := runUntilNative(t, ts.URL,
-				server.RunRequest{Source: string(src), Stdin: input, File: name, Backend: server.BackendVM},
-				2*time.Minute)
-			if rr.Stdout != string(golden) {
-				t.Errorf("native stdout differs from golden:\ngot:\n%q\nwant:\n%q", rr.Stdout, string(golden))
-			}
-			if !rr.CacheHit {
-				t.Error("native response should report the artifact as a cache hit")
-			}
-		})
-	}
-	if ran < 10 {
-		t.Errorf("corpus unexpectedly small: %d programs", ran)
-	}
-}
-
 // TestNativeDemotionChaos: a native artifact killed mid-request must be
 // retried transparently on the VM tier within the same request, the
 // program demoted, and — after the cooldown, with the chaos gone —
@@ -192,7 +96,9 @@ func TestNativeDemotionChaos(t *testing.T) {
 		o.Faults = inj
 		o.NativeRebuildBackoff = 50 * time.Millisecond
 	})
-	req := server.RunRequest{Source: "def main():\n    print(99)\n", File: "chaos.ttr"}
+	// The program outlives the kill that follows its start: one that has
+	// already exited when the kill lands is a clean run, not a crash.
+	req := server.RunRequest{Source: "def main():\n    sleep(100)\n    print(99)\n", File: "chaos.ttr"}
 
 	// Promote while the fault point is quiet.
 	rr := runUntilNative(t, ts.URL, req, 2*time.Minute)
@@ -203,7 +109,7 @@ func TestNativeDemotionChaos(t *testing.T) {
 	// Arm the chaos: every native attempt is killed mid-request. The
 	// request must still succeed — on a non-native tier, second attempt.
 	inj.Set(fault.NativeKill, 1.0, 0)
-	resp, body := postRun(t, ts.URL, req, nil)
+	resp, body := parity.Post(t, ts.URL+"/run", req, nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
@@ -292,7 +198,7 @@ func TestNativeSkipsTraceAndRace(t *testing.T) {
 
 	traced := req
 	traced.Trace = true
-	resp, body := postRun(t, ts.URL, traced, nil)
+	resp, body := parity.Post(t, ts.URL+"/run", traced, nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
@@ -311,13 +217,10 @@ func TestNativeSkipsTraceAndRace(t *testing.T) {
 // run posts req and decodes the 200 reply.
 func run(t *testing.T, url string, req server.RunRequest) server.RunResponse {
 	t.Helper()
-	resp, body := postRun(t, url, req, nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
+	resp, body := parity.Post(t, url+"/run", req, nil)
 	var rr server.RunResponse
-	if err := json.Unmarshal(body, &rr); err != nil {
-		t.Fatal(err)
+	if !parity.Reply(t, resp, body, &rr) {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
 	return rr
 }
@@ -396,5 +299,34 @@ def main():
 	}
 	if m := srv.Metrics(); m.NativeDemotions != 1 || m.Native.Crashes != 1 {
 		t.Errorf("demotions = %d, native crashes = %d, want 1 and 1", m.NativeDemotions, m.Native.Crashes)
+	}
+}
+
+// TestPromotedProgramFailsAsTheEnginesSay: a program promoted on one input
+// can fail on another. An artifact names the error but not where it
+// happened, so that request is answered by an engine: the reply is the
+// in-process server's, message and position, and the artifact is not
+// demoted.
+func TestPromotedProgramFailsAsTheEnginesSay(t *testing.T) {
+	const src = "def main():\n    x = read_int()\n    print(10 / x)\n"
+	srv, ts := nativeServer(t, nil)
+	_, engines := inProcessServer(t)
+	for _, backend := range []string{server.BackendVM, server.BackendInterp} {
+		req := server.RunRequest{Source: src, File: "d.ttr", Backend: backend, Stdin: "2\n"}
+		if rr := runUntilNative(t, ts.URL, req, 2*time.Minute); rr.Stdout != "5\n" {
+			t.Fatalf("native run: %+v", rr)
+		}
+		req.Stdin = "0\n"
+		want, got := run(t, engines.URL, req), run(t, ts.URL, req)
+		if want.Error == nil || want.Error.Pos != "d.ttr:3:14" {
+			t.Fatalf("the engines' reply has no positioned error: %+v", want.Error)
+		}
+		if got.Isolation == server.TierNative || got.Error == nil || *got.Error != *want.Error || got.Stdout != want.Stdout {
+			t.Errorf("%s: reply on tier %s says %q, %+v; want the engines' %q, %+v",
+				backend, got.Isolation, got.Stdout, got.Error, want.Stdout, want.Error)
+		}
+	}
+	if m := srv.Metrics(); m.NativeDemotions != 0 {
+		t.Errorf("a program's own error demoted its artifact %d time(s)", m.NativeDemotions)
 	}
 }

@@ -617,8 +617,10 @@ const drainCancelled = "execution cancelled: server is draining"
 // roughly 3×, and moving serve_hot to the pool costs +40 % rss_mb on a 15 %
 // bound (the runs are on worker.NativeRunner and in DESIGN.md §12
 // "Evidence"). It falls through when the tier is off or the
-// program is not promoted yet, and when the artifact crashes (it is then
-// demoted: the demotion count is an artifact's one circuit breaker). Trace
+// program is not promoted yet, when the program fails (the engines answer
+// with the error's position, which an artifact cannot give), and when the
+// artifact crashes (it is then demoted: the demotion count is an
+// artifact's one circuit breaker). Trace
 // and race requests fall through too — native binaries carry no event
 // collector.
 func (s *Server) runNative(a *admitted) outcome {
@@ -637,6 +639,12 @@ func (s *Server) runNative(a *admitted) outcome {
 	})
 	var ce *worker.CrashedError
 	switch {
+	case err == nil && !wresp.OK:
+		// The program failed, and an artifact names only the error, not
+		// where it happened. The engines do, so the request falls through
+		// to them, under its own limits as a crash's retry is; the
+		// artifact did nothing wrong and is not demoted.
+		return outcome{}
 	case err == nil:
 		s.met.nativeRuns.Add(1)
 		return outcome{resp: s.toRunResponse(a, wresp, TierNative, a.prior+1)}

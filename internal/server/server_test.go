@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -12,21 +11,8 @@ import (
 	"time"
 
 	"repro/internal/guard"
+	"repro/internal/parity"
 )
-
-func postRun(t *testing.T, ts *httptest.Server, body string) (*http.Response, []byte) {
-	t.Helper()
-	resp, err := http.Post(ts.URL+"/run", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatalf("POST /run: %v", err)
-	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		t.Fatalf("reading response: %v", err)
-	}
-	return resp, buf.Bytes()
-}
 
 func decodeRun(t *testing.T, data []byte) *RunResponse {
 	t.Helper()
@@ -52,7 +38,7 @@ func TestRunBothBackends(t *testing.T) {
 	ts := httptest.NewServer(New(Options{}))
 	defer ts.Close()
 	for _, backend := range []string{BackendInterp, BackendVM} {
-		resp, body := postRun(t, ts, reqBody(t, RunRequest{Source: helloSrc, Backend: backend}))
+		resp, body := parity.Post(t, ts.URL+"/run", reqBody(t, RunRequest{Source: helloSrc, Backend: backend}), nil)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: status %d: %s", backend, resp.StatusCode, body)
 		}
@@ -68,7 +54,7 @@ func TestStdinRoundTrip(t *testing.T) {
 	defer ts.Close()
 	src := "def main():\n    n = read_int()\n    print(n * 2)\n"
 	for _, backend := range []string{BackendInterp, BackendVM} {
-		_, body := postRun(t, ts, reqBody(t, RunRequest{Source: src, Stdin: "21\n", Backend: backend}))
+		_, body := parity.Post(t, ts.URL+"/run", reqBody(t, RunRequest{Source: src, Stdin: "21\n", Backend: backend}), nil)
 		rr := decodeRun(t, body)
 		if !rr.OK || rr.Stdout != "42\n" {
 			t.Errorf("%s: got %+v", backend, rr)
@@ -79,7 +65,7 @@ func TestStdinRoundTrip(t *testing.T) {
 func TestCompileErrorIsData(t *testing.T) {
 	ts := httptest.NewServer(New(Options{}))
 	defer ts.Close()
-	resp, body := postRun(t, ts, reqBody(t, RunRequest{Source: "def main():\n    x = y\n", File: "bad.ttr"}))
+	resp, body := parity.Post(t, ts.URL+"/run", reqBody(t, RunRequest{Source: "def main():\n    x = y\n", File: "bad.ttr"}), nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("compile errors must be 200 + diagnostic, got %d", resp.StatusCode)
 	}
@@ -97,7 +83,7 @@ func TestRuntimeErrorHasPosition(t *testing.T) {
 	defer ts.Close()
 	src := "def main():\n    x = 1 / 0\n"
 	for _, backend := range []string{BackendInterp, BackendVM} {
-		_, body := postRun(t, ts, reqBody(t, RunRequest{Source: src, File: "div.ttr", Backend: backend}))
+		_, body := parity.Post(t, ts.URL+"/run", reqBody(t, RunRequest{Source: src, File: "div.ttr", Backend: backend}), nil)
 		rr := decodeRun(t, body)
 		if rr.OK || rr.Error == nil || rr.Error.Stage != "runtime" {
 			t.Fatalf("%s: got %+v", backend, rr)
@@ -133,7 +119,7 @@ func TestBadRequests(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			resp, body := postRun(t, ts, c.body)
+			resp, body := parity.Post(t, ts.URL+"/run", c.body, nil)
 			if resp.StatusCode != http.StatusBadRequest {
 				t.Fatalf("want 400, got %d: %s", resp.StatusCode, body)
 			}
@@ -209,10 +195,10 @@ func TestPerRequestLimitIsClamped(t *testing.T) {
 	ts := httptest.NewServer(New(Options{Ceiling: guard.Limits{MaxSteps: 50_000}, NoSandboxDefaults: true}))
 	defer ts.Close()
 	src := "def main():\n    while true:\n        pass\n"
-	_, body := postRun(t, ts, reqBody(t, RunRequest{
+	_, body := parity.Post(t, ts.URL+"/run", reqBody(t, RunRequest{
 		Source: src,
 		Limits: &LimitSpec{MaxSteps: 100_000_000_000},
-	}))
+	}), nil)
 	rr := decodeRun(t, body)
 	if rr.OK || rr.Error == nil {
 		t.Fatalf("infinite loop must trip the step budget: %+v", rr)
@@ -227,7 +213,7 @@ func TestTightRequestLimitWithinCeiling(t *testing.T) {
 	defer ts.Close()
 	src := "def main():\n    while true:\n        pass\n"
 	start := time.Now()
-	_, body := postRun(t, ts, reqBody(t, RunRequest{Source: src, Limits: &LimitSpec{MaxSteps: 500}}))
+	_, body := parity.Post(t, ts.URL+"/run", reqBody(t, RunRequest{Source: src, Limits: &LimitSpec{MaxSteps: 500}}), nil)
 	rr := decodeRun(t, body)
 	if rr.OK || rr.Error == nil || !strings.Contains(rr.Error.Message, "step budget (500)") {
 		t.Fatalf("got %+v", rr)
@@ -246,7 +232,7 @@ func TestTraceAndRaceReports(t *testing.T) {
         count = count + 1
     print("done")
 `
-	_, body := postRun(t, ts, reqBody(t, RunRequest{Source: racy, Trace: true, Race: true}))
+	_, body := parity.Post(t, ts.URL+"/run", reqBody(t, RunRequest{Source: racy, Trace: true, Race: true}), nil)
 	rr := decodeRun(t, body)
 	if rr.Error != nil {
 		t.Fatalf("run failed: %+v", rr.Error)
@@ -266,7 +252,7 @@ func TestTraceAndRaceReports(t *testing.T) {
             count = count + 1
     print(count)
 `
-	_, body = postRun(t, ts, reqBody(t, RunRequest{Source: locked, Race: true}))
+	_, body = parity.Post(t, ts.URL+"/run", reqBody(t, RunRequest{Source: locked, Race: true}), nil)
 	rr = decodeRun(t, body)
 	if rr.Stdout != "4\n" || len(rr.Races) != 0 {
 		t.Errorf("locked counter: stdout=%q races=%v", rr.Stdout, rr.Races)
@@ -277,11 +263,11 @@ func TestCacheHitReporting(t *testing.T) {
 	ts := httptest.NewServer(New(Options{}))
 	defer ts.Close()
 	req := reqBody(t, RunRequest{Source: helloSrc, Backend: BackendVM, File: "h.ttr"})
-	_, body := postRun(t, ts, req)
+	_, body := parity.Post(t, ts.URL+"/run", req, nil)
 	if rr := decodeRun(t, body); rr.CacheHit {
 		t.Error("first sight of a source cannot be a cache hit")
 	}
-	_, body = postRun(t, ts, req)
+	_, body = parity.Post(t, ts.URL+"/run", req, nil)
 	if rr := decodeRun(t, body); !rr.CacheHit {
 		t.Error("second run of the same source must hit the cache")
 	}
@@ -304,7 +290,7 @@ func TestAdmission429(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		close(started)
-		_, body := postRun(t, ts, reqBody(t, RunRequest{Source: slow}))
+		_, body := parity.Post(t, ts.URL+"/run", reqBody(t, RunRequest{Source: slow}), nil)
 		if rr := decodeRun(t, body); !rr.OK {
 			t.Errorf("occupant failed: %+v", rr)
 		}
@@ -314,7 +300,7 @@ func TestAdmission429(t *testing.T) {
 
 	saw429 := 0
 	for i := 0; i < 6; i++ {
-		resp, body := postRun(t, ts, reqBody(t, RunRequest{Source: helloSrc}))
+		resp, body := parity.Post(t, ts.URL+"/run", reqBody(t, RunRequest{Source: helloSrc}), nil)
 		if resp.StatusCode == http.StatusTooManyRequests {
 			saw429++
 			if resp.Header.Get("Retry-After") == "" {
@@ -335,9 +321,9 @@ func TestAdmission429(t *testing.T) {
 func TestMetricsEndpoint(t *testing.T) {
 	ts := httptest.NewServer(New(Options{}))
 	defer ts.Close()
-	postRun(t, ts, reqBody(t, RunRequest{Source: helloSrc}))
-	postRun(t, ts, reqBody(t, RunRequest{Source: helloSrc, Backend: BackendVM}))
-	postRun(t, ts, reqBody(t, RunRequest{Source: "def main(:\n    pass\n"})) // compile error
+	parity.Post(t, ts.URL+"/run", reqBody(t, RunRequest{Source: helloSrc}), nil)
+	parity.Post(t, ts.URL+"/run", reqBody(t, RunRequest{Source: helloSrc, Backend: BackendVM}), nil)
+	parity.Post(t, ts.URL+"/run", reqBody(t, RunRequest{Source: "def main(:\n    pass\n"}), nil) // compile error
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -387,7 +373,7 @@ func TestHealthzAndDrain(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("healthz while draining: want 503, got %d", resp.StatusCode)
 	}
-	resp, body := postRun(t, ts, reqBody(t, RunRequest{Source: helloSrc}))
+	resp, body := parity.Post(t, ts.URL+"/run", reqBody(t, RunRequest{Source: helloSrc}), nil)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("run while draining: want 503, got %d: %s", resp.StatusCode, body)
 	}
@@ -414,7 +400,7 @@ def main():
 `
 	done := make(chan *RunResponse, 1)
 	go func() {
-		_, body := postRun(t, ts, reqBody(t, RunRequest{Source: parked}))
+		_, body := parity.Post(t, ts.URL+"/run", reqBody(t, RunRequest{Source: parked}), nil)
 		done <- decodeRun(t, body)
 	}()
 	time.Sleep(400 * time.Millisecond) // let main park on the lock
@@ -457,7 +443,7 @@ def main():
 `
 	done := make(chan *RunResponse, 1)
 	go func() {
-		_, body := postRun(t, ts, reqBody(t, RunRequest{Source: parked, Backend: BackendVM}))
+		_, body := parity.Post(t, ts.URL+"/run", reqBody(t, RunRequest{Source: parked, Backend: BackendVM}), nil)
 		done <- decodeRun(t, body)
 	}()
 	time.Sleep(400 * time.Millisecond) // let main park on the lock
@@ -483,7 +469,7 @@ func TestOutputBudgetBoundsResponse(t *testing.T) {
 	ts := httptest.NewServer(New(Options{Ceiling: guard.Limits{MaxOutputBytes: 1024}, NoSandboxDefaults: true}))
 	defer ts.Close()
 	flood := "def main():\n    while true:\n        print(\"xxxxxxxxxxxxxxxx\")\n"
-	_, body := postRun(t, ts, reqBody(t, RunRequest{Source: flood}))
+	_, body := parity.Post(t, ts.URL+"/run", reqBody(t, RunRequest{Source: flood}), nil)
 	rr := decodeRun(t, body)
 	if rr.OK || rr.Error == nil || !strings.Contains(rr.Error.Message, "output budget") {
 		t.Fatalf("got %+v", rr)

@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -16,32 +14,16 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/debugger"
+	"repro/internal/parity"
 	"repro/internal/server"
 	"repro/internal/session"
 )
 
 // --- HTTP helpers -------------------------------------------------------
 
-func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
-	t.Helper()
-	data, err := json.Marshal(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := readAll(resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp, out
-}
-
 func createSession(t *testing.T, base string, req server.SessionRequest) server.SessionResponse {
 	t.Helper()
-	resp, body := postJSON(t, base+"/session", req)
+	resp, body := parity.Post(t, base+"/session", req, nil)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("POST /session: status %d: %s", resp.StatusCode, body)
 	}
@@ -54,7 +36,7 @@ func createSession(t *testing.T, base string, req server.SessionRequest) server.
 
 func sessionCmd(t *testing.T, base, id string, req server.SessionCmdRequest) server.SessionCmdResponse {
 	t.Helper()
-	resp, body := postJSON(t, base+"/session/"+id+"/cmd", req)
+	resp, body := parity.Post(t, base+"/session/"+id+"/cmd", req, nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("cmd %q: status %d: %s", req.Cmd, resp.StatusCode, body)
 	}
@@ -142,19 +124,20 @@ func collectUntilEnd(t *testing.T, ch <-chan sseFrame, deadline time.Duration) (
 // session layer must be a transport over the debugger, never a semantic
 // layer.
 func TestSessionConformanceSteppedToCompletion(t *testing.T) {
-	dir := filepath.Join("..", "..", "testdata", "programs")
-	src, err := os.ReadFile(filepath.Join(dir, "fizzbuzz.ttr"))
-	if err != nil {
-		t.Fatal(err)
+	var fizz parity.Case
+	for _, c := range parity.Corpus(t) {
+		if c.Name == "fizzbuzz" {
+			fizz = c
+		}
 	}
-	golden, err := os.ReadFile(filepath.Join(dir, "fizzbuzz.out"))
-	if err != nil {
-		t.Fatal(err)
+	if fizz.Want == nil {
+		t.Fatal("no fizzbuzz in the golden corpus")
 	}
+	src, golden := fizz.Src, fizz.Want.Stdout
 
 	// Reference: the CLI debugger's engine, stepped to completion the way
 	// tetradbg's `step` command drives it.
-	prog, err := core.Compile("fizzbuzz.ttr", string(src))
+	prog, err := core.Compile("fizzbuzz.ttr", src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,14 +159,14 @@ func TestSessionConformanceSteppedToCompletion(t *testing.T) {
 	if err := eng.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if cliOut.String() != string(golden) {
+	if cliOut.String() != golden {
 		t.Fatalf("CLI debugger output drifted from golden:\n%q", cliOut.String())
 	}
 
 	// The same stepping, over the wire.
 	ts := httptest.NewServer(server.New(server.Options{}))
 	defer ts.Close()
-	sr := createSession(t, ts.URL, server.SessionRequest{Source: string(src), File: "fizzbuzz.ttr"})
+	sr := createSession(t, ts.URL, server.SessionRequest{Source: src, File: "fizzbuzz.ttr"})
 	if cr := sessionCmd(t, ts.URL, sr.ID, server.SessionCmdRequest{Cmd: "wait", Thread: 0}); !cr.OK {
 		t.Fatalf("session never parked: %+v", cr)
 	}
@@ -207,46 +190,6 @@ func TestSessionConformanceSteppedToCompletion(t *testing.T) {
 	}
 }
 
-// TestSessionConformanceGoldenCorpus runs a representative slice of the
-// golden corpus to completion through sessions (stop_on_entry=false,
-// stdin seeded at create) and compares the transcript against the
-// committed goldens.
-func TestSessionConformanceGoldenCorpus(t *testing.T) {
-	if testing.Short() {
-		t.Skip("corpus conformance; skipped in -short")
-	}
-	dir := filepath.Join("..", "..", "testdata", "programs")
-	programs := []string{"fizzbuzz", "collatz", "gcd", "io_echo", "parallel_reduce", "lock_bank", "background_queue"}
-	ts := httptest.NewServer(server.New(server.Options{}))
-	defer ts.Close()
-	off := false
-	for _, base := range programs {
-		t.Run(base, func(t *testing.T) {
-			src, err := os.ReadFile(filepath.Join(dir, base+".ttr"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			golden, err := os.ReadFile(filepath.Join(dir, base+".out"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			input := ""
-			if data, err := os.ReadFile(filepath.Join(dir, base+".in")); err == nil {
-				input = string(data)
-			}
-			sr := createSession(t, ts.URL, server.SessionRequest{
-				Source: string(src), File: base + ".ttr", Stdin: input, StopOnEntry: &off,
-			})
-			waitSessionDone(t, ts.URL, sr.ID, 60*time.Second)
-			out := sessionCmd(t, ts.URL, sr.ID, server.SessionCmdRequest{Cmd: "output"})
-			if out.Output != string(golden) {
-				t.Errorf("session output differs from golden:\ngot:  %q\nwant: %q", out.Output, string(golden))
-			}
-			sessionCmd(t, ts.URL, sr.ID, server.SessionCmdRequest{Cmd: "close"})
-		})
-	}
-}
-
 func waitSessionDone(t *testing.T, base, id string, deadline time.Duration) {
 	t.Helper()
 	stop := time.Now().Add(deadline)
@@ -260,6 +203,24 @@ func waitSessionDone(t *testing.T, base, id string, deadline time.Duration) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+}
+
+// sessionSnapshot reads GET /session/{id}.
+func sessionSnapshot(t *testing.T, base, id string) server.SessionSnapshot {
+	t.Helper()
+	resp, err := http.Get(base + "/session/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := parity.Body(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap server.SessionSnapshot
+	if !parity.Reply(t, resp, body, &snap) {
+		t.Fatalf("GET /session/%s: status %d: %s", id, resp.StatusCode, body)
+	}
+	return snap
 }
 
 // --- acceptance ---------------------------------------------------------
@@ -295,7 +256,7 @@ def main():
 // independently, stream >= 1000 trace events through a capped ring, and
 // receive a race summary; closing the session evicts it.
 func TestSessionAcceptanceE2E(t *testing.T) {
-	baseline := countGoroutinesSettled()
+	goroutines := parity.Settle()
 	srv := server.New(server.Options{})
 	ts := httptest.NewServer(srv)
 
@@ -449,7 +410,7 @@ func TestSessionAcceptanceE2E(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("DELETE: status %d", resp.StatusCode)
 	}
-	if _, body := postJSON(t, ts.URL+"/session/"+sr.ID+"/cmd", server.SessionCmdRequest{Cmd: "threads"}); !bytes.Contains(body, []byte("no such session")) {
+	if _, body := parity.Post(t, ts.URL+"/session/"+sr.ID+"/cmd", server.SessionCmdRequest{Cmd: "threads"}, nil); !bytes.Contains(body, []byte("no such session")) {
 		t.Errorf("closed session still answers: %s", body)
 	}
 
@@ -465,9 +426,7 @@ func TestSessionAcceptanceE2E(t *testing.T) {
 	if err := srv.Drain(nil); err != nil {
 		t.Fatal(err)
 	}
-	if leaked := waitForGoroutines(baseline, 10*time.Second); leaked > 0 {
-		t.Errorf("goroutine leak: %d above baseline %d", leaked, baseline)
-	}
+	goroutines.Check(t, 10*time.Second)
 }
 
 // TestTraceCapOnlyTightens: trace_cap may tighten the trace ring's bound and
@@ -485,7 +444,7 @@ func TestTraceCapOnlyTightens(t *testing.T) {
 	t.Run("run", func(t *testing.T) {
 		// 70 000 statements: more events than trace.DefaultCap retains.
 		src := "def main():\n    i = 0\n    while i < 70000:\n        i = i + 1\n"
-		resp, body := postJSON(t, ts.URL+"/run", server.RunRequest{Source: src, Trace: true, TraceCap: huge})
+		resp, body := parity.Post(t, ts.URL+"/run", server.RunRequest{Source: src, Trace: true, TraceCap: huge}, nil)
 		var rr server.RunResponse
 		if err := json.Unmarshal(body, &rr); err != nil || resp.StatusCode != http.StatusOK {
 			t.Fatalf("status %d: %s", resp.StatusCode, body)
@@ -539,7 +498,7 @@ func TestSessionSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test; skipped in -short")
 	}
-	baseline := countGoroutinesSettled()
+	goroutines := parity.Settle()
 	srv := server.New(server.Options{
 		MaxSessions:        64,
 		SessionIdleTimeout: 300 * time.Millisecond,
@@ -636,14 +595,12 @@ func TestSessionSoak(t *testing.T) {
 		}
 		resp.Body.Close()
 	}
-	if resp, body := postJSON(t, ts.URL+"/session", server.SessionRequest{Source: busy}); resp.StatusCode != http.StatusServiceUnavailable {
+	if resp, body := parity.Post(t, ts.URL+"/session", server.SessionRequest{Source: busy}, nil); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("create while drained: status %d: %s", resp.StatusCode, body)
 	}
 
 	ts.Close()
-	if leaked := waitForGoroutines(baseline, 15*time.Second); leaked > 0 {
-		t.Errorf("goroutine leak after drain: %d above baseline %d", leaked, baseline)
-	}
+	goroutines.Check(t, 15*time.Second)
 }
 
 // TestSessionCapRejectsOverHTTP verifies the 429 + Retry-After path.
@@ -657,7 +614,7 @@ func TestSessionCapRejectsOverHTTP(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		createSession(t, ts.URL, server.SessionRequest{Source: blocked, StopOnEntry: &off})
 	}
-	resp, body := postJSON(t, ts.URL+"/session", server.SessionRequest{Source: blocked, StopOnEntry: &off})
+	resp, body := parity.Post(t, ts.URL+"/session", server.SessionRequest{Source: blocked, StopOnEntry: &off}, nil)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
@@ -765,7 +722,7 @@ func TestSessionCreateWhileDrainingSaysWhenToRetry(t *testing.T) {
 	if err := srv.Drain(nil); err != nil {
 		t.Fatal(err)
 	}
-	resp, body := postJSON(t, ts.URL+"/session", server.SessionRequest{Source: "def main():\n    print(1)\n"})
+	resp, body := parity.Post(t, ts.URL+"/session", server.SessionRequest{Source: "def main():\n    print(1)\n"}, nil)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
@@ -784,16 +741,7 @@ func TestSessionSnapshotReportsIdleTime(t *testing.T) {
 	sr := createSession(t, ts.URL, server.SessionRequest{Source: "def main():\n    print(1)\n"})
 	idleMS := func() int64 {
 		t.Helper()
-		resp, err := http.Get(ts.URL + "/session/" + sr.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var snap server.SessionSnapshot
-		if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-			t.Fatal(err)
-		}
-		return snap.IdleMS
+		return sessionSnapshot(t, ts.URL, sr.ID).IdleMS
 	}
 	const left = 150 * time.Millisecond
 	time.Sleep(left)

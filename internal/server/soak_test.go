@@ -3,16 +3,15 @@ package server_test
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/parity"
 	"repro/internal/server"
 )
 
@@ -25,7 +24,7 @@ func TestSoakConcurrentClients(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test; skipped in -short")
 	}
-	baseline := countGoroutinesSettled()
+	goroutines := parity.Settle()
 
 	srv := server.New(server.Options{
 		MaxInFlight:  8,
@@ -63,7 +62,7 @@ func TestSoakConcurrentClients(t *testing.T) {
 					return
 				}
 				var body []byte
-				body, err = readAll(resp)
+				body, err = parity.Body(resp)
 				if err != nil {
 					t.Errorf("client %d: reading body: %v", c, err)
 					return
@@ -117,40 +116,7 @@ func TestSoakConcurrentClients(t *testing.T) {
 		t.Fatalf("drain: %v", err)
 	}
 	ts.Close()
-	if leaked := waitForGoroutines(baseline, 10*time.Second); leaked > 0 {
-		t.Errorf("goroutine leak after drain: %d above baseline %d", leaked, baseline)
-	}
-}
-
-func readAll(resp *http.Response) ([]byte, error) {
-	defer resp.Body.Close()
-	return io.ReadAll(resp.Body)
-}
-
-// countGoroutinesSettled samples the goroutine count after letting
-// finished test goroutines unwind.
-func countGoroutinesSettled() int {
-	runtime.GC()
-	time.Sleep(50 * time.Millisecond)
-	return runtime.NumGoroutine()
-}
-
-// waitForGoroutines polls until the goroutine count returns to the
-// baseline (plus a tolerance of 2 for runtime helpers) or the deadline
-// expires; it returns how many remain above baseline.
-func waitForGoroutines(baseline int, wait time.Duration) int {
-	deadline := time.Now().Add(wait)
-	for {
-		runtime.GC()
-		n := runtime.NumGoroutine()
-		if n <= baseline+2 {
-			return 0
-		}
-		if time.Now().After(deadline) {
-			return n - baseline
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	goroutines.Check(t, 10*time.Second)
 }
 
 // TestSoakWithOverloadRejections drives a deliberately tiny admission
@@ -186,7 +152,7 @@ func TestSoakWithOverloadRejections(t *testing.T) {
 					other.Add(1)
 					return
 				}
-				body, _ := readAll(resp)
+				body, _ := parity.Body(resp)
 				switch resp.StatusCode {
 				case http.StatusOK:
 					ok200.Add(1)

@@ -1,7 +1,6 @@
 package session
 
 import (
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -9,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/debugger"
 	"repro/internal/guard"
+	"repro/internal/parity"
 )
 
 func compile(t *testing.T, src string) Config {
@@ -216,7 +216,7 @@ func TestIdleEviction(t *testing.T) {
 }
 
 func TestCloseAllDeliversDrainEventAndJoins(t *testing.T) {
-	before := countSettled()
+	goroutines := parity.Settle()
 	r := NewRegistry(Options{ReapInterval: 20 * time.Millisecond})
 	cfg := compile(t, "def main():\n    n = read_int()\n    print(n)\n")
 	var subs []*Subscriber
@@ -238,9 +238,7 @@ func TestCloseAllDeliversDrainEventAndJoins(t *testing.T) {
 		t.Fatalf("create after CloseAll: %v, want ErrClosed", err)
 	}
 	r.Close()
-	if leaked := waitSettled(before, 5*time.Second); leaked > 0 {
-		t.Errorf("goroutine leak after CloseAll: %d", leaked)
-	}
+	goroutines.Check(t, 5*time.Second)
 }
 
 func TestSlowSubscriberDropsFramesButGetsEnd(t *testing.T) {
@@ -395,26 +393,5 @@ func TestTraceRingBoundedInSession(t *testing.T) {
 	}
 	if ts.Total < 2000 {
 		t.Errorf("total %d, want >= 2000 events through the ring", ts.Total)
-	}
-}
-
-func countSettled() int {
-	runtime.GC()
-	time.Sleep(50 * time.Millisecond)
-	return runtime.NumGoroutine()
-}
-
-func waitSettled(baseline int, wait time.Duration) int {
-	deadline := time.Now().Add(wait)
-	for {
-		runtime.GC()
-		n := runtime.NumGoroutine()
-		if n <= baseline+2 {
-			return 0
-		}
-		if time.Now().After(deadline) {
-			return n - baseline
-		}
-		time.Sleep(20 * time.Millisecond)
 	}
 }

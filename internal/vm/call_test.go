@@ -6,6 +6,7 @@ import (
 	"io"
 	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/bytecode"
@@ -173,6 +174,16 @@ func runsOf(t testing.TB, bc *bytecode.Program, cfg rt.Config) func() string {
 		}
 		return out.String()
 	}
+}
+
+// runInterp executes src on the tree-walker, for the frame tests here to
+// compare with.
+func runInterp(t *testing.T, src, input string) (string, error) {
+	t.Helper()
+	prog, _ := compileBoth(t, src)
+	var out bytes.Buffer
+	err := interp.New(prog, rt.Config{Stdin: strings.NewReader(input), Stdout: &out}).Run()
+	return out.String(), err
 }
 
 // sameAsInterp runs src on the VM at every level and requires the

@@ -188,9 +188,7 @@ func TestNativeKillFaultDrivesCrash(t *testing.T) {
 	if inj.Fired(fault.NativeKill) == 0 {
 		t.Fatal("fault point never fired")
 	}
-	if st := r.Stats(); st.Reaped != st.Spawns {
-		t.Fatalf("killed artifact not reaped: %+v", st)
-	}
+	childrenOf(r.Stats(), 0, nil).Check(t, "native runner")
 }
 
 func TestNativeStopCancelsRun(t *testing.T) {
@@ -211,9 +209,7 @@ func TestNativeStopCancelsRun(t *testing.T) {
 	if d := time.Since(start); d > 10*time.Second {
 		t.Fatalf("cancel took %s", d)
 	}
-	if st := r.Stats(); st.Reaped != st.Spawns {
-		t.Fatalf("cancelled artifact not reaped: %+v", st)
-	}
+	childrenOf(r.Stats(), 0, nil).Check(t, "native runner")
 }
 
 func TestNativeDeadlineOverrunKillsStuckArtifact(t *testing.T) {
@@ -235,9 +231,7 @@ func TestNativeDeadlineOverrunKillsStuckArtifact(t *testing.T) {
 	if d := time.Since(start); d > 10*time.Second {
 		t.Fatalf("overrun kill took %s", d)
 	}
-	if st := r.Stats(); st.Reaped != st.Spawns {
-		t.Fatalf("stuck artifact not reaped: %+v", st)
-	}
+	childrenOf(r.Stats(), 0, nil).Check(t, "native runner")
 }
 
 func TestNativeSpawnFailureIsCrash(t *testing.T) {
@@ -288,7 +282,7 @@ func TestNativeCloseDuringRunsIsNotACrash(t *testing.T) {
 			t.Fatalf("artifacts never started: %+v", r.Stats())
 		}
 	}
-	pids := childPIDs(t)
+	pids := recordedChildren(t)
 	r.Close()
 	wg.Wait()
 	close(errs)
@@ -297,8 +291,8 @@ func TestNativeCloseDuringRunsIsNotACrash(t *testing.T) {
 			t.Errorf("Run during Close: %v, want ErrClosed", err)
 		}
 	}
-	if st := r.Stats(); crashes.Load() != 0 || st.Crashes != 0 || st.Reaped != st.Spawns {
-		t.Errorf("shutdown accounted as a crash, or children left: OnCrash %d, stats %+v", crashes.Load(), st)
+	if st := r.Stats(); crashes.Load() != 0 || st.Crashes != 0 {
+		t.Errorf("shutdown accounted as a crash: OnCrash %d, stats %+v", crashes.Load(), st)
 	}
-	assertGone(t, pids)
+	childrenOf(r.Stats(), 0, pids).Check(t, "native runner")
 }

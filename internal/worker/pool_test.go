@@ -4,18 +4,15 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
-	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/guard"
+	"repro/internal/parity"
 	"repro/internal/worker"
 )
 
@@ -294,7 +291,7 @@ func TestPoolExhaustedFailsFast(t *testing.T) {
 }
 
 func TestPoolCloseLeavesNoOrphansOrLeaks(t *testing.T) {
-	baseline := settledGoroutines()
+	goroutines := parity.Settle()
 	var pids []int
 	var mu sync.Mutex
 	p := selfPool(t, worker.Options{
@@ -326,22 +323,10 @@ func TestPoolCloseLeavesNoOrphansOrLeaks(t *testing.T) {
 	p.Close()
 
 	st := p.Stats()
-	if st.Live != 0 {
-		t.Errorf("live workers after Close: %d", st.Live)
-	}
-	if st.Reaped != st.Spawns {
-		t.Errorf("reaped %d != spawned %d: orphan processes possible", st.Reaped, st.Spawns)
-	}
 	mu.Lock()
-	for _, pid := range pids {
-		if err := syscall.Kill(pid, 0); err == nil {
-			t.Errorf("crashed worker pid %d still alive after Close", pid)
-		}
-	}
+	childrenOf(st.ProcStats, st.Live, pids).Check(t, "pool")
 	mu.Unlock()
-	if leaked := goroutinesAbove(baseline, 5*time.Second); leaked > 0 {
-		t.Errorf("goroutine leak after Close: %d above baseline", leaked)
-	}
+	goroutines.Check(t, 5*time.Second)
 }
 
 func TestPoolCloseIsIdempotentAndRejects(t *testing.T) {
@@ -361,7 +346,7 @@ func TestPoolCloseIsIdempotentAndRejects(t *testing.T) {
 func TestPoolCloseDuringRunsIsNotACrash(t *testing.T) {
 	p := selfPool(t, worker.Options{Size: 2, Quarantine: worker.QuarantinePolicy{Threshold: 1}})
 	waitIdleWorkers(t, p, 2, 5*time.Second)
-	pids := childPIDs(t)
+	pids := recordedChildren(t)
 
 	r := req("def main():\n    sleep(5000)\n    print(1)\n", "interp")
 	r.Limits.Deadline = 10 * time.Second
@@ -393,48 +378,28 @@ func TestPoolCloseDuringRunsIsNotACrash(t *testing.T) {
 			t.Errorf("Run during Close: %v, want ErrClosed (or ErrExhausted before it)", err)
 		}
 	}
-	if st := p.Stats(); crashes.Load() != 0 || st.Crashes != 0 || st.Quarantined != 0 || st.Reaped != st.Spawns || st.Live != 0 {
-		t.Errorf("shutdown accounted as a crash, or children left: OnCrash %d, stats %+v", crashes.Load(), st)
+	st := p.Stats()
+	if crashes.Load() != 0 || st.Crashes != 0 || st.Quarantined != 0 {
+		t.Errorf("shutdown accounted as a crash: OnCrash %d, stats %+v", crashes.Load(), st)
 	}
-	assertGone(t, pids)
+	childrenOf(st.ProcStats, st.Live, pids).Check(t, "pool")
 }
 
-// childPIDs lists this process's child processes, read from /proc.
-func childPIDs(t *testing.T) []int {
+// recordedChildren lists this process's children, failing when there are
+// none: a test that records them is about to close what started them.
+func recordedChildren(t *testing.T) []int {
 	t.Helper()
-	stats, _ := filepath.Glob("/proc/[0-9]*/stat")
-	if len(stats) == 0 {
-		t.Skip("no /proc to list child processes from")
-	}
-	var pids []int
-	for _, f := range stats {
-		data, err := os.ReadFile(f)
-		if err != nil {
-			continue // exited meanwhile
-		}
-		// "pid (comm) state ppid ...": comm may hold spaces and parentheses.
-		s := string(data)
-		fields := strings.Fields(s[strings.LastIndexByte(s, ')')+1:])
-		if len(fields) > 1 && fields[1] == strconv.Itoa(os.Getpid()) {
-			pid, _ := strconv.Atoi(filepath.Base(filepath.Dir(f)))
-			pids = append(pids, pid)
-		}
+	pids := parity.ChildPIDs(t)
+	if len(pids) == 0 {
+		t.Error("no child process was recorded")
 	}
 	return pids
 }
 
-// assertGone fails for every recorded child that still exists, unreaped
-// zombies included.
-func assertGone(t *testing.T, pids []int) {
-	t.Helper()
-	if len(pids) == 0 {
-		t.Error("no child process was recorded")
-	}
-	for _, pid := range pids {
-		if err := syscall.Kill(pid, 0); err == nil {
-			t.Errorf("child pid %d still exists after Close", pid)
-		}
-	}
+// childrenOf is what a supervisor's stats say of its children, plus the
+// pids a test recorded.
+func childrenOf(st worker.ProcStats, live int, pids []int) parity.Children {
+	return parity.Children{Spawns: st.Spawns, Reaped: st.Reaped, Live: live, PIDs: pids}
 }
 
 func TestPoolCancelStopsAttempt(t *testing.T) {
@@ -472,27 +437,6 @@ func TestHashProgramDistinguishesIdentity(t *testing.T) {
 	}
 	if worker.HashProgram("a.ttr", "src", "vm", 2) != base {
 		t.Error("hash not deterministic")
-	}
-}
-
-func settledGoroutines() int {
-	runtime.GC()
-	time.Sleep(50 * time.Millisecond)
-	return runtime.NumGoroutine()
-}
-
-func goroutinesAbove(baseline int, wait time.Duration) int {
-	deadline := time.Now().Add(wait)
-	for {
-		runtime.GC()
-		n := runtime.NumGoroutine()
-		if n <= baseline+2 {
-			return 0
-		}
-		if time.Now().After(deadline) {
-			return n - baseline
-		}
-		time.Sleep(20 * time.Millisecond)
 	}
 }
 

@@ -2,16 +2,14 @@ package tetra_test
 
 import (
 	"bytes"
-	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/bytecode"
 	"repro/internal/core"
 	"repro/internal/guard"
+	"repro/internal/parity"
 	"repro/tetra"
 )
 
@@ -233,88 +231,43 @@ func TestASTAccessor(t *testing.T) {
 	}
 }
 
-// TestGoldenCorpus runs every program in testdata/programs on BOTH backends
-// and compares against its recorded output.
+// TestGoldenCorpus is the library door of the parity matrix: every golden
+// program, and the rows below, on the engine table.
 func TestGoldenCorpus(t *testing.T) {
-	dir := filepath.Join("..", "testdata", "programs")
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ran := 0
-	for _, entry := range entries {
-		name := entry.Name()
-		if !strings.HasSuffix(name, ".ttr") {
-			continue
-		}
-		ran++
-		base := strings.TrimSuffix(name, ".ttr")
-		t.Run(base, func(t *testing.T) {
-			srcPath := filepath.Join(dir, name)
-			want, err := os.ReadFile(filepath.Join(dir, base+".out"))
-			if err != nil {
-				t.Fatalf("missing golden output: %v", err)
-			}
-			input := ""
-			if data, err := os.ReadFile(filepath.Join(dir, base+".in")); err == nil {
-				input = string(data)
-			}
+	parity.Matrix(t, "library", append(parity.Corpus(t), libraryRows...), parity.Library)
+}
 
-			prog, err := tetra.CompileFile(srcPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var out bytes.Buffer
-			if err := prog.Run(tetra.Config{Stdin: strings.NewReader(input), Stdout: &out}); err != nil {
-				t.Fatalf("interp run: %v", err)
-			}
-			if out.String() != string(want) {
-				t.Errorf("interp output:\n%s\nwant:\n%s", out.String(), want)
-			}
-
-			// Same program on the VM backend at every optimization level:
-			// each must match the golden byte-for-byte.
-			for _, level := range []int{bytecode.O0, bytecode.O1, bytecode.O2} {
-				bc, err := core.CompileBytecodeOpt(prog.AST(), level)
-				if err != nil {
-					t.Fatalf("bytecode at O%d: %v", level, err)
-				}
-				var vmOut bytes.Buffer
-				m := core.NewVM(bc, core.Config{Stdin: strings.NewReader(input), Stdout: &vmOut})
-				if err := m.Run(); err != nil {
-					t.Fatalf("vm run at O%d: %v", level, err)
-				}
-				if vmOut.String() != string(want) {
-					t.Errorf("vm output at O%d:\n%s\nwant:\n%s", level, vmOut.String(), want)
-				}
-			}
-		})
-	}
-	if ran < 10 {
-		t.Errorf("corpus unexpectedly small: %d programs", ran)
-	}
+// libraryRows are programs whose meaning is pinned outside the corpus.
+var libraryRows = []parity.Case{
+	// Constant operands that overflow wrap as variables do: no engine folds
+	// them, and the generated Go must not be a constant expression either.
+	{Name: "int_overflow_constants", Src: "def main():\n    print(9223372036854775807 + 1)\n",
+		Want: &parity.Result{Stdout: "-9223372036854775808\n"}},
+	{Name: "real_overflow_constants", Src: "def main():\n    print(1e300 * 1e10)\n",
+		Want: &parity.Result{Stdout: "inf\n"}},
+	{Name: "negated_min_int_constant", Src: "def main():\n    print(-(-9223372036854775807 - 1))\n",
+		Want: &parity.Result{Stdout: "-9223372036854775808\n"}},
 }
 
 // TestDeadlockDiagnosedOnEveryEngine runs the lock-ordering deadlock of
-// testdata/deadlock_ab.ttr on the interpreter and on the VM at every
-// optimization level: each must refuse the wait that closes the cycle and
-// say so, and with detection off each must hang until its deadline.
+// testdata/deadlock_ab.ttr on every engine of the table: each must refuse
+// the wait that closes the cycle and say so, and with detection off each
+// must hang until its deadline.
 func TestDeadlockDiagnosedOnEveryEngine(t *testing.T) {
 	prog, err := tetra.CompileFile(filepath.Join("..", "testdata", "deadlock_ab.ttr"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	engines := map[string]func(core.Config) error{
-		"interp": func(cfg core.Config) error { return core.Run(prog.AST(), cfg) },
-	}
-	for _, level := range []int{bytecode.O0, bytecode.O1, bytecode.O2} {
-		engines[fmt.Sprintf("vm-O%d", level)] = func(cfg core.Config) error {
-			return core.RunVMOpt(prog.AST(), cfg, level)
-		}
-	}
-	for name, run := range engines {
-		t.Run(name, func(t *testing.T) {
+	for _, v := range parity.Variants {
+		t.Run(v.Name, func(t *testing.T) {
 			t.Parallel()
+			run := func(cfg core.Config) error {
+				m, err := v.Build(prog.AST(), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return m.Run()
+			}
 			var out bytes.Buffer
 			err := run(core.Config{Stdout: &out})
 			if err == nil || !strings.Contains(err.Error(), "deadlock detected: thread") || out.Len() != 0 {
