@@ -15,6 +15,7 @@ import (
 	"repro/internal/bytecode"
 	"repro/internal/check"
 	"repro/internal/interp"
+	"repro/internal/parity"
 	"repro/internal/parser"
 	"repro/internal/rt"
 	"repro/internal/stdlib"
@@ -377,6 +378,52 @@ def main():
 			}
 			if !strings.Contains(err.Error(), c.substr) {
 				t.Errorf("error %q does not contain %q", err, c.substr)
+			}
+		})
+	}
+}
+
+// TestGeneratedGoldenCorpus runs the shared golden corpus natively, built
+// by this package alone, so that a gogen regression is named here rather
+// than as a promotion failure behind tetrad's native door. The programs
+// are built by one go build, which compiles the shared runtime once and
+// links the binaries in parallel.
+func TestGeneratedGoldenCorpus(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs generated binaries; skipped in -short")
+	}
+	cases := parity.Corpus(t)
+	root := moduleRoot(t)
+	dir, err := os.MkdirTemp(root, ".gogen-test-*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	bin := t.TempDir()
+	args := []string{"build", "-o", bin + string(filepath.Separator)}
+	for _, c := range cases {
+		pkg := filepath.Join(dir, c.Name)
+		if err := os.Mkdir(pkg, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(pkg, "main.go"), []byte(generate(t, c.Src)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		args = append(args, "./"+filepath.Join(filepath.Base(dir), c.Name))
+	}
+	cmd := exec.Command("go", args...)
+	cmd.Dir = root
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("go build of the generated corpus: %v\n%s", err, out)
+	}
+	for _, c := range cases {
+		t.Run(c.Name, func(t *testing.T) {
+			got, err := runBinary(filepath.Join(bin, c.Name), c.Stdin, nil)
+			if err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			if got != c.Want.Stdout {
+				t.Errorf("output:\n%s\nwant:\n%s", got, c.Want.Stdout)
 			}
 		})
 	}

@@ -156,6 +156,24 @@ func TestDifferentialCorpus(t *testing.T) {
 	parity.Matrix(t, "library", cases, parity.Library)
 }
 
+// TestOptimizerDifferentialCorpus is the optimizer's own safety net: every
+// corpus program means at -O1 and -O2 what the unoptimized VM does, so a
+// divergence here is the optimizer's and not the compiler's.
+func TestOptimizerDifferentialCorpus(t *testing.T) {
+	o0, optimized := parity.Variants[1], parity.Variants[2:]
+	for _, c := range differentialCorpus {
+		t.Run(c.name, func(t *testing.T) {
+			pc := parity.Case{Name: c.name, File: "test.ttr", Src: c.src, Stdin: c.input}
+			want := o0.Run(t, pc)
+			for _, v := range optimized {
+				if d := parity.Diff(want, v.Run(t, pc)); d != "" {
+					t.Errorf("%s diverges from %s: %s", v.Name, o0.Name, d)
+				}
+			}
+		})
+	}
+}
+
 // exprGen generates random well-typed integer expressions as source text,
 // used to cross-check the engines and a direct Go evaluation.
 type exprGen struct {
