@@ -180,7 +180,7 @@ func TestCompileMainStdout(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut.String())
 	}
-	for _, want := range []string{"package main", "gort.Catch(func() { t_main(1) })", "gort.Print("} {
+	for _, want := range []string{"package main", "gort.Main(0, func() { t_main(1) })", "gort.Print("} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("generated source missing %q", want)
 		}

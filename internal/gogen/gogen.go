@@ -55,7 +55,7 @@ func Generate(prog *ast.Program) (string, error) {
 		sb.WriteString("\t\"sync\"\n")
 	}
 	sb.WriteString(")\n\n")
-	fmt.Fprintf(&sb, "func main() {\n\tgort.InitGuard()\n\tgort.InitLocks(%d)\n\tgort.Catch(func() { t_main(1) })\n}\n\n", len(prog.LockNames))
+	fmt.Fprintf(&sb, "func main() {\n\tgort.Main(%d, func() { t_main(1) })\n}\n\n", len(prog.LockNames))
 	sb.WriteString(g.out.String())
 	return sb.String(), nil
 }

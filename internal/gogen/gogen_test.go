@@ -135,9 +135,7 @@ func TestGeneratedSourceShape(t *testing.T) {
 `)
 	for _, want := range []string{
 		"package main",
-		"gort.InitGuard()",
-		"gort.InitLocks(1)",
-		"gort.Catch(func() { t_main(1) })",
+		"gort.Main(1, func() { t_main(1) })",
 		"gort.Enter(gdepth)",
 		"var wg sync.WaitGroup",
 		"gort.Par(&wg, func() {",

@@ -19,16 +19,28 @@
 //
 // Runtime errors (index out of bounds, division by zero, conversion
 // failures) are raised as panics carrying an Err value; the generated main
-// wraps execution in Catch, which prints them in the interpreter's
-// "runtime error: ..." form and exits nonzero, so compiled and interpreted
-// programs fail identically.
+// hands the program to Main, which reports them in the interpreter's
+// "runtime error: ..." form, so compiled and interpreted programs fail
+// identically.
+//
+// Main runs the program once, as the paper's workflow does, or — under
+// tetrad's native tier — many times in one resident process, one run per
+// request of the wire protocol. The per-run state (the governor, the lock
+// table, the background-thread join, a spawned thread's captured panic,
+// output and input) is package-level, and reset sets all of it for a
+// run.
 package gort
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"reflect"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"strings"
@@ -38,6 +50,7 @@ import (
 	"repro/internal/guard"
 	"repro/internal/sched"
 	"repro/internal/sem"
+	"repro/internal/wire"
 )
 
 // Err is the panic payload for Tetra runtime errors.
@@ -65,45 +78,153 @@ func must[T any](v T, err error) T {
 	return v
 }
 
-// Catch runs a compiled program's main, converting Tetra runtime errors
-// (and the Go runtime's arithmetic panics) into the interpreter's error
-// format on stderr with exit status 1. Errors captured from parallel or
-// background threads are re-raised after the join so a worker's runtime
-// error aborts the program exactly like a main-thread one.
-func Catch(main func()) {
-	defer func() {
-		if r := recover(); r != nil {
-			switch e := r.(type) {
-			case Err:
-				fmt.Fprintln(os.Stderr, e.Error())
-			case error:
-				fmt.Fprintln(os.Stderr, "runtime error:", e.Error())
-			default:
-				fmt.Fprintln(os.Stderr, "runtime error:", r)
-			}
+// Main is a compiled program's entry point: nLocks is the size of its
+// named-lock table, main its Tetra main. With wire.EnvWorker set it
+// serves runs over the wire protocol on stdio until stdin closes (see
+// serve). Otherwise it runs main once under the budgets
+// guard.LimitsFromEnv reads, and a runtime error is printed on stderr in
+// the interpreter's format with exit status 1.
+func Main(nLocks int, main func()) {
+	if os.Getenv(wire.EnvWorker) == "1" {
+		os.Exit(serve(nLocks, main, os.Stdin, os.Stdout))
+	}
+	lim, warnings := guard.LimitsFromEnv(os.Getenv)
+	for _, w := range warnings {
+		fmt.Fprintf(os.Stderr, "gort: %s\n", w)
+	}
+	reset(nLocks, lim, os.Stdin, os.Stdout)
+	if d := lim.Deadline; d > 0 {
+		// Hard backstop: a thread parked on a lock or stuck in another
+		// uninterruptible operation never sees the governor trip.
+		time.AfterFunc(d+backstopGrace, func() {
+			fmt.Fprintf(os.Stderr, "runtime error: exceeded deadline (%s)\n", d)
 			Out.Flush()
 			os.Exit(1)
+		})
+	}
+	err := run(main)
+	Out.Flush()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// idleGCPercent is the GC percent a resident artifact holds between runs.
+const idleGCPercent = 10
+
+// serve is the resident loop: one wire.Request per line on in, one run of
+// main under its Limits and Stdin, one wire.Response per line on out with
+// the run's output, its runtime error and its own run time. A clean run
+// has joined every thread it started, so the next one starts from reset.
+// Any other run may leave threads live or parked: serve replies and
+// stops, and the supervisor retires the process. No exit backstop is
+// armed here; the supervisor's deadline kill covers a parked run. It
+// returns the exit code: 0 on a closed stdin or after a failed run, 1 on
+// a protocol error.
+func serve(nLocks int, main func(), in io.Reader, out io.Writer) int {
+	dec := json.NewDecoder(in)
+	enc := json.NewEncoder(out)
+	var stdout bytes.Buffer
+	// A run gets the process's own GC pacing, as a hand-run binary does.
+	// Between runs the loop's garbage (decoded requests, encoded replies)
+	// is collected at idleGCPercent, so it never grows the heap to the
+	// runtime's 4 MiB minimum goal: a resident artifact stays near its
+	// start size (≈4 MiB RSS after 30 000 runs, against ≈7.4 MiB at the
+	// default percent).
+	runGC := debug.SetGCPercent(idleGCPercent)
+	defer debug.SetGCPercent(runGC)
+	for {
+		var req wire.Request
+		if err := dec.Decode(&req); err != nil {
+			if errors.Is(err, io.EOF) {
+				return 0
+			}
+			fmt.Fprintf(os.Stderr, "gort: protocol read: %v\n", err)
+			return 1
+		}
+		stdout.Reset()
+		reset(nLocks, req.Limits, strings.NewReader(req.Stdin), &stdout)
+		debug.SetGCPercent(runGC)
+		start := time.Now()
+		runErr := run(main)
+		resp := wire.Response{Seq: req.Seq, RunMicros: time.Since(start).Microseconds()}
+		debug.SetGCPercent(idleGCPercent)
+		// A failed run's threads may still print: read the output under
+		// the writer's lock.
+		Out.mu.Lock()
+		Out.w.Flush()
+		resp.Stdout = stdout.String()
+		Out.mu.Unlock()
+		if runErr != nil {
+			resp.ErrStage, resp.ErrMessage = "runtime", runErr.Error()
+		} else {
+			resp.OK = true
+		}
+		if err := enc.Encode(&resp); err != nil {
+			fmt.Fprintf(os.Stderr, "gort: protocol write: %v\n", err)
+			return 1
+		}
+		if runErr != nil {
+			return 0
+		}
+	}
+}
+
+// run runs main and joins its background threads, returning the Tetra
+// runtime error it raised (or the Go runtime's arithmetic panic) in the
+// interpreter's "runtime error: ..." form. Errors captured from parallel
+// or background threads are re-raised after the join, so a thread's
+// runtime error fails the run exactly like a main-thread one.
+func run(main func()) (err error) {
+	defer func() {
+		if gov != nil {
+			gov.Stop()
+		}
+		switch r := recover().(type) {
+		case nil:
+		case Err:
+			err = r
+		case error:
+			err = Err{Msg: r.Error()}
+		default:
+			err = Err{Msg: fmt.Sprint(r)}
 		}
 	}()
 	main()
 	WaitBG()
 	Reraise()
-	Out.Flush()
+	return nil
+}
+
+// reset starts a run: a governor for lim (nil when no limit is set), a
+// lock table of nLocks unlocked locks, no captured panic, output written
+// to stdout and input read from stdin. The background join needs no
+// reset: the run before this one either joined it or was the last.
+func reset(nLocks int, lim guard.Limits, stdin io.Reader, stdout io.Writer) {
+	gov = nil
+	if lim.Enabled() {
+		gov = guard.New(lim)
+		gov.Start()
+		gov.ThreadStart() // the main thread counts against the thread budget
+	}
+	locks = make([]sync.Mutex, nLocks)
+	capMu.Lock()
+	captured = nil
+	capMu.Unlock()
+	Out.w.Reset(stdout)
+	in.Reset(stdin)
 }
 
 // ---- resource governor ----
 //
 // Compiled programs run under the same internal/guard.Governor as the
 // interpreter and the VM. Limits cannot be baked in at compile time — the
-// same binary may run trusted or sandboxed — so they arrive through the
-// environment:
-//
-//	TETRA_TIMEOUT     wall-clock budget, Go duration syntax (e.g. "1s")
-//	TETRA_MAX_STEPS   loop back-edge budget across all threads
-//	TETRA_MAX_THREADS maximum concurrently-live threads
-//	TETRA_MAX_OUTPUT  maximum bytes of program output
-//	TETRA_MAX_ALLOC   maximum allocation cells (array elements and
-//	                  string bytes on the growth paths)
+// same binary may run trusted or sandboxed — so they arrive at run time:
+// in each request's Limits for a resident artifact, and for a hand-run
+// binary through the environment variables guard.LimitsFromEnv reads
+// (a wall-clock budget and the step, thread, output and allocation
+// budgets).
 //
 // Generated code calls Tick at every loop back-edge and Enter on every
 // function entry; Par/ParFor/Go charge thread spawns; the allocation
@@ -111,9 +232,8 @@ func Catch(main func()) {
 // materialization, push, string concatenation, and through Built every
 // string or array a library call returns) charge cells. A tripped
 // budget raises the governor's own diagnostic, the one the interpreter
-// prints. A malformed value is ignored with a warning on stderr —
-// never silently — because when tetrad's native tier runs these
-// binaries, a misparsed knob is a serving bug, not a shell typo.
+// prints. A malformed environment value is ignored with a warning on
+// stderr — never silently: whoever set it believes a budget is in force.
 
 // MaxCallDepth mirrors rt.MaxCallDepth, the engines' recursion bound (the
 // package's test holds the two equal), so runaway recursion in a compiled
@@ -124,36 +244,10 @@ const MaxCallDepth = 10000
 // is then a single branch.
 var gov *guard.Governor
 
-// backstopGrace is how long past its deadline InitGuard's backstop lets a
-// program live: strictly outside worker.NativeRunner's margin
-// (guard.DefaultGrace), so under tetrad a parked artifact is always the
-// runner's kill — a crash, retried on an engine that can name the deadlock
-// — while a hand-run binary still exits on its own.
+// backstopGrace is how long past its deadline a hand-run binary's backstop
+// lets it live: a parked thread never sees the governor trip, so the
+// binary still exits on its own.
 const backstopGrace = 2 * guard.DefaultGrace
-
-// InitGuard reads the TETRA_* limit variables (guard.LimitsFromEnv);
-// generated main calls it before execution starts.
-func InitGuard() {
-	lim, warnings := guard.LimitsFromEnv(os.Getenv)
-	for _, w := range warnings {
-		fmt.Fprintf(os.Stderr, "gort: %s\n", w)
-	}
-	if d := lim.Deadline; d > 0 {
-		// Hard backstop: a thread parked on a lock or stuck in another
-		// uninterruptible operation never sees the governor trip.
-		time.AfterFunc(d+backstopGrace, func() {
-			fmt.Fprintf(os.Stderr, "runtime error: exceeded deadline (%s)\n", d)
-			Out.Flush()
-			os.Exit(1)
-		})
-	}
-	gov = nil
-	if lim.Enabled() {
-		gov = guard.New(lim)
-		gov.Start()
-		gov.ThreadStart() // the main thread counts against the thread budget
-	}
-}
 
 // envInt64 parses a non-negative integer scheduling knob, warning like
 // guard.LimitsFromEnv about a malformed or negative value.
@@ -454,16 +548,9 @@ func ModReal(a, b float64) float64 { return must(sem.ModReal(a, b)) }
 // Eq is Tetra's == on any pair of same-typed values; arrays compare deeply.
 func Eq(a, b any) bool { return reflect.DeepEqual(a, b) }
 
-// locks is the named-lock table; gogen sizes it per program via InitLocks.
-var locks []*sync.Mutex
-
-// InitLocks sizes the lock table; called once from generated main.
-func InitLocks(n int) {
-	locks = make([]*sync.Mutex, n)
-	for i := range locks {
-		locks[i] = new(sync.Mutex)
-	}
-}
+// locks is the named-lock table, sized by Main's nLocks and renewed by
+// reset.
+var locks []sync.Mutex
 
 // Lock acquires named lock i.
 func Lock(i int) { locks[i].Lock() }
@@ -491,14 +578,12 @@ func WaitBG() { bg.Wait() }
 
 // Out is the buffered, mutex-guarded stdout writer; prints are atomic per
 // call like the interpreter's.
-var Out = newOut()
+var Out = &outWriter{w: bufio.NewWriter(os.Stdout)}
 
 type outWriter struct {
 	mu sync.Mutex
 	w  *bufio.Writer
 }
-
-func newOut() *outWriter { return &outWriter{w: bufio.NewWriter(os.Stdout)} }
 
 func (o *outWriter) Flush() {
 	o.mu.Lock()
@@ -553,7 +638,7 @@ func formatElem(a any) string {
 // integral values).
 func FormatReal(f float64) string { return sem.FormatReal(f) }
 
-// in is the shared buffered stdin reader for the read_* builtins.
+// in is the run's buffered input reader for the read_* builtins.
 var in = bufio.NewReader(os.Stdin)
 
 // ReadInt implements read_int.

@@ -1,14 +1,18 @@
 package gort
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/guard"
 	"repro/internal/rt"
 	"repro/internal/sched"
+	"repro/internal/wire"
 )
 
 // Generated binaries cannot import internal/rt, so the recursion bound is
@@ -17,6 +21,13 @@ func TestMaxCallDepthMatchesTheEngines(t *testing.T) {
 	if MaxCallDepth != rt.MaxCallDepth {
 		t.Errorf("gort.MaxCallDepth = %d, rt.MaxCallDepth = %d", MaxCallDepth, rt.MaxCallDepth)
 	}
+}
+
+// initGuard starts a run of a two-lock program under the environment's
+// budgets, as a hand-run binary's Main does.
+func initGuard() {
+	lim, _ := guard.LimitsFromEnv(os.Getenv)
+	reset(2, lim, os.Stdin, os.Stdout)
 }
 
 // catchErr runs f and returns the Tetra runtime error it raised, or nil.
@@ -193,7 +204,7 @@ func TestConversionsAndMath(t *testing.T) {
 }
 
 func TestLocksAndBackground(t *testing.T) {
-	InitLocks(2)
+	initGuard()
 	count := 0
 	var wg sync.WaitGroup
 	for i := 0; i < 20; i++ {
@@ -263,10 +274,10 @@ func TestParForPanicCapture(t *testing.T) {
 
 func TestParForThreadBudget(t *testing.T) {
 	t.Setenv("TETRA_MAX_THREADS", "3")
-	InitGuard()
+	initGuard()
 	defer func(oldCfg sched.Config) {
 		os.Unsetenv("TETRA_MAX_THREADS")
-		InitGuard()
+		initGuard()
 		schedConfig = oldCfg
 	}(schedConfig)
 	schedConfig = sched.Config{Workers: 2}
@@ -296,10 +307,10 @@ func TestParForThreadBudget(t *testing.T) {
 // 200k times a request).
 func BenchmarkTick(b *testing.B) {
 	b.Setenv("TETRA_MAX_STEPS", "1000000000000")
-	InitGuard()
+	initGuard()
 	defer func() {
 		os.Unsetenv("TETRA_MAX_STEPS")
-		InitGuard()
+		initGuard()
 	}()
 	for i := 0; i < b.N; i++ {
 		Tick()
@@ -317,10 +328,10 @@ func TestFormatReal(t *testing.T) {
 
 func TestAllocBudget(t *testing.T) {
 	t.Setenv("TETRA_MAX_ALLOC", "10")
-	InitGuard()
+	initGuard()
 	defer func() {
 		os.Unsetenv("TETRA_MAX_ALLOC")
-		InitGuard()
+		initGuard()
 	}()
 
 	if err := catchErr(func() { MakeArray[int64](8) }); err != nil {
@@ -334,7 +345,7 @@ func TestAllocBudget(t *testing.T) {
 	// The budget is cumulative across allocation kinds: literals, push,
 	// range materialization, string concat and what a library call built
 	// all charge it.
-	InitGuard()
+	initGuard()
 	if err := catchErr(func() { NewArray[int64](1, 2, 3) }); err != nil {
 		t.Fatalf("literal raised: %v", err)
 	}
@@ -347,12 +358,12 @@ func TestAllocBudget(t *testing.T) {
 		t.Fatalf("Push never tripped: %v", err)
 	}
 
-	InitGuard()
+	initGuard()
 	if err := catchErr(func() { Range(0, 100) }); err == nil || !strings.Contains(err.Msg, "allocation budget") {
 		t.Fatalf("Range(0,100) err = %v", err)
 	}
 
-	InitGuard()
+	initGuard()
 	if got := Concat("ab", "cd"); got != "abcd" {
 		t.Fatalf("Concat = %q", got)
 	}
@@ -361,7 +372,7 @@ func TestAllocBudget(t *testing.T) {
 		t.Fatalf("Concat never tripped: %v", err)
 	}
 
-	InitGuard()
+	initGuard()
 	if got := Built("abcd"); got != "abcd" {
 		t.Fatalf("Built = %q", got)
 	}
@@ -373,7 +384,7 @@ func TestAllocBudget(t *testing.T) {
 	}
 
 	// repeat charges before it builds.
-	InitGuard()
+	initGuard()
 	if err := catchErr(func() { Repeat("x", 1<<24) }); err == nil || !strings.Contains(err.Msg, "allocation budget") {
 		t.Fatalf("Repeat never tripped: %v", err)
 	}
@@ -381,7 +392,7 @@ func TestAllocBudget(t *testing.T) {
 
 func TestAllocBudgetUnsetIsUnlimited(t *testing.T) {
 	t.Setenv("TETRA_MAX_ALLOC", "")
-	InitGuard()
+	initGuard()
 	if err := catchErr(func() { MakeArray[int64](1 << 16) }); err != nil {
 		t.Fatalf("unlimited alloc raised: %v", err)
 	}
@@ -389,12 +400,56 @@ func TestAllocBudgetUnsetIsUnlimited(t *testing.T) {
 
 func TestEnvInt64WarnsOnMalformed(t *testing.T) {
 	t.Setenv("TETRA_MAX_ALLOC", "banana")
-	InitGuard() // must not panic; malformed values are ignored with a warning
+	initGuard() // must not panic; malformed values are ignored with a warning
 	defer func() {
 		os.Unsetenv("TETRA_MAX_ALLOC")
-		InitGuard()
+		initGuard()
 	}()
 	if err := catchErr(func() { MakeArray[int64](64) }); err != nil {
 		t.Fatalf("malformed budget should disable, not trip: %v", err)
+	}
+}
+
+// TestServeResetsPerRunState: one resident loop answers run after run,
+// each with its own input, output, lock table and budget (two runs of 5
+// output bytes fit an 8-byte budget only if it is not cumulative); a
+// failed run is answered and ends the loop.
+func TestServeResetsPerRunState(t *testing.T) {
+	defer initGuard()
+	prog := func() {
+		n := ReadInt()
+		Lock(0)
+		Print(n * 2)
+		Unlock(0)
+		Go(func() { Print("bg") })
+	}
+	var in, out bytes.Buffer
+	enc := json.NewEncoder(&in)
+	for i, stdin := range []string{"2\n", "3\n", "x\n", "5\n"} {
+		if err := enc.Encode(wire.Request{Seq: uint64(i + 1), Stdin: stdin, Limits: guard.Limits{MaxOutputBytes: 8}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if code := serve(1, prog, &in, &out); code != 0 {
+		t.Fatalf("serve exited %d", code)
+	}
+	var got []wire.Response
+	for dec := json.NewDecoder(&out); dec.More(); {
+		var r wire.Response
+		if err := dec.Decode(&r); err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, r)
+	}
+	if len(got) != 3 {
+		t.Fatalf("got %d replies, want 3 (the failed run ends the loop): %+v", len(got), got)
+	}
+	for i, want := range []string{"4\nbg\n", "6\nbg\n"} {
+		if r := got[i]; !r.OK || r.Seq != uint64(i+1) || r.Stdout != want {
+			t.Errorf("run %d: %+v, want ok with %q", i+1, r, want)
+		}
+	}
+	if r := got[2]; r.OK || r.Seq != 3 || r.ErrStage != "runtime" || !strings.HasPrefix(r.ErrMessage, "runtime error: read_int") {
+		t.Errorf("failed run: %+v", r)
 	}
 }

@@ -19,28 +19,16 @@ func getenvOf(env []string) func(string) string {
 	}
 }
 
-func TestLimitsSurviveTheEnvironment(t *testing.T) {
-	for _, l := range []Limits{
-		{},
-		{Deadline: 1500 * time.Millisecond},
-		{MaxSteps: 7, MaxOutputBytes: 1 << 20},
-		Limits{}.WithSandboxDefaults(),
-	} {
-		got, warnings := LimitsFromEnv(getenvOf(l.Environ(nil)))
-		if got != l || warnings != nil {
-			t.Errorf("%+v came back as %+v (warnings %q)", l, got, warnings)
-		}
+// A hand-run binary's environment sets every budget by its name.
+func TestLimitsFromEnvReadsEveryBudget(t *testing.T) {
+	env := []string{"PATH=/bin", "TETRA_TIMEOUT=1.5s", "TETRA_MAX_STEPS=7", "TETRA_MAX_THREADS=3",
+		"TETRA_MAX_OUTPUT=1048576", "TETRA_MAX_ALLOC=9", "TETRA_WORKERS=3"}
+	want := Limits{Deadline: 1500 * time.Millisecond, MaxSteps: 7, MaxThreads: 3, MaxOutputBytes: 1 << 20, MaxAllocCells: 9}
+	if got, warnings := LimitsFromEnv(getenvOf(env)); got != want || warnings != nil {
+		t.Errorf("limits = %+v (warnings %q), want %+v", got, warnings, want)
 	}
-}
-
-// A parent's own budget, or a stale export, never reaches a child: every
-// limit variable is dropped before the request's are written.
-func TestEnvironDropsInheritedLimits(t *testing.T) {
-	inherited := []string{"PATH=/bin", "TETRA_TIMEOUT=1ns", "TETRA_MAX_STEPS=1", "TETRA_MAX_THREADS=1",
-		"TETRA_MAX_OUTPUT=1", "TETRA_MAX_ALLOC=1", "TETRA_WORKERS=3"}
-	got := Limits{MaxSteps: 5}.Environ(inherited)
-	if want := []string{"PATH=/bin", "TETRA_WORKERS=3", "TETRA_MAX_STEPS=5"}; !reflect.DeepEqual(got, want) {
-		t.Errorf("child environment = %q, want %q", got, want)
+	if got, warnings := LimitsFromEnv(getenvOf(nil)); got != (Limits{}) || warnings != nil {
+		t.Errorf("empty environment: %+v (warnings %q), want no limit", got, warnings)
 	}
 }
 

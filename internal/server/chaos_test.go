@@ -45,7 +45,7 @@ func serve(t *testing.T, opts server.Options) (*server.Server, *httptest.Server)
 		}
 		if n := srv.Native(); n != nil {
 			st := n.Stats()
-			parity.Children{Spawns: st.Spawns, Reaped: st.Reaped}.Check(t, "native runner")
+			parity.Children{Spawns: st.Spawns, Reaped: st.Reaped, Live: st.Live}.Check(t, "native runner")
 		}
 		goroutines.Check(t, 10*time.Second)
 	})

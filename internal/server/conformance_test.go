@@ -35,17 +35,35 @@ func TestNativeTierConformanceGoldenCorpus(t *testing.T) {
 	// every other program from the start (one engine-answered run promotes
 	// at threshold 1), build while the matrix runs what is built.
 	corpus := parity.Corpus(t)
-	_, a := nativeServer(t, nil)
-	_, b := nativeServer(t, nil)
+	sa, a := nativeServer(t, nil)
+	sb, b := nativeServer(t, nil)
+	// Each server's cleanup counts goroutines against its own start, so
+	// both drain first: the other's resident artifacts must be gone.
+	t.Cleanup(func() {
+		_ = sa.Drain(nil)
+		_ = sb.Drain(nil)
+	})
 	node := map[string]string{}
 	for i, c := range corpus {
 		node[c.Name] = []string{a.URL, b.URL}[i%2]
 		run(t, node[c.Name], runRequest(c, parity.Variants[0]))
 	}
+	srv := map[string]*server.Server{a.URL: sa, b.URL: sb}
+	// Every golden is answered twice by one resident process: the second
+	// reply must equal the first, and the runner starts nothing for it.
 	parity.Matrix(t, "native", corpus, func(t *testing.T, c parity.Case, v parity.Variant) parity.Result {
-		rr := runUntilNative(t, node[c.Name], runRequest(c, v), 2*time.Minute)
+		url := node[c.Name]
+		rr := runUntilNative(t, url, runRequest(c, v), 2*time.Minute)
 		if !rr.CacheHit {
 			t.Error("native response should report the artifact as a cache hit")
+		}
+		spawns := srv[url].Native().Stats().Spawns
+		again := run(t, url, runRequest(c, v))
+		if again.Isolation != server.TierNative || runResult(&again) != runResult(rr) {
+			t.Errorf("second run on tier %s answered %+v, first %+v", again.Isolation, runResult(&again), runResult(rr))
+		}
+		if n := srv[url].Native().Stats().Spawns; n != spawns {
+			t.Errorf("second run started %d process(es); want the resident one reused", n-spawns)
 		}
 		return runResult(rr)
 	})

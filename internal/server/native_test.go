@@ -86,10 +86,11 @@ func TestBackendValidation(t *testing.T) {
 	}
 }
 
-// TestNativeDemotionChaos: a native artifact killed mid-request must be
-// retried transparently on the VM tier within the same request, the
-// program demoted, and — after the cooldown, with the chaos gone —
-// re-promoted: the demotion is all that stood against the artifact.
+// TestNativeDemotionChaos: a resident artifact that has already answered
+// and is killed mid-request must be retried transparently on the VM tier
+// within the same request, the program demoted, and — after the cooldown,
+// with the chaos gone — re-promoted: the demotion is all that stood
+// against the artifact.
 func TestNativeDemotionChaos(t *testing.T) {
 	inj := fault.New(1)
 	srv, ts := nativeServer(t, func(o *server.Options) {
@@ -108,6 +109,8 @@ func TestNativeDemotionChaos(t *testing.T) {
 
 	// Arm the chaos: every native attempt is killed mid-request. The
 	// request must still succeed — on a non-native tier, second attempt.
+	// The process killed is the one that answered above.
+	spawned := srv.Native().Stats().Spawns
 	inj.Set(fault.NativeKill, 1.0, 0)
 	resp, body := parity.Post(t, ts.URL+"/run", req, nil)
 	if resp.StatusCode != http.StatusOK {
@@ -129,6 +132,9 @@ func TestNativeDemotionChaos(t *testing.T) {
 	m := srv.Metrics()
 	if m.NativeDemotions < 1 {
 		t.Errorf("no demotion recorded: %+v", m)
+	}
+	if m.Native.Spawns != spawned || m.Native.Live != 0 {
+		t.Errorf("the killed process was not the resident one, or outlived the kill: %+v (%d spawned before)", m.Native, spawned)
 	}
 	if m.Promote == nil || m.Promote.Demotions < 1 {
 		t.Errorf("promotion stats missing the demotion: %+v", m.Promote)

@@ -609,20 +609,15 @@ func (s *Server) failed(a *admitted, tier string, attempts int, msg string) outc
 const drainCancelled = "execution cancelled: server is draining"
 
 // runNative is the first rung. A promoted artifact runs a loop faster than
-// either engine but costs a process spawn per request (the benchmark's
-// native.added_us, over a millisecond, against worker.pool_added_us, a
-// tenth of that): it wins where the run dominates (serve_heavy) and loses
-// where it does not (serve_hot). The verdict, measured for PR 21, is that
-// the tier stays: it wins serve_heavy by roughly 2×, loses serve_hot by
-// roughly 3×, and moving serve_hot to the pool costs +40 % rss_mb on a 15 %
-// bound (the runs are on worker.NativeRunner and in DESIGN.md §12
-// "Evidence"). It falls through when the tier is off or the
-// program is not promoted yet, when the program fails (the engines answer
-// with the error's position, which an artifact cannot give), and when the
-// artifact crashes (it is then demoted: the demotion count is an
-// artifact's one circuit breaker). Trace
-// and race requests fall through too — native binaries carry no event
-// collector.
+// either engine, in a resident process that worker.NativeRunner starts on
+// the artifact's first request and reuses while its runs succeed (DESIGN.md
+// §12). It falls through when the tier is off or the program is not
+// promoted yet, when the artifact is busy past the runner's lease wait or
+// every resident slot is taken (the pool answers), when the program fails
+// (the engines answer with the error's position, which an artifact cannot
+// give), and when the artifact crashes (it is then demoted: the demotion
+// count is an artifact's one circuit breaker). Trace and race requests
+// fall through too — native binaries carry no event collector.
 func (s *Server) runNative(a *admitted) outcome {
 	req := a.req
 	if s.native == nil || req.Trace || req.Race {
@@ -658,8 +653,8 @@ func (s *Server) runNative(a *admitted) outcome {
 		s.logf("native artifact crashed (req %s, hash %s): %s; demoted, retrying on %s tier",
 			a.wreq.RequestID, nhash, ce.LastReason, req.Backend)
 	}
-	// Otherwise ErrClosed (drain race): fall through without counting an
-	// attempt.
+	// Otherwise ErrClosed (drain race) or ErrExhausted (artifact busy):
+	// fall through without counting an attempt.
 	return outcome{attempts: crashes}
 }
 

@@ -1,6 +1,11 @@
 package worker
 
 import (
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"os"
 	"os/exec"
 	"sync"
 	"sync/atomic"
@@ -27,14 +32,15 @@ func attemptDeadline(l guard.Limits) time.Duration {
 }
 
 // ProcStats is a point-in-time snapshot of a supervisor's process
-// accounting: attempts given to a child, children that crashed, and
-// children started and reaped (Reaped == Spawns once the supervisor is
-// closed — zero orphans).
+// accounting: attempts given to a child, children that crashed, children
+// started and reaped, and children alive now (Reaped == Spawns and
+// Live == 0 once the supervisor is closed — zero orphans).
 type ProcStats struct {
 	Runs    int64 `json:"runs"`
 	Crashes int64 `json:"crashes"`
 	Spawns  int64 `json:"spawns"`
 	Reaped  int64 `json:"reaped"`
+	Live    int   `json:"live"`
 }
 
 // child is one supervised OS process: started with a 2 KiB stderr tail,
@@ -185,18 +191,135 @@ func (s *supervisor) close() {
 }
 
 func (s *supervisor) stats() ProcStats {
+	s.mu.Lock()
+	live := len(s.live)
+	s.mu.Unlock()
 	return ProcStats{
 		Runs:    s.runs.Load(),
 		Crashes: s.crashes.Load(),
 		Spawns:  s.spawns.Load(),
 		Reaped:  s.reaped.Load(),
+		Live:    live,
 	}
 }
 
-func (s *supervisor) liveCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.live)
+// proc is a supervised child that speaks the wire protocol: a pooled
+// worker or a resident artifact. One caller at a time holds it (the
+// pool's or the runner's lease) and talks to it through roundTrip.
+type proc struct {
+	*child
+	stdin   io.WriteCloser
+	enc     *json.Encoder
+	respCh  chan procResult
+	seq     uint64
+	retired atomic.Bool
+}
+
+type procResult struct {
+	resp *Response
+	err  error
+}
+
+// startProc starts argv as a protocol child — the inherited environment
+// plus env plus EnvWorker=1 — with a reader goroutine decoding its
+// replies. An error is Start's (or a pipe's), or ErrClosed.
+func (s *supervisor) startProc(argv, env []string) (*proc, error) {
+	cmd := exec.Command(argv[0], argv[1:]...)
+	cmd.Env = append(append(os.Environ(), env...), EnvWorker+"=1")
+	// Without WaitDelay, a child that leaked its pipes to a forked
+	// grandchild would hold Wait (and its reaper) hostage until that
+	// grandchild exits, long after the child itself was killed.
+	cmd.WaitDelay = guard.DefaultGrace
+	stdin, err := cmd.StdinPipe()
+	if err != nil {
+		return nil, err
+	}
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		return nil, err
+	}
+	c, err := s.start(cmd)
+	if err != nil {
+		return nil, err
+	}
+	pr := &proc{child: c, stdin: stdin, enc: json.NewEncoder(stdin), respCh: make(chan procResult, 2)}
+	// Reader: decode replies until the pipe dies, then report why.
+	reading := s.launch(func() {
+		dec := json.NewDecoder(stdout)
+		for {
+			var resp Response
+			if err := dec.Decode(&resp); err != nil {
+				if errors.Is(err, io.EOF) {
+					err = fmt.Errorf("child exited (pipe EOF)")
+				}
+				select {
+				case pr.respCh <- procResult{err: err}:
+				default:
+				}
+				return
+			}
+			select {
+			case pr.respCh <- procResult{resp: &resp}:
+			default:
+				// No leaseholder is listening (stale reply after a
+				// timeout-kill); drop it.
+			}
+		}
+	})
+	if !reading {
+		return nil, ErrClosed // close began after the start and has killed the child
+	}
+	return pr, nil
+}
+
+// roundTrip sends one request and waits for its matching reply,
+// bounding both the pipe write (a dead child stops reading) and the
+// whole exchange. Any error leaves the child unusable: the caller
+// retires it.
+func (pr *proc) roundTrip(req *Request, timeout time.Duration, stop <-chan struct{}) (*Response, error) {
+	pr.seq++
+	wireReq := *req
+	wireReq.Seq = pr.seq
+
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+
+	writeErr := make(chan error, 1)
+	go func() { writeErr <- pr.enc.Encode(&wireReq) }()
+
+	for {
+		select {
+		case err := <-writeErr:
+			if err != nil {
+				return nil, fmt.Errorf("protocol write: %w", err)
+			}
+			writeErr = nil // sent; keep waiting for the reply
+		case r := <-pr.respCh:
+			if r.err != nil {
+				return nil, fmt.Errorf("protocol read: %w", r.err)
+			}
+			if r.resp.Seq != wireReq.Seq {
+				return nil, fmt.Errorf("protocol desync: reply seq %d, want %d", r.resp.Seq, wireReq.Seq)
+			}
+			r.resp.Seq = req.Seq
+			return r.resp, nil
+		case <-timer.C:
+			return nil, fmt.Errorf("attempt deadline overrun (%s): child stuck or dead", timeout)
+		case <-stop:
+			return nil, ErrCancelled
+		}
+	}
+}
+
+// retire closes the child's request pipe and kills it, and reports
+// whether this call was the one that did (it happens exactly once).
+func (pr *proc) retire() bool {
+	if !pr.retired.CompareAndSwap(false, true) {
+		return false
+	}
+	_ = pr.stdin.Close()
+	pr.kill()
+	return true
 }
 
 // tailBuffer keeps the last max bytes written — a child's stderr tail,

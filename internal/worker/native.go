@@ -1,43 +1,64 @@
 package worker
 
 import (
-	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
-	"os"
-	"os/exec"
-	"strings"
+	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/fault"
-	"repro/internal/guard"
 )
 
+// maxResident is how many artifacts may keep a live process at once; a
+// new artifact beyond it evicts the least recently used idle one. A
+// resident artifact holds about 4 MiB, so four hold what two warm pool
+// workers do. The serve_* workloads promote one program each, and their
+// rss_mb is the same at 1 and at 4 (DESIGN.md §12 "Evidence").
+const maxResident = 4
+
 // NativeRunner executes promoted native artifacts — Tetra programs
-// compiled via gogen and `go build` (internal/promote). Unlike pooled
-// workers, native binaries are one-shot: gort's governor state, stdin
-// reader and exit-on-error discipline are process-global, so each
-// request gets a fresh process whose whole life is that request. That
-// keeps the isolation story strictly stronger than the pool's — a
-// crashing artifact takes down nothing but its own request's process —
-// at the cost of a fork+exec per request (the benchmark's native.added_us),
-// which promotion by request count pays for every hot program, whether or
-// not its run is long enough to win that back. The verdict, measured for
-// PR 21 (DESIGN.md §12 "Evidence"): the tier stays. It wins serve_heavy by
-// roughly 2× (op_p50_ms 3.5–4.1 against 4.7–9.0 with -native-threshold 0),
-// loses serve_hot by roughly 3× (1.5–3.9 against 0.57–0.62), and moving
-// serve_hot to the pool costs +40 % rss_mb (65 against 46 MiB: four warm
-// pool workers are resident where one-shot artifacts are not).
+// compiled via gogen and `go build` (internal/promote). An artifact's
+// process is resident: started on the artifact's first request with
+// EnvWorker=1, it serves request after request over the wire protocol
+// pooled workers speak (gort.Main's loop), so the fork, exec and Go
+// runtime start are paid once per artifact instead of once per request.
+// Each run gets fresh per-run state inside the artifact and carries its
+// budget in Request.Limits; the reply's run_us is the artifact's own run.
+//
+// One process serves an artifact, one request at a time: a request whose
+// artifact is busy waits up to leaseTimeout for it and then gets
+// ErrExhausted, which the server answers from the pool. At most
+// maxResident artifacts are live. A process is never reused after a run
+// that did not succeed (its threads may still be live or parked), nor
+// after a crash, a deadline overrun, info.Stop, Close or
+// fault.NativeKill: it is killed, and the artifact's next request starts
+// a fresh one.
 //
 // The runner supervises its children as the pool does, through the same
-// supervisor (child.go): one attempt deadline, one forensics call, and
-// zero-orphan accounting (Stats().Reaped == Stats().Spawns after Close).
-// A gort "runtime error:" exit is data; any other death is a crash. It has
-// no circuit breaker of its own: the server demotes a program at its
-// artifact's first crash, and promote pins it to the VM after MaxDemotions.
+// supervisor and protocol code (child.go): one attempt deadline, one
+// forensics call, and zero-orphan accounting (Stats().Reaped ==
+// Stats().Spawns and Live == 0 after Close). A runtime error is reply
+// data; a death or a broken exchange is a crash. It has no circuit
+// breaker of its own: the server demotes a program at its artifact's
+// first crash, and promote pins it to the VM after MaxDemotions.
 type NativeRunner struct {
 	faults *fault.Injector
 	sup    *supervisor
+
+	mu    sync.Mutex
+	slots map[string]*resident // by artifact path, at most maxResident
+	clock uint64               // LRU stamps
+}
+
+// resident is one artifact's slot. token holds its idle process — nil
+// when none is live, and the next lease starts one — and is empty while
+// a request holds the lease, so a second request for the artifact waits
+// on it.
+type resident struct {
+	token chan *proc
+	used  uint64 // LRU stamp, under NativeRunner.mu
 }
 
 // NativeOptions configures a NativeRunner.
@@ -50,33 +71,27 @@ type NativeOptions struct {
 
 // NewNativeRunner returns a runner ready to execute artifacts.
 func NewNativeRunner(opts NativeOptions) *NativeRunner {
-	return &NativeRunner{faults: opts.Faults, sup: newSupervisor("native", opts.Logf)}
+	return &NativeRunner{
+		faults: opts.Faults,
+		sup:    newSupervisor("native", opts.Logf),
+		slots:  make(map[string]*resident),
+	}
 }
 
 // Stats snapshots the runner's process accounting.
 func (r *NativeRunner) Stats() ProcStats { return r.sup.stats() }
 
-// Run executes one request in a fresh process of the given artifact
-// binary. A Tetra runtime error (gort exit status 1 with a "runtime
-// error:" diagnostic) is data and comes back as a well-formed Response;
-// any other death returns a *CrashedError of one attempt. Closing
-// info.Stop kills the child (drain); a Run that Close interrupts returns
-// ErrClosed.
+// Run executes one request on the artifact binary's resident process,
+// starting it if none is live. A Tetra runtime error is data and comes
+// back as a well-formed Response; any other failure of the exchange
+// returns a *CrashedError of one attempt. ErrExhausted means the
+// artifact stayed busy for leaseTimeout, or every resident slot is
+// leased. Closing info.Stop kills the process (drain); a Run that Close
+// interrupts returns ErrClosed.
 func (r *NativeRunner) Run(bin string, req *Request, info RunInfo) (*Response, error) {
-	cmd := exec.Command(bin)
-	// Without WaitDelay, an artifact that leaked its stdout pipe to a
-	// forked child would hold Wait (and this request's goroutine) hostage
-	// until that child exits, long after the artifact itself was killed.
-	cmd.WaitDelay = guard.DefaultGrace
-	// The supervisor's own TETRA_* budgets, or an operator's stale exports,
-	// must not reach the artifact: its budget is the request's.
-	cmd.Env = req.Limits.Environ(os.Environ())
-	cmd.Stdin = strings.NewReader(req.Stdin)
-	var out bytes.Buffer
-	cmd.Stdout = &out
-	c, err := r.sup.start(cmd)
+	slot, pr, err := r.lease(bin)
 	switch {
-	case errors.Is(err, ErrClosed):
+	case errors.Is(err, ErrClosed), errors.Is(err, ErrExhausted):
 		return nil, err
 	case err != nil:
 		return nil, r.sup.crashed(nil, 1, 1, req, info, fmt.Sprintf("artifact spawn failed: %v", err))
@@ -86,66 +101,107 @@ func (r *NativeRunner) Run(bin string, req *Request, info RunInfo) (*Response, e
 	// Chaos hook: murder the artifact mid-request to drive the
 	// demotion path.
 	if _, ok := r.faults.Fire(fault.NativeKill); ok {
-		c.kill()
+		pr.kill()
 	}
 
-	timeout := attemptDeadline(req.Limits)
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	start := time.Now()
-	select {
-	case <-c.dead:
-	case <-timer.C:
-		c.kill()
-		<-c.dead
-		return nil, r.sup.crashed(c, 1, 1, req, info,
-			fmt.Sprintf("attempt deadline overrun (%s): artifact stuck", timeout))
-	case <-info.Stop:
-		c.kill()
-		<-c.dead
-		return nil, ErrCancelled
-	}
-	wall := time.Since(start)
-	if c.shutdown.Load() {
-		return nil, ErrClosed
-	}
-
-	resp := &Response{
-		Seq:       req.Seq,
-		Stdout:    out.String(),
-		CacheHit:  true, // the artifact IS the cached compile
-		RunMicros: wall.Microseconds(),
-	}
-	if c.err == nil {
-		resp.OK = true
-		return resp, nil
-	}
-
-	// Exit status 1 with a gort diagnostic is a Tetra runtime error —
-	// the program failed, not the artifact. Anything else (signals,
-	// other exit codes, Go runtime fatals) is a crash.
-	var ee *exec.ExitError
-	if errors.As(c.err, &ee) && ee.ExitCode() == 1 {
-		if msg, ok := runtimeErrLine(c.stderr.Tail()); ok {
-			resp.ErrStage = "runtime"
-			resp.ErrMessage = msg
+	resp, err := pr.roundTrip(req, attemptDeadline(req.Limits), info.Stop)
+	if err == nil {
+		resp.CacheHit = true // the artifact IS the cached compile
+		if resp.OK {
+			slot.token <- pr
 			return resp, nil
 		}
 	}
-	return nil, r.sup.crashed(c, 1, 1, req, info, fmt.Sprintf("artifact died: %v", c.err))
+	pr.retire()
+	slot.token <- nil
+	if err == nil {
+		// The program failed: the reply stands, the process does not.
+		return resp, nil
+	}
+	<-pr.dead
+	switch {
+	case errors.Is(err, ErrCancelled):
+		return nil, ErrCancelled
+	case pr.shutdown.Load():
+		return nil, ErrClosed
+	}
+	return nil, r.sup.crashed(pr.child, 1, 1, req, info, err.Error())
 }
 
-// runtimeErrLine extracts the first "runtime error: ..." line from an
-// artifact's stderr — the diagnostic Catch prints before exiting 1.
-func runtimeErrLine(stderr string) (string, bool) {
-	for _, line := range strings.Split(stderr, "\n") {
-		if strings.HasPrefix(line, "runtime error:") {
-			return strings.TrimSpace(line), true
+// lease takes bin's slot, waiting up to leaseTimeout while another
+// request holds it, and returns it with a live process, started here when
+// the slot had none. A spawn error is returned as is; the slot is then
+// free again.
+func (r *NativeRunner) lease(bin string) (*resident, *proc, error) {
+	r.mu.Lock()
+	slot := r.slots[bin]
+	if slot == nil {
+		if len(r.slots) >= maxResident && !r.evictLocked() {
+			r.mu.Unlock()
+			return nil, nil, ErrExhausted
+		}
+		slot = &resident{token: make(chan *proc, 1)}
+		slot.token <- nil
+		r.slots[bin] = slot
+	}
+	r.clock++
+	slot.used = r.clock
+	r.mu.Unlock()
+
+	timer := time.NewTimer(leaseTimeout)
+	defer timer.Stop()
+	var pr *proc
+	select {
+	case pr = <-slot.token:
+	case <-timer.C:
+		// Busy throughout, or evicted between the lookup and the wait.
+		return nil, nil, ErrExhausted
+	case <-r.sup.done:
+		return nil, nil, ErrClosed
+	}
+	if pr != nil {
+		select {
+		case <-pr.dead:
+			pr.retire()
+			if pr.shutdown.Load() {
+				slot.token <- nil
+				return nil, nil, ErrClosed
+			}
+			r.sup.logf("native artifact died idle: pid=%d bin=%s", pr.pid, bin)
+		default:
+			return slot, pr, nil
 		}
 	}
-	return "", false
+	pr, err := r.sup.startProc([]string{bin}, nil)
+	if err != nil {
+		slot.token <- nil
+		return nil, nil, err
+	}
+	return slot, pr, nil
 }
 
-// Close kills any still-running artifact processes and waits until all
-// are reaped — zero orphans. A Run it interrupts returns ErrClosed.
+// evictLocked frees the slot of the least recently used idle artifact,
+// retiring its process, and reports false when every slot is leased.
+func (r *NativeRunner) evictLocked() bool {
+	bins := make([]string, 0, len(r.slots))
+	for bin := range r.slots {
+		bins = append(bins, bin)
+	}
+	slices.SortFunc(bins, func(a, b string) int { return cmp.Compare(r.slots[a].used, r.slots[b].used) })
+	for _, bin := range bins {
+		select {
+		case pr := <-r.slots[bin].token:
+			delete(r.slots, bin)
+			if pr != nil {
+				pr.retire()
+			}
+			return true
+		default:
+		}
+	}
+	return false
+}
+
+// Close kills every resident process and waits until all are reaped —
+// zero orphans. A Run it interrupts returns ErrClosed.
 func (r *NativeRunner) Close() { r.sup.close() }

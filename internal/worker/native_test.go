@@ -57,13 +57,15 @@ func TestNativeRunSuccess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !resp.OK || resp.Stdout != "42\n" || resp.Seq != 7 {
+	if !resp.OK || resp.Stdout != "42\n" || resp.Seq != 7 || !resp.CacheHit {
 		t.Fatalf("bad response: %+v", resp)
 	}
-	st := r.Stats()
-	if st.Runs != 1 || st.Crashes != 0 || st.Spawns != 1 || st.Reaped != 1 {
+	// The process stays resident until Close, and Close reaps it.
+	if st := r.Stats(); st.Runs != 1 || st.Crashes != 0 || st.Spawns != 1 || st.Live != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
+	r.Close()
+	childrenOf(r.Stats(), nil).Check(t, "native runner")
 }
 
 func TestNativeStdinReachesProgram(t *testing.T) {
@@ -98,10 +100,10 @@ func TestNativeRuntimeErrorIsData(t *testing.T) {
 	}
 }
 
-// TestNativeEnvHygiene is the serving-path bug the audit found: a native
-// child inherits the supervisor's environment, so supervisor-level
-// TETRA_* budgets must be stripped and re-derived from the request's
-// clamped limits — in both directions.
+// TestNativeEnvHygiene: a resident artifact inherits the supervisor's
+// environment, but its budget is the request's Limits — in both
+// directions: a hostile TETRA_* export neither limits an unlimited request
+// nor loosens a limited one.
 func TestNativeEnvHygiene(t *testing.T) {
 	bin := buildArtifact(t, "loop.ttr",
 		"def main():\n    i = 0\n    s = 0\n    while i < 500:\n        s = s + i\n        i = i + 1\n    print(s)\n")
@@ -122,7 +124,7 @@ func TestNativeEnvHygiene(t *testing.T) {
 		t.Fatalf("supervisor env leaked into artifact: %+v", resp)
 	}
 
-	// Tight request budget: it must be derived into the child and trip.
+	// Tight request budget: it must reach the artifact and trip.
 	resp, err = r.Run(bin, &worker.Request{Limits: guard.Limits{MaxSteps: 5}}, worker.RunInfo{Hash: "a"})
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +190,7 @@ func TestNativeKillFaultDrivesCrash(t *testing.T) {
 	if inj.Fired(fault.NativeKill) == 0 {
 		t.Fatal("fault point never fired")
 	}
-	childrenOf(r.Stats(), 0, nil).Check(t, "native runner")
+	childrenOf(r.Stats(), nil).Check(t, "native runner")
 }
 
 func TestNativeStopCancelsRun(t *testing.T) {
@@ -209,7 +211,7 @@ func TestNativeStopCancelsRun(t *testing.T) {
 	if d := time.Since(start); d > 10*time.Second {
 		t.Fatalf("cancel took %s", d)
 	}
-	childrenOf(r.Stats(), 0, nil).Check(t, "native runner")
+	childrenOf(r.Stats(), nil).Check(t, "native runner")
 }
 
 func TestNativeDeadlineOverrunKillsStuckArtifact(t *testing.T) {
@@ -231,7 +233,7 @@ func TestNativeDeadlineOverrunKillsStuckArtifact(t *testing.T) {
 	if d := time.Since(start); d > 10*time.Second {
 		t.Fatalf("overrun kill took %s", d)
 	}
-	childrenOf(r.Stats(), 0, nil).Check(t, "native runner")
+	childrenOf(r.Stats(), nil).Check(t, "native runner")
 }
 
 func TestNativeSpawnFailureIsCrash(t *testing.T) {
@@ -257,27 +259,33 @@ func TestNativeRunnerClosedRejects(t *testing.T) {
 }
 
 // TestNativeCloseDuringRunsIsNotACrash: Close kills the artifacts of
-// in-flight Runs and races Runs still starting theirs. Shutting down is not
-// a crash: every Run returns ErrClosed, none reports a crash, and every
-// child is reaped.
+// in-flight Runs and races Runs still waiting for theirs. Shutting down is
+// not a crash: every Run in flight returns ErrClosed, none reports a
+// crash, and every child is reaped.
 func TestNativeCloseDuringRunsIsNotACrash(t *testing.T) {
-	bin := scriptArtifact(t, "exec sleep 30")
 	r := worker.NewNativeRunner(worker.NativeOptions{Logf: t.Logf})
 	defer r.Close()
 
 	var crashes atomic.Int64
+	var bins []string
 	info := worker.RunInfo{Hash: "hc", OnCrash: func(worker.Crash) { crashes.Add(1) }}
-	errs := make(chan error, 8)
+	// Every resident slot busy with its own artifact, and one more Run
+	// waiting on each: a waiter whose lease times out before Close gets
+	// ErrExhausted, any other ErrClosed.
+	errs := make(chan error, 2*worker.MaxResident)
 	var wg sync.WaitGroup
 	for i := 0; i < cap(errs); i++ {
+		if i < worker.MaxResident {
+			bins = append(bins, scriptArtifact(t, "exec sleep 30"))
+		}
 		wg.Add(1)
-		go func() {
+		go func(bin string) {
 			defer wg.Done()
 			_, err := r.Run(bin, &worker.Request{}, info)
 			errs <- err
-		}()
+		}(bins[i%worker.MaxResident])
 	}
-	for deadline := time.Now().Add(5 * time.Second); r.Stats().Runs < 4; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(5 * time.Second); r.Stats().Runs < worker.MaxResident; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("artifacts never started: %+v", r.Stats())
 		}
@@ -286,13 +294,183 @@ func TestNativeCloseDuringRunsIsNotACrash(t *testing.T) {
 	r.Close()
 	wg.Wait()
 	close(errs)
+	closed := 0
 	for err := range errs {
-		if !errors.Is(err, worker.ErrClosed) {
+		switch {
+		case errors.Is(err, worker.ErrClosed):
+			closed++
+		case !errors.Is(err, worker.ErrExhausted):
 			t.Errorf("Run during Close: %v, want ErrClosed", err)
 		}
+	}
+	if closed < worker.MaxResident {
+		t.Errorf("%d Runs saw ErrClosed, want at least the %d in flight", closed, worker.MaxResident)
 	}
 	if st := r.Stats(); crashes.Load() != 0 || st.Crashes != 0 {
 		t.Errorf("shutdown accounted as a crash: OnCrash %d, stats %+v", crashes.Load(), st)
 	}
-	childrenOf(r.Stats(), 0, pids).Check(t, "native runner")
+	childrenOf(r.Stats(), pids).Check(t, "native runner")
+}
+
+// residentCase is one artifact and the runs one resident process of it
+// must answer in order.
+type residentCase struct {
+	name, src string
+	runs      []residentRun
+	// spawns is how many processes the runs take: 1, or 2 when a run
+	// retires its process and the next one starts another.
+	spawns int64
+}
+
+type residentRun struct {
+	req  worker.Request
+	ok   bool
+	want string // stdout when ok, a substring of the error otherwise
+}
+
+// residentCases covers the per-run state a resident artifact resets.
+var residentCases = []residentCase{
+	{name: "stdin", spawns: 1,
+		src: "def main():\n    n = read_int()\n    print(n * n)\n",
+		runs: []residentRun{
+			{worker.Request{Stdin: "3\n"}, true, "9\n"},
+			{worker.Request{Stdin: "4\n"}, true, "16\n"},
+			{worker.Request{Stdin: "5\n"}, true, "25\n"},
+		}},
+	// Each run prints 6 bytes under a 7-byte budget: a governor carried
+	// over from the run before would trip on the second.
+	{name: "output_budget", spawns: 1,
+		src: "def main():\n    print(\"hello\")\n",
+		runs: []residentRun{
+			{worker.Request{Limits: guard.Limits{MaxOutputBytes: 7}}, true, "hello\n"},
+			{worker.Request{Limits: guard.Limits{MaxOutputBytes: 7}}, true, "hello\n"},
+			{worker.Request{Limits: guard.Limits{MaxOutputBytes: 7}}, true, "hello\n"},
+		}},
+	{name: "alloc_budget", spawns: 1,
+		src: "def main():\n    a = [1 .. 10]\n    print(len(a))\n",
+		runs: []residentRun{
+			{worker.Request{Limits: guard.Limits{MaxAllocCells: 12}}, true, "10\n"},
+			{worker.Request{Limits: guard.Limits{MaxAllocCells: 12}}, true, "10\n"},
+			{worker.Request{Limits: guard.Limits{MaxAllocCells: 12}}, true, "10\n"},
+		}},
+	{name: "lock", spawns: 1,
+		src: "def main():\n    total = 0\n    parallel for i in [1 .. 100]:\n        lock m:\n            total += i\n    print(total)\n",
+		runs: []residentRun{
+			{worker.Request{}, true, "5050\n"},
+			{worker.Request{}, true, "5050\n"},
+			{worker.Request{}, true, "5050\n"},
+		}},
+	// The background thread waits for main's gate, then prints after main
+	// has returned: its line must be in its own run's reply, and only
+	// there.
+	{name: "background", spawns: 1,
+		src: "def waiter():\n    lock gate:\n        sleep(20)\n        print(\"bg\")\n\n" +
+			"def main():\n    lock gate:\n        background:\n            waiter()\n        print(\"main\")\n",
+		runs: []residentRun{
+			{worker.Request{}, true, "main\nbg\n"},
+			{worker.Request{}, true, "main\nbg\n"},
+			{worker.Request{}, true, "main\nbg\n"},
+		}},
+	// A budget trip is the program's failure, not a crash: it is answered,
+	// and the next run starts a new process.
+	{name: "step_budget", spawns: 2,
+		src: "def main():\n    s = 0\n    for i in [1 .. 50]:\n        s += i\n    print(s)\n",
+		runs: []residentRun{
+			{worker.Request{}, true, "1275\n"},
+			{worker.Request{Limits: guard.Limits{MaxSteps: 5}}, false, "step budget"},
+			{worker.Request{}, true, "1275\n"},
+		}},
+}
+
+// TestNativeResidentState: one process answers every run of an artifact,
+// each under its own input, output, governor, lock table and background
+// join; then, on the same artifacts, at most MaxResident stay live, the
+// least recently used idle one evicted.
+func TestNativeResidentState(t *testing.T) {
+	bins := make([]string, len(residentCases))
+	for i, c := range residentCases {
+		bins[i] = buildArtifact(t, c.name+".ttr", c.src)
+	}
+	r := worker.NewNativeRunner(worker.NativeOptions{Logf: t.Logf})
+	defer r.Close()
+	for i, c := range residentCases {
+		t.Run(c.name, func(t *testing.T) {
+			before := r.Stats()
+			for j, run := range c.runs {
+				req := run.req
+				resp, err := r.Run(bins[i], &req, worker.RunInfo{Hash: c.name})
+				if err != nil {
+					t.Fatalf("run %d: %v", j, err)
+				}
+				got := resp.Stdout
+				if !run.ok {
+					got = resp.ErrMessage
+				}
+				if resp.OK != run.ok || !strings.Contains(got, run.want) || run.ok && got != run.want {
+					t.Errorf("run %d: ok=%v stdout %q err %q, want ok=%v and %q", j, resp.OK, resp.Stdout, resp.ErrMessage, run.ok, run.want)
+				}
+			}
+			st := r.Stats()
+			if spawns := st.Spawns - before.Spawns; spawns != c.spawns || st.Crashes != 0 {
+				t.Errorf("%d runs took %d process(es) and %d crash(es), want %d and 0", len(c.runs), spawns, st.Crashes, c.spawns)
+			}
+		})
+	}
+
+	t.Run("lru", func(t *testing.T) {
+		k := worker.MaxResident
+		if len(bins) < k+1 {
+			t.Fatalf("%d artifacts cannot overflow %d resident slots", len(bins), k)
+		}
+		r := worker.NewNativeRunner(worker.NativeOptions{Logf: t.Logf})
+		defer r.Close()
+		spawnsAfter := func(i int) int64 {
+			t.Helper()
+			req := residentCases[i].runs[0].req
+			if _, err := r.Run(bins[i], &req, worker.RunInfo{}); err != nil {
+				t.Fatalf("artifact %d: %v", i, err)
+			}
+			return r.Stats().Spawns
+		}
+		for i := 0; i <= k; i++ {
+			spawnsAfter(i) // the last evicts artifact 0
+		}
+		for i := 1; i <= k; i++ {
+			if n := spawnsAfter(i); n != int64(k+1) {
+				t.Fatalf("artifact %d was not resident: %d spawns, want %d", i, n, k+1)
+			}
+		}
+		if n := spawnsAfter(0); n != int64(k+2) {
+			t.Fatalf("evicted artifact 0 answered without a new process: %d spawns", n)
+		}
+		if st := r.Stats(); st.Live != k || st.Crashes != 0 {
+			t.Fatalf("stats %+v, want %d live and no crash", st, k)
+		}
+	})
+}
+
+// TestNativeRunMicrosIsTheRun: a reply's run_us is the artifact's own run
+// of the program, not the process start the first request pays nor the
+// round trip: on a 2000-iteration loop it is under a millisecond and
+// under the measured round trip, on the first request and on a reused
+// process.
+func TestNativeRunMicrosIsTheRun(t *testing.T) {
+	bin := buildArtifact(t, "hot.ttr",
+		"def main():\n    s = 0\n    for i in [1 .. 2000]:\n        s = (s + i * 7) % 1000003\n    print(s)\n")
+	r := worker.NewNativeRunner(worker.NativeOptions{Logf: t.Logf})
+	defer r.Close()
+	for i := 0; i < 3; i++ {
+		start := time.Now()
+		resp, err := r.Run(bin, &worker.Request{}, worker.RunInfo{})
+		rtt := time.Since(start)
+		if err != nil || !resp.OK {
+			t.Fatalf("run %d: %+v, %v", i, resp, err)
+		}
+		if resp.RunMicros >= rtt.Microseconds() || resp.RunMicros >= 1000 {
+			t.Errorf("run %d: run_us %d against a %s round trip", i, resp.RunMicros, rtt)
+		}
+	}
+	if st := r.Stats(); st.Spawns != 1 {
+		t.Errorf("three runs took %d processes", st.Spawns)
+	}
 }

@@ -1,13 +1,9 @@
 package worker
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
-	"os"
-	"os/exec"
 	"sync/atomic"
 	"time"
 )
@@ -127,7 +123,6 @@ type Stats struct {
 	IdleDeaths    int64 `json:"idle_deaths"`
 	Retries       int64 `json:"retries"`
 	RetriedOK     int64 `json:"retried_ok"`
-	Live          int   `json:"live"`
 	Idle          int   `json:"idle"`
 	Quarantined   int   `json:"quarantined"`
 }
@@ -176,7 +171,6 @@ func (p *Pool) Stats() Stats {
 		IdleDeaths:    p.idleDeaths.Load(),
 		Retries:       p.retries.Load(),
 		RetriedOK:     p.retriedOK.Load(),
-		Live:          p.sup.liveCount(),
 		Idle:          len(p.idle),
 		Quarantined:   p.quar.Count(),
 	}
@@ -202,7 +196,7 @@ func (p *Pool) Run(req *Request, info RunInfo) (*Response, error) {
 			return nil, err
 		}
 		p.sup.runs.Add(1)
-		resp, rtErr := p.roundTrip(pr, req, timeout, info.Stop)
+		resp, rtErr := pr.roundTrip(req, timeout, info.Stop)
 		if rtErr == nil {
 			p.backoffLevel.Store(0)
 			p.release(pr)
@@ -272,51 +266,11 @@ func (p *Pool) release(pr *proc) {
 	}
 }
 
-// roundTrip sends one request and waits for its matching reply,
-// bounding both the pipe write (a dead worker stops reading) and the
-// whole exchange.
-func (p *Pool) roundTrip(pr *proc, req *Request, timeout time.Duration, stop <-chan struct{}) (*Response, error) {
-	pr.seq++
-	wireReq := *req
-	wireReq.Seq = pr.seq
-
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-
-	writeErr := make(chan error, 1)
-	go func() { writeErr <- pr.enc.Encode(&wireReq) }()
-
-	for {
-		select {
-		case err := <-writeErr:
-			if err != nil {
-				return nil, fmt.Errorf("protocol write: %w", err)
-			}
-			writeErr = nil // sent; keep waiting for the reply
-		case r := <-pr.respCh:
-			if r.err != nil {
-				return nil, fmt.Errorf("protocol read: %w", r.err)
-			}
-			if r.resp.Seq != wireReq.Seq {
-				return nil, fmt.Errorf("protocol desync: reply seq %d, want %d", r.resp.Seq, wireReq.Seq)
-			}
-			return r.resp, nil
-		case <-timer.C:
-			return nil, fmt.Errorf("attempt deadline overrun (%s): worker stuck or dead", timeout)
-		case <-stop:
-			return nil, ErrCancelled
-		}
-	}
-}
-
 // retire kills a worker exactly once and schedules its replacement.
 func (p *Pool) retire(pr *proc) {
-	if !pr.retired.CompareAndSwap(false, true) {
-		return
+	if pr.retire() {
+		p.scheduleRespawn()
 	}
-	_ = pr.stdin.Close()
-	pr.kill()
-	p.scheduleRespawn()
 }
 
 // scheduleRespawn starts a replacement worker after the exponential
@@ -370,65 +324,22 @@ func backoffDelay(level int64) time.Duration {
 // schedules another attempt with backoff — the pool keeps trying for as
 // long as it is open, and callers degrade via ErrExhausted meanwhile.
 func (p *Pool) spawn() {
-	cmd := exec.Command(p.opts.Cmd[0], p.opts.Cmd[1:]...)
-	cmd.Env = append(append(os.Environ(), p.opts.Env...), EnvWorker+"=1")
-	stdin, err := cmd.StdinPipe()
-	var stdout io.ReadCloser
-	if err == nil {
-		stdout, err = cmd.StdoutPipe()
-	}
-	var c *child
-	if err == nil {
-		c, err = p.sup.start(cmd)
-	}
+	pr, err := p.sup.startProc(p.opts.Cmd, p.opts.Env)
 	switch {
 	case err == nil:
-		p.adopt(c, stdin, stdout)
+		select {
+		case p.idle <- pr:
+		default:
+			// Sized channel plus slot accounting make this unreachable;
+			// refuse to leak the process if the invariant ever breaks.
+			p.retire(pr)
+		}
 	case errors.Is(err, ErrClosed):
 		// Closing: nothing to replace.
 	default:
 		p.spawnFails.Add(1)
 		p.sup.logf("worker spawn failed: %v", err)
 		p.scheduleRespawn()
-	}
-}
-
-// adopt makes a started worker leasable: a reader goroutine decodes its
-// replies, and it joins the idle set.
-func (p *Pool) adopt(c *child, stdin io.WriteCloser, stdout io.Reader) {
-	pr := &proc{child: c, stdin: stdin, enc: json.NewEncoder(stdin), respCh: make(chan procResult, 2)}
-	// Reader: decode replies until the pipe dies, then report why.
-	reading := p.sup.launch(func() {
-		dec := json.NewDecoder(stdout)
-		for {
-			var resp Response
-			if err := dec.Decode(&resp); err != nil {
-				if errors.Is(err, io.EOF) {
-					err = fmt.Errorf("worker exited (pipe EOF)")
-				}
-				select {
-				case pr.respCh <- procResult{err: err}:
-				default:
-				}
-				return
-			}
-			select {
-			case pr.respCh <- procResult{resp: &resp}:
-			default:
-				// No leaseholder is listening (stale reply after a
-				// timeout-kill); drop it.
-			}
-		}
-	})
-	if !reading {
-		return // Close began after the start and has killed the child.
-	}
-	select {
-	case p.idle <- pr:
-	default:
-		// Sized channel plus slot accounting make this unreachable;
-		// refuse to leak the process if the invariant ever breaks.
-		p.retire(pr)
 	}
 }
 
@@ -446,19 +357,4 @@ func (p *Pool) Close() {
 			return
 		}
 	}
-}
-
-// proc is one pooled worker: a supervised child and its request pipe.
-type proc struct {
-	*child
-	stdin   io.WriteCloser
-	enc     *json.Encoder
-	respCh  chan procResult
-	seq     uint64
-	retired atomic.Bool
-}
-
-type procResult struct {
-	resp *Response
-	err  error
 }

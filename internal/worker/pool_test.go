@@ -324,7 +324,7 @@ func TestPoolCloseLeavesNoOrphansOrLeaks(t *testing.T) {
 
 	st := p.Stats()
 	mu.Lock()
-	childrenOf(st.ProcStats, st.Live, pids).Check(t, "pool")
+	childrenOf(st.ProcStats, pids).Check(t, "pool")
 	mu.Unlock()
 	goroutines.Check(t, 5*time.Second)
 }
@@ -382,7 +382,7 @@ func TestPoolCloseDuringRunsIsNotACrash(t *testing.T) {
 	if crashes.Load() != 0 || st.Crashes != 0 || st.Quarantined != 0 {
 		t.Errorf("shutdown accounted as a crash: OnCrash %d, stats %+v", crashes.Load(), st)
 	}
-	childrenOf(st.ProcStats, st.Live, pids).Check(t, "pool")
+	childrenOf(st.ProcStats, pids).Check(t, "pool")
 }
 
 // recordedChildren lists this process's children, failing when there are
@@ -398,8 +398,8 @@ func recordedChildren(t *testing.T) []int {
 
 // childrenOf is what a supervisor's stats say of its children, plus the
 // pids a test recorded.
-func childrenOf(st worker.ProcStats, live int, pids []int) parity.Children {
-	return parity.Children{Spawns: st.Spawns, Reaped: st.Reaped, Live: live, PIDs: pids}
+func childrenOf(st worker.ProcStats, pids []int) parity.Children {
+	return parity.Children{Spawns: st.Spawns, Reaped: st.Reaped, Live: st.Live, PIDs: pids}
 }
 
 func TestPoolCancelStopsAttempt(t *testing.T) {

@@ -11,14 +11,16 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/wire"
 )
 
-// EnvWorker marks a process as a pooled execution worker. The pool sets
-// it on every child it spawns; host binaries that can serve as their
-// own workers (the test binaries, embedders through tetra.ExitIfWorker)
-// call ExitIfWorker at the top of main/TestMain to divert into the worker
-// loop.
-const EnvWorker = "TETRAD_WORKER"
+// EnvWorker marks a process as a protocol child. The pool and the native
+// runner set it on every child they spawn; host binaries that can serve
+// as their own workers (the test binaries, embedders through
+// tetra.ExitIfWorker) call ExitIfWorker at the top of main/TestMain to
+// divert into the worker loop, and a native artifact's gort.Main enters
+// its resident loop.
+const EnvWorker = wire.EnvWorker
 
 // ExitIfWorker diverts the current process into worker mode (and never
 // returns) when EnvWorker is set. Call it before any other startup

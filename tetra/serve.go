@@ -18,8 +18,8 @@ import (
 // production defaults; set Isolation to IsolationPool for supervised
 // worker processes. Set NativeThreshold > 0 to enable the native
 // promotion tier: hot programs are compiled via gogen and `go build`
-// into one-shot native binaries, with automatic demotion back to the
-// VM tier if an artifact crashes.
+// into native binaries, each served by one resident process, with
+// automatic demotion back to the VM tier if an artifact crashes.
 //
 // The server also hosts streaming debug sessions (POST /session + SSE):
 // MaxSessions caps them server-wide, SessionIdleTimeout evicts abandoned
