@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -180,7 +181,7 @@ func TestCompileMainStdout(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut.String())
 	}
-	for _, want := range []string{"package main", "gort.Main(0, func() { t_main(1) })", "gort.Print("} {
+	for _, want := range []string{"package main", "gort.Main(" + strconv.Quote(prog) + ", []string(nil), func(t *gort.Thread) { t_main(t, 1) })", "gort.Print("} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("generated source missing %q", want)
 		}

@@ -3,20 +3,20 @@
 // to add a native code compiler, which will compile Tetra code into an
 // efficient executable, possibly by targeting C with Pthreads as the
 // output language." Targeting Go with goroutines is the exact analog on
-// this stack: `parallel` becomes goroutines joined by a sync.WaitGroup,
-// `background` becomes detached goroutines joined at process exit,
-// `parallel for` becomes a bounded pool of goroutines claiming chunks of
-// the elements (gort.ParFor), each iteration receiving the induction
-// variable by value (the private copy), and `lock` becomes a program-wide
-// mutex table.
+// this stack. The thread model is the engines' own, internal/rt, reached
+// through gort: every generated function takes its Tetra thread, and
+// `parallel`, `background`, `parallel for` and `lock` lower to rt's
+// Parallel, Background, ParFor, Lock and Unlock with the construct's
+// source position. A `parallel for` body is a closure whose parameter is
+// the iteration's private induction value; in a function with a parallel
+// construct every other local is a gort.Cell, by the engines' rule.
 //
 // Generated programs import repro/internal/gort (the runtime support
-// library), repro/internal/sem when they call one of its kernels directly,
-// and sync when parallel constructs appear, and reproduce the
-// interpreter's observable behaviour: print formatting, runtime error
-// messages, exit status. The generated source is the paper's promised
-// workflow: develop and debug on the interpreter, then `tetra-compile`
-// and `go build` the result for speed.
+// library) and repro/internal/sem when they call one of its kernels
+// directly, and reproduce the interpreter's observable behaviour: print
+// formatting, runtime error messages, exit status. The generated source is
+// the paper's promised workflow: develop and debug on the interpreter, then
+// `tetra-compile` and `go build` the result for speed.
 package gogen
 
 import (
@@ -51,22 +51,22 @@ func Generate(prog *ast.Program) (string, error) {
 	if g.needsSem {
 		sb.WriteString("\t\"repro/internal/sem\"\n")
 	}
-	if g.needsSync {
-		sb.WriteString("\t\"sync\"\n")
-	}
 	sb.WriteString(")\n\n")
-	fmt.Fprintf(&sb, "func main() {\n\tgort.Main(%d, func() { t_main(1) })\n}\n\n", len(prog.LockNames))
+	fmt.Fprintf(&sb, "func main() {\n\tgort.Main(%q, %#v, func(t *gort.Thread) { t_main(t, 1) })\n}\n\n", prog.File, prog.LockNames)
 	sb.WriteString(g.out.String())
 	return sb.String(), nil
 }
 
 type generator struct {
-	prog      *ast.Program
-	out       strings.Builder
-	depth     int
-	fn        *ast.FuncDecl
-	needsSync bool
-	needsSem  bool
+	prog     *ast.Program
+	out      strings.Builder
+	depth    int
+	fn       *ast.FuncDecl
+	needsSem bool
+	// private holds the slots that are a parallel-for body's parameter in
+	// the current emission context: plain values even where the function's
+	// other locals are cells.
+	private []int
 	// lockStack tracks lock indices held in the current emission context so
 	// return/break/continue can release them (same discipline as the
 	// bytecode compiler).
@@ -113,17 +113,52 @@ func (g *generator) varName(slot int) string {
 	return fmt.Sprintf("v%d_%s", slot, g.fn.SlotNames[slot])
 }
 
+// isCell reports whether slot is a gort.Cell: every local of a function
+// with a parallel construct, as on the engines, except a parallel-for
+// body's induction value.
+func (g *generator) isCell(slot int) bool {
+	return g.fn.HasParallel && !slices.Contains(g.private, slot)
+}
+
+// load renders a read of slot.
+func (g *generator) load(slot int) string {
+	if g.isCell(slot) {
+		return g.varName(slot) + ".Load()"
+	}
+	return g.varName(slot)
+}
+
+// store emits an assignment of the rendered value v to slot.
+func (g *generator) store(slot int, v string) {
+	if g.isCell(slot) {
+		g.line("%s.Store(%s)", g.varName(slot), v)
+	} else {
+		g.line("%s = %s", g.varName(slot), v)
+	}
+}
+
+// pos renders a construct's source position as gort's line, col arguments.
+func pos(n interface{ Pos() token.Pos }) string {
+	p := n.Pos()
+	return fmt.Sprintf("%d, %d", p.Line, p.Col)
+}
+
 func (g *generator) funcDecl(f *ast.FuncDecl) error {
 	g.fn = f
 	g.lockStack = nil
 	g.loopLockBase = nil
 
-	// Every generated function carries its call depth so gort.Enter can
-	// bound recursion like the engines' rt.MaxCallDepth.
+	// Every generated function carries its Tetra thread and its call
+	// depth, so gort.Enter can bound recursion like the engines'
+	// rt.MaxCallDepth. A parameter that is a cell arrives as aN.
 	var sig strings.Builder
-	fmt.Fprintf(&sig, "func t_%s(gdepth int", f.Name)
+	fmt.Fprintf(&sig, "func t_%s(t *gort.Thread, gdepth int", f.Name)
 	for _, p := range f.Params {
-		fmt.Fprintf(&sig, ", %s %s", g.varName(p.Slot), goType(p.Type))
+		name := g.varName(p.Slot)
+		if g.isCell(p.Slot) {
+			name = fmt.Sprintf("a%d", p.Slot)
+		}
+		fmt.Fprintf(&sig, ", %s %s", name, goType(p.Type))
 	}
 	sig.WriteString(")")
 	if f.Result != nil {
@@ -140,14 +175,25 @@ func (g *generator) funcDecl(f *ast.FuncDecl) error {
 	// Go's zero value is Tetra's for every type but an array, whose zero
 	// is an empty array, not nil: the slots a path may read unassigned
 	// (ZeroSlots) start at one, so indexing them raises Tetra's error.
-	for slot := len(f.Params); slot < f.NumSlots; slot++ {
+	for slot := 0; slot < f.NumSlots; slot++ {
 		t := f.SlotTypes[slot]
-		if t.IsArray() && slices.Contains(f.ZeroSlots, slot) {
-			g.line("var %s = %s", g.varName(slot), zeroValue(t))
-		} else {
-			g.line("var %s %s", g.varName(slot), goType(t))
+		name := g.varName(slot)
+		switch {
+		case f.HasParallel:
+			g.line("var %s gort.Cell[%s]", name, goType(t))
+			if slot < len(f.Params) {
+				g.store(slot, fmt.Sprintf("a%d", slot))
+			} else if t.IsArray() && slices.Contains(f.ZeroSlots, slot) {
+				g.store(slot, zeroValue(t))
+			}
+		case slot < len(f.Params):
+			continue
+		case t.IsArray() && slices.Contains(f.ZeroSlots, slot):
+			g.line("var %s = %s", name, zeroValue(t))
+		default:
+			g.line("var %s %s", name, goType(t))
 		}
-		g.line("_ = %s", g.varName(slot))
+		g.line("_ = &%s", name)
 	}
 
 	if err := g.block(f.Body); err != nil {
@@ -255,7 +301,7 @@ func (g *generator) stmt(s ast.Stmt) error {
 		g.pushLoop()
 		g.line("for %s {", cond)
 		g.depth++
-		g.line("gort.Tick()")
+		g.line("gort.Tick(t, %s)", pos(s))
 		if err := g.block(s.Body); err != nil {
 			return err
 		}
@@ -277,8 +323,8 @@ func (g *generator) stmt(s ast.Stmt) error {
 		}
 		g.pushLoop()
 		g.depth++
-		g.line("gort.Tick()")
-		g.line("%s = %s", g.varName(s.Var.Slot), it)
+		g.line("gort.Tick(t, %s)", pos(s))
+		g.store(s.Var.Slot, it)
 		if err := g.block(s.Body); err != nil {
 			return err
 		}
@@ -288,36 +334,10 @@ func (g *generator) stmt(s ast.Stmt) error {
 		return nil
 
 	case *ast.ParallelStmt:
-		g.needsSync = true
-		g.line("{")
-		g.depth++
-		g.line("var wg sync.WaitGroup")
-		for _, child := range s.Body.Stmts {
-			g.line("gort.Par(&wg, func() {")
-			g.depth++
-			if err := g.stmt(child); err != nil {
-				return err
-			}
-			g.depth--
-			g.line("})")
-		}
-		g.line("wg.Wait()")
-		g.line("gort.Reraise()")
-		g.depth--
-		g.line("}")
-		return nil
+		return g.arms("gort.Parallel", s, s.Body)
 
 	case *ast.BackgroundStmt:
-		for _, child := range s.Body.Stmts {
-			g.line("gort.Go(func() {")
-			g.depth++
-			if err := g.stmt(child); err != nil {
-				return err
-			}
-			g.depth--
-			g.line("})")
-		}
-		return nil
+		return g.arms("gort.Background", s, s.Body)
 
 	case *ast.ParallelForStmt:
 		seq, err := g.expr(s.Seq)
@@ -329,35 +349,34 @@ func (g *generator) stmt(s ast.Stmt) error {
 		if s.Seq.Type().Kind() == types.String {
 			elems = g.native("sem.Runes") + "(" + seq + ")"
 		}
-		// gort.ParFor runs the iterations on a bounded chunk-claiming
-		// worker pool (internal/sched). The induction variable is the
-		// body closure's parameter: each iteration gets its private copy,
-		// shadowing the function-scoped slot — exactly the interpreter's
-		// forked induction cell.
-		g.line("gort.ParFor(%s, func(%s %s) {", elems, g.varName(s.Var.Slot), elemType)
+		// The induction variable is the body closure's parameter: each
+		// iteration gets its private copy, shadowing the function-scoped
+		// slot — exactly the engines' forked induction cell.
+		g.line("gort.ParFor(t, %s, %s, func(t *gort.Thread, %s %s) {", pos(s), elems, g.varName(s.Var.Slot), elemType)
 		g.depth++
 		g.line("_ = %s", g.varName(s.Var.Slot))
+		g.private = append(g.private, s.Var.Slot)
 		if err := g.block(s.Body); err != nil {
 			return err
 		}
+		g.private = g.private[:len(g.private)-1]
 		g.depth--
 		g.line("})")
-		g.line("gort.Reraise()")
 		return nil
 
 	case *ast.LockStmt:
-		g.line("gort.Lock(%d)", s.LockIndex)
+		g.line("gort.Lock(t, %d, %s)", s.LockIndex, pos(s))
 		g.lockStack = append(g.lockStack, s.LockIndex)
 		if err := g.block(s.Body); err != nil {
 			return err
 		}
 		g.lockStack = g.lockStack[:len(g.lockStack)-1]
-		g.line("gort.Unlock(%d)", s.LockIndex)
+		g.line("gort.Unlock(t, %d)", s.LockIndex)
 		return nil
 
 	case *ast.ReturnStmt:
 		for i := len(g.lockStack) - 1; i >= 0; i-- {
-			g.line("gort.Unlock(%d)", g.lockStack[i])
+			g.line("gort.Unlock(t, %d)", g.lockStack[i])
 		}
 		if s.Value == nil {
 			g.line("return")
@@ -400,30 +419,48 @@ func (g *generator) releaseLoopLocks() {
 	}
 	base := g.loopLockBase[len(g.loopLockBase)-1]
 	for i := len(g.lockStack) - 1; i >= base; i-- {
-		g.line("gort.Unlock(%d)", g.lockStack[i])
+		g.line("gort.Unlock(t, %d)", g.lockStack[i])
 	}
+}
+
+// arms emits a parallel or background block at s as a call of fn with one
+// thread closure per statement of body.
+func (g *generator) arms(fn string, s ast.Stmt, body *ast.Block) error {
+	g.line("%s(t, %s,", fn, pos(s))
+	g.depth++
+	for _, child := range body.Stmts {
+		g.line("func(t *gort.Thread) {")
+		g.depth++
+		if err := g.stmt(child); err != nil {
+			return err
+		}
+		g.depth--
+		g.line("},")
+	}
+	g.depth--
+	g.line(")")
+	return nil
 }
 
 func (g *generator) assign(s *ast.AssignStmt) error {
 	switch target := s.Target.(type) {
 	case *ast.Ident:
-		name := g.varName(target.Slot)
 		if s.Op == token.ASSIGN {
 			e, err := g.exprAs(s.Value, target.Type())
 			if err != nil {
 				return err
 			}
-			g.line("%s = %s", name, e)
+			g.store(target.Slot, e)
 			return nil
 		}
-		rhs, err := g.binaryText(augOp(s.Op), exprRef{text: name, t: target.Type()}, s.Value)
+		rhs, err := g.binaryText(augOp(s.Op), exprRef{text: g.load(target.Slot), t: target.Type()}, s.Value)
 		if err != nil {
 			return err
 		}
 		if target.Type().Kind() == types.Real {
 			rhs = asReal(rhs, binaryResultKind(target.Type(), s.Value.Type()))
 		}
-		g.line("%s = %s", name, rhs)
+		g.store(target.Slot, rhs)
 		return nil
 
 	case *ast.IndexExpr:
@@ -514,7 +551,7 @@ func (g *generator) expr(e ast.Expr) (string, error) {
 		return "false", nil
 
 	case *ast.Ident:
-		return g.varName(e.Slot), nil
+		return g.load(e.Slot), nil
 
 	case *ast.ArrayLit:
 		elemT := e.Type().Elem()
@@ -710,7 +747,7 @@ func (g *generator) call(e *ast.CallExpr) (string, error) {
 			}
 			parts[i] = s
 		}
-		args := append([]string{"gdepth+1"}, parts...)
+		args := append([]string{"t", "gdepth+1"}, parts...)
 		return fmt.Sprintf("t_%s(%s)", callee.Name, strings.Join(args, ", ")), nil
 	}
 	return g.builtin(e)

@@ -7,9 +7,11 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/ast"
 	"repro/internal/bytecode"
@@ -69,23 +71,52 @@ func moduleRoot(t *testing.T) string {
 // binary.
 func buildGenerated(t *testing.T, src string) string {
 	t.Helper()
-	goSrc := generate(t, src)
+	return filepath.Join(buildAll(t, map[string]string{"prog": src}, false), "prog")
+}
+
+// buildAll compiles each program of progs, by name, and builds them all
+// with one go build, which compiles the shared runtime once and links the
+// binaries in parallel. It returns the directory holding the binaries, each
+// under its program's name. With race they are race-detector builds.
+func buildAll(t *testing.T, progs map[string]string, race bool) string {
+	t.Helper()
 	root := moduleRoot(t)
 	dir, err := os.MkdirTemp(root, ".gogen-test-*")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	if err := os.WriteFile(filepath.Join(dir, "main.go"), []byte(goSrc), 0o644); err != nil {
-		t.Fatal(err)
+	bin := t.TempDir()
+	args := []string{"build", "-o", bin + string(filepath.Separator)}
+	if race {
+		args = append(args, "-race")
 	}
-	exe := filepath.Join(t.TempDir(), "prog")
-	cmd := exec.Command("go", "build", "-o", exe, "./"+filepath.Base(dir))
+	for name, src := range progs {
+		pkg := filepath.Join(dir, name)
+		if err := os.Mkdir(pkg, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(pkg, "main.go"), []byte(generate(t, src)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		args = append(args, "./"+filepath.Join(filepath.Base(dir), name))
+	}
+	cmd := exec.Command("go", args...)
 	cmd.Dir = root
 	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("go build of the generated program: %v\n%s\n%s", err, out, goSrc)
+		t.Fatalf("go build of the generated programs: %v\n%s", err, out)
 	}
-	return exe
+	return bin
+}
+
+// raceFree fails t when err, a run's failure, is a report of the race
+// detector.
+func raceFree(t *testing.T, err error) {
+	t.Helper()
+	var re *runError
+	if errors.As(err, &re) && strings.Contains(re.stderr, "DATA RACE") {
+		t.Fatalf("the race detector reports a data race:\n%s", re.stderr)
+	}
 }
 
 // runBinary runs a built program with the given stdin and extra environment
@@ -117,6 +148,8 @@ type runError struct {
 
 func (e *runError) Error() string { return e.err.Error() + ": " + e.stderr }
 
+func (e *runError) Unwrap() error { return e.err }
+
 func TestGenerateRequiresMain(t *testing.T) {
 	prog := compile(t, "def f():\n    pass\n")
 	if _, err := Generate(prog); err == nil {
@@ -135,15 +168,15 @@ func TestGeneratedSourceShape(t *testing.T) {
 `)
 	for _, want := range []string{
 		"package main",
-		"gort.Main(1, func() { t_main(1) })",
+		`gort.Main("gen.ttr", []string{"m"}, func(t *gort.Thread) { t_main(t, 1) })`,
+		"func t_main(t *gort.Thread, gdepth int) {",
 		"gort.Enter(gdepth)",
-		"var wg sync.WaitGroup",
-		"gort.Par(&wg, func() {",
-		"wg.Wait()",
-		"gort.Reraise()",
-		"gort.Lock(0)",
-		"gort.Unlock(0)",
-		"gort.Print(",
+		"var v0_x gort.Cell[int64]",
+		"gort.Parallel(t, 2, 5,\n\t\tfunc(t *gort.Thread) {\n\t\t\tv0_x.Store(int64(1))\n\t\t},",
+		"gort.Lock(t, 0, 5, 5)",
+		"v2_z.Store(((v0_x.Load()) + (v1_y.Load())))",
+		"gort.Unlock(t, 0)",
+		"gort.Print(v2_z.Load())",
 	} {
 		if !strings.Contains(goSrc, want) {
 			t.Errorf("generated source missing %q:\n%s", want, goSrc)
@@ -151,10 +184,22 @@ func TestGeneratedSourceShape(t *testing.T) {
 	}
 }
 
-func TestNoSyncImportWithoutParallel(t *testing.T) {
-	goSrc := generate(t, "def main():\n    print(1)\n")
-	if strings.Contains(goSrc, `"sync"`) {
-		t.Error("sync imported for sequential program")
+// TestGeneratedCodeNeverImportsSync: every spawn and lock goes through
+// gort to the run's rt.Runtime, so generated code has no use for sync.
+func TestGeneratedCodeNeverImportsSync(t *testing.T) {
+	goSrc := generate(t, `def main():
+    n = 0
+    parallel:
+        n += 1
+        n += 2
+    background:
+        print(n)
+    parallel for i in [1 .. 4]:
+        lock m:
+            n += i
+`)
+	if strings.Contains(goSrc, `"sync"`) || strings.Contains(goSrc, "sync.") {
+		t.Errorf("generated code uses sync:\n%s", goSrc)
 	}
 }
 
@@ -335,21 +380,35 @@ def main():
 	}
 }
 
+// TestGeneratedRuntimeErrors: a runtime error fails a compiled program as
+// it fails the engines, with the diagnostic on stderr and exit status 1.
+// The rows with a pattern are answered by rt, in well under a second: the
+// deadlock of testdata/deadlock_ab.ttr (either thread may close the cycle),
+// an error under a lock another thread waits for, and a thread-budget
+// refusal positioned at the parallel block, as the VM positions it.
 func TestGeneratedRuntimeErrors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs generated binaries; skipped in -short")
 	}
-	cases := []struct{ name, src, substr string }{
-		{"bounds", "def main():\n    a = [1]\n    print(a[5])\n", "index 5 out of range"},
-		{"bounds_unassigned", "def main():\n    c = 1\n    if c > 2:\n        a = [1, 2]\n    print(a[0])\n", "index 0 out of range for array of length 0"},
-		{"div_zero", "def main():\n    x = 0\n    print(1 / x)\n", "division by zero"},
-		{"real_div_zero", "def main():\n    x = 0.0\n    print(1.5 / x)\n", "division by zero"},
-		{"real_mod_zero", "def main():\n    x = 0.0\n    print(1.5 % x)\n", "modulo by zero"},
-		{"to_int_out_of_range", "def main():\n    print(to_int(1.0e30))\n", "runtime error: to_int: real 1e+30 out of int range"},
-		{"floor_out_of_range", "def main():\n    print(floor(1.0e30))\n", "runtime error: floor: real 1e+30 out of int range"},
-		{"ceil_out_of_range", "def main():\n    print(ceil(-1.0e30))\n", "runtime error: ceil: real -1e+30 out of int range"},
-		{"to_int_nan", "def main():\n    print(to_int(sqrt(0.0 - 1.0)))\n", "runtime error: to_int: real nan out of int range"},
-		{"return_in_lock_releases", `def f() int:
+	deadlockAB, err := os.ReadFile(filepath.Join(moduleRoot(t), "testdata", "deadlock_ab.ttr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name, src, substr string
+		pattern           string // when set, stderr must match it
+		env               []string
+	}{
+		{name: "bounds", src: "def main():\n    a = [1]\n    print(a[5])\n", substr: "index 5 out of range"},
+		{name: "bounds_unassigned", src: "def main():\n    c = 1\n    if c > 2:\n        a = [1, 2]\n    print(a[0])\n", substr: "index 0 out of range for array of length 0"},
+		{name: "div_zero", src: "def main():\n    x = 0\n    print(1 / x)\n", substr: "division by zero"},
+		{name: "real_div_zero", src: "def main():\n    x = 0.0\n    print(1.5 / x)\n", substr: "division by zero"},
+		{name: "real_mod_zero", src: "def main():\n    x = 0.0\n    print(1.5 % x)\n", substr: "modulo by zero"},
+		{name: "to_int_out_of_range", src: "def main():\n    print(to_int(1.0e30))\n", substr: "runtime error: to_int: real 1e+30 out of int range"},
+		{name: "floor_out_of_range", src: "def main():\n    print(floor(1.0e30))\n", substr: "runtime error: floor: real 1e+30 out of int range"},
+		{name: "ceil_out_of_range", src: "def main():\n    print(ceil(-1.0e30))\n", substr: "runtime error: ceil: real -1e+30 out of int range"},
+		{name: "to_int_nan", src: "def main():\n    print(to_int(sqrt(0.0 - 1.0)))\n", substr: "runtime error: to_int: real nan out of int range"},
+		{name: "return_in_lock_releases", src: `def f() int:
     lock m:
         return 1
 
@@ -357,12 +416,31 @@ def main():
     print(f())
     lock m:
         print(2)
-`, ""}, // must terminate (the early return released m) and print 1, 2
+`}, // must terminate (the early return released m) and print 1, 2
+		{name: "deadlock_ab", src: string(deadlockAB),
+			pattern: `^gen\.ttr:(5|11):9: runtime error: deadlock detected: thread \d waits for lock "\w" held by thread \d; thread \d waits for lock "\w" held by thread \d\n$`},
+		{name: "error_in_lock", src: `def worker(k int):
+    sleep(50 * k)
+    lock a:
+        print(10 / k)
+
+def main():
+    parallel:
+        worker(0)
+        worker(1)
+`, pattern: "^runtime error: division by zero\n$", env: []string{"TETRA_TIMEOUT=1s"}},
+		{name: "max_threads", src: "def main():\n    print(\"start\")\n    parallel:\n        print(\"a\")\n        print(\"b\")\n",
+			pattern: `^gen\.ttr:3:5: runtime error: exceeded thread budget \(1 live threads\)\n$`, env: []string{"TETRA_MAX_THREADS=1"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			out, err := runGenerated(t, c.src, "")
-			if c.substr == "" {
+			exe := buildGenerated(t, c.src)
+			start := time.Now()
+			out, err := runBinary(exe, "", c.env)
+			if d := time.Since(start); c.pattern != "" && d > time.Second {
+				t.Errorf("took %v", d)
+			}
+			if c.substr == "" && c.pattern == "" {
 				if err != nil {
 					t.Fatalf("unexpected failure: %v", err)
 				}
@@ -371,11 +449,16 @@ def main():
 				}
 				return
 			}
-			if err == nil {
-				t.Fatal("expected runtime failure")
+			var re *runError
+			var exit *exec.ExitError
+			if !errors.As(err, &re) || !errors.As(err, &exit) || exit.ExitCode() != 1 {
+				t.Fatalf("want a runtime failure with exit status 1, got %v (stdout %q)", err, out)
 			}
-			if !strings.Contains(err.Error(), c.substr) {
-				t.Errorf("error %q does not contain %q", err, c.substr)
+			if strings.Contains(re.stderr, "fatal error") {
+				t.Errorf("the Go runtime died:\n%s", re.stderr)
+			}
+			if !strings.Contains(re.stderr, c.substr) || c.pattern != "" && !regexp.MustCompile(c.pattern).MatchString(re.stderr) {
+				t.Errorf("stderr %q does not contain %q or match %q", re.stderr, c.substr, c.pattern)
 			}
 		})
 	}
@@ -383,40 +466,44 @@ def main():
 
 // TestGeneratedGoldenCorpus runs the shared golden corpus natively, built
 // by this package alone, so that a gogen regression is named here rather
-// than as a promotion failure behind tetrad's native door. The programs
-// are built by one go build, which compiles the shared runtime once and
-// links the binaries in parallel.
+// than as a promotion failure behind tetrad's native door. Under -race the
+// binaries are race-detector builds, and a report fails the program.
+//
+// Two more programs share a variable between threads: the paper's Figure 3
+// and an unlocked counter. It is a cell, as on the engines, so neither
+// races; the counter may lose updates (DESIGN §1). They run one iteration a
+// chunk on eight workers, which spreads the iterations over goroutines.
 func TestGeneratedGoldenCorpus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs generated binaries; skipped in -short")
 	}
 	cases := parity.Corpus(t)
-	root := moduleRoot(t)
-	dir, err := os.MkdirTemp(root, ".gogen-test-*")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer os.RemoveAll(dir)
-	bin := t.TempDir()
-	args := []string{"build", "-o", bin + string(filepath.Separator)}
+	progs := make(map[string]string, len(cases))
 	for _, c := range cases {
-		pkg := filepath.Join(dir, c.Name)
-		if err := os.Mkdir(pkg, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(pkg, "main.go"), []byte(generate(t, c.Src)), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		args = append(args, "./"+filepath.Join(filepath.Base(dir), c.Name))
+		progs[c.Name] = c.Src
 	}
-	cmd := exec.Command("go", args...)
-	cmd.Dir = root
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("go build of the generated corpus: %v\n%s", err, out)
+	shared := map[string]*regexp.Regexp{"figure3_max": regexp.MustCompile(`^96\n$`), "racy_counter": regexp.MustCompile(`^[1-8]\n$`)}
+	for name := range shared {
+		src, err := os.ReadFile(filepath.Join(moduleRoot(t), "testdata", name+".ttr"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs[name] = string(src)
+	}
+	bin := buildAll(t, progs, raceEnabled)
+	for name, want := range shared {
+		t.Run(name, func(t *testing.T) {
+			got, err := runBinary(filepath.Join(bin, name), "", []string{"TETRA_WORKERS=8", "TETRA_GRAIN=1"})
+			raceFree(t, err)
+			if err != nil || !want.MatchString(got) {
+				t.Errorf("output %q, err %v; want %v", got, err, want)
+			}
+		})
 	}
 	for _, c := range cases {
 		t.Run(c.Name, func(t *testing.T) {
 			got, err := runBinary(filepath.Join(bin, c.Name), c.Stdin, nil)
+			raceFree(t, err)
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}

@@ -8,27 +8,30 @@
 // Generated programs import this package and, for the kernels that cannot
 // fail, internal/sem directly (a builtin's stdlib row names which). gort
 // supplies Tetra's arrays (reference semantics + bounds checking), the
-// named-lock table, the background-thread registry, Tetra-formatted
-// printing and console input. The semantics themselves — bounds rules,
-// arithmetic error conditions, rune access, parsing, formatting — are NOT
-// implemented here: a function here over a sem kernel exists to re-raise
-// the kernel's error as a Tetra runtime panic, to adapt gort's array type,
-// or to charge the allocation budget. gort owns only what is specific to
-// compiled execution: goroutine plumbing, the governor's limits read from
-// the environment, typed generic arrays, and I/O.
+// cells that hold a parallel function's locals, Tetra-formatted printing
+// and console input. The semantics themselves — bounds rules, arithmetic
+// error conditions, rune access, parsing, formatting — are NOT implemented
+// here: a function here over a sem kernel exists to re-raise the kernel's
+// error as a Tetra runtime panic, to adapt gort's array type, or to charge
+// the allocation budget. Nor is the thread model: gort is the third client
+// of internal/rt, beside the interpreter and the VM. Every generated
+// function takes its Tetra thread (an rt.Thread), and parallel, background,
+// parallel for and lock go through the run's rt.Runtime, so a compiled
+// program's threads, locks, deadlock diagnosis and budgets are the
+// engines'.
 //
 // Runtime errors (index out of bounds, division by zero, conversion
-// failures) are raised as panics carrying an Err value; the generated main
-// hands the program to Main, which reports them in the interpreter's
-// "runtime error: ..." form, so compiled and interpreted programs fail
-// identically.
+// failures) are raised as panics carrying an Err value; an rt error
+// (a positioned deadlock or thread-budget refusal, or rt.ErrStopped once
+// another thread has failed) is raised as it is. recovered turns either
+// into the error an rt body returns, so the run's error is rt.Main's and
+// Main reports it in the interpreter's "runtime error: ..." form.
 //
 // Main runs the program once, as the paper's workflow does, or — under
 // tetrad's native tier — many times in one resident process, one run per
-// request of the wire protocol. The per-run state (the governor, the lock
-// table, the background-thread join, a spawned thread's captured panic,
-// output and input) is package-level, and reset sets all of it for a
-// run.
+// request of the wire protocol. A run's state (its governor, its
+// stdlib.Env for output and input, its lock table and its background join)
+// is one rt.Runtime, and active points at the one in progress.
 package gort
 
 import (
@@ -40,6 +43,7 @@ import (
 	"io"
 	"os"
 	"reflect"
+	"runtime"
 	"runtime/debug"
 	"sort"
 	"strconv"
@@ -48,10 +52,16 @@ import (
 	"time"
 
 	"repro/internal/guard"
+	"repro/internal/rt"
 	"repro/internal/sched"
 	"repro/internal/sem"
+	"repro/internal/token"
 	"repro/internal/wire"
 )
+
+// Thread is a Tetra thread: every generated function takes the one it runs
+// on.
+type Thread = rt.Thread
 
 // Err is the panic payload for Tetra runtime errors.
 type Err struct{ Msg string }
@@ -63,8 +73,9 @@ func Raise(format string, args ...any) {
 	panic(Err{Msg: fmt.Sprintf(format, args...)})
 }
 
-// raiseSem re-raises a sem kernel error as a Tetra runtime panic; this is
-// how the shared semantics core's canonical error wording reaches compiled
+// raiseSem re-raises a sem kernel error, or an unpositioned one from the
+// run's stdlib.Env or governor, as a Tetra runtime panic; this is how the
+// shared semantics core's canonical error wording reaches compiled
 // programs.
 func raiseSem(err error) {
 	panic(Err{Msg: err.Error()})
@@ -78,32 +89,59 @@ func must[T any](v T, err error) T {
 	return v
 }
 
-// Main is a compiled program's entry point: nLocks is the size of its
-// named-lock table, main its Tetra main. With wire.EnvWorker set it
-// serves runs over the wire protocol on stdio until stdin closes (see
-// serve). Otherwise it runs main once under the budgets
-// guard.LimitsFromEnv reads, and a runtime error is printed on stderr in
-// the interpreter's format with exit status 1.
-func Main(nLocks int, main func()) {
+// check raises an error rt returned as it is: a positioned runtime error,
+// or rt.ErrStopped when another thread has already failed.
+func check(err error) {
+	if err != nil {
+		panic(err)
+	}
+}
+
+// recovered is the one adapter from gort's panics to the error an rt body
+// returns; every body defers it. A Go runtime fault is reported as a Tetra
+// runtime error rather than a crash.
+func recovered(err *error) {
+	switch r := recover().(type) {
+	case nil:
+	case runtime.Error:
+		*err = Err{Msg: r.Error()}
+	case error:
+		*err = r
+	default:
+		*err = Err{Msg: fmt.Sprint(r)}
+	}
+}
+
+// active is the run in progress. A resident artifact serves one request at
+// a time, so one pointer is enough. Before Main starts a run it is an
+// ungoverned one on the process's stdio.
+var active = rt.New(rt.Config{}, nil)
+
+// file is the program's source file name, which positions carry.
+var file string
+
+// at is the source position line:col of the program.
+func at(line, col int) token.Pos { return token.Pos{File: file, Line: line, Col: col} }
+
+// Main is a compiled program's entry point: src is its source file name,
+// lockNames its named locks (a lock's index is its id), main its Tetra
+// main. With wire.EnvWorker set it serves runs over the wire protocol on
+// stdio until stdin closes (see serve). Otherwise it runs main once under
+// the budgets guard.LimitsFromEnv reads, and a runtime error is printed on
+// stderr in the interpreter's format with exit status 1.
+func Main(src string, lockNames []string, main func(*Thread)) {
+	file = src
 	if os.Getenv(wire.EnvWorker) == "1" {
-		os.Exit(serve(nLocks, main, os.Stdin, os.Stdout))
+		os.Exit(serve(lockNames, main, os.Stdin, os.Stdout))
 	}
 	lim, warnings := guard.LimitsFromEnv(os.Getenv)
 	for _, w := range warnings {
 		fmt.Fprintf(os.Stderr, "gort: %s\n", w)
 	}
-	reset(nLocks, lim, os.Stdin, os.Stdout)
-	if d := lim.Deadline; d > 0 {
-		// Hard backstop: a thread parked on a lock or stuck in another
-		// uninterruptible operation never sees the governor trip.
-		time.AfterFunc(d+backstopGrace, func() {
-			fmt.Fprintf(os.Stderr, "runtime error: exceeded deadline (%s)\n", d)
-			Out.Flush()
-			os.Exit(1)
-		})
-	}
-	err := run(main)
-	Out.Flush()
+	out := bufio.NewWriter(os.Stdout)
+	r := rt.New(rt.Config{Stdin: os.Stdin, Stdout: out, Limits: lim, Sched: schedConfig}, lockNames)
+	err := run(r, main)
+	r.Env().HoldOutput(func() { out.Flush() })
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -116,13 +154,12 @@ const idleGCPercent = 10
 // serve is the resident loop: one wire.Request per line on in, one run of
 // main under its Limits and Stdin, one wire.Response per line on out with
 // the run's output, its runtime error and its own run time. A clean run
-// has joined every thread it started, so the next one starts from reset.
-// Any other run may leave threads live or parked: serve replies and
-// stops, and the supervisor retires the process. No exit backstop is
-// armed here; the supervisor's deadline kill covers a parked run. It
-// returns the exit code: 0 on a closed stdin or after a failed run, 1 on
-// a protocol error.
-func serve(nLocks int, main func(), in io.Reader, out io.Writer) int {
+// has joined every thread it started, so the next one starts on a fresh
+// runtime. Any other run may leave a thread live past the background
+// join's grace: serve replies and stops, and the supervisor retires the
+// process. It returns the exit code: 0 on a closed stdin or after a failed
+// run, 1 on a protocol error.
+func serve(lockNames []string, main func(*Thread), in io.Reader, out io.Writer) int {
 	dec := json.NewDecoder(in)
 	enc := json.NewEncoder(out)
 	var stdout bytes.Buffer
@@ -144,18 +181,15 @@ func serve(nLocks int, main func(), in io.Reader, out io.Writer) int {
 			return 1
 		}
 		stdout.Reset()
-		reset(nLocks, req.Limits, strings.NewReader(req.Stdin), &stdout)
+		r := rt.New(rt.Config{Stdin: strings.NewReader(req.Stdin), Stdout: &stdout, Limits: req.Limits, Sched: schedConfig}, lockNames)
 		debug.SetGCPercent(runGC)
 		start := time.Now()
-		runErr := run(main)
+		runErr := run(r, main)
 		resp := wire.Response{Seq: req.Seq, RunMicros: time.Since(start).Microseconds()}
 		debug.SetGCPercent(idleGCPercent)
 		// A failed run's threads may still print: read the output under
-		// the writer's lock.
-		Out.mu.Lock()
-		Out.w.Flush()
-		resp.Stdout = stdout.String()
-		Out.mu.Unlock()
+		// the lock prints take.
+		r.Env().HoldOutput(func() { resp.Stdout = stdout.String() })
 		if runErr != nil {
 			resp.ErrStage, resp.ErrMessage = "runtime", runErr.Error()
 		} else {
@@ -171,83 +205,37 @@ func serve(nLocks int, main func(), in io.Reader, out io.Writer) int {
 	}
 }
 
-// run runs main and joins its background threads, returning the Tetra
-// runtime error it raised (or the Go runtime's arithmetic panic) in the
-// interpreter's "runtime error: ..." form. Errors captured from parallel
-// or background threads are re-raised after the join, so a thread's
-// runtime error fails the run exactly like a main-thread one.
-func run(main func()) (err error) {
-	defer func() {
-		if gov != nil {
-			gov.Stop()
-		}
-		switch r := recover().(type) {
-		case nil:
-		case Err:
-			err = r
-		case error:
-			err = Err{Msg: r.Error()}
-		default:
-			err = Err{Msg: fmt.Sprint(r)}
-		}
-	}()
-	main()
-	WaitBG()
-	Reraise()
-	return nil
-}
-
-// reset starts a run: a governor for lim (nil when no limit is set), a
-// lock table of nLocks unlocked locks, no captured panic, output written
-// to stdout and input read from stdin. The background join needs no
-// reset: the run before this one either joined it or was the last.
-func reset(nLocks int, lim guard.Limits, stdin io.Reader, stdout io.Writer) {
-	gov = nil
-	if lim.Enabled() {
-		gov = guard.New(lim)
-		gov.Start()
-		gov.ThreadStart() // the main thread counts against the thread budget
-	}
-	locks = make([]sync.Mutex, nLocks)
-	capMu.Lock()
-	captured = nil
-	capMu.Unlock()
-	Out.w.Reset(stdout)
-	in.Reset(stdin)
+// run makes r the active run and runs main as its main thread; rt.Main
+// joins the background threads and returns the first error any thread
+// raised.
+func run(r *rt.Runtime, main func(*Thread)) error {
+	active = r
+	t := new(Thread)
+	return r.Main(t, func() (err error) {
+		defer recovered(&err)
+		main(t)
+		return nil
+	})
 }
 
 // ---- resource governor ----
 //
 // Compiled programs run under the same internal/guard.Governor as the
-// interpreter and the VM. Limits cannot be baked in at compile time — the
-// same binary may run trusted or sandboxed — so they arrive at run time:
-// in each request's Limits for a resident artifact, and for a hand-run
-// binary through the environment variables guard.LimitsFromEnv reads
-// (a wall-clock budget and the step, thread, output and allocation
-// budgets).
+// interpreter and the VM, the active run's. Limits cannot be baked in at
+// compile time — the same binary may run trusted or sandboxed — so they
+// arrive at run time: in each request's Limits for a resident artifact,
+// and for a hand-run binary through the environment variables
+// guard.LimitsFromEnv reads (a wall-clock budget and the step, thread,
+// output and allocation budgets).
 //
 // Generated code calls Tick at every loop back-edge and Enter on every
-// function entry; Par/ParFor/Go charge thread spawns; the allocation
-// paths (array literals and make-style construction, range
-// materialization, push, string concatenation, and through Built every
-// string or array a library call returns) charge cells. A tripped
-// budget raises the governor's own diagnostic, the one the interpreter
-// prints. A malformed environment value is ignored with a warning on
-// stderr — never silently: whoever set it believes a budget is in force.
-
-// MaxCallDepth mirrors rt.MaxCallDepth, the engines' recursion bound (the
-// package's test holds the two equal), so runaway recursion in a compiled
-// program is a Tetra runtime error instead of a raw Go stack fault.
-const MaxCallDepth = 10000
-
-// gov is the run's governor, nil when no limit is set: every charge below
-// is then a single branch.
-var gov *guard.Governor
-
-// backstopGrace is how long past its deadline a hand-run binary's backstop
-// lets it live: a parked thread never sees the governor trip, so the
-// binary still exits on its own.
-const backstopGrace = 2 * guard.DefaultGrace
+// function entry; rt charges thread spawns; the allocation paths (array
+// literals and make-style construction, range materialization, push,
+// string concatenation, and through Built every string or array a library
+// call returns) charge cells. A tripped budget raises the governor's own
+// diagnostic, the one the interpreter prints. A malformed environment
+// value is ignored with a warning on stderr — never silently: whoever set
+// it believes a budget is in force.
 
 // envInt64 parses a non-negative integer scheduling knob, warning like
 // guard.LimitsFromEnv about a malformed or negative value.
@@ -264,22 +252,13 @@ func envInt64(name string) int64 {
 	return n
 }
 
-// charge raises the governor's diagnostic when a charge tripped a limit
-// (or found one already tripped: the first limit to trip wins). The raise
-// is a function of its own so that the test inlines into Tick.
-func charge(k guard.Kind) {
-	if k != guard.OK {
-		raiseTrip(k)
-	}
-}
-
-func raiseTrip(k guard.Kind) { panic(Err{Msg: gov.Err(k).Error()}) }
-
 // chargeAlloc bills n cells (array elements or string bytes) against the
 // allocation budget.
 func chargeAlloc(n int64) {
-	if gov != nil {
-		charge(gov.AddAlloc(n))
+	if g := active.Guard(); g != nil {
+		if k := g.AddAlloc(n); k != guard.OK {
+			raiseSem(g.Err(k))
+		}
 	}
 }
 
@@ -294,7 +273,7 @@ func Dyn[T int64 | float64](v T) T { return v }
 // elements — and passes it on: gogen wraps the native call of every stdlib
 // row marked Built in it, so the three backends charge the same calls.
 func Built[T any](v T) T {
-	if gov != nil {
+	if active.Guard() != nil {
 		switch b := any(v).(type) {
 		case string:
 			chargeAlloc(int64(len(b)))
@@ -308,61 +287,56 @@ func Built[T any](v T) T {
 // Enter bounds recursion; generated functions call it on entry with their
 // call depth (1 = main).
 func Enter(gd int) {
-	if gd > MaxCallDepth {
-		Raise("call stack exhausted (recursion deeper than %d)", MaxCallDepth)
+	if gd > rt.MaxCallDepth {
+		Raise("call stack exhausted (recursion deeper than %d)", rt.MaxCallDepth)
 	}
 }
 
-// Tick charges one step at a loop back-edge, raising when the step budget
-// or the deadline has tripped.
-func Tick() {
-	if gov != nil {
-		charge(gov.StepN(nil, 1))
+// Tick charges t one step at the back-edge of the loop at line:col, as the
+// engines charge a statement: a field increment, and once per
+// guard.StepBatch steps a flush to the governor, which also stops the
+// thread once another one has failed.
+func Tick(t *Thread, line, col int) {
+	t.Pending++
+	if t.Pending >= guard.StepBatch {
+		flush(t, line, col)
 	}
 }
 
-// threadStart charges one live thread against the thread budget; only an
-// OK is to be balanced by threadExit.
-func threadStart() guard.Kind {
-	if gov == nil {
-		return guard.OK
+func flush(t *Thread, line, col int) {
+	if active.Stopped() {
+		panic(rt.ErrStopped)
 	}
-	return gov.ThreadStart()
+	if active.Guard() == nil {
+		t.Pending = 0
+		return
+	}
+	check(active.Flush(t, at(line, col)))
 }
 
-// spawnCheck is threadStart for the spawns that raise a refusal at once.
-func spawnCheck() { charge(threadStart()) }
+// ---- threads and locks: the active run's rt.Runtime ----
 
-// captured holds the first panic recovered from a spawned thread.
-var (
-	capMu    sync.Mutex
-	captured any
-)
-
-// threadExit balances spawnCheck and records a spawned thread's panic for
-// Reraise instead of letting it kill the process with a Go trace.
-func threadExit() {
-	if gov != nil {
-		gov.ThreadDone()
-	}
-	if r := recover(); r != nil {
-		capMu.Lock()
-		if captured == nil {
-			captured = r
-		}
-		capMu.Unlock()
-	}
+// Parallel runs each arm of the parallel block at line:col as a thread of
+// its own and joins them all.
+func Parallel(t *Thread, line, col int, arms ...func(*Thread)) {
+	check(active.Parallel(t, len(arms), spawns(at(line, col), arms)))
 }
 
-// Par launches one parallel-block arm.
-func Par(wg *sync.WaitGroup, f func()) {
-	spawnCheck()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer threadExit()
-		f()
-	}()
+// Background starts each arm of the background block at line:col as a
+// detached thread; the run joins them before it ends.
+func Background(t *Thread, line, col int, arms ...func(*Thread)) {
+	check(active.Background(t, len(arms), spawns(at(line, col), arms)))
+}
+
+func spawns(pos token.Pos, arms []func(*Thread)) func(i int) rt.Spawn {
+	return func(i int) rt.Spawn {
+		th, arm := new(Thread), arms[i]
+		return rt.Spawn{Pos: pos, Thread: th, Run: func() (err error) {
+			defer recovered(&err)
+			arm(th)
+			return nil
+		}}
+	}
 }
 
 // schedConfig is the parallel-for scheduling configuration. Like the
@@ -375,54 +349,51 @@ var schedConfig = sched.Config{
 	Grain:   int(envInt64("TETRA_GRAIN")),
 }
 
-// ParFor runs body over every element of elems on a bounded pool of
-// min(workers, len(elems)) goroutines that claim contiguous chunks via an
-// atomic cursor — the compiled runtime's side of internal/sched. Each
-// iteration still receives its private induction value (the closure
-// parameter) and charges one Tick; the thread budget is charged per
-// worker. Panics from iteration bodies are captured per worker; the
-// generated code calls Reraise after the join.
-func ParFor[T any](elems []T, body func(T)) {
-	workers, loop := schedConfig.Loop(len(elems))
-	var wg sync.WaitGroup
-	refused := guard.OK
-	for w := 0; w < workers; w++ {
-		// A refusal is raised only after the workers already running have
-		// been joined.
-		if refused = threadStart(); refused != guard.OK {
-			break
+// ParFor runs the parallel for at line:col over every element of elems
+// through rt's chunked worker pool: each iteration is a Tetra thread of its
+// own, receives its private induction value (body's parameter) and is
+// charged one step.
+func ParFor[T any](t *Thread, line, col int, elems []T, body func(*Thread, T)) {
+	check(active.ParFor(t, len(elems), at(line, col), func() (*rt.Thread, func(i int) error) {
+		th := new(Thread)
+		return th, func(i int) (err error) {
+			defer recovered(&err)
+			Tick(th, line, col)
+			body(th, elems[i])
+			return nil
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer threadExit()
-			for {
-				lo, hi, ok := loop.Next()
-				if !ok {
-					return
-				}
-				for i := lo; i < hi; i++ {
-					Tick()
-					body(elems[i])
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	charge(refused)
+	}))
 }
 
-// Reraise re-panics with the first error captured from a spawned thread;
-// generated code calls it after joining a parallel block, and Catch calls
-// it after the background join.
-func Reraise() {
-	capMu.Lock()
-	r := captured
-	captured = nil
-	capMu.Unlock()
-	if r != nil {
-		panic(r)
-	}
+// Lock acquires named lock idx for t at the lock statement at line:col,
+// parking until it is free; a wait that would close a cycle, or one the
+// run's failure or a tripped budget ends, raises instead.
+func Lock(t *Thread, idx, line, col int) { check(active.Lock(t, idx, at(line, col))) }
+
+// Unlock releases named lock idx, which t holds.
+func Unlock(t *Thread, idx int) { active.Unlock(t, idx, token.Pos{}) }
+
+// Cell holds a local of a function that has a parallel construct, as the
+// engines' cells do: threads of the function share it, and each load or
+// store is atomic, so an unlocked update may be lost but never torn.
+type Cell[T any] struct {
+	mu sync.Mutex
+	v  T
+}
+
+// Load returns the cell's value.
+func (c *Cell[T]) Load() T {
+	c.mu.Lock()
+	v := c.v
+	c.mu.Unlock()
+	return v
+}
+
+// Store sets the cell's value.
+func (c *Cell[T]) Store(v T) {
+	c.mu.Lock()
+	c.v = v
+	c.mu.Unlock()
 }
 
 // Array is a Tetra array: reference semantics, like the interpreter's.
@@ -548,49 +519,6 @@ func ModReal(a, b float64) float64 { return must(sem.ModReal(a, b)) }
 // Eq is Tetra's == on any pair of same-typed values; arrays compare deeply.
 func Eq(a, b any) bool { return reflect.DeepEqual(a, b) }
 
-// locks is the named-lock table, sized by Main's nLocks and renewed by
-// reset.
-var locks []sync.Mutex
-
-// Lock acquires named lock i.
-func Lock(i int) { locks[i].Lock() }
-
-// Unlock releases named lock i.
-func Unlock(i int) { locks[i].Unlock() }
-
-// bg tracks background threads so the process can join them at exit, the
-// same policy as the interpreter's Run.
-var bg sync.WaitGroup
-
-// Go launches a background-block statement thread.
-func Go(f func()) {
-	spawnCheck()
-	bg.Add(1)
-	go func() {
-		defer bg.Done()
-		defer threadExit()
-		f()
-	}()
-}
-
-// WaitBG joins all background threads.
-func WaitBG() { bg.Wait() }
-
-// Out is the buffered, mutex-guarded stdout writer; prints are atomic per
-// call like the interpreter's.
-var Out = &outWriter{w: bufio.NewWriter(os.Stdout)}
-
-type outWriter struct {
-	mu sync.Mutex
-	w  *bufio.Writer
-}
-
-func (o *outWriter) Flush() {
-	o.mu.Lock()
-	o.w.Flush()
-	o.mu.Unlock()
-}
-
 // Print renders the arguments in Tetra's print format plus a newline. The
 // write is charged against the output budget first; a write that would
 // cross the budget is suppressed so the budget is a hard cap.
@@ -600,12 +528,9 @@ func Print(args ...any) {
 		sb.WriteString(formatTop(a))
 	}
 	sb.WriteByte('\n')
-	if gov != nil {
-		charge(gov.AddOutput(sb.Len()))
+	if err := active.Env().WriteString(sb.String()); err != nil {
+		raiseSem(err)
 	}
-	Out.mu.Lock()
-	Out.w.WriteString(sb.String())
-	Out.mu.Unlock()
 }
 
 // formatTop formats a value the way Tetra's print does at top level.
@@ -638,13 +563,10 @@ func formatElem(a any) string {
 // integral values).
 func FormatReal(f float64) string { return sem.FormatReal(f) }
 
-// in is the run's buffered input reader for the read_* builtins.
-var in = bufio.NewReader(os.Stdin)
-
 // ReadInt implements read_int.
 func ReadInt() int64 {
 	var v int64
-	if _, err := fmt.Fscan(in, &v); err != nil {
+	if _, err := fmt.Fscan(active.Env().In, &v); err != nil {
 		Raise("read_int: %v", err)
 	}
 	return v
@@ -653,7 +575,7 @@ func ReadInt() int64 {
 // ReadReal implements read_real.
 func ReadReal() float64 {
 	var v float64
-	if _, err := fmt.Fscan(in, &v); err != nil {
+	if _, err := fmt.Fscan(active.Env().In, &v); err != nil {
 		Raise("read_real: %v", err)
 	}
 	return v
@@ -662,7 +584,7 @@ func ReadReal() float64 {
 // ReadBool implements read_bool.
 func ReadBool() bool {
 	var s string
-	if _, err := fmt.Fscan(in, &s); err != nil {
+	if _, err := fmt.Fscan(active.Env().In, &s); err != nil {
 		Raise("read_bool: %v", err)
 	}
 	v, ok := sem.ParseBool(s)
@@ -675,6 +597,7 @@ func ReadBool() bool {
 // ReadString implements read_string with the same leftover-newline
 // absorption as the interpreter's stdlib.
 func ReadString() string {
+	in := active.Env().In
 	line, err := in.ReadString('\n')
 	if strings.TrimRight(line, "\r\n") == "" && err == nil {
 		line, err = in.ReadString('\n')
@@ -732,29 +655,10 @@ func SortArray[T int64 | float64 | string](a *Array[T]) *Array[T] {
 	return &Array[T]{E: out}
 }
 
-// Sleep implements sleep(ms). Under a deadline the sleep runs in short
-// slices so a tripped budget interrupts it instead of outliving the run.
+// Sleep implements sleep(ms), interrupted by a tripped budget.
 func Sleep(ms int64) {
-	if ms <= 0 {
-		return
-	}
-	d := time.Duration(ms) * time.Millisecond
-	if gov == nil || gov.Limits().Deadline == 0 {
-		time.Sleep(d)
-		return
-	}
-	end := time.Now().Add(d)
-	const slice = 10 * time.Millisecond
-	for {
-		charge(gov.Tripped())
-		remain := time.Until(end)
-		if remain <= 0 {
-			return
-		}
-		if remain > slice {
-			remain = slice
-		}
-		time.Sleep(remain)
+	if err := active.Env().Sleep(ms); err != nil {
+		raiseSem(err)
 	}
 }
 

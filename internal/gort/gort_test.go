@@ -5,9 +5,9 @@ import (
 	"encoding/json"
 	"os"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/guard"
 	"repro/internal/rt"
@@ -15,19 +15,18 @@ import (
 	"repro/internal/wire"
 )
 
-// Generated binaries cannot import internal/rt, so the recursion bound is
-// written out here a second time; this keeps the copy honest.
-func TestMaxCallDepthMatchesTheEngines(t *testing.T) {
-	if MaxCallDepth != rt.MaxCallDepth {
-		t.Errorf("gort.MaxCallDepth = %d, rt.MaxCallDepth = %d", MaxCallDepth, rt.MaxCallDepth)
-	}
-}
-
-// initGuard starts a run of a two-lock program under the environment's
-// budgets, as a hand-run binary's Main does.
+// initGuard makes the active run one of a two-lock program under the
+// environment's budgets, as a hand-run binary's Main does.
 func initGuard() {
 	lim, _ := guard.LimitsFromEnv(os.Getenv)
-	reset(2, lim, os.Stdin, os.Stdout)
+	active = rt.New(rt.Config{Limits: lim}, []string{"a", "b"})
+}
+
+// runOnce runs body as the main thread of a two-lock program under lim and
+// the current schedConfig, as Main does, and returns the run's error.
+func runOnce(lim guard.Limits, body func(*Thread)) error {
+	defer initGuard()
+	return run(rt.New(rt.Config{Limits: lim, Sched: schedConfig}, []string{"a", "b"}), body)
 }
 
 // catchErr runs f and returns the Tetra runtime error it raised, or nil.
@@ -203,35 +202,31 @@ func TestConversionsAndMath(t *testing.T) {
 	}
 }
 
+// TestLocksAndBackground: the adapters run threads on rt. A lock serializes
+// twenty parallel arms, and the run joins a background thread before it
+// returns.
 func TestLocksAndBackground(t *testing.T) {
-	initGuard()
 	count := 0
-	var wg sync.WaitGroup
-	for i := 0; i < 20; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			Lock(0)
-			count++
-			Unlock(0)
-		}()
-	}
-	wg.Wait()
-	if count != 20 {
-		t.Errorf("count = %d", count)
-	}
-
-	done := false
-	var mu sync.Mutex
-	Go(func() {
-		mu.Lock()
-		done = true
-		mu.Unlock()
+	var done atomic.Bool
+	err := runOnce(guard.Limits{}, func(th *Thread) {
+		arms := make([]func(*Thread), 20)
+		for i := range arms {
+			arms[i] = func(th *Thread) {
+				Lock(th, 0, 1, 1)
+				count++
+				Unlock(th, 0)
+			}
+		}
+		Parallel(th, 1, 1, arms...)
+		Background(th, 2, 1, func(*Thread) {
+			time.Sleep(20 * time.Millisecond)
+			done.Store(true)
+		})
 	})
-	WaitBG()
-	mu.Lock()
-	defer mu.Unlock()
-	if !done {
+	if err != nil || count != 20 {
+		t.Errorf("count = %d, err = %v", count, err)
+	}
+	if !done.Load() {
 		t.Error("background thread not joined")
 	}
 }
@@ -246,7 +241,11 @@ func TestParFor(t *testing.T) {
 				elems[i] = i
 			}
 			counts := make([]atomic.Int64, n)
-			ParFor(elems, func(i int) { counts[i].Add(1) })
+			if err := runOnce(guard.Limits{}, func(th *Thread) {
+				ParFor(th, 1, 1, elems, func(_ *Thread, i int) { counts[i].Add(1) })
+			}); err != nil {
+				t.Fatalf("cfg=%+v n=%d: %v", cfg, n, err)
+			}
 			for i := range counts {
 				if got := counts[i].Load(); got != 1 {
 					t.Fatalf("cfg=%+v n=%d: element %d ran %d times", cfg, n, i, got)
@@ -256,36 +255,36 @@ func TestParFor(t *testing.T) {
 	}
 }
 
+// TestParForPanicCapture: an iteration's runtime error is the run's error.
 func TestParForPanicCapture(t *testing.T) {
 	defer func(old sched.Config) { schedConfig = old }(schedConfig)
 	schedConfig = sched.Config{Workers: 2, Grain: 1}
-	err := catchErr(func() {
-		ParFor([]int64{1, 2, 3, 4}, func(i int64) {
+	err := runOnce(guard.Limits{}, func(th *Thread) {
+		ParFor(th, 1, 1, []int64{1, 2, 3, 4}, func(_ *Thread, i int64) {
 			if i == 3 {
 				Raise("boom at %d", i)
 			}
 		})
-		Reraise()
 	})
-	if err == nil || !strings.Contains(err.Msg, "boom at 3") {
-		t.Errorf("captured err = %v", err)
+	if err == nil || err.Error() != "runtime error: boom at 3" {
+		t.Errorf("run err = %v", err)
 	}
 }
 
+// TestParForThreadBudget: the budget is charged per worker, not per
+// iteration, and a refusal is raised, positioned at the loop, only after
+// the workers already started have joined.
 func TestParForThreadBudget(t *testing.T) {
-	t.Setenv("TETRA_MAX_THREADS", "3")
-	initGuard()
-	defer func(oldCfg sched.Config) {
-		os.Unsetenv("TETRA_MAX_THREADS")
-		initGuard()
-		schedConfig = oldCfg
-	}(schedConfig)
-	schedConfig = sched.Config{Workers: 2}
+	defer func(old sched.Config) { schedConfig = old }(schedConfig)
+	defer func(old string) { file = old }(file)
+	file = "f.ttr"
+	lim := guard.Limits{MaxThreads: 3}
 
 	// 2 workers + main fit a 3-thread budget regardless of element count.
+	schedConfig = sched.Config{Workers: 2}
 	var ran atomic.Int64
-	if err := catchErr(func() {
-		ParFor(make([]int64, 1000), func(int64) { ran.Add(1) })
+	if err := runOnce(lim, func(th *Thread) {
+		ParFor(th, 4, 5, make([]int64, 1000), func(*Thread, int64) { ran.Add(1) })
 	}); err != nil {
 		t.Fatalf("2 workers under 3-thread budget raised: %v", err)
 	}
@@ -293,12 +292,21 @@ func TestParForThreadBudget(t *testing.T) {
 		t.Errorf("ran %d of 1000 iterations", ran.Load())
 	}
 
-	// An 8-worker pool cannot: budget raises after joining started workers.
+	// An 8-worker pool cannot.
 	schedConfig = sched.Config{Workers: 8}
-	if err := catchErr(func() {
-		ParFor(make([]int64, 1000), func(int64) {})
-	}); err == nil || err.Msg != "exceeded thread budget (3 live threads)" {
+	var inFlight atomic.Int64
+	err := runOnce(lim, func(th *Thread) {
+		ParFor(th, 4, 5, make([]int64, 1000), func(*Thread, int64) {
+			inFlight.Add(1)
+			time.Sleep(time.Microsecond)
+			inFlight.Add(-1)
+		})
+	})
+	if err == nil || !strings.HasPrefix(err.Error(), "f.ttr:4:5: runtime error: exceeded thread budget (3 live threads)") {
 		t.Errorf("8 workers under 3-thread budget: err = %v", err)
+	}
+	if n := inFlight.Load(); n != 0 {
+		t.Errorf("the refusal was raised with %d iterations still running", n)
 	}
 }
 
@@ -306,14 +314,11 @@ func TestParForThreadBudget(t *testing.T) {
 // program with a step budget in force (serve_heavy's native tier runs it
 // 200k times a request).
 func BenchmarkTick(b *testing.B) {
-	b.Setenv("TETRA_MAX_STEPS", "1000000000000")
-	initGuard()
-	defer func() {
-		os.Unsetenv("TETRA_MAX_STEPS")
-		initGuard()
-	}()
+	active = rt.New(rt.Config{Limits: guard.Limits{MaxSteps: 1e12}}, nil)
+	defer initGuard()
+	t := new(Thread)
 	for i := 0; i < b.N; i++ {
-		Tick()
+		Tick(t, 1, 1)
 	}
 }
 
@@ -410,18 +415,25 @@ func TestEnvInt64WarnsOnMalformed(t *testing.T) {
 	}
 }
 
-// TestServeResetsPerRunState: one resident loop answers run after run,
-// each with its own input, output, lock table and budget (two runs of 5
-// output bytes fit an 8-byte budget only if it is not cumulative); a
-// failed run is answered and ends the loop.
+// TestServeResetsPerRunState: one resident loop answers run after run, and
+// each starts clean: its own runtime, with thread ids from 0, a lock table
+// with every lock free, its own input and output, and its own budget (two
+// runs of 5 output bytes fit an 8-byte budget only if it is not
+// cumulative). A failed run is answered and ends the loop.
 func TestServeResetsPerRunState(t *testing.T) {
 	defer initGuard()
-	prog := func() {
+	var runs []*rt.Runtime
+	prog := func(th *Thread) {
+		runs = append(runs, active)
+		if th.ID != 0 {
+			Raise("main thread id %d", th.ID)
+		}
 		n := ReadInt()
-		Lock(0)
+		Lock(th, 0, 1, 1)
 		Print(n * 2)
-		Unlock(0)
-		Go(func() { Print("bg") })
+		// The lock stays held when the run ends: the next run must not
+		// inherit it.
+		Background(th, 1, 1, func(*Thread) { Print("bg") })
 	}
 	var in, out bytes.Buffer
 	enc := json.NewEncoder(&in)
@@ -430,7 +442,7 @@ func TestServeResetsPerRunState(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if code := serve(1, prog, &in, &out); code != 0 {
+	if code := serve([]string{"a"}, prog, &in, &out); code != 0 {
 		t.Fatalf("serve exited %d", code)
 	}
 	var got []wire.Response
@@ -451,5 +463,8 @@ func TestServeResetsPerRunState(t *testing.T) {
 	}
 	if r := got[2]; r.OK || r.Seq != 3 || r.ErrStage != "runtime" || !strings.HasPrefix(r.ErrMessage, "runtime error: read_int") {
 		t.Errorf("failed run: %+v", r)
+	}
+	if len(runs) != 3 || runs[0] == runs[1] || runs[1] == runs[2] {
+		t.Errorf("runs shared a runtime: %p", runs)
 	}
 }

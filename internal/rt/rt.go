@@ -1,6 +1,7 @@
-// Package rt is the thread runtime under both of Tetra's in-process
-// engines, the tree-walking interpreter (internal/interp) and the register
-// VM (internal/vm). It implements the paper's §IV thread model once: one
+// Package rt is the thread runtime under all three of Tetra's backends:
+// the tree-walking interpreter (internal/interp), the register VM
+// (internal/vm) and natively compiled programs (internal/gort, the support
+// library of internal/gogen's generated Go). It implements the paper's §IV thread model once: one
 // thread per `parallel` child, detached `background` threads, a chunked
 // `parallel for` whose every iteration is still its own Tetra thread, and
 // named `lock` blocks.
@@ -9,8 +10,8 @@
 // body executes: thread identity, the governor's thread accounting and its
 // trip → wake hook, the stop flag and first-error slot, the background
 // join, trace events for threads and locks, work profiles, and the lock
-// table with interruptible parking. An engine supplies only the bodies (an
-// AST block or a bytecode chunk) and charges steps by incrementing
+// table with interruptible parking. A backend supplies only the bodies (an
+// AST block, a bytecode chunk or a generated Go closure) and charges steps by incrementing
 // Thread.Pending inline on its own thread struct, calling Flush once per
 // guard.StepBatch steps.
 //
@@ -18,12 +19,10 @@
 // struct and both engines' constructors take it; New turns it into the
 // run's streams, its governor and its runtime.
 //
-// Generated binaries do not use this package, though they could import it
-// (internal/gort imports guard, sched and sem; artifacts are built inside
-// the module): generated code carries no thread identity to put in a
-// wait-for graph, and its locks are plain sync.Mutexes, which nothing can
-// wake. The price is that a compiled program that deadlocks parks until
-// gort's backstop or its runner's kill, where both engines name the cycle.
+// Generated code passes each thread's *Thread down its calls, and gort
+// adapts its panics to the error a body returns, so a compiled program's
+// deadlock, thread-budget refusal and failure under a lock are diagnosed
+// and woken here exactly as the engines' are.
 package rt
 
 import (
@@ -53,8 +52,8 @@ var ErrStopped = errors.New("stopped")
 
 // MaxCallDepth bounds the activations one thread may have in progress, so
 // runaway recursion becomes a positioned runtime error instead of a Go
-// stack fault, and an engine's per-thread call stack stays bounded. Both
-// engines refuse the call that would exceed it; internal/gort mirrors it.
+// stack fault, and an engine's per-thread call stack stays bounded. Every
+// backend refuses the call that would exceed it.
 const MaxCallDepth = 10000
 
 // FrameView gives a step hook read access to the executing frame's

@@ -262,14 +262,15 @@ func TestFailingProgramIsNeverPromoted(t *testing.T) {
 	}
 }
 
-// TestBlockedArtifactIsDemoted: a program promoted on the inputs it
-// answers can still park for good on another. Its threads are then on
-// plain mutexes, where nothing in the artifact can reach them, so the
-// runner's kill — always ahead of the artifact's own exit backstop — makes
-// it a crash: the program is demoted and the same request is answered by
-// an engine, which names the deadlock instead of "exceeded deadline".
-func TestBlockedArtifactIsDemoted(t *testing.T) {
-	const src = `def ab():
+// TestBlockedProgramFallsThroughUndemoted: a program promoted on the inputs
+// it answers can still deadlock on another, or fail under a lock a sibling
+// waits for. The artifact's threads run on rt, which names the cycle, or
+// stops the waiter, in milliseconds: the request falls through on that
+// runtime error to the engines, whose positioned diagnosis is the reply,
+// and the artifact is neither a crash nor demoted.
+func TestBlockedProgramFallsThroughUndemoted(t *testing.T) {
+	cases := []struct{ name, src, want string }{
+		{"deadlock", `def ab():
     lock a:
         sleep(50)
         lock b:
@@ -287,24 +288,45 @@ def main():
             ab()
             ba()
     print("done")
-`
-	srv, ts := nativeServer(t, nil)
-	req := server.RunRequest{Source: src, File: "sometimes.ttr", Backend: server.BackendVM, Stdin: "0\n",
-		Limits: &server.LimitSpec{TimeoutMS: 300}}
-	if rr := runUntilNative(t, ts.URL, req, 2*time.Minute); rr.Stdout != "done\n" {
-		t.Fatalf("native run: %+v", rr)
-	}
+`, "deadlock detected"},
+		{"error_in_lock", `def worker(k int):
+    sleep(50 * (k % 2))
+    lock a:
+        print(10 / k)
 
-	req.Stdin = "1\n"
-	rr := run(t, ts.URL, req)
-	if rr.Error == nil || !strings.Contains(rr.Error.Message, "deadlock detected") {
-		t.Fatalf("want the deadlock diagnostic from the retry, got %+v", rr)
+def main():
+    k = read_int() - 1
+    parallel:
+        worker(k)
+        worker(k + 1)
+    print("done")
+`, "division by zero"},
 	}
-	if rr.Isolation == server.TierNative || rr.Attempts != 2 {
-		t.Errorf("tier %s after %d attempt(s), want an engine's answer on the second", rr.Isolation, rr.Attempts)
-	}
-	if m := srv.Metrics(); m.NativeDemotions != 1 || m.Native.Crashes != 1 {
-		t.Errorf("demotions = %d, native crashes = %d, want 1 and 1", m.NativeDemotions, m.Native.Crashes)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			srv, ts := nativeServer(t, nil)
+			req := server.RunRequest{Source: c.src, File: c.name + ".ttr", Backend: server.BackendVM, Stdin: "2\n",
+				Limits: &server.LimitSpec{TimeoutMS: 300}}
+			if rr := runUntilNative(t, ts.URL, req, 2*time.Minute); !strings.HasSuffix(rr.Stdout, "done\n") {
+				t.Fatalf("native run: %+v", rr)
+			}
+
+			req.Stdin = "1\n"
+			start := time.Now()
+			rr := run(t, ts.URL, req)
+			if d := time.Since(start); d > time.Second {
+				t.Errorf("answered in %v, want under 1s", d)
+			}
+			if rr.Error == nil || !strings.Contains(rr.Error.Message, c.want) || !strings.HasPrefix(rr.Error.Pos, c.name+".ttr:") {
+				t.Fatalf("want the engines' positioned %q, got %+v", c.want, rr.Error)
+			}
+			if rr.Isolation == server.TierNative {
+				t.Errorf("answered on tier %s, want an engine's answer", rr.Isolation)
+			}
+			if m := srv.Metrics(); m.NativeDemotions != 0 || m.Native.Crashes != 0 {
+				t.Errorf("demotions = %d, native crashes = %d, want 0 and 0", m.NativeDemotions, m.Native.Crashes)
+			}
+		})
 	}
 }
 

@@ -113,13 +113,13 @@ func (e *Env) alloc(n int64) error {
 
 // Printf writes formatted output, serialized against other prints.
 func (e *Env) Printf(format string, args ...any) {
-	e.writeString(fmt.Sprintf(format, args...)) //nolint:errcheck // diagnostic output
+	e.WriteString(fmt.Sprintf(format, args...)) //nolint:errcheck // diagnostic output
 }
 
-// writeString writes raw output, serialized against other prints. The write
+// WriteString writes raw output, serialized against other prints. The write
 // is charged against the governor's output budget first; a write that would
 // cross the budget is suppressed entirely so the budget is a hard cap.
-func (e *Env) writeString(s string) error {
+func (e *Env) WriteString(s string) error {
 	if g := e.guard; g != nil {
 		if k := g.AddOutput(len(s)); k != guard.OK {
 			return g.Err(k)
@@ -129,6 +129,41 @@ func (e *Env) writeString(s string) error {
 	defer e.outMu.Unlock()
 	io.WriteString(e.Out, s)
 	return nil
+}
+
+// HoldOutput calls f while no print can write to Out, so that f may flush
+// or read the writer under Out while a thread of a failed run still prints.
+func (e *Env) HoldOutput(f func()) {
+	e.outMu.Lock()
+	defer e.outMu.Unlock()
+	f()
+}
+
+// Sleep pauses for ms milliseconds. With a governor attached it sleeps in
+// short slices, so that a tripped limit (deadline, cancel) interrupts the
+// sleep instead of outliving the run. A nil Env sleeps ungoverned.
+func (e *Env) Sleep(ms int64) error {
+	if ms <= 0 {
+		return nil
+	}
+	d := time.Duration(ms) * time.Millisecond
+	if e == nil || e.guard == nil {
+		time.Sleep(d)
+		return nil
+	}
+	g := e.guard
+	const slice = 10 * time.Millisecond
+	deadline := time.Now().Add(d)
+	for {
+		if k := g.Tripped(); k != guard.OK {
+			return g.Err(k)
+		}
+		remain := time.Until(deadline)
+		if remain <= 0 {
+			return nil
+		}
+		time.Sleep(min(remain, slice))
+	}
 }
 
 // CheckFunc validates argument types and returns the result type (nil for
@@ -288,7 +323,7 @@ func init() {
 				sb.WriteString(a.String())
 			}
 			sb.WriteByte('\n')
-			return value.Value{}, env.writeString(sb.String())
+			return value.Value{}, env.WriteString(sb.String())
 		}})
 
 	register(Builtin{ID: ReadInt, Name: "read_int", Result: types.IntType, Native: "gort.ReadInt",
@@ -608,36 +643,7 @@ func init() {
 
 	register(Builtin{ID: Sleep, Name: "sleep", Params: []*types.Type{types.IntType}, Native: "gort.Sleep",
 		Eval: func(env *Env, args []value.Value) (value.Value, error) {
-			ms := args[0].Int()
-			if ms <= 0 {
-				return value.Value{}, nil
-			}
-			d := time.Duration(ms) * time.Millisecond
-			var g *guard.Governor
-			if env != nil {
-				g = env.guard
-			}
-			if g == nil {
-				time.Sleep(d)
-				return value.Value{}, nil
-			}
-			// Sleep in short slices so a tripped limit (deadline, cancel)
-			// interrupts the sleep instead of outliving the run.
-			const slice = 10 * time.Millisecond
-			deadline := time.Now().Add(d)
-			for {
-				if k := g.Tripped(); k != guard.OK {
-					return value.Value{}, g.Err(k)
-				}
-				remain := time.Until(deadline)
-				if remain <= 0 {
-					return value.Value{}, nil
-				}
-				if remain > slice {
-					remain = slice
-				}
-				time.Sleep(remain)
-			}
+			return value.Value{}, env.Sleep(args[0].Int())
 		}})
 
 	register(Builtin{ID: TimeMS, Name: "time_ms", Result: types.IntType, Native: "gort.TimeMS",

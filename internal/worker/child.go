@@ -20,10 +20,9 @@ const attemptTimeout = 60 * time.Second
 
 // attemptDeadline is how long a supervisor lets one attempt run before it
 // declares the child stuck and kills it: the request's own deadline plus
-// guard.DefaultGrace. The child's in-process governor trips first unless
-// the child cannot even report the trip, and gort's exit backstop
-// (2×guard.DefaultGrace past the deadline) lies outside this kill by
-// construction, so a parked artifact is always the supervisor's kill.
+// guard.DefaultGrace. The child's in-process governor trips first, and
+// wakes every thread parked on a lock, unless the child cannot even report
+// the trip: only such a child is the supervisor's kill.
 func attemptDeadline(l guard.Limits) time.Duration {
 	if l.Deadline > 0 {
 		return l.Deadline + guard.DefaultGrace

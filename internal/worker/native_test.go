@@ -372,13 +372,14 @@ var residentCases = []residentCase{
 			{worker.Request{}, true, "main\nbg\n"},
 		}},
 	// A budget trip is the program's failure, not a crash: it is answered,
-	// and the next run starts a new process.
+	// and the next run starts a new process. The loop is longer than
+	// guard.StepBatch, which steps are charged in, as on the engines.
 	{name: "step_budget", spawns: 2,
-		src: "def main():\n    s = 0\n    for i in [1 .. 50]:\n        s += i\n    print(s)\n",
+		src: "def main():\n    s = 0\n    for i in [1 .. 200]:\n        s += i\n    print(s)\n",
 		runs: []residentRun{
-			{worker.Request{}, true, "1275\n"},
+			{worker.Request{}, true, "20100\n"},
 			{worker.Request{Limits: guard.Limits{MaxSteps: 5}}, false, "step budget"},
-			{worker.Request{}, true, "1275\n"},
+			{worker.Request{}, true, "20100\n"},
 		}},
 }
 
