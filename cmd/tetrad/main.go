@@ -32,7 +32,6 @@
 //
 //	-isolation     "pool" (default: supervised worker processes) or "off"
 //	               (in-process execution; degraded mode)
-//	-pool-size     pre-forked workers (default max-inflight)
 //	-retry-attempts max execution attempts per request across worker
 //	               crashes (default 3)
 //	-quarantine-threshold / -quarantine-window / -quarantine-ttl

@@ -43,7 +43,6 @@ func serveMain(args []string, stdout, stderr io.Writer, stop <-chan struct{}) in
 	drainAnnounce := fs.Duration("drain-announce", 0, "how long readiness reports 503 before admissions close on shutdown")
 	cacheEntries := fs.Int("cache-entries", 0, "compile cache capacity (0 = default)")
 	isolation := fs.String("isolation", server.IsolationPool, "execution tier: \"pool\" (supervised worker processes) or \"off\" (in-process; degraded)")
-	poolSize := fs.Int("pool-size", 0, "pre-forked execution workers (0 = max-inflight)")
 	retryAttempts := fs.Int("retry-attempts", 0, "max execution attempts per request when workers crash (0 = default 3)")
 	quarThreshold := fs.Int("quarantine-threshold", 0, "worker crashes within the window that quarantine a program (0 = default 3, negative disables)")
 	quarWindow := fs.Duration("quarantine-window", 0, "crash-counting window (0 = default 1m)")
@@ -84,7 +83,6 @@ func serveMain(args []string, stdout, stderr io.Writer, stop <-chan struct{}) in
 		DrainAnnounce: *drainAnnounce,
 		CacheEntries:  *cacheEntries,
 		Isolation:     *isolation,
-		PoolSize:      *poolSize,
 		Retry:         worker.RetryPolicy{MaxAttempts: *retryAttempts},
 		Quarantine: worker.QuarantinePolicy{
 			Threshold: *quarThreshold,

@@ -412,10 +412,10 @@ func (t *thread) exec(f *frame, s ast.Stmt) (signal, error) {
 		return sigNone, nil
 
 	case *ast.ParallelStmt:
-		return sigNone, in.rt.Parallel(&t.Thread, len(s.Body.Stmts), t.spawns(f, s.Body.Stmts))
+		return sigNone, in.rt.Parallel(&t.Thread, len(s.Body.Stmts), t.spawns(f, s.Body.Stmts, s.Pos()))
 
 	case *ast.BackgroundStmt:
-		return sigNone, in.rt.Background(&t.Thread, len(s.Body.Stmts), t.spawns(f, s.Body.Stmts))
+		return sigNone, in.rt.Background(&t.Thread, len(s.Body.Stmts), t.spawns(f, s.Body.Stmts, s.Pos()))
 
 	case *ast.ParallelForStmt:
 		return sigNone, t.execParallelFor(f, s)
@@ -525,12 +525,13 @@ func augOp(k token.Kind) sem.Op {
 }
 
 // spawns describes the threads of a parallel or background block to the
-// runtime: one per child statement, all sharing the frame f.
-func (t *thread) spawns(f *frame, stmts []ast.Stmt) func(i int) rt.Spawn {
+// runtime: one per child statement, all sharing the frame f. A refusal by
+// the thread budget is positioned at the block, pos, as on the VM.
+func (t *thread) spawns(f *frame, stmts []ast.Stmt, pos token.Pos) func(i int) rt.Spawn {
 	return func(i int) rt.Spawn {
 		nt := t.interp.newThread()
 		child := stmts[i]
-		return rt.Spawn{Pos: child.Pos(), Thread: &nt.Thread, Run: func() error {
+		return rt.Spawn{Pos: pos, Thread: &nt.Thread, Run: func() error {
 			_, err := nt.exec(f, child)
 			return err
 		}}

@@ -55,16 +55,18 @@ func newClusterBackend(t *testing.T, id string, mutate func(*server.Options)) *c
 	return cb
 }
 
-func (cb *clusterBackend) waitForWorkers(t *testing.T) {
+// warmUp answers one request on the backend's worker path, so the cluster
+// starts with a live worker per node rather than measuring the first
+// one's start.
+func (cb *clusterBackend) warmUp(t *testing.T) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if cb.srv.Pool().Stats().Idle > 0 {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
+	resp, body := parity.Post(t, cb.ts.URL+"/run", server.RunRequest{
+		Source: "def main():\n    print(6 * 7)\n", File: "warmup.ttr",
+	}, nil)
+	var rr server.RunResponse
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &rr) != nil || rr.Stdout != "42\n" || rr.Isolation != server.TierWorker {
+		t.Fatalf("backend %s: warm-up request: status %d: %s", cb.id, resp.StatusCode, body)
 	}
-	t.Fatalf("backend %s: no idle worker within 10s: %+v", cb.id, cb.srv.Pool().Stats())
 }
 
 // TestClusterChaosSoak is the cluster-level survival test: 64 clients ×
@@ -102,7 +104,7 @@ func TestClusterChaosSoak(t *testing.T) {
 	}
 	var backends []router.Backend
 	for _, n := range nodes {
-		n.waitForWorkers(t)
+		n.warmUp(t)
 		backends = append(backends, router.Backend{ID: n.id, URL: n.ts.URL})
 	}
 	rt, err := router.New(router.Options{
@@ -275,7 +277,8 @@ func TestQuarantine422ThroughRouter(t *testing.T) {
 		o.Retry = worker.RetryPolicy{MaxAttempts: 2}
 		o.Quarantine = worker.QuarantinePolicy{Threshold: 2, Window: time.Minute, TTL: time.Minute}
 	})
-	node.waitForWorkers(t)
+	// No warm-up: every request crashes a worker here, and the first one
+	// starts the worker it needs.
 	_, front := newRouter(t, router.Options{
 		Backends: []router.Backend{{ID: "poison-node", URL: node.ts.URL}},
 	}, 1)

@@ -218,6 +218,21 @@ def main():
 			wantLines: [2]int{5, 6},
 		},
 		{
+			// A refused parallel arm is positioned at its block on every
+			// engine: rt.Parallel takes one position.
+			name: "thread_budget_refusal_is_positioned_at_the_block",
+			src: `def main():
+    x = 0
+    parallel:
+        x = 1
+        x = 2
+    print(x)
+`,
+			limits:    guard.Limits{MaxThreads: 1},
+			wantErr:   "exceeded thread budget (1 live threads)",
+			wantLines: [2]int{3, 3},
+		},
+		{
 			// Inside the bound every engine gets to the bottom, the VM across
 			// several growths of its register stack.
 			name:    "recursion_under_the_bound",

@@ -76,25 +76,24 @@ func poolServer(t *testing.T, mutate func(*server.Options)) (*server.Server, *ht
 	return serve(t, opts)
 }
 
-// waitForWorkers blocks until the pool has at least one idle worker, so
-// tests measure the worker path rather than the spawn race.
-func waitForWorkers(t *testing.T, srv *server.Server) {
+// warmUp answers one request on the worker path, so a test starts with a
+// live worker rather than measuring the first one's start.
+func warmUp(t *testing.T, url string) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if srv.Pool().Stats().Idle > 0 {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
+	resp, body := parity.Post(t, url+"/run", server.RunRequest{
+		Source: "def main():\n    print(6 * 7)\n", File: "warmup.ttr",
+	}, nil)
+	var rr server.RunResponse
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &rr) != nil || rr.Stdout != "42\n" || rr.Isolation != server.TierWorker {
+		t.Fatalf("warm-up request: status %d: %s", resp.StatusCode, body)
 	}
-	t.Fatalf("no idle worker within 10s: %+v", srv.Pool().Stats())
 }
 
 // TestWorkerPathExecutesBothBackends is the basic isolated round trip:
 // both backends execute inside a worker process and the response says so.
 func TestWorkerPathExecutesBothBackends(t *testing.T) {
-	srv, ts := poolServer(t, nil)
-	waitForWorkers(t, srv)
+	_, ts := poolServer(t, nil)
+	warmUp(t, ts.URL)
 
 	for _, backend := range []string{server.BackendInterp, server.BackendVM} {
 		resp, body := parity.Post(t, ts.URL+"/run", server.RunRequest{
@@ -140,7 +139,7 @@ func TestChaosSoak(t *testing.T) {
 		o.Quarantine = worker.QuarantinePolicy{Threshold: -1}
 		o.Logf = nil // too chatty at this volume
 	})
-	waitForWorkers(t, srv)
+	warmUp(t, ts.URL)
 
 	// Distinct sources so the soak exercises many program hashes and both
 	// backends.
@@ -266,7 +265,7 @@ func TestGovernorBudgetsRearmedPerAttempt(t *testing.T) {
 		o.Quarantine = worker.QuarantinePolicy{Threshold: -1}
 		o.Logf = nil
 	})
-	waitForWorkers(t, srv)
+	warmUp(t, ts.URL)
 
 	// Probe the program's actual step cost on a plain in-process server,
 	// then run the chaos soak with a ceiling ~1.3× that cost: every fresh
@@ -386,7 +385,8 @@ func TestQuarantineCircuitBreaker(t *testing.T) {
 		o.Retry = worker.RetryPolicy{MaxAttempts: 2}
 		o.Quarantine = worker.QuarantinePolicy{Threshold: 2, Window: time.Minute, TTL: time.Minute}
 	})
-	waitForWorkers(t, srv)
+	// No warm-up: every request crashes a worker here, and the first one
+	// starts the worker it needs.
 
 	req := server.RunRequest{Source: "def main():\n    print(1)\n", File: "poison.ttr"}
 	resp, body := parity.Post(t, ts.URL+"/run", req, map[string]string{"X-Request-ID": "poison-req-1"})

@@ -21,12 +21,12 @@ func TestServerConformanceGoldenCorpus(t *testing.T) {
 }
 
 func TestWorkerPathConformanceGoldenCorpus(t *testing.T) {
-	srv, ts := poolServer(t, func(o *server.Options) {
+	_, ts := poolServer(t, func(o *server.Options) {
 		// The matrix must measure the worker path, not the fallback:
 		// serialize admissions well below the pool size.
 		o.MaxInFlight = 2
 	})
-	waitForWorkers(t, srv)
+	warmUp(t, ts.URL)
 	parity.Matrix(t, "worker", parity.Corpus(t), runDoor(ts.URL, server.TierWorker))
 }
 

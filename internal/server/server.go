@@ -117,8 +117,6 @@ type Options struct {
 	// embedded-library mode) or IsolationPool (supervised worker
 	// processes; what cmd/tetrad runs with).
 	Isolation string
-	// PoolSize is the number of pre-forked workers (default MaxInFlight).
-	PoolSize int
 	// WorkerCmd is the argv spawning one worker. Default: this
 	// executable re-exec'd with -worker.
 	WorkerCmd []string
@@ -195,9 +193,6 @@ func (o Options) withDefaults() Options {
 	if o.SessionMaxAge <= 0 {
 		o.SessionMaxAge = 10 * time.Minute
 	}
-	if o.PoolSize <= 0 {
-		o.PoolSize = o.MaxInFlight
-	}
 	if o.Isolation == IsolationPool && len(o.WorkerCmd) == 0 {
 		if exe, err := os.Executable(); err == nil {
 			o.WorkerCmd = []string{exe, "-worker"}
@@ -232,9 +227,10 @@ type Server struct {
 }
 
 // New returns a Server enforcing opts. With IsolationPool the worker
-// pool spawns asynchronously: a pool that cannot start (missing
-// executable, fork limits) simply never has idle workers, and every
-// request degrades to in-process execution instead of failing.
+// pool starts a worker when a request needs one, up to MaxInFlight: a
+// pool whose workers cannot start (missing executable, fork limits)
+// answers at once, and the request degrades to in-process execution
+// instead of failing.
 func New(opts Options) *Server {
 	opts = opts.withDefaults()
 	s := &Server{
@@ -254,7 +250,7 @@ func New(opts Options) *Server {
 		s.pool = worker.NewPool(worker.Options{
 			Cmd:        opts.WorkerCmd,
 			Env:        opts.WorkerEnv,
-			Size:       opts.PoolSize,
+			Size:       opts.MaxInFlight,
 			Retry:      opts.Retry,
 			Quarantine: opts.Quarantine,
 			Logf:       opts.Logf,
@@ -610,10 +606,10 @@ const drainCancelled = "execution cancelled: server is draining"
 
 // runNative is the first rung. A promoted artifact runs a loop faster than
 // either engine, in a resident process that worker.NativeRunner starts on
-// the artifact's first request and reuses while its runs succeed (DESIGN.md
-// §12). It falls through when the tier is off or the program is not
-// promoted yet, when the artifact is busy past the runner's lease wait or
-// every resident slot is taken (the pool answers), when the program fails
+// a request for the artifact when none is idle and reuses while its runs
+// succeed (DESIGN.md §12). It falls through when the tier is off or the
+// program is not promoted yet, when every resident process stays leased
+// past the runner's lease wait (the pool answers), when the program fails
 // (the engines answer with the error's position, which an artifact cannot
 // give), and when the artifact crashes (it is then demoted: the demotion
 // count is an artifact's one circuit breaker). Trace and race requests

@@ -5,8 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"os/exec"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -203,8 +206,8 @@ func (s *supervisor) stats() ProcStats {
 }
 
 // proc is a supervised child that speaks the wire protocol: a pooled
-// worker or a resident artifact. One caller at a time holds it (the
-// pool's or the runner's lease) and talks to it through roundTrip.
+// worker or a resident artifact. One caller at a time holds it (a lease
+// from residents) and talks to it through roundTrip.
 type proc struct {
 	*child
 	stdin   io.WriteCloser
@@ -212,6 +215,9 @@ type proc struct {
 	respCh  chan procResult
 	seq     uint64
 	retired atomic.Bool
+
+	key  string // its argv, as residents keys it
+	idle bool   // released and not leased since; under residents.mu
 }
 
 type procResult struct {
@@ -319,6 +325,228 @@ func (pr *proc) retire() bool {
 	_ = pr.stdin.Close()
 	pr.kill()
 	return true
+}
+
+// leaseTimeout bounds a lease's wait for a release or for the restart
+// backoff before it answers ErrExhausted: the caller's cue to degrade
+// (the pool to in-process execution, the native tier to the pool)
+// instead of queuing forever.
+const leaseTimeout = 250 * time.Millisecond
+
+// residents is the one lease over a supervisor's protocol children: at
+// most max of them live, each keyed by its argv. The pool leases with one
+// key, its worker command; the native runner with one per artifact.
+// Nothing starts before a lease needs it, so a child that crashed or was
+// retired is replaced only then. A crash or a failed start sets the
+// earliest next start from the backoff at the current level and steps the
+// level; a successful run resets it.
+type residents struct {
+	*supervisor
+	env []string // extra environment for every child
+	max int
+
+	mu         sync.Mutex
+	held       []*proc       // live children, leased or idle; idle ones in release order
+	starting   int           // starts in flight, each holding a place
+	freed      chan struct{} // closed, and replaced, when a place or an idle child frees up
+	level      int64         // consecutive crashes and failed starts
+	notBefore  time.Time     // no child starts before this
+	idleDeaths atomic.Int64
+}
+
+func newResidents(tier string, env []string, max int, logf func(format string, args ...any)) *residents {
+	return &residents{supervisor: newSupervisor(tier, logf), env: env, max: max, freed: make(chan struct{})}
+}
+
+// lease hands out a live child of argv: the most recently released idle
+// one; else a new one, when fewer than max are live or the least recently
+// released idle child of another key can be retired for it; else, after
+// waiting up to leaseTimeout for a release or for the backoff to pass,
+// ErrExhausted. It answers ErrExhausted at once when the backoff outlasts
+// that wait and no child of argv is live to be released. A start's own
+// error is returned as is.
+func (s *residents) lease(argv []string) (*proc, error) {
+	key := strings.Join(argv, "\x00")
+	deadline := time.Now().Add(leaseTimeout)
+	for {
+		s.mu.Lock()
+		pr, holds := s.idleLocked(key)
+		if pr != nil {
+			s.mu.Unlock()
+			return pr, nil
+		}
+		now, wake := time.Now(), deadline
+		room := len(s.held)+s.starting < s.max
+		victim := slices.IndexFunc(s.held, func(pr *proc) bool { return pr.idle })
+		if room || victim >= 0 {
+			if !now.Before(s.notBefore) {
+				if !room {
+					s.held[victim].retire()
+					s.held = slices.Delete(s.held, victim, victim+1)
+				}
+				return s.startLocked(key, argv)
+			}
+			if s.notBefore.After(deadline) && !holds {
+				s.mu.Unlock()
+				return nil, ErrExhausted
+			}
+			if s.notBefore.Before(wake) {
+				wake = s.notBefore
+			}
+		}
+		freed := s.freed
+		s.mu.Unlock()
+		if !now.Before(deadline) {
+			return nil, ErrExhausted
+		}
+		timer := time.NewTimer(wake.Sub(now))
+		select {
+		case <-freed:
+		case <-timer.C:
+		case <-s.done:
+			timer.Stop()
+			return nil, ErrClosed
+		}
+		timer.Stop()
+	}
+}
+
+// idleLocked takes the most recently released idle child of key, dropping
+// any that died while idle, and reports whether a child of key is live.
+func (s *residents) idleLocked(key string) (*proc, bool) {
+	holds := false
+	for i := len(s.held) - 1; i >= 0; i-- {
+		pr := s.held[i]
+		if pr.key != key {
+			continue
+		}
+		if !pr.idle {
+			holds = true
+			continue
+		}
+		select {
+		case <-pr.dead:
+			s.held = slices.Delete(s.held, i, i+1)
+			pr.retire()
+			if !pr.shutdown.Load() {
+				s.idleDeaths.Add(1)
+				s.logf("%s died idle: pid=%d cmd=%s", s.tier, pr.pid, pr.cmd.Path)
+				s.backoffLocked()
+			}
+		default:
+			pr.idle = false
+			return pr, true
+		}
+	}
+	return nil, holds
+}
+
+// startLocked starts a leased child of key on a place it holds while fork
+// and exec run with s.mu released, and returns with s.mu released.
+func (s *residents) startLocked(key string, argv []string) (*proc, error) {
+	s.starting++
+	s.mu.Unlock()
+	pr, err := s.startProc(argv, s.env)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.starting--
+	if err != nil {
+		if !errors.Is(err, ErrClosed) {
+			s.backoffLocked()
+		}
+		s.signalLocked()
+		return nil, err
+	}
+	pr.key = key
+	s.held = append(s.held, pr)
+	return pr, nil
+}
+
+// release returns pr, whose run succeeded, to the idle set, and resets the
+// backoff level.
+func (s *residents) release(pr *proc) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.level = 0
+	s.dropLocked(pr)
+	pr.idle = true
+	s.held = append(s.held, pr)
+	s.signalLocked()
+}
+
+// retire kills leased pr, whose exchange failed with err (nil when only
+// its program did), and frees its place. It reports whether that was a
+// crash — neither info.Stop nor Close — which backs the next start off.
+func (s *residents) retire(pr *proc, err error) bool {
+	pr.retire()
+	crashed := err != nil && !errors.Is(err, ErrCancelled) && !pr.shutdown.Load()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.dropLocked(pr)
+	if crashed {
+		s.backoffLocked()
+	}
+	s.signalLocked()
+	return crashed
+}
+
+func (s *residents) dropLocked(pr *proc) {
+	if i := slices.Index(s.held, pr); i >= 0 {
+		s.held = slices.Delete(s.held, i, i+1)
+	}
+}
+
+func (s *residents) backoffLocked() {
+	s.notBefore = time.Now().Add(startDelay(s.level))
+	s.level++
+}
+
+// signalLocked wakes every waiting lease.
+func (s *residents) signalLocked() {
+	close(s.freed)
+	s.freed = make(chan struct{})
+}
+
+func (s *residents) idle() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for _, pr := range s.held {
+		if pr.idle {
+			n++
+		}
+	}
+	return n
+}
+
+// backoffBase and backoffMax bound the exponential restart backoff:
+// consecutive crashes double the delay before the next start from base up
+// to max.
+const (
+	backoffBase = 25 * time.Millisecond
+	backoffMax  = 2 * time.Second
+)
+
+// startDelay is the backoff a start waits after a crash or a failed start;
+// a variable so that a test can record the levels it is asked for.
+var startDelay = backoffDelay
+
+func backoffDelay(level int64) time.Duration {
+	if level > 20 {
+		level = 20
+	}
+	d := backoffBase << uint(level)
+	if d > backoffMax || d <= 0 {
+		d = backoffMax
+	}
+	// ±50% jitter: crashes tend to be correlated (same poisonous
+	// program hitting several workers); identical delays would restart
+	// and re-die in lockstep.
+	half := int64(d) / 2
+	if half > 0 {
+		d = time.Duration(int64(d)/2 + rand.Int63n(int64(d)))
+	}
+	return d
 }
 
 // tailBuffer keeps the last max bytes written — a child's stderr tail,

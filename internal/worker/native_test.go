@@ -450,6 +450,29 @@ func TestNativeResidentState(t *testing.T) {
 	})
 }
 
+// TestNativeConcurrentRunsOfOneArtifact: a request whose artifact is busy
+// starts a second process of it instead of waiting for the first.
+func TestNativeConcurrentRunsOfOneArtifact(t *testing.T) {
+	bin := buildArtifact(t, "nap.ttr", "def main():\n    sleep(300)\n    print(\"up\")\n")
+	r := worker.NewNativeRunner(worker.NativeOptions{Logf: t.Logf})
+	defer r.Close()
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := r.Run(bin, &worker.Request{}, worker.RunInfo{})
+			if err != nil || !resp.OK || resp.Stdout != "up\n" {
+				t.Errorf("concurrent run: %+v, %v", resp, err)
+			}
+		}()
+	}
+	wg.Wait()
+	if st := r.Stats(); st.Spawns != 2 || st.Crashes != 0 {
+		t.Errorf("two concurrent runs: %+v, want 2 spawns and no crash", st)
+	}
+}
+
 // TestNativeRunMicrosIsTheRun: a reply's run_us is the artifact's own run
 // of the program, not the process start the first request pays nor the
 // round trip: on a 2000-iteration loop it is under a millisecond and

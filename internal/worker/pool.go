@@ -3,7 +3,6 @@ package worker
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync/atomic"
 	"time"
 )
@@ -36,7 +35,8 @@ type Options struct {
 	// Env is extra environment entries for workers (e.g. a TETRA_FAULTS
 	// spec for the chaos suites).
 	Env []string
-	// Size is the number of pre-forked workers (default 2).
+	// Size is the most workers live at once (default 2). Workers start on
+	// demand: the first when the first Run needs one.
 	Size int
 	// Retry bounds attempts per request; Quarantine trips repeatedly
 	// crashing programs.
@@ -55,16 +55,12 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// leaseTimeout bounds the wait for an idle worker before Run gives up with
-// ErrExhausted — the caller's cue to fall back to degraded in-process
-// execution instead of queuing forever.
-const leaseTimeout = 250 * time.Millisecond
-
 // Sentinel errors Run answers with. CrashedError and QuarantinedError
 // carry detail.
 var (
-	// ErrExhausted: no idle worker within leaseTimeout. The caller
-	// should degrade to in-process execution.
+	// ErrExhausted: no child within leaseTimeout, or none can start. The
+	// caller should degrade: the pool to in-process execution, the
+	// native tier to the pool.
 	ErrExhausted = errors.New("worker pool exhausted")
 	// ErrClosed: the supervisor (pool or native runner) was shut down
 	// before or during the call. A child Close kills is not a crash.
@@ -132,29 +128,22 @@ type Stats struct {
 type Pool struct {
 	opts Options
 	quar *quarantine
-	sup  *supervisor
-	idle chan *proc
+	set  *residents
 
-	backoffLevel                               atomic.Int64
-	spawnFails, idleDeaths, retries, retriedOK atomic.Int64
+	spawnFails, retries, retriedOK atomic.Int64
 }
 
-// NewPool starts a supervisor for opts.Size workers. Workers spawn
-// asynchronously: NewPool returns immediately, and a pool whose Cmd
-// cannot be started simply never has an idle worker — every Run then
-// fails fast with ErrExhausted and the caller degrades gracefully.
+// NewPool returns a pool of at most opts.Size workers and starts none: a
+// Run starts a worker when no idle one is left. A Run whose worker cannot
+// start fails fast with ErrExhausted, and the caller degrades gracefully;
+// the restart backoff spaces the next attempts.
 func NewPool(opts Options) *Pool {
 	opts = opts.withDefaults()
-	p := &Pool{
+	return &Pool{
 		opts: opts,
 		quar: newQuarantine(opts.Quarantine),
-		sup:  newSupervisor("worker", opts.Logf),
-		idle: make(chan *proc, opts.Size),
+		set:  newResidents("worker", opts.Env, opts.Size, opts.Logf),
 	}
-	for i := 0; i < opts.Size; i++ {
-		p.sup.launch(p.spawn)
-	}
-	return p
 }
 
 // Quarantined reports whether hash is circuit-broken, with the
@@ -166,12 +155,12 @@ func (p *Pool) Quarantined(hash string) (time.Duration, bool) {
 // Stats snapshots the pool counters.
 func (p *Pool) Stats() Stats {
 	return Stats{
-		ProcStats:     p.sup.stats(),
+		ProcStats:     p.set.stats(),
 		SpawnFailures: p.spawnFails.Load(),
-		IdleDeaths:    p.idleDeaths.Load(),
+		IdleDeaths:    p.set.idleDeaths.Load(),
 		Retries:       p.retries.Load(),
 		RetriedOK:     p.retriedOK.Load(),
-		Idle:          len(p.idle),
+		Idle:          p.set.idle(),
 		Quarantined:   p.quar.Count(),
 	}
 }
@@ -191,32 +180,34 @@ func (p *Pool) Run(req *Request, info RunInfo) (*Response, error) {
 	var crash *CrashedError
 	maxAttempts := p.opts.Retry.MaxAttempts
 	for attempt := 1; attempt <= maxAttempts; attempt++ {
-		pr, err := p.lease()
-		if err != nil {
+		pr, err := p.set.lease(p.opts.Cmd)
+		switch {
+		case errors.Is(err, ErrClosed), errors.Is(err, ErrExhausted):
 			return nil, err
+		case err != nil:
+			p.spawnFails.Add(1)
+			p.set.logf("worker spawn failed: %v", err)
+			return nil, ErrExhausted
 		}
-		p.sup.runs.Add(1)
+		p.set.runs.Add(1)
 		resp, rtErr := pr.roundTrip(req, timeout, info.Stop)
 		if rtErr == nil {
-			p.backoffLevel.Store(0)
-			p.release(pr)
+			p.set.release(pr)
 			if attempt > 1 {
 				p.retriedOK.Add(1)
 			}
 			return resp, nil
 		}
 
-		// The worker is dead, corrupt or stuck: kill it, restart the
-		// slot with backoff, and account the crash — unless Close killed
-		// it, which is a shutdown.
-		p.retire(pr)
-		if errors.Is(rtErr, ErrCancelled) {
-			return nil, ErrCancelled
-		}
-		if pr.shutdown.Load() {
+		// The worker is dead, corrupt or stuck: kill it and account the
+		// crash — unless the caller cancelled or Close killed it.
+		if !p.set.retire(pr, rtErr) {
+			if errors.Is(rtErr, ErrCancelled) {
+				return nil, ErrCancelled
+			}
 			return nil, ErrClosed
 		}
-		crash = p.sup.crashed(pr.child, attempt, maxAttempts, req, info, rtErr.Error())
+		crash = p.set.crashed(pr.child, attempt, maxAttempts, req, info, rtErr.Error())
 		if info.Hash != "" && p.quar.Record(info.Hash) {
 			d, _ := p.quar.Quarantined(info.Hash)
 			return nil, &QuarantinedError{Hash: info.Hash, Remaining: d}
@@ -228,133 +219,8 @@ func (p *Pool) Run(req *Request, info RunInfo) (*Response, error) {
 	return nil, crash
 }
 
-// lease takes an idle worker, discarding (and replacing) any that died
-// while idle.
-func (p *Pool) lease() (*proc, error) {
-	timer := time.NewTimer(leaseTimeout)
-	defer timer.Stop()
-	for {
-		select {
-		case pr := <-p.idle:
-			select {
-			case <-pr.dead:
-				p.retire(pr)
-				if pr.shutdown.Load() {
-					return nil, ErrClosed
-				}
-				p.idleDeaths.Add(1)
-				p.sup.logf("worker died idle: pid=%d", pr.pid)
-				continue
-			default:
-				return pr, nil
-			}
-		case <-timer.C:
-			return nil, ErrExhausted
-		case <-p.sup.done:
-			return nil, ErrClosed
-		}
-	}
-}
-
-func (p *Pool) release(pr *proc) {
-	select {
-	case p.idle <- pr:
-	default:
-		// Cannot happen (idle is sized to the pool), but never block a
-		// request path on a full channel; drop the worker instead.
-		p.retire(pr)
-	}
-}
-
-// retire kills a worker exactly once and schedules its replacement.
-func (p *Pool) retire(pr *proc) {
-	if pr.retire() {
-		p.scheduleRespawn()
-	}
-}
-
-// scheduleRespawn starts a replacement worker after the exponential
-// backoff (with ±50% jitter) for the current consecutive-failure level.
-// A worker that died and a spawn that failed both come here, so they
-// step through the same delays.
-func (p *Pool) scheduleRespawn() {
-	delay := respawnDelay(p.backoffLevel.Add(1) - 1)
-	p.sup.launch(func() {
-		timer := time.NewTimer(delay)
-		defer timer.Stop()
-		select {
-		case <-timer.C:
-		case <-p.sup.done:
-			return
-		}
-		p.spawn()
-	})
-}
-
-// backoffBase and backoffMax bound the exponential restart backoff:
-// consecutive crashes double the respawn delay from base up to max.
-const (
-	backoffBase = 25 * time.Millisecond
-	backoffMax  = 2 * time.Second
-)
-
-// respawnDelay is the backoff scheduleRespawn waits; a variable so that a
-// test can record the levels it is asked for.
-var respawnDelay = backoffDelay
-
-func backoffDelay(level int64) time.Duration {
-	if level > 20 {
-		level = 20
-	}
-	d := backoffBase << uint(level)
-	if d > backoffMax || d <= 0 {
-		d = backoffMax
-	}
-	// ±50% jitter: crashes tend to be correlated (same poisonous
-	// program hitting several workers); identical delays would respawn
-	// and re-die in lockstep.
-	half := int64(d) / 2
-	if half > 0 {
-		d = time.Duration(int64(d)/2 + rand.Int63n(int64(d)))
-	}
-	return d
-}
-
-// spawn starts one worker and parks it in the idle set. On failure it
-// schedules another attempt with backoff — the pool keeps trying for as
-// long as it is open, and callers degrade via ErrExhausted meanwhile.
-func (p *Pool) spawn() {
-	pr, err := p.sup.startProc(p.opts.Cmd, p.opts.Env)
-	switch {
-	case err == nil:
-		select {
-		case p.idle <- pr:
-		default:
-			// Sized channel plus slot accounting make this unreachable;
-			// refuse to leak the process if the invariant ever breaks.
-			p.retire(pr)
-		}
-	case errors.Is(err, ErrClosed):
-		// Closing: nothing to replace.
-	default:
-		p.spawnFails.Add(1)
-		p.sup.logf("worker spawn failed: %v", err)
-		p.scheduleRespawn()
-	}
-}
-
 // Close shuts the supervisor down: every worker (idle or leased) is
-// killed and reaped, respawns are cancelled, and Close returns only
-// when no child process and no supervision goroutine remains — zero
-// orphans, zero leaks. A Run it interrupts returns ErrClosed.
-func (p *Pool) Close() {
-	p.sup.close()
-	// Drain the idle channel; every worker in it is dead.
-	for {
-		select {
-		case <-p.idle:
-		default:
-			return
-		}
-	}
-}
+// killed and reaped, and Close returns only when no child process and no
+// supervision goroutine remains — zero orphans, zero leaks. A Run it
+// interrupts returns ErrClosed.
+func (p *Pool) Close() { p.set.close() }

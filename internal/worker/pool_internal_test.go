@@ -11,43 +11,45 @@ import (
 )
 
 // TestFailedSpawnAndCrashShareBackoff: a spawn that fails and a worker that
-// crashes schedule the next spawn the same way, so both step through the
+// crashes back the next start off the same way, so both step through the
 // backoff delays from level 0.
 func TestFailedSpawnAndCrashShareBackoff(t *testing.T) {
 	var mu sync.Mutex
 	var levels []int64
-	respawnDelay = func(level int64) time.Duration {
+	startDelay = func(level int64) time.Duration {
 		mu.Lock()
 		defer mu.Unlock()
 		levels = append(levels, level)
 		return time.Millisecond
 	}
-	t.Cleanup(func() { respawnDelay = backoffDelay })
-	// firstThree waits for three scheduled respawns and returns their levels.
-	firstThree := func() string {
-		t.Helper()
-		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-			mu.Lock()
-			got := append([]int64(nil), levels...)
-			mu.Unlock()
-			if len(got) >= 3 {
-				return fmt.Sprint(got[:3])
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("%d respawns scheduled, want 3", len(got))
-			}
-		}
+	t.Cleanup(func() { startDelay = backoffDelay })
+	// recorded returns the levels asked for so far and forgets them.
+	recorded := func() string {
+		mu.Lock()
+		defer mu.Unlock()
+		got := fmt.Sprint(levels)
+		levels = nil
+		return got
+	}
+	run := func(p *Pool) error {
+		_, err := p.Run(&Request{Source: "def main():\n    print(1)\n", File: "t.ttr"}, RunInfo{})
+		return err
 	}
 
-	// A command that cannot start: each failed spawn schedules the next.
+	// A command that cannot start: each Run's failed start backs off the next.
 	p := NewPool(Options{Cmd: []string{filepath.Join(t.TempDir(), "missing")}, Size: 1})
-	failed := firstThree()
+	for i := 0; i < 3; i++ {
+		if err := run(p); !errors.Is(err, ErrExhausted) {
+			t.Fatalf("run %d: %v, want ErrExhausted", i, err)
+		}
+	}
+	if st := p.Stats(); st.SpawnFailures != 3 {
+		t.Errorf("%d spawn failures, want 3", st.SpawnFailures)
+	}
 	p.Close()
-	mu.Lock()
-	levels = nil
-	mu.Unlock()
+	failed := recorded()
 
-	// A worker that dies after every request: each crash schedules the next.
+	// A worker that dies after every request: each crash backs off the next.
 	exe, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
@@ -61,18 +63,12 @@ func TestFailedSpawnAndCrashShareBackoff(t *testing.T) {
 	})
 	defer p.Close()
 	for i := 0; i < 3; i++ {
-		for deadline := time.Now().Add(10 * time.Second); ; {
-			_, err := p.Run(&Request{Source: "def main():\n    print(1)\n", File: "t.ttr"}, RunInfo{})
-			var ce *CrashedError
-			if errors.As(err, &ce) {
-				break
-			}
-			if !errors.Is(err, ErrExhausted) || time.Now().After(deadline) {
-				t.Fatalf("run %d: %v, want a crash", i, err)
-			}
+		var ce *CrashedError
+		if err := run(p); !errors.As(err, &ce) {
+			t.Fatalf("run %d: %v, want a crash", i, err)
 		}
 	}
-	crashed := firstThree()
+	crashed := recorded()
 
 	if failed != "[0 1 2]" || crashed != "[0 1 2]" {
 		t.Errorf("backoff levels: failed spawns %s, crashes %s; want [0 1 2] for both", failed, crashed)

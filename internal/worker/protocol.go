@@ -17,13 +17,14 @@
 //     isolation never becomes a semantic layer;
 //   - ServeStdio (serve.go): the hidden worker mode a host binary
 //     enters when re-exec'd by the pool (cmd/tetrad -worker);
-//   - Pool (pool.go): pre-forked workers on the child supervisor
-//     (child.go), lease per request, crash detection (death, corruption,
-//     deadline overrun), restart with exponential backoff + jitter,
-//     transparent bounded retry, and a quarantine circuit breaker for
-//     programs that repeatedly kill their workers (quarantine.go);
-//   - NativeRunner (native.go): one resident process per promoted
-//     artifact, leased through the same supervisor and protocol code.
+//   - Pool (pool.go): workers started on demand and leased per request
+//     from the child supervisor's resident set (child.go), crash
+//     detection (death, corruption, deadline overrun), restarts backed
+//     off exponentially with jitter, transparent bounded retry, and a
+//     quarantine circuit breaker for programs that repeatedly kill their
+//     workers (quarantine.go);
+//   - NativeRunner (native.go): resident processes of promoted
+//     artifacts, leased through the same resident set and protocol code.
 package worker
 
 import (

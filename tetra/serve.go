@@ -13,12 +13,12 @@ import (
 // ServerOptions configures the tetrad execution service: the server-wide
 // limit ceiling, the admission controller (in-flight cap, queue bound,
 // queue timeout), the drain grace and the compile-cache size, plus the
-// crash-isolation tier (Isolation, PoolSize, Retry, Quarantine). The
+// crash-isolation tier (Isolation, Retry, Quarantine). The
 // zero value serves sandbox-limited in-process executions with
 // production defaults; set Isolation to IsolationPool for supervised
 // worker processes. Set NativeThreshold > 0 to enable the native
 // promotion tier: hot programs are compiled via gogen and `go build`
-// into native binaries, each served by one resident process, with
+// into native binaries served by resident processes, with
 // automatic demotion back to the VM tier if an artifact crashes.
 //
 // The server also hosts streaming debug sessions (POST /session + SSE):
