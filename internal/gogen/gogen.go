@@ -175,6 +175,13 @@ func (g *generator) funcDecl(f *ast.FuncDecl) error {
 	// Go's zero value is Tetra's for every type but an array, whose zero
 	// is an empty array, not nil: the slots a path may read unassigned
 	// (ZeroSlots) start at one, so indexing them raises Tetra's error.
+	// Each declaration is marked used; only a cell's mark takes its
+	// address, since an address-taken local lives in memory, not in a
+	// register.
+	used := "_ = %s"
+	if f.HasParallel {
+		used = "_ = &%s"
+	}
 	for slot := 0; slot < f.NumSlots; slot++ {
 		t := f.SlotTypes[slot]
 		name := g.varName(slot)
@@ -193,7 +200,7 @@ func (g *generator) funcDecl(f *ast.FuncDecl) error {
 		default:
 			g.line("var %s %s", name, goType(t))
 		}
-		g.line("_ = &%s", name)
+		g.line(used, name)
 	}
 
 	if err := g.block(f.Body); err != nil {

@@ -164,8 +164,26 @@ func TestGeneratedSourceShape(t *testing.T) {
         y = 2
     lock m:
         z = x + y
-    print(z)
+    print(z, flat(3))
+
+def flat(n int) int:
+    s = 0
+    for i in range(n):
+        s += i
+    return s
 `)
+	// A flat function's locals stay in registers: nothing takes their
+	// address. A function with a parallel construct shares them in cells.
+	flat := goSrc[strings.Index(goSrc, "func t_flat("):]
+	for _, want := range []string{"var v1_s int64\n\t_ = v1_s\n", "var v2_i int64\n\t_ = v2_i\n"} {
+		if !strings.Contains(flat, want) {
+			t.Errorf("flat function missing %q:\n%s", want, flat)
+		}
+	}
+	if strings.Contains(flat, "_ = &") {
+		t.Errorf("flat function takes a local's address:\n%s", flat)
+	}
+
 	for _, want := range []string{
 		"package main",
 		`gort.Main("gen.ttr", []string{"m"}, func(t *gort.Thread) { t_main(t, 1) })`,
@@ -176,7 +194,8 @@ func TestGeneratedSourceShape(t *testing.T) {
 		"gort.Lock(t, 0, 5, 5)",
 		"v2_z.Store(((v0_x.Load()) + (v1_y.Load())))",
 		"gort.Unlock(t, 0)",
-		"gort.Print(v2_z.Load())",
+		"var v2_z gort.Cell[int64]\n\t_ = &v2_z\n",
+		"gort.Print(v2_z.Load(), t_flat(t, gdepth+1, int64(3)))",
 	} {
 		if !strings.Contains(goSrc, want) {
 			t.Errorf("generated source missing %q:\n%s", want, goSrc)
@@ -459,6 +478,62 @@ def main():
 			}
 			if !strings.Contains(re.stderr, c.substr) || c.pattern != "" && !regexp.MustCompile(c.pattern).MatchString(re.stderr) {
 				t.Errorf("stderr %q does not contain %q or match %q", re.stderr, c.substr, c.pattern)
+			}
+		})
+	}
+}
+
+// TestGeneratedKernelEdges pins the edges of the checked kernels whose
+// fast path inlines into generated code: a division by -1 that wraps, a
+// negative index that counts from the end, an index out of range either
+// side, and a zero divisor written as a literal, which must stay a runtime
+// error (Go rejects a constant division by zero at compile time). Each
+// program must mean the same on the interpreter, the VM at every
+// optimization level and natively, where an operator's error is
+// unpositioned.
+func TestGeneratedKernelEdges(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs generated binaries; skipped in -short")
+	}
+	cases := []struct{ name, src, stdout, err string }{
+		{name: "min_int_by_minus_one", src: "def main():\n    x = -9223372036854775807 - 1\n    y = -1\n    print(x / y, \" \", x % y, \" \", x / -1, \" \", x % -1)\n",
+			stdout: "-9223372036854775808 0 -9223372036854775808 0\n"},
+		{name: "negative_index", src: "def main():\n    a = [1, 2, 3]\n    print(a[-1])\n    a[-3] = 9\n    a[-2] += 5\n    print(a)\n",
+			stdout: "3\n[9, 7, 3]\n"},
+		{name: "read_past_end", src: "def main():\n    a = [1, 2, 3]\n    print(\"before\")\n    print(a[3])\n",
+			stdout: "before\n", err: "edges.ttr:4:11: runtime error: index 3 out of range for array of length 3"},
+		{name: "write_before_start", src: "def main():\n    a = [1, 2, 3]\n    a[-4] = 1\n",
+			err: "edges.ttr:3:5: runtime error: index -4 out of range for array of length 3"},
+		{name: "mod_literal_zero", src: "def main():\n    x = 5\n    print(x % 0)\n",
+			err: "edges.ttr:3:13: runtime error: modulo by zero"},
+		{name: "div_literal_zero", src: "def main():\n    print(1 / 0)\n",
+			err: "edges.ttr:2:13: runtime error: division by zero"},
+		{name: "real_div_literal_zero", src: "def main():\n    x = 1.5\n    print(x / 0.0)\n",
+			err: "edges.ttr:3:13: runtime error: division by zero"},
+	}
+	progs := make(map[string]string, len(cases))
+	for _, c := range cases {
+		progs[c.name] = c.src
+	}
+	bin := buildAll(t, progs, false)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			parity.Agree(t, parity.Case{Name: c.name, File: "edges.ttr", Src: c.src, Want: &parity.Result{Stdout: c.stdout, Err: c.err}})
+			got, err := runBinary(filepath.Join(bin, c.name), "", nil)
+			if got != c.stdout {
+				t.Errorf("native stdout %q, want %q", got, c.stdout)
+			}
+			if c.err == "" {
+				if err != nil {
+					t.Errorf("native run failed: %v", err)
+				}
+				return
+			}
+			var re *runError
+			var exit *exec.ExitError
+			want := c.err[strings.Index(c.err, "runtime error: "):] + "\n"
+			if !errors.As(err, &re) || !errors.As(err, &exit) || exit.ExitCode() != 1 || re.stderr != want {
+				t.Errorf("native run: %v; want exit status 1 and stderr %q", err, want)
 			}
 		})
 	}

@@ -13,7 +13,11 @@
 // error conditions, rune access, parsing, formatting — are NOT implemented
 // here: a function here over a sem kernel exists to re-raise the kernel's
 // error as a Tetra runtime panic, to adapt gort's array type, or to charge
-// the allocation budget. Nor is the thread model: gort is the third client
+// the allocation budget. The one exception is speed: the loop kernels
+// (DivInt, ModInt, DivReal, Array's Get and Set) test a zero divisor or an
+// index in [0, len) inline, so Go inlines them into generated loops, and
+// take sem's rule and error values out of line for every other case. Nor
+// is the thread model: gort is the third client
 // of internal/rt, beside the interpreter and the VM. Every generated
 // function takes its Tetra thread (an rt.Thread), and parallel, background,
 // parallel for and lock go through the run's rt.Runtime, so a compiled
@@ -76,12 +80,15 @@ func Raise(format string, args ...any) {
 // raiseSem re-raises a sem kernel error, or an unpositioned one from the
 // run's stdlib.Env or governor, as a Tetra runtime panic; this is how the
 // shared semantics core's canonical error wording reaches compiled
-// programs.
+// programs. It stays out of line, so a kernel that calls it on its error
+// path still fits Go's inlining budget.
+//
+//go:noinline
 func raiseSem(err error) {
 	panic(Err{Msg: err.Error()})
 }
 
-// must is a sem kernel's result, or its error raised: must(sem.DivInt(a, b)).
+// must is a sem kernel's result, or its error raised: must(sem.ModReal(a, b)).
 func must[T any](v T, err error) T {
 	if err != nil {
 		raiseSem(err)
@@ -416,23 +423,43 @@ func MakeArray[T any](n int64) *Array[T] {
 func (a *Array[T]) Len() int64 { return int64(len(a.E)) }
 
 // Get returns element i with bounds checking. Negative indices count from
-// the end, Python-style (-1 is the last element); the rule and the error
-// wording come from the shared semantics core.
+// the end, Python-style (-1 is the last element). An index in [0, len) is
+// one unsigned compare, inlined into generated code; any other takes the
+// out-of-line path through index.
 func (a *Array[T]) Get(i int64) T {
-	j := sem.NormIndex(i, int64(len(a.E)))
-	if j < 0 || j >= int64(len(a.E)) {
-		raiseSem(sem.ErrArrayIndex(i, len(a.E)))
+	if uint64(i) < uint64(len(a.E)) {
+		return a.E[i]
 	}
-	return a.E[j]
+	return a.E[index(i, len(a.E))]
 }
 
-// Set stores element i with bounds checking and negative-index support.
+// Set stores element i with bounds checking and negative-index support,
+// inlined like Get.
 func (a *Array[T]) Set(i int64, v T) {
-	j := sem.NormIndex(i, int64(len(a.E)))
-	if j < 0 || j >= int64(len(a.E)) {
-		raiseSem(sem.ErrArrayIndex(i, len(a.E)))
+	if uint64(i) < uint64(len(a.E)) {
+		a.E[i] = v
+	} else {
+		a.set(i, v)
 	}
-	a.E[j] = v
+}
+
+// set is Set's path for an index outside [0, len), out of line so that Set
+// fits Go's inlining budget.
+//
+//go:noinline
+func (a *Array[T]) set(i int64, v T) { a.E[index(i, len(a.E))] = v }
+
+// index is the element a negative index i counts to from the end of an
+// array of length n, or i's out-of-range error when there is none. The rule
+// and the error wording come from the shared semantics core.
+//
+//go:noinline
+func index(i int64, n int) int64 {
+	j := sem.NormIndex(i, int64(n))
+	if j < 0 || j >= int64(n) {
+		raiseSem(sem.ErrArrayIndex(i, n))
+	}
+	return j
 }
 
 // Push appends an element (the future-work growable-array operation).
@@ -504,14 +531,33 @@ func StrLen(s string) int64 { return int64(sem.RuneLen(s)) }
 func StrIndex(s string, i int64) string { return must(sem.StringIndex(s, i)) }
 
 // DivInt is Tetra integer division with the divide-by-zero runtime error.
-func DivInt(a, b int64) int64 { return must(sem.DivInt(a, b)) }
+// The zero check inlines into generated code, so a constant divisor
+// compiles to Go's multiply-shift; the raise is out of line. sem.DivInt is
+// the same rule for the engines.
+func DivInt(a, b int64) int64 {
+	if b == 0 {
+		raiseSem(sem.ErrDivisionByZero)
+	}
+	return a / b
+}
 
-// ModInt is Tetra integer modulo with the modulo-by-zero runtime error.
-func ModInt(a, b int64) int64 { return must(sem.ModInt(a, b)) }
+// ModInt is Tetra integer modulo with the modulo-by-zero runtime error,
+// inlined like DivInt.
+func ModInt(a, b int64) int64 {
+	if b == 0 {
+		raiseSem(sem.ErrModuloByZero)
+	}
+	return a % b
+}
 
 // DivReal is Tetra real division; like DivInt it raises on a zero divisor
 // so every backend reports the same runtime error instead of producing inf.
-func DivReal(a, b float64) float64 { return must(sem.DivReal(a, b)) }
+func DivReal(a, b float64) float64 {
+	if b == 0 {
+		raiseSem(sem.ErrDivisionByZero)
+	}
+	return a / b
+}
 
 // ModReal is Tetra real modulo with the modulo-by-zero runtime error.
 func ModReal(a, b float64) float64 { return must(sem.ModReal(a, b)) }

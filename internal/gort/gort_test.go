@@ -3,7 +3,11 @@ package gort
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
+	"os/exec"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -78,6 +82,12 @@ func TestArrayBounds(t *testing.T) {
 	}
 	if err := catchErr(func() { a.Set(-2, 0) }); err == nil || !strings.Contains(err.Msg, "index -2 out of range") {
 		t.Errorf("Set below -len err = %v", err)
+	}
+	if err := catchErr(func() { a.Get(-2) }); err == nil || err.Msg != "index -2 out of range for array of length 1" {
+		t.Errorf("Get below -len err = %v", err)
+	}
+	if err := catchErr(func() { a.Set(1, 0) }); err == nil || err.Msg != "index 1 out of range for array of length 1" {
+		t.Errorf("Set OOB err = %v", err)
 	}
 }
 
@@ -155,8 +165,14 @@ func TestArith(t *testing.T) {
 	if err := catchErr(func() { DivInt(1, 0) }); err == nil || !strings.Contains(err.Msg, "division by zero") {
 		t.Errorf("div zero = %v", err)
 	}
-	if err := catchErr(func() { ModInt(1, 0) }); err == nil {
-		t.Error("mod zero not raised")
+	if err := catchErr(func() { ModInt(1, 0) }); err == nil || err.Msg != "modulo by zero" {
+		t.Errorf("mod zero = %v", err)
+	}
+	if err := catchErr(func() { DivReal(1, 0) }); err == nil || err.Msg != "division by zero" {
+		t.Errorf("real div zero = %v", err)
+	}
+	if DivInt(math.MinInt64, -1) != math.MinInt64 || ModInt(math.MinInt64, -1) != 0 {
+		t.Error("MinInt64 by -1 does not wrap")
 	}
 	if ModReal(7.5, 2) != 1.5 {
 		t.Error("real mod")
@@ -319,6 +335,71 @@ func BenchmarkTick(b *testing.B) {
 	t := new(Thread)
 	for i := 0; i < b.N; i++ {
 		Tick(t, 1, 1)
+	}
+}
+
+// BenchmarkArithLoop is serve_heavy's loop, s = (s + i*7 + 53) % 1000003,
+// written as gogen emits it: a Tick at the back-edge and ModInt by a
+// literal on locals that stay in registers. ns/op is ns per iteration.
+func BenchmarkArithLoop(b *testing.B) {
+	active = rt.New(rt.Config{Limits: guard.Limits{MaxSteps: 1e12}}, nil)
+	defer initGuard()
+	t := new(Thread)
+	var s int64
+	for i := int64(0); i < int64(b.N); i++ {
+		Tick(t, 4, 5)
+		s = ModInt(s+i*int64(7)+int64(53), int64(1000003))
+	}
+	sinkInt = s
+}
+
+// BenchmarkArrayLoop is the array counterpart of BenchmarkArithLoop: one
+// checked read and one checked write of an element per iteration,
+// a[j] = a[j] + i, as gogen emits them. ns/op is ns per iteration.
+func BenchmarkArrayLoop(b *testing.B) {
+	active = rt.New(rt.Config{Limits: guard.Limits{MaxSteps: 1e12}}, nil)
+	defer initGuard()
+	t := new(Thread)
+	a := MakeArray[int64](1000)
+	for i := int64(0); i < int64(b.N); i++ {
+		Tick(t, 4, 5)
+		j := ModInt(i, int64(1000))
+		a.Set(j, a.Get(j)+i)
+	}
+	sinkInt = a.Get(0)
+}
+
+var sinkInt int64
+
+// TestKernelsInline is the drift guard of the compiled tier's speed: the
+// kernels generated code calls in its loops must stay within Go's inlining
+// budget, or every iteration pays a call, and a division or modulo by a
+// literal an IDIV instead of a multiply-shift. Get sits at the budget and
+// Set one below it, so an innocent-looking edit can undo that. The
+// package is compiled with its tests, which instantiate the generic
+// kernels as generated code does.
+func TestKernelsInline(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles the package; skipped in -short")
+	}
+	_ = Dyn(int64(0)) // generated code instantiates Dyn; gort itself does not
+	out, err := exec.Command("go", "test", "-c", "-gcflags=-m", "-o", filepath.Join(t.TempDir(), "gort.test"), ".").CombinedOutput()
+	if err != nil {
+		t.Fatalf("go test -c -gcflags=-m: %v\n%s", err, out)
+	}
+	inlinable := map[string]bool{}
+	for _, m := range regexp.MustCompile(`: can inline (\S+)`).FindAllStringSubmatch(string(out), -1) {
+		inlinable[m[1]] = true
+	}
+	var lost []string
+	for _, k := range []string{"DivInt", "ModInt", "DivReal", "(*Array[go.shape.int64]).Get",
+		"(*Array[go.shape.int64]).Set", "Tick", "Enter", "Dyn[go.shape.int64]"} {
+		if !inlinable[k] {
+			lost = append(lost, k)
+		}
+	}
+	if len(lost) > 0 {
+		t.Errorf("no longer inlinable, so generated code calls them: %s\n(see go build -gcflags=-m=2 ./internal/gort for their costs)", strings.Join(lost, ", "))
 	}
 }
 
