@@ -72,10 +72,14 @@ type FuncDecl struct {
 	// in the function's frame. Filled by the checker.
 	NumSlots int
 	// HasParallel reports whether the body contains any parallel construct
-	// (parallel, background, parallel for). When false the function's frame
-	// is provably thread-private and the interpreter may use unlocked cell
-	// access. Filled by the checker.
+	// (parallel, background, parallel for). Filled by the checker.
 	HasParallel bool
+	// Shared marks, per slot, the variables the function's threads really
+	// share (internal/check's sharing rule): those are cells, guarded on
+	// every access; every other slot is thread-private, stored as in a
+	// function without parallel constructs, and copied into a thread body
+	// when it is spawned. Nil when no slot is shared. Filled by the checker.
+	Shared []bool
 	// SlotNames maps frame slots to variable names, for the debugger's
 	// variable display. Filled by the checker.
 	SlotNames []string

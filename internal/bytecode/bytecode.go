@@ -29,22 +29,24 @@
 //
 // An activation's registers are one window of values and an operand is an
 // index into it — in every function. What differs is where variables
-// live. A flat function (no parallel construct) keeps them in their slot
-// registers, and the compiler evaluates expressions directly into
-// registers: an assignment `x = y + z` is one add with Dst=x, and
-// `i = i + 1` becomes a single arithmetic instruction reading and writing
-// slot i. A shared function (Func.Shared: it contains `parallel`,
-// `background` or `parallel for`) keeps each variable in a cell its
-// threads share, and sharedness is spelled out in the code instead of
-// being tested on every operand: a read of x is `OpLoadCell tmp, x` at
-// the point the value is needed, a write `OpStoreCell x, tmp`, each one
-// lock-access-unlock of that cell, and every other instruction names
-// temporaries only. `x = x + 1` is load, add, store: two critical
-// sections with the addition outside both, so two threads can lose an
-// update — as Tetra means them to (paper Figure III). The slot registers
-// of a shared function's window are unused; OpParFor's induction operand
-// is the one other place a slot number appears, naming the cell each
-// iteration gets a private copy of.
+// live. A private variable — every variable of a function without a
+// parallel construct, and most of one with — lives in its slot register,
+// and the compiler evaluates expressions directly into registers: an
+// assignment `x = y + z` is one add with Dst=x, and `i = i + 1` becomes a
+// single arithmetic instruction reading and writing slot i. A thread body
+// reads the private variables of its function from its own window, into
+// which the VM copies the spawning activation's slot registers when it
+// spawns it. A variable the threads really share (Func.Shared, decided by
+// internal/check) lives in a cell, and sharedness is spelled out in the
+// code instead of being tested on every operand: a read of x is
+// `OpLoadCell tmp, x` at the point the value is needed, a write
+// `OpStoreCell x, tmp`, each one lock-access-unlock of that cell, and no
+// other instruction names x's register. `x = x + 1` is load, add, store:
+// two critical sections with the addition outside both, so two threads
+// can lose an update — as Tetra means them to (paper Figure III).
+// OpParFor's induction operand names the slot each iteration gets its own
+// copy of: its register in the iteration's window, or a private cell when
+// the variable is shared.
 //
 // # Typed opcodes
 //
@@ -65,7 +67,8 @@
 // rules, by a forward dataflow over each chunk: variable slots start at
 // their declared types (Func.SlotTypes; the checker and Compile see to it
 // that a variable read before its first assignment holds its type's zero,
-// ast.FuncDecl.ZeroSlots), temporaries start undefined, paths join at
+// ast.FuncDecl.ZeroSlots, and a thread body's copy holds what the spawner's
+// did), temporaries start undefined, paths join at
 // jump targets (a register written with two types is "mixed": readable
 // where any value will do, never where a type is claimed), and each
 // instruction is held to its row:
@@ -97,15 +100,15 @@
 //	call                 temporaries [B, B+C) : the parameters of Funcs[A]; Dst ← its result
 //	callb                temporaries [B, B+C) : the Params of builtin A's row, or pass its Check; Dst ← its result
 //	ret                  A : the function's result; chunk 0 only
-//	ldcell               A a cell of a shared function   Dst ← SlotTypes[A]
-//	stcell               A : SlotTypes[Dst]
-//	parfor               B : [T] | string, cell C : T | string; chunk A ≥ 1
-//	parallel background  chunks [A, A+B) within [1, len(Chunks)); shared functions only
+//	ldcell               A a shared slot                 Dst ← SlotTypes[A]
+//	stcell               Dst a shared slot, A : SlotTypes[Dst]
+//	parfor               B : [T] | string, slot C : T | string; chunk A ≥ 1
+//	parallel background  chunks [A, A+B) within [1, len(Chunks))
 //	lockacq lockrel      A < len(LockNames)
 //
 // and to the rules every instruction shares: a register operand is inside
-// the window; in a shared function it is a temporary; a write to a flat
-// function's variable slot has the slot's type; a register read has been
+// the window and is not a shared slot's; a write to a variable slot has
+// the slot's type; a register read has been
 // written on every path; Pos parallels Code and an instruction that can
 // raise has a valid position; control cannot run off a chunk's end.
 //
@@ -134,8 +137,11 @@ import (
 // typed register IR (int- and real-typed opcodes with the operator in the
 // opcode, array-typed indexing, variables of shared functions reached
 // only through OpLoadCell/OpStoreCell); 4 = a call is an index (no
-// call-site id: an instruction is 20 bytes, not 24).
-const IRVersion = 4
+// call-site id: an instruction is 20 bytes, not 24); 5 = sharedness is
+// per slot (Func.Shared): a function with parallel constructs keeps its
+// private variables in registers, and a thread body's window starts as a
+// copy of its spawner's slot registers.
+const IRVersion = 5
 
 // Op is a bytecode opcode.
 type Op uint8
@@ -200,7 +206,7 @@ const (
 	OpParallel   // spawn chunks [A, A+B) each on its own thread; join all
 	OpBackground // spawn chunks [A, A+B); do not join
 	// OpParFor runs chunk A once per element of sequence reg B, each on
-	// its own thread with a private cell for induction slot C; joins all.
+	// its own thread with a private copy of induction slot C; joins all.
 	OpParFor
 
 	OpLockAcquire // acquire program lock A
@@ -227,9 +233,9 @@ const (
 	// reg A <cmp> Consts[B], side 1 compares Consts[B] <cmp> reg A.
 	OpCmpConstJump
 
-	// Cell access. A function with parallel constructs (Func.Shared) keeps
-	// its variables in cells its threads share; these two instructions are
-	// the only way its code reaches them, each one lock-access-unlock.
+	// Cell access. A variable the threads of a function share
+	// (Func.Shared) lives in a cell; these two instructions are the only
+	// way code reaches it, each one lock-access-unlock.
 	OpLoadCell  // Dst = cell A
 	OpStoreCell // cell Dst = reg A
 

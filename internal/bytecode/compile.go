@@ -36,10 +36,11 @@ type Func struct {
 	Params    []*types.Type // parameter types; parameters occupy slots [0, len(Params))
 	NumSlots  int           // variable registers: parameters then locals, checker-assigned
 	SlotTypes []*types.Type // static type per slot; the verifier's starting point
-	// Shared marks a function with parallel constructs: its variables live
-	// in cells its threads share, reached only by OpLoadCell/OpStoreCell,
-	// and every other operand is a temporary.
-	Shared    bool
+	// Shared marks, per slot, the variables the function's threads share
+	// (ast.FuncDecl.Shared): each lives in a cell, reached only by
+	// OpLoadCell/OpStoreCell, and no other instruction names its register.
+	// Nil when no slot is shared.
+	Shared    []bool
 	Result    *types.Type
 	Consts    []value.Value
 	Types     []*types.Type // element-type table for OpArray
@@ -111,7 +112,7 @@ func compileFunc(f *ast.FuncDecl, params [][]*types.Type, index int) (*Func, err
 			Params:    params[index],
 			NumSlots:  f.NumSlots,
 			SlotTypes: f.SlotTypes,
-			Shared:    f.HasParallel,
+			Shared:    f.Shared,
 			Result:    f.Result,
 			SlotNames: f.SlotNames,
 			Chunks:    make([]Chunk, 1),
@@ -148,14 +149,17 @@ func (c *fnCompiler) zeroSlots() {
 	c.nextTemp = c.fn.NumSlots
 }
 
-// Variables. In a flat function a variable is its slot register and any
-// instruction may name it. In a shared one it is a cell: a read is an
+// Variables. A private variable is its slot register, in every chunk, and
+// any instruction may name it. A shared one is a cell: a read is an
 // OpLoadCell into a fresh temporary at the point the value is needed, a
 // write an OpStoreCell of a temporary, and nothing else names the slot.
 
+// SharedSlot reports whether variable slot is a cell.
+func (f *Func) SharedSlot(slot int32) bool { return f.Shared != nil && f.Shared[slot] }
+
 // getVar returns a register holding variable slot's current value.
 func (c *fnCompiler) getVar(slot int32, pos token.Pos) int32 {
-	if !c.fn.Shared {
+	if !c.fn.SharedSlot(slot) {
 		return slot
 	}
 	t := c.temp()
@@ -164,20 +168,20 @@ func (c *fnCompiler) getVar(slot int32, pos token.Pos) int32 {
 }
 
 // varDst returns the register an instruction computing variable slot's
-// next value should write: the slot itself, or in a shared function a
-// temporary that setVar then stores.
+// next value should write: the slot itself, or for a cell a temporary
+// that setVar then stores.
 func (c *fnCompiler) varDst(slot int32) int32 {
-	if !c.fn.Shared {
+	if !c.fn.SharedSlot(slot) {
 		return slot
 	}
 	return c.temp()
 }
 
 // setVar makes reg's value the variable's: nothing to do when reg is the
-// slot (a flat function's varDst), else a move or a cell store.
+// slot (a private variable's varDst), else a move or a cell store.
 func (c *fnCompiler) setVar(slot, reg int32, pos token.Pos) {
 	switch {
-	case c.fn.Shared:
+	case c.fn.SharedSlot(slot):
 		c.emit(OpStoreCell, slot, reg, 0, 0, pos)
 	case reg != slot:
 		c.emit(OpMove, slot, reg, 0, 0, pos)
@@ -397,24 +401,14 @@ func (c *fnCompiler) stmtInner(s ast.Stmt) error {
 		return nil
 
 	case *ast.ParallelStmt:
-		first := len(c.fn.Chunks)
-		for _, child := range s.Body.Stmts {
-			if err := c.subChunk(child.Pos(), func() error { return c.stmt(child) }); err != nil {
-				return err
-			}
-		}
-		c.emit(OpParallel, 0, int32(first), int32(len(s.Body.Stmts)), 0, s.Pos())
-		return nil
+		first, err := c.arms(s.Body)
+		c.emit(OpParallel, 0, first, int32(len(s.Body.Stmts)), 0, s.Pos())
+		return err
 
 	case *ast.BackgroundStmt:
-		first := len(c.fn.Chunks)
-		for _, child := range s.Body.Stmts {
-			if err := c.subChunk(child.Pos(), func() error { return c.stmt(child) }); err != nil {
-				return err
-			}
-		}
-		c.emit(OpBackground, 0, int32(first), int32(len(s.Body.Stmts)), 0, s.Pos())
-		return nil
+		first, err := c.arms(s.Body)
+		c.emit(OpBackground, 0, first, int32(len(s.Body.Stmts)), 0, s.Pos())
+		return err
 
 	case *ast.ParallelForStmt:
 		seq, err := c.genExpr(s.Seq)
@@ -422,7 +416,8 @@ func (c *fnCompiler) stmtInner(s ast.Stmt) error {
 			return err
 		}
 		idx := len(c.fn.Chunks)
-		if err := c.subChunk(s.Pos(), func() error { return c.block(s.Body) }); err != nil {
+		c.fn.Chunks = append(c.fn.Chunks, Chunk{})
+		if err := c.subChunk(idx, s.Pos(), func() error { return c.block(s.Body) }); err != nil {
 			return err
 		}
 		c.emit(OpParFor, 0, int32(idx), seq, int32(s.Var.Slot), s.Pos())
@@ -431,21 +426,36 @@ func (c *fnCompiler) stmtInner(s ast.Stmt) error {
 	return fmt.Errorf("bytecode: unsupported statement %T", s)
 }
 
-// subChunk compiles body into a fresh chunk and restores the emission
-// context. Parallel bodies contain no break/continue/return that could
-// escape (the checker rejects them), so loop and lock state start empty;
-// the new chunk gets its own temporary file. Its terminator is positioned
-// at end, inside the construct, so a limit that trips there is reported
-// where the thread was running.
-func (c *fnCompiler) subChunk(end token.Pos, body func() error) error {
+// arms compiles each statement of a parallel or background block into a
+// chunk of its own and returns the first. The chunks are consecutive, as
+// OpParallel and OpBackground name them, because they are all added
+// before any arm is compiled: a construct nested in an arm adds its chunks
+// after them.
+func (c *fnCompiler) arms(b *ast.Block) (int32, error) {
+	first := len(c.fn.Chunks)
+	c.fn.Chunks = append(c.fn.Chunks, make([]Chunk, len(b.Stmts))...)
+	for i, child := range b.Stmts {
+		if err := c.subChunk(first+i, child.Pos(), func() error { return c.stmt(child) }); err != nil {
+			return 0, err
+		}
+	}
+	return int32(first), nil
+}
+
+// subChunk compiles body into chunk ci, which is empty, and restores the
+// emission context. Parallel bodies contain no break/continue/return that
+// could escape (the checker rejects them), so loop and lock state start
+// empty; the chunk gets its own temporary file. Its terminator is
+// positioned at end, inside the construct, so a limit that trips there is
+// reported where the thread was running.
+func (c *fnCompiler) subChunk(ci int, end token.Pos, body func() error) error {
 	saveCur := c.cur
 	saveNext, saveMax := c.nextTemp, c.maxTemp
 	saveLocks := c.lockStack
 	saveLoopBase := c.loopLockBase
 	saveBreaks, saveConts := c.breaks, c.continues
 
-	c.fn.Chunks = append(c.fn.Chunks, Chunk{})
-	c.cur = len(c.fn.Chunks) - 1
+	c.cur = ci
 	c.nextTemp, c.maxTemp = c.fn.NumSlots, c.fn.NumSlots
 	c.lockStack = nil
 	c.loopLockBase = nil
@@ -502,7 +512,7 @@ func (c *fnCompiler) assign(s *ast.AssignStmt) error {
 		slot := int32(target.Slot)
 		if s.Op == token.ASSIGN {
 			_, lit := constant(s.Value, target.Type())
-			if !c.fn.Shared && (lit || !needWiden(s.Value, target.Type())) {
+			if !c.fn.SharedSlot(slot) && (lit || !needWiden(s.Value, target.Type())) {
 				return c.genExprToAs(s.Value, target.Type(), slot)
 			}
 			// Through a temporary: a cell is written by OpStoreCell only, and
@@ -515,7 +525,7 @@ func (c *fnCompiler) assign(s *ast.AssignStmt) error {
 			return nil
 		}
 		// Augmented assignment: the value first, then the variable read,
-		// the operation and the write. In a flat function that is one
+		// the operation and the write. For a private variable that is one
 		// arithmetic instruction reading and writing the slot — the
 		// register IR's fused load-arith-store. A real target needs no
 		// widening after it: its left operand is real, so the result is.
@@ -542,8 +552,9 @@ func (c *fnCompiler) assign(s *ast.AssignStmt) error {
 			// exactly once, into the registers the read and the write-back
 			// both name. Nothing between the two can change them: Tetra has
 			// no assignment expressions, a callee cannot touch its caller's
-			// frame, and a shared function's variables arrive by OpLoadCell
-			// in temporaries this statement owns.
+			// frame, no thread writes a private variable while another may
+			// read it, and a cell's value arrives by OpLoadCell in a
+			// temporary this statement owns.
 			cur := c.temp()
 			c.emit(indexOp(OpIndex, target.X), cur, arr, idx, 0, s.Pos())
 			r, err := c.genExpr(s.Value)
@@ -628,9 +639,9 @@ func constant(e ast.Expr, want *types.Type) (value.Value, bool) {
 	return v, true
 }
 
-// genExpr evaluates e and returns the register holding its value. In a
-// flat function an identifier aliases its variable slot with no
-// instruction emitted; any other expression lands in a fresh temporary.
+// genExpr evaluates e and returns the register holding its value. A
+// private variable's identifier aliases its slot with no instruction
+// emitted; any other expression lands in a fresh temporary.
 func (c *fnCompiler) genExpr(e ast.Expr) (int32, error) {
 	if id, ok := e.(*ast.Ident); ok {
 		return c.getVar(int32(id.Slot), id.Pos()), nil
@@ -691,7 +702,7 @@ func (c *fnCompiler) genExprToInner(e ast.Expr, dst int32) error {
 	switch e := e.(type) {
 	case *ast.Ident:
 		op := OpMove
-		if c.fn.Shared {
+		if c.fn.SharedSlot(int32(e.Slot)) {
 			op = OpLoadCell
 		}
 		c.emit(op, dst, int32(e.Slot), 0, 0, e.Pos())

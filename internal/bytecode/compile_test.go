@@ -128,8 +128,8 @@ func TestParallelCompilesToSubChunks(t *testing.T) {
 	if par.A != 1 || par.B != 3 {
 		t.Errorf("OpParallel operands = (%d, %d), want (1, 3)", par.A, par.B)
 	}
-	if !f.Shared {
-		t.Error("function with parallel not marked shared")
+	if f.Shared != nil {
+		t.Errorf("Shared = %v for a function without variables", f.Shared)
 	}
 }
 
@@ -266,17 +266,19 @@ func TestSharedFlagPropagation(t *testing.T) {
     return 1
 
 def par():
+    n = seq()
     background:
-        print(seq())
+        print(n)
+        n = 2
 
 def main():
     par()
 `)
-	if bc.Funcs[0].Shared {
+	if bc.Funcs[0].Shared != nil {
 		t.Error("seq marked shared")
 	}
-	if !bc.Funcs[1].Shared {
-		t.Error("par not marked shared")
+	if !bc.Funcs[1].SharedSlot(0) {
+		t.Error("par's n not marked shared")
 	}
 }
 

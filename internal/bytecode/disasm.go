@@ -11,15 +11,26 @@ import (
 // golden tests (`tetracompile -dis`). The format is line-oriented and
 // stable: one instruction per line, pc in column one, mnemonic in column
 // two, then the operands. Registers print as r<n>, with the variable's
-// source name appended (r0=i) when the function carries slot names, and a
-// shared function's cells as c<n>=name. A typed opcode's mnemonic carries
-// its operator and operand type (add.i, jlt.ik, mod.rk, index.a: i int,
-// r real, a array, k constant operand, l constant on the left); the
-// untyped fused opcodes, whose operator is in an operand, get a trailing
-// comment spelling it out.
+// source name appended (r0=i) when the function carries slot names, and
+// cells as c<n>=name. The header lists the shared variables' cells
+// (shared=[c1=count]), or says shared=false when there are none. A typed
+// opcode's mnemonic carries its operator and operand type (add.i, jlt.ik,
+// mod.rk, index.a: i int, r real, a array, k constant operand, l constant
+// on the left); the untyped fused opcodes, whose operator is in an
+// operand, get a trailing comment spelling it out.
 func Disassemble(f *Func) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "func %s (params=%d slots=%d shared=%v)\n", f.Name, len(f.Params), f.NumSlots, f.Shared)
+	shared := "false"
+	if f.Shared != nil {
+		var cells []string
+		for slot, sh := range f.Shared {
+			if sh {
+				cells = append(cells, f.cell(int32(slot)))
+			}
+		}
+		shared = "[" + strings.Join(cells, " ") + "]"
+	}
+	fmt.Fprintf(&sb, "func %s (params=%d slots=%d shared=%s)\n", f.Name, len(f.Params), f.NumSlots, shared)
 	for ci := range f.Chunks {
 		ch := &f.Chunks[ci]
 		fmt.Fprintf(&sb, " chunk %d: (temps=%d)\n", ci, ch.NumTemps)
@@ -34,7 +45,8 @@ func Disassemble(f *Func) string {
 // compiler recorded their source names.
 func (f *Func) reg(i int32) string { return f.named('r', i) }
 
-// cell renders the cell operand of OpLoadCell, OpStoreCell and OpParFor.
+// cell renders the cell operand of OpLoadCell and OpStoreCell, and
+// OpParFor's induction variable when it is shared.
 func (f *Func) cell(i int32) string { return f.named('c', i) }
 
 func (f *Func) named(prefix byte, i int32) string {
@@ -117,7 +129,11 @@ func operands(f *Func, ins Instr) string {
 	case fSpawn:
 		return fmt.Sprintf("chunks [%d, %d)", ins.A, ins.A+ins.B)
 	case fParFor:
-		return fmt.Sprintf("chunk %d, seq %s, var %s", ins.A, r(ins.B), f.cell(ins.C))
+		v := r(ins.C)
+		if f.SharedSlot(ins.C) {
+			v = f.cell(ins.C)
+		}
+		return fmt.Sprintf("chunk %d, seq %s, var %s", ins.A, r(ins.B), v)
 	case fLock:
 		return fmt.Sprintf("lock#%d", ins.A)
 	case fLoadCell:

@@ -162,15 +162,19 @@ func jumpTargets(ch *Chunk) []bool {
 	return t
 }
 
-// readsReg reports whether ins reads register reg.
-func readsReg(ins Instr, reg int32) bool {
+// readsReg reports whether ins, an instruction of f, reads register reg.
+func readsReg(f *Func, ins Instr, reg int32) bool {
 	switch ins.Op.info().form {
 	case fUnary, fBinaryK, fBinaryKL, fCmpJumpK, fReturn, fStoreCell:
 		return ins.A == reg
 	case fBinary, fCmpJump:
 		return ins.A == reg || ins.B == reg
-	case fJumpIf, fParFor:
+	case fJumpIf:
 		return ins.B == reg
+	case fParFor:
+		return ins.B == reg || spawnReads(f, ins.A, 1, reg)
+	case fSpawn:
+		return spawnReads(f, ins.A, ins.B, reg)
 	case fSetIndex:
 		return ins.A == reg || ins.B == reg || ins.C == reg
 	case fCall:
@@ -179,6 +183,25 @@ func readsReg(ins Instr, reg int32) bool {
 		return reg >= ins.A && reg < ins.A+ins.B
 	case fForIter:
 		return ins.A == reg || ins.A+1 == reg
+	}
+	return false
+}
+
+// spawnReads reports whether the thread bodies in chunks [first,
+// first+n), or the threads they spawn in turn, read slot register reg. A
+// body starts with a copy of its spawner's slot registers, so the spawning
+// instruction is where the spawner's value is read, and a store before it
+// is live.
+func spawnReads(f *Func, first, n, reg int32) bool {
+	if int(reg) >= f.NumSlots {
+		return false
+	}
+	for ci := max(first, 0); ci < first+n && int(ci) < len(f.Chunks); ci++ {
+		for _, ins := range f.Chunks[ci].Code {
+			if readsReg(f, ins, reg) {
+				return true
+			}
+		}
 	}
 	return false
 }
@@ -217,7 +240,7 @@ func removeDeadStores(f *Func, ch *Chunk) bool {
 		if !deadStoreOK(ins.Op) || int(ins.Dst) < f.NumSlots {
 			continue
 		}
-		if regLive(ch, pc+1, ins.Dst) {
+		if regLive(f, ch, pc+1, ins.Dst) {
 			continue
 		}
 		code[pc] = Instr{Op: OpNop}
@@ -229,15 +252,15 @@ func removeDeadStores(f *Func, ch *Chunk) bool {
 	return changed
 }
 
-// regLive reports whether some path from pc reads register reg before
-// writing it.
-func regLive(ch *Chunk, pc int, reg int32) bool {
+// regLive reports whether some path from pc in f's chunk ch reads
+// register reg before writing it.
+func regLive(f *Func, ch *Chunk, pc int, reg int32) bool {
 	code := ch.Code
 	// Most temporaries are read, or written again, a few instructions on:
 	// follow straight-line code before paying for a visited set.
 	for ; pc < len(code); pc++ {
 		ins := &code[pc]
-		if readsReg(*ins, reg) {
+		if readsReg(f, *ins, reg) {
 			return true
 		}
 		if writesReg(*ins, reg) {
@@ -257,7 +280,7 @@ func regLive(ch *Chunk, pc int, reg int32) bool {
 		}
 		seen[p] = true
 		ins := code[p]
-		if readsReg(ins, reg) {
+		if readsReg(f, ins, reg) {
 			return true
 		}
 		if writesReg(ins, reg) {
@@ -343,10 +366,10 @@ func removeDeadCode(_ *Func, ch *Chunk) bool {
 
 // tempDeadPast reports whether temporary reg is dead on every path
 // leaving the instruction at pc (the second element of a fusion window).
-func tempDeadPast(ch *Chunk, pc int, reg int32) bool {
+func tempDeadPast(f *Func, ch *Chunk, pc int, reg int32) bool {
 	next, n := successors(&ch.Code[pc], pc)
 	for _, s := range next[:n] {
-		if regLive(ch, s, reg) {
+		if regLive(f, ch, s, reg) {
 			return false
 		}
 	}
@@ -372,7 +395,7 @@ func fuseCmpJump(f *Func, ch *Chunk) bool {
 		if (next.Op != OpJumpIfFalse && next.Op != OpJumpIfTrue) || next.B != ins.Dst {
 			continue
 		}
-		if !tempDeadPast(ch, pc+1, ins.Dst) {
+		if !tempDeadPast(f, ch, pc+1, ins.Dst) {
 			continue
 		}
 		sense := next.Op == OpJumpIfTrue
@@ -417,12 +440,12 @@ func constOperand(f *Func, ch *Chunk, targets []bool, use int, reg int32) int {
 	for pc := use - 1; pc >= 0 && !targets[pc+1]; pc-- {
 		ins := ch.Code[pc]
 		if ins.Op == OpConst && ins.Dst == reg {
-			if tempDeadPast(ch, use, reg) {
+			if tempDeadPast(f, ch, use, reg) {
 				return pc
 			}
 			return -1
 		}
-		if _, n := successors(&ins, pc); n != 1 || ins.Op == OpJump || readsReg(ins, reg) || writesReg(ins, reg) {
+		if _, n := successors(&ins, pc); n != 1 || ins.Op == OpJump || readsReg(f, ins, reg) || writesReg(ins, reg) {
 			return -1
 		}
 	}

@@ -150,3 +150,45 @@ func TestOptimizeParallelChunks(t *testing.T) {
 	}
 	checkTargets(t, bc)
 }
+
+// TestSpawnsReadWhatTheirBodiesRead: a thread body reads its function's
+// private variables from a copy of the spawner's registers, so the
+// spawning instruction is the read. A store whose only read follows it
+// inside a parallel-for body must survive -O1 and -O2, and the liveness
+// every phase consults must see it live at the parfor.
+func TestSpawnsReadWhatTheirBodiesRead(t *testing.T) {
+	const src = `def main():
+    k = 3
+    u = 5
+    parallel for v in [1, 2, 3]:
+        print(v * k)
+    print(u)
+`
+	for _, level := range []int{O1, O2} {
+		p := compileSrc(t, src)
+		if err := VerifyOptimize(p, level); err != nil {
+			t.Fatalf("-O%d: %v", level, err)
+		}
+		f := p.Funcs[p.MainIndex]
+		ch := &f.Chunks[0]
+		const k, u = 0, 1
+		store, parfor := -1, -1
+		for pc, ins := range ch.Code {
+			switch {
+			case ins.Op == OpConst && ins.Dst == k:
+				store = pc
+			case ins.Op == OpParFor:
+				parfor = pc
+			}
+		}
+		if store < 0 || parfor < 0 {
+			t.Fatalf("-O%d: want k's store and the parfor in chunk 0:\n%s", level, Disassemble(f))
+		}
+		if !regLive(f, ch, store+1, k) {
+			t.Errorf("-O%d: k's store is dead to the optimizer:\n%s", level, Disassemble(f))
+		}
+		if !readsReg(f, ch.Code[parfor], k) || readsReg(f, ch.Code[parfor], u) {
+			t.Errorf("-O%d: the parfor should read k, which its body reads, and not u", level)
+		}
+	}
+}

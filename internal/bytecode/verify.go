@@ -83,10 +83,11 @@ func meet(a, b *types.Type) *types.Type {
 }
 
 // chunk verifies the current chunk: the per-chunk structure, then a
-// forward dataflow of register types from the entry — variable slots hold
-// their declared types (in a flat function; a shared one has cells
-// instead), temporaries nothing — to a fixpoint, joining with meet at jump
-// targets, and finally every instruction against the types that reach it.
+// forward dataflow of register types from the entry — private variable
+// slots hold their declared types (a thread body's copy included; a shared
+// variable has a cell instead), temporaries nothing — to a fixpoint,
+// joining with meet at jump targets, and finally every instruction against
+// the types that reach it.
 // Unreachable instructions are held to the structural rules only.
 func (v *verifier) chunk() {
 	f, ch := v.f, v.ch
@@ -103,8 +104,10 @@ func (v *verifier) chunk() {
 	}
 
 	entry := make([]*types.Type, f.NumSlots+ch.NumTemps)
-	if !f.Shared {
-		copy(entry, f.SlotTypes)
+	for slot, t := range f.SlotTypes {
+		if !f.SharedSlot(int32(slot)) {
+			entry[slot] = t
+		}
 	}
 	in := make([][]*types.Type, len(code))
 	in[0] = entry
@@ -157,8 +160,8 @@ func (v *verifier) instr(ins *Instr, st []*types.Type, report bool) []*types.Typ
 	reg := func(r int32) {
 		if r < 0 || int(r) >= f.NumSlots+ch.NumTemps {
 			failf("register r%d out of range [0, %d)", r, f.NumSlots+ch.NumTemps)
-		} else if f.Shared && int(r) < f.NumSlots {
-			failf("names variable slot %s in a shared function", f.reg(r))
+		} else if int(r) < f.NumSlots && f.SharedSlot(r) {
+			failf("names the register of %s, a shared variable", f.reg(r))
 		}
 	}
 	// read returns the type register r holds, which must be defined.
@@ -207,7 +210,7 @@ func (v *verifier) instr(ins *Instr, st []*types.Type, report bool) []*types.Typ
 		if r < 0 || int(r) >= len(out) {
 			return
 		}
-		if !f.Shared && int(r) < f.NumSlots {
+		if int(r) < f.NumSlots {
 			if t == mixed || !types.Equal(t, f.SlotTypes[r]) {
 				failf("writes %s into %s, a %s", typeName(t), f.reg(r), f.SlotTypes[r])
 			}
@@ -242,10 +245,10 @@ func (v *verifier) instr(ins *Instr, st []*types.Type, report bool) []*types.Typ
 	}
 	cell := func(i int32) *types.Type {
 		switch {
-		case !f.Shared:
-			failf("cell operand in a flat function")
 		case i < 0 || int(i) >= f.NumSlots:
 			failf("cell c%d out of range [0, %d)", i, f.NumSlots)
+		case !f.SharedSlot(i):
+			failf("cell operand %s is a private variable", f.cell(i))
 		default:
 			return f.SlotTypes[i]
 		}
@@ -446,9 +449,6 @@ func (v *verifier) instr(ins *Instr, st []*types.Type, report bool) []*types.Typ
 		write(ins.Dst, elem)
 
 	case fSpawn:
-		if !f.Shared {
-			failf("spawns threads from a flat function")
-		}
 		if ins.A < 1 || ins.B < 0 || int(ins.A+ins.B) > len(f.Chunks) {
 			failf("chunks [%d, %d) out of range [1, %d)", ins.A, ins.A+ins.B, len(f.Chunks))
 		}
@@ -457,9 +457,13 @@ func (v *verifier) instr(ins *Instr, st []*types.Type, report bool) []*types.Typ
 		if ins.A < 1 || int(ins.A) >= len(f.Chunks) {
 			failf("chunk %d out of range [1, %d)", ins.A, len(f.Chunks))
 		}
-		elem, c := seq(ins.B, true), cell(ins.C)
-		if st != nil && c != mixed && (elem == mixed || !types.Equal(elem, c)) {
-			failf("iterates %s into %s, a %s", typeName(elem), f.cell(ins.C), c)
+		// The induction slot is written in each iteration's window, or in
+		// its private cell when the variable is shared.
+		elem := seq(ins.B, true)
+		if ins.C < 0 || int(ins.C) >= f.NumSlots {
+			failf("induction slot %d out of range [0, %d)", ins.C, f.NumSlots)
+		} else if c := f.SlotTypes[ins.C]; st != nil && (elem == mixed || !types.Equal(elem, c)) {
+			failf("iterates %s into %s, a %s", typeName(elem), f.reg(ins.C), c)
 		}
 
 	case fLock:

@@ -126,17 +126,23 @@ func TestVerifyRejects(t *testing.T) {
 		}, "jump target -1 out of range"},
 		{"slot operand in a shared function", O0, func(t *testing.T, p *Program) {
 			find(t, p, "shared", 2, OpAddInt).A = 1
-		}, "names variable slot r1=total in a shared function"},
+		}, "names the register of r1=total, a shared variable"},
 		{"cell access in a flat function", O0, func(t *testing.T, p *Program) {
-			find(t, p, "main", 0, OpConst).Op = OpLoadCell
-		}, "cell operand in a flat function"},
+			find(t, p, "flat", 0, OpConst).Op = OpLoadCell
+		}, "cell operand c0=a is a private variable"},
 		{"cell out of range", O0, func(t *testing.T, p *Program) {
 			find(t, p, "shared", 0, OpLoadCell).A = 7
 		}, "cell c7 out of range"},
 		{"store of the wrong type into a cell", O0, func(t *testing.T, p *Program) {
+			// shared's `total = 0`: the constant its stcell stores.
 			f := fn(p, "shared")
-			find(t, p, "shared", 0, OpConst).A = f.constIndex(value.NewString("0"))
-		}, "stores string into c2=k, a int"},
+			st := find(t, p, "shared", 0, OpStoreCell)
+			for pc := range f.Chunks[0].Code {
+				if ins := &f.Chunks[0].Code[pc]; ins.Op == OpConst && ins.Dst == st.A {
+					ins.A = f.constIndex(value.NewString("0"))
+				}
+			}
+		}, "stores string into c1=total, a int"},
 		{"write of the wrong type into a variable", O0, func(t *testing.T, p *Program) {
 			f := fn(p, "flat")
 			find(t, p, "flat", 0, OpConst).A = f.constIndex(value.NewReal(0))
@@ -266,6 +272,39 @@ func TestVerifyRejects(t *testing.T) {
 			}
 			seen[c.want] = c.name
 		})
+	}
+}
+
+// TestVerifyAcceptsPrivateSlotsBesideCells: in a function with cells, only
+// the shared variables' registers are off limits. shared's n and k are
+// private: chunk 0 reads n's register for the range, and the parallel-for
+// body reads k's, which each iteration writes.
+func TestVerifyAcceptsPrivateSlotsBesideCells(t *testing.T) {
+	for _, level := range []int{O0, O1, O2} {
+		p := compileSrc(t, verifySrc)
+		if err := VerifyOptimize(p, level); err != nil {
+			t.Fatalf("-O%d: %v", level, err)
+		}
+		var f *Func
+		for _, g := range p.Funcs {
+			if g.Name == "shared" {
+				f = g
+			}
+		}
+		if !f.SharedSlot(1) || f.SharedSlot(0) || f.SharedSlot(2) {
+			t.Fatalf("-O%d: Shared = %v, want only total (slot 1)", level, f.Shared)
+		}
+		names := func(ci int, reg int32) bool {
+			for _, ins := range f.Chunks[ci].Code {
+				if readsReg(f, ins, reg) {
+					return true
+				}
+			}
+			return false
+		}
+		if !names(0, 0) || !names(1, 2) {
+			t.Errorf("-O%d: no instruction reads r0=n in chunk 0 and r2=k in chunk 1:\n%s", level, Disassemble(f))
+		}
 	}
 }
 

@@ -48,8 +48,8 @@ const maxErrors = 20
 
 // Check type-checks and resolves the program in place. On success it fills
 // in: expression types, variable slots, function indices, builtin bindings,
-// lock indices, per-function slot counts and parallelism flags, and the
-// program-wide lock-name table. The error, when non-nil, is an ErrorList.
+// lock indices, per-function slot counts, parallelism flags and shared
+// slots, and the program-wide lock-name table. The error, when non-nil, is an ErrorList.
 func Check(prog *ast.Program) error {
 	c := &checker{prog: prog, lockIndex: map[string]int{}}
 	c.collectSignatures()
@@ -60,6 +60,9 @@ func Check(prog *ast.Program) error {
 	}
 	if len(c.errs) > 0 {
 		return c.errs
+	}
+	for _, f := range prog.Funcs {
+		f.Shared = shareSlots(f)
 	}
 	return nil
 }

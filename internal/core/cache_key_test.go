@@ -51,8 +51,8 @@ func TestCacheKeyCarriesIRVersion(t *testing.T) {
 
 // cacheKeyGolden is the recorded CacheKey("p.ttr", "def main():\n    print(6 * 7)\n", 2)
 // under IRVersion cacheKeyGoldenIR. Under IRVersion 3 it was
-// 0e1715a0dd67c3b50b12f2fad04fea73.
+// 0e1715a0dd67c3b50b12f2fad04fea73, under 4 e106c9452142ef0cb68e1519715061c5.
 const (
-	cacheKeyGolden   = "e106c9452142ef0cb68e1519715061c5"
-	cacheKeyGoldenIR = 4
+	cacheKeyGolden   = "9261cb5885e43363ce3afe14e8dae7e8"
+	cacheKeyGoldenIR = 5
 )

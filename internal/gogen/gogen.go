@@ -8,8 +8,9 @@
 // `parallel`, `background`, `parallel for` and `lock` lower to rt's
 // Parallel, Background, ParFor, Lock and Unlock with the construct's
 // source position. A `parallel for` body is a closure whose parameter is
-// the iteration's private induction value; in a function with a parallel
-// construct every other local is a gort.Cell, by the engines' rule.
+// the iteration's private induction value; a variable the threads share
+// (ast.FuncDecl.Shared) is a gort.Cell, by the engines' rule, and every
+// other local is a plain Go variable, which the closures capture.
 //
 // Generated programs import repro/internal/gort (the runtime support
 // library) and repro/internal/sem when they call one of its kernels
@@ -113,11 +114,11 @@ func (g *generator) varName(slot int) string {
 	return fmt.Sprintf("v%d_%s", slot, g.fn.SlotNames[slot])
 }
 
-// isCell reports whether slot is a gort.Cell: every local of a function
-// with a parallel construct, as on the engines, except a parallel-for
-// body's induction value.
+// isCell reports whether slot is a gort.Cell: a shared variable, as on
+// the engines, except inside a parallel-for body whose induction value it
+// is.
 func (g *generator) isCell(slot int) bool {
-	return g.fn.HasParallel && !slices.Contains(g.private, slot)
+	return g.fn.Shared != nil && g.fn.Shared[slot] && !slices.Contains(g.private, slot)
 }
 
 // load renders a read of slot.
@@ -178,15 +179,13 @@ func (g *generator) funcDecl(f *ast.FuncDecl) error {
 	// Each declaration is marked used; only a cell's mark takes its
 	// address, since an address-taken local lives in memory, not in a
 	// register.
-	used := "_ = %s"
-	if f.HasParallel {
-		used = "_ = &%s"
-	}
 	for slot := 0; slot < f.NumSlots; slot++ {
 		t := f.SlotTypes[slot]
 		name := g.varName(slot)
+		used := "_ = %s"
 		switch {
-		case f.HasParallel:
+		case g.isCell(slot):
+			used = "_ = &%s"
 			g.line("var %s gort.Cell[%s]", name, goType(t))
 			if slot < len(f.Params) {
 				g.store(slot, fmt.Sprintf("a%d", slot))

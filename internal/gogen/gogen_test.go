@@ -173,7 +173,8 @@ def flat(n int) int:
     return s
 `)
 	// A flat function's locals stay in registers: nothing takes their
-	// address. A function with a parallel construct shares them in cells.
+	// address. A function with a parallel construct shares the variables
+	// its threads write in cells, and keeps the rest (z) as plain locals.
 	flat := goSrc[strings.Index(goSrc, "func t_flat("):]
 	for _, want := range []string{"var v1_s int64\n\t_ = v1_s\n", "var v2_i int64\n\t_ = v2_i\n"} {
 		if !strings.Contains(flat, want) {
@@ -192,14 +193,41 @@ def flat(n int) int:
 		"var v0_x gort.Cell[int64]",
 		"gort.Parallel(t, 2, 5,\n\t\tfunc(t *gort.Thread) {\n\t\t\tv0_x.Store(int64(1))\n\t\t},",
 		"gort.Lock(t, 0, 5, 5)",
-		"v2_z.Store(((v0_x.Load()) + (v1_y.Load())))",
+		"v2_z = ((v0_x.Load()) + (v1_y.Load()))",
 		"gort.Unlock(t, 0)",
-		"var v2_z gort.Cell[int64]\n\t_ = &v2_z\n",
-		"gort.Print(v2_z.Load(), t_flat(t, gdepth+1, int64(3)))",
+		"var v2_z int64\n\t_ = v2_z\n",
+		"gort.Print(v2_z, t_flat(t, gdepth+1, int64(3)))",
 	} {
 		if !strings.Contains(goSrc, want) {
 			t.Errorf("generated source missing %q:\n%s", want, goSrc)
 		}
+	}
+
+	// The benchmark's locked_max shape: the threads only read n, a, x, i
+	// and best, and write best's element, so nothing is a cell.
+	lockedMax := generate(t, `def main():
+    n = 50
+    a = range(n)
+    x = 7
+    i = 0
+    while i < n:
+        x = (x * 31 + 11) % 1000
+        a[i] = x
+        i += 1
+    best = [0]
+    parallel for v in a:
+        lock maxlock:
+            if v > best[0]:
+                best[0] = v
+    print(best[0])
+`)
+	if strings.Contains(lockedMax, "gort.Cell") || strings.Contains(lockedMax, "_ = &") {
+		t.Errorf("locked_max declares a cell:\n%s", lockedMax)
+	}
+	// racy_counter's count is written by every iteration: still a cell.
+	racy := generate(t, "def main():\n    count = 0\n    parallel for i in [1 .. 8]:\n        count += 1\n    print(count)\n")
+	if !strings.Contains(racy, "var v0_count gort.Cell[int64]\n\t_ = &v0_count\n") {
+		t.Errorf("racy_counter's count is not a cell:\n%s", racy)
 	}
 }
 

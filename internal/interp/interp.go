@@ -51,6 +51,12 @@ type Interp struct {
 	env   *stdlib.Env
 	rt    *rt.Runtime
 	cfg   rt.Config
+	// locked marks, per function with parallel constructs, the slots its
+	// frames access under their cells' locks: the shared variables
+	// (ast.FuncDecl.Shared), or every slot when an instrument — Step,
+	// Tracer, TraceVars — watches the run, so what the debugger, the trace
+	// and the race and deadlock tools see does not depend on the analysis.
+	locked map[*ast.FuncDecl][]bool
 }
 
 // WorkProfile returns the per-thread work counts recorded during the last
@@ -60,7 +66,25 @@ func (in *Interp) WorkProfile() []ThreadWork { return in.rt.WorkProfile() }
 // New returns an interpreter that runs the checked program as cfg says.
 func New(prog *ast.Program, cfg rt.Config) *Interp {
 	r := rt.New(cfg, prog.LockNames)
-	return &Interp{prog: prog, cfg: cfg, guard: r.Guard(), env: r.Env(), rt: r}
+	in := &Interp{prog: prog, cfg: cfg, guard: r.Guard(), env: r.Env(), rt: r}
+	watched := cfg.Step != nil || cfg.Tracer != nil || cfg.TraceVars
+	for _, fn := range prog.Funcs {
+		if !fn.HasParallel {
+			continue
+		}
+		if in.locked == nil {
+			in.locked = make(map[*ast.FuncDecl][]bool)
+		}
+		locked := fn.Shared
+		if watched || locked == nil {
+			locked = make([]bool, fn.NumSlots)
+			for i := range locked {
+				locked[i] = watched
+			}
+		}
+		in.locked[fn] = locked
+	}
+	return in
 }
 
 // Run executes the program's main function. It returns the first runtime
@@ -100,7 +124,7 @@ func (in *Interp) run(f *ast.FuncDecl, args []value.Value) (value.Value, error) 
 	t := in.newThread()
 	var v value.Value
 	err := in.rt.Main(&t.Thread, func() (err error) {
-		v, err = t.enter(newFrame(f, args), f.Pos())
+		v, err = t.enter(in.newFrame(f, args), f.Pos())
 		return err
 	})
 	if err != nil {
@@ -165,11 +189,12 @@ func (t *thread) emitVar(kind trace.Kind, pos token.Pos, name string, c *value.C
 	})
 }
 
-// frame is a function activation: one cell per local slot. shared reports
-// whether other threads may touch these cells (the function contains
-// parallel constructs), selecting locked vs. unlocked cell access. Only a
-// parallel-for iteration's view (fork) goes through a table of pointers,
-// cells.
+// frame is a function activation: one cell per local slot. shared is nil
+// when no other thread can touch these cells (the function has no
+// parallel construct), and otherwise marks the slots accessed under their
+// cells' locks (Interp.locked); the rest are private and accessed without
+// one. Only a parallel-for iteration's view (fork) goes through a table of
+// pointers, cells.
 //
 // A flat activation's record and cells are windows on its thread's stacks,
 // given back zeroed on return. The step hook's view of such a record is
@@ -180,7 +205,7 @@ type frame struct {
 	fn     *ast.FuncDecl
 	own    []value.Cell
 	cells  []*value.Cell // non-nil only in a forked view
-	shared bool
+	shared []bool
 }
 
 // bind stores the arguments of a call in the parameters' cells, converted
@@ -193,8 +218,8 @@ func (f *frame) bind(args []value.Value) {
 
 // newFrame returns an activation of fn on the heap, its parameters bound
 // to args.
-func newFrame(fn *ast.FuncDecl, args []value.Value) *frame {
-	f := &frame{fn: fn, own: make([]value.Cell, fn.NumSlots), shared: fn.HasParallel}
+func (in *Interp) newFrame(fn *ast.FuncDecl, args []value.Value) *frame {
+	f := &frame{fn: fn, own: make([]value.Cell, fn.NumSlots), shared: in.locked[fn]}
 	f.bind(args)
 	return f
 }
@@ -217,24 +242,25 @@ func (f *frame) fork(slot int, v value.Value) *frame {
 		cells[i] = f.cell(i)
 	}
 	cells[slot] = value.NewCell(v)
-	return &frame{fn: f.fn, cells: cells, shared: true}
+	return &frame{fn: f.fn, cells: cells, shared: f.shared}
 }
 
 // Var implements FrameView for the debugger's step hook.
 func (f *frame) Var(slot int) value.Value { return f.cell(slot).Load() }
 
-// load and store keep the thread-private path small enough to inline into
-// the evaluator; the path for an activation other threads can see is split
-// out, and kept out of line, so its size does not cost the fast path that.
+// load and store keep a flat activation's path small enough to inline
+// into the evaluator; the path for an activation other threads can see is
+// split out, and kept out of line, so its size does not cost the fast path
+// that.
 func (f *frame) load(slot int) value.Value {
-	if f.shared {
+	if f.shared != nil {
 		return f.loadShared(slot)
 	}
 	return f.own[slot].LoadLocal()
 }
 
 func (f *frame) store(slot int, v value.Value) {
-	if f.shared {
+	if f.shared != nil {
 		f.storeShared(slot, v)
 		return
 	}
@@ -242,10 +268,21 @@ func (f *frame) store(slot int, v value.Value) {
 }
 
 //go:noinline
-func (f *frame) loadShared(slot int) value.Value { return f.cell(slot).Load() }
+func (f *frame) loadShared(slot int) value.Value {
+	if f.shared[slot] {
+		return f.cell(slot).Load()
+	}
+	return f.cell(slot).LoadLocal()
+}
 
 //go:noinline
-func (f *frame) storeShared(slot int, v value.Value) { f.cell(slot).Store(v) }
+func (f *frame) storeShared(slot int, v value.Value) {
+	if f.shared[slot] {
+		f.cell(slot).Store(v)
+		return
+	}
+	f.cell(slot).StoreLocal(v)
+}
 
 // chargeAlloc bills n cells (array elements or string bytes) against the
 // governor's allocation budget. Called on the growth paths — range
@@ -454,7 +491,7 @@ func (t *thread) execAssign(f *frame, s *ast.AssignStmt) error {
 	case *ast.Ident:
 		if s.Op != token.ASSIGN {
 			old := f.load(target.Slot)
-			if t.interp.cfg.TraceVars && f.shared {
+			if t.interp.cfg.TraceVars && f.shared != nil {
 				t.emitVar(trace.VarRead, target.Pos(), target.Name, f.cell(target.Slot))
 			}
 			v, err = sem.Arith(augOp(s.Op), old, v)
@@ -469,7 +506,7 @@ func (t *thread) execAssign(f *frame, s *ast.AssignStmt) error {
 		}
 		v = value.Convert(v, target.Type())
 		f.store(target.Slot, v)
-		if t.interp.cfg.TraceVars && f.shared {
+		if t.interp.cfg.TraceVars && f.shared != nil {
 			t.emitVar(trace.VarWrite, target.Pos(), target.Name, f.cell(target.Slot))
 		}
 		return nil
@@ -601,7 +638,7 @@ func (t *thread) eval(f *frame, e ast.Expr) (value.Value, error) {
 
 	case *ast.Ident:
 		v := f.load(e.Slot)
-		if t.interp.cfg.TraceVars && f.shared {
+		if t.interp.cfg.TraceVars && f.shared != nil {
 			t.emitVar(trace.VarRead, e.Pos(), e.Name, f.cell(e.Slot))
 		}
 		return v, nil
@@ -779,7 +816,7 @@ func (t *thread) evalCall(f *frame, e *ast.CallExpr) (value.Value, error) {
 // cells are windows on the thread's stacks, given back on return.
 func (t *thread) call(fn *ast.FuncDecl, args []value.Value, pos token.Pos) (value.Value, error) {
 	if fn.HasParallel {
-		return t.enter(newFrame(fn, args), pos)
+		return t.enter(t.interp.newFrame(fn, args), pos)
 	}
 	rec, rsp := t.frames.Claim(1)
 	own, sp := t.cells.Claim(fn.NumSlots)

@@ -383,6 +383,7 @@ func (r *Runtime) launch(wg *sync.WaitGroup, parent *Thread, n int, spawn func(i
 		r.identify(s.Thread, parent.ID)
 		wg.Add(1)
 		go func() {
+			growStack()
 			defer wg.Done()
 			defer r.retire(s.Thread, s.Pos)
 			r.started(s.Thread)
@@ -420,6 +421,7 @@ func (r *Runtime) ParFor(parent *Thread, n int, pos token.Pos, worker func() (*T
 		}
 		wg.Add(1)
 		go func() {
+			growStack()
 			defer wg.Done()
 			t, body := worker()
 			defer r.retire(t, pos)
@@ -442,6 +444,31 @@ func (r *Runtime) ParFor(parent *Thread, n int, pos token.Pos, worker func() (*T
 	wg.Wait()
 	return r.joined(refused)
 }
+
+// spawnStack is how far a new thread's goroutine grows its stack before
+// it enters an engine: about twice the VM's dispatch-loop frame (920 bytes
+// on amd64), so that frame and its first callees fit. A goroutine that
+// starts on the minimal 2 KB stack would otherwise overflow in the
+// dispatch loop's prologue, and the runtime sizes a stack growth by
+// walking the whole pc-sp table of the function that overflowed, which
+// for the dispatch loop is long; growing once here, in a function whose
+// table is a few entries long, is what makes the growth cheap. A larger
+// pad would cost a growth of its own where the runtime already starts
+// goroutines on larger stacks (it sizes them by their average use).
+const spawnStack = 2 << 10
+
+// growStack grows the calling goroutine's stack to hold spawnStack bytes.
+//
+//go:noinline
+func growStack() {
+	var pad [spawnStack]byte
+	keep(pad[:])
+}
+
+// keep takes pad's address, so the compiler gives growStack its frame.
+//
+//go:noinline
+func keep([]byte) {}
 
 // Lock acquires the named lock idx for t, parking until it is free. A
 // parked thread is woken by every release, by Cancel and by a governor

@@ -126,8 +126,8 @@ const sharedLoopSrc = `def main():
 `
 
 // parForBodySrc is a parallel for with next to nothing in its body: what
-// is timed is an iteration's own cost — its cell, its view of the cells,
-// its window on the worker's register stack.
+// is timed is an iteration's own cost — its induction value written into
+// the worker's window, and the thread bookkeeping around it.
 const parForBodySrc = `def main():
     out = range(20000)
     parallel for i in range(20000):
@@ -243,8 +243,8 @@ func BenchmarkSharedLoop(b *testing.B) { benchmarkRun(b, sharedLoopSrc) }
 func BenchmarkSpawn(b *testing.B)      { benchmarkRun(b, spawnSrc) }
 
 // BenchmarkParForBody also reports allocations per iteration of the
-// parallel for (the run's few dozen fixed ones included): a cell and a
-// view of the cells, and no longer an array of temporaries.
+// parallel for (the run's few dozen fixed ones included): none of its own,
+// neither a cell nor a view of the cells nor an array of temporaries.
 func BenchmarkParForBody(b *testing.B) {
 	const iters = 20000
 	run := runsOf(b, compileOpt(b, parForBodySrc, bytecode.O2), rt.Config{Sched: sched.Config{Workers: 2}})
@@ -494,9 +494,8 @@ def main():
 }
 
 // A parallel-for worker runs its iterations on one engine thread, so on
-// one stack. The iterations allocate their cells as before; recursing in
-// them, to depths that differ, may only add what a worker's stack costs
-// once.
+// one stack. Recursing in them, to depths that differ, may only add what a
+// worker's stack costs once.
 func TestCallFramesOfParForWorkersShareAStack(t *testing.T) {
 	const workers = 4
 	deep := parForDown("i % 37")
@@ -510,6 +509,32 @@ func TestCallFramesOfParForWorkersShareAStack(t *testing.T) {
 	if extra := allocs(deep) - allocs(parForDown("0")); extra > 32*workers {
 		t.Errorf("recursing in the loop body costs %v more allocations per run, want at most %d for %d workers",
 			extra, 32*workers, workers)
+	}
+}
+
+// A parallel-for iteration allocates nothing: its induction value goes
+// into its slot in the worker's window, which also holds its temporaries
+// and the copy of the spawner's variables. Twice the iterations on the
+// same two workers cost no more allocations.
+func TestParForIterationsDoNotAllocate(t *testing.T) {
+	src := func(n int) string {
+		return fmt.Sprintf(`def main():
+    out = range(%d)
+    k = 3
+    parallel for i in range(%d):
+        out[i] = i * k
+    print(out[%d - 1])
+`, n, n, n)
+	}
+	const n = 4000
+	sameAsInterp(t, src(n))
+	allocs := func(n int) float64 {
+		run := runsOf(t, compileOpt(t, src(n), bytecode.O2), rt.Config{Sched: sched.Config{Workers: 2}})
+		run()
+		return testing.AllocsPerRun(5, func() { run() })
+	}
+	if perIter := (allocs(2*n) - allocs(n)) / n; perIter >= 0.01 {
+		t.Errorf("%.3f allocations per parallel-for iteration, want 0", perIter)
 	}
 }
 

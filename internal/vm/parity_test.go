@@ -8,6 +8,7 @@ package vm_test
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -258,6 +259,102 @@ func TestRandomProgramDifferential(t *testing.T) {
 	}
 }
 
+// parallelGen generates programs whose threads read variables that no
+// thread of their construct writes and write variables and array elements
+// that no other thread of it touches, nesting parallel blocks and
+// parallel-for loops: every schedule prints the same, and which variables
+// end up shared varies from program to program.
+type parallelGen struct{ r *rand.Rand }
+
+func (g parallelGen) expr(vars []string, depth int) string {
+	if depth > 2 || g.r.Intn(3) == 0 {
+		if len(vars) > 0 && g.r.Intn(5) < 3 {
+			return vars[g.r.Intn(len(vars))]
+		}
+		return strconv.Itoa(g.r.Intn(10))
+	}
+	a, b := g.expr(vars, depth+1), g.expr(vars, depth+1)
+	switch g.r.Intn(4) {
+	case 0:
+		return "(" + a + " + " + b + ")"
+	case 1:
+		return "(" + a + " - " + b + ")"
+	case 2:
+		return "(" + a + " * " + b + ")"
+	}
+	return fmt.Sprintf("(%s %% %d)", a, g.r.Intn(6)+2)
+}
+
+// block writes 1–4 statements at indent ind that read ro, may write rw
+// and may write the elements outs of out.
+func (g parallelGen) block(sb *strings.Builder, ind int, ro, rw []string, outs []int, depth int) {
+	pad := strings.Repeat("    ", ind)
+	all := append(append([]string(nil), ro...), rw...)
+	for n := g.r.Intn(4) + 1; n > 0; n-- {
+		switch k := g.r.Intn(8); {
+		case k == 0 && len(rw) > 0:
+			fmt.Fprintf(sb, "%s%s = %s\n", pad, rw[g.r.Intn(len(rw))], g.expr(all, 0))
+		case k == 1 && len(rw) > 0:
+			fmt.Fprintf(sb, "%s%s += %s\n", pad, rw[g.r.Intn(len(rw))], g.expr(all, 0))
+		case k == 2 && len(outs) > 0:
+			o := outs[g.r.Intn(len(outs))]
+			fmt.Fprintf(sb, "%sout[%d] += %s\n", pad, o, g.expr(all, 0))
+		case k == 3:
+			fmt.Fprintf(sb, "%slock acc:\n%s    total[0] += %s\n", pad, pad, g.expr(all, 0))
+		case k == 4 && depth < 3 && len(rw) > 0:
+			fmt.Fprintf(sb, "%sfor %s in [%d .. %d]:\n", pad, rw[g.r.Intn(len(rw))], g.r.Intn(3), g.r.Intn(3)+3)
+			g.block(sb, ind+1, ro, rw, outs, depth+1)
+		case k == 5 && depth < 3 && len(outs) >= 2:
+			// Arms split the writable variables and elements between them.
+			arms := 2 + g.r.Intn(min(2, len(outs)-1))
+			fmt.Fprintf(sb, "%sparallel:\n", pad)
+			for i := 0; i < arms; i++ {
+				var armRW []string
+				var armOuts []int
+				for j := i; j < len(rw); j += arms {
+					armRW = append(armRW, rw[j])
+				}
+				for j := i; j < len(outs); j += arms {
+					armOuts = append(armOuts, outs[j])
+				}
+				fmt.Fprintf(sb, "%s    if true:\n", pad)
+				g.block(sb, ind+2, ro, armRW, armOuts, depth+1)
+			}
+		case k == 6 && depth < 3 && len(outs) > 0:
+			// Each iteration owns the element its induction value names.
+			v := fmt.Sprintf("i%d", depth)
+			fmt.Fprintf(sb, "%sparallel for %s in %s:\n%s    out[%s] += %s\n", pad, v,
+				strings.ReplaceAll(fmt.Sprint(outs), " ", ", "), pad, v, g.expr(append(ro, v), 0))
+			g.block(sb, ind+1, append(ro, v), nil, nil, depth+1)
+		default:
+			fmt.Fprintf(sb, "%spass\n", pad)
+		}
+	}
+}
+
+func (g parallelGen) program() string {
+	var sb strings.Builder
+	sb.WriteString("def work(n int) int:\n    out = [0, 0, 0, 0, 0, 0]\n    total = [0]\n" +
+		"    a = n\n    b = n + 1\n    c = 2\n    d = 3\n    i0 = 0\n    i1 = 0\n    i2 = 0\n")
+	g.block(&sb, 1, []string{"n"}, []string{"a", "b", "c", "d"}, []int{0, 1, 2, 3, 4, 5}, 0)
+	sb.WriteString("    s = a + b + c + d + total[0]\n    for e in out:\n        s += e\n    return s\n\n" +
+		"def main():\n    for k in [0 .. 2]:\n        print(work(k))\n")
+	return sb.String()
+}
+
+// TestRandomParallelProgramDifferential holds the engines to one another
+// on generated programs with threads, whose variables the sharing
+// analysis splits differently each time between cells and registers.
+func TestRandomParallelProgramDifferential(t *testing.T) {
+	g := parallelGen{rand.New(rand.NewSource(35))}
+	for i := 0; i < 60; i++ {
+		src := g.program()
+		if r := agree(t, src, rt.Config{}); r.Err != "" {
+			t.Fatalf("%s\n%s", r.Err, src)
+		}
+	}
+}
+
 // sumLoop builds a parallel-for program summing i*i over range(n) into
 // disjoint slots, so output is deterministic under any schedule.
 func sumLoop(n int) string {
@@ -346,6 +443,26 @@ func TestSchedNestedParallel(t *testing.T) {
 `
 	if r := agree(t, src, rt.Config{Sched: sched.Config{Workers: 3}}); r != (parity.Result{Stdout: "75\n"}) {
 		t.Errorf("%+v, want stdout %q", r, "75\n")
+	}
+}
+
+// TestNestedConstructInAnEarlierArm: the arms of a block are consecutive
+// chunks even when an arm before the last holds a parallel construct of
+// its own, whose chunks come after them.
+func TestNestedConstructInAnEarlierArm(t *testing.T) {
+	src := `def main():
+    out = [0, 0, 0, 0]
+    parallel:
+        parallel:
+            out[0] = 1
+            out[1] = 2
+        out[2] = 3
+        parallel for i in [3]:
+            out[i] = 4
+    print(out)
+`
+	if r := agree(t, src, rt.Config{}); r != (parity.Result{Stdout: "[1, 2, 3, 4]\n"}) {
+		t.Errorf("%+v, want stdout %q", r, "[1, 2, 3, 4]\n")
 	}
 }
 

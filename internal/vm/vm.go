@@ -3,7 +3,7 @@
 // (§VI). It keeps the interpreter's parallel runtime semantics exactly,
 // because both run on the same thread runtime (internal/rt): parallel
 // chunks run on goroutines sharing the enclosing frame's cells,
-// parallel-for iterations get a private induction cell, background chunks
+// parallel-for iterations get a private induction variable, background chunks
 // are not joined before the spawning statement continues (though Run joins
 // them before returning), and lock instructions hit the runtime's named
 // lock table, whose waiters park interruptibly and which refuses a wait
@@ -27,18 +27,19 @@
 // element, from the caller's argument temporaries into the callee's
 // parameter slots.
 //
-// A function containing parallelism keeps one mutex-guarded cell per
-// variable, on the heap (threads of a `parallel` block share them,
-// `background` threads may outlive the activation, and `parallel for`
-// gives each iteration a private cell for the induction variable). Its
-// code reaches them through two instructions only, OpLoadCell and
-// OpStoreCell, which the compiler emits wherever a variable is read or
-// written; everything else in it operates on temporaries, which are a
-// window on the executing thread's stack like any other — the body's, a
-// spawned thread's sub-chunk's, each parallel-for iteration's on its
-// worker's stack. So there is one dispatch loop and one register file:
-// "shared" is a property of five opcodes (the two cell accesses and the
-// three that spawn threads over the cells), not of the operand path.
+// A variable the threads of a function really share (bytecode.Func.Shared)
+// is a mutex-guarded cell on the heap: threads of a `parallel` block share
+// it, and `background` threads may outlive the activation. Code reaches
+// it through two instructions only, OpLoadCell and OpStoreCell, which the
+// compiler emits wherever it is read or written. Every other variable is
+// a register, in a function with parallel constructs too. A spawned
+// thread's sub-chunk runs over a window of its own, on its own stack,
+// which starts as a copy of the spawner's slot registers; a parallel-for
+// worker copies them once and then writes each iteration's induction value
+// into its slot, so an iteration allocates nothing. So there is one
+// dispatch loop and one register file: "shared" is a property of five
+// opcodes (the two cell accesses and the three that spawn threads), not of
+// the operand path.
 //
 // # Typed dispatch
 //
@@ -174,9 +175,9 @@ type thread struct {
 	frames []frame
 }
 
-// frame is what a call to a flat function saves: the caller's function,
-// chunk, call instruction, registers and cells, and the stack top to go
-// back to when the callee's window is released.
+// frame is what a call saves: the caller's function, chunk, call
+// instruction, registers and cells, and the stack top to go back to when
+// the callee's window is released.
 type frame struct {
 	fn    *bytecode.Func
 	ch    *bytecode.Chunk
@@ -186,35 +187,38 @@ type frame struct {
 	sp    int
 }
 
-// newCells allocates the variable cells of one activation of a function
-// with parallel constructs. They live on the heap because the threads the
-// activation spawns share them, and a background thread may still use
-// them after the activation has returned.
-func newCells(fn *bytecode.Func) []*value.Cell {
+// newCells returns the cells of one activation of fn, which shares a
+// variable, with the shared parameters bound to args. They live on the
+// heap because the threads the activation spawns share them, and a
+// background thread may still use them after the activation has returned.
+// No other thread can see them before the body runs. It stays out of line
+// so the dispatch loop's frame does not grow by what it needs.
+//
+//go:noinline
+func newCells(fn *bytecode.Func, args []value.Value) []*value.Cell {
 	backing := make([]value.Cell, fn.NumSlots)
 	cells := make([]*value.Cell, fn.NumSlots)
 	for i := range backing {
 		cells[i] = &backing[i]
 	}
+	for i := range args {
+		if fn.Shared[i] {
+			cells[i].StoreLocal(args[i])
+		}
+	}
 	return cells
 }
 
-// call runs fn on this thread from outside the dispatch loop: the thread's
-// entry function, and any function with parallel constructs. The recursion
-// bound is checked at OpCall, where the call site's position is at hand.
+// call runs fn as this thread's entry function. The recursion bound is
+// checked at OpCall, where the call site's position is at hand.
 func (t *thread) call(fn *bytecode.Func, args []value.Value) (value.Value, error) {
 	t.depth++
 	body := &fn.Chunks[0]
 	w, sp := t.stack.Claim(fn.NumSlots + body.NumTemps)
+	copy(w, args)
 	var cells []*value.Cell
-	if fn.Shared {
-		// No other thread can see the cells before the body runs.
-		cells = newCells(fn)
-		for i := range args {
-			cells[i].StoreLocal(args[i])
-		}
-	} else {
-		copy(w, args)
+	if fn.Shared != nil {
+		cells = newCells(fn, args)
 	}
 	v, err := t.exec(fn, body, w, cells)
 	t.stack.Release(w, sp)
@@ -222,27 +226,28 @@ func (t *thread) call(fn *bytecode.Func, args []value.Value) (value.Value, error
 	return v, err
 }
 
-// runChunk runs a parallel sub-chunk of fn over cells, with a window of
-// its own from this thread's stack, sized like any other activation's: a
-// sub-chunk's temporaries are numbered above the function's slots, and a
-// call without arguments still slices an empty block there.
-func (t *thread) runChunk(fn *bytecode.Func, ch *bytecode.Chunk, cells []*value.Cell) error {
-	w, sp := t.stack.Claim(fn.NumSlots + ch.NumTemps)
-	_, err := t.exec(fn, ch, w, cells)
-	t.stack.Release(w, sp)
-	return err
+// window claims a window for chunk ch of fn from this thread's stack,
+// sized like any other activation's (a sub-chunk's temporaries are
+// numbered above the function's slots, and a call without arguments still
+// slices an empty block there), and fills its slot registers from the
+// spawner's regs. The thread that owns the stack is new and not running
+// yet, or runs nothing else, so the window is never handed back.
+func (t *thread) window(fn *bytecode.Func, ch *bytecode.Chunk, regs []value.Value) []value.Value {
+	w, _ := t.stack.Claim(fn.NumSlots + ch.NumTemps)
+	copy(w, regs[:fn.NumSlots])
+	return w
 }
 
 // exec runs chunk ch of fn over the window regs until it returns, and
 // delivers its result: the returned value, or the result type's zero when
 // a value-returning function's body falls off its end. cells are the
-// variables of a function with parallel constructs, nil for a flat one;
-// only the cell and spawn instructions touch them.
+// activation's cells, nil when its function shares no variable; only the
+// cell and spawn instructions touch them.
 //
-// Calls to flat functions do not recurse into exec. OpCall saves the
-// caller in a frame record, claims the callee's window, copies the
-// arguments into it and goes on dispatching in the callee; a return
-// releases the window and resumes the saved caller. Only the return that
+// Calls do not recurse into exec. OpCall saves the caller in a frame
+// record, claims the callee's window, copies the arguments into it (and
+// allocates the callee's cells, if it has any) and goes on dispatching in
+// the callee; a return releases the window and resumes the saved caller. Only the return that
 // finds the record stack where this exec started leaves it. An error
 // leaves it at once, records and windows unreleased: a thread that fails
 // runs nothing more, and its stack goes with it.
@@ -577,17 +582,7 @@ activation:
 			}
 			callee := t.vm.prog.Funcs[ins.A]
 			args := regs[ins.B : ins.B+ins.C]
-			if callee.Shared {
-				v, err := t.call(callee, args)
-				if err != nil {
-					return value.Value{}, err
-				}
-				if ins.Dst >= 0 {
-					regs[ins.Dst] = v
-				}
-				continue
-			}
-			// Flat callee: its window takes the arguments straight from the
+			// The callee's window takes the arguments straight from the
 			// caller's argument temporaries, and dispatch moves into it. The
 			// caller's record is written in place, field by field: appending
 			// a composite literal builds it on exec's frame and copies it.
@@ -605,6 +600,9 @@ activation:
 			fr.fn, fr.ch, fr.pc, fr.regs, fr.cells, fr.sp = fn, ch, pc, regs, cells, sp
 			t.depth++
 			fn, ch, regs, cells, pc = callee, body, w, nil, 0
+			if callee.Shared != nil {
+				cells = newCells(callee, args)
+			}
 			goto activation
 
 		case bytecode.OpCallBuiltin:
@@ -718,16 +716,12 @@ activation:
 			regs[ins.Dst] = a.Get(int(idx))
 			regs[ins.A+1] = value.NewInt(idx + 1)
 
-		case bytecode.OpParallel:
-			if err := t.vm.rt.Parallel(&t.Thread, int(ins.B), t.spawns(fn, cells, int(ins.A), ch.Pos[pc])); err != nil {
-				return value.Value{}, err
-			}
-		case bytecode.OpBackground:
-			if err := t.vm.rt.Background(&t.Thread, int(ins.B), t.spawns(fn, cells, int(ins.A), ch.Pos[pc])); err != nil {
+		case bytecode.OpParallel, bytecode.OpBackground:
+			if err := t.spawn(ins.Op == bytecode.OpParallel, fn, regs, cells, ins, ch.Pos[pc]); err != nil {
 				return value.Value{}, err
 			}
 		case bytecode.OpParFor:
-			if err := t.parFor(fn, cells, &fn.Chunks[ins.A], ins.C, regs[ins.B], ch.Pos[pc]); err != nil {
+			if err := t.parFor(fn, regs, cells, &fn.Chunks[ins.A], ins.C, regs[ins.B], ch.Pos[pc]); err != nil {
 				return value.Value{}, err
 			}
 
@@ -770,31 +764,58 @@ func (t *thread) arith(op bytecode.Op, l, r value.Value, pos *token.Pos) (value.
 	return v, nil
 }
 
-// spawns describes the threads of a parallel or background block to the
-// runtime: one per chunk starting at fn.Chunks[first], all sharing the
-// spawning activation's cells.
-func (t *thread) spawns(fn *bytecode.Func, cells []*value.Cell, first int, pos token.Pos) func(i int) rt.Spawn {
-	return func(i int) rt.Spawn {
+// spawn runs the threads of a parallel block (join) or a background one,
+// ins: one per chunk in [ins.A, ins.A+ins.B), all sharing the spawning
+// activation's cells, each with a copy of its slot registers. The runtime
+// describes each thread on the spawning one, before that thread goes on:
+// a background thread's copy is taken before the spawner can return and
+// hand its window back. Out of line, the describer does not sit in the
+// dispatch loop's frame.
+//
+//go:noinline
+func (t *thread) spawn(join bool, fn *bytecode.Func, regs []value.Value, cells []*value.Cell, ins *bytecode.Instr, pos token.Pos) error {
+	describe := func(i int) rt.Spawn {
 		nt := &thread{vm: t.vm}
-		sub := &fn.Chunks[first+i]
-		return rt.Spawn{Pos: pos, Thread: &nt.Thread, Run: func() error { return nt.runChunk(fn, sub, cells) }}
+		sub := &fn.Chunks[int(ins.A)+i]
+		w := nt.window(fn, sub, regs)
+		return rt.Spawn{Pos: pos, Thread: &nt.Thread, Run: func() error {
+			_, err := nt.exec(fn, sub, w, cells)
+			return err
+		}}
 	}
+	if join {
+		return t.vm.rt.Parallel(&t.Thread, int(ins.B), describe)
+	}
+	return t.vm.rt.Background(&t.Thread, int(ins.B), describe)
 }
 
-// parFor hands the iterations over seq to the runtime's chunked loop. Each
-// iteration runs chunk sub over the activation's cells with a private cell
-// in place of the induction variable's. A worker's iterations run on one
-// engine thread, so they share its register stack: an iteration allocates
-// its cell and its view of the cells, and nothing for its temporaries.
-func (t *thread) parFor(fn *bytecode.Func, cells []*value.Cell, sub *bytecode.Chunk, induction int32, seq value.Value, pos token.Pos) error {
+// parFor hands the iterations over seq to the runtime's chunked loop. A
+// worker copies the spawner's slot registers into one window (the spawner
+// is parked in the loop until it ends), and each iteration on it writes
+// its induction value into the induction slot and runs chunk sub there:
+// the body writes no private variable, and reads every temporary only
+// after writing it, so the window needs no reset in between, and an
+// iteration allocates nothing. A shared induction variable — one the body
+// or another thread body also assigns — gets a private cell per
+// iteration instead, in a view of the activation's cells.
+func (t *thread) parFor(fn *bytecode.Func, regs []value.Value, cells []*value.Cell, sub *bytecode.Chunk, induction int32, seq value.Value, pos token.Pos) error {
 	elems := sem.Elements(seq)
 	return t.vm.rt.ParFor(&t.Thread, elems.Len(), pos, func() (*rt.Thread, func(i int) error) {
 		nt := &thread{vm: t.vm}
+		w := nt.window(fn, sub, regs)
+		if fn.SharedSlot(induction) {
+			return &nt.Thread, func(i int) error {
+				forked := make([]*value.Cell, len(cells))
+				copy(forked, cells)
+				forked[induction] = value.NewCell(elems.Get(i))
+				_, err := nt.exec(fn, sub, w, forked)
+				return err
+			}
+		}
 		return &nt.Thread, func(i int) error {
-			forked := make([]*value.Cell, len(cells))
-			copy(forked, cells)
-			forked[induction] = value.NewCell(elems.Get(i))
-			return nt.runChunk(fn, sub, forked)
+			w[induction] = elems.Get(i)
+			_, err := nt.exec(fn, sub, w, cells)
+			return err
 		}
 	})
 }
