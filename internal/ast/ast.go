@@ -8,6 +8,7 @@
 package ast
 
 import (
+	"repro/internal/sem"
 	"repro/internal/token"
 	"repro/internal/types"
 )
@@ -139,6 +140,9 @@ type AssignStmt struct {
 	// Define is true when this assignment introduces the target variable.
 	// Filled by the checker.
 	Define bool
+	// Kernel is what an augmented assignment's operator runs on, the
+	// target's type on the left. Filled by the checker.
+	Kernel Kernel
 }
 
 // IfStmt is an if/elif/else chain. Elif chains are desugared by the parser
@@ -173,6 +177,10 @@ type ParallelForStmt struct {
 	Var    *Ident
 	Seq    Expr
 	Body   *Block
+
+	// Spawns is true when the body holds a parallel construct of its own,
+	// whose threads may outlive an iteration. Filled by the checker.
+	Spawns bool
 }
 
 // ParallelStmt is a fork-join block: each child statement runs in its own
@@ -341,7 +349,30 @@ type BinaryExpr struct {
 	Op    token.Kind
 	OpPos token.Pos
 	X, Y  Expr
+
+	// Kernel is what an arithmetic or comparison operator runs on. Filled
+	// by the checker.
+	Kernel Kernel
 }
+
+// Kernel is the typed evaluation an operator resolves to: its sem operator
+// and the operand types it runs on, so an engine applies sem's kernel for
+// those types without asking the operands what they are.
+type Kernel struct {
+	Op       sem.Op
+	Operands Operands
+}
+
+// Operands names the operand types of a Kernel.
+type Operands uint8
+
+const (
+	Generic Operands = iota // strings, bools or arrays: sem.Arith, sem.Compare
+	Ints                    // int and int
+	Reals                   // real and real
+	IntReal                 // int and real: the left operand widens
+	RealInt                 // real and int: the right operand widens
+)
 
 // IndexExpr is a[i].
 type IndexExpr struct {

@@ -15,6 +15,7 @@ import (
 	"strings"
 
 	"repro/internal/ast"
+	"repro/internal/sem"
 	"repro/internal/stdlib"
 	"repro/internal/token"
 	"repro/internal/types"
@@ -371,21 +372,52 @@ func (c *checker) checkAssignValue(s *ast.AssignStmt, targetType *types.Type) {
 		return
 	}
 	// Augmented assignment: target op= value behaves like target = target op value.
-	binOp := map[token.Kind]token.Kind{
-		token.PLUSASSIGN:    token.PLUS,
-		token.MINUSASSIGN:   token.MINUS,
-		token.STARASSIGN:    token.STAR,
-		token.SLASHASSIGN:   token.SLASH,
-		token.PERCENTASSIGN: token.PERCENT,
-	}[s.Op]
+	binOp := augmented[s.Op]
 	rt := c.arithResult(binOp, targetType, vt, s.OpPos)
 	if rt == nil {
 		return
 	}
+	s.Kernel = kernel(binOp, targetType, vt)
 	if !types.AssignableTo(rt, targetType) {
 		c.errorf(s.OpPos, "%s %s %s yields %s, which cannot be stored back into %s",
 			targetType, binOp, vt, rt, targetType)
 	}
+}
+
+// augmented maps an augmented-assignment operator to the binary one it
+// applies.
+var augmented = map[token.Kind]token.Kind{
+	token.PLUSASSIGN:    token.PLUS,
+	token.MINUSASSIGN:   token.MINUS,
+	token.STARASSIGN:    token.STAR,
+	token.SLASHASSIGN:   token.SLASH,
+	token.PERCENTASSIGN: token.PERCENT,
+}
+
+// semOps maps an arithmetic or comparison operator to its sem operator.
+var semOps = map[token.Kind]sem.Op{
+	token.PLUS: sem.Add, token.MINUS: sem.Sub, token.STAR: sem.Mul, token.SLASH: sem.Div, token.PERCENT: sem.Mod,
+	token.EQ: sem.Eq, token.NE: sem.Ne, token.LT: sem.Lt, token.LE: sem.Le, token.GT: sem.Gt, token.GE: sem.Ge,
+}
+
+// kernel resolves op on operands of types lt and rt, which the checker has
+// accepted, to the kernel it runs: ints and reals each have their own, a
+// mixed pair widens its int side and runs the real one, and anything else
+// — strings, bools, arrays — is generic.
+func kernel(op token.Kind, lt, rt *types.Type) ast.Kernel {
+	k := ast.Kernel{Op: semOps[op]}
+	l, r := lt.Kind(), rt.Kind()
+	switch {
+	case l == types.Int && r == types.Int:
+		k.Operands = ast.Ints
+	case l == types.Real && r == types.Real:
+		k.Operands = ast.Reals
+	case l == types.Int && r == types.Real:
+		k.Operands = ast.IntReal
+	case l == types.Real && r == types.Int:
+		k.Operands = ast.RealInt
+	}
+	return k
 }
 
 // checkExpr types an expression with no contextual expectation.
@@ -550,6 +582,7 @@ func (c *checker) checkBinary(e *ast.BinaryExpr) *types.Type {
 			c.errorf(e.OpPos, "cannot compare %s and %s", lt, rt)
 			return nil
 		}
+		e.Kernel = kernel(e.Op, lt, rt)
 		e.SetType(types.BoolType)
 		return e.Type()
 
@@ -565,6 +598,7 @@ func (c *checker) checkBinary(e *ast.BinaryExpr) *types.Type {
 			c.errorf(e.OpPos, "operator %s requires two numbers or two strings, got %s and %s", e.Op, lt, rt)
 			return nil
 		}
+		e.Kernel = kernel(e.Op, lt, rt)
 		e.SetType(types.BoolType)
 		return e.Type()
 
@@ -578,6 +612,7 @@ func (c *checker) checkBinary(e *ast.BinaryExpr) *types.Type {
 		if t == nil {
 			return nil
 		}
+		e.Kernel = kernel(e.Op, lt, rt)
 		e.SetType(t)
 		return t
 	}

@@ -1,11 +1,14 @@
 package check
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/ast"
 	"repro/internal/parser"
+	"repro/internal/sem"
+	"repro/internal/token"
 	"repro/internal/types"
 )
 
@@ -295,5 +298,50 @@ func TestErrorPositions(t *testing.T) {
 	list := err.(ErrorList)
 	if list[0].Pos.Line != 3 {
 		t.Errorf("error line = %d, want 3", list[0].Pos.Line)
+	}
+}
+
+// TestKernels pins the kernel the checker records for each operator: ints
+// and reals have their own, a mixed pair names its int side, and
+// everything else is generic. Augmented assignments record theirs with the
+// target on the left.
+func TestKernels(t *testing.T) {
+	prog := checked(t, `def main():
+    i = 1
+    r = 2.0
+    s = "a"
+    b = true
+    a = [1]
+    print(i + i, r * r, i / r, r % i, i < i, r >= r, i == r, s + s, s < s, b == b, a != a)
+    r += i
+    r -= r
+    i %= i
+    s += s
+`)
+	var got []ast.Kernel
+	for _, st := range prog.Funcs[0].Body.Stmts {
+		switch st := st.(type) {
+		case *ast.ExprStmt:
+			for _, arg := range st.X.(*ast.CallExpr).Args {
+				got = append(got, arg.(*ast.BinaryExpr).Kernel)
+			}
+		case *ast.AssignStmt:
+			if st.Op != token.ASSIGN {
+				got = append(got, st.Kernel)
+			}
+		}
+	}
+	want := []ast.Kernel{
+		{Op: sem.Add, Operands: ast.Ints}, {Op: sem.Mul, Operands: ast.Reals},
+		{Op: sem.Div, Operands: ast.IntReal}, {Op: sem.Mod, Operands: ast.RealInt},
+		{Op: sem.Lt, Operands: ast.Ints}, {Op: sem.Ge, Operands: ast.Reals},
+		{Op: sem.Eq, Operands: ast.IntReal}, {Op: sem.Add, Operands: ast.Generic},
+		{Op: sem.Lt, Operands: ast.Generic}, {Op: sem.Eq, Operands: ast.Generic},
+		{Op: sem.Ne, Operands: ast.Generic},
+		{Op: sem.Add, Operands: ast.RealInt}, {Op: sem.Sub, Operands: ast.Reals},
+		{Op: sem.Mod, Operands: ast.Ints}, {Op: sem.Add, Operands: ast.Generic},
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("kernels:\n got %v\nwant %v", got, want)
 	}
 }

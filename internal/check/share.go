@@ -108,6 +108,7 @@ func (s *sharing) stmt(st ast.Stmt) {
 	case *ast.ParallelForStmt:
 		s.expr(st.Seq)
 		s.body(st.Body)
+		st.Spawns = spawns(st.Body)
 	case *ast.ParallelStmt:
 		s.body(st.Body)
 	case *ast.BackgroundStmt:
@@ -141,6 +142,19 @@ func backgroundMentions(bg *ast.BackgroundStmt, into []bool) {
 	n := len(into)
 	m := &sharing{inBody: 1, mentioned: into, written: make([]bool, n), bgLive: make([]bool, n)}
 	m.block(bg.Body)
+}
+
+// spawns reports whether b, nested blocks included, holds a parallel
+// construct.
+func spawns(b *ast.Block) bool {
+	found := false
+	eachStmt(b, func(st ast.Stmt) {
+		switch st.(type) {
+		case *ast.ParallelStmt, *ast.BackgroundStmt, *ast.ParallelForStmt:
+			found = true
+		}
+	})
+	return found
 }
 
 // eachStmt calls fn on every statement of b, nested ones included, in

@@ -4,6 +4,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/ast"
 )
 
 // TestSharedSlots pins the sharing rule: a variable is a cell only if a
@@ -175,5 +177,30 @@ def main():
 		if !slices.Equal(got, c.shared) {
 			t.Errorf("%s: shared = %v, want %v\n%s", c.fn, got, c.shared, strings.SplitN(c.src, "\n", 2)[0])
 		}
+	}
+}
+
+// TestSpawns pins ast.ParallelForStmt.Spawns: a body that holds a parallel
+// construct, at any depth, starts threads that may outlive an iteration.
+func TestSpawns(t *testing.T) {
+	prog := checked(t, `def main():
+    parallel for i in [1, 2]:
+        print(i)
+    parallel for j in [1, 2]:
+        if j > 1:
+            background:
+                print(j)
+    parallel for k in [1, 2]:
+        parallel for m in [3, 4]:
+            print(k + m)
+`)
+	var got []bool
+	eachStmt(prog.Funcs[0].Body, func(st ast.Stmt) {
+		if pf, ok := st.(*ast.ParallelForStmt); ok {
+			got = append(got, pf.Spawns)
+		}
+	})
+	if want := []bool{false, true, true, false}; !slices.Equal(got, want) {
+		t.Errorf("Spawns = %v, want %v", got, want)
 	}
 }

@@ -44,22 +44,23 @@ def main():
     print(fib(20))
 `
 
-// runsOf returns a function that runs src on a fresh interpreter and
-// returns what it printed, failing the test on a runtime error.
-func runsOf(t testing.TB, src string) func() string {
+// runsOf returns a function that runs src on a fresh interpreter under
+// cfg and returns what it printed, failing the test on a runtime error.
+func runsOf(t testing.TB, src string, cfg rt.Config) func() string {
 	prog := compile(t, src)
 	var out bytes.Buffer
+	cfg.Stdout = &out
 	return func() string {
 		out.Reset()
-		if err := New(prog, rt.Config{Stdout: &out}).Run(); err != nil {
+		if err := New(prog, cfg).Run(); err != nil {
 			t.Fatal(err)
 		}
 		return out.String()
 	}
 }
 
-func benchmarkRun(b *testing.B, src string) {
-	run := runsOf(b, src)
+func benchmarkRun(b *testing.B, src string, cfg rt.Config) {
+	run := runsOf(b, src, cfg)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -67,14 +68,14 @@ func benchmarkRun(b *testing.B, src string) {
 	}
 }
 
-func BenchmarkCallLoop(b *testing.B) { benchmarkRun(b, callLoopSrc) }
-func BenchmarkFib(b *testing.B)      { benchmarkRun(b, fibSrc) }
+func BenchmarkCallLoop(b *testing.B) { benchmarkRun(b, callLoopSrc, rt.Config{}) }
+func BenchmarkFib(b *testing.B)      { benchmarkRun(b, fibSrc, rt.Config{}) }
 
 // 90 000 calls per run used to be 270 000 allocations: a record, an array
 // of cells and an argument slice each. What is left is the interpreter, its
 // thread and the stacks' first segments.
 func TestCallFramesDoNotAllocate(t *testing.T) {
-	run := runsOf(t, callLoopSrc)
+	run := runsOf(t, callLoopSrc, rt.Config{})
 	if got := run(); got != "60007\n" {
 		t.Fatalf("call loop printed %q", got)
 	}
@@ -117,7 +118,7 @@ def main():
     while i < %d:
         %s
         i += 1
-`, iters, r.stmt))
+`, iters, r.stmt), rt.Config{})
 			run()
 			return testing.AllocsPerRun(3, func() { run() })
 		}

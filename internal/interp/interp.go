@@ -51,6 +51,9 @@ type Interp struct {
 	env   *stdlib.Env
 	rt    *rt.Runtime
 	cfg   rt.Config
+	// watched is set when an instrument runs at every statement — Step,
+	// Tracer or CountWork — so an unwatched statement tests one field.
+	watched bool
 	// locked marks, per function with parallel constructs, the slots its
 	// frames access under their cells' locks: the shared variables
 	// (ast.FuncDecl.Shared), or every slot when an instrument — Step,
@@ -66,8 +69,9 @@ func (in *Interp) WorkProfile() []ThreadWork { return in.rt.WorkProfile() }
 // New returns an interpreter that runs the checked program as cfg says.
 func New(prog *ast.Program, cfg rt.Config) *Interp {
 	r := rt.New(cfg, prog.LockNames)
-	in := &Interp{prog: prog, cfg: cfg, guard: r.Guard(), env: r.Env(), rt: r}
-	watched := cfg.Step != nil || cfg.Tracer != nil || cfg.TraceVars
+	in := &Interp{prog: prog, cfg: cfg, guard: r.Guard(), env: r.Env(), rt: r,
+		watched: cfg.Step != nil || cfg.Tracer != nil || cfg.CountWork}
+	sees := cfg.Step != nil || cfg.Tracer != nil || cfg.TraceVars
 	for _, fn := range prog.Funcs {
 		if !fn.HasParallel {
 			continue
@@ -76,10 +80,10 @@ func New(prog *ast.Program, cfg rt.Config) *Interp {
 			in.locked = make(map[*ast.FuncDecl][]bool)
 		}
 		locked := fn.Shared
-		if watched || locked == nil {
+		if sees || locked == nil {
 			locked = make([]bool, fn.NumSlots)
 			for i := range locked {
-				locked[i] = watched
+				locked[i] = sees
 			}
 		}
 		in.locked[fn] = locked
@@ -313,7 +317,7 @@ func (t *thread) enter(f *frame, pos token.Pos) (value.Value, error) {
 	for _, slot := range fn.ZeroSlots {
 		f.own[slot].StoreLocal(value.Zero(fn.SlotTypes[slot]))
 	}
-	sig, err := t.execBlock(f, fn.Body)
+	sig, err := t.execStmts(f, fn.Body.Stmts)
 	t.emit(trace.Return, pos, fn.Name)
 	t.depth--
 	if err != nil {
@@ -340,9 +344,85 @@ const (
 	sigContinue
 )
 
-func (t *thread) execBlock(f *frame, b *ast.Block) (signal, error) {
-	for _, s := range b.Stmts {
-		sig, err := t.exec(f, s)
+// execStmts runs statements until one signals or fails. A statement costs
+// no call of its own: each is run in this loop, after the prologue that
+// checks for a stop, charges the governor and runs any instruments.
+func (t *thread) execStmts(f *frame, stmts []ast.Stmt) (signal, error) {
+	in := t.interp
+	for _, s := range stmts {
+		if in.rt.Stopped() {
+			return sigNone, rt.ErrStopped
+		}
+		if in.guard != nil {
+			// Batched fuel accounting: one local increment per statement,
+			// one governor sync per guard.StepBatch statements.
+			t.Pending++
+			if t.Pending >= guard.StepBatch {
+				if err := in.rt.Flush(&t.Thread, s.Pos()); err != nil {
+					return sigNone, err
+				}
+			}
+		}
+		if in.watched {
+			t.watch(f, s)
+		}
+
+		var sig signal
+		var err error
+		switch s := s.(type) {
+		case *ast.ExprStmt:
+			_, err = t.eval(f, s.X)
+
+		case *ast.AssignStmt:
+			err = t.execAssign(f, s)
+
+		case *ast.IfStmt:
+			var cond value.Value
+			if cond, err = t.eval(f, s.Cond); err != nil {
+				break
+			}
+			if cond.Bool() {
+				sig, err = t.execStmts(f, s.Then.Stmts)
+			} else if s.Else != nil {
+				sig, err = t.execStmts(f, s.Else.Stmts)
+			}
+
+		case *ast.WhileStmt:
+			sig, err = t.execWhile(f, s)
+
+		case *ast.ForStmt:
+			sig, err = t.execFor(f, s)
+
+		case *ast.ParallelStmt:
+			err = in.rt.Parallel(&t.Thread, len(s.Body.Stmts), t.spawns(f, s.Body.Stmts, s.Pos()))
+
+		case *ast.BackgroundStmt:
+			err = in.rt.Background(&t.Thread, len(s.Body.Stmts), t.spawns(f, s.Body.Stmts, s.Pos()))
+
+		case *ast.ParallelForStmt:
+			err = t.execParallelFor(f, s)
+
+		case *ast.LockStmt:
+			sig, err = t.execLock(f, s)
+
+		case *ast.ReturnStmt:
+			var v value.Value
+			if s.Value != nil {
+				if v, err = t.eval(f, s.Value); err != nil {
+					break
+				}
+				v = value.Convert(v, f.fn.Result)
+			}
+			t.ret, sig = v, sigReturn
+
+		case *ast.BreakStmt:
+			sig = sigBreak
+		case *ast.ContinueStmt:
+			sig = sigContinue
+		case *ast.PassStmt:
+		default:
+			err = rt.Errorf(s.Pos(), "internal: unknown statement %T", s)
+		}
 		if err != nil || sig != sigNone {
 			return sig, err
 		}
@@ -350,21 +430,60 @@ func (t *thread) execBlock(f *frame, b *ast.Block) (signal, error) {
 	return sigNone, nil
 }
 
-func (t *thread) exec(f *frame, s ast.Stmt) (signal, error) {
-	in := t.interp
-	if in.rt.Stopped() {
-		return sigNone, rt.ErrStopped
-	}
-	if in.guard != nil {
-		// Batched fuel accounting: one local increment per statement, one
-		// governor sync per guard.StepBatch statements.
-		t.Pending++
-		if t.Pending >= guard.StepBatch {
-			if err := in.rt.Flush(&t.Thread, s.Pos()); err != nil {
-				return sigNone, err
-			}
+func (t *thread) execWhile(f *frame, s *ast.WhileStmt) (signal, error) {
+	for {
+		if t.interp.rt.Stopped() {
+			return sigNone, rt.ErrStopped
+		}
+		cond, err := t.eval(f, s.Cond)
+		if err != nil {
+			return sigNone, err
+		}
+		if !cond.Bool() {
+			return sigNone, nil
+		}
+		sig, err := t.execStmts(f, s.Body.Stmts)
+		if err != nil {
+			return sigNone, err
+		}
+		switch sig {
+		case sigBreak:
+			return sigNone, nil
+		case sigReturn:
+			return sigReturn, nil
 		}
 	}
+}
+
+func (t *thread) execFor(f *frame, s *ast.ForStmt) (signal, error) {
+	seq, err := t.eval(f, s.Seq)
+	if err != nil {
+		return sigNone, err
+	}
+	iter := newIterator(seq)
+	for i := 0; i < iter.len(); i++ {
+		if t.interp.rt.Stopped() {
+			return sigNone, rt.ErrStopped
+		}
+		f.store(s.Var.Slot, iter.at(i))
+		sig, err := t.execStmts(f, s.Body.Stmts)
+		if err != nil {
+			return sigNone, err
+		}
+		switch sig {
+		case sigBreak:
+			return sigNone, nil
+		case sigReturn:
+			return sigReturn, nil
+		}
+	}
+	return sigNone, nil
+}
+
+// watch runs the instruments at statement s: the work count, the
+// debugger's step hook and the trace.
+func (t *thread) watch(f *frame, s ast.Stmt) {
+	in := t.interp
 	if t.countWork {
 		t.Work++
 		if t.Work >= t.yieldAt {
@@ -378,135 +497,34 @@ func (t *thread) exec(f *frame, s ast.Stmt) (signal, error) {
 	if in.cfg.Tracer != nil {
 		t.emit(trace.Step, s.Pos(), "")
 	}
-
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		_, err := t.eval(f, s.X)
-		return sigNone, err
-
-	case *ast.AssignStmt:
-		return sigNone, t.execAssign(f, s)
-
-	case *ast.IfStmt:
-		cond, err := t.eval(f, s.Cond)
-		if err != nil {
-			return sigNone, err
-		}
-		if cond.Bool() {
-			return t.execBlock(f, s.Then)
-		}
-		if s.Else != nil {
-			return t.execBlock(f, s.Else)
-		}
-		return sigNone, nil
-
-	case *ast.WhileStmt:
-		for {
-			if in.rt.Stopped() {
-				return sigNone, rt.ErrStopped
-			}
-			cond, err := t.eval(f, s.Cond)
-			if err != nil {
-				return sigNone, err
-			}
-			if !cond.Bool() {
-				return sigNone, nil
-			}
-			sig, err := t.execBlock(f, s.Body)
-			if err != nil {
-				return sigNone, err
-			}
-			switch sig {
-			case sigBreak:
-				return sigNone, nil
-			case sigReturn:
-				return sigReturn, nil
-			}
-		}
-
-	case *ast.ForStmt:
-		seq, err := t.eval(f, s.Seq)
-		if err != nil {
-			return sigNone, err
-		}
-		iter := newIterator(seq)
-		for i := 0; i < iter.len(); i++ {
-			if in.rt.Stopped() {
-				return sigNone, rt.ErrStopped
-			}
-			f.store(s.Var.Slot, iter.at(i))
-			sig, err := t.execBlock(f, s.Body)
-			if err != nil {
-				return sigNone, err
-			}
-			switch sig {
-			case sigBreak:
-				return sigNone, nil
-			case sigReturn:
-				return sigReturn, nil
-			}
-		}
-		return sigNone, nil
-
-	case *ast.ParallelStmt:
-		return sigNone, in.rt.Parallel(&t.Thread, len(s.Body.Stmts), t.spawns(f, s.Body.Stmts, s.Pos()))
-
-	case *ast.BackgroundStmt:
-		return sigNone, in.rt.Background(&t.Thread, len(s.Body.Stmts), t.spawns(f, s.Body.Stmts, s.Pos()))
-
-	case *ast.ParallelForStmt:
-		return sigNone, t.execParallelFor(f, s)
-
-	case *ast.LockStmt:
-		return t.execLock(f, s)
-
-	case *ast.ReturnStmt:
-		if s.Value != nil {
-			v, err := t.eval(f, s.Value)
-			if err != nil {
-				return sigNone, err
-			}
-			t.ret = value.Convert(v, f.fn.Result)
-		} else {
-			t.ret = value.Value{}
-		}
-		return sigReturn, nil
-
-	case *ast.BreakStmt:
-		return sigBreak, nil
-	case *ast.ContinueStmt:
-		return sigContinue, nil
-	case *ast.PassStmt:
-		return sigNone, nil
-	}
-	return sigNone, rt.Errorf(s.Pos(), "internal: unknown statement %T", s)
 }
 
 func (t *thread) execAssign(f *frame, s *ast.AssignStmt) error {
-	v, err := t.eval(f, s.Value)
-	if err != nil {
-		return err
+	v, ok := t.leaf(f, s.Value)
+	var err error
+	if !ok {
+		if v, err = t.eval(f, s.Value); err != nil {
+			return err
+		}
 	}
 	switch target := s.Target.(type) {
 	case *ast.Ident:
-		if s.Op != token.ASSIGN {
+		if s.Op == token.ASSIGN {
+			v = value.Convert(v, target.Type())
+		} else {
 			old := f.load(target.Slot)
-			if t.interp.cfg.TraceVars && f.shared != nil {
+			if f.shared != nil && t.interp.cfg.TraceVars {
 				t.emitVar(trace.VarRead, target.Pos(), target.Name, f.cell(target.Slot))
 			}
-			v, err = sem.Arith(augOp(s.Op), old, v)
-			if err != nil {
-				return sem.At(err, s.OpPos.String())
-			}
-			if v.K == value.Str {
-				if cerr := t.chargeAlloc(int64(len(v.Str())), s.OpPos); cerr != nil {
-					return cerr
-				}
+			// +=, -= and *= on ints cannot fail: applied without a call.
+			if k := s.Kernel; k.Operands == ast.Ints && k.Op < sem.Div {
+				v = value.NewInt(sem.ArithInt(k.Op, old.Int(), v.Int()))
+			} else if v, err = t.operate(k, old, v, s.OpPos); err != nil {
+				return err
 			}
 		}
-		v = value.Convert(v, target.Type())
 		f.store(target.Slot, v)
-		if t.interp.cfg.TraceVars && f.shared != nil {
+		if f.shared != nil && t.interp.cfg.TraceVars {
 			t.emitVar(trace.VarWrite, target.Pos(), target.Name, f.cell(target.Slot))
 		}
 		return nil
@@ -528,37 +546,15 @@ func (t *thread) execAssign(f *frame, s *ast.AssignStmt) error {
 		if err != nil {
 			return sem.At(err, target.Pos().String())
 		}
-		if s.Op != token.ASSIGN {
-			v, err = sem.Arith(augOp(s.Op), a.Get(i), v)
-			if err != nil {
-				return sem.At(err, s.OpPos.String())
-			}
-			if v.K == value.Str {
-				if cerr := t.chargeAlloc(int64(len(v.Str())), s.OpPos); cerr != nil {
-					return cerr
-				}
-			}
+		if s.Op == token.ASSIGN {
+			v = value.Convert(v, target.Type())
+		} else if v, err = t.operate(s.Kernel, a.Get(i), v, s.OpPos); err != nil {
+			return err
 		}
-		a.Set(i, value.Convert(v, target.Type()))
+		a.Set(i, v)
 		return nil
 	}
 	return rt.Errorf(s.Pos(), "internal: bad assignment target %T", s.Target)
-}
-
-// augOp maps an augmented-assignment token to the sem operator it applies.
-func augOp(k token.Kind) sem.Op {
-	switch k {
-	case token.PLUSASSIGN:
-		return sem.Add
-	case token.MINUSASSIGN:
-		return sem.Sub
-	case token.STARASSIGN:
-		return sem.Mul
-	case token.SLASHASSIGN:
-		return sem.Div
-	default:
-		return sem.Mod
-	}
 }
 
 // spawns describes the threads of a parallel or background block to the
@@ -567,9 +563,8 @@ func augOp(k token.Kind) sem.Op {
 func (t *thread) spawns(f *frame, stmts []ast.Stmt, pos token.Pos) func(i int) rt.Spawn {
 	return func(i int) rt.Spawn {
 		nt := t.interp.newThread()
-		child := stmts[i]
 		return rt.Spawn{Pos: pos, Thread: &nt.Thread, Run: func() error {
-			_, err := nt.exec(f, child)
+			_, err := nt.execStmts(f, stmts[i:i+1])
 			return err
 		}}
 	}
@@ -577,17 +572,30 @@ func (t *thread) spawns(f *frame, stmts []ast.Stmt, pos token.Pos) func(i int) r
 
 // execParallelFor evaluates the sequence once and hands the iterations to
 // the runtime's chunked loop. Each iteration runs the body on a view of
-// the frame with a private induction cell.
+// the frame with a private induction cell. When the induction variable is
+// private and the body starts no thread, no iteration's cell outlives it,
+// so a worker makes one view and stores each iteration's value in its
+// cell; otherwise every iteration gets a view with a fresh cell.
 func (t *thread) execParallelFor(f *frame, s *ast.ParallelForStmt) error {
 	seq, err := t.eval(f, s.Seq)
 	if err != nil {
 		return err
 	}
 	iter := newIterator(seq)
+	slot := s.Var.Slot
+	reuse := !s.Spawns && (f.fn.Shared == nil || !f.fn.Shared[slot])
 	return t.interp.rt.ParFor(&t.Thread, iter.len(), s.Pos(), func() (*rt.Thread, func(i int) error) {
 		nt := t.interp.newThread()
+		if reuse {
+			view := f.fork(slot, value.Value{})
+			return &nt.Thread, func(i int) error {
+				view.store(slot, iter.at(i))
+				_, err := nt.execStmts(view, s.Body.Stmts)
+				return err
+			}
+		}
 		return &nt.Thread, func(i int) error {
-			_, err := nt.execBlock(f.fork(s.Var.Slot, iter.at(i)), s.Body)
+			_, err := nt.execStmts(f.fork(slot, iter.at(i)), s.Body.Stmts)
 			return err
 		}
 	})
@@ -599,7 +607,7 @@ func (t *thread) execLock(f *frame, s *ast.LockStmt) (signal, error) {
 	}
 	t.held = append(t.held, s.LockIndex)
 
-	sig, err := t.execBlock(f, s.Body)
+	sig, err := t.execStmts(f, s.Body.Stmts)
 
 	t.held = t.held[:len(t.held)-1]
 	t.interp.rt.Unlock(&t.Thread, s.LockIndex, s.Pos())
@@ -621,24 +629,88 @@ func (it iterator) len() int { return it.arr.Len() }
 
 func (it iterator) at(i int) value.Value { return it.arr.Get(i) }
 
-// eval evaluates an expression to a value.
+// eval evaluates an expression to a value. A node costs a loop one call
+// here: a private variable or a numeric literal operand is read in place
+// (leaf), and an operator is applied in this function. Logical operators,
+// indexing and calls have a function each, and the rest are in evalExpr.
 func (t *thread) eval(f *frame, e ast.Expr) (value.Value, error) {
 	if t.countWork {
 		t.Work++
 	}
 	switch e := e.(type) {
+	case *ast.Ident:
+		if f.shared == nil {
+			return f.own[e.Slot].LoadLocal(), nil
+		}
 	case *ast.IntLit:
 		return value.NewInt(e.Value), nil
 	case *ast.RealLit:
 		return value.NewReal(e.Value), nil
+	case *ast.BinaryExpr:
+		if e.Op == token.AND || e.Op == token.OR {
+			return t.evalLogical(f, e)
+		}
+		l, ok := t.leaf(f, e.X)
+		if !ok {
+			var err error
+			if l, err = t.eval(f, e.X); err != nil {
+				return value.Value{}, err
+			}
+		}
+		r, ok := t.leaf(f, e.Y)
+		if !ok {
+			var err error
+			if r, err = t.eval(f, e.Y); err != nil {
+				return value.Value{}, err
+			}
+		}
+		// The operators that cannot fail on two ints or two reals are
+		// applied here, without a call; the rest in operate.
+		switch k := e.Kernel; {
+		case k.Operands == ast.Ints && k.Op < sem.Div:
+			return value.NewInt(sem.ArithInt(k.Op, l.Int(), r.Int())), nil
+		case k.Operands == ast.Ints && k.Op.IsCompare():
+			return value.NewBool(sem.CompareInt(k.Op, l.Int(), r.Int())), nil
+		case k.Operands == ast.Reals && k.Op < sem.Div:
+			return value.NewReal(sem.ArithReal(k.Op, l.Real(), r.Real())), nil
+		case k.Operands == ast.Reals && k.Op.IsCompare():
+			return value.NewBool(sem.CompareReal(k.Op, l.Real(), r.Real())), nil
+		}
+		return t.operate(e.Kernel, l, r, e.OpPos)
+	case *ast.IndexExpr:
+		return t.evalIndex(f, e)
+	case *ast.CallExpr:
+		return t.evalCall(f, e)
+	}
+	return t.evalExpr(f, e)
+}
+
+func (t *thread) evalIndex(f *frame, e *ast.IndexExpr) (value.Value, error) {
+	x, err := t.eval(f, e.X)
+	if err != nil {
+		return value.Value{}, err
+	}
+	idx, err := t.eval(f, e.Index)
+	if err != nil {
+		return value.Value{}, err
+	}
+	v, err := sem.Index(x, idx.Int())
+	if err != nil {
+		return value.Value{}, sem.At(err, e.Pos().String())
+	}
+	return v, nil
+}
+
+func (t *thread) evalExpr(f *frame, e ast.Expr) (value.Value, error) {
+	switch e := e.(type) {
 	case *ast.StringLit:
 		return value.NewString(e.Value), nil
 	case *ast.BoolLit:
 		return value.NewBool(e.Value), nil
 
-	case *ast.Ident:
-		v := f.load(e.Slot)
-		if t.interp.cfg.TraceVars && f.shared != nil {
+	case *ast.Ident: // in an activation other threads can see
+		v := f.loadShared(e.Slot)
+		if t.interp.cfg.TraceVars {
 			t.emitVar(trace.VarRead, e.Pos(), e.Name, f.cell(e.Slot))
 		}
 		return v, nil
@@ -686,104 +758,108 @@ func (t *thread) eval(f *frame, e ast.Expr) (value.Value, error) {
 		}
 		return sem.Neg(v), nil
 
-	case *ast.BinaryExpr:
-		return t.evalBinary(f, e)
-
-	case *ast.IndexExpr:
-		x, err := t.eval(f, e.X)
-		if err != nil {
-			return value.Value{}, err
-		}
-		idx, err := t.eval(f, e.Index)
-		if err != nil {
-			return value.Value{}, err
-		}
-		v, err := sem.Index(x, idx.Int())
-		if err != nil {
-			return value.Value{}, sem.At(err, e.Pos().String())
-		}
-		return v, nil
-
-	case *ast.CallExpr:
-		return t.evalCall(f, e)
 	}
 	return value.Value{}, rt.Errorf(e.Pos(), "internal: unknown expression %T", e)
 }
 
-func (t *thread) evalBinary(f *frame, e *ast.BinaryExpr) (value.Value, error) {
-	// Short-circuit logical operators.
-	if e.Op == token.AND || e.Op == token.OR {
-		l, err := t.eval(f, e.X)
-		if err != nil {
-			return value.Value{}, err
-		}
-		if e.Op == token.AND && !l.Bool() {
-			return value.NewBool(false), nil
-		}
-		if e.Op == token.OR && l.Bool() {
-			return value.NewBool(true), nil
-		}
-		r, err := t.eval(f, e.Y)
-		if err != nil {
-			return value.Value{}, err
-		}
-		return value.NewBool(r.Bool()), nil
-	}
-
+// evalLogical evaluates and and or, which evaluate their right operand
+// only when the left does not decide.
+func (t *thread) evalLogical(f *frame, e *ast.BinaryExpr) (value.Value, error) {
 	l, err := t.eval(f, e.X)
 	if err != nil {
 		return value.Value{}, err
+	}
+	if e.Op == token.AND && !l.Bool() {
+		return value.NewBool(false), nil
+	}
+	if e.Op == token.OR && l.Bool() {
+		return value.NewBool(true), nil
 	}
 	r, err := t.eval(f, e.Y)
 	if err != nil {
 		return value.Value{}, err
 	}
-
-	op := binOp(e.Op)
-	if op.IsCompare() {
-		return value.NewBool(sem.Compare(op, l, r)), nil
-	}
-	v, err := sem.Arith(op, l, r)
-	if err != nil {
-		return value.Value{}, sem.At(err, e.OpPos.String())
-	}
-	if v.K == value.Str {
-		// String concatenation is the one arithmetic op that grows
-		// data; charge the built bytes so `s += s` loops trip.
-		if cerr := t.chargeAlloc(int64(len(v.Str())), e.OpPos); cerr != nil {
-			return value.Value{}, cerr
-		}
-	}
-	return v, nil
+	return value.NewBool(r.Bool()), nil
 }
 
-// binOp maps a binary-operator token to its sem operator. The mapping is
-// the interpreter's only operator knowledge; evaluation lives in sem.
-func binOp(k token.Kind) sem.Op {
-	switch k {
-	case token.PLUS:
-		return sem.Add
-	case token.MINUS:
-		return sem.Sub
-	case token.STAR:
-		return sem.Mul
-	case token.SLASH:
-		return sem.Div
-	case token.PERCENT:
-		return sem.Mod
-	case token.EQ:
-		return sem.Eq
-	case token.NE:
-		return sem.Ne
-	case token.LT:
-		return sem.Lt
-	case token.LE:
-		return sem.Le
-	case token.GT:
-		return sem.Gt
-	default:
-		return sem.Ge
+// leaf reads an operand that is a private variable or a numeric literal
+// in place, without a call to eval; ok is false for any other operand, and
+// when work is counted.
+func (t *thread) leaf(f *frame, e ast.Expr) (v value.Value, ok bool) {
+	if t.countWork {
+		return v, false
 	}
+	switch e := e.(type) {
+	case *ast.Ident:
+		if f.shared == nil {
+			return f.own[e.Slot].LoadLocal(), true
+		}
+	case *ast.IntLit:
+		return value.NewInt(e.Value), true
+	case *ast.RealLit:
+		return value.NewReal(e.Value), true
+	}
+	return v, false
+}
+
+// operate applies the kernel the checker resolved an operator to, at pos.
+// The operand types are static, so a numeric operator goes straight to
+// sem's kernel for them, its int side widened first when the other is
+// real; only strings, bools and arrays take the generic path.
+func (t *thread) operate(k ast.Kernel, l, r value.Value, pos token.Pos) (value.Value, error) {
+	var err error
+	switch k.Operands {
+	case ast.Ints:
+		a, b := l.Int(), r.Int()
+		switch {
+		case k.Op == sem.Div:
+			a, err = sem.DivInt(a, b)
+		case k.Op == sem.Mod:
+			a, err = sem.ModInt(a, b)
+		case k.Op.IsCompare():
+			return value.NewBool(sem.CompareInt(k.Op, a, b)), nil
+		default:
+			a = sem.ArithInt(k.Op, a, b)
+		}
+		if err == nil {
+			return value.NewInt(a), nil
+		}
+	case ast.Reals, ast.IntReal, ast.RealInt:
+		a, b := l.Real(), r.Real()
+		switch k.Operands {
+		case ast.IntReal:
+			a = sem.ToReal(l).Real()
+		case ast.RealInt:
+			b = sem.ToReal(r).Real()
+		}
+		switch {
+		case k.Op == sem.Div:
+			a, err = sem.DivReal(a, b)
+		case k.Op == sem.Mod:
+			a, err = sem.ModReal(a, b)
+		case k.Op.IsCompare():
+			return value.NewBool(sem.CompareReal(k.Op, a, b)), nil
+		default:
+			a = sem.ArithReal(k.Op, a, b)
+		}
+		if err == nil {
+			return value.NewReal(a), nil
+		}
+	default:
+		if k.Op.IsCompare() {
+			return value.NewBool(sem.Compare(k.Op, l, r)), nil
+		}
+		var v value.Value
+		if v, err = sem.Arith(k.Op, l, r); err == nil {
+			// String concatenation is the one operator that grows data;
+			// charge the built bytes so `s += s` loops trip.
+			if err := t.chargeAlloc(int64(len(v.Str())), pos); err != nil {
+				return value.Value{}, err
+			}
+			return v, nil
+		}
+	}
+	return value.Value{}, sem.At(err, pos.String())
 }
 
 // evalCall evaluates the arguments into a window on the thread's argument

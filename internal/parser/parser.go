@@ -22,14 +22,22 @@ type Error struct {
 
 func (e *Error) Error() string { return fmt.Sprintf("%s: syntax error: %s", e.Pos, e.Msg) }
 
-// Parse scans and parses a Tetra source file into a Program.
+// Parse scans and parses a Tetra source file into a Program. The parser
+// takes its tokens from the lexer one at a time. A lexical error anywhere
+// in the file is the one reported, even after a syntax error earlier in
+// it: on a syntax error the rest of the file is scanned for one.
 func Parse(file, src string) (*ast.Program, error) {
-	toks, err := lexer.Tokens(file, src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{file: file, toks: toks}
+	p := &parser{file: file, lx: lexer.New(file, src)}
+	p.tok = p.lx.Next()
 	prog, err := p.program()
+	if err != nil {
+		for p.tok.Kind != token.EOF && p.tok.Kind != token.ILLEGAL {
+			p.tok = p.lx.Next()
+		}
+	}
+	if lerr := p.lx.Err(); lerr != nil {
+		return nil, lerr
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -38,8 +46,8 @@ func Parse(file, src string) (*ast.Program, error) {
 
 type parser struct {
 	file string
-	toks []token.Token
-	pos  int
+	lx   *lexer.Lexer
+	tok  token.Token // the current token
 }
 
 // bailout carries a *Error up the recursion; parse methods stay simple and
@@ -47,13 +55,12 @@ type parser struct {
 // "panic within a package" idiom).
 type bailout struct{ err *Error }
 
-func (p *parser) cur() token.Token  { return p.toks[p.pos] }
-func (p *parser) peek() token.Token { return p.toks[min(p.pos+1, len(p.toks)-1)] }
+func (p *parser) cur() token.Token { return p.tok }
 
 func (p *parser) next() token.Token {
-	t := p.toks[p.pos]
-	if p.pos < len(p.toks)-1 {
-		p.pos++
+	t := p.tok
+	if t.Kind != token.EOF && t.Kind != token.ILLEGAL {
+		p.tok = p.lx.Next()
 	}
 	return t
 }

@@ -419,3 +419,25 @@ func TestRoundTripRandomPrograms(t *testing.T) {
 		}
 	}
 }
+
+// The parser reads its tokens from the lexer as it goes, and still reports
+// a lexical error anywhere in the file in preference to a syntax error
+// before it, as it did when the whole file was scanned first.
+func TestLexicalErrorWinsOverEarlierSyntaxError(t *testing.T) {
+	src := "def main():\n" +
+		"    x = = 1\n" +
+		"    y = 2\n" +
+		"\n" +
+		"def f(a int) int:\n" +
+		"    b = a + 1\n" +
+		"    return b\n" +
+		"def g():\n" +
+		"    z = 3 $ 4\n"
+	_, err := Parse("t.ttr", src)
+	if err == nil || err.Error() != `t.ttr:9:11: unexpected character '$'` {
+		t.Fatalf("got %v, want the lexical error at 9:11", err)
+	}
+	if _, err := Parse("t.ttr", "def main():\n    x = = 1\n"); err == nil || !strings.Contains(err.Error(), "syntax error") {
+		t.Fatalf("without a lexical error: got %v, want the syntax error", err)
+	}
+}
