@@ -50,17 +50,19 @@
 //
 // # Typed opcodes
 //
-// Tetra is statically typed, and the checker leaves every expression's
-// type on the AST. The compiler reads it and emits, at every -O level,
-// int-typed and real-typed arithmetic and comparison (add.i, lt.r;
-// augmented assignment included) and array-typed indexing (index.a,
-// setidx.a). A typed opcode's operator is part of the opcode, and the VM
-// executes it without looking at an operand's kind. The untyped opcodes
-// remain where the checker typed the two operands differently (int with
-// real, which sem.Arith promotes), for strings, and as the place a zero
-// divisor is reported; they go through sem.Arith and sem.Compare as
-// before. The optimizer (optimize.go) fuses typed instructions into typed
-// superinstructions (add.ik, mod.rk, jlt.ik) at -O2.
+// Tetra is statically typed, and the checker resolves every operator to
+// the kernel it runs (ast.Kernel: a sem operator over ints, reals, an
+// int/real pair whose int side widens, or generic operands). The compiler
+// reads that decision and works out none of its own: at every -O level
+// ints run int-typed arithmetic and comparison (add.i, lt.i), reals and
+// mixed pairs run the real-typed family (add.r, lt.r) after one toreal of
+// the int side, augmented assignment included, and an array is indexed
+// array-typed (index.a, setidx.a). A typed opcode's operator is part of the
+// opcode, and the VM executes it without looking at an operand's kind.
+// Only generic operands keep the untyped opcodes, which go through
+// sem.Arith and sem.Compare: string + and the comparisons of strings,
+// bools and arrays. The optimizer (optimize.go) fuses typed instructions
+// into typed superinstructions (add.ik, mod.rk, jlt.ik) at -O2.
 //
 // That no typed opcode ever meets a value of another kind is a property
 // of the compiled code, and Verify proves it, with the IR's structural
@@ -78,14 +80,13 @@
 //	toreal               A : int | real                  Dst ← real
 //	neg                  A : int | real                  Dst ← A
 //	not                  A : bool                        Dst ← bool
-//	add sub mul div mod  A, B : int | real               Dst ← int if both are, else real
 //	add                  A, B : string                   Dst ← string
-//	eq ne                A, B defined                    Dst ← bool
-//	lt le gt ge          A, B : int | real, or string    Dst ← bool
+//	eq ne                A, B defined, neither a number  Dst ← bool
+//	lt le gt ge          A, B : string                   Dst ← bool
 //	op.i  op.r           A, B : int (.i) | real (.r)     Dst ← that type; a comparison's, bool
 //	op.ik op.rk          A and Consts[B] : int | real    likewise; div, mod: Consts[B] ≠ 0
 //	op.ikl op.rkl        Consts[B] and A : int | real    likewise
-//	arithk arithkl       as the untyped operator in C, on A and Consts[B]
+//	arithk arithkl       C holds add; A and Consts[B] : string  Dst ← string
 //	jfalse jtrue         B : bool                        target A in the chunk
 //	jop.i jop.r          A, B : int | real               target Dst in the chunk
 //	jop.ik jop.rk        A and Consts[B] : int | real    target Dst in the chunk
@@ -122,6 +123,7 @@ package bytecode
 import (
 	"fmt"
 
+	"repro/internal/ast"
 	"repro/internal/sem"
 	"repro/internal/types"
 )
@@ -140,8 +142,10 @@ import (
 // call-site id: an instruction is 20 bytes, not 24); 5 = sharedness is
 // per slot (Func.Shared): a function with parallel constructs keeps its
 // private variables in registers, and a thread body's window starts as a
-// copy of its spawner's slot registers.
-const IRVersion = 5
+// copy of its spawner's slot registers; 6 = the checker's kernel picks the
+// opcode: a mixed int/real pair widens its int side and runs the real
+// family, and the untyped sub, mul, div and mod are gone.
+const IRVersion = 6
 
 // Op is a bytecode opcode.
 type Op uint8
@@ -156,17 +160,11 @@ const (
 	OpMove   // Dst = reg A
 	OpToReal // Dst = int reg A widened to real
 
-	// Untyped arithmetic: Dst = A op B, evaluated by sem.Arith on whatever
-	// kinds the operands hold. The compiler emits these where the checker
-	// typed the operands differently (int with real) or as strings; they
-	// are also where a zero divisor is reported. Division and modulo raise
-	// positioned runtime errors.
+	// Generic operands (ast.Generic). The only arithmetic on them is string
+	// concatenation, Dst = A + B by sem.Arith.
 	OpAdd
-	OpSub
-	OpMul
-	OpDiv
-	OpMod
-	// Untyped comparison: Dst = bool(A op B), by sem.Compare.
+	// Untyped comparison of strings, bools or arrays: Dst = bool(A op B),
+	// by sem.Compare.
 	OpEq
 	OpNe
 	OpLt
@@ -213,15 +211,14 @@ const (
 	OpLockRelease // release program lock A
 
 	// Untyped superinstructions, produced only by the optimizer
-	// (optimize.go) at -O2 for operands of mixed kind, strings and constant
-	// zero divisors. Each preserves the source position of the operation
-	// that can raise, so runtime errors report exactly what -O0 reports.
+	// (optimize.go) at -O2 from the untyped opcodes, so their operands are
+	// generic. Each preserves the source position of the operation that can
+	// raise, so runtime errors report exactly what -O0 reports.
 
-	// OpArithConst fuses a constant right operand into arithmetic:
-	// Dst = reg A <op C> Consts[B].
+	// OpArithConst fuses a constant right operand into a concatenation:
+	// Dst = reg A <op C> Consts[B], where C is OpAdd.
 	OpArithConst
-	// OpArithConstL is the mirrored form for non-commutative operators:
-	// Dst = Consts[B] <op C> reg A.
+	// OpArithConstL is the mirrored form: Dst = Consts[B] <op C> reg A.
 	OpArithConstL
 	// OpCmpJump fuses a comparison with the conditional branch consuming
 	// it: evaluate reg A <cmp> reg B where C packs (cmpOp<<1 | sense),
@@ -244,9 +241,9 @@ const (
 	OpIndexArr    // Dst = reg A [ reg B ]
 	OpSetIndexArr // reg A [ reg B ] = reg C
 
-	// Typed arithmetic, Dst = A op B with both operands statically int
-	// (".i") or both real (".r"). Each family lists its operators in the
-	// order of the untyped one above, which is what typed() relies on.
+	// Typed arithmetic, Dst = A op B with both operands int (".i") or both
+	// real (".r"). Each family lists its operators in sem's order, which is
+	// what kernelOp relies on.
 	OpAddInt
 	OpSubInt
 	OpMulInt
@@ -273,7 +270,7 @@ const (
 
 	// Typed superinstructions (-O2). Constant right operand,
 	// Dst = reg A op Consts[B]; a div or mod of this form has a nonzero
-	// constant (a zero one stays untyped, where the error is raised).
+	// constant (a zero one stays an unfused div or mod, which raises).
 	OpAddIntK
 	OpSubIntK
 	OpMulIntK
@@ -396,7 +393,7 @@ func buildOpTable() [numOps]opInfo {
 	cmp := []sem.Op{sem.Eq, sem.Ne, sem.Lt, sem.Le, sem.Gt, sem.Ge}
 	nonComm := []sem.Op{sem.Sub, sem.Div, sem.Mod}
 	i, r := types.IntType, types.RealType
-	family(OpAdd, arith, "", "", fBinary, nil)
+	family(OpAdd, arith[:1], "", "", fBinary, nil)
 	family(OpEq, cmp, "", "", fBinary, nil)
 	family(OpAddInt, arith, "", ".i", fBinary, i)
 	family(OpAddReal, arith, "", ".r", fBinary, r)
@@ -456,22 +453,22 @@ func (o Op) isCompare() bool {
 	return in.isOp && in.form == fBinary && in.op.IsCompare()
 }
 
-// typed returns the typed twin of an untyped arithmetic or comparison
-// opcode for operands that are both int or both real, and o itself for
-// any other pairing — mixed int and real, strings, bools, arrays — which
-// stays with sem.Arith and sem.Compare.
-func typed(o Op, l, r *types.Type) Op {
-	if l.Kind() != r.Kind() || !l.IsNumeric() {
-		return o
+// kernelOp returns the register-register opcode that runs kernel k: the
+// .i family on ints, the .r family on reals and on a mixed pair (whose int
+// side the compiler widens first), and the untyped opcode on generic
+// operands, whose only arithmetic is string +.
+func kernelOp(k ast.Kernel) Op {
+	arith, cmp := OpAddReal, OpEqReal
+	switch k.Operands {
+	case ast.Ints:
+		arith, cmp = OpAddInt, OpEqInt
+	case ast.Generic:
+		arith, cmp = OpAdd, OpEq
 	}
-	first, firstInt, firstReal := OpAdd, OpAddInt, OpAddReal
-	if o >= OpEq {
-		first, firstInt, firstReal = OpEq, OpEqInt, OpEqReal
+	if k.Op.IsCompare() {
+		return cmp + Op(k.Op-sem.Eq)
 	}
-	if l.Kind() == types.Int {
-		return firstInt + o - first
-	}
-	return firstReal + o - first
+	return arith + Op(k.Op-sem.Add)
 }
 
 // negated maps a comparison operator to the one that holds exactly when it

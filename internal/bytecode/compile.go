@@ -527,14 +527,14 @@ func (c *fnCompiler) assign(s *ast.AssignStmt) error {
 		// Augmented assignment: the value first, then the variable read,
 		// the operation and the write. For a private variable that is one
 		// arithmetic instruction reading and writing the slot — the
-		// register IR's fused load-arith-store. A real target needs no
-		// widening after it: its left operand is real, so the result is.
-		r, err := c.genExpr(s.Value)
+		// register IR's fused load-arith-store. The target is the left
+		// operand, so only the value can be an int that widens.
+		r, err := c.genExprAs(s.Value, operandType(s.Kernel, s.Value), s.OpPos)
 		if err != nil {
 			return err
 		}
 		cur := c.getVar(slot, target.Pos())
-		c.emit(typed(augToOp(s.Op), target.Type(), s.Value.Type()), cur, cur, r, 0, s.OpPos)
+		c.emit(kernelOp(s.Kernel), cur, cur, r, 0, s.OpPos)
 		c.setVar(slot, cur, s.Pos())
 		return nil
 
@@ -557,11 +557,11 @@ func (c *fnCompiler) assign(s *ast.AssignStmt) error {
 			// temporary this statement owns.
 			cur := c.temp()
 			c.emit(indexOp(OpIndex, target.X), cur, arr, idx, 0, s.Pos())
-			r, err := c.genExpr(s.Value)
+			r, err := c.genExprAs(s.Value, operandType(s.Kernel, s.Value), s.OpPos)
 			if err != nil {
 				return err
 			}
-			c.emit(typed(augToOp(s.Op), target.Type(), s.Value.Type()), cur, cur, r, 0, s.OpPos)
+			c.emit(kernelOp(s.Kernel), cur, cur, r, 0, s.OpPos)
 			c.emit(indexOp(OpSetIndex, target.X), 0, arr, idx, cur, s.Pos())
 			return nil
 		}
@@ -588,19 +588,14 @@ func indexOp(op Op, x ast.Expr) Op {
 	}
 }
 
-func augToOp(k token.Kind) Op {
-	switch k {
-	case token.PLUSASSIGN:
-		return OpAdd
-	case token.MINUSASSIGN:
-		return OpSub
-	case token.STARASSIGN:
-		return OpMul
-	case token.SLASHASSIGN:
-		return OpDiv
-	default:
-		return OpMod
+// operandType is the type kernel k reads operand e as: real for either
+// side of a mixed int/real pair, so the int one widens, and e's own type
+// otherwise.
+func operandType(k ast.Kernel, e ast.Expr) *types.Type {
+	if k.Operands == ast.IntReal || k.Operands == ast.RealInt {
+		return types.RealType
 	}
+	return e.Type()
 }
 
 // needWiden reports whether a statically-int expression flows into a real
@@ -626,7 +621,7 @@ func constant(e ast.Expr, want *types.Type) (value.Value, bool) {
 		v = value.NewBool(e.Value)
 	case *ast.UnaryExpr:
 		x, ok := constant(e.X, e.X.Type())
-		if !ok || e.Op != token.MINUS {
+		if !ok || e.Op == token.NOT {
 			return v, false
 		}
 		v = sem.Neg(x)
@@ -831,43 +826,18 @@ func (c *fnCompiler) binary(e *ast.BinaryExpr, dst int32) error {
 		return nil
 	}
 
-	x, err := c.genExpr(e.X)
+	// The int side of a mixed pair widens as it is read: a literal is the
+	// real constant, a register one toreal.
+	x, err := c.genExprAs(e.X, operandType(e.Kernel, e.X), e.OpPos)
 	if err != nil {
 		return err
 	}
-	y, err := c.genExpr(e.Y)
+	y, err := c.genExprAs(e.Y, operandType(e.Kernel, e.Y), e.OpPos)
 	if err != nil {
 		return err
-	}
-	var op Op
-	switch e.Op {
-	case token.PLUS:
-		op = OpAdd
-	case token.MINUS:
-		op = OpSub
-	case token.STAR:
-		op = OpMul
-	case token.SLASH:
-		op = OpDiv
-	case token.PERCENT:
-		op = OpMod
-	case token.EQ:
-		op = OpEq
-	case token.NE:
-		op = OpNe
-	case token.LT:
-		op = OpLt
-	case token.LE:
-		op = OpLe
-	case token.GT:
-		op = OpGt
-	case token.GE:
-		op = OpGe
-	default:
-		return fmt.Errorf("bytecode: unsupported operator %s", e.Op)
 	}
 	// Record the operator's position, not the expression start, so a
 	// runtime error (division by zero) points where the interpreter points.
-	c.emit(typed(op, e.X.Type(), e.Y.Type()), dst, x, y, 0, e.OpPos)
+	c.emit(kernelOp(e.Kernel), dst, x, y, 0, e.OpPos)
 	return nil
 }

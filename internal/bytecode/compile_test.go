@@ -420,16 +420,12 @@ func TestLiteralShapes(t *testing.T) {
 		}
 	}
 	// raisesAt: the operator is still there to raise, positioned at col. A
-	// division by a constant zero fuses into the untyped arithk, which
-	// carries its operator in C.
+	// division by a constant zero is never fused.
 	raisesAt := func(op sem.Op, col int) func(*testing.T, *Func, int) {
 		return func(t *testing.T, f *Func, _ int) {
 			ch := f.Chunks[0]
 			for pc, ins := range ch.Code {
-				if ins.Op == OpArithConst {
-					ins.Op = Op(ins.C)
-				}
-				if in := ins.Op.info(); in.isOp && in.op == op {
+				if in := ins.Op.info(); in.isOp && in.op == op && !ins.Op.Fused() {
 					if ch.Pos[pc].Line != 2 || ch.Pos[pc].Col != col {
 						t.Errorf("%s positioned at %s, want 2:%d", ins.Op, ch.Pos[pc], col)
 					}
@@ -482,6 +478,26 @@ func TestLiteralShapes(t *testing.T) {
 			}
 			if level == O2 && !strings.Contains(Disassemble(f), "add.rk     r0=x, r0=x, 1.5") {
 				t.Error("x += 1.5 is not one add.rk")
+			}
+		}},
+		// A mixed pair runs the real kernel: an int literal is the real
+		// constant, an int register one toreal, and nothing is untyped.
+		{"mixed_literal", "def main():\n    x = 1.5\n    print(x * 2)\n    x += 2\n    print(x)\n", "main", func(t *testing.T, f *Func, level int) {
+			if n := countOps(f.Chunks[0], OpToReal); n != 0 {
+				t.Errorf("%d toreal(s) for an int literal", n)
+			}
+			if dis := Disassemble(f); level == O2 && (!strings.Contains(dis, "mul.rk") || !strings.Contains(dis, "add.rk     r0=x, r0=x, 2.0")) {
+				t.Error("x * 2 and x += 2 are not mul.rk and add.rk")
+			}
+		}},
+		{"mixed_register", "def f(s real, n int) bool:\n    s += n\n    return s / n < n\n", "f", func(t *testing.T, f *Func, _ int) {
+			if n := countOps(f.Chunks[0], OpToReal); n != 3 {
+				t.Errorf("%d toreal(s), want one per mixed operator", n)
+			}
+			for _, ins := range f.Chunks[0].Code {
+				if in := ins.Op.info(); in.isOp && in.kind == nil {
+					t.Errorf("untyped %s", ins.Op)
+				}
 			}
 		}},
 		{"div_zero", "def main():\n    print(1 / 0)\n", "main", raisesAt(sem.Div, 13)},

@@ -57,6 +57,8 @@ func TestDisassembleGolden(t *testing.T) {
 	for _, want := range []string{
 		"r0=x",       // variable slots carry source names
 		"add.ik",     // fused constant arithmetic survives in main's loop
+		"div.rk",     // mean's a[i] / 2 divides reals by the real constant
+		"arithk",     // string + with a constant operand is the untyped one
 		"jlt.i ",     // and mean's loop is rotated: it tests at its bottom
 		"ldcell",     // a shared function reads its variables from cells
 		"stcell",     // and writes them back

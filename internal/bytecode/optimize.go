@@ -23,12 +23,12 @@ package bytecode
 //                            the opcode (jlt.ik, add.ik, mod.rk): the
 //                            branch sense folds in by negating the
 //                            comparison and a constant left operand by
-//                            mirroring it. Untyped ones fuse into
+//                            mirroring it. Untyped ones, whose operands
+//                            are strings, bools or arrays, fuse into
 //                            OpCmpJump/OpCmpConstJump/OpArithConst/L,
-//                            which carry the operator in C, and so does a
-//                            typed div or mod by a constant zero, since
-//                            the untyped path is where the error is
-//                            raised. With a variable slot as both
+//                            which carry the operator in C. A div or mod
+//                            by a constant zero is not fused: it raises.
+//                            With a variable slot as both
 //                            destination and source (`i = i + 1`) the
 //                            arith-const form is the load-arith-store
 //                            superinstruction: one dispatch for what the
@@ -505,10 +505,10 @@ func fuseCmpConst(f *Func, ch *Chunk) bool {
 //
 // A typed instruction becomes the typed form of its operator — add.ik,
 // mod.rk, and sub.ikl for a constant on the left of a non-commutative
-// operator (commutative ones swap) — with one exception: a div or mod
-// whose constant divisor is zero becomes the untyped OpArithConst, because
-// the typed constant-divisor forms do not test the divisor and the untyped
-// path is where the error is raised.
+// operator (commutative ones swap) — except a div or mod whose constant
+// divisor is zero: the constant-divisor forms do not test the divisor, so
+// that one stays as it is and raises the error. An untyped instruction is a
+// string +, which becomes OpArithConst or OpArithConstL.
 func fuseArithConst(f *Func, ch *Chunk) bool {
 	targets := jumpTargets(ch)
 	code := ch.Code
@@ -528,12 +528,14 @@ func fuseArithConst(f *Func, ch *Chunk) bool {
 			continue
 		}
 		in, k := ins.Op.info(), code[def].A
-		fused := Instr{Op: OpArithConst, Dst: ins.Dst, A: reg, B: k, C: int32(OpAdd + Op(in.op-sem.Add))}
+		if !constLeft && (in.op == sem.Div || in.op == sem.Mod) && f.Consts[k].AsReal() == 0 {
+			continue
+		}
+		fused := Instr{Op: OpArithConst, Dst: ins.Dst, A: reg, B: k, C: int32(ins.Op)}
 		if constLeft {
 			fused.Op = OpArithConstL
 		}
-		zeroDivisor := !constLeft && (in.op == sem.Div || in.op == sem.Mod) && f.Consts[k].AsReal() == 0
-		if in.kind != nil && !zeroDivisor {
+		if in.kind != nil {
 			fused.Op, fused.C = typedArithConst(in.op, in.kind, constLeft), 0
 		}
 		code[pc] = fused

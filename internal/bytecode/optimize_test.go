@@ -1,9 +1,13 @@
 package bytecode
 
 import (
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/sem"
+	"repro/internal/types"
 	"repro/internal/value"
 )
 
@@ -190,5 +194,72 @@ func TestSpawnsReadWhatTheirBodiesRead(t *testing.T) {
 		if !readsReg(f, ch.Code[parfor], k) || readsReg(f, ch.Code[parfor], u) {
 			t.Errorf("-O%d: the parfor should read k, which its body reads, and not u", level)
 		}
+	}
+}
+
+// TestUntypedFusionIsGeneric pins what is left of the untyped opcodes
+// after the checker's kernel picks every numeric one. Generic operands
+// still fuse at -O2 (string + with a constant on either side, a string
+// comparison heading a loop, == against a string constant), and no
+// untyped instruction of the benchmark's goldens at -O2 has an int or
+// real operand, by the types Verify's dataflow gives its registers.
+func TestUntypedFusionIsGeneric(t *testing.T) {
+	for _, c := range []struct{ src, op string }{
+		{"def main():\n    s = read_string()\n    print(s + \"!\")\n", "arithk"},
+		{"def main():\n    s = read_string()\n    print(\"<\" + s)\n", "arithkl"},
+		{"def main():\n    s = read_string()\n    t = s + s\n    while s < t:\n        s += \"z\"\n    print(s)\n", "cmpjump"},
+		{"def main():\n    s = read_string()\n    if s == \"x\":\n        print(s)\n", "cmpkjump"},
+	} {
+		p := compileSrc(t, c.src)
+		if err := VerifyOptimize(p, O2); err != nil {
+			t.Fatal(err)
+		}
+		if dis := Disassemble(p.Funcs[p.MainIndex]); !strings.Contains(dis, " "+c.op+" ") {
+			t.Errorf("no %s at -O2:\n%s", c.op, dis)
+		}
+	}
+
+	files, err := filepath.Glob("../../benchmark/programs/*.ttr")
+	if err != nil || len(files) < 20 {
+		t.Fatalf("found %d programs: %v", len(files), err)
+	}
+	untyped := 0
+	for _, file := range files {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := compileSrc(t, string(src))
+		if err := VerifyOptimize(p, O2); err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		v := &verifier{p: p}
+		for _, f := range p.Funcs {
+			for ci := range f.Chunks {
+				v.f, v.ci, v.ch = f, ci, &f.Chunks[ci]
+				for pc, st := range v.chunk() {
+					ins := f.Chunks[ci].Code[pc]
+					in := ins.Op.info()
+					if st == nil || in.kind != nil || !in.isOp && !ins.Op.Fused() {
+						continue
+					}
+					untyped++
+					var k *types.Type // the second operand: a register, or a constant
+					if in.form == fBinary || in.form == fCmpJump {
+						k = st[ins.B]
+					} else {
+						k = value.TypeOf(f.Consts[ins.B])
+					}
+					for _, o := range []*types.Type{st[ins.A], k} {
+						if o.IsNumeric() {
+							t.Errorf("%s: %s chunk %d pc %d: %s has an operand of type %s", filepath.Base(file), f.Name, ci, pc, ins.Op, o)
+						}
+					}
+				}
+			}
+		}
+	}
+	if untyped == 0 {
+		t.Error("no untyped instruction in any golden: the check above checked nothing")
 	}
 }

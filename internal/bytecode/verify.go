@@ -87,9 +87,9 @@ func meet(a, b *types.Type) *types.Type {
 // slots hold their declared types (a thread body's copy included; a shared
 // variable has a cell instead), temporaries nothing — to a fixpoint,
 // joining with meet at jump targets, and finally every instruction against
-// the types that reach it.
+// the types that reach it, which it returns per pc (nil where unreached).
 // Unreachable instructions are held to the structural rules only.
-func (v *verifier) chunk() {
+func (v *verifier) chunk() [][]*types.Type {
 	f, ch := v.f, v.ch
 	code := ch.Code
 	v.pc = -1
@@ -140,6 +140,7 @@ func (v *verifier) chunk() {
 		v.pc = pc
 		v.instr(&code[pc], in[pc], true)
 	}
+	return in
 }
 
 // instr applies one instruction to st, the types its registers hold
@@ -305,7 +306,7 @@ func (v *verifier) instr(ins *Instr, st []*types.Type, report bool) []*types.Typ
 				failf("constant %s is %s, want %s", f.constStr(ins.B), typeName(r), in.kind)
 			}
 			if in.form == fBinaryK && (in.op == sem.Div || in.op == sem.Mod) && int(ins.B) < len(f.Consts) && f.Consts[ins.B].AsReal() == 0 {
-				failf("constant divisor is zero; the untyped %s raises that error", OpArithConst)
+				failf("constant divisor is zero; only the unfused %s raises that error", in.op)
 			}
 		case in.form == fBinary || in.form == fCmpJump:
 			l, r = read(ins.A), read(ins.B)
@@ -325,24 +326,21 @@ func (v *verifier) instr(ins *Instr, st []*types.Type, report bool) []*types.Typ
 			op = untypedOp(cmp, true, failf)
 		}
 		res := in.kind
-		if st != nil && in.kind == nil {
-			// An untyped operator takes what sem.Arith and sem.Compare take.
-			str := l.Kind() == types.String && r.Kind() == types.String
-			switch {
-			case op == sem.Eq || op == sem.Ne:
-			case l.IsNumeric() && r.IsNumeric():
-			case str && (op == sem.Add || op.IsCompare()):
-			default:
+		if in.kind == nil {
+			// An untyped operator runs a generic kernel: string +, the
+			// comparisons of strings, and == and != of bools and arrays.
+			// Numbers have the typed opcodes.
+			res = l
+			switch str := l.Kind() == types.String && r.Kind() == types.String; {
+			case st == nil:
+			case l.IsNumeric() || r.IsNumeric():
+				failf("untyped %s of %s and %s", op, typeName(l), typeName(r))
+			case op != sem.Eq && op != sem.Ne && !str:
 				failf("%s of %s and %s", op, typeName(l), typeName(r))
 			}
 		}
-		switch {
-		case op.IsCompare():
+		if op.IsCompare() {
 			res = types.BoolType
-		case in.kind == nil && l.Kind() == r.Kind():
-			res = l
-		case in.kind == nil:
-			res = types.RealType
 		}
 		if in.form != fCmpJump && in.form != fCmpJumpK {
 			write(ins.Dst, res)
@@ -483,12 +481,13 @@ func (v *verifier) instr(ins *Instr, st []*types.Type, report bool) []*types.Typ
 }
 
 // untypedOp returns the sem operator packed as an untyped opcode in the C
-// field of a fused instruction.
+// field of a fused instruction: a comparison, or for arithmetic the one
+// untyped operator, string +.
 func untypedOp(o Op, compare bool, failf func(string, ...any)) sem.Op {
 	if in := o.info(); in.isOp && in.kind == nil && in.form == fBinary && in.op.IsCompare() == compare {
 		return in.op
 	}
-	failf("operand C does not hold an untyped operator")
+	failf("operand C does not hold an untyped operator: %s", o)
 	if compare {
 		return sem.Eq
 	}

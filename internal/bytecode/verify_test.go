@@ -250,6 +250,33 @@ func TestVerifyRejects(t *testing.T) {
 			ins := find(t, p, "flat", 0, OpMulIntK)
 			ins.Op, ins.C = OpArithConst, int32(OpLt)
 		}, "operand C does not hold an untyped operator"},
+		// Untyped opcodes run generic kernels only; numbers have typed ones.
+		{"untyped add on real registers", O0, func(t *testing.T, p *Program) {
+			find(t, p, "main", 0, OpMulReal).Op = OpAdd
+		}, "untyped add of real and real"},
+		{"untyped lt on int registers", O0, func(t *testing.T, p *Program) {
+			find(t, p, "flat", 0, OpLtInt).Op = OpLt
+		}, "untyped lt of int and int"},
+		{"untyped cmpjump on int registers", O2, func(t *testing.T, p *Program) {
+			ins := find(t, p, "flat", 0, OpJgeInt)
+			ins.Op, ins.C = OpCmpJump, PackCmp(OpGe, true)
+		}, "untyped ge of int and int"},
+		{"untyped arithk on an int register", O2, func(t *testing.T, p *Program) {
+			ins := find(t, p, "flat", 0, OpMulIntK)
+			ins.Op, ins.C = OpArithConst, int32(OpAdd)
+		}, "untyped add of int and int"},
+		{"arithk whose operator is typed", O2, func(t *testing.T, p *Program) {
+			ins := find(t, p, "flat", 0, OpMulIntK)
+			ins.Op, ins.C = OpArithConst, int32(OpMulInt)
+		}, "operand C does not hold an untyped operator: mul.i"},
+		{"arithkl whose operator is a comparison", O2, func(t *testing.T, p *Program) {
+			ins := find(t, p, "flat", 0, OpMulIntK)
+			ins.Op, ins.C = OpArithConstL, int32(OpEq)
+		}, "operand C does not hold an untyped operator: eq"},
+		{"real constant divisor of zero", O2, func(t *testing.T, p *Program) {
+			ins := find(t, p, "main", 0, OpMulRealK)
+			ins.Op, ins.B = OpModRealK, fn(p, "main").constIndex(value.NewReal(0))
+		}, "mod.rk: constant divisor is zero"},
 		{"SlotTypes not parallel to the slots", O0, func(t *testing.T, p *Program) {
 			f := fn(p, "flat")
 			f.SlotTypes = append(f.SlotTypes, types.IntType)

@@ -51,8 +51,9 @@ func TestCacheKeyCarriesIRVersion(t *testing.T) {
 
 // cacheKeyGolden is the recorded CacheKey("p.ttr", "def main():\n    print(6 * 7)\n", 2)
 // under IRVersion cacheKeyGoldenIR. Under IRVersion 3 it was
-// 0e1715a0dd67c3b50b12f2fad04fea73, under 4 e106c9452142ef0cb68e1519715061c5.
+// 0e1715a0dd67c3b50b12f2fad04fea73, under 4 e106c9452142ef0cb68e1519715061c5,
+// under 5 9261cb5885e43363ce3afe14e8dae7e8.
 const (
-	cacheKeyGolden   = "9261cb5885e43363ce3afe14e8dae7e8"
-	cacheKeyGoldenIR = 5
+	cacheKeyGolden   = "c78e3086535aa86e67e7316c480c929b"
+	cacheKeyGoldenIR = 6
 )

@@ -27,6 +27,7 @@ import (
 	"strings"
 
 	"repro/internal/ast"
+	"repro/internal/sem"
 	"repro/internal/stdlib"
 	"repro/internal/token"
 	"repro/internal/types"
@@ -459,14 +460,11 @@ func (g *generator) assign(s *ast.AssignStmt) error {
 			g.store(target.Slot, e)
 			return nil
 		}
-		rhs, err := g.binaryText(augOp(s.Op), exprRef{text: g.load(target.Slot), t: target.Type()}, s.Value)
+		v, err := g.expr(s.Value)
 		if err != nil {
 			return err
 		}
-		if target.Type().Kind() == types.Real {
-			rhs = asReal(rhs, binaryResultKind(target.Type(), s.Value.Type()))
-		}
-		g.store(target.Slot, rhs)
+		g.store(target.Slot, operator(s.Kernel, g.load(target.Slot), v, target.Type().IsArray()))
 		return nil
 
 	case *ast.IndexExpr:
@@ -492,42 +490,16 @@ func (g *generator) assign(s *ast.AssignStmt) error {
 		g.depth++
 		g.line("%s := %s", a, arr)
 		g.line("%s := %s", i, idx)
-		cur := fmt.Sprintf("%s.Get(%s)", a, i)
-		rhs, err := g.binaryText(augOp(s.Op), exprRef{text: cur, t: target.Type()}, s.Value)
+		v, err := g.expr(s.Value)
 		if err != nil {
 			return err
 		}
-		if target.Type().Kind() == types.Real {
-			rhs = asReal(rhs, binaryResultKind(target.Type(), s.Value.Type()))
-		}
-		g.line("%s.Set(%s, %s)", a, i, rhs)
+		g.line("%s.Set(%s, %s)", a, i, operator(s.Kernel, fmt.Sprintf("%s.Get(%s)", a, i), v, target.Type().IsArray()))
 		g.depth--
 		g.line("}")
 		return nil
 	}
 	return fmt.Errorf("gogen: bad assignment target %T", s.Target)
-}
-
-func augOp(k token.Kind) token.Kind {
-	switch k {
-	case token.PLUSASSIGN:
-		return token.PLUS
-	case token.MINUSASSIGN:
-		return token.MINUS
-	case token.STARASSIGN:
-		return token.STAR
-	case token.SLASHASSIGN:
-		return token.SLASH
-	default:
-		return token.PERCENT
-	}
-}
-
-// exprRef is a pre-rendered operand with its Tetra type, letting augmented
-// assignments reuse binary-operator emission.
-type exprRef struct {
-	text string
-	t    *types.Type
 }
 
 // exprAs renders e and widens int → real when the destination requires it.
@@ -615,96 +587,61 @@ func (g *generator) expr(e ast.Expr) (string, error) {
 	return "", fmt.Errorf("gogen: unsupported expression %T", e)
 }
 
-// binaryResultKind reports whether a numeric binary op over the two types
-// is int or real arithmetic.
-func binaryResultKind(a, b *types.Type) types.Kind {
-	if a.Kind() == types.Int && b.Kind() == types.Int {
-		return types.Int
-	}
-	return types.Real
-}
-
-// asReal wraps int-typed arithmetic text in a float64 conversion when a
-// real target requires it.
-func asReal(text string, k types.Kind) string {
-	if k == types.Int {
-		return "float64(" + text + ")"
-	}
-	return text
-}
-
 func (g *generator) binary(e *ast.BinaryExpr) (string, error) {
-	return g.binaryText(e.Op, exprRef{t: e.X.Type()}, e.Y, e.X)
-}
-
-// binaryText emits a binary operation. The left operand is either the
-// pre-rendered `left` (when left.text != "") or leftExpr[0].
-func (g *generator) binaryText(op token.Kind, left exprRef, right ast.Expr, leftExpr ...ast.Expr) (string, error) {
-	lt := left.t
-	ltext := left.text
-	if ltext == "" {
-		s, err := g.expr(leftExpr[0])
-		if err != nil {
-			return "", err
-		}
-		ltext = s
-	}
-	rtext, err := g.expr(right)
+	l, err := g.expr(e.X)
 	if err != nil {
 		return "", err
 	}
-	if left.text == "" && isNumLit(leftExpr[0]) {
-		rtext = nonConst(rtext, right)
+	r, err := g.expr(e.Y)
+	if err != nil {
+		return "", err
 	}
-	rt := right.Type()
-
-	switch op {
+	if isNumLit(e.X) {
+		r = nonConst(r, e.Y)
+	}
+	switch e.Op {
 	case token.AND:
-		return "((" + ltext + ") && (" + rtext + "))", nil
+		return "((" + l + ") && (" + r + "))", nil
 	case token.OR:
-		return "((" + ltext + ") || (" + rtext + "))", nil
-	case token.EQ, token.NE:
-		if lt.IsArray() || rt.IsArray() {
-			eq := fmt.Sprintf("gort.Eq(%s, %s)", ltext, rtext)
-			if op == token.NE {
-				return "(!" + eq + ")", nil
-			}
-			return eq, nil
-		}
-		ltext, rtext = widenPair(ltext, rtext, lt, rt)
-		if op == token.EQ {
-			return "((" + ltext + ") == (" + rtext + "))", nil
-		}
-		return "((" + ltext + ") != (" + rtext + "))", nil
-	case token.LT, token.LE, token.GT, token.GE:
-		ltext, rtext = widenPair(ltext, rtext, lt, rt)
-		return "((" + ltext + ") " + op.String() + " (" + rtext + "))", nil
+		return "((" + l + ") || (" + r + "))", nil
 	}
+	return operator(e.Kernel, l, r, e.X.Type().IsArray()), nil
+}
 
-	// Arithmetic. String concatenation routes through gort so the built
-	// bytes are charged against the allocation budget, matching the
-	// interpreter and VM.
-	if lt.Kind() == types.String {
-		return fmt.Sprintf("gort.Concat(%s, %s)", ltext, rtext), nil
+// goOps is the Go spelling of each sem operator.
+var goOps = [...]string{sem.Add: "+", sem.Sub: "-", sem.Mul: "*", sem.Div: "/", sem.Mod: "%",
+	sem.Eq: "==", sem.Ne: "!=", sem.Lt: "<", sem.Le: "<=", sem.Gt: ">", sem.Ge: ">="}
+
+// operator renders kernel k on the rendered operands l and r: the int side
+// of a mixed pair converted to float64, a division or modulo through the
+// gort kernel that raises on a zero divisor, string + through gort.Concat,
+// which charges the built bytes against the allocation budget as the
+// engines do, and == and != through gort.Eq when the operands are arrays.
+// Every other operator is Go's own.
+func operator(k ast.Kernel, l, r string, arrays bool) string {
+	switch k.Operands {
+	case ast.IntReal:
+		l = "float64(" + l + ")"
+	case ast.RealInt:
+		r = "float64(" + r + ")"
 	}
-	if binaryResultKind(lt, rt) == types.Int {
-		switch op {
-		case token.SLASH:
-			return fmt.Sprintf("gort.DivInt(%s, %s)", ltext, rtext), nil
-		case token.PERCENT:
-			return fmt.Sprintf("gort.ModInt(%s, %s)", ltext, rtext), nil
-		default:
-			return "((" + ltext + ") " + op.String() + " (" + rtext + "))", nil
-		}
+	switch {
+	case arrays && k.Op == sem.Eq:
+		return fmt.Sprintf("gort.Eq(%s, %s)", l, r)
+	case arrays && k.Op == sem.Ne:
+		return fmt.Sprintf("(!gort.Eq(%s, %s))", l, r)
+	case k.Operands == ast.Generic && k.Op == sem.Add:
+		return fmt.Sprintf("gort.Concat(%s, %s)", l, r)
+	case k.Op == sem.Div && k.Operands == ast.Ints:
+		return fmt.Sprintf("gort.DivInt(%s, %s)", l, r)
+	case k.Op == sem.Mod && k.Operands == ast.Ints:
+		return fmt.Sprintf("gort.ModInt(%s, %s)", l, r)
+	case k.Op == sem.Div:
+		return fmt.Sprintf("gort.DivReal(%s, %s)", l, r)
+	case k.Op == sem.Mod:
+		return fmt.Sprintf("gort.ModReal(%s, %s)", l, r)
 	}
-	ltext, rtext = widenPair(ltext, rtext, lt, rt)
-	switch op {
-	case token.PERCENT:
-		return fmt.Sprintf("gort.ModReal(%s, %s)", ltext, rtext), nil
-	case token.SLASH:
-		return fmt.Sprintf("gort.DivReal(%s, %s)", ltext, rtext), nil
-	}
-	return "((" + ltext + ") " + op.String() + " (" + rtext + "))", nil
+	return "((" + l + ") " + goOps[k.Op] + " (" + r + "))"
 }
 
 // isNumLit reports whether e is a numeric literal, which gogen writes as a
@@ -728,18 +665,6 @@ func nonConst(text string, e ast.Expr) string {
 		return text
 	}
 	return "gort.Dyn(" + text + ")"
-}
-
-// widenPair inserts float64 conversions when exactly one numeric side is
-// int.
-func widenPair(ltext, rtext string, lt, rt *types.Type) (string, string) {
-	if lt.Kind() == types.Int && rt.Kind() == types.Real {
-		return "float64(" + ltext + ")", rtext
-	}
-	if lt.Kind() == types.Real && rt.Kind() == types.Int {
-		return ltext, "float64(" + rtext + ")"
-	}
-	return ltext, rtext
 }
 
 func (g *generator) call(e *ast.CallExpr) (string, error) {

@@ -515,10 +515,13 @@ def main():
 // fast path inlines into generated code: a division by -1 that wraps, a
 // negative index that counts from the end, an index out of range either
 // side, and a zero divisor written as a literal, which must stay a runtime
-// error (Go rejects a constant division by zero at compile time). Each
-// program must mean the same on the interpreter, the VM at every
+// error (Go rejects a constant division by zero at compile time); and where
+// an int meets a real, that the int operation overflows before its result
+// widens, a mixed loop condition, and an int literal zero dividing a real.
+// Each program must mean the same on the interpreter, the VM at every
 // optimization level and natively, where an operator's error is
-// unpositioned.
+// unpositioned. The mixed rows' expectations were recorded before the
+// compiler and gogen read the checker's kernel.
 func TestGeneratedKernelEdges(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs generated binaries; skipped in -short")
@@ -538,6 +541,14 @@ func TestGeneratedKernelEdges(t *testing.T) {
 			err: "edges.ttr:2:13: runtime error: division by zero"},
 		{name: "real_div_literal_zero", src: "def main():\n    x = 1.5\n    print(x / 0.0)\n",
 			err: "edges.ttr:3:13: runtime error: division by zero"},
+		{name: "overflow_before_widening", src: "def main():\n    big = 9223372036854775807\n    print((big + 1) * 1.5, \" \", big * 2 + 0.5)\n    x = 1.5\n    x *= big + 1\n    print(x)\n",
+			stdout: "-1.3835058055282164e+19 -1.5\n-1.3835058055282164e+19\n"},
+		{name: "mixed_loop_condition", src: "def main():\n    lim = 3.5\n    i = 0\n    while i < lim:\n        i += 1\n    print(i)\n    r = 0.5\n    n = 0\n    while r <= 4:\n        r = r * 2\n        n += 1\n    print(r, \" \", n)\n",
+			stdout: "4\n8.0 4\n"},
+		{name: "real_div_int_literal_zero", src: "def main():\n    r = 7.5\n    print(r / 0)\n",
+			err: "edges.ttr:3:13: runtime error: division by zero"},
+		{name: "real_mod_int_literal_zero", src: "def main():\n    r = 7.5\n    print(r % 0)\n",
+			err: "edges.ttr:3:13: runtime error: modulo by zero"},
 	}
 	progs := make(map[string]string, len(cases))
 	for _, c := range cases {

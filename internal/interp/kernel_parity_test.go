@@ -8,7 +8,9 @@ package interp_test
 // at its operator. The interpreter dispatches each operator on the kernel
 // the checker resolved it to; every expected result below is what the
 // interpreter printed, error positions included, when it still asked its
-// operands for their kinds at run time.
+// operands for their kinds at run time. The rows from int overflow before
+// widening on were recorded on every engine while the VM still ran mixed
+// operands untyped, before the compiler read the checker's kernel.
 
 import (
 	"testing"
@@ -142,6 +144,34 @@ func TestKernelEdgesAgree(t *testing.T) {
     w[0] += "z"
     print(w)
 `, 0, parity.Result{Stdout: "abc true true false false false true\nabc true true false true\n[\"xz\", \"y\"]\n", Err: ""}},
+		{"int_overflow_before_widening", `def main():
+    big = 9223372036854775807
+    print((big + 1) * 1.5, " ", big * 2 + 0.5)
+    x = 1.5
+    x *= big + 1
+    print(x)
+`, 0, parity.Result{Stdout: "-1.3835058055282164e+19 -1.5\n-1.3835058055282164e+19\n", Err: ""}},
+		{"mixed_loop_condition", `def main():
+    lim = 3.5
+    i = 0
+    while i < lim:
+        i += 1
+    print(i)
+    r = 0.5
+    n = 0
+    while r <= 4:
+        r = r * 2
+        n += 1
+    print(r, " ", n)
+`, 0, parity.Result{Stdout: "4\n8.0 4\n", Err: ""}},
+		{"real_div_by_zero_int_literal", `def main():
+    r = 7.5
+    print(r / 0)
+`, 0, parity.Result{Stdout: "", Err: "test.ttr:3:13: runtime error: division by zero"}},
+		{"real_mod_by_zero_int_literal", `def main():
+    r = 7.5
+    print(r % 0)
+`, 0, parity.Result{Stdout: "", Err: "test.ttr:3:13: runtime error: modulo by zero"}},
 		{"concatenation_trips_max_alloc", `def main():
     s = "0123456789"
     while true:

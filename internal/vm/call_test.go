@@ -60,9 +60,10 @@ const arithLoopSrc = `def main():
     print(s)
 `
 
-// realLoopSrc is a Mandelbrot escape loop: every operation in it is real
-// arithmetic or a real comparison, the path through sem.Arith that passes
-// and returns a value.Value.
+// realLoopSrc is a Mandelbrot escape loop: real arithmetic and real
+// comparisons on the .r opcodes, where the int counters py and px meet a
+// real (2.0 * py / 20) through one toreal and the literal is the real
+// constant 20.0.
 const realLoopSrc = `def main():
     total = 0
     py = 0

@@ -596,39 +596,40 @@ func TestFoldRefusalsKeepRuntimeError(t *testing.T) {
 }
 
 // Superinstruction fusion rewrites the instruction an error is raised
-// from: a div.i that raises at -O0 raises from an arithk (a constant zero
-// divisor stays with the untyped path, which owns that error) or a div.ikl
-// at -O2. These tests pin that the reported position — file, line, column of
-// the operator — is byte-identical across every optimization level, which
-// is the property teachers rely on when a student flips -O levels chasing
-// a crash. Each case also asserts the fused opcode actually fired, so the
-// test cannot rot into comparing three unoptimized runs.
+// from: a div.i that raises at -O0 raises from a div.ikl at -O2, and from
+// the div.i itself when its constant divisor is zero (the constant-divisor
+// forms do not test the divisor, so fusion leaves that one alone). These
+// tests pin that the reported position — file, line, column of the
+// operator — is byte-identical across every optimization level, which is
+// the property teachers rely on when a student flips -O levels chasing a
+// crash. Each case also asserts which opcode raises at O2, so the test
+// cannot rot into comparing three unoptimized runs.
 func TestErrorPositionsSurviveFusion(t *testing.T) {
 	cases := []struct {
 		name, src string
-		fusedOp   string // mnemonic that must appear in main's O2 disassembly
+		o2Op      string // mnemonic that must appear in main's O2 disassembly
 		want      string
 	}{
 		{
-			// Constant right operand: div fuses to arithk (x/0 is evaluated
-			// at run time; fusion absorbs the 0).
-			name:    "const_divisor",
-			src:     "def main():\n    x = 5\n    x = x / 0\n    print(x)\n",
-			fusedOp: "arithk",
-			want:    "test.ttr:3:11: runtime error: division by zero",
+			// Constant zero right operand: x/0 is evaluated at run time by
+			// the unfused div.i.
+			name: "const_divisor",
+			src:  "def main():\n    x = 5\n    x = x / 0\n    print(x)\n",
+			o2Op: "div.i",
+			want: "test.ttr:3:11: runtime error: division by zero",
 		},
 		{
 			// Constant left operand: 10 / d fuses to the mirrored div.ikl.
-			name:    "const_dividend",
-			src:     "def f(d int) int:\n    return 10 / d\n\ndef main():\n    print(f(0))\n",
-			fusedOp: "div.ikl",
-			want:    "test.ttr:2:15: runtime error: division by zero",
+			name: "const_dividend",
+			src:  "def f(d int) int:\n    return 10 / d\n\ndef main():\n    print(f(0))\n",
+			o2Op: "div.ikl",
+			want: "test.ttr:2:15: runtime error: division by zero",
 		},
 		{
-			name:    "const_modulus",
-			src:     "def main():\n    x = 7\n    x = x % 0\n    print(x)\n",
-			fusedOp: "arithk",
-			want:    "test.ttr:3:11: runtime error: modulo by zero",
+			name: "const_modulus",
+			src:  "def main():\n    x = 7\n    x = x % 0\n    print(x)\n",
+			o2Op: "mod.i",
+			want: "test.ttr:3:11: runtime error: modulo by zero",
 		},
 	}
 	for _, c := range cases {
@@ -636,14 +637,14 @@ func TestErrorPositionsSurviveFusion(t *testing.T) {
 			parity.Agree(t, parity.Case{Name: c.name, File: "test.ttr", Src: c.src,
 				Want: &parity.Result{Err: c.want}})
 
-			// Prove the erroring operation really was fused at O2.
+			// Prove which instruction raises at O2.
 			bc := compileAt(t, c.src, bytecode.O2)
 			var dis strings.Builder
 			for _, f := range bc.Funcs {
 				dis.WriteString(bytecode.Disassemble(f))
 			}
-			if !strings.Contains(dis.String(), c.fusedOp) {
-				t.Errorf("no %s in O2 disassembly — fusion did not fire:\n%s", c.fusedOp, dis.String())
+			if !strings.Contains(dis.String(), " "+c.o2Op+" ") {
+				t.Errorf("no %s in O2 disassembly:\n%s", c.o2Op, dis.String())
 			}
 		})
 	}
@@ -694,13 +695,13 @@ func TestTypedOpcodeErrorPositions(t *testing.T) {
 		{"int_mod_const_dividend", fmt.Sprintf(kl, "int", "%", "10", "0"), "mod.i", "mod.ikl", "2:15: runtime error: modulo by zero"},
 		{"real_div_const_dividend", fmt.Sprintf(kl, "real", "/", "1.5", "0.0"), "div.r", "div.rkl", "2:16: runtime error: division by zero"},
 		{"real_mod_const_dividend", fmt.Sprintf(kl, "real", "%", "1.5", "0.0"), "mod.r", "mod.rkl", "2:16: runtime error: modulo by zero"},
-		{"int_div_const_divisor", "def main():\n    x = 5\n    x = x / 0\n    print(x)\n", "div.i", "arithk", "3:11: runtime error: division by zero"},
-		{"int_mod_const_divisor", "def main():\n    x = 7\n    x = x % 0\n    print(x)\n", "mod.i", "arithk", "3:11: runtime error: modulo by zero"},
-		{"real_div_const_divisor", "def f(x real) real:\n    return x / 0.0\n\ndef main():\n    print(f(2.5))\n", "div.r", "arithk", "2:14: runtime error: division by zero"},
-		{"real_mod_const_divisor", "def f(x real) real:\n    return x % 0.0\n\ndef main():\n    print(f(2.5))\n", "mod.r", "arithk", "2:14: runtime error: modulo by zero"},
+		{"int_div_const_divisor", "def main():\n    x = 5\n    x = x / 0\n    print(x)\n", "div.i", "div.i", "3:11: runtime error: division by zero"},
+		{"int_mod_const_divisor", "def main():\n    x = 7\n    x = x % 0\n    print(x)\n", "mod.i", "mod.i", "3:11: runtime error: modulo by zero"},
+		{"real_div_const_divisor", "def f(x real) real:\n    return x / 0.0\n\ndef main():\n    print(f(2.5))\n", "div.r", "div.r", "2:14: runtime error: division by zero"},
+		{"real_mod_const_divisor", "def f(x real) real:\n    return x % 0.0\n\ndef main():\n    print(f(2.5))\n", "mod.r", "mod.r", "2:14: runtime error: modulo by zero"},
 		{"int_div_aug", "def f(a int, b int) int:\n    a /= b\n    return a\n\ndef main():\n    print(f(7, 0))\n", "div.i", "div.i", "2:7: runtime error: division by zero"},
 		{"real_mod_aug", "def f(a real, b real) real:\n    a %= b\n    return a\n\ndef main():\n    print(f(7.5, 0.0))\n", "mod.r", "mod.r", "2:7: runtime error: modulo by zero"},
-		{"mixed_div_stays_untyped", "def f(a real, b int) real:\n    return a / b\n\ndef main():\n    print(f(7.5, 0))\n", "div ", "div ", "2:14: runtime error: division by zero"},
+		{"mixed_div_widens", "def f(a real, b int) real:\n    return a / b\n\ndef main():\n    print(f(7.5, 0))\n", "div.r", "div.r", "2:14: runtime error: division by zero"},
 		{"index_reg", "def f(a [int], i int) int:\n    return a[i]\n\ndef main():\n    print(f([1, 2, 3], 3))\n", "index.a", "index.a", "2:12: runtime error: index 3 out of range for array of length 3"},
 		{"index_reg_negative", "def f(a [int], i int) int:\n    return a[i]\n\ndef main():\n    print(f([1, 2, 3], -4))\n", "index.a", "index.a", "2:12: runtime error: index -4 out of range for array of length 3"},
 		{"index_const", "def f(a [real]) real:\n    return a[5]\n\ndef main():\n    print(f([1.0, 2.0]))\n", "index.a", "index.a", "2:12: runtime error: index 5 out of range for array of length 2"},

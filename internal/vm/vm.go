@@ -53,9 +53,10 @@
 // every error's wording. Nothing here re-checks that a register holds the
 // kind its opcode names: bytecode.Verify proves it of what Compile and
 // the optimizer emit, and Call, the one door by which values come in from
-// outside, checks types at the door. The untyped opcodes (operands of
-// mixed kind, strings, a constant zero divisor) go through sem.Arith and
-// sem.Compare.
+// outside, checks types at the door. The checker's kernel picked each
+// opcode, so a mixed int/real operation reaches here as a toreal and a .r
+// opcode. Only generic operands (strings, bools, arrays) have untyped
+// opcodes: string + through sem.Arith, comparisons through sem.Compare.
 //
 // A call is an index: Tetra has no first-class functions and no
 // redefinition, so OpCall enters prog.Funcs[A] and OpCallBuiltin evaluates
@@ -292,8 +293,8 @@ activation:
 			cells[ins.Dst].Store(regs[ins.A])
 
 		// Typed arithmetic. A zero divisor in a register is sem's error; a
-		// constant divisor is not zero (the optimizer leaves that one to
-		// OpArithConst).
+		// constant divisor is not zero (the optimizer does not fuse that
+		// one).
 		case bytecode.OpAddInt:
 			regs[ins.Dst] = value.NewInt(sem.ArithInt(sem.Add, regs[ins.A].Int(), regs[ins.B].Int()))
 		case bytecode.OpSubInt:
@@ -382,22 +383,22 @@ activation:
 			}
 			regs[ins.Dst] = value.NewReal(v)
 
-		// Untyped arithmetic: operands of different kinds, strings, and the
-		// constant zero divisor.
-		case bytecode.OpAdd, bytecode.OpSub, bytecode.OpMul, bytecode.OpDiv, bytecode.OpMod:
-			v, err := t.arith(ins.Op, regs[ins.A], regs[ins.B], &ch.Pos[pc])
+		// String concatenation, the one untyped arithmetic; the fused
+		// forms' C is OpAdd.
+		case bytecode.OpAdd:
+			v, err := t.concat(regs[ins.A], regs[ins.B], &ch.Pos[pc])
 			if err != nil {
 				return value.Value{}, err
 			}
 			regs[ins.Dst] = v
 		case bytecode.OpArithConst:
-			v, err := t.arith(bytecode.Op(ins.C), regs[ins.A], consts[ins.B], &ch.Pos[pc])
+			v, err := t.concat(regs[ins.A], consts[ins.B], &ch.Pos[pc])
 			if err != nil {
 				return value.Value{}, err
 			}
 			regs[ins.Dst] = v
 		case bytecode.OpArithConstL:
-			v, err := t.arith(bytecode.Op(ins.C), consts[ins.B], regs[ins.A], &ch.Pos[pc])
+			v, err := t.concat(consts[ins.B], regs[ins.A], &ch.Pos[pc])
 			if err != nil {
 				return value.Value{}, err
 			}
@@ -748,15 +749,14 @@ activation:
 	return value.Value{}, nil
 }
 
-// arith is the untyped arithmetic path: sem.Arith on whatever kinds the
-// operands hold, positioned errors, and the governor's charge for the bytes
-// a string concatenation builds.
-func (t *thread) arith(op bytecode.Op, l, r value.Value, pos *token.Pos) (value.Value, error) {
-	v, err := sem.Arith(op.Operator(), l, r)
+// concat is string +: sem.Arith, and the governor's charge for the bytes
+// it builds.
+func (t *thread) concat(l, r value.Value, pos *token.Pos) (value.Value, error) {
+	v, err := sem.Arith(sem.Add, l, r)
 	if err != nil {
 		return value.Value{}, sem.At(err, pos.String())
 	}
-	if g := t.vm.guard; g != nil && v.K == value.Str {
+	if g := t.vm.guard; g != nil {
 		if k := g.AddAlloc(int64(len(v.Str()))); k != guard.OK {
 			return value.Value{}, g.ErrAt(k, pos.String())
 		}
