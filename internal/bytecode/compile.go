@@ -2,6 +2,8 @@ package bytecode
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/ast"
 	"repro/internal/sem"
@@ -57,6 +59,8 @@ type Program struct {
 
 // Compile lowers a checked AST program to register bytecode.
 func Compile(p *ast.Program) (*Program, error) {
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
 	out := &Program{LockNames: p.LockNames, MainIndex: -1}
 	// Parameter types of every function, indexed by function index, used to
 	// widen int arguments into real parameters at call sites.
@@ -69,7 +73,7 @@ func Compile(p *ast.Program) (*Program, error) {
 		params[i] = pts
 	}
 	for i, f := range p.Funcs {
-		cf, err := compileFunc(f, params, i)
+		cf, err := compileFunc(s, f, params, i)
 		if err != nil {
 			return nil, err
 		}
@@ -81,12 +85,49 @@ func Compile(p *ast.Program) (*Program, error) {
 	return out, nil
 }
 
+// A chunk is emitted into a chunkBuf and copied into its Chunk, at its
+// final length, when it is complete: the buffers, not the chunks, grow.
+type chunkBuf struct {
+	code []Instr
+	pos  []token.Pos
+}
+
+// scratch holds the chunkBufs of one compile, one per chunk being
+// emitted at once (a parallel construct's arms are emitted inside the
+// chunk that holds it), and keeps them between compiles through
+// scratchPool. A buffer longer than maxScratch instructions is dropped.
+type scratch struct{ free []*chunkBuf }
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+const maxScratch = 1 << 14
+
+func (s *scratch) take() *chunkBuf {
+	n := len(s.free)
+	if n == 0 {
+		return new(chunkBuf)
+	}
+	b := s.free[n-1]
+	s.free = s.free[:n-1]
+	return b
+}
+
+func (s *scratch) give(b *chunkBuf) {
+	if cap(b.code) > maxScratch {
+		return
+	}
+	b.code, b.pos = b.code[:0], b.pos[:0]
+	s.free = append(s.free, b)
+}
+
 type fnCompiler struct {
 	fn     *Func
 	src    *ast.FuncDecl
 	params [][]*types.Type // parameter types of every program function
-	// cur is the chunk being emitted into.
-	cur int
+	// cur is the chunk being emitted into, buf its code so far.
+	cur     int
+	buf     *chunkBuf
+	scratch *scratch
 	// nextTemp is the next free temporary register; temporaries live in
 	// [fn.NumSlots, maxTemp) and are allocated with stack discipline —
 	// each statement and each genExprTo call releases its temporaries on
@@ -104,9 +145,11 @@ type fnCompiler struct {
 	continues [][]int
 }
 
-func compileFunc(f *ast.FuncDecl, params [][]*types.Type, index int) (*Func, error) {
+func compileFunc(s *scratch, f *ast.FuncDecl, params [][]*types.Type, index int) (*Func, error) {
 	c := &fnCompiler{
-		params: params,
+		params:  params,
+		buf:     s.take(),
+		scratch: s,
 		fn: &Func{
 			Name:      f.Name,
 			Params:    params[index],
@@ -126,6 +169,7 @@ func compileFunc(f *ast.FuncDecl, params [][]*types.Type, index int) (*Func, err
 		return nil, err
 	}
 	c.emit(OpReturnNone, 0, 0, 0, 0, f.Pos())
+	c.seal()
 	c.fn.Chunks[0].NumTemps = c.maxTemp - c.fn.NumSlots
 	return c.fn, nil
 }
@@ -191,19 +235,28 @@ func (c *fnCompiler) setVar(slot, reg int32, pos token.Pos) {
 func (c *fnCompiler) chunk() *Chunk { return &c.fn.Chunks[c.cur] }
 
 func (c *fnCompiler) emit(op Op, dst, a, b, cc int32, pos token.Pos) int {
+	buf := c.buf
+	buf.code = append(buf.code, Instr{Op: op, Dst: dst, A: a, B: b, C: cc})
+	buf.pos = append(buf.pos, pos)
+	return len(buf.code) - 1
+}
+
+// seal copies the emitted code into the current chunk and hands its
+// buffer back.
+func (c *fnCompiler) seal() {
 	ch := c.chunk()
-	ch.Code = append(ch.Code, Instr{Op: op, Dst: dst, A: a, B: b, C: cc})
-	ch.Pos = append(ch.Pos, pos)
-	return len(ch.Code) - 1
+	ch.Code, ch.Pos = slices.Clone(c.buf.code), slices.Clone(c.buf.pos)
+	c.scratch.give(c.buf)
+	c.buf = nil
 }
 
 // patch sets the A operand (jump target) of the placeholder at index i to
 // the current pc.
 func (c *fnCompiler) patch(i int) {
-	c.chunk().Code[i].A = int32(len(c.chunk().Code))
+	c.buf.code[i].A = c.pc()
 }
 
-func (c *fnCompiler) pc() int32 { return int32(len(c.chunk().Code)) }
+func (c *fnCompiler) pc() int32 { return int32(len(c.buf.code)) }
 
 // temp allocates one temporary register.
 func (c *fnCompiler) temp() int32 {
@@ -352,7 +405,7 @@ func (c *fnCompiler) stmtInner(s ast.Stmt) error {
 		}
 		c.emit(OpJump, 0, top, 0, 0, s.Pos())
 		c.popLoop(top)
-		c.chunk().Code[iter].B = c.pc()
+		c.buf.code[iter].B = c.pc()
 		return nil
 
 	case *ast.ReturnStmt:
@@ -449,13 +502,13 @@ func (c *fnCompiler) arms(b *ast.Block) (int32, error) {
 // positioned at end, inside the construct, so a limit that trips there is
 // reported where the thread was running.
 func (c *fnCompiler) subChunk(ci int, end token.Pos, body func() error) error {
-	saveCur := c.cur
+	saveCur, saveBuf := c.cur, c.buf
 	saveNext, saveMax := c.nextTemp, c.maxTemp
 	saveLocks := c.lockStack
 	saveLoopBase := c.loopLockBase
 	saveBreaks, saveConts := c.breaks, c.continues
 
-	c.cur = ci
+	c.cur, c.buf = ci, c.scratch.take()
 	c.nextTemp, c.maxTemp = c.fn.NumSlots, c.fn.NumSlots
 	c.lockStack = nil
 	c.loopLockBase = nil
@@ -463,9 +516,10 @@ func (c *fnCompiler) subChunk(ci int, end token.Pos, body func() error) error {
 
 	err := body()
 	c.emit(OpReturnNone, 0, 0, 0, 0, end)
+	c.seal()
 	c.chunk().NumTemps = c.maxTemp - c.fn.NumSlots
 
-	c.cur = saveCur
+	c.cur, c.buf = saveCur, saveBuf
 	c.nextTemp, c.maxTemp = saveNext, saveMax
 	c.lockStack = saveLocks
 	c.loopLockBase = saveLoopBase
@@ -487,7 +541,7 @@ func (c *fnCompiler) popLoop(continueTarget int32) {
 		c.patch(j)
 	}
 	for _, j := range c.continues[n] {
-		c.chunk().Code[j].A = continueTarget
+		c.buf.code[j].A = continueTarget
 	}
 	c.breaks = c.breaks[:n]
 	c.continues = c.continues[:n]

@@ -92,10 +92,11 @@ func VerifyOptimize(p *Program, level int) error {
 // behind every phase that changed a chunk, and its first error ends the
 // run.
 func optimize(p *Program, level int, check func(ph phase, f *Func, ci int) error) error {
+	var o optimizer
 	for _, f := range p.Funcs {
 		for ci := range f.Chunks {
 			run := func(ph phase) (bool, error) {
-				if !ph.run(f, &f.Chunks[ci]) {
+				if !ph.run(&o, f, &f.Chunks[ci]) {
 					return false, nil
 				}
 				if check == nil {
@@ -128,7 +129,27 @@ func optimize(p *Program, level int, check func(ph phase, f *Func, ci int) error
 // A phase rewrites one chunk and reports whether it changed anything.
 type phase struct {
 	name string
-	run  func(f *Func, ch *Chunk) bool
+	run  func(o *optimizer, f *Func, ch *Chunk) bool
+}
+
+// An optimizer holds the working storage of one Optimize call, which
+// every phase reuses instead of allocating its own per chunk or query.
+type optimizer struct {
+	marks []bool  // jumpTargets' targets or removeDeadCode's reachable pcs
+	seen  []bool  // regLive's visited pcs
+	stack []int   // pcs still to visit, in regLive or removeDeadCode
+	remap []int32 // compact's old pc → new pc
+}
+
+// bools returns *buf resized to n and cleared.
+func bools(buf *[]bool, n int) []bool {
+	if cap(*buf) < n {
+		*buf = make([]bool, n)
+	} else {
+		*buf = (*buf)[:n]
+		clear(*buf)
+	}
+	return *buf
 }
 
 var (
@@ -136,24 +157,24 @@ var (
 	// dead code, so the O1 phases iterate to a fixpoint. Each round strictly
 	// shrinks the chunk or retargets a jump for good, so it terminates.
 	o1Phases = []phase{
-		{name: "dead-store removal", run: removeDeadStores},
-		{name: "jump threading", run: threadJumps},
-		{name: "dead-code removal", run: removeDeadCode},
+		{name: "dead-store removal", run: (*optimizer).removeDeadStores},
+		{name: "jump threading", run: (*optimizer).threadJumps},
+		{name: "dead-code removal", run: (*optimizer).removeDeadCode},
 	}
 	// The O2 phases run once, in this order.
 	o2Phases = []phase{
-		{name: "compare-jump fusion", run: fuseCmpJump},
-		{name: "compare-constant fusion", run: fuseCmpConst},
-		{name: "arith-constant fusion", run: fuseArithConst},
-		{name: "loop rotation", run: rotateLoops},
+		{name: "compare-jump fusion", run: (*optimizer).fuseCmpJump},
+		{name: "compare-constant fusion", run: (*optimizer).fuseCmpConst},
+		{name: "arith-constant fusion", run: (*optimizer).fuseArithConst},
+		{name: "loop rotation", run: (*optimizer).rotateLoops},
 	}
 )
 
 // jumpTargets returns, for each pc, whether some instruction jumps there:
 // another predecessor may arrive with different register contents, so a
 // fusion window may not span one.
-func jumpTargets(ch *Chunk) []bool {
-	t := make([]bool, len(ch.Code)+1)
+func (o *optimizer) jumpTargets(ch *Chunk) []bool {
+	t := bools(&o.marks, len(ch.Code)+1)
 	for i := range ch.Code {
 		if a := ch.Code[i].target(); a != nil && *a >= 0 && int(*a) <= len(ch.Code) {
 			t[*a] = true
@@ -232,7 +253,7 @@ func deadStoreOK(op Op) bool {
 
 // removeDeadStores deletes error-free writes to temporaries no path reads
 // before the next write.
-func removeDeadStores(f *Func, ch *Chunk) bool {
+func (o *optimizer) removeDeadStores(f *Func, ch *Chunk) bool {
 	code := ch.Code
 	changed := false
 	for pc := range code {
@@ -240,21 +261,21 @@ func removeDeadStores(f *Func, ch *Chunk) bool {
 		if !deadStoreOK(ins.Op) || int(ins.Dst) < f.NumSlots {
 			continue
 		}
-		if regLive(f, ch, pc+1, ins.Dst) {
+		if o.regLive(f, ch, pc+1, ins.Dst) {
 			continue
 		}
 		code[pc] = Instr{Op: OpNop}
 		changed = true
 	}
 	if changed {
-		compact(ch)
+		o.compact(ch)
 	}
 	return changed
 }
 
 // regLive reports whether some path from pc in f's chunk ch reads
 // register reg before writing it.
-func regLive(f *Func, ch *Chunk, pc int, reg int32) bool {
+func (o *optimizer) regLive(f *Func, ch *Chunk, pc int, reg int32) bool {
 	code := ch.Code
 	// Most temporaries are read, or written again, a few instructions on:
 	// follow straight-line code before paying for a visited set.
@@ -270,11 +291,11 @@ func regLive(f *Func, ch *Chunk, pc int, reg int32) bool {
 			break
 		}
 	}
-	seen := make([]bool, len(code))
-	stack := []int{pc}
-	for len(stack) > 0 {
-		p := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+	seen := bools(&o.seen, len(code))
+	o.stack = append(o.stack[:0], pc)
+	for len(o.stack) > 0 {
+		p := o.stack[len(o.stack)-1]
+		o.stack = o.stack[:len(o.stack)-1]
 		if p < 0 || p >= len(code) || seen[p] {
 			continue
 		}
@@ -287,7 +308,7 @@ func regLive(f *Func, ch *Chunk, pc int, reg int32) bool {
 			continue
 		}
 		next, n := successors(&ins, p)
-		stack = append(stack, next[:n]...)
+		o.stack = append(o.stack, next[:n]...)
 	}
 	return false
 }
@@ -308,7 +329,7 @@ func successors(ins *Instr, pc int) (next [2]int, n int) {
 
 // threadJumps retargets jumps whose destination is an unconditional jump,
 // following chains with a visit bound so degenerate cycles terminate.
-func threadJumps(_ *Func, ch *Chunk) bool {
+func (*optimizer) threadJumps(_ *Func, ch *Chunk) bool {
 	code := ch.Code
 	final := func(t int32) int32 {
 		for hops := 0; hops <= len(code); hops++ {
@@ -332,22 +353,22 @@ func threadJumps(_ *Func, ch *Chunk) bool {
 }
 
 // removeDeadCode deletes instructions unreachable from the chunk entry.
-func removeDeadCode(_ *Func, ch *Chunk) bool {
+func (o *optimizer) removeDeadCode(_ *Func, ch *Chunk) bool {
 	code := ch.Code
 	if len(code) == 0 {
 		return false
 	}
-	reach := make([]bool, len(code))
-	stack := []int{0}
+	reach := bools(&o.marks, len(code))
+	o.stack = append(o.stack[:0], 0)
 	reach[0] = true
-	for len(stack) > 0 {
-		pc := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+	for len(o.stack) > 0 {
+		pc := o.stack[len(o.stack)-1]
+		o.stack = o.stack[:len(o.stack)-1]
 		next, n := successors(&code[pc], pc)
 		for _, s := range next[:n] {
 			if s >= 0 && s < len(code) && !reach[s] {
 				reach[s] = true
-				stack = append(stack, s)
+				o.stack = append(o.stack, s)
 			}
 		}
 	}
@@ -359,17 +380,17 @@ func removeDeadCode(_ *Func, ch *Chunk) bool {
 		}
 	}
 	if changed {
-		compact(ch)
+		o.compact(ch)
 	}
 	return changed
 }
 
 // tempDeadPast reports whether temporary reg is dead on every path
 // leaving the instruction at pc (the second element of a fusion window).
-func tempDeadPast(f *Func, ch *Chunk, pc int, reg int32) bool {
+func (o *optimizer) tempDeadPast(f *Func, ch *Chunk, pc int, reg int32) bool {
 	next, n := successors(&ch.Code[pc], pc)
 	for _, s := range next[:n] {
-		if regLive(f, ch, s, reg) {
+		if o.regLive(f, ch, s, reg) {
 			return false
 		}
 	}
@@ -383,8 +404,8 @@ func tempDeadPast(f *Func, ch *Chunk, pc int, reg int32) bool {
 // becomes the typed compare-jump of the same operator, negated when the
 // branch is taken on false; an untyped one becomes OpCmpJump, which
 // carries operator and sense in C.
-func fuseCmpJump(f *Func, ch *Chunk) bool {
-	targets := jumpTargets(ch)
+func (o *optimizer) fuseCmpJump(f *Func, ch *Chunk) bool {
+	targets := o.jumpTargets(ch)
 	code := ch.Code
 	changed := false
 	for pc := 0; pc+1 < len(code); pc++ {
@@ -395,7 +416,7 @@ func fuseCmpJump(f *Func, ch *Chunk) bool {
 		if (next.Op != OpJumpIfFalse && next.Op != OpJumpIfTrue) || next.B != ins.Dst {
 			continue
 		}
-		if !tempDeadPast(f, ch, pc+1, ins.Dst) {
+		if !o.tempDeadPast(f, ch, pc+1, ins.Dst) {
 			continue
 		}
 		sense := next.Op == OpJumpIfTrue
@@ -412,7 +433,7 @@ func fuseCmpJump(f *Func, ch *Chunk) bool {
 		changed = true
 	}
 	if changed {
-		compact(ch)
+		o.compact(ch)
 	}
 	return changed
 }
@@ -433,14 +454,14 @@ const cmpJumpK = OpJeqIntK - OpJeqInt
 // code that leaves reg alone in between (in a shared function a cell load
 // sits there) and reg dead afterwards. It returns the OpConst's pc, or -1
 // when the operand cannot be folded into the instruction.
-func constOperand(f *Func, ch *Chunk, targets []bool, use int, reg int32) int {
+func (o *optimizer) constOperand(f *Func, ch *Chunk, targets []bool, use int, reg int32) int {
 	if int(reg) < f.NumSlots {
 		return -1
 	}
 	for pc := use - 1; pc >= 0 && !targets[pc+1]; pc-- {
 		ins := ch.Code[pc]
 		if ins.Op == OpConst && ins.Dst == reg {
-			if tempDeadPast(f, ch, use, reg) {
+			if o.tempDeadPast(f, ch, use, reg) {
 				return pc
 			}
 			return -1
@@ -456,8 +477,8 @@ func constOperand(f *Func, ch *Chunk, targets []bool, use int, reg int32) int {
 // fuseCmpJump. The typed forms compare reg A with the constant, so a
 // constant left operand mirrors the operator; OpCmpConstJump records the
 // side in C.
-func fuseCmpConst(f *Func, ch *Chunk) bool {
-	targets := jumpTargets(ch)
+func (o *optimizer) fuseCmpConst(f *Func, ch *Chunk) bool {
+	targets := o.jumpTargets(ch)
 	code := ch.Code
 	changed := false
 	for pc := range code {
@@ -466,10 +487,10 @@ func fuseCmpConst(f *Func, ch *Chunk) bool {
 			continue
 		}
 		reg, constLeft := ins.A, false
-		def := constOperand(f, ch, targets, pc, ins.B)
+		def := o.constOperand(f, ch, targets, pc, ins.B)
 		if def < 0 {
 			reg, constLeft = ins.B, true
-			def = constOperand(f, ch, targets, pc, ins.A)
+			def = o.constOperand(f, ch, targets, pc, ins.A)
 		}
 		if def < 0 {
 			continue
@@ -490,7 +511,7 @@ func fuseCmpConst(f *Func, ch *Chunk) bool {
 		changed = true
 	}
 	if changed {
-		compact(ch)
+		o.compact(ch)
 	}
 	return changed
 }
@@ -509,8 +530,8 @@ func fuseCmpConst(f *Func, ch *Chunk) bool {
 // divisor is zero: the constant-divisor forms do not test the divisor, so
 // that one stays as it is and raises the error. An untyped instruction is a
 // string +, which becomes OpArithConst or OpArithConstL.
-func fuseArithConst(f *Func, ch *Chunk) bool {
-	targets := jumpTargets(ch)
+func (o *optimizer) fuseArithConst(f *Func, ch *Chunk) bool {
+	targets := o.jumpTargets(ch)
 	code := ch.Code
 	changed := false
 	for pc := range code {
@@ -519,10 +540,10 @@ func fuseArithConst(f *Func, ch *Chunk) bool {
 			continue
 		}
 		reg, constLeft := ins.A, false
-		def := constOperand(f, ch, targets, pc, ins.B)
+		def := o.constOperand(f, ch, targets, pc, ins.B)
 		if def < 0 {
 			reg, constLeft = ins.B, true
-			def = constOperand(f, ch, targets, pc, ins.A)
+			def = o.constOperand(f, ch, targets, pc, ins.A)
 		}
 		if def < 0 {
 			continue
@@ -543,7 +564,7 @@ func fuseArithConst(f *Func, ch *Chunk) bool {
 		changed = true
 	}
 	if changed {
-		compact(ch)
+		o.compact(ch)
 	}
 	return changed
 }
@@ -576,7 +597,7 @@ func typedArithConst(op sem.Op, kind *types.Type, constLeft bool) Op {
 // continue). It keeps the back-edge's position; a compare-jump cannot
 // raise, so the position only says where a step limit tripped — inside
 // the loop, as before.
-func rotateLoops(_ *Func, ch *Chunk) bool {
+func (*optimizer) rotateLoops(_ *Func, ch *Chunk) bool {
 	code := ch.Code
 	changed := false
 	for pc := range code {
@@ -603,9 +624,12 @@ func rotateLoops(_ *Func, ch *Chunk) bool {
 // compact removes OpNop placeholders and remaps every jump target across
 // the deletion. A target equal to len(code) (a jump to the chunk end) maps
 // to the new end.
-func compact(ch *Chunk) {
+func (o *optimizer) compact(ch *Chunk) {
 	code := ch.Code
-	remap := make([]int32, len(code)+1)
+	if cap(o.remap) < len(code)+1 {
+		o.remap = make([]int32, len(code)+1)
+	}
+	remap := o.remap[:len(code)+1]
 	n := int32(0)
 	for i, ins := range code {
 		remap[i] = n

@@ -188,7 +188,7 @@ func TestSpawnsReadWhatTheirBodiesRead(t *testing.T) {
 		if store < 0 || parfor < 0 {
 			t.Fatalf("-O%d: want k's store and the parfor in chunk 0:\n%s", level, Disassemble(f))
 		}
-		if !regLive(f, ch, store+1, k) {
+		if !new(optimizer).regLive(f, ch, store+1, k) {
 			t.Errorf("-O%d: k's store is dead to the optimizer:\n%s", level, Disassemble(f))
 		}
 		if !readsReg(f, ch.Code[parfor], k) || readsReg(f, ch.Code[parfor], u) {

@@ -5,6 +5,13 @@
 // same: it tracks a stack of indentation levels and synthesizes NEWLINE,
 // INDENT and DEDENT tokens, Python-style. Inside parentheses or brackets,
 // newlines are ignored so expressions may span lines.
+//
+// The scanner works on bytes. Tetra's syntax is ASCII, so identifiers,
+// numbers, whitespace, comments and indentation are scanned in byte loops,
+// keywords are told from identifiers by token.Lookup's switch, and a
+// rune is decoded only at a non-ASCII byte: a letter in an identifier, a
+// character in a string or comment, or a stray one that is an error.
+// Columns still count runes. Number literals are ASCII digits only.
 package lexer
 
 import (
@@ -34,8 +41,9 @@ type Lexer struct {
 	col    int // current column (1-based, in runes)
 	indent []int
 	// pending holds synthesized tokens (DEDENTs, trailing NEWLINE) that must
-	// be delivered before scanning resumes.
+	// be delivered, from pending[head] on, before scanning resumes.
 	pending []token.Token
+	head    int
 	// depth counts open ( and [ pairs; newlines inside are insignificant.
 	depth int
 	// atLineStart is true when the scanner is positioned at the beginning of
@@ -51,8 +59,10 @@ type Lexer struct {
 // New returns a lexer over src. The file name is used in positions only.
 func New(file, src string) *Lexer {
 	// Normalize line endings so \r\n sources lex like \n sources.
-	src = strings.ReplaceAll(src, "\r\n", "\n")
-	src = strings.ReplaceAll(src, "\r", "\n")
+	if strings.IndexByte(src, '\r') >= 0 {
+		src = strings.ReplaceAll(src, "\r\n", "\n")
+		src = strings.ReplaceAll(src, "\r", "\n")
+	}
 	return &Lexer{
 		src:         src,
 		file:        file,
@@ -64,10 +74,13 @@ func New(file, src string) *Lexer {
 }
 
 // Tokens scans the entire input and returns the token stream, ending with
-// EOF, or the first lexical error.
+// EOF, or the first lexical error. The stream is built in one allocation
+// sized from the source: the golden corpus runs 3.3 bytes to a token, and
+// none of its programs under 2.4, so a slice of one token per two bytes
+// rarely grows.
 func Tokens(file, src string) ([]token.Token, error) {
 	lx := New(file, src)
-	var toks []token.Token
+	toks := make([]token.Token, 0, len(src)/2+16)
 	for {
 		t := lx.Next()
 		toks = append(toks, t)
@@ -93,12 +106,13 @@ func (lx *Lexer) pos() token.Pos {
 	return token.Pos{File: lx.file, Line: lx.line, Col: lx.col}
 }
 
-func (lx *Lexer) errorf(pos token.Pos, format string, args ...any) token.Token {
+// errorf records the error and makes *t the ILLEGAL token carrying it.
+func (lx *Lexer) errorf(t *token.Token, pos token.Pos, format string, args ...any) {
 	if lx.err == nil {
 		lx.err = &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)}
 	}
 	lx.done = true
-	return token.Token{Kind: token.ILLEGAL, Lit: lx.err.Msg, Pos: pos}
+	*t = token.Token{Kind: token.ILLEGAL, Lit: lx.err.Msg, Pos: pos}
 }
 
 // peek returns the next rune without consuming it, or -1 at end of input.
@@ -106,20 +120,10 @@ func (lx *Lexer) peek() rune {
 	if lx.off >= len(lx.src) {
 		return -1
 	}
+	if c := lx.src[lx.off]; c < utf8.RuneSelf {
+		return rune(c)
+	}
 	r, _ := utf8.DecodeRuneInString(lx.src[lx.off:])
-	return r
-}
-
-func (lx *Lexer) peekAt(n int) rune {
-	off := lx.off
-	for ; n > 0 && off < len(lx.src); n-- {
-		_, w := utf8.DecodeRuneInString(lx.src[off:])
-		off += w
-	}
-	if off >= len(lx.src) {
-		return -1
-	}
-	r, _ := utf8.DecodeRuneInString(lx.src[off:])
 	return r
 }
 
@@ -128,7 +132,10 @@ func (lx *Lexer) advance() rune {
 	if lx.off >= len(lx.src) {
 		return -1
 	}
-	r, w := utf8.DecodeRuneInString(lx.src[lx.off:])
+	r, w := rune(lx.src[lx.off]), 1
+	if r >= utf8.RuneSelf {
+		r, w = utf8.DecodeRuneInString(lx.src[lx.off:])
+	}
 	lx.off += w
 	if r == '\n' {
 		lx.line++
@@ -140,80 +147,99 @@ func (lx *Lexer) advance() rune {
 }
 
 // Next returns the next token in the stream. After EOF or an ILLEGAL token
-// it keeps returning EOF.
-func (lx *Lexer) Next() token.Token {
-	if len(lx.pending) > 0 {
-		t := lx.pending[0]
-		lx.pending = lx.pending[1:]
-		return t
-	}
-	if lx.done {
-		return token.Token{Kind: token.EOF, Pos: lx.pos()}
-	}
-	if lx.atLineStart && lx.depth == 0 {
-		if t, ok := lx.scanLineStart(); ok {
+// it keeps returning EOF. Blank lines and insignificant newlines are
+// skipped in its loop. The scanners write the token into Next's result:
+// returning it up through them instead copies it at every level, which
+// costs a parse about a tenth of its time.
+func (lx *Lexer) Next() (t token.Token) {
+	for {
+		if lx.head < len(lx.pending) {
+			t = lx.pending[lx.head]
+			lx.head++
+			if lx.head == len(lx.pending) {
+				lx.pending, lx.head = lx.pending[:0], 0
+			}
 			return t
 		}
-		if len(lx.pending) > 0 {
-			return lx.Next()
+		if lx.done {
+			return token.Token{Kind: token.EOF, Pos: lx.pos()}
+		}
+		if lx.atLineStart && lx.depth == 0 {
+			if lx.scanLineStart(&t) {
+				return t
+			}
+			if len(lx.pending) > 0 {
+				continue
+			}
+		}
+		if lx.scanToken(&t) {
+			return t
 		}
 	}
-	return lx.scanToken()
 }
 
 // scanLineStart measures indentation at the start of a logical line,
 // skipping blank and comment-only lines entirely. It may queue INDENT or
-// DEDENT tokens. The boolean result reports whether a token is returned
-// directly (EOF case).
-func (lx *Lexer) scanLineStart() (token.Token, bool) {
+// DEDENT tokens, or at end of input the closing tokens. It reports whether
+// it scanned a token into *t.
+func (lx *Lexer) scanLineStart(t *token.Token) bool {
 	for {
 		// Measure leading whitespace. Tabs count as advancing to the next
 		// multiple of 8, matching common Python practice.
 		width := 0
-		for {
-			switch lx.peek() {
+	indent:
+		for ; lx.off < len(lx.src); lx.off++ {
+			switch lx.src[lx.off] {
 			case ' ':
 				width++
-				lx.advance()
-				continue
 			case '\t':
 				width += 8 - width%8
-				lx.advance()
-				continue
+			default:
+				break indent
 			}
-			break
+			lx.col++
 		}
-		switch lx.peek() {
+		if lx.off == len(lx.src) {
+			lx.atLineStart = false
+			lx.finish()
+			return false
+		}
+		switch lx.src[lx.off] {
 		case '#':
 			lx.skipComment()
 			continue
 		case '\n':
-			lx.advance()
+			lx.newline()
 			continue
-		case -1:
-			lx.atLineStart = false
-			lx.finish()
-			return lx.Next(), true
 		}
 		lx.atLineStart = false
 		cur := lx.indent[len(lx.indent)-1]
 		switch {
 		case width > cur:
 			lx.indent = append(lx.indent, width)
-			return token.Token{Kind: token.INDENT, Pos: lx.pos()}, true
+			*t = token.Token{Kind: token.INDENT, Pos: lx.pos()}
+			return true
 		case width < cur:
 			for len(lx.indent) > 1 && lx.indent[len(lx.indent)-1] > width {
 				lx.indent = lx.indent[:len(lx.indent)-1]
 				lx.pending = append(lx.pending, token.Token{Kind: token.DEDENT, Pos: lx.pos()})
 			}
 			if lx.indent[len(lx.indent)-1] != width {
-				return lx.errorf(lx.pos(), "unindent does not match any outer indentation level"), true
+				lx.errorf(t, lx.pos(), "unindent does not match any outer indentation level")
+				return true
 			}
-			return token.Token{}, false // deliver queued DEDENTs
+			return false // deliver queued DEDENTs
 		default:
-			return token.Token{}, false
+			return false
 		}
 	}
+}
+
+// newline consumes the '\n' at the scan position.
+func (lx *Lexer) newline() {
+	lx.off++
+	lx.line++
+	lx.col = 1
 }
 
 // finish emits the final NEWLINE (if a statement is open), closes all open
@@ -232,202 +258,291 @@ func (lx *Lexer) finish() {
 	lx.done = true
 }
 
+// skipComment consumes the rest of the line up to its '\n'.
 func (lx *Lexer) skipComment() {
-	for r := lx.peek(); r != '\n' && r != -1; r = lx.peek() {
-		lx.advance()
+	n := strings.IndexByte(lx.src[lx.off:], '\n')
+	if n < 0 {
+		n = len(lx.src) - lx.off
 	}
+	lx.col += utf8.RuneCountInString(lx.src[lx.off : lx.off+n])
+	lx.off += n
 }
 
-func (lx *Lexer) scanToken() token.Token {
-	// Skip intra-line whitespace and comments.
-	for {
-		switch lx.peek() {
-		case ' ', '\t':
-			lx.advance()
+// scanToken scans one token after intra-line whitespace and comments into
+// *t. It reports false when it consumed an insignificant newline or
+// reached the end of input, which queues the closing tokens; Next then
+// goes on.
+func (lx *Lexer) scanToken(t *token.Token) bool {
+	for lx.off < len(lx.src) {
+		c := lx.src[lx.off]
+		if c == ' ' || c == '\t' {
+			lx.off++
+			lx.col++
 			continue
-		case '#':
+		}
+		if c == '#' {
 			lx.skipComment()
-			continue
 		}
 		break
 	}
-
-	pos := lx.pos()
-	r := lx.peek()
-	switch {
-	case r == -1:
+	if lx.off == len(lx.src) {
 		lx.finish()
-		return lx.Next()
-	case r == '\n':
-		lx.advance()
-		if lx.depth > 0 {
-			// Newlines inside brackets are insignificant.
-			return lx.scanToken()
-		}
-		lx.atLineStart = true
-		if lx.emittedAny {
-			lx.emittedAny = false
-			return token.Token{Kind: token.NEWLINE, Pos: pos}
-		}
-		return lx.Next()
-	case isIdentStart(r):
-		return lx.scanIdent(pos)
-	case unicode.IsDigit(r):
-		return lx.scanNumber(pos)
-	case r == '"':
-		return lx.scanString(pos)
+		return false
 	}
 
-	lx.advance()
+	pos := lx.pos()
+	c := lx.src[lx.off]
+	switch {
+	case c == '\n':
+		lx.newline()
+		if lx.depth > 0 {
+			// Newlines inside brackets are insignificant.
+			return false
+		}
+		lx.atLineStart = true
+		if !lx.emittedAny {
+			return false
+		}
+		lx.emittedAny = false
+		*t = token.Token{Kind: token.NEWLINE, Pos: pos}
+	case class[c]&identStart != 0:
+		lx.scanIdent(t, pos)
+	case class[c]&digit != 0:
+		lx.scanNumber(t, pos)
+	case c == '"':
+		lx.scanString(t, pos)
+	case c >= utf8.RuneSelf && unicode.IsLetter(lx.peek()):
+		lx.scanIdent(t, pos)
+	default:
+		lx.scanOperator(t, pos)
+	}
+	return true
+}
+
+// scanOperator scans an operator or delimiter; anything else is an error.
+func (lx *Lexer) scanOperator(t *token.Token, pos token.Pos) {
+	r := lx.advance()
 	lx.emittedAny = true
-	mk := func(k token.Kind) token.Token { return token.Token{Kind: k, Pos: pos} }
+	var k token.Kind
 	switch r {
 	case '(':
 		lx.depth++
-		return mk(token.LPAREN)
+		k = token.LPAREN
 	case ')':
 		if lx.depth > 0 {
 			lx.depth--
 		}
-		return mk(token.RPAREN)
+		k = token.RPAREN
 	case '[':
 		lx.depth++
-		return mk(token.LBRACKET)
+		k = token.LBRACKET
 	case ']':
 		if lx.depth > 0 {
 			lx.depth--
 		}
-		return mk(token.RBRACKET)
+		k = token.RBRACKET
 	case ',':
-		return mk(token.COMMA)
+		k = token.COMMA
 	case ':':
-		return mk(token.COLON)
+		k = token.COLON
 	case '+':
-		return lx.withAssign(pos, token.PLUS, token.PLUSASSIGN)
+		k = lx.withAssign(token.PLUS, token.PLUSASSIGN)
 	case '-':
-		return lx.withAssign(pos, token.MINUS, token.MINUSASSIGN)
+		k = lx.withAssign(token.MINUS, token.MINUSASSIGN)
 	case '*':
-		return lx.withAssign(pos, token.STAR, token.STARASSIGN)
+		k = lx.withAssign(token.STAR, token.STARASSIGN)
 	case '/':
-		return lx.withAssign(pos, token.SLASH, token.SLASHASSIGN)
+		k = lx.withAssign(token.SLASH, token.SLASHASSIGN)
 	case '%':
-		return lx.withAssign(pos, token.PERCENT, token.PERCENTASSIGN)
+		k = lx.withAssign(token.PERCENT, token.PERCENTASSIGN)
 	case '=':
-		if lx.peek() == '=' {
-			lx.advance()
-			return mk(token.EQ)
-		}
-		return mk(token.ASSIGN)
-	case '!':
-		if lx.peek() == '=' {
-			lx.advance()
-			return mk(token.NE)
-		}
-		return lx.errorf(pos, "unexpected character %q (did you mean !=?)", r)
+		k = lx.withAssign(token.ASSIGN, token.EQ)
 	case '<':
-		if lx.peek() == '=' {
-			lx.advance()
-			return mk(token.LE)
-		}
-		return mk(token.LT)
+		k = lx.withAssign(token.LT, token.LE)
 	case '>':
-		if lx.peek() == '=' {
-			lx.advance()
-			return mk(token.GE)
+		k = lx.withAssign(token.GT, token.GE)
+	case '!':
+		if !lx.accept('=') {
+			lx.errorf(t, pos, "unexpected character %q (did you mean !=?)", r)
+			return
 		}
-		return mk(token.GT)
+		k = token.NE
 	case '.':
-		if lx.peek() == '.' {
-			lx.advance()
-			return mk(token.DOTDOT)
+		if lx.accept('.') {
+			k = token.DOTDOT
+			break
 		}
-		return lx.errorf(pos, "unexpected character %q", r)
+		fallthrough
+	default:
+		lx.errorf(t, pos, "unexpected character %q", r)
+		return
 	}
-	return lx.errorf(pos, "unexpected character %q", r)
+	*t = token.Token{Kind: k, Pos: pos}
 }
 
-func (lx *Lexer) withAssign(pos token.Pos, plain, assign token.Kind) token.Token {
-	if lx.peek() == '=' {
-		lx.advance()
-		return token.Token{Kind: assign, Pos: pos}
+// accept consumes the ASCII byte c if it is next.
+func (lx *Lexer) accept(c byte) bool {
+	if lx.off < len(lx.src) && lx.src[lx.off] == c {
+		lx.off++
+		lx.col++
+		return true
 	}
-	return token.Token{Kind: plain, Pos: pos}
+	return false
 }
 
-func isIdentStart(r rune) bool {
-	return r == '_' || unicode.IsLetter(r)
+// withAssign returns assign if an '=' follows (consuming it), else plain.
+func (lx *Lexer) withAssign(plain, assign token.Kind) token.Kind {
+	if lx.accept('=') {
+		return assign
+	}
+	return plain
 }
 
-func isIdentCont(r rune) bool {
-	return r == '_' || unicode.IsLetter(r) || unicode.IsDigit(r)
-}
+// Byte classes of the ASCII characters.
+const (
+	identStart = 1 << iota // letter or '_'
+	identCont              // letter, '_' or digit
+	digit                  // '0'-'9'
+)
 
-func (lx *Lexer) scanIdent(pos token.Pos) token.Token {
+var class = func() (t [256]uint8) {
+	for c := 'a'; c <= 'z'; c++ {
+		t[c] = identStart | identCont
+		t[c-'a'+'A'] = identStart | identCont
+	}
+	t['_'] = identStart | identCont
+	for c := '0'; c <= '9'; c++ {
+		t[c] = identCont | digit
+	}
+	return t
+}()
+
+// scanIdent scans an identifier or keyword. A non-ASCII letter or digit
+// continues it.
+func (lx *Lexer) scanIdent(t *token.Token, pos token.Pos) {
 	start := lx.off
-	for isIdentCont(lx.peek()) {
-		lx.advance()
+	for lx.off < len(lx.src) {
+		c := lx.src[lx.off]
+		if class[c]&identCont != 0 {
+			lx.off++
+			lx.col++
+			continue
+		}
+		if c < utf8.RuneSelf {
+			break
+		}
+		r, w := utf8.DecodeRuneInString(lx.src[lx.off:])
+		if !unicode.IsLetter(r) && !unicode.IsDigit(r) {
+			break
+		}
+		lx.off += w
+		lx.col++
 	}
 	lit := lx.src[start:lx.off]
 	lx.emittedAny = true
-	kind := token.Lookup(lit)
-	if kind != token.IDENT {
-		return token.Token{Kind: kind, Pos: pos}
+	if kind := token.Lookup(lit); kind != token.IDENT {
+		*t = token.Token{Kind: kind, Pos: pos}
+		return
 	}
-	return token.Token{Kind: token.IDENT, Lit: lit, Pos: pos}
+	*t = token.Token{Kind: token.IDENT, Lit: lit, Pos: pos}
 }
 
-func (lx *Lexer) scanNumber(pos token.Pos) token.Token {
+// scanNumber scans an INT or a REAL literal: ASCII digits with an optional
+// fraction and exponent.
+func (lx *Lexer) scanNumber(t *token.Token, pos token.Pos) {
 	start := lx.off
-	for unicode.IsDigit(lx.peek()) {
-		lx.advance()
-	}
+	lx.digits()
 	isReal := false
 	// A '.' begins a fractional part only if followed by a digit; "1..10"
 	// must lex as INT DOTDOT INT.
-	if lx.peek() == '.' && unicode.IsDigit(lx.peekAt(1)) {
+	if lx.byteAt(0) == '.' && class[lx.byteAt(1)]&digit != 0 {
 		isReal = true
-		lx.advance()
-		for unicode.IsDigit(lx.peek()) {
-			lx.advance()
-		}
+		lx.off++
+		lx.digits()
 	}
-	if r := lx.peek(); r == 'e' || r == 'E' {
+	if c := lx.byteAt(0); c == 'e' || c == 'E' {
 		// Exponent part: e[+-]?digits.
 		i := 1
-		if s := lx.peekAt(1); s == '+' || s == '-' {
+		if s := lx.byteAt(1); s == '+' || s == '-' {
 			i = 2
 		}
-		if unicode.IsDigit(lx.peekAt(i)) {
+		if class[lx.byteAt(i)]&digit != 0 {
 			isReal = true
-			lx.advance() // e
-			if s := lx.peek(); s == '+' || s == '-' {
-				lx.advance()
-			}
-			for unicode.IsDigit(lx.peek()) {
-				lx.advance()
-			}
+			lx.off += i
+			lx.digits()
 		}
 	}
 	lit := lx.src[start:lx.off]
+	lx.col += lx.off - start
 	lx.emittedAny = true
+	kind := token.INT
 	if isReal {
-		return token.Token{Kind: token.REAL, Lit: lit, Pos: pos}
+		kind = token.REAL
 	}
-	return token.Token{Kind: token.INT, Lit: lit, Pos: pos}
+	*t = token.Token{Kind: kind, Lit: lit, Pos: pos}
 }
 
-func (lx *Lexer) scanString(pos token.Pos) token.Token {
+// digits skips a run of ASCII digits; the caller counts the columns.
+func (lx *Lexer) digits() {
+	for lx.off < len(lx.src) && class[lx.src[lx.off]]&digit != 0 {
+		lx.off++
+	}
+}
+
+// byteAt returns the byte n past the scan position, or 0 past the end.
+func (lx *Lexer) byteAt(n int) byte {
+	if lx.off+n < len(lx.src) {
+		return lx.src[lx.off+n]
+	}
+	return 0
+}
+
+// scanString scans a string literal. One without escapes, in valid UTF-8,
+// is a slice of the source.
+func (lx *Lexer) scanString(t *token.Token, pos token.Pos) {
+	start := lx.off + 1 // past the opening quote
+	for i := start; i < len(lx.src); {
+		c := lx.src[i]
+		if c == '"' {
+			lit := lx.src[start:i]
+			lx.col += utf8.RuneCountInString(lit) + 2
+			lx.off = i + 1
+			lx.emittedAny = true
+			*t = token.Token{Kind: token.STRING, Lit: lit, Pos: pos}
+			return
+		}
+		if c == '\\' || c == '\n' {
+			break
+		}
+		if c < utf8.RuneSelf {
+			i++
+			continue
+		}
+		r, w := utf8.DecodeRuneInString(lx.src[i:])
+		if r == utf8.RuneError && w == 1 {
+			break
+		}
+		i += w
+	}
+	lx.scanEscapedString(t, pos)
+}
+
+// scanEscapedString scans a string literal rune by rune, decoding escapes.
+// An invalid UTF-8 byte becomes U+FFFD.
+func (lx *Lexer) scanEscapedString(t *token.Token, pos token.Pos) {
 	lx.advance() // opening quote
 	var sb strings.Builder
 	for {
 		r := lx.peek()
 		switch r {
 		case -1, '\n':
-			return lx.errorf(pos, "unterminated string literal")
+			lx.errorf(t, pos, "unterminated string literal")
+			return
 		case '"':
 			lx.advance()
 			lx.emittedAny = true
-			return token.Token{Kind: token.STRING, Lit: sb.String(), Pos: pos}
+			*t = token.Token{Kind: token.STRING, Lit: sb.String(), Pos: pos}
+			return
 		case '\\':
 			lx.advance()
 			esc := lx.advance()
@@ -445,7 +560,8 @@ func (lx *Lexer) scanString(pos token.Pos) token.Token {
 			case '0':
 				sb.WriteByte(0)
 			default:
-				return lx.errorf(pos, "unknown escape sequence \\%c", esc)
+				lx.errorf(t, pos, "unknown escape sequence \\%c", esc)
+				return
 			}
 		default:
 			lx.advance()

@@ -1,6 +1,7 @@
 package lexer
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -346,5 +347,38 @@ func TestLexerDeterministic(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// A number literal is ASCII digits. A Unicode digit starting a literal is
+// an unexpected character, one after an ASCII digit ends the literal
+// there, and one inside an identifier belongs to it.
+func TestUnicodeDigits(t *testing.T) {
+	cases := []struct {
+		src, err string
+		toks     []token.Token
+	}{
+		{src: "x = ٣\n", err: "t:1:5: unexpected character '٣'"},
+		{src: "x = 1٣\n", err: "t:1:6: unexpected character '٣'",
+			toks: []token.Token{{Kind: token.INT, Lit: "1", Pos: token.Pos{File: "t", Line: 1, Col: 5}}}},
+		{src: "x٣ = 2\n", toks: []token.Token{
+			{Kind: token.IDENT, Lit: "x٣", Pos: token.Pos{File: "t", Line: 1, Col: 1}},
+			{Kind: token.ASSIGN, Pos: token.Pos{File: "t", Line: 1, Col: 4}},
+			{Kind: token.INT, Lit: "2", Pos: token.Pos{File: "t", Line: 1, Col: 6}}}},
+	}
+	for _, c := range cases {
+		toks, err := Tokens("t", c.src)
+		if got := fmt.Sprint(err); (c.err == "" && err != nil) || (c.err != "" && got != c.err) {
+			t.Errorf("lex %q: error %v, want %q", c.src, err, c.err)
+		}
+		for _, want := range c.toks {
+			found := false
+			for _, tok := range toks {
+				found = found || tok == want
+			}
+			if !found {
+				t.Errorf("lex %q: no token %v at %v in %v", c.src, want, want.Pos, toks)
+			}
+		}
 	}
 }

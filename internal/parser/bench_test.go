@@ -1,0 +1,38 @@
+package parser_test
+
+import (
+	"testing"
+
+	"repro/internal/ast"
+	"repro/internal/lexer"
+	"repro/internal/parity"
+	"repro/internal/parser"
+)
+
+var sink *ast.Program
+
+// BenchmarkParse scans and parses the golden corpus once per iteration
+// and reports the cost per token.
+func BenchmarkParse(b *testing.B) {
+	corpus := parity.Corpus(b)
+	tokens := 0
+	for _, c := range corpus {
+		toks, err := lexer.Tokens(c.File, c.Src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tokens += len(toks)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, c := range corpus {
+			prog, err := parser.Parse(c.File, c.Src)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sink = prog
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tokens), "ns/token")
+}

@@ -7,6 +7,7 @@ package parser
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/ast"
 	"repro/internal/lexer"
@@ -83,7 +84,11 @@ func (p *parser) expect(k token.Kind, context string) token.Token {
 }
 
 func (p *parser) errorf(format string, args ...any) {
-	panic(bailout{&Error{Pos: p.cur().Pos, Msg: fmt.Sprintf(format, args...)}})
+	p.errorAt(p.cur().Pos, format, args...)
+}
+
+func (p *parser) errorAt(pos token.Pos, format string, args ...any) {
+	panic(bailout{&Error{Pos: pos, Msg: fmt.Sprintf(format, args...)}})
 }
 
 func (p *parser) program() (prog *ast.Program, err error) {
@@ -400,14 +405,14 @@ func (p *parser) primary() ast.Expr {
 		p.next()
 		v, err := parseInt(t.Lit)
 		if err != nil {
-			p.errorf("invalid integer literal %q: %v", t.Lit, err)
+			p.errorAt(t.Pos, "invalid integer literal %q: %v", t.Lit, err)
 		}
 		return &ast.IntLit{LitPos: t.Pos, Value: v}
 	case token.REAL:
 		p.next()
 		v, err := parseReal(t.Lit)
 		if err != nil {
-			p.errorf("invalid real literal %q: %v", t.Lit, err)
+			p.errorAt(t.Pos, "invalid real literal %q: %v", t.Lit, err)
 		}
 		return &ast.RealLit{LitPos: t.Pos, Value: v, Text: t.Lit}
 	case token.STRING:
@@ -459,6 +464,7 @@ func (p *parser) arrayOrRange() ast.Expr {
 	return lit
 }
 
+// parseInt converts an INT literal, which is ASCII digits.
 func parseInt(s string) (int64, error) {
 	var v int64
 	for i := 0; i < len(s); i++ {
@@ -471,10 +477,10 @@ func parseInt(s string) (int64, error) {
 	return v, nil
 }
 
+// parseReal converts a REAL literal: digits with a fraction, an exponent
+// or both.
 func parseReal(s string) (float64, error) {
-	var v float64
-	_, err := fmt.Sscanf(s, "%g", &v)
-	return v, err
+	return strconv.ParseFloat(s, 64)
 }
 
 func min(a, b int) int {

@@ -441,3 +441,67 @@ func TestLexicalErrorWinsOverEarlierSyntaxError(t *testing.T) {
 		t.Fatalf("without a lexical error: got %v, want the syntax error", err)
 	}
 }
+
+// An invalid literal is reported where it starts, not at the token after
+// it.
+func TestInvalidLiteralPosition(t *testing.T) {
+	cases := []struct{ src, want string }{
+		{"def main():\n    x = 1\n    z = 2\n    y = 99999999999999999999\n",
+			`t.ttr:4:9: syntax error: invalid integer literal "99999999999999999999": overflows int`},
+		{"def main():\n    x = 1e999\n",
+			`t.ttr:2:9: syntax error: invalid real literal "1e999": strconv.ParseFloat: parsing "1e999": value out of range`},
+	}
+	for _, c := range cases {
+		if _, err := Parse("t.ttr", c.src); err == nil || err.Error() != c.want {
+			t.Errorf("Parse(%q) = %v, want %s", c.src, err, c.want)
+		}
+	}
+}
+
+// parseReal converts every shape of REAL literal the lexer emits.
+func TestParseReal(t *testing.T) {
+	cases := []struct {
+		lit  string
+		want float64
+		err  string
+	}{
+		{lit: "1.5", want: 1.5},
+		{lit: "2.0e10", want: 2.0e10},
+		{lit: "3e-2", want: 3e-2},
+		{lit: "1E+3", want: 1e3},
+		{lit: "4.9e-324", want: 4.9e-324},
+		{lit: "1e999", err: `strconv.ParseFloat: parsing "1e999": value out of range`},
+	}
+	for _, c := range cases {
+		got, err := parseReal(c.lit)
+		switch {
+		case c.err != "":
+			if err == nil || err.Error() != c.err {
+				t.Errorf("parseReal(%q) error = %v, want %s", c.lit, err, c.err)
+			}
+		case err != nil || got != c.want:
+			t.Errorf("parseReal(%q) = %v, %v; want %v", c.lit, got, err, c.want)
+		}
+	}
+}
+
+// A number literal is ASCII digits: a Unicode digit cannot start one or
+// continue one, but it may continue an identifier.
+func TestUnicodeDigits(t *testing.T) {
+	cases := []struct{ src, want string }{
+		{"def main():\n    x = ٣\n    print(x)\n", `t.ttr:2:9: unexpected character '٣'`},
+		{"def main():\n    x = 1٣\n", `t.ttr:2:10: unexpected character '٣'`},
+	}
+	for _, c := range cases {
+		if _, err := Parse("t.ttr", c.src); err == nil || err.Error() != c.want {
+			t.Errorf("Parse(%q) = %v, want %s", c.src, err, c.want)
+		}
+	}
+	prog, err := Parse("t.ttr", "def main():\n    x٣ = 3\n    print(x٣)\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ast.Print(prog); !strings.Contains(got, "x٣ = 3") {
+		t.Errorf("x٣ is not an identifier:\n%s", got)
+	}
+}

@@ -159,19 +159,58 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-var keywords = func() map[string]Kind {
-	m := make(map[string]Kind)
-	for k := keywordBeg + 1; k < keywordEnd; k++ {
-		m[kindNames[k]] = k
-	}
-	return m
-}()
-
 // Lookup maps an identifier spelling to its keyword kind, or IDENT if the
-// spelling is not reserved.
+// spelling is not reserved. The lexer calls it on every identifier, so it
+// is a switch, which the compiler turns into a search on length and bytes,
+// rather than a map, which would hash every name.
 func Lookup(name string) Kind {
-	if k, ok := keywords[name]; ok {
-		return k
+	switch name {
+	case "def":
+		return DEF
+	case "if":
+		return IF
+	case "elif":
+		return ELIF
+	case "else":
+		return ELSE
+	case "while":
+		return WHILE
+	case "for":
+		return FOR
+	case "in":
+		return IN
+	case "return":
+		return RETURN
+	case "break":
+		return BREAK
+	case "continue":
+		return CONTINUE
+	case "pass":
+		return PASS
+	case "parallel":
+		return PARALLEL
+	case "background":
+		return BACKGROUND
+	case "lock":
+		return LOCK
+	case "and":
+		return AND
+	case "or":
+		return OR
+	case "not":
+		return NOT
+	case "true":
+		return TRUE
+	case "false":
+		return FALSE
+	case "int":
+		return TINT
+	case "real":
+		return TREAL
+	case "string":
+		return TSTRING
+	case "bool":
+		return TBOOL
 	}
 	return IDENT
 }

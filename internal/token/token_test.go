@@ -50,6 +50,12 @@ func TestLookupKeywords(t *testing.T) {
 			t.Errorf("Lookup(%q) = %v, want %v", name, got, want)
 		}
 	}
+	// Every kind between the keyword markers is a keyword Lookup knows.
+	for k := keywordBeg + 1; k < keywordEnd; k++ {
+		if got := Lookup(k.String()); got != k {
+			t.Errorf("Lookup(%q) = %v, want %v", k.String(), got, k)
+		}
+	}
 	for _, name := range []string{"x", "Def", "PARALLEL", "main", "_", "lockx", "int32"} {
 		if got := Lookup(name); got != IDENT {
 			t.Errorf("Lookup(%q) = %v, want IDENT", name, got)
