@@ -206,37 +206,16 @@ func BenchmarkAblationTSP(b *testing.B) {
 	})
 }
 
-// A2: the cost of per-cell locking, the design choice that keeps the
-// interpreter memory-safe while Tetra threads share frames (DESIGN.md §4).
-func BenchmarkCellAccess(b *testing.B) {
-	c := value.NewCell(value.NewInt(1))
-	b.Run("locked", func(b *testing.B) {
-		var sink int64
-		for i := 0; i < b.N; i++ {
-			v := c.Load()
-			sink += v.Int()
-			c.Store(value.NewInt(sink))
-		}
-	})
-	b.Run("unlocked", func(b *testing.B) {
-		var sink int64
-		for i := 0; i < b.N; i++ {
-			v := c.LoadLocal()
-			sink += v.Int()
-			c.StoreLocal(value.NewInt(sink))
-		}
-	})
-}
-
-// A2b: end-to-end effect of the shared-frame/local-frame split — the same
-// loop in a function with and without a parallel construct (the checker
-// proves the latter thread-private and the interpreter skips cell locks).
+// A2b: end-to-end effect of the flat/parallel activation split — the same
+// loop in a function with and without a parallel construct. No variable
+// of either is shared, so neither has a cell; the interpreter reads the
+// parallel one's variables off its fast path, where a trace can see them.
 func BenchmarkFrameSharing(b *testing.B) {
 	mk := func(parallel bool) string {
 		tail := ""
 		if parallel {
-			// A parallel block that does nothing still marks the frame
-			// shared.
+			// A parallel block that does nothing still makes the
+			// activation one other threads can see.
 			tail = "    parallel:\n        pass\n"
 		}
 		return "def main():\n    t = 0\n    i = 0\n    while i < 10000:\n        t += i\n        i += 1\n" + tail + "    print(t)\n"
@@ -260,8 +239,8 @@ func BenchmarkFrameSharing(b *testing.B) {
 	}
 }
 
-// A2c: array element storage — atomic word storage (scalar elements) vs
-// boxed storage (string elements).
+// A2c: array element storage — a payload word (scalar elements) vs a
+// pointer to a string box allocated per store (string elements).
 func BenchmarkArrayElementAccess(b *testing.B) {
 	intArr := value.NewArrayOf(types.IntType, 64)
 	strArr := value.NewArrayOf(types.StringType, 64)

@@ -40,9 +40,9 @@
 // internal/check) lives in a cell, and sharedness is spelled out in the
 // code instead of being tested on every operand: a read of x is
 // `OpLoadCell tmp, x` at the point the value is needed, a write
-// `OpStoreCell x, tmp`, each one lock-access-unlock of that cell, and no
+// `OpStoreCell x, tmp`, each one atomic access of that cell, and no
 // other instruction names x's register. `x = x + 1` is load, add, store:
-// two critical sections with the addition outside both, so two threads
+// two atomic accesses with the addition between them, so two threads
 // can lose an update — as Tetra means them to (paper Figure III).
 // OpParFor's induction operand names the slot each iteration gets its own
 // copy of: its register in the iteration's window, or a private cell when

@@ -94,9 +94,23 @@ type chunkBuf struct {
 
 // scratch holds the chunkBufs of one compile, one per chunk being
 // emitted at once (a parallel construct's arms are emitted inside the
-// chunk that holds it), and keeps them between compiles through
-// scratchPool. A buffer longer than maxScratch instructions is dropped.
-type scratch struct{ free []*chunkBuf }
+// chunk that holds it), and the constant pool of the function being
+// compiled with its index, and keeps them between compiles through
+// scratchPool. A buffer or a pool longer than maxScratch entries is
+// dropped.
+type scratch struct {
+	free   []*chunkBuf
+	consts []value.Value
+	pooled map[constKey]int32 // index in consts
+}
+
+// constKey identifies a constant as value.Identical does: kind and
+// payload bits, a string by its content. Arrays are never constants.
+type constKey struct {
+	k value.Kind
+	b uint64
+	s string
+}
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
@@ -146,6 +160,11 @@ type fnCompiler struct {
 }
 
 func compileFunc(s *scratch, f *ast.FuncDecl, params [][]*types.Type, index int) (*Func, error) {
+	if s.pooled == nil || len(s.consts) > maxScratch {
+		s.consts, s.pooled = nil, make(map[constKey]int32)
+	}
+	s.consts = s.consts[:0]
+	clear(s.pooled)
 	c := &fnCompiler{
 		params:  params,
 		buf:     s.take(),
@@ -171,6 +190,9 @@ func compileFunc(s *scratch, f *ast.FuncDecl, params [][]*types.Type, index int)
 	c.emit(OpReturnNone, 0, 0, 0, 0, f.Pos())
 	c.seal()
 	c.fn.Chunks[0].NumTemps = c.maxTemp - c.fn.NumSlots
+	if len(s.consts) > 0 {
+		c.fn.Consts = slices.Clone(s.consts)
+	}
 	return c.fn, nil
 }
 
@@ -284,18 +306,19 @@ func (c *fnCompiler) tempN(n int) int32 {
 // subexpression might read).
 func (c *fnCompiler) isTemp(reg int32) bool { return int(reg) >= c.fn.NumSlots }
 
-func (c *fnCompiler) constIndex(v value.Value) int32 { return c.fn.constIndex(v) }
-
-// constIndex interns v in the function's constant pool, reusing an
-// existing slot when an identical constant is already pooled.
-func (f *Func) constIndex(v value.Value) int32 {
-	for i, existing := range f.Consts {
-		if value.Identical(existing, v) {
-			return int32(i)
-		}
+// constIndex interns v in the function's constant pool, reusing the index
+// of an identical constant already pooled. The pool is built in the
+// scratch and copied into Func.Consts once the function is compiled.
+func (c *fnCompiler) constIndex(v value.Value) int32 {
+	s := c.scratch
+	k := constKey{v.K, v.B, v.Str()}
+	if i, ok := s.pooled[k]; ok {
+		return i
 	}
-	f.Consts = append(f.Consts, v)
-	return int32(len(f.Consts) - 1)
+	i := int32(len(s.consts))
+	s.consts = append(s.consts, v)
+	s.pooled[k] = i
+	return i
 }
 
 func (c *fnCompiler) typeIndex(t *types.Type) int32 {

@@ -73,6 +73,18 @@ def note(x int):
     r = sqrt(x)
 `
 
+// constIndex pools v among a compiled function's constants, reusing an
+// identical one, for a test that plants an instruction naming it.
+func (f *Func) constIndex(v value.Value) int32 {
+	for i, c := range f.Consts {
+		if value.Identical(c, v) {
+			return int32(i)
+		}
+	}
+	f.Consts = append(f.Consts, v)
+	return int32(len(f.Consts) - 1)
+}
+
 // TestVerifyRejects corrupts a verified program by hand, one rule at a
 // time, and requires the verifier to name each violation in its own words.
 func TestVerifyRejects(t *testing.T) {

@@ -445,12 +445,12 @@ var (
 )
 
 // Vars returns the variables of thread id's current frame: names paired
-// with values, in slot order. A frame of a function with parallel
-// constructs is on the heap and its cells are locked, so it answers for
-// one at any time: a thread blocked in a `parallel:` join or a lock shows
-// what its children have written so far. A flat frame is the thread's own,
-// written without a lock and reused once the call returns, so it answers
-// for one only while the thread is parked in the hook.
+// with values, in slot order. A parked thread shows them all. One that is
+// not parked may be writing its private variables, so it shows only the
+// shared ones (ast.FuncDecl.Shared), which are cells other threads read
+// too: a thread blocked in a `parallel:` join or a lock shows what its
+// children have written so far. A thread in a function with no shared
+// variable shows none, and Vars says it is running.
 func (e *Engine) Vars(id int) ([]string, []value.Value, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -458,14 +458,16 @@ func (e *Engine) Vars(id int) ([]string, []value.Value, error) {
 	if !ok {
 		return nil, nil, ErrNoThread
 	}
-	if !t.state.Paused && !t.fn.HasParallel {
+	if !t.state.Paused && t.fn.Shared == nil {
 		return nil, nil, ErrRunning
 	}
-	names := make([]string, len(t.fn.SlotNames))
-	vals := make([]value.Value, len(t.fn.SlotNames))
+	var names []string
+	var vals []value.Value
 	for i, n := range t.fn.SlotNames {
-		names[i] = n
-		vals[i] = t.frame.Var(i)
+		if t.state.Paused || t.fn.Shared[i] {
+			names = append(names, n)
+			vals = append(vals, t.frame.Var(i))
+		}
 	}
 	return names, vals, nil
 }

@@ -20,6 +20,7 @@ package fault
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"os"
 	"sort"
@@ -77,6 +78,7 @@ type Injector struct {
 	mu     sync.Mutex
 	rng    *rand.Rand
 	points map[string]*point
+	seed   int64 // what Parse seeded it with: a hash of its spec
 }
 
 // New returns an Injector with no armed points, rolling from seed
@@ -95,8 +97,15 @@ func New(seed int64) *Injector {
 // Parse builds an Injector from a spec string like
 // "worker-panic=0.2,worker-delay=0.1:500ms". Empty spec returns an
 // inactive (but non-nil) Injector.
+//
+// The injector rolls from a hash of the spec, so a spec rolls the same
+// sequence on every run.
 func Parse(spec string) (*Injector, error) {
-	inj := New(1)
+	h := fnv.New64a()
+	h.Write([]byte(spec))
+	seed := int64(h.Sum64())
+	inj := New(seed)
+	inj.seed = seed
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
 		return inj, nil
@@ -129,10 +138,8 @@ func Parse(spec string) (*Injector, error) {
 
 // FromEnv builds an Injector from the TETRA_FAULTS environment
 // variable. A malformed spec is reported on stderr and ignored rather
-// than killing the worker before supervision can see it. The injector
-// is reseeded with the process ID: a pool of identically-configured
-// workers must roll independent sequences, not crash in lockstep at
-// the same request ordinal.
+// than killing the worker before supervision can see it. A worker
+// reseeds it with ForChild before its first request.
 func FromEnv() *Injector {
 	spec := os.Getenv(EnvVar)
 	inj, err := Parse(spec)
@@ -140,13 +147,21 @@ func FromEnv() *Injector {
 		fmt.Fprintf(os.Stderr, "fault: ignoring %s: %v\n", EnvVar, err)
 		inj = New(1)
 	}
-	inj.Reseed(int64(os.Getpid()))
 	return inj
 }
 
-// Reseed replaces the injector's random sequence. Distinct processes
-// sharing one spec reseed with a per-process value (FromEnv uses the
-// PID) so their firings are uncorrelated.
+// ForChild reseeds the injector for the nth child of a supervisor whose
+// children share its spec: each child rolls a sequence of its own, not
+// crashing in lockstep with the others at the same request ordinal, and
+// the nth child rolls the same one on every run.
+func (i *Injector) ForChild(n int64) {
+	if i == nil {
+		return
+	}
+	i.Reseed(i.seed + n)
+}
+
+// Reseed replaces the injector's random sequence.
 func (i *Injector) Reseed(seed int64) {
 	if i == nil {
 		return

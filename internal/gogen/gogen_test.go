@@ -628,6 +628,30 @@ func TestGeneratedGoldenCorpus(t *testing.T) {
 	}
 }
 
+// TestGeneratedRacyCells runs the racy corpus's shared-variable cases as
+// compiled programs, on eight workers one iteration a chunk: a gort.Cell
+// is one atomic word, so no read is torn and a -race build reports no race.
+func TestGeneratedRacyCells(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs generated binaries; skipped in -short")
+	}
+	cases := parity.Racy(true)
+	progs := make(map[string]string, len(cases))
+	for _, c := range cases {
+		progs[c.Name] = c.Src
+	}
+	bin := buildAll(t, progs, raceEnabled)
+	for _, c := range cases {
+		t.Run(c.Name, func(t *testing.T) {
+			got, err := runBinary(filepath.Join(bin, c.Name), "", []string{"TETRA_WORKERS=8", "TETRA_GRAIN=1"})
+			raceFree(t, err)
+			if err != nil || got != c.Want.Stdout {
+				t.Errorf("output %q, err %v; want %q", got, err, c.Want.Stdout)
+			}
+		})
+	}
+}
+
 // TestGenerateIsDeterministic anchors the native tier's artifact cache:
 // promoted binaries are content-addressed by the hash of the generated
 // source, so emission must be byte-stable across calls and across

@@ -52,7 +52,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/guard"
@@ -380,28 +380,23 @@ func Lock(t *Thread, idx, line, col int) { check(active.Lock(t, idx, at(line, co
 // Unlock releases named lock idx, which t holds.
 func Unlock(t *Thread, idx int) { active.Unlock(t, idx, token.Pos{}) }
 
-// Cell holds a local of a function that has a parallel construct, as the
-// engines' cells do: threads of the function share it, and each load or
-// store is atomic, so an unlocked update may be lost but never torn.
-type Cell[T any] struct {
-	mu sync.Mutex
-	v  T
-}
+// Cell holds a shared variable of a function that has a parallel
+// construct, as the engines' cells do: one atomic word, a pointer to a
+// value that is never written again, so an unlocked update may be lost but
+// never torn. The zero Cell holds T's zero value.
+type Cell[T any] struct{ p atomic.Pointer[T] }
 
 // Load returns the cell's value.
 func (c *Cell[T]) Load() T {
-	c.mu.Lock()
-	v := c.v
-	c.mu.Unlock()
-	return v
+	if p := c.p.Load(); p != nil {
+		return *p
+	}
+	var zero T
+	return zero
 }
 
 // Store sets the cell's value.
-func (c *Cell[T]) Store(v T) {
-	c.mu.Lock()
-	c.v = v
-	c.mu.Unlock()
-}
+func (c *Cell[T]) Store(v T) { c.p.Store(&v) }
 
 // Array is a Tetra array: reference semantics, like the interpreter's.
 type Array[T any] struct{ E []T }

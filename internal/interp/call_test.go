@@ -129,8 +129,8 @@ def main():
 }
 
 // The thread a worker reuses must come back from every call as it went in:
-// nothing claimed on any stack, no depth, every record, cell and argument
-// zero.
+// nothing claimed on any stack, no depth, every record, variable and
+// argument zero.
 func TestCallFramesAreReleasedOnReturn(t *testing.T) {
 	prog := compile(t, `def down(n int) int:
     if n == 0:
@@ -149,9 +149,9 @@ def main():
 		if err != nil || v.Int() != n {
 			t.Fatalf("down(%d) = %v, %v", n, v, err)
 		}
-		if th.frames.Top() != 0 || th.cells.Top() != 0 || th.args.Top() != 0 || th.depth != 0 {
-			t.Fatalf("after down(%d): frames sp=%d cells sp=%d args sp=%d depth=%d, want all zero",
-				n, th.frames.Top(), th.cells.Top(), th.args.Top(), th.depth)
+		if th.frames.Top() != 0 || th.vals.Top() != 0 || th.args.Top() != 0 || th.depth != 0 {
+			t.Fatalf("after down(%d): frames sp=%d vals sp=%d args sp=%d depth=%d, want all zero",
+				n, th.frames.Top(), th.vals.Top(), th.args.Top(), th.depth)
 		}
 	}
 	records := th.frames.Segment()
@@ -159,14 +159,13 @@ def main():
 		t.Fatal("no call claimed a record")
 	}
 	for i := range records {
-		if f := &records[i]; f.fn != nil || f.own != nil {
+		if f := &records[i]; f.fn != nil || f.vals != nil {
 			t.Fatalf("record %d of the released stack still holds %+v", i, f)
 		}
 	}
-	cells := th.cells.Segment()
-	for i := range cells {
-		if v := cells[i].LoadLocal(); v != (value.Value{}) {
-			t.Fatalf("cell %d of the released stack holds %v", i, v)
+	for i, v := range th.vals.Segment() {
+		if v != (value.Value{}) {
+			t.Fatalf("variable %d of the released stack holds %v", i, v)
 		}
 	}
 	for i, v := range th.args.Segment() {

@@ -5,10 +5,11 @@
 // construct the interpreter hands one body per unit of work to the shared
 // thread runtime (internal/rt), which launches the threads — goroutines
 // instead of Pthreads — and joins (or, for background blocks, does not
-// join) them, and which owns the named-lock table. Threads share the
-// enclosing function's symbol table; a parallel-for iteration additionally
-// receives a private cell for its induction variable, reproducing the
-// paper's private/shared symbol table split.
+// join) them, and which owns the named-lock table. The paper's private and
+// shared symbol tables are the VM's storage rule: the variables a
+// function's threads really share (ast.FuncDecl.Shared) are cells every
+// thread reaches, and each thread has its own copy of the rest, a
+// parallel-for iteration its own induction variable.
 //
 // The interpreter turns on the runtime's live deadlock detection
 // (wait-for-graph cycles), turning the classic "my program hangs"
@@ -19,6 +20,7 @@ package interp
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"unsafe"
 
 	"repro/internal/ast"
@@ -54,12 +56,6 @@ type Interp struct {
 	// watched is set when an instrument runs at every statement — Step,
 	// Tracer or CountWork — so an unwatched statement tests one field.
 	watched bool
-	// locked marks, per function with parallel constructs, the slots its
-	// frames access under their cells' locks: the shared variables
-	// (ast.FuncDecl.Shared), or every slot when an instrument — Step,
-	// Tracer, TraceVars — watches the run, so what the debugger, the trace
-	// and the race and deadlock tools see does not depend on the analysis.
-	locked map[*ast.FuncDecl][]bool
 }
 
 // WorkProfile returns the per-thread work counts recorded during the last
@@ -69,26 +65,8 @@ func (in *Interp) WorkProfile() []ThreadWork { return in.rt.WorkProfile() }
 // New returns an interpreter that runs the checked program as cfg says.
 func New(prog *ast.Program, cfg rt.Config) *Interp {
 	r := rt.New(cfg, prog.LockNames)
-	in := &Interp{prog: prog, cfg: cfg, guard: r.Guard(), env: r.Env(), rt: r,
+	return &Interp{prog: prog, cfg: cfg, guard: r.Guard(), env: r.Env(), rt: r,
 		watched: cfg.Step != nil || cfg.Tracer != nil || cfg.CountWork}
-	sees := cfg.Step != nil || cfg.Tracer != nil || cfg.TraceVars
-	for _, fn := range prog.Funcs {
-		if !fn.HasParallel {
-			continue
-		}
-		if in.locked == nil {
-			in.locked = make(map[*ast.FuncDecl][]bool)
-		}
-		locked := fn.Shared
-		if sees || locked == nil {
-			locked = make([]bool, fn.NumSlots)
-			for i := range locked {
-				locked[i] = sees
-			}
-		}
-		in.locked[fn] = locked
-	}
-	return in
 }
 
 // Run executes the program's main function. It returns the first runtime
@@ -151,10 +129,10 @@ type thread struct {
 	countWork bool
 	yieldAt   int64 // countWork: the Work count at which to yield next
 
-	// The records and cells of flat activations and the arguments of calls
-	// in progress are windows on these stacks.
+	// The records and variables of flat activations and the arguments of
+	// calls in progress are windows on these stacks.
 	frames rt.Stack[frame]
-	cells  rt.Stack[value.Cell]
+	vals   rt.Stack[value.Value]
 	args   rt.Stack[value.Value]
 }
 
@@ -181,7 +159,7 @@ func (t *thread) emit(kind trace.Kind, pos token.Pos, name string) {
 	}
 }
 
-func (t *thread) emitVar(kind trace.Kind, pos token.Pos, name string, c *value.Cell) {
+func (t *thread) emitVar(kind trace.Kind, pos token.Pos, name string, f *frame, slot int) {
 	tr := t.interp.cfg.Tracer
 	if tr == nil {
 		return
@@ -189,103 +167,125 @@ func (t *thread) emitVar(kind trace.Kind, pos token.Pos, name string, c *value.C
 	held := append([]int(nil), t.held...)
 	tr.Emit(trace.Event{
 		Thread: t.ID, Kind: kind, Pos: pos, Name: name, Locks: held,
-		Addr: uint64(uintptr(unsafe.Pointer(c))),
+		Addr: f.addr(slot),
 	})
 }
 
-// frame is a function activation: one cell per local slot. shared is nil
-// when no other thread can touch these cells (the function has no
-// parallel construct), and otherwise marks the slots accessed under their
-// cells' locks (Interp.locked); the rest are private and accessed without
-// one. Only a parallel-for iteration's view (fork) goes through a table of
-// pointers, cells.
+// frame is a function activation, or a spawned thread's view of one. A
+// private variable is a Value in vals; a shared one (ast.FuncDecl.Shared)
+// is the Cell at its slot in cells, which is nil exactly in a flat
+// activation (a function with no parallel construct).
 //
-// A flat activation's record and cells are windows on its thread's stacks,
-// given back zeroed on return. The step hook's view of such a record is
-// read only while its thread is parked in the hook. A shared activation is
-// on the heap, because the threads it spawns hold the record and a
-// background thread may outlive it; so is the entry activation.
+// A flat activation's record and values are windows on its thread's
+// stacks, given back zeroed on return; the step hook reads such a record
+// only while its thread is parked in the hook. Any other activation is on
+// the heap, as its spawned threads hold its cells and a background thread
+// may outlive it. A spawned thread runs on a view: a copy of vals, exact
+// because nothing writes a private variable while a body that reads it
+// may run (internal/check), and the same cells; a parallel-for
+// iteration's view also holds its own induction variable (paper §IV).
 type frame struct {
-	fn     *ast.FuncDecl
-	own    []value.Cell
-	cells  []*value.Cell // non-nil only in a forked view
-	shared []bool
+	fn    *ast.FuncDecl
+	vals  []value.Value
+	cells []*value.Cell
+	// A view's up is the frame it was taken from and ind the slot it holds
+	// of its own, or -1; trace events name any other private slot by its
+	// place up there (addr).
+	up  *frame
+	ind int
 }
 
-// bind stores the arguments of a call in the parameters' cells, converted
-// to the parameter types. No other thread can see the cells yet.
+// bind stores the arguments of a call in the parameters' slots, converted
+// to the parameter types. No other thread can see the activation yet.
 func (f *frame) bind(args []value.Value) {
 	for i, p := range f.fn.Params {
-		f.own[p.Slot].StoreLocal(value.Convert(args[i], p.Type))
+		f.store(p.Slot, value.Convert(args[i], p.Type))
 	}
 }
 
 // newFrame returns an activation of fn on the heap, its parameters bound
 // to args.
 func (in *Interp) newFrame(fn *ast.FuncDecl, args []value.Value) *frame {
-	f := &frame{fn: fn, own: make([]value.Cell, fn.NumSlots), shared: in.locked[fn]}
+	f := &frame{fn: fn, vals: make([]value.Value, fn.NumSlots)}
+	if fn.HasParallel {
+		f.cells = make([]*value.Cell, fn.NumSlots)
+		for slot, shared := range fn.Shared {
+			if shared {
+				f.cells[slot] = value.NewCell(value.Zero(fn.SlotTypes[slot]))
+			}
+		}
+	}
 	f.bind(args)
 	return f
 }
 
-// cell returns the cell behind slot in this view of the activation.
-func (f *frame) cell(slot int) *value.Cell {
-	if f.cells != nil {
-		return f.cells[slot]
+// view returns a view of the activation for a thread spawned from f. ind
+// is the slot the view holds of its own, starting at v — a parallel-for
+// induction variable, in a cell of its own if the variable is shared — or
+// -1.
+func (f *frame) view(ind int, v value.Value) *frame {
+	g := &frame{fn: f.fn, vals: slices.Clone(f.vals), cells: f.cells, up: f, ind: ind}
+	switch {
+	case ind < 0:
+	case g.cells[ind] != nil:
+		g.cells = slices.Clone(f.cells)
+		g.cells[ind] = value.NewCell(v)
+	default:
+		g.vals[ind] = v
 	}
-	return &f.own[slot]
-}
-
-// fork returns a view of the frame sharing every cell except slot, which is
-// replaced by a fresh private cell — the parallel-for induction variable
-// (paper §IV: "each thread needs to have its copy of the induction variable
-// inserted into its private symbol table").
-func (f *frame) fork(slot int, v value.Value) *frame {
-	cells := make([]*value.Cell, f.fn.NumSlots)
-	for i := range cells {
-		cells[i] = f.cell(i)
-	}
-	cells[slot] = value.NewCell(v)
-	return &frame{fn: f.fn, cells: cells, shared: f.shared}
+	return g
 }
 
 // Var implements FrameView for the debugger's step hook.
-func (f *frame) Var(slot int) value.Value { return f.cell(slot).Load() }
+func (f *frame) Var(slot int) value.Value { return f.load(slot) }
 
-// load and store keep a flat activation's path small enough to inline
-// into the evaluator; the path for an activation other threads can see is
-// split out, and kept out of line, so its size does not cost the fast path
-// that.
+// load and store reach a variable where it lives: in its cell when it is
+// shared, else in vals. A flat activation's path inlines into the
+// evaluator; an activation with cells takes the path through them out of
+// line, so that path's size does not cost the flat one its inlining.
 func (f *frame) load(slot int) value.Value {
-	if f.shared != nil {
-		return f.loadShared(slot)
+	if f.cells != nil {
+		return f.loadVia(slot)
 	}
-	return f.own[slot].LoadLocal()
+	return f.vals[slot]
 }
 
 func (f *frame) store(slot int, v value.Value) {
-	if f.shared != nil {
-		f.storeShared(slot, v)
+	if f.cells != nil {
+		f.storeVia(slot, v)
 		return
 	}
-	f.own[slot].StoreLocal(v)
+	f.vals[slot] = v
 }
 
 //go:noinline
-func (f *frame) loadShared(slot int) value.Value {
-	if f.shared[slot] {
-		return f.cell(slot).Load()
+func (f *frame) loadVia(slot int) value.Value {
+	if c := f.cells[slot]; c != nil {
+		return c.Load()
 	}
-	return f.cell(slot).LoadLocal()
+	return f.vals[slot]
 }
 
 //go:noinline
-func (f *frame) storeShared(slot int, v value.Value) {
-	if f.shared[slot] {
-		f.cell(slot).Store(v)
+func (f *frame) storeVia(slot int, v value.Value) {
+	if c := f.cells[slot]; c != nil {
+		c.Store(v)
 		return
 	}
-	f.cell(slot).StoreLocal(v)
+	f.vals[slot] = v
+}
+
+// addr names slot in trace events, the same in every view of the
+// activation: a shared variable by its cell, a private one by its place in
+// the frame that holds it of its own.
+func (f *frame) addr(slot int) uint64 {
+	if c := f.cells[slot]; c != nil {
+		return uint64(uintptr(unsafe.Pointer(c)))
+	}
+	for f.up != nil && f.ind != slot {
+		f = f.up
+	}
+	return uint64(uintptr(unsafe.Pointer(&f.vals[slot])))
 }
 
 // chargeAlloc bills n cells (array elements or string bytes) against the
@@ -315,7 +315,7 @@ func (t *thread) enter(f *frame, pos token.Pos) (value.Value, error) {
 	// No thread but this one can see the activation yet. An array zero is
 	// made here, per activation: arrays are references.
 	for _, slot := range fn.ZeroSlots {
-		f.own[slot].StoreLocal(value.Zero(fn.SlotTypes[slot]))
+		f.store(slot, value.Zero(fn.SlotTypes[slot]))
 	}
 	sig, err := t.execStmts(f, fn.Body.Stmts)
 	t.emit(trace.Return, pos, fn.Name)
@@ -513,8 +513,8 @@ func (t *thread) execAssign(f *frame, s *ast.AssignStmt) error {
 			v = value.Convert(v, target.Type())
 		} else {
 			old := f.load(target.Slot)
-			if f.shared != nil && t.interp.cfg.TraceVars {
-				t.emitVar(trace.VarRead, target.Pos(), target.Name, f.cell(target.Slot))
+			if f.cells != nil && t.interp.cfg.TraceVars {
+				t.emitVar(trace.VarRead, target.Pos(), target.Name, f, target.Slot)
 			}
 			// +=, -= and *= on ints cannot fail: applied without a call.
 			if k := s.Kernel; k.Operands == ast.Ints && k.Op < sem.Div {
@@ -524,8 +524,8 @@ func (t *thread) execAssign(f *frame, s *ast.AssignStmt) error {
 			}
 		}
 		f.store(target.Slot, v)
-		if f.shared != nil && t.interp.cfg.TraceVars {
-			t.emitVar(trace.VarWrite, target.Pos(), target.Name, f.cell(target.Slot))
+		if f.cells != nil && t.interp.cfg.TraceVars {
+			t.emitVar(trace.VarWrite, target.Pos(), target.Name, f, target.Slot)
 		}
 		return nil
 
@@ -558,13 +558,15 @@ func (t *thread) execAssign(f *frame, s *ast.AssignStmt) error {
 }
 
 // spawns describes the threads of a parallel or background block to the
-// runtime: one per child statement, all sharing the frame f. A refusal by
-// the thread budget is positioned at the block, pos, as on the VM.
+// runtime: one per child statement, each on its own view of the frame f,
+// taken on the spawning thread before it goes on. A refusal by the thread
+// budget is positioned at the block, pos, as on the VM.
 func (t *thread) spawns(f *frame, stmts []ast.Stmt, pos token.Pos) func(i int) rt.Spawn {
 	return func(i int) rt.Spawn {
 		nt := t.interp.newThread()
+		view := f.view(-1, value.Value{})
 		return rt.Spawn{Pos: pos, Thread: &nt.Thread, Run: func() error {
-			_, err := nt.execStmts(f, stmts[i:i+1])
+			_, err := nt.execStmts(view, stmts[i:i+1])
 			return err
 		}}
 	}
@@ -572,10 +574,10 @@ func (t *thread) spawns(f *frame, stmts []ast.Stmt, pos token.Pos) func(i int) r
 
 // execParallelFor evaluates the sequence once and hands the iterations to
 // the runtime's chunked loop. Each iteration runs the body on a view of
-// the frame with a private induction cell. When the induction variable is
-// private and the body starts no thread, no iteration's cell outlives it,
-// so a worker makes one view and stores each iteration's value in its
-// cell; otherwise every iteration gets a view with a fresh cell.
+// the frame with an induction variable of its own. When that variable is
+// private and the body starts no thread, no iteration's view outlives it,
+// so a worker makes one view and writes each iteration's value into it;
+// otherwise every iteration gets a view of its own.
 func (t *thread) execParallelFor(f *frame, s *ast.ParallelForStmt) error {
 	seq, err := t.eval(f, s.Seq)
 	if err != nil {
@@ -583,19 +585,19 @@ func (t *thread) execParallelFor(f *frame, s *ast.ParallelForStmt) error {
 	}
 	iter := newIterator(seq)
 	slot := s.Var.Slot
-	reuse := !s.Spawns && (f.fn.Shared == nil || !f.fn.Shared[slot])
+	reuse := !s.Spawns && f.cells[slot] == nil
 	return t.interp.rt.ParFor(&t.Thread, iter.len(), s.Pos(), func() (*rt.Thread, func(i int) error) {
 		nt := t.interp.newThread()
 		if reuse {
-			view := f.fork(slot, value.Value{})
+			view := f.view(slot, value.Value{})
 			return &nt.Thread, func(i int) error {
-				view.store(slot, iter.at(i))
+				view.vals[slot] = iter.at(i)
 				_, err := nt.execStmts(view, s.Body.Stmts)
 				return err
 			}
 		}
 		return &nt.Thread, func(i int) error {
-			_, err := nt.execStmts(f.fork(slot, iter.at(i)), s.Body.Stmts)
+			_, err := nt.execStmts(f.view(slot, iter.at(i)), s.Body.Stmts)
 			return err
 		}
 	})
@@ -639,8 +641,8 @@ func (t *thread) eval(f *frame, e ast.Expr) (value.Value, error) {
 	}
 	switch e := e.(type) {
 	case *ast.Ident:
-		if f.shared == nil {
-			return f.own[e.Slot].LoadLocal(), nil
+		if f.cells == nil {
+			return f.vals[e.Slot], nil
 		}
 	case *ast.IntLit:
 		return value.NewInt(e.Value), nil
@@ -709,9 +711,9 @@ func (t *thread) evalExpr(f *frame, e ast.Expr) (value.Value, error) {
 		return value.NewBool(e.Value), nil
 
 	case *ast.Ident: // in an activation other threads can see
-		v := f.loadShared(e.Slot)
+		v := f.load(e.Slot)
 		if t.interp.cfg.TraceVars {
-			t.emitVar(trace.VarRead, e.Pos(), e.Name, f.cell(e.Slot))
+			t.emitVar(trace.VarRead, e.Pos(), e.Name, f, e.Slot)
 		}
 		return v, nil
 
@@ -791,8 +793,8 @@ func (t *thread) leaf(f *frame, e ast.Expr) (v value.Value, ok bool) {
 	}
 	switch e := e.(type) {
 	case *ast.Ident:
-		if f.shared == nil {
-			return f.own[e.Slot].LoadLocal(), true
+		if f.cells == nil {
+			return f.vals[e.Slot], true
 		}
 	case *ast.IntLit:
 		return value.NewInt(e.Value), true
@@ -888,19 +890,19 @@ func (t *thread) evalCall(f *frame, e *ast.CallExpr) (value.Value, error) {
 }
 
 // call runs fn on this thread for the call at pos, its arguments converted
-// to the parameter types in its cells. A flat activation's record and
-// cells are windows on the thread's stacks, given back on return.
+// to the parameter types in its slots. A flat activation's record and
+// values are windows on the thread's stacks, given back on return.
 func (t *thread) call(fn *ast.FuncDecl, args []value.Value, pos token.Pos) (value.Value, error) {
 	if fn.HasParallel {
 		return t.enter(t.interp.newFrame(fn, args), pos)
 	}
 	rec, rsp := t.frames.Claim(1)
-	own, sp := t.cells.Claim(fn.NumSlots)
+	vals, sp := t.vals.Claim(fn.NumSlots)
 	f := &rec[0]
-	f.fn, f.own = fn, own
+	f.fn, f.vals = fn, vals
 	f.bind(args)
 	v, err := t.enter(f, pos)
-	t.cells.Release(own, sp)
+	t.vals.Release(vals, sp)
 	t.frames.Release(rec, rsp)
 	return v, err
 }

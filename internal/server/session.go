@@ -123,8 +123,9 @@ func (r *SessionCmdRequest) timeout() time.Duration {
 // SessionCmdResponse answers a session command. OK reports the command
 // took effect; Result carries the step outcome ("parked", "finished",
 // "timeout", "no-thread") when one applies, and why vars has none
-// ("no-thread", or "running" for a thread running a flat function, one
-// without parallel constructs, and not parked).
+// ("no-thread", or "running" for a thread that is not parked and is in a
+// function with no shared variable). A running thread's vars are its
+// shared variables only.
 type SessionCmdResponse struct {
 	OK          bool                 `json:"ok"`
 	Cmd         string               `json:"cmd"`

@@ -23,7 +23,8 @@ import (
 // TestLayout keeps Value within the four words the compiler will hold in
 // registers; see the package comment. The VM's other hot structure is
 // pinned beside it: an instruction is an opcode and four operands, 20
-// bytes.
+// bytes. A Cell is a payload word, a pointer word and its kind, with no
+// lock beside them.
 func TestLayout(t *testing.T) {
 	if got := unsafe.Sizeof(bytecode.Instr{}); got != 20 {
 		t.Errorf("unsafe.Sizeof(bytecode.Instr{}) = %d, want 20", got)
@@ -31,8 +32,8 @@ func TestLayout(t *testing.T) {
 	if got := unsafe.Sizeof(value.Value{}); got != 24 {
 		t.Errorf("unsafe.Sizeof(Value{}) = %d, want 24", got)
 	}
-	if got := unsafe.Sizeof(value.Cell{}); got != 32 {
-		t.Errorf("unsafe.Sizeof(Cell{}) = %d, want 32", got)
+	if got := unsafe.Sizeof(value.Cell{}); got != 24 {
+		t.Errorf("unsafe.Sizeof(Cell{}) = %d, want 24", got)
 	}
 }
 
@@ -236,22 +237,23 @@ func TestSurvivesGC(t *testing.T) {
 
 var sinkValue value.Value
 
-// BenchmarkCellLoadStore is the variable access both engines make for a
-// shared frame (Load/Store, under the cell's mutex) and for a private one
-// (LoadLocal/StoreLocal): a read-modify-write of an int through a Cell.
-func BenchmarkCellLoadStore(b *testing.B) {
-	b.Run("locked", func(b *testing.B) {
+// BenchmarkCellAccess is the A2 ablation (DESIGN.md §4): the variable
+// access both engines make, a read-modify-write of an int, through a
+// shared variable's Cell (one atomic word) and through a private
+// variable's plain Value.
+func BenchmarkCellAccess(b *testing.B) {
+	b.Run("cell", func(b *testing.B) {
 		c := value.NewCell(value.NewInt(0))
 		for i := 0; i < b.N; i++ {
 			c.Store(value.NewInt(c.Load().Int() + 1))
 		}
 		sinkValue = c.Load()
 	})
-	b.Run("local", func(b *testing.B) {
-		c := value.NewCell(value.NewInt(0))
+	b.Run("value", func(b *testing.B) {
+		slots := make([]value.Value, 1)
 		for i := 0; i < b.N; i++ {
-			c.StoreLocal(value.NewInt(c.LoadLocal().Int() + 1))
+			slots[0] = value.NewInt(slots[0].Int() + 1)
 		}
-		sinkValue = c.LoadLocal()
+		sinkValue = slots[0]
 	})
 }

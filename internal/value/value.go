@@ -34,12 +34,12 @@
 // of K with what the pointer means; K and B stay exported because the
 // engines switch on one and do arithmetic on the other.
 //
-// Variables are Cells. Because Tetra threads share the enclosing function's
-// symbol table (paper §IV: "they have private and shared symbol tables"),
-// a cell can be read and written by several goroutines at once. Cells guard
-// the stored value with a mutex so the *interpreter* stays memory-safe in
-// Go terms, while Tetra-level read-modify-write races (the lost-update in
-// Figure III's max program) remain fully observable for teaching.
+// Tetra threads have "private and shared symbol tables" (paper §IV), so a
+// variable in the shared one — a Cell — and any array element can be read
+// and written by several goroutines at once. Each such place is one word
+// of shared storage, accessed atomically (see Cell and box), so a racy
+// program misbehaves only in Tetra terms — an interleaved read-modify-write
+// loses an update, as in Figure III's max program — never in Go terms.
 package value
 
 import (
@@ -47,15 +47,15 @@ import (
 	"math"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/types"
 )
 
-// Kind tags a runtime value. It mirrors types.Kind but is separate so the
-// runtime does not depend on type objects.
+// Kind tags a runtime value. It mirrors types.Kind, value for value (so a
+// static type's kind converts), but is separate so the runtime does not
+// depend on type objects.
 type Kind uint8
 
 // Runtime value kinds. None is the "absence of a value" produced by void
@@ -330,72 +330,66 @@ func Bind(v Value, name string, t *types.Type) (Value, error) {
 // records the static element type so empty arrays keep their typing and
 // print sensibly.
 //
-// Concurrent access to *distinct* elements from parallel threads is always
-// safe. For scalar element types (int, real, bool) the elements live in a
-// word array accessed atomically, so even a Tetra-level race on the *same*
-// element — the unlocked double-checked reads the paper's Figure III
-// pattern relies on — can never tear a value or trip Go's race detector:
-// racy Tetra programs misbehave only in Tetra terms (lost updates), never
-// in Go terms. String- and array-element races remain undefined behaviour,
-// exactly as in the original Pthreads interpreter; programs use `lock`.
+// Every element is one word of shared storage (see Cell): an int, real or
+// bool element is its payload bits, a string or array element a pointer
+// (box), and each is read and written atomically. So parallel threads may
+// read and write any element, the same one included, without a lock: a
+// Tetra-level race loses an update but never tears a value or trips Go's
+// race detector.
 //
 // Append (the future-work growable operation) is not safe against
 // concurrent access of any kind.
 type Array struct {
-	Elem *types.Type
-	// scalar is the element kind for word storage, or None for boxed
-	// storage (string/array elements).
-	scalar Kind
-	words  []uint64 // scalar elements, accessed with sync/atomic
-	elems  []Value  // boxed elements
-}
-
-// scalarKindFor returns the word-storage kind for an element type, or
-// None when elements must be boxed.
-func scalarKindFor(elem *types.Type) Kind {
-	switch elem.Kind() {
-	case types.Int:
-		return Int
-	case types.Real:
-		return Real
-	case types.Bool:
-		return Bool
-	default:
-		return None
-	}
+	Elem  *types.Type
+	kind  Kind             // the elements' kind, fixed with Elem
+	words []uint64         // int, real and bool elements
+	ptrs  []unsafe.Pointer // string and array elements
 }
 
 // NewArrayOf allocates an array of n zero elements of the given type.
 func NewArrayOf(elem *types.Type, n int) *Array {
-	a := &Array{Elem: elem, scalar: scalarKindFor(elem)}
-	if a.scalar != None {
+	a := &Array{Elem: elem, kind: Kind(elem.Kind())}
+	if a.kind.inWord() {
 		a.words = make([]uint64, n) // zero bits are the zero value for all three kinds
 		return a
 	}
-	a.elems = make([]Value, n)
-	z := Zero(elem)
-	for i := range a.elems {
-		a.elems[i] = z
+	a.ptrs = make([]unsafe.Pointer, n) // a nil string box is ""
+	if a.kind == Arr {
+		z := Zero(elem).p
+		for i := range a.ptrs {
+			a.ptrs[i] = z
+		}
 	}
 	return a
 }
 
 // FromSlice builds an array from the given elements. When elem is nil the
 // element type is the first value's (an empty nil-typed array stays
-// untyped, with boxed storage).
+// untyped). The strings of a string array are boxed in one allocation.
 func FromSlice(elem *types.Type, elems []Value) *Array {
 	if elem == nil && len(elems) > 0 {
 		elem = TypeOf(elems[0])
 	}
-	a := &Array{Elem: elem, scalar: scalarKindFor(elem)}
-	if a.scalar != None {
+	a := &Array{Elem: elem, kind: Kind(elem.Kind())}
+	if a.kind.inWord() {
 		a.words = make([]uint64, len(elems))
 		for i, v := range elems {
 			a.words[i] = v.B
 		}
 		return a
 	}
-	a.elems = elems
+	a.ptrs = make([]unsafe.Pointer, len(elems))
+	if a.kind == Str {
+		strs := make([]string, len(elems))
+		for i, v := range elems {
+			strs[i] = v.Str()
+			a.ptrs[i] = unsafe.Pointer(&strs[i])
+		}
+		return a
+	}
+	for i, v := range elems {
+		a.ptrs[i] = v.p
+	}
 	return a
 }
 
@@ -411,29 +405,24 @@ func NewIntRange(lo int64, n int) *Array {
 }
 
 // Len returns the number of elements.
-func (a *Array) Len() int {
-	if a.scalar != None {
-		return len(a.words)
-	}
-	return len(a.elems)
-}
+func (a *Array) Len() int { return len(a.words) + len(a.ptrs) }
 
 // Get returns element i. The caller has already bounds-checked (sem.Index,
 // sem.ArrayIndex) or relies on the runtime's bounds error.
 func (a *Array) Get(i int) Value {
-	if a.scalar != None {
-		return Value{K: a.scalar, B: atomic.LoadUint64(&a.words[i])}
+	if a.kind.inWord() {
+		return Value{K: a.kind, B: atomic.LoadUint64(&a.words[i])}
 	}
-	return a.elems[i]
+	return unbox(a.kind, atomic.LoadPointer(&a.ptrs[i]))
 }
 
 // Set stores element i.
 func (a *Array) Set(i int, v Value) {
-	if a.scalar != None {
+	if a.kind.inWord() {
 		atomic.StoreUint64(&a.words[i], v.B)
 		return
 	}
-	a.elems[i] = v
+	atomic.StorePointer(&a.ptrs[i], box(v))
 }
 
 // Values returns a snapshot copy of the elements, for bulk operations
@@ -450,52 +439,75 @@ func (a *Array) Values() []Value {
 // in Tetra proper are fixed-size (push is future-work library surface),
 // and Append must not race with any concurrent access.
 func (a *Array) Append(v Value) {
-	if a.scalar != None {
+	if a.kind.inWord() {
 		a.words = append(a.words, v.B)
 		return
 	}
-	a.elems = append(a.elems, v)
+	a.ptrs = append(a.ptrs, box(v))
 }
 
-// Cell is a variable: one mutable slot shared between the threads that can
-// see it. Load and Store take an internal mutex so concurrent access never
-// corrupts interpreter state; Tetra programs still observe genuine races
-// (interleaved read-modify-write), which is the pedagogical point.
-//
-// For frames the checker proves are never shared across threads (functions
-// containing no parallel constructs), the interpreter uses the unlocked
-// fast path via LoadLocal/StoreLocal.
+// Cell is a variable that several threads can see: one word of shared
+// storage, read and written atomically, so a racy program loses updates
+// (the lost update of Figure III's max program stays observable) but never
+// reads a torn value. Its kind is fixed when it is made — the checker fixes
+// a variable's type — and every Store must be of that kind. A variable no
+// other thread can see is a plain Value in its engine's frame.
 type Cell struct {
-	mu sync.Mutex
-	v  Value
+	w    atomic.Uint64  // an int, real or bool
+	p    unsafe.Pointer // a string or array: see box
+	kind Kind
 }
 
-// NewCell returns a cell holding v.
+// NewCell returns a cell of v's kind holding v.
 func NewCell(v Value) *Cell {
-	return &Cell{v: v}
+	c := &Cell{kind: v.K}
+	c.Store(v)
+	return c
 }
 
-// Load returns the cell's value, synchronized.
+// Load returns the cell's value.
 func (c *Cell) Load() Value {
-	c.mu.Lock()
-	v := c.v
-	c.mu.Unlock()
-	return v
+	if c.kind.inWord() {
+		return Value{K: c.kind, B: c.w.Load()}
+	}
+	return unbox(c.kind, atomic.LoadPointer(&c.p))
 }
 
-// Store replaces the cell's value, synchronized.
+// Store replaces the cell's value.
 func (c *Cell) Store(v Value) {
-	c.mu.Lock()
-	c.v = v
-	c.mu.Unlock()
+	if c.kind.inWord() {
+		c.w.Store(v.B)
+		return
+	}
+	atomic.StorePointer(&c.p, box(v))
 }
 
-// LoadLocal returns the value without locking. Only valid when the checker
-// has proven the enclosing frame is thread-private.
-func (c *Cell) LoadLocal() Value { return c.v }
+// inWord reports whether a value of kind k is its payload bits alone, as
+// an int, real or bool is; a string or array is a pointer word.
+func (k Kind) inWord() bool { return k == Int || k == Real || k == Bool }
 
-// StoreLocal stores without locking under the same condition.
-func (c *Cell) StoreLocal(v Value) { c.v = v }
+// box returns the pointer word that holds v, a string or an array, in
+// shared storage. An array is its own pointer. A string is two words, so
+// it gets a box: a string header allocated for this store and never
+// written again, so a reader sees either the old box or the new one.
+func box(v Value) unsafe.Pointer {
+	if v.K == Str {
+		s := v.Str()
+		return unsafe.Pointer(&s)
+	}
+	return v.p
+}
+
+// unbox is box's inverse for a word of kind k; a nil string box is "".
+func unbox(k Kind, p unsafe.Pointer) Value {
+	if k == Str {
+		if p == nil {
+			return Value{K: Str}
+		}
+		return NewString(*(*string)(p))
+	}
+	return Value{K: k, p: p}
+}
 
 // RuntimeError is a Tetra runtime error (index out of bounds, division by
 // zero, ...), carrying a message and source location string.

@@ -197,6 +197,16 @@ func TestArray(t *testing.T) {
 	}
 }
 
+// TestKindMirrorsTypes: a static type's runtime kind is a conversion.
+func TestKindMirrorsTypes(t *testing.T) {
+	for k, want := range map[types.Kind]Kind{types.Invalid: None, types.Int: Int, types.Real: Real,
+		types.String: Str, types.Bool: Bool, types.Array: Arr} {
+		if Kind(k) != want {
+			t.Errorf("types kind %d converts to %d, want %d", k, Kind(k), want)
+		}
+	}
+}
+
 func TestCellSynchronized(t *testing.T) {
 	c := NewCell(NewInt(0))
 	const n = 100
@@ -218,14 +228,14 @@ func TestCellSynchronized(t *testing.T) {
 	}
 }
 
-func TestCellLocalPath(t *testing.T) {
+func TestCellHoldsAString(t *testing.T) {
 	c := NewCell(NewString("a"))
-	if c.LoadLocal().Str() != "a" {
-		t.Error("LoadLocal")
+	if c.Load().Str() != "a" {
+		t.Error("Load of the constructor's value")
 	}
-	c.StoreLocal(NewString("b"))
-	if c.Load().Str() != "b" {
-		t.Error("StoreLocal not visible via Load")
+	c.Store(NewString("b"))
+	if v := c.Load(); v.K != Str || v.Str() != "b" {
+		t.Errorf("Load after Store = %+v", v)
 	}
 }
 

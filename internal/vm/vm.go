@@ -28,8 +28,8 @@
 // parameter slots.
 //
 // A variable the threads of a function really share (bytecode.Func.Shared)
-// is a mutex-guarded cell on the heap: threads of a `parallel` block share
-// it, and `background` threads may outlive the activation. Code reaches
+// is a value.Cell on the heap, one atomic word: threads of a `parallel`
+// block share it, and `background` threads may outlive the activation. Code reaches
 // it through two instructions only, OpLoadCell and OpStoreCell, which the
 // compiler emits wherever it is read or written. Every other variable is
 // a register, in a function with parallel constructs too. A spawned
@@ -189,22 +189,23 @@ type frame struct {
 }
 
 // newCells returns the cells of one activation of fn, which shares a
-// variable, with the shared parameters bound to args. They live on the
+// variable: one at each shared slot, the shared parameters bound to args
+// and the rest at their type's zero, and nil elsewhere. They live on the
 // heap because the threads the activation spawns share them, and a
 // background thread may still use them after the activation has returned.
-// No other thread can see them before the body runs. It stays out of line
-// so the dispatch loop's frame does not grow by what it needs.
+// It stays out of line so the dispatch loop's frame does not grow by what
+// it needs.
 //
 //go:noinline
 func newCells(fn *bytecode.Func, args []value.Value) []*value.Cell {
-	backing := make([]value.Cell, fn.NumSlots)
 	cells := make([]*value.Cell, fn.NumSlots)
-	for i := range backing {
-		cells[i] = &backing[i]
-	}
-	for i := range args {
-		if fn.Shared[i] {
-			cells[i].StoreLocal(args[i])
+	for i, shared := range fn.Shared {
+		switch {
+		case !shared:
+		case i < len(args):
+			cells[i] = value.NewCell(args[i])
+		default:
+			cells[i] = value.NewCell(value.Zero(fn.SlotTypes[i]))
 		}
 	}
 	return cells

@@ -24,6 +24,10 @@ type Request struct {
 	// Seq numbers the request on one child's stream; the matching
 	// Response must echo it, or the stream is corrupt.
 	Seq uint64 `json:"seq"`
+	// Child is the ordinal the supervisor gave the child on its stream
+	// (its first child is 1), from which the child seeds its fault
+	// injection; 0 when no supervisor numbered it.
+	Child int64 `json:"child,omitempty"`
 	// RequestID is the per-request forensics ID (X-Request-ID), carried
 	// so child-side logs can be correlated with the crash report.
 	RequestID string `json:"request_id,omitempty"`

@@ -48,11 +48,12 @@ type ProcStats struct {
 // child is one supervised OS process: started with a 2 KiB stderr tail,
 // reaped by exactly one goroutine, killed on demand.
 type child struct {
-	cmd    *exec.Cmd
-	pid    int
-	stderr *tailBuffer
-	dead   chan struct{} // closed once the process is reaped
-	err    error         // Wait's result; read only after dead is closed
+	cmd     *exec.Cmd
+	pid     int
+	ordinal int64 // its place among the supervisor's spawns, from 1
+	stderr  *tailBuffer
+	dead    chan struct{} // closed once the process is reaped
+	err     error         // Wait's result; read only after dead is closed
 	// shutdown marks a child killed by its supervisor's close: to whoever
 	// was using it, its death is ErrClosed, never a crash.
 	shutdown atomic.Bool
@@ -100,7 +101,7 @@ func (s *supervisor) start(cmd *exec.Cmd) (*child, error) {
 		return nil, err
 	}
 	c.pid = cmd.Process.Pid
-	s.spawns.Add(1)
+	c.ordinal = s.spawns.Add(1)
 	s.mu.Lock()
 	lost := s.closed
 	if !lost {
@@ -284,7 +285,7 @@ func (s *supervisor) startProc(argv, env []string) (*proc, error) {
 func (pr *proc) roundTrip(req *Request, timeout time.Duration, stop <-chan struct{}) (*Response, error) {
 	pr.seq++
 	wireReq := *req
-	wireReq.Seq = pr.seq
+	wireReq.Seq, wireReq.Child = pr.seq, pr.ordinal
 
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()

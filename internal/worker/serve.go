@@ -51,7 +51,7 @@ func Serve(in io.Reader, out io.Writer, inj *fault.Injector) int {
 	cache := core.NewCompileCache(0)
 	dec := json.NewDecoder(in)
 	enc := json.NewEncoder(out)
-	for {
+	for seeded := false; ; {
 		var req Request
 		if err := dec.Decode(&req); err != nil {
 			if errors.Is(err, io.EOF) {
@@ -60,6 +60,13 @@ func Serve(in io.Reader, out io.Writer, inj *fault.Injector) int {
 			fmt.Fprintf(os.Stderr, "worker: protocol read: %v\n", err)
 			return 1
 		}
+		// Before the first roll: the child's faults are a sequence of its
+		// own, the same on every run, so how many requests it lives is a
+		// function of its spec and its ordinal.
+		if !seeded && req.Child != 0 {
+			inj.ForChild(req.Child)
+		}
+		seeded = true
 
 		// Crash window 1: die before any work happens.
 		if _, ok := inj.Fire(fault.WorkerPanic); ok {
