@@ -195,16 +195,8 @@ type frame struct {
 	ind int
 }
 
-// bind stores the arguments of a call in the parameters' slots, converted
-// to the parameter types. No other thread can see the activation yet.
-func (f *frame) bind(args []value.Value) {
-	for i, p := range f.fn.Params {
-		f.store(p.Slot, value.Convert(args[i], p.Type))
-	}
-}
-
 // newFrame returns an activation of fn on the heap, its parameters bound
-// to args.
+// to args, converted to the parameter types.
 func (in *Interp) newFrame(fn *ast.FuncDecl, args []value.Value) *frame {
 	f := &frame{fn: fn, vals: make([]value.Value, fn.NumSlots)}
 	if fn.HasParallel {
@@ -215,7 +207,9 @@ func (in *Interp) newFrame(fn *ast.FuncDecl, args []value.Value) *frame {
 			}
 		}
 	}
-	f.bind(args)
+	for i, p := range fn.Params {
+		f.store(p.Slot, value.Convert(args[i], p.Type))
+	}
 	return f
 }
 
@@ -900,7 +894,9 @@ func (t *thread) call(fn *ast.FuncDecl, args []value.Value, pos token.Pos) (valu
 	vals, sp := t.vals.Claim(fn.NumSlots)
 	f := &rec[0]
 	f.fn, f.vals = fn, vals
-	f.bind(args)
+	for i, p := range fn.Params {
+		vals[p.Slot] = value.Convert(args[i], p.Type)
+	}
 	v, err := t.enter(f, pos)
 	t.vals.Release(vals, sp)
 	t.frames.Release(rec, rsp)

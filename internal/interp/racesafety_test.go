@@ -73,7 +73,7 @@ func TestRacyRealArrayElementIsGoSafe(t *testing.T) {
 
 func TestFigure3UnlockedFirstCheckIsGoSafe(t *testing.T) {
 	// The paper's own double-checked pattern reads `largest` without the
-	// lock. Under -race this must be clean (cells are mutex-guarded).
+	// lock. Under -race this must be clean (a cell is one atomic word).
 	src := `def max(nums [int]) int:
     largest = 0
     parallel for num in nums:

@@ -9,7 +9,6 @@ package sem
 import (
 	"unicode/utf8"
 
-	"repro/internal/types"
 	"repro/internal/value"
 )
 
@@ -57,14 +56,7 @@ func Runes(s string) []string {
 
 // RunesArray materializes s as a Tetra array of 1-character strings, for
 // the value-level backends.
-func RunesArray(s string) *value.Array {
-	runes := Runes(s)
-	elems := make([]value.Value, len(runes))
-	for i, r := range runes {
-		elems[i] = value.NewString(r)
-	}
-	return value.FromSlice(types.StringType, elems)
-}
+func RunesArray(s string) *value.Array { return value.NewStringArray(Runes(s)) }
 
 // NormIndex applies Python-style negative indexing against length n: a
 // negative i counts from the end. The result may still be out of range

@@ -551,12 +551,7 @@ func init() {
 
 	register(Builtin{ID: Split, Name: "split", Params: str2Params, Result: types.ArrayOf(types.StringType), Native: "gort.Split", Built: true,
 		Eval: func(_ *Env, args []value.Value) (value.Value, error) {
-			parts := sem.Split(args[0].Str(), args[1].Str())
-			elems := make([]value.Value, len(parts))
-			for i, p := range parts {
-				elems[i] = value.NewString(p)
-			}
-			return value.NewArray(value.FromSlice(types.StringType, elems)), nil
+			return value.NewArray(value.NewStringArray(sem.Split(args[0].Str(), args[1].Str()))), nil
 		}})
 
 	register(Builtin{ID: Join, Name: "join", Params: []*types.Type{types.ArrayOf(types.StringType), types.StringType},

@@ -342,7 +342,7 @@ func Bind(v Value, name string, t *types.Type) (Value, error) {
 type Array struct {
 	Elem  *types.Type
 	kind  Kind             // the elements' kind, fixed with Elem
-	words []uint64         // int, real and bool elements
+	words []uint64         // int, real and bool elements; nil otherwise
 	ptrs  []unsafe.Pointer // string and array elements
 }
 
@@ -365,7 +365,7 @@ func NewArrayOf(elem *types.Type, n int) *Array {
 
 // FromSlice builds an array from the given elements. When elem is nil the
 // element type is the first value's (an empty nil-typed array stays
-// untyped). The strings of a string array are boxed in one allocation.
+// untyped).
 func FromSlice(elem *types.Type, elems []Value) *Array {
 	if elem == nil && len(elems) > 0 {
 		elem = TypeOf(elems[0])
@@ -378,17 +378,26 @@ func FromSlice(elem *types.Type, elems []Value) *Array {
 		}
 		return a
 	}
-	a.ptrs = make([]unsafe.Pointer, len(elems))
 	if a.kind == Str {
 		strs := make([]string, len(elems))
 		for i, v := range elems {
 			strs[i] = v.Str()
-			a.ptrs[i] = unsafe.Pointer(&strs[i])
 		}
-		return a
+		return NewStringArray(strs)
 	}
+	a.ptrs = make([]unsafe.Pointer, len(elems))
 	for i, v := range elems {
 		a.ptrs[i] = v.p
+	}
+	return a
+}
+
+// NewStringArray returns the string array of strs, which it keeps as the
+// elements' boxes: nothing may write strs afterwards.
+func NewStringArray(strs []string) *Array {
+	a := &Array{Elem: types.StringType, kind: Str, ptrs: make([]unsafe.Pointer, len(strs))}
+	for i := range strs {
+		a.ptrs[i] = unsafe.Pointer(&strs[i])
 	}
 	return a
 }
@@ -410,7 +419,7 @@ func (a *Array) Len() int { return len(a.words) + len(a.ptrs) }
 // Get returns element i. The caller has already bounds-checked (sem.Index,
 // sem.ArrayIndex) or relies on the runtime's bounds error.
 func (a *Array) Get(i int) Value {
-	if a.kind.inWord() {
+	if a.words != nil {
 		return Value{K: a.kind, B: atomic.LoadUint64(&a.words[i])}
 	}
 	return unbox(a.kind, atomic.LoadPointer(&a.ptrs[i]))
@@ -418,12 +427,18 @@ func (a *Array) Get(i int) Value {
 
 // Set stores element i.
 func (a *Array) Set(i int, v Value) {
-	if a.kind.inWord() {
+	if a.words != nil {
 		atomic.StoreUint64(&a.words[i], v.B)
 		return
 	}
-	atomic.StorePointer(&a.ptrs[i], box(v))
+	a.setPtr(i, v)
 }
+
+// setPtr is Set's path for a pointer element, out of line so that Set
+// inlines.
+//
+//go:noinline
+func (a *Array) setPtr(i int, v Value) { atomic.StorePointer(&a.ptrs[i], box(v)) }
 
 // Values returns a snapshot copy of the elements, for bulk operations
 // (sort builtin, tests).
@@ -439,7 +454,7 @@ func (a *Array) Values() []Value {
 // in Tetra proper are fixed-size (push is future-work library surface),
 // and Append must not race with any concurrent access.
 func (a *Array) Append(v Value) {
-	if a.kind.inWord() {
+	if a.words != nil {
 		a.words = append(a.words, v.B)
 		return
 	}

@@ -51,7 +51,7 @@ func Serve(in io.Reader, out io.Writer, inj *fault.Injector) int {
 	cache := core.NewCompileCache(0)
 	dec := json.NewDecoder(in)
 	enc := json.NewEncoder(out)
-	for seeded := false; ; {
+	for {
 		var req Request
 		if err := dec.Decode(&req); err != nil {
 			if errors.Is(err, io.EOF) {
@@ -63,10 +63,9 @@ func Serve(in io.Reader, out io.Writer, inj *fault.Injector) int {
 		// Before the first roll: the child's faults are a sequence of its
 		// own, the same on every run, so how many requests it lives is a
 		// function of its spec and its ordinal.
-		if !seeded && req.Child != 0 {
+		if req.Seq == 1 && req.Child != 0 {
 			inj.ForChild(req.Child)
 		}
-		seeded = true
 
 		// Crash window 1: die before any work happens.
 		if _, ok := inj.Fire(fault.WorkerPanic); ok {
