@@ -104,13 +104,16 @@ type scratch struct {
 	pooled map[constKey]int32 // index in consts
 }
 
-// constKey identifies a constant as value.Identical does: kind and
-// payload bits, a string by its content. Arrays are never constants.
+// constKey identifies a constant with no conversion: by kind and payload
+// bits (so 1 and 1.0 differ, 0.0 and -0.0 differ and a NaN is itself), a
+// string by its content. Arrays are never constants.
 type constKey struct {
 	k value.Kind
 	b uint64
 	s string
 }
+
+func keyOf(v value.Value) constKey { return constKey{v.K, v.B, v.Str()} }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
@@ -311,7 +314,7 @@ func (c *fnCompiler) isTemp(reg int32) bool { return int(reg) >= c.fn.NumSlots }
 // scratch and copied into Func.Consts once the function is compiled.
 func (c *fnCompiler) constIndex(v value.Value) int32 {
 	s := c.scratch
-	k := constKey{v.K, v.B, v.Str()}
+	k := keyOf(v)
 	if i, ok := s.pooled[k]; ok {
 		return i
 	}

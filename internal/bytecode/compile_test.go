@@ -2,6 +2,7 @@ package bytecode
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -71,6 +72,35 @@ func TestConstPooling(t *testing.T) {
 	}
 	if count7 != 1 {
 		t.Errorf("constant 7 pooled %d times, want 1", count7)
+	}
+}
+
+// TestConstIndexInternsIdenticalConstants: a constant is reused only when
+// it is the same value with no conversion — kind and payload bits, a
+// string by its content — where value.Equal would be too coarse.
+func TestConstIndexInternsIdenticalConstants(t *testing.T) {
+	nan := value.NewReal(math.NaN())
+	cases := []struct {
+		x, y value.Value
+		want bool
+	}{
+		{value.NewInt(1), value.NewInt(1), true},
+		{value.NewInt(1), value.NewReal(1), false}, // Equal says true
+		{value.NewInt(1), value.NewBool(true), false},
+		{value.NewReal(0), value.NewReal(math.Copysign(0, -1)), false}, // Equal says true
+		{nan, nan, true}, // Equal says false
+		{value.NewString("ab"), value.NewString(strings.Clone("ab")), true},
+		{value.NewString("ab"), value.NewString("abc"[:2]), true},
+		{value.NewString("ab"), value.NewString("ac"), false},
+		{value.NewString(""), value.NewString("x"[1:]), true},
+		{value.NewString(""), value.Value{}, false},
+		{value.Value{}, value.Value{}, true},
+	}
+	for _, c := range cases {
+		fc := &fnCompiler{scratch: &scratch{pooled: make(map[constKey]int32)}}
+		if got := fc.constIndex(c.x) == fc.constIndex(c.y); got != c.want {
+			t.Errorf("%s and %s share a constant: %v, want %v", c.x, c.y, got, c.want)
+		}
 	}
 }
 
@@ -401,7 +431,7 @@ func TestLiteralShapes(t *testing.T) {
 	loads := func(f *Func, v value.Value) bool {
 		for _, ch := range f.Chunks {
 			for _, ins := range ch.Code {
-				if ins.Op == OpConst && value.Identical(f.Consts[ins.A], v) {
+				if ins.Op == OpConst && keyOf(f.Consts[ins.A]) == keyOf(v) {
 					return true
 				}
 			}

@@ -77,7 +77,7 @@ def note(x int):
 // identical one, for a test that plants an instruction naming it.
 func (f *Func) constIndex(v value.Value) int32 {
 	for i, c := range f.Consts {
-		if value.Identical(c, v) {
+		if keyOf(c) == keyOf(v) {
 			return int32(i)
 		}
 	}

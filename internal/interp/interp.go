@@ -454,12 +454,12 @@ func (t *thread) execFor(f *frame, s *ast.ForStmt) (signal, error) {
 	if err != nil {
 		return sigNone, err
 	}
-	iter := newIterator(seq)
-	for i := 0; i < iter.len(); i++ {
+	elems := sem.Elements(seq)
+	for i := 0; i < elems.Len(); i++ {
 		if t.interp.rt.Stopped() {
 			return sigNone, rt.ErrStopped
 		}
-		f.store(s.Var.Slot, iter.at(i))
+		f.store(s.Var.Slot, elems.Get(i))
 		sig, err := t.execStmts(f, s.Body.Stmts)
 		if err != nil {
 			return sigNone, err
@@ -577,21 +577,21 @@ func (t *thread) execParallelFor(f *frame, s *ast.ParallelForStmt) error {
 	if err != nil {
 		return err
 	}
-	iter := newIterator(seq)
+	elems := sem.Elements(seq)
 	slot := s.Var.Slot
 	reuse := !s.Spawns && f.cells[slot] == nil
-	return t.interp.rt.ParFor(&t.Thread, iter.len(), s.Pos(), func() (*rt.Thread, func(i int) error) {
+	return t.interp.rt.ParFor(&t.Thread, elems.Len(), s.Pos(), func() (*rt.Thread, func(i int) error) {
 		nt := t.interp.newThread()
 		if reuse {
 			view := f.view(slot, value.Value{})
 			return &nt.Thread, func(i int) error {
-				view.vals[slot] = iter.at(i)
+				view.vals[slot] = elems.Get(i)
 				_, err := nt.execStmts(view, s.Body.Stmts)
 				return err
 			}
 		}
 		return &nt.Thread, func(i int) error {
-			_, err := nt.execStmts(f.view(slot, iter.at(i)), s.Body.Stmts)
+			_, err := nt.execStmts(f.view(slot, elems.Get(i)), s.Body.Stmts)
 			return err
 		}
 	})
@@ -609,21 +609,6 @@ func (t *thread) execLock(f *frame, s *ast.LockStmt) (signal, error) {
 	t.interp.rt.Unlock(&t.Thread, s.LockIndex, s.Pos())
 	return sig, err
 }
-
-// iterator walks an array or a string via sem.Elements: strings are
-// materialized as their Unicode characters once up front, so iteration
-// never splits a multi-byte character.
-type iterator struct {
-	arr *value.Array
-}
-
-func newIterator(seq value.Value) iterator {
-	return iterator{arr: sem.Elements(seq)}
-}
-
-func (it iterator) len() int { return it.arr.Len() }
-
-func (it iterator) at(i int) value.Value { return it.arr.Get(i) }
 
 // eval evaluates an expression to a value. A node costs a loop one call
 // here: a private variable or a numeric literal operand is read in place

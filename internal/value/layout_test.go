@@ -8,7 +8,6 @@ package value_test
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -67,43 +66,11 @@ func TestAccessorsTotal(t *testing.T) {
 		// The consumers that receive ill-kinded pairs.
 		for _, w := range oneOfEachKind() {
 			_ = value.Equal(v, w)
-			_ = value.Identical(v, w)
 		}
 		if v.K != value.Arr || a != nil {
 			_ = v.String()
 		}
 		_ = value.TypeOf(v)
-	}
-}
-
-func TestIdentical(t *testing.T) {
-	a := value.NewIntRange(0, 2)
-	nan := value.NewReal(math.NaN())
-	cases := []struct {
-		x, y value.Value
-		want bool
-	}{
-		{value.NewInt(1), value.NewInt(1), true},
-		{value.NewInt(1), value.NewReal(1), false}, // Equal says true
-		{value.NewInt(1), value.NewBool(true), false},
-		{value.NewReal(0), value.NewReal(math.Copysign(0, -1)), false}, // Equal says true
-		{nan, nan, true}, // Equal says false
-		{value.NewString("ab"), value.NewString(strings.Clone("ab")), true},
-		{value.NewString("ab"), value.NewString("abc"[:2]), true},
-		{value.NewString("ab"), value.NewString("ac"), false},
-		{value.NewString(""), value.NewString("x"[1:]), true},
-		{value.NewString(""), value.Value{}, false},
-		{value.NewArray(a), value.NewArray(a), true},
-		{value.NewArray(a), value.NewArray(value.NewIntRange(0, 2)), false}, // Equal says true
-		{value.Value{}, value.Value{}, true},
-	}
-	for _, c := range cases {
-		if got := value.Identical(c.x, c.y); got != c.want {
-			t.Errorf("Identical(%s, %s) = %v, want %v", c.x, c.y, got, c.want)
-		}
-		if got := value.Identical(c.y, c.x); got != c.want {
-			t.Errorf("Identical(%s, %s) = %v, want %v", c.y, c.x, got, c.want)
-		}
 	}
 }
 
@@ -149,15 +116,12 @@ func FuzzStringRoundTrip(f *testing.F) {
 				t.Fatalf("NewString(%q).Array() != nil", s)
 			}
 			w := value.NewString(strings.Clone(s)) // same bytes, another address
-			if !value.Equal(v, w) || !value.Identical(v, w) {
+			if !value.Equal(v, w) {
 				t.Fatalf("NewString(%q) differs from its clone", s)
 			}
 			o := value.NewString(other)
 			if got, want := value.Equal(v, o), s == other; got != want {
 				t.Fatalf("Equal(%q, %q) = %v", s, other, got)
-			}
-			if got, want := value.Identical(v, o), s == other; got != want {
-				t.Fatalf("Identical(%q, %q) = %v", s, other, got)
 			}
 			if got, want := value.NewArray(value.FromSlice(types.StringType, []value.Value{v})).String(), fmt.Sprintf("[%q]", s); got != want {
 				t.Fatalf("array of %q prints %s", s, got)

@@ -187,20 +187,6 @@ func Equal(a, b Value) bool {
 	}
 }
 
-// Identical reports whether a and b are the same value with no conversion:
-// same kind, same payload bits (so 1 and 1.0 differ, 0.0 and -0.0 differ and
-// a NaN is identical to itself), strings by content, arrays by identity. It
-// is what interning a constant needs, where Equal would be too coarse.
-func Identical(a, b Value) bool {
-	if a.K != b.K {
-		return false
-	}
-	if a.K == Str {
-		return a.Str() == b.Str()
-	}
-	return a.B == b.B && a.p == b.p
-}
-
 // String renders the value the way Tetra's print does: Python-ish, arrays
 // as [a, b, c], reals with a trailing .0 when integral.
 func (v Value) String() string {
@@ -353,12 +339,10 @@ func NewArrayOf(elem *types.Type, n int) *Array {
 		a.words = make([]uint64, n) // zero bits are the zero value for all three kinds
 		return a
 	}
-	a.ptrs = make([]unsafe.Pointer, n) // a nil string box is ""
-	if a.kind == Arr {
-		z := Zero(elem).p
-		for i := range a.ptrs {
-			a.ptrs[i] = z
-		}
+	a.ptrs = make([]unsafe.Pointer, n)
+	z := box(Zero(elem))
+	for i := range a.ptrs {
+		a.ptrs[i] = z
 	}
 	return a
 }
@@ -513,12 +497,9 @@ func box(v Value) unsafe.Pointer {
 	return v.p
 }
 
-// unbox is box's inverse for a word of kind k; a nil string box is "".
+// unbox is box's inverse for a word of kind k.
 func unbox(k Kind, p unsafe.Pointer) Value {
 	if k == Str {
-		if p == nil {
-			return Value{K: Str}
-		}
 		return NewString(*(*string)(p))
 	}
 	return Value{K: k, p: p}

@@ -28,8 +28,8 @@
 // parameter slots.
 //
 // A variable the threads of a function really share (bytecode.Func.Shared)
-// is a value.Cell on the heap, one atomic word: threads of a `parallel`
-// block share it, and `background` threads may outlive the activation. Code reaches
+// is a one-word atomic cell on the heap: threads of a `parallel` block
+// share it, and `background` threads may outlive the activation. Code reaches
 // it through two instructions only, OpLoadCell and OpStoreCell, which the
 // compiler emits wherever it is read or written. Every other variable is
 // a register, in a function with parallel constructs too. A spawned
@@ -189,12 +189,11 @@ type frame struct {
 }
 
 // newCells returns the cells of one activation of fn, which shares a
-// variable: one at each shared slot, the shared parameters bound to args
-// and the rest at their type's zero, and nil elsewhere. They live on the
-// heap because the threads the activation spawns share them, and a
-// background thread may still use them after the activation has returned.
-// It stays out of line so the dispatch loop's frame does not grow by what
-// it needs.
+// variable: one at each shared slot, holding its argument or its type's
+// zero, and nil elsewhere. They live on the heap because the threads the
+// activation spawns share them, and a background thread may still use
+// them after the activation has returned. It stays out of line so the
+// dispatch loop's frame does not grow by what it needs.
 //
 //go:noinline
 func newCells(fn *bytecode.Func, args []value.Value) []*value.Cell {
