@@ -95,9 +95,12 @@
 //	index.a              A : [T], B : int                Dst ← T
 //	setidx               A : string | [T], B : int, C : T
 //	setidx.a             A : [T], B : int, C : T
+//	setidx.ak            A : [T], B : int, Consts[C] : T
 //	array                temporaries [A, A+B) : Types[C] Dst ← [Types[C]]
 //	range                A, B : int                      Dst ← [int]
-//	foriter              A : [T] | string, A+1 : int     Dst ← T | string; exit B in the chunk
+//	foriter fornext      A : [T] | string, A+1 : int     Dst ← T | string; target B in the chunk
+//	stepjlt.ii .ik .ki .kk  A : int, B and C : int, each a register (i) or Consts (k)
+//	                                                     A ← int; target Dst in the chunk
 //	call                 temporaries [B, B+C) : the parameters of Funcs[A]; Dst ← its result
 //	callb                temporaries [B, B+C) : the Params of builtin A's row, or pass its Check; Dst ← its result
 //	ret                  A : the function's result; chunk 0 only
@@ -118,6 +121,16 @@
 // instruction. Loops, conditionals and lock bodies compile inline with
 // explicit jumps; the compiler emits the lock releases needed when break,
 // continue or return exits a lock block early.
+//
+// # Loops test at the bottom
+//
+// A condition compiles to branches: `and`, `or` and `not` never build a
+// bool. Every loop tests on entry and again at its bottom, where the test
+// branches back to the body: `while b: S` runs as `if b: (S; while b: S)`,
+// so its condition is compiled twice, and a for-in loop's bottom test is
+// fornext. An iteration is its body and one test, a continue goes to the
+// test, and the only backward jump is `while true:`'s. At -O2 an induction
+// step joins the test after it (stepjlt).
 package bytecode
 
 import (
@@ -318,6 +331,26 @@ const (
 	OpJgtRealK
 	OpJgeRealK
 
+	// OpForNext is a for-in loop's bottom test, OpForIter with the branch
+	// the other way: when the sequence in temp A has an element at the index
+	// in temp A+1, Dst takes it and control goes back to the body at B;
+	// otherwise it falls through, out of the loop. The compiler emits it at
+	// every level.
+	OpForNext
+
+	// OpSetIndexArrK is OpSetIndexArr storing a constant (-O2):
+	// reg A [ reg B ] = Consts[C].
+	OpSetIndexArrK
+
+	// Induction step fused into a loop's bottom test (-O2): reg A += step,
+	// then jump to Dst when reg A < limit. The step is reg B or Consts[B],
+	// the limit reg C or Consts[C]; the suffix names them in that order, i
+	// for an int register and k for a constant.
+	OpStepJltII
+	OpStepJltIK
+	OpStepJltKI
+	OpStepJltKK
+
 	numOps
 )
 
@@ -340,8 +373,10 @@ const (
 	fCall                  // Dst = call A with regs [B, B+C)
 	fReturn                // return reg A
 	fSetIndex              // reg A [ reg B ] = reg C
+	fSetIndexK             // reg A [ reg B ] = Consts[C]
+	fStepJump              // reg A += reg|Consts B; reg A < reg|Consts C: pc = Dst
 	fArray                 // Dst = array of regs [A, A+B), elem type Types[C]
-	fForIter               // Dst = next of state regs A, A+1; exhausted: pc = B
+	fForIter               // Dst = next of state regs A, A+1; exhausted (foriter) or not (fornext): pc = B
 	fSpawn                 // chunks [A, A+B)
 	fParFor                // chunk A over reg B, induction cell C
 	fLock                  // lock A
@@ -373,7 +408,7 @@ func buildOpTable() [numOps]opInfo {
 		OpReturn: {name: "ret", form: fReturn}, OpReturnNone: {name: "retnone"},
 		OpIndex: {name: "index", form: fBinary}, OpSetIndex: {name: "setidx", form: fSetIndex},
 		OpArray: {name: "array", form: fArray}, OpRange: {name: "range", form: fBinary},
-		OpForIter:  {name: "foriter", form: fForIter},
+		OpForIter: {name: "foriter", form: fForIter}, OpForNext: {name: "fornext", form: fForIter},
 		OpParallel: {name: "parallel", form: fSpawn}, OpBackground: {name: "background", form: fSpawn},
 		OpParFor:      {name: "parfor", form: fParFor},
 		OpLockAcquire: {name: "lockacq", form: fLock}, OpLockRelease: {name: "lockrel", form: fLock},
@@ -381,6 +416,9 @@ func buildOpTable() [numOps]opInfo {
 		OpCmpJump: {name: "cmpjump", form: fCmpJump}, OpCmpConstJump: {name: "cmpkjump", form: fCmpJumpK},
 		OpLoadCell: {name: "ldcell", form: fLoadCell}, OpStoreCell: {name: "stcell", form: fStoreCell},
 		OpIndexArr: {name: "index.a", form: fBinary}, OpSetIndexArr: {name: "setidx.a", form: fSetIndex},
+		OpSetIndexArrK: {name: "setidx.ak", form: fSetIndexK},
+		OpStepJltII:    {name: "stepjlt.ii", form: fStepJump}, OpStepJltIK: {name: "stepjlt.ik", form: fStepJump},
+		OpStepJltKI: {name: "stepjlt.ki", form: fStepJump}, OpStepJltKK: {name: "stepjlt.kk", form: fStepJump},
 	}
 	// The operator families: five arithmetic operators from sem.Add, six
 	// comparisons from sem.Eq, laid out from first in sem's order.
@@ -434,10 +472,17 @@ func (o Op) Operator() sem.Op { return o.info().op }
 // opcode only the optimizer's fusion phase emits, at -O2.
 func (o Op) Fused() bool {
 	switch o.info().form {
-	case fBinaryK, fBinaryKL, fCmpJump, fCmpJumpK:
+	case fBinaryK, fBinaryKL, fCmpJump, fCmpJumpK, fSetIndexK, fStepJump:
 		return true
 	}
 	return false
+}
+
+// stepConsts reports which operands of a stepjlt opcode are constants:
+// the step (B) and the limit (C).
+func (o Op) stepConsts() (step, limit bool) {
+	k := o - OpStepJltII
+	return k&2 != 0, k&1 != 0
 }
 
 // isArith and isCompare report whether o is a register-register
@@ -489,7 +534,7 @@ func (ins *Instr) target() *int32 {
 	switch ins.Op.info().form {
 	case fJump, fJumpIf:
 		return &ins.A
-	case fCmpJump, fCmpJumpK:
+	case fCmpJump, fCmpJumpK, fStepJump:
 		return &ins.Dst
 	case fForIter:
 		return &ins.B

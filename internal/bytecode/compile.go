@@ -102,6 +102,7 @@ type scratch struct {
 	free   []*chunkBuf
 	consts []value.Value
 	pooled map[constKey]int32 // index in consts
+	jumps  []int              // branch's jumps not yet patched, a stack
 }
 
 // constKey identifies a constant with no conversion: by kind and payload
@@ -166,7 +167,7 @@ func compileFunc(s *scratch, f *ast.FuncDecl, params [][]*types.Type, index int)
 	if s.pooled == nil || len(s.consts) > maxScratch {
 		s.consts, s.pooled = nil, make(map[constKey]int32)
 	}
-	s.consts = s.consts[:0]
+	s.consts, s.jumps = s.consts[:0], s.jumps[:0]
 	clear(s.pooled)
 	c := &fnCompiler{
 		params:  params,
@@ -275,10 +276,20 @@ func (c *fnCompiler) seal() {
 	c.buf = nil
 }
 
-// patch sets the A operand (jump target) of the placeholder at index i to
-// the current pc.
-func (c *fnCompiler) patch(i int) {
-	c.buf.code[i].A = c.pc()
+// patch sets the target of the jump, jfalse and jtrue placeholders at
+// indices js to pc.
+func (c *fnCompiler) patch(pc int32, js ...int) {
+	for _, j := range js {
+		c.buf.code[j].A = pc
+	}
+}
+
+// patchFrom patches the jumps that branch pushed above mark to pc and pops
+// them.
+func (c *fnCompiler) patchFrom(mark int, pc int32) {
+	s := c.scratch
+	c.patch(pc, s.jumps[mark:]...)
+	s.jumps = s.jumps[:mark]
 }
 
 func (c *fnCompiler) pc() int32 { return int32(len(c.buf.code)) }
@@ -364,74 +375,74 @@ func (c *fnCompiler) stmtInner(s ast.Stmt) error {
 		return c.assign(s)
 
 	case *ast.IfStmt:
-		condBase := c.nextTemp
-		cond, err := c.genExpr(s.Cond)
-		if err != nil {
+		jElse := len(c.scratch.jumps)
+		if err := c.branch(s.Cond, false, s.Pos()); err != nil {
 			return err
 		}
-		jElse := c.emit(OpJumpIfFalse, 0, 0, cond, 0, s.Pos())
-		c.nextTemp = condBase // cond temp dead past the branch
 		if err := c.block(s.Then); err != nil {
 			return err
 		}
 		if s.Else == nil {
-			c.patch(jElse)
+			c.patchFrom(jElse, c.pc())
 			return nil
 		}
 		jEnd := c.emit(OpJump, 0, 0, 0, 0, s.Pos())
-		c.patch(jElse)
+		c.patchFrom(jElse, c.pc())
 		if err := c.block(s.Else); err != nil {
 			return err
 		}
-		c.patch(jEnd)
+		c.patch(c.pc(), jEnd)
 		return nil
 
 	case *ast.WhileStmt:
-		top := c.pc()
-		// `while true:` has no test: the loop is its body and the back-edge.
-		jExit := -1
-		if lit, ok := s.Cond.(*ast.BoolLit); !ok || !lit.Value {
-			condBase := c.nextTemp
-			cond, err := c.genExpr(s.Cond)
-			if err != nil {
-				return err
-			}
-			jExit = c.emit(OpJumpIfFalse, 0, 0, cond, 0, s.Pos())
-			c.nextTemp = condBase
+		// `while b: S` is `if b: (S; while b: S)`: the condition is
+		// compiled twice, as the test on entry and as the test at the
+		// bottom, which branches back to the body. An iteration is the body
+		// and one test, and a continue goes to the test. `while true:` has
+		// neither test, only the back-edge.
+		exits := len(c.scratch.jumps)
+		if err := c.branch(s.Cond, false, s.Pos()); err != nil {
+			return err
 		}
+		body := c.pc()
 		c.pushLoop()
 		if err := c.block(s.Body); err != nil {
 			return err
 		}
-		c.emit(OpJump, 0, top, 0, 0, s.Pos())
-		c.popLoop(top)
-		if jExit >= 0 {
-			c.patch(jExit)
+		bottom := c.pc()
+		again := len(c.scratch.jumps)
+		if err := c.branch(s.Cond, true, s.Pos()); err != nil {
+			return err
 		}
+		c.patchFrom(again, body)
+		c.popLoop(bottom)
+		c.patchFrom(exits, c.pc())
 		return nil
 
 	case *ast.ForStmt:
 		// Loop state lives in two consecutive temporaries private to this
 		// activation: the sequence and the iteration index. In a chunk run
 		// concurrently (a `for` inside `parallel for`), each thread
-		// therefore iterates independently — the state can't race.
+		// therefore iterates independently — the state can't race. foriter
+		// takes the first element or leaves, and fornext, at the bottom,
+		// takes the next one and branches back to the body.
 		state := c.tempN(2)
 		if err := c.genExprTo(s.Seq, state); err != nil {
 			return err
 		}
 		c.emit(OpConst, state+1, c.constIndex(value.NewInt(0)), 0, 0, s.Pos())
-		top := c.pc()
 		slot := int32(s.Var.Slot)
 		elem := c.varDst(slot)
-		iter := c.emit(OpForIter, elem, state, 0, 0, s.Pos())
+		first := c.emit(OpForIter, elem, state, 0, 0, s.Pos())
+		body := c.pc()
 		c.setVar(slot, elem, s.Pos())
 		c.pushLoop()
 		if err := c.block(s.Body); err != nil {
 			return err
 		}
-		c.emit(OpJump, 0, top, 0, 0, s.Pos())
-		c.popLoop(top)
-		c.buf.code[iter].B = c.pc()
+		bottom := c.emit(OpForNext, elem, state, body, 0, s.Pos())
+		c.popLoop(int32(bottom))
+		c.buf.code[first].B = c.pc()
 		return nil
 
 	case *ast.ReturnStmt:
@@ -559,16 +570,12 @@ func (c *fnCompiler) pushLoop() {
 	c.loopLockBase = append(c.loopLockBase, len(c.lockStack))
 }
 
-// popLoop patches break jumps to fall here (after the loop's back-jump) and
-// continue jumps to the loop head.
+// popLoop patches break jumps to fall here (after the loop's bottom test)
+// and continue jumps to the bottom test.
 func (c *fnCompiler) popLoop(continueTarget int32) {
 	n := len(c.breaks) - 1
-	for _, j := range c.breaks[n] {
-		c.patch(j)
-	}
-	for _, j := range c.continues[n] {
-		c.buf.code[j].A = continueTarget
-	}
+	c.patch(c.pc(), c.breaks[n]...)
+	c.patch(continueTarget, c.continues[n]...)
 	c.breaks = c.breaks[:n]
 	c.continues = c.continues[:n]
 	c.loopLockBase = c.loopLockBase[:len(c.loopLockBase)-1]
@@ -837,6 +844,63 @@ func (c *fnCompiler) genExprToInner(e ast.Expr, dst int32) error {
 	return nil
 }
 
+// branch compiles condition e as jumping code: control leaves by one of
+// the jumps it pushes on the scratch's jump stack when e is sense, and
+// falls through when it is not; the caller takes the stack's height before
+// and patches what is above it (patchFrom). `and`, `or` and `not` become
+// branches and never a bool; any other condition is evaluated and tested by
+// one jtrue or jfalse. A literal tests nothing: it is a jump, or no code.
+// The jumps are positioned at pos, the statement's.
+func (c *fnCompiler) branch(e ast.Expr, sense bool, pos token.Pos) error {
+	s := c.scratch
+	switch e := e.(type) {
+	case *ast.BoolLit:
+		if e.Value == sense {
+			s.jumps = append(s.jumps, c.emit(OpJump, 0, 0, 0, 0, pos))
+		}
+		return nil
+	case *ast.UnaryExpr:
+		if e.Op == token.NOT {
+			return c.branch(e.X, !sense, pos)
+		}
+	case *ast.BinaryExpr:
+		if e.Op != token.AND && e.Op != token.OR {
+			break
+		}
+		if (e.Op == token.OR) == sense {
+			// Either operand being sense decides: test both for it.
+			if err := c.branch(e.X, sense, pos); err != nil {
+				return err
+			}
+			return c.branch(e.Y, sense, pos)
+		}
+		// The left operand decides only the other way, by skipping the right.
+		skip := len(s.jumps)
+		if err := c.branch(e.X, !sense, pos); err != nil {
+			return err
+		}
+		right := len(s.jumps)
+		if err := c.branch(e.Y, sense, pos); err != nil {
+			return err
+		}
+		c.patch(c.pc(), s.jumps[skip:right]...)
+		s.jumps = append(s.jumps[:skip], s.jumps[right:]...)
+		return nil
+	}
+	base := c.nextTemp
+	r, err := c.genExpr(e)
+	if err != nil {
+		return err
+	}
+	c.nextTemp = base // the tested temporary is dead past the branch
+	op := OpJumpIfFalse
+	if sense {
+		op = OpJumpIfTrue
+	}
+	s.jumps = append(s.jumps, c.emit(op, 0, 0, r, 0, pos))
+	return nil
+}
+
 // genCall compiles a call whose result lands in dst (-1 discards it).
 // Arguments are evaluated left to right into a block of consecutive
 // temporaries, widened in place where an int argument meets a real
@@ -902,7 +966,7 @@ func (c *fnCompiler) binary(e *ast.BinaryExpr, dst int32) error {
 		if err := c.genExprTo(e.Y, dst); err != nil {
 			return err
 		}
-		c.patch(j)
+		c.patch(c.pc(), j)
 		return nil
 	}
 

@@ -427,11 +427,12 @@ def main():
 // context, `while true:`, `a[i] += e`, `x += e` on a real — at every level:
 // the shape is the compiler's, so -O0 has it too.
 func TestLiteralShapes(t *testing.T) {
-	// loads reports whether some OpConst of f loads exactly v.
+	// loads reports whether some OpConst of f loads exactly v, or some
+	// setidx.ak stores it.
 	loads := func(f *Func, v value.Value) bool {
 		for _, ch := range f.Chunks {
 			for _, ins := range ch.Code {
-				if ins.Op == OpConst && keyOf(f.Consts[ins.A]) == keyOf(v) {
+				if ins.Op == OpConst && keyOf(f.Consts[ins.A]) == keyOf(v) || ins.Op == OpSetIndexArrK && keyOf(f.Consts[ins.C]) == keyOf(v) {
 					return true
 				}
 			}

@@ -16,8 +16,9 @@ import (
 // (shared=[c1=count]), or says shared=false when there are none. A typed
 // opcode's mnemonic carries its operator and operand type (add.i, jlt.ik,
 // mod.rk, index.a: i int, r real, a array, k constant operand, l constant
-// on the left); the untyped fused opcodes, whose operator is in an
-// operand, get a trailing comment spelling it out.
+// on the left; stepjlt.ki's suffix names its step and then its limit); the
+// untyped fused opcodes, whose operator is in an operand, get a trailing
+// comment spelling it out.
 func Disassemble(f *Func) string {
 	var sb strings.Builder
 	shared := "false"
@@ -122,10 +123,26 @@ func operands(f *Func, ins Instr) string {
 		return r(ins.A)
 	case fSetIndex:
 		return fmt.Sprintf("%s[%s] = %s", r(ins.A), r(ins.B), r(ins.C))
+	case fSetIndexK:
+		return fmt.Sprintf("%s[%s] = %s", r(ins.A), r(ins.B), k(ins.C))
+	case fStepJump:
+		step, limit := r(ins.B), r(ins.C)
+		stepK, limitK := ins.Op.stepConsts()
+		if stepK {
+			step = k(ins.B)
+		}
+		if limitK {
+			limit = k(ins.C)
+		}
+		return fmt.Sprintf("%s, %s, %s -> %d", r(ins.A), step, limit, ins.Dst)
 	case fArray:
 		return fmt.Sprintf("%s, %s..#%d, type#%d", r(ins.Dst), r(ins.A), ins.B, ins.C)
 	case fForIter:
-		return fmt.Sprintf("%s, state %s, exit -> %d", r(ins.Dst), r(ins.A), ins.B)
+		to := "exit"
+		if ins.Op == OpForNext {
+			to = "loop"
+		}
+		return fmt.Sprintf("%s, state %s, %s -> %d", r(ins.Dst), r(ins.A), to, ins.B)
 	case fSpawn:
 		return fmt.Sprintf("chunks [%d, %d)", ins.A, ins.A+ins.B)
 	case fParFor:

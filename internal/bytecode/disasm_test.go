@@ -56,10 +56,11 @@ func TestDisassembleGolden(t *testing.T) {
 	// -update cannot silently bless a regression.
 	for _, want := range []string{
 		"r0=x",       // variable slots carry source names
-		"add.ik",     // fused constant arithmetic survives in main's loop
+		"add.ik",     // fused constant arithmetic: inc's x + 1
 		"div.rk",     // mean's a[i] / 2 divides reals by the real constant
 		"arithk",     // string + with a constant operand is the untyped one
-		"jlt.i ",     // and mean's loop is rotated: it tests at its bottom
+		"stepjlt.ki", // mean's loop tests at its bottom, where i += 1 joins the test
+		"fornext",    // and main's for loop steps at its bottom
 		"ldcell",     // a shared function reads its variables from cells
 		"stcell",     // and writes them back
 		"c0=total",   // cells carry source names too

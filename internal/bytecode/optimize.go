@@ -6,6 +6,8 @@ package bytecode
 // semantics). None of them evaluates an expression: the compiler loads a
 // literal, negated or widened to real as its context asks, with one
 // OpConst (compile.go's constant), and every operator runs at run time.
+// Loops need no phase of their own: the compiler already emits each one
+// with a test on entry and a test at its bottom (compile.go).
 //
 //  1. dead-store removal  — writes to temporaries that no path reads
 //                            before the next write are deleted (only for
@@ -17,7 +19,8 @@ package bytecode
 //  4. superinstruction    — compare+branch pairs fuse into a
 //     fusion                 compare-jump, then a constant operand folds
 //                            into its constant form, and const+arith
-//                            pairs into constant-operand arithmetic. Typed
+//                            pairs into constant-operand arithmetic, and
+//                            const+setidx.a into setidx.ak. Typed
 //                            instructions fuse into typed
 //                            superinstructions whose operator is part of
 //                            the opcode (jlt.ik, add.ik, mod.rk): the
@@ -33,15 +36,12 @@ package bytecode
 //                            arith-const form is the load-arith-store
 //                            superinstruction: one dispatch for what the
 //                            stack IR spent five on.
-//  5. loop rotation       — a back-edge `jump T` whose target is a
-//                            compare-jump that leaves the loop for the
-//                            instruction after the back-edge becomes the
-//                            negated compare-jump to T+1: the loop tests
-//                            at its bottom and an iteration is one
-//                            dispatch shorter. T stays as the test on
-//                            entry. The rotated branch is a taken backward
-//                            branch, so it polls the stop flag as the
-//                            jump did.
+//  5. step-branch fusion  — an induction step (add.ik or add.i on a
+//                            register) followed by a loop's bottom test
+//                            jlt.ik or jlt.i of that register becomes one
+//                            stepjlt: `i += 1` and `while i < n` in one
+//                            dispatch. It is a taken backward branch, so
+//                            it polls the stop flag as the test did.
 //
 // Every phase is differentially verified: the golden corpus and the
 // cross-backend differential tests must produce byte-identical output at
@@ -59,7 +59,7 @@ import (
 const (
 	O0 = 0 // no optimization: execute exactly what the compiler emitted
 	O1 = 1 // dead stores + jump threading + DCE
-	O2 = 2 // O1 plus superinstruction fusion and loop rotation
+	O2 = 2 // O1 plus superinstruction and step-branch fusion
 
 	// DefaultLevel is what the fast path uses unless told otherwise.
 	DefaultLevel = O2
@@ -165,8 +165,8 @@ var (
 	o2Phases = []phase{
 		{name: "compare-jump fusion", run: (*optimizer).fuseCmpJump},
 		{name: "compare-constant fusion", run: (*optimizer).fuseCmpConst},
-		{name: "arith-constant fusion", run: (*optimizer).fuseArithConst},
-		{name: "loop rotation", run: (*optimizer).rotateLoops},
+		{name: "constant-operand fusion", run: (*optimizer).fuseConstOperand},
+		{name: "step-branch fusion", run: (*optimizer).fuseStep},
 	}
 )
 
@@ -198,6 +198,11 @@ func readsReg(f *Func, ins Instr, reg int32) bool {
 		return spawnReads(f, ins.A, ins.B, reg)
 	case fSetIndex:
 		return ins.A == reg || ins.B == reg || ins.C == reg
+	case fSetIndexK:
+		return ins.A == reg || ins.B == reg
+	case fStepJump:
+		step, limit := ins.Op.stepConsts()
+		return ins.A == reg || !step && ins.B == reg || !limit && ins.C == reg
 	case fCall:
 		return reg >= ins.B && reg < ins.B+ins.C
 	case fArray:
@@ -232,6 +237,8 @@ func writesReg(ins Instr, reg int32) bool {
 	switch ins.Op.info().form {
 	case fConst, fUnary, fBinary, fBinaryK, fBinaryKL, fArray, fLoadCell:
 		return ins.Dst == reg
+	case fStepJump:
+		return ins.A == reg
 	case fCall:
 		return ins.Dst == reg && ins.Dst >= 0
 	case fForIter:
@@ -516,11 +523,12 @@ func (o *optimizer) fuseCmpConst(f *Func, ch *Chunk) bool {
 	return changed
 }
 
-// fuseArithConst folds a constant operand into the arithmetic instruction
-// consuming it: Dst = A op K or Dst = K op A. The fused instruction keeps
-// the arithmetic op's source position so a runtime error (division by
-// zero) reports the operator, exactly as at O0. With a variable slot as
-// both source and destination this is the load-arith-store
+// fuseConstOperand folds a constant operand into the instruction
+// consuming it: an arithmetic one becomes Dst = A op K or Dst = K op A, and
+// an array store of a constant setidx.ak. The fused instruction keeps the
+// consumer's source position so a runtime error (division by zero, an
+// index out of range) reports what O0 reports. With a variable slot as
+// both source and destination the arithmetic form is the load-arith-store
 // superinstruction of the hot loop shapes (`i = i + 1`,
 // `s = s % 1000003`).
 //
@@ -530,12 +538,20 @@ func (o *optimizer) fuseCmpConst(f *Func, ch *Chunk) bool {
 // divisor is zero: the constant-divisor forms do not test the divisor, so
 // that one stays as it is and raises the error. An untyped instruction is a
 // string +, which becomes OpArithConst or OpArithConstL.
-func (o *optimizer) fuseArithConst(f *Func, ch *Chunk) bool {
+func (o *optimizer) fuseConstOperand(f *Func, ch *Chunk) bool {
 	targets := o.jumpTargets(ch)
 	code := ch.Code
 	changed := false
 	for pc := range code {
 		ins := code[pc]
+		if ins.Op == OpSetIndexArr {
+			if def := o.constOperand(f, ch, targets, pc, ins.C); def >= 0 {
+				code[pc].Op, code[pc].C = OpSetIndexArrK, code[def].A
+				code[def] = Instr{Op: OpNop}
+				changed = true
+			}
+			continue
+		}
 		if !ins.Op.isArith() || ins.A == ins.B {
 			continue
 		}
@@ -589,34 +605,43 @@ func typedArithConst(op sem.Op, kind *types.Type, constLeft bool) Op {
 	return k + Op(op-sem.Add)
 }
 
-// rotateLoops turns a loop that tests at its top into one that tests at
-// its bottom. Where a back-edge `jump T` lands on a compare-jump that
-// leaves the loop for the instruction after the back-edge, the back-edge
-// becomes the negated compare-jump to T+1: the next iteration starts at
-// the body, and the instruction at T only runs on entry (and after a
-// continue). It keeps the back-edge's position; a compare-jump cannot
-// raise, so the position only says where a step limit tripped — inside
-// the loop, as before.
-func (*optimizer) rotateLoops(_ *Func, ch *Chunk) bool {
+// fuseStep merges a loop's induction step into its bottom test: an
+// add.ik or add.i that adds to a register, followed by a backward jlt.ik
+// or jlt.i of that register, becomes the stepjlt of its two operand kinds.
+// The test must not be a jump target of its own (a continue lands on it,
+// skipping the step), and neither the step nor the limit may be the
+// register itself, which the fused instruction writes between reading the
+// one and the other. An int add cannot raise, so the fused instruction
+// keeps the add's position; a step limit that trips there is inside the
+// loop, as before.
+func (o *optimizer) fuseStep(_ *Func, ch *Chunk) bool {
+	targets := o.jumpTargets(ch)
 	code := ch.Code
 	changed := false
-	for pc := range code {
-		if code[pc].Op != OpJump || int(code[pc].A) >= pc {
+	for pc := 0; pc+1 < len(code); pc++ {
+		add, jlt := code[pc], code[pc+1]
+		if (add.Op != OpAddIntK && add.Op != OpAddInt) || add.Dst != add.A || targets[pc+1] {
 			continue
 		}
-		test := code[code[pc].A]
-		if f := test.Op.info().form; (f != fCmpJump && f != fCmpJumpK) || int(test.Dst) != pc+1 {
+		if (jlt.Op != OpJltIntK && jlt.Op != OpJltInt) || jlt.A != add.A || int(jlt.Dst) > pc {
 			continue
 		}
-		test.Dst = code[pc].A + 1
-		switch in := test.Op.info(); {
-		case in.kind != nil:
-			test.Op += Op(negated(in.op)) - Op(in.op)
-		default: // OpCmpJump, OpCmpConstJump: the sense is bit 0 of C
-			test.C ^= 1
+		if add.Op == OpAddInt && add.B == add.A || jlt.Op == OpJltInt && jlt.B == add.A {
+			continue
 		}
-		code[pc] = test
+		op := OpStepJltII
+		if add.Op == OpAddIntK {
+			op += OpStepJltKI - OpStepJltII
+		}
+		if jlt.Op == OpJltIntK {
+			op += OpStepJltIK - OpStepJltII
+		}
+		code[pc] = Instr{Op: op, Dst: jlt.Dst, A: add.A, B: add.B, C: jlt.B}
+		code[pc+1] = Instr{Op: OpNop}
 		changed = true
+	}
+	if changed {
+		o.compact(ch)
 	}
 	return changed
 }

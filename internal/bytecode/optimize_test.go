@@ -109,7 +109,7 @@ func TestFusionOnlyAtO2(t *testing.T) {
 		}
 		return n
 	}
-	if fused(ch1, fBinaryK, fBinaryKL, fCmpJump, fCmpJumpK) != 0 {
+	if fused(ch1, fBinaryK, fBinaryKL, fCmpJump, fCmpJumpK, fSetIndexK, fStepJump) != 0 {
 		t.Error("fused opcodes emitted at O1")
 	}
 	bc2 := optimizeSrc(t, src, O2)
@@ -117,8 +117,9 @@ func TestFusionOnlyAtO2(t *testing.T) {
 	if fused(ch2, fCmpJump, fCmpJumpK) == 0 {
 		t.Errorf("no fused compare-jump at O2 for a compare-headed while loop:\n%s", Disassemble(bc2.Funcs[bc2.MainIndex]))
 	}
-	if fused(ch2, fBinaryK) == 0 {
-		t.Errorf("no arithconst at O2 for i += 1:\n%s", Disassemble(bc2.Funcs[bc2.MainIndex]))
+	// i += 1 is an add.ik, which the bottom test i < 10 takes in.
+	if fused(ch2, fStepJump) == 0 {
+		t.Errorf("no stepjlt at O2 for i += 1 and the bottom test:\n%s", Disassemble(bc2.Funcs[bc2.MainIndex]))
 	}
 	if len(ch2.Code) >= len(ch1.Code) {
 		t.Errorf("fusion did not shrink code: O1=%d O2=%d", len(ch1.Code), len(ch2.Code))
@@ -240,7 +241,7 @@ func TestUntypedFusionIsGeneric(t *testing.T) {
 				for pc, st := range v.chunk() {
 					ins := f.Chunks[ci].Code[pc]
 					in := ins.Op.info()
-					if st == nil || in.kind != nil || !in.isOp && !ins.Op.Fused() {
+					if st == nil || in.kind != nil || !in.isOp && !untypedFused(ins.Op) {
 						continue
 					}
 					untyped++
@@ -261,5 +262,68 @@ func TestUntypedFusionIsGeneric(t *testing.T) {
 	}
 	if untyped == 0 {
 		t.Error("no untyped instruction in any golden: the check above checked nothing")
+	}
+}
+
+// untypedFused reports whether o is one of the untyped superinstructions,
+// which carry their operator in C: the fused opcodes without one (stepjlt,
+// setidx.ak) are typed by their form.
+func untypedFused(o Op) bool {
+	switch o {
+	case OpArithConst, OpArithConstL, OpCmpJump, OpCmpConstJump:
+		return true
+	}
+	return false
+}
+
+// TestLoopShapes pins how many instructions one iteration of each loop
+// shape dispatches at -O0 and -O2: the code from the body's first
+// instruction to the last branch back to it, which an iteration that runs
+// its body straight through executes once each. A loop tests on entry and
+// at its bottom, a condition is branches and never a bool (so `or` has a
+// branch back per operand), and at -O2 the induction step joins the bottom
+// test and a constant joins its store, so a compiler change that brings a
+// dispatch back fails here. Only `while true:` has a backward jump, and
+// only at -O0: at -O2 the break's test, threaded, is the back-edge, and
+// the step joins it.
+func TestLoopShapes(t *testing.T) {
+	cases := []struct {
+		name, loop string
+		o0, o2     int
+	}{
+		{"lt", "while i < n:\n        s += i\n        i += 1\n", 5, 2},
+		{"and", "while i < n and s < 1000:\n        s += i\n        i += 1\n", 8, 4},
+		{"or", "while s < 0 or i < n:\n        s += i\n        i += 1\n", 8, 4},
+		{"not", "while not i >= n:\n        s += i\n        i += 1\n", 5, 2},
+		{"for_in", "for x in a:\n        s += x\n", 2, 2},
+		{"const_store", "while i < n:\n        a[i] = 0\n        i += 1\n", 6, 2},
+		{"while_true_break", "while true:\n        i += 1\n        if i >= n:\n            break\n", 6, 1},
+	}
+	for _, c := range cases {
+		src := "def main():\n    n = 10\n    a = range(n)\n    i = 0\n    s = 0\n    " + c.loop + "    print(i, s, a)\n"
+		for level, want := range map[int]int{O0: c.o0, O2: c.o2} {
+			p := compileSrc(t, src)
+			if err := VerifyOptimize(p, level); err != nil {
+				t.Fatalf("%s -O%d: %v", c.name, level, err)
+			}
+			f := p.Funcs[p.MainIndex]
+			body, got := -1, 0
+			for pc, ins := range f.Chunks[0].Code {
+				to := ins.target()
+				if to == nil || int(*to) > pc {
+					continue
+				}
+				if body >= 0 && int(*to) != body {
+					t.Errorf("%s -O%d: pc %d: a second loop", c.name, level, pc)
+				}
+				body, got = int(*to), pc-int(*to)+1
+				if ins.Op == OpJump && (level != O0 || c.name != "while_true_break") {
+					t.Errorf("%s -O%d: pc %d: a backward jump", c.name, level, pc)
+				}
+			}
+			if got != want {
+				t.Errorf("%s -O%d: %d instructions per iteration, want %d:\n%s", c.name, level, got, want, Disassemble(f))
+			}
+		}
 	}
 }

@@ -244,6 +244,12 @@ func (v *verifier) instr(ins *Instr, st []*types.Type, report bool) []*types.Typ
 		}
 		return value.TypeOf(f.Consts[i])
 	}
+	// wantConst requires constant i to be a t.
+	wantConst := func(i int32, t *types.Type) {
+		if k := konst(i); k != mixed && !types.Equal(k, t) {
+			failf("constant %s is %s, want %s", f.constStr(i), typeName(k), t)
+		}
+	}
 	cell := func(i int32) *types.Type {
 		switch {
 		case i < 0 || int(i) >= f.NumSlots:
@@ -301,10 +307,8 @@ func (v *verifier) instr(ins *Instr, st []*types.Type, report bool) []*types.Typ
 		case in.kind != nil && (in.form == fBinary || in.form == fCmpJump):
 			l, r = want(ins.A, in.kind), want(ins.B, in.kind)
 		case in.kind != nil:
-			l, r = want(ins.A, in.kind), konst(ins.B)
-			if r != mixed && !types.Equal(r, in.kind) {
-				failf("constant %s is %s, want %s", f.constStr(ins.B), typeName(r), in.kind)
-			}
+			l, r = want(ins.A, in.kind), in.kind
+			wantConst(ins.B, in.kind)
 			if in.form == fBinaryK && (in.op == sem.Div || in.op == sem.Mod) && int(ins.B) < len(f.Consts) && f.Consts[ins.B].AsReal() == 0 {
 				failf("constant divisor is zero; only the unfused %s raises that error", in.op)
 			}
@@ -425,6 +429,30 @@ func (v *verifier) instr(ins *Instr, st []*types.Type, report bool) []*types.Typ
 			failf("stores %s into an element of %s", typeName(val), x)
 		}
 
+	case fSetIndexK:
+		elem := seq(ins.A, false)
+		want(ins.B, types.IntType)
+		if elem == mixed {
+			konst(ins.C)
+		} else {
+			wantConst(ins.C, elem)
+		}
+
+	case fStepJump:
+		// The step and the limit are each an int register or constant.
+		operand := func(i int32, isConst bool) {
+			if isConst {
+				wantConst(i, types.IntType)
+			} else {
+				want(i, types.IntType)
+			}
+		}
+		step, limit := ins.Op.stepConsts()
+		want(ins.A, types.IntType)
+		operand(ins.B, step)
+		operand(ins.C, limit)
+		write(ins.A, types.IntType)
+
 	case fArray:
 		if ins.C < 0 || int(ins.C) >= len(f.Types) {
 			failf("type #%d out of range [0, %d)", ins.C, len(f.Types))
@@ -498,7 +526,7 @@ func untypedOp(o Op, compare bool, failf func(string, ...any)) sem.Op {
 // error of its own (any instruction can be where a step limit trips).
 func canRaise(op Op) bool {
 	switch in := op.info(); in.form {
-	case fCall, fSetIndex, fArray, fSpawn, fParFor, fLock:
+	case fCall, fSetIndex, fSetIndexK, fArray, fSpawn, fParFor, fLock:
 		return true
 	case fBinary, fBinaryK, fBinaryKL:
 		return !in.isOp || !in.op.IsCompare() // index, range and arithmetic

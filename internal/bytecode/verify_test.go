@@ -131,11 +131,32 @@ func TestVerifyRejects(t *testing.T) {
 			ins.Op, ins.B = OpDivIntK, fn(p, "flat").constIndex(value.NewInt(0))
 		}, "constant divisor is zero"},
 		{"jump out of range", O0, func(t *testing.T, p *Program) {
-			find(t, p, "flat", 0, OpJump).A = 99
+			find(t, p, "flat", 0, OpJumpIfFalse).A = 99
 		}, "jump target 99 out of range"},
 		{"compare-jump out of range", O2, func(t *testing.T, p *Program) {
-			find(t, p, "flat", 0, OpJltInt).Dst = -1
+			find(t, p, "flat", 0, OpJgeInt).Dst = -1
 		}, "jump target -1 out of range"},
+		{"fornext whose target leaves the chunk", O0, func(t *testing.T, p *Program) {
+			// flat's bottom test, made the bottom of a for-in loop over a.
+			*find(t, p, "flat", 0, OpJumpIfTrue) = Instr{Op: OpForNext, Dst: 2, A: 0, B: 77}
+		}, "fornext: jump target 77 out of range"},
+		// flat's `i += 1` and bottom test are one stepjlt.ki at -O2.
+		{"stepjlt limit in a non-int register", O2, func(t *testing.T, p *Program) {
+			find(t, p, "flat", 0, OpStepJltKI).C = 0
+		}, "operand r0=a holds [int], want int"},
+		{"stepjlt step of the wrong kind", O2, func(t *testing.T, p *Program) {
+			find(t, p, "flat", 0, OpStepJltKI).B = fn(p, "flat").constIndex(value.NewReal(1))
+		}, "constant 1.0 is real, want int"},
+		{"stepjlt on a shared variable's register", O0, func(t *testing.T, p *Program) {
+			// shared's `total = 0` store, turned into a step of total itself.
+			f := fn(p, "shared")
+			*find(t, p, "shared", 0, OpStoreCell) = Instr{Op: OpStepJltKK, A: 1, B: f.constIndex(value.NewInt(1)), C: f.constIndex(value.NewInt(1))}
+		}, "stepjlt.kk: names the register of r1=total, a shared variable"},
+		{"setidx.ak of a constant that is not the element type", O2, func(t *testing.T, p *Program) {
+			// flat's a[i] read, turned into a store of a string into a [int].
+			ins := find(t, p, "flat", 0, OpIndexArr)
+			*ins = Instr{Op: OpSetIndexArrK, A: ins.A, B: ins.B, C: fn(p, "flat").constIndex(value.NewString("x"))}
+		}, `constant "x" is string, want int`},
 		{"slot operand in a shared function", O0, func(t *testing.T, p *Program) {
 			find(t, p, "shared", 2, OpAddInt).A = 1
 		}, "names the register of r1=total, a shared variable"},
@@ -248,7 +269,7 @@ func TestVerifyRejects(t *testing.T) {
 		{"Pos not parallel to Code", O0, func(t *testing.T, p *Program) {
 			ch := &fn(p, "flat").Chunks[0]
 			ch.Pos = ch.Pos[1:]
-		}, "Pos has 12 entries for 13 instructions"},
+		}, "Pos has 13 entries for 14 instructions"},
 		{"raising instruction without a position", O0, func(t *testing.T, p *Program) {
 			ch := &fn(p, "flat").Chunks[0]
 			for pc, ins := range ch.Code {
@@ -347,17 +368,33 @@ func TestVerifyAcceptsPrivateSlotsBesideCells(t *testing.T) {
 	}
 }
 
-// TestVerifyAcceptsRotation: a rotated loop makes the instruction after
-// its entry test a jump target, reached from two places with the same
-// types.
-func TestVerifyAcceptsRotation(t *testing.T) {
-	p := compileSrc(t, verifySrc)
-	if err := VerifyOptimize(p, O2); err != nil {
-		t.Fatal(err)
-	}
-	dis := DisassembleProgram(p)
-	if !strings.Contains(dis, "jlt.i ") || !strings.Contains(dis, "jge.i ") {
-		t.Errorf("flat's loop is not rotated:\n%s", dis)
+// TestVerifyAcceptsBottomTestedLoops: a loop tests on entry and at its
+// bottom, which branches back to the body's first instruction, so that
+// instruction is reached from two places with the same types. flat's loop
+// does so at every level: a jfalse and a jtrue at -O0 and -O1, a jge.i and
+// the stepjlt.ki of `i += 1` at -O2, and no jump.
+func TestVerifyAcceptsBottomTestedLoops(t *testing.T) {
+	want := map[int][2]Op{O0: {OpJumpIfFalse, OpJumpIfTrue}, O1: {OpJumpIfFalse, OpJumpIfTrue}, O2: {OpJgeInt, OpStepJltKI}}
+	for _, level := range []int{O0, O1, O2} {
+		p := compileSrc(t, verifySrc)
+		if err := VerifyOptimize(p, level); err != nil {
+			t.Fatalf("-O%d: %v", level, err)
+		}
+		f := p.Funcs[0]
+		var entry, bottom int32 = -1, -1
+		for pc, ins := range f.Chunks[0].Code {
+			switch {
+			case ins.Op == OpJump:
+				t.Errorf("-O%d: pc %d: a jump in flat", level, pc)
+			case ins.Op == want[level][0]:
+				entry = int32(pc)
+			case ins.Op == want[level][1]:
+				bottom = int32(pc)
+			}
+		}
+		if entry < 0 || bottom < 0 || *f.Chunks[0].Code[bottom].target() != entry+1 {
+			t.Errorf("-O%d: flat's loop is not an entry %s and a bottom %s back to the body:\n%s", level, want[level][0], want[level][1], Disassemble(f))
+		}
 	}
 }
 

@@ -273,12 +273,13 @@ func TestDisasmRespectsOptLevel(t *testing.T) {
 	_, raw, _ := run(t, []string{"-disasm", "-O", "0", path}, "")
 	_, opt, _ := run(t, []string{"-disasm", "-O", "2", path}, "")
 	// Both operands are ints, so the compare is lt.i and fuses, with the
-	// constant and the branch, into the typed compare-jumps of a rotated
-	// loop: jge.ik on entry, jlt.ik at the bottom.
-	if !strings.Contains(raw, " lt.i ") || strings.Contains(raw, " jge.") || strings.Contains(raw, " jlt.") {
+	// constant and the branch, into the typed compare-jumps of a loop that
+	// tests on entry and at its bottom: jge.ik on entry, and at the bottom
+	// stepjlt.kk, which also takes in i += 1.
+	if !strings.Contains(raw, " lt.i ") || strings.Contains(raw, " jge.") || strings.Contains(raw, " stepjlt.") {
 		t.Errorf("-O 0 disassembly should show raw compare, no fusion:\n%s", raw)
 	}
-	if !strings.Contains(opt, " jge.ik ") || !strings.Contains(opt, " jlt.ik ") {
+	if !strings.Contains(opt, " jge.ik ") || !strings.Contains(opt, " stepjlt.kk ") {
 		t.Errorf("-O 2 disassembly missing fused compare-jump:\n%s", opt)
 	}
 	if len(opt) >= len(raw) {

@@ -61,7 +61,7 @@ func tokenStreams(t *testing.T) string {
 		srcs[name] = src
 	}
 	for _, c := range parity.Corpus(t) {
-		add("testdata/programs/"+c.File, c.Src)
+		add("corpus/"+c.File, c.Src)
 	}
 	for _, pattern := range []string{"../../benchmark/programs/*.ttr", "../../testdata/*.ttr", "../bytecode/testdata/*.ttr"} {
 		paths, err := filepath.Glob(pattern)

@@ -86,6 +86,31 @@ const realLoopSrc = `def main():
     print(total)
 `
 
+// andLoopSrc is Mandelbrot's escape loop alone, at one point inside the
+// set (c = -0.5 + 0.25i), so it never escapes: its condition is an `and`
+// of an int and a real comparison, tested at the bottom as two branches.
+const andLoopSrc = `def main():
+    x = 0.0
+    y = 0.0
+    it = 0
+    while it < 100000 and x * x + y * y <= 4.0:
+        t = x * x - y * y - 0.5
+        y = 2.0 * x * y + 0.25
+        x = t
+        it += 1
+    print(it)
+`
+
+// forInSrc sums an int array with for-in: foriter takes the first element
+// and fornext every other one at the loop's bottom.
+const forInSrc = `def main():
+    a = range(100000)
+    s = 0
+    for x in a:
+        s += x
+    print(s)
+`
+
 // arrayLoopSrc is a sieve: indexed stores a[i] = … and loads a[i] over an
 // int array, where the value read or written crosses value.Array.
 const arrayLoopSrc = `def main():
@@ -229,6 +254,8 @@ func benchmarkRun(b *testing.B, src string) {
 // programs to the interpreter's answer.
 func TestLoopBenchmarkSources(t *testing.T) {
 	sameAsInterp(t, realLoopSrc)
+	sameOnBoth(t, andLoopSrc, "100000\n")
+	sameOnBoth(t, forInSrc, "4999950000\n")
 	sameAsInterp(t, arrayLoopSrc)
 	sameAsInterp(t, sharedLoopSrc)
 	sameAsInterp(t, parForBodySrc)
@@ -239,6 +266,8 @@ func BenchmarkArithLoop(b *testing.B)  { benchmarkRun(b, arithLoopSrc) }
 func BenchmarkCallLoop(b *testing.B)   { benchmarkRun(b, callLoopSrc) }
 func BenchmarkFib(b *testing.B)        { benchmarkRun(b, fibSrc) }
 func BenchmarkRealLoop(b *testing.B)   { benchmarkRun(b, realLoopSrc) }
+func BenchmarkAndLoop(b *testing.B)    { benchmarkRun(b, andLoopSrc) }
+func BenchmarkForInLoop(b *testing.B)  { benchmarkRun(b, forInSrc) }
 func BenchmarkArrayLoop(b *testing.B)  { benchmarkRun(b, arrayLoopSrc) }
 func BenchmarkSharedLoop(b *testing.B) { benchmarkRun(b, sharedLoopSrc) }
 func BenchmarkSpawn(b *testing.B)      { benchmarkRun(b, spawnSrc) }

@@ -72,9 +72,9 @@
 //
 // Unlike the interpreter's statement-boundary checks, the VM consults the
 // resource governor per instruction, and additionally re-checks the stop
-// flag on taken backward branches (loop back-edges, which at -O2 are the
-// rotated loop's compare-and-jump) so Cancel can interrupt a tight loop
-// even when no governor is attached.
+// flag on taken backward branches (loop back-edges: every loop tests at
+// its bottom, so this is its bottom test) so Cancel can interrupt a tight
+// loop even when no governor is attached.
 package vm
 
 import (
@@ -267,6 +267,7 @@ activation:
 	consts := fn.Consts
 	code := ch.Code
 	for ; pc < len(code); pc++ {
+	next: // a taken compare-and-jump goes on here, at its target
 		if g != nil {
 			// Batched fuel accounting: one local increment per instruction,
 			// one governor sync per guard.StepBatch instructions.
@@ -558,6 +559,33 @@ activation:
 			if sem.CompareReal(sem.Ge, regs[ins.A].Real(), consts[ins.B].Real()) {
 				goto jump
 			}
+		// An induction step fused into its loop's bottom test (optimizer):
+		// add the step, then compare with the limit.
+		case bytecode.OpStepJltII:
+			i := sem.ArithInt(sem.Add, regs[ins.A].Int(), regs[ins.B].Int())
+			regs[ins.A] = value.NewInt(i)
+			if sem.CompareInt(sem.Lt, i, regs[ins.C].Int()) {
+				goto jump
+			}
+		case bytecode.OpStepJltIK:
+			i := sem.ArithInt(sem.Add, regs[ins.A].Int(), regs[ins.B].Int())
+			regs[ins.A] = value.NewInt(i)
+			if sem.CompareInt(sem.Lt, i, consts[ins.C].Int()) {
+				goto jump
+			}
+		case bytecode.OpStepJltKI:
+			i := sem.ArithInt(sem.Add, regs[ins.A].Int(), consts[ins.B].Int())
+			regs[ins.A] = value.NewInt(i)
+			if sem.CompareInt(sem.Lt, i, regs[ins.C].Int()) {
+				goto jump
+			}
+		case bytecode.OpStepJltKK:
+			i := sem.ArithInt(sem.Add, regs[ins.A].Int(), consts[ins.B].Int())
+			regs[ins.A] = value.NewInt(i)
+			if sem.CompareInt(sem.Lt, i, consts[ins.C].Int()) {
+				goto jump
+			}
+
 		case bytecode.OpCmpJump:
 			// Untyped: C packs the operator and the sense to jump on.
 			cmp, sense := bytecode.UnpackCmp(ins.C)
@@ -642,7 +670,7 @@ activation:
 			pc++
 			goto activation
 
-		case bytecode.OpIndexArr, bytecode.OpSetIndexArr:
+		case bytecode.OpIndexArr, bytecode.OpSetIndexArr, bytecode.OpSetIndexArrK:
 			// In range is one unsigned compare; a negative or overlong index
 			// goes to sem, which normalises the one and words the other.
 			a, i := regs[ins.A].Array(), regs[ins.B].Int()
@@ -655,8 +683,10 @@ activation:
 			}
 			if ins.Op == bytecode.OpIndexArr {
 				regs[ins.Dst] = a.Get(int(i))
-			} else {
+			} else if ins.Op == bytecode.OpSetIndexArr {
 				a.Set(int(i), regs[ins.C])
+			} else {
+				a.Set(int(i), consts[ins.C])
 			}
 
 		case bytecode.OpIndex:
@@ -696,7 +726,10 @@ activation:
 			}
 			regs[ins.Dst] = value.NewArray(value.NewIntRange(lo.Int(), int(n)))
 
-		case bytecode.OpForIter:
+		case bytecode.OpForIter, bytecode.OpForNext:
+			// foriter takes the first element or leaves for B; fornext, the
+			// loop's bottom test, takes the next one and goes back to B, or
+			// falls out of the loop.
 			if t.vm.rt.Stopped() {
 				return value.Value{}, rt.ErrStopped
 			}
@@ -710,12 +743,14 @@ activation:
 				regs[ins.A] = seq
 			}
 			a := seq.Array()
-			if idx >= int64(a.Len()) {
-				pc = int(ins.B) - 1
-				break
+			more := idx < int64(a.Len())
+			if more {
+				regs[ins.Dst] = a.Get(int(idx))
+				regs[ins.A+1] = value.NewInt(idx + 1)
 			}
-			regs[ins.Dst] = a.Get(int(idx))
-			regs[ins.A+1] = value.NewInt(idx + 1)
+			if more == (ins.Op == bytecode.OpForNext) {
+				pc = int(ins.B) - 1
+			}
 
 		case bytecode.OpParallel, bytecode.OpBackground:
 			if err := t.spawn(ins.Op == bytecode.OpParallel, fn, regs, cells, ins, ch.Pos[pc]); err != nil {
@@ -739,12 +774,17 @@ activation:
 		continue
 
 	jump:
-		// A compare-and-jump took its branch. A backward one is a loop
-		// back-edge (a rotated loop's only one) and re-checks the stop flag.
+		// A compare-and-jump took its branch. A backward one is a loop's
+		// bottom test going round again, and re-checks the stop flag. The
+		// target is in the chunk (Verify), so dispatch goes straight to it:
+		// joined with the loop's increment instead, the Go compiler's
+		// register allocation put a move and a jump on every instruction's
+		// way back to the loop head.
 		if int(ins.Dst) <= pc && t.vm.rt.Stopped() {
 			return value.Value{}, rt.ErrStopped
 		}
-		pc = int(ins.Dst) - 1
+		pc = int(ins.Dst)
+		goto next
 	}
 	return value.Value{}, nil
 }
