@@ -102,6 +102,7 @@
 //	stepjlt.ii .ik .ki .kk  A : int, B and C : int, each a register (i) or Consts (k)
 //	                                                     A ← int; target Dst in the chunk
 //	call                 temporaries [B, B+C) : the parameters of Funcs[A]; Dst ← its result
+//	tailcall             as call, with Funcs[A] the function itself and no Dst; chunk 0 only
 //	callb                temporaries [B, B+C) : the Params of builtin A's row, or pass its Check; Dst ← its result
 //	ret                  A : the function's result; chunk 0 only
 //	ldcell               A a shared slot                 Dst ← SlotTypes[A]
@@ -157,8 +158,10 @@ import (
 // private variables in registers, and a thread body's window starts as a
 // copy of its spawner's slot registers; 6 = the checker's kernel picks the
 // opcode: a mixed int/real pair widens its int side and runs the real
-// family, and the untyped sub, mul, div and mod are gone.
-const IRVersion = 6
+// family, and the untyped sub, mul, div and mod are gone; 7 = loops test at
+// their bottom (fornext, stepjlt, setidx.ak) and a self tail call runs in
+// place (tailcall).
+const IRVersion = 7
 
 // Op is a bytecode opcode.
 type Op uint8
@@ -351,6 +354,11 @@ const (
 	OpStepJltKI
 	OpStepJltKK
 
+	// OpTailCall is a self call in tail position (-O2): call Funcs[A], the
+	// function itself, with the C registers from B as arguments, and return
+	// what it returns. The VM runs it in place, in the caller's window.
+	OpTailCall
+
 	numOps
 )
 
@@ -419,6 +427,7 @@ func buildOpTable() [numOps]opInfo {
 		OpSetIndexArrK: {name: "setidx.ak", form: fSetIndexK},
 		OpStepJltII:    {name: "stepjlt.ii", form: fStepJump}, OpStepJltIK: {name: "stepjlt.ik", form: fStepJump},
 		OpStepJltKI: {name: "stepjlt.ki", form: fStepJump}, OpStepJltKK: {name: "stepjlt.kk", form: fStepJump},
+		OpTailCall: {name: "tailcall", form: fCall},
 	}
 	// The operator families: five arithmetic operators from sem.Add, six
 	// comparisons from sem.Eq, laid out from first in sem's order.

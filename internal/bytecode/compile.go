@@ -335,14 +335,16 @@ func (c *fnCompiler) constIndex(v value.Value) int32 {
 	return i
 }
 
-func (c *fnCompiler) typeIndex(t *types.Type) int32 {
-	for i, existing := range c.fn.Types {
+func (c *fnCompiler) typeIndex(t *types.Type) int32 { return c.fn.typeIndex(t) }
+
+func (f *Func) typeIndex(t *types.Type) int32 {
+	for i, existing := range f.Types {
 		if types.Equal(existing, t) {
 			return int32(i)
 		}
 	}
-	c.fn.Types = append(c.fn.Types, t)
-	return int32(len(c.fn.Types) - 1)
+	f.Types = append(f.Types, t)
+	return int32(len(f.Types) - 1)
 }
 
 func (c *fnCompiler) block(b *ast.Block) error {

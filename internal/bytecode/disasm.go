@@ -75,6 +75,8 @@ func operands(f *Func, ins Instr) string {
 	switch ins.Op {
 	case OpCall:
 		return fmt.Sprintf("%s, fn#%d, args %s..#%d", dst(f, ins.Dst), ins.A, r(ins.B), ins.C)
+	case OpTailCall:
+		return fmt.Sprintf("fn#%d, args %s..#%d", ins.A, r(ins.B), ins.C)
 	case OpCallBuiltin:
 		return fmt.Sprintf("%s, builtin#%d, args %s..#%d", dst(f, ins.Dst), ins.A, r(ins.B), ins.C)
 	case OpIndex, OpIndexArr:

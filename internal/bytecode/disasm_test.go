@@ -55,23 +55,27 @@ func TestDisassembleGolden(t *testing.T) {
 	// Belt and braces on the properties the golden encodes, so a careless
 	// -update cannot silently bless a regression.
 	for _, want := range []string{
-		"r0=x",       // variable slots carry source names
-		"add.ik",     // fused constant arithmetic: inc's x + 1
-		"div.rk",     // mean's a[i] / 2 divides reals by the real constant
-		"arithk",     // string + with a constant operand is the untyped one
-		"stepjlt.ki", // mean's loop tests at its bottom, where i += 1 joins the test
-		"fornext",    // and main's for loop steps at its bottom
-		"ldcell",     // a shared function reads its variables from cells
-		"stcell",     // and writes them back
-		"c0=total",   // cells carry source names too
-		"fn#1, args", // a call names its callee by index
-		"chunk 1",    // parallel bodies are sub-chunks
-		"lock#0",     // lock ops reference the program lock table
+		"r0=x",                  // variable slots carry source names
+		"add.ik",                // fused constant arithmetic: inc's x + 1
+		"div.rk",                // mean's a[i] / 2 divides reals by the real constant
+		"arithk",                // string + with a constant operand is the untyped one
+		"stepjlt.ki",            // mean's loop tests at its bottom, where i += 1 joins the test
+		"fornext",               // and main's for loop steps at its bottom
+		"ldcell",                // a shared function reads its variables from cells
+		"stcell",                // and writes them back
+		"c0=total",              // cells carry source names too
+		"fn#1, args",            // a call names its callee by index (mean's loop keeps it a call)
+		"tailcall   fn#2, args", // gcd's self call in tail position runs in place
+		"chunk 1",               // parallel bodies are sub-chunks
+		"lock#0",                // lock ops reference the program lock table
 		"locks: report",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("disassembly missing %q:\n%s", want, got)
 		}
+	}
+	if strings.Contains(got, "fn#0, args") {
+		t.Errorf("main still calls inc, a small leaf:\n%s", got)
 	}
 }
 

@@ -285,7 +285,8 @@ func untypedFused(o Op) bool {
 // test and a constant joins its store, so a compiler change that brings a
 // dispatch back fails here. Only `while true:` has a backward jump, and
 // only at -O0: at -O2 the break's test, threaded, is the back-edge, and
-// the step joins it.
+// the step joins it. At -O1 and -O2 no jump goes to the next instruction:
+// the break's `jump` past the loop, threaded, is deleted.
 func TestLoopShapes(t *testing.T) {
 	cases := []struct {
 		name, loop string
@@ -301,7 +302,7 @@ func TestLoopShapes(t *testing.T) {
 	}
 	for _, c := range cases {
 		src := "def main():\n    n = 10\n    a = range(n)\n    i = 0\n    s = 0\n    " + c.loop + "    print(i, s, a)\n"
-		for level, want := range map[int]int{O0: c.o0, O2: c.o2} {
+		for level, want := range map[int]int{O0: c.o0, O1: -1, O2: c.o2} {
 			p := compileSrc(t, src)
 			if err := VerifyOptimize(p, level); err != nil {
 				t.Fatalf("%s -O%d: %v", c.name, level, err)
@@ -309,6 +310,9 @@ func TestLoopShapes(t *testing.T) {
 			f := p.Funcs[p.MainIndex]
 			body, got := -1, 0
 			for pc, ins := range f.Chunks[0].Code {
+				if ins.Op == OpJump && int(ins.A) == pc+1 && level > O0 {
+					t.Errorf("%s -O%d: pc %d: a jump to the next instruction:\n%s", c.name, level, pc, Disassemble(f))
+				}
 				to := ins.target()
 				if to == nil || int(*to) > pc {
 					continue
@@ -321,8 +325,154 @@ func TestLoopShapes(t *testing.T) {
 					t.Errorf("%s -O%d: pc %d: a backward jump", c.name, level, pc)
 				}
 			}
-			if got != want {
+			if want >= 0 && got != want {
 				t.Errorf("%s -O%d: %d instructions per iteration, want %d:\n%s", c.name, level, got, want, Disassemble(f))
+			}
+		}
+	}
+}
+
+// callsOf returns the user calls and the tail calls left in fn's chunks.
+func callsOf(p *Program, fn string) (calls, tail int) {
+	for _, f := range p.Funcs {
+		if f.Name == fn {
+			for _, ch := range f.Chunks {
+				calls += countOps(ch, OpCall)
+				tail += countOps(ch, OpTailCall)
+			}
+		}
+	}
+	return calls, tail
+}
+
+// TestInlineSmallLeaves pins which calls -O2 replaces with the callee's
+// body: a small leaf's, callees first (twice is a leaf once step is
+// inlined into it), in a caller no recursive function reaches, the leaf's
+// parallel arm included. The rest keep their calls: a leaf called where a
+// recursive function reaches (down, and mid below it, whose depth the
+// bound must still check), a callee with a loop, with a shared variable,
+// with a user call, or longer than inlineMax. -O1 inlines nothing.
+func TestInlineSmallLeaves(t *testing.T) {
+	src := `def step(x int) int:
+    return x + 1
+
+def twice(x int) int:
+    return step(step(x))
+
+def sign(x int) string:
+    if x < 0:
+        return "-"
+    if x > 0:
+        return "+"
+
+def down(n int) int:
+    if n == 0:
+        return mid(n)
+    return down(n - 1) + 1
+
+def mid(n int) int:
+    return step(n) * 2
+
+def loops(n int) int:
+    s = 0
+    for i in range(n):
+        s += i
+    return s
+
+def cells(n int) int:
+    parallel:
+        n = n + 1
+    return n
+
+def long(a int, b int) int:
+    return ((a + b) * (a - b) + a * b) % (a + 7) + (b - 3) * (a + b) / 5
+
+def main():
+    s = 0
+    i = 0
+    while i < 10:
+        s = twice(s)
+        i = i + 1
+    parallel:
+        print(sign(s), step(1))
+        print(down(3), loops(4), cells(5), long(6, 8))
+`
+	for _, level := range []int{O1, O2} {
+		p := compileSrc(t, src)
+		if err := VerifyOptimize(p, level); err != nil {
+			t.Fatalf("-O%d: %v", level, err)
+		}
+		main := Disassemble(p.Funcs[p.MainIndex])
+		calls, _ := callsOf(p, "main")
+		want := 4 // down, loops, cells and long
+		if level == O1 {
+			want = 7 // and twice, sign and step
+		}
+		if calls != want {
+			t.Errorf("-O%d: main makes %d calls, want %d:\n%s", level, calls, want, main)
+		}
+		if c, _ := callsOf(p, "twice"); level == O2 && c != 0 {
+			t.Errorf("-O2: twice still calls step:\n%s", Disassemble(p.Funcs[1]))
+		}
+		if c, _ := callsOf(p, "mid"); c != 1 {
+			t.Errorf("-O%d: mid, which recursive down reaches, makes %d calls, want 1", level, c)
+		}
+		if c, _ := callsOf(p, "down"); c != 2 {
+			t.Errorf("-O%d: down makes %d calls, want 2", level, c)
+		}
+	}
+}
+
+// TestTailCalls pins which self calls become tailcall at -O2: one whose
+// result the function returns at once, and a void one before the end;
+// not a call of another function in tail position, not a self call whose
+// result is used, and not a void self call in a function with a result,
+// whose end returns the result's zero. At -O1 none does.
+func TestTailCalls(t *testing.T) {
+	src := `def gcd(a int, b int) int:
+    if b == 0:
+        return a
+    return gcd(b, a % b)
+
+def tick(n int):
+    if n > 0:
+        print(n)
+        tick(n - 1)
+
+def other(n int) int:
+    if n == 0:
+        return 0
+    return gcd(n, 6)
+
+def fib(n int) int:
+    if n < 2:
+        return n
+    return fib(n - 1) + fib(n - 2)
+
+def fall(n int) int:
+    if n == 0:
+        return 1
+    fall(n - 1)
+
+def main():
+    tick(2)
+    print(gcd(12, 18), other(4), fib(5), fall(3))
+`
+	for _, level := range []int{O1, O2} {
+		p := compileSrc(t, src)
+		if err := VerifyOptimize(p, level); err != nil {
+			t.Fatalf("-O%d: %v", level, err)
+		}
+		for _, c := range []struct {
+			fn          string
+			calls, tail int
+		}{{"gcd", 0, 1}, {"tick", 0, 1}, {"other", 1, 0}, {"fib", 2, 0}, {"fall", 1, 0}} {
+			calls, tail := callsOf(p, c.fn)
+			if level == O1 {
+				c.calls, c.tail = c.calls+c.tail, 0
+			}
+			if calls != c.calls || tail != c.tail {
+				t.Errorf("-O%d: %s makes %d calls and %d tail calls, want %d and %d:\n%s", level, c.fn, calls, tail, c.calls, c.tail, DisassembleProgram(p))
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package bytecode
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/sem"
 	"repro/internal/stdlib"
@@ -99,7 +100,7 @@ func (v *verifier) chunk() [][]*types.Type {
 	if len(f.SlotTypes) != f.NumSlots {
 		v.failf("SlotTypes has %d entries for %d slots", len(f.SlotTypes), f.NumSlots)
 	}
-	if n := len(code); n == 0 || (code[n-1].Op != OpReturn && code[n-1].Op != OpReturnNone && code[n-1].Op != OpJump) {
+	if n := len(code); n == 0 || !slices.Contains([]Op{OpReturn, OpReturnNone, OpTailCall, OpJump}, code[n-1].Op) {
 		v.failf("control can run off the end of the chunk")
 	}
 
@@ -356,12 +357,22 @@ func (v *verifier) instr(ins *Instr, st []*types.Type, report bool) []*types.Typ
 	case fCall:
 		args := block(ins.B, ins.C)
 		var res *types.Type
-		if ins.Op == OpCall {
+		if ins.Op != OpCallBuiltin {
 			if ins.A < 0 || int(ins.A) >= len(v.p.Funcs) {
 				failf("function #%d out of range [0, %d)", ins.A, len(v.p.Funcs))
 				break
 			}
 			callee := v.p.Funcs[ins.A]
+			if ins.Op == OpTailCall {
+				switch {
+				case callee != f:
+					failf("tail-calls %s, not the function itself", callee.Name)
+				case v.ci != 0:
+					failf("tail-calls from a parallel sub-chunk")
+				case ins.Dst != -1:
+					failf("names a destination; a tail call returns its result")
+				}
+			}
 			if len(args) != len(callee.Params) {
 				failf("%d arguments for the %d parameters of %s", len(args), len(callee.Params), callee.Name)
 				break

@@ -73,18 +73,6 @@ def note(x int):
     r = sqrt(x)
 `
 
-// constIndex pools v among a compiled function's constants, reusing an
-// identical one, for a test that plants an instruction naming it.
-func (f *Func) constIndex(v value.Value) int32 {
-	for i, c := range f.Consts {
-		if keyOf(c) == keyOf(v) {
-			return int32(i)
-		}
-	}
-	f.Consts = append(f.Consts, v)
-	return int32(len(f.Consts) - 1)
-}
-
 // TestVerifyRejects corrupts a verified program by hand, one rule at a
 // time, and requires the verifier to name each violation in its own words.
 func TestVerifyRejects(t *testing.T) {
@@ -124,11 +112,11 @@ func TestVerifyRejects(t *testing.T) {
 		}, "holds real, want int"},
 		{"typed constant of the wrong kind", O2, func(t *testing.T, p *Program) {
 			f := fn(p, "flat")
-			find(t, p, "flat", 0, OpMulIntK).B = f.constIndex(value.NewReal(2))
+			find(t, p, "flat", 0, OpMulIntK).B = f.internConst(value.NewReal(2))
 		}, "constant 2.0 is real, want int"},
 		{"typed constant divisor of zero", O2, func(t *testing.T, p *Program) {
 			ins := find(t, p, "flat", 0, OpMulIntK)
-			ins.Op, ins.B = OpDivIntK, fn(p, "flat").constIndex(value.NewInt(0))
+			ins.Op, ins.B = OpDivIntK, fn(p, "flat").internConst(value.NewInt(0))
 		}, "constant divisor is zero"},
 		{"jump out of range", O0, func(t *testing.T, p *Program) {
 			find(t, p, "flat", 0, OpJumpIfFalse).A = 99
@@ -145,17 +133,17 @@ func TestVerifyRejects(t *testing.T) {
 			find(t, p, "flat", 0, OpStepJltKI).C = 0
 		}, "operand r0=a holds [int], want int"},
 		{"stepjlt step of the wrong kind", O2, func(t *testing.T, p *Program) {
-			find(t, p, "flat", 0, OpStepJltKI).B = fn(p, "flat").constIndex(value.NewReal(1))
+			find(t, p, "flat", 0, OpStepJltKI).B = fn(p, "flat").internConst(value.NewReal(1))
 		}, "constant 1.0 is real, want int"},
 		{"stepjlt on a shared variable's register", O0, func(t *testing.T, p *Program) {
 			// shared's `total = 0` store, turned into a step of total itself.
 			f := fn(p, "shared")
-			*find(t, p, "shared", 0, OpStoreCell) = Instr{Op: OpStepJltKK, A: 1, B: f.constIndex(value.NewInt(1)), C: f.constIndex(value.NewInt(1))}
+			*find(t, p, "shared", 0, OpStoreCell) = Instr{Op: OpStepJltKK, A: 1, B: f.internConst(value.NewInt(1)), C: f.internConst(value.NewInt(1))}
 		}, "stepjlt.kk: names the register of r1=total, a shared variable"},
 		{"setidx.ak of a constant that is not the element type", O2, func(t *testing.T, p *Program) {
 			// flat's a[i] read, turned into a store of a string into a [int].
 			ins := find(t, p, "flat", 0, OpIndexArr)
-			*ins = Instr{Op: OpSetIndexArrK, A: ins.A, B: ins.B, C: fn(p, "flat").constIndex(value.NewString("x"))}
+			*ins = Instr{Op: OpSetIndexArrK, A: ins.A, B: ins.B, C: fn(p, "flat").internConst(value.NewString("x"))}
 		}, `constant "x" is string, want int`},
 		{"slot operand in a shared function", O0, func(t *testing.T, p *Program) {
 			find(t, p, "shared", 2, OpAddInt).A = 1
@@ -172,13 +160,13 @@ func TestVerifyRejects(t *testing.T) {
 			st := find(t, p, "shared", 0, OpStoreCell)
 			for pc := range f.Chunks[0].Code {
 				if ins := &f.Chunks[0].Code[pc]; ins.Op == OpConst && ins.Dst == st.A {
-					ins.A = f.constIndex(value.NewString("0"))
+					ins.A = f.internConst(value.NewString("0"))
 				}
 			}
 		}, "stores string into c1=total, a int"},
 		{"write of the wrong type into a variable", O0, func(t *testing.T, p *Program) {
 			f := fn(p, "flat")
-			find(t, p, "flat", 0, OpConst).A = f.constIndex(value.NewReal(0))
+			find(t, p, "flat", 0, OpConst).A = f.internConst(value.NewReal(0))
 		}, "writes real into r2=s, a int"},
 		// The VM enters Funcs[A] and evaluates builtin A unguarded, copies C
 		// arguments, and stores a result wherever Dst names a register.
@@ -191,6 +179,23 @@ func TestVerifyRejects(t *testing.T) {
 		{"argument count that is not the callee's", O0, func(t *testing.T, p *Program) {
 			find(t, p, "main", 0, OpCall).C = 1
 		}, "1 arguments for the 2 parameters of flat"},
+		// tailcall reruns the function itself, in place, from chunk 0.
+		{"tail call of another function", O0, func(t *testing.T, p *Program) {
+			find(t, p, "main", 0, OpCall).Op = OpTailCall
+		}, "tail-calls flat, not the function itself"},
+		{"tail call from a parallel sub-chunk", O0, func(t *testing.T, p *Program) {
+			// shared's `print(total)` arm, made shared(total).
+			ins := find(t, p, "shared", 3, OpCallBuiltin)
+			ins.Op, ins.A = OpTailCall, 1
+		}, "tail-calls from a parallel sub-chunk"},
+		{"tail call that names a destination", O0, func(t *testing.T, p *Program) {
+			ins := find(t, p, "main", 0, OpCall)
+			*ins = Instr{Op: OpTailCall, Dst: ins.Dst, A: int32(p.MainIndex), B: ins.B}
+		}, "names a destination; a tail call returns its result"},
+		{"tail call with arguments for no parameters", O0, func(t *testing.T, p *Program) {
+			ins := find(t, p, "main", 0, OpCall)
+			*ins = Instr{Op: OpTailCall, Dst: -1, A: int32(p.MainIndex), B: ins.B, C: 1}
+		}, "1 arguments for the 0 parameters of main"},
 		{"result kept of a void function", O0, func(t *testing.T, p *Program) {
 			ch := &fn(p, "main").Chunks[0]
 			for pc := range ch.Code {
@@ -308,7 +313,7 @@ func TestVerifyRejects(t *testing.T) {
 		}, "operand C does not hold an untyped operator: eq"},
 		{"real constant divisor of zero", O2, func(t *testing.T, p *Program) {
 			ins := find(t, p, "main", 0, OpMulRealK)
-			ins.Op, ins.B = OpModRealK, fn(p, "main").constIndex(value.NewReal(0))
+			ins.Op, ins.B = OpModRealK, fn(p, "main").internConst(value.NewReal(0))
 		}, "mod.rk: constant divisor is zero"},
 		{"SlotTypes not parallel to the slots", O0, func(t *testing.T, p *Program) {
 			f := fn(p, "flat")

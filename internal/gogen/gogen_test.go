@@ -526,7 +526,7 @@ func TestGeneratedKernelEdges(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs generated binaries; skipped in -short")
 	}
-	cases := []struct{ name, src, stdout, err string }{
+	cases := []edgeCase{
 		{name: "min_int_by_minus_one", src: "def main():\n    x = -9223372036854775807 - 1\n    y = -1\n    print(x / y, \" \", x % y, \" \", x / -1, \" \", x % -1)\n",
 			stdout: "-9223372036854775808 0 -9223372036854775808 0\n"},
 		{name: "negative_index", src: "def main():\n    a = [1, 2, 3]\n    print(a[-1])\n    a[-3] = 9\n    a[-2] += 5\n    print(a)\n",
@@ -550,6 +550,18 @@ func TestGeneratedKernelEdges(t *testing.T) {
 		{name: "real_mod_int_literal_zero", src: "def main():\n    r = 7.5\n    print(r % 0)\n",
 			err: "edges.ttr:3:13: runtime error: modulo by zero"},
 	}
+	agreeEverywhere(t, "edges.ttr", cases)
+}
+
+// edgeCase is a program with what it must print and the error it must end
+// with, positioned as the engines position it.
+type edgeCase struct{ name, src, stdout, err string }
+
+// agreeEverywhere runs each case on the interpreter, the VM at every
+// optimization level and natively, where an error is unpositioned; file is
+// the name positions use.
+func agreeEverywhere(t *testing.T, file string, cases []edgeCase) {
+	t.Helper()
 	progs := make(map[string]string, len(cases))
 	for _, c := range cases {
 		progs[c.name] = c.src
@@ -557,7 +569,7 @@ func TestGeneratedKernelEdges(t *testing.T) {
 	bin := buildAll(t, progs, false)
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			parity.Agree(t, parity.Case{Name: c.name, File: "edges.ttr", Src: c.src, Want: &parity.Result{Stdout: c.stdout, Err: c.err}})
+			parity.Agree(t, parity.Case{Name: c.name, File: file, Src: c.src, Want: &parity.Result{Stdout: c.stdout, Err: c.err}})
 			got, err := runBinary(filepath.Join(bin, c.name), "", nil)
 			if got != c.stdout {
 				t.Errorf("native stdout %q, want %q", got, c.stdout)
@@ -880,4 +892,109 @@ func TestEveryBuiltinCompilesNatively(t *testing.T) {
 	if got != want.String() {
 		t.Errorf("native:\n%s\ninterp:\n%s\nprogram:\n%s", got, want.String(), src)
 	}
+}
+
+// TestGeneratedCallEdges pins what a call means where -O2 inlines a small
+// leaf or runs a self tail call in place: the recursion bound's error and
+// its position, a leaf's runtime error at the leaf's position, a
+// value-returning leaf that falls off its end, a zero array made fresh on
+// every call, and a tail-recursive function whose variables a background
+// block shares. Each program must mean the same on the interpreter, the VM
+// at every optimization level and natively (where an error is
+// unpositioned). The expectations were recorded before -O2 inlined or
+// replaced a call.
+func TestGeneratedCallEdges(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs generated binaries; skipped in -short")
+	}
+	cases := []edgeCase{
+		{name: "tail_recursion_depth", src: `def count(n int, acc int) int:
+    if n == 0:
+        return acc
+    return count(n - 1, acc + 1)
+
+def tick(n int):
+    if n == 0:
+        print("done")
+        return
+    tick(n - 1)
+
+def main():
+    print(count(9990, 0))
+    tick(9990)
+    print(count(20000, 0))
+`, stdout: "9990\ndone\n", err: "calls.ttr:4:12: runtime error: call stack exhausted (recursion deeper than 10000)"},
+		{name: "void_tail_recursion_depth", src: `def tick(n int):
+    if n == 0:
+        print("done")
+        return
+    tick(n - 1)
+
+def main():
+    tick(20000)
+`, stdout: "", err: "calls.ttr:5:5: runtime error: call stack exhausted (recursion deeper than 10000)"},
+		{name: "leaf_at_depth_bound", src: `def leaf(x int) int:
+    return x + 1
+
+def down(n int) int:
+    if n == 0:
+        return leaf(n)
+    return down(n - 1) + 1
+
+def main():
+    print(down(100))
+    print(down(9998))
+`, stdout: "101\n", err: "calls.ttr:6:16: runtime error: call stack exhausted (recursion deeper than 10000)"},
+		{name: "leaf_division_by_zero", src: `def ratio(a int, b int) int:
+    return a / b
+
+def main():
+    print(ratio(7, 2))
+    print(ratio(1, 0))
+`, stdout: "3\n", err: "calls.ttr:2:14: runtime error: division by zero"},
+		{name: "leaf_falls_off_its_end", src: `def pick(x int) int:
+    if x > 0:
+        return x
+
+def name(x int) string:
+    if x > 0:
+        return "pos"
+
+def some(x int) [int]:
+    if x > 0:
+        return [x]
+
+def main():
+    print(pick(3), " ", pick(-1), " ", name(1), name(-1), " ", some(2), some(-2), len(some(-2)))
+`, stdout: "3 0 pos [2][]0\n"},
+		{name: "leaf_zero_array_is_fresh", src: `def fresh(c int) [int]:
+    if c > 5:
+        a = [c]
+    return a
+
+def main():
+    x = fresh(0)
+    y = fresh(0)
+    push(x, 1)
+    i = 0
+    while i < 3:
+        z = fresh(i)
+        push(z, i)
+        print(z)
+        i += 1
+    print(len(x), " ", len(y), " ", x, y)
+`, stdout: "[0]\n[1]\n[2]\n1 0 [1][]\n"},
+		{name: "tail_recursion_shares_with_background", src: `def walk(n int, acc int) int:
+    if n == 0:
+        return acc
+    background:
+        seen = n + acc
+    n = n - 1
+    return walk(n, acc + n + 1)
+
+def main():
+    print(walk(200, 0))
+`, stdout: "20100\n"},
+	}
+	agreeEverywhere(t, "calls.ttr", cases)
 }

@@ -24,7 +24,8 @@ import (
 // every path.
 
 // callLoopSrc is the benchmark's call probe: three user calls per
-// iteration and almost nothing else.
+// iteration and almost nothing else. At -O2 step and twice are small
+// leaves, inlined, so the call tests run it at -O1, where it still calls.
 const callLoopSrc = `def step(x int) int:
     return x + 1
 
@@ -38,6 +39,25 @@ def main():
         s = twice(s) % 1000003
         i = i + 1
     print(s)
+`
+
+// gcdSweepSrc is run_calls' gcd sweep: a self tail call, which -O2 runs in
+// place, about five times per gcd.
+const gcdSweepSrc = `def gcd(a int, b int) int:
+    if b == 0:
+        return a
+    return gcd(b, a % b)
+
+def main():
+    total = 0
+    a = 1
+    while a <= 140:
+        b = 1
+        while b <= 140:
+            total += gcd(a + 4321, b)
+            b += 1
+        a += 1
+    print(total)
 `
 
 const fibSrc = `def fib(n int) int:
@@ -241,8 +261,10 @@ func sameOnBoth(t *testing.T, src, want string) {
 	}
 }
 
-func benchmarkRun(b *testing.B, src string) {
-	run := runsOf(b, compileOpt(b, src, bytecode.O2), rt.Config{})
+func benchmarkRun(b *testing.B, src string) { benchmarkRunAt(b, src, bytecode.O2) }
+
+func benchmarkRunAt(b *testing.B, src string, level int) {
+	run := runsOf(b, compileOpt(b, src, level), rt.Config{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -260,10 +282,11 @@ func TestLoopBenchmarkSources(t *testing.T) {
 	sameAsInterp(t, sharedLoopSrc)
 	sameAsInterp(t, parForBodySrc)
 	sameAsInterp(t, spawnSrc)
+	sameAsInterp(t, gcdSweepSrc)
 }
 
 func BenchmarkArithLoop(b *testing.B)  { benchmarkRun(b, arithLoopSrc) }
-func BenchmarkCallLoop(b *testing.B)   { benchmarkRun(b, callLoopSrc) }
+func BenchmarkCallLoop(b *testing.B)   { benchmarkRunAt(b, callLoopSrc, bytecode.O1) }
 func BenchmarkFib(b *testing.B)        { benchmarkRun(b, fibSrc) }
 func BenchmarkRealLoop(b *testing.B)   { benchmarkRun(b, realLoopSrc) }
 func BenchmarkAndLoop(b *testing.B)    { benchmarkRun(b, andLoopSrc) }
@@ -271,6 +294,11 @@ func BenchmarkForInLoop(b *testing.B)  { benchmarkRun(b, forInSrc) }
 func BenchmarkArrayLoop(b *testing.B)  { benchmarkRun(b, arrayLoopSrc) }
 func BenchmarkSharedLoop(b *testing.B) { benchmarkRun(b, sharedLoopSrc) }
 func BenchmarkSpawn(b *testing.B)      { benchmarkRun(b, spawnSrc) }
+
+// BenchmarkCallLoopInlined is the call probe at -O2, its calls inlined,
+// and BenchmarkTailCall the gcd sweep, whose recursion runs in place.
+func BenchmarkCallLoopInlined(b *testing.B) { benchmarkRun(b, callLoopSrc) }
+func BenchmarkTailCall(b *testing.B)        { benchmarkRun(b, gcdSweepSrc) }
 
 // BenchmarkParForBody also reports allocations per iteration of the
 // parallel for (the run's few dozen fixed ones included): none of its own,
@@ -292,9 +320,10 @@ func BenchmarkParForBody(b *testing.B) {
 }
 
 // 90 000 calls per run used to be 180 000 allocations; what is left is the
-// VM, its thread and the stack's first segments.
+// VM, its thread and the stack's first segments. At -O1 the calls are
+// calls.
 func TestCallFramesDoNotAllocate(t *testing.T) {
-	run := runsOf(t, compileOpt(t, callLoopSrc, bytecode.O2), rt.Config{})
+	run := runsOf(t, compileOpt(t, callLoopSrc, bytecode.O1), rt.Config{})
 	run()
 	if n := testing.AllocsPerRun(5, func() { run() }); n >= 100 {
 		t.Errorf("%v allocations per run of the call loop, want fewer than 100", n)

@@ -25,7 +25,10 @@
 // clearing only the fields that pin memory. Such a call therefore
 // allocates nothing, and the arguments are copied once, element by
 // element, from the caller's argument temporaries into the callee's
-// parameter slots.
+// parameter slots. A self call in tail position (tailcall, -O2) needs no
+// record at all: it copies its arguments into its own parameter slots and
+// dispatches from its entry again, counting the depth up as a call does,
+// so a record saves its caller's depth for the return to restore.
 //
 // A variable the threads of a function really share (bytecode.Func.Shared)
 // is a one-word atomic cell on the heap: threads of a `parallel` block
@@ -73,8 +76,10 @@
 // Unlike the interpreter's statement-boundary checks, the VM consults the
 // resource governor per instruction, and additionally re-checks the stop
 // flag on taken backward branches (loop back-edges: every loop tests at
-// its bottom, so this is its bottom test) so Cancel can interrupt a tight
-// loop even when no governor is attached.
+// its bottom, so this is its bottom test) and at every call, tail calls
+// included, so Cancel can interrupt a tight loop even when no governor is
+// attached. A call -O2 inlined is no longer a call and polls nothing; its
+// body has no loop, so the next back-edge or call is never far.
 package vm
 
 import (
@@ -160,9 +165,10 @@ func (m *VM) run(fn *bytecode.Func, args []value.Value) (value.Value, error) {
 	return v, nil
 }
 
-// Cancel requests that all running threads stop: at the next call, loop
-// back-edge or for-iteration — or at the very next instruction when a
-// governor is attached. This is the same contract as Interp.Cancel.
+// Cancel requests that all running threads stop: at the next call that
+// -O2 left a call (an inlined one polls nothing), loop back-edge or
+// for-iteration — or at the very next instruction when a governor is
+// attached. This is the same contract as Interp.Cancel.
 func (m *VM) Cancel() { m.rt.Cancel() }
 
 type thread struct {
@@ -177,8 +183,9 @@ type thread struct {
 }
 
 // frame is what a call saves: the caller's function, chunk, call
-// instruction, registers and cells, and the stack top to go back to when
-// the callee's window is released.
+// instruction, registers, cells and call depth, and the stack top to go
+// back to when the callee's window is released. The depth is saved, not
+// counted back down, because the callee's tail calls count it up in place.
 type frame struct {
 	fn    *bytecode.Func
 	ch    *bytecode.Chunk
@@ -186,6 +193,7 @@ type frame struct {
 	regs  []value.Value
 	cells []*value.Cell
 	sp    int
+	depth int
 }
 
 // newCells returns the cells of one activation of fn, which shares a
@@ -213,6 +221,7 @@ func newCells(fn *bytecode.Func, args []value.Value) []*value.Cell {
 // call runs fn as this thread's entry function. The recursion bound is
 // checked at OpCall, where the call site's position is at hand.
 func (t *thread) call(fn *bytecode.Func, args []value.Value) (value.Value, error) {
+	depth := t.depth
 	t.depth++
 	body := &fn.Chunks[0]
 	w, sp := t.stack.Claim(fn.NumSlots + body.NumTemps)
@@ -223,7 +232,7 @@ func (t *thread) call(fn *bytecode.Func, args []value.Value) (value.Value, error
 	}
 	v, err := t.exec(fn, body, w, cells)
 	t.stack.Release(w, sp)
-	t.depth--
+	t.depth = depth
 	return v, err
 }
 
@@ -626,12 +635,31 @@ activation:
 			}
 			t.frames = t.frames[:n+1]
 			fr := &t.frames[n]
-			fr.fn, fr.ch, fr.pc, fr.regs, fr.cells, fr.sp = fn, ch, pc, regs, cells, sp
+			fr.fn, fr.ch, fr.pc, fr.regs, fr.cells, fr.sp, fr.depth = fn, ch, pc, regs, cells, sp, t.depth
 			t.depth++
 			fn, ch, regs, cells, pc = callee, body, w, nil, 0
 			if callee.Shared != nil {
 				cells = newCells(callee, args)
 			}
+			goto activation
+
+		case bytecode.OpTailCall:
+			// A self call in tail position (optimizer) polls and counts as
+			// OpCall does, then runs in place: the arguments become the
+			// parameters, the activation gets fresh cells, and dispatch goes
+			// back to the entry, whose prologue zeroes what it zeroed before.
+			if t.vm.rt.Stopped() {
+				return value.Value{}, rt.ErrStopped
+			}
+			if t.depth >= rt.MaxCallDepth {
+				return value.Value{}, rt.Errorf(ch.Pos[pc], "call stack exhausted (recursion deeper than %d)", rt.MaxCallDepth)
+			}
+			t.depth++
+			copy(regs, regs[ins.B:ins.B+ins.C])
+			if fn.Shared != nil {
+				cells = newCells(fn, regs[:ins.C])
+			}
+			pc = 0
 			goto activation
 
 		case bytecode.OpCallBuiltin:
@@ -660,10 +688,9 @@ activation:
 			top := len(t.frames) - 1
 			fr := &t.frames[top]
 			t.stack.Release(regs, fr.sp)
-			fn, ch, pc, regs, cells = fr.fn, fr.ch, fr.pc, fr.regs, fr.cells
+			fn, ch, pc, regs, cells, t.depth = fr.fn, fr.ch, fr.pc, fr.regs, fr.cells, fr.depth
 			fr.fn, fr.regs, fr.cells = nil, nil, nil
 			t.frames = t.frames[:top]
-			t.depth--
 			if dst := ch.Code[pc].Dst; dst >= 0 {
 				regs[dst] = v
 			}
