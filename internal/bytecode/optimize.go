@@ -65,7 +65,7 @@ package bytecode
 
 import (
 	"fmt"
-	"slices"
+	"sync"
 
 	"repro/internal/rt"
 	"repro/internal/sem"
@@ -114,14 +114,23 @@ func optimize(p *Program, level int, check func(ph phase, f *Func, ci int) error
 	if level <= O0 {
 		return nil
 	}
-	o := optimizer{prog: p}
+	o := optimizers.Get().(*optimizer)
+	o.prog = p
+	defer func() {
+		o.prog = nil
+		// As with the compiler's scratch, storage sized by an outsize
+		// chunk or program is dropped, not kept.
+		if max(cap(o.marks), cap(o.code), cap(o.ints)) <= maxScratch {
+			optimizers.Put(o)
+		}
+	}()
 	o.plan()
 	for _, fi := range o.order {
 		f := p.Funcs[fi]
 		o.self = fi
 		for ci := range f.Chunks {
 			run := func(ph phase) (bool, error) {
-				if !ph.run(&o, f, &f.Chunks[ci]) {
+				if !ph.run(o, f, &f.Chunks[ci]) {
 					return false, nil
 				}
 				if check == nil {
@@ -165,22 +174,33 @@ type phase struct {
 
 // An optimizer holds the working storage of one Optimize call, which
 // every phase reuses instead of allocating its own per chunk or query.
+// Between calls it waits in optimizers, so that a run of small programs
+// (a compile service's usual load) allocates it once. marks is sized by
+// the largest chunk seen, code by the largest with a leaf inlined, and
+// ints by the function count.
 type optimizer struct {
 	prog  *Program
 	order []int32 // function indices, callees first
 	self  int32   // the index of the function being optimised
 	into  []bool  // per function: no recursive function reaches it, so leaves may be inlined into it
 	leaf  []bool  // per function: optimised, and a small leaf
+	ints  []int32 // plan's storage for order and its call graph
+	flags []bool  // plan's storage for into, leaf and its call graph
 	marks []bool  // jumpTargets' targets or removeDeadCode's reachable pcs
 	seen  []bool  // regLive's visited pcs
 	stack []int   // pcs still to visit, in regLive or removeDeadCode
-	remap []int32 // compact's old pc → new pc
+	remap []int32 // compact's or the inliner's old pc → new pc
+	gat   []int32 // the inliner's leaf pc → new pc
+	code  []Instr // the inliner's new code and its positions
+	pos   []token.Pos
 }
 
-// bools returns *buf resized to n and cleared.
-func bools(buf *[]bool, n int) []bool {
+var optimizers = sync.Pool{New: func() any { return new(optimizer) }}
+
+// cleared returns *buf resized to n and cleared.
+func cleared[T any](buf *[]T, n int) []T {
 	if cap(*buf) < n {
-		*buf = make([]bool, n)
+		*buf = make([]T, n)
 	} else {
 		*buf = (*buf)[:n]
 		clear(*buf)
@@ -213,7 +233,7 @@ var (
 // another predecessor may arrive with different register contents, so a
 // fusion window may not span one.
 func (o *optimizer) jumpTargets(ch *Chunk) []bool {
-	t := bools(&o.marks, len(ch.Code)+1)
+	t := cleared(&o.marks, len(ch.Code)+1)
 	for i := range ch.Code {
 		if a := ch.Code[i].target(); a != nil && *a >= 0 && int(*a) <= len(ch.Code) {
 			t[*a] = true
@@ -337,7 +357,7 @@ func (o *optimizer) regLive(f *Func, ch *Chunk, pc int, reg int32) bool {
 			break
 		}
 	}
-	seen := bools(&o.seen, len(code))
+	seen := cleared(&o.seen, len(code))
 	o.stack = append(o.stack[:0], pc)
 	for len(o.stack) > 0 {
 		p := o.stack[len(o.stack)-1]
@@ -399,13 +419,13 @@ func (*optimizer) threadJumps(_ *Func, ch *Chunk) bool {
 }
 
 // removeDeadCode deletes instructions unreachable from the chunk entry,
-// and jumps to the next instruction that stays.
+// and jumps to the next instruction.
 func (o *optimizer) removeDeadCode(_ *Func, ch *Chunk) bool {
 	code := ch.Code
 	if len(code) == 0 {
 		return false
 	}
-	reach := bools(&o.marks, len(code))
+	reach := cleared(&o.marks, len(code))
 	o.stack = append(o.stack[:0], 0)
 	reach[0] = true
 	for len(o.stack) > 0 {
@@ -421,7 +441,9 @@ func (o *optimizer) removeDeadCode(_ *Func, ch *Chunk) bool {
 	}
 	changed := false
 	for pc, ins := range code {
-		toNext := ins.Op == OpJump && int(ins.A) > pc && !slices.Contains(reach[pc+1:ins.A], true)
+		// A jump over dead code targets pc+1 once that code goes, and the
+		// next round of the O1 fixpoint deletes it.
+		toNext := ins.Op == OpJump && int(ins.A) == pc+1
 		if !reach[pc] && ins.Op != OpNop || toNext {
 			code[pc] = Instr{Op: OpNop}
 			changed = true
@@ -702,9 +724,9 @@ func (o *optimizer) fuseStep(_ *Func, ch *Chunk) bool {
 // no longer checks could not have refused it.
 func (o *optimizer) plan() {
 	n := len(o.prog.Funcs)
-	ints := make([]int32, 4*n)
+	ints := cleared(&o.ints, 4*n)
 	g := callGraph{funcs: o.prog.Funcs, index: ints[:n], low: ints[n : 2*n], stack: ints[2*n : 2*n : 3*n], order: ints[3*n : 3*n : 4*n]}
-	flags := make([]bool, 4*n)
+	flags := cleared(&o.flags, 4*n)
 	g.onStack, g.recursive, o.into, o.leaf = flags[:n], flags[n:2*n], flags[2*n:3*n], flags[3*n:]
 	for v := range n {
 		if g.index[v] == 0 {
@@ -780,9 +802,9 @@ func (g *callGraph) visit(v int32) {
 // inlineMax bounds the optimised body of a small leaf, in instructions.
 const inlineMax = 8
 
-// smallLeaf reports whether f, optimised, may be inlined: one chunk (so
-// nothing it spawns) of at most inlineMax instructions, no shared slot (so
-// no cell), and no lock, user call or backward branch (so no loop): its
+// smallLeaf reports whether f, optimised, may be inlined: one chunk of at
+// most inlineMax instructions, no shared slot, no user call or backward
+// branch (so no loop), and none of the forms importInstr does not map: its
 // body is straight-line code and forward branches over registers of its
 // own.
 func smallLeaf(f *Func) bool {
@@ -790,7 +812,11 @@ func smallLeaf(f *Func) bool {
 		return false
 	}
 	for pc, ins := range f.Chunks[0].Code {
-		if ins.Op == OpCall || ins.Op == OpTailCall || ins.Op.info().form == fLock {
+		switch ins.Op.info().form {
+		case fSpawn, fParFor, fLock, fLoadCell, fStoreCell, fStepJump:
+			return false
+		}
+		if ins.Op == OpCall || ins.Op == OpTailCall {
 			return false
 		}
 		if t := ins.target(); t != nil && int(*t) <= pc {
@@ -816,18 +842,13 @@ func (o *optimizer) inlineLeaves(f *Func, ch *Chunk) bool {
 		return false
 	}
 	old, oldPos := ch.Code, ch.Pos
-	code := make([]Instr, 0, len(old)+inlineMax)
-	pos := make([]token.Pos, 0, cap(code))
+	code, pos := o.code[:0], o.pos[:0]
 	emit := func(ins Instr, p token.Pos) { code, pos = append(code, ins), append(pos, p) }
 	base := int32(f.NumSlots + ch.NumTemps)
-	at := make([]int32, 0, len(old)+1) // old pc → new pc
-	var own []int                      // the new pcs of ch's own instructions that jump
+	at, gat := o.remap[:0], o.gat[:0]
 	for pc, call := range old {
 		at = append(at, int32(len(code)))
 		if call.Op != OpCall || !o.leaf[call.A] {
-			if call.target() != nil {
-				own = append(own, len(code))
-			}
 			emit(call, oldPos[pc])
 			continue
 		}
@@ -844,7 +865,7 @@ func (o *optimizer) inlineLeaves(f *Func, ch *Chunk) bool {
 		// gat maps the leaf's pcs to new ones; its last entry, past the
 		// body, is where every return but the last jumps.
 		start, end := len(code), int32(len(body.Code))
-		gat := make([]int32, 0, end+1)
+		gat = gat[:0]
 		for gpc, ins := range body.Code {
 			gat = append(gat, int32(len(code)))
 			p := body.Pos[gpc]
@@ -872,11 +893,14 @@ func (o *optimizer) inlineLeaves(f *Func, ch *Chunk) bool {
 		}
 	}
 	at = append(at, int32(len(code)))
-	for _, i := range own {
-		t := code[i].target()
-		*t = at[*t]
+	for pc := range old {
+		if old[pc].target() != nil { // ch's own jump: a call has no target
+			t := code[at[pc]].target()
+			*t = at[*t]
+		}
 	}
-	ch.Code, ch.Pos = code, pos
+	ch.Code, ch.Pos = append(old[:0], code...), append(oldPos[:0], pos...)
+	o.code, o.pos, o.remap, o.gat = code, pos, at, gat
 	return true
 }
 
@@ -892,8 +916,9 @@ func (o *optimizer) callsLeaf(ch *Chunk) bool {
 
 // importInstr returns ins, an instruction of leaf g, as an instruction of
 // f: its registers through reg, its constants and element types in f's
-// pools. Its jump target is still g's; the forms smallLeaf refuses are
-// left out.
+// pools. Its jump target is still g's. It maps every form smallLeaf
+// accepts: a ret or retnone is the caller's to replace, and the rest have
+// no register or pool operand.
 func importInstr(f, g *Func, ins Instr, reg func(int32) int32) Instr {
 	k := func(i int32) int32 { return f.internConst(g.Consts[i]) }
 	switch ins.Op.info().form {
@@ -922,6 +947,8 @@ func importInstr(f, g *Func, ins Instr, reg func(int32) int32) Instr {
 		ins.A, ins.B, ins.C = reg(ins.A), reg(ins.B), k(ins.C)
 	case fArray:
 		ins.Dst, ins.A, ins.C = reg(ins.Dst), reg(ins.A), f.typeIndex(g.Types[ins.C])
+	case fForIter: // the state is two temporaries, so A+1 moves with A
+		ins.Dst, ins.A = reg(ins.Dst), reg(ins.A)
 	}
 	return ins
 }

@@ -379,6 +379,10 @@ def loops(n int) int:
         s += i
     return s
 
+def first(a [int]) int:
+    for x in a:
+        return x
+
 def cells(n int) int:
     parallel:
         n = n + 1
@@ -394,7 +398,7 @@ def main():
         s = twice(s)
         i = i + 1
     parallel:
-        print(sign(s), step(1))
+        print(sign(s), step(1), first([s]))
         print(down(3), loops(4), cells(5), long(6, 8))
 `
 	for _, level := range []int{O1, O2} {
@@ -406,7 +410,7 @@ def main():
 		calls, _ := callsOf(p, "main")
 		want := 4 // down, loops, cells and long
 		if level == O1 {
-			want = 7 // and twice, sign and step
+			want = 8 // and twice, sign, step and first
 		}
 		if calls != want {
 			t.Errorf("-O%d: main makes %d calls, want %d:\n%s", level, calls, want, main)

@@ -967,6 +967,18 @@ def some(x int) [int]:
 def main():
     print(pick(3), " ", pick(-1), " ", name(1), name(-1), " ", some(2), some(-2), len(some(-2)))
 `, stdout: "3 0 pos [2][]0\n"},
+		{name: "leaf_returns_from_its_loop", src: `def first(a [int]) int:
+    for x in a:
+        return x
+
+def initial(s string) string:
+    for c in s:
+        return c
+
+def main():
+    w = "ab"
+    print(first([4, 5]), " ", first([]), " ", initial(w), initial(""), " ", w)
+`, stdout: "4 0 a ab\n"},
 		{name: "leaf_zero_array_is_fresh", src: `def fresh(c int) [int]:
     if c > 5:
         a = [c]
