@@ -18,8 +18,8 @@
 //	-vm          execute on the bytecode VM instead of the AST interpreter
 //	-disasm      print the compiled bytecode and exit
 //	-O           bytecode optimization level for -vm/-disasm (0 none,
-//	             1 dead-store/thread/DCE, 2 adds leaf inlining, fusion and
-//	             tail calls; default 2)
+//	             1 jump threading + dead-code removal, 2 adds leaf
+//	             inlining, fusion and tail calls; default 2)
 //	-no-detect   disable live deadlock detection (hangs become real hangs)
 //	-timeline N  cap timeline rows (default 200, 0 = unlimited)
 //

@@ -85,7 +85,6 @@
 //	lt le gt ge          A, B : string                   Dst ← bool
 //	op.i  op.r           A, B : int (.i) | real (.r)     Dst ← that type; a comparison's, bool
 //	op.ik op.rk          A and Consts[B] : int | real    likewise; div, mod: Consts[B] ≠ 0
-//	op.ikl op.rkl        Consts[B] and A : int | real    likewise
 //	arithk arithkl       C holds add; A and Consts[B] : string  Dst ← string
 //	jfalse jtrue         B : bool                        target A in the chunk
 //	jop.i jop.r          A, B : int | real               target Dst in the chunk
@@ -160,8 +159,10 @@ import (
 // opcode: a mixed int/real pair widens its int side and runs the real
 // family, and the untyped sub, mul, div and mod are gone; 7 = loops test at
 // their bottom (fornext, stepjlt, setidx.ak) and a self tail call runs in
-// place (tailcall).
-const IRVersion = 7
+// place (tailcall); 8 = no constant-left typed arithmetic (sub.ikl …
+// mod.rkl), so the opcodes after it are renumbered, and cmpkjump's C is
+// PackCmp's (the constant is always the right operand).
+const IRVersion = 8
 
 // Op is a bytecode opcode.
 type Op uint8
@@ -241,9 +242,8 @@ const (
 	// and jump to Dst when the result matches sense (1 = jump if true,
 	// 0 = jump if false).
 	OpCmpJump
-	// OpCmpConstJump additionally fuses a constant operand:
-	// C packs (cmpOp<<2 | side<<1 | sense); side 0 compares
-	// reg A <cmp> Consts[B], side 1 compares Consts[B] <cmp> reg A.
+	// OpCmpConstJump additionally fuses a constant right operand: it
+	// compares reg A <cmp> Consts[B], with C packed as OpCmpJump's.
 	OpCmpConstJump
 
 	// Cell access. A variable the threads of a function share
@@ -297,14 +297,6 @@ const (
 	OpMulRealK
 	OpDivRealK
 	OpModRealK
-	// Constant left operand of a non-commutative operator,
-	// Dst = Consts[B] op reg A.
-	OpSubIntKL
-	OpDivIntKL
-	OpModIntKL
-	OpSubRealKL
-	OpDivRealKL
-	OpModRealKL
 	// Typed compare-and-jump: jump to Dst when reg A op reg B holds. The
 	// branch sense is folded into the operator (jump-if-false of < is jge).
 	OpJeqInt
@@ -319,8 +311,7 @@ const (
 	OpJleReal
 	OpJgtReal
 	OpJgeReal
-	// ... against a constant: jump to Dst when reg A op Consts[B] holds. A
-	// constant left operand is folded by mirroring the operator.
+	// ... against a constant: jump to Dst when reg A op Consts[B] holds.
 	OpJeqIntK
 	OpJneIntK
 	OpJltIntK
@@ -438,7 +429,6 @@ func buildOpTable() [numOps]opInfo {
 	}
 	arith := []sem.Op{sem.Add, sem.Sub, sem.Mul, sem.Div, sem.Mod}
 	cmp := []sem.Op{sem.Eq, sem.Ne, sem.Lt, sem.Le, sem.Gt, sem.Ge}
-	nonComm := []sem.Op{sem.Sub, sem.Div, sem.Mod}
 	i, r := types.IntType, types.RealType
 	family(OpAdd, arith[:1], "", "", fBinary, nil)
 	family(OpEq, cmp, "", "", fBinary, nil)
@@ -448,8 +438,6 @@ func buildOpTable() [numOps]opInfo {
 	family(OpEqReal, cmp, "", ".r", fBinary, r)
 	family(OpAddIntK, arith, "", ".ik", fBinaryK, i)
 	family(OpAddRealK, arith, "", ".rk", fBinaryK, r)
-	family(OpSubIntKL, nonComm, "", ".ikl", fBinaryKL, i)
-	family(OpSubRealKL, nonComm, "", ".rkl", fBinaryKL, r)
 	family(OpJeqInt, cmp, "j", ".i", fCmpJump, i)
 	family(OpJeqReal, cmp, "j", ".r", fCmpJump, r)
 	family(OpJeqIntK, cmp, "j", ".ik", fCmpJumpK, i)
@@ -526,15 +514,10 @@ func kernelOp(k ast.Kernel) Op {
 }
 
 // negated maps a comparison operator to the one that holds exactly when it
-// does not, and mirrored to the one that holds when the operands are
-// swapped. Both are exact on reals too, NaN included, under sem.Compare's
-// ordering (see sem.CompareReal).
+// does not, exact on reals too, NaN included, under sem.Compare's ordering
+// (see sem.CompareReal).
 func negated(o sem.Op) sem.Op {
 	return [...]sem.Op{sem.Eq: sem.Ne, sem.Ne: sem.Eq, sem.Lt: sem.Ge, sem.Ge: sem.Lt, sem.Le: sem.Gt, sem.Gt: sem.Le}[o]
-}
-
-func mirrored(o sem.Op) sem.Op {
-	return [...]sem.Op{sem.Eq: sem.Eq, sem.Ne: sem.Ne, sem.Lt: sem.Gt, sem.Gt: sem.Lt, sem.Le: sem.Ge, sem.Ge: sem.Le}[o]
 }
 
 // target returns the field of ins that holds a jump target, or nil when
@@ -553,7 +536,8 @@ func (ins *Instr) target() *int32 {
 
 // Superinstruction C-field packing helpers.
 
-// PackCmp packs a comparison opcode and jump sense for OpCmpJump.
+// PackCmp packs a comparison opcode and jump sense for OpCmpJump and
+// OpCmpConstJump.
 func PackCmp(cmp Op, sense bool) int32 {
 	c := int32(cmp) << 1
 	if sense {
@@ -565,23 +549,4 @@ func PackCmp(cmp Op, sense bool) int32 {
 // UnpackCmp reverses PackCmp.
 func UnpackCmp(c int32) (cmp Op, sense bool) {
 	return Op(c >> 1), c&1 != 0
-}
-
-// PackCmpConst packs a comparison opcode, which side the constant is on
-// (false = constant is the right operand), and the jump sense for
-// OpCmpConstJump.
-func PackCmpConst(cmp Op, constLeft, sense bool) int32 {
-	c := int32(cmp) << 2
-	if constLeft {
-		c |= 2
-	}
-	if sense {
-		c |= 1
-	}
-	return c
-}
-
-// UnpackCmpConst reverses PackCmpConst.
-func UnpackCmpConst(c int32) (cmp Op, constLeft, sense bool) {
-	return Op(c >> 2), c&2 != 0, c&1 != 0
 }

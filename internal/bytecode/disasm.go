@@ -93,12 +93,8 @@ func operands(f *Func, ins Instr) string {
 		cmp, sense := UnpackCmp(ins.C)
 		return fmt.Sprintf("%s, %s -> %d   ; jump if %s %s", r(ins.A), r(ins.B), ins.Dst, cmp, senseStr(sense))
 	case OpCmpConstJump:
-		cmp, constLeft, sense := UnpackCmpConst(ins.C)
-		l, rr := r(ins.A), k(ins.B)
-		if constLeft {
-			l, rr = rr, l
-		}
-		return fmt.Sprintf("%s, %s -> %d   ; jump if %s %s", l, rr, ins.Dst, cmp, senseStr(sense))
+		cmp, sense := UnpackCmp(ins.C)
+		return fmt.Sprintf("%s, %s -> %d   ; jump if %s %s", r(ins.A), k(ins.B), ins.Dst, cmp, senseStr(sense))
 	}
 	switch ins.Op.info().form {
 	case fNone:
@@ -111,8 +107,6 @@ func operands(f *Func, ins Instr) string {
 		return fmt.Sprintf("%s, %s, %s", r(ins.Dst), r(ins.A), r(ins.B))
 	case fBinaryK:
 		return fmt.Sprintf("%s, %s, %s", r(ins.Dst), r(ins.A), k(ins.B))
-	case fBinaryKL:
-		return fmt.Sprintf("%s, %s, %s", r(ins.Dst), k(ins.B), r(ins.A))
 	case fJump:
 		return fmt.Sprintf("-> %d", ins.A)
 	case fJumpIf:

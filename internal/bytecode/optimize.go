@@ -18,47 +18,45 @@ package bytecode
 //                            optimised itself) becomes the leaf's body over
 //                            fresh temporaries, in a caller no recursive
 //                            function can reach.
-//  1. dead-store removal  — writes to temporaries that no path reads
-//                            before the next write are deleted (only for
-//                            instructions that cannot raise).
-//  2. jump threading      — a jump whose target is another unconditional
+//  1. jump threading      — a jump whose target is another unconditional
 //                            jump is retargeted to the final destination.
-//  3. dead-code removal   — instructions unreachable from the chunk entry,
+//  2. dead-code removal   — instructions unreachable from the chunk entry,
 //                            and jumps to the next instruction, are
 //                            deleted, with all jump targets remapped.
-//  4. superinstruction    — compare+branch pairs fuse into a
-//     fusion                 compare-jump, then a constant operand folds
-//                            into its constant form, and const+arith
-//                            pairs into constant-operand arithmetic, and
-//                            const+setidx.a into setidx.ak. Typed
+//  3. superinstruction    — compare+branch pairs fuse into a
+//     fusion                 compare-jump, then a constant right operand
+//                            folds into its constant form, and
+//                            const+arith pairs into constant-operand
+//                            arithmetic (a commutative operator's
+//                            constant left operand swaps to the right),
+//                            and const+setidx.a into setidx.ak. Typed
 //                            instructions fuse into typed
 //                            superinstructions whose operator is part of
-//                            the opcode (jlt.ik, add.ik, mod.rk): the
-//                            branch sense folds in by negating the
-//                            comparison and a constant left operand by
-//                            mirroring it. Untyped ones, whose operands
+//                            the opcode (jlt.ik, add.ik, mod.rk), the
+//                            branch sense folded in by negating the
+//                            comparison. Untyped ones, whose operands
 //                            are strings, bools or arrays, fuse into
 //                            OpCmpJump/OpCmpConstJump/OpArithConst/L,
 //                            which carry the operator in C. A div or mod
 //                            by a constant zero is not fused: it raises.
-//                            With a variable slot as both
-//                            destination and source (`i = i + 1`) the
-//                            arith-const form is the load-arith-store
-//                            superinstruction: one dispatch for what the
-//                            stack IR spent five on.
-//  5. step-branch fusion  — an induction step (add.ik or add.i on a
+//                            With a variable slot as both destination
+//                            and source (`i = i + 1`) the arith-const
+//                            form is the load-arith-store
+//                            superinstruction.
+//  4. step-branch fusion  — an induction step (add.ik or add.i on a
 //                            register) followed by a loop's bottom test
 //                            jlt.ik or jlt.i of that register becomes one
 //                            stepjlt: `i += 1` and `while i < n` in one
 //                            dispatch. It is a taken backward branch, so
 //                            it polls the stop flag as the test did.
-//  6. tail calls          — in chunk 0, a self call whose result the next
+//  5. tail calls          — in chunk 0, a self call whose result the next
 //                            instruction returns (or, without a result,
 //                            a self call before retnone) becomes
 //                            tailcall, which the VM runs in place.
 //
-// Phases 1–3 are O1 and iterate to a fixpoint; 0 and 4–6 are O2 and run
-// once. Every phase is differentially verified: the golden corpus and the
+// Phases 1–2 are O1 and iterate to a fixpoint; 0 and 3–5 are O2 and run
+// once. Each must change some benchmark or test program (TestEveryPhasePays).
+// Every phase is differentially verified: the golden corpus and the
 // cross-backend differential tests must produce byte-identical output at
 // O0, O1 and O2 (the parity harness, internal/parity, runs them at every
 // level), and VerifyOptimize runs Verify behind each one.
@@ -77,7 +75,7 @@ import (
 // Optimization levels.
 const (
 	O0 = 0 // no optimization: execute exactly what the compiler emitted
-	O1 = 1 // dead stores + jump threading + DCE
+	O1 = 1 // jump threading + DCE
 	O2 = 2 // O1 plus leaf inlining, fusion and tail calls
 
 	// DefaultLevel is what the fast path uses unless told otherwise.
@@ -209,11 +207,10 @@ func cleared[T any](buf *[]T, n int) []T {
 }
 
 var (
-	// Dead-store removal can expose more dead stores and threading more
-	// dead code, so the O1 phases iterate to a fixpoint. Each round strictly
+	// Threading can expose dead code, and deleting that a jump to the next
+	// instruction, so the O1 phases iterate to a fixpoint. Each round strictly
 	// shrinks the chunk or retargets a jump for good, so it terminates.
 	o1Phases = []phase{
-		{name: "dead-store removal", run: (*optimizer).removeDeadStores},
 		{name: "jump threading", run: (*optimizer).threadJumps},
 		{name: "dead-code removal", run: (*optimizer).removeDeadCode},
 	}
@@ -242,19 +239,17 @@ func (o *optimizer) jumpTargets(ch *Chunk) []bool {
 	return t
 }
 
-// readsReg reports whether ins, an instruction of f, reads register reg.
-func readsReg(f *Func, ins Instr, reg int32) bool {
+// readsReg reports whether ins reads register reg itself. A thread body
+// starts with a copy of its spawner's slot registers, which a spawning
+// instruction does not count as reads: regLive never asks about a slot.
+func readsReg(ins Instr, reg int32) bool {
 	switch ins.Op.info().form {
 	case fUnary, fBinaryK, fBinaryKL, fCmpJumpK, fReturn, fStoreCell:
 		return ins.A == reg
 	case fBinary, fCmpJump:
 		return ins.A == reg || ins.B == reg
-	case fJumpIf:
+	case fJumpIf, fParFor:
 		return ins.B == reg
-	case fParFor:
-		return ins.B == reg || spawnReads(f, ins.A, 1, reg)
-	case fSpawn:
-		return spawnReads(f, ins.A, ins.B, reg)
 	case fSetIndex:
 		return ins.A == reg || ins.B == reg || ins.C == reg
 	case fSetIndexK:
@@ -268,25 +263,6 @@ func readsReg(f *Func, ins Instr, reg int32) bool {
 		return reg >= ins.A && reg < ins.A+ins.B
 	case fForIter:
 		return ins.A == reg || ins.A+1 == reg
-	}
-	return false
-}
-
-// spawnReads reports whether the thread bodies in chunks [first,
-// first+n), or the threads they spawn in turn, read slot register reg. A
-// body starts with a copy of its spawner's slot registers, so the spawning
-// instruction is where the spawner's value is read, and a store before it
-// is live.
-func spawnReads(f *Func, first, n, reg int32) bool {
-	if int(reg) >= f.NumSlots {
-		return false
-	}
-	for ci := max(first, 0); ci < first+n && int(ci) < len(f.Chunks); ci++ {
-		for _, ins := range f.Chunks[ci].Code {
-			if readsReg(f, ins, reg) {
-				return true
-			}
-		}
 	}
 	return false
 }
@@ -306,48 +282,19 @@ func writesReg(ins Instr, reg int32) bool {
 	return false
 }
 
-// deadStoreOK are the opcodes dead-store removal may delete: writes with
-// no side effects and no possible runtime error. OpLoadCell is not one: a
-// cell access is a critical section the program's threads can observe.
-func deadStoreOK(op Op) bool {
-	switch op {
-	case OpConst, OpMove, OpToReal, OpNot:
+// regLive reports whether some path from pc in f's chunk ch reads
+// register reg before writing it. A slot register is always live: a later
+// statement, or a thread body's copy, may read it.
+func (o *optimizer) regLive(f *Func, ch *Chunk, pc int, reg int32) bool {
+	if int(reg) < f.NumSlots {
 		return true
 	}
-	return op.isCompare()
-}
-
-// removeDeadStores deletes error-free writes to temporaries no path reads
-// before the next write.
-func (o *optimizer) removeDeadStores(f *Func, ch *Chunk) bool {
-	code := ch.Code
-	changed := false
-	for pc := range code {
-		ins := code[pc]
-		if !deadStoreOK(ins.Op) || int(ins.Dst) < f.NumSlots {
-			continue
-		}
-		if o.regLive(f, ch, pc+1, ins.Dst) {
-			continue
-		}
-		code[pc] = Instr{Op: OpNop}
-		changed = true
-	}
-	if changed {
-		o.compact(ch)
-	}
-	return changed
-}
-
-// regLive reports whether some path from pc in f's chunk ch reads
-// register reg before writing it.
-func (o *optimizer) regLive(f *Func, ch *Chunk, pc int, reg int32) bool {
 	code := ch.Code
 	// Most temporaries are read, or written again, a few instructions on:
 	// follow straight-line code before paying for a visited set.
 	for ; pc < len(code); pc++ {
 		ins := &code[pc]
-		if readsReg(f, *ins, reg) {
+		if readsReg(*ins, reg) {
 			return true
 		}
 		if writesReg(*ins, reg) {
@@ -367,7 +314,7 @@ func (o *optimizer) regLive(f *Func, ch *Chunk, pc int, reg int32) bool {
 		}
 		seen[p] = true
 		ins := code[p]
-		if readsReg(f, ins, reg) {
+		if readsReg(ins, reg) {
 			return true
 		}
 		if writesReg(ins, reg) {
@@ -536,17 +483,16 @@ func (o *optimizer) constOperand(f *Func, ch *Chunk, targets []bool, use int, re
 			}
 			return -1
 		}
-		if _, n := successors(&ins, pc); n != 1 || ins.Op == OpJump || readsReg(f, ins, reg) || writesReg(ins, reg) {
+		if _, n := successors(&ins, pc); n != 1 || ins.Op == OpJump || readsReg(ins, reg) || writesReg(ins, reg) {
 			return -1
 		}
 	}
 	return -1
 }
 
-// fuseCmpConst folds a constant operand into a compare-jump produced by
-// fuseCmpJump. The typed forms compare reg A with the constant, so a
-// constant left operand mirrors the operator; OpCmpConstJump records the
-// side in C.
+// fuseCmpConst folds a constant right operand into a compare-jump produced
+// by fuseCmpJump: the typed forms become their constant form, and
+// OpCmpJump OpCmpConstJump with the same C.
 func (o *optimizer) fuseCmpConst(f *Func, ch *Chunk) bool {
 	targets := o.jumpTargets(ch)
 	code := ch.Code
@@ -556,25 +502,13 @@ func (o *optimizer) fuseCmpConst(f *Func, ch *Chunk) bool {
 		if ins.Op.info().form != fCmpJump || ins.A == ins.B { // a degenerate k<k stays
 			continue
 		}
-		reg, constLeft := ins.A, false
 		def := o.constOperand(f, ch, targets, pc, ins.B)
-		if def < 0 {
-			reg, constLeft = ins.B, true
-			def = o.constOperand(f, ch, targets, pc, ins.A)
-		}
 		if def < 0 {
 			continue
 		}
-		fused := Instr{Dst: ins.Dst, A: reg, B: code[def].A}
-		if in := ins.Op.info(); in.kind != nil {
-			op := in.op
-			if constLeft {
-				op = mirrored(op)
-			}
-			fused.Op = typedCmpJump(op, in.kind) + cmpJumpK
-		} else {
-			cmp, sense := UnpackCmp(ins.C)
-			fused.Op, fused.C = OpCmpConstJump, PackCmpConst(cmp, constLeft, sense)
+		fused := Instr{Op: ins.Op + cmpJumpK, Dst: ins.Dst, A: ins.A, B: code[def].A}
+		if ins.Op == OpCmpJump {
+			fused.Op, fused.C = OpCmpConstJump, ins.C
 		}
 		code[pc] = fused
 		code[def] = Instr{Op: OpNop}
@@ -587,20 +521,19 @@ func (o *optimizer) fuseCmpConst(f *Func, ch *Chunk) bool {
 }
 
 // fuseConstOperand folds a constant operand into the instruction
-// consuming it: an arithmetic one becomes Dst = A op K or Dst = K op A, and
-// an array store of a constant setidx.ak. The fused instruction keeps the
-// consumer's source position so a runtime error (division by zero, an
-// index out of range) reports what O0 reports. With a variable slot as
-// both source and destination the arithmetic form is the load-arith-store
-// superinstruction of the hot loop shapes (`i = i + 1`,
-// `s = s % 1000003`).
+// consuming it: an arithmetic one becomes Dst = A op K, and an array store
+// of a constant setidx.ak. The fused instruction keeps the consumer's
+// source position so a runtime error (an index out of range) reports what
+// O0 reports. With a variable slot as both source and destination the
+// arithmetic form is the load-arith-store superinstruction of the hot loop
+// shapes (`i = i + 1`, `s = s % 1000003`).
 //
-// A typed instruction becomes the typed form of its operator — add.ik,
-// mod.rk, and sub.ikl for a constant on the left of a non-commutative
-// operator (commutative ones swap) — except a div or mod whose constant
-// divisor is zero: the constant-divisor forms do not test the divisor, so
-// that one stays as it is and raises the error. An untyped instruction is a
-// string +, which becomes OpArithConst or OpArithConstL.
+// A typed instruction becomes the constant form of its operator (add.ik,
+// mod.rk). A constant on the left of + or * swaps to the right, and one on
+// the left of another operator stays unfused, as does a div or mod whose
+// constant divisor is zero: the constant-divisor forms do not test the
+// divisor, so that one raises the error. An untyped instruction is a string
+// +, which becomes OpArithConst or OpArithConstL.
 func (o *optimizer) fuseConstOperand(f *Func, ch *Chunk) bool {
 	targets := o.jumpTargets(ch)
 	code := ch.Code
@@ -628,7 +561,8 @@ func (o *optimizer) fuseConstOperand(f *Func, ch *Chunk) bool {
 			continue
 		}
 		in, k := ins.Op.info(), code[def].A
-		if !constLeft && (in.op == sem.Div || in.op == sem.Mod) && f.Consts[k].AsReal() == 0 {
+		commutes := in.op == sem.Add || in.op == sem.Mul
+		if constLeft && !commutes || (in.op == sem.Div || in.op == sem.Mod) && f.Consts[k].AsReal() == 0 {
 			continue
 		}
 		fused := Instr{Op: OpArithConst, Dst: ins.Dst, A: reg, B: k, C: int32(ins.Op)}
@@ -636,7 +570,7 @@ func (o *optimizer) fuseConstOperand(f *Func, ch *Chunk) bool {
 			fused.Op = OpArithConstL
 		}
 		if in.kind != nil {
-			fused.Op, fused.C = typedArithConst(in.op, in.kind, constLeft), 0
+			fused.Op, fused.C = ins.Op+arithK, 0
 		}
 		code[pc] = fused
 		code[def] = Instr{Op: OpNop}
@@ -648,25 +582,9 @@ func (o *optimizer) fuseConstOperand(f *Func, ch *Chunk) bool {
 	return changed
 }
 
-// typedArithConst returns the constant-operand opcode for operator op over
-// operands of type kind, with the constant on the left or the right.
-func typedArithConst(op sem.Op, kind *types.Type, constLeft bool) Op {
-	k, kl := OpAddIntK, OpSubIntKL
-	if kind.Kind() == types.Real {
-		k, kl = OpAddRealK, OpSubRealKL
-	}
-	if constLeft {
-		switch op {
-		case sem.Sub:
-			return kl
-		case sem.Div:
-			return kl + 1
-		case sem.Mod:
-			return kl + 2
-		}
-	}
-	return k + Op(op-sem.Add)
-}
+// arithK is the distance from a typed arithmetic opcode to its constant
+// form.
+const arithK = OpAddIntK - OpAddInt
 
 // fuseStep merges a loop's induction step into its bottom test: an
 // add.ik or add.i that adds to a register, followed by a backward jlt.ik

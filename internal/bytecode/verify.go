@@ -323,11 +323,8 @@ func (v *verifier) instr(ins *Instr, st []*types.Type, report bool) []*types.Typ
 		switch ins.Op {
 		case OpArithConst, OpArithConstL:
 			op = untypedOp(Op(ins.C), false, failf)
-		case OpCmpJump:
+		case OpCmpJump, OpCmpConstJump:
 			cmp, _ := UnpackCmp(ins.C)
-			op = untypedOp(cmp, true, failf)
-		case OpCmpConstJump:
-			cmp, _, _ := UnpackCmpConst(ins.C)
 			op = untypedOp(cmp, true, failf)
 		}
 		res := in.kind

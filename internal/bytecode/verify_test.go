@@ -18,6 +18,20 @@ import (
 // at O1 and O2. (The parity engine table does the same for every program
 // it runs, the golden corpus included.)
 func TestVerifyGoldens(t *testing.T) {
+	for file, src := range goldenSources(t) {
+		for _, level := range []int{O1, O2} {
+			p := compileSrc(t, src)
+			if err := VerifyOptimize(p, level); err != nil {
+				t.Errorf("%s at -O%d: %v", file, level, err)
+			}
+		}
+	}
+}
+
+// goldenSources returns the benchmark's programs and this package's own,
+// by file name.
+func goldenSources(t *testing.T) map[string]string {
+	t.Helper()
 	var files []string
 	for _, pattern := range []string{"../../benchmark/programs/*.ttr", "testdata/*.ttr"} {
 		m, err := filepath.Glob(pattern)
@@ -29,18 +43,15 @@ func TestVerifyGoldens(t *testing.T) {
 	if len(files) < 20 {
 		t.Fatalf("found only %d programs: %v", len(files), files)
 	}
+	srcs := map[string]string{}
 	for _, file := range files {
 		src, err := os.ReadFile(file)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, level := range []int{O1, O2} {
-			p := compileSrc(t, string(src))
-			if err := VerifyOptimize(p, level); err != nil {
-				t.Errorf("%s at -O%d: %v", file, level, err)
-			}
-		}
+		srcs[file] = string(src)
 	}
+	return srcs
 }
 
 // verifySrc is a flat function with a loop, typed arithmetic, a call, an
@@ -361,7 +372,7 @@ func TestVerifyAcceptsPrivateSlotsBesideCells(t *testing.T) {
 		}
 		names := func(ci int, reg int32) bool {
 			for _, ins := range f.Chunks[ci].Code {
-				if readsReg(f, ins, reg) {
+				if readsReg(ins, reg) {
 					return true
 				}
 			}

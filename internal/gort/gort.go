@@ -604,50 +604,15 @@ func formatElem(a any) string {
 // integral values).
 func FormatReal(f float64) string { return sem.FormatReal(f) }
 
-// ReadInt implements read_int.
-func ReadInt() int64 {
-	var v int64
-	if _, err := fmt.Fscan(active.Env().In, &v); err != nil {
-		Raise("read_int: %v", err)
-	}
-	return v
-}
+// ReadInt, ReadReal, ReadBool and ReadString implement the input
+// builtins with the interpreter's readers (stdlib.Env).
+func ReadInt() int64 { return must(active.Env().ReadInt()) }
 
-// ReadReal implements read_real.
-func ReadReal() float64 {
-	var v float64
-	if _, err := fmt.Fscan(active.Env().In, &v); err != nil {
-		Raise("read_real: %v", err)
-	}
-	return v
-}
+func ReadReal() float64 { return must(active.Env().ReadReal()) }
 
-// ReadBool implements read_bool.
-func ReadBool() bool {
-	var s string
-	if _, err := fmt.Fscan(active.Env().In, &s); err != nil {
-		Raise("read_bool: %v", err)
-	}
-	v, ok := sem.ParseBool(s)
-	if !ok {
-		raiseSem(sem.ErrReadBool(s))
-	}
-	return v
-}
+func ReadBool() bool { return must(active.Env().ReadBool()) }
 
-// ReadString implements read_string with the same leftover-newline
-// absorption as the interpreter's stdlib.
-func ReadString() string {
-	in := active.Env().In
-	line, err := in.ReadString('\n')
-	if strings.TrimRight(line, "\r\n") == "" && err == nil {
-		line, err = in.ReadString('\n')
-	}
-	if err != nil && line == "" {
-		Raise("read_string: %v", err)
-	}
-	return strings.TrimRight(line, "\r\n")
-}
+func ReadString() string { return must(active.Env().ReadString()) }
 
 // The builtins' native forms that are more than a sem kernel: the stdlib
 // row's Native, or the form gogen picks for a generic builtin.

@@ -166,6 +166,66 @@ func (e *Env) Sleep(ms int64) error {
 	}
 }
 
+// ReadInt, ReadReal, ReadBool and ReadString are the input builtins'
+// readers, which their rows and a compiled program (internal/gort) share.
+//
+// ReadInt implements read_int: the next whitespace-separated token of In.
+func (e *Env) ReadInt() (int64, error) {
+	var v int64
+	if _, err := fmt.Fscan(e.In, &v); err != nil {
+		return 0, fmt.Errorf("read_int: %v", err)
+	}
+	return v, nil
+}
+
+// ReadReal implements read_real, as ReadInt.
+func (e *Env) ReadReal() (float64, error) {
+	var v float64
+	if _, err := fmt.Fscan(e.In, &v); err != nil {
+		return 0, fmt.Errorf("read_real: %v", err)
+	}
+	return v, nil
+}
+
+// ReadBool implements read_bool, as ReadInt, with sem's spellings.
+func (e *Env) ReadBool() (bool, error) {
+	var s string
+	if _, err := fmt.Fscan(e.In, &s); err != nil {
+		return false, fmt.Errorf("read_bool: %v", err)
+	}
+	if v, ok := sem.ParseBool(s); ok {
+		return v, nil
+	}
+	return false, sem.ErrReadBool(s)
+}
+
+// ReadString implements read_string: the next input line. When a
+// preceding read_int / read_real / read_bool left only a newline on the
+// current line, that empty remainder is skipped — the classic
+// scanf-then-getline trap beginners hit, absorbed by the library instead
+// of taught the hard way.
+func (e *Env) ReadString() (string, error) {
+	line, err := e.In.ReadString('\n')
+	if strings.TrimRight(line, "\r\n") == "" && err == nil {
+		line, err = e.In.ReadString('\n')
+	}
+	if err != nil && line == "" {
+		return "", fmt.Errorf("read_string: %v", err)
+	}
+	return strings.TrimRight(line, "\r\n"), nil
+}
+
+// read is the Eval of an input builtin: reader r's value, made a Value.
+func read[T any](r func(*Env) (T, error), wrap func(T) value.Value) EvalFunc {
+	return func(env *Env, _ []value.Value) (value.Value, error) {
+		v, err := r(env)
+		if err != nil {
+			return value.Value{}, err
+		}
+		return wrap(v), nil
+	}
+}
+
 // CheckFunc validates argument types and returns the result type (nil for
 // void). It reports errors as plain messages; the checker attaches
 // positions.
@@ -327,50 +387,13 @@ func init() {
 		}})
 
 	register(Builtin{ID: ReadInt, Name: "read_int", Result: types.IntType, Native: "gort.ReadInt",
-		Eval: func(env *Env, args []value.Value) (value.Value, error) {
-			var v int64
-			if _, err := fmt.Fscan(env.In, &v); err != nil {
-				return value.Value{}, fmt.Errorf("read_int: %v", err)
-			}
-			return value.NewInt(v), nil
-		}})
-
+		Eval: read((*Env).ReadInt, value.NewInt)})
 	register(Builtin{ID: ReadReal, Name: "read_real", Result: types.RealType, Native: "gort.ReadReal",
-		Eval: func(env *Env, args []value.Value) (value.Value, error) {
-			var v float64
-			if _, err := fmt.Fscan(env.In, &v); err != nil {
-				return value.Value{}, fmt.Errorf("read_real: %v", err)
-			}
-			return value.NewReal(v), nil
-		}})
-
-	// read_string reads the next input line. When a preceding read_int /
-	// read_real / read_bool left only a newline on the current line, that
-	// empty remainder is skipped — the classic scanf-then-getline trap
-	// beginners hit, absorbed by the library instead of taught the hard way.
+		Eval: read((*Env).ReadReal, value.NewReal)})
 	register(Builtin{ID: ReadString, Name: "read_string", Result: types.StringType, Native: "gort.ReadString", Built: true,
-		Eval: func(env *Env, args []value.Value) (value.Value, error) {
-			line, err := env.In.ReadString('\n')
-			if strings.TrimRight(line, "\r\n") == "" && err == nil {
-				line, err = env.In.ReadString('\n')
-			}
-			if err != nil && line == "" {
-				return value.Value{}, fmt.Errorf("read_string: %v", err)
-			}
-			return value.NewString(strings.TrimRight(line, "\r\n")), nil
-		}})
-
+		Eval: read((*Env).ReadString, value.NewString)})
 	register(Builtin{ID: ReadBool, Name: "read_bool", Result: types.BoolType, Native: "gort.ReadBool",
-		Eval: func(env *Env, args []value.Value) (value.Value, error) {
-			var s string
-			if _, err := fmt.Fscan(env.In, &s); err != nil {
-				return value.Value{}, fmt.Errorf("read_bool: %v", err)
-			}
-			if v, ok := sem.ParseBool(s); ok {
-				return value.NewBool(v), nil
-			}
-			return value.Value{}, sem.ErrReadBool(s)
-		}})
+		Eval: read((*Env).ReadBool, value.NewBool)})
 
 	register(Builtin{ID: Len, Name: "len",
 		Check: func(args []*types.Type) (*types.Type, error) {

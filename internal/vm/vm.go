@@ -364,35 +364,6 @@ activation:
 			v, _ := sem.ModReal(regs[ins.A].Real(), consts[ins.B].Real())
 			regs[ins.Dst] = value.NewReal(v)
 
-		case bytecode.OpSubIntKL:
-			regs[ins.Dst] = value.NewInt(sem.ArithInt(sem.Sub, consts[ins.B].Int(), regs[ins.A].Int()))
-		case bytecode.OpDivIntKL:
-			v, err := sem.DivInt(consts[ins.B].Int(), regs[ins.A].Int())
-			if err != nil {
-				return value.Value{}, sem.At(err, ch.Pos[pc].String())
-			}
-			regs[ins.Dst] = value.NewInt(v)
-		case bytecode.OpModIntKL:
-			v, err := sem.ModInt(consts[ins.B].Int(), regs[ins.A].Int())
-			if err != nil {
-				return value.Value{}, sem.At(err, ch.Pos[pc].String())
-			}
-			regs[ins.Dst] = value.NewInt(v)
-		case bytecode.OpSubRealKL:
-			regs[ins.Dst] = value.NewReal(sem.ArithReal(sem.Sub, consts[ins.B].Real(), regs[ins.A].Real()))
-		case bytecode.OpDivRealKL:
-			v, err := sem.DivReal(consts[ins.B].Real(), regs[ins.A].Real())
-			if err != nil {
-				return value.Value{}, sem.At(err, ch.Pos[pc].String())
-			}
-			regs[ins.Dst] = value.NewReal(v)
-		case bytecode.OpModRealKL:
-			v, err := sem.ModReal(consts[ins.B].Real(), regs[ins.A].Real())
-			if err != nil {
-				return value.Value{}, sem.At(err, ch.Pos[pc].String())
-			}
-			regs[ins.Dst] = value.NewReal(v)
-
 		// String concatenation, the one untyped arithmetic; the fused
 		// forms' C is OpAdd.
 		case bytecode.OpAdd:
@@ -602,12 +573,8 @@ activation:
 				goto jump
 			}
 		case bytecode.OpCmpConstJump:
-			cmp, constLeft, sense := bytecode.UnpackCmpConst(ins.C)
-			l, r := regs[ins.A], consts[ins.B]
-			if constLeft {
-				l, r = r, l
-			}
-			if sem.Compare(cmp.Operator(), l, r) == sense {
+			cmp, sense := bytecode.UnpackCmp(ins.C)
+			if sem.Compare(cmp.Operator(), regs[ins.A], consts[ins.B]) == sense {
 				goto jump
 			}
 

@@ -98,7 +98,7 @@ type Program struct {
 // OptNone to execute exactly the bytecode the compiler emitted (useful for
 // differential testing and for debugging the optimizer itself).
 const (
-	OptFull = 0  // full optimization (dead stores, jump threading, DCE, fusion, step-branch fusion)
+	OptFull = 0  // full optimization (-O2: jump threading, DCE, leaf inlining, fusion, tail calls)
 	OptNone = -1 // optimizer disabled
 )
 
