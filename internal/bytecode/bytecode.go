@@ -61,8 +61,9 @@
 // opcode, and the VM executes it without looking at an operand's kind.
 // Only generic operands keep the untyped opcodes, which go through
 // sem.Arith and sem.Compare: string + and the comparisons of strings,
-// bools and arrays. The optimizer (optimize.go) fuses typed instructions
-// into typed superinstructions (add.ik, mod.rk, jlt.ik) at -O2.
+// bools and arrays. At every level the compiler writes a literal operand
+// into its operator's constant form (add.ik, mod.rk, arithk) and a
+// comparison a branch tests into a compare-jump (jlt.ik, cmpjump).
 //
 // That no typed opcode ever meets a value of another kind is a property
 // of the compiled code, and Verify proves it, with the IR's structural
@@ -227,10 +228,9 @@ const (
 	OpLockAcquire // acquire program lock A
 	OpLockRelease // release program lock A
 
-	// Untyped superinstructions, produced only by the optimizer
-	// (optimize.go) at -O2 from the untyped opcodes, so their operands are
-	// generic. Each preserves the source position of the operation that can
-	// raise, so runtime errors report exactly what -O0 reports.
+	// Untyped superinstructions, the compiler's constant forms and
+	// compare-jumps over generic operands. Each has the source position of
+	// the operation that can raise.
 
 	// OpArithConst fuses a constant right operand into a concatenation:
 	// Dst = reg A <op C> Consts[B], where C is OpAdd.
@@ -284,7 +284,7 @@ const (
 	OpGtReal
 	OpGeReal
 
-	// Typed superinstructions (-O2). Constant right operand,
+	// Typed superinstructions. Constant right operand,
 	// Dst = reg A op Consts[B]; a div or mod of this form has a nonzero
 	// constant (a zero one stays an unfused div or mod, which raises).
 	OpAddIntK
@@ -332,7 +332,7 @@ const (
 	// every level.
 	OpForNext
 
-	// OpSetIndexArrK is OpSetIndexArr storing a constant (-O2):
+	// OpSetIndexArrK is OpSetIndexArr storing a constant:
 	// reg A [ reg B ] = Consts[C].
 	OpSetIndexArrK
 
@@ -465,8 +465,9 @@ func (o Op) String() string {
 // opcode, typed or untyped.
 func (o Op) Operator() sem.Op { return o.info().op }
 
-// Fused reports whether o is a superinstruction, typed or untyped: an
-// opcode only the optimizer's fusion phase emits, at -O2.
+// Fused reports whether o is a superinstruction, typed or untyped: a
+// constant form or a compare-jump, which the compiler emits at every
+// level, or a stepjlt, which -O2 fuses.
 func (o Op) Fused() bool {
 	switch o.info().form {
 	case fBinaryK, fBinaryKL, fCmpJump, fCmpJumpK, fSetIndexK, fStepJump:
@@ -480,19 +481,6 @@ func (o Op) Fused() bool {
 func (o Op) stepConsts() (step, limit bool) {
 	k := o - OpStepJltII
 	return k&2 != 0, k&1 != 0
-}
-
-// isArith and isCompare report whether o is a register-register
-// arithmetic or comparison instruction, typed or untyped — the ones
-// fusion consumes.
-func (o Op) isArith() bool {
-	in := o.info()
-	return in.isOp && in.form == fBinary && !in.op.IsCompare()
-}
-
-func (o Op) isCompare() bool {
-	in := o.info()
-	return in.isOp && in.form == fBinary && in.op.IsCompare()
 }
 
 // kernelOp returns the register-register opcode that runs kernel k: the
@@ -511,6 +499,47 @@ func kernelOp(k ast.Kernel) Op {
 		return cmp + Op(k.Op-sem.Eq)
 	}
 	return arith + Op(k.Op-sem.Add)
+}
+
+// arithConst returns the constant-operand form of arithmetic opcode op and
+// its C: a typed opcode's is its .ik or .rk (the constant on the right),
+// and string +'s arithk, or arithkl with the constant on the left, which
+// carry the operator in C.
+func arithConst(op Op, left bool) (Op, int32) {
+	switch {
+	case op.info().kind != nil:
+		return op + (OpAddIntK - OpAddInt), 0
+	case left:
+		return OpArithConstL, int32(op)
+	}
+	return OpArithConst, int32(op)
+}
+
+// cmpJump returns the compare-jump that runs comparison kernel k and jumps
+// when the result is sense, with a constant right operand when k is set,
+// and its C. A typed one has the sense folded into its operator, negated
+// when false (a jump when < fails is jge); cmpjump and cmpkjump carry
+// operator and sense in C.
+func cmpJump(kern ast.Kernel, sense, k bool) (Op, int32) {
+	if kern.Operands == ast.Generic {
+		c := PackCmp(kernelOp(kern), sense)
+		if k {
+			return OpCmpConstJump, c
+		}
+		return OpCmpJump, c
+	}
+	o := kern.Op
+	if !sense {
+		o = negated(o)
+	}
+	op := OpJeqReal + Op(o-sem.Eq)
+	if kern.Operands == ast.Ints {
+		op = OpJeqInt + Op(o-sem.Eq)
+	}
+	if k {
+		op += OpJeqIntK - OpJeqInt
+	}
+	return op, 0
 }
 
 // negated maps a comparison operator to the one that holds exactly when it

@@ -276,11 +276,10 @@ func (c *fnCompiler) seal() {
 	c.buf = nil
 }
 
-// patch sets the target of the jump, jfalse and jtrue placeholders at
-// indices js to pc.
+// patch sets the target of the jump placeholders at indices js to pc.
 func (c *fnCompiler) patch(pc int32, js ...int) {
 	for _, j := range js {
-		c.buf.code[j].A = pc
+		*c.buf.code[j].target() = pc
 	}
 }
 
@@ -617,13 +616,15 @@ func (c *fnCompiler) assign(s *ast.AssignStmt) error {
 		// the operation and the write. For a private variable that is one
 		// arithmetic instruction reading and writing the slot — the
 		// register IR's fused load-arith-store. The target is the left
-		// operand, so only the value can be an int that widens.
-		r, err := c.genExprAs(s.Value, operandType(s.Kernel, s.Value), s.OpPos)
+		// operand, so only the value can be an int that widens, or a
+		// constant operand.
+		op := kernelOp(s.Kernel)
+		r, k, err := c.operand(op, s.Value, operandType(s.Kernel, s.Value), s.OpPos)
 		if err != nil {
 			return err
 		}
 		cur := c.getVar(slot, target.Pos())
-		c.emit(kernelOp(s.Kernel), cur, cur, r, 0, s.OpPos)
+		c.emitArith(op, cur, cur, r, k, s.OpPos)
 		c.setVar(slot, cur, s.Pos())
 		return nil
 
@@ -646,12 +647,18 @@ func (c *fnCompiler) assign(s *ast.AssignStmt) error {
 			// temporary this statement owns.
 			cur := c.temp()
 			c.emit(indexOp(OpIndex, target.X), cur, arr, idx, 0, s.Pos())
-			r, err := c.genExprAs(s.Value, operandType(s.Kernel, s.Value), s.OpPos)
+			op := kernelOp(s.Kernel)
+			r, k, err := c.operand(op, s.Value, operandType(s.Kernel, s.Value), s.OpPos)
 			if err != nil {
 				return err
 			}
-			c.emit(kernelOp(s.Kernel), cur, cur, r, 0, s.OpPos)
+			c.emitArith(op, cur, cur, r, k, s.OpPos)
 			c.emit(indexOp(OpSetIndex, target.X), 0, arr, idx, cur, s.Pos())
+			return nil
+		}
+		// An array store of a literal is setidx.ak.
+		if v, lit := constant(s.Value, target.Type()); lit && target.X.Type().IsArray() {
+			c.emit(OpSetIndexArrK, 0, arr, idx, c.constIndex(v), s.Pos())
 			return nil
 		}
 		r, err := c.genExprAs(s.Value, target.Type(), s.OpPos)
@@ -850,9 +857,11 @@ func (c *fnCompiler) genExprToInner(e ast.Expr, dst int32) error {
 // the jumps it pushes on the scratch's jump stack when e is sense, and
 // falls through when it is not; the caller takes the stack's height before
 // and patches what is above it (patchFrom). `and`, `or` and `not` become
-// branches and never a bool; any other condition is evaluated and tested by
-// one jtrue or jfalse. A literal tests nothing: it is a jump, or no code.
-// The jumps are positioned at pos, the statement's.
+// branches and never a bool, and a comparison one compare-jump (cmpJump)
+// at its operator's position, with a literal right operand in its pool
+// form; any other condition is evaluated and tested by one jtrue or
+// jfalse, positioned at pos, the statement's. A literal tests nothing: it
+// is a jump, or no code.
 func (c *fnCompiler) branch(e ast.Expr, sense bool, pos token.Pos) error {
 	s := c.scratch
 	switch e := e.(type) {
@@ -867,7 +876,26 @@ func (c *fnCompiler) branch(e ast.Expr, sense bool, pos token.Pos) error {
 		}
 	case *ast.BinaryExpr:
 		if e.Op != token.AND && e.Op != token.OR {
-			break
+			if !e.Kernel.Op.IsCompare() {
+				break
+			}
+			base := c.nextTemp
+			tx, ty := operandType(e.Kernel, e.X), operandType(e.Kernel, e.Y)
+			x, err := c.genExprAs(e.X, tx, e.OpPos)
+			if err != nil {
+				return err
+			}
+			v, lit := constant(e.Y, ty)
+			var y int32
+			if lit {
+				y = c.constIndex(v)
+			} else if y, err = c.genExprAs(e.Y, ty, e.OpPos); err != nil {
+				return err
+			}
+			c.nextTemp = base
+			op, cc := cmpJump(e.Kernel, sense, lit)
+			s.jumps = append(s.jumps, c.emit(op, 0, x, y, cc, e.OpPos))
+			return nil
 		}
 		if (e.Op == token.OR) == sense {
 			// Either operand being sense decides: test both for it.
@@ -939,7 +967,8 @@ func (c *fnCompiler) genCall(e *ast.CallExpr, dst int32) error {
 // binary compiles a binary expression into dst. Short-circuit and/or
 // become conditional jumps over the right operand, with the result
 // accumulating directly in dst; everything else is one three-address
-// instruction.
+// instruction, an arithmetic one in its constant form when an operand is a
+// literal it can take (constArg).
 func (c *fnCompiler) binary(e *ast.BinaryExpr, dst int32) error {
 	if e.Op == token.AND || e.Op == token.OR {
 		// The left operand's value IS the result when the jump is taken,
@@ -973,17 +1002,67 @@ func (c *fnCompiler) binary(e *ast.BinaryExpr, dst int32) error {
 	}
 
 	// The int side of a mixed pair widens as it is read: a literal is the
-	// real constant, a register one toreal.
-	x, err := c.genExprAs(e.X, operandType(e.Kernel, e.X), e.OpPos)
+	// real constant, a register one toreal. The operator's position is
+	// recorded, not the expression start's, so a runtime error (division by
+	// zero) points where the interpreter points.
+	op := kernelOp(e.Kernel)
+	tx, ty := operandType(e.Kernel, e.X), operandType(e.Kernel, e.Y)
+	if _, lit := constant(e.Y, ty); !lit && (e.Kernel.Op == sem.Add || e.Kernel.Op == sem.Mul) {
+		// A literal left of an operator that commutes is its constant
+		// operand: a typed form takes it on the right, string + keeps it
+		// on the left (arithkl).
+		if k, ok := c.constArg(op, e.X, tx); ok {
+			y, err := c.genExprAs(e.Y, ty, e.OpPos)
+			if err != nil {
+				return err
+			}
+			kop, cc := arithConst(op, true)
+			c.emit(kop, dst, y, k, cc, e.OpPos)
+			return nil
+		}
+	}
+	x, err := c.genExprAs(e.X, tx, e.OpPos)
 	if err != nil {
 		return err
 	}
-	y, err := c.genExprAs(e.Y, operandType(e.Kernel, e.Y), e.OpPos)
+	y, k, err := c.operand(op, e.Y, ty, e.OpPos)
 	if err != nil {
 		return err
 	}
-	// Record the operator's position, not the expression start, so a
-	// runtime error (division by zero) points where the interpreter points.
-	c.emit(kernelOp(e.Kernel), dst, x, y, 0, e.OpPos)
+	c.emitArith(op, dst, x, y, k, e.OpPos)
 	return nil
+}
+
+// operand evaluates e, the right operand of op, for emitArith: the pool
+// index of a literal op takes as its constant operand (constArg), with
+// k set, or the register holding e's value.
+func (c *fnCompiler) operand(op Op, e ast.Expr, want *types.Type, pos token.Pos) (r int32, k bool, err error) {
+	if r, k = c.constArg(op, e, want); k {
+		return r, true, nil
+	}
+	r, err = c.genExprAs(e, want, pos)
+	return r, false, err
+}
+
+// constArg returns the pool index of e when e is a literal that
+// arithmetic opcode op can take as a constant operand: any but a zero
+// divisor of div or mod, which stays in a register so that the unfused
+// instruction raises. A comparison has no constant form outside a branch.
+func (c *fnCompiler) constArg(op Op, e ast.Expr, want *types.Type) (int32, bool) {
+	v, ok := constant(e, want)
+	o := op.Operator()
+	if !ok || o.IsCompare() || (o == sem.Div || o == sem.Mod) && v.AsReal() == 0 {
+		return 0, false
+	}
+	return c.constIndex(v), true
+}
+
+// emitArith emits dst = a op b, where b is a register, or with k the pool
+// index of op's constant right operand.
+func (c *fnCompiler) emitArith(op Op, dst, a, b int32, k bool, pos token.Pos) {
+	var cc int32
+	if k {
+		op, cc = arithConst(op, false)
+	}
+	c.emit(op, dst, a, b, cc, pos)
 }

@@ -3,6 +3,7 @@ package bytecode
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -361,10 +362,9 @@ func TestElifChainCompiles(t *testing.T) {
 def main():
     print(f(2))
 `)
-	_ = bc
 	// Structure validated by the VM differential tests; here we only assert
-	// compilation succeeded and produced jumps.
-	if countOps(bc.Funcs[0].Chunks[0], OpJumpIfFalse) < 2 {
+	// compilation succeeded and produced conditional jumps.
+	if condJumps(bc.Funcs[0].Chunks[0]) < 2 {
 		t.Error("elif chain lost its conditional jumps")
 	}
 }
@@ -552,4 +552,119 @@ func TestLiteralShapes(t *testing.T) {
 			})
 		}
 	}
+}
+
+// condJumps counts ch's conditional jumps: jfalse, jtrue and the
+// compare-jumps.
+func condJumps(ch Chunk) int {
+	n := 0
+	for _, ins := range ch.Code {
+		switch ins.Op.info().form {
+		case fJumpIf, fCmpJump, fCmpJumpK:
+			n++
+		}
+	}
+	return n
+}
+
+// TestCompilerEmitsFusedForms: the compiler writes a literal operand into
+// its operator's constant form, an array store of a literal into
+// setidx.ak and a branch's comparison into its compare-jump, so -O0 has
+// them; a division by a literal zero stays unfused, at its operator. Over
+// the goldens and TestLoopShapes' loops, at every level, no const loads a
+// temporary whose first reader takes the constant in a constant form.
+func TestCompilerEmitsFusedForms(t *testing.T) {
+	for _, c := range []struct {
+		name, src, op string
+		col           int // the op's column on line 3, when pinned
+	}{
+		{"aug_assign", "def main():\n    i = 0\n    i += 1\n    print(i)\n", "add.ik", 0},
+		{"while_entry", "def main():\n    i = read_int()\n    n = 3\n    while i < n:\n        i += 1\n", "jge.i", 0},
+		{"array_store", "def main():\n    a = [1, 2]\n    i = 1\n    a[i] = 0\n    print(a)\n", "setidx.ak", 0},
+		{"concat", "def main():\n    s = read_string()\n    print(s + \"!\")\n", "arithk", 0},
+		{"div_zero", "def main():\n    x = read_int()\n    print(x / 0)\n", "div.i", 13},
+	} {
+		p := compileSrc(t, c.src)
+		if err := Verify(p); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		f := p.Funcs[p.MainIndex]
+		pc := slices.IndexFunc(f.Chunks[0].Code, func(ins Instr) bool { return ins.Op.String() == c.op })
+		if pc < 0 {
+			t.Errorf("%s: no %s at -O0:\n%s", c.name, c.op, Disassemble(f))
+			continue
+		}
+		if at := f.Chunks[0].Pos[pc]; c.col != 0 && (at.Line != 3 || at.Col != c.col) {
+			t.Errorf("%s: %s positioned at %s, want 3:%d", c.name, c.op, at, c.col)
+		}
+	}
+
+	srcs := goldenSources(t)
+	for _, c := range loopShapes {
+		srcs[c.name] = loopSrc(c.loop)
+	}
+	for name, src := range srcs {
+		for _, level := range []int{O0, O1, O2} {
+			p := Optimize(compileSrc(t, src), level)
+			for _, f := range p.Funcs {
+				for ci, ch := range f.Chunks {
+					for pc, ins := range ch.Code {
+						if ins.Op != OpConst || int(ins.Dst) < f.NumSlots {
+							continue
+						}
+						if use := firstMention(ch.Code[pc+1:], ins.Dst); use != nil && takesConst(f, *use, ins.Dst, ins.A) {
+							t.Errorf("%s -O%d: %s chunk %d pc %d: const %s feeds %s:\n%s", name, level, f.Name, ci, pc, f.constStr(ins.A), use.Op, Disassemble(f))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// firstMention returns the first instruction of straight-line code that
+// names register r in any operand or block, or nil when control leaves it
+// first.
+func firstMention(code []Instr, r int32) *Instr {
+	for i := range code {
+		ins := &code[i]
+		in := func(base, n int32) bool { return r >= base && r < base+n }
+		switch ins.Op.info().form {
+		case fCall:
+			if ins.Dst == r || in(ins.B, ins.C) {
+				return ins
+			}
+		case fArray:
+			if ins.Dst == r || in(ins.A, ins.B) {
+				return ins
+			}
+		default:
+			if ins.Dst == r || in(ins.A, 2) || ins.B == r || ins.C == r {
+				return ins
+			}
+		}
+		if ins.target() != nil || ins.Op == OpReturn || ins.Op == OpReturnNone {
+			return nil
+		}
+	}
+	return nil
+}
+
+// takesConst reports whether ins reads temporary r, which holds constant k
+// of f, only where its constant form would take k: the right operand of an
+// arithmetic operator (not a zero divisor), the left of + or *, the right
+// of a compare-jump, or the value of an array store.
+func takesConst(f *Func, ins Instr, r, k int32) bool {
+	in := ins.Op.info()
+	switch {
+	case ins.Op == OpSetIndexArr:
+		return ins.C == r && ins.A != r && ins.B != r
+	case in.form == fCmpJump:
+		return ins.B == r && ins.A != r
+	case in.form != fBinary || !in.isOp || in.op.IsCompare():
+		return false
+	case ins.B == r && ins.A != r:
+		return (in.op != sem.Div && in.op != sem.Mod) || f.Consts[k].AsReal() != 0
+	}
+	return ins.A == r && ins.B != r && (in.op == sem.Add || in.op == sem.Mul)
 }

@@ -23,52 +23,33 @@ package bytecode
 //  2. dead-code removal   — instructions unreachable from the chunk entry,
 //                            and jumps to the next instruction, are
 //                            deleted, with all jump targets remapped.
-//  3. superinstruction    — compare+branch pairs fuse into a
-//     fusion                 compare-jump, then a constant right operand
-//                            folds into its constant form, and
-//                            const+arith pairs into constant-operand
-//                            arithmetic (a commutative operator's
-//                            constant left operand swaps to the right),
-//                            and const+setidx.a into setidx.ak. Typed
-//                            instructions fuse into typed
-//                            superinstructions whose operator is part of
-//                            the opcode (jlt.ik, add.ik, mod.rk), the
-//                            branch sense folded in by negating the
-//                            comparison. Untyped ones, whose operands
-//                            are strings, bools or arrays, fuse into
-//                            OpCmpJump/OpCmpConstJump/OpArithConst/L,
-//                            which carry the operator in C. A div or mod
-//                            by a constant zero is not fused: it raises.
-//                            With a variable slot as both destination
-//                            and source (`i = i + 1`) the arith-const
-//                            form is the load-arith-store
-//                            superinstruction.
-//  4. step-branch fusion  — an induction step (add.ik or add.i on a
+//  3. step-branch fusion  — an induction step (add.ik or add.i on a
 //                            register) followed by a loop's bottom test
 //                            jlt.ik or jlt.i of that register becomes one
 //                            stepjlt: `i += 1` and `while i < n` in one
 //                            dispatch. It is a taken backward branch, so
 //                            it polls the stop flag as the test did.
-//  5. tail calls          — in chunk 0, a self call whose result the next
+//  4. tail calls          — in chunk 0, a self call whose result the next
 //                            instruction returns (or, without a result,
 //                            a self call before retnone) becomes
 //                            tailcall, which the VM runs in place.
 //
-// Phases 1–2 are O1 and iterate to a fixpoint; 0 and 3–5 are O2 and run
-// once. Each must change some benchmark or test program (TestEveryPhasePays).
-// Every phase is differentially verified: the golden corpus and the
-// cross-backend differential tests must produce byte-identical output at
-// O0, O1 and O2 (the parity harness, internal/parity, runs them at every
-// level), and VerifyOptimize runs Verify behind each one.
+// Phases 1–2 are O1 and iterate to a fixpoint; 0, 3 and 4 are O2 and run
+// once. Each must change some benchmark or test program
+// (TestEveryPhasePays). The other superinstructions, the constant forms
+// and the compare-jumps, are the compiler's at every level (compile.go's
+// operand and branch). Every phase is differentially verified: the golden
+// corpus and the cross-backend differential tests must produce
+// byte-identical output at O0, O1 and O2 (the parity harness,
+// internal/parity, runs them at every level), and VerifyOptimize runs
+// Verify behind each one.
 
 import (
 	"fmt"
 	"sync"
 
 	"repro/internal/rt"
-	"repro/internal/sem"
 	"repro/internal/token"
-	"repro/internal/types"
 	"repro/internal/value"
 )
 
@@ -76,7 +57,7 @@ import (
 const (
 	O0 = 0 // no optimization: execute exactly what the compiler emitted
 	O1 = 1 // jump threading + DCE
-	O2 = 2 // O1 plus leaf inlining, fusion and tail calls
+	O2 = 2 // O1 plus leaf inlining, step fusion and tail calls
 
 	// DefaultLevel is what the fast path uses unless told otherwise.
 	DefaultLevel = O2
@@ -185,8 +166,7 @@ type optimizer struct {
 	ints  []int32 // plan's storage for order and its call graph
 	flags []bool  // plan's storage for into, leaf and its call graph
 	marks []bool  // jumpTargets' targets or removeDeadCode's reachable pcs
-	seen  []bool  // regLive's visited pcs
-	stack []int   // pcs still to visit, in regLive or removeDeadCode
+	stack []int   // removeDeadCode's pcs still to visit
 	remap []int32 // compact's or the inliner's old pc → new pc
 	gat   []int32 // the inliner's leaf pc → new pc
 	code  []Instr // the inliner's new code and its positions
@@ -218,9 +198,6 @@ var (
 	// them, and the other O2 phases run once, in this order, behind O1.
 	inlinePhase = phase{name: "leaf inlining", run: (*optimizer).inlineLeaves}
 	o2Phases    = []phase{
-		{name: "compare-jump fusion", run: (*optimizer).fuseCmpJump},
-		{name: "compare-constant fusion", run: (*optimizer).fuseCmpConst},
-		{name: "constant-operand fusion", run: (*optimizer).fuseConstOperand},
 		{name: "step-branch fusion", run: (*optimizer).fuseStep},
 		{name: "tail calls", run: (*optimizer).tailCalls},
 	}
@@ -237,93 +214,6 @@ func (o *optimizer) jumpTargets(ch *Chunk) []bool {
 		}
 	}
 	return t
-}
-
-// readsReg reports whether ins reads register reg itself. A thread body
-// starts with a copy of its spawner's slot registers, which a spawning
-// instruction does not count as reads: regLive never asks about a slot.
-func readsReg(ins Instr, reg int32) bool {
-	switch ins.Op.info().form {
-	case fUnary, fBinaryK, fBinaryKL, fCmpJumpK, fReturn, fStoreCell:
-		return ins.A == reg
-	case fBinary, fCmpJump:
-		return ins.A == reg || ins.B == reg
-	case fJumpIf, fParFor:
-		return ins.B == reg
-	case fSetIndex:
-		return ins.A == reg || ins.B == reg || ins.C == reg
-	case fSetIndexK:
-		return ins.A == reg || ins.B == reg
-	case fStepJump:
-		step, limit := ins.Op.stepConsts()
-		return ins.A == reg || !step && ins.B == reg || !limit && ins.C == reg
-	case fCall:
-		return reg >= ins.B && reg < ins.B+ins.C
-	case fArray:
-		return reg >= ins.A && reg < ins.A+ins.B
-	case fForIter:
-		return ins.A == reg || ins.A+1 == reg
-	}
-	return false
-}
-
-// writesReg reports whether ins definitely overwrites register reg.
-func writesReg(ins Instr, reg int32) bool {
-	switch ins.Op.info().form {
-	case fConst, fUnary, fBinary, fBinaryK, fBinaryKL, fArray, fLoadCell:
-		return ins.Dst == reg
-	case fStepJump:
-		return ins.A == reg
-	case fCall:
-		return ins.Dst == reg && ins.Dst >= 0
-	case fForIter:
-		return ins.Dst == reg || ins.A == reg || ins.A+1 == reg
-	}
-	return false
-}
-
-// regLive reports whether some path from pc in f's chunk ch reads
-// register reg before writing it. A slot register is always live: a later
-// statement, or a thread body's copy, may read it.
-func (o *optimizer) regLive(f *Func, ch *Chunk, pc int, reg int32) bool {
-	if int(reg) < f.NumSlots {
-		return true
-	}
-	code := ch.Code
-	// Most temporaries are read, or written again, a few instructions on:
-	// follow straight-line code before paying for a visited set.
-	for ; pc < len(code); pc++ {
-		ins := &code[pc]
-		if readsReg(*ins, reg) {
-			return true
-		}
-		if writesReg(*ins, reg) {
-			return false
-		}
-		if next, n := successors(ins, pc); n != 1 || next[0] != pc+1 {
-			break
-		}
-	}
-	seen := cleared(&o.seen, len(code))
-	o.stack = append(o.stack[:0], pc)
-	for len(o.stack) > 0 {
-		p := o.stack[len(o.stack)-1]
-		o.stack = o.stack[:len(o.stack)-1]
-		if p < 0 || p >= len(code) || seen[p] {
-			continue
-		}
-		seen[p] = true
-		ins := code[p]
-		if readsReg(ins, reg) {
-			return true
-		}
-		if writesReg(ins, reg) {
-			continue
-		}
-		next, n := successors(&ins, p)
-		o.stack = append(o.stack, next[:n]...)
-	}
-	return false
 }
 
 // successors returns the pcs control can reach from ins at pc.
@@ -401,190 +291,6 @@ func (o *optimizer) removeDeadCode(_ *Func, ch *Chunk) bool {
 	}
 	return changed
 }
-
-// tempDeadPast reports whether temporary reg is dead on every path
-// leaving the instruction at pc (the second element of a fusion window).
-func (o *optimizer) tempDeadPast(f *Func, ch *Chunk, pc int, reg int32) bool {
-	next, n := successors(&ch.Code[pc], pc)
-	for _, s := range next[:n] {
-		if o.regLive(f, ch, s, reg) {
-			return false
-		}
-	}
-	return true
-}
-
-// fuseCmpJump merges a comparison with the conditional branch consuming
-// its result. The branch must not be a jump target (the pair would be
-// entered mid-window), the comparison's destination must be a temporary,
-// and that temporary must be dead past the branch. A typed comparison
-// becomes the typed compare-jump of the same operator, negated when the
-// branch is taken on false; an untyped one becomes OpCmpJump, which
-// carries operator and sense in C.
-func (o *optimizer) fuseCmpJump(f *Func, ch *Chunk) bool {
-	targets := o.jumpTargets(ch)
-	code := ch.Code
-	changed := false
-	for pc := 0; pc+1 < len(code); pc++ {
-		ins, next := code[pc], code[pc+1]
-		if !ins.Op.isCompare() || targets[pc+1] || int(ins.Dst) < f.NumSlots {
-			continue
-		}
-		if (next.Op != OpJumpIfFalse && next.Op != OpJumpIfTrue) || next.B != ins.Dst {
-			continue
-		}
-		if !o.tempDeadPast(f, ch, pc+1, ins.Dst) {
-			continue
-		}
-		sense := next.Op == OpJumpIfTrue
-		fused := Instr{Op: OpCmpJump, Dst: next.A, A: ins.A, B: ins.B, C: PackCmp(ins.Op, sense)}
-		if in := ins.Op.info(); in.kind != nil {
-			op := in.op
-			if !sense {
-				op = negated(op)
-			}
-			fused.Op, fused.C = typedCmpJump(op, in.kind), 0
-		}
-		code[pc] = fused
-		code[pc+1] = Instr{Op: OpNop}
-		changed = true
-	}
-	if changed {
-		o.compact(ch)
-	}
-	return changed
-}
-
-// typedCmpJump returns the register-register compare-jump for operator op
-// over operands of type kind; its constant form is cmpJumpK away.
-func typedCmpJump(op sem.Op, kind *types.Type) Op {
-	if kind.Kind() == types.Int {
-		return OpJeqInt + Op(op-sem.Eq)
-	}
-	return OpJeqReal + Op(op-sem.Eq)
-}
-
-const cmpJumpK = OpJeqIntK - OpJeqInt
-
-// constOperand finds the constant that the instruction at use reads from
-// temporary reg: the OpConst above it that wrote reg, with straight-line
-// code that leaves reg alone in between (in a shared function a cell load
-// sits there) and reg dead afterwards. It returns the OpConst's pc, or -1
-// when the operand cannot be folded into the instruction.
-func (o *optimizer) constOperand(f *Func, ch *Chunk, targets []bool, use int, reg int32) int {
-	if int(reg) < f.NumSlots {
-		return -1
-	}
-	for pc := use - 1; pc >= 0 && !targets[pc+1]; pc-- {
-		ins := ch.Code[pc]
-		if ins.Op == OpConst && ins.Dst == reg {
-			if o.tempDeadPast(f, ch, use, reg) {
-				return pc
-			}
-			return -1
-		}
-		if _, n := successors(&ins, pc); n != 1 || ins.Op == OpJump || readsReg(ins, reg) || writesReg(ins, reg) {
-			return -1
-		}
-	}
-	return -1
-}
-
-// fuseCmpConst folds a constant right operand into a compare-jump produced
-// by fuseCmpJump: the typed forms become their constant form, and
-// OpCmpJump OpCmpConstJump with the same C.
-func (o *optimizer) fuseCmpConst(f *Func, ch *Chunk) bool {
-	targets := o.jumpTargets(ch)
-	code := ch.Code
-	changed := false
-	for pc := range code {
-		ins := code[pc]
-		if ins.Op.info().form != fCmpJump || ins.A == ins.B { // a degenerate k<k stays
-			continue
-		}
-		def := o.constOperand(f, ch, targets, pc, ins.B)
-		if def < 0 {
-			continue
-		}
-		fused := Instr{Op: ins.Op + cmpJumpK, Dst: ins.Dst, A: ins.A, B: code[def].A}
-		if ins.Op == OpCmpJump {
-			fused.Op, fused.C = OpCmpConstJump, ins.C
-		}
-		code[pc] = fused
-		code[def] = Instr{Op: OpNop}
-		changed = true
-	}
-	if changed {
-		o.compact(ch)
-	}
-	return changed
-}
-
-// fuseConstOperand folds a constant operand into the instruction
-// consuming it: an arithmetic one becomes Dst = A op K, and an array store
-// of a constant setidx.ak. The fused instruction keeps the consumer's
-// source position so a runtime error (an index out of range) reports what
-// O0 reports. With a variable slot as both source and destination the
-// arithmetic form is the load-arith-store superinstruction of the hot loop
-// shapes (`i = i + 1`, `s = s % 1000003`).
-//
-// A typed instruction becomes the constant form of its operator (add.ik,
-// mod.rk). A constant on the left of + or * swaps to the right, and one on
-// the left of another operator stays unfused, as does a div or mod whose
-// constant divisor is zero: the constant-divisor forms do not test the
-// divisor, so that one raises the error. An untyped instruction is a string
-// +, which becomes OpArithConst or OpArithConstL.
-func (o *optimizer) fuseConstOperand(f *Func, ch *Chunk) bool {
-	targets := o.jumpTargets(ch)
-	code := ch.Code
-	changed := false
-	for pc := range code {
-		ins := code[pc]
-		if ins.Op == OpSetIndexArr {
-			if def := o.constOperand(f, ch, targets, pc, ins.C); def >= 0 {
-				code[pc].Op, code[pc].C = OpSetIndexArrK, code[def].A
-				code[def] = Instr{Op: OpNop}
-				changed = true
-			}
-			continue
-		}
-		if !ins.Op.isArith() || ins.A == ins.B {
-			continue
-		}
-		reg, constLeft := ins.A, false
-		def := o.constOperand(f, ch, targets, pc, ins.B)
-		if def < 0 {
-			reg, constLeft = ins.B, true
-			def = o.constOperand(f, ch, targets, pc, ins.A)
-		}
-		if def < 0 {
-			continue
-		}
-		in, k := ins.Op.info(), code[def].A
-		commutes := in.op == sem.Add || in.op == sem.Mul
-		if constLeft && !commutes || (in.op == sem.Div || in.op == sem.Mod) && f.Consts[k].AsReal() == 0 {
-			continue
-		}
-		fused := Instr{Op: OpArithConst, Dst: ins.Dst, A: reg, B: k, C: int32(ins.Op)}
-		if constLeft {
-			fused.Op = OpArithConstL
-		}
-		if in.kind != nil {
-			fused.Op, fused.C = ins.Op+arithK, 0
-		}
-		code[pc] = fused
-		code[def] = Instr{Op: OpNop}
-		changed = true
-	}
-	if changed {
-		o.compact(ch)
-	}
-	return changed
-}
-
-// arithK is the distance from a typed arithmetic opcode to its constant
-// form.
-const arithK = OpAddIntK - OpAddInt
 
 // fuseStep merges a loop's induction step into its bottom test: an
 // add.ik or add.i that adds to a register, followed by a backward jlt.ik

@@ -36,8 +36,8 @@ func checkTargets(t *testing.T, bc *Program) {
 }
 
 func TestWhileTrueBecomesPlainLoop(t *testing.T) {
-	// `while true:` has no test — no const-true load, no jfalse — so the
-	// body's `if i > 3` branch is the only conditional.
+	// `while true:` has no test — no const-true load, no conditional jump —
+	// so the body's `if i > 3` branch is the only conditional.
 	src := "def main():\n    i = 0\n    while true:\n        i += 1\n        if i > 3:\n            break\n    print(i)\n"
 	bc := optimizeSrc(t, src, O1)
 	f := bc.Funcs[bc.MainIndex]
@@ -47,7 +47,7 @@ func TestWhileTrueBecomesPlainLoop(t *testing.T) {
 			t.Errorf("pc %d: bool const load survives in while-true loop", pc)
 		}
 	}
-	if n := countOps(ch, OpJumpIfFalse) + countOps(ch, OpJumpIfTrue); n != 1 {
+	if n := condJumps(ch); n != 1 {
 		t.Errorf("%d conditional jump(s) survive; want 1 (the if, not the while header):\n%s",
 			n, Disassemble(f))
 	}
@@ -92,10 +92,13 @@ func TestFoldRefusesDivisionByZero(t *testing.T) {
 	}
 }
 
+// TestFusionOnlyAtO2: the compiler's superinstructions, the constant
+// forms and the compare-jumps, appear at every level; what -O2 adds (an
+// induction step fused into its bottom test, an inlined leaf, a tail call)
+// appears only at -O2.
 func TestFusionOnlyAtO2(t *testing.T) {
-	src := "def main():\n    i = 0\n    while i < 10:\n        i += 1\n    print(i)\n"
-	bc1 := optimizeSrc(t, src, O1)
-	ch1 := bc1.Funcs[bc1.MainIndex].Chunks[0]
+	src := "def inc(x int) int:\n    return x + 1\n\ndef down(n int):\n    if n > 0:\n        down(n - 1)\n\n" +
+		"def main():\n    i = 0\n    while i < 10:\n        i = inc(i)\n        i += 1\n    down(3)\n    print(i)\n"
 	// fused counts the superinstructions with one of the given layouts,
 	// typed or untyped.
 	fused := func(ch Chunk, forms ...form) int {
@@ -109,23 +112,21 @@ func TestFusionOnlyAtO2(t *testing.T) {
 		}
 		return n
 	}
-	if fused(ch1, fBinaryK, fBinaryKL, fCmpJump, fCmpJumpK, fSetIndexK, fStepJump) != 0 {
-		t.Error("fused opcodes emitted at O1")
+	for _, level := range []int{O0, O1, O2} {
+		bc := optimizeSrc(t, src, level)
+		main := bc.Funcs[bc.MainIndex]
+		ch := main.Chunks[0]
+		if fused(ch, fCmpJumpK) == 0 || fused(ch, fBinaryK) == 0 {
+			t.Errorf("-O%d: no compare-jump or no constant form for the loop's test and i += 1:\n%s", level, Disassemble(main))
+		}
+		calls, _ := callsOf(bc, "main")
+		_, tail := callsOf(bc, "down")
+		if o2 := level == O2; (fused(ch, fStepJump) != 0) != o2 || (calls == 1) != o2 || (tail == 1) != o2 {
+			t.Errorf("-O%d: %d stepjlt, %d calls in main and %d tail calls in down; want a stepjlt, one call and one tail call exactly at -O2:\n%s",
+				level, fused(ch, fStepJump), calls, tail, DisassembleProgram(bc))
+		}
+		checkTargets(t, bc)
 	}
-	bc2 := optimizeSrc(t, src, O2)
-	ch2 := bc2.Funcs[bc2.MainIndex].Chunks[0]
-	if fused(ch2, fCmpJump, fCmpJumpK) == 0 {
-		t.Errorf("no fused compare-jump at O2 for a compare-headed while loop:\n%s", Disassemble(bc2.Funcs[bc2.MainIndex]))
-	}
-	// i += 1 is an add.ik, which the bottom test i < 10 takes in.
-	if fused(ch2, fStepJump) == 0 {
-		t.Errorf("no stepjlt at O2 for i += 1 and the bottom test:\n%s", Disassemble(bc2.Funcs[bc2.MainIndex]))
-	}
-	if len(ch2.Code) >= len(ch1.Code) {
-		t.Errorf("fusion did not shrink code: O1=%d O2=%d", len(ch1.Code), len(ch2.Code))
-	}
-	checkTargets(t, bc1)
-	checkTargets(t, bc2)
 }
 
 func TestO0IsIdentity(t *testing.T) {
@@ -159,8 +160,7 @@ func TestOptimizeParallelChunks(t *testing.T) {
 // TestSpawnsReadWhatTheirBodiesRead: a thread body reads its function's
 // private variables from a copy of the spawner's registers, so the
 // spawning instruction is the read. A store whose only read follows it
-// inside a parallel-for body must survive -O1 and -O2, and the liveness
-// every phase consults must see it live.
+// inside a parallel-for body must survive -O1 and -O2.
 func TestSpawnsReadWhatTheirBodiesRead(t *testing.T) {
 	const src = `def main():
     k = 3
@@ -188,9 +188,6 @@ func TestSpawnsReadWhatTheirBodiesRead(t *testing.T) {
 		}
 		if store < 0 || parfor < 0 {
 			t.Fatalf("-O%d: want k's store and the parfor in chunk 0:\n%s", level, Disassemble(f))
-		}
-		if !new(optimizer).regLive(f, ch, store+1, k) {
-			t.Errorf("-O%d: k's store is dead to the optimizer:\n%s", level, Disassemble(f))
 		}
 	}
 }
@@ -277,10 +274,10 @@ func untypedFused(o Op) bool {
 // shape dispatches at -O0 and -O2: the code from the body's first
 // instruction to the last branch back to it, which an iteration that runs
 // its body straight through executes once each. A loop tests on entry and
-// at its bottom, a condition is branches and never a bool (so `or` has a
-// branch back per operand), and at -O2 the induction step joins the bottom
-// test and a constant joins its store, so a compiler change that brings a
-// dispatch back fails here. Only `while true:` has a backward jump, and
+// at its bottom, a condition is compare-jumps and never a bool (so `or`
+// has a branch back per operand), a constant is part of its store, and at
+// -O2 the induction step joins the bottom test, so a compiler change that
+// brings a dispatch back fails here. Only `while true:` has a backward jump, and
 // only at -O0: at -O2 the break's test, threaded, is the back-edge, and
 // the step joins it. At -O1 and -O2 no jump goes to the next instruction:
 // the break's `jump` past the loop, threaded, is deleted.
@@ -323,13 +320,13 @@ var loopShapes = []struct {
 	name, loop string
 	o0, o2     int
 }{
-	{"lt", "while i < n:\n        s += i\n        i += 1\n", 5, 2},
-	{"and", "while i < n and s < 1000:\n        s += i\n        i += 1\n", 8, 4},
-	{"or", "while s < 0 or i < n:\n        s += i\n        i += 1\n", 8, 4},
-	{"not", "while not i >= n:\n        s += i\n        i += 1\n", 5, 2},
+	{"lt", "while i < n:\n        s += i\n        i += 1\n", 3, 2},
+	{"and", "while i < n and s < 1000:\n        s += i\n        i += 1\n", 4, 4},
+	{"or", "while s < 0 or i < n:\n        s += i\n        i += 1\n", 4, 4},
+	{"not", "while not i >= n:\n        s += i\n        i += 1\n", 3, 2},
 	{"for_in", "for x in a:\n        s += x\n", 2, 2},
-	{"const_store", "while i < n:\n        a[i] = 0\n        i += 1\n", 6, 2},
-	{"while_true_break", "while true:\n        i += 1\n        if i >= n:\n            break\n", 6, 1},
+	{"const_store", "while i < n:\n        a[i] = 0\n        i += 1\n", 3, 2},
+	{"while_true_break", "while true:\n        i += 1\n        if i >= n:\n            break\n", 4, 1},
 }
 
 // loopSrc puts loop in a main that declares the variables it uses.

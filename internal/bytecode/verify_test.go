@@ -57,13 +57,18 @@ func goldenSources(t *testing.T) map[string]string {
 // verifySrc is a flat function with a loop, typed arithmetic, a call, an
 // array and a builtin, a shared one with cells, a parallel block, a
 // parallel for and a lock, and a void one that hands an int to a builtin's
-// real parameter: something for every rule to be broken in.
+// real parameter: something for every rule to be broken in. The operands
+// that a literal would make a constant form (the or, i < n, total + n,
+// x * x) are registers.
 const verifySrc = `def flat(a [int], n int) int:
     s = 0
     i = 0
     while i < n:
         s = s + a[i] * 2
         i += 1
+    done = i < n or s < i
+    if done:
+        s = 0
     return s
 
 def shared(n int) int:
@@ -72,12 +77,13 @@ def shared(n int) int:
         lock t:
             total += k
     parallel:
-        total = total + 1
+        total = total + n
         print(total)
     return total
 
 def main():
-    print(flat([1, 2, 3], 3) + shared(4), 1.5 * 2.0)
+    x = 1.5
+    print(flat([1, 2, 3], 3) + shared(4), x * 2.0, x * x)
     note(7)
 
 def note(x int):
@@ -118,7 +124,7 @@ func TestVerifyRejects(t *testing.T) {
 		want    string
 	}{
 		{"typed op on a real register", O0, func(t *testing.T, p *Program) {
-			// main's 1.5 * 2.0 is a mul.r; call it a mul.i.
+			// main's x * x is a mul.r; call it a mul.i.
 			find(t, p, "main", 0, OpMulReal).Op = OpMulInt
 		}, "holds real, want int"},
 		{"typed constant of the wrong kind", O2, func(t *testing.T, p *Program) {
@@ -136,7 +142,7 @@ func TestVerifyRejects(t *testing.T) {
 			find(t, p, "flat", 0, OpJgeInt).Dst = -1
 		}, "jump target -1 out of range"},
 		{"fornext whose target leaves the chunk", O0, func(t *testing.T, p *Program) {
-			// flat's bottom test, made the bottom of a for-in loop over a.
+			// flat's jtrue of the or, made the bottom of a for-in loop over a.
 			*find(t, p, "flat", 0, OpJumpIfTrue) = Instr{Op: OpForNext, Dst: 2, A: 0, B: 77}
 		}, "fornext: jump target 77 out of range"},
 		// flat's `i += 1` and bottom test are one stepjlt.ki at -O2.
@@ -226,8 +232,8 @@ func TestVerifyRejects(t *testing.T) {
 			find(t, p, "flat", 0, OpAddInt).B = int32(f.NumSlots + f.Chunks[0].NumTemps - 1)
 		}, "which is not written on every path to here"},
 		{"temporary written on one path only", O0, func(t *testing.T, p *Program) {
-			// Hoist the loop's back-edge target over the instruction that
-			// defines the condition: the jfalse then reads it undefined on entry.
+			// Swap the or's first comparison and the jtrue that tests it: the
+			// jtrue then reads the temporary undefined.
 			ch := &fn(p, "flat").Chunks[0]
 			for pc, ins := range ch.Code {
 				if ins.Op == OpLtInt {
@@ -285,7 +291,7 @@ func TestVerifyRejects(t *testing.T) {
 		{"Pos not parallel to Code", O0, func(t *testing.T, p *Program) {
 			ch := &fn(p, "flat").Chunks[0]
 			ch.Pos = ch.Pos[1:]
-		}, "Pos has 13 entries for 14 instructions"},
+		}, "Pos has 15 entries for 16 instructions"},
 		{"raising instruction without a position", O0, func(t *testing.T, p *Program) {
 			ch := &fn(p, "flat").Chunks[0]
 			for pc, ins := range ch.Code {
@@ -329,7 +335,7 @@ func TestVerifyRejects(t *testing.T) {
 		{"SlotTypes not parallel to the slots", O0, func(t *testing.T, p *Program) {
 			f := fn(p, "flat")
 			f.SlotTypes = append(f.SlotTypes, types.IntType)
-		}, "SlotTypes has 5 entries for 4 slots"},
+		}, "SlotTypes has 6 entries for 5 slots"},
 	}
 	seen := make(map[string]string)
 	for _, c := range cases {
@@ -370,9 +376,10 @@ func TestVerifyAcceptsPrivateSlotsBesideCells(t *testing.T) {
 		if !f.SharedSlot(1) || f.SharedSlot(0) || f.SharedSlot(2) {
 			t.Fatalf("-O%d: Shared = %v, want only total (slot 1)", level, f.Shared)
 		}
+		// names: some register-register instruction of chunk ci reads reg.
 		names := func(ci int, reg int32) bool {
 			for _, ins := range f.Chunks[ci].Code {
-				if readsReg(ins, reg) {
+				if ins.Op.info().form == fBinary && (ins.A == reg || ins.B == reg) {
 					return true
 				}
 			}
@@ -387,10 +394,10 @@ func TestVerifyAcceptsPrivateSlotsBesideCells(t *testing.T) {
 // TestVerifyAcceptsBottomTestedLoops: a loop tests on entry and at its
 // bottom, which branches back to the body's first instruction, so that
 // instruction is reached from two places with the same types. flat's loop
-// does so at every level: a jfalse and a jtrue at -O0 and -O1, a jge.i and
+// does so at every level: a jge.i and a jlt.i at -O0 and -O1, a jge.i and
 // the stepjlt.ki of `i += 1` at -O2, and no jump.
 func TestVerifyAcceptsBottomTestedLoops(t *testing.T) {
-	want := map[int][2]Op{O0: {OpJumpIfFalse, OpJumpIfTrue}, O1: {OpJumpIfFalse, OpJumpIfTrue}, O2: {OpJgeInt, OpStepJltKI}}
+	want := map[int][2]Op{O0: {OpJgeInt, OpJltInt}, O1: {OpJgeInt, OpJltInt}, O2: {OpJgeInt, OpStepJltKI}}
 	for _, level := range []int{O0, O1, O2} {
 		p := compileSrc(t, verifySrc)
 		if err := VerifyOptimize(p, level); err != nil {

@@ -49,7 +49,7 @@ func Main(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	disasm := fs.Bool("disasm", false, "print the compiled bytecode and exit")
 	limits := limitFlags(fs, "", "unlimited")
 	sandbox := fs.Bool("sandbox", false, "apply sandbox default limits to any budget left unset")
-	optLevel := fs.Int("O", bytecode.DefaultLevel, "bytecode optimization level for -vm and -disasm: 0 = none, 1 = jump threading + dead-code removal, 2 = 1 plus leaf inlining, fusion and tail calls")
+	optLevel := fs.Int("O", bytecode.DefaultLevel, "bytecode optimization level for -vm and -disasm: 0 = none, 1 = jump threading + dead-code removal, 2 = 1 plus leaf inlining, step fusion and tail calls")
 	workers := fs.Int("workers", 0, "worker goroutines per parallel-for loop (0 = GOMAXPROCS)")
 	grain := fs.Int("grain", 0, "parallel-for chunk size in iterations (0 = max(1, n/(workers*8)))")
 	if err := fs.Parse(args); err != nil {

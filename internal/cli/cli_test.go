@@ -272,12 +272,12 @@ func TestDisasmRespectsOptLevel(t *testing.T) {
 	path := write(t, "def main():\n    i = 0\n    while i < 10:\n        i += 1\n    print(i)\n")
 	_, raw, _ := run(t, []string{"-disasm", "-O", "0", path}, "")
 	_, opt, _ := run(t, []string{"-disasm", "-O", "2", path}, "")
-	// Both operands are ints, so the compare is lt.i and fuses, with the
-	// constant and the branch, into the typed compare-jumps of a loop that
-	// tests on entry and at its bottom: jge.ik on entry, and at the bottom
-	// stepjlt.kk, which also takes in i += 1.
-	if !strings.Contains(raw, " lt.i ") || strings.Contains(raw, " jge.") || strings.Contains(raw, " stepjlt.") {
-		t.Errorf("-O 0 disassembly should show raw compare, no fusion:\n%s", raw)
+	// Both operands are ints and the limit a literal, so the compiler emits
+	// the typed compare-jumps of a loop that tests on entry and at its
+	// bottom, jge.ik and jlt.ik, at every level; -O2 fuses the bottom one
+	// with i += 1 into stepjlt.kk.
+	if !strings.Contains(raw, " jge.ik ") || !strings.Contains(raw, " jlt.ik ") || strings.Contains(raw, " stepjlt.") {
+		t.Errorf("-O 0 disassembly should show the compare-jumps, no step fusion:\n%s", raw)
 	}
 	if !strings.Contains(opt, " jge.ik ") || !strings.Contains(opt, " stepjlt.kk ") {
 		t.Errorf("-O 2 disassembly missing fused compare-jump:\n%s", opt)

@@ -251,7 +251,8 @@ func TestGeneratedCodeNeverImportsSync(t *testing.T) {
 }
 
 // TestGeneratedPrograms compiles and executes a semantic corpus natively,
-// checking exact output equality with the interpreter's expected results.
+// built with one go build, checking exact output equality with the
+// interpreter's expected results.
 func TestGeneratedPrograms(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs generated binaries; skipped in -short")
@@ -414,9 +415,14 @@ def main():
 		{name: "real_overflow_constants", src: "def main():\n    print(1e300 * 1e10)\n", want: "inf\n"},
 		{name: "negated_min_int_constant", src: "def main():\n    print(-(-9223372036854775807 - 1))\n", want: "-9223372036854775808\n"},
 	}
+	progs := make(map[string]string, len(cases))
+	for _, c := range cases {
+		progs[c.name] = c.src
+	}
+	bin := buildAll(t, progs, false)
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			got, err := runGenerated(t, c.src, c.input)
+			got, err := runBinary(filepath.Join(bin, c.name), c.input, nil)
 			if err != nil {
 				t.Fatalf("generated program failed: %v", err)
 			}
@@ -429,6 +435,7 @@ def main():
 
 // TestGeneratedRuntimeErrors: a runtime error fails a compiled program as
 // it fails the engines, with the diagnostic on stderr and exit status 1.
+// The programs are built with one go build.
 // The rows with a pattern are answered by rt, in well under a second: the
 // deadlock of testdata/deadlock_ab.ttr (either thread may close the cycle),
 // an error under a lock another thread waits for, and a thread-budget
@@ -479,11 +486,15 @@ def main():
 		{name: "max_threads", src: "def main():\n    print(\"start\")\n    parallel:\n        print(\"a\")\n        print(\"b\")\n",
 			pattern: `^gen\.ttr:3:5: runtime error: exceeded thread budget \(1 live threads\)\n$`, env: []string{"TETRA_MAX_THREADS=1"}},
 	}
+	progs := make(map[string]string, len(cases))
+	for _, c := range cases {
+		progs[c.name] = c.src
+	}
+	bin := buildAll(t, progs, false)
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			exe := buildGenerated(t, c.src)
 			start := time.Now()
-			out, err := runBinary(exe, "", c.env)
+			out, err := runBinary(filepath.Join(bin, c.name), "", c.env)
 			if d := time.Since(start); c.pattern != "" && d > time.Second {
 				t.Errorf("took %v", d)
 			}
