@@ -99,7 +99,7 @@
 //	array                temporaries [A, A+B) : Types[C] Dst ← [Types[C]]
 //	range                A, B : int                      Dst ← [int]
 //	foriter fornext      A : [T] | string, A+1 : int     Dst ← T | string; target B in the chunk
-//	stepjlt.ii .ik .ki .kk  A : int, B and C : int, each a register (i) or Consts (k)
+//	stepjlt.ii .ki .kk   A : int, B and C : int, each a register (i) or Consts (k)
 //	                                                     A ← int; target Dst in the chunk
 //	call                 temporaries [B, B+C) : the parameters of Funcs[A]; Dst ← its result
 //	tailcall             as call, with Funcs[A] the function itself and no Dst; chunk 0 only
@@ -130,8 +130,9 @@
 // branches back to the body: `while b: S` runs as `if b: (S; while b: S)`,
 // so its condition is compiled twice, and a for-in loop's bottom test is
 // fornext. An iteration is its body and one test, a continue goes to the
-// test, and the only backward jump is `while true:`'s. At -O2 an induction
-// step joins the test after it (stepjlt).
+// test, and the only backward jump is `while true:`'s, unless its body
+// ends in a test, which takes the jump's target. An induction step joins
+// the test after it (stepjlt).
 package bytecode
 
 import (
@@ -162,8 +163,9 @@ import (
 // their bottom (fornext, stepjlt, setidx.ak) and a self tail call runs in
 // place (tailcall); 8 = no constant-left typed arithmetic (sub.ikl …
 // mod.rkl), so the opcodes after it are renumbered, and cmpkjump's C is
-// PackCmp's (the constant is always the right operand).
-const IRVersion = 8
+// PackCmp's (the constant is always the right operand); 9 = no stepjlt.ik,
+// which no program fused, so the opcodes after it are renumbered.
+const IRVersion = 9
 
 // Op is a bytecode opcode.
 type Op uint8
@@ -336,12 +338,12 @@ const (
 	// reg A [ reg B ] = Consts[C].
 	OpSetIndexArrK
 
-	// Induction step fused into a loop's bottom test (-O2): reg A += step,
-	// then jump to Dst when reg A < limit. The step is reg B or Consts[B],
-	// the limit reg C or Consts[C]; the suffix names them in that order, i
-	// for an int register and k for a constant.
+	// Induction step fused into a loop's bottom test: reg A += step, then
+	// jump to Dst when reg A < limit. The step is reg B or Consts[B], the
+	// limit reg C or Consts[C]; the suffix names them in that order, i for
+	// an int register and k for a constant. A register step with a
+	// constant limit has no form.
 	OpStepJltII
-	OpStepJltIK
 	OpStepJltKI
 	OpStepJltKK
 
@@ -416,9 +418,9 @@ func buildOpTable() [numOps]opInfo {
 		OpLoadCell: {name: "ldcell", form: fLoadCell}, OpStoreCell: {name: "stcell", form: fStoreCell},
 		OpIndexArr: {name: "index.a", form: fBinary}, OpSetIndexArr: {name: "setidx.a", form: fSetIndex},
 		OpSetIndexArrK: {name: "setidx.ak", form: fSetIndexK},
-		OpStepJltII:    {name: "stepjlt.ii", form: fStepJump}, OpStepJltIK: {name: "stepjlt.ik", form: fStepJump},
-		OpStepJltKI: {name: "stepjlt.ki", form: fStepJump}, OpStepJltKK: {name: "stepjlt.kk", form: fStepJump},
-		OpTailCall: {name: "tailcall", form: fCall},
+		OpStepJltII:    {name: "stepjlt.ii", form: fStepJump}, OpStepJltKI: {name: "stepjlt.ki", form: fStepJump},
+		OpStepJltKK: {name: "stepjlt.kk", form: fStepJump},
+		OpTailCall:  {name: "tailcall", form: fCall},
 	}
 	// The operator families: five arithmetic operators from sem.Add, six
 	// comparisons from sem.Eq, laid out from first in sem's order.
@@ -466,8 +468,8 @@ func (o Op) String() string {
 func (o Op) Operator() sem.Op { return o.info().op }
 
 // Fused reports whether o is a superinstruction, typed or untyped: a
-// constant form or a compare-jump, which the compiler emits at every
-// level, or a stepjlt, which -O2 fuses.
+// constant form, a compare-jump or a stepjlt, which the compiler emits at
+// every level.
 func (o Op) Fused() bool {
 	switch o.info().form {
 	case fBinaryK, fBinaryKL, fCmpJump, fCmpJumpK, fSetIndexK, fStepJump:
@@ -479,8 +481,7 @@ func (o Op) Fused() bool {
 // stepConsts reports which operands of a stepjlt opcode are constants:
 // the step (B) and the limit (C).
 func (o Op) stepConsts() (step, limit bool) {
-	k := o - OpStepJltII
-	return k&2 != 0, k&1 != 0
+	return o != OpStepJltII, o == OpStepJltKK
 }
 
 // kernelOp returns the register-register opcode that runs kernel k: the

@@ -102,7 +102,6 @@ type scratch struct {
 	free   []*chunkBuf
 	consts []value.Value
 	pooled map[constKey]int32 // index in consts
-	jumps  []int              // branch's jumps not yet patched, a stack
 }
 
 // constKey identifies a constant with no conversion: by kind and payload
@@ -158,16 +157,22 @@ type fnCompiler struct {
 	// loopLocks records how many locks were held when the innermost loop
 	// was entered, so break/continue release only locks acquired inside it.
 	loopLockBase []int
-	// breaks/continues collect jump placeholders per loop nesting level.
-	breaks    [][]int
-	continues [][]int
+	// breaks/continues are the jump lists of each enclosing loop.
+	breaks    []int32
+	continues []int32
+	// here is the list of jumps pending to the next instruction emitted,
+	// dead reports that control cannot fall through to it, and lastTarget
+	// is the last pc a forward jump was patched to.
+	here       int32
+	dead       bool
+	lastTarget int32
 }
 
 func compileFunc(s *scratch, f *ast.FuncDecl, params [][]*types.Type, index int) (*Func, error) {
 	if s.pooled == nil || len(s.consts) > maxScratch {
 		s.consts, s.pooled = nil, make(map[constKey]int32)
 	}
-	s.consts, s.jumps = s.consts[:0], s.jumps[:0]
+	s.consts = s.consts[:0]
 	clear(s.pooled)
 	c := &fnCompiler{
 		params:  params,
@@ -183,9 +188,11 @@ func compileFunc(s *scratch, f *ast.FuncDecl, params [][]*types.Type, index int)
 			SlotNames: f.SlotNames,
 			Chunks:    make([]Chunk, 1),
 		},
-		src:      f,
-		nextTemp: f.NumSlots,
-		maxTemp:  f.NumSlots,
+		src:        f,
+		nextTemp:   f.NumSlots,
+		maxTemp:    f.NumSlots,
+		here:       noJump,
+		lastTarget: noJump,
 	}
 	c.zeroSlots()
 	if err := c.block(f.Body); err != nil {
@@ -260,12 +267,100 @@ func (c *fnCompiler) setVar(slot, reg int32, pos token.Pos) {
 
 func (c *fnCompiler) chunk() *Chunk { return &c.fn.Chunks[c.cur] }
 
-func (c *fnCompiler) emit(op Op, dst, a, b, cc int32, pos token.Pos) int {
-	buf := c.buf
-	buf.code = append(buf.code, Instr{Op: op, Dst: dst, A: a, B: b, C: cc})
-	buf.pos = append(buf.pos, pos)
-	return len(buf.code) - 1
+// Emission. The compiler emits no instruction control cannot reach: after
+// a ret, a retnone or a jump nothing is emitted until a jump lands on the
+// next instruction (a label), and a block stops at such a statement. A
+// forward jump is emitted before its target is known, into a jump list
+// (noJump when empty): the pc of one jump, whose target field holds the
+// pc of the next, as in Lua's lcode.c. The jumps that go to the next
+// instruction wait in here; emit patches them to it, and jump hands them
+// an unconditional jump's target instead of landing on it.
+
+const noJump int32 = -1
+
+// emit appends an instruction and returns its pc, or noJump when control
+// cannot reach it.
+func (c *fnCompiler) emit(op Op, dst, a, b, cc int32, pos token.Pos) int32 {
+	if c.here != noJump {
+		c.lastTarget = c.pc()
+		c.patchTo(c.here, c.lastTarget)
+		c.here = noJump
+	} else if c.dead {
+		return noJump
+	}
+	c.dead = op == OpReturn || op == OpReturnNone
+	return c.put(Instr{Op: op, Dst: dst, A: a, B: b, C: cc}, pos)
 }
+
+func (c *fnCompiler) put(ins Instr, pos token.Pos) int32 {
+	c.buf.code, c.buf.pos = append(c.buf.code, ins), append(c.buf.pos, pos)
+	return c.pc() - 1
+}
+
+// emitJump emits conditional jump op and returns it as a jump list.
+func (c *fnCompiler) emitJump(op Op, dst, a, b, cc int32, pos token.Pos) int32 {
+	j := c.emit(op, dst, a, b, cc, pos)
+	if j != noJump {
+		*c.buf.code[j].target() = noJump
+	}
+	return j
+}
+
+// jump returns a jump list that holds an unconditional jump and the jumps
+// pending to it, which take its target rather than land on it. The jump
+// itself is emitted only when control falls through to it.
+func (c *fnCompiler) jump(pos token.Pos) int32 {
+	l := c.here
+	c.here = noJump
+	if !c.dead {
+		c.join(&l, c.put(Instr{Op: OpJump, A: noJump}, pos))
+		c.dead = true
+	}
+	return l
+}
+
+// join appends jump list l to list *to.
+func (c *fnCompiler) join(to *int32, l int32) {
+	for *to != noJump {
+		to = c.buf.code[*to].target()
+	}
+	*to = l
+}
+
+// patchTo points every jump of list l at pc.
+func (c *fnCompiler) patchTo(l, pc int32) {
+	for l != noJump {
+		t := c.buf.code[l].target()
+		l, *t = *t, pc
+	}
+}
+
+// label makes the jumps of list l go to the next instruction emitted. The
+// last instruction emitted, if it is a jump of l, would jump to the next
+// one; it goes, and control falls through instead.
+func (c *fnCompiler) label(l int32) {
+	if last := c.pc() - 1; last >= 0 && c.buf.code[last].Op == OpJump {
+		if link := c.find(&l, last); link != nil {
+			*link = *c.buf.code[last].target()
+			c.buf.code, c.buf.pos = c.buf.code[:last], c.buf.pos[:last]
+			c.dead = false
+		}
+	}
+	c.join(&c.here, l)
+}
+
+// find returns the link of list *l that holds the jump at pc, or nil.
+func (c *fnCompiler) find(l *int32, pc int32) *int32 {
+	for ; *l != noJump; l = c.buf.code[*l].target() {
+		if *l == pc {
+			return l
+		}
+	}
+	return nil
+}
+
+// reachable reports whether control can reach the next instruction.
+func (c *fnCompiler) reachable() bool { return !c.dead || c.here != noJump }
 
 // seal copies the emitted code into the current chunk and hands its
 // buffer back.
@@ -274,21 +369,6 @@ func (c *fnCompiler) seal() {
 	ch.Code, ch.Pos = slices.Clone(c.buf.code), slices.Clone(c.buf.pos)
 	c.scratch.give(c.buf)
 	c.buf = nil
-}
-
-// patch sets the target of the jump placeholders at indices js to pc.
-func (c *fnCompiler) patch(pc int32, js ...int) {
-	for _, j := range js {
-		*c.buf.code[j].target() = pc
-	}
-}
-
-// patchFrom patches the jumps that branch pushed above mark to pc and pops
-// them.
-func (c *fnCompiler) patchFrom(mark int, pc int32) {
-	s := c.scratch
-	c.patch(pc, s.jumps[mark:]...)
-	s.jumps = s.jumps[:mark]
 }
 
 func (c *fnCompiler) pc() int32 { return int32(len(c.buf.code)) }
@@ -346,8 +426,13 @@ func (f *Func) typeIndex(t *types.Type) int32 {
 	return int32(len(f.Types) - 1)
 }
 
+// block compiles b's statements up to the first that control cannot
+// reach: one after a return, a break or a continue.
 func (c *fnCompiler) block(b *ast.Block) error {
 	for _, s := range b.Stmts {
+		if !c.reachable() {
+			return nil
+		}
 		if err := c.stmt(s); err != nil {
 			return err
 		}
@@ -376,23 +461,23 @@ func (c *fnCompiler) stmtInner(s ast.Stmt) error {
 		return c.assign(s)
 
 	case *ast.IfStmt:
-		jElse := len(c.scratch.jumps)
-		if err := c.branch(s.Cond, false, s.Pos()); err != nil {
+		els, err := c.branch(s.Cond, false, s.Pos())
+		if err != nil {
 			return err
 		}
 		if err := c.block(s.Then); err != nil {
 			return err
 		}
 		if s.Else == nil {
-			c.patchFrom(jElse, c.pc())
+			c.label(els)
 			return nil
 		}
-		jEnd := c.emit(OpJump, 0, 0, 0, 0, s.Pos())
-		c.patchFrom(jElse, c.pc())
+		end := c.jump(s.Pos())
+		c.label(els)
 		if err := c.block(s.Else); err != nil {
 			return err
 		}
-		c.patch(c.pc(), jEnd)
+		c.label(end)
 		return nil
 
 	case *ast.WhileStmt:
@@ -401,8 +486,8 @@ func (c *fnCompiler) stmtInner(s ast.Stmt) error {
 		// bottom, which branches back to the body. An iteration is the body
 		// and one test, and a continue goes to the test. `while true:` has
 		// neither test, only the back-edge.
-		exits := len(c.scratch.jumps)
-		if err := c.branch(s.Cond, false, s.Pos()); err != nil {
+		exits, err := c.branch(s.Cond, false, s.Pos())
+		if err != nil {
 			return err
 		}
 		body := c.pc()
@@ -410,14 +495,15 @@ func (c *fnCompiler) stmtInner(s ast.Stmt) error {
 		if err := c.block(s.Body); err != nil {
 			return err
 		}
-		bottom := c.pc()
-		again := len(c.scratch.jumps)
-		if err := c.branch(s.Cond, true, s.Pos()); err != nil {
+		c.continueHere()
+		again, err := c.branch(s.Cond, true, s.Pos())
+		if err != nil {
 			return err
 		}
-		c.patchFrom(again, body)
-		c.popLoop(bottom)
-		c.patchFrom(exits, c.pc())
+		c.patchTo(again, body)
+		c.label(exits)
+		c.popLoop()
+		c.fuseStep()
 		return nil
 
 	case *ast.ForStmt:
@@ -434,16 +520,17 @@ func (c *fnCompiler) stmtInner(s ast.Stmt) error {
 		c.emit(OpConst, state+1, c.constIndex(value.NewInt(0)), 0, 0, s.Pos())
 		slot := int32(s.Var.Slot)
 		elem := c.varDst(slot)
-		first := c.emit(OpForIter, elem, state, 0, 0, s.Pos())
+		exit := c.emitJump(OpForIter, elem, state, 0, 0, s.Pos())
 		body := c.pc()
 		c.setVar(slot, elem, s.Pos())
 		c.pushLoop()
 		if err := c.block(s.Body); err != nil {
 			return err
 		}
-		bottom := c.emit(OpForNext, elem, state, body, 0, s.Pos())
-		c.popLoop(int32(bottom))
-		c.buf.code[first].B = c.pc()
+		c.continueHere()
+		c.emit(OpForNext, elem, state, body, 0, s.Pos())
+		c.label(exit)
+		c.popLoop()
 		return nil
 
 	case *ast.ReturnStmt:
@@ -466,16 +553,12 @@ func (c *fnCompiler) stmtInner(s ast.Stmt) error {
 
 	case *ast.BreakStmt:
 		c.releaseLoopLocks(s.Pos())
-		j := c.emit(OpJump, 0, 0, 0, 0, s.Pos())
-		n := len(c.breaks) - 1
-		c.breaks[n] = append(c.breaks[n], j)
+		c.join(&c.breaks[len(c.breaks)-1], c.jump(s.Pos()))
 		return nil
 
 	case *ast.ContinueStmt:
 		c.releaseLoopLocks(s.Pos())
-		j := c.emit(OpJump, 0, 0, 0, 0, s.Pos())
-		n := len(c.continues) - 1
-		c.continues[n] = append(c.continues[n], j)
+		c.join(&c.continues[len(c.continues)-1], c.jump(s.Pos()))
 		return nil
 
 	case *ast.PassStmt:
@@ -545,12 +628,14 @@ func (c *fnCompiler) subChunk(ci int, end token.Pos, body func() error) error {
 	saveLocks := c.lockStack
 	saveLoopBase := c.loopLockBase
 	saveBreaks, saveConts := c.breaks, c.continues
+	saveHere, saveDead, saveTarget := c.here, c.dead, c.lastTarget
 
 	c.cur, c.buf = ci, c.scratch.take()
 	c.nextTemp, c.maxTemp = c.fn.NumSlots, c.fn.NumSlots
 	c.lockStack = nil
 	c.loopLockBase = nil
 	c.breaks, c.continues = nil, nil
+	c.here, c.dead, c.lastTarget = noJump, false, noJump
 
 	err := body()
 	c.emit(OpReturnNone, 0, 0, 0, 0, end)
@@ -562,24 +647,71 @@ func (c *fnCompiler) subChunk(ci int, end token.Pos, body func() error) error {
 	c.lockStack = saveLocks
 	c.loopLockBase = saveLoopBase
 	c.breaks, c.continues = saveBreaks, saveConts
+	c.here, c.dead, c.lastTarget = saveHere, saveDead, saveTarget
 	return err
 }
 
 func (c *fnCompiler) pushLoop() {
-	c.breaks = append(c.breaks, nil)
-	c.continues = append(c.continues, nil)
+	c.breaks = append(c.breaks, noJump)
+	c.continues = append(c.continues, noJump)
 	c.loopLockBase = append(c.loopLockBase, len(c.lockStack))
 }
 
-// popLoop patches break jumps to fall here (after the loop's bottom test)
-// and continue jumps to the bottom test.
-func (c *fnCompiler) popLoop(continueTarget int32) {
-	n := len(c.breaks) - 1
-	c.patch(c.pc(), c.breaks[n]...)
-	c.patch(continueTarget, c.continues[n]...)
-	c.breaks = c.breaks[:n]
+// continueHere lands the innermost loop's continues on its bottom test,
+// which comes next.
+func (c *fnCompiler) continueHere() {
+	n := len(c.continues) - 1
+	c.label(c.continues[n])
 	c.continues = c.continues[:n]
+}
+
+// popLoop lands the innermost loop's breaks after it.
+func (c *fnCompiler) popLoop() {
+	n := len(c.breaks) - 1
+	c.label(c.breaks[n])
+	c.breaks = c.breaks[:n]
 	c.loopLockBase = c.loopLockBase[:len(c.loopLockBase)-1]
+}
+
+// fuseStep merges a loop's induction step into its bottom test when they
+// are the last two instructions emitted and no jump lands on the test (a
+// continue would skip the step).
+func (c *fnCompiler) fuseStep() {
+	test := c.pc() - 1
+	if test < 1 || c.lastTarget == test || c.find(&c.here, test) != nil {
+		return
+	}
+	if fused, ok := stepJlt(c.buf.code[test-1], c.buf.code[test], test-1); ok {
+		c.buf.code[test-1] = fused
+		c.buf.code, c.buf.pos = c.buf.code[:test], c.buf.pos[:test]
+	}
+}
+
+// stepJlt returns the stepjlt of add, at pc, and the test after it, when
+// add is an add.ik or add.i that adds to a register and the test a
+// backward jlt.ik or jlt.i of that register: the stepjlt of their operand
+// kinds (add.i before jlt.ik has none). Neither the step nor the limit
+// may be the register itself, which the fused instruction writes between
+// reading the one and the other. An int add cannot raise, so the fused
+// instruction keeps the add's position, inside the loop, where a step
+// limit that trips there is reported.
+func stepJlt(add, jlt Instr, pc int32) (Instr, bool) {
+	if (add.Op != OpAddIntK && add.Op != OpAddInt) || add.Dst != add.A || add.Op == OpAddInt && add.B == add.A {
+		return Instr{}, false
+	}
+	if (jlt.Op != OpJltIntK && jlt.Op != OpJltInt) || jlt.A != add.A || jlt.Dst > pc || jlt.Op == OpJltInt && jlt.B == add.A {
+		return Instr{}, false
+	}
+	op := OpStepJltII
+	switch {
+	case add.Op == OpAddIntK && jlt.Op == OpJltIntK:
+		op = OpStepJltKK
+	case add.Op == OpAddIntK:
+		op = OpStepJltKI
+	case jlt.Op == OpJltIntK:
+		return Instr{}, false
+	}
+	return Instr{Op: op, Dst: jlt.Dst, A: add.A, B: add.B, C: jlt.B}, true
 }
 
 // releaseLoopLocks emits releases for locks acquired inside the innermost
@@ -854,22 +986,19 @@ func (c *fnCompiler) genExprToInner(e ast.Expr, dst int32) error {
 }
 
 // branch compiles condition e as jumping code: control leaves by one of
-// the jumps it pushes on the scratch's jump stack when e is sense, and
-// falls through when it is not; the caller takes the stack's height before
-// and patches what is above it (patchFrom). `and`, `or` and `not` become
-// branches and never a bool, and a comparison one compare-jump (cmpJump)
-// at its operator's position, with a literal right operand in its pool
-// form; any other condition is evaluated and tested by one jtrue or
-// jfalse, positioned at pos, the statement's. A literal tests nothing: it
-// is a jump, or no code.
-func (c *fnCompiler) branch(e ast.Expr, sense bool, pos token.Pos) error {
-	s := c.scratch
+// the jumps of the list it returns when e is sense, and falls through when
+// it is not. `and`, `or` and `not` become branches and never a bool, and a
+// comparison one compare-jump (cmpJump) at its operator's position, with a
+// literal right operand in its pool form; any other condition is evaluated
+// and tested by one jtrue or jfalse, positioned at pos, the statement's. A
+// literal tests nothing: it is a jump, or no code.
+func (c *fnCompiler) branch(e ast.Expr, sense bool, pos token.Pos) (int32, error) {
 	switch e := e.(type) {
 	case *ast.BoolLit:
 		if e.Value == sense {
-			s.jumps = append(s.jumps, c.emit(OpJump, 0, 0, 0, 0, pos))
+			return c.jump(pos), nil
 		}
-		return nil
+		return noJump, nil
 	case *ast.UnaryExpr:
 		if e.Op == token.NOT {
 			return c.branch(e.X, !sense, pos)
@@ -883,52 +1012,49 @@ func (c *fnCompiler) branch(e ast.Expr, sense bool, pos token.Pos) error {
 			tx, ty := operandType(e.Kernel, e.X), operandType(e.Kernel, e.Y)
 			x, err := c.genExprAs(e.X, tx, e.OpPos)
 			if err != nil {
-				return err
+				return noJump, err
 			}
 			v, lit := constant(e.Y, ty)
 			var y int32
 			if lit {
 				y = c.constIndex(v)
 			} else if y, err = c.genExprAs(e.Y, ty, e.OpPos); err != nil {
-				return err
+				return noJump, err
 			}
 			c.nextTemp = base
 			op, cc := cmpJump(e.Kernel, sense, lit)
-			s.jumps = append(s.jumps, c.emit(op, 0, x, y, cc, e.OpPos))
-			return nil
+			return c.emitJump(op, 0, x, y, cc, e.OpPos), nil
 		}
 		if (e.Op == token.OR) == sense {
 			// Either operand being sense decides: test both for it.
-			if err := c.branch(e.X, sense, pos); err != nil {
-				return err
+			l, err := c.branch(e.X, sense, pos)
+			if err != nil {
+				return noJump, err
 			}
-			return c.branch(e.Y, sense, pos)
+			r, err := c.branch(e.Y, sense, pos)
+			c.join(&l, r)
+			return l, err
 		}
 		// The left operand decides only the other way, by skipping the right.
-		skip := len(s.jumps)
-		if err := c.branch(e.X, !sense, pos); err != nil {
-			return err
+		skip, err := c.branch(e.X, !sense, pos)
+		if err != nil {
+			return noJump, err
 		}
-		right := len(s.jumps)
-		if err := c.branch(e.Y, sense, pos); err != nil {
-			return err
-		}
-		c.patch(c.pc(), s.jumps[skip:right]...)
-		s.jumps = append(s.jumps[:skip], s.jumps[right:]...)
-		return nil
+		l, err := c.branch(e.Y, sense, pos)
+		c.label(skip)
+		return l, err
 	}
 	base := c.nextTemp
 	r, err := c.genExpr(e)
 	if err != nil {
-		return err
+		return noJump, err
 	}
 	c.nextTemp = base // the tested temporary is dead past the branch
 	op := OpJumpIfFalse
 	if sense {
 		op = OpJumpIfTrue
 	}
-	s.jumps = append(s.jumps, c.emit(op, 0, 0, r, 0, pos))
-	return nil
+	return c.emitJump(op, 0, 0, r, 0, pos), nil
 }
 
 // genCall compiles a call whose result lands in dst (-1 discards it).
@@ -988,16 +1114,15 @@ func (c *fnCompiler) binary(e *ast.BinaryExpr, dst int32) error {
 		if err := c.genExprTo(e.X, dst); err != nil {
 			return err
 		}
-		var j int
+		op := OpJumpIfTrue
 		if e.Op == token.AND {
-			j = c.emit(OpJumpIfFalse, 0, 0, dst, 0, e.Pos())
-		} else {
-			j = c.emit(OpJumpIfTrue, 0, 0, dst, 0, e.Pos())
+			op = OpJumpIfFalse
 		}
+		j := c.emitJump(op, 0, 0, dst, 0, e.Pos())
 		if err := c.genExprTo(e.Y, dst); err != nil {
 			return err
 		}
-		c.patch(c.pc(), j)
+		c.label(j)
 		return nil
 	}
 

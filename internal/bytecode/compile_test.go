@@ -209,9 +209,10 @@ def main():
     print(f())
 `)
 	body := bc.Funcs[0].Chunks[0]
-	// One release on the return path plus one on the normal path.
-	if r := countOps(body, OpLockRelease); r != 2 {
-		t.Errorf("releases = %d, want 2 (early-return + fallthrough)", r)
+	// One release, on the return path: the block's own release behind the
+	// return is unreachable, and not emitted.
+	if r := countOps(body, OpLockRelease); r != 1 {
+		t.Errorf("releases = %d, want 1 (the return's)", r)
 	}
 }
 
@@ -225,9 +226,10 @@ def main():
     print(f())
 `)
 	body := bc.Funcs[0].Chunks[0]
-	// Return path releases b then a; normal path releases b and a: 4 total.
-	if r := countOps(body, OpLockRelease); r != 4 {
-		t.Errorf("releases = %d, want 4", r)
+	// The return path releases b then a; the blocks' own releases behind
+	// it are unreachable, and not emitted.
+	if r := countOps(body, OpLockRelease); r != 2 {
+		t.Errorf("releases = %d, want 2", r)
 	}
 }
 
@@ -424,8 +426,9 @@ def main():
 
 // TestLiteralShapes pins what the compiler emits for the literal shapes no
 // optimizer phase evaluates — a negated literal, an int literal in a real
-// context, `while true:`, `a[i] += e`, `x += e` on a real — at every level:
-// the shape is the compiler's, so -O0 has it too.
+// context, `while true:`, `a[i] += e`, `x += e` on a real — at every level
+// the front doors accept (1 runs as 0): the shape is the compiler's, so
+// -O0 has it too.
 func TestLiteralShapes(t *testing.T) {
 	// loads reports whether some OpConst of f loads exactly v, or some
 	// setidx.ak stores it.
@@ -535,7 +538,7 @@ func TestLiteralShapes(t *testing.T) {
 		{"real_mod_zero", "def main():\n    print(1.0 % 0.0)\n", "main", raisesAt(sem.Mod, 15)},
 	}
 	for _, c := range cases {
-		for _, level := range []int{O0, O1, O2} {
+		for _, level := range []int{O0, 1, O2} {
 			t.Run(fmt.Sprintf("%s/O%d", c.name, level), func(t *testing.T) {
 				p := compileSrc(t, c.src)
 				if err := VerifyOptimize(p, level); err != nil {
@@ -604,7 +607,7 @@ func TestCompilerEmitsFusedForms(t *testing.T) {
 		srcs[c.name] = loopSrc(c.loop)
 	}
 	for name, src := range srcs {
-		for _, level := range []int{O0, O1, O2} {
+		for _, level := range []int{O0, O2} {
 			p := Optimize(compileSrc(t, src), level)
 			for _, f := range p.Funcs {
 				for ci, ch := range f.Chunks {
@@ -614,6 +617,104 @@ func TestCompilerEmitsFusedForms(t *testing.T) {
 						}
 						if use := firstMention(ch.Code[pc+1:], ins.Dst); use != nil && takesConst(f, *use, ins.Dst, ins.A) {
 							t.Errorf("%s -O%d: %s chunk %d pc %d: const %s feeds %s:\n%s", name, level, f.Name, ci, pc, f.constStr(ins.A), use.Op, Disassemble(f))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// emissionSrc has the shapes the compiler's emission rules are about:
+// statements after a break, a continue and a return, constant conditions,
+// an if that ends a then arm, continues that land on a test and on a
+// back-edge, and a step before a test that a continue reaches.
+const emissionSrc = `def edges(n int) int:
+    s = 0
+    while false:
+        s += 1
+    if true:
+        s += 2
+    else:
+        s += 3
+    while n > 0:
+        n -= 1
+        if n % 2 == 0:
+            continue
+            s += 100
+        if n > 5:
+            if s > 3:
+                s += 1
+        else:
+            break
+            s += 100
+    for x in [1, 2, 3]:
+        continue
+    i = 0
+    while i < 10:
+        i += 1
+        if s > 40:
+            continue
+        i += 1
+    while true:
+        s += 1
+        if s < 10:
+            continue
+        break
+    while s < 100:
+        s += 1
+        if s > 50:
+            return s
+            s += 100
+    return s
+
+def main():
+    print(edges(9))
+`
+
+// TestCompilerEmitsCleanCode holds what the compiler emits, at -O0, to what
+// no pass has to clean: every instruction is reachable from its chunk's
+// entry, no jump lands on an unconditional jump or jumps to the next
+// instruction, and no induction step that can join the loop test after it
+// is left beside it. It reads the goldens, TestLoopShapes' loops, the
+// sources of the tests that pin the compiler's shapes, and emissionSrc.
+func TestCompilerEmitsCleanCode(t *testing.T) {
+	srcs := goldenSources(t)
+	for _, c := range loopShapes {
+		srcs[c.name] = loopSrc(c.loop)
+	}
+	for name, src := range map[string]string{"whileTrue": whileTrueSrc, "deadCode": deadCodeSrc, "spawnRead": spawnReadSrc,
+		"inline": inlineSrc, "tailCall": tailCallSrc, "verify": verifySrc, "emission": emissionSrc} {
+		srcs[name] = src
+	}
+	for name, src := range srcs {
+		p := compileSrc(t, src)
+		if err := Verify(p); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		v := &verifier{p: p}
+		for _, f := range p.Funcs {
+			for ci := range f.Chunks {
+				v.f, v.ci, v.ch = f, ci, &f.Chunks[ci]
+				code := v.ch.Code
+				fail := func(pc int, format string, args ...any) {
+					t.Errorf("%s: %s chunk %d pc %d: %s:\n%s", name, f.Name, ci, pc, fmt.Sprintf(format, args...), Disassemble(f))
+				}
+				for pc, in := range v.chunk() {
+					if in == nil {
+						fail(pc, "unreachable")
+					}
+				}
+				for pc, ins := range code {
+					if to := ins.target(); to != nil && int(*to) < len(code) && code[*to].Op == OpJump {
+						fail(pc, "%s lands on a jump", ins.Op)
+					}
+					if ins.Op == OpJump && int(ins.A) == pc+1 {
+						fail(pc, "a jump to the next instruction")
+					}
+					if pc+1 < len(code) && !jumpsTo(code, pc+1) {
+						if _, ok := stepJlt(ins, code[pc+1], int32(pc)); ok {
+							fail(pc, "%s and %s not fused", ins.Op, code[pc+1].Op)
 						}
 					}
 				}

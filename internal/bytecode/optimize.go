@@ -1,48 +1,33 @@
 package bytecode
 
-// The optimizer pipeline over the register IR. Each phase preserves
-// observable program behaviour exactly (output bytes, runtime errors and
-// their positions, the recursion bound, parallel semantics). None of them
-// evaluates an expression: the compiler loads a literal, negated or
-// widened to real as its context asks, with one OpConst (compile.go's
-// constant), and every operator runs at run time. Loops need no phase of
-// their own: the compiler already emits each one with a test on entry and
-// a test at its bottom (compile.go).
+// The optimizer: the two phases that need the call graph, run at O2 over
+// what the compiler emits. Each preserves observable program behaviour
+// exactly (output bytes, runtime errors and their positions, the recursion
+// bound, parallel semantics). None of them evaluates an expression: the
+// compiler loads a literal, negated or widened to real as its context
+// asks, with one OpConst (compile.go's constant), and every operator runs
+// at run time. The compiler's output needs no cleaning: it emits the
+// constant forms, the compare-jumps and the fused loop steps, threads its
+// jumps and emits nothing unreachable (compile.go's emit).
 //
 // Functions are optimised callees first, each chunk by the phases below in
 // this order:
 //
-//  0. leaf inlining (O2)  — a call of a small leaf (smallLeaf: one chunk, no
-//                            shared slot, lock, user call or backward
-//                            branch, at most inlineMax instructions once
-//                            optimised itself) becomes the leaf's body over
-//                            fresh temporaries, in a caller no recursive
-//                            function can reach.
-//  1. jump threading      — a jump whose target is another unconditional
-//                            jump is retargeted to the final destination.
-//  2. dead-code removal   — instructions unreachable from the chunk entry,
-//                            and jumps to the next instruction, are
-//                            deleted, with all jump targets remapped.
-//  3. step-branch fusion  — an induction step (add.ik or add.i on a
-//                            register) followed by a loop's bottom test
-//                            jlt.ik or jlt.i of that register becomes one
-//                            stepjlt: `i += 1` and `while i < n` in one
-//                            dispatch. It is a taken backward branch, so
-//                            it polls the stop flag as the test did.
-//  4. tail calls          — in chunk 0, a self call whose result the next
-//                            instruction returns (or, without a result,
-//                            a self call before retnone) becomes
-//                            tailcall, which the VM runs in place.
+//  1. leaf inlining — a call of a small leaf (smallLeaf: one chunk, no
+//                     shared slot, lock, user call or backward branch, at
+//                     most inlineMax instructions once optimised itself)
+//                     becomes the leaf's body over fresh temporaries, in a
+//                     caller no recursive function can reach.
+//  2. tail calls    — in chunk 0, a self call whose result the next
+//                     instruction returns (or, without a result, a self
+//                     call before retnone) becomes tailcall, which the VM
+//                     runs in place.
 //
-// Phases 1–2 are O1 and iterate to a fixpoint; 0, 3 and 4 are O2 and run
-// once. Each must change some benchmark or test program
-// (TestEveryPhasePays). The other superinstructions, the constant forms
-// and the compare-jumps, are the compiler's at every level (compile.go's
-// operand and branch). Every phase is differentially verified: the golden
-// corpus and the cross-backend differential tests must produce
-// byte-identical output at O0, O1 and O2 (the parity harness,
-// internal/parity, runs them at every level), and VerifyOptimize runs
-// Verify behind each one.
+// Each must change some benchmark or test program (TestEveryPhasePays).
+// Every phase is differentially verified: the golden corpus and the
+// cross-backend differential tests must produce byte-identical output at
+// O0 and O2 (the parity harness, internal/parity, runs them at every
+// level), and VerifyOptimize runs Verify behind each one.
 
 import (
 	"fmt"
@@ -53,19 +38,19 @@ import (
 	"repro/internal/value"
 )
 
-// Optimization levels.
+// Optimization levels. Level 1, which the front doors still accept, runs
+// the compiler's output as O0 does.
 const (
 	O0 = 0 // no optimization: execute exactly what the compiler emitted
-	O1 = 1 // jump threading + DCE
-	O2 = 2 // O1 plus leaf inlining, step fusion and tail calls
+	O2 = 2 // leaf inlining and tail calls
 
 	// DefaultLevel is what the fast path uses unless told otherwise.
 	DefaultLevel = O2
 )
 
 // Optimize runs the optimizer pipeline over every chunk of every function
-// at the given level, mutating and returning p. Level <= 0 is a no-op;
-// levels above O2 clamp to O2.
+// at the given level, mutating and returning p. A level below O2 is a
+// no-op; levels above O2 clamp to O2.
 func Optimize(p *Program, level int) *Program {
 	optimize(p, level, nil) // nothing to fail without a check
 	return p
@@ -90,7 +75,7 @@ func VerifyOptimize(p *Program, level int) error {
 // behind every phase that changed a chunk, and its first error ends the
 // run.
 func optimize(p *Program, level int, check func(ph phase, f *Func, ci int) error) error {
-	if level <= O0 {
+	if level < O2 {
 		return nil
 	}
 	o := optimizers.Get().(*optimizer)
@@ -99,7 +84,7 @@ func optimize(p *Program, level int, check func(ph phase, f *Func, ci int) error
 		o.prog = nil
 		// As with the compiler's scratch, storage sized by an outsize
 		// chunk or program is dropped, not kept.
-		if max(cap(o.marks), cap(o.code), cap(o.ints)) <= maxScratch {
+		if max(cap(o.code), cap(o.ints)) <= maxScratch {
 			optimizers.Put(o)
 		}
 	}()
@@ -108,39 +93,16 @@ func optimize(p *Program, level int, check func(ph phase, f *Func, ci int) error
 		f := p.Funcs[fi]
 		o.self = fi
 		for ci := range f.Chunks {
-			run := func(ph phase) (bool, error) {
-				if !ph.run(o, f, &f.Chunks[ci]) {
-					return false, nil
+			for _, ph := range phases {
+				if !ph.run(o, f, &f.Chunks[ci]) || check == nil {
+					continue
 				}
-				if check == nil {
-					return true, nil
-				}
-				return true, check(ph, f, ci)
-			}
-			if level >= O2 {
-				if _, err := run(inlinePhase); err != nil {
+				if err := check(ph, f, ci); err != nil {
 					return err
 				}
 			}
-			for changed := level >= O1; changed; {
-				changed = false
-				for _, ph := range o1Phases {
-					c, err := run(ph)
-					if err != nil {
-						return err
-					}
-					changed = changed || c
-				}
-			}
-			if level >= O2 {
-				for _, ph := range o2Phases {
-					if _, err := run(ph); err != nil {
-						return err
-					}
-				}
-			}
 		}
-		o.leaf[fi] = level >= O2 && smallLeaf(f)
+		o.leaf[fi] = smallLeaf(f)
 	}
 	return nil
 }
@@ -151,12 +113,17 @@ type phase struct {
 	run  func(o *optimizer, f *Func, ch *Chunk) bool
 }
 
+// phases are the optimizer's, in the order they run on a chunk.
+var phases = []phase{
+	{name: "leaf inlining", run: (*optimizer).inlineLeaves},
+	{name: "tail calls", run: (*optimizer).tailCalls},
+}
+
 // An optimizer holds the working storage of one Optimize call, which
 // every phase reuses instead of allocating its own per chunk or query.
 // Between calls it waits in optimizers, so that a run of small programs
-// (a compile service's usual load) allocates it once. marks is sized by
-// the largest chunk seen, code by the largest with a leaf inlined, and
-// ints by the function count.
+// (a compile service's usual load) allocates it once. code is sized by
+// the largest chunk with a leaf inlined, and ints by the function count.
 type optimizer struct {
 	prog  *Program
 	order []int32 // function indices, callees first
@@ -165,8 +132,6 @@ type optimizer struct {
 	leaf  []bool  // per function: optimised, and a small leaf
 	ints  []int32 // plan's storage for order and its call graph
 	flags []bool  // plan's storage for into, leaf and its call graph
-	marks []bool  // jumpTargets' targets or removeDeadCode's reachable pcs
-	stack []int   // removeDeadCode's pcs still to visit
 	remap []int32 // compact's or the inliner's old pc → new pc
 	gat   []int32 // the inliner's leaf pc → new pc
 	code  []Instr // the inliner's new code and its positions
@@ -184,153 +149,6 @@ func cleared[T any](buf *[]T, n int) []T {
 		clear(*buf)
 	}
 	return *buf
-}
-
-var (
-	// Threading can expose dead code, and deleting that a jump to the next
-	// instruction, so the O1 phases iterate to a fixpoint. Each round strictly
-	// shrinks the chunk or retargets a jump for good, so it terminates.
-	o1Phases = []phase{
-		{name: "jump threading", run: (*optimizer).threadJumps},
-		{name: "dead-code removal", run: (*optimizer).removeDeadCode},
-	}
-	// At O2 leaves are inlined first, so that the O1 phases clean up after
-	// them, and the other O2 phases run once, in this order, behind O1.
-	inlinePhase = phase{name: "leaf inlining", run: (*optimizer).inlineLeaves}
-	o2Phases    = []phase{
-		{name: "step-branch fusion", run: (*optimizer).fuseStep},
-		{name: "tail calls", run: (*optimizer).tailCalls},
-	}
-)
-
-// jumpTargets returns, for each pc, whether some instruction jumps there:
-// another predecessor may arrive with different register contents, so a
-// fusion window may not span one.
-func (o *optimizer) jumpTargets(ch *Chunk) []bool {
-	t := cleared(&o.marks, len(ch.Code)+1)
-	for i := range ch.Code {
-		if a := ch.Code[i].target(); a != nil && *a >= 0 && int(*a) <= len(ch.Code) {
-			t[*a] = true
-		}
-	}
-	return t
-}
-
-// successors returns the pcs control can reach from ins at pc.
-func successors(ins *Instr, pc int) (next [2]int, n int) {
-	switch ins.Op {
-	case OpJump:
-		return [2]int{int(ins.A)}, 1
-	case OpReturn, OpReturnNone, OpTailCall:
-		return next, 0
-	}
-	if t := ins.target(); t != nil {
-		return [2]int{int(*t), pc + 1}, 2
-	}
-	return [2]int{pc + 1}, 1
-}
-
-// threadJumps retargets jumps whose destination is an unconditional jump,
-// following chains with a visit bound so degenerate cycles terminate.
-func (*optimizer) threadJumps(_ *Func, ch *Chunk) bool {
-	code := ch.Code
-	final := func(t int32) int32 {
-		for hops := 0; hops <= len(code); hops++ {
-			if int(t) >= len(code) || code[t].Op != OpJump || code[t].A == t {
-				return t
-			}
-			t = code[t].A
-		}
-		return t
-	}
-	changed := false
-	for i := range code {
-		if t := code[i].target(); t != nil {
-			if nt := final(*t); nt != *t {
-				*t = nt
-				changed = true
-			}
-		}
-	}
-	return changed
-}
-
-// removeDeadCode deletes instructions unreachable from the chunk entry,
-// and jumps to the next instruction.
-func (o *optimizer) removeDeadCode(_ *Func, ch *Chunk) bool {
-	code := ch.Code
-	if len(code) == 0 {
-		return false
-	}
-	reach := cleared(&o.marks, len(code))
-	o.stack = append(o.stack[:0], 0)
-	reach[0] = true
-	for len(o.stack) > 0 {
-		pc := o.stack[len(o.stack)-1]
-		o.stack = o.stack[:len(o.stack)-1]
-		next, n := successors(&code[pc], pc)
-		for _, s := range next[:n] {
-			if s >= 0 && s < len(code) && !reach[s] {
-				reach[s] = true
-				o.stack = append(o.stack, s)
-			}
-		}
-	}
-	changed := false
-	for pc, ins := range code {
-		// A jump over dead code targets pc+1 once that code goes, and the
-		// next round of the O1 fixpoint deletes it.
-		toNext := ins.Op == OpJump && int(ins.A) == pc+1
-		if !reach[pc] && ins.Op != OpNop || toNext {
-			code[pc] = Instr{Op: OpNop}
-			changed = true
-		}
-	}
-	if changed {
-		o.compact(ch)
-	}
-	return changed
-}
-
-// fuseStep merges a loop's induction step into its bottom test: an
-// add.ik or add.i that adds to a register, followed by a backward jlt.ik
-// or jlt.i of that register, becomes the stepjlt of its two operand kinds.
-// The test must not be a jump target of its own (a continue lands on it,
-// skipping the step), and neither the step nor the limit may be the
-// register itself, which the fused instruction writes between reading the
-// one and the other. An int add cannot raise, so the fused instruction
-// keeps the add's position; a step limit that trips there is inside the
-// loop, as before.
-func (o *optimizer) fuseStep(_ *Func, ch *Chunk) bool {
-	targets := o.jumpTargets(ch)
-	code := ch.Code
-	changed := false
-	for pc := 0; pc+1 < len(code); pc++ {
-		add, jlt := code[pc], code[pc+1]
-		if (add.Op != OpAddIntK && add.Op != OpAddInt) || add.Dst != add.A || targets[pc+1] {
-			continue
-		}
-		if (jlt.Op != OpJltIntK && jlt.Op != OpJltInt) || jlt.A != add.A || int(jlt.Dst) > pc {
-			continue
-		}
-		if add.Op == OpAddInt && add.B == add.A || jlt.Op == OpJltInt && jlt.B == add.A {
-			continue
-		}
-		op := OpStepJltII
-		if add.Op == OpAddIntK {
-			op += OpStepJltKI - OpStepJltII
-		}
-		if jlt.Op == OpJltIntK {
-			op += OpStepJltIK - OpStepJltII
-		}
-		code[pc] = Instr{Op: op, Dst: jlt.Dst, A: add.A, B: add.B, C: jlt.B}
-		code[pc+1] = Instr{Op: OpNop}
-		changed = true
-	}
-	if changed {
-		o.compact(ch)
-	}
-	return changed
 }
 
 // plan orders the program's functions callees first and marks those that
@@ -598,7 +416,7 @@ func (o *optimizer) tailCalls(f *Func, ch *Chunk) bool {
 	if ch != &f.Chunks[0] {
 		return false
 	}
-	var targets []bool // found when the first tail call is
+	changed := false
 	code := ch.Code
 	for pc := 0; pc+1 < len(code); pc++ {
 		call, ret := &code[pc], &code[pc+1]
@@ -608,19 +426,26 @@ func (o *optimizer) tailCalls(f *Func, ch *Chunk) bool {
 		if !(ret.Op == OpReturn && call.Dst >= 0 && ret.A == call.Dst || ret.Op == OpReturnNone && f.Result == nil) {
 			continue
 		}
-		if targets == nil {
-			targets = o.jumpTargets(ch)
-		}
 		*call = Instr{Op: OpTailCall, Dst: -1, A: call.A, B: call.B, C: call.C}
-		if !targets[pc+1] {
+		if !jumpsTo(code, pc+1) {
 			code[pc+1] = Instr{Op: OpNop}
 		}
+		changed = true
 	}
-	if targets == nil {
-		return false
+	if changed {
+		o.compact(ch)
 	}
-	o.compact(ch)
-	return true
+	return changed
+}
+
+// jumpsTo reports whether some instruction of code jumps to pc.
+func jumpsTo(code []Instr, pc int) bool {
+	for i := range code {
+		if t := code[i].target(); t != nil && int(*t) == pc {
+			return true
+		}
+	}
+	return false
 }
 
 // compact removes OpNop placeholders and remaps every jump target across

@@ -35,11 +35,13 @@ func checkTargets(t *testing.T, bc *Program) {
 	}
 }
 
+// whileTrueSrc's `while true:` has no test — no const-true load, no
+// conditional jump — so the body's `if i > 3` branch is the only
+// conditional.
+const whileTrueSrc = "def main():\n    i = 0\n    while true:\n        i += 1\n        if i > 3:\n            break\n    print(i)\n"
+
 func TestWhileTrueBecomesPlainLoop(t *testing.T) {
-	// `while true:` has no test — no const-true load, no conditional jump —
-	// so the body's `if i > 3` branch is the only conditional.
-	src := "def main():\n    i = 0\n    while true:\n        i += 1\n        if i > 3:\n            break\n    print(i)\n"
-	bc := optimizeSrc(t, src, O1)
+	bc := optimizeSrc(t, whileTrueSrc, O0)
 	f := bc.Funcs[bc.MainIndex]
 	ch := f.Chunks[0]
 	for pc, ins := range ch.Code {
@@ -54,16 +56,17 @@ func TestWhileTrueBecomesPlainLoop(t *testing.T) {
 	checkTargets(t, bc)
 }
 
+// deadCodeSrc's f returns from both branches, so the jump over the else,
+// the print after the if and the chunk-end retnone are unreachable.
+const deadCodeSrc = "def f(x int) int:\n    if x > 0:\n        return 1\n    else:\n        return 2\n    print(\"unreachable\")\n\ndef main():\n    print(f(1))\n"
+
+// TestDeadCodeAfterReturn: the compiler emits none of deadCodeSrc's
+// unreachable code: f is a compare-jump and two returns.
 func TestDeadCodeAfterReturn(t *testing.T) {
-	// Both branches return, so the chunk-end fallthrough return path and
-	// any post-if code are unreachable.
-	src := "def f(x int) int:\n    if x > 0:\n        return 1\n    else:\n        return 2\n    print(\"unreachable\")\n\ndef main():\n    print(f(1))\n"
-	bc0 := compileSrc(t, src)
-	bc := optimizeSrc(t, src, O1)
-	n0 := len(bc0.Funcs[0].Chunks[0].Code)
-	n1 := len(bc.Funcs[0].Chunks[0].Code)
-	if n1 >= n0 {
-		t.Errorf("dead code not removed: %d -> %d instructions", n0, n1)
+	bc := optimizeSrc(t, deadCodeSrc, O0)
+	ch := bc.Funcs[0].Chunks[0]
+	if n := countOps(ch, OpJump) + countOps(ch, OpCallBuiltin) + countOps(ch, OpReturnNone); n != 0 || countOps(ch, OpReturn) != 2 {
+		t.Errorf("unreachable code emitted:\n%s", Disassemble(bc.Funcs[0]))
 	}
 	checkTargets(t, bc)
 }
@@ -83,7 +86,7 @@ func TestFoldRefusesDivisionByZero(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			bc := optimizeSrc(t, c.src, O1)
+			bc := optimizeSrc(t, c.src, O0)
 			ch := bc.Funcs[bc.MainIndex].Chunks[0]
 			if countOperator(ch, c.op) == 0 {
 				t.Errorf("%s folded away; must raise at run time:\n%s", c.op, Disassemble(bc.Funcs[bc.MainIndex]))
@@ -92,11 +95,11 @@ func TestFoldRefusesDivisionByZero(t *testing.T) {
 	}
 }
 
-// TestFusionOnlyAtO2: the compiler's superinstructions, the constant
-// forms and the compare-jumps, appear at every level; what -O2 adds (an
-// induction step fused into its bottom test, an inlined leaf, a tail call)
-// appears only at -O2.
-func TestFusionOnlyAtO2(t *testing.T) {
+// TestCallPhasesOnlyAtO2: the compiler's superinstructions, the constant
+// forms, the compare-jumps and an induction step fused into its bottom
+// test, appear at every level; what -O2 adds (an inlined leaf, a tail
+// call) appears only at -O2.
+func TestCallPhasesOnlyAtO2(t *testing.T) {
 	src := "def inc(x int) int:\n    return x + 1\n\ndef down(n int):\n    if n > 0:\n        down(n - 1)\n\n" +
 		"def main():\n    i = 0\n    while i < 10:\n        i = inc(i)\n        i += 1\n    down(3)\n    print(i)\n"
 	// fused counts the superinstructions with one of the given layouts,
@@ -112,18 +115,18 @@ func TestFusionOnlyAtO2(t *testing.T) {
 		}
 		return n
 	}
-	for _, level := range []int{O0, O1, O2} {
+	for _, level := range []int{O0, O2} {
 		bc := optimizeSrc(t, src, level)
 		main := bc.Funcs[bc.MainIndex]
 		ch := main.Chunks[0]
-		if fused(ch, fCmpJumpK) == 0 || fused(ch, fBinaryK) == 0 {
-			t.Errorf("-O%d: no compare-jump or no constant form for the loop's test and i += 1:\n%s", level, Disassemble(main))
+		if fused(ch, fCmpJumpK) == 0 || fused(ch, fStepJump) != 1 {
+			t.Errorf("-O%d: no compare-jump for the loop's entry test, or no stepjlt of i += 1 and its bottom test:\n%s", level, Disassemble(main))
 		}
 		calls, _ := callsOf(bc, "main")
 		_, tail := callsOf(bc, "down")
-		if o2 := level == O2; (fused(ch, fStepJump) != 0) != o2 || (calls == 1) != o2 || (tail == 1) != o2 {
-			t.Errorf("-O%d: %d stepjlt, %d calls in main and %d tail calls in down; want a stepjlt, one call and one tail call exactly at -O2:\n%s",
-				level, fused(ch, fStepJump), calls, tail, DisassembleProgram(bc))
+		if o2 := level == O2; (calls == 1) != o2 || (tail == 1) != o2 {
+			t.Errorf("-O%d: %d calls in main and %d tail calls in down; want one call and one tail call exactly at -O2:\n%s",
+				level, calls, tail, DisassembleProgram(bc))
 		}
 		checkTargets(t, bc)
 	}
@@ -157,20 +160,21 @@ func TestOptimizeParallelChunks(t *testing.T) {
 	checkTargets(t, bc)
 }
 
-// TestSpawnsReadWhatTheirBodiesRead: a thread body reads its function's
-// private variables from a copy of the spawner's registers, so the
-// spawning instruction is the read. A store whose only read follows it
-// inside a parallel-for body must survive -O1 and -O2.
-func TestSpawnsReadWhatTheirBodiesRead(t *testing.T) {
-	const src = `def main():
+const spawnReadSrc = `def main():
     k = 3
     u = 5
     parallel for v in [1, 2, 3]:
         print(v * k)
     print(u)
 `
-	for _, level := range []int{O1, O2} {
-		p := compileSrc(t, src)
+
+// TestSpawnsReadWhatTheirBodiesRead: a thread body reads its function's
+// private variables from a copy of the spawner's registers, so the
+// spawning instruction is the read. A store whose only read follows it
+// inside a parallel-for body (spawnReadSrc's k) must survive -O0 and -O2.
+func TestSpawnsReadWhatTheirBodiesRead(t *testing.T) {
+	for _, level := range []int{O0, O2} {
+		p := compileSrc(t, spawnReadSrc)
 		if err := VerifyOptimize(p, level); err != nil {
 			t.Fatalf("-O%d: %v", level, err)
 		}
@@ -275,16 +279,15 @@ func untypedFused(o Op) bool {
 // instruction to the last branch back to it, which an iteration that runs
 // its body straight through executes once each. A loop tests on entry and
 // at its bottom, a condition is compare-jumps and never a bool (so `or`
-// has a branch back per operand), a constant is part of its store, and at
-// -O2 the induction step joins the bottom test, so a compiler change that
-// brings a dispatch back fails here. Only `while true:` has a backward jump, and
-// only at -O0: at -O2 the break's test, threaded, is the back-edge, and
-// the step joins it. At -O1 and -O2 no jump goes to the next instruction:
-// the break's `jump` past the loop, threaded, is deleted.
+// has a branch back per operand), a constant is part of its store, and the
+// induction step joins the bottom test, so a compiler change that brings a
+// dispatch back fails here. No loop has a backward jump: `while true:`'s
+// back-edge is the break's test, which the compiler threads, and its step
+// joins it.
 func TestLoopShapes(t *testing.T) {
 	for _, c := range loopShapes {
 		src := loopSrc(c.loop)
-		for level, want := range map[int]int{O0: c.o0, O1: -1, O2: c.o2} {
+		for _, level := range []int{O0, O2} {
 			p := compileSrc(t, src)
 			if err := VerifyOptimize(p, level); err != nil {
 				t.Fatalf("%s -O%d: %v", c.name, level, err)
@@ -292,9 +295,6 @@ func TestLoopShapes(t *testing.T) {
 			f := p.Funcs[p.MainIndex]
 			body, got := -1, 0
 			for pc, ins := range f.Chunks[0].Code {
-				if ins.Op == OpJump && int(ins.A) == pc+1 && level > O0 {
-					t.Errorf("%s -O%d: pc %d: a jump to the next instruction:\n%s", c.name, level, pc, Disassemble(f))
-				}
 				to := ins.target()
 				if to == nil || int(*to) > pc {
 					continue
@@ -303,30 +303,30 @@ func TestLoopShapes(t *testing.T) {
 					t.Errorf("%s -O%d: pc %d: a second loop", c.name, level, pc)
 				}
 				body, got = int(*to), pc-int(*to)+1
-				if ins.Op == OpJump && (level != O0 || c.name != "while_true_break") {
+				if ins.Op == OpJump {
 					t.Errorf("%s -O%d: pc %d: a backward jump", c.name, level, pc)
 				}
 			}
-			if want >= 0 && got != want {
-				t.Errorf("%s -O%d: %d instructions per iteration, want %d:\n%s", c.name, level, got, want, Disassemble(f))
+			if got != c.n {
+				t.Errorf("%s -O%d: %d instructions per iteration, want %d:\n%s", c.name, level, got, c.n, Disassemble(f))
 			}
 		}
 	}
 }
 
 // loopShapes are TestLoopShapes' loops, with the instructions an
-// iteration dispatches at -O0 and -O2.
+// iteration dispatches.
 var loopShapes = []struct {
 	name, loop string
-	o0, o2     int
+	n          int
 }{
-	{"lt", "while i < n:\n        s += i\n        i += 1\n", 3, 2},
-	{"and", "while i < n and s < 1000:\n        s += i\n        i += 1\n", 4, 4},
-	{"or", "while s < 0 or i < n:\n        s += i\n        i += 1\n", 4, 4},
-	{"not", "while not i >= n:\n        s += i\n        i += 1\n", 3, 2},
-	{"for_in", "for x in a:\n        s += x\n", 2, 2},
-	{"const_store", "while i < n:\n        a[i] = 0\n        i += 1\n", 3, 2},
-	{"while_true_break", "while true:\n        i += 1\n        if i >= n:\n            break\n", 4, 1},
+	{"lt", "while i < n:\n        s += i\n        i += 1\n", 2},
+	{"and", "while i < n and s < 1000:\n        s += i\n        i += 1\n", 4},
+	{"or", "while s < 0 or i < n:\n        s += i\n        i += 1\n", 4},
+	{"not", "while not i >= n:\n        s += i\n        i += 1\n", 2},
+	{"for_in", "for x in a:\n        s += x\n", 2},
+	{"const_store", "while i < n:\n        a[i] = 0\n        i += 1\n", 2},
+	{"while_true_break", "while true:\n        i += 1\n        if i >= n:\n            break\n", 1},
 }
 
 // loopSrc puts loop in a main that declares the variables it uses.
@@ -334,10 +334,10 @@ func loopSrc(loop string) string {
 	return "def main():\n    n = 10\n    a = range(n)\n    i = 0\n    s = 0\n    " + loop + "    print(i, s, a)\n"
 }
 
-// TestEveryPhasePays requires every phase of the optimizer's tables to
+// TestEveryPhasePays requires every phase of the optimizer's table to
 // change at least one chunk at -O2 of the programs TestVerifyGoldens reads
-// or TestLoopShapes' loops (jump threading fires only on while_true_break),
-// so that a phase the compiler's output no longer feeds is seen, and goes.
+// or TestLoopShapes' loops, so that a phase the compiler's output no
+// longer feeds is seen, and goes.
 func TestEveryPhasePays(t *testing.T) {
 	srcs := goldenSources(t)
 	for _, c := range loopShapes {
@@ -354,7 +354,7 @@ func TestEveryPhasePays(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, ph := range append(append([]phase{inlinePhase}, o1Phases...), o2Phases...) {
+	for _, ph := range phases {
 		if !paid[ph.name] {
 			t.Errorf("%s changes no chunk of %d programs at -O2", ph.name, len(srcs))
 		}
@@ -374,15 +374,8 @@ func callsOf(p *Program, fn string) (calls, tail int) {
 	return calls, tail
 }
 
-// TestInlineSmallLeaves pins which calls -O2 replaces with the callee's
-// body: a small leaf's, callees first (twice is a leaf once step is
-// inlined into it), in a caller no recursive function reaches, the leaf's
-// parallel arm included. The rest keep their calls: a leaf called where a
-// recursive function reaches (down, and mid below it, whose depth the
-// bound must still check), a callee with a loop, with a shared variable,
-// with a user call, or longer than inlineMax. -O1 inlines nothing.
-func TestInlineSmallLeaves(t *testing.T) {
-	src := `def step(x int) int:
+// inlineSrc calls leaves and callees that are not, for TestInlineSmallLeaves.
+const inlineSrc = `def step(x int) int:
     return x + 1
 
 def twice(x int) int:
@@ -430,15 +423,24 @@ def main():
         print(sign(s), step(1), first([s]))
         print(down(3), loops(4), cells(5), long(6, 8))
 `
-	for _, level := range []int{O1, O2} {
-		p := compileSrc(t, src)
+
+// TestInlineSmallLeaves pins which calls -O2 replaces with the callee's
+// body: a small leaf's, callees first (twice is a leaf once step is
+// inlined into it), in a caller no recursive function reaches, the leaf's
+// parallel arm included. The rest keep their calls: a leaf called where a
+// recursive function reaches (down, and mid below it, whose depth the
+// bound must still check), a callee with a loop, with a shared variable,
+// with a user call, or longer than inlineMax. -O0 inlines nothing.
+func TestInlineSmallLeaves(t *testing.T) {
+	for _, level := range []int{O0, O2} {
+		p := compileSrc(t, inlineSrc)
 		if err := VerifyOptimize(p, level); err != nil {
 			t.Fatalf("-O%d: %v", level, err)
 		}
 		main := Disassemble(p.Funcs[p.MainIndex])
 		calls, _ := callsOf(p, "main")
 		want := 4 // down, loops, cells and long
-		if level == O1 {
+		if level == O0 {
 			want = 8 // and twice, sign, step and first
 		}
 		if calls != want {
@@ -456,13 +458,9 @@ def main():
 	}
 }
 
-// TestTailCalls pins which self calls become tailcall at -O2: one whose
-// result the function returns at once, and a void one before the end;
-// not a call of another function in tail position, not a self call whose
-// result is used, and not a void self call in a function with a result,
-// whose end returns the result's zero. At -O1 none does.
-func TestTailCalls(t *testing.T) {
-	src := `def gcd(a int, b int) int:
+// tailCallSrc's calls are and are not self calls in tail position, for
+// TestTailCalls.
+const tailCallSrc = `def gcd(a int, b int) int:
     if b == 0:
         return a
     return gcd(b, a % b)
@@ -491,8 +489,15 @@ def main():
     tick(2)
     print(gcd(12, 18), other(4), fib(5), fall(3))
 `
-	for _, level := range []int{O1, O2} {
-		p := compileSrc(t, src)
+
+// TestTailCalls pins which self calls become tailcall at -O2: one whose
+// result the function returns at once, and a void one before the end;
+// not a call of another function in tail position, not a self call whose
+// result is used, and not a void self call in a function with a result,
+// whose end returns the result's zero. At -O0 none does.
+func TestTailCalls(t *testing.T) {
+	for _, level := range []int{O0, O2} {
+		p := compileSrc(t, tailCallSrc)
 		if err := VerifyOptimize(p, level); err != nil {
 			t.Fatalf("-O%d: %v", level, err)
 		}
@@ -501,7 +506,7 @@ def main():
 			calls, tail int
 		}{{"gcd", 0, 1}, {"tick", 0, 1}, {"other", 1, 0}, {"fib", 2, 0}, {"fall", 1, 0}} {
 			calls, tail := callsOf(p, c.fn)
-			if level == O1 {
+			if level == O0 {
 				c.calls, c.tail = c.calls+c.tail, 0
 			}
 			if calls != c.calls || tail != c.tail {

@@ -144,6 +144,20 @@ func (v *verifier) chunk() [][]*types.Type {
 	return in
 }
 
+// successors returns the pcs control can reach from ins at pc.
+func successors(ins *Instr, pc int) (next [2]int, n int) {
+	switch ins.Op {
+	case OpJump:
+		return [2]int{int(ins.A)}, 1
+	case OpReturn, OpReturnNone, OpTailCall:
+		return next, 0
+	}
+	if t := ins.target(); t != nil {
+		return [2]int{int(*t), pc + 1}, 2
+	}
+	return [2]int{pc + 1}, 1
+}
+
 // instr applies one instruction to st, the types its registers hold
 // before it (nil when it is unreachable), and returns the types they hold
 // after. With report set a violation fails the verification; without, the

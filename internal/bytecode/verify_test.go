@@ -14,16 +14,13 @@ import (
 )
 
 // TestVerifyGoldens holds the benchmark's programs and this package's own
-// to the IR's rules as Compile emits them and after each optimizer phase,
-// at O1 and O2. (The parity engine table does the same for every program
-// it runs, the golden corpus included.)
+// to the IR's rules as Compile emits them and after each optimizer phase
+// at O2. (The parity engine table does the same for every program it
+// runs, the golden corpus included.)
 func TestVerifyGoldens(t *testing.T) {
 	for file, src := range goldenSources(t) {
-		for _, level := range []int{O1, O2} {
-			p := compileSrc(t, src)
-			if err := VerifyOptimize(p, level); err != nil {
-				t.Errorf("%s at -O%d: %v", file, level, err)
-			}
+		if err := VerifyOptimize(compileSrc(t, src), O2); err != nil {
+			t.Errorf("%s: %v", file, err)
 		}
 	}
 }
@@ -291,7 +288,7 @@ func TestVerifyRejects(t *testing.T) {
 		{"Pos not parallel to Code", O0, func(t *testing.T, p *Program) {
 			ch := &fn(p, "flat").Chunks[0]
 			ch.Pos = ch.Pos[1:]
-		}, "Pos has 15 entries for 16 instructions"},
+		}, "Pos has 13 entries for 14 instructions"},
 		{"raising instruction without a position", O0, func(t *testing.T, p *Program) {
 			ch := &fn(p, "flat").Chunks[0]
 			for pc, ins := range ch.Code {
@@ -362,7 +359,7 @@ func TestVerifyRejects(t *testing.T) {
 // private: chunk 0 reads n's register for the range, and the parallel-for
 // body reads k's, which each iteration writes.
 func TestVerifyAcceptsPrivateSlotsBesideCells(t *testing.T) {
-	for _, level := range []int{O0, O1, O2} {
+	for _, level := range []int{O0, O2} {
 		p := compileSrc(t, verifySrc)
 		if err := VerifyOptimize(p, level); err != nil {
 			t.Fatalf("-O%d: %v", level, err)
@@ -394,11 +391,11 @@ func TestVerifyAcceptsPrivateSlotsBesideCells(t *testing.T) {
 // TestVerifyAcceptsBottomTestedLoops: a loop tests on entry and at its
 // bottom, which branches back to the body's first instruction, so that
 // instruction is reached from two places with the same types. flat's loop
-// does so at every level: a jge.i and a jlt.i at -O0 and -O1, a jge.i and
-// the stepjlt.ki of `i += 1` at -O2, and no jump.
+// does so at every level: a jge.i, the stepjlt.ki of `i += 1` and its
+// bottom test, and no jump.
 func TestVerifyAcceptsBottomTestedLoops(t *testing.T) {
-	want := map[int][2]Op{O0: {OpJgeInt, OpJltInt}, O1: {OpJgeInt, OpJltInt}, O2: {OpJgeInt, OpStepJltKI}}
-	for _, level := range []int{O0, O1, O2} {
+	want := [2]Op{OpJgeInt, OpStepJltKI}
+	for _, level := range []int{O0, O2} {
 		p := compileSrc(t, verifySrc)
 		if err := VerifyOptimize(p, level); err != nil {
 			t.Fatalf("-O%d: %v", level, err)
@@ -409,14 +406,14 @@ func TestVerifyAcceptsBottomTestedLoops(t *testing.T) {
 			switch {
 			case ins.Op == OpJump:
 				t.Errorf("-O%d: pc %d: a jump in flat", level, pc)
-			case ins.Op == want[level][0]:
+			case ins.Op == want[0]:
 				entry = int32(pc)
-			case ins.Op == want[level][1]:
+			case ins.Op == want[1]:
 				bottom = int32(pc)
 			}
 		}
 		if entry < 0 || bottom < 0 || *f.Chunks[0].Code[bottom].target() != entry+1 {
-			t.Errorf("-O%d: flat's loop is not an entry %s and a bottom %s back to the body:\n%s", level, want[level][0], want[level][1], Disassemble(f))
+			t.Errorf("-O%d: flat's loop is not an entry %s and a bottom %s back to the body:\n%s", level, want[0], want[1], Disassemble(f))
 		}
 	}
 }

@@ -269,18 +269,24 @@ func TestOptLevelFlag(t *testing.T) {
 }
 
 func TestDisasmRespectsOptLevel(t *testing.T) {
-	path := write(t, "def main():\n    i = 0\n    while i < 10:\n        i += 1\n    print(i)\n")
+	path := write(t, "def down(n int) int:\n    if n == 0:\n        return 0\n    return down(n - 1)\n\n"+
+		"def main():\n    i = 0\n    while i < 10:\n        i += 1\n    print(down(i))\n")
 	_, raw, _ := run(t, []string{"-disasm", "-O", "0", path}, "")
 	_, opt, _ := run(t, []string{"-disasm", "-O", "2", path}, "")
 	// Both operands are ints and the limit a literal, so the compiler emits
-	// the typed compare-jumps of a loop that tests on entry and at its
-	// bottom, jge.ik and jlt.ik, at every level; -O2 fuses the bottom one
-	// with i += 1 into stepjlt.kk.
-	if !strings.Contains(raw, " jge.ik ") || !strings.Contains(raw, " jlt.ik ") || strings.Contains(raw, " stepjlt.") {
-		t.Errorf("-O 0 disassembly should show the compare-jumps, no step fusion:\n%s", raw)
+	// the typed compare-jump of a loop's entry test, jge.ik, and fuses its
+	// bottom test with i += 1 into stepjlt.kk, at every level; -O2 turns
+	// down's self call in tail position into a tailcall.
+	for _, dis := range []string{raw, opt} {
+		if !strings.Contains(dis, " jge.ik ") || !strings.Contains(dis, " stepjlt.kk ") {
+			t.Errorf("disassembly missing the compiler's fused forms:\n%s", dis)
+		}
 	}
-	if !strings.Contains(opt, " jge.ik ") || !strings.Contains(opt, " stepjlt.kk ") {
-		t.Errorf("-O 2 disassembly missing fused compare-jump:\n%s", opt)
+	if !strings.Contains(raw, " call ") || strings.Contains(raw, " tailcall ") {
+		t.Errorf("-O 0 disassembly should show the self call, no tail call:\n%s", raw)
+	}
+	if !strings.Contains(opt, " tailcall ") {
+		t.Errorf("-O 2 disassembly missing the tail call:\n%s", opt)
 	}
 	if len(opt) >= len(raw) {
 		t.Errorf("optimized disassembly not shorter: %d vs %d bytes", len(opt), len(raw))

@@ -22,7 +22,7 @@ func CompileMain(args []string, stdout, stderr io.Writer) int {
 	out := fs.String("o", "", "output file (default: input with .go extension)")
 	toStdout := fs.Bool("stdout", false, "write the generated Go source to stdout")
 	dis := fs.Bool("dis", false, "disassemble the register bytecode instead of generating Go")
-	optLevel := fs.Int("O", bytecode.DefaultLevel, "bytecode optimization level for -dis: 0 = none, 1 = jump threading + dead-code removal, 2 = 1 plus leaf inlining, step fusion and tail calls")
+	optLevel := fs.Int("O", bytecode.DefaultLevel, "bytecode optimization level for -dis: 0 = the compiler's output as it is (1 runs as 0), 2 = leaf inlining and tail calls")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}

@@ -53,8 +53,9 @@ func TestCacheKeyCarriesIRVersion(t *testing.T) {
 // under IRVersion cacheKeyGoldenIR. Under IRVersion 3 it was
 // 0e1715a0dd67c3b50b12f2fad04fea73, under 4 e106c9452142ef0cb68e1519715061c5,
 // under 5 9261cb5885e43363ce3afe14e8dae7e8, under 6
-// c78e3086535aa86e67e7316c480c929b, under 7 16384a419355408f4f9e06eef9f6d590.
+// c78e3086535aa86e67e7316c480c929b, under 7 16384a419355408f4f9e06eef9f6d590,
+// under 8 58e62fad61fa14af5fbf696866dd164b.
 const (
-	cacheKeyGolden   = "58e62fad61fa14af5fbf696866dd164b"
-	cacheKeyGoldenIR = 8
+	cacheKeyGolden   = "eae8e09178ddb0f96867a49f0a428b3c"
+	cacheKeyGoldenIR = 9
 )

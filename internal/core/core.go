@@ -75,7 +75,7 @@ func CompileBytecode(prog *ast.Program) (*bytecode.Program, error) {
 }
 
 // CompileBytecodeOpt lowers a checked program to bytecode and runs the
-// optimizer at the given level (bytecode.O0, O1 or O2).
+// optimizer at the given level (bytecode.O0 or O2; 1 runs as O0).
 func CompileBytecodeOpt(prog *ast.Program, level int) (*bytecode.Program, error) {
 	bc, err := bytecode.Compile(prog)
 	if err != nil {

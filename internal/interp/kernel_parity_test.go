@@ -1,7 +1,7 @@
 package interp_test
 
 // Operator kernels at their edges, on every engine of the parity table
-// (the interpreter and the VM at -O0, -O1 and -O2): int overflow, division
+// (the interpreter and the VM at every level): int overflow, division
 // and modulo by zero in a register and as a literal, negative operands,
 // int/real mixing in every operator and every augmented assignment, and
 // string operators, with a concatenation that trips the allocation budget

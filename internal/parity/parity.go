@@ -111,11 +111,12 @@ type Variant struct {
 }
 
 // Variants is the engine table every front door runs: the interpreter
-// and the VM at each optimization level.
+// and the VM at each optimization level a door accepts. Level 1 runs the
+// compiler's output as 0 does; its row holds every door to accepting it.
 var Variants = []Variant{
 	{"interp", "interp", 0},
 	{"vm-O0", "vm", bytecode.O0},
-	{"vm-O1", "vm", bytecode.O1},
+	{"vm-O1", "vm", 1},
 	{"vm-O2", "vm", bytecode.O2},
 }
 

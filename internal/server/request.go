@@ -31,7 +31,8 @@ type RunRequest struct {
 	// Backend selects the execution engine: "interp" (default) or "vm".
 	Backend string `json:"backend,omitempty"`
 	// Opt is the bytecode optimization level for the vm backend (0, 1 or
-	// 2, the CLI's -O convention). Omitted selects full optimization.
+	// 2, the CLI's -O convention; 1 runs the compiler's output as 0 does).
+	// Omitted selects full optimization.
 	Opt *int `json:"opt,omitempty"`
 	// Limits tightens the per-request resource budget. Every field is
 	// clamped by the server-wide ceiling: a request can only lower a

@@ -25,7 +25,7 @@ import (
 
 // callLoopSrc is the benchmark's call probe: three user calls per
 // iteration and almost nothing else. At -O2 step and twice are small
-// leaves, inlined, so the call tests run it at -O1, where it still calls.
+// leaves, inlined, so the call tests run it at -O0, where it still calls.
 const callLoopSrc = `def step(x int) int:
     return x + 1
 
@@ -240,7 +240,7 @@ func sameAsInterp(t *testing.T, src string) {
 	if err != nil {
 		t.Fatalf("interp: %v", err)
 	}
-	for _, level := range []int{bytecode.O0, bytecode.O1, bytecode.O2} {
+	for _, level := range []int{bytecode.O0, bytecode.O2} {
 		if got, err := runVMOpt(t, src, "", level); err != nil || got != want {
 			t.Errorf("-O%d printed %q (%v), interp %q", level, got, err, want)
 		}
@@ -254,7 +254,7 @@ func sameOnBoth(t *testing.T, src, want string) {
 	if got, err := runInterp(t, src, ""); err != nil || got != want {
 		t.Errorf("interp printed %q (%v), want %q", got, err, want)
 	}
-	for _, level := range []int{bytecode.O0, bytecode.O1, bytecode.O2} {
+	for _, level := range []int{bytecode.O0, bytecode.O2} {
 		if got, err := runVMOpt(t, src, "", level); err != nil || got != want {
 			t.Errorf("-O%d printed %q (%v), want %q", level, got, err, want)
 		}
@@ -286,7 +286,7 @@ func TestLoopBenchmarkSources(t *testing.T) {
 }
 
 func BenchmarkArithLoop(b *testing.B)  { benchmarkRun(b, arithLoopSrc) }
-func BenchmarkCallLoop(b *testing.B)   { benchmarkRunAt(b, callLoopSrc, bytecode.O1) }
+func BenchmarkCallLoop(b *testing.B)   { benchmarkRunAt(b, callLoopSrc, bytecode.O0) }
 func BenchmarkFib(b *testing.B)        { benchmarkRun(b, fibSrc) }
 func BenchmarkRealLoop(b *testing.B)   { benchmarkRun(b, realLoopSrc) }
 func BenchmarkAndLoop(b *testing.B)    { benchmarkRun(b, andLoopSrc) }
@@ -320,10 +320,10 @@ func BenchmarkParForBody(b *testing.B) {
 }
 
 // 90 000 calls per run used to be 180 000 allocations; what is left is the
-// VM, its thread and the stack's first segments. At -O1 the calls are
+// VM, its thread and the stack's first segments. At -O0 the calls are
 // calls.
 func TestCallFramesDoNotAllocate(t *testing.T) {
-	run := runsOf(t, compileOpt(t, callLoopSrc, bytecode.O1), rt.Config{})
+	run := runsOf(t, compileOpt(t, callLoopSrc, bytecode.O0), rt.Config{})
 	run()
 	if n := testing.AllocsPerRun(5, func() { run() }); n >= 100 {
 		t.Errorf("%v allocations per run of the call loop, want fewer than 100", n)

@@ -1,8 +1,8 @@
 package vm_test
 
 // The VM against the interpreter: every test here runs its programs on
-// the parity engine table (the interpreter and the VM at -O0, -O1 and
-// -O2) and requires the same output and the same error, position
+// the parity engine table (the interpreter and the VM at every level)
+// and requires the same output and the same error, position
 // included. Tests that read the VM's internals stay in package vm.
 
 import (
@@ -60,6 +60,43 @@ var differentialCorpus = []struct{ name, src, input string }{
 	{"elif", "def f(x int) string:\n    if x == 1:\n        return \"a\"\n    elif x == 2:\n        return \"b\"\n    else:\n        return \"c\"\n\ndef main():\n    print(f(1), f(2), f(3))\n", ""},
 	{"while", "def main():\n    i = 0\n    s = 0\n    while i < 100:\n        s += i\n        i += 1\n    print(s)\n", ""},
 	{"break_continue", "def main():\n    s = 0\n    i = 0\n    while true:\n        i += 1\n        if i > 20:\n            break\n        if i % 3 == 0:\n            continue\n        s += i\n    print(s)\n", ""},
+	// Statements after a terminator, constant conditions, and jumps the
+	// compiler threads: none is emitted or run.
+	{"unreachable_and_threaded", `def edges(n int) int:
+    s = 0
+    while false:
+        s += 1
+    if true:
+        s += 2
+    else:
+        s += 3
+    while n > 0:
+        n -= 1
+        if n % 2 == 0:
+            continue
+            s += 100
+        if n > 5:
+            if s > 3:
+                s += 1
+        else:
+            break
+    for x in [1, 2, 3]:
+        continue
+    while true:
+        s += 1
+        if s < 10:
+            continue
+        break
+    while s < 100:
+        s += 1
+        if s > 50:
+            return s
+            s += 100
+    return s
+
+def main():
+    print(edges(9))
+`, ""},
 	{"for_array", "def main():\n    s = 0\n    for x in [5, 10, 15]:\n        s += x\n    print(s)\n", ""},
 	{"for_range", "def main():\n    s = 0\n    for x in [1 .. 50]:\n        s += x\n    print(s)\n", ""},
 	{"for_string", "def main():\n    for c in \"xyz\":\n        print(c)\n", ""},
@@ -158,8 +195,8 @@ func TestDifferentialCorpus(t *testing.T) {
 }
 
 // TestOptimizerDifferentialCorpus is the optimizer's own safety net: every
-// corpus program means at -O1 and -O2 what the unoptimized VM does, so a
-// divergence here is the optimizer's and not the compiler's.
+// corpus program means at every level above 0 what the unoptimized VM
+// does, so a divergence here is the optimizer's and not the compiler's.
 func TestOptimizerDifferentialCorpus(t *testing.T) {
 	o0, optimized := parity.Variants[1], parity.Variants[2:]
 	for _, c := range differentialCorpus {
@@ -555,7 +592,7 @@ func TestFoldEveryOpcodeAgainstInterp(t *testing.T) {
 			if r := agree(t, src, rt.Config{}); r.Err != "" {
 				t.Fatalf("run error: %s", r.Err)
 			}
-			for _, level := range []int{bytecode.O0, bytecode.O1, bytecode.O2} {
+			for _, level := range []int{bytecode.O0, bytecode.O2} {
 				// A mnemonic is its operator, plus a suffix when typed or
 				// fused (add.i, add.rk); the untyped arithk names its operator
 				// in its comment.

@@ -539,18 +539,12 @@ activation:
 			if sem.CompareReal(sem.Ge, regs[ins.A].Real(), consts[ins.B].Real()) {
 				goto jump
 			}
-		// An induction step fused into its loop's bottom test (optimizer):
+		// An induction step fused into its loop's bottom test (compiler):
 		// add the step, then compare with the limit.
 		case bytecode.OpStepJltII:
 			i := sem.ArithInt(sem.Add, regs[ins.A].Int(), regs[ins.B].Int())
 			regs[ins.A] = value.NewInt(i)
 			if sem.CompareInt(sem.Lt, i, regs[ins.C].Int()) {
-				goto jump
-			}
-		case bytecode.OpStepJltIK:
-			i := sem.ArithInt(sem.Add, regs[ins.A].Int(), regs[ins.B].Int())
-			regs[ins.A] = value.NewInt(i)
-			if sem.CompareInt(sem.Lt, i, consts[ins.C].Int()) {
 				goto jump
 			}
 		case bytecode.OpStepJltKI:

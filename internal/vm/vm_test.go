@@ -112,16 +112,14 @@ func TestVMNoMain(t *testing.T) {
 
 // TestVerifyAfterEveryPhase holds the benchmark sources this package runs
 // to the IR's rules as Compile emits them and again after each optimizer
-// phase, at O1 and O2. (Every other test verifies what it compiles too,
+// phase at O2. (Every other test verifies what it compiles too,
 // through compileBoth and optimize, and the parity engine table verifies
 // every program it runs at every level; this one makes the coverage
 // explicit.)
 func TestVerifyAfterEveryPhase(t *testing.T) {
 	srcs := []string{arithLoopSrc, realLoopSrc, arrayLoopSrc, callLoopSrc, fibSrc, sharedLoopSrc, parForBodySrc}
 	for _, src := range srcs {
-		for _, level := range []int{bytecode.O1, bytecode.O2} {
-			compileOpt(t, src, level)
-		}
+		compileOpt(t, src, bytecode.O2)
 	}
 }
 
@@ -173,10 +171,11 @@ func TestRealZeroDivisionVM(t *testing.T) {
 }
 
 // TestOptimizerShrinksCode sanity-checks that optimization actually does
-// something on a constant-heavy program, and that fused opcodes appear
-// only at O2.
+// something on a self-recursive function, whose tail call takes the place
+// of a call and the return behind it, and that the compiler's fused
+// opcodes are there before it runs.
 func TestOptimizerShrinksCode(t *testing.T) {
-	src := "def main():\n    i = 0\n    s = 0\n    while i < 1000:\n        s += 2 * 3 + 4\n        i += 1\n    print(s)\n"
+	src := "def sum(n int, s int) int:\n    if n == 0:\n        return s\n    return sum(n - 1, s + 2 * 3 + n)\n\ndef main():\n    print(sum(1000, 0))\n"
 	_, bc0 := compileBoth(t, src)
 	_, bc2 := compileBoth(t, src)
 	optimize(t, bc2, bytecode.O2)
@@ -186,13 +185,13 @@ func TestOptimizerShrinksCode(t *testing.T) {
 		t.Errorf("O2 code length %d, want < O0 length %d", n2, n0)
 	}
 	fused := false
-	for _, ins := range bc2.Funcs[0].Chunks[0].Code {
+	for _, ins := range bc0.Funcs[0].Chunks[0].Code {
 		if ins.Op.Fused() {
 			fused = true
 		}
 	}
 	if !fused {
-		t.Error("O2 bytecode contains no fused opcodes for a compare-and-add loop")
+		t.Error("O0 bytecode contains no fused opcode for a compare with a constant")
 	}
 	out0, err0 := runVMOpt(t, src, "", bytecode.O0)
 	out2, err2 := runVMOpt(t, src, "", bytecode.O2)

@@ -123,13 +123,14 @@ func (s *supervisor) start(cmd *exec.Cmd) (*child, error) {
 }
 
 // reap collects c's exit status, so no child ever zombies, and drops it
-// from the live set.
+// from the live set before counting it: a child Reaped counts is no
+// longer Live.
 func (s *supervisor) reap(c *child) {
 	c.err = c.cmd.Wait()
-	s.reaped.Add(1)
 	s.mu.Lock()
 	delete(s.live, c)
 	s.mu.Unlock()
+	s.reaped.Add(1)
 	close(c.dead)
 }
 

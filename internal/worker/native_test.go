@@ -444,8 +444,14 @@ func TestNativeResidentState(t *testing.T) {
 		if n := spawnsAfter(0); n != int64(k+2) {
 			t.Fatalf("evicted artifact 0 answered without a new process: %d spawns", n)
 		}
-		if st := r.Stats(); st.Live != k || st.Crashes != 0 {
-			t.Fatalf("stats %+v, want %d live and no crash", st, k)
+		// Two residents were evicted, and the reaper counts each after Run
+		// returns: wait until it has, then count who is live.
+		st := r.Stats()
+		for deadline := time.Now().Add(10 * time.Second); st.Reaped < 2 && time.Now().Before(deadline); st = r.Stats() {
+			time.Sleep(time.Millisecond)
+		}
+		if st.Reaped != 2 || st.Live != k || st.Crashes != 0 {
+			t.Fatalf("stats %+v, want the 2 evicted reaped, %d live and no crash", st, k)
 		}
 	})
 }

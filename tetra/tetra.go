@@ -98,7 +98,7 @@ type Program struct {
 // OptNone to execute exactly the bytecode the compiler emitted (useful for
 // differential testing and for debugging the optimizer itself).
 const (
-	OptFull = 0  // full optimization (-O2: jump threading, DCE, leaf inlining, step fusion, tail calls)
+	OptFull = 0  // full optimization (-O2: leaf inlining and tail calls)
 	OptNone = -1 // optimizer disabled
 )
 
@@ -121,7 +121,8 @@ func NewCompileCache(maxEntries int) *CompileCache {
 // plain Compile: full optimization, no cache.
 type CompileOptions struct {
 	// OptLevel selects how hard RunVM optimizes the bytecode: OptFull (the
-	// zero value), OptNone, or an explicit level 1 or 2.
+	// zero value), OptNone, or an explicit level 1 or 2. Level 1 runs the
+	// compiler's output as OptNone does.
 	OptLevel int
 	// Cache, when non-nil, memoizes compilation by source content hash;
 	// recompiling an already-seen source becomes a map lookup.
